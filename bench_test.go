@@ -10,6 +10,9 @@
 //	BenchmarkSection22Availability       §2.2    availability in nines
 //	BenchmarkSection23TrafficMix         §2.3    traffic-mix taxonomy
 //
+//	BenchmarkRegistryValues              gateway  one numeric read of a run's registry
+//	BenchmarkRegistryWritePrometheus     gateway  one text render of the same registry
+//
 // plus the DESIGN.md ablations (shaper none/CBS/TAS, watchdog
 // threshold, PREEMPT_RT, optimizer halves) and the §2.1 scaling study
 // (BenchmarkScalingVPLCsPerHost). Each benchmark prints its table once
@@ -19,6 +22,7 @@ package steelnet_test
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +34,7 @@ import (
 	"steelnet/internal/mlwork"
 	"steelnet/internal/placement"
 	"steelnet/internal/reflection"
+	"steelnet/internal/telemetry"
 	"steelnet/internal/trafficgen"
 )
 
@@ -246,6 +251,48 @@ func BenchmarkScalingVPLCsPerHost(b *testing.B) {
 	b.ReportMetric(j1, "1-tenant-p99-ns")
 	b.ReportMetric(j16, "16-tenant-p99-ns")
 	b.ReportMetric(j64, "64-tenant-p99-ns")
+}
+
+// benchRegistry is a hosted run's metric registry as steelnetd reads it
+// every slice: the instaplc harness's ~140 func-backed counters and
+// gauges, no histograms, a few slices into the run.
+func benchRegistry(b *testing.B) *telemetry.Registry {
+	d, err := core.NewHeadless(core.HeadlessConfig{Seed: 1, Horizon: 400 * time.Millisecond, Slice: 50 * time.Millisecond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		d.Step()
+	}
+	return d.Registry()
+}
+
+var registryValuesSink []telemetry.MetricValue
+
+// BenchmarkRegistryValues is the per-slice numeric read behind the
+// gateway's tag stream. The registry keeps its entries ordered and its
+// keys rendered, so the read is one walk and one allocation (the result
+// slice); scripts/benchdiff.sh pins that.
+func BenchmarkRegistryValues(b *testing.B) {
+	reg := benchRegistry(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		registryValuesSink = reg.Values()
+	}
+}
+
+// BenchmarkRegistryWritePrometheus is the per-slice text render behind
+// every run's /metrics snapshot.
+func BenchmarkRegistryWritePrometheus(b *testing.B) {
+	reg := benchRegistry(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := reg.WritePrometheus(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func maxi(a, b int) int {

@@ -199,3 +199,37 @@ func (e *DivergenceError) Error() string {
 		"(the binary or configuration no longer reproduces the checkpointed run)",
 		e.Kind, e.At, e.Recorded, e.Replayed)
 }
+
+// Replay is the restore half of every replay-anchored harness
+// checkpoint: read the container, decode the recorded configuration,
+// build a fresh harness from it, replay deterministically from time zero
+// to the recorded instant, and verify the state digest. A mismatch
+// returns *DivergenceError. decode reads the harness's "config" section;
+// build receives the result only if it decoded cleanly, attaches
+// whatever the checkpoint does not record (telemetry, collectors, worker
+// counts) and constructs the harness. T is the harness's simulated-time
+// type — sim.Time, which this package sits below and cannot name.
+func Replay[T ~int64, C any, H interface {
+	AdvanceTo(T)
+	Digest() uint64
+}](r io.Reader, kind string, decode func(*Decoder) C, build func(C) (H, error)) (H, error) {
+	var none H
+	cfgBytes, at, digest, err := ReadHarness(r, kind)
+	if err != nil {
+		return none, err
+	}
+	d := NewDecoder(cfgBytes)
+	cfg := decode(d)
+	if err := d.Err(); err != nil {
+		return none, fmt.Errorf("checkpoint: bad %s config: %w", kind, err)
+	}
+	h, err := build(cfg)
+	if err != nil {
+		return none, err
+	}
+	h.AdvanceTo(T(at))
+	if got := h.Digest(); got != digest {
+		return none, &DivergenceError{Kind: kind, At: at, Recorded: digest, Replayed: got}
+	}
+	return h, nil
+}

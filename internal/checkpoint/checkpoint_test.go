@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -121,6 +122,52 @@ func TestHarnessRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := ReadHarness(bytes.NewReader(buf.Bytes()), "mrp"); err == nil {
 		t.Fatal("wrong kind accepted")
+	}
+}
+
+// toyHarness is the smallest thing Replay can restore: its state is the
+// instant it was advanced to plus its configured seed.
+type toyHarness struct{ seed, now int64 }
+
+func (h *toyHarness) AdvanceTo(t int64) { h.now = t }
+func (h *toyHarness) Digest() uint64    { return uint64(h.seed*1000 + h.now) }
+
+func TestReplay(t *testing.T) {
+	save := func(cfg []byte, at int64, digest uint64) *bytes.Reader {
+		var buf bytes.Buffer
+		if err := WriteHarness(&buf, "toy", cfg, at, digest); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.NewReader(buf.Bytes())
+	}
+	e := NewEncoder()
+	e.I64(7)
+	cfg := e.Data()
+	decode := func(d *Decoder) int64 { return d.I64() }
+	build := func(seed int64) (*toyHarness, error) { return &toyHarness{seed: seed}, nil }
+
+	h, err := Replay[int64](save(cfg, 42, 7042), "toy", decode, build)
+	if err != nil || h.seed != 7 || h.now != 42 {
+		t.Fatalf("Replay = %+v, %v", h, err)
+	}
+	if _, err := Replay[int64](save(cfg, 42, 7042), "other", decode, build); err == nil {
+		t.Error("wrong kind restored")
+	}
+	// A config that does not decode never reaches build.
+	_, err = Replay[int64](save(cfg[:3], 42, 7042), "toy", decode, func(int64) (*toyHarness, error) {
+		t.Error("build called on an undecodable config")
+		return nil, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "bad toy config") {
+		t.Errorf("short config: err = %v", err)
+	}
+	boom := errors.New("boom")
+	if _, err := Replay[int64](save(cfg, 42, 7042), "toy", decode, func(int64) (*toyHarness, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Errorf("build error not passed up: %v", err)
+	}
+	var div *DivergenceError
+	if _, err := Replay[int64](save(cfg, 42, 1), "toy", decode, build); !errors.As(err, &div) || div.Replayed != 7042 || div.Recorded != 1 || div.At != 42 {
+		t.Errorf("divergence: err = %v", err)
 	}
 }
 

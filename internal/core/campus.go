@@ -630,28 +630,14 @@ func RestoreCampus(r io.Reader, workers int) (*CampusHarness, error) {
 // re-enables them here. mutate must not touch scenario fields: the
 // replay would diverge from the recorded digest and fail loudly.
 func RestoreCampusWith(r io.Reader, workers int, mutate func(*CampusConfig)) (*CampusHarness, error) {
-	cfgBytes, at, digest, err := checkpoint.ReadHarness(r, CampusCheckpointKind)
-	if err != nil {
-		return nil, err
-	}
-	d := checkpoint.NewDecoder(cfgBytes)
-	cfg := decodeCampusConfig(d)
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("core: bad campus checkpoint config: %w", err)
-	}
-	cfg.Workers = workers
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	h, err := NewCampusHarness(cfg)
-	if err != nil {
-		return nil, err
-	}
-	h.AdvanceTo(sim.Time(at))
-	if got := h.Digest(); got != digest {
-		return nil, &checkpoint.DivergenceError{Kind: CampusCheckpointKind, At: at, Recorded: digest, Replayed: got}
-	}
-	return h, nil
+	return checkpoint.Replay[sim.Time](r, CampusCheckpointKind, decodeCampusConfig,
+		func(cfg CampusConfig) (*CampusHarness, error) {
+			cfg.Workers = workers
+			if mutate != nil {
+				mutate(&cfg)
+			}
+			return NewCampusHarness(cfg)
+		})
 }
 
 func encodeLinkSpec(e *checkpoint.Encoder, s topo.LinkSpec) {

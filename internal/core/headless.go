@@ -264,7 +264,7 @@ func (d *Headless) Sample() Sample {
 		Breaches: d.Breaches(),
 	}
 	for _, v := range d.reg.Values() {
-		s.Tags = append(s.Tags, Tag{Name: v.Name + v.Labels, Value: v.Value})
+		s.Tags = append(s.Tags, Tag{Name: v.Key, Value: v.Value})
 	}
 	for _, p := range s.Digests {
 		prefix := "int/" + p.Sink + "/" + p.Source + "/" + strconv.FormatUint(uint64(p.Flow), 10)

@@ -256,24 +256,13 @@ func Restore(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry
 // is rebuilt exactly as a straight run would have built it. coll must
 // be empty; replay repopulates it from instant zero.
 func RestoreWithCollector(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry, coll *intnet.Collector) (*Harness, error) {
-	cfgBytes, at, digest, err := checkpoint.ReadHarness(r, CheckpointKind)
-	if err != nil {
-		return nil, err
-	}
-	d := checkpoint.NewDecoder(cfgBytes)
-	cfg := decodeExperimentConfig(d)
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("instaplc: bad checkpoint config: %w", err)
-	}
-	cfg.Trace = tracer
-	cfg.Metrics = registry
-	cfg.Collector = coll
-	h := NewHarness(cfg)
-	h.AdvanceTo(sim.Time(at))
-	if got := h.Digest(); got != digest {
-		return nil, &checkpoint.DivergenceError{Kind: CheckpointKind, At: at, Recorded: digest, Replayed: got}
-	}
-	return h, nil
+	return checkpoint.Replay[sim.Time](r, CheckpointKind, decodeExperimentConfig,
+		func(cfg ExperimentConfig) (*Harness, error) {
+			cfg.Trace = tracer
+			cfg.Metrics = registry
+			cfg.Collector = coll
+			return NewHarness(cfg), nil
+		})
 }
 
 // encodeExperimentConfig serializes the replayable configuration

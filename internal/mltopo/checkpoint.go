@@ -140,24 +140,13 @@ func Restore(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry
 // watchdog) instead of a private collector. coll must be empty; replay
 // repopulates it from instant zero.
 func RestoreWithCollector(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry, coll *intnet.Collector) (*Harness, error) {
-	cfgBytes, at, digest, err := checkpoint.ReadHarness(r, CheckpointKind)
-	if err != nil {
-		return nil, err
-	}
-	d := checkpoint.NewDecoder(cfgBytes)
-	sc := decodeScenario(d)
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("mltopo: bad checkpoint config: %w", err)
-	}
-	sc.Trace = tracer
-	sc.Metrics = registry
-	sc.Collector = coll
-	h := NewHarness(sc)
-	h.AdvanceTo(sim.Time(at))
-	if got := h.Digest(); got != digest {
-		return nil, &checkpoint.DivergenceError{Kind: CheckpointKind, At: at, Recorded: digest, Replayed: got}
-	}
-	return h, nil
+	return checkpoint.Replay[sim.Time](r, CheckpointKind, decodeScenario,
+		func(sc Scenario) (*Harness, error) {
+			sc.Trace = tracer
+			sc.Metrics = registry
+			sc.Collector = coll
+			return NewHarness(sc), nil
+		})
 }
 
 // figure6Checkpointer persists completed Fig. 6 cells for resumable

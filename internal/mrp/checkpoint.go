@@ -214,23 +214,12 @@ func (h *Harness) Save(w io.Writer) error {
 // Restore reads a checkpoint, rebuilds the scenario and replays to the
 // checkpointed instant, verifying the state digest.
 func Restore(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry) (*Harness, error) {
-	cfgBytes, at, digest, err := checkpoint.ReadHarness(r, CheckpointKind)
-	if err != nil {
-		return nil, err
-	}
-	d := checkpoint.NewDecoder(cfgBytes)
-	cfg := decodeRingConfig(d)
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("mrp: bad checkpoint config: %w", err)
-	}
-	cfg.Trace = tracer
-	cfg.Metrics = registry
-	h := NewHarness(cfg)
-	h.AdvanceTo(sim.Time(at))
-	if got := h.Digest(); got != digest {
-		return nil, &checkpoint.DivergenceError{Kind: CheckpointKind, At: at, Recorded: digest, Replayed: got}
-	}
-	return h, nil
+	return checkpoint.Replay[sim.Time](r, CheckpointKind, decodeRingConfig,
+		func(cfg RingExperimentConfig) (*Harness, error) {
+			cfg.Trace = tracer
+			cfg.Metrics = registry
+			return NewHarness(cfg), nil
+		})
 }
 
 func encodeRingConfig(e *checkpoint.Encoder, cfg RingExperimentConfig) {

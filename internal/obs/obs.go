@@ -12,9 +12,9 @@
 // func-backed metrics are therefore read exclusively on the simulation
 // goroutine, publishing never blocks on subscribers (slow SSE clients
 // drop payloads, counted), and the simulation's outputs stay
-// byte-identical whether or not anyone is watching. This in-process
-// broker is the fan-out seam the future steelnetd gateway will attach
-// its REST/WebSocket northbound to.
+// byte-identical whether or not anyone is watching. The steelnetd
+// gateway holds one Broker per hosted run, and builds its fleet-wide hub
+// on the same Fanout and SSE writer (fanout.go).
 package obs
 
 import (
@@ -56,25 +56,6 @@ type Delta struct {
 	Prev   float64 `json:"prev"`
 }
 
-// subBuf bounds each SSE subscriber's pending payload queue. A
-// subscriber that falls further behind loses payloads (counted in
-// Dropped) rather than stalling the publisher.
-const subBuf = 64
-
-// defaultEvictAfter is how many consecutive drops a subscriber survives
-// before the broker evicts it. A full buffer plus this many missed
-// payloads means the client is not reading at all (a stalled curl, a
-// dead TCP peer the kernel has not noticed); holding its slot would
-// cost every future broadcast a failed offer. Eviction closes the
-// subscriber's channel, which ends its SSE handler.
-const defaultEvictAfter = 256
-
-// subscriber is one SSE fan-out slot.
-type subscriber struct {
-	ch    chan []byte
-	drops int // consecutive drops; reset on every delivered payload
-}
-
 // Broker owns the latest snapshot and the SSE fan-out. Publish must be
 // called from the goroutine that owns the registry's components (the
 // simulation goroutine); everything else is safe for concurrent use.
@@ -96,22 +77,17 @@ type Broker struct {
 	// time-series history served at /history.
 	rec atomic.Pointer[tshist.Recorder]
 
-	mu            sync.Mutex
-	subs          map[*subscriber]struct{}
-	evictAfter    int
+	// fan carries formatted SSE frames to the /events subscribers.
+	fan *Fanout[[]byte]
+
+	mu            sync.Mutex // guards breachesTotal
 	breachesTotal uint64
-	dropped       atomic.Uint64
-	evicted       atomic.Uint64
 }
 
 // NewBroker returns an empty broker; until the first Publish the
 // endpoints serve an empty snapshot.
 func NewBroker() *Broker {
-	b := &Broker{
-		prev:       map[string]float64{},
-		subs:       map[*subscriber]struct{}{},
-		evictAfter: defaultEvictAfter,
-	}
+	b := &Broker{prev: map[string]float64{}, fan: NewFanout[[]byte]()}
 	b.cur.Store(&Snapshot{SimNS: -1})
 	return b
 }
@@ -152,9 +128,7 @@ func (b *Broker) SetEvictAfter(n int) {
 	if n <= 0 {
 		n = defaultEvictAfter
 	}
-	b.mu.Lock()
-	b.evictAfter = n
-	b.mu.Unlock()
+	b.fan.SetLimits(0, n)
 }
 
 // Publish renders reg and profile into a new immutable snapshot, swaps
@@ -165,8 +139,11 @@ func (b *Broker) SetEvictAfter(n int) {
 // CLI's end-of-run publish) refreshes metrics without blanking /shards.
 // Call only from the simulation goroutine, at safe points.
 func (b *Broker) Publish(reg *telemetry.Registry, profile any, simNS int64) error {
+	// One walk of the registry yields both the text snapshot and the
+	// numbers the deltas and the history are cut from.
 	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	values, err := reg.Export(&buf)
+	if err != nil {
 		return err
 	}
 	prev := b.cur.Load()
@@ -186,14 +163,13 @@ func (b *Broker) Publish(reg *telemetry.Registry, profile any, simNS int64) erro
 		rec = nil
 	}
 	var deltas []Delta
-	for _, v := range reg.Values() {
-		key := v.Name + v.Labels
+	for _, v := range values {
 		if rec != nil {
-			rec.Append(key, simNS, v.Value)
+			rec.Append(v.Key, simNS, v.Value)
 		}
-		if prev, ok := b.prev[key]; !ok || prev != v.Value {
-			deltas = append(deltas, Delta{Metric: v.Name, Labels: v.Labels, Value: v.Value, Prev: b.prev[key]})
-			b.prev[key] = v.Value
+		if prev, ok := b.prev[v.Key]; !ok || prev != v.Value {
+			deltas = append(deltas, Delta{Metric: v.Name, Labels: v.Labels, Value: v.Value, Prev: prev})
+			b.prev[v.Key] = v.Value
 		}
 	}
 	b.cur.Store(snap)
@@ -235,62 +211,27 @@ func (b *Broker) Current() *Snapshot { return b.cur.Load() }
 
 // Dropped returns the number of SSE payloads discarded because a
 // subscriber's buffer was full.
-func (b *Broker) Dropped() uint64 { return b.dropped.Load() }
+func (b *Broker) Dropped() uint64 { return b.fan.Dropped() }
 
 // Evicted returns the number of subscribers the broker disconnected for
 // not draining their buffers.
-func (b *Broker) Evicted() uint64 { return b.evicted.Load() }
+func (b *Broker) Evicted() uint64 { return b.fan.Evicted() }
 
 // Subscribers returns the current fan-out width.
-func (b *Broker) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
+func (b *Broker) Subscribers() int { return b.fan.Subscribers() }
 
 // Subscribe registers an SSE payload channel; cancel unregisters it.
 // Payloads are fully formatted SSE frames ("event: …\ndata: …\n\n").
-// The broker closes ch when it evicts the subscriber; receivers must
-// treat a closed channel as the end of the stream. cancel is safe to
-// call after an eviction (it is then a no-op).
-func (b *Broker) Subscribe() (ch chan []byte, cancel func()) {
-	sub := &subscriber{ch: make(chan []byte, subBuf)}
-	b.mu.Lock()
-	b.subs[sub] = struct{}{}
-	b.mu.Unlock()
-	return sub.ch, func() {
-		b.mu.Lock()
-		delete(b.subs, sub)
-		b.mu.Unlock()
-	}
-}
+// See Fanout.Subscribe for the eviction contract.
+func (b *Broker) Subscribe() (ch <-chan []byte, cancel func()) { return b.fan.Subscribe("") }
 
-// broadcast formats one SSE frame and offers it to every subscriber,
-// dropping (and counting) on full buffers so the publisher never
-// blocks. A subscriber that accumulates evictAfter consecutive drops
-// is evicted: unregistered and its channel closed.
+// broadcast formats one SSE frame and offers it to every subscriber.
 func (b *Broker) broadcast(event string, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
-	frame := enc.AppendSSE(make([]byte, 0, len(event)+len(data)+18), event, data)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for sub := range b.subs {
-		select {
-		case sub.ch <- frame:
-			sub.drops = 0
-		default:
-			b.dropped.Add(1)
-			sub.drops++
-			if sub.drops >= b.evictAfter {
-				delete(b.subs, sub)
-				close(sub.ch)
-				b.evicted.Add(1)
-			}
-		}
-	}
+	b.fan.Offer("", enc.AppendSSE(make([]byte, 0, len(event)+len(data)+18), event, data))
 }
 
 // ServeHealthz reports liveness plus the latest seq/sim time, the run's
@@ -337,34 +278,10 @@ func (b *Broker) ServeShards(w http.ResponseWriter, r *http.Request) {
 // ServeEvents streams SSE frames (metric deltas, SLO breaches) until the
 // client disconnects or the broker evicts the subscription.
 func (b *Broker) ServeEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	ch, cancel := b.Subscribe()
-	defer cancel()
-	s := b.Current()
-	fmt.Fprintf(w, "event: hello\ndata: {\"seq\":%d,\"sim_ns\":%d}\n\n", s.Seq, s.SimNS)
-	fl.Flush()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case p, ok := <-ch:
-			if !ok {
-				return // evicted by the broker
-			}
-			if _, err := w.Write(p); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
+	b.fan.ServeSSE(w, r, "", func() string {
+		s := b.Current()
+		return fmt.Sprintf("event: hello\ndata: {\"seq\":%d,\"sim_ns\":%d}\n\n", s.Seq, s.SimNS)
+	}, func(p []byte) []byte { return p })
 }
 
 // Server is the live telemetry HTTP server.

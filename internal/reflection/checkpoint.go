@@ -196,29 +196,23 @@ func Restore(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry
 // watchdog) instead of a private collector. coll must be empty; replay
 // repopulates it from instant zero.
 func RestoreWithCollector(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry, coll *intnet.Collector) (*Harness, error) {
-	cfgBytes, at, digest, err := checkpoint.ReadHarness(r, CheckpointKind)
-	if err != nil {
-		return nil, err
-	}
-	d := checkpoint.NewDecoder(cfgBytes)
-	cfg := decodeConfig(d)
-	name := d.Str()
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("reflection: bad checkpoint config: %w", err)
-	}
-	v, err := NewVariant(name)
-	if err != nil {
-		return nil, fmt.Errorf("reflection: checkpoint names unknown variant: %w", err)
-	}
-	cfg.Trace = tracer
-	cfg.Metrics = registry
-	cfg.Collector = coll
-	h := NewHarness(cfg, v)
-	h.AdvanceTo(sim.Time(at))
-	if got := h.Digest(); got != digest {
-		return nil, &checkpoint.DivergenceError{Kind: CheckpointKind, At: at, Recorded: digest, Replayed: got}
-	}
-	return h, nil
+	var variant string // follows the config in the section
+	return checkpoint.Replay[sim.Time](r, CheckpointKind,
+		func(d *checkpoint.Decoder) Config {
+			cfg := decodeConfig(d)
+			variant = d.Str()
+			return cfg
+		},
+		func(cfg Config) (*Harness, error) {
+			v, err := NewVariant(variant)
+			if err != nil {
+				return nil, fmt.Errorf("reflection: checkpoint names unknown variant: %w", err)
+			}
+			cfg.Trace = tracer
+			cfg.Metrics = registry
+			cfg.Collector = coll
+			return NewHarness(cfg, v), nil
+		})
 }
 
 // resultCheckpointer persists completed sweep cells (full delay and

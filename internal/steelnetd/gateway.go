@@ -123,8 +123,12 @@ type Gateway struct {
 	order  []string
 	nextID int
 
-	started atomic.Uint64
-	active  atomic.Int64
+	// started and active are allocated apart from the Gateway, like the
+	// transition counters below: the hub registry's read funcs are
+	// reachable from every holder of the Hub, and must keep these words
+	// alive — not a closed gateway with its runs and their histories.
+	started *atomic.Uint64
+	active  *atomic.Int64
 	// transitions counts every run state entered, per state — the
 	// steelnetd_run_transitions_total{state=…} family.
 	transitions map[RunState]*atomic.Uint64
@@ -140,6 +144,8 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		backends:    cfg.Backends,
 		runs:        map[string]*run{},
 		journal:     NewJournal(),
+		started:     &atomic.Uint64{},
+		active:      &atomic.Int64{},
 		transitions: map[RunState]*atomic.Uint64{},
 	}
 	if g.backends == nil {
@@ -151,11 +157,11 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	if cfg.Trace {
 		g.trace = &TraceLog{}
 	}
-	reg := g.hub.Registry()
+	reg, active := g.hub.Registry(), g.active
 	reg.Counter("steelnetd_runs_started_total", nil,
 		"Runs accepted by the gateway.", g.started.Load)
 	reg.Gauge("steelnetd_runs_active", nil,
-		"Runs currently stepping.", func() float64 { return float64(g.active.Load()) })
+		"Runs currently stepping.", func() float64 { return float64(active.Load()) })
 	reg.Counter("steelnetd_journal_records_total", nil,
 		"Lifecycle journal records appended.", g.journal.Total)
 	for _, st := range []RunState{StateRunning, StateDone, StatePaused, StateStopped, StateFailed} {
@@ -330,12 +336,6 @@ func (g *Gateway) drive(r *run) {
 		}
 		r.broker.PublishBreaches(s.Breaches)
 
-		// History: every sampled tag, every slice — the recorder's
-		// bounded rings make this O(1) memory per metric, and its
-		// determinism makes /history a pure function of the run spec.
-		for _, t := range s.Tags {
-			r.hist.Append(t.Name, s.SimNS, t.Value)
-		}
 		if s.SimNS > g.latestSimNS.Load() {
 			g.latestSimNS.Store(s.SimNS) // racy max across runs is fine
 		}
@@ -345,10 +345,14 @@ func (g *Gateway) drive(r *run) {
 		}
 		prevSim = s.SimNS
 
-		// Change-detection filtering: republish only tags whose value
-		// moved since the last slice.
+		// One pass over the sample. History takes every tag, every slice
+		// — the recorder's bounded rings make this O(1) memory per metric,
+		// and its determinism makes /history a pure function of the run
+		// spec. The hub takes only the tags whose value moved since the
+		// last slice (change-detection filtering).
 		batch = batch[:0]
 		for _, t := range s.Tags {
+			r.hist.Append(t.Name, s.SimNS, t.Value)
 			if v, seen := prev[t.Name]; !seen || v != t.Value {
 				prev[t.Name] = t.Value
 				batch = append(batch, TagChange{Name: t.Name, Value: t.Value})

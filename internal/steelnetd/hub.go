@@ -1,20 +1,12 @@
 package steelnetd
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"steelnet/internal/enc"
+	"steelnet/internal/obs"
 	"steelnet/internal/telemetry"
-)
-
-// hubSubBuf bounds each hub subscriber's pending frame queue, and
-// hubEvictAfter is the consecutive-drop eviction threshold — the same
-// discipline as obs.Broker's SSE fan-out, at fleet scale.
-const (
-	hubSubBuf     = 64
-	hubEvictAfter = 256
 )
 
 // Frame is one fan-out message: a fully formatted SSE frame plus the
@@ -24,57 +16,36 @@ type Frame struct {
 	Data []byte // "event: …\ndata: …\n\n"
 }
 
-// hubSub is one subscriber slot.
-type hubSub struct {
-	ch    chan Frame
-	run   string // "" = the whole fleet
-	drops int
-}
-
 // Hub is the fleet-wide fan-out: every hosted run publishes its changed
 // tags, rule firings and SLO breaches here, and every gateway SSE
-// client receives them through a bounded queue. Publishing never
-// blocks: a full subscriber drops the frame (counted), and a subscriber
-// that keeps dropping is evicted (its channel closed). The hot path
-// does no allocation beyond the frame the caller already built — the
-// Frame struct is sent by value and the payload bytes are shared.
+// client receives them through a bounded queue. It is obs.Fanout keyed
+// by run ID — the same drop-on-full, evict-on-stall discipline as a
+// run's own obs.Broker — plus the fleet's counters and metric families.
+// The hot path does no allocation beyond the frame the caller already
+// built: the Frame struct is sent by value and the payload bytes are
+// shared.
 type Hub struct {
-	mu         sync.Mutex
-	subs       map[*hubSub]struct{}
-	evictAfter int
-	buf        int
-
+	fan       *obs.Fanout[Frame]
 	published atomic.Uint64
-	dropped   atomic.Uint64
-	evicted   atomic.Uint64
-	// queueHW is the deepest any subscriber queue has ever been — the
-	// early-warning gauge: it climbs toward the buffer size long before
-	// drops start.
-	queueHW  atomic.Int64
-	fanoutNS *telemetry.AtomicHistogram
-	reg      *telemetry.Registry
+	fanoutNS  *telemetry.AtomicHistogram
+	reg       *telemetry.Registry
 }
 
 // NewHub builds a hub and registers its metric families (subscriber
 // count, frames published/dropped, evictions, fan-out latency
 // histogram) on its own registry, rendered by the gateway's /metrics.
 func NewHub() *Hub {
-	h := &Hub{
-		subs:       map[*hubSub]struct{}{},
-		evictAfter: hubEvictAfter,
-		buf:        hubSubBuf,
-		reg:        telemetry.NewRegistry(),
-	}
+	h := &Hub{fan: obs.NewFanout[Frame](), reg: telemetry.NewRegistry()}
 	h.reg.Gauge("steelnetd_hub_subscribers", nil, "Current hub fan-out width.",
 		func() float64 { return float64(h.Subscribers()) })
 	h.reg.Counter("steelnetd_hub_frames_published_total", nil, "Frames offered to the hub.",
 		h.published.Load)
 	h.reg.Counter("steelnetd_hub_frames_dropped_total", nil, "Frames dropped on full subscriber queues.",
-		h.dropped.Load)
+		h.fan.Dropped)
 	h.reg.Counter("steelnetd_hub_evicted_total", nil, "Subscribers evicted for not draining.",
-		h.evicted.Load)
+		h.fan.Evicted)
 	h.reg.Gauge("steelnetd_hub_queue_high_water", nil, "Deepest subscriber queue ever seen.",
-		func() float64 { return float64(h.queueHW.Load()) })
+		func() float64 { return float64(h.QueueHighWater()) })
 	h.reg.Gauge("steelnetd_hub_max_lag", nil, "Deepest subscriber queue right now.",
 		func() float64 { return float64(h.MaxLag()) })
 	h.fanoutNS = h.reg.NewAtomicHistogram("steelnetd_hub_fanout_ns", nil,
@@ -89,93 +60,38 @@ func (h *Hub) Registry() *telemetry.Registry { return h.reg }
 
 // SetLimits overrides the subscriber queue depth and eviction threshold
 // (n <= 0 keeps the current value). Call before subscribers attach.
-func (h *Hub) SetLimits(buf, evictAfter int) {
-	h.mu.Lock()
-	if buf > 0 {
-		h.buf = buf
-	}
-	if evictAfter > 0 {
-		h.evictAfter = evictAfter
-	}
-	h.mu.Unlock()
-}
+func (h *Hub) SetLimits(buf, evictAfter int) { h.fan.SetLimits(buf, evictAfter) }
 
 // Subscribe registers a fan-out slot. run filters to one run's frames
 // ("" = the whole fleet). The hub closes ch on eviction; cancel is
 // idempotent and safe after eviction.
-func (h *Hub) Subscribe(run string) (ch <-chan Frame, cancel func()) {
-	h.mu.Lock()
-	sub := &hubSub{ch: make(chan Frame, h.buf), run: run}
-	h.subs[sub] = struct{}{}
-	h.mu.Unlock()
-	return sub.ch, func() {
-		h.mu.Lock()
-		delete(h.subs, sub)
-		h.mu.Unlock()
-	}
-}
+func (h *Hub) Subscribe(run string) (ch <-chan Frame, cancel func()) { return h.fan.Subscribe(run) }
 
 // Subscribers returns the current fan-out width.
-func (h *Hub) Subscribers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
+func (h *Hub) Subscribers() int { return h.fan.Subscribers() }
 
 // Published, Dropped and Evicted expose the hub counters.
 func (h *Hub) Published() uint64 { return h.published.Load() }
-func (h *Hub) Dropped() uint64   { return h.dropped.Load() }
-func (h *Hub) Evicted() uint64   { return h.evicted.Load() }
+func (h *Hub) Dropped() uint64   { return h.fan.Dropped() }
+func (h *Hub) Evicted() uint64   { return h.fan.Evicted() }
 
 // QueueHighWater returns the deepest any subscriber queue has been.
-func (h *Hub) QueueHighWater() int { return int(h.queueHW.Load()) }
+func (h *Hub) QueueHighWater() int { return h.fan.HighWater() }
 
 // MaxLag returns the deepest current subscriber queue — how far the
 // slowest attached consumer is behind, in pending frames.
-func (h *Hub) MaxLag() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	max := 0
-	for sub := range h.subs {
-		if d := len(sub.ch); d > max {
-			max = d
-		}
-	}
-	return max
-}
+func (h *Hub) MaxLag() int { return h.fan.MaxLag() }
 
 // FanoutQuantile returns the q quantile of per-publish fan-out wall
 // time in nanoseconds (bucket upper-bound estimate).
 func (h *Hub) FanoutQuantile(q float64) float64 { return h.fanoutNS.Quantile(q) }
 
 // Publish offers one frame to every matching subscriber without
-// blocking. Full queues drop the frame; hubEvictAfter consecutive drops
-// evict the subscriber.
+// blocking.
 func (h *Hub) Publish(f Frame) {
 	start := time.Now()
 	h.published.Add(1)
-	h.mu.Lock()
-	for sub := range h.subs {
-		if sub.run != "" && sub.run != f.Run {
-			continue
-		}
-		select {
-		case sub.ch <- f:
-			sub.drops = 0
-			if d := int64(len(sub.ch)); d > h.queueHW.Load() {
-				h.queueHW.Store(d) // racy max is fine: writers hold h.mu
-			}
-		default:
-			h.dropped.Add(1)
-			sub.drops++
-			if sub.drops >= h.evictAfter {
-				delete(h.subs, sub)
-				close(sub.ch)
-				h.evicted.Add(1)
-			}
-		}
-	}
-	h.mu.Unlock()
+	h.fan.Offer(f.Run, f)
 	h.fanoutNS.Observe(time.Since(start).Nanoseconds())
 }
 

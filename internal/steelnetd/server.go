@@ -143,33 +143,9 @@ func NewServeMux(g *Gateway) *http.ServeMux {
 // serveHubEvents streams the fleet-wide fan-out over SSE until the
 // client disconnects or the hub evicts the subscription.
 func serveHubEvents(h *Hub, w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	hd := w.Header()
-	hd.Set("Content-Type", "text/event-stream")
-	hd.Set("Cache-Control", "no-cache")
-	hd.Set("Connection", "keep-alive")
-	ch, cancel := h.Subscribe(r.URL.Query().Get("run"))
-	defer cancel()
-	fmt.Fprintf(w, "event: hello\ndata: {\"subscribers\":%d}\n\n", h.Subscribers())
-	fl.Flush()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case f, ok := <-ch:
-			if !ok {
-				return // evicted by the hub
-			}
-			if _, err := w.Write(f.Data); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
+	h.fan.ServeSSE(w, r, r.URL.Query().Get("run"), func() string {
+		return fmt.Sprintf("event: hello\ndata: {\"subscribers\":%d}\n\n", h.Subscribers())
+	}, func(f Frame) []byte { return f.Data })
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -1,10 +1,11 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -107,124 +108,104 @@ const (
 )
 
 // entry is one registered metric. Counters and gauges are func-backed —
-// they read live component counters at snapshot time, so registration
-// adds nothing to the simulation hot path.
+// they read live component counters at read time, so registration adds
+// nothing to the simulation hot path. The label set is rendered once,
+// here, and never again.
 type entry struct {
 	name   string
 	help   string
 	kind   metricKind
-	labels Labels
+	labels string         // Labels.String() at registration
+	key    string         // name + labels: the metric's flat key
 	readU  func() uint64  // counters
 	readF  func() float64 // gauges
-	hist   *Histogram
-	ahist  *AtomicHistogram
-}
-
-// histView reads a histogram entry's state uniformly, whichever backing
-// store it has. Atomic histograms are read with atomic loads, so the
-// view is safe while writers keep observing (it is a consistent-enough
-// snapshot for exposition: each bucket is exact at its own read).
-func (e *entry) histView() (bounds []float64, counts []uint64, sum float64, count uint64) {
-	if e.ahist != nil {
-		return e.ahist.view()
-	}
-	return e.hist.bounds, e.hist.counts, e.hist.sum, e.hist.count
+	hist   *AtomicHistogram
 }
 
 // Registry holds the run's metrics. Output ordering is by (name, labels)
 // regardless of registration order, so snapshots are stable even when
-// components register from map iteration. Not safe for concurrent use.
+// components register from map iteration; entries sharing a (name,
+// labels) key keep their registration order.
+//
+// That order is established at registration — each entry is inserted at
+// its sorted position — so a read is a plain walk that mutates nothing.
+// Registration itself is unsynchronised: finish registering before other
+// goroutines read. After that any number of goroutines may read at once,
+// as long as the registered read funcs are themselves safe to call
+// concurrently (the steelnetd hub registry's are all atomics; a
+// simulation's are not, and are read on the simulation goroutine only).
 type Registry struct {
-	entries []entry
+	// entries is sorted by (name, labels). Pointers keep an insert's
+	// memmove at 8 bytes per displaced entry: a Fig. 6 cell registers
+	// thousands of metrics under -stats.
+	entries []*entry
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
+// add inserts e after every entry that does not sort after it — the
+// position a stable sort by (name, labels) would give it.
+func (r *Registry) add(e *entry, labels Labels) {
+	e.labels = labels.String()
+	e.key = e.name + e.labels
+	i := sort.Search(len(r.entries), func(i int) bool {
+		o := r.entries[i]
+		if o.name != e.name {
+			return o.name > e.name
+		}
+		return o.labels > e.labels
+	})
+	r.entries = slices.Insert(r.entries, i, e)
+}
+
 // Counter registers a monotonically increasing value read by fn at
-// snapshot time. Nil registries ignore registration, so components can
+// read time. Nil registries ignore registration, so components can
 // offer metrics unconditionally.
 func (r *Registry) Counter(name string, labels Labels, help string, fn func() uint64) {
 	if r == nil {
 		return
 	}
-	r.entries = append(r.entries, entry{name: name, help: help, kind: kindCounter, labels: labels, readU: fn})
+	r.add(&entry{name: name, help: help, kind: kindCounter, readU: fn}, labels)
 }
 
-// Gauge registers a point-in-time value read by fn at snapshot time.
+// Gauge registers a point-in-time value read by fn at read time.
 func (r *Registry) Gauge(name string, labels Labels, help string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	r.entries = append(r.entries, entry{name: name, help: help, kind: kindGauge, labels: labels, readF: fn})
+	r.add(&entry{name: name, help: help, kind: kindGauge, readF: fn}, labels)
 }
-
-// Histogram is a fixed-bucket distribution. Observe is allocation-free:
-// the bucket layout is fixed at registration.
-type Histogram struct {
-	bounds []float64 // upper bounds, ascending; implicit +Inf last
-	counts []uint64  // len(bounds)+1
-	sum    float64
-	count  uint64
-}
-
-// NewHistogram registers a histogram with the given ascending upper
-// bucket bounds (an implicit +Inf bucket is appended). A nil registry
-// still returns a working histogram so instrumentation points need no
-// guard; it just never renders.
-func (r *Registry) NewHistogram(name string, labels Labels, help string, bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("telemetry: histogram bounds not ascending")
-		}
-	}
-	h := &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-	if r != nil {
-		r.entries = append(r.entries, entry{name: name, help: help, kind: kindHistogram, labels: labels, hist: h})
-	}
-	return h
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.count++
-}
-
-// Count returns the number of observed samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of observed samples.
-func (h *Histogram) Sum() float64 { return h.sum }
 
 // AtomicHistogram is a fixed-bucket distribution safe for concurrent
-// Observe from many goroutines. The engine-affine Histogram serves the
-// simulation's single-goroutine discipline; this variant serves the
-// gateway side of the house, where fan-out workers and HTTP handlers
-// record latencies concurrently while Prometheus scrapes render the
-// buckets. Values are int64 (nanoseconds, bytes, counts) so the sum
-// can be a plain atomic.
+// Observe from many goroutines: fan-out workers and HTTP handlers record
+// latencies while Prometheus scrapes render the buckets. Observe is
+// allocation-free — the bucket layout is fixed at registration. Values
+// are int64 (nanoseconds, bytes, counts) so the sum can be a plain
+// atomic.
 type AtomicHistogram struct {
-	bounds []float64
-	counts []atomic.Uint64 // len(bounds)+1, implicit +Inf last
+	bounds []float64       // upper bounds, ascending
+	les    []string        // rendered bounds, "+Inf" appended
+	counts []atomic.Uint64 // one per les entry
 	sum    atomic.Int64
 	count  atomic.Uint64
 }
 
-// NewAtomicHistogram registers a concurrency-safe histogram with the
-// given ascending upper bucket bounds. A nil registry still returns a
-// working histogram, mirroring NewHistogram.
+// NewAtomicHistogram registers a histogram with the given ascending
+// upper bucket bounds (an implicit +Inf bucket is appended). A nil
+// registry still returns a working histogram so instrumentation points
+// need no guard; it just never renders.
 func (r *Registry) NewAtomicHistogram(name string, labels Labels, help string, bounds []float64) *AtomicHistogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
+	h := &AtomicHistogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+	for i, b := range bounds {
+		if i > 0 && b <= bounds[i-1] {
 			panic("telemetry: histogram bounds not ascending")
 		}
+		h.les = append(h.les, strconv.FormatFloat(b, 'g', -1, 64))
 	}
-	h := &AtomicHistogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+	h.les = append(h.les, "+Inf")
 	if r != nil {
-		r.entries = append(r.entries, entry{name: name, help: help, kind: kindHistogram, labels: labels, ahist: h})
+		r.add(&entry{name: name, help: help, kind: kindHistogram, hist: h}, labels)
 	}
 	return h
 }
@@ -243,22 +224,13 @@ func (h *AtomicHistogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed samples.
 func (h *AtomicHistogram) Sum() int64 { return h.sum.Load() }
 
-// view snapshots the buckets with atomic loads.
-func (h *AtomicHistogram) view() (bounds []float64, counts []uint64, sum float64, count uint64) {
-	counts = make([]uint64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return h.bounds, counts, float64(h.sum.Load()), h.count.Load()
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1) as the upper bound of
 // the bucket containing it — a conservative estimate: the true value is
 // at most the returned one. Returns the largest finite bound when the
 // quantile lands in the +Inf bucket, and 0 when nothing was observed.
 func (h *AtomicHistogram) Quantile(q float64) float64 {
-	_, counts, _, count := h.view()
-	if count == 0 {
+	count := h.count.Load()
+	if count == 0 || len(h.bounds) == 0 {
 		return 0
 	}
 	target := uint64(math.Ceil(q * float64(count)))
@@ -266,80 +238,125 @@ func (h *AtomicHistogram) Quantile(q float64) float64 {
 		target = 1
 	}
 	cum := uint64(0)
-	for i, c := range counts {
-		cum += c
+	for i, b := range h.bounds {
+		cum += h.counts[i].Load()
 		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			break
+			return b
 		}
-	}
-	if len(h.bounds) == 0 {
-		return 0
 	}
 	return h.bounds[len(h.bounds)-1]
 }
 
-// sorted returns the entries ordered by (name, labels).
-func (r *Registry) sorted() []entry {
-	es := make([]entry, len(r.entries))
-	copy(es, r.entries)
-	sort.SliceStable(es, func(i, j int) bool {
-		if es[i].name != es[j].name {
-			return es[i].name < es[j].name
-		}
-		return es[i].labels.String() < es[j].labels.String()
-	})
-	return es
+// row is one reading handed to a formatter. A counter or gauge is one
+// row; a histogram is one row per bucket (le set, u cumulative) and then
+// a summary row (le empty, u the count, f the sum).
+type row struct {
+	*entry
+	head bool    // first row of a metric name: HELP/TYPE go before it
+	le   string  // bucket rows: the rendered upper bound
+	u    uint64  // counter value, cumulative bucket count, sample count
+	f    float64 // gauge value, histogram sum
 }
 
-// fmtBound renders a histogram bound the same way in both exports.
-func fmtBound(b float64) string {
-	if math.IsInf(b, 1) {
-		return "+Inf"
+// walk reads every metric once, in (name, labels) order, and hands the
+// readings to fn. It is the only code that calls an entry's read funcs
+// or loads a histogram's buckets on the registry's behalf; everything
+// the registry exports is a formatter over it. Bucket rows are skipped
+// (and their loads not made) unless buckets is set. Atomic histograms
+// are read with atomic loads while writers keep observing: each row is
+// exact at its own read, which is as consistent as exposition needs.
+func (r *Registry) walk(buckets bool, fn func(row)) {
+	for i, e := range r.entries {
+		rw := row{entry: e, head: i == 0 || r.entries[i-1].name != e.name}
+		switch e.kind {
+		case kindCounter:
+			rw.u = e.readU()
+		case kindGauge:
+			rw.f = e.readF()
+		case kindHistogram:
+			if buckets {
+				for j := range e.hist.counts {
+					rw.le = e.hist.les[j]
+					rw.u += e.hist.counts[j].Load()
+					fn(rw)
+					rw.head = false
+				}
+				rw.le = ""
+			}
+			rw.u, rw.f = e.hist.count.Load(), float64(e.hist.sum.Load())
+		}
+		fn(rw)
 	}
-	return fmt.Sprintf("%g", b)
+}
+
+// appendSample appends "name+suffix+labels " — a sample line up to its
+// value.
+func appendSample(b []byte, rw row, suffix string) []byte {
+	b = append(b, rw.name...)
+	b = append(b, suffix...)
+	b = append(b, rw.labels...)
+	return append(b, ' ')
+}
+
+func appendUintLine(b []byte, v uint64) []byte {
+	return append(strconv.AppendUint(b, v, 10), '\n')
+}
+
+func appendFloatLine(b []byte, v float64) []byte {
+	return append(strconv.AppendFloat(b, v, 'g', -1, 64), '\n')
+}
+
+// appendProm formats rw as Prometheus text exposition. Only the first
+// entry per metric name emits HELP/TYPE.
+func appendProm(b []byte, rw row) []byte {
+	if rw.head {
+		if rw.help != "" {
+			b = append(b, "# HELP "...)
+			b = append(b, rw.name...)
+			b = append(b, ' ')
+			b = append(b, escapeHelp(rw.help)...)
+			b = append(b, '\n')
+		}
+		b = append(b, "# TYPE "...)
+		b = append(b, rw.name...)
+		b = append(b, ' ')
+		b = append(b, [...]string{"counter", "gauge", "histogram"}[rw.kind]...)
+		b = append(b, '\n')
+	}
+	switch {
+	case rw.le != "":
+		// The le label joins the entry's rendered set: {a="b"} becomes
+		// {a="b",le="10"}. Bounds never need escaping.
+		b = append(b, rw.name...)
+		b = append(b, "_bucket"...)
+		if rw.labels == "" {
+			b = append(b, `{le="`...)
+		} else {
+			b = append(b, rw.labels[:len(rw.labels)-1]...)
+			b = append(b, `,le="`...)
+		}
+		b = append(b, rw.le...)
+		b = append(b, `"} `...)
+		return appendUintLine(b, rw.u)
+	case rw.kind == kindHistogram:
+		b = appendFloatLine(appendSample(b, rw, "_sum"), rw.f)
+		return appendUintLine(appendSample(b, rw, "_count"), rw.u)
+	case rw.kind == kindCounter:
+		return appendUintLine(appendSample(b, rw, ""), rw.u)
+	default:
+		return appendFloatLine(appendSample(b, rw, ""), rw.f)
+	}
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition
-// format. Only the first entry per metric name emits HELP/TYPE.
+// format.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	var b strings.Builder
-	lastName := ""
-	for _, e := range r.sorted() {
-		if e.name != lastName {
-			if e.help != "" {
-				fmt.Fprintf(&b, "# HELP %s %s\n", e.name, escapeHelp(e.help))
-			}
-			fmt.Fprintf(&b, "# TYPE %s %s\n", e.name, [...]string{"counter", "gauge", "histogram"}[e.kind])
-			lastName = e.name
-		}
-		switch e.kind {
-		case kindCounter:
-			fmt.Fprintf(&b, "%s%s %d\n", e.name, e.labels.String(), e.readU())
-		case kindGauge:
-			fmt.Fprintf(&b, "%s%s %g\n", e.name, e.labels.String(), e.readF())
-		case kindHistogram:
-			bounds, counts, sum, count := e.histView()
-			cum := uint64(0)
-			for i := range counts {
-				cum += counts[i]
-				bound := math.Inf(1)
-				if i < len(bounds) {
-					bound = bounds[i]
-				}
-				le := append(append(Labels{}, e.labels...), Label{K: "le", V: fmtBound(bound)})
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", e.name, le.String(), cum)
-			}
-			fmt.Fprintf(&b, "%s_sum%s %g\n", e.name, e.labels.String(), sum)
-			fmt.Fprintf(&b, "%s_count%s %d\n", e.name, e.labels.String(), count)
-		}
-	}
-	_, err := io.WriteString(w, b.String())
+	var b []byte
+	r.walk(true, func(rw row) { b = appendProm(b, rw) })
+	_, err := w.Write(b)
 	return err
 }
 
@@ -351,28 +368,20 @@ func (r *Registry) Snapshot() string {
 		return ""
 	}
 	t := metrics.NewTable("metrics", "metric", "labels", "value")
-	for _, e := range r.sorted() {
-		labels := e.labels.String()
-		switch e.kind {
-		case kindCounter:
-			t.AddRow(e.name, labels, fmt.Sprintf("%d", e.readU()))
-		case kindGauge:
-			t.AddRow(e.name, labels, fmt.Sprintf("%g", e.readF()))
-		case kindHistogram:
-			bounds, counts, sum, count := e.histView()
-			cum := uint64(0)
-			for i := range counts {
-				cum += counts[i]
-				bound := math.Inf(1)
-				if i < len(bounds) {
-					bound = bounds[i]
-				}
-				t.AddRow(e.name+"_le_"+fmtBound(bound), labels, fmt.Sprintf("%d", cum))
-			}
-			t.AddRow(e.name+"_count", labels, fmt.Sprintf("%d", count))
-			t.AddRow(e.name+"_sum", labels, fmt.Sprintf("%g", sum))
+	r.walk(true, func(rw row) {
+		u, f := strconv.FormatUint(rw.u, 10), strconv.FormatFloat(rw.f, 'g', -1, 64)
+		switch {
+		case rw.le != "":
+			t.AddRow(rw.name+"_le_"+rw.le, rw.labels, u)
+		case rw.kind == kindHistogram:
+			t.AddRow(rw.name+"_count", rw.labels, u)
+			t.AddRow(rw.name+"_sum", rw.labels, f)
+		case rw.kind == kindCounter:
+			t.AddRow(rw.name, rw.labels, u)
+		default:
+			t.AddRow(rw.name, rw.labels, f)
 		}
-	}
+	})
 	return t.String()
 }
 
@@ -382,32 +391,58 @@ func (r *Registry) Snapshot() string {
 type MetricValue struct {
 	Name   string
 	Labels string
-	Value  float64
+	// Key is Name+Labels, the metric's flat name in tag spaces, delta
+	// maps and history. Counters and gauges carry the string built at
+	// registration, so consumers never re-concatenate it per read.
+	Key   string
+	Value float64
+}
+
+// appendValue formats rw as its MetricValue rows.
+func appendValue(vs []MetricValue, rw row) []MetricValue {
+	switch rw.kind {
+	case kindHistogram:
+		count, sum := rw.name+"_count", rw.name+"_sum"
+		return append(vs,
+			MetricValue{count, rw.labels, count + rw.labels, float64(rw.u)},
+			MetricValue{sum, rw.labels, sum + rw.labels, rw.f})
+	case kindCounter:
+		return append(vs, MetricValue{rw.name, rw.labels, rw.key, float64(rw.u)})
+	default:
+		return append(vs, MetricValue{rw.name, rw.labels, rw.key, rw.f})
+	}
 }
 
 // Values reads every registered metric once, in snapshot order. This is
 // the numeric view behind the live endpoint's delta stream; like every
-// other read it must happen on the goroutine that owns the components
-// the func-backed entries read.
+// other read of func-backed entries it must happen on the goroutine that
+// owns the components they read.
 func (r *Registry) Values() []MetricValue {
 	if r == nil {
 		return nil
 	}
-	out := make([]MetricValue, 0, len(r.entries))
-	for _, e := range r.sorted() {
-		labels := e.labels.String()
-		switch e.kind {
-		case kindCounter:
-			out = append(out, MetricValue{e.name, labels, float64(e.readU())})
-		case kindGauge:
-			out = append(out, MetricValue{e.name, labels, e.readF()})
-		case kindHistogram:
-			_, _, sum, count := e.histView()
-			out = append(out, MetricValue{e.name + "_count", labels, float64(count)})
-			out = append(out, MetricValue{e.name + "_sum", labels, sum})
-		}
+	vs := make([]MetricValue, 0, len(r.entries))
+	r.walk(false, func(rw row) { vs = appendValue(vs, rw) })
+	return vs
+}
+
+// Export is WritePrometheus and Values over one walk: every metric is
+// read once and both views describe the same instant. It is what a
+// publisher that needs the text snapshot and the numbers calls.
+func (r *Registry) Export(w io.Writer) ([]MetricValue, error) {
+	if r == nil {
+		return nil, nil
 	}
-	return out
+	var b []byte
+	vs := make([]MetricValue, 0, len(r.entries))
+	r.walk(true, func(rw row) {
+		b = appendProm(b, rw)
+		if rw.le == "" {
+			vs = appendValue(vs, rw)
+		}
+	})
+	_, err := w.Write(b)
+	return vs, err
 }
 
 // RegisterEngineMetrics exposes the engine's internals (events fired,

@@ -9,16 +9,19 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
 	r.Counter("c", nil, "", func() uint64 { return 1 })
 	r.Gauge("g", nil, "", func() float64 { return 1 })
-	h := r.NewHistogram("h", nil, "", []float64{1, 2})
-	h.Observe(1.5)
-	if h.Count() != 1 || h.Sum() != 1.5 {
-		t.Fatalf("unregistered histogram broken: count=%d sum=%g", h.Count(), h.Sum())
+	h := r.NewAtomicHistogram("h", nil, "", []float64{1, 2})
+	h.Observe(2)
+	if h.Count() != 1 || h.Sum() != 2 {
+		t.Fatalf("unregistered histogram broken: count=%d sum=%d", h.Count(), h.Sum())
 	}
 	if r.Snapshot() != "" {
 		t.Fatal("nil snapshot not empty")
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatalf("nil WritePrometheus: %v", err)
+	}
+	if vs, err := r.Export(&strings.Builder{}); vs != nil || err != nil {
+		t.Fatalf("nil Export = %v, %v", vs, err)
 	}
 }
 
@@ -106,10 +109,10 @@ func TestPrometheusHelpEscaping(t *testing.T) {
 
 func TestHistogramBucketBoundaries(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("lat", nil, "", []float64{0, 0.5, 10})
+	h := r.NewAtomicHistogram("lat", nil, "", []float64{0, 5, 10})
 	// One sample per region: below-first (negative), exactly on each
 	// bound, between bounds, and past the last bound.
-	for _, v := range []float64{-1, 0, 0.25, 0.5, 3, 10, 11} {
+	for _, v := range []int64{-1, 0, 2, 5, 7, 10, 11} {
 		h.Observe(v)
 	}
 	var sb strings.Builder
@@ -118,9 +121,9 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		`lat_bucket{le="0"} 2`,   // -1 and the exact 0
-		`lat_bucket{le="0.5"} 4`, // + 0.25 and the exact 0.5
-		`lat_bucket{le="10"} 6`,  // + 3 and the exact 10
+		`lat_bucket{le="0"} 2`,  // -1 and the exact 0
+		`lat_bucket{le="5"} 4`,  // + 2 and the exact 5
+		`lat_bucket{le="10"} 6`, // + 7 and the exact 10
 		`lat_bucket{le="+Inf"} 7`,
 		`lat_count 7`,
 	} {
@@ -132,8 +135,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("lat", nil, "latency", []float64{10, 100})
-	for _, v := range []float64{1, 10, 11, 100, 1000} {
+	h := r.NewAtomicHistogram("lat", nil, "latency", []float64{10, 100})
+	for _, v := range []int64{1, 10, 11, 100, 1000} {
 		h.Observe(v)
 	}
 	// le semantics: a sample equal to a bound lands in that bucket.
@@ -169,7 +172,7 @@ func TestHistogramRejectsUnsortedBounds(t *testing.T) {
 			t.Fatal("no panic on non-ascending bounds")
 		}
 	}()
-	NewRegistry().NewHistogram("h", nil, "", []float64{2, 1})
+	NewRegistry().NewAtomicHistogram("h", nil, "", []float64{2, 1})
 }
 
 func TestWritePrometheusCountersAndGauges(t *testing.T) {

@@ -247,17 +247,17 @@ func TestRegistryValues(t *testing.T) {
 	r.Counter("zz_total", nil, "", func() uint64 { return n })
 	r.Counter("aa_total", L("x", "1"), "", func() uint64 { return 7 })
 	r.Gauge("gg", nil, "", func() float64 { return 2.5 })
-	h := r.NewHistogram("hh", nil, "", []float64{1, 10})
-	h.Observe(0.5)
+	h := r.NewAtomicHistogram("hh", nil, "", []float64{1, 10})
+	h.Observe(1)
 	h.Observe(5)
 
 	got := r.Values()
 	want := []MetricValue{
-		{"aa_total", `{x="1"}`, 7},
-		{"gg", "", 2.5},
-		{"hh_count", "", 2},
-		{"hh_sum", "", 5.5},
-		{"zz_total", "", 3},
+		{"aa_total", `{x="1"}`, `aa_total{x="1"}`, 7},
+		{"gg", "", "gg", 2.5},
+		{"hh_count", "", "hh_count", 2},
+		{"hh_sum", "", "hh_sum", 6},
+		{"zz_total", "", "zz_total", 3},
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("Values:\n got %v\nwant %v", got, want)

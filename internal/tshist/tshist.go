@@ -217,7 +217,9 @@ func (r *Recorder) Query(name string, since int64, step int64) (pts []Point, tie
 		if p.TNS < since {
 			continue
 		}
-		if !first && step > 0 && p.TNS < lastKept+step {
+		// Subtract, never add: step comes straight from a URL and
+		// lastKept+step overflows for a large one.
+		if !first && step > 0 && p.TNS-lastKept < step {
 			continue
 		}
 		pts = append(pts, p)

@@ -3,6 +3,7 @@ package tshist
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -201,6 +202,84 @@ func TestServeQueryJSON(t *testing.T) {
 	ServeQuery(rr, httptest.NewRequest("GET", "/history", nil), nil, "run-1")
 	if rr.Code != 404 {
 		t.Errorf("nil recorder status = %d", rr.Code)
+	}
+}
+
+// TestServeQueryParams walks ServeQuery's since/step/format grammar with
+// values taken straight from a URL, including the extremes an int64
+// parameter admits: a step near MaxInt64 used to overflow the thinning
+// comparison and return every point instead of one.
+func TestServeQueryParams(t *testing.T) {
+	r := NewRecorder(16, 2, 4)
+	feed(r, "m", 6, func(i int) float64 { return float64(i) }) // t = 50ms … 300ms
+	const maxNS = "9223372036854775807"
+	for _, tc := range []struct {
+		query string
+		code  int
+		first int64 // TNS of the first point, 0 = none expected
+		n     int
+	}{
+		{"metric=m", 200, 50_000_000, 6},
+		{"metric=m&since=0&step=0", 200, 50_000_000, 6},
+		{"metric=m&step=-5", 200, 50_000_000, 6},
+		{"metric=m&step=100000000", 200, 50_000_000, 3},
+		{"metric=m&since=100000000&step=100000000", 200, 100_000_000, 3},
+		{"metric=m&since=125000000", 200, 150_000_000, 4},
+		{"metric=m&since=-" + maxNS, 200, 50_000_000, 6},
+		{"metric=m&since=300000000", 200, 300_000_000, 1},
+		{"metric=m&since=" + maxNS, 200, 0, 0},
+		{"metric=m&step=" + maxNS, 200, 50_000_000, 1},
+		{"metric=m&step=9223372036854775000", 200, 50_000_000, 1},
+		{"metric=m&since=150000000&step=" + maxNS, 200, 150_000_000, 1},
+		{"metric=m&step=9223372036854775808", 400, 0, 0}, // out of int64 range
+		{"metric=m&step=1e9", 400, 0, 0},
+		{"metric=m&since=1.5", 400, 0, 0},
+		{"metric=m&since=", 200, 50_000_000, 6},
+		{"format=json&metric=m", 200, 50_000_000, 6}, // the first format wins; unknown ones mean native
+		{"metric=nope&step=1", 404, 0, 0},
+	} {
+		for _, format := range []string{"", "&format=prom"} {
+			rr := httptest.NewRecorder()
+			ServeQuery(rr, httptest.NewRequest("GET", "/history?"+tc.query+format, nil), r, "run-1")
+			if rr.Code != tc.code {
+				t.Errorf("%s%s: status %d, want %d", tc.query, format, rr.Code, tc.code)
+				continue
+			}
+			if tc.code != 200 {
+				continue
+			}
+			// Both dialects carry [t, v] pairs; prom's t is in seconds.
+			var native struct {
+				Points [][2]float64 `json:"points"`
+			}
+			var prom struct {
+				Data struct {
+					Result []struct {
+						Values [][2]any `json:"values"`
+					} `json:"result"`
+				} `json:"data"`
+			}
+			var n int
+			var first float64
+			if format == "" || strings.HasPrefix(tc.query, "format=") {
+				if err := json.Unmarshal(rr.Body.Bytes(), &native); err != nil {
+					t.Fatalf("%s: not JSON: %v\n%s", tc.query, err, rr.Body.String())
+				}
+				if n = len(native.Points); n > 0 {
+					first = native.Points[0][0]
+				}
+			} else {
+				if err := json.Unmarshal(rr.Body.Bytes(), &prom); err != nil {
+					t.Fatalf("%s%s: not JSON: %v\n%s", tc.query, format, err, rr.Body.String())
+				}
+				if n = len(prom.Data.Result[0].Values); n > 0 {
+					first = prom.Data.Result[0].Values[0][0].(float64) * 1e9
+				}
+			}
+			if n != tc.n || int64(first+0.5) != tc.first {
+				t.Errorf("%s%s: %d points from t=%v, want %d from t=%d", tc.query, format, n, first, tc.n, tc.first)
+			}
+		}
 	}
 }
 

@@ -49,6 +49,11 @@
 #   BenchmarkJournaledPublish       0 allocs/op  (the whole observable
 #                                                 slice: history + journal
 #                                                 + 1024-subscriber fan-out)
+#   BenchmarkRegistryValues         1 alloc/op   (a histogram-free registry
+#                                                 keeps its entries ordered
+#                                                 and its keys rendered: a
+#                                                 read allocates the result
+#                                                 slice and nothing else)
 # A regression on any of these silently re-introduces GC churn into
 # every figure sweep.
 #
@@ -94,8 +99,8 @@ done
 # occasional descheduled sample and the occasional lucky one — and the
 # worst-case allocs/op so alloc guards can never pass on a lucky sample.
 raw=$(go test -run '^$' -bench \
-  'BenchmarkEngineScheduleAndRun|BenchmarkEngineBatchDrain|BenchmarkTickerChain|BenchmarkPriorityQueue|BenchmarkSwitchForwarding|BenchmarkVMReflectorProgram|BenchmarkEngineSharded|BenchmarkCampus10k|BenchmarkGatewayFanout|BenchmarkHubPublish|BenchmarkAppendTagsPayload|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkJournalAppend|BenchmarkJournaledPublish' \
-  -benchmem -benchtime 50ms -count 7 ./internal/sim ./internal/simnet ./internal/ebpf ./internal/core ./internal/steelnetd ./internal/tshist)
+  'BenchmarkEngineScheduleAndRun|BenchmarkEngineBatchDrain|BenchmarkTickerChain|BenchmarkPriorityQueue|BenchmarkSwitchForwarding|BenchmarkVMReflectorProgram|BenchmarkEngineSharded|BenchmarkCampus10k|BenchmarkGatewayFanout|BenchmarkHubPublish|BenchmarkAppendTagsPayload|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkJournalAppend|BenchmarkJournaledPublish|BenchmarkRegistryValues|BenchmarkRegistryWritePrometheus' \
+  -benchmem -benchtime 50ms -count 7 . ./internal/sim ./internal/simnet ./internal/ebpf ./internal/core ./internal/steelnetd ./internal/tshist)
 echo "$raw"
 
 # Columns are found by their unit suffix, not position: benchmarks that
@@ -175,6 +180,7 @@ guard_allocs BenchmarkAppendTagsPayload 0 "tag-frame assembly must append into i
 guard_allocs BenchmarkHistoryAppend 0 "history recording on the publish path must not allocate"
 guard_allocs BenchmarkJournalAppend 0 "journal records must amortize into the per-run buffer"
 guard_allocs BenchmarkJournaledPublish 0 "the observable slice (history + journal + fan-out) must stay GC-free"
+guard_allocs BenchmarkRegistryValues 1 "a registry read must be one walk and one result slice: no per-read sort, no label re-rendering"
 
 # --- Baseline diff ----------------------------------------------------
 
