@@ -25,9 +25,11 @@
 // path change with its gap measured in-band); -slo watches objectives
 // like "latency:dp.out2<1ms" over those observations and logs
 // breaches; -flightrec dumps the bounded flight recorder after the
-// run. -stats forces -chaos sweeps serial; -trace and -int merge
-// per-cell buffers and stay parallel (resumable chaos sweeps remain
-// serial under any of the three). -shards is the shared parallelism
+// run. Under -chaos, -trace, -int and -flightrec merge per-cell buffers
+// (the sweep stays parallel, artifacts byte-identical at any -workers)
+// while -stats, -obs-addr and -slo feed live sinks and run it serially;
+// a resumed sweep's telemetry covers only the cells it computed.
+// -shards is the shared parallelism
 // knob across the steelnet commands and, when set, overrides -workers;
 // either way the output is byte-identical for any value. -obs-addr
 // serves live Prometheus metrics, SSE breach events and pprof over
@@ -42,6 +44,7 @@ import (
 	"os"
 	"time"
 
+	"steelnet/internal/checkpoint"
 	"steelnet/internal/cli"
 	"steelnet/internal/core"
 	"steelnet/internal/faults"
@@ -208,28 +211,10 @@ func advanceWithCheckpoints(h *instaplc.Harness, path string, interval time.Dura
 	step := sim.Time(interval)
 	for t := h.Engine().Now() + step; t < h.Horizon(); t += step {
 		h.AdvanceTo(t)
-		if err := saveTo(h, path); err != nil {
+		if err := checkpoint.WriteFileAtomic(path, h.Save); err != nil {
 			return err
 		}
 	}
 	h.AdvanceTo(h.Horizon())
-	return saveTo(h, path)
-}
-
-func saveTo(h *instaplc.Harness, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := h.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return checkpoint.WriteFileAtomic(path, h.Save)
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"steelnet/internal/cli/clitest"
 )
 
 // tiny keeps simulated time short enough for the smoke tests while
@@ -103,4 +105,10 @@ func TestRunBadUsage(t *testing.T) {
 			t.Errorf("run(%v) = %d, want 2", args, code)
 		}
 	}
+}
+
+// TestSweepTelemetryWorkerInvariant pins instaplcd -chaos's side of the sweep
+// telemetry contract; the breach count is the parent tree's.
+func TestSweepTelemetryWorkerInvariant(t *testing.T) {
+	clitest.SweepWorkerInvariant(t, run, tiny("-chaos"), "3")
 }

@@ -17,15 +17,16 @@
 // the per-path digests and prints the per-hop latency-decomposition
 // table; -slo watches objectives ("latency:refl<250us") over the
 // in-band observations; -flightrec dumps the bounded flight recorder
-// after the run. -stats forces the sweeps serial; -trace and -int
-// merge per-cell buffers and stay parallel (checkpointed sweeps remain
-// serial under any of the three). -checkpoint persists each completed
-// sweep cell; -resume restarts an interrupted sweep from such a file,
-// skipping finished cells (the delay and jitter sweeps use FILE and
-// FILE.jitter respectively). -obs-addr serves live Prometheus metrics,
-// SSE events and pprof over HTTP during the run (-obs-linger keeps the
-// server up afterwards); the URL goes to stderr and stdout is
-// unchanged.
+// after the run. -trace, -int and -flightrec merge per-cell buffers:
+// the sweeps stay parallel and every artifact is byte-identical at any
+// -workers; -stats, -obs-addr and -slo feed live sinks and run the
+// sweeps serially. -checkpoint persists each completed sweep cell;
+// -resume restarts an interrupted sweep from such a file, skipping
+// finished cells — its telemetry covers only the cells it computed (the
+// delay and jitter sweeps use FILE and FILE.jitter respectively).
+// -obs-addr serves live Prometheus metrics, SSE events and pprof over
+// HTTP during the run (-obs-linger keeps the server up afterwards); the
+// URL goes to stderr and stdout is unchanged.
 package main
 
 import (

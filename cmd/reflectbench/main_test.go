@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"steelnet/internal/cli/clitest"
 )
 
 // tiny keeps the sweeps small: 20 probe cycles, a single flow count,
@@ -80,4 +82,10 @@ func TestRunFiguresPresent(t *testing.T) {
 			t.Errorf("stdout missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestSweepTelemetryWorkerInvariant pins reflectbench's side of the sweep
+// telemetry contract; the breach count is the parent tree's.
+func TestSweepTelemetryWorkerInvariant(t *testing.T) {
+	clitest.SweepWorkerInvariant(t, run, tiny(), "1")
 }

@@ -17,12 +17,13 @@
 // snapshot. -int stamps camera requests with in-band telemetry and
 // exports per-path digests; -slo watches objectives over those
 // observations; -flightrec dumps the bounded flight recorder after
-// the run. -stats forces the grid serial (large with default counts —
-// prefer a single small cell, e.g. -clients 32); -trace and -int merge
-// per-cell buffers and stay parallel, but checkpointed grids remain
-// serial under any of the three. -checkpoint persists each completed
-// grid cell; -resume restarts an interrupted grid from such a file,
-// skipping finished cells.
+// the run. -trace, -int and -flightrec merge per-cell buffers: the grid
+// stays parallel and every artifact is byte-identical at any -workers;
+// -stats, -obs-addr and -slo feed live sinks and run the grid serially
+// (large with default counts — prefer a single small cell, e.g.
+// -clients 32). -checkpoint persists each completed grid cell; -resume
+// restarts an interrupted grid from such a file, skipping finished
+// cells — its telemetry covers only the cells it computed.
 //
 // -campus switches to the campus-scale sharded experiment: a
 // spine-plus-cells plant network partitioned one shard per cell and
@@ -52,6 +53,7 @@ import (
 	"os"
 	"time"
 
+	"steelnet/internal/checkpoint"
 	"steelnet/internal/cli"
 	"steelnet/internal/core"
 	"steelnet/internal/mltopo"
@@ -202,17 +204,9 @@ func runCampus(cfg core.CampusConfig, resumePath, ckptPath string, tel *cli.Tele
 		tel.Tracer.AbsorbEvents(h.MergedTrace())
 	}
 	if ckptPath != "" {
-		werr := func() error {
-			f, err := os.Create(ckptPath)
-			if err != nil {
-				return err
-			}
-			if err := h.Save(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}()
+		// Atomic: -resume and -checkpoint usually name the same file, and
+		// a crash mid-save must not destroy the checkpoint just read.
+		werr := checkpoint.WriteFileAtomic(ckptPath, h.Save)
 		if werr != nil {
 			fmt.Fprintf(stderr, "topobench: -checkpoint: %v\n", werr)
 			return 1

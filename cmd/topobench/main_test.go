@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"steelnet/internal/cli/clitest"
 )
 
 // tiny keeps the Fig. 6 grid to its smallest useful shape: one client
@@ -219,4 +221,10 @@ func TestRunBadUsage(t *testing.T) {
 			t.Errorf("run(%v) = %d, want 2", args, code)
 		}
 	}
+}
+
+// TestSweepTelemetryWorkerInvariant pins topobench's side of the sweep
+// telemetry contract; the breach count is the parent tree's.
+func TestSweepTelemetryWorkerInvariant(t *testing.T) {
+	clitest.SweepWorkerInvariant(t, run, tiny(), "2")
 }

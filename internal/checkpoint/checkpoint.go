@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 )
 
 // magic identifies a steelnet checkpoint file.
@@ -140,6 +142,29 @@ func Read(r io.Reader) (*File, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, dec.Err())
 	}
 	return f, nil
+}
+
+// WriteFileAtomic replaces path with whatever write produces: the bytes
+// go to a temp file in path's directory, which is closed and renamed
+// over path only when write and Close both succeeded. On any error the
+// temp file is removed and path keeps its previous contents — a crash or
+// a failed save never destroys the only checkpoint.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Harness checkpoints — the single-run layout shared by all resumable

@@ -3,6 +3,9 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -265,5 +268,46 @@ func TestDigestDistinguishesFoldShapes(t *testing.T) {
 	// Same fold sequence must be stable.
 	if sum(func(d *Digest) { d.F64(1.5); d.Bytes([]byte{1}) }) != sum(func(d *Digest) { d.F64(1.5); d.Bytes([]byte{1}) }) {
 		t.Error("digest not deterministic")
+	}
+}
+
+// TestWriteFileAtomic: a successful write replaces the file; a write
+// callback that fails leaves the previous bytes intact and no temp file
+// behind.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	put := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, s)
+			return err
+		}
+	}
+	if err := WriteFileAtomic(path, put("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, put("second")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		io.WriteString(w, "half a checkp")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the callback's error", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "second" {
+		t.Fatalf("failed save left %q, want the previous checkpoint", got)
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, "missing", "x.ckpt"), put("x")); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "run.ckpt" {
+		t.Fatalf("directory holds %v, want only run.ckpt", entries)
 	}
 }

@@ -6,12 +6,10 @@ import (
 
 	"steelnet/internal/faults"
 	"steelnet/internal/instaplc"
-	intnet "steelnet/internal/int"
 	"steelnet/internal/iodevice"
 	"steelnet/internal/metrics"
 	"steelnet/internal/simnet"
 	"steelnet/internal/sweep"
-	"steelnet/internal/telemetry"
 )
 
 // ChaosConfig parameterizes RunChaosSweep: the Fig. 5 InstaPLC scenario
@@ -122,59 +120,39 @@ func NewChaosCellHarness(cfg ChaosConfig, i int) *instaplc.Harness {
 	return instaplc.NewHarness(ChaosCellConfig(cfg, i))
 }
 
-// RunChaosSweep runs the ladder and returns cells in (intensity, trial)
-// order. A shared tracer or INT collector on cfg.Base no longer forces
-// the sweep serial: each cell writes into private buffers that merge in
-// cell order afterwards. Only a shared metrics registry serializes it.
-func RunChaosSweep(cfg ChaosConfig) []ChaosCell {
+// RunChaosSweepResumable runs the ladder and returns cells in
+// (intensity, trial) order. cfg.Base's tracer, registry and INT
+// collector are the sweep's telemetry sinks: sweep.RunCells decides
+// which merge per cell and which force the ladder serial. With a path,
+// completed (intensity, trial) cells persist there and are skipped when
+// the sweep restarts.
+func RunChaosSweepResumable(cfg ChaosConfig, path string) ([]ChaosCell, error) {
 	cfg = normalizeChaosConfig(cfg)
 	n := len(cfg.Intensities) * cfg.Trials
-	workers := cfg.Workers
-	if cfg.Base.Metrics != nil {
-		workers = 1
-	}
-	type cellOut struct {
-		cell ChaosCell
-		tr   *telemetry.Tracer
-		coll *intnet.Collector
-	}
-	outs := sweep.Run(workers, n, func(i int) cellOut {
-		var o cellOut
-		o.cell = ChaosCell{
-			Intensity: cfg.Intensities[i/cfg.Trials],
-			Trial:     i % cfg.Trials,
-			Seed:      chaosSeed(cfg.Seed, i),
-		}
+	own := sweep.Sinks{Trace: cfg.Base.Trace, Metrics: cfg.Base.Metrics, Collector: cfg.Base.Collector}
+	return sweep.RunCells(cfg.Workers, n, chaosCheckpointer(path), own, func(i int, s sweep.Sinks) ChaosCell {
 		ecfg := ChaosCellConfig(cfg, i)
-		if cfg.Base.Trace != nil {
-			o.tr = telemetry.NewTracer(nil) // bound to the cell's engine by NewHarness
-			ecfg.Trace = o.tr
-		}
-		if cfg.Base.INT {
-			o.coll = intnet.NewCollector()
-			ecfg.Collector = o.coll
-		}
+		ecfg.Trace, ecfg.Metrics, ecfg.Collector = s.Trace, s.Metrics, s.Collector
 		res := instaplc.RunExperiment(ecfg)
-		o.cell.Plan = ecfg.Faults.String()
-		o.cell.InjectedFaults = res.InjectedFaults
-		o.cell.Switchovers = res.Switchovers
-		o.cell.FailsafeEvents = res.FailsafeEvents
-		o.cell.IOAvailability = res.IOAvailability
-		o.cell.DeviceState = res.DeviceState
-		o.cell.Accounting = res.Accounting
-		o.cell.INTObservations = res.INTObservations
-		return o
+		return ChaosCell{
+			Intensity:       cfg.Intensities[i/cfg.Trials],
+			Trial:           i % cfg.Trials,
+			Seed:            ecfg.Seed,
+			Plan:            ecfg.Faults.String(),
+			InjectedFaults:  res.InjectedFaults,
+			Switchovers:     res.Switchovers,
+			FailsafeEvents:  res.FailsafeEvents,
+			IOAvailability:  res.IOAvailability,
+			DeviceState:     res.DeviceState,
+			Accounting:      res.Accounting,
+			INTObservations: res.INTObservations,
+		}
 	})
-	cells := make([]ChaosCell, n)
-	for i, o := range outs {
-		cells[i] = o.cell
-		if o.tr != nil {
-			cfg.Base.Trace.MergeFrom(o.tr)
-		}
-		if o.coll != nil && cfg.Base.Collector != nil {
-			cfg.Base.Collector.Absorb(o.coll)
-		}
-	}
+}
+
+// RunChaosSweep is RunChaosSweepResumable without a checkpoint.
+func RunChaosSweep(cfg ChaosConfig) []ChaosCell {
+	cells, _ := RunChaosSweepResumable(cfg, "") // no path: no file I/O, no error
 	return cells
 }
 

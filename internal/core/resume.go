@@ -2,14 +2,13 @@ package core
 
 import (
 	"steelnet/internal/checkpoint"
-	"steelnet/internal/instaplc"
 	"steelnet/internal/iodevice"
 	"steelnet/internal/simnet"
 	"steelnet/internal/sweep"
 )
 
 // chaosCheckpointer persists completed chaos cells for resumable
-// sweeps (see sweep.RunResumable).
+// sweeps (see sweep.RunCells).
 func chaosCheckpointer(path string) sweep.Checkpointer[ChaosCell] {
 	return sweep.Checkpointer[ChaosCell]{
 		Path: path,
@@ -75,36 +74,4 @@ func decodeAccounting(d *checkpoint.Decoder) simnet.Accounting {
 		DownDrops:     d.U64(),
 		INTDrops:      d.U64(),
 	}
-}
-
-// RunChaosSweepResumable is RunChaosSweep with sweep-level
-// checkpointing: completed (intensity, trial) cells persist to path
-// and are skipped when the sweep restarts.
-func RunChaosSweepResumable(cfg ChaosConfig, path string) ([]ChaosCell, error) {
-	cfg = normalizeChaosConfig(cfg)
-	n := len(cfg.Intensities) * cfg.Trials
-	workers := cfg.Workers
-	if cfg.Base.Trace != nil || cfg.Base.Metrics != nil || cfg.Base.INT {
-		// Resumable sweeps keep the serial-under-telemetry behavior: a
-		// shared tracer/collector on Base is written by cells directly.
-		workers = 1
-	}
-	return sweep.RunResumable(workers, n, chaosCheckpointer(path), func(i int) ChaosCell {
-		cell := ChaosCell{
-			Intensity: cfg.Intensities[i/cfg.Trials],
-			Trial:     i % cfg.Trials,
-			Seed:      chaosSeed(cfg.Seed, i),
-		}
-		ecfg := ChaosCellConfig(cfg, i)
-		res := instaplc.RunExperiment(ecfg)
-		cell.Plan = ecfg.Faults.String()
-		cell.InjectedFaults = res.InjectedFaults
-		cell.Switchovers = res.Switchovers
-		cell.FailsafeEvents = res.FailsafeEvents
-		cell.IOAvailability = res.IOAvailability
-		cell.DeviceState = res.DeviceState
-		cell.Accounting = res.Accounting
-		cell.INTObservations = res.INTObservations
-		return cell
-	})
 }

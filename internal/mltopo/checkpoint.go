@@ -150,7 +150,7 @@ func RestoreWithCollector(r io.Reader, tracer *telemetry.Tracer, registry *telem
 }
 
 // figure6Checkpointer persists completed Fig. 6 cells for resumable
-// sweeps (see sweep.RunResumable).
+// sweeps (see sweep.RunCells).
 func figure6Checkpointer(path string) sweep.Checkpointer[Result] {
 	return sweep.Checkpointer[Result]{
 		Path: path,

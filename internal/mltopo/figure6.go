@@ -3,11 +3,9 @@ package mltopo
 import (
 	"fmt"
 
-	intnet "steelnet/internal/int"
 	"steelnet/internal/metrics"
 	"steelnet/internal/mlwork"
 	"steelnet/internal/sweep"
-	"steelnet/internal/telemetry"
 )
 
 // Apps are the two Fig. 6 applications in panel order.
@@ -21,8 +19,8 @@ type figure6Cell struct {
 }
 
 // figure6Grid expands the config into the cell list (app-major,
-// kind-minor order) and the effective worker count.
-func figure6Grid(cfg Figure6Config) ([]figure6Cell, int) {
+// kind-minor order).
+func figure6Grid(cfg Figure6Config) []figure6Cell {
 	if len(cfg.ClientCounts) == 0 {
 		cfg.ClientCounts = DefaultFigure6Config().ClientCounts
 	}
@@ -34,85 +32,38 @@ func figure6Grid(cfg Figure6Config) ([]figure6Cell, int) {
 			}
 		}
 	}
-	workers := cfg.Workers
-	if cfg.Trace != nil || cfg.Metrics != nil || cfg.INT {
-		// A shared tracer, registry, or INT collector cannot be written
-		// from parallel cells; telemetry-attached resumable sweeps run
-		// serially (RunFigure6 merges per-cell buffers instead).
-		workers = 1
-	}
-	return cells, workers
+	return cells
 }
 
-// figure6Fn is the cell body: one independent scenario per index.
-func figure6Fn(cfg Figure6Config, cells []figure6Cell) func(i int) Result {
-	return func(i int) Result {
+// RunFigure6Resumable sweeps apps × topologies × client counts and
+// returns all cells, in app-major, kind-minor order. Each cell is an
+// independent scenario with its own engine, so the grid runs across
+// cfg.Workers goroutines; results merge in the same order as a serial
+// sweep, and the rendered panels are byte-identical for any worker
+// count. Which telemetry sinks merge per cell and which force the grid
+// serial is decided by sweep.RunCells. With a path, completed cells
+// persist there and are skipped when the sweep is restarted with the
+// same configuration.
+func RunFigure6Resumable(cfg Figure6Config, path string) ([]Result, error) {
+	cells := figure6Grid(cfg)
+	own := sweep.Sinks{Trace: cfg.Trace, Metrics: cfg.Metrics, Collector: cfg.Collector}
+	return sweep.RunCells(cfg.Workers, len(cells), figure6Checkpointer(path), own, func(i int, s sweep.Sinks) Result {
 		c := cells[i]
 		sc := DefaultScenario(c.kind, c.app, c.clients)
 		sc.Seed = cfg.Seed
 		if cfg.Horizon > 0 {
 			sc.Horizon = cfg.Horizon
 		}
-		sc.Trace = cfg.Trace
-		sc.Metrics = cfg.Metrics
+		sc.Trace, sc.Metrics, sc.Collector = s.Trace, s.Metrics, s.Collector
 		sc.INT = cfg.INT
-		sc.Collector = cfg.Collector
 		return Run(sc)
-	}
-}
-
-// RunFigure6 sweeps apps × topologies × client counts and returns all
-// cells, in app-major, kind-minor order. Each cell is an independent
-// scenario with its own engine, so the grid runs across cfg.Workers
-// goroutines; results merge in the same order as a serial sweep, and
-// the rendered panels are byte-identical for any worker count. Tracing
-// and INT collection stay parallel: each cell writes private buffers
-// that merge into cfg.Trace / cfg.Collector in cell order afterwards.
-// Only a shared metrics registry forces the sweep serial.
-func RunFigure6(cfg Figure6Config) []Result {
-	cells, _ := figure6Grid(cfg)
-	workers := cfg.Workers
-	if cfg.Metrics != nil {
-		workers = 1
-	}
-	type cellOut struct {
-		res  Result
-		tr   *telemetry.Tracer
-		coll *intnet.Collector
-	}
-	outs := sweep.Run(workers, len(cells), func(i int) cellOut {
-		c := cfg
-		var o cellOut
-		if cfg.Trace != nil {
-			o.tr = telemetry.NewTracer(nil) // bound to the cell's engine by NewHarness
-			c.Trace = o.tr
-		}
-		if cfg.INT {
-			o.coll = intnet.NewCollector()
-			c.Collector = o.coll
-		}
-		o.res = figure6Fn(c, cells)(i)
-		return o
 	})
-	results := make([]Result, len(outs))
-	for i, o := range outs {
-		results[i] = o.res
-		if o.tr != nil {
-			cfg.Trace.MergeFrom(o.tr)
-		}
-		if o.coll != nil && cfg.Collector != nil {
-			cfg.Collector.Absorb(o.coll)
-		}
-	}
-	return results
 }
 
-// RunFigure6Resumable is RunFigure6 with sweep-level checkpointing:
-// completed cells persist to path and are skipped when the sweep is
-// restarted with the same configuration.
-func RunFigure6Resumable(cfg Figure6Config, path string) ([]Result, error) {
-	cells, workers := figure6Grid(cfg)
-	return sweep.RunResumable(workers, len(cells), figure6Checkpointer(path), figure6Fn(cfg, cells))
+// RunFigure6 is RunFigure6Resumable without a checkpoint.
+func RunFigure6(cfg Figure6Config) []Result {
+	results, _ := RunFigure6Resumable(cfg, "") // no path: no file I/O, no error
+	return results
 }
 
 // Cell finds the result for (app, kind, clients), or false.

@@ -1,11 +1,14 @@
 package mltopo
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
+	intnet "steelnet/internal/int"
 	"steelnet/internal/mlwork"
+	"steelnet/internal/telemetry"
 )
 
 // quickScenario trims the horizon so unit tests stay fast; the full
@@ -187,5 +190,38 @@ func TestRenderFigure6(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if Ring.String() != "Ring" || LeafSpine.String() != "Leaf Spine" || MLAware.String() != "ML-aware" {
 		t.Fatal("kind names broken")
+	}
+}
+
+// TestFigure6INTExportHasNoCellBoundaries: the entry topobench calls
+// (RunFigure6Resumable with no path) exports the same INT digests and
+// trace as RunFigure6, at any worker count. Every cell restarts its
+// request sequence numbers at 1, so a collector shared across cells
+// would report reordering that never happened.
+func TestFigure6INTExportHasNoCellBoundaries(t *testing.T) {
+	export := func(workers int, run func(Figure6Config)) []byte {
+		cfg := Figure6Config{Seed: 1, ClientCounts: []int{4, 8}, Horizon: 100 * time.Millisecond, Workers: workers}
+		cfg.INT, cfg.Collector, cfg.Trace = true, intnet.NewCollector(), telemetry.NewTracer(nil)
+		run(cfg)
+		var b bytes.Buffer
+		if err := cfg.Collector.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := telemetry.WriteJSONL(&b, cfg.Trace.Events()); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	lib := export(4, func(cfg Figure6Config) { RunFigure6(cfg) })
+	cli := export(1, func(cfg Figure6Config) {
+		if _, err := RunFigure6Resumable(cfg, ""); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(cli, lib) {
+		t.Error("RunFigure6Resumable(cfg, \"\") and RunFigure6(cfg) export different INT digests or traces")
+	}
+	if bytes.Contains(cli, []byte(`"reordered"`)) {
+		t.Error("Fig. 6 INT export reports reordering across cell boundaries")
 	}
 }

@@ -208,12 +208,12 @@ type Figure6Config struct {
 	Workers int
 	// Trace and Metrics, when non-nil, are attached to every cell. A
 	// shared registry forces the sweep serial; tracing stays parallel
-	// (cells trace privately and merge in cell order). Resumable sweeps
-	// still force serial under either.
+	// (cells trace privately and merge in cell order).
 	Trace   *telemetry.Tracer
 	Metrics *telemetry.Registry
 	// INT attaches in-band telemetry to every cell; per-cell collectors
-	// are absorbed into Collector (when non-nil) in cell order.
+	// are absorbed into Collector (when non-nil) in cell order. A live
+	// OnSink subscriber on Collector forces the sweep serial.
 	INT       bool
 	Collector *intnet.Collector
 }

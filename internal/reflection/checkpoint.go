@@ -240,26 +240,6 @@ func resultCheckpointer(path, kind string) sweep.Checkpointer[Result] {
 	}
 }
 
-// RunAllVariantsResumable is RunAllVariants with sweep-level
-// checkpointing: completed variants persist to path and are skipped on
-// restart.
-func RunAllVariantsResumable(cfg Config, path string) ([]Result, error) {
-	protos := AllVariants()
-	return sweep.RunResumable(sweepWorkers(cfg), len(protos), resultCheckpointer(path, "figure4-delay"), func(i int) Result {
-		return Run(cfg, protos[i].CloneFresh())
-	})
-}
-
-// RunFlowSweepResumable is RunFlowSweep with sweep-level checkpointing.
-func RunFlowSweepResumable(cfg Config, flowCounts []int, path string) ([]Result, error) {
-	proto := NewBase()
-	return sweep.RunResumable(sweepWorkers(cfg), len(flowCounts), resultCheckpointer(path, "figure4-jitter"), func(i int) Result {
-		c := cfg
-		c.Flows = flowCounts[i]
-		return Run(c, proto.CloneFresh())
-	})
-}
-
 func encodeConfig(e *checkpoint.Encoder, cfg Config) {
 	e.U64(cfg.Seed)
 	encodeProfile(e, cfg.Profile)

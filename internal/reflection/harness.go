@@ -196,12 +196,12 @@ type Config struct {
 	// runs on its own engine and results merge in input order.
 	Workers int
 	// Trace, when non-nil, records the frame lifecycle of the run.
-	// Multi-cell sweeps stay parallel: each cell traces into a private
-	// buffer, merged into Trace in cell order after the sweep.
+	// Multi-cell sweeps trace each cell privately and merge into Trace
+	// in cell order (see sweep.RunCells).
 	Trace *telemetry.Tracer
 	// Metrics, when non-nil, receives the component counters. A shared
 	// registry cannot be written from parallel cells, so it forces
-	// multi-cell sweeps serial (Workers == 1).
+	// multi-cell sweeps serial.
 	Metrics *telemetry.Registry
 	// INT attaches an in-band telemetry stack to every probe at the
 	// sender; the tap transit-stamps it and the reflector's ingress
@@ -210,7 +210,8 @@ type Config struct {
 	INT bool
 	// Collector receives terminated INT stacks. Nil with INT set means
 	// the harness creates one (Harness.Collector). Multi-cell sweeps
-	// give each cell a private collector and Absorb them in cell order.
+	// give each cell a private collector and Absorb them in cell order;
+	// a live OnSink subscriber forces them serial (see sweep.RunCells).
 	Collector *intnet.Collector
 }
 
@@ -268,81 +269,54 @@ func (r Result) WouldTripWatchdog(thresholdNS float64, watchdogCycles int) bool 
 	return metrics.WouldTripWatchdog(r.Jitter, thresholdNS, watchdogCycles)
 }
 
-// sweepWorkers is the effective pool size for resumable sweeps: a
-// shared tracer or registry cannot be written from parallel cells, so
-// telemetry forces serial there.
-func sweepWorkers(cfg Config) int {
-	if cfg.Trace != nil || cfg.Metrics != nil || cfg.INT {
-		return 1
-	}
-	return cfg.Workers
-}
-
-// cellOut carries one sweep cell's result plus its private telemetry
-// buffers, pending the in-order merge.
-type cellOut struct {
-	res  Result
-	tr   *telemetry.Tracer
-	coll *intnet.Collector
-}
-
-// runCells executes n sweep cells. Tracing and INT collection no longer
-// force the sweep serial: each cell writes into a private tracer and
-// collector, and the buffers merge into cfg.Trace / cfg.Collector in
-// input cell order after the sweep — byte-identical to a serial run. A
-// shared metrics registry still serializes the sweep.
-func runCells(cfg Config, n int, run func(i int, c Config) Result) []Result {
-	workers := cfg.Workers
-	if cfg.Metrics != nil {
-		workers = 1
-	}
-	outs := sweep.Run(workers, n, func(i int) cellOut {
+// runGrid runs one Fig. 4 grid through the sweep driver: cell i is the
+// sweep's Config with the telemetry sinks the driver assigned to it.
+// Which sinks merge, which force the grid serial, and what a
+// checkpoint path adds is sweep.RunCells' business alone.
+func runGrid(cfg Config, kind string, n int, path string, cell func(i int, c Config) Result) ([]Result, error) {
+	own := sweep.Sinks{Trace: cfg.Trace, Metrics: cfg.Metrics, Collector: cfg.Collector}
+	return sweep.RunCells(cfg.Workers, n, resultCheckpointer(path, kind), own, func(i int, s sweep.Sinks) Result {
 		c := cfg
-		var o cellOut
-		if cfg.Trace != nil {
-			o.tr = telemetry.NewTracer(nil) // bound to the cell's engine by NewHarness
-			c.Trace = o.tr
-		}
-		if cfg.INT {
-			o.coll = intnet.NewCollector()
-			c.Collector = o.coll
-		}
-		o.res = run(i, c)
-		return o
+		c.Trace, c.Metrics, c.Collector = s.Trace, s.Metrics, s.Collector
+		return cell(i, c)
 	})
-	results := make([]Result, n)
-	for i, o := range outs {
-		results[i] = o.res
-		if o.tr != nil {
-			cfg.Trace.MergeFrom(o.tr)
-		}
-		if o.coll != nil && cfg.Collector != nil {
-			cfg.Collector.Absorb(o.coll)
-		}
-	}
-	return results
 }
 
-// RunAllVariants reproduces Fig. 4 (left): the delay CDF of all six
-// variants under cfg. Cells run across cfg.Workers goroutines; the
-// result order (and thus every rendered table) matches a serial run.
-// Each variant is assembled, verified and compiled exactly once; cells
-// get fresh-state clones sharing the compiled code.
-func RunAllVariants(cfg Config) []Result {
+// RunAllVariantsResumable reproduces Fig. 4 (left): the delay CDF of
+// all six variants under cfg, one sweep cell per variant. Cells run
+// across cfg.Workers goroutines; the result order (and thus every
+// rendered table) matches a serial run. Each variant is assembled,
+// verified and compiled exactly once; cells get fresh-state clones
+// sharing the compiled code. With a path, completed variants persist
+// there and are skipped on restart.
+func RunAllVariantsResumable(cfg Config, path string) ([]Result, error) {
 	protos := AllVariants()
-	return runCells(cfg, len(protos), func(i int, c Config) Result {
+	return runGrid(cfg, "figure4-delay", len(protos), path, func(i int, c Config) Result {
 		return Run(c, protos[i].CloneFresh())
 	})
 }
 
-// RunFlowSweep reproduces Fig. 4 (right): jitter CDFs of the Base
-// variant for each flow count, one sweep cell per count.
-func RunFlowSweep(cfg Config, flowCounts []int) []Result {
+// RunAllVariants is RunAllVariantsResumable without a checkpoint.
+func RunAllVariants(cfg Config) []Result {
+	results, _ := RunAllVariantsResumable(cfg, "") // no path: no file I/O, no error
+	return results
+}
+
+// RunFlowSweepResumable reproduces Fig. 4 (right): jitter CDFs of the
+// Base variant for each flow count, one sweep cell per count, with the
+// same checkpointing as RunAllVariantsResumable.
+func RunFlowSweepResumable(cfg Config, flowCounts []int, path string) ([]Result, error) {
 	proto := NewBase()
-	return runCells(cfg, len(flowCounts), func(i int, c Config) Result {
+	return runGrid(cfg, "figure4-jitter", len(flowCounts), path, func(i int, c Config) Result {
 		c.Flows = flowCounts[i]
 		return Run(c, proto.CloneFresh())
 	})
+}
+
+// RunFlowSweep is RunFlowSweepResumable without a checkpoint.
+func RunFlowSweep(cfg Config, flowCounts []int) []Result {
+	results, _ := RunFlowSweepResumable(cfg, flowCounts, "") // no path: no file I/O, no error
+	return results
 }
 
 // DelayTable renders Fig. 4 (left) as a percentile table (µs).

@@ -1,15 +1,18 @@
 package reflection
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"steelnet/internal/ebpf"
 	"steelnet/internal/frame"
 	"steelnet/internal/host"
+	intnet "steelnet/internal/int"
 	"steelnet/internal/metrics"
 	"steelnet/internal/sim"
 	"steelnet/internal/simnet"
+	"steelnet/internal/telemetry"
 )
 
 func smallConfig() Config {
@@ -297,5 +300,47 @@ func TestTSOWTimestampVisibleAtSenderEndToEnd(t *testing.T) {
 	e.Run()
 	if stamped < 40 || unstamped > 0 {
 		t.Fatalf("stamped=%d unstamped=%d", stamped, unstamped)
+	}
+}
+
+// TestSweepINTExportHasNoCellBoundaries: the entry the CLIs call
+// (RunXResumable with no path) exports the same INT digests, trace and
+// decomposition table as RunX, at any worker count. Every cell restarts
+// its probe sequence numbers at 1, so a collector shared across cells
+// would report reordering that never happened.
+func TestSweepINTExportHasNoCellBoundaries(t *testing.T) {
+	export := func(workers int, run func(Config)) []byte {
+		cfg := smallConfig()
+		cfg.Cycles = 50
+		cfg.Workers = workers
+		cfg.INT, cfg.Collector, cfg.Trace = true, intnet.NewCollector(), telemetry.NewTracer(nil)
+		run(cfg)
+		var b bytes.Buffer
+		if err := cfg.Collector.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := telemetry.WriteJSONL(&b, cfg.Trace.Events()); err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(DecompositionTable(cfg.Collector.Digests()))
+		return b.Bytes()
+	}
+	lib := export(4, func(cfg Config) {
+		RunAllVariants(cfg)
+		RunFlowSweep(cfg, []int{1, 3})
+	})
+	cli := export(1, func(cfg Config) {
+		if _, err := RunAllVariantsResumable(cfg, ""); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunFlowSweepResumable(cfg, []int{1, 3}, ""); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(cli, lib) {
+		t.Error("RunXResumable(cfg, \"\") and RunX(cfg) export different INT digests or traces")
+	}
+	if bytes.Contains(cli, []byte(`"reordered"`)) {
+		t.Error("sweep INT export reports reordering across cell boundaries")
 	}
 }

@@ -5,7 +5,8 @@
 // goroutines as long as nothing is shared. Run preserves the input
 // order of results, which keeps rendered tables byte-identical to a
 // serial sweep — parallelism changes wall-clock time only, never
-// output.
+// output. RunCells (cells.go) is the driver the figure grids call: Run
+// plus cell-level checkpoint/resume and per-cell telemetry sinks.
 package sweep
 
 import (

@@ -175,7 +175,7 @@ type Event struct {
 // method is safe and nearly free on it, which is how instrumented hot
 // paths avoid both branches at call sites and allocation when tracing
 // is off. A Tracer is engine-affine and not safe for concurrent use;
-// sweeps that trace must run serially and Bind each cell's engine.
+// sweeps give each cell its own and MergeFrom them in cell order.
 type Tracer struct {
 	engine *sim.Engine
 	events []Event
