@@ -118,7 +118,7 @@ func figure1(seed uint64, ckptPath string, workers int) (string, []corpus.Count,
 			return r
 		},
 	}
-	out, err := sweep.RunCells(workers, 1, ck, sweep.Sinks{}, func(int, sweep.Sinks) figure1Result {
+	out, err := sweep.RunCells(workers, 1, nil, ck, sweep.Sinks{}, func(int, sweep.Sinks) figure1Result {
 		table, counts := core.Figure1(seed)
 		return figure1Result{Table: table, Counts: counts}
 	})

@@ -130,7 +130,7 @@ func RunChaosSweepResumable(cfg ChaosConfig, path string) ([]ChaosCell, error) {
 	cfg = normalizeChaosConfig(cfg)
 	n := len(cfg.Intensities) * cfg.Trials
 	own := sweep.Sinks{Trace: cfg.Base.Trace, Metrics: cfg.Base.Metrics, Collector: cfg.Base.Collector}
-	return sweep.RunCells(cfg.Workers, n, chaosCheckpointer(path), own, func(i int, s sweep.Sinks) ChaosCell {
+	return sweep.RunCells(cfg.Workers, n, nil, chaosCheckpointer(path), own, func(i int, s sweep.Sinks) ChaosCell {
 		ecfg := ChaosCellConfig(cfg, i)
 		ecfg.Trace, ecfg.Metrics, ecfg.Collector = s.Trace, s.Metrics, s.Collector
 		res := instaplc.RunExperiment(ecfg)

@@ -18,6 +18,25 @@ type figure6Cell struct {
 	kind    Kind
 }
 
+// cost estimates the cell's work, in thousands of engine events per
+// simulated second, from where it sits in the grid. A ring frame
+// crosses a number of switches that grows with the ring, so a ring
+// cell's events grow with clients squared; the two tree shapes have
+// fixed path lengths and grow with clients (coefficients read off the
+// per-cell table in EXPERIMENTS.md). The sweep only ranks cells by it:
+// the two Ring/256 cells, two thirds of the grid's work, start first.
+func (c figure6Cell) cost() float64 {
+	n := float64(c.clients)
+	switch c.kind {
+	case Ring:
+		return 0.26 * n * n
+	case LeafSpine:
+		return 7.4 * n
+	default:
+		return 1.7 * n
+	}
+}
+
 // figure6Grid expands the config into the cell list (app-major,
 // kind-minor order).
 func figure6Grid(cfg Figure6Config) []figure6Cell {
@@ -38,16 +57,20 @@ func figure6Grid(cfg Figure6Config) []figure6Cell {
 // RunFigure6Resumable sweeps apps × topologies × client counts and
 // returns all cells, in app-major, kind-minor order. Each cell is an
 // independent scenario with its own engine, so the grid runs across
-// cfg.Workers goroutines; results merge in the same order as a serial
-// sweep, and the rendered panels are byte-identical for any worker
-// count. Which telemetry sinks merge per cell and which force the grid
-// serial is decided by sweep.RunCells. With a path, completed cells
-// persist there and are skipped when the sweep is restarted with the
-// same configuration.
+// cfg.Workers goroutines, costliest cells started first; results merge
+// in the same order as a serial sweep, and the rendered panels are
+// byte-identical for any worker count. Which telemetry sinks merge per
+// cell and which force the grid serial is decided by sweep.RunCells.
+// With a path, completed cells persist there and are skipped when the
+// sweep is restarted with the same configuration.
 func RunFigure6Resumable(cfg Figure6Config, path string) ([]Result, error) {
 	cells := figure6Grid(cfg)
+	costs := make([]float64, len(cells))
+	for i, c := range cells {
+		costs[i] = c.cost()
+	}
 	own := sweep.Sinks{Trace: cfg.Trace, Metrics: cfg.Metrics, Collector: cfg.Collector}
-	return sweep.RunCells(cfg.Workers, len(cells), figure6Checkpointer(path), own, func(i int, s sweep.Sinks) Result {
+	return sweep.RunCells(cfg.Workers, len(cells), costs, figure6Checkpointer(path), own, func(i int, s sweep.Sinks) Result {
 		c := cells[i]
 		sc := DefaultScenario(c.kind, c.app, c.clients)
 		sc.Seed = cfg.Seed

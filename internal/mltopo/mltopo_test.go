@@ -164,6 +164,41 @@ func TestMLAwareUsesCompressionTrade(t *testing.T) {
 	}
 }
 
+// TestFigure6CostRanksCellsByMeasuredWork runs a small grid and checks
+// that the static estimate the sweep dispatches by puts the cells in
+// the order of the events they actually fire, per application: the
+// estimate only has to rank, and a wrong rank is what would leave the
+// heaviest cell for last.
+func TestFigure6CostRanksCellsByMeasuredWork(t *testing.T) {
+	cells := figure6Grid(Figure6Config{ClientCounts: []int{16, 32, 64}})
+	for _, app := range Apps {
+		type measured struct {
+			cell   figure6Cell
+			events uint64
+		}
+		var ms []measured
+		for _, c := range cells {
+			if c.app.Name != app.Name {
+				continue
+			}
+			sc := DefaultScenario(c.kind, c.app, c.clients)
+			sc.Horizon = 50 * time.Millisecond
+			h := NewHarness(sc)
+			h.AdvanceTo(h.Horizon())
+			ms = append(ms, measured{c, h.Engine().EventsFired()})
+		}
+		for _, a := range ms {
+			for _, b := range ms {
+				if a.cell.cost() > 2*b.cell.cost() && a.events <= b.events {
+					t.Errorf("%s: %v/%d estimated at %.0f fired %d events, %v/%d at %.0f fired %d",
+						app.Name, a.cell.kind, a.cell.clients, a.cell.cost(), a.events,
+						b.cell.kind, b.cell.clients, b.cell.cost(), b.events)
+				}
+			}
+		}
+	}
+}
+
 func TestCellLookup(t *testing.T) {
 	results := []Result{{Kind: Ring, App: "a", Clients: 32, MeanLatencyMS: 5}}
 	if _, ok := Cell(results, "a", Ring, 32); !ok {

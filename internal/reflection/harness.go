@@ -275,7 +275,7 @@ func (r Result) WouldTripWatchdog(thresholdNS float64, watchdogCycles int) bool 
 // checkpoint path adds is sweep.RunCells' business alone.
 func runGrid(cfg Config, kind string, n int, path string, cell func(i int, c Config) Result) ([]Result, error) {
 	own := sweep.Sinks{Trace: cfg.Trace, Metrics: cfg.Metrics, Collector: cfg.Collector}
-	return sweep.RunCells(cfg.Workers, n, resultCheckpointer(path, kind), own, func(i int, s sweep.Sinks) Result {
+	return sweep.RunCells(cfg.Workers, n, nil, resultCheckpointer(path, kind), own, func(i int, s sweep.Sinks) Result {
 		c := cfg
 		c.Trace, c.Metrics, c.Collector = s.Trace, s.Metrics, s.Collector
 		return cell(i, c)

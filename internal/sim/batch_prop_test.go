@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// The batched dequeue (stepBatch, used by Run and RunUntil) must be
+// The batched dequeue (step in batch mode, used by Run and RunUntil) must be
 // observationally identical to the one-at-a-time loop (Step): same
 // events, same order, same clock at every callback. These tests drive a
 // randomized workload — same-instant bursts, nested scheduling from

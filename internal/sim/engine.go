@@ -14,12 +14,12 @@ type slot struct {
 	fn    func()
 	gen   uint32 // bumped on reuse; invalidates stale Event handles
 	state uint8
-	next  *slot // free-list link, nil while in use
+	next  *slot // the one list the slot is on: queue bucket, staged batch or free list
 	eng   *Engine
 }
 
 // slot states. The zero value is idle (never scheduled). Staged is a
-// transient batch state: the slot has been popped from the heap as part
+// transient batch state: the slot has been taken off the queue as part
 // of a same-instant batch but its callback has not yet run, so it can
 // still be cancelled by an earlier member of the same batch.
 const (
@@ -51,7 +51,7 @@ func (h Event) At() Time {
 
 // Cancel prevents a pending event from firing. Cancelling an already
 // fired, already cancelled, or stale event is a no-op. A cancelled
-// slot still in the heap is reaped lazily; one staged in the current
+// slot still in the queue is reaped lazily; one staged in the current
 // same-instant batch is released when the batch reaches it.
 func (h Event) Cancel() {
 	s := h.s
@@ -67,7 +67,7 @@ func (h Event) Cancel() {
 		e.dead++
 		e.maybeReap()
 	case stateStaged:
-		// Not in the heap anymore: no dead++ and no reap — the batch
+		// Not in the queue anymore: no dead++ and no reap — the batch
 		// loop skips and releases it.
 		s.state = stateCancelled
 		s.fn = nil
@@ -94,10 +94,13 @@ func (h Event) Pending() bool {
 // then never again.
 const arenaChunk = 512
 
-// reapMinDead and reapFraction gate heap compaction: cancelled events
-// are swept out eagerly only once they are both numerous and the
-// majority of the heap, otherwise they drain lazily at pop time.
+// reapMinDead gates queue compaction: cancelled events are swept out
+// eagerly only once they are both numerous and the majority of the
+// queue, otherwise they drain lazily at pop time.
 const reapMinDead = 64
+
+// maxTime is the deadline of an unbounded run.
+const maxTime = Time(1<<63 - 1)
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; simulations are deterministic precisely because
@@ -106,18 +109,25 @@ const reapMinDead = 64
 // goroutines — see internal/sweep.
 type Engine struct {
 	now    Time
-	heap   []heapEntry // inlined 4-ary min-heap ordered by (at, seq)
 	seq    uint64
 	seed   uint64
 	rngs   map[string]*RNG
 	fired  uint64
 	halted bool
-	live   int // pending (non-cancelled) events in the heap
-	dead   int // cancelled events awaiting lazy reap
+	live   int // pending (non-cancelled) events
+	dead   int // cancelled events still queued, awaiting lazy reap
 	chunks [][]slot
 	free   *slot
-	peak   int     // heap high-water mark
-	batch  []*slot // reusable staging buffer for same-instant batches
+
+	// The event queue (queue.go), popped in (at, seq) order.
+	ref     Time                           // instant the buckets are filed against; <= now
+	front   bucket                         // every queued slot of the earliest instant, once found
+	frontAt Time                           // that instant, while front is non-empty
+	qlen    int                            // queued slots, live and cancelled
+	peak    int                            // qlen high-water mark
+	words   uint32                         // bit w set while used[w] is non-zero
+	used    [(numBuckets + 63) / 64]uint64 // bit i set while q[i] is non-empty
+	q       [numBuckets]bucket
 
 	// shard/shards identify the engine's place in a ShardGroup; a solo
 	// engine is shard 0 of 1 (shards == 0 means "never sharded", folded
@@ -130,23 +140,6 @@ type Engine struct {
 	// could not tell how deep into a window a shard actually had work.
 	// Observational only: never folded into checkpoint digests.
 	lastFired Time
-}
-
-// heapEntry carries the ordering key inline so sift comparisons read
-// contiguous heap memory instead of chasing a *slot per comparison.
-// The slot keeps the same (at, seq) for Event.At and checkpoint folds.
-type heapEntry struct {
-	at  Time
-	seq uint64
-	s   *slot
-}
-
-// before orders entries by time, then FIFO by schedule order.
-func (a heapEntry) before(b heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }
 
 // NewEngine returns an engine at time zero whose named RNG streams derive
@@ -175,8 +168,8 @@ type EngineStats struct {
 	EventsFired   uint64
 	Live          int // pending events
 	Dead          int // cancelled events awaiting lazy reap
-	HeapLen       int
-	HeapHighWater int
+	HeapLen       int // queued events, Live (less any staged batch) + Dead
+	HeapHighWater int // the deepest HeapLen has been
 	ArenaChunks   int
 }
 
@@ -187,7 +180,7 @@ func (e *Engine) Stats() EngineStats {
 		EventsFired:   e.fired,
 		Live:          e.live,
 		Dead:          e.dead,
-		HeapLen:       len(e.heap),
+		HeapLen:       e.qlen,
 		HeapHighWater: e.peak,
 		ArenaChunks:   len(e.chunks),
 	}
@@ -226,97 +219,6 @@ func (e *Engine) release(s *slot) {
 	e.free = s
 }
 
-// heapPush appends s and sifts it up the 4-ary heap.
-func (e *Engine) heapPush(s *slot) {
-	ent := heapEntry{at: s.at, seq: s.seq, s: s}
-	h := append(e.heap, ent)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !ent.before(h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = ent
-	e.heap = h
-	if len(h) > e.peak {
-		e.peak = len(h)
-	}
-}
-
-// heapPop removes and returns the minimum slot.
-func (e *Engine) heapPop() *slot {
-	h := e.heap
-	n := len(h) - 1
-	top := h[0].s
-	last := h[n]
-	h[n] = heapEntry{}
-	h = h[:n]
-	if n > 0 {
-		siftDown(h, 0, last)
-	}
-	e.heap = h
-	return top
-}
-
-// siftDown places ent at index i, moving smaller children up. h[i] is
-// treated as a hole.
-func siftDown(h []heapEntry, i int, ent heapEntry) {
-	n := len(h)
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h[j].before(h[m]) {
-				m = j
-			}
-		}
-		if !h[m].before(ent) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = ent
-}
-
-// maybeReap compacts the heap when cancelled events dominate it, so a
-// workload that cancels most of what it schedules (watchdogs fed every
-// cycle) cannot grow the heap without bound between pops.
-func (e *Engine) maybeReap() {
-	if e.dead < reapMinDead || e.dead*2 <= len(e.heap) {
-		return
-	}
-	h := e.heap
-	w := 0
-	for _, ent := range h {
-		if ent.s.state == statePending {
-			h[w] = ent
-			w++
-		} else {
-			e.release(ent.s)
-		}
-	}
-	for i := w; i < len(h); i++ {
-		h[i] = heapEntry{}
-	}
-	h = h[:w]
-	for i := (w - 2) >> 2; i >= 0; i-- {
-		siftDown(h, i, h[i])
-	}
-	e.heap = h
-	e.dead = 0
-}
-
 // Schedule runs fn at absolute virtual time at. Scheduling in the past
 // panics: it would silently violate causality.
 func (e *Engine) Schedule(at Time, fn func()) Event {
@@ -324,7 +226,11 @@ func (e *Engine) Schedule(at Time, fn func()) Event {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	s := e.alloc(at, fn)
-	e.heapPush(s)
+	e.enqueue(s)
+	e.qlen++
+	if e.qlen > e.peak {
+		e.peak = e.qlen
+	}
 	e.live++
 	return Event{s: s, gen: s.gen}
 }
@@ -372,40 +278,20 @@ func (e *Engine) ShardCount() int {
 	return e.shards
 }
 
-// nextEventAt peeks the earliest live event's timestamp, reaping
-// cancelled heap tops on the way (the same prologue stepBatch uses).
+// nextEventAt peeks the earliest live event's timestamp, reaping the
+// cancelled events queued before it (the same prologue step uses).
 func (e *Engine) nextEventAt() (Time, bool) {
-	for len(e.heap) > 0 && e.heap[0].s.state != statePending {
-		e.dead--
-		e.release(e.heapPop())
-	}
-	if len(e.heap) == 0 {
+	if !e.settle(e.now) {
 		return 0, false
 	}
-	return e.heap[0].at, true
+	return e.frontAt, true
 }
 
 // Step executes the next pending event, advancing time to it. It returns
 // false when the queue is empty. The firing event's slot is released
 // before its callback runs, so a reschedule from inside the callback
 // (the Ticker pattern) reuses the same slot allocation-free.
-func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		s := e.heapPop()
-		if s.state != statePending {
-			e.dead--
-			e.release(s)
-			continue
-		}
-		if s.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = s.at
-		e.fire(s)
-		return true
-	}
-	return false
-}
+func (e *Engine) Step() bool { return e.step(maxTime, false) }
 
 // fire runs one pending slot's callback, releasing the slot first so a
 // reschedule from inside the callback reuses the same allocation.
@@ -419,74 +305,87 @@ func (e *Engine) fire(s *slot) {
 	fn()
 }
 
-// stepBatch advances to the earliest live event (if any, and if it is
-// not past deadline when bounded) and fires every event scheduled for
-// that instant as one batch: same-instant events are adjacent pops in
-// (at, seq) order, so they are staged into a reusable slice with one
-// sequence of heap operations and then fired in exactly the order the
-// one-at-a-time loop would have used. Events a batch callback schedules
-// for the same instant carry later seqs, so they correctly fire after
-// the staged batch — the caller's loop picks them up as the next batch
-// at the same timestamp.
-func (e *Engine) stepBatch(deadline Time, bounded bool) bool {
-	// Reap cancelled tops so the peek sees the earliest *live* event;
-	// firing blind would skip past the deadline on dead entries.
-	for len(e.heap) > 0 && e.heap[0].s.state != statePending {
-		e.dead--
-		e.release(e.heapPop())
-	}
-	if len(e.heap) == 0 {
+// step advances to the earliest live event, if there is one and it is
+// not past deadline, and fires it — or, for the run loops (batch),
+// every event scheduled for that instant as one batch: the front of
+// the queue is that instant's events in seq order, so it is detached
+// whole and fired in exactly the order a one-at-a-time loop would use.
+// Detached slots are staged — off the queue but still cancellable by
+// an earlier member of the batch. Events a batch callback schedules
+// for the same instant carry later seqs and start a new front, so they
+// correctly fire after the staged batch — the caller's loop picks them
+// up as the next batch at the same timestamp.
+func (e *Engine) step(deadline Time, batch bool) bool {
+	// Settle first so the peek sees the earliest *live* event; firing
+	// blind would skip past the deadline on cancelled ones.
+	if !e.settle(deadline) || e.frontAt > deadline {
 		return false
 	}
-	at := e.heap[0].at
-	if bounded && at > deadline {
-		return false
-	}
+	at := e.frontAt
 	if at < e.now {
 		panic("sim: time went backwards")
 	}
 	e.now = at
-	s := e.heapPop()
-	if len(e.heap) == 0 || e.heap[0].at != at {
-		e.fire(s) // common fast path: the instant holds a single event
+	switch {
+	case at == e.ref:
+	case e.words == 0:
+		e.ref = at // nothing is filed against the old one
+	default:
+		e.advance()
+	}
+	f := &e.front
+	s := f.head
+	if !batch || s.next == nil {
+		// One event: the common case of an instant, and all Step takes.
+		if f.head = s.next; f.head == nil {
+			f.tail = nil
+		}
+		e.qlen--
+		e.fire(s)
 		return true
 	}
-	batch := append(e.batch[:0], s)
-	s.state = stateStaged
-	for len(e.heap) > 0 && e.heap[0].at == at {
-		s2 := e.heapPop()
-		if s2.state != statePending {
-			e.dead--
-			e.release(s2)
-			continue
+	*f = bucket{}
+	var staged bucket
+	for s != nil {
+		next := s.next
+		if s.state == statePending {
+			e.qlen--
+			s.state = stateStaged
+			staged.push(s)
+		} else {
+			e.dropDead(s)
 		}
-		s2.state = stateStaged
-		batch = append(batch, s2)
+		s = next
 	}
-	e.batch = batch
-	for i, s := range batch {
-		batch[i] = nil
+	var unfired bucket // left behind by a Halt mid-batch
+	n := 0
+	for s := staged.head; s != nil; {
+		next := s.next
 		switch {
 		case s.state != stateStaged:
 			// Cancelled by an earlier member of this batch.
 			e.release(s)
 		case e.halted:
-			// Halt mid-batch: the in-flight event completed; unfired
-			// ones return to the heap with their keys intact.
+			// The in-flight event completed; the rest of the instant
+			// goes back on the queue with its keys intact.
 			s.state = statePending
-			e.heapPush(s)
+			unfired.push(s)
+			n++
 		default:
 			e.fire(s)
 		}
+		s = next
 	}
-	e.batch = batch[:0]
+	if n > 0 {
+		e.requeueFront(unfired, n)
+	}
 	return true
 }
 
 // Run executes events until the queue drains or Halt is called.
 func (e *Engine) Run() {
 	e.halted = false
-	for !e.halted && e.stepBatch(0, false) {
+	for !e.halted && e.step(maxTime, true) {
 	}
 }
 
@@ -494,7 +393,7 @@ func (e *Engine) Run() {
 // clock to deadline. Events beyond the deadline stay queued.
 func (e *Engine) RunUntil(deadline Time) {
 	e.halted = false
-	for !e.halted && e.stepBatch(deadline, true) {
+	for !e.halted && e.step(deadline, true) {
 	}
 	// A halted engine keeps its clock at the halt instant: events between
 	// there and the deadline are still pending and must fire on resume.

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	e := NewEngine(1)
@@ -25,6 +28,50 @@ func BenchmarkEngineBatchDrain(b *testing.B) {
 			e.Schedule(at, fn)
 		}
 		e.Run()
+	}
+}
+
+// BenchmarkEngineQueueDepth is the classic hold model at a fixed queue
+// depth: every fired event schedules its successor, so the queue pops
+// one and pushes one per op. Delays are drawn from Fig. 6's mix — link
+// propagation (500 ns), switch pipeline (2 µs ± 50 ns) and a full-size
+// frame's serialization at 1 Gb/s (12 µs) — which is what decides how
+// far apart the queued timestamps sit.
+func BenchmarkEngineQueueDepth(b *testing.B) {
+	for _, depth := range []int{1, 64, 512, 4096} {
+		b.Run(strconv.Itoa(depth), func(b *testing.B) {
+			e := NewEngine(1)
+			rng := NewRNG(1)
+			delays := make([]Duration, 1<<12) // drawn up front: the op is the queue, not the RNG
+			for i := range delays {
+				switch rng.Intn(3) {
+				case 0:
+					delays[i] = 500 * Nanosecond
+				case 1:
+					delays[i] = rng.NormDuration(2*Microsecond, 50*Nanosecond, Microsecond)
+				default:
+					delays[i] = 12 * Microsecond
+				}
+			}
+			left, next := 0, 0
+			var hold func()
+			hold = func() {
+				e.After(delays[next&(len(delays)-1)], hold)
+				next++
+				if left--; left == 0 {
+					e.Halt()
+				}
+			}
+			for i := 0; i < depth; i++ {
+				hold()
+			}
+			left = 4 * depth // settle into steady state before timing
+			e.Run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			left = b.N
+			e.Run()
+		})
 	}
 }
 

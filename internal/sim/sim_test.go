@@ -425,8 +425,8 @@ func TestReapCompactsCancelledMajority(t *testing.T) {
 	// All cancelled: reap fires whenever dead events both exceed the
 	// minimum and outnumber live ones, so the residue left lazily in the
 	// heap stays below the threshold instead of holding all 400.
-	if len(e.heap) >= reapMinDead {
-		t.Fatalf("heap len = %d after cancelling all, want < %d (reap)", len(e.heap), reapMinDead)
+	if n := e.Stats().HeapLen; n >= reapMinDead {
+		t.Fatalf("heap len = %d after cancelling all, want < %d (reap)", n, reapMinDead)
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d, want 0", e.Pending())

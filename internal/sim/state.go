@@ -13,7 +13,7 @@ func (r *RNG) State() uint64 { return r.state }
 
 // FoldState folds the engine's replay-visible state into d: current
 // time, scheduling sequence counter, events fired, pending events
-// (as sorted (at, seq) pairs — the heap's layout is an implementation
+// (as sorted (at, seq) pairs — the queue's layout is an implementation
 // detail that may differ between a straight run and a replayed one),
 // and every named RNG stream in sorted name order. Two engines that
 // fold equal are at the same instant of the same run: every future
@@ -31,11 +31,13 @@ func (e *Engine) FoldState(d *checkpoint.Digest) {
 	d.Int(e.live)
 
 	pending := make([]*slot, 0, e.live)
-	for _, ent := range e.heap {
-		if ent.s.state == statePending {
-			pending = append(pending, ent.s)
+	e.eachList(func(b *bucket) {
+		for s := b.head; s != nil; s = s.next {
+			if s.state == statePending {
+				pending = append(pending, s)
+			}
 		}
-	}
+	})
 	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
 	for _, s := range pending {
 		d.I64(int64(s.at))

@@ -220,6 +220,7 @@ func (p *Port) failFlush() {
 type flight struct {
 	p        *Port
 	f        *frame.Frame
+	wireLen  int // f.WireLen(), taken once when serialization starts
 	lost     bool
 	serDone  func()
 	propDone func()
@@ -452,7 +453,8 @@ func (p *Port) startNext() {
 		p.busy = false
 		return
 	}
-	ser := l.SerializationDelay(f.WireLen())
+	wireLen := f.WireLen()
+	ser := l.SerializationDelay(wireLen)
 	if p.shaper != nil {
 		start, ok := p.shaper.NextEligible(now, f.EffectivePriority(), ser)
 		if !ok {
@@ -484,16 +486,17 @@ func (p *Port) startNext() {
 	p.queue.Pop()
 	p.busy = true
 	if p.shaper != nil {
-		p.shaper.OnTransmit(now, f.EffectivePriority(), f.WireLen(), ser)
+		p.shaper.OnTransmit(now, f.EffectivePriority(), wireLen, ser)
 	}
 	p.TxFrames++
-	p.TxBytes += uint64(f.WireLen())
+	p.TxBytes += uint64(wireLen)
 	lost := p.lossRate > 0 && p.rng().Bool(p.lossRate)
 	if p.tr != nil {
 		p.tr.TxStart(p.Owner.Name(), p.Index, f, int64(ser))
 	}
 	fl := p.getFlight()
 	fl.f = f
+	fl.wireLen = wireLen
 	fl.lost = lost
 	p.inFlight++
 	eng.After(ser, fl.serDone)
@@ -542,7 +545,7 @@ func (p *Port) serDone(fl *flight) {
 // frame is counted delivered and handed to the receiving node.
 func (p *Port) propDone(fl *flight) {
 	l := p.link
-	f := fl.f
+	f, wireLen := fl.f, fl.wireLen
 	p.putFlight(fl)
 	if !l.up {
 		p.WireDrops++
@@ -563,7 +566,7 @@ func (p *Port) propDone(fl *flight) {
 	dst := l.ports[1-p.end]
 	l.Delivered[p.end]++
 	dst.RxFrames++
-	dst.RxBytes += uint64(f.WireLen())
+	dst.RxBytes += uint64(wireLen)
 	p.inFlight--
 	if dst.tr != nil {
 		// CreatedAt is stamped by the originating host; for frames

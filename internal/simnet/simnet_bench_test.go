@@ -1,32 +1,44 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 
 	"steelnet/internal/frame"
 	"steelnet/internal/sim"
 )
 
+// BenchmarkSwitchForwarding is one frame's host→switch→host journey at
+// two FIB sizes: a cell switch's handful of stations and a spine's few
+// hundred. The per-frame FIB work is one learning lookup on the source
+// and one forwarding lookup on the destination.
 func BenchmarkSwitchForwarding(b *testing.B) {
-	e := sim.NewEngine(1)
-	sw := NewSwitch(e, "sw", 2, SwitchConfig{Latency: sim.Microsecond})
-	src := NewHost(e, "src", frame.NewMAC(1))
-	dst := NewHost(e, "dst", frame.NewMAC(2))
-	Connect(e, "a", src.Port(), sw.Port(0), 10e9, 0)
-	Connect(e, "b", dst.Port(), sw.Port(1), 10e9, 0)
-	sw.AddStatic(dst.MAC(), 1)
-	// Recycle frames through a pool so the benchmark measures only the
-	// simulator path: with telemetry disabled the whole host→switch→host
-	// journey must be 0 allocs/op (the CI zero-overhead guard).
-	pool := &frame.Pool{}
-	dst.OnReceive(pool.Put)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := pool.Get(64)
-		f.Dst = dst.MAC()
-		src.Send(f)
-		e.Run()
+	for _, fib := range []int{8, 512} {
+		b.Run(fmt.Sprintf("fib=%d", fib), func(b *testing.B) {
+			e := sim.NewEngine(1)
+			sw := NewSwitch(e, "sw", 2, SwitchConfig{Latency: sim.Microsecond})
+			src := NewHost(e, "src", frame.NewMAC(1))
+			dst := NewHost(e, "dst", frame.NewMAC(2))
+			Connect(e, "a", src.Port(), sw.Port(0), 10e9, 0)
+			Connect(e, "b", dst.Port(), sw.Port(1), 10e9, 0)
+			sw.AddStatic(dst.MAC(), 1)
+			for station := 3; station <= fib; station++ {
+				sw.AddStatic(frame.NewMAC(uint32(station)), 1)
+			}
+			// Recycle frames through a pool so the benchmark measures only the
+			// simulator path: with telemetry disabled the whole host→switch→host
+			// journey must be 0 allocs/op (the CI zero-overhead guard).
+			pool := &frame.Pool{}
+			dst.OnReceive(pool.Put)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := pool.Get(64)
+				f.Dst = dst.MAC()
+				src.Send(f)
+				e.Run()
+			}
+		})
 	}
 }
 

@@ -222,6 +222,103 @@ func TestSwitchLearnsAndForwards(t *testing.T) {
 	}
 }
 
+// TestSwitchPortBlockedBounds: blocking state lives in a per-port slice;
+// asking about a port the switch does not have answers "not blocked",
+// setting one is a caller bug and panics.
+func TestSwitchPortBlockedBounds(t *testing.T) {
+	sw := NewSwitch(sim.NewEngine(1), "sw", 3, SwitchConfig{})
+	sw.SetPortBlocked(1, true)
+	sw.SetPortBlocked(2, true)
+	sw.SetPortBlocked(2, false)
+	cases := []struct {
+		port   int
+		read   bool // PortBlocked's answer
+		panics bool // SetPortBlocked panics
+	}{
+		{-1, false, true},
+		{0, false, false},
+		{1, true, false},
+		{2, false, false},
+		{3, false, true},
+		{1 << 20, false, true},
+	}
+	for _, c := range cases {
+		if got := sw.PortBlocked(c.port); got != c.read {
+			t.Errorf("PortBlocked(%d) = %v, want %v", c.port, got, c.read)
+		}
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) != c.panics {
+					t.Errorf("SetPortBlocked(%d): panic = %v, want panic %v", c.port, r, c.panics)
+				}
+			}()
+			sw.SetPortBlocked(c.port, sw.PortBlocked(c.port))
+		}()
+	}
+}
+
+// TestSwitchFIBTable grows the forwarding table through several
+// doublings with learned and configured entries mixed, then checks the
+// rules the table carries: a static entry is never re-learned, a
+// dynamic one follows the station, and FlushDynamic (also run by Fail)
+// drops exactly the learned ones.
+func TestSwitchFIBTable(t *testing.T) {
+	e := sim.NewEngine(1)
+	sw := NewSwitch(e, "sw", 4, SwitchConfig{})
+	hosts := make([]*Host, 4)
+	for i := range hosts {
+		hosts[i] = NewHost(e, "h", frame.NewMAC(uint32(1000+i)))
+		Connect(e, "l", hosts[i].Port(), sw.Port(i), 1e9, 0)
+	}
+	const stations = 300
+	for st := 1; st <= stations; st++ {
+		if st%3 == 0 {
+			sw.AddStatic(frame.NewMAC(uint32(st)), st%4)
+		} else {
+			// Learned: a frame from that station arrives on a port.
+			hosts[st%4].Port().Send(&frame.Frame{Src: frame.NewMAC(uint32(st)), Dst: frame.Broadcast})
+		}
+	}
+	e.Run()
+	for st := 1; st <= stations; st++ {
+		if got := sw.LookupPort(frame.NewMAC(uint32(st))); got != st%4 {
+			t.Fatalf("station %d behind port %d, want %d", st, got, st%4)
+		}
+	}
+	if got := sw.LookupPort(frame.NewMAC(stations + 1)); got != -1 {
+		t.Fatalf("unknown station resolves to port %d", got)
+	}
+
+	// Stations 3 (static) and 4 (learned) both show up on another port.
+	for _, st := range []uint32{3, 4} {
+		hosts[2].Port().Send(&frame.Frame{Src: frame.NewMAC(st), Dst: frame.Broadcast})
+	}
+	e.Run()
+	if got := sw.LookupPort(frame.NewMAC(3)); got != 3 {
+		t.Fatalf("static station re-learned onto port %d", got)
+	}
+	if got := sw.LookupPort(frame.NewMAC(4)); got != 2 {
+		t.Fatalf("moved station still behind port %d, want 2", got)
+	}
+
+	sw.FlushDynamic()
+	for st := 1; st <= stations; st++ {
+		want := -1
+		if st%3 == 0 {
+			want = st % 4
+		}
+		if got := sw.LookupPort(frame.NewMAC(uint32(st))); got != want {
+			t.Fatalf("after flush: station %d behind port %d, want %d", st, got, want)
+		}
+	}
+	// The flushed table learns again.
+	hosts[1].Port().Send(&frame.Frame{Src: frame.NewMAC(4), Dst: frame.Broadcast})
+	e.Run()
+	if got := sw.LookupPort(frame.NewMAC(4)); got != 1 {
+		t.Fatalf("after flush: station 4 learned behind port %d, want 1", got)
+	}
+}
+
 func TestSwitchAddsLatency(t *testing.T) {
 	e := sim.NewEngine(1)
 	sw := NewSwitch(e, "sw", 2, SwitchConfig{Latency: 2 * sim.Microsecond})

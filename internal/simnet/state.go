@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"steelnet/internal/checkpoint"
@@ -99,35 +100,32 @@ func (p *Port) FoldState(d *checkpoint.Digest) {
 // in sorted MAC order, blocked ports in sorted index order, failure
 // flag, forwarding counters, then every port.
 func (s *Switch) FoldState(d *checkpoint.Digest) {
-	macs := make([]frame.MAC, 0, len(s.fib))
-	for mac := range s.fib {
-		macs = append(macs, mac)
-	}
-	sort.Slice(macs, func(i, j int) bool {
-		a, b := macs[i], macs[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
+	entries := make([]fibSlot, 0, s.fib.n)
+	for _, e := range s.fib.slots {
+		if e.key != 0 {
+			entries = append(entries, e)
 		}
-		return false
-	})
-	d.Int(len(macs))
-	for _, mac := range macs {
-		d.Bytes(mac[:])
-		d.Int(s.fib[mac])
-		d.Bool(s.static[mac])
 	}
-	blocked := make([]int, 0, len(s.blocked))
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	d.Int(len(entries))
+	for _, e := range entries {
+		var mac [8]byte
+		binary.BigEndian.PutUint64(mac[:], e.key-1)
+		d.Bytes(mac[2:])
+		d.Int(int(e.port))
+		d.Bool(e.static)
+	}
+	blocked := 0
+	for _, b := range s.blocked {
+		if b {
+			blocked++
+		}
+	}
+	d.Int(blocked)
 	for i, b := range s.blocked {
 		if b {
-			blocked = append(blocked, i)
+			d.Int(i)
 		}
-	}
-	sort.Ints(blocked)
-	d.Int(len(blocked))
-	for _, i := range blocked {
-		d.Int(i)
 	}
 	d.Bool(s.failed)
 	d.U64(s.FloodedFrames)

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math/bits"
 
 	"steelnet/internal/frame"
 	"steelnet/internal/sim"
@@ -18,9 +19,8 @@ type Switch struct {
 	name    string
 	engine  *sim.Engine
 	ports   []*Port
-	fib     map[frame.MAC]int
-	static  map[frame.MAC]bool
-	blocked map[int]bool
+	fib     fibTable
+	blocked []bool // per port
 	// defaultPort, when >= 0, is where unicast frames with no FIB entry
 	// go instead of flooding — the "default route up" of structured
 	// topologies, where flooding a 10k-switch campus for every unknown
@@ -61,6 +61,86 @@ type Switch struct {
 	INTDrops uint64
 }
 
+// fibEntry is what the switch knows about one MAC: the port it lives
+// behind and whether that was configured (AddStatic) or learned.
+type fibEntry struct {
+	port   int32
+	static bool
+}
+
+// fibTable is the switch's forwarding table, an open-addressing hash
+// from MAC to fibEntry with linear probing. A frame transit looks up
+// two addresses (learn the source, forward on the destination); a Go
+// map spent more time hashing and probing for that than the rest of
+// the switch spent forwarding. Entries are only ever removed wholesale
+// (FlushDynamic rebuilds the table), so probing needs no tombstones.
+type fibTable struct {
+	slots []fibSlot // power-of-two length, at most half full
+	shift uint      // 64 - log2(len(slots))
+	n     int
+}
+
+type fibSlot struct {
+	key uint64 // fibKey(mac) + 1; 0 marks an empty slot
+	fibEntry
+}
+
+// fibKey packs a MAC big-endian into the table's integer key, so that
+// key order is the address's byte order.
+func fibKey(m frame.MAC) uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
+		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
+}
+
+// find returns the slot holding mac, or the empty slot where it would
+// go. Station addresses differ in their low bits only; the Fibonacci
+// multiplier spreads those over the table's index bits.
+func (t *fibTable) find(key uint64) *fibSlot {
+	mask := uint64(len(t.slots) - 1)
+	for i := key * 0x9e3779b97f4a7c15 >> t.shift; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.key == key || s.key == 0 {
+			return s
+		}
+	}
+}
+
+// get returns mac's entry.
+func (t *fibTable) get(mac frame.MAC) (fibEntry, bool) {
+	s := t.find(fibKey(mac) + 1)
+	return s.fibEntry, s.key != 0
+}
+
+// put installs or replaces mac's entry.
+func (t *fibTable) put(mac frame.MAC, e fibEntry) {
+	key := fibKey(mac) + 1
+	s := t.find(key)
+	if s.key == 0 {
+		if t.n++; t.n*2 > len(t.slots) {
+			t.rebuild(len(t.slots)*2, nil)
+			s = t.find(key)
+		}
+		s.key = key
+	}
+	s.fibEntry = e
+}
+
+// rebuild re-hashes the entries keep accepts (nil: all of them) into a
+// table of size slots.
+func (t *fibTable) rebuild(size int, keep func(fibEntry) bool) {
+	old := t.slots
+	t.slots = make([]fibSlot, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, s := range old {
+		switch {
+		case s.key == 0:
+		case keep == nil || keep(s.fibEntry):
+			*t.find(s.key) = s
+		default:
+			t.n--
+		}
+	}
+}
+
 // SwitchConfig sets a switch's forwarding-latency model.
 type SwitchConfig struct {
 	// Latency is the fixed pipeline (lookup + store-and-forward) delay.
@@ -78,14 +158,13 @@ func NewSwitch(engine *sim.Engine, name string, nports int, cfg SwitchConfig) *S
 	s := &Switch{
 		name:        name,
 		engine:      engine,
-		fib:         make(map[frame.MAC]int),
-		static:      make(map[frame.MAC]bool),
-		blocked:     make(map[int]bool),
+		blocked:     make([]bool, nports),
 		defaultPort: -1,
 		latency:     cfg.Latency,
 		jitter:      cfg.Jitter,
 		rng:         engine.RNG("switch/" + name),
 	}
+	s.fib.rebuild(8, nil) // an empty table: find needs a slot to land on
 	for i := 0; i < nports; i++ {
 		s.ports = append(s.ports, NewPort(s, i))
 	}
@@ -124,8 +203,7 @@ func (s *Switch) SetQueueDepth(perClassLimit int) {
 
 // AddStatic installs a permanent FIB entry mapping mac to port.
 func (s *Switch) AddStatic(mac frame.MAC, port int) {
-	s.fib[mac] = port
-	s.static[mac] = true
+	s.fib.put(mac, fibEntry{port: int32(port), static: true})
 }
 
 // SetDefaultPort routes unicast frames with no FIB entry out of port
@@ -143,8 +221,8 @@ func (s *Switch) SetDefaultPort(port int) {
 
 // LookupPort returns the FIB port for mac, or -1 when unknown.
 func (s *Switch) LookupPort(mac frame.MAC) int {
-	if p, ok := s.fib[mac]; ok {
-		return p
+	if e, ok := s.fib.get(mac); ok {
+		return int(e.port)
 	}
 	return -1
 }
@@ -160,17 +238,16 @@ func (s *Switch) SetPortBlocked(port int, blocked bool) {
 	s.blocked[port] = blocked
 }
 
-// PortBlocked reports a port's blocking state.
-func (s *Switch) PortBlocked(port int) bool { return s.blocked[port] }
+// PortBlocked reports a port's blocking state; a port the switch does
+// not have is not blocked.
+func (s *Switch) PortBlocked(port int) bool {
+	return port >= 0 && port < len(s.blocked) && s.blocked[port]
+}
 
 // FlushDynamic clears every learned (non-static) FIB entry — what a
 // topology-change notification triggers so traffic can re-learn paths.
 func (s *Switch) FlushDynamic() {
-	for mac := range s.fib {
-		if !s.static[mac] {
-			delete(s.fib, mac)
-		}
-	}
+	s.fib.rebuild(len(s.fib.slots), func(e fibEntry) bool { return e.static })
 }
 
 // Fail crashes the switch: everything volatile dies — queued egress
@@ -261,9 +338,12 @@ func (s *Switch) Receive(port *Port, f *frame.Frame) {
 		port.reclaim(f) // data frames die at blocked ports
 		return
 	}
-	// Learn the source unless pinned statically.
-	if !f.Src.IsMulticast() && !s.static[f.Src] {
-		s.fib[f.Src] = port.Index
+	// Learn the source unless pinned statically; a frame from where the
+	// FIB already points writes nothing.
+	if !f.Src.IsMulticast() {
+		if e, ok := s.fib.get(f.Src); !ok || (!e.static && int(e.port) != port.Index) {
+			s.fib.put(f.Src, fibEntry{port: int32(port.Index)})
+		}
 	}
 	d := s.latency
 	if s.jitter > 0 {
@@ -326,13 +406,12 @@ func (s *Switch) forward(inPort int, f *frame.Frame, intIn int64) {
 		s.flood(inPort, f, intIn)
 		return
 	}
-	out, ok := s.fib[f.Dst]
-	if !ok {
-		if s.defaultPort < 0 {
-			s.flood(inPort, f, intIn)
-			return
-		}
-		out = s.defaultPort
+	out := s.defaultPort
+	if e, ok := s.fib.get(f.Dst); ok {
+		out = int(e.port)
+	} else if out < 0 {
+		s.flood(inPort, f, intIn)
+		return
 	}
 	if out == inPort || s.blocked[out] {
 		// Hairpin or blocked egress; drop like a real switch.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"sync"
 
 	"steelnet/internal/checkpoint"
@@ -45,6 +46,13 @@ type Sinks struct {
 // evaluates cell(0) … cell(n-1) on workers goroutines (see Run) and
 // returns the results in input order, identical for any worker count.
 //
+// weights, when non-nil, holds one relative cost estimate per cell. A
+// pool of more than one worker starts the heaviest cells first (equal
+// weights in index order), so the grid's longest cell is not left to
+// run alone at the end. Only the starting order changes: results, the
+// telemetry merge and the checkpoint file stay in input order, and a
+// serial sweep runs in input order whatever the weights.
+//
 // With ck.Path set, cells already recorded in the file are not
 // recomputed, and the file is rewritten atomically after every cell
 // that is. Cells are pure functions of their index, so any resume
@@ -62,9 +70,20 @@ type Sinks struct {
 // one forces the sweep serial and is fed live: cells then write
 // own.Trace directly (each rebinds it to its engine) and their private
 // collectors forward every observation to own.Collector.OnSink.
-func RunCells[T any](workers, n int, ck Checkpointer[T], own Sinks, cell func(i int, s Sinks) T) ([]T, error) {
+func RunCells[T any](workers, n int, weights []float64, ck Checkpointer[T], own Sinks, cell func(i int, s Sinks) T) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
+	}
+	var order []int
+	if weights != nil {
+		if len(weights) != n {
+			return nil, fmt.Errorf("sweep: %d weights for %d cells", len(weights), n)
+		}
+		order = make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return weights[order[a]] > weights[order[b]] })
 	}
 	vals, have := make([]T, n), make([]bool, n)
 	if ck.Path != "" {
@@ -87,7 +106,7 @@ func RunCells[T any](workers, n int, ck Checkpointer[T], own Sinks, cell func(i 
 		mu      sync.Mutex
 		saveErr error
 	)
-	private := Run(workers, n, func(i int) Sinks {
+	private := run(workers, n, order, func(i int) Sinks {
 		if have[i] {
 			return Sinks{}
 		}

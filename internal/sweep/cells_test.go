@@ -78,7 +78,7 @@ func TestRunCellsMergesTelemetryInCellOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		own := Sinks{Trace: telemetry.NewTracer(nil), Collector: intnet.NewCollector()}
 		var calls atomic.Int64
-		got, err := RunCells(workers, toyCells, toyCheckpointer(""), own, toyCell(&calls))
+		got, err := RunCells(workers, toyCells, nil, toyCheckpointer(""), own, toyCell(&calls))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestRunCellsLiveSinksForceSerial(t *testing.T) {
 	{
 		own := Sinks{Trace: telemetry.NewTracer(nil), Collector: intnet.NewCollector()}
 		var calls atomic.Int64
-		if _, err := RunCells(1, toyCells, toyCheckpointer(""), own, toyCell(&calls)); err != nil {
+		if _, err := RunCells(1, toyCells, nil, toyCheckpointer(""), own, toyCell(&calls)); err != nil {
 			t.Fatal(err)
 		}
 		mergedOnly = export(t, own)
@@ -140,7 +140,7 @@ func TestRunCellsLiveSinksForceSerial(t *testing.T) {
 			}
 			var running, overlap, calls atomic.Int64
 			body := toyCell(&calls)
-			_, err := RunCells(8, toyCells, toyCheckpointer(""), own, func(i int, s Sinks) int {
+			_, err := RunCells(8, toyCells, nil, toyCheckpointer(""), own, func(i int, s Sinks) int {
 				if running.Add(1) > 1 {
 					overlap.Add(1)
 				}
@@ -194,7 +194,7 @@ func TestRunCellsResume(t *testing.T) {
 
 		own := Sinks{Collector: intnet.NewCollector()}
 		var calls atomic.Int64
-		got, err := RunCells(workers, toyCells, toyCheckpointer(path), own, toyCell(&calls))
+		got, err := RunCells(workers, toyCells, nil, toyCheckpointer(path), own, toyCell(&calls))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestRunCellsResume(t *testing.T) {
 		}
 
 		calls.Store(0)
-		got, err = RunCells(workers, toyCells, toyCheckpointer(path), Sinks{}, toyCell(&calls))
+		got, err = RunCells(workers, toyCells, nil, toyCheckpointer(path), Sinks{}, toyCell(&calls))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,11 +222,214 @@ func TestRunCellsResume(t *testing.T) {
 	}
 }
 
+// toyWeights has ties, so the dispatch order also exercises the
+// equal-weights-in-index-order rule.
+func toyWeights() []float64 {
+	w := make([]float64, toyCells)
+	for i := range w {
+		w[i] = float64((i * 5) % 7)
+	}
+	return w
+}
+
+// heaviestFirst is the specification of the dispatch order: by falling
+// weight, equal weights by rising index, skipping cells already done.
+func heaviestFirst(w []float64, done func(i int) bool) []int {
+	var order []int
+	for len(order) < len(w) {
+		best := -1
+		for i := range w {
+			taken := false
+			for _, o := range order {
+				taken = taken || o == i
+			}
+			if !taken && (best < 0 || w[i] > w[best]) {
+				best = i
+			}
+		}
+		order = append(order, best)
+	}
+	kept := order[:0]
+	for _, i := range order {
+		if !done(i) {
+			kept = append(kept, i)
+		}
+	}
+	return kept
+}
+
+// startOrder runs a weighted sweep whose cells block until the test
+// lets them go, one at a time: with every worker parked inside a cell,
+// releasing one frees exactly one worker, so the cell started next is
+// the pool's next pick and the whole start order is deterministic.
+func startOrder(t *testing.T, workers int, w []float64, ck Checkpointer[int], own Sinks, cells int) (started []int, got []int) {
+	t.Helper()
+	begun := make(chan int, toyCells)
+	release := make(chan struct{})
+	var calls atomic.Int64
+	body := toyCell(&calls)
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		got, err = RunCells(workers, toyCells, w, ck, own, func(i int, s Sinks) int {
+			begun <- i
+			<-release
+			return body(i, s)
+		})
+		done <- err
+	}()
+	if workers > cells {
+		workers = cells
+	}
+	for len(started) < workers {
+		started = append(started, <-begun)
+	}
+	for len(started) < cells {
+		release <- struct{}{}
+		started = append(started, <-begun)
+	}
+	for i := 0; i < workers; i++ {
+		release <- struct{}{}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	return started, got
+}
+
+// TestRunCellsWeightedDispatch: weights change when a cell starts and
+// nothing else. Heavier cells start first at 2 and 8 workers, also when
+// a resumed sweep has some cells on file already; results, merged
+// telemetry and the finished checkpoint file are byte-equal to the
+// serial and to the unweighted sweep; a live sink still forces
+// input-order serial.
+func TestRunCellsWeightedDispatch(t *testing.T) {
+	w := toyWeights()
+	dir := t.TempDir()
+
+	// The reference: serial, unweighted — the only order there was.
+	refPath := filepath.Join(dir, "ref.ckpt")
+	ref := Sinks{Trace: telemetry.NewTracer(nil), Collector: intnet.NewCollector()}
+	var calls atomic.Int64
+	if _, err := RunCells(1, toyCells, nil, toyCheckpointer(refPath), ref, toyCell(&calls)); err != nil {
+		t.Fatal(err)
+	}
+	wantExport := export(t, ref)
+	wantFile, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{2, 8} {
+		path := filepath.Join(dir, "weighted.ckpt")
+		os.Remove(path)
+		own := Sinks{Trace: telemetry.NewTracer(nil), Collector: intnet.NewCollector()}
+		started, got := startOrder(t, workers, w, toyCheckpointer(path), own, toyCells)
+		checkToyResults(t, got)
+		want := heaviestFirst(w, func(int) bool { return false })
+		// The first `workers` cells start together, in any order.
+		if !sameSet(started[:workers], want[:workers]) {
+			t.Fatalf("workers=%d: first cells started %v, want the heaviest %v", workers, started[:workers], want[:workers])
+		}
+		for k := workers; k < toyCells; k++ {
+			if started[k] != want[k] {
+				t.Fatalf("workers=%d: start order %v, want %v", workers, started, want)
+			}
+		}
+		if !bytes.Equal(export(t, own), wantExport) {
+			t.Fatalf("workers=%d: weighted sweep's merged telemetry differs from the serial unweighted one", workers)
+		}
+		if file, _ := os.ReadFile(path); !bytes.Equal(file, wantFile) {
+			t.Fatalf("workers=%d: weighted sweep's finished checkpoint differs from the serial unweighted one", workers)
+		}
+
+		// Unweighted at the same width: index order, same bytes.
+		plain := Sinks{Trace: telemetry.NewTracer(nil), Collector: intnet.NewCollector()}
+		started, got = startOrder(t, workers, nil, toyCheckpointer(""), plain, toyCells)
+		checkToyResults(t, got)
+		for k := workers; k < toyCells; k++ {
+			if started[k] != k {
+				t.Fatalf("workers=%d: unweighted start order %v, want index order", workers, started)
+			}
+		}
+		if !bytes.Equal(export(t, plain), wantExport) {
+			t.Fatalf("workers=%d: unweighted sweep's merged telemetry differs from the serial one", workers)
+		}
+
+		// Resumed: every third cell is on file and is not started; the
+		// rest still go heaviest first, and the file ends up the same.
+		vals, have := make([]int, toyCells), make([]bool, toyCells)
+		for i := 0; i < toyCells; i += 3 {
+			vals[i], have[i] = i*i, true
+		}
+		if err := saveCells(toyCheckpointer(path), vals, have); err != nil {
+			t.Fatal(err)
+		}
+		want = heaviestFirst(w, func(i int) bool { return have[i] })
+		started, got = startOrder(t, workers, w, toyCheckpointer(path), Sinks{}, len(want))
+		checkToyResults(t, got)
+		pool := min(workers, len(want))
+		if !sameSet(started[:pool], want[:pool]) {
+			t.Fatalf("workers=%d resumed: first cells started %v, want %v", workers, started[:pool], want[:pool])
+		}
+		for k := pool; k < len(want); k++ {
+			if started[k] != want[k] {
+				t.Fatalf("workers=%d resumed: start order %v, want %v", workers, started, want)
+			}
+		}
+		if file, _ := os.ReadFile(path); !bytes.Equal(file, wantFile) {
+			t.Fatalf("workers=%d: resumed weighted sweep's checkpoint differs from the straight one", workers)
+		}
+	}
+
+	// A live sink runs the cells serially, in input order.
+	live := map[string]Sinks{
+		"registry": {Metrics: telemetry.NewRegistry()},
+		"onsink":   {Collector: intnet.NewCollector()},
+	}
+	live["onsink"].Collector.OnSink = func(intnet.Observation) {}
+	for name, own := range live {
+		var order []int // no lock: a live sweep is one goroutine
+		if _, err := RunCells(8, toyCells, w, toyCheckpointer(""), own, func(i int, s Sinks) int {
+			order = append(order, i)
+			return i * i
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for k, i := range order {
+			if i != k {
+				t.Fatalf("%s: live sweep ran cells in order %v, want input order", name, order)
+			}
+		}
+	}
+
+	if _, err := RunCells(2, toyCells, w[:3], toyCheckpointer(""), Sinks{}, toyCell(&calls)); err == nil ||
+		!strings.Contains(err.Error(), "3 weights for 12 cells") {
+		t.Fatalf("short weights: err = %v", err)
+	}
+}
+
+func sameSet(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for _, x := range a {
+		found := false
+		for _, y := range b {
+			found = found || x == y
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
 func TestRunCellsRejectsForeignCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.ckpt")
 	var calls atomic.Int64
-	if _, err := RunCells(2, toyCells, toyCheckpointer(good), Sinks{}, toyCell(&calls)); err != nil {
+	if _, err := RunCells(2, toyCells, nil, toyCheckpointer(good), Sinks{}, toyCell(&calls)); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(good)
@@ -255,7 +458,7 @@ func TestRunCellsRejectsForeignCheckpoints(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := RunCells(2, c.n, c.ck, Sinks{}, toyCell(&calls))
+			_, err := RunCells(2, c.n, nil, c.ck, Sinks{}, toyCell(&calls))
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want it to contain %q", err, c.want)
 			}

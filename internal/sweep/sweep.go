@@ -6,7 +6,8 @@
 // order of results, which keeps rendered tables byte-identical to a
 // serial sweep — parallelism changes wall-clock time only, never
 // output. RunCells (cells.go) is the driver the figure grids call: Run
-// plus cell-level checkpoint/resume and per-cell telemetry sinks.
+// plus heaviest-first dispatch, cell-level checkpoint/resume and
+// per-cell telemetry sinks.
 package sweep
 
 import (
@@ -26,10 +27,19 @@ import (
 //
 // fn must be safe to call concurrently for distinct i — in this
 // codebase that means each cell constructs its own sim.Engine and
-// touches no package-level mutable state. If any call panics, Run
-// re-panics on the caller's goroutine with the first recovered value
-// after all workers have stopped.
+// touches no package-level mutable state. If any call panics, no
+// further cell is started and Run re-panics on the caller's goroutine
+// with the first recovered value once the cells already running have
+// finished.
 func Run[T any](workers, n int, fn func(i int) T) []T {
+	return run(workers, n, nil, fn)
+}
+
+// run is Run with a dispatch order: a pool of more than one worker
+// starts cell order[0] first, then order[1], and so on (nil means index
+// order). The order decides only when a cell runs, never where its
+// result goes; the serial path ignores it.
+func run[T any](workers, n int, order []int, fn func(i int) T) []T {
 	if n <= 0 {
 		return nil
 	}
@@ -48,7 +58,7 @@ func Run[T any](workers, n int, fn func(i int) T) []T {
 	}
 
 	var (
-		next     atomic.Int64 // next undispatched cell index
+		next     atomic.Int64 // position in order of the last cell handed out
 		wg       sync.WaitGroup
 		panicMu  sync.Mutex
 		panicVal any
@@ -62,6 +72,7 @@ func Run[T any](workers, n int, fn func(i int) T) []T {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
+					next.Store(int64(n)) // hand out nothing more
 					panicMu.Lock()
 					if !panicked {
 						panicked, panicVal = true, r
@@ -78,6 +89,9 @@ func Run[T any](workers, n int, fn func(i int) T) []T {
 					i := int(next.Add(1))
 					if i >= n {
 						return
+					}
+					if order != nil {
+						i = order[i]
 					}
 					pprof.Do(ctx, pprof.Labels("sweep_cell", strconv.Itoa(i)), func(context.Context) {
 						out[i] = fn(i)

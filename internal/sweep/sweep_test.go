@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -78,6 +80,46 @@ func TestRunPanicPropagates(t *testing.T) {
 	Run(4, 100, func(i int) int {
 		if i == 17 {
 			panic("boom")
+		}
+		return i
+	})
+}
+
+// TestRunStopsDispatchAfterPanic: once a cell has panicked the pool
+// hands out nothing more — the cells already running finish, the rest
+// of the grid is never started.
+func TestRunStopsDispatchAfterPanic(t *testing.T) {
+	const n, workers = 1000, 4
+	var calls atomic.Int32
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("panic did not propagate")
+		}
+		// Exactly `workers` when the panic is recorded before any other
+		// worker asks again; the recording races with them, so allow
+		// each a few more. A pool that keeps dispatching runs all n.
+		if c := calls.Load(); c >= n/10 {
+			t.Fatalf("%d of %d cells started: dispatch continued after the panic", c, n)
+		}
+	}()
+	var parked sync.WaitGroup
+	parked.Add(workers)
+	panicked := make(chan struct{})
+	Run(workers, n, func(i int) int {
+		calls.Add(1)
+		if i < workers {
+			// The first cell of every worker: wait until all are inside
+			// one, so none is free when cell 0 panics.
+			parked.Done()
+			parked.Wait()
+		}
+		if i == 0 {
+			defer close(panicked)
+			panic("boom")
+		}
+		<-panicked
+		for k := 0; k < 100; k++ {
+			runtime.Gosched() // let the panicking worker record it
 		}
 		return i
 	})

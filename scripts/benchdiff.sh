@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # benchdiff.sh — run the allocation-sensitive micro-benchmarks, emit a
 # machine-readable report, and diff it against the committed baseline
-# (BENCH_10.json) with a per-benchmark delta table.
+# (BENCH_15.json) with a per-benchmark delta table.
 #
 # Usage: scripts/benchdiff.sh [output.json] [--baseline FILE] [--check PCT]
 #
 #   output.json      where to write the fresh report (default BENCH_sim.json)
-#   --baseline FILE  committed baseline to diff against (default BENCH_10.json)
+#   --baseline FILE  committed baseline to diff against (default BENCH_15.json)
 #   --check PCT      fail when any benchmark's ns/op regresses more than
 #                    PCT percent against the baseline (CI passes 10)
 #
@@ -15,9 +15,17 @@
 #
 # Allocation guards (always enforced, independent of --check):
 #   BenchmarkEngineScheduleAndRun   0 allocs/op  (pooled event arena)
-#   BenchmarkEngineBatchDrain       0 allocs/op  (batched dequeue reuses
-#                                                 its staging buffer)
-#   BenchmarkSwitchForwarding       0 allocs/op  (telemetry disabled)
+#   BenchmarkEngineQueueDepth/*     0 allocs/op  (the event queue threads
+#                                                 its buckets through the
+#                                                 arena slots: no depth
+#                                                 allocates)
+#   BenchmarkEngineBatchDrain       0 allocs/op  (a same-instant batch is
+#                                                 staged on the slots' own
+#                                                 links)
+#   BenchmarkSwitchForwarding/fib=* 0 allocs/op  (telemetry disabled; two
+#                                                 FIB lookups per transit,
+#                                                 no write when the source
+#                                                 is already known)
 #   BenchmarkSwitchForwardingINT    0 allocs/op  (pooled INT stacks: the
 #                                                 source Gets from and the
 #                                                 sink Puts to one free list)
@@ -74,7 +82,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="BENCH_sim.json"
-baseline="BENCH_10.json"
+baseline="BENCH_15.json"
 check_pct=""
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -99,7 +107,7 @@ done
 # occasional descheduled sample and the occasional lucky one — and the
 # worst-case allocs/op so alloc guards can never pass on a lucky sample.
 raw=$(go test -run '^$' -bench \
-  'BenchmarkEngineScheduleAndRun|BenchmarkEngineBatchDrain|BenchmarkTickerChain|BenchmarkPriorityQueue|BenchmarkSwitchForwarding|BenchmarkVMReflectorProgram|BenchmarkEngineSharded|BenchmarkCampus10k|BenchmarkGatewayFanout|BenchmarkHubPublish|BenchmarkAppendTagsPayload|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkJournalAppend|BenchmarkJournaledPublish|BenchmarkRegistryValues|BenchmarkRegistryWritePrometheus' \
+  'BenchmarkEngineScheduleAndRun|BenchmarkEngineQueueDepth|BenchmarkEngineBatchDrain|BenchmarkTickerChain|BenchmarkPriorityQueue|BenchmarkSwitchForwarding|BenchmarkVMReflectorProgram|BenchmarkEngineSharded|BenchmarkCampus10k|BenchmarkGatewayFanout|BenchmarkHubPublish|BenchmarkAppendTagsPayload|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkJournalAppend|BenchmarkJournaledPublish|BenchmarkRegistryValues|BenchmarkRegistryWritePrometheus' \
   -benchmem -benchtime 50ms -count 7 . ./internal/sim ./internal/simnet ./internal/ebpf ./internal/core ./internal/steelnetd ./internal/tshist)
 echo "$raw"
 
@@ -167,8 +175,12 @@ guard_allocs() { # name budget message
 }
 
 guard_allocs BenchmarkEngineScheduleAndRun 0 "pooled event arena must stay allocation-free"
-guard_allocs BenchmarkEngineBatchDrain 0 "batched dequeue must reuse its staging buffer"
-guard_allocs BenchmarkSwitchForwarding 0 "telemetry disabled must be 0 allocs/op"
+for depth in 1 64 512 4096; do
+    guard_allocs "BenchmarkEngineQueueDepth\\/$depth" 0 "the event queue must hold any depth on the arena's own links"
+done
+guard_allocs BenchmarkEngineBatchDrain 0 "a same-instant batch must be staged without allocating"
+guard_allocs 'BenchmarkSwitchForwarding\/fib=8' 0 "telemetry disabled must be 0 allocs/op"
+guard_allocs 'BenchmarkSwitchForwarding\/fib=512' 0 "a populated FIB must forward without allocating"
 guard_allocs BenchmarkSwitchForwardingINT 0 "pooled INT stacks must recycle, not allocate"
 guard_allocs BenchmarkVMReflectorProgram 0 "compiled eBPF must reuse its scratch context"
 guard_allocs BenchmarkEngineShardedLocalSteady 0 "sharded window barriers must run arena- and GC-free"
