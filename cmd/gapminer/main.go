@@ -18,8 +18,9 @@
 // network, so -trace yields an empty (but valid) timeline, -stats an
 // empty snapshot, and -int/-slo/-flightrec empty (but valid) digest,
 // breach-log and flight-recorder files, while -cpuprofile profiles the
-// mining itself. -shards is likewise accepted for uniformity: the mining
-// is a single sweep cell, so any value leaves the output unchanged.
+// mining itself. -shards (or -workers) is likewise accepted for
+// uniformity: the mining is a single sweep cell, so any value leaves the
+// output unchanged.
 // -obs-addr serves /metrics, /shards, /events, /healthz and
 // /debug/pprof/ over HTTP while the command runs (-obs-linger keeps the
 // server up afterwards); for gapminer only the pprof and liveness
@@ -48,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	seed := fs.Uint64("seed", 1, "corpus shuffle seed (counts are seed-invariant)")
 	requirements := fs.Bool("requirements", false, "also print the §2.1-§2.3 requirement checks")
-	shards := cli.RegisterShardsFlagOn(fs)
+	workers := cli.RegisterWorkersFlagOn(fs, 1)
 	res := cli.RegisterResumeFlagsOn(fs)
 	tel := cli.RegisterTelemetryFlagsOn(fs)
 	if err := fs.Parse(args); err != nil {
@@ -66,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	table, counts, err := figure1(*seed, ckptPath, cli.Workers(1, *shards))
+	table, counts, err := figure1(*seed, ckptPath, *workers)
 	if err != nil {
 		fmt.Fprintf(stderr, "gapminer: %v\n", err)
 		return 1

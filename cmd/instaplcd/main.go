@@ -29,12 +29,11 @@
 // (the sweep stays parallel, artifacts byte-identical at any -workers)
 // while -stats, -obs-addr and -slo feed live sinks and run it serially;
 // a resumed sweep's telemetry covers only the cells it computed.
-// -shards is the shared parallelism
-// knob across the steelnet commands and, when set, overrides -workers;
-// either way the output is byte-identical for any value. -obs-addr
-// serves live Prometheus metrics, SSE breach events and pprof over
-// HTTP during the run (-obs-linger keeps the server up afterwards);
-// the URL goes to stderr and stdout is unchanged.
+// -shards is another spelling of -workers, the parallelism knob the
+// steelnet commands share; the output is byte-identical for any value.
+// -obs-addr serves live Prometheus metrics, SSE breach events and pprof
+// over HTTP during the run (-obs-linger keeps the server up
+// afterwards); the URL goes to stderr and stdout is unchanged.
 package main
 
 import (
@@ -65,8 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	baseline := fs.Bool("baseline", false, "disable InstaPLC (plain L2 switch) for comparison")
 	faultSpec := fs.String("faults", "", "fault plan spec replacing the default crash (kind:target@at[+dur][*mag],...)")
 	chaos := fs.Bool("chaos", false, "sweep randomized fault plans over the scenario")
-	workers := fs.Int("workers", 0, "chaos sweep worker pool size (0 = NumCPU)")
-	shards := cli.RegisterShardsFlagOn(fs)
+	workers := cli.RegisterWorkersFlagOn(fs, 0)
 	every := fs.Duration("checkpoint-every", 500*time.Millisecond, "simulated time between periodic checkpoints")
 	res := cli.RegisterResumeFlagsOn(fs)
 	tel := cli.RegisterTelemetryFlagsOn(fs)
@@ -101,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ccfg := core.DefaultChaosConfig()
 		ccfg.Seed = *seed
 		ccfg.Base = cfg
-		ccfg.Workers = cli.Workers(*workers, *shards)
+		ccfg.Workers = *workers
 		cells, err := core.RunChaosSweepResumable(ccfg, ckptPath)
 		if err != nil {
 			fmt.Fprintf(stderr, "instaplcd: %v\n", err)

@@ -51,8 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flows := fs.String("flows", "1,25", "comma-separated flow counts for the jitter sweep")
 	delayOnly := fs.Bool("delay-only", false, "run only the Fig. 4 (left) delay experiment")
 	jitterOnly := fs.Bool("jitter-only", false, "run only the Fig. 4 (right) jitter sweep")
-	workers := fs.Int("workers", 0, "parallel sweep workers (0 = NumCPU, 1 = serial)")
-	shards := cli.RegisterShardsFlagOn(fs)
+	workers := cli.RegisterWorkersFlagOn(fs, 0)
 	res := cli.RegisterResumeFlagsOn(fs)
 	tel := cli.RegisterTelemetryFlagsOn(fs)
 	if err := fs.Parse(args); err != nil {
@@ -74,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Seed = *seed
 	cfg.Cycles = *cycles
 	cfg.Cycle = *cycle
-	cfg.Workers = cli.Workers(*workers, *shards)
+	cfg.Workers = *workers
 	cfg.Trace = tel.Tracer
 	cfg.Metrics = tel.Registry
 	cfg.INT = tel.Collector != nil

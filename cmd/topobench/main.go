@@ -69,8 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "experiment seed")
 	clients := fs.String("clients", "32,64,128,256", "comma-separated client counts")
 	horizon := fs.Duration("horizon", 2*time.Second, "simulated time per cell")
-	workers := fs.Int("workers", 0, "parallel sweep workers (0 = NumCPU, 1 = serial)")
-	shards := cli.RegisterShardsFlagOn(fs)
+	workers := cli.RegisterWorkersFlagOn(fs, 0)
 	campus := fs.Bool("campus", false, "run the campus-scale sharded experiment instead of the Fig. 6 grid")
 	cells := fs.Int("cells", 4, "campus: production cells (one shard each)")
 	cellSwitches := fs.Int("cell-switches", 8, "campus: switches per cell tree")
@@ -80,6 +79,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tel := cli.RegisterTelemetryFlagsOn(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	for _, size := range []struct {
+		flag string
+		n    int
+	}{{"cells", *cells}, {"cell-switches", *cellSwitches}, {"cell-hosts", *cellHosts}, {"spines", *spines}} {
+		if size.n < 1 {
+			fmt.Fprintf(stderr, "topobench: bad -%s %d: a campus needs at least 1\n", size.flag, size.n)
+			return 2
+		}
 	}
 	tel.Out = stdout
 	tel.Err = stderr
@@ -105,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Horizon: sim.Duration(horizon.Nanoseconds()),
 			INT:     tel.Collector != nil,
 			SLO:     tel.SLOSpec,
-			Workers: cli.Workers(*workers, *shards),
+			Workers: *workers,
 			// Observational knobs, never encoded in checkpoints: the
 			// profiler rides -stats/-obs-addr, per-shard tracing rides
 			// -trace, and the registry collects whenever either asked.
@@ -123,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg := mltopo.Figure6Config{
 		Seed: *seed, ClientCounts: counts, Horizon: *horizon,
-		Workers: cli.Workers(*workers, *shards),
+		Workers: *workers,
 		Trace:   tel.Tracer, Metrics: tel.Registry,
 		INT: tel.Collector != nil, Collector: tel.Collector,
 	}

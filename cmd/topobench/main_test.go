@@ -209,6 +209,30 @@ func TestRunCampusObsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRunCampusRejectsBadSizes: a campus dimension below 1 is a usage
+// error with a one-line message, not a silent default or an empty run.
+func TestRunCampusRejectsBadSizes(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-cells", "-1"},
+		{"-cells", "0"},
+		{"-cell-switches", "0"},
+		{"-cell-hosts", "-2"},
+		{"-spines", "-1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tinyCampus(tc.flag, tc.value), &stdout, &stderr); code != 2 {
+			t.Errorf("%s %s: exit %d, want 2", tc.flag, tc.value, code)
+		}
+		msg := stderr.String()
+		if !strings.Contains(msg, "bad "+tc.flag+" "+tc.value) || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%s %s: stderr = %q, want one line naming the flag and value", tc.flag, tc.value, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s %s: printed a table:\n%s", tc.flag, tc.value, stdout.String())
+		}
+	}
+}
+
 func TestRunBadUsage(t *testing.T) {
 	cases := [][]string{
 		{"-no-such-flag"},

@@ -115,25 +115,21 @@ func RegisterTelemetryFlagsOn(fs *flag.FlagSet) *Telemetry {
 	return t
 }
 
-// RegisterShardsFlagOn installs -shards on fs: the shared
-// execution-parallelism knob. It sets how many worker goroutines
-// advance the deterministic partition of the work — the window shards
-// of a sharded campus engine, the cells of a sweep grid elsewhere. The
-// partition itself is part of the scenario (derived from the topology
-// or the grid), so every output is byte-identical for any -shards
-// value; the flag only trades wall-clock time.
-func RegisterShardsFlagOn(fs *flag.FlagSet) *int {
-	return fs.Int("shards", 0,
+// RegisterWorkersFlagOn installs the shared execution-parallelism knob
+// on fs under both of its spellings, -workers and -shards, as one value
+// starting at def. It sets how many worker goroutines advance the
+// deterministic partition of the work — the window shards of a sharded
+// campus engine, the cells of a sweep grid elsewhere. The partition
+// itself is part of the scenario (derived from the topology or the
+// grid), so every output is byte-identical for any value; the flag only
+// trades wall-clock time. With both spellings given, the later one on
+// the command line wins.
+func RegisterWorkersFlagOn(fs *flag.FlagSet, def int) *int {
+	n := new(int)
+	fs.IntVar(n, "workers", def,
 		"worker goroutines advancing the partitioned simulation (0 = NumCPU, 1 = serial); any value produces byte-identical output")
-}
-
-// Workers resolves the effective worker count from a command's legacy
-// -workers value and -shards; -shards wins when set.
-func Workers(workers, shards int) int {
-	if shards > 0 {
-		return shards
-	}
-	return workers
+	fs.IntVar(n, "shards", def, "another spelling of -workers")
+	return n
 }
 
 // Resume is the checkpoint/resume flag pair shared by the commands:

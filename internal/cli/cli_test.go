@@ -43,26 +43,31 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
-// -shards overrides -workers when set; otherwise the legacy value
-// passes through untouched (including the 0 = NumCPU convention).
+// -workers and -shards are one value: either spelling sets it, the
+// command's default stands when neither is given (including the
+// 0 = NumCPU convention), and with both the later one wins.
 func TestWorkersResolution(t *testing.T) {
-	for _, tc := range []struct{ workers, shards, want int }{
-		{0, 0, 0},
-		{3, 0, 3},
-		{3, 8, 8},
-		{0, 1, 1},
+	for _, tc := range []struct {
+		def  int
+		args []string
+		want int
+	}{
+		{0, nil, 0},
+		{1, nil, 1},
+		{0, []string{"-workers", "3"}, 3},
+		{1, []string{"-shards", "4"}, 4},
+		{1, []string{"-shards", "0"}, 0},
+		{0, []string{"-workers", "3", "-shards", "8"}, 8},
+		{0, []string{"-shards", "8", "-workers", "3"}, 3},
 	} {
-		if got := Workers(tc.workers, tc.shards); got != tc.want {
-			t.Errorf("Workers(%d, %d) = %d, want %d", tc.workers, tc.shards, got, tc.want)
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		workers := RegisterWorkersFlagOn(fs, tc.def)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
 		}
-	}
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	shards := RegisterShardsFlagOn(fs)
-	if err := fs.Parse([]string{"-shards", "4"}); err != nil {
-		t.Fatal(err)
-	}
-	if *shards != 4 {
-		t.Fatalf("-shards parsed to %d, want 4", *shards)
+		if *workers != tc.want {
+			t.Errorf("default %d, args %v: workers = %d, want %d", tc.def, tc.args, *workers, tc.want)
+		}
 	}
 }
 

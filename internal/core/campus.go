@@ -100,7 +100,7 @@ func normalizeCampusConfig(cfg CampusConfig) CampusConfig {
 type CampusHarness struct {
 	cfg CampusConfig
 	ct  *topo.CampusTopo
-	net *simnet.ShardedNetwork
+	net *simnet.Network
 
 	pools    []*frame.Pool
 	intPools []*frame.INTPool
@@ -169,7 +169,7 @@ func NewCampusHarness(cfg CampusConfig) (*CampusHarness, error) {
 		for s := 0; s < shards; s++ {
 			tr := telemetry.NewTracer(nil)
 			tr.SetIDSpace(s)
-			net.SetShardTracer(s, tr)
+			net.SetTracer(s, tr)
 			h.tracers[s] = tr
 		}
 	}
@@ -177,20 +177,6 @@ func NewCampusHarness(cfg CampusConfig) (*CampusHarness, error) {
 	h.armTraffic()
 	h.registerMetrics(cfg.Metrics)
 	return h, nil
-}
-
-// edgeBetween maps an unordered node pair to its edge. Campus graphs
-// are simple (at most one edge per pair), so the lookup is unambiguous.
-func campusEdges(g *topo.Graph) map[[2]topo.NodeID]topo.EdgeID {
-	m := make(map[[2]topo.NodeID]topo.EdgeID, g.NumEdges())
-	for _, e := range g.Edges() {
-		a, b := e.A, e.B
-		if a > b {
-			a, b = b, a
-		}
-		m[[2]topo.NodeID{a, b}] = e.ID
-	}
-	return m
 }
 
 // installRoutes programs every FIB constructively — no shortest-path
@@ -206,19 +192,16 @@ func campusEdges(g *topo.Graph) map[[2]topo.NodeID]topo.EdgeID {
 // keeps a 10k-switch campus buildable in well under a second.
 func (h *CampusHarness) installRoutes() {
 	cfg := h.cfg.Topo
-	edges := campusEdges(h.ct.Graph)
-	edgeBetween := func(a, b topo.NodeID) topo.EdgeID {
-		if a > b {
-			a, b = b, a
-		}
-		eid, ok := edges[[2]topo.NodeID{a, b}]
-		if !ok {
-			panic(fmt.Sprintf("core: campus has no edge %d--%d", a, b))
-		}
-		return eid
-	}
+	g := h.ct.Graph
+	// Campus graphs are simple (at most one edge per pair), so the first
+	// incident edge reaching next is the edge.
 	portToward := func(at, next topo.NodeID) int {
-		return h.net.PortIndex(at, edgeBetween(at, next))
+		for _, eid := range g.Incident(at) {
+			if g.Edge(eid).Other(at) == next {
+				return h.net.PortIndex(at, eid)
+			}
+		}
+		panic(fmt.Sprintf("core: campus has no edge %d--%d", at, next))
 	}
 	for c := range h.ct.CellSwitches {
 		sw := h.ct.CellSwitches[c]
@@ -257,10 +240,10 @@ func (h *CampusHarness) installRoutes() {
 func (h *CampusHarness) armTraffic() {
 	cfg := h.cfg
 	part := h.net.Part
-	for s, ps := range h.portsByShard() {
-		pool := h.pools[s]
-		for _, p := range ps {
-			p.OnDrop = pool.Put
+	for s, pool := range h.pools {
+		put := pool.Put
+		for _, p := range h.net.ShardPorts(s) {
+			p.OnDrop = put
 		}
 	}
 	stopAt := cfg.Horizon - 10*cfg.Period
@@ -312,25 +295,11 @@ func (h *CampusHarness) armTraffic() {
 	}
 }
 
-// portsByShard groups every port of the network by its owner's shard.
-func (h *CampusHarness) portsByShard() map[int][]*simnet.Port {
-	byShard := make(map[int][]*simnet.Port, h.net.Group.Shards())
-	nameToShard := make(map[string]int, h.ct.Graph.NumNodes())
-	for _, n := range h.ct.Graph.Nodes() {
-		nameToShard[n.Name] = h.net.Part.Of[n.ID]
-	}
-	for _, p := range h.net.Ports() {
-		s := nameToShard[p.Owner.Name()]
-		byShard[s] = append(byShard[s], p)
-	}
-	return byShard
-}
-
 // Topo exposes the generated campus topology.
 func (h *CampusHarness) Topo() *topo.CampusTopo { return h.ct }
 
-// Network exposes the sharded network.
-func (h *CampusHarness) Network() *simnet.ShardedNetwork { return h.net }
+// Network exposes the equipment and its shard group.
+func (h *CampusHarness) Network() *simnet.Network { return h.net }
 
 // Config returns the normalized configuration.
 func (h *CampusHarness) Config() CampusConfig { return h.cfg }

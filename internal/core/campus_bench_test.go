@@ -17,12 +17,9 @@ import (
 // 100k-host bar) but one such op costs ~6 s serial — too slow for the
 // benchdiff sampling loop.
 //
-// BENCH_8.json records these at -shards=1, 2, 4 and 8 on the same
-// machine; the committed baseline was measured on a single-core
-// container (GOMAXPROCS=1), where the shard workers time-slice one CPU
-// and the multi-shard rungs show only coordinator overhead, not
-// speedup. Re-measure on a multi-core box to see the parallel scaling
-// the partition exists for.
+// The Shards1/2/4/8 ladder only shows parallel speedup on a multi-core
+// machine (BENCH_15.json was recorded on two cores). The build is a
+// fixed share of every rung; BenchmarkCampus10kBuild times it alone.
 func bench7Config(workers int) CampusConfig {
 	return CampusConfig{
 		Seed: 7,
@@ -48,6 +45,17 @@ func benchCampus(b *testing.B, workers int) {
 		h.Run()
 		if h.Result().Accounting.Delivered == 0 {
 			b.Fatal("campus run delivered nothing")
+		}
+	}
+}
+
+// BenchmarkCampus10kBuild is the build phase alone: topology, equipment
+// on 33 shards, constructive routing and armed traffic sources.
+func BenchmarkCampus10kBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewCampusHarness(bench7Config(1)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"steelnet/internal/metrics"
 	"steelnet/internal/mlwork"
 	"steelnet/internal/sim"
+	"steelnet/internal/simnet"
 	"steelnet/internal/sweep"
 	"steelnet/internal/telemetry"
 )
@@ -36,17 +37,19 @@ func NewHarness(sc Scenario) *Harness {
 	if sc.Deg.CompressionRatio < 1 {
 		sc.Deg.CompressionRatio = 1
 	}
-	var b built
+	var pl plant
 	switch sc.Kind {
 	case Ring:
-		b = buildRing(sc)
+		pl = buildRing(sc)
 	case LeafSpine:
-		b = buildLeafSpine(sc)
+		pl = buildLeafSpine(sc)
 	case MLAware:
-		b = buildMLAware(sc)
+		pl = buildMLAware(sc)
 	default:
 		panic(fmt.Sprintf("mltopo: unknown kind %d", sc.Kind))
 	}
+	e := sim.NewEngine(sc.Seed)
+	b := instantiate(e, simnet.Build(e, pl.g, simnet.DefaultSwitchConfig), sc, pl)
 	// Desynchronize clients across the period, as independent cameras
 	// would be.
 	rng := b.engine.RNG("phase")

@@ -124,6 +124,15 @@ type Result struct {
 	Requests uint64
 }
 
+// plant is one topology kind's design for a scenario: the graph, where
+// its cameras and inference servers attach, and which server each
+// client uses (assign nil means round-robin).
+type plant struct {
+	g                      *topo.Graph
+	clientNode, serverNode []topo.NodeID
+	assign                 func(i int) int
+}
+
 // built is the instantiated simulation: hosts wired, ready to start.
 type built struct {
 	engine  *sim.Engine
@@ -157,8 +166,7 @@ func assign(i, servers int) int { return i % servers }
 // a ring of 1 Gb/s trunks; all inference servers sit in the control
 // cabinet at switch 0 (where compute traditionally lives), so requests
 // converge over shared trunk links.
-func buildRing(sc Scenario) built {
-	e := sim.NewEngine(sc.Seed)
+func buildRing(sc Scenario) plant {
 	// One switch per two stations, as on a daisy-chained production
 	// line: the ring's diameter grows with the plant.
 	nSw := sc.Clients / 2
@@ -185,7 +193,7 @@ func buildRing(sc Scenario) built {
 		serverNode[i] = g.AddNode(fmt.Sprintf("srv%d", i), topo.KindServer)
 		g.AddEdge(sw[0], serverNode[i], 1e9, 500)
 	}
-	return instantiate(e, g, sc, clientNode, serverNode, nil)
+	return plant{g: g, clientNode: clientNode, serverNode: serverNode}
 }
 
 // buildLeafSpine: the IT shape. 4 spines, one leaf per 16 endpoints,
@@ -193,8 +201,7 @@ func buildRing(sc Scenario) built {
 // Servers are pooled on a dedicated compute leaf, so most requests
 // cross the fabric (the paper: "the leaf spine can only slightly
 // improve the performance").
-func buildLeafSpine(sc Scenario) built {
-	e := sim.NewEngine(sc.Seed)
+func buildLeafSpine(sc Scenario) plant {
 	nSrv := serverCount(sc)
 	leaves := (sc.Clients+15)/16 + 1 // +1 compute leaf
 	g := topo.NewGraph("ml-leafspine")
@@ -220,20 +227,22 @@ func buildLeafSpine(sc Scenario) built {
 		serverNode[i] = g.AddNode(fmt.Sprintf("srv%d", i), topo.KindServer)
 		g.AddEdge(compute, serverNode[i], 1e9, 500)
 	}
-	return instantiate(e, g, sc, clientNode, serverNode, nil)
+	return plant{g: g, clientNode: clientNode, serverNode: serverNode}
 }
 
-// instantiate wires the graph and creates clients/servers; assignFn
-// nil means round-robin assignment.
-func instantiate(e *sim.Engine, g *topo.Graph, sc Scenario, clientNode, serverNode []topo.NodeID, assignFn func(i int) int) built {
-	net := simnet.Build(e, g, simnet.DefaultSwitchConfig)
+// instantiate commissions net — the plant's graph as equipment — and
+// attaches the clients and servers, each on its host's own engine. The
+// cell's one tracer and its shared frame and INT pools are what still
+// assume a single shard; e is the engine the harness drives.
+func instantiate(e *sim.Engine, net *simnet.Network, sc Scenario, pl plant) built {
+	clientNode, serverNode := pl.clientNode, pl.serverNode
 	// Byte-deep buffers: commodity switches hold hundreds of KB per
 	// port; the default 256-frame class limit would incast-drop the
 	// fragmented camera frames and turn queueing into loss.
 	net.SetSwitchQueueDepth(4096)
 	net.InstallStaticRoutes()
 	if sc.Trace != nil {
-		net.SetTracer(sc.Trace)
+		net.SetTracer(0, sc.Trace)
 	}
 	if sc.Metrics != nil {
 		net.RegisterMetrics(sc.Metrics)
@@ -258,26 +267,28 @@ func instantiate(e *sim.Engine, g *topo.Graph, sc Scenario, clientNode, serverNo
 	pool := &frame.Pool{}
 	servers := make([]*mlwork.Server, len(serverNode))
 	for i, n := range serverNode {
-		servers[i] = mlwork.AttachServer(e, net.Host(n), sc.Profile)
+		h := net.Host(n)
+		servers[i] = mlwork.AttachServer(h.Engine(), h, sc.Profile)
 		servers[i].UsePool(pool)
 		if b.coll != nil {
-			net.Host(n).SetINTSink(b.coll)
-			net.Host(n).SetINTPool(intPool)
+			h.SetINTSink(b.coll)
+			h.SetINTPool(intPool)
 		}
 	}
 	clients := make([]*mlwork.Client, len(clientNode))
 	for i, n := range clientNode {
 		sIdx := assign(i, len(serverNode))
-		if assignFn != nil {
-			sIdx = assignFn(i)
+		if pl.assign != nil {
+			sIdx = pl.assign(i)
 		}
-		clients[i] = mlwork.AttachClient(e, net.Host(n), uint32(i+1), net.Host(serverNode[sIdx]).MAC(), sc.Profile, sc.Deg)
+		h := net.Host(n)
+		clients[i] = mlwork.AttachClient(h.Engine(), h, uint32(i+1), net.Host(serverNode[sIdx]).MAC(), sc.Profile, sc.Deg)
 		clients[i].UsePool(pool)
 		if b.coll != nil {
 			// Flow = client id, matching mlwork's request flow labels.
 			// Non-strict: telemetry must never cost a camera frame.
-			net.Host(n).SetINTSource(uint32(i+1), intMaxHops, false)
-			net.Host(n).SetINTPool(intPool)
+			h.SetINTSource(uint32(i+1), intMaxHops, false)
+			h.SetINTPool(intPool)
 		}
 	}
 	b.clients = clients

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	intnet "steelnet/internal/int"
-	"steelnet/internal/sim"
 	"steelnet/internal/telemetry"
 	"steelnet/internal/topo"
 )
@@ -147,8 +146,7 @@ func (p Plan) LocalityFraction(demands []Demand) float64 {
 // places the same server budget at pod switches, assigns clients to
 // local fog servers, and dimensions pod trunks to two aggregation
 // switches.
-func buildMLAware(sc Scenario) built {
-	e := sim.NewEngine(sc.Seed)
+func buildMLAware(sc Scenario) plant {
 	nSrv := serverCount(sc)
 	nPods := (sc.Clients + 15) / 16
 	if nPods < 1 {
@@ -193,9 +191,8 @@ func buildMLAware(sc Scenario) built {
 		serverNode[s] = g.AddNode(fmt.Sprintf("fog%d", s), topo.KindServer)
 		g.AddEdge(pods[plan.PodOfServer[s]], serverNode[s], fogAttach, 500)
 	}
-	return instantiate(e, g, sc, clientNode, serverNode, func(i int) int {
-		return plan.ServerOfClient[i]
-	})
+	return plant{g: g, clientNode: clientNode, serverNode: serverNode,
+		assign: func(i int) int { return plan.ServerOfClient[i] }}
 }
 
 // Figure6Config parameterizes the full Fig. 6 sweep.

@@ -306,17 +306,13 @@ func (l *Link) engineFor(end int) *sim.Engine {
 // Cross reports whether the link spans two shards.
 func (l *Link) Cross() bool { return l.cross != nil }
 
-// ConnectCross wires two ports with a link whose ends live on shards
-// shardA and shardB of group g. Serialization happens on the sending
-// shard; the propagation leg becomes a timestamped inter-shard message,
-// so the link's total propagation delay (Prop plus any asymmetry) must
-// be at least the group's lookahead — the group panics on violation at
-// the first send. When both ends land on the same shard this degrades
-// to a plain Connect on that shard's engine.
+// ConnectCross wires two ports with a link whose ends live on two
+// different shards, shardA and shardB, of group g. Serialization happens
+// on the sending shard; the propagation leg becomes a timestamped
+// inter-shard message, so the link's total propagation delay (Prop plus
+// any asymmetry) must be at least the group's lookahead — the group
+// panics on violation at the first send.
 func ConnectCross(g *sim.ShardGroup, name string, a, b *Port, shardA, shardB int, rateBps float64, prop sim.Duration) *Link {
-	if shardA == shardB {
-		return Connect(g.Shard(shardA), name, a, b, rateBps, prop)
-	}
 	if prop < g.Lookahead() {
 		panic(fmt.Sprintf("simnet: cross-shard link %q propagation %v below group lookahead %v", name, prop, g.Lookahead()))
 	}

@@ -18,7 +18,7 @@ func TestNetworkRegisterMetricsAndTracer(t *testing.T) {
 	n := Build(e, g, SwitchConfig{Latency: sim.Microsecond})
 
 	tr := telemetry.NewTracer(nil)
-	n.SetTracer(tr)
+	n.SetTracer(0, tr)
 	r := telemetry.NewRegistry()
 	n.RegisterMetrics(r)
 
@@ -66,7 +66,7 @@ func TestNetworkRegisterMetricsAndTracer(t *testing.T) {
 	for _, id := range g.NodesOfKind(topo.KindSwitch) {
 		wantPorts += n.Switch(id).NumPorts()
 	}
-	wantPorts += len(n.Hosts())
+	wantPorts += len(hosts)
 	ports := n.Ports()
 	if len(ports) != wantPorts {
 		t.Fatalf("Ports() = %d, want %d", len(ports), wantPorts)

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"steelnet/internal/frame"
@@ -10,75 +11,133 @@ import (
 
 // Network instantiates a topo.Graph as live simulated equipment: one
 // Switch per switch node, one Host per host/server/io node, one Link per
-// edge. It keeps the mapping both ways so experiments can reason about
-// paths on the graph and observe counters on the equipment.
+// edge, each node on the engine of the shard Part places it on. Edges
+// inside a shard are ordinary links; edges the partition cuts become
+// cross-shard links whose propagation leg travels as a timestamped
+// group message. Tables are slices indexed by the graph's dense ids, so
+// every walk over the equipment is in id order.
+//
+// The partition is part of the scenario — it is derived from the
+// topology (see topo.Partition) and folded into digests — while the
+// worker count passed to Group.Run is free to vary without changing a
+// single output byte.
 type Network struct {
-	Engine *sim.Engine
-	Graph  *topo.Graph
+	Graph *topo.Graph
+	// Part places nodes on shards: one class after Build, the caller's
+	// partition after NewSharded.
+	Part topo.Partition
+	// Group coordinates the shards' engines; nil after Build, whose one
+	// engine the caller drives.
+	Group *sim.ShardGroup
 
-	switches map[topo.NodeID]*Switch
-	hosts    map[topo.NodeID]*Host
-	links    map[topo.EdgeID]*Link
-	byMAC    map[frame.MAC]topo.NodeID
+	engines  []*sim.Engine // by shard
+	switches []*Switch     // by topo.NodeID; nil at host nodes
+	hosts    []*Host       // by topo.NodeID; nil at switch nodes
+	links    []*Link       // by topo.EdgeID
+	ports    [][2]int      // by topo.EdgeID: port index at the edge's A and B ends
 }
 
-// Build instantiates g on engine. Switch ports are numbered by the order
-// of the node's incident edges in the graph.
+// noCutLookahead is the window bound used when the partition has no cut
+// edges at all: shards never interact, so any positive bound is sound;
+// a huge one makes each Run a single window per shard.
+const noCutLookahead = sim.Duration(1) << 56
+
+// Build instantiates g on one engine, which the caller drives.
 func Build(engine *sim.Engine, g *topo.Graph, cfg SwitchConfig) *Network {
+	p := topo.Partition{Shards: 1, Of: make([]int, g.NumNodes())}
+	return build(nil, []*sim.Engine{engine}, g, p, cfg)
+}
+
+// NewSharded instantiates g across a new shard group seeded with seed,
+// one shard per partition class. The conservative lookahead is the
+// minimum propagation delay over the partition's cut edges; a cut edge
+// with zero propagation makes windowed sync unsound, so that returns
+// sim.ErrZeroLookahead (wrapped) — callers repartition, fix the
+// topology, or fall back to a single shard.
+func NewSharded(seed uint64, g *topo.Graph, p topo.Partition, cfg SwitchConfig) (*Network, error) {
+	if err := p.Validate(g); err != nil {
+		return nil, err
+	}
+	lookahead := noCutLookahead
+	if min, ok := p.MinCutPropNs(g); ok {
+		lookahead = sim.Duration(min)
+	}
+	group, err := sim.NewShardGroup(seed, p.Shards, lookahead)
+	if err != nil {
+		return nil, fmt.Errorf("simnet: partition of %q unusable: %w", g.Name, err)
+	}
+	engines := make([]*sim.Engine, p.Shards)
+	for s := range engines {
+		engines[s] = group.Shard(s)
+	}
+	return build(group, engines, g, p, cfg), nil
+}
+
+// build creates the equipment. Switch ports are numbered by the order
+// of the node's incident edges, which is ascending edge id, so one pass
+// over the edges hands each end its next free port.
+func build(group *sim.ShardGroup, engines []*sim.Engine, g *topo.Graph, p topo.Partition, cfg SwitchConfig) *Network {
 	n := &Network{
-		Engine:   engine,
-		Graph:    g,
-		switches: make(map[topo.NodeID]*Switch),
-		hosts:    make(map[topo.NodeID]*Host),
-		links:    make(map[topo.EdgeID]*Link),
-		byMAC:    make(map[frame.MAC]topo.NodeID),
+		Graph: g, Part: p, Group: group, engines: engines,
+		switches: make([]*Switch, g.NumNodes()),
+		hosts:    make([]*Host, g.NumNodes()),
+		links:    make([]*Link, g.NumEdges()),
+		ports:    make([][2]int, g.NumEdges()),
 	}
-	// Port index assignment: for each node, its incident edges in order.
-	portOf := make(map[[2]int]int) // {node, edge} -> port index
-	for _, node := range g.Nodes() {
-		switch node.Kind {
-		case topo.KindSwitch:
-			inc := g.Incident(node.ID)
-			sw := NewSwitch(engine, node.Name, len(inc), cfg)
-			n.switches[node.ID] = sw
-			for i, eid := range inc {
-				portOf[[2]int{int(node.ID), int(eid)}] = i
-			}
-		default:
-			mac := frame.NewMAC(uint32(node.ID))
-			h := NewHost(engine, node.Name, mac)
-			n.hosts[node.ID] = h
-			n.byMAC[mac] = node.ID
-			if deg := g.Degree(node.ID); deg > 1 {
-				panic(fmt.Sprintf("simnet: host %s has %d links; hosts are single-homed", node.Name, deg))
-			}
-			for _, eid := range g.Incident(node.ID) {
-				portOf[[2]int{int(node.ID), int(eid)}] = 0
-			}
+	for i := range n.switches {
+		node := g.Node(topo.NodeID(i))
+		eng := engines[p.Of[i]]
+		if node.Kind == topo.KindSwitch {
+			n.switches[i] = NewSwitch(eng, node.Name, g.Degree(node.ID), cfg)
+			continue
 		}
+		if deg := g.Degree(node.ID); deg > 1 {
+			panic(fmt.Sprintf("simnet: host %s has %d links; hosts are single-homed", node.Name, deg))
+		}
+		n.hosts[i] = NewHost(eng, node.Name, frame.NewMAC(uint32(i)))
 	}
-	for _, e := range g.Edges() {
-		pa := n.portFor(e.A, e.ID, portOf)
-		pb := n.portFor(e.B, e.ID, portOf)
-		name := fmt.Sprintf("%s--%s", g.Node(e.A).Name, g.Node(e.B).Name)
-		n.links[e.ID] = Connect(engine, name, pa, pb, e.RateBps, sim.Duration(e.PropNs))
+	nextPort := make([]int, g.NumNodes())
+	for i := range n.links {
+		e := g.Edge(topo.EdgeID(i))
+		n.ports[i] = [2]int{nextPort[e.A], nextPort[e.B]}
+		nextPort[e.A]++
+		nextPort[e.B]++
+		name := g.Node(e.A).Name + "--" + g.Node(e.B).Name
+		pa, pb := n.port(e.A, n.ports[i][0]), n.port(e.B, n.ports[i][1])
+		if sa, sb := p.Of[e.A], p.Of[e.B]; sa != sb {
+			n.links[i] = ConnectCross(group, name, pa, pb, sa, sb, e.RateBps, sim.Duration(e.PropNs))
+		} else {
+			n.links[i] = Connect(engines[sa], name, pa, pb, e.RateBps, sim.Duration(e.PropNs))
+		}
 	}
 	return n
 }
 
-func (n *Network) portFor(node topo.NodeID, edge topo.EdgeID, portOf map[[2]int]int) *Port {
-	idx := portOf[[2]int{int(node), int(edge)}]
-	if sw, ok := n.switches[node]; ok {
+// port returns port idx of node's switch, or node's host port.
+func (n *Network) port(node topo.NodeID, idx int) *Port {
+	if sw := n.switches[node]; sw != nil {
 		return sw.Port(idx)
 	}
 	return n.hosts[node].Port()
 }
 
+// PortIndex returns which port of node attaches to edge. Constructive
+// routing (static FIB entries plus default ports) is built from this.
+func (n *Network) PortIndex(node topo.NodeID, edge topo.EdgeID) int {
+	switch e := n.Graph.Edge(edge); node {
+	case e.A:
+		return n.ports[edge][0]
+	case e.B:
+		return n.ports[edge][1]
+	}
+	panic(fmt.Sprintf("simnet: node %d not on edge %d", node, edge))
+}
+
 // Switch returns the switch instantiated for graph node id; it panics
 // when id is not a switch.
 func (n *Network) Switch(id topo.NodeID) *Switch {
-	sw, ok := n.switches[id]
-	if !ok {
+	sw := n.switches[id]
+	if sw == nil {
 		panic(fmt.Sprintf("simnet: node %d is not a switch", id))
 	}
 	return sw
@@ -87,29 +146,22 @@ func (n *Network) Switch(id topo.NodeID) *Switch {
 // Host returns the host instantiated for graph node id; it panics when
 // id is not a host.
 func (n *Network) Host(id topo.NodeID) *Host {
-	h, ok := n.hosts[id]
-	if !ok {
+	h := n.hosts[id]
+	if h == nil {
 		panic(fmt.Sprintf("simnet: node %d is not a host", id))
 	}
 	return h
 }
 
 // Link returns the link instantiated for graph edge id.
-func (n *Network) Link(id topo.EdgeID) *Link {
-	l, ok := n.links[id]
-	if !ok {
-		panic(fmt.Sprintf("simnet: unknown edge %d", id))
-	}
-	return l
-}
+func (n *Network) Link(id topo.EdgeID) *Link { return n.links[id] }
 
-// Hosts returns all hosts keyed by graph node id.
-func (n *Network) Hosts() map[topo.NodeID]*Host { return n.hosts }
-
-// NodeByMAC returns the graph node owning mac, or -1.
+// NodeByMAC returns the graph node owning mac, or -1. Host addresses
+// are frame.NewMAC of the node id, so the id is read back out of mac.
 func (n *Network) NodeByMAC(mac frame.MAC) topo.NodeID {
-	if id, ok := n.byMAC[mac]; ok {
-		return id
+	id := binary.BigEndian.Uint32(mac[2:])
+	if int(id) < len(n.hosts) && n.hosts[id] != nil && n.hosts[id].MAC() == mac {
+		return topo.NodeID(id)
 	}
 	return -1
 }
@@ -118,28 +170,32 @@ func (n *Network) NodeByMAC(mac frame.MAC) topo.NodeID {
 // network (hosts keep their defaults).
 func (n *Network) SetSwitchQueueDepth(perClassLimit int) {
 	for _, sw := range n.switches {
-		sw.SetQueueDepth(perClassLimit)
+		if sw != nil {
+			sw.SetQueueDepth(perClassLimit)
+		}
 	}
 }
 
 // InstallStaticRoutes programs every switch's FIB with the shortest-path
 // port toward every host, eliminating flooding. Industrial networks are
 // engineered and static after commissioning (§2.3); this is that
-// commissioning step.
+// commissioning step. Each switch takes its entries in host-id order,
+// so a FIB's layout is the same on every build.
 func (n *Network) InstallStaticRoutes() {
 	r := topo.NewRouter(n.Graph, topo.HopCount)
-	for hostID, h := range n.hosts {
-		for swID, sw := range n.switches {
-			firstEdge, err := r.NextHop(swID, hostID)
+	for swID, sw := range n.switches {
+		if sw == nil {
+			continue
+		}
+		for hostID, h := range n.hosts {
+			if h == nil {
+				continue
+			}
+			firstEdge, err := r.NextHop(topo.NodeID(swID), topo.NodeID(hostID))
 			if err != nil {
 				continue
 			}
-			for i, eid := range n.Graph.Incident(swID) {
-				if eid == firstEdge {
-					sw.AddStatic(h.MAC(), i)
-					break
-				}
-			}
+			sw.AddStatic(h.MAC(), n.PortIndex(topo.NodeID(swID), firstEdge))
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"steelnet/internal/checkpoint"
 	"steelnet/internal/frame"
-	"steelnet/internal/topo"
 )
 
 // This file folds the network's live state into a checkpoint.Digest.
@@ -160,34 +159,25 @@ func (l *Link) FoldState(d *checkpoint.Digest) {
 	d.I64(int64(l.extra[1]))
 }
 
-// FoldState folds every switch, host and link in the network in sorted
-// graph-id order.
+// FoldState folds every switch, then every host, then every link, each
+// keyed by its graph id. The tables are indexed by id, so slice order is
+// id order and the stream does not depend on how the nodes were placed:
+// a one-engine and a sharded build of the same scenario fold alike.
 func (n *Network) FoldState(d *checkpoint.Digest) {
-	swIDs := make([]int, 0, len(n.switches))
-	for id := range n.switches {
-		swIDs = append(swIDs, int(id))
+	for id, sw := range n.switches {
+		if sw != nil {
+			d.Int(id)
+			sw.FoldState(d)
+		}
 	}
-	sort.Ints(swIDs)
-	for _, id := range swIDs {
+	for id, h := range n.hosts {
+		if h != nil {
+			d.Int(id)
+			h.FoldState(d)
+		}
+	}
+	for id, l := range n.links {
 		d.Int(id)
-		n.switches[topo.NodeID(id)].FoldState(d)
-	}
-	hostIDs := make([]int, 0, len(n.hosts))
-	for id := range n.hosts {
-		hostIDs = append(hostIDs, int(id))
-	}
-	sort.Ints(hostIDs)
-	for _, id := range hostIDs {
-		d.Int(id)
-		n.hosts[topo.NodeID(id)].FoldState(d)
-	}
-	linkIDs := make([]int, 0, len(n.links))
-	for id := range n.links {
-		linkIDs = append(linkIDs, int(id))
-	}
-	sort.Ints(linkIDs)
-	for _, id := range linkIDs {
-		d.Int(id)
-		n.links[topo.EdgeID(id)].FoldState(d)
+		l.FoldState(d)
 	}
 }

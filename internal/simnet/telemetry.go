@@ -176,43 +176,86 @@ func RegisterLinkMetrics(r *telemetry.Registry, l *Link) {
 	})
 }
 
-// SetTracer attaches a lifecycle tracer to every switch, host and port
-// in the network and binds it to the network's engine.
-func (n *Network) SetTracer(t *telemetry.Tracer) {
-	t.Bind(n.Engine)
-	for _, sw := range n.switches {
-		sw.SetTracer(t)
-	}
-	for _, h := range n.hosts {
-		h.SetTracer(t)
+// SetTracer attaches lifecycle tracer t to every switch and host placed
+// on shard s (0 after Build) and binds it to that shard's engine.
+// Tracers are per shard: one shared across shards would be written by
+// concurrent workers. Merge per-shard traces in shard order for a
+// deterministic combined stream.
+func (n *Network) SetTracer(s int, t *telemetry.Tracer) {
+	t.Bind(n.engines[s])
+	for id, of := range n.Part.Of {
+		if of != s {
+			continue
+		}
+		if sw := n.switches[id]; sw != nil {
+			sw.SetTracer(t)
+		} else {
+			n.hosts[id].SetTracer(t)
+		}
 	}
 }
 
-// RegisterMetrics exposes every component's counters plus the engine's
-// internals on r. Output ordering is handled by the registry itself, so
-// map iteration order here is harmless.
+// RegisterMetrics exposes every component's counters on r, plus the
+// engine's internals when there is one engine (a shard group's are
+// telemetry.RegisterShardGroupMetrics's to expose).
 func (n *Network) RegisterMetrics(r *telemetry.Registry) {
 	for _, sw := range n.switches {
-		RegisterSwitchMetrics(r, sw)
+		if sw != nil {
+			RegisterSwitchMetrics(r, sw)
+		}
 	}
 	for _, h := range n.hosts {
-		RegisterHostMetrics(r, h)
+		if h != nil {
+			RegisterHostMetrics(r, h)
+		}
 	}
 	for _, l := range n.links {
 		RegisterLinkMetrics(r, l)
 	}
-	telemetry.RegisterEngineMetrics(r, n.Engine)
+	if n.Group == nil {
+		telemetry.RegisterEngineMetrics(r, n.engines[0])
+	}
 }
 
-// Ports returns all ports of the network's switches and hosts — the
-// set Account needs for a whole-network conservation check.
+// Ports returns all ports of the network's switches and hosts in node-id
+// order — the set Account needs for a whole-network conservation check.
 func (n *Network) Ports() []*Port {
 	var out []*Port
-	for _, sw := range n.switches {
-		out = append(out, sw.ports...)
-	}
-	for _, h := range n.hosts {
-		out = append(out, h.port)
+	for id := range n.Part.Of {
+		out = n.appendPorts(out, id)
 	}
 	return out
+}
+
+// ShardPorts returns the ports of the nodes placed on shard s, in
+// node-id order; over all shards the listings partition Ports.
+func (n *Network) ShardPorts(s int) []*Port {
+	var out []*Port
+	for id, of := range n.Part.Of {
+		if of == s {
+			out = n.appendPorts(out, id)
+		}
+	}
+	return out
+}
+
+func (n *Network) appendPorts(out []*Port, id int) []*Port {
+	if sw := n.switches[id]; sw != nil {
+		return append(out, sw.ports...)
+	}
+	return append(out, n.hosts[id].port)
+}
+
+// Account builds the whole-network conservation ledger, including the
+// cross-shard wire term. On a sharded network call it at a window
+// barrier (between Run calls): that is when the senders' and receivers'
+// counters are ordered, and when every cross-shard in-flight frame is
+// counted exactly once — by its link's sent/Delivered difference and by
+// nothing else.
+func (n *Network) Account() Accounting {
+	a := Account(n.Ports()...)
+	for _, l := range n.links {
+		a.AddCrossLink(l)
+	}
+	return a
 }

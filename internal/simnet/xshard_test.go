@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"steelnet/internal/checkpoint"
@@ -56,16 +58,14 @@ func driveTwoCell(t *testing.T, workers int) uint64 {
 		t.Fatalf("lookahead = %v, want backbone prop 5000", la)
 	}
 	var pools [2]frame.Pool
-	for id, h := range n.Hosts() {
-		shard := part.Of[id]
-		h.OnReceive(pools[shard].Put)
+	for id := topo.NodeID(2); id <= 5; id++ {
+		n.Host(id).OnReceive(pools[part.Of[id]].Put)
 	}
-	// OnDrop goes to the owning shard's pool, keyed by owner name (IDs
-	// 0..5 as built by twoCellGraph).
-	ownerShard := map[string]int{"swA": 0, "swB": 1, "a0": 0, "a1": 0, "b0": 1, "b1": 1}
-	for _, p := range n.Ports() {
-		s := ownerShard[p.Owner.Name()]
-		p.OnDrop = pools[s].Put
+	// OnDrop goes to the owning shard's pool.
+	for s := range pools {
+		for _, p := range n.ShardPorts(s) {
+			p.OnDrop = pools[s].Put
+		}
 	}
 	swA, swB := n.Switch(0), n.Switch(1)
 	installTwoCellRoutes(swA, map[frame.MAC]int{
@@ -137,84 +137,158 @@ func TestShardedNetworkCrossTrafficConservesAndIsDeterministic(t *testing.T) {
 	}
 }
 
+// randomPlant grows a seeded random tree of switches with hosts hung off
+// them as it goes, so switch and host ids interleave.
+func randomPlant(rng *sim.RNG) *topo.Graph {
+	g := topo.NewGraph("random-plant")
+	var sw []topo.NodeID
+	hosts := 0
+	for nSw := 4 + rng.Intn(4); len(sw) < nSw; {
+		id := g.AddNode(fmt.Sprintf("sw%d", len(sw)), topo.KindSwitch)
+		if len(sw) > 0 {
+			g.AddEdge(sw[rng.Intn(len(sw))], id, 1e9, int64(1000+rng.Intn(4000)))
+		}
+		sw = append(sw, id)
+		for k := 1 + rng.Intn(2); k > 0; k-- {
+			h := g.AddNode(fmt.Sprintf("h%d", hosts), topo.KindHost)
+			g.AddEdge(id, h, 1e9, int64(200+rng.Intn(800)))
+			hosts++
+		}
+	}
+	return g
+}
+
+// randomPartition places g's nodes on k classes at random, every class
+// non-empty. With hostOnly the last class receives no switch.
+func randomPartition(rng *sim.RNG, g *topo.Graph, k int, hostOnly bool) topo.Partition {
+	p := topo.Partition{Shards: k, Of: make([]int, g.NumNodes())}
+	switches, hosts := g.NodesOfKind(topo.KindSwitch), g.NodesOfKind(topo.KindHost)
+	swClasses := k
+	if hostOnly {
+		swClasses = k - 1
+	}
+	for _, id := range switches {
+		p.Of[id] = rng.Intn(swClasses)
+	}
+	for _, id := range hosts {
+		p.Of[id] = rng.Intn(k)
+	}
+	for s := 0; s < swClasses; s++ { // randomPlant has at least 4 switches
+		p.Of[switches[s]] = s
+	}
+	if hostOnly {
+		p.Of[hosts[rng.Intn(len(hosts))]] = k - 1
+	}
+	return p
+}
+
 // TestShardedMatchesUnshardedEquipment pins the physics: the same
-// scenario built unsharded on one engine and sharded across two must
-// leave every switch, host and link counter byte-identical — the
+// scenario built on one engine and across the shards of any partition
+// must leave every switch, host and link counter byte-identical — the
 // equipment digest does not know how the simulation was executed.
 func TestShardedMatchesUnshardedEquipment(t *testing.T) {
-	run := func(sharded bool) uint64 {
-		g, part := twoCellGraph(5000)
-		const horizon = sim.Time(500_000)
-		var (
-			hostAt  func(id topo.NodeID) *Host
-			swAt    func(id topo.NodeID) *Switch
-			portIdx func(n topo.NodeID, e topo.EdgeID) int
-			advance func()
-			fold    func(d *checkpoint.Digest)
-		)
-		if sharded {
-			n, err := NewSharded(7, g, part, SwitchConfig{Latency: sim.Microsecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hostAt, swAt, portIdx = n.Host, n.Switch, n.PortIndex
-			advance = func() { n.Group.Run(horizon, 2) }
-			fold = n.FoldState
-		} else {
-			e := sim.NewEngine(7)
-			n := Build(e, g, SwitchConfig{Latency: sim.Microsecond})
-			hostAt, swAt = n.Host, n.Switch
-			portIdx = func(nd topo.NodeID, ed topo.EdgeID) int {
-				for i, eid := range g.Incident(nd) {
-					if eid == ed {
-						return i
-					}
+	const horizon = sim.Time(500_000)
+	type outcome struct {
+		digest uint64
+		acct   Accounting
+		rx     []uint64
+	}
+	// drive routes n statically, has every host send to the next one on
+	// its own period, runs to the horizon and reads the equipment back.
+	drive := func(n *Network, advance func()) outcome {
+		n.InstallStaticRoutes()
+		hosts := n.Graph.NodesOfKind(topo.KindHost)
+		for i, id := range hosts {
+			src, dst := n.Host(id), n.Host(hosts[(i+1)%len(hosts)]).MAC()
+			src.Engine().Every(sim.Time(1000+137*i), sim.Duration(2000+300*i), func() {
+				if src.Engine().Now() <= horizon-50_000 {
+					src.Send(&frame.Frame{Dst: dst, Payload: make([]byte, 96)})
 				}
-				t.Fatalf("node %d not on edge %d", nd, ed)
-				return -1
-			}
-			advance = func() { e.RunUntil(horizon) }
-			fold = n.FoldState
+			})
 		}
-		installTwoCellRoutes(swAt(0), map[frame.MAC]int{
-			hostAt(2).MAC(): portIdx(0, 1),
-			hostAt(3).MAC(): portIdx(0, 2),
-		}, portIdx(0, 0))
-		installTwoCellRoutes(swAt(1), map[frame.MAC]int{
-			hostAt(4).MAC(): portIdx(1, 3),
-			hostAt(5).MAC(): portIdx(1, 4),
-		}, portIdx(1, 0))
-		a0, b0 := hostAt(2), hostAt(4)
-		var pool [2]frame.Pool
-		a0.OnReceive(pool[0].Put)
-		b0.OnReceive(pool[1].Put)
-		a0.Engine().Every(1000, 2000, func() {
-			if a0.Engine().Now() > horizon-50_000 {
-				return
-			}
-			f := pool[0].Get(96)
-			f.Dst = b0.MAC()
-			if !a0.Send(f) {
-				pool[0].Put(f)
-			}
-		})
-		b0.Engine().Every(1700, 2600, func() {
-			if b0.Engine().Now() > horizon-50_000 {
-				return
-			}
-			f := pool[1].Get(96)
-			f.Dst = a0.MAC()
-			if !b0.Send(f) {
-				pool[1].Put(f)
-			}
-		})
 		advance()
 		d := checkpoint.NewDigest()
-		fold(d)
-		return d.Sum()
+		n.FoldState(d)
+		out := outcome{digest: d.Sum(), acct: n.Account()}
+		for _, id := range hosts {
+			out.rx = append(out.rx, n.Host(id).RxCount)
+		}
+		if out.acct.Delivered == 0 {
+			t.Fatal("no frames delivered")
+		}
+		return out
 	}
-	if sh, un := run(true), run(false); sh != un {
-		t.Fatalf("sharded equipment digest %#x != unsharded %#x", sh, un)
+	cfg := SwitchConfig{Latency: sim.Microsecond}
+	for trial := 0; trial < 24; trial++ {
+		rng := sim.NewRNG(uint64(trial))
+		g := randomPlant(rng)
+		k := 1 + trial%4
+		part := randomPartition(rng, g, k, k > 1 && trial%3 == 0)
+
+		e := sim.NewEngine(7)
+		want := drive(Build(e, g, cfg), func() { e.RunUntil(horizon) })
+
+		n, err := NewSharded(7, g, part, cfg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		got := drive(n, func() { n.Group.Run(horizon, 2) })
+		if got.digest != want.digest {
+			t.Errorf("trial %d (%d classes): sharded equipment digest %#x != unsharded %#x", trial, k, got.digest, want.digest)
+		}
+		if got.acct != want.acct {
+			t.Errorf("trial %d (%d classes): sharded ledger %+v != unsharded %+v", trial, k, got.acct, want.acct)
+		}
+		if !slices.Equal(got.rx, want.rx) {
+			t.Errorf("trial %d (%d classes): host RxCounts %v != unsharded %v", trial, k, got.rx, want.rx)
+		}
+	}
+}
+
+// TestNetworkPortsInIDOrder: Ports walks the nodes in id order on every
+// build, and the per-shard listings partition it exactly.
+func TestNetworkPortsInIDOrder(t *testing.T) {
+	rng := sim.NewRNG(3)
+	g := randomPlant(rng)
+	part := randomPartition(rng, g, 3, true)
+	var want []string
+	nodeOf := make(map[string]topo.NodeID)
+	for _, node := range g.Nodes() {
+		nodeOf[node.Name] = node.ID
+		for i := 0; i < g.Degree(node.ID); i++ {
+			want = append(want, fmt.Sprintf("%s/%d", node.Name, i))
+		}
+	}
+	for build := 0; build < 5; build++ {
+		n, err := NewSharded(1, g, part, DefaultSwitchConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, p := range n.Ports() {
+			got = append(got, fmt.Sprintf("%s/%d", p.Owner.Name(), p.Index))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("build %d: Ports() = %v, want id order %v", build, got, want)
+		}
+		// Dealing Ports() out by the owner's shard must reproduce every
+		// shard's listing, in order and with nothing left over.
+		listing := make([][]*Port, part.Shards)
+		for s := range listing {
+			listing[s] = n.ShardPorts(s)
+		}
+		for _, p := range n.Ports() {
+			s := part.Of[nodeOf[p.Owner.Name()]]
+			if len(listing[s]) == 0 || listing[s][0] != p {
+				t.Fatalf("build %d: shard %d's listing does not continue with %s/%d", build, s, p.Owner.Name(), p.Index)
+			}
+			listing[s] = listing[s][1:]
+		}
+		for s, rest := range listing {
+			if len(rest) != 0 {
+				t.Fatalf("build %d: shard %d lists %d ports Ports() does not", build, s, len(rest))
+			}
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -74,18 +75,19 @@ type Graph struct {
 	Name  string
 	nodes []Node
 	edges []Edge
-	adj   map[NodeID][]EdgeID
+	adj   [][]EdgeID // by NodeID: incident edges, in ascending edge-id order
 }
 
 // NewGraph returns an empty graph with the given name.
 func NewGraph(name string) *Graph {
-	return &Graph{Name: name, adj: make(map[NodeID][]EdgeID)}
+	return &Graph{Name: name}
 }
 
 // AddNode appends a node and returns its id.
 func (g *Graph) AddNode(name string, kind NodeKind) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Kind: kind})
+	g.adj = append(g.adj, nil)
 	return id
 }
 
@@ -127,10 +129,11 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // NumEdges returns the edge count.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// Incident returns the edge ids incident to n.
+// Incident returns the edge ids incident to n in ascending order. The
+// slice is the graph's own: callers must not modify it.
 func (g *Graph) Incident(n NodeID) []EdgeID {
 	g.mustHave(n)
-	return append([]EdgeID(nil), g.adj[n]...)
+	return slices.Clip(g.adj[n])
 }
 
 // Degree returns the number of edges incident to n.

@@ -40,7 +40,7 @@ func (p Partition) Validate(g *Graph) error {
 // shards — the links that become cross-shard message channels.
 func (p Partition) CutEdges(g *Graph) []EdgeID {
 	var cut []EdgeID
-	for _, e := range g.Edges() {
+	for _, e := range g.edges {
 		if p.Of[e.A] != p.Of[e.B] {
 			cut = append(cut, e.ID)
 		}
@@ -54,7 +54,7 @@ func (p Partition) CutEdges(g *Graph) []EdgeID {
 // no lookahead bound at all (shards never interact).
 func (p Partition) MinCutPropNs(g *Graph) (int64, bool) {
 	min, any := int64(0), false
-	for _, e := range g.Edges() {
+	for _, e := range g.edges {
 		if p.Of[e.A] == p.Of[e.B] {
 			continue
 		}

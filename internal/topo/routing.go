@@ -61,9 +61,10 @@ func (q *pq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q =
 type Router struct {
 	g      *Graph
 	weight EdgeWeight
-	// dist[s] and via[s] are per-source Dijkstra results, lazily built.
-	dist map[NodeID][]float64
-	via  map[NodeID][][]EdgeID // all equal-cost predecessor edges
+	// dist[s] and via[s] are per-source Dijkstra results, lazily built
+	// (nil until s is first used as a source).
+	dist [][]float64
+	via  [][][]EdgeID // all equal-cost predecessor edges
 }
 
 // NewRouter builds a router over g with the given weight function.
@@ -73,13 +74,13 @@ func NewRouter(g *Graph, weight EdgeWeight) *Router {
 	}
 	return &Router{
 		g: g, weight: weight,
-		dist: make(map[NodeID][]float64),
-		via:  make(map[NodeID][][]EdgeID),
+		dist: make([][]float64, g.NumNodes()),
+		via:  make([][][]EdgeID, g.NumNodes()),
 	}
 }
 
 func (r *Router) run(src NodeID) {
-	if _, ok := r.dist[src]; ok {
+	if r.dist[src] != nil {
 		return
 	}
 	n := r.g.NumNodes()

@@ -72,11 +72,11 @@
 #
 # The BenchmarkCampus10kShards{1,2,4,8} rows are macro numbers (a
 # 10k-switch campus built and run end to end at each shard worker
-# count); they carry no alloc guard and their cross-shard-count ratios
-# are only meaningful on a multi-core machine — the committed baseline
-# was measured single-core (GOMAXPROCS=1), where the shard workers
-# time-slice one CPU and the ladder mostly measures coordinator
-# overhead. Re-record on multi-core hardware before quoting a speedup.
+# count) and BenchmarkCampus10kBuild is their build phase alone; they
+# carry no alloc guard. The ladder's cross-shard-count ratios are only
+# meaningful with a core per worker: the committed baseline was recorded
+# on two cores, so the 4- and 8-worker rungs time-slice them. Re-record
+# on wider hardware before quoting a speedup.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
