@@ -86,6 +86,9 @@ type Factory struct {
 
 	pipeline *dataplane.Pipeline
 	fabric   *simnet.Switch
+	// pool is the plant's one frame free list: every station transmits
+	// from it and returns the frames it consumes to it.
+	pool frame.Pool
 }
 
 // NewFactory wires the factory. Each cell gets a primary vPLC (and a
@@ -127,6 +130,7 @@ func NewFactory(cfg FactoryConfig) *Factory {
 	}
 	if cfg.UseInstaPLC {
 		f.pipeline = dataplane.New(e, "fabric", ports, dataplane.DefaultConfig)
+		f.pipeline.UsePool(&f.pool)
 		f.App = instaplc.New(e, f.pipeline, instaplc.Config{WatchdogCycles: cfg.InstaWatchdogCycles})
 	} else {
 		f.fabric = simnet.NewSwitch(e, "fabric", ports, simnet.DefaultSwitchConfig)
@@ -141,6 +145,7 @@ func NewFactory(cfg FactoryConfig) *Factory {
 		devMAC := frame.NewMAC(station)
 		station++
 		cell.Device = iodevice.New(e, cc.Name+"/io", devMAC, cc.Process, nil)
+		cell.Device.UsePool(&f.pool)
 		attach(cell.Device.Host())
 
 		priMAC := frame.NewMAC(station)
@@ -149,6 +154,7 @@ func NewFactory(cfg FactoryConfig) *Factory {
 		cell.Primary = plc.NewController(e, cc.Name+"/vplc1", priMAC, plc.ControllerConfig{
 			Logic: cc.Logic, Stack: stk, Primary: true,
 		})
+		cell.Primary.UsePool(&f.pool)
 		attach(cell.Primary.Host())
 
 		if cc.Standby {
@@ -158,6 +164,7 @@ func NewFactory(cfg FactoryConfig) *Factory {
 			cell.Standby = plc.NewController(e, cc.Name+"/vplc2", secMAC, plc.ControllerConfig{
 				Logic: cc.Logic, Stack: stk2,
 			})
+			cell.Standby.UsePool(&f.pool)
 			attach(cell.Standby.Host())
 		}
 		f.Cells = append(f.Cells, cell)

@@ -195,6 +195,7 @@ type Entry struct {
 	Bytes uint64
 
 	idleTimer sim.Event
+	idleFn    func() // the watchdog's expiry callback, built at the first arm
 	table     *Table
 	deleted   bool
 }
@@ -293,7 +294,14 @@ type Pipeline struct {
 	// intSeq is the per-flow sequence counter behind ActINTSource.
 	intSeq map[uint32]uint32
 
-	// OnPacketIn receives punted frames (the control-plane channel).
+	// pool takes every frame the pipeline itself ends (drop verdicts,
+	// strict-INT overflows, refused egress) and supplies the copies of
+	// multi-leg outputs. rxJobs is the free list of in-flight receptions.
+	pool   *frame.Pool
+	rxJobs *rxJob
+
+	// OnPacketIn receives punted frames (the control-plane channel). The
+	// handler owns the frame: it re-injects it or returns it to Pool().
 	OnPacketIn func(PacketInEvent)
 
 	// Processed, Dropped, PacketIns count pipeline verdicts.
@@ -306,7 +314,7 @@ type Pipeline struct {
 // New creates a pipeline with nports ports.
 func New(engine *sim.Engine, name string, nports int, cfg Config) *Pipeline {
 	p := &Pipeline{name: name, engine: engine, cfg: cfg, rng: engine.RNG("dataplane/" + name),
-		intSeq: make(map[uint32]uint32)}
+		intSeq: make(map[uint32]uint32), pool: &frame.Pool{}}
 	for i := 0; i < nports; i++ {
 		p.ports = append(p.ports, simnet.NewPort(p, i))
 		p.inLabels = append(p.inLabels, fmt.Sprintf("%s.in%d", name, i))
@@ -328,6 +336,15 @@ func (p *Pipeline) Port(i int) *simnet.Port {
 
 // NumPorts returns the port count.
 func (p *Pipeline) NumPorts() int { return len(p.ports) }
+
+// Pool returns the free list the pipeline recycles frames through; its
+// control plane builds packet-outs from it and returns consumed
+// packet-ins to it.
+func (p *Pipeline) Pool() *frame.Pool { return p.pool }
+
+// UsePool replaces the pipeline's frame pool with the free list it
+// shares with the stations around it. Call before traffic starts.
+func (p *Pipeline) UsePool(pool *frame.Pool) { p.pool = pool }
 
 // SetTracer attaches a lifecycle tracer to the pipeline and its ports.
 func (p *Pipeline) SetTracer(t *telemetry.Tracer) {
@@ -357,6 +374,18 @@ func (p *Pipeline) AddTable(name string, def Action) *Table {
 	return t
 }
 
+// rxJob carries one received frame across the pipeline's processing
+// latency. Like simnet's flight it owns its closure and recycles
+// through a per-pipeline free list.
+type rxJob struct {
+	p    *Pipeline
+	in   int
+	rxNS int64
+	f    *frame.Frame
+	run  func()
+	next *rxJob
+}
+
 // Receive implements simnet.Node: parse, walk tables, act. The receive
 // instant is carried to process so INT transit records can report the
 // frame's true pipeline residence time.
@@ -365,9 +394,23 @@ func (p *Pipeline) Receive(port *simnet.Port, f *frame.Frame) {
 	if p.cfg.Jitter > 0 {
 		d = p.rng.NormDuration(p.cfg.Latency, p.cfg.Jitter, p.cfg.Latency/2)
 	}
-	in := port.Index
-	rxNS := int64(p.engine.Now())
-	p.engine.After(d, func() { p.process(in, rxNS, f) })
+	j := p.rxJobs
+	if j == nil {
+		j = &rxJob{p: p}
+		j.run = func() { j.p.processJob(j) }
+	} else {
+		p.rxJobs = j.next
+	}
+	j.in, j.rxNS, j.f = port.Index, int64(p.engine.Now()), f
+	p.engine.After(d, j.run)
+}
+
+// processJob unpacks and recycles the job, then processes the frame.
+func (p *Pipeline) processJob(j *rxJob) {
+	in, rxNS, f := j.in, j.rxNS, j.f
+	j.f, j.next = nil, p.rxJobs
+	p.rxJobs = j
+	p.process(in, rxNS, f)
 }
 
 func (p *Pipeline) process(inPort int, rxNS int64, f *frame.Frame) {
@@ -408,10 +451,7 @@ func (p *Pipeline) process(inPort int, rxNS int64, f *frame.Frame) {
 			}
 			continue
 		case ActDrop:
-			p.Dropped++
-			if p.tr != nil {
-				p.tr.Drop(p.name, inPort, f, telemetry.CausePipeline)
-			}
+			p.drop(inPort, f)
 			return
 		case ActPacketIn:
 			p.PacketIns++
@@ -425,6 +465,8 @@ func (p *Pipeline) process(inPort int, rxNS int64, f *frame.Frame) {
 			f.INT = nil
 			if p.OnPacketIn != nil {
 				p.OnPacketIn(PacketInEvent{Reason: act.Reason, Fields: fl, Frame: f})
+			} else {
+				p.pool.Put(f)
 			}
 			return
 		case ActOutput:
@@ -433,21 +475,42 @@ func (p *Pipeline) process(inPort int, rxNS int64, f *frame.Frame) {
 		}
 	}
 	// Fell off the last table: drop, like a pipeline with no verdict.
+	p.drop(inPort, f)
+}
+
+// drop ends f by table verdict.
+func (p *Pipeline) drop(inPort int, f *frame.Frame) {
 	p.Dropped++
 	if p.tr != nil {
 		p.tr.Drop(p.name, inPort, f, telemetry.CausePipeline)
 	}
+	p.pool.Put(f)
 }
 
-// emit sends the frame out each leg, applying egress rewrites to a copy.
-// INT-bearing clones get the pipeline's transit record stamped per leg;
-// legs with an INTSink terminate the clone's stack at egress.
+// emit sends the frame out each leg with that leg's egress rewrites.
+// The frame itself travels on the last leg; every earlier leg gets a
+// pooled copy, and a frame no leg takes returns to the pool. INT-bearing
+// frames get the pipeline's transit record stamped per leg; legs with
+// an INTSink terminate the stack at egress.
 func (p *Pipeline) emit(legs []PortAction, rxNS int64, f *frame.Frame) {
-	for _, leg := range legs {
+	last := -1
+	for i, leg := range legs {
+		if leg.Port >= 0 && leg.Port < len(p.ports) {
+			last = i
+		}
+	}
+	if last < 0 {
+		p.pool.Put(f)
+		return
+	}
+	for i, leg := range legs[:last+1] {
 		if leg.Port < 0 || leg.Port >= len(p.ports) {
 			continue
 		}
-		g := f.Clone()
+		g := f
+		if i < last {
+			g = p.pool.Clone(f)
+		}
 		if leg.SetDst != nil {
 			g.Dst = *leg.SetDst
 		}
@@ -464,6 +527,7 @@ func (p *Pipeline) emit(legs []PortAction, rxNS int64, f *frame.Frame) {
 				if p.tr != nil {
 					p.tr.Drop(p.name, leg.Port, g, telemetry.CauseINT)
 				}
+				p.pool.Put(g)
 				continue
 			}
 			if leg.INTSink != nil {
@@ -471,7 +535,7 @@ func (p *Pipeline) emit(legs []PortAction, rxNS int64, f *frame.Frame) {
 				g.INT = nil
 			}
 		}
-		p.ports[leg.Port].Send(g)
+		p.Inject(leg.Port, g)
 	}
 }
 
@@ -503,20 +567,23 @@ func rewriteARID(f *frame.Frame, arid uint32) {
 }
 
 // Inject performs a packet-out: the control plane emits a frame on a
-// port, bypassing the tables.
+// port, bypassing the tables. The pipeline takes the frame over; one
+// the egress queue refuses goes to the pool.
 func (p *Pipeline) Inject(port int, f *frame.Frame) {
-	p.Port(port).Send(f)
+	if !p.Port(port).Send(f) {
+		p.pool.Put(f)
+	}
 }
 
 // armIdle (re)arms an entry's idle watchdog.
 func (p *Pipeline) armIdle(e *Entry) {
 	e.idleTimer.Cancel()
-	e.idleTimer = p.engine.After(e.IdleTimeout, func() {
-		if e.deleted {
-			return
+	if e.idleFn == nil {
+		e.idleFn = func() {
+			if !e.deleted && e.OnIdle != nil {
+				e.OnIdle(e)
+			}
 		}
-		if e.OnIdle != nil {
-			e.OnIdle(e)
-		}
-	})
+	}
+	e.idleTimer = p.engine.After(e.IdleTimeout, e.idleFn)
 }

@@ -349,3 +349,62 @@ func TestPipelineTelemetryHooks(t *testing.T) {
 		t.Fatalf("processed counter not live:\n%s", sb.String())
 	}
 }
+
+// TestFramesEndInThePool follows ownership through every way the
+// pipeline can end a frame: a multi-leg output moves the frame onto its
+// last leg and pool-clones the others, and a drop verdict, an output
+// with no valid leg, a leg whose link is down and an unclaimed packet-in
+// each return the frame to the pool.
+func TestFramesEndInThePool(t *testing.T) {
+	e, p, hosts, _ := rig(t, 4)
+	pool := p.Pool()
+	var got [4]*frame.Frame
+	for i := range hosts {
+		hosts[i].OnReceive(func(f *frame.Frame) { got[i] = f })
+	}
+	tbl := p.AddTable("t", PacketIn("miss"))
+	tbl.Insert(Entry{Match: Match{InPort: Ptr(0)}, Action: OutputLegs(
+		PortAction{Port: 1, SetDst: Ptr(hosts[1].MAC())},
+		PortAction{Port: 99},
+		PortAction{Port: 2, SetDst: Ptr(hosts[2].MAC())},
+		PortAction{Port: -1},
+	)})
+	tbl.Insert(Entry{Match: Match{InPort: Ptr(1)}, Action: Drop()})
+	tbl.Insert(Entry{Match: Match{InPort: Ptr(2)}, Action: OutputLegs(PortAction{Port: 7})})
+	tbl.Insert(Entry{Match: Match{InPort: Ptr(3), EtherType: Ptr(frame.TypeIPv4)}, Action: Output(0)})
+
+	send := func(from int, typ frame.EtherType) *frame.Frame {
+		f := pool.Get(20)
+		f.Dst, f.Type = frame.Broadcast, typ
+		if !hosts[from].Send(f) {
+			t.Fatal("host refused the frame")
+		}
+		e.Run()
+		return f
+	}
+
+	sent := send(0, frame.TypePTP)
+	if got[2] != sent {
+		t.Fatal("the frame itself did not travel on the last valid leg")
+	}
+	if got[1] == nil || got[1] == sent || got[1].Dst != hosts[1].MAC() || sent.Dst != hosts[2].MAC() {
+		t.Fatalf("first leg = %v, last leg = %v: rewrites crossed or the copy is missing", got[1], sent)
+	}
+	if pool.News != 2 || pool.Outstanding() != 2 {
+		t.Fatalf("two-leg output: pool %+v, want one source frame and one copy outstanding", *pool)
+	}
+	pool.Put(got[1])
+	pool.Put(got[2])
+
+	for name, from := range map[string]int{"drop verdict": 1, "no valid leg": 2, "packet-in nobody handles": 3} {
+		send(from, frame.TypePTP)
+		if pool.Outstanding() != 0 {
+			t.Fatalf("%s: %d frames outstanding, pool %+v", name, pool.Outstanding(), *pool)
+		}
+	}
+	hosts[0].Port().Link().SetUp(false)
+	send(3, frame.TypeIPv4)
+	if pool.Outstanding() != 0 || p.Port(0).DownDrops != 1 {
+		t.Fatalf("leg onto a downed link: %d outstanding, %d down-drops", pool.Outstanding(), p.Port(0).DownDrops)
+	}
+}

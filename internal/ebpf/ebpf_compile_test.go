@@ -87,12 +87,12 @@ func runBoth(t *testing.T, label string, prog *Program, packet []byte, costs *Co
 			t.Errorf("%s: ring %d counters: compiled p=%d c=%d d=%d, interpreter p=%d c=%d d=%d",
 				label, i, rc.Produced, rc.Consumed, rc.Dropped, ri.Produced, ri.Consumed, ri.Dropped)
 		}
-		if len(rc.records) != len(ri.records) {
-			t.Errorf("%s: ring %d holds %d records compiled, %d interpreted", label, i, len(rc.records), len(ri.records))
+		if rc.Len() != ri.Len() {
+			t.Errorf("%s: ring %d holds %d records compiled, %d interpreted", label, i, rc.Len(), ri.Len())
 			continue
 		}
-		for j := range rc.records {
-			if !bytes.Equal(rc.records[j], ri.records[j]) {
+		for j := 0; j < rc.Len(); j++ {
+			if !bytes.Equal(rc.record(j), ri.record(j)) {
 				t.Errorf("%s: ring %d record %d diverged", label, i, j)
 			}
 		}

@@ -35,9 +35,9 @@ func (m *Map) FoldState(d *checkpoint.Digest) {
 func (r *RingBuf) FoldState(d *checkpoint.Digest) {
 	d.Str(r.Name)
 	d.Int(r.capacity)
-	d.Int(len(r.records))
-	for _, rec := range r.records {
-		d.Bytes(rec)
+	d.Int(r.Len())
+	for i := 0; i < r.Len(); i++ {
+		d.Bytes(r.record(i))
 	}
 	d.U64(r.Produced)
 	d.U64(r.Consumed)

@@ -225,6 +225,48 @@ func TestRingbufFullDrops(t *testing.T) {
 	}
 }
 
+// TestRingbufLaggingReaderKeepsOrder: a reader that never quite drains
+// the ring (so the arena slides instead of resetting) must still see
+// every record once, in order, with its own bytes, and a reader that
+// keeps up must not make the arena grow.
+func TestRingbufLaggingReaderKeepsOrder(t *testing.T) {
+	rb := NewRingBuf("lag", 1<<16)
+	next := byte(0)
+	check := func() {
+		t.Helper()
+		rec := rb.Read()
+		if len(rec) != 1+int(next%5) || rec[0] != next {
+			t.Fatalf("read %v, want %d bytes starting %d", rec, 1+int(next%5), next)
+		}
+		next++
+	}
+	for i := 0; i < 250; i++ { // records of 1..5 bytes, value = index
+		rec := make([]byte, 1+i%5)
+		rec[0] = byte(i)
+		rb.Output(rec)
+		if i%3 != 0 { // two reads per three writes: a backlog builds
+			check()
+		}
+	}
+	if rb.Len() != 84 {
+		t.Fatalf("backlog = %d, want 84", rb.Len())
+	}
+	for rb.Len() > 0 {
+		check()
+	}
+	if rb.Read() != nil || next != 250 {
+		t.Fatalf("drained ring returned a record, or lost some: next=%d", next)
+	}
+	before := cap(rb.data)
+	for i := 0; i < 10000; i++ {
+		rb.Output([]byte{1, 2, 3})
+		rb.Read()
+	}
+	if cap(rb.data) != before {
+		t.Fatalf("arena grew from %d to %d under a reader that keeps up", before, cap(rb.data))
+	}
+}
+
 func TestCostOrdering(t *testing.T) {
 	// Cost must rank: base < +ktime < +ringbuf.
 	base := NewAsm("base").Return(XDPTx).MustProgram()

@@ -124,11 +124,20 @@ func (f *Frame) WireLen() int {
 	return n
 }
 
-// Marshal serializes the frame to wire bytes. The INT stack is not
-// serialized — it lives in the descriptor and is read by sinks before
-// any marshal/unmarshal boundary.
-func (f *Frame) Marshal() []byte {
-	buf := make([]byte, f.headerLen()+len(f.Payload))
+// Marshal serializes the frame to freshly allocated wire bytes; see
+// MarshalInto.
+func (f *Frame) Marshal() []byte { return f.MarshalInto(nil) }
+
+// MarshalInto serializes the frame to wire bytes, reusing buf's storage
+// when its capacity suffices, and returns the encoded slice. The INT
+// stack is not serialized — it lives in the descriptor and is read by
+// sinks before any marshal/unmarshal boundary.
+func (f *Frame) MarshalInto(buf []byte) []byte {
+	n := f.headerLen() + len(f.Payload)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	copy(buf[0:6], f.Dst[:])
 	copy(buf[6:12], f.Src[:])
 	off := 12
@@ -146,31 +155,41 @@ func (f *Frame) Marshal() []byte {
 // ErrTruncated reports a frame shorter than its headers claim.
 var ErrTruncated = errors.New("frame: truncated")
 
-// Unmarshal parses wire bytes into f, replacing its contents. The payload
-// aliases data; callers that mutate must copy.
+// Unmarshal parses wire bytes into a new frame; see UnmarshalInto.
 func Unmarshal(data []byte) (*Frame, error) {
-	if len(data) < 14 {
-		return nil, ErrTruncated
-	}
 	f := &Frame{}
-	copy(f.Dst[:], data[0:6])
-	copy(f.Src[:], data[6:12])
-	et := EtherType(binary.BigEndian.Uint16(data[12:14]))
+	if err := UnmarshalInto(f, data); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// UnmarshalInto parses wire bytes into f, replacing its contents
+// (metadata and INT stack included — neither crosses the wire). The
+// payload aliases data; callers that mutate must copy. On error f is
+// left untouched.
+func UnmarshalInto(f *Frame, data []byte) error {
+	if len(data) < 14 {
+		return ErrTruncated
+	}
+	g := Frame{Type: EtherType(binary.BigEndian.Uint16(data[12:14]))}
 	off := 14
-	if et == TypeVLAN {
+	if g.Type == TypeVLAN {
 		if len(data) < 18 {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		tci := binary.BigEndian.Uint16(data[14:16])
-		f.Tagged = true
-		f.Priority = PCP(tci >> 13)
-		f.VID = tci & 0x0fff
-		et = EtherType(binary.BigEndian.Uint16(data[16:18]))
+		g.Tagged = true
+		g.Priority = PCP(tci >> 13)
+		g.VID = tci & 0x0fff
+		g.Type = EtherType(binary.BigEndian.Uint16(data[16:18]))
 		off = 18
 	}
-	f.Type = et
-	f.Payload = data[off:]
-	return f, nil
+	copy(g.Dst[:], data[0:6])
+	copy(g.Src[:], data[6:12])
+	g.Payload = data[off:]
+	*f = g
+	return nil
 }
 
 // Clone returns a deep copy of the frame, including metadata. Switching

@@ -77,6 +77,47 @@ func TestUnmarshalTruncated(t *testing.T) {
 	}
 }
 
+// TestIntoFormsReuseStorage: MarshalInto encodes into the caller's
+// buffer when it is large enough (and only then), and UnmarshalInto
+// replaces every field of the target — descriptor metadata and INT
+// included — but leaves it untouched on error.
+func TestIntoFormsReuseStorage(t *testing.T) {
+	f := &Frame{Dst: NewMAC(2), Src: NewMAC(1), Tagged: true, Priority: PrioRT, VID: 10,
+		Type: TypeProfinet, Payload: []byte{1, 2, 3, 4}}
+	want := f.Marshal()
+	buf := make([]byte, 3, 64)
+	got := f.MarshalInto(buf)
+	if !bytes.Equal(got, want) || &got[0] != &buf[0] {
+		t.Fatalf("MarshalInto = % x (reused=%t), want % x in the caller's buffer", got, &got[0] == &buf[0], want)
+	}
+	if small := f.MarshalInto(make([]byte, 0, 4)); !bytes.Equal(small, want) {
+		t.Fatalf("MarshalInto with a short buffer = % x", small)
+	}
+	if n := testing.AllocsPerRun(100, func() { got = f.MarshalInto(got) }); n != 0 {
+		t.Fatalf("MarshalInto into its own result allocates %.0f times", n)
+	}
+
+	g := Frame{Meta: Meta{FlowID: 9, CreatedAt: 5, TraceID: 3}, Payload: []byte{9}}
+	g.AttachINT("src", 1, 1, 0, 0)
+	if err := UnmarshalInto(&g, want); err != nil {
+		t.Fatal(err)
+	}
+	if g.Dst != f.Dst || g.Src != f.Src || !g.Tagged || g.Priority != PrioRT || g.VID != 10 ||
+		g.Type != TypeProfinet || !bytes.Equal(g.Payload, f.Payload) {
+		t.Fatalf("UnmarshalInto = %+v", g)
+	}
+	if g.Meta != (Meta{}) || g.INT != nil {
+		t.Fatalf("descriptor state survived the wire: meta %+v int %v", g.Meta, g.INT)
+	}
+	before := g
+	if err := UnmarshalInto(&g, want[:13]); err != ErrTruncated {
+		t.Fatalf("err = %v", err)
+	}
+	if g.Dst != before.Dst || g.Type != before.Type || len(g.Payload) != len(before.Payload) {
+		t.Fatalf("failed UnmarshalInto modified its target: %+v", g)
+	}
+}
+
 func TestVIDMaskedTo12Bits(t *testing.T) {
 	f := &Frame{Tagged: true, VID: 0xffff, Priority: 7, Type: TypeIPv4}
 	g, err := Unmarshal(f.Marshal())

@@ -217,8 +217,9 @@ func installPlainL2(pipe *dataplane.Pipeline) {
 		}
 		for i := 0; i < pipe.NumPorts(); i++ {
 			if i != ev.Fields.InPort {
-				pipe.Inject(i, ev.Frame.Clone())
+				pipe.Inject(i, pipe.Pool().Clone(ev.Frame))
 			}
 		}
+		pipe.Pool().Put(ev.Frame)
 	}
 }

@@ -37,6 +37,11 @@ type Harness struct {
 	links  []*simnet.Link
 	in     *faults.Injector
 	coll   *intnet.Collector
+	// pool is the cell's one frame free list, shared by the vPLCs, the
+	// pipeline (and through it the app) and the device: a station Gets a
+	// frame to transmit, the handler that consumes it Puts it back, and
+	// every port's OnDrop returns what the network destroys.
+	pool frame.Pool
 
 	switchoverAt               sim.Time
 	fromVPLC1, fromVPLC2, toIO []int
@@ -74,6 +79,15 @@ func NewHarness(cfg ExperimentConfig) *Harness {
 	connect(e, h.vplc2, cfg.SecondaryJoinAt, cfg, 2)
 
 	h.links = wire(e, h.vplc1, h.vplc2, h.dev, h.pipe, cfg.LinkBps)
+
+	h.pipe.UsePool(&h.pool)
+	h.vplc1.UsePool(&h.pool)
+	h.vplc2.UsePool(&h.pool)
+	h.dev.UsePool(&h.pool)
+	reclaim := func(f *frame.Frame) { h.pool.Put(f) }
+	for _, p := range h.ports() {
+		p.OnDrop = reclaim
+	}
 
 	if cfg.Trace != nil {
 		cfg.Trace.Bind(e)
@@ -150,6 +164,11 @@ func (h *Harness) Engine() *sim.Engine { return h.engine }
 
 // Collector returns the INT collector (nil unless cfg.INT).
 func (h *Harness) Collector() *intnet.Collector { return h.coll }
+
+// FramesOutstanding returns the frames alive in the cell: handed out by
+// its pool and not yet returned. Zero whenever nothing is queued, on a
+// wire or inside a station.
+func (h *Harness) FramesOutstanding() int64 { return h.pool.Outstanding() }
 
 // Horizon returns the configured end of the run.
 func (h *Harness) Horizon() sim.Time { return sim.Time(h.cfg.Horizon) }

@@ -214,47 +214,55 @@ func (a *App) AbsorbedFrames(dev frame.MAC) uint64 {
 }
 
 // packetIn is the control-plane slow path: learning, handshakes, and
-// any traffic with no installed entry.
+// any traffic with no installed entry. The app owns every punted frame:
+// it either goes back into the pipeline or returns to the pool here.
 func (a *App) packetIn(ev dataplane.PacketInEvent) {
 	a.macPort[ev.Fields.Src] = ev.Fields.InPort
+	if !a.handlePacketIn(ev) {
+		a.pl.Pool().Put(ev.Frame)
+	}
+}
+
+// handlePacketIn reports whether it passed ev.Frame on.
+func (a *App) handlePacketIn(ev dataplane.PacketInEvent) bool {
 	if !ev.Fields.PNValid {
-		a.slowForward(ev)
-		return
+		return a.slowForward(ev)
 	}
 	switch ev.Fields.FrameID {
 	case profinet.FrameIDConnectReq:
 		req, err := profinet.UnmarshalConnectRequest(ev.Frame.Payload)
 		if err != nil {
-			return
+			return false
 		}
-		a.onConnectReq(ev, req)
+		return a.onConnectReq(ev, req)
 	case profinet.FrameIDConnectResp:
 		resp, err := profinet.UnmarshalConnectResponse(ev.Frame.Payload)
 		if err != nil {
-			return
+			return false
 		}
-		a.onConnectResp(ev, resp)
+		return a.onConnectResp(ev, resp)
 	case profinet.FrameIDCyclic:
-		a.onSlowCyclic(ev)
+		return a.onSlowCyclic(ev)
 	default:
-		a.slowForward(ev)
+		return a.slowForward(ev)
 	}
 }
 
-// slowForward delivers a frame by learned port, or floods.
-func (a *App) slowForward(ev dataplane.PacketInEvent) {
+// slowForward delivers a frame by learned port, or floods copies of it.
+func (a *App) slowForward(ev dataplane.PacketInEvent) bool {
 	if port, ok := a.macPort[ev.Frame.Dst]; ok {
 		a.pl.Inject(port, ev.Frame)
-		return
+		return true
 	}
 	for i := 0; i < a.pl.NumPorts(); i++ {
 		if i != ev.Fields.InPort {
-			a.pl.Inject(i, ev.Frame.Clone())
+			a.pl.Inject(i, a.pl.Pool().Clone(ev.Frame))
 		}
 	}
+	return false
 }
 
-func (a *App) onConnectReq(ev dataplane.PacketInEvent, req profinet.ConnectRequest) {
+func (a *App) onConnectReq(ev dataplane.PacketInEvent, req profinet.ConnectRequest) bool {
 	dev := ev.Frame.Dst
 	c, ok := a.cells[dev]
 	if !ok {
@@ -268,67 +276,64 @@ func (a *App) onConnectReq(ev dataplane.PacketInEvent, req profinet.ConnectReque
 		// twin's CR parameters, forward to the device.
 		c.primary = ref
 		c.twin = Twin{Device: dev, Req: req}
-		a.slowForward(ev)
+		return a.slowForward(ev)
 	case c.secondary == nil || c.secondary.mac == ref.mac:
 		// Second controller: designate secondary; the twin answers the
 		// handshake itself — the device never sees this request.
 		c.secondary = ref
-		a.injectTwinAccept(c, req)
+		a.answerAs(dev, ref, profinet.ConnectResponse{ARID: req.ARID, Accepted: true})
 		a.installEntries(c)
 	default:
 		// A third controller: refuse, as a busy device would.
-		resp := profinet.ConnectResponse{ARID: req.ARID, Accepted: false, Reason: profinet.ReasonBusy}
-		a.pl.Inject(ev.Fields.InPort, &frame.Frame{
-			Src: dev, Dst: ev.Fields.Src,
-			Tagged: true, Priority: frame.PrioRT, VID: 10,
-			Type: frame.TypeProfinet, Payload: resp.Marshal(),
-		})
+		a.answerAs(dev, ref, profinet.ConnectResponse{ARID: req.ARID, Accepted: false, Reason: profinet.ReasonBusy})
 	}
+	return false
 }
 
-// injectTwinAccept answers a secondary's connect request as the device.
-func (a *App) injectTwinAccept(c *cell, req profinet.ConnectRequest) {
-	resp := profinet.ConnectResponse{ARID: req.ARID, Accepted: true}
-	a.pl.Inject(c.secondary.port, &frame.Frame{
-		Src: c.device, Dst: c.secondary.mac,
-		Tagged: true, Priority: frame.PrioRT, VID: 10,
-		Type: frame.TypeProfinet, Payload: resp.Marshal(),
-	})
+// answerAs sends resp to controller ref with the device's address as
+// source: the twin (or a busy device) speaking.
+func (a *App) answerAs(dev frame.MAC, ref *controllerRef, resp profinet.ConnectResponse) {
+	payload := resp.Marshal()
+	f := profinet.NewFrame(a.pl.Pool(), ref.mac, len(payload))
+	copy(f.Payload, payload)
+	f.Src = dev
+	a.pl.Inject(ref.port, f)
 }
 
-func (a *App) onConnectResp(ev dataplane.PacketInEvent, resp profinet.ConnectResponse) {
+func (a *App) onConnectResp(ev dataplane.PacketInEvent, resp profinet.ConnectResponse) bool {
 	// A response from the physical device: learn its port, forward to
 	// the primary, and bring up the fast path.
 	c, ok := a.cells[ev.Fields.Src]
 	if !ok || c.primary == nil {
-		a.slowForward(ev)
-		return
+		return a.slowForward(ev)
 	}
 	c.devicePort = ev.Fields.InPort
 	a.pl.Inject(c.primary.port, ev.Frame)
 	if resp.Accepted {
 		a.installEntries(c)
 	}
+	return true
 }
 
 // onSlowCyclic handles cyclic frames before entries exist (transients).
-func (a *App) onSlowCyclic(ev dataplane.PacketInEvent) {
+func (a *App) onSlowCyclic(ev dataplane.PacketInEvent) bool {
 	for _, c := range a.cells {
 		if ev.Fields.Src == c.device {
 			c.devicePort = ev.Fields.InPort
 			a.observeInput(c, ev.Frame)
-			if c.primary != nil {
-				a.pl.Inject(c.primary.port, ev.Frame)
+			if c.primary == nil {
+				return false
 			}
-			return
+			a.pl.Inject(c.primary.port, ev.Frame)
+			return true
 		}
 		if c.primary != nil && ev.Fields.Src == c.primary.mac && c.devicePort >= 0 {
 			a.pl.Inject(c.devicePort, ev.Frame)
-			return
+			return true
 		}
 	}
 	// Unknown cyclic traffic: treat like any other frame.
-	a.slowForward(ev)
+	return a.slowForward(ev)
 }
 
 // observeInput refreshes the twin's input image from a device frame.

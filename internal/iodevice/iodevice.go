@@ -63,8 +63,10 @@ type Device struct {
 	cycle      time.Duration
 	inputs     []byte
 	outputs    []byte
-	safe       []byte
+	safeConfig []byte // failsafe actuator state as configured at New
+	safe       []byte // safeConfig fitted to the connected CR's output length
 	counter    uint16
+	pool       *frame.Pool
 	watchdog   *profinet.Watchdog
 	ticker     *sim.Ticker
 
@@ -86,10 +88,16 @@ func New(e *sim.Engine, name string, mac frame.MAC, process Process, safeOutputs
 	if process == nil {
 		process = EchoProcess
 	}
-	d := &Device{name: name, engine: e, hst: simnet.NewHost(e, name, mac), process: process, safe: safeOutputs}
+	d := &Device{name: name, engine: e, hst: simnet.NewHost(e, name, mac), process: process,
+		safeConfig: safeOutputs, pool: &frame.Pool{}}
 	d.hst.OnReceive(d.onFrame)
 	return d
 }
+
+// UsePool makes the device draw its transmit frames from, and return
+// the frames it consumes to, p — the free list it shares with the other
+// stations of its cell. Call before traffic starts.
+func (d *Device) UsePool(p *frame.Pool) { d.pool = p }
 
 // Host returns the underlying simnet host for wiring.
 func (d *Device) Host() *simnet.Host { return d.hst }
@@ -103,7 +111,14 @@ func (d *Device) Outputs() []byte { return append([]byte(nil), d.outputs...) }
 // Controller returns the MAC of the controlling PLC (zero when idle).
 func (d *Device) Controller() frame.MAC { return d.controller }
 
+// onFrame is the terminal consumer of every frame the host delivers:
+// the handlers copy what they keep, so the frame returns to the pool.
 func (d *Device) onFrame(f *frame.Frame) {
+	d.handle(f)
+	d.pool.Put(f)
+}
+
+func (d *Device) handle(f *frame.Frame) {
 	if f.Type != frame.TypeProfinet {
 		return
 	}
@@ -170,9 +185,10 @@ func (d *Device) onConnect(src frame.MAC, req profinet.ConnectRequest) {
 	d.cycle = req.Cycle()
 	d.inputs = make([]byte, req.InputLen)
 	d.outputs = make([]byte, req.OutputLen)
-	if d.safe == nil {
-		d.safe = make([]byte, req.OutputLen)
-	}
+	// The safe image covers every output of this CR: the configured
+	// state as far as it reaches, zero beyond.
+	d.safe = make([]byte, req.OutputLen)
+	copy(d.safe, d.safeConfig)
 	d.counter = 0
 	d.state = StateOperate
 	d.watchdog = profinet.NewWatchdog(d.engine, d.cycle, int(req.WatchdogFactor), d.failsafe, d.recover)
@@ -193,15 +209,13 @@ func (d *Device) cycleTick() {
 	if d.state == StateOperate {
 		status |= profinet.StatusRun
 	}
-	cd := profinet.CyclicData{
-		ARID:         d.arid,
-		CycleCounter: d.counter,
-		Status:       status,
-		Data:         append([]byte(nil), d.inputs...),
-	}
+	cd := profinet.CyclicData{ARID: d.arid, CycleCounter: d.counter, Status: status, Data: d.inputs}
 	d.counter++
 	d.TxCyclic++
-	d.reply(d.controller, cd.Marshal())
+	if f := d.newFrame(d.controller, profinet.CyclicLen(len(d.inputs))); f != nil {
+		cd.MarshalInto(f.Payload)
+		d.send(f)
+	}
 }
 
 func (d *Device) onCyclic(src frame.MAC, cd profinet.CyclicData) {
@@ -255,16 +269,26 @@ func (d *Device) teardown() {
 	d.arid = 0
 }
 
-func (d *Device) reply(dst frame.MAC, payload []byte) {
+// newFrame takes an RT frame with an n-byte payload for dst from the
+// pool, or returns nil when there is no one to address.
+func (d *Device) newFrame(dst frame.MAC, n int) *frame.Frame {
 	if dst == (frame.MAC{}) {
-		return
+		return nil
 	}
-	d.hst.Send(&frame.Frame{
-		Dst:      dst,
-		Tagged:   true,
-		Priority: frame.PrioRT,
-		VID:      10,
-		Type:     frame.TypeProfinet,
-		Payload:  payload,
-	})
+	return profinet.NewFrame(d.pool, dst, n)
+}
+
+// send transmits f; a frame refused at the egress queue is still ours.
+func (d *Device) send(f *frame.Frame) {
+	if !d.hst.Send(f) {
+		d.pool.Put(f)
+	}
+}
+
+// reply sends an acyclic message (handshake, alarm, discovery).
+func (d *Device) reply(dst frame.MAC, payload []byte) {
+	if f := d.newFrame(dst, len(payload)); f != nil {
+		copy(f.Payload, payload)
+		d.send(f)
+	}
 }

@@ -267,3 +267,55 @@ func TestReturnOfPeerAlarmOnRecovery(t *testing.T) {
 		t.Fatalf("alarm codes = %v, want expiry then return-of-peer", codes)
 	}
 }
+
+// TestFailsafeCoversEveryOutput: a failsafe device must force ALL of
+// the connected CR's outputs safe — also the ones a short configured
+// safe image does not reach, and the ones a reconnect with a longer
+// OutputLen added after the first connect sized the image.
+func TestFailsafeCoversEveryOutput(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		safe    []byte
+		connect []uint16 // OutputLen of each successive CR; a release separates them
+		want    []byte
+	}{
+		{"short safe image", []byte{0xde}, []uint16{4}, []byte{0xde, 0, 0, 0}},
+		{"reconnect with longer outputs", nil, []uint16{4, 8}, make([]byte, 8)},
+		{"short image, longer reconnect", []byte{0xde, 0xad}, []uint16{2, 6}, []byte{0xde, 0xad, 0, 0, 0, 0}},
+		{"image longer than outputs", []byte{9, 8, 7, 6}, []uint16{2}, []byte{9, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, ctl, dev, _ := bench(t, nil, tc.safe)
+			for i, n := range tc.connect {
+				arid := uint32(5 + i)
+				r := req(arid)
+				r.OutputLen = n
+				sendPN(ctl, r.Marshal())
+				e.RunFor(time.Millisecond)
+				cmd := make([]byte, n)
+				for k := range cmd {
+					cmd[k] = 0x55
+				}
+				sendPN(ctl, profinet.CyclicData{ARID: arid, Status: profinet.StatusValid | profinet.StatusRun, Data: cmd}.Marshal())
+				e.RunFor(time.Millisecond)
+				if got := dev.Outputs(); len(got) != int(n) || got[n-1] != 0x55 {
+					t.Fatalf("CR %d: commanded outputs = % x", i, got)
+				}
+				if i < len(tc.connect)-1 {
+					sendPN(ctl, profinet.Release{ARID: arid}.Marshal())
+					e.RunFor(time.Millisecond)
+					if dev.State() != StateIdle {
+						t.Fatalf("CR %d: state after release = %v", i, dev.State())
+					}
+				}
+			}
+			e.RunFor(20 * time.Millisecond) // silence: 3 × 1 ms watchdog trips
+			if dev.State() != StateFailsafe {
+				t.Fatalf("state = %v, want failsafe", dev.State())
+			}
+			if got := dev.Outputs(); string(got) != string(tc.want) {
+				t.Fatalf("failsafe outputs = % x, want % x", got, tc.want)
+			}
+		})
+	}
+}

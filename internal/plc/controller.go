@@ -57,6 +57,7 @@ type deviceConn struct {
 	watchdog *profinet.Watchdog
 	ticker   *sim.Ticker
 	retry    *sim.Ticker
+	fire     func() // one IO cycle's scan-and-transmit, built once per CR
 }
 
 // ControllerConfig parameterizes a controller.
@@ -85,6 +86,8 @@ type Controller struct {
 	image  Image
 	conns  map[uint32]*deviceConn
 	failed bool
+	pool   *frame.Pool
+	txJobs *txJob // free list of kernel-path transmissions
 
 	discoveries map[uint32]map[frame.MAC]Station
 	nextXID     uint32
@@ -113,6 +116,7 @@ func NewController(e *sim.Engine, name string, mac frame.MAC, cfg ControllerConf
 		hst:    simnet.NewHost(e, name, mac),
 		cfg:    cfg,
 		conns:  make(map[uint32]*deviceConn),
+		pool:   &frame.Pool{},
 		image: Image{
 			Inputs:  make([]byte, cfg.ImageSize),
 			Outputs: make([]byte, cfg.ImageSize),
@@ -127,6 +131,11 @@ func NewController(e *sim.Engine, name string, mac frame.MAC, cfg ControllerConf
 
 // Host returns the underlying simnet host for wiring.
 func (c *Controller) Host() *simnet.Host { return c.hst }
+
+// UsePool makes the controller draw its transmit frames from, and
+// return the frames it consumes to, p — the free list it shares with
+// the other stations of its cell. Call before traffic starts.
+func (c *Controller) UsePool(p *frame.Pool) { c.pool = p }
 
 // Image exposes the process image (HMI/test access).
 func (c *Controller) Image() *Image { return &c.image }
@@ -161,30 +170,66 @@ func (c *Controller) Connect(spec ConnectSpec) {
 	conn.retry = c.engine.Every(c.engine.Now(), 100*time.Millisecond, send)
 }
 
-// send transmits a PROFINET payload, paying the vPLC kernel path when
-// configured.
+// send transmits an acyclic PROFINET message (handshake, discovery).
 func (c *Controller) send(dst frame.MAC, payload []byte) {
-	f := &frame.Frame{
-		Dst:      dst,
-		Tagged:   true,
-		Priority: frame.PrioRT,
-		VID:      10,
-		Type:     frame.TypeProfinet,
-		Payload:  payload,
-	}
-	if c.cfg.Stack != nil {
-		d := c.cfg.Stack.FullKernelTx(len(payload) + 18)
-		c.engine.After(d, func() {
-			if !c.failed {
-				c.hst.Send(f)
-			}
-		})
-		return
-	}
-	c.hst.Send(f)
+	f := profinet.NewFrame(c.pool, dst, len(payload))
+	copy(f.Payload, payload)
+	c.transmit(f)
 }
 
+// txJob carries one frame across the vPLC's kernel transmit path. Like
+// simnet's flight it owns its closure and recycles through a free list.
+type txJob struct {
+	c    *Controller
+	f    *frame.Frame
+	run  func()
+	next *txJob
+}
+
+// transmit puts f on the wire, paying the vPLC kernel path when
+// configured. A frame the controller cannot send (it crashed meanwhile,
+// or the egress queue refused it) goes back to the pool.
+func (c *Controller) transmit(f *frame.Frame) {
+	if c.cfg.Stack == nil {
+		c.hostSend(f)
+		return
+	}
+	j := c.txJobs
+	if j == nil {
+		j = &txJob{c: c}
+		j.run = func() { j.c.kernelTxDone(j) }
+	} else {
+		c.txJobs = j.next
+	}
+	j.f = f
+	c.engine.After(c.cfg.Stack.FullKernelTx(len(f.Payload)+18), j.run)
+}
+
+func (c *Controller) kernelTxDone(j *txJob) {
+	f := j.f
+	j.f, j.next = nil, c.txJobs
+	c.txJobs = j
+	if c.failed {
+		c.pool.Put(f)
+		return
+	}
+	c.hostSend(f)
+}
+
+func (c *Controller) hostSend(f *frame.Frame) {
+	if !c.hst.Send(f) {
+		c.pool.Put(f)
+	}
+}
+
+// onFrame is the terminal consumer of every frame the host delivers:
+// the handlers copy what they keep, so the frame returns to the pool.
 func (c *Controller) onFrame(f *frame.Frame) {
+	c.handle(f)
+	c.pool.Put(f)
+}
+
+func (c *Controller) handle(f *frame.Frame) {
 	if c.failed || f.Type != frame.TypeProfinet {
 		return
 	}
@@ -277,6 +322,7 @@ func (c *Controller) onConnectResp(resp profinet.ConnectResponse) {
 		conn.state = StateRunning
 	})
 	conn.watchdog.Feed()
+	conn.fire = func() { c.fireCycle(conn) }
 	conn.ticker = c.engine.Every(c.engine.Now(), cycle, func() { c.cycleTick(conn) })
 	if c.OnConnected != nil {
 		c.OnConnected(arid)
@@ -288,33 +334,37 @@ func (c *Controller) cycleTick(conn *deviceConn) {
 	if c.failed || conn.state == StateRejected {
 		return
 	}
-	fire := func() {
-		if c.failed {
-			return
-		}
-		c.scan()
-		out := c.image.Outputs[conn.spec.OutOffset : conn.spec.OutOffset+int(conn.spec.Req.OutputLen)]
-		status := profinet.StatusRun | profinet.StatusValid
-		if c.cfg.Primary {
-			status |= profinet.StatusPrimary
-		}
-		cd := profinet.CyclicData{
-			ARID:         conn.spec.Req.ARID,
-			CycleCounter: conn.counter,
-			Status:       status,
-			Data:         append([]byte(nil), out...),
-		}
-		conn.counter++
-		c.TxCyclic++
-		c.send(conn.spec.Device, cd.Marshal())
-	}
 	if c.cfg.Stack != nil {
 		// vPLC: the scan task wakes up late by the host's scheduling
 		// noise before it can transmit.
-		c.engine.After(c.cfg.Stack.SchedulingNoise(), fire)
+		c.engine.After(c.cfg.Stack.SchedulingNoise(), conn.fire)
 		return
 	}
-	fire()
+	conn.fire()
+}
+
+// fireCycle scans and encodes the CR's slice of the output image
+// straight into a pooled frame.
+func (c *Controller) fireCycle(conn *deviceConn) {
+	if c.failed {
+		return
+	}
+	c.scan()
+	status := profinet.StatusRun | profinet.StatusValid
+	if c.cfg.Primary {
+		status |= profinet.StatusPrimary
+	}
+	cd := profinet.CyclicData{
+		ARID:         conn.spec.Req.ARID,
+		CycleCounter: conn.counter,
+		Status:       status,
+		Data:         c.image.Outputs[conn.spec.OutOffset : conn.spec.OutOffset+int(conn.spec.Req.OutputLen)],
+	}
+	conn.counter++
+	c.TxCyclic++
+	f := profinet.NewFrame(c.pool, conn.spec.Device, profinet.CyclicLen(len(cd.Data)))
+	cd.MarshalInto(f.Payload)
+	c.transmit(f)
 }
 
 // scan runs the logic once over the process image.

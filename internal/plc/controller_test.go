@@ -319,3 +319,59 @@ func TestRestartOnHealthyControllerIsNoop(t *testing.T) {
 		t.Fatal("healthy controller disturbed by Restart")
 	}
 }
+
+// TestVPLCCrashReturnsFramesInTheKernelPath: a vPLC's frames spend the
+// kernel transmit delay inside the controller; a crash in that window
+// must hand them back to the pool, not strand them, and the kernel-path
+// jobs must recycle instead of being built per frame.
+func TestVPLCCrashReturnsFramesInTheKernelPath(t *testing.T) {
+	e := sim.NewEngine(1)
+	var pool frame.Pool
+	stack := host.NewStack(host.Standard, e.RNG("vplc"))
+	ctrl := NewController(e, "vplc", frame.NewMAC(1), ControllerConfig{Stack: stack})
+	dev := iodevice.New(e, "io", frame.NewMAC(2), nil, nil)
+	ctrl.UsePool(&pool)
+	dev.UsePool(&pool)
+	simnet.Connect(e, "l", ctrl.Host().Port(), dev.Host().Port(), 100e6, 500*sim.Nanosecond)
+	ctrl.Connect(ConnectSpec{Device: frame.NewMAC(2), Req: connReq(1, 1600, 3, 4, 4)})
+	e.RunUntil(sim.Time(200 * time.Millisecond))
+	if ctrl.TxCyclic < 100 {
+		t.Fatalf("vPLC sent %d cyclic frames", ctrl.TxCyclic)
+	}
+	jobs := countJobs(ctrl)
+	if jobs == 0 || jobs > 3 {
+		t.Fatalf("%d kernel-path jobs on the free list after %d frames, want the few ever in flight at once", jobs, ctrl.TxCyclic)
+	}
+	// Step to an instant with a frame inside the kernel path, then crash.
+	for i := 0; i < 3200 && countJobs(ctrl) == jobs; i++ {
+		e.RunUntil(e.Now().Add(sim.Microsecond))
+	}
+	if countJobs(ctrl) == jobs {
+		t.Fatal("never caught a frame inside the kernel path")
+	}
+	ctrl.Fail()
+	e.RunUntil(e.Now().Add(10 * time.Millisecond)) // the device falls silent into failsafe; its input frames still flow
+	sent := ctrl.Host().Port().TxFrames
+	e.RunUntil(e.Now().Add(10 * time.Millisecond))
+	if ctrl.Host().Port().TxFrames != sent {
+		t.Fatal("crashed vPLC kept transmitting")
+	}
+	if countJobs(ctrl) != jobs {
+		t.Fatalf("kernel-path job not recycled after the crash: %d on the free list, want %d", countJobs(ctrl), jobs)
+	}
+	// Only the device still transmits; between its cycles nothing is out.
+	for i := 0; i < 3200 && pool.Outstanding() != 0; i++ {
+		e.RunUntil(e.Now().Add(sim.Microsecond))
+	}
+	if pool.Outstanding() != 0 {
+		t.Fatalf("%d frames stranded by the crash (pool %+v)", pool.Outstanding(), pool)
+	}
+}
+
+func countJobs(c *Controller) int {
+	n := 0
+	for j := c.txJobs; j != nil; j = j.next {
+		n++
+	}
+	return n
+}

@@ -76,9 +76,10 @@ func NewRedundantPair(e *sim.Engine, primary, standby *Controller, cfg Redundanc
 		syncB:   simnet.NewHost(e, standby.name+"-sync", frame.NewMAC(0xff01)),
 	}
 	simnet.Connect(e, "plc-sync", p.syncA.Port(), p.syncB.Port(), 1e9, 500*sim.Nanosecond)
-	p.syncB.OnReceive(func(*frame.Frame) {
+	p.syncB.OnReceive(func(f *frame.Frame) {
 		p.HeartbeatsSeen++
 		p.armWatch()
+		p.Standby.pool.Put(f)
 	})
 	return p
 }
@@ -94,7 +95,12 @@ func (p *RedundantPair) Start() {
 			return
 		}
 		p.HeartbeatsSent++
-		p.syncA.Send(&frame.Frame{Dst: p.syncB.MAC(), Type: frame.TypeProfinet, Payload: []byte{0xbe, 0xa7}})
+		f := p.Primary.pool.Get(2)
+		f.Dst, f.Type = p.syncB.MAC(), frame.TypeProfinet
+		f.Payload[0], f.Payload[1] = 0xbe, 0xa7
+		if !p.syncA.Send(f) {
+			p.Primary.pool.Put(f)
+		}
 	})
 	p.armWatch()
 }

@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"steelnet/internal/frame"
 )
 
 // FrameID selects the message type, mirroring PROFINET's frame-id ranges.
@@ -51,6 +53,19 @@ var (
 	ErrTruncated = errors.New("profinet: truncated message")
 	ErrFrameID   = errors.New("profinet: unexpected frame id")
 )
+
+// NewFrame takes a frame for dst with an n-byte payload from pool,
+// tagged the way every station sends PROFINET RT: VLAN 10 at the
+// real-time priority. The payload bytes are the caller's to fill.
+func NewFrame(pool *frame.Pool, dst frame.MAC, n int) *frame.Frame {
+	f := pool.Get(n)
+	f.Dst = dst
+	f.Tagged = true
+	f.Priority = frame.PrioRT
+	f.VID = 10
+	f.Type = frame.TypeProfinet
+	return f
+}
 
 // PeekFrameID reads the frame id without decoding the full message.
 func PeekFrameID(payload []byte) (FrameID, error) {
@@ -163,15 +178,26 @@ type CyclicData struct {
 // cyclicHeaderLen is the fixed prefix before the IO data.
 const cyclicHeaderLen = 9
 
-// Marshal encodes the frame.
+// CyclicLen returns the encoded size of a cyclic frame carrying n bytes
+// of IO data.
+func CyclicLen(n int) int { return cyclicHeaderLen + n }
+
+// Marshal encodes the frame into a new buffer.
 func (c CyclicData) Marshal() []byte {
-	b := make([]byte, cyclicHeaderLen+len(c.Data))
+	b := make([]byte, CyclicLen(len(c.Data)))
+	c.MarshalInto(b)
+	return b
+}
+
+// MarshalInto encodes the frame into b, which must hold
+// CyclicLen(len(c.Data)) bytes — typically a pooled frame payload, so a
+// cyclic sender encodes its process image without an intermediate copy.
+func (c CyclicData) MarshalInto(b []byte) {
 	binary.BigEndian.PutUint16(b[0:], uint16(FrameIDCyclic))
 	binary.BigEndian.PutUint32(b[2:], c.ARID)
 	binary.BigEndian.PutUint16(b[6:], c.CycleCounter)
 	b[8] = c.Status
 	copy(b[cyclicHeaderLen:], c.Data)
-	return b
 }
 
 // UnmarshalCyclicData decodes a cyclic frame. Data aliases b.

@@ -16,6 +16,7 @@ type Watchdog struct {
 	factor  int
 	onTrip  func()
 	onClear func()
+	tripFn  func() // w.trip, bound once so Feed schedules without allocating
 	timer   sim.Event
 	expired bool
 	// Trips counts expiry events.
@@ -29,7 +30,9 @@ func NewWatchdog(engine *sim.Engine, cycle time.Duration, factor int, onTrip, on
 	if cycle <= 0 || factor < 1 {
 		panic("profinet: watchdog needs positive cycle and factor")
 	}
-	return &Watchdog{engine: engine, cycle: cycle, factor: factor, onTrip: onTrip, onClear: onClear}
+	w := &Watchdog{engine: engine, cycle: cycle, factor: factor, onTrip: onTrip, onClear: onClear}
+	w.tripFn = w.trip
+	return w
 }
 
 // Feed registers a fresh valid frame, re-arming the timeout.
@@ -41,7 +44,7 @@ func (w *Watchdog) Feed() {
 			w.onClear()
 		}
 	}
-	w.timer = w.engine.After(time.Duration(w.factor)*w.cycle, w.trip)
+	w.timer = w.engine.After(time.Duration(w.factor)*w.cycle, w.tripFn)
 }
 
 // Stop disarms the watchdog without firing.

@@ -33,6 +33,11 @@ type Harness struct {
 	tp      *tap.Tap
 	links   []*simnet.Link
 	coll    *intnet.Collector
+	// pool is the cell's one frame free list: the sender Gets each probe
+	// from it, whoever ends a probe's life — the sender on its return,
+	// the reflector on a verdict other than XDP_TX — Puts it back, and
+	// every port's OnDrop returns what the network destroys.
+	pool frame.Pool
 
 	finished bool
 	result   Result
@@ -53,6 +58,16 @@ func NewHarness(cfg Config, v Variant) *Harness {
 	l1 := simnet.Connect(e, "sender-tap", h.sender.Host().Port(), h.tp.PortA(), cfg.LinkBps, 500*sim.Nanosecond)
 	l2 := simnet.Connect(e, "tap-reflector", h.tp.PortB(), h.refl.Host().Port(), cfg.LinkBps, 500*sim.Nanosecond)
 	h.links = []*simnet.Link{l1, l2}
+
+	h.sender.UsePool(&h.pool)
+	h.refl.UsePool(&h.pool)
+	reclaim := func(f *frame.Frame) { h.pool.Put(f) }
+	for _, p := range []*simnet.Port{h.sender.Host().Port(), h.tp.PortA(), h.tp.PortB(), h.refl.Host().Port()} {
+		p.OnDrop = reclaim
+	}
+	// One round trip per flow per cycle from the flow's offset to the
+	// horizon, both ends included for the flow at offset zero.
+	h.tp.ReserveRoundTrips(cfg.Cycles + 2)
 
 	if cfg.INT {
 		h.coll = cfg.Collector
@@ -100,6 +115,10 @@ func (h *Harness) Engine() *sim.Engine { return h.engine }
 // Collector returns the INT collector (nil unless cfg.INT).
 func (h *Harness) Collector() *intnet.Collector { return h.coll }
 
+// FramesOutstanding returns the probes alive in the cell: handed out by
+// its pool and not yet returned. Zero once Result has drained the run.
+func (h *Harness) FramesOutstanding() int64 { return h.pool.Outstanding() }
+
 // Horizon returns the probing end time (after it, Result drains).
 func (h *Harness) Horizon() sim.Time {
 	return sim.Time(h.cfg.Cycle) * sim.Time(h.cfg.Cycles+1)
@@ -119,7 +138,11 @@ func (h *Harness) Result() Result {
 	h.sender.Stop()
 	h.engine.Run() // drain in-flight probes
 
-	delays := metrics.NewSeries(h.cfg.Cycles * h.cfg.Flows)
+	matched := 0
+	for fl := 1; fl <= h.cfg.Flows; fl++ {
+		matched += len(h.tp.RoundTrip(uint32(fl)))
+	}
+	delays := metrics.NewSeries(matched)
 	for fl := 0; fl < h.cfg.Flows; fl++ {
 		for _, rtt := range h.tp.RoundTrip(uint32(fl + 1)) {
 			delays.Add(float64(rtt.Delay) / 1e3) // µs

@@ -26,12 +26,28 @@ type Reflector struct {
 	variant Variant
 	costs   *ebpf.CostModel
 	rng     *sim.RNG
-	pool    frame.Pool // recycles consumed probes into reflected frames
+	pool    *frame.Pool // takes the probes the program does not send back
+	jobs    *reflectJob // free list
 	intSink simnet.INTSink
 	intPool *frame.INTPool
 
 	// Reflected, Passed and Aborted count program verdicts.
 	Reflected, Passed, Aborted uint64
+}
+
+// reflectJob carries one probe from the wire through the XDP program
+// and back. Like simnet's flight it owns its closures and recycles
+// through a per-reflector free list; pkt is the packet buffer the
+// program runs on, kept from probe to probe. Nothing is built per
+// probe once as many jobs exist as probes are ever inside the host.
+type reflectJob struct {
+	r        *Reflector
+	f        *frame.Frame
+	size     int // f's wire length at ingress
+	pkt      []byte
+	run      func()
+	transmit func()
+	next     *reflectJob
 }
 
 // NewReflector attaches variant v to a new reflector host.
@@ -42,6 +58,7 @@ func NewReflector(e *sim.Engine, name string, mac frame.MAC, stk *host.Stack, v 
 		variant: v,
 		costs:   costs,
 		rng:     e.RNG("reflector/" + name),
+		pool:    &frame.Pool{},
 	}
 	r.host.OnReceive(r.onFrame)
 	return r
@@ -50,6 +67,10 @@ func NewReflector(e *sim.Engine, name string, mac frame.MAC, stk *host.Stack, v 
 // Host returns the underlying simnet host (for wiring).
 func (r *Reflector) Host() *simnet.Host { return r.host }
 
+// UsePool makes the reflector return unreflected probes to p, the free
+// list the sender draws from. Call before traffic starts.
+func (r *Reflector) UsePool(p *frame.Pool) { r.pool = p }
+
 // SetINTSink terminates probe INT stacks at the reflector's ingress.
 func (r *Reflector) SetINTSink(s simnet.INTSink) { r.intSink = s }
 
@@ -57,12 +78,34 @@ func (r *Reflector) SetINTSink(s simnet.INTSink) { r.intSink = s }
 // sender, which Gets its per-probe stacks from the same free list).
 func (r *Reflector) SetINTPool(p *frame.INTPool) { r.intPool = p }
 
+func (r *Reflector) getJob() *reflectJob {
+	j := r.jobs
+	if j == nil {
+		j = &reflectJob{r: r}
+		j.run = func() { j.r.runProgram(j) }
+		j.transmit = func() { j.r.transmit(j) }
+	} else {
+		r.jobs = j.next
+		j.next = nil
+	}
+	return j
+}
+
+// putJob recycles j and returns the frame it carried.
+func (r *Reflector) putJob(j *reflectJob) *frame.Frame {
+	f := j.f
+	j.f = nil
+	j.next = r.jobs
+	r.jobs = j
+	return f
+}
+
 func (r *Reflector) onFrame(f *frame.Frame) {
 	e := r.host.Engine()
-	// INT must terminate here: Marshal below serializes only the wire
-	// bytes, so a stack surviving past this point would silently vanish
-	// in the marshal/unmarshal round trip. Strip even without a sink so
-	// pool recycling can never resurrect a stale stack.
+	// INT must terminate here: only the wire bytes reach the program, so
+	// a stack surviving past this point would silently vanish in the
+	// marshal/unmarshal round trip. Strip even without a sink so pool
+	// recycling can never resurrect a stale stack.
 	if f.INT != nil {
 		if r.intSink != nil {
 			r.intSink.SinkINT(r.host.Name(), f, int64(e.Now()))
@@ -72,37 +115,45 @@ func (r *Reflector) onFrame(f *frame.Frame) {
 		}
 		f.INT = nil
 	}
-	size := f.WireLen()
-	rx := r.stack.RxToXDP(size)
-	e.After(rx, func() {
-		pkt := f.Marshal()
-		r.pool.Put(f) // consumed: the VM operates on the marshaled octets
-		res, err := r.variant.Program.Run(pkt, e.Now(), r.costs, r.rng)
-		if err != nil {
-			r.Aborted++
+	j := r.getJob()
+	j.f = f
+	j.size = f.WireLen()
+	e.After(r.stack.RxToXDP(j.size), j.run)
+}
+
+// runProgram executes the XDP program on the probe's octets. On XDP_TX
+// the frame is rebuilt in place from what the program left in the
+// packet buffer — as a frame fresh off the wire, without metadata — and
+// queued for transmission; any other verdict consumes it.
+func (r *Reflector) runProgram(j *reflectJob) {
+	e := r.host.Engine()
+	f := j.f
+	j.pkt = f.MarshalInto(j.pkt)
+	res, err := r.variant.Program.Run(j.pkt, e.Now(), r.costs, r.rng)
+	if err == nil && res.Verdict == ebpf.XDPTx {
+		payload := f.Payload[:0]
+		if err = frame.UnmarshalInto(f, j.pkt); err == nil {
+			f.Payload = append(payload, f.Payload...) // j.pkt is reused; detach
+			e.After(res.Cost+r.stack.XDPToWire(j.size), j.transmit)
 			return
 		}
-		switch res.Verdict {
-		case ebpf.XDPTx:
-			out, uerr := frame.Unmarshal(pkt)
-			if uerr != nil {
-				r.Aborted++
-				return
-			}
-			g := r.pool.Clone(out) // pkt buffer aliases; detach
-			tx := r.stack.XDPToWire(size)
-			e.After(res.Cost+tx, func() {
-				r.Reflected++
-				// Bypass Host.Send: XDP_TX must not re-stamp the source
-				// MAC — the program already swapped the addresses.
-				r.host.Port().Send(g)
-			})
-		case ebpf.XDPPass:
-			r.Passed++
-		default:
-			r.Aborted++
-		}
-	})
+	}
+	if err == nil && res.Verdict == ebpf.XDPPass {
+		r.Passed++
+	} else {
+		r.Aborted++
+	}
+	r.pool.Put(r.putJob(j))
+}
+
+func (r *Reflector) transmit(j *reflectJob) {
+	f := r.putJob(j)
+	r.Reflected++
+	// Bypass Host.Send: XDP_TX must not re-stamp the source MAC — the
+	// program already swapped the addresses.
+	if !r.host.Port().Send(f) {
+		r.pool.Put(f) // refused at egress: still ours
+	}
 }
 
 // Sender emits cyclic probe flows through its single port.
@@ -112,7 +163,7 @@ type Sender struct {
 	size    int
 	seqs    map[uint32]uint32
 	ticker  []*sim.Ticker
-	pool    frame.Pool // recycles reflected probes into fresh ones
+	pool    *frame.Pool // recycles reflected probes into fresh ones
 	intOn   bool
 	intPool *frame.INTPool
 }
@@ -125,12 +176,17 @@ func NewSender(e *sim.Engine, name string, mac, dst frame.MAC, size int) *Sender
 		dst:  dst,
 		size: size,
 		seqs: make(map[uint32]uint32),
+		pool: &frame.Pool{},
 	}
 	// Reflected probes terminate here; recycling them makes the probe
 	// stream allocation-free in steady state.
-	s.host.OnReceive(s.pool.Put)
+	s.host.OnReceive(func(f *frame.Frame) { s.pool.Put(f) })
 	return s
 }
+
+// UsePool makes the sender draw probes from, and return reflections to,
+// p. Call before traffic starts.
+func (s *Sender) UsePool(p *frame.Pool) { s.pool = p }
 
 // Host returns the underlying simnet host (for wiring).
 func (s *Sender) Host() *simnet.Host { return s.host }

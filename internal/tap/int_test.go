@@ -35,6 +35,7 @@ func TestINTCrossValidatesTapCaptures(t *testing.T) {
 	ss := &stackSink{}
 	sink.SetINTSink(ss)
 	sink.OnReceive(func(*frame.Frame) {})
+	log := record(tp)
 
 	const n = 5
 	for i := 0; i < n; i++ {
@@ -45,7 +46,7 @@ func TestINTCrossValidatesTapCaptures(t *testing.T) {
 	}
 	e.Run()
 
-	caps := tp.Captures()
+	caps := *log
 	if len(caps) != n || len(ss.stacks) != n {
 		t.Fatalf("captures=%d stacks=%d, want %d of each", len(caps), len(ss.stacks), n)
 	}

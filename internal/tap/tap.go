@@ -50,6 +50,10 @@ type Capture struct {
 // Tap is the inline device. Port A faces the sender, port B the device
 // under test. Forwarding adds a fixed pass-through latency (store-free
 // electrical taps are ~ns; configurable).
+//
+// The tap keeps no log of what it saw: probes are paired as they cross
+// (see RoundTrip) and every observation is offered to OnCapture, so its
+// memory is the probes in flight plus one RTT per matched round trip.
 type Tap struct {
 	name    string
 	engine  *sim.Engine
@@ -58,9 +62,32 @@ type Tap struct {
 	portA   *simnet.Port
 	portB   *simnet.Port
 
-	captures []Capture
+	// open holds the A→B timestamp of every probe still awaiting its
+	// reflection; rtts the matched round trips per flow, in match order.
+	// reserve is the capacity a flow's slice gets at its first match.
+	open    map[probeKey]int64
+	rtts    map[uint32][]RTT
+	reserve int
+
+	// fifo[head:] are the frames inside the pass-through delay, oldest
+	// first. The delay is one constant, so forwarding events fire in the
+	// order they were scheduled and one prebuilt callback serves them all.
+	fifo    []transit
+	head    int
+	forward func()
+
 	// OnCapture, when set, observes every capture as it happens.
 	OnCapture func(Capture)
+}
+
+// probeKey identifies one probe of one flow.
+type probeKey struct{ flow, seq uint32 }
+
+// transit is one frame crossing the tap.
+type transit struct {
+	f     *frame.Frame
+	in    *simnet.Port
+	intIn int64 // ingress instant for the INT record; set only when f carries a stack
 }
 
 // Config parameterizes a tap.
@@ -89,7 +116,10 @@ func New(engine *sim.Engine, name string, cfg Config) *Tap {
 			Base: clock.Perfect{Offset: cfg.ClockOffset},
 			Step: cfg.TimestampStep,
 		},
+		open: make(map[probeKey]int64),
+		rtts: make(map[uint32][]RTT),
 	}
+	t.forward = t.forwardNext
 	t.portA = simnet.NewPort(t, 0)
 	t.portB = simnet.NewPort(t, 1)
 	return t
@@ -104,50 +134,92 @@ func (t *Tap) PortA() *simnet.Port { return t.portA }
 // PortB returns the device-under-test-facing port.
 func (t *Tap) PortB() *simnet.Port { return t.portB }
 
-// Receive implements simnet.Node: capture, then forward out the other
-// port after the pass-through latency.
+// Receive implements simnet.Node: capture, pair, then forward out the
+// other port after the pass-through latency.
 func (t *Tap) Receive(port *simnet.Port, f *frame.Frame) {
-	dir := AtoB
-	out := t.portB
-	if port == t.portB {
-		dir = BtoA
-		out = t.portA
-	}
 	c := Capture{
 		Timestamp: t.clock.Read(t.engine.Now()),
-		Dir:       dir,
+		Dir:       AtoB,
 		WireLen:   f.WireLen(),
 		Type:      f.Type,
+	}
+	if port == t.portB {
+		c.Dir = BtoA
 	}
 	if f.Type == frame.TypeBenchEcho {
 		if p, err := frame.UnmarshalProbe(f.Payload); err == nil {
 			c.Seq = p.Seq
 			c.FlowID = p.FlowID
 		}
+		t.pair(c)
 	}
-	t.captures = append(t.captures, c)
 	if t.OnCapture != nil {
 		t.OnCapture(c)
 	}
-	var intIn int64
+	tr := transit{f: f, in: port}
 	if f.INT != nil {
-		intIn = int64(t.engine.Now())
+		tr.intIn = int64(t.engine.Now())
 	}
-	t.engine.After(t.latency, func() {
-		if f.INT != nil {
-			t.stampINT(f, intIn, out)
-		}
-		out.Send(f)
-	})
+	if t.head > 0 && len(t.fifo) == cap(t.fifo) {
+		// Reuse the drained front instead of growing.
+		n := copy(t.fifo, t.fifo[t.head:])
+		clear(t.fifo[n:])
+		t.fifo, t.head = t.fifo[:n], 0
+	}
+	t.fifo = append(t.fifo, tr)
+	t.engine.After(t.latency, t.forward)
+}
+
+// pair folds one TypeBenchEcho capture into the round-trip state: an
+// A→B probe opens (or re-opens) its (flow, sequence) slot, and the next
+// B→A capture with the same key closes it into an RTT. A payload too
+// short to parse counts as flow 0, sequence 0.
+func (t *Tap) pair(c Capture) {
+	k := probeKey{c.FlowID, c.Seq}
+	if c.Dir == AtoB {
+		t.open[k] = c.Timestamp
+		return
+	}
+	start, ok := t.open[k]
+	if !ok {
+		return
+	}
+	delete(t.open, k)
+	rs, seen := t.rtts[c.FlowID]
+	if !seen && t.reserve > 0 {
+		rs = make([]RTT, 0, t.reserve)
+	}
+	t.rtts[c.FlowID] = append(rs, RTT{Seq: c.Seq, Delay: sim.Duration(c.Timestamp - start)})
+}
+
+// forwardNext sends the oldest frame in transit out the far port.
+func (t *Tap) forwardNext() {
+	tr := t.fifo[t.head]
+	t.fifo[t.head] = transit{}
+	if t.head++; t.head == len(t.fifo) {
+		t.fifo, t.head = t.fifo[:0], 0
+	}
+	out := t.portB
+	if tr.in == t.portB {
+		out = t.portA
+	}
+	if tr.f.INT != nil {
+		t.stampINT(tr.f, tr.intIn, out)
+	}
+	if !out.Send(tr.f) && tr.in.OnDrop != nil {
+		// Refused at egress: the tap owned the frame, so it reclaims it
+		// the way a switch does, through the ingress port's hook.
+		tr.in.OnDrop(tr.f)
+	}
 }
 
 // stampINT pushes the tap's transit record onto f's INT stack. Unlike a
 // switch, a passive tap never destroys frames for telemetry: when the
 // stack is full the frame forwards unstamped even under strict policy.
 // Hop instants are raw engine time (the tap's quantized clock applies
-// only to its own captures), which is what lets the cross-validation
-// test compare INT hops against capture timestamps to within one
-// TimestampStep tick.
+// only to its Capture timestamps), which is what lets the
+// cross-validation test compare INT hops against capture timestamps to
+// within one TimestampStep tick.
 func (t *Tap) stampINT(f *frame.Frame, intIn int64, out *simnet.Port) {
 	f.INT.PushHop(frame.INTHop{
 		Node:       t.name,
@@ -157,36 +229,24 @@ func (t *Tap) stampINT(f *frame.Frame, intIn int64, out *simnet.Port) {
 	})
 }
 
-// Captures returns all observations in capture order.
-func (t *Tap) Captures() []Capture { return append([]Capture(nil), t.captures...) }
+// ReserveRoundTrips sizes each flow's RTT slice for n round trips when
+// the flow's first one is matched, so a run of known length appends
+// without regrowing. Nothing is allocated until then.
+func (t *Tap) ReserveRoundTrips(n int) { t.reserve = n }
 
-// Reset discards recorded captures.
-func (t *Tap) Reset() { t.captures = nil }
-
-// RoundTrip pairs each A→B probe with the next B→A probe carrying the
-// same flow and sequence number and returns the tap-clock delay between
-// them — the measurement of Fig. 3. Unmatched probes are skipped.
-func (t *Tap) RoundTrip(flowID uint32) []RTT {
-	type key struct{ seq uint32 }
-	outb := make(map[key]int64)
-	var out []RTT
-	for _, c := range t.captures {
-		if c.Type != frame.TypeBenchEcho || c.FlowID != flowID {
-			continue
-		}
-		k := key{c.Seq}
-		switch c.Dir {
-		case AtoB:
-			outb[k] = c.Timestamp
-		case BtoA:
-			if start, ok := outb[k]; ok {
-				out = append(out, RTT{Seq: c.Seq, Delay: sim.Duration(c.Timestamp - start)})
-				delete(outb, k)
-			}
-		}
-	}
-	return out
+// Reset discards the matched round trips and the probes still awaiting
+// their reflection.
+func (t *Tap) Reset() {
+	clear(t.open)
+	clear(t.rtts)
 }
+
+// RoundTrip returns the round trips of flowID in match order: each A→B
+// probe paired with the next B→A probe carrying the same flow and
+// sequence number, with the tap-clock delay between them — the
+// measurement of Fig. 3. Unmatched probes are skipped. The slice is the
+// tap's own; callers must not modify it.
+func (t *Tap) RoundTrip(flowID uint32) []RTT { return t.rtts[flowID] }
 
 // RTT is one matched probe round trip as seen by the tap.
 type RTT struct {

@@ -27,6 +27,13 @@ func rig(t *testing.T, cfg Config, reflectDelay sim.Duration) (*sim.Engine, *sim
 	return e, sender, tp
 }
 
+// record collects every capture tp makes through the OnCapture hook.
+func record(tp *Tap) *[]Capture {
+	var caps []Capture
+	tp.OnCapture = func(c Capture) { caps = append(caps, c) }
+	return &caps
+}
+
 func probe(seq, flow uint32) *frame.Frame {
 	pl, err := frame.MarshalProbe(frame.Probe{Seq: seq, FlowID: flow}, 32)
 	if err != nil {
@@ -48,9 +55,10 @@ func TestTapForwardsTransparently(t *testing.T) {
 
 func TestTapCapturesBothDirections(t *testing.T) {
 	e, sender, tp := rig(t, Config{}, 0)
+	log := record(tp)
 	sender.Send(probe(1, 7))
 	e.Run()
-	caps := tp.Captures()
+	caps := *log
 	if len(caps) != 2 {
 		t.Fatalf("captures = %d", len(caps))
 	}
@@ -116,9 +124,13 @@ func TestRoundTripIgnoresUnmatched(t *testing.T) {
 
 func TestTimestampsQuantized(t *testing.T) {
 	e, sender, tp := rig(t, Config{TimestampStep: 8 * sim.Nanosecond}, 0)
+	log := record(tp)
 	sender.Send(probe(1, 7))
 	e.Run()
-	for _, c := range tp.Captures() {
+	if len(*log) == 0 {
+		t.Fatal("nothing captured")
+	}
+	for _, c := range *log {
 		if c.Timestamp%8 != 0 {
 			t.Fatalf("timestamp %d not multiple of 8", c.Timestamp)
 		}
@@ -157,17 +169,21 @@ func TestReset(t *testing.T) {
 	e, sender, tp := rig(t, Config{}, 0)
 	sender.Send(probe(1, 7))
 	e.Run()
+	if len(tp.RoundTrip(7)) != 1 {
+		t.Fatal("no round trip before reset")
+	}
 	tp.Reset()
-	if len(tp.Captures()) != 0 {
-		t.Fatal("reset did not clear captures")
+	if len(tp.RoundTrip(7)) != 0 {
+		t.Fatal("reset did not clear round trips")
 	}
 }
 
 func TestNonProbeFramesCapturedWithoutSeq(t *testing.T) {
 	e, sender, tp := rig(t, Config{}, 0)
+	log := record(tp)
 	sender.Send(&frame.Frame{Dst: frame.NewMAC(2), Type: frame.TypeIPv4, Payload: make([]byte, 100)})
 	e.Run()
-	caps := tp.Captures()
+	caps := *log
 	if len(caps) == 0 {
 		t.Fatal("non-probe frame not captured")
 	}

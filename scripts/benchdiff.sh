@@ -31,6 +31,13 @@
 #                                                 sink Puts to one free list)
 #   BenchmarkVMReflectorProgram     0 allocs/op  (compiled program reuses
 #                                                 its scratch context)
+#   BenchmarkReflectionProbe        0 allocs/op  (one Fig. 4 probe cycle:
+#                                                 pooled probe, streaming
+#                                                 tap pairing, pooled
+#                                                 reflector job)
+#   BenchmarkInstaPLCCycle          0 allocs/op  (one Fig. 5 I/O cycle: one
+#                                                 frame pool through vPLCs,
+#                                                 pipeline and device)
 #   BenchmarkEngineShardedLocalSteady
 #                                   0 allocs/op  (per-shard arenas: window
 #                                                 barriers run GC-free)
@@ -107,8 +114,8 @@ done
 # occasional descheduled sample and the occasional lucky one — and the
 # worst-case allocs/op so alloc guards can never pass on a lucky sample.
 raw=$(go test -run '^$' -bench \
-  'BenchmarkEngineScheduleAndRun|BenchmarkEngineQueueDepth|BenchmarkEngineBatchDrain|BenchmarkTickerChain|BenchmarkPriorityQueue|BenchmarkSwitchForwarding|BenchmarkVMReflectorProgram|BenchmarkEngineSharded|BenchmarkCampus10k|BenchmarkGatewayFanout|BenchmarkHubPublish|BenchmarkAppendTagsPayload|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkJournalAppend|BenchmarkJournaledPublish|BenchmarkRegistryValues|BenchmarkRegistryWritePrometheus' \
-  -benchmem -benchtime 50ms -count 7 . ./internal/sim ./internal/simnet ./internal/ebpf ./internal/core ./internal/steelnetd ./internal/tshist)
+  'BenchmarkEngineScheduleAndRun|BenchmarkEngineQueueDepth|BenchmarkEngineBatchDrain|BenchmarkTickerChain|BenchmarkPriorityQueue|BenchmarkSwitchForwarding|BenchmarkVMReflectorProgram|BenchmarkReflectionProbe|BenchmarkInstaPLCCycle|BenchmarkEngineSharded|BenchmarkCampus10k|BenchmarkGatewayFanout|BenchmarkHubPublish|BenchmarkAppendTagsPayload|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkJournalAppend|BenchmarkJournaledPublish|BenchmarkRegistryValues|BenchmarkRegistryWritePrometheus' \
+  -benchmem -benchtime 50ms -count 7 . ./internal/sim ./internal/simnet ./internal/ebpf ./internal/reflection ./internal/instaplc ./internal/core ./internal/steelnetd ./internal/tshist)
 echo "$raw"
 
 # Columns are found by their unit suffix, not position: benchmarks that
@@ -183,6 +190,8 @@ guard_allocs 'BenchmarkSwitchForwarding\/fib=8' 0 "telemetry disabled must be 0 
 guard_allocs 'BenchmarkSwitchForwarding\/fib=512' 0 "a populated FIB must forward without allocating"
 guard_allocs BenchmarkSwitchForwardingINT 0 "pooled INT stacks must recycle, not allocate"
 guard_allocs BenchmarkVMReflectorProgram 0 "compiled eBPF must reuse its scratch context"
+guard_allocs BenchmarkReflectionProbe 0 "a reflection probe's whole life (sender, tap, reflector, back) must not allocate"
+guard_allocs BenchmarkInstaPLCCycle 0 "an I/O cycle through vPLCs, pipeline and device must recycle its frames and jobs"
 guard_allocs BenchmarkEngineShardedLocalSteady 0 "sharded window barriers must run arena- and GC-free"
 guard_allocs BenchmarkEngineShardedCross 0 "cross-shard outboxes and the barrier merge must recycle, not allocate"
 guard_allocs 'BenchmarkHubPublish\/subs=1' 0 "hub publish must be one channel send, no per-frame allocation"
