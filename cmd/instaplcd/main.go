@@ -122,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Faults = &plan
 	}
 
-	h, err := buildHarness(cfg, res.ResumePath, tel, *faultSpec != "")
+	h, err := buildHarness(cfg, res.ResumePath, tel)
 	if err != nil {
 		fmt.Fprintf(stderr, "instaplcd: %v\n", err)
 		return 1
@@ -169,16 +169,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 // buildHarness constructs the run: fresh from cfg, or — with -resume —
 // restored from a checkpoint (its recorded configuration wins; the
 // restore replays deterministically to the checkpointed instant and
-// verifies the state digest). A user-supplied bad fault plan panics in
-// the constructor; convert that to a clean CLI error.
-func buildHarness(cfg instaplc.ExperimentConfig, resumePath string, tel *cli.Telemetry, userPlan bool) (h *instaplc.Harness, err error) {
-	if userPlan {
-		defer func() {
-			if r := recover(); r != nil {
-				h, err = nil, fmt.Errorf("%v", r)
-			}
-		}()
-	}
+// verifies the state digest). A fault plan that does not fit the
+// scenario comes back as the constructor's error.
+func buildHarness(cfg instaplc.ExperimentConfig, resumePath string, tel *cli.Telemetry) (*instaplc.Harness, error) {
 	if resumePath != "" {
 		f, err := os.Open(resumePath)
 		if err != nil {
@@ -187,7 +180,7 @@ func buildHarness(cfg instaplc.ExperimentConfig, resumePath string, tel *cli.Tel
 		defer f.Close()
 		return instaplc.RestoreWithCollector(f, tel.Tracer, tel.Registry, tel.Collector)
 	}
-	return instaplc.NewHarness(cfg), nil
+	return instaplc.BuildHarness(cfg)
 }
 
 // advanceWithCheckpoints runs the harness to its horizon; with a

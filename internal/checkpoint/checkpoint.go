@@ -141,6 +141,9 @@ func Read(r io.Reader) (*File, error) {
 	if dec.Err() != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, dec.Err())
 	}
+	if dec.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the last of %d sections", ErrCorrupt, dec.Remaining(), n)
+	}
 	return f, nil
 }
 

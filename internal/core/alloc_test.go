@@ -14,18 +14,21 @@ import (
 // default ladder — link-down flushes, wire deaths, injected loss,
 // corruption, host stalls — each frame the cell's pool handed out comes
 // back: consumed frames through their handler, pipeline drops through
-// the pipeline, network drops through Port.OnDrop. The stations never
-// stop ticking, so the check steps to the next instant with nothing in
-// the network; a leaked frame means there is none. A double release
-// would panic in Put.
+// the pipeline, network drops through Port.OnDrop; and with it the INT
+// stack it carried, wherever between source table and egress sink the
+// frame ended. The stations never stop ticking, so the check steps to
+// the next instant with nothing in the network; a leaked frame means
+// there is none. A double release would panic in Put.
 func TestChaosCellsLeakNoFrames(t *testing.T) {
 	cfg := DefaultChaosConfig()
-	var destroyed uint64
+	cfg.Base.INT = true
+	var destroyed, observed uint64
 	for i := 0; i < len(cfg.Intensities)*cfg.Trials; i++ {
 		h := NewChaosCellHarness(cfg, i)
 		h.AdvanceTo(h.Horizon())
 		acct := h.Result().Accounting
 		destroyed += acct.Destroyed + acct.DownDrops
+		observed += h.Result().INTObservations
 		e := h.Engine()
 		deadline := e.Now().Add(2 * cfg.Base.Cycle)
 		for h.FramesOutstanding() != 0 && e.Now() < deadline {
@@ -35,9 +38,13 @@ func TestChaosCellsLeakNoFrames(t *testing.T) {
 			t.Errorf("cell %d: %d frames outstanding with the network idle\nplan: %s\naccounting: %+v",
 				i, got, ChaosCellConfig(cfg, i).Faults, acct)
 		}
+		if got := h.StacksOutstanding(); got != 0 {
+			t.Errorf("cell %d: %d INT stacks outstanding with the network idle\nplan: %s",
+				i, got, ChaosCellConfig(cfg, i).Faults)
+		}
 	}
-	if destroyed == 0 {
-		t.Fatal("no plan destroyed a frame; OnDrop was not exercised")
+	if destroyed == 0 || observed == 0 {
+		t.Fatalf("%d frames destroyed, %d INT stacks sunk; OnDrop or the sinks were not exercised", destroyed, observed)
 	}
 }
 
@@ -79,5 +86,31 @@ func TestFigureAllocationBudgets(t *testing.T) {
 	if perFrame := float64(spent) / float64(frames); perFrame > 8 {
 		t.Errorf("Figure5 at %v: %d B for %d frames = %.1f B each, budget 8",
 			ecfg.Horizon, spent, frames, perFrame)
+	}
+}
+
+// TestHeadlessStepZeroAllocs: the gateway's run driver steps the
+// InstaPLC cell with INT on, so each slice carries a stack per cyclic
+// frame from the pipeline's source table to its egress sinks, a clone
+// of it on the mirror leg, and the collector's fold. Past the failover,
+// with every free list at its working size, a slice allocates nothing.
+func TestHeadlessStepZeroAllocs(t *testing.T) {
+	d, err := NewHeadless(HeadlessConfig{Seed: 1, Horizon: 6 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for time.Duration(d.Now()) < 2500*time.Millisecond {
+		d.Step()
+	}
+	if res := d.Result(); res.Switchovers != 1 {
+		t.Fatalf("warm-up did not cover the failover: %+v", res)
+	}
+	obs := d.coll.Observations
+	const runs = 20
+	if allocs := testing.AllocsPerRun(runs, func() { d.Step() }); allocs != 0 {
+		t.Errorf("%.0f allocs per %v slice, want 0", allocs, d.Config().Slice)
+	}
+	if got := d.coll.Observations - obs; d.Done() || got < runs*50 {
+		t.Errorf("done=%t with %d INT observations over the measured slices; they did not run", d.Done(), got)
 	}
 }

@@ -102,12 +102,11 @@ type CampusHarness struct {
 	ct  *topo.CampusTopo
 	net *simnet.Network
 
-	pools    []*frame.Pool
-	intPools []*frame.INTPool
-	colls    []*intnet.Collector
-	dogs     []*intnet.Watchdog
-	tracers  []*telemetry.Tracer
-	plan     intnet.SLOPlan
+	pools   []*frame.Pool
+	colls   []*intnet.Collector
+	dogs    []*intnet.Watchdog
+	tracers []*telemetry.Tracer
+	plan    intnet.SLOPlan
 
 	// FellBack reports that the requested partition was unusable (a
 	// zero-propagation backbone makes conservative sync unsound) and the
@@ -147,13 +146,11 @@ func NewCampusHarness(cfg CampusConfig) (*CampusHarness, error) {
 	}
 	shards := net.Group.Shards()
 	h.pools = make([]*frame.Pool, shards)
-	h.intPools = make([]*frame.INTPool, shards)
 	h.colls = make([]*intnet.Collector, shards)
 	h.dogs = make([]*intnet.Watchdog, shards)
 	for s := 0; s < shards; s++ {
 		h.pools[s] = &frame.Pool{}
 		if cfg.INT {
-			h.intPools[s] = &frame.INTPool{}
 			h.colls[s] = intnet.NewCollector()
 			if len(plan) > 0 {
 				h.dogs[s] = intnet.NewWatchdog(plan, 0, nil)
@@ -240,10 +237,13 @@ func (h *CampusHarness) installRoutes() {
 func (h *CampusHarness) armTraffic() {
 	cfg := h.cfg
 	part := h.net.Part
+	// Switch ports belong to no pooled component, so their drops are
+	// wired here; each host's UsePool below covers its own port.
+	puts := make([]func(*frame.Frame), len(h.pools))
 	for s, pool := range h.pools {
-		put := pool.Put
+		puts[s] = pool.Put
 		for _, p := range h.net.ShardPorts(s) {
-			p.OnDrop = put
+			p.OnDrop = puts[s]
 		}
 	}
 	stopAt := cfg.Horizon - 10*cfg.Period
@@ -257,10 +257,10 @@ func (h *CampusHarness) armTraffic() {
 		for k, id := range h.ct.CellHosts[c] {
 			shard := part.Of[id]
 			src := h.net.Host(id)
-			src.OnReceive(h.pools[shard].Put)
+			src.UsePool(h.pools[shard])
+			src.OnReceive(puts[shard])
 			if cfg.INT {
 				src.SetINTSink(h.colls[shard])
-				src.SetINTPool(h.intPools[shard])
 			}
 			cross := cfg.CrossEvery > 0 && gi%cfg.CrossEvery == 0 && len(h.ct.CellHosts) > 1
 			var dstID topo.NodeID

@@ -122,7 +122,9 @@ func NewHeadless(cfg HeadlessConfig) (*Headless, error) {
 	ecfg.Metrics = d.reg
 	ecfg.Collector = d.coll
 	ecfg.Trace = d.tracer
-	d.h = instaplc.NewHarness(ecfg)
+	if d.h, err = instaplc.BuildHarness(ecfg); err != nil {
+		return nil, err
+	}
 	return d, nil
 }
 

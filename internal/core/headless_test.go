@@ -25,6 +25,7 @@ func TestHeadlessConfigErrors(t *testing.T) {
 	bad := []HeadlessConfig{
 		{Horizon: 100 * time.Millisecond, Slice: 200 * time.Millisecond},
 		{Faults: "not a plan"},
+		{Faults: "hoststall:nosuch@1ms+1ms"}, // parses; the scenario has no such host
 		{SLO: "not a plan"},
 	}
 	for i, cfg := range bad {

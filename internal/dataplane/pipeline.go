@@ -295,7 +295,8 @@ type Pipeline struct {
 	intSeq map[uint32]uint32
 
 	// pool takes every frame the pipeline itself ends (drop verdicts,
-	// strict-INT overflows, refused egress) and supplies the copies of
+	// strict-INT overflows, refused egress) and every INT stack it
+	// terminates, and supplies the stacks it sources and the copies of
 	// multi-leg outputs. rxJobs is the free list of in-flight receptions.
 	pool   *frame.Pool
 	rxJobs *rxJob
@@ -343,8 +344,14 @@ func (p *Pipeline) NumPorts() int { return len(p.ports) }
 func (p *Pipeline) Pool() *frame.Pool { return p.pool }
 
 // UsePool replaces the pipeline's frame pool with the free list it
-// shares with the stations around it. Call before traffic starts.
-func (p *Pipeline) UsePool(pool *frame.Pool) { p.pool = pool }
+// shares with the stations around it, and returns what the network
+// destroys at the pipeline's ports to it. Call before traffic starts.
+func (p *Pipeline) UsePool(pool *frame.Pool) {
+	p.pool = pool
+	for _, port := range p.ports {
+		port.OnDrop = pool.Put
+	}
+}
 
 // SetTracer attaches a lifecycle tracer to the pipeline and its ports.
 func (p *Pipeline) SetTracer(t *telemetry.Tracer) {
@@ -440,14 +447,14 @@ func (p *Pipeline) process(inPort int, rxNS int64, f *frame.Frame) {
 			// source record.
 			if f.INT == nil {
 				p.intSeq[act.INTFlow]++
-				st := f.AttachINT(p.inLabels[inPort], act.INTFlow, p.intSeq[act.INTFlow], rxNS, act.INTMaxHops)
+				st := p.pool.AttachINT(f, p.inLabels[inPort], act.INTFlow, p.intSeq[act.INTFlow], rxNS, act.INTMaxHops)
 				st.Strict = act.INTStrict
 			}
 			continue
 		case ActINTSink:
 			if f.INT != nil && act.INTSink != nil {
 				act.INTSink.SinkINT(p.inLabels[inPort], f, int64(p.engine.Now()))
-				f.INT = nil
+				p.pool.StripINT(f)
 			}
 			continue
 		case ActDrop:
@@ -462,7 +469,7 @@ func (p *Pipeline) process(inPort int, rxNS int64, f *frame.Frame) {
 			// frame sheds its INT stack before the control plane sees it,
 			// so slow-path reinjections never leak telemetry bytes onto
 			// the wire.
-			f.INT = nil
+			p.pool.StripINT(f)
 			if p.OnPacketIn != nil {
 				p.OnPacketIn(PacketInEvent{Reason: act.Reason, Fields: fl, Frame: f})
 			} else {
@@ -532,7 +539,7 @@ func (p *Pipeline) emit(legs []PortAction, rxNS int64, f *frame.Frame) {
 			}
 			if leg.INTSink != nil {
 				leg.INTSink.SinkINT(p.outLabels[leg.Port], g, int64(p.engine.Now()))
-				g.INT = nil
+				p.pool.StripINT(g)
 			}
 		}
 		p.Inject(leg.Port, g)

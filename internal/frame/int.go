@@ -65,56 +65,20 @@ type INTStack struct {
 	Hops []INTHop
 }
 
-// AttachINT makes the frame an INT source frame: it attaches a fresh
-// stack with room for maxHops records (<=0 selects DefaultINTMaxHops)
-// and returns it. Any previously attached stack is replaced.
+// AttachINT makes the frame an INT source frame: it attaches a newly
+// allocated stack with room for maxHops records (<=0 selects
+// DefaultINTMaxHops) and returns it. Any previously attached stack is
+// replaced. Transmit paths attach through Pool.AttachINT, which
+// recycles stacks.
 func (f *Frame) AttachINT(source string, flow, seq uint32, nowNS int64, maxHops int) *INTStack {
-	if maxHops <= 0 {
-		maxHops = DefaultINTMaxHops
-	}
-	f.INT = &INTStack{
-		Source:   source,
-		SourceNS: nowNS,
-		FlowID:   flow,
-		Seq:      seq,
-		MaxHops:  maxHops,
-		Hops:     make([]INTHop, 0, maxHops),
-	}
-	return f.INT
+	return f.attachINT(&INTStack{}, source, flow, seq, nowNS, maxHops)
 }
 
-// INTPool is a free list of INT stacks for allocation-free telemetry:
-// sources Get a stack per frame and sinks Put it back after folding it,
-// closing the same loop Pool closes for frames. Like Pool it is
-// engine-local and not safe for concurrent use; unlike frames, stacks
-// never travel between cells, so one pool per cell suffices. A Get
-// resets every field and truncates Hops, so a recycled stack is
-// byte-for-byte what AttachINT would have built fresh — checkpoint
-// digests fold stack contents only and cannot tell the difference.
-type INTPool struct {
-	free []*INTStack
-
-	// News counts stacks allocated because the pool was empty; Reused
-	// counts stacks served from the free list; Puts counts returns.
-	News, Reused, Puts uint64
-}
-
-// Get returns a stack initialized exactly as AttachINT initializes one
-// (<=0 maxHops selects DefaultINTMaxHops). The hop storage is reused
-// when its capacity covers maxHops.
-func (p *INTPool) Get(source string, flow, seq uint32, nowNS int64, maxHops int) *INTStack {
+// attachINT resets every field of s, new or recycled, keeping its hop
+// storage when that has room for maxHops records, and attaches it.
+func (f *Frame) attachINT(s *INTStack, source string, flow, seq uint32, nowNS int64, maxHops int) *INTStack {
 	if maxHops <= 0 {
 		maxHops = DefaultINTMaxHops
-	}
-	var s *INTStack
-	if k := len(p.free) - 1; k >= 0 {
-		s = p.free[k]
-		p.free[k] = nil
-		p.free = p.free[:k]
-		p.Reused++
-	} else {
-		s = &INTStack{}
-		p.News++
 	}
 	hops := s.Hops[:0]
 	if cap(hops) < maxHops {
@@ -128,17 +92,8 @@ func (p *INTPool) Get(source string, flow, seq uint32, nowNS int64, maxHops int)
 		MaxHops:  maxHops,
 		Hops:     hops,
 	}
+	f.INT = s
 	return s
-}
-
-// Put returns s to the free list. The caller must not touch s (or its
-// Hops) afterwards. Nil is a no-op.
-func (p *INTPool) Put(s *INTStack) {
-	if s == nil {
-		return
-	}
-	p.Puts++
-	p.free = append(p.free, s)
 }
 
 // PushHop appends one transit record. It reports false when the stack

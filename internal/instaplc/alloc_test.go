@@ -1,6 +1,7 @@
 package instaplc
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -26,6 +27,14 @@ func requireNoFrameLeak(t *testing.T, h *Harness, label string) {
 	}
 	if h.pool.Reused == 0 {
 		t.Fatalf("%s: pool %+v never recycled a frame", label, h.pool)
+	}
+	// No frame alive means no stack alive: each one the pool attached
+	// was stripped at a sink or came back with its frame.
+	if got := h.StacksOutstanding(); got != 0 {
+		t.Fatalf("%s: %d INT stacks outstanding with the network idle (pool %+v)", label, got, h.pool)
+	}
+	if h.coll != nil && h.pool.StackReused == 0 {
+		t.Fatalf("%s: pool %+v never recycled an INT stack", label, h.pool)
 	}
 }
 
@@ -82,10 +91,11 @@ func TestNoFrameLeaks(t *testing.T) {
 // fast path installed, the twin absorbing vPLC2 — and runs it until the
 // free lists (frames, pipeline jobs, port flights) have their working
 // size. horizon bounds the bin series the harness sizes up front.
-func warmCell(horizon time.Duration) (*Harness, sim.Time) {
+func warmCell(horizon time.Duration, withINT bool) (*Harness, sim.Time) {
 	cfg := DefaultExperimentConfig()
 	cfg.Faults = &faults.Plan{Name: "quiet"}
 	cfg.Horizon = horizon
+	cfg.INT = withINT
 	h := NewHarness(cfg)
 	warm := sim.Time(cfg.SecondaryJoinAt + 300*time.Millisecond)
 	h.AdvanceTo(warm)
@@ -95,24 +105,34 @@ func warmCell(horizon time.Duration) (*Harness, sim.Time) {
 // TestInstaPLCCycleZeroAllocs pins the cyclic exchange — two vPLC
 // scans and transmissions, the device's input frame mirrored to both,
 // pipeline parse/match/rewrite, three watchdog feeds and the entry's
-// idle re-arm — at zero allocations per 100 I/O cycles once warm.
+// idle re-arm — at zero allocations per 100 I/O cycles once warm, and
+// the same with INT on: a stack attached at the source table, cloned
+// onto the mirror leg, stamped per leg and stripped at each egress sink.
 func TestInstaPLCCycleZeroAllocs(t *testing.T) {
 	const runs, step = 5, 100
 	cycle := DefaultExperimentConfig().Cycle
-	h, now := warmCell(time.Second + (runs+1)*step*cycle)
-	rx := h.dev.RxCyclic
-	allocs := testing.AllocsPerRun(runs, func() {
-		now = now.Add(step * cycle)
-		h.AdvanceTo(now)
-	})
-	if allocs != 0 {
-		t.Errorf("%.0f allocs per %d I/O cycles, want 0", allocs, step)
-	}
-	if got := h.dev.RxCyclic - rx; got < runs*step {
-		t.Errorf("device consumed %d output frames; the measured cycles did not run", got)
-	}
-	if res := h.Result(); res.FailsafeEvents != 0 || res.AbsorbedFrames == 0 {
-		t.Errorf("cell not in its steady state: %+v", res)
+	for _, withINT := range []bool{false, true} {
+		t.Run(fmt.Sprintf("int=%t", withINT), func(t *testing.T) {
+			h, now := warmCell(time.Second+(runs+1)*step*cycle, withINT)
+			rx, obs := h.dev.RxCyclic, h.Result().INTObservations
+			allocs := testing.AllocsPerRun(runs, func() {
+				now = now.Add(step * cycle)
+				h.AdvanceTo(now)
+			})
+			if allocs != 0 {
+				t.Errorf("%.0f allocs per %d I/O cycles, want 0", allocs, step)
+			}
+			if got := h.dev.RxCyclic - rx; got < runs*step {
+				t.Errorf("device consumed %d output frames; the measured cycles did not run", got)
+			}
+			res := h.Result()
+			if res.FailsafeEvents != 0 || res.AbsorbedFrames == 0 {
+				t.Errorf("cell not in its steady state: %+v", res)
+			}
+			if got := res.INTObservations - obs; withINT && got < runs*step {
+				t.Errorf("only %d INT observations; the measured cycles carried no telemetry", got)
+			}
+		})
 	}
 }
 
@@ -121,7 +141,7 @@ func TestInstaPLCCycleZeroAllocs(t *testing.T) {
 // scripts/benchdiff.sh guard holds it at 0 allocs/op.
 func BenchmarkInstaPLCCycle(b *testing.B) {
 	cycle := DefaultExperimentConfig().Cycle
-	h, now := warmCell(time.Second + time.Duration(b.N)*cycle)
+	h, now := warmCell(time.Second+time.Duration(b.N)*cycle, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

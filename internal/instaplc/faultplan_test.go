@@ -1,6 +1,7 @@
 package instaplc
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -87,4 +88,28 @@ func TestBadPlanPanics(t *testing.T) {
 		{Kind: faults.KindHostStall, Target: "ghost"},
 	}}
 	RunExperiment(cfg)
+}
+
+// TestBadPlanIsAnErrorWhereItCanComeFromOutside: BuildHarness — the
+// constructor behind a run spec, a -faults flag and a checkpoint's
+// recorded configuration — reports the unknown target; Restore passes
+// that on instead of panicking inside the replay.
+func TestBadPlanIsAnErrorWhereItCanComeFromOutside(t *testing.T) {
+	ghost := &faults.Plan{Events: []faults.Event{{Kind: faults.KindHostStall, Target: "ghost"}}}
+	cfg := DefaultExperimentConfig()
+	cfg.Faults = ghost
+	if h, err := BuildHarness(cfg); err == nil || h != nil || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("BuildHarness = %v, %v; want an error naming ghost", h, err)
+	}
+
+	cfg.Faults = nil
+	h := NewHarness(cfg)
+	h.cfg.Faults = ghost // what a crafted or damaged checkpoint would carry
+	var ck bytes.Buffer
+	if err := h.Save(&ck); err != nil {
+		t.Fatal(err)
+	}
+	if h, err := Restore(&ck, nil, nil); err == nil || h != nil || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("Restore = %v, %v; want an error naming ghost", h, err)
+	}
 }

@@ -39,8 +39,9 @@ type Harness struct {
 	coll   *intnet.Collector
 	// pool is the cell's one frame free list, shared by the vPLCs, the
 	// pipeline (and through it the app) and the device: a station Gets a
-	// frame to transmit, the handler that consumes it Puts it back, and
-	// every port's OnDrop returns what the network destroys.
+	// frame to transmit, the handler that consumes it Puts it back, the
+	// pipeline attaches and strips INT stacks through it, and every
+	// port's OnDrop returns what the network destroys.
 	pool frame.Pool
 
 	switchoverAt               sim.Time
@@ -48,9 +49,22 @@ type Harness struct {
 	prevV1, prevV2, prevIO     uint64
 }
 
-// NewHarness builds the Fig. 5 scenario without running it. The
-// returned harness is at time zero with everything scheduled.
+// NewHarness is BuildHarness for a configuration the program wrote
+// itself: a fault plan that does not fit the scenario is a bug, and
+// panics.
 func NewHarness(cfg ExperimentConfig) *Harness {
+	h, err := BuildHarness(cfg)
+	if err != nil {
+		panic(err.Error())
+	}
+	return h
+}
+
+// BuildHarness builds the Fig. 5 scenario without running it. The
+// returned harness is at time zero with everything scheduled. A fault
+// plan naming a target the scenario does not register — cfg.Faults may
+// come from a command line, a run spec or a checkpoint — is an error.
+func BuildHarness(cfg ExperimentConfig) (*Harness, error) {
 	e := sim.NewEngine(cfg.Seed)
 	h := &Harness{cfg: cfg, engine: e}
 
@@ -84,10 +98,6 @@ func NewHarness(cfg ExperimentConfig) *Harness {
 	h.vplc1.UsePool(&h.pool)
 	h.vplc2.UsePool(&h.pool)
 	h.dev.UsePool(&h.pool)
-	reclaim := func(f *frame.Frame) { h.pool.Put(f) }
-	for _, p := range h.ports() {
-		p.OnDrop = reclaim
-	}
 
 	if cfg.Trace != nil {
 		cfg.Trace.Bind(e)
@@ -130,7 +140,7 @@ func NewHarness(cfg ExperimentConfig) *Harness {
 		plan = *cfg.Faults
 	}
 	if err := h.in.Apply(plan); err != nil {
-		panic(fmt.Sprintf("instaplc: bad fault plan: %v", err))
+		return nil, fmt.Errorf("instaplc: bad fault plan: %w", err)
 	}
 
 	if h.app != nil {
@@ -156,7 +166,7 @@ func NewHarness(cfg ExperimentConfig) *Harness {
 		h.toIO = append(h.toIO, int(tio-h.prevIO))
 		h.prevV1, h.prevV2, h.prevIO = t1, t2, tio
 	})
-	return h
+	return h, nil
 }
 
 // Engine returns the harness's engine (for scheduling periodic saves).
@@ -169,6 +179,10 @@ func (h *Harness) Collector() *intnet.Collector { return h.coll }
 // its pool and not yet returned. Zero whenever nothing is queued, on a
 // wire or inside a station.
 func (h *Harness) FramesOutstanding() int64 { return h.pool.Outstanding() }
+
+// StacksOutstanding returns the INT stacks alive in the cell; there is
+// none whenever there is no frame to carry one.
+func (h *Harness) StacksOutstanding() int64 { return h.pool.StacksOutstanding() }
 
 // Horizon returns the configured end of the run.
 func (h *Harness) Horizon() sim.Time { return sim.Time(h.cfg.Horizon) }
@@ -280,7 +294,7 @@ func RestoreWithCollector(r io.Reader, tracer *telemetry.Tracer, registry *telem
 			cfg.Trace = tracer
 			cfg.Metrics = registry
 			cfg.Collector = coll
-			return NewHarness(cfg), nil
+			return BuildHarness(cfg)
 		})
 }
 

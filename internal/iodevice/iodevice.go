@@ -66,7 +66,6 @@ type Device struct {
 	safeConfig []byte // failsafe actuator state as configured at New
 	safe       []byte // safeConfig fitted to the connected CR's output length
 	counter    uint16
-	pool       *frame.Pool
 	watchdog   *profinet.Watchdog
 	ticker     *sim.Ticker
 
@@ -89,15 +88,14 @@ func New(e *sim.Engine, name string, mac frame.MAC, process Process, safeOutputs
 		process = EchoProcess
 	}
 	d := &Device{name: name, engine: e, hst: simnet.NewHost(e, name, mac), process: process,
-		safeConfig: safeOutputs, pool: &frame.Pool{}}
+		safeConfig: safeOutputs}
 	d.hst.OnReceive(d.onFrame)
 	return d
 }
 
-// UsePool makes the device draw its transmit frames from, and return
-// the frames it consumes to, p — the free list it shares with the other
-// stations of its cell. Call before traffic starts.
-func (d *Device) UsePool(p *frame.Pool) { d.pool = p }
+// UsePool puts the device on p, the free list it shares with the other
+// stations of its cell (see simnet.Host.UsePool).
+func (d *Device) UsePool(p *frame.Pool) { d.hst.UsePool(p) }
 
 // Host returns the underlying simnet host for wiring.
 func (d *Device) Host() *simnet.Host { return d.hst }
@@ -115,7 +113,7 @@ func (d *Device) Controller() frame.MAC { return d.controller }
 // the handlers copy what they keep, so the frame returns to the pool.
 func (d *Device) onFrame(f *frame.Frame) {
 	d.handle(f)
-	d.pool.Put(f)
+	d.hst.Pool().Put(f)
 }
 
 func (d *Device) handle(f *frame.Frame) {
@@ -275,13 +273,13 @@ func (d *Device) newFrame(dst frame.MAC, n int) *frame.Frame {
 	if dst == (frame.MAC{}) {
 		return nil
 	}
-	return profinet.NewFrame(d.pool, dst, n)
+	return profinet.NewFrame(d.hst.Pool(), dst, n)
 }
 
 // send transmits f; a frame refused at the egress queue is still ours.
 func (d *Device) send(f *frame.Frame) {
 	if !d.hst.Send(f) {
-		d.pool.Put(f)
+		d.hst.Pool().Put(f)
 	}
 }
 

@@ -232,8 +232,8 @@ func buildLeafSpine(sc Scenario) plant {
 
 // instantiate commissions net — the plant's graph as equipment — and
 // attaches the clients and servers, each on its host's own engine. The
-// cell's one tracer and its shared frame and INT pools are what still
-// assume a single shard; e is the engine the harness drives.
+// cell's one tracer and its shared frame pool are what still assume a
+// single shard; e is the engine the harness drives.
 func instantiate(e *sim.Engine, net *simnet.Network, sc Scenario, pl plant) built {
 	clientNode, serverNode := pl.clientNode, pl.serverNode
 	// Byte-deep buffers: commodity switches hold hundreds of KB per
@@ -248,22 +248,20 @@ func instantiate(e *sim.Engine, net *simnet.Network, sc Scenario, pl plant) buil
 		net.RegisterMetrics(sc.Metrics)
 	}
 	b := built{engine: e, net: net}
-	var intPool *frame.INTPool
 	if sc.INT {
 		b.coll = sc.Collector
 		if b.coll == nil {
 			b.coll = intnet.NewCollector()
 		}
-		// One stack free list per cell: camera sources Get, server
-		// sinks Put — telemetry stacks recycle like frames do.
-		intPool = &frame.INTPool{}
 	}
 	// One frame pool per cell: request fragments die at the server and
 	// responses die at the client, so per-endpoint pools leave every
 	// client allocating fresh ~MTU payloads forever while the server
 	// free list grows. A shared pool closes that loop; recycled payload
 	// bodies are zero either way (only the 13-byte header is written),
-	// so frame bytes — and digests — are unchanged.
+	// so frame bytes — and digests — are unchanged. Telemetry stacks
+	// recycle through it the same way: camera sources attach, server
+	// sinks strip.
 	pool := &frame.Pool{}
 	servers := make([]*mlwork.Server, len(serverNode))
 	for i, n := range serverNode {
@@ -272,7 +270,6 @@ func instantiate(e *sim.Engine, net *simnet.Network, sc Scenario, pl plant) buil
 		servers[i].UsePool(pool)
 		if b.coll != nil {
 			h.SetINTSink(b.coll)
-			h.SetINTPool(intPool)
 		}
 	}
 	clients := make([]*mlwork.Client, len(clientNode))
@@ -288,7 +285,6 @@ func instantiate(e *sim.Engine, net *simnet.Network, sc Scenario, pl plant) buil
 			// Flow = client id, matching mlwork's request flow labels.
 			// Non-strict: telemetry must never cost a camera frame.
 			h.SetINTSource(uint32(i+1), intMaxHops, false)
-			h.SetINTPool(intPool)
 		}
 	}
 	b.clients = clients

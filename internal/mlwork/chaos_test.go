@@ -11,12 +11,12 @@ import (
 )
 
 // TestNoFrameLeaksUnderLinkChaos is the chaos suite's conservation
-// invariant: with the OnDrop hooks wired, every pooled frame a fault
-// destroys returns to a free list, so after the network drains the
-// pools account for every frame ever handed out. Frames migrate
-// between the two pools (requests die in the server's, responses in
-// the client's), so the invariant is the SUM of Outstanding, not the
-// per-pool value.
+// invariant: UsePool sends the drops at each endpoint's port to its
+// pool, so every pooled frame a fault destroys returns to a free list
+// and, after the network drains, the pools account for every frame ever
+// handed out. Frames migrate between the two pools (requests die in the
+// server's, responses in the client's), so the invariant is the SUM of
+// Outstanding, not the per-pool value.
 func TestNoFrameLeaksUnderLinkChaos(t *testing.T) {
 	e := sim.NewEngine(1)
 	p := ObjectIdentification
@@ -24,8 +24,8 @@ func TestNoFrameLeaksUnderLinkChaos(t *testing.T) {
 	srv := NewServer(e, "srv", frame.NewMAC(100), p)
 	cli := NewClient(e, "cli", 1, frame.NewMAC(1), frame.NewMAC(100), p, Degradation{CompressionRatio: 1})
 	link := simnet.Connect(e, "cl-srv", cli.Host().Port(), srv.Host().Port(), 1e9, sim.Microsecond)
-	cli.ReclaimNetworkDrops()
-	srv.ReclaimNetworkDrops()
+	cli.UsePool(&frame.Pool{})
+	srv.UsePool(&frame.Pool{})
 
 	in := faults.NewInjector(e)
 	in.RegisterLink("cl-srv", link)
@@ -54,10 +54,10 @@ func TestNoFrameLeaksUnderLinkChaos(t *testing.T) {
 	if cp.Drops+cp.InjectedDrops+sp.Drops+sp.InjectedDrops == 0 {
 		t.Fatal("chaos plan destroyed no frames; the invariant was not exercised")
 	}
-	if out := cli.Pool().Outstanding() + srv.Pool().Outstanding(); out != 0 {
+	if out := cli.Host().Pool().Outstanding() + srv.Host().Pool().Outstanding(); out != 0 {
 		t.Fatalf("%d frames leaked (client: %d outstanding, server: %d outstanding; "+
 			"drops cli=%d+%d srv=%d+%d)\nplan: %s",
-			out, cli.Pool().Outstanding(), srv.Pool().Outstanding(),
+			out, cli.Host().Pool().Outstanding(), srv.Host().Pool().Outstanding(),
 			cp.Drops, cp.InjectedDrops, sp.Drops, sp.InjectedDrops, plan)
 	}
 	// The counter-level identity must agree with the pool-level one:
@@ -85,8 +85,8 @@ func TestCorruptionBurstDoesNotLeakOrCrash(t *testing.T) {
 	srv := NewServer(e, "srv", frame.NewMAC(100), p)
 	cli := NewClient(e, "cli", 1, frame.NewMAC(1), frame.NewMAC(100), p, Degradation{CompressionRatio: 1})
 	simnet.Connect(e, "cl-srv", cli.Host().Port(), srv.Host().Port(), 1e9, sim.Microsecond)
-	cli.ReclaimNetworkDrops()
-	srv.ReclaimNetworkDrops()
+	cli.UsePool(&frame.Pool{})
+	srv.UsePool(&frame.Pool{})
 
 	in := faults.NewInjector(e)
 	in.RegisterPort("cli", cli.Host().Port())
@@ -106,7 +106,7 @@ func TestCorruptionBurstDoesNotLeakOrCrash(t *testing.T) {
 	if cli.Host().Port().CorruptedFrames == 0 && srv.Host().Port().CorruptedFrames == 0 {
 		t.Fatal("no frame was ever corrupted")
 	}
-	if out := cli.Pool().Outstanding() + srv.Pool().Outstanding(); out != 0 {
+	if out := cli.Host().Pool().Outstanding() + srv.Host().Pool().Outstanding(); out != 0 {
 		t.Fatalf("%d frames leaked under corruption", out)
 	}
 	if err := simnet.Account(cli.Host().Port(), srv.Host().Port()).Check(); err != nil {

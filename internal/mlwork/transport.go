@@ -75,7 +75,6 @@ type Server struct {
 	queue   int
 	busy    bool
 	parts   map[uint64]uint16 // (client,req) -> fragments seen
-	pool    *frame.Pool       // recycles consumed requests into responses
 
 	// Served counts completed inferences; MaxQueue the worst backlog.
 	Served   uint64
@@ -95,7 +94,6 @@ func AttachServer(e *sim.Engine, h *simnet.Host, p Profile) *Server {
 		engine:  e,
 		profile: p,
 		parts:   make(map[uint64]uint16),
-		pool:    &frame.Pool{},
 	}
 	s.host.OnReceive(s.onFrame)
 	return s
@@ -104,23 +102,12 @@ func AttachServer(e *sim.Engine, h *simnet.Host, p Profile) *Server {
 // Host returns the underlying host for wiring.
 func (s *Server) Host() *simnet.Host { return s.host }
 
-// Pool exposes the server's frame pool for accounting (the chaos
-// suite's no-leak invariant sums Outstanding across all pools).
-func (s *Server) Pool() *frame.Pool { return s.pool }
-
 // UsePool replaces the server's frame pool, letting several endpoints
 // in one experiment cell share a free list. Client fragments otherwise
 // migrate permanently into the server's pool, leaving the client to
-// allocate a fresh payload per fragment. Call before traffic starts.
-func (s *Server) UsePool(p *frame.Pool) { s.pool = p }
-
-// ReclaimNetworkDrops wires the host port's OnDrop hook to the pool:
-// frames the network destroys after accepting them (downed links,
-// injected loss, drained queues) return to the free list instead of
-// leaking to the GC.
-func (s *Server) ReclaimNetworkDrops() {
-	s.host.Port().OnDrop = func(f *frame.Frame) { s.pool.Put(f) }
-}
+// allocate a fresh payload per fragment. Drops at the host's port and
+// its INT stacks return to p too (see simnet.Host.UsePool).
+func (s *Server) UsePool(p *frame.Pool) { s.host.UsePool(p) }
 
 func key(clientID, reqID uint32) uint64 { return uint64(clientID)<<32 | uint64(reqID) }
 
@@ -132,7 +119,7 @@ func (s *Server) onFrame(f *frame.Frame) {
 	src := f.Src
 	// The handler is the frame's terminal consumer: once the header is
 	// decoded the fragment is dead, so recycle it into the response pool.
-	s.pool.Put(f)
+	s.host.Pool().Put(f)
 	if err != nil || h.Kind != kindRequest {
 		return
 	}
@@ -163,7 +150,7 @@ func (s *Server) serve(dst frame.MAC, h header) {
 		s.busy = false
 		s.queue--
 		s.Served++
-		f := s.pool.Get(headerLen + s.profile.ResultBytes)
+		f := s.host.Pool().Get(headerLen + s.profile.ResultBytes)
 		putHeader(f.Payload, header{
 			ClientID: h.ClientID, ReqID: h.ReqID, FragIdx: 0, FragCount: 1, Kind: kindResponse,
 		})
@@ -173,7 +160,7 @@ func (s *Server) serve(dst frame.MAC, h header) {
 		f.VID = 20
 		f.Type = frame.TypeMLData
 		if !s.host.Send(f) {
-			s.pool.Put(f) // egress drop: the frame never entered the network
+			s.host.Pool().Put(f) // egress drop: the frame never entered the network
 		}
 	})
 }
@@ -189,7 +176,6 @@ type Client struct {
 	nextReq uint32
 	sentAt  map[uint32]sim.Time
 	ticker  *sim.Ticker
-	pool    *frame.Pool // recycles consumed responses into request fragments
 
 	// Latencies collects request->response times in milliseconds.
 	Latencies *metrics.Series
@@ -213,7 +199,6 @@ func AttachClient(e *sim.Engine, h *simnet.Host, id uint32, server frame.MAC, p 
 		server:    server,
 		sentAt:    make(map[uint32]sim.Time),
 		Latencies: metrics.NewSeries(256),
-		pool:      &frame.Pool{},
 	}
 	c.host.OnReceive(c.onFrame)
 	return c
@@ -222,17 +207,8 @@ func AttachClient(e *sim.Engine, h *simnet.Host, id uint32, server frame.MAC, p 
 // Host returns the underlying host for wiring.
 func (c *Client) Host() *simnet.Host { return c.host }
 
-// Pool exposes the client's frame pool for accounting.
-func (c *Client) Pool() *frame.Pool { return c.pool }
-
 // UsePool replaces the client's frame pool (see Server.UsePool).
-func (c *Client) UsePool(p *frame.Pool) { c.pool = p }
-
-// ReclaimNetworkDrops wires the host port's OnDrop hook to the pool
-// (see Server.ReclaimNetworkDrops).
-func (c *Client) ReclaimNetworkDrops() {
-	c.host.Port().OnDrop = func(f *frame.Frame) { c.pool.Put(f) }
-}
+func (c *Client) UsePool(p *frame.Pool) { c.host.UsePool(p) }
 
 // Start begins periodic requests at start (absolute virtual time).
 func (c *Client) Start(start sim.Time) {
@@ -260,7 +236,7 @@ func (c *Client) sendRequest() {
 		if i == frags-1 {
 			n = size - (frags-1)*MTU
 		}
-		f := c.pool.Get(headerLen + n)
+		f := c.host.Pool().Get(headerLen + n)
 		putHeader(f.Payload, header{
 			ClientID: c.id, ReqID: reqID,
 			FragIdx: uint16(i), FragCount: uint16(frags), Kind: kindRequest,
@@ -272,7 +248,7 @@ func (c *Client) sendRequest() {
 		f.Type = frame.TypeMLData
 		f.Meta = frame.Meta{FlowID: c.id}
 		if !c.host.Send(f) {
-			c.pool.Put(f) // egress drop: safe to recycle immediately
+			c.host.Pool().Put(f) // egress drop: safe to recycle immediately
 		}
 	}
 }
@@ -283,7 +259,7 @@ func (c *Client) onFrame(f *frame.Frame) {
 	}
 	h, err := unmarshalHeader(f.Payload)
 	// Terminal consumer: recycle the response into the fragment pool.
-	c.pool.Put(f)
+	c.host.Pool().Put(f)
 	if err != nil || h.Kind != kindResponse || h.ClientID != c.id {
 		return
 	}

@@ -284,6 +284,20 @@ func (b *Broker) ServeEvents(w http.ResponseWriter, r *http.Request) {
 	}, func(p []byte) []byte { return p })
 }
 
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns a server for h with the limits every steelnet
+// listener sets: readHeaderTimeout for a client to finish its request
+// header, idleTimeout for a keep-alive connection to sit idle, and no
+// write timeout — the SSE streams are written for as long as the client
+// stays.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // Server is the live telemetry HTTP server.
 type Server struct {
 	b   *Broker
@@ -330,7 +344,7 @@ func Listen(addr string, b *Broker) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{b: b, ln: ln, srv: &http.Server{Handler: NewMux(b)}}
+	s := &Server{b: b, ln: ln, srv: NewHTTPServer(NewMux(b))}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil
 }

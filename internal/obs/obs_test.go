@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -344,6 +345,36 @@ func TestListenServesAndCloses(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + s.Addr() + "/healthz"); err == nil {
 		t.Fatal("server still serving after Close")
+	}
+}
+
+// TestSlowHeaderIsCutOff: a client that opens a connection and never
+// finishes its request header is disconnected once readHeaderTimeout
+// has passed, not held for as long as it likes.
+func TestSlowHeaderIsCutOff(t *testing.T) {
+	t.Parallel()
+	s, err := Listen("127.0.0.1:0", NewBroker())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\nX-Slow: "); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	// The server answers 408 or nothing; either way the read ends with
+	// the connection closed, well before the deadline above.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open %v after a header that never finished: %v", time.Since(start), err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("cut off after %v, before the %v header timeout", waited, readHeaderTimeout)
 	}
 }
 

@@ -86,7 +86,6 @@ type Controller struct {
 	image  Image
 	conns  map[uint32]*deviceConn
 	failed bool
-	pool   *frame.Pool
 	txJobs *txJob // free list of kernel-path transmissions
 
 	discoveries map[uint32]map[frame.MAC]Station
@@ -116,7 +115,6 @@ func NewController(e *sim.Engine, name string, mac frame.MAC, cfg ControllerConf
 		hst:    simnet.NewHost(e, name, mac),
 		cfg:    cfg,
 		conns:  make(map[uint32]*deviceConn),
-		pool:   &frame.Pool{},
 		image: Image{
 			Inputs:  make([]byte, cfg.ImageSize),
 			Outputs: make([]byte, cfg.ImageSize),
@@ -132,10 +130,9 @@ func NewController(e *sim.Engine, name string, mac frame.MAC, cfg ControllerConf
 // Host returns the underlying simnet host for wiring.
 func (c *Controller) Host() *simnet.Host { return c.hst }
 
-// UsePool makes the controller draw its transmit frames from, and
-// return the frames it consumes to, p — the free list it shares with
-// the other stations of its cell. Call before traffic starts.
-func (c *Controller) UsePool(p *frame.Pool) { c.pool = p }
+// UsePool puts the controller on p, the free list it shares with the
+// other stations of its cell (see simnet.Host.UsePool).
+func (c *Controller) UsePool(p *frame.Pool) { c.hst.UsePool(p) }
 
 // Image exposes the process image (HMI/test access).
 func (c *Controller) Image() *Image { return &c.image }
@@ -172,7 +169,7 @@ func (c *Controller) Connect(spec ConnectSpec) {
 
 // send transmits an acyclic PROFINET message (handshake, discovery).
 func (c *Controller) send(dst frame.MAC, payload []byte) {
-	f := profinet.NewFrame(c.pool, dst, len(payload))
+	f := profinet.NewFrame(c.hst.Pool(), dst, len(payload))
 	copy(f.Payload, payload)
 	c.transmit(f)
 }
@@ -210,7 +207,7 @@ func (c *Controller) kernelTxDone(j *txJob) {
 	j.f, j.next = nil, c.txJobs
 	c.txJobs = j
 	if c.failed {
-		c.pool.Put(f)
+		c.hst.Pool().Put(f)
 		return
 	}
 	c.hostSend(f)
@@ -218,7 +215,7 @@ func (c *Controller) kernelTxDone(j *txJob) {
 
 func (c *Controller) hostSend(f *frame.Frame) {
 	if !c.hst.Send(f) {
-		c.pool.Put(f)
+		c.hst.Pool().Put(f)
 	}
 }
 
@@ -226,7 +223,7 @@ func (c *Controller) hostSend(f *frame.Frame) {
 // the handlers copy what they keep, so the frame returns to the pool.
 func (c *Controller) onFrame(f *frame.Frame) {
 	c.handle(f)
-	c.pool.Put(f)
+	c.hst.Pool().Put(f)
 }
 
 func (c *Controller) handle(f *frame.Frame) {
@@ -362,7 +359,7 @@ func (c *Controller) fireCycle(conn *deviceConn) {
 	}
 	conn.counter++
 	c.TxCyclic++
-	f := profinet.NewFrame(c.pool, conn.spec.Device, profinet.CyclicLen(len(cd.Data)))
+	f := profinet.NewFrame(c.hst.Pool(), conn.spec.Device, profinet.CyclicLen(len(cd.Data)))
 	cd.MarshalInto(f.Payload)
 	c.transmit(f)
 }

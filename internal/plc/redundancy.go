@@ -79,7 +79,7 @@ func NewRedundantPair(e *sim.Engine, primary, standby *Controller, cfg Redundanc
 	p.syncB.OnReceive(func(f *frame.Frame) {
 		p.HeartbeatsSeen++
 		p.armWatch()
-		p.Standby.pool.Put(f)
+		p.Standby.hst.Pool().Put(f)
 	})
 	return p
 }
@@ -95,11 +95,11 @@ func (p *RedundantPair) Start() {
 			return
 		}
 		p.HeartbeatsSent++
-		f := p.Primary.pool.Get(2)
+		f := p.Primary.hst.Pool().Get(2)
 		f.Dst, f.Type = p.syncB.MAC(), frame.TypeProfinet
 		f.Payload[0], f.Payload[1] = 0xbe, 0xa7
 		if !p.syncA.Send(f) {
-			p.Primary.pool.Put(f)
+			p.Primary.hst.Pool().Put(f)
 		}
 	})
 	p.armWatch()

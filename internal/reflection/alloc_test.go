@@ -7,8 +7,9 @@ import (
 )
 
 // TestNoFrameLeaks: once Result has stopped the flows and drained the
-// cell, every probe the pool ever handed out is back in it — for every
-// variant, with and without INT. A double release would panic in Put.
+// cell, every probe the pool ever handed out is back in it, and so is
+// every INT stack — for every variant, with and without INT. A double
+// release would panic in Put.
 func TestNoFrameLeaks(t *testing.T) {
 	for _, proto := range AllVariants() {
 		for _, withINT := range []bool{false, true} {
@@ -26,6 +27,9 @@ func TestNoFrameLeaks(t *testing.T) {
 			}
 			if res.Delays.Len() == 0 || h.pool.Reused == 0 {
 				t.Fatalf("%s int=%t: %d round trips, pool %+v: nothing was recycled", proto.Name, withINT, res.Delays.Len(), h.pool)
+			}
+			if got := h.pool.StacksOutstanding(); got != 0 || (h.pool.StackReused != 0) != withINT {
+				t.Fatalf("%s int=%t: %d INT stacks outstanding after the drain (pool %+v)", proto.Name, withINT, got, h.pool)
 			}
 		}
 	}

@@ -35,8 +35,9 @@ type Harness struct {
 	coll    *intnet.Collector
 	// pool is the cell's one frame free list: the sender Gets each probe
 	// from it, whoever ends a probe's life — the sender on its return,
-	// the reflector on a verdict other than XDP_TX — Puts it back, and
-	// every port's OnDrop returns what the network destroys.
+	// the reflector on a verdict other than XDP_TX — Puts it back, INT
+	// stacks attach from it and strip into it, and every port's OnDrop
+	// returns what the network destroys.
 	pool frame.Pool
 
 	finished bool
@@ -61,10 +62,9 @@ func NewHarness(cfg Config, v Variant) *Harness {
 
 	h.sender.UsePool(&h.pool)
 	h.refl.UsePool(&h.pool)
-	reclaim := func(f *frame.Frame) { h.pool.Put(f) }
-	for _, p := range []*simnet.Port{h.sender.Host().Port(), h.tp.PortA(), h.tp.PortB(), h.refl.Host().Port()} {
-		p.OnDrop = reclaim
-	}
+	// The tap is no pooled component: its ports' drops are wired here.
+	h.tp.PortA().OnDrop = h.pool.Put
+	h.tp.PortB().OnDrop = h.pool.Put
 	// One round trip per flow per cycle from the flow's offset to the
 	// horizon, both ends included for the flow at offset zero.
 	h.tp.ReserveRoundTrips(cfg.Cycles + 2)
@@ -75,12 +75,7 @@ func NewHarness(cfg Config, v Variant) *Harness {
 			h.coll = intnet.NewCollector()
 		}
 		h.sender.EnableINT()
-		h.refl.SetINTSink(h.coll)
-		// Source and sink share one stack free list, so the INT-enabled
-		// probe path is allocation-free in steady state.
-		intPool := &frame.INTPool{}
-		h.sender.SetINTPool(intPool)
-		h.refl.SetINTPool(intPool)
+		h.refl.Host().SetINTSink(h.coll)
 	}
 
 	if cfg.Trace != nil {

@@ -26,10 +26,7 @@ type Reflector struct {
 	variant Variant
 	costs   *ebpf.CostModel
 	rng     *sim.RNG
-	pool    *frame.Pool // takes the probes the program does not send back
 	jobs    *reflectJob // free list
-	intSink simnet.INTSink
-	intPool *frame.INTPool
 
 	// Reflected, Passed and Aborted count program verdicts.
 	Reflected, Passed, Aborted uint64
@@ -58,7 +55,6 @@ func NewReflector(e *sim.Engine, name string, mac frame.MAC, stk *host.Stack, v 
 		variant: v,
 		costs:   costs,
 		rng:     e.RNG("reflector/" + name),
-		pool:    &frame.Pool{},
 	}
 	r.host.OnReceive(r.onFrame)
 	return r
@@ -67,16 +63,9 @@ func NewReflector(e *sim.Engine, name string, mac frame.MAC, stk *host.Stack, v 
 // Host returns the underlying simnet host (for wiring).
 func (r *Reflector) Host() *simnet.Host { return r.host }
 
-// UsePool makes the reflector return unreflected probes to p, the free
-// list the sender draws from. Call before traffic starts.
-func (r *Reflector) UsePool(p *frame.Pool) { r.pool = p }
-
-// SetINTSink terminates probe INT stacks at the reflector's ingress.
-func (r *Reflector) SetINTSink(s simnet.INTSink) { r.intSink = s }
-
-// SetINTPool recycles terminated stacks into p (shared with the
-// sender, which Gets its per-probe stacks from the same free list).
-func (r *Reflector) SetINTPool(p *frame.INTPool) { r.intPool = p }
+// UsePool puts the reflector on p, the free list the sender draws from
+// (see simnet.Host.UsePool): unreflected probes end there.
+func (r *Reflector) UsePool(p *frame.Pool) { r.host.UsePool(p) }
 
 func (r *Reflector) getJob() *reflectJob {
 	j := r.jobs
@@ -104,17 +93,9 @@ func (r *Reflector) onFrame(f *frame.Frame) {
 	e := r.host.Engine()
 	// INT must terminate here: only the wire bytes reach the program, so
 	// a stack surviving past this point would silently vanish in the
-	// marshal/unmarshal round trip. Strip even without a sink so pool
-	// recycling can never resurrect a stale stack.
-	if f.INT != nil {
-		if r.intSink != nil {
-			r.intSink.SinkINT(r.host.Name(), f, int64(e.Now()))
-		}
-		if r.intPool != nil {
-			r.intPool.Put(f.INT)
-		}
-		f.INT = nil
-	}
+	// marshal/unmarshal round trip. A sink on the host has stripped it;
+	// with none attached the stack ends here unread.
+	r.host.Pool().StripINT(f)
 	j := r.getJob()
 	j.f = f
 	j.size = f.WireLen()
@@ -143,7 +124,7 @@ func (r *Reflector) runProgram(j *reflectJob) {
 	} else {
 		r.Aborted++
 	}
-	r.pool.Put(r.putJob(j))
+	r.host.Pool().Put(r.putJob(j))
 }
 
 func (r *Reflector) transmit(j *reflectJob) {
@@ -152,20 +133,18 @@ func (r *Reflector) transmit(j *reflectJob) {
 	// Bypass Host.Send: XDP_TX must not re-stamp the source MAC — the
 	// program already swapped the addresses.
 	if !r.host.Port().Send(f) {
-		r.pool.Put(f) // refused at egress: still ours
+		r.host.Pool().Put(f) // refused at egress: still ours
 	}
 }
 
 // Sender emits cyclic probe flows through its single port.
 type Sender struct {
-	host    *simnet.Host
-	dst     frame.MAC
-	size    int
-	seqs    map[uint32]uint32
-	ticker  []*sim.Ticker
-	pool    *frame.Pool // recycles reflected probes into fresh ones
-	intOn   bool
-	intPool *frame.INTPool
+	host   *simnet.Host
+	dst    frame.MAC
+	size   int
+	seqs   map[uint32]uint32
+	ticker []*sim.Ticker
+	intOn  bool
 }
 
 // NewSender creates a probe source addressed at dst with the given probe
@@ -176,17 +155,16 @@ func NewSender(e *sim.Engine, name string, mac, dst frame.MAC, size int) *Sender
 		dst:  dst,
 		size: size,
 		seqs: make(map[uint32]uint32),
-		pool: &frame.Pool{},
 	}
 	// Reflected probes terminate here; recycling them makes the probe
 	// stream allocation-free in steady state.
-	s.host.OnReceive(func(f *frame.Frame) { s.pool.Put(f) })
+	s.host.OnReceive(func(f *frame.Frame) { s.host.Pool().Put(f) })
 	return s
 }
 
-// UsePool makes the sender draw probes from, and return reflections to,
-// p. Call before traffic starts.
-func (s *Sender) UsePool(p *frame.Pool) { s.pool = p }
+// UsePool puts the sender on p (see simnet.Host.UsePool): probes and
+// their INT stacks come from it, reflections recycle into fresh ones.
+func (s *Sender) UsePool(p *frame.Pool) { s.host.UsePool(p) }
 
 // Host returns the underlying simnet host (for wiring).
 func (s *Sender) Host() *simnet.Host { return s.host }
@@ -195,17 +173,13 @@ func (s *Sender) Host() *simnet.Host { return s.host }
 // sequence mirror the probe's own identifiers.
 func (s *Sender) EnableINT() { s.intOn = true }
 
-// SetINTPool sources probe stacks from p instead of allocating one per
-// probe (see Reflector.SetINTPool for the matching sink side).
-func (s *Sender) SetINTPool(p *frame.INTPool) { s.intPool = p }
-
 // StartFlow begins emitting flowID probes every cycle, first at start.
 func (s *Sender) StartFlow(flowID uint32, start sim.Time, cycle sim.Duration) {
 	e := s.host.Engine()
 	t := e.Every(start, cycle, func() {
 		seq := s.seqs[flowID]
 		s.seqs[flowID] = seq + 1
-		f := s.pool.Get(s.size)
+		f := s.host.Pool().Get(s.size)
 		if err := frame.MarshalProbeInto(frame.Probe{Seq: seq, FlowID: flowID}, f.Payload); err != nil {
 			panic(err)
 		}
@@ -215,14 +189,10 @@ func (s *Sender) StartFlow(flowID uint32, start sim.Time, cycle sim.Duration) {
 		if s.intOn {
 			// Seq is 1-based on the wire: the collector reads sequence 0
 			// as "no predecessor" when tracking loss.
-			if s.intPool != nil {
-				f.INT = s.intPool.Get(s.host.Name(), flowID, seq+1, int64(e.Now()), 0)
-			} else {
-				f.AttachINT(s.host.Name(), flowID, seq+1, int64(e.Now()), 0)
-			}
+			s.host.Pool().AttachINT(f, s.host.Name(), flowID, seq+1, int64(e.Now()), 0)
 		}
 		if !s.host.Send(f) {
-			s.pool.Put(f) // egress drop: safe to recycle immediately
+			s.host.Pool().Put(f) // egress drop: safe to recycle immediately
 		}
 	})
 	s.ticker = append(s.ticker, t)

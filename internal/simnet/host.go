@@ -35,7 +35,9 @@ type Host struct {
 	intStrict  bool
 	intSeq     uint32
 	intSink    INTSink
-	intPool    *frame.INTPool
+	// pool is the free list of the station built on the host (see
+	// UsePool); nil until Pool makes the host one of its own.
+	pool *frame.Pool
 
 	// RxCount counts frames delivered to the handler.
 	RxCount uint64
@@ -71,7 +73,7 @@ func (h *Host) SetTracer(t *telemetry.Tracer) {
 }
 
 // SetINTSource makes the host an INT source: every Send attaches a
-// fresh telemetry stack carrying flow, a per-host sequence number, and
+// telemetry stack carrying flow, a per-host sequence number, and
 // room for maxHops transit records (<=0 selects the default). strict
 // selects the stack's hop-exceeded policy (see frame.INTStack).
 func (h *Host) SetINTSource(flow uint32, maxHops int, strict bool) {
@@ -86,12 +88,25 @@ func (h *Host) SetINTSource(flow uint32, maxHops int, strict bool) {
 // hardware sink strips the stack before host delivery. Nil disables.
 func (h *Host) SetINTSink(sink INTSink) { h.intSink = sink }
 
-// SetINTPool gives the host a free list for telemetry stacks: sources
-// Get their per-frame stack from it and sinks Put terminated stacks
-// back. Sharing one pool across a cell's sources and sinks makes the
-// INT-enabled path allocation-free in steady state. Nil (the default)
-// falls back to per-frame allocation.
-func (h *Host) SetINTPool(p *frame.INTPool) { h.intPool = p }
+// UsePool makes p the host's free list: the station built on the host
+// draws its frames from it and returns them to it, a source host
+// attaches its telemetry stacks from it, a sink host strips them into
+// it, and the frames the network destroys at the host's port return to
+// it — so one pool per cell recycles frames, stacks and drops alike.
+// Call before traffic starts.
+func (h *Host) UsePool(p *frame.Pool) {
+	h.pool = p
+	h.port.OnDrop = p.Put
+}
+
+// Pool returns the host's free list. Without UsePool it is a pool of
+// the host's own, made on first use, that no drop returns to.
+func (h *Host) Pool() *frame.Pool {
+	if h.pool == nil {
+		h.pool = &frame.Pool{}
+	}
+	return h.pool
+}
 
 // Receive implements Node.
 func (h *Host) Receive(port *Port, f *frame.Frame) {
@@ -101,10 +116,7 @@ func (h *Host) Receive(port *Port, f *frame.Frame) {
 	}
 	if f.INT != nil && h.intSink != nil {
 		h.intSink.SinkINT(h.name, f, int64(h.engine.Now()))
-		if h.intPool != nil {
-			h.intPool.Put(f.INT)
-		}
-		f.INT = nil
+		h.Pool().StripINT(f)
 	}
 	h.RxCount++
 	if h.handler != nil {
@@ -122,13 +134,7 @@ func (h *Host) Send(f *frame.Frame) bool {
 	}
 	if h.intSource {
 		h.intSeq++
-		var st *frame.INTStack
-		if h.intPool != nil {
-			st = h.intPool.Get(h.name, h.intFlow, h.intSeq, int64(h.engine.Now()), h.intMaxHops)
-			f.INT = st
-		} else {
-			st = f.AttachINT(h.name, h.intFlow, h.intSeq, int64(h.engine.Now()), h.intMaxHops)
-		}
+		st := h.Pool().AttachINT(f, h.name, h.intFlow, h.intSeq, int64(h.engine.Now()), h.intMaxHops)
 		st.Strict = h.intStrict
 	}
 	if h.tr != nil {

@@ -202,34 +202,11 @@ func TestINTQueueDepthAndDropRisk(t *testing.T) {
 	}
 }
 
-// TestINTEnabledAllocBudget bounds the price of telemetry-bearing
-// frames: attaching the stack and stamping one hop costs exactly the
-// stack header and its hop slice — two allocations — per frame. The
-// zero-alloc guard (TestForwardingHotPathZeroAllocs) covers INT
-// disabled; this is the other half of the contract.
-func TestINTEnabledAllocBudget(t *testing.T) {
-	_, _, sink, send := intPath(1, 8, false)
-	for i := 0; i < 64; i++ {
-		send()
-	}
-	sink.stacks = nil // don't measure the capture slice growing
-	sink.atNS = nil
-	run := func() {
-		sink.stacks = sink.stacks[:0]
-		sink.atNS = sink.atNS[:0]
-		send()
-	}
-	run()
-	if allocs := testing.AllocsPerRun(200, run); allocs > 3 {
-		t.Fatalf("INT-enabled path allocates %.1f allocs/op; budget is 3 (stack + hops + sink clone)", allocs)
-	}
-}
-
-// TestINTPooledPathZeroAllocs is the pooled half of the telemetry cost
-// contract: with source and sink sharing an INTPool (as the mltopo and
-// reflection harnesses wire them) and a sink that folds without
-// retaining, the whole INT-enabled journey allocates nothing in steady
-// state — telemetry stacks recycle exactly like frames.
+// TestINTPooledPathZeroAllocs is the enabled half of the telemetry cost
+// contract (TestForwardingHotPathZeroAllocs covers INT disabled): with
+// source and sink on one pool, as every harness wires them, and a sink
+// that folds without retaining, the whole INT-enabled journey allocates
+// nothing in steady state — telemetry stacks recycle with their frames.
 func TestINTPooledPathZeroAllocs(t *testing.T) {
 	e := sim.NewEngine(1)
 	sw := NewSwitch(e, "sw", 2, SwitchConfig{Latency: sim.Microsecond})
@@ -240,10 +217,9 @@ func TestINTPooledPathZeroAllocs(t *testing.T) {
 	sw.AddStatic(dst.MAC(), 1)
 	src.SetINTSource(7, 8, false)
 	dst.SetINTSink(discardSink{})
-	intPool := &frame.INTPool{}
-	src.SetINTPool(intPool)
-	dst.SetINTPool(intPool)
 	pool := &frame.Pool{}
+	src.UsePool(pool)
+	dst.UsePool(pool)
 	dst.OnReceive(pool.Put)
 	send := func() {
 		f := pool.Get(64)
@@ -257,8 +233,8 @@ func TestINTPooledPathZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
 		t.Fatalf("pooled INT path allocates %.1f allocs/op; want 0", allocs)
 	}
-	if intPool.Reused == 0 || intPool.News > intPool.Reused {
-		t.Fatalf("stack pool not recycling: news=%d reused=%d puts=%d",
-			intPool.News, intPool.Reused, intPool.Puts)
+	if pool.StackReused == 0 || pool.StackNews > pool.StackReused || pool.StacksOutstanding() != 0 {
+		t.Fatalf("stacks not recycling: news=%d reused=%d puts=%d",
+			pool.StackNews, pool.StackReused, pool.StackPuts)
 	}
 }

@@ -43,10 +43,10 @@ func BenchmarkSwitchForwarding(b *testing.B) {
 }
 
 // BenchmarkSwitchForwardingINT is the same journey with the hosts as
-// INT source and sink sharing a stack free list: the delta against
-// BenchmarkSwitchForwarding is the whole price of in-band telemetry
-// (stack attach, one transit stamp, sink strip), asserted separately by
-// TestINTPooledPathZeroAllocs.
+// INT source and sink on the pool the frames come from: the delta
+// against BenchmarkSwitchForwarding is the whole price of in-band
+// telemetry (stack attach, one transit stamp, sink strip), asserted
+// separately by TestINTPooledPathZeroAllocs.
 func BenchmarkSwitchForwardingINT(b *testing.B) {
 	e := sim.NewEngine(1)
 	sw := NewSwitch(e, "sw", 2, SwitchConfig{Latency: sim.Microsecond})
@@ -57,10 +57,9 @@ func BenchmarkSwitchForwardingINT(b *testing.B) {
 	sw.AddStatic(dst.MAC(), 1)
 	src.SetINTSource(1, 8, false)
 	dst.SetINTSink(discardSink{})
-	intPool := &frame.INTPool{}
-	src.SetINTPool(intPool)
-	dst.SetINTPool(intPool)
 	pool := &frame.Pool{}
+	src.UsePool(pool)
+	dst.UsePool(pool)
 	dst.OnReceive(pool.Put)
 	b.ReportAllocs()
 	b.ResetTimer()

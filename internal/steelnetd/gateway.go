@@ -279,8 +279,16 @@ func (g *Gateway) launch(spec RunSpec, cp io.Reader) (string, error) {
 
 // drive is the run goroutine: acquire a concurrency slot, step slice by
 // slice, publish, evaluate rules, until the horizon / StopAfter / Stop.
+// A panic anywhere below it — the simulation, a rule, a backend — fails
+// this run and no other: the deferred calls still release the slot and
+// unblock Wait.
 func (g *Gateway) drive(r *run) {
 	defer close(r.done)
+	defer func() {
+		if p := recover(); p != nil {
+			g.finish(r, StateFailed, fmt.Errorf("steelnetd: run %q panicked: %v", r.id, p))
+		}
+	}()
 	if g.sem != nil {
 		select {
 		case g.sem <- struct{}{}:

@@ -1,0 +1,142 @@
+package steelnetd
+
+import (
+	"bytes"
+	"net/http"
+	"strings"
+	"testing"
+)
+
+// TestUnknownFaultTargetIsRejected: a run spec whose fault plan parses
+// but names a target the scenario does not register is the client's
+// mistake — an error from Start, a 400 from POST /runs — and the
+// gateway keeps serving.
+func TestUnknownFaultTargetIsRejected(t *testing.T) {
+	g, srv := testServer(t)
+	bad := testRun(1)
+	bad.Faults = "hoststall:nosuch@1ms+1ms"
+	if id, err := g.Start(RunSpec{ID: "bad", Run: bad}); err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Fatalf("Start = %q, %v; want an error naming the target", id, err)
+	}
+	resp, err := http.Post(srv.URL+"/runs", "application/json",
+		strings.NewReader(`{"id":"bad","run":{"seed":1,"horizon":400000000,"slice":50000000,"faults":"hoststall:nosuch@1ms+1ms"}}`))
+	if err != nil {
+		t.Fatalf("POST /runs: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /runs with an unknown fault target: %d, want 400", resp.StatusCode)
+	}
+	if len(g.List()) != 0 {
+		t.Fatalf("the rejected spec left a run behind: %+v", g.List())
+	}
+	id := postRun(t, srv.URL, RunSpec{ID: "after", Run: testRun(1)})
+	if err := g.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// boomBackend panics on its nth publish.
+type boomBackend struct{ n, seen int }
+
+func (*boomBackend) Name() string { return "boom" }
+
+func (b *boomBackend) Publish(topic, key string, payload []byte) error {
+	if b.seen++; b.seen == b.n {
+		panic("boom: publish " + topic)
+	}
+	return nil
+}
+
+// TestPanickingRunIsIsolated: a run whose backend panics mid-run ends
+// failed with the panic text in its status and journal, gives its
+// concurrency slot back (the sibling queued behind it at MaxConcurrent 1
+// still runs), unblocks Wait — and the sibling's northbound log is byte
+// for byte what a fleet without the bad run publishes.
+func TestPanickingRunIsIsolated(t *testing.T) {
+	good := RunSpec{ID: "good", Run: testRun(10), Rules: testRules}
+	want := dumpLogs(t, 1, []RunSpec{good})
+
+	kafka, mqtt := NewFakeKafka(), NewFakeMQTT()
+	g := NewGateway(GatewayConfig{
+		Backends:      Backends{"kafka": kafka, "mqtt": mqtt, "boom": &boomBackend{n: 2}},
+		MaxConcurrent: 1,
+	})
+	defer g.Close()
+	bad := RunSpec{ID: "bad", Run: testRun(11),
+		Rules: `tag:steelnet_host_rx_total{node="io"}>1->boom:t;breach:*>0->boom:t`}
+	for _, spec := range []RunSpec{bad, good} {
+		if _, err := g.Start(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Wait("bad"); err == nil || !strings.Contains(err.Error(), "boom: publish t") {
+		t.Fatalf("Wait(bad) = %v, want the panic text", err)
+	}
+	if err := g.Wait("good"); err != nil {
+		t.Fatalf("Wait(good) = %v", err)
+	}
+	st, _ := g.Status("bad")
+	if st.State != StateFailed || !strings.Contains(st.Error, "boom: publish t") || st.Seq == 0 {
+		t.Fatalf("bad run status = %+v, want failed mid-run with the panic text", st)
+	}
+	if st, _ := g.Status("good"); st.State != StateDone {
+		t.Fatalf("good run status = %+v, want done", st)
+	}
+	var journal bytes.Buffer
+	if err := g.Journal().WriteLog(&journal); err != nil {
+		t.Fatal(err)
+	}
+	var failed string
+	for _, line := range strings.Split(journal.String(), "\n") {
+		if strings.Contains(line, `"run":"bad"`) && strings.Contains(line, `"event":"failed"`) {
+			failed = line
+		}
+	}
+	if !strings.Contains(failed, "boom: publish t") {
+		t.Fatalf("no failed journal record with the panic text for the bad run:\n%s", journal.String())
+	}
+	for name, f := range map[string]*FakeBackend{"kafka": kafka, "mqtt": mqtt} {
+		var buf bytes.Buffer
+		if err := f.WriteLog(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != want[name] || buf.Len() == 0 {
+			t.Errorf("%s log of the good run differs beside a panicking run:\n%s\nwant:\n%s", name, buf.String(), want[name])
+		}
+	}
+}
+
+// TestPostRunsBodyLimit: POST /runs reads at most maxRunSpecBytes; a
+// larger body is refused with 413 before any run is built.
+func TestPostRunsBodyLimit(t *testing.T) {
+	g, srv := testServer(t)
+	body := `{"id":"` + strings.Repeat("a", maxRunSpecBytes) + `","run":{"seed":1,"horizon":400000000,"slice":50000000}}`
+	resp, err := http.Post(srv.URL+"/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /runs: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST /runs with a %d-byte body: %d, want 413", len(body), resp.StatusCode)
+	}
+	if len(g.List()) != 0 {
+		t.Fatalf("the oversized spec started a run: %+v", g.List())
+	}
+}
+
+// TestListenSetsServerLimits: the gateway's listener is built by
+// obs.NewHTTPServer, whose slow-header behaviour internal/obs tests on
+// a live socket.
+func TestListenSetsServerLimits(t *testing.T) {
+	g := NewGateway(GatewayConfig{})
+	s, err := Listen("127.0.0.1:0", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.srv.ReadHeaderTimeout <= 0 || s.srv.IdleTimeout <= 0 || s.srv.WriteTimeout != 0 {
+		t.Fatalf("server limits: read-header %v, idle %v, write %v; want the first two set and no write timeout (SSE)",
+			s.srv.ReadHeaderTimeout, s.srv.IdleTimeout, s.srv.WriteTimeout)
+	}
+}

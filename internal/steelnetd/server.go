@@ -2,6 +2,7 @@ package steelnetd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -64,8 +65,13 @@ func NewServeMux(g *Gateway) *http.ServeMux {
 	})
 	handle("POST /runs", "/runs", func(w http.ResponseWriter, r *http.Request) {
 		var spec RunSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			http.Error(w, "bad run spec: "+err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunSpecBytes)).Decode(&spec); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "bad run spec: "+err.Error(), status)
 			return
 		}
 		id, err := g.Start(spec)
@@ -154,6 +160,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v) //nolint:errcheck // client went away
 }
 
+// maxRunSpecBytes bounds a POST /runs body (413 beyond it). A run spec
+// is a few hundred bytes; its rule set is the only part that grows.
+const maxRunSpecBytes = 1 << 20
+
 // Server is the gateway's HTTP server.
 type Server struct {
 	g    *Gateway
@@ -169,7 +179,7 @@ func Listen(addr string, g *Gateway) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{g: g, ln: ln, srv: &http.Server{Handler: NewServeMux(g)}, done: make(chan struct{})}
+	s := &Server{g: g, ln: ln, srv: obs.NewHTTPServer(NewServeMux(g)), done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
 		s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close

@@ -26,9 +26,11 @@
 #                                                 FIB lookups per transit,
 #                                                 no write when the source
 #                                                 is already known)
-#   BenchmarkSwitchForwardingINT    0 allocs/op  (pooled INT stacks: the
-#                                                 source Gets from and the
-#                                                 sink Puts to one free list)
+#   BenchmarkSwitchForwardingINT    0 allocs/op  (INT on: the source host
+#                                                 attaches from, and the
+#                                                 sink strips into, the
+#                                                 frame.Pool the frames
+#                                                 come from)
 #   BenchmarkVMReflectorProgram     0 allocs/op  (compiled program reuses
 #                                                 its scratch context)
 #   BenchmarkReflectionProbe        0 allocs/op  (one Fig. 4 probe cycle:
@@ -188,7 +190,7 @@ done
 guard_allocs BenchmarkEngineBatchDrain 0 "a same-instant batch must be staged without allocating"
 guard_allocs 'BenchmarkSwitchForwarding\/fib=8' 0 "telemetry disabled must be 0 allocs/op"
 guard_allocs 'BenchmarkSwitchForwarding\/fib=512' 0 "a populated FIB must forward without allocating"
-guard_allocs BenchmarkSwitchForwardingINT 0 "pooled INT stacks must recycle, not allocate"
+guard_allocs BenchmarkSwitchForwardingINT 0 "INT stacks must recycle through the frame pool, not allocate"
 guard_allocs BenchmarkVMReflectorProgram 0 "compiled eBPF must reuse its scratch context"
 guard_allocs BenchmarkReflectionProbe 0 "a reflection probe's whole life (sender, tap, reflector, back) must not allocate"
 guard_allocs BenchmarkInstaPLCCycle 0 "an I/O cycle through vPLCs, pipeline and device must recycle its frames and jobs"
