@@ -45,48 +45,31 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("gapminer", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	return cli.Main("gapminer", 1, args, stdout, stderr, command)
+}
+
+// command registers gapminer's own flags and returns its body.
+func command(fs *flag.FlagSet) func(*cli.Env) error {
 	seed := fs.Uint64("seed", 1, "corpus shuffle seed (counts are seed-invariant)")
 	requirements := fs.Bool("requirements", false, "also print the §2.1-§2.3 requirement checks")
-	workers := cli.RegisterWorkersFlagOn(fs, 1)
-	res := cli.RegisterResumeFlagsOn(fs)
-	tel := cli.RegisterTelemetryFlagsOn(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	tel.Out = stdout
-	tel.Err = stderr
-	if err := tel.Begin("gapminer"); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	ckptPath, err := res.Path()
-	if err != nil {
-		fmt.Fprintf(stderr, "gapminer: %v\n", err)
-		return 2
-	}
+	return func(env *cli.Env) error {
+		stdout := env.Stdout
+		fig, err := figure1(*seed, env.Checkpoint, env.Workers)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(stdout, fig.Table)
+		fmt.Fprintf(stdout, "research gap: smallest IT-side bar is %.0fx the largest OT-side bar\n\n", corpus.GapRatio(fig.Counts))
 
-	table, counts, err := figure1(*seed, ckptPath, *workers)
-	if err != nil {
-		fmt.Fprintf(stderr, "gapminer: %v\n", err)
-		return 1
+		if *requirements {
+			fmt.Fprint(stdout, core.RenderTimingCheck(core.Section21TimingCheck(host.PreemptRT, *seed, 20000)))
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, core.RenderAvailability(core.RunAvailabilityComparison(core.DefaultAvailabilityConfig())))
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, core.RenderTrafficMix(core.Section23TrafficMix(*seed, trafficgen.DefaultMix)))
+		}
+		return nil
 	}
-	fmt.Fprint(stdout, table)
-	fmt.Fprintf(stdout, "research gap: smallest IT-side bar is %.0fx the largest OT-side bar\n\n", corpus.GapRatio(counts))
-
-	if *requirements {
-		fmt.Fprint(stdout, core.RenderTimingCheck(core.Section21TimingCheck(host.PreemptRT, *seed, 20000)))
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, core.RenderAvailability(core.RunAvailabilityComparison(core.DefaultAvailabilityConfig())))
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, core.RenderTrafficMix(core.Section23TrafficMix(*seed, trafficgen.DefaultMix)))
-	}
-	if err := tel.End(); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	return 0
 }
 
 // figure1Result is the cached form of the mined figure.
@@ -95,36 +78,25 @@ type figure1Result struct {
 	Counts []corpus.Count
 }
 
+func walkFigure1(c *checkpoint.Codec, r *figure1Result) {
+	c.Str(&r.Table)
+	checkpoint.Slice(c, &r.Counts, func(c *checkpoint.Codec, n *corpus.Count) {
+		c.Str(&n.Label)
+		checkpoint.Int(c, &n.Occurrences)
+	})
+}
+
 // figure1 mines Fig. 1, optionally through a one-cell resumable sweep:
 // with a checkpoint path the mined counts persist, and a resumed run
 // reprints without re-mining.
-func figure1(seed uint64, ckptPath string, workers int) (string, []corpus.Count, error) {
-	ck := sweep.Checkpointer[figure1Result]{
-		Path: ckptPath,
-		Kind: "figure1",
-		Encode: func(e *checkpoint.Encoder, r figure1Result) {
-			e.Str(r.Table)
-			e.Int(len(r.Counts))
-			for _, c := range r.Counts {
-				e.Str(c.Label)
-				e.Int(c.Occurrences)
-			}
-		},
-		Decode: func(d *checkpoint.Decoder) figure1Result {
-			r := figure1Result{Table: d.Str()}
-			n := d.Int()
-			for i := 0; i < n && d.Err() == nil; i++ {
-				r.Counts = append(r.Counts, corpus.Count{Label: d.Str(), Occurrences: d.Int()})
-			}
-			return r
-		},
-	}
+func figure1(seed uint64, ckptPath string, workers int) (figure1Result, error) {
+	ck := sweep.Checkpointer[figure1Result]{Path: ckptPath, Kind: "figure1", Walk: walkFigure1}
 	out, err := sweep.RunCells(workers, 1, nil, ck, sweep.Sinks{}, func(int, sweep.Sinks) figure1Result {
 		table, counts := core.Figure1(seed)
 		return figure1Result{Table: table, Counts: counts}
 	})
 	if err != nil {
-		return "", nil, err
+		return figure1Result{}, err
 	}
-	return out[0].Table, out[0].Counts, nil
+	return out[0], nil
 }

@@ -54,8 +54,11 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("instaplcd", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	return cli.Main("instaplcd", 0, args, stdout, stderr, command)
+}
+
+// command registers instaplcd's own flags and returns its body.
+func command(fs *flag.FlagSet) func(*cli.Env) error {
 	seed := fs.Uint64("seed", 1, "experiment seed")
 	cycle := fs.Duration("cycle", 1600*time.Microsecond, "IO cycle time")
 	fail := fs.Duration("fail", 1300*time.Millisecond, "when the primary vPLC crashes")
@@ -64,123 +67,86 @@ func run(args []string, stdout, stderr io.Writer) int {
 	baseline := fs.Bool("baseline", false, "disable InstaPLC (plain L2 switch) for comparison")
 	faultSpec := fs.String("faults", "", "fault plan spec replacing the default crash (kind:target@at[+dur][*mag],...)")
 	chaos := fs.Bool("chaos", false, "sweep randomized fault plans over the scenario")
-	workers := cli.RegisterWorkersFlagOn(fs, 0)
 	every := fs.Duration("checkpoint-every", 500*time.Millisecond, "simulated time between periodic checkpoints")
-	res := cli.RegisterResumeFlagsOn(fs)
-	tel := cli.RegisterTelemetryFlagsOn(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	tel.Out = stdout
-	tel.Err = stderr
-	if err := tel.Begin("instaplcd"); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	ckptPath, err := res.Path()
-	if err != nil {
-		fmt.Fprintf(stderr, "instaplcd: %v\n", err)
-		return 2
-	}
+	return func(env *cli.Env) error {
+		stdout := env.Stdout
+		cfg := instaplc.DefaultExperimentConfig()
+		cfg.Seed = *seed
+		cfg.Cycle = *cycle
+		cfg.FailAt = *fail
+		cfg.Horizon = *horizon
+		cfg.InstaWatchdogCycles = *wd
+		cfg.DisableInstaPLC = *baseline
+		cfg.Sinks = env.Tel.Sinks()
+		cfg.INT = cfg.Collector != nil
 
-	cfg := instaplc.DefaultExperimentConfig()
-	cfg.Seed = *seed
-	cfg.Cycle = *cycle
-	cfg.FailAt = *fail
-	cfg.Horizon = *horizon
-	cfg.InstaWatchdogCycles = *wd
-	cfg.DisableInstaPLC = *baseline
-	cfg.Trace = tel.Tracer
-	cfg.Metrics = tel.Registry
-	cfg.INT = tel.Collector != nil
-	cfg.Collector = tel.Collector
-
-	if *chaos {
-		ccfg := core.DefaultChaosConfig()
-		ccfg.Seed = *seed
-		ccfg.Base = cfg
-		ccfg.Workers = *workers
-		cells, err := core.RunChaosSweepResumable(ccfg, ckptPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "instaplcd: %v\n", err)
-			return 1
-		}
-		fmt.Fprint(stdout, core.RenderChaosSweep(cells))
-		if err := tel.End(); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		return 0
-	}
-
-	if *faultSpec != "" {
-		plan, err := faults.ParsePlan(*faultSpec)
-		if err != nil {
-			fmt.Fprintf(stderr, "instaplcd: %v\n", err)
-			return 2
-		}
-		cfg.Faults = &plan
-	}
-
-	h, err := buildHarness(cfg, res.ResumePath, tel)
-	if err != nil {
-		fmt.Fprintf(stderr, "instaplcd: %v\n", err)
-		return 1
-	}
-	tel.AdoptCollector(h.Collector())
-	if err := advanceWithCheckpoints(h, ckptPath, *every); err != nil {
-		fmt.Fprintf(stderr, "instaplcd: -checkpoint: %v\n", err)
-		return 1
-	}
-	r := h.Result()
-
-	fmt.Fprint(stdout, instaplc.RenderFigure5(r))
-	if *faultSpec != "" {
-		fmt.Fprintf(stdout, "\nfault trace (plan %q):\n%s", *faultSpec, r.FaultTrace)
-	}
-	fmt.Fprintf(stdout, "\nswitchovers=%d absorbed-by-twin=%d failsafe-events=%d final-device-state=%v io-availability=%.4f\n",
-		r.Switchovers, r.AbsorbedFrames, r.FailsafeEvents, r.DeviceState, r.IOAvailability)
-	if cfg.INT {
-		fmt.Fprintf(stdout, "int: %d in-band observations, %d path change(s)\n", r.INTObservations, len(r.PathChanges))
-		for _, pc := range r.PathChanges {
-			if pc.From == "" {
-				continue // a flow's first path is not a failover
+		if *chaos {
+			ccfg := core.DefaultChaosConfig()
+			ccfg.Seed = *seed
+			ccfg.Base = cfg
+			ccfg.Workers = env.Workers
+			cells, err := core.RunChaosSweepResumable(ccfg, env.Checkpoint)
+			if err != nil {
+				return err
 			}
-			fmt.Fprintf(stdout, "int: flow %d re-routed %s -> %s at t=%v (gap %v, %d silent)\n",
-				pc.Flow, pc.From, pc.To, time.Duration(pc.AtNS), time.Duration(pc.GapNS), pc.Silent)
+			fmt.Fprint(stdout, core.RenderChaosSweep(cells))
+			return nil
 		}
-	}
-	if r.SwitchoverAt > 0 {
-		if *faultSpec != "" {
-			// A user plan may contain several failures; the delta against
-			// the single default FailAt would be meaningless.
-			fmt.Fprintf(stdout, "switchover completed at t=%v\n", r.SwitchoverAt)
-		} else {
-			fmt.Fprintf(stdout, "switchover completed %v after the failure\n", r.SwitchoverAt.Sub(r.FailAt))
-		}
-	}
-	if err := tel.End(); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	return 0
-}
 
-// buildHarness constructs the run: fresh from cfg, or — with -resume —
-// restored from a checkpoint (its recorded configuration wins; the
-// restore replays deterministically to the checkpointed instant and
-// verifies the state digest). A fault plan that does not fit the
-// scenario comes back as the constructor's error.
-func buildHarness(cfg instaplc.ExperimentConfig, resumePath string, tel *cli.Telemetry) (*instaplc.Harness, error) {
-	if resumePath != "" {
-		f, err := os.Open(resumePath)
-		if err != nil {
-			return nil, err
+		if *faultSpec != "" {
+			plan, err := faults.ParsePlan(*faultSpec)
+			if err != nil {
+				return cli.Usagef("%v", err)
+			}
+			cfg.Faults = &plan
 		}
-		defer f.Close()
-		return instaplc.RestoreWithCollector(f, tel.Tracer, tel.Registry, tel.Collector)
+
+		// With -resume the recorded configuration wins: the restore
+		// replays it into cfg's sinks up to the checkpointed instant and
+		// verifies the state digest. A fault plan that does not fit the
+		// scenario comes back as the constructor's error.
+		var h *instaplc.Harness
+		var err error
+		if env.Resume != nil {
+			h, err = instaplc.RestoreWith(env.Resume, cfg.Sinks)
+		} else {
+			h, err = instaplc.BuildHarness(cfg)
+		}
+		if err != nil {
+			return err
+		}
+		if err := advanceWithCheckpoints(h, env.Checkpoint, *every); err != nil {
+			return fmt.Errorf("-checkpoint: %w", err)
+		}
+		r := h.Result()
+
+		fmt.Fprint(stdout, instaplc.RenderFigure5(r))
+		if *faultSpec != "" {
+			fmt.Fprintf(stdout, "\nfault trace (plan %q):\n%s", *faultSpec, r.FaultTrace)
+		}
+		fmt.Fprintf(stdout, "\nswitchovers=%d absorbed-by-twin=%d failsafe-events=%d final-device-state=%v io-availability=%.4f\n",
+			r.Switchovers, r.AbsorbedFrames, r.FailsafeEvents, r.DeviceState, r.IOAvailability)
+		if cfg.INT {
+			fmt.Fprintf(stdout, "int: %d in-band observations, %d path change(s)\n", r.INTObservations, len(r.PathChanges))
+			for _, pc := range r.PathChanges {
+				if pc.From == "" {
+					continue // a flow's first path is not a failover
+				}
+				fmt.Fprintf(stdout, "int: flow %d re-routed %s -> %s at t=%v (gap %v, %d silent)\n",
+					pc.Flow, pc.From, pc.To, time.Duration(pc.AtNS), time.Duration(pc.GapNS), pc.Silent)
+			}
+		}
+		if r.SwitchoverAt > 0 {
+			if *faultSpec != "" {
+				// A user plan may contain several failures; the delta against
+				// the single default FailAt would be meaningless.
+				fmt.Fprintf(stdout, "switchover completed at t=%v\n", r.SwitchoverAt)
+			} else {
+				fmt.Fprintf(stdout, "switchover completed %v after the failure\n", r.SwitchoverAt.Sub(r.FailAt))
+			}
+		}
+		return nil
 	}
-	return instaplc.BuildHarness(cfg)
 }
 
 // advanceWithCheckpoints runs the harness to its horizon; with a

@@ -43,80 +43,59 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("reflectbench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	return cli.Main("reflectbench", 0, args, stdout, stderr, command)
+}
+
+// command registers reflectbench's own flags and returns its body.
+func command(fs *flag.FlagSet) func(*cli.Env) error {
 	seed := fs.Uint64("seed", 1, "experiment seed")
 	cycles := fs.Int("cycles", 2000, "probe cycles per flow")
 	cycle := fs.Duration("cycle", 2*time.Millisecond, "probe cycle time")
 	flows := fs.String("flows", "1,25", "comma-separated flow counts for the jitter sweep")
 	delayOnly := fs.Bool("delay-only", false, "run only the Fig. 4 (left) delay experiment")
 	jitterOnly := fs.Bool("jitter-only", false, "run only the Fig. 4 (right) jitter sweep")
-	workers := cli.RegisterWorkersFlagOn(fs, 0)
-	res := cli.RegisterResumeFlagsOn(fs)
-	tel := cli.RegisterTelemetryFlagsOn(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	tel.Out = stdout
-	tel.Err = stderr
-	if err := tel.Begin("reflectbench"); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	ckptPath, err := res.Path()
-	if err != nil {
-		fmt.Fprintf(stderr, "reflectbench: %v\n", err)
-		return 2
-	}
+	return func(env *cli.Env) error {
+		stdout := env.Stdout
+		cfg := reflection.DefaultConfig()
+		cfg.Seed = *seed
+		cfg.Cycles = *cycles
+		cfg.Cycle = *cycle
+		cfg.Workers = env.Workers
+		cfg.Sinks = env.Tel.Sinks()
+		cfg.INT = cfg.Collector != nil
 
-	cfg := reflection.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.Cycles = *cycles
-	cfg.Cycle = *cycle
-	cfg.Workers = *workers
-	cfg.Trace = tel.Tracer
-	cfg.Metrics = tel.Registry
-	cfg.INT = tel.Collector != nil
-	cfg.Collector = tel.Collector
-
-	if !*jitterOnly {
-		results, err := reflection.RunAllVariantsResumable(cfg, ckptPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "reflectbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprint(stdout, reflection.DelayTable(results))
-		for _, r := range results {
-			if r.RingRecords > 0 {
-				fmt.Fprintf(stdout, "  %s emitted %d ring-buffer records\n", r.Variant, r.RingRecords)
+		if !*jitterOnly {
+			results, err := reflection.RunAllVariantsResumable(cfg, env.Checkpoint)
+			if err != nil {
+				return err
 			}
+			fmt.Fprint(stdout, reflection.DelayTable(results))
+			for _, r := range results {
+				if r.RingRecords > 0 {
+					fmt.Fprintf(stdout, "  %s emitted %d ring-buffer records\n", r.Variant, r.RingRecords)
+				}
+			}
+			fmt.Fprintln(stdout)
 		}
-		fmt.Fprintln(stdout)
-	}
-	if !*delayOnly {
-		counts, err := cli.ParseInts(*flows)
-		if err != nil {
-			fmt.Fprintf(stderr, "reflectbench: bad -flows: %v\n", err)
-			return 2
+		if !*delayOnly {
+			counts, err := cli.ParseInts(*flows)
+			if err != nil {
+				return cli.Usagef("bad -flows: %v", err)
+			}
+			jitterPath := env.Checkpoint
+			if jitterPath != "" && !*jitterOnly {
+				// Both sweeps checkpoint: keep their files apart.
+				jitterPath += ".jitter"
+			}
+			results, err := reflection.RunFlowSweepResumable(cfg, counts, jitterPath)
+			if err != nil {
+				return err
+			}
+			fmt.Fprint(stdout, reflection.JitterTable(results))
 		}
-		jitterPath := ckptPath
-		if jitterPath != "" && !*jitterOnly {
-			// Both sweeps checkpoint: keep their files apart.
-			jitterPath += ".jitter"
+		if cfg.INT {
+			fmt.Fprint(stdout, reflection.DecompositionTable(cfg.Collector.Digests()))
 		}
-		results, err := reflection.RunFlowSweepResumable(cfg, counts, jitterPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "reflectbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprint(stdout, reflection.JitterTable(results))
+		return nil
 	}
-	if cfg.INT {
-		fmt.Fprint(stdout, reflection.DecompositionTable(tel.Collector.Digests()))
-	}
-	if err := tel.End(); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	return 0
 }

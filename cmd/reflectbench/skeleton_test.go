@@ -1,0 +1,9 @@
+package main
+
+import (
+	"testing"
+
+	"steelnet/internal/cli/clitest"
+)
+
+func TestSkeleton(t *testing.T) { clitest.Skeleton(t, run, "reflectbench") }

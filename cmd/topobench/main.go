@@ -64,127 +64,94 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("topobench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	return cli.Main("topobench", 0, args, stdout, stderr, command)
+}
+
+// command registers topobench's own flags and returns its body.
+func command(fs *flag.FlagSet) func(*cli.Env) error {
 	seed := fs.Uint64("seed", 1, "experiment seed")
 	clients := fs.String("clients", "32,64,128,256", "comma-separated client counts")
 	horizon := fs.Duration("horizon", 2*time.Second, "simulated time per cell")
-	workers := cli.RegisterWorkersFlagOn(fs, 0)
 	campus := fs.Bool("campus", false, "run the campus-scale sharded experiment instead of the Fig. 6 grid")
 	cells := fs.Int("cells", 4, "campus: production cells (one shard each)")
 	cellSwitches := fs.Int("cell-switches", 8, "campus: switches per cell tree")
 	cellHosts := fs.Int("cell-hosts", 2, "campus: hosts per switch")
 	spines := fs.Int("spines", 2, "campus: backbone spine switches")
-	res := cli.RegisterResumeFlagsOn(fs)
-	tel := cli.RegisterTelemetryFlagsOn(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	for _, size := range []struct {
-		flag string
-		n    int
-	}{{"cells", *cells}, {"cell-switches", *cellSwitches}, {"cell-hosts", *cellHosts}, {"spines", *spines}} {
-		if size.n < 1 {
-			fmt.Fprintf(stderr, "topobench: bad -%s %d: a campus needs at least 1\n", size.flag, size.n)
-			return 2
+	return func(env *cli.Env) error {
+		for _, size := range []struct {
+			flag string
+			n    int
+		}{{"cells", *cells}, {"cell-switches", *cellSwitches}, {"cell-hosts", *cellHosts}, {"spines", *spines}} {
+			if size.n < 1 {
+				return cli.Usagef("bad -%s %d: a campus needs at least 1", size.flag, size.n)
+			}
 		}
-	}
-	tel.Out = stdout
-	tel.Err = stderr
-	if err := tel.Begin("topobench"); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	ckptPath, err := res.Path()
-	if err != nil {
-		fmt.Fprintf(stderr, "topobench: %v\n", err)
-		return 2
-	}
+		tel := env.Tel
+		if *campus {
+			return runCampus(core.CampusConfig{
+				Seed: *seed,
+				Topo: topo.CampusConfig{
+					Cells:           *cells,
+					SwitchesPerCell: *cellSwitches,
+					HostsPerSwitch:  *cellHosts,
+					Spines:          *spines,
+				},
+				Horizon: sim.Duration(horizon.Nanoseconds()),
+				INT:     tel.Collector != nil,
+				SLO:     tel.SLOSpec,
+				Workers: env.Workers,
+				// Observational knobs, never encoded in checkpoints: the
+				// profiler rides -stats/-obs-addr, per-shard tracing rides
+				// -trace, and the registry collects whenever either asked.
+				Profile: tel.Registry != nil,
+				Trace:   tel.Tracer != nil,
+				Metrics: tel.Registry,
+			}, env)
+		}
 
-	if *campus {
-		cfg := core.CampusConfig{
-			Seed: *seed,
-			Topo: topo.CampusConfig{
-				Cells:           *cells,
-				SwitchesPerCell: *cellSwitches,
-				HostsPerSwitch:  *cellHosts,
-				Spines:          *spines,
-			},
-			Horizon: sim.Duration(horizon.Nanoseconds()),
-			INT:     tel.Collector != nil,
-			SLO:     tel.SLOSpec,
-			Workers: *workers,
-			// Observational knobs, never encoded in checkpoints: the
-			// profiler rides -stats/-obs-addr, per-shard tracing rides
-			// -trace, and the registry collects whenever either asked.
-			Profile: tel.Registry != nil,
-			Trace:   tel.Tracer != nil,
-			Metrics: tel.Registry,
+		counts, err := cli.ParseInts(*clients)
+		if err != nil {
+			return cli.Usagef("bad -clients: %v", err)
 		}
-		return runCampus(cfg, res.ResumePath, ckptPath, tel, stdout, stderr)
-	}
-
-	counts, err := cli.ParseInts(*clients)
-	if err != nil {
-		fmt.Fprintf(stderr, "topobench: bad -clients: %v\n", err)
-		return 2
-	}
-	cfg := mltopo.Figure6Config{
-		Seed: *seed, ClientCounts: counts, Horizon: *horizon,
-		Workers: *workers,
-		Trace:   tel.Tracer, Metrics: tel.Registry,
-		INT: tel.Collector != nil, Collector: tel.Collector,
-	}
-	results, err := mltopo.RunFigure6Resumable(cfg, ckptPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "topobench: %v\n", err)
-		return 1
-	}
-	fmt.Fprint(stdout, mltopo.RenderFigure6(results))
-	var worst float64
-	for _, r := range results {
-		if r.LossRate > worst {
-			worst = r.LossRate
+		results, err := mltopo.RunFigure6Resumable(mltopo.Figure6Config{
+			Seed: *seed, ClientCounts: counts, Horizon: *horizon,
+			Workers: env.Workers,
+			INT:     tel.Collector != nil, Sinks: tel.Sinks(),
+		}, env.Checkpoint)
+		if err != nil {
+			return err
 		}
+		fmt.Fprint(env.Stdout, mltopo.RenderFigure6(results))
+		var worst float64
+		for _, r := range results {
+			if r.LossRate > worst {
+				worst = r.LossRate
+			}
+		}
+		fmt.Fprintf(env.Stdout, "worst-case request loss across cells: %.3f\n", worst)
+		return nil
 	}
-	fmt.Fprintf(stdout, "worst-case request loss across cells: %.3f\n", worst)
-	if err := tel.End(); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	return 0
 }
 
 // runCampus executes the campus experiment: a fresh build, or a
-// deterministic replay-and-continue from a checkpoint. The worker count
-// is never encoded in checkpoints, so a run saved under -shards=1 may
-// resume under -shards=8 (and vice versa) with byte-identical output.
-func runCampus(cfg core.CampusConfig, resumePath, ckptPath string, tel *cli.Telemetry, stdout, stderr io.Writer) int {
+// deterministic replay-and-continue from a checkpoint under this run's
+// worker count and observational knobs. Neither is ever encoded in
+// checkpoints, so a run saved under -shards=1 may resume under -shards=8
+// (and vice versa) with byte-identical output.
+func runCampus(cfg core.CampusConfig, env *cli.Env) error {
 	var (
 		h   *core.CampusHarness
 		err error
 	)
-	if resumePath != "" {
-		f, oerr := os.Open(resumePath)
-		if oerr != nil {
-			fmt.Fprintf(stderr, "topobench: -resume: %v\n", oerr)
-			return 2
-		}
-		h, err = core.RestoreCampusWith(f, cfg.Workers, func(c *core.CampusConfig) {
-			// Checkpoints carry only the scenario; re-arm this run's
-			// observational knobs on the restored harness.
-			c.Profile = cfg.Profile
-			c.Trace = cfg.Trace
-			c.Metrics = cfg.Metrics
-		})
-		f.Close()
+	if env.Resume != nil {
+		h, err = core.RestoreCampus(env.Resume, cfg)
 	} else {
 		h, err = core.NewCampusHarness(cfg)
 	}
 	if err != nil {
-		fmt.Fprintf(stderr, "topobench: campus: %v\n", err)
-		return 1
+		return fmt.Errorf("campus: %w", err)
 	}
+	tel := env.Tel
 	if tel.Obs != nil {
 		// Live publishing: advance the horizon in slices and publish a
 		// snapshot at each safe point. Slicing never changes output —
@@ -202,33 +169,30 @@ func runCampus(cfg core.CampusConfig, resumePath, ckptPath string, tel *cli.Tele
 		h.Run()
 	}
 	result := h.Result()
-	fmt.Fprint(stdout, core.RenderCampus(result))
+	fmt.Fprint(env.Stdout, core.RenderCampus(result))
 	if tel.Stats && h.Config().Profile {
-		fmt.Fprint(stdout, core.RenderShardProfile(h.ShardProfile()))
+		fmt.Fprint(env.Stdout, core.RenderShardProfile(h.ShardProfile()))
 	}
 	if tel.Tracer != nil {
 		// Hand the stitched cross-shard timeline to the session tracer
 		// so -trace exports one causal JSONL/Perfetto document.
 		tel.Tracer.AbsorbEvents(h.MergedTrace())
 	}
-	if ckptPath != "" {
+	if env.Checkpoint != "" {
 		// Atomic: -resume and -checkpoint usually name the same file, and
 		// a crash mid-save must not destroy the checkpoint just read.
-		werr := checkpoint.WriteFileAtomic(ckptPath, h.Save)
-		if werr != nil {
-			fmt.Fprintf(stderr, "topobench: -checkpoint: %v\n", werr)
-			return 1
+		if err := checkpoint.WriteFileAtomic(env.Checkpoint, h.Save); err != nil {
+			return fmt.Errorf("-checkpoint: %w", err)
 		}
 	}
-	tel.AdoptCollector(h.MergedCollector())
+	// The campus collects per shard; End exports the merged views.
+	if mc := h.MergedCollector(); mc != nil {
+		tel.Collector = mc
+	}
 	if tel.Watchdog != nil {
 		if mw := h.MergedWatchdog(); mw != nil {
 			tel.Watchdog.Absorb(mw)
 		}
 	}
-	if err := tel.End(); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	return 0
+	return nil
 }

@@ -206,8 +206,8 @@ func ReadHarness(r io.Reader, wantKind string) (config []byte, at int64, digest 
 	dec := NewDecoder(prog)
 	at = dec.I64()
 	digest = dec.U64()
-	if dec.Err() != nil {
-		return nil, 0, 0, fmt.Errorf("%w: %v", ErrCorrupt, dec.Err())
+	if err := dec.Finish(); err != nil {
+		return nil, 0, 0, fmt.Errorf("progress section: %w", err)
 	}
 	return config, at, digest, nil
 }
@@ -229,26 +229,26 @@ func (e *DivergenceError) Error() string {
 }
 
 // Replay is the restore half of every replay-anchored harness
-// checkpoint: read the container, decode the recorded configuration,
-// build a fresh harness from it, replay deterministically from time zero
-// to the recorded instant, and verify the state digest. A mismatch
-// returns *DivergenceError. decode reads the harness's "config" section;
-// build receives the result only if it decoded cleanly, attaches
-// whatever the checkpoint does not record (telemetry, collectors, worker
-// counts) and constructs the harness. T is the harness's simulated-time
-// type — sim.Time, which this package sits below and cannot name.
+// checkpoint: read the container, fill the recorded configuration
+// through the kind's walk, build a fresh harness from it, replay
+// deterministically from time zero to the recorded instant, and verify
+// the state digest. A mismatch returns *DivergenceError. build receives
+// the configuration only if the "config" section held exactly what walk
+// reads, attaches whatever the checkpoint does not record (telemetry
+// sinks, worker counts) and constructs the harness. T is the harness's
+// simulated-time type — sim.Time, which this package sits below and
+// cannot name.
 func Replay[T ~int64, C any, H interface {
 	AdvanceTo(T)
 	Digest() uint64
-}](r io.Reader, kind string, decode func(*Decoder) C, build func(C) (H, error)) (H, error) {
+}](r io.Reader, kind string, walk func(*Codec, *C), build func(C) (H, error)) (H, error) {
 	var none H
 	cfgBytes, at, digest, err := ReadHarness(r, kind)
 	if err != nil {
 		return none, err
 	}
-	d := NewDecoder(cfgBytes)
-	cfg := decode(d)
-	if err := d.Err(); err != nil {
+	var cfg C
+	if err := Decode(walk, cfgBytes, &cfg); err != nil {
 		return none, fmt.Errorf("checkpoint: bad %s config: %w", kind, err)
 	}
 	h, err := build(cfg)

@@ -24,9 +24,6 @@ func (e *Encoder) Data() []byte { return e.buf }
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
-// U16 appends a little-endian uint16.
-func (e *Encoder) U16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
-
 // U32 appends a little-endian uint32.
 func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 
@@ -71,14 +68,6 @@ func (e *Encoder) F64Slice(vs []float64) {
 	}
 }
 
-// IntSlice appends a length-prefixed []int.
-func (e *Encoder) IntSlice(vs []int) {
-	e.U32(uint32(len(vs)))
-	for _, v := range vs {
-		e.Int(v)
-	}
-}
-
 // Decoder reads what Encoder wrote. Errors are sticky: after the first
 // short read every accessor returns the zero value and Err() reports the
 // failure, so decode sequences read linearly without per-call checks.
@@ -117,15 +106,6 @@ func (d *Decoder) U8() uint8 {
 		return 0
 	}
 	return b[0]
-}
-
-// U16 reads a little-endian uint16.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
 }
 
 // U32 reads a little-endian uint32.
@@ -180,34 +160,19 @@ func (d *Decoder) Str() string {
 	return string(b)
 }
 
-// F64Slice reads a length-prefixed []float64.
+// F64Slice reads a length-prefixed []float64. The count is checked
+// against the bytes that are left before anything is sized from it.
 func (d *Decoder) F64Slice() []float64 {
 	n := int(d.U32())
+	if d.err == nil && n > d.Remaining()/8 {
+		d.err = fmt.Errorf("checkpoint: truncated payload: need %d float64s at offset %d of %d", n, d.off, len(d.buf))
+	}
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.F64())
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
-}
-
-// IntSlice reads a length-prefixed []int.
-func (d *Decoder) IntSlice() []int {
-	n := int(d.U32())
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.Int())
-	}
-	if d.err != nil {
-		return nil
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = d.F64()
 	}
 	return out
 }

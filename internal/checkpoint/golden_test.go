@@ -35,11 +35,19 @@ import (
 	"steelnet/internal/mrp"
 	"steelnet/internal/reflection"
 	"steelnet/internal/sim"
-	"steelnet/internal/telemetry"
+	"steelnet/internal/sweep"
 	"steelnet/internal/topo"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden checkpoint corpus")
+
+// restoreFunc is the one restore shape every kind exports.
+type restoreFunc func(io.Reader, sweep.Sinks) (resumable, error)
+
+// restoreAs adapts a kind's restore to the verifier's harness view.
+func restoreAs[H resumable](f func(io.Reader, sweep.Sinks) (H, error)) restoreFunc {
+	return func(r io.Reader, s sweep.Sinks) (resumable, error) { return f(r, s) }
+}
 
 // goldenCase builds a deterministic tiny harness, checkpointed at a
 // fixed instant, and restores its committed form.
@@ -47,13 +55,10 @@ type goldenCase struct {
 	name    string
 	at      sim.Time
 	build   func() resumable
-	restore func(r io.Reader) (resumable, error)
+	restore restoreFunc
 }
 
 func goldenCases() []goldenCase {
-	nilRestore := func(f func(io.Reader, *telemetry.Tracer, *telemetry.Registry) (resumable, error)) func(io.Reader) (resumable, error) {
-		return func(r io.Reader) (resumable, error) { return f(r, nil, nil) }
-	}
 	reflCfg := reflection.DefaultConfig()
 	reflCfg.Cycles = 40
 	mrpCfg := mrp.DefaultRingExperimentConfig()
@@ -75,44 +80,34 @@ func goldenCases() []goldenCase {
 	}
 	return []goldenCase{
 		{
-			name:  "instaplc",
-			at:    sim.Time(200 * sim.Millisecond),
-			build: func() resumable { return instaplc.NewHarness(smallInstaplcConfig()) },
-			restore: nilRestore(func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry) (resumable, error) {
-				return instaplc.Restore(r, tr, reg)
-			}),
+			name:    "instaplc",
+			at:      sim.Time(200 * sim.Millisecond),
+			build:   func() resumable { return instaplc.NewHarness(smallInstaplcConfig()) },
+			restore: restoreAs(instaplc.RestoreWith),
 		},
 		{
-			name:  "reflection",
-			at:    sim.Time(30 * sim.Millisecond),
-			build: func() resumable { return reflection.NewHarness(reflCfg, reflection.NewBase()) },
-			restore: nilRestore(func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry) (resumable, error) {
-				return reflection.Restore(r, tr, reg)
-			}),
+			name:    "reflection",
+			at:      sim.Time(30 * sim.Millisecond),
+			build:   func() resumable { return reflection.NewHarness(reflCfg, reflection.NewBase()) },
+			restore: restoreAs(reflection.Restore),
 		},
 		{
-			name:  "mrp",
-			at:    sim.Time(300 * sim.Millisecond),
-			build: func() resumable { return mrp.NewHarness(mrpCfg) },
-			restore: nilRestore(func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry) (resumable, error) {
-				return mrp.Restore(r, tr, reg)
-			}),
+			name:    "mrp",
+			at:      sim.Time(300 * sim.Millisecond),
+			build:   func() resumable { return mrp.NewHarness(mrpCfg) },
+			restore: restoreAs(mrp.Restore),
 		},
 		{
-			name:  "mltopo",
-			at:    sim.Time(100 * sim.Millisecond),
-			build: func() resumable { return mltopo.NewHarness(mlSc) },
-			restore: nilRestore(func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry) (resumable, error) {
-				return mltopo.Restore(r, tr, reg)
-			}),
+			name:    "mltopo",
+			at:      sim.Time(100 * sim.Millisecond),
+			build:   func() resumable { return mltopo.NewHarness(mlSc) },
+			restore: restoreAs(mltopo.Restore),
 		},
 		{
-			name:  "chaos",
-			at:    sim.Time(200 * sim.Millisecond),
-			build: func() resumable { return core.NewChaosCellHarness(chaosCfg, 7) },
-			restore: nilRestore(func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry) (resumable, error) {
-				return instaplc.Restore(r, tr, reg)
-			}),
+			name:    "chaos",
+			at:      sim.Time(200 * sim.Millisecond),
+			build:   func() resumable { return instaplc.NewHarness(core.ChaosCellConfig(chaosCfg, 7)) },
+			restore: restoreAs(instaplc.RestoreWith),
 		},
 		{
 			name: "campus",
@@ -124,8 +119,8 @@ func goldenCases() []goldenCase {
 				}
 				return h
 			},
-			restore: func(r io.Reader) (resumable, error) {
-				return core.RestoreCampus(r, 2)
+			restore: func(r io.Reader, _ sweep.Sinks) (resumable, error) {
+				return core.RestoreCampus(r, core.CampusConfig{Workers: 2})
 			},
 		},
 	}
@@ -190,7 +185,7 @@ func TestGolden(t *testing.T) {
 			}
 			// The committed bytes must still restore: replay to the
 			// recorded instant and re-verify the digest.
-			h2, err := c.restore(bytes.NewReader(want))
+			h2, err := c.restore(bytes.NewReader(want), sweep.Sinks{})
 			if err != nil {
 				t.Fatalf("restoring committed corpus for %q: %v\n%s", c.name, err, goldenMigrationHelp())
 			}
@@ -198,6 +193,41 @@ func TestGolden(t *testing.T) {
 				t.Fatalf("restored digest %#x, want %#x", got, wantD)
 			}
 		})
+	}
+}
+
+// TestGoldenRejectsTrailingSectionBytes: the container refuses bytes
+// after its last section; a section refuses bytes after its last field.
+// One byte appended inside "config" or "progress" (container resealed, so
+// only the section's own reader can object) is ErrCorrupt for every kind,
+// before anything is built.
+func TestGoldenRejectsTrailingSectionBytes(t *testing.T) {
+	for _, c := range goldenCases() {
+		raw, err := os.ReadFile(goldenPath(c.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, section := range []string{"config", "progress"} {
+			file, err := checkpoint.Read(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range file.Sections {
+				if file.Sections[i].Name == section {
+					file.Sections[i].Data = append(file.Sections[i].Data, 0)
+				}
+			}
+			var grown bytes.Buffer
+			if err := checkpoint.Write(&grown, file.Kind, file.Sections); err != nil {
+				t.Fatal(err)
+			}
+			if grown.Len() != len(raw)+1 {
+				t.Fatalf("%s: no %s section to grow", c.name, section)
+			}
+			if _, err := c.restore(&grown, sweep.Sinks{}); !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Errorf("%s with a byte appended to its %s section: err = %v, want ErrCorrupt", c.name, section, err)
+			}
+		}
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"steelnet/internal/mrp"
 	"steelnet/internal/reflection"
 	"steelnet/internal/sim"
+	"steelnet/internal/sweep"
 	"steelnet/internal/telemetry"
 )
 
@@ -39,16 +40,16 @@ type resumable interface {
 	Save(w io.Writer) error
 }
 
-// resumeCase builds one harness kind with telemetry attached and knows
-// how to restore it and render its observable output. Harnesses with
-// in-band telemetry set int and take a collector in build/restore (the
-// restore path hands it to RestoreWithCollector so the replayed window
-// feeds the collector — and the watchdog chained on it — from t=0).
+// resumeCase builds one harness kind into the given telemetry sinks and
+// knows how to restore it and render its observable output. Harnesses
+// with in-band telemetry set int and are handed a collector in the
+// sinks (the restore feeds it — and the watchdog chained on it — the
+// replayed window from t=0).
 type resumeCase struct {
 	name    string
 	int     bool
-	build   func(tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) resumable
-	restore func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) (resumable, error)
+	build   func(s sweep.Sinks) resumable
+	restore restoreFunc
 	render  func(h resumable) string
 }
 
@@ -73,43 +74,34 @@ func resumeCases() []resumeCase {
 	chaosCfg := core.DefaultChaosConfig()
 	chaosCfg.Base = smallInstaplcConfig()
 
+	instaplcRender := func(h resumable) string {
+		res := h.(*instaplc.Harness).Result()
+		return instaplc.RenderFigure5(res) +
+			fmt.Sprintf("%+v\n", res.Accounting) +
+			fmt.Sprintf("int=%d changes=%+v\n", res.INTObservations, res.PathChanges) +
+			res.FaultTrace
+	}
 	return []resumeCase{
 		{
 			name: "instaplc",
 			int:  true,
-			build: func(tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) resumable {
+			build: func(s sweep.Sinks) resumable {
 				cfg := smallInstaplcConfig()
-				cfg.Trace = tr
-				cfg.Metrics = reg
-				cfg.INT = coll != nil
-				cfg.Collector = coll
+				cfg.Sinks, cfg.INT = s, s.Collector != nil
 				return instaplc.NewHarness(cfg)
 			},
-			restore: func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) (resumable, error) {
-				return instaplc.RestoreWithCollector(r, tr, reg, coll)
-			},
-			render: func(h resumable) string {
-				res := h.(*instaplc.Harness).Result()
-				return instaplc.RenderFigure5(res) +
-					fmt.Sprintf("%+v\n", res.Accounting) +
-					fmt.Sprintf("int=%d changes=%+v\n", res.INTObservations, res.PathChanges) +
-					res.FaultTrace
-			},
+			restore: restoreAs(instaplc.RestoreWith),
+			render:  instaplcRender,
 		},
 		{
 			name: "reflection",
 			int:  true,
-			build: func(tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) resumable {
+			build: func(s sweep.Sinks) resumable {
 				cfg := reflCfg
-				cfg.Trace = tr
-				cfg.Metrics = reg
-				cfg.INT = coll != nil
-				cfg.Collector = coll
+				cfg.Sinks, cfg.INT = s, s.Collector != nil
 				return reflection.NewHarness(cfg, reflection.NewBase())
 			},
-			restore: func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) (resumable, error) {
-				return reflection.RestoreWithCollector(r, tr, reg, coll)
-			},
+			restore: restoreAs(reflection.Restore),
 			render: func(h resumable) string {
 				res := h.(*reflection.Harness).Result()
 				return reflection.DelayTable([]reflection.Result{res}) +
@@ -118,15 +110,12 @@ func resumeCases() []resumeCase {
 		},
 		{
 			name: "mrp",
-			build: func(tr *telemetry.Tracer, reg *telemetry.Registry, _ *intnet.Collector) resumable {
+			build: func(s sweep.Sinks) resumable {
 				cfg := mrpCfg
-				cfg.Trace = tr
-				cfg.Metrics = reg
+				cfg.Sinks = s
 				return mrp.NewHarness(cfg)
 			},
-			restore: func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry, _ *intnet.Collector) (resumable, error) {
-				return mrp.Restore(r, tr, reg)
-			},
+			restore: restoreAs(mrp.Restore),
 			render: func(h resumable) string {
 				return fmt.Sprintf("%+v", h.(*mrp.Harness).Result())
 			},
@@ -134,17 +123,12 @@ func resumeCases() []resumeCase {
 		{
 			name: "mltopo",
 			int:  true,
-			build: func(tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) resumable {
+			build: func(s sweep.Sinks) resumable {
 				sc := mlSc
-				sc.Trace = tr
-				sc.Metrics = reg
-				sc.INT = coll != nil
-				sc.Collector = coll
+				sc.Sinks, sc.INT = s, s.Collector != nil
 				return mltopo.NewHarness(sc)
 			},
-			restore: func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) (resumable, error) {
-				return mltopo.RestoreWithCollector(r, tr, reg, coll)
-			},
+			restore: restoreAs(mltopo.Restore),
 			render: func(h resumable) string {
 				return fmt.Sprintf("%+v", h.(*mltopo.Harness).Result())
 			},
@@ -155,24 +139,13 @@ func resumeCases() []resumeCase {
 			// through the instaplc codec.
 			name: "chaos",
 			int:  true,
-			build: func(tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) resumable {
+			build: func(s sweep.Sinks) resumable {
 				cfg := core.ChaosCellConfig(chaosCfg, 7) // intensity 4, trial 1
-				cfg.Trace = tr
-				cfg.Metrics = reg
-				cfg.INT = coll != nil
-				cfg.Collector = coll
+				cfg.Sinks, cfg.INT = s, s.Collector != nil
 				return instaplc.NewHarness(cfg)
 			},
-			restore: func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) (resumable, error) {
-				return instaplc.RestoreWithCollector(r, tr, reg, coll)
-			},
-			render: func(h resumable) string {
-				res := h.(*instaplc.Harness).Result()
-				return instaplc.RenderFigure5(res) +
-					fmt.Sprintf("%+v\n", res.Accounting) +
-					fmt.Sprintf("int=%d changes=%+v\n", res.INTObservations, res.PathChanges) +
-					res.FaultTrace
-			},
+			restore: restoreAs(instaplc.RestoreWith),
+			render:  instaplcRender,
 		},
 	}
 }
@@ -256,7 +229,7 @@ func TestResumeEquivalence(t *testing.T) {
 			trA := telemetry.NewTracer(nil)
 			regA := telemetry.NewRegistry()
 			attA := attachObservability(t, c, "straight", trA)
-			a := c.build(trA, regA, attA.coll)
+			a := c.build(sweep.Sinks{Trace: trA, Metrics: regA, Collector: attA.coll})
 			n := a.Horizon() / 2
 			a.AdvanceTo(n)
 			var ckpt bytes.Buffer
@@ -275,7 +248,7 @@ func TestResumeEquivalence(t *testing.T) {
 			trB := telemetry.NewTracer(nil)
 			regB := telemetry.NewRegistry()
 			attB := attachObservability(t, c, "resumed", trB)
-			b, err := c.restore(bytes.NewReader(ckpt.Bytes()), trB, regB, attB.coll)
+			b, err := c.restore(bytes.NewReader(ckpt.Bytes()), sweep.Sinks{Trace: trB, Metrics: regB, Collector: attB.coll})
 			if err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
@@ -343,7 +316,7 @@ func TestRestoreDetectsDivergence(t *testing.T) {
 	if err := checkpoint.WriteHarness(&forged, instaplc.CheckpointKind, cfgBytes, at, h.Digest()^1); err != nil {
 		t.Fatalf("WriteHarness: %v", err)
 	}
-	_, err = instaplc.Restore(&forged, nil, nil)
+	_, err = instaplc.RestoreWith(&forged, sweep.Sinks{})
 	var div *checkpoint.DivergenceError
 	if !errors.As(err, &div) {
 		t.Fatalf("Restore with wrong digest: got %v, want DivergenceError", err)

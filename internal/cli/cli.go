@@ -1,8 +1,9 @@
-// Package cli carries the flag plumbing shared by the steelnet
-// commands: the uniform observability flag set
-// (-trace/-stats/-cpuprofile/-int/-slo/-flightrec) and the
-// comma-separated integer-list parser every sweep CLI needs. Keeping
-// it in one place means every command spells the flags the same way
+// Package cli is what the steelnet experiment commands share: Main, the
+// one command skeleton (flag set, -workers/-shards, -checkpoint/-resume,
+// the observability flags -trace/-stats/-cpuprofile/-int/-slo/-flightrec,
+// Begin and End around the body, exit codes), and the comma-separated
+// integer-list parser every sweep CLI needs. Keeping it in one place
+// means every command spells the flags the same way, fails the same way
 // and produces the same artifact layout.
 package cli
 
@@ -18,6 +19,7 @@ import (
 
 	intnet "steelnet/internal/int"
 	"steelnet/internal/obs"
+	"steelnet/internal/sweep"
 	"steelnet/internal/telemetry"
 	"steelnet/internal/tshist"
 )
@@ -52,12 +54,10 @@ type Telemetry struct {
 	ObsLinger time.Duration
 
 	// Tracer and Registry are allocated by Begin when the matching flag
-	// was set; pass them into experiment configs.
-	Tracer   *telemetry.Tracer
-	Registry *telemetry.Registry
-	// Collector is allocated by Begin when -int or -slo was set; pass
-	// it (with INT=true) into experiment configs. Resume paths that
-	// rebuild their own collector must hand it back via AdoptCollector.
+	// was set, Collector when -int or -slo was; Sinks hands all three to
+	// an experiment config (set INT where Collector is non-nil).
+	Tracer    *telemetry.Tracer
+	Registry  *telemetry.Registry
 	Collector *intnet.Collector
 	// Watchdog is allocated by Begin when -slo was set and is attached
 	// to Collector; breaches land in the trace (when tracing) and in
@@ -81,20 +81,11 @@ type Telemetry struct {
 	// stdout across runs, and a kernel-assigned port must not differ it.
 	Err io.Writer
 
-	cmd     string
 	cpuFile *os.File
 }
 
-// RegisterTelemetryFlags installs -trace, -stats and -cpuprofile on the
-// default flag set. Call it before flag.Parse.
-func RegisterTelemetryFlags() *Telemetry {
-	return RegisterTelemetryFlagsOn(flag.CommandLine)
-}
-
-// RegisterTelemetryFlagsOn installs the telemetry flag trio on an
-// explicit flag set — the form the commands use so their main paths can
-// run in-process under test.
-func RegisterTelemetryFlagsOn(fs *flag.FlagSet) *Telemetry {
+// registerTelemetryFlags installs the observability flags on fs.
+func registerTelemetryFlags(fs *flag.FlagSet) *Telemetry {
 	t := &Telemetry{}
 	fs.StringVar(&t.TracePath, "trace", "",
 		"write a JSONL frame-lifecycle trace to this `file` (plus file.chrome.json for chrome://tracing / Perfetto)")
@@ -115,7 +106,7 @@ func RegisterTelemetryFlagsOn(fs *flag.FlagSet) *Telemetry {
 	return t
 }
 
-// RegisterWorkersFlagOn installs the shared execution-parallelism knob
+// registerWorkersFlag installs the shared execution-parallelism knob
 // on fs under both of its spellings, -workers and -shards, as one value
 // starting at def. It sets how many worker goroutines advance the
 // deterministic partition of the work — the window shards of a sharded
@@ -124,56 +115,22 @@ func RegisterTelemetryFlagsOn(fs *flag.FlagSet) *Telemetry {
 // grid), so every output is byte-identical for any value; the flag only
 // trades wall-clock time. With both spellings given, the later one on
 // the command line wins.
-func RegisterWorkersFlagOn(fs *flag.FlagSet, def int) *int {
-	n := new(int)
+func registerWorkersFlag(fs *flag.FlagSet, n *int, def int) {
 	fs.IntVar(n, "workers", def,
 		"worker goroutines advancing the partitioned simulation (0 = NumCPU, 1 = serial); any value produces byte-identical output")
 	fs.IntVar(n, "shards", def, "another spelling of -workers")
-	return n
-}
-
-// Resume is the checkpoint/resume flag pair shared by the commands:
-// -checkpoint names the file periodic checkpoints are written to, and
-// -resume additionally requires the file to exist (a typo'd resume
-// path must not silently start a fresh run).
-type Resume struct {
-	CheckpointPath string
-	ResumePath     string
-}
-
-// RegisterResumeFlagsOn installs -checkpoint and -resume on fs.
-func RegisterResumeFlagsOn(fs *flag.FlagSet) *Resume {
-	r := &Resume{}
-	fs.StringVar(&r.CheckpointPath, "checkpoint", "",
-		"write periodic checkpoints to this `file` (resume later with -resume)")
-	fs.StringVar(&r.ResumePath, "resume", "",
-		"resume from this checkpoint `file` and keep checkpointing to it")
-	return r
-}
-
-// Path resolves the two flags to the single checkpoint path ("" when
-// neither was given). With -resume the file must already exist.
-func (r *Resume) Path() (string, error) {
-	if r.ResumePath != "" {
-		if _, err := os.Stat(r.ResumePath); err != nil {
-			return "", fmt.Errorf("-resume: %w", err)
-		}
-		return r.ResumePath, nil
-	}
-	return r.CheckpointPath, nil
 }
 
 // Begin materializes what the parsed flags asked for: the tracer, the
 // registry, INT collection, the SLO watchdog, the flight recorder and
-// CPU profiling. cmd names the command in errors.
-func (t *Telemetry) Begin(cmd string) error {
-	t.cmd = cmd
+// CPU profiling. Errors name the flag at fault.
+func (t *Telemetry) Begin() error {
 	var plan intnet.SLOPlan
 	if t.SLOSpec != "" {
 		var err error
 		plan, err = intnet.ParseSLOPlan(t.SLOSpec)
 		if err != nil {
-			return fmt.Errorf("%s: -slo: %w", cmd, err)
+			return fmt.Errorf("-slo: %w", err)
 		}
 	}
 	if t.TracePath != "" {
@@ -212,7 +169,7 @@ func (t *Telemetry) Begin(cmd string) error {
 		t.Obs.SetRecorder(tshist.NewRecorder(0, 0, 0))
 		srv, err := obs.Listen(t.ObsAddr, t.Obs)
 		if err != nil {
-			return fmt.Errorf("%s: -obs-addr: %w", cmd, err)
+			return fmt.Errorf("-obs-addr: %w", err)
 		}
 		t.ObsServer = srv
 		fmt.Fprintf(t.errw(), "obs: serving on http://%s (/metrics /shards /history /events /debug/pprof)\n", srv.Addr())
@@ -220,29 +177,21 @@ func (t *Telemetry) Begin(cmd string) error {
 	if t.CPUProfilePath != "" {
 		f, err := os.Create(t.CPUProfilePath)
 		if err != nil {
-			return fmt.Errorf("%s: -cpuprofile: %w", cmd, err)
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			return fmt.Errorf("%s: -cpuprofile: %w", cmd, err)
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
 		t.cpuFile = f
 	}
 	return nil
 }
 
-// AdoptCollector swaps in a collector built elsewhere and re-attaches
-// the watchdog to it. Resume paths need it: a restored harness that
-// was not handed the CLI collector (RestoreWithCollector) builds its
-// own, and End must export that one.
-func (t *Telemetry) AdoptCollector(c *intnet.Collector) {
-	if c == nil || c == t.Collector {
-		return
-	}
-	t.Collector = c
-	if t.Watchdog != nil {
-		t.Watchdog.Attach(c)
-	}
+// Sinks returns what Begin allocated as the one value every experiment
+// config and every restore takes (all nil when no flag asked).
+func (t *Telemetry) Sinks() sweep.Sinks {
+	return sweep.Sinks{Trace: t.Tracer, Metrics: t.Registry, Collector: t.Collector}
 }
 
 // End flushes everything Begin started: it stops the CPU profile,
@@ -255,17 +204,17 @@ func (t *Telemetry) End() error {
 		err := t.cpuFile.Close()
 		t.cpuFile = nil
 		if err != nil {
-			return fmt.Errorf("%s: -cpuprofile: %w", t.cmd, err)
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
 	}
 	if t.TracePath != "" && t.Tracer != nil {
 		if err := writeTraces(t.TracePath, t.Tracer.Events()); err != nil {
-			return fmt.Errorf("%s: -trace: %w", t.cmd, err)
+			return fmt.Errorf("-trace: %w", err)
 		}
 	}
 	if t.INTPath != "" && t.Collector != nil {
 		if err := WriteFile(t.INTPath, t.Collector.WriteJSONL); err != nil {
-			return fmt.Errorf("%s: -int: %w", t.cmd, err)
+			return fmt.Errorf("-int: %w", err)
 		}
 	}
 	w := t.Out
@@ -275,7 +224,7 @@ func (t *Telemetry) End() error {
 	if t.Watchdog != nil {
 		if t.INTPath != "" {
 			if err := WriteFile(t.INTPath+".slo.jsonl", t.Watchdog.WriteBreachLog); err != nil {
-				return fmt.Errorf("%s: -slo: %w", t.cmd, err)
+				return fmt.Errorf("-slo: %w", err)
 			}
 		}
 		fmt.Fprintf(w, "slo: %d breach(es) recorded\n", len(t.Watchdog.Breaches()))
@@ -290,7 +239,7 @@ func (t *Telemetry) End() error {
 			}
 		}
 		if err := t.Recorder.DumpToFile(t.FlightRecPath); err != nil {
-			return fmt.Errorf("%s: -flightrec: %w", t.cmd, err)
+			return fmt.Errorf("-flightrec: %w", err)
 		}
 	}
 	if t.Stats && t.Registry != nil {
@@ -305,7 +254,7 @@ func (t *Telemetry) End() error {
 			t.Obs.PublishBreaches(t.Watchdog.Breaches())
 		}
 		if err := t.Obs.Publish(t.Registry, nil, -1); err != nil {
-			return fmt.Errorf("%s: -obs-addr: %w", t.cmd, err)
+			return fmt.Errorf("-obs-addr: %w", err)
 		}
 		t.Obs.SetState("done")
 	}
@@ -360,35 +309,11 @@ func WriteFile(path string, write func(io.Writer) error) error {
 // writeTraces writes the JSONL trace to path and the Chrome trace to
 // path+".chrome.json".
 func writeTraces(path string, events []telemetry.Event) error {
-	jf, err := os.Create(path)
+	err := WriteFile(path, func(w io.Writer) error { return telemetry.WriteJSONL(w, events) })
 	if err != nil {
 		return err
 	}
-	if err := telemetry.WriteJSONL(jf, events); err != nil {
-		jf.Close()
-		return err
-	}
-	if err := jf.Close(); err != nil {
-		return err
-	}
-	cf, err := os.Create(path + ".chrome.json")
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteChromeTrace(cf, events); err != nil {
-		cf.Close()
-		return err
-	}
-	return cf.Close()
-}
-
-// Must prints err to stderr and exits with status 2 — the CLIs' shared
-// flag-error shape. A nil err is a no-op.
-func Must(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	return WriteFile(path+".chrome.json", func(w io.Writer) error { return telemetry.WriteChromeTrace(w, events) })
 }
 
 // ParseInts parses a comma-separated list of positive integers

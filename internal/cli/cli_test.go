@@ -61,22 +61,24 @@ func TestWorkersResolution(t *testing.T) {
 		{0, []string{"-shards", "8", "-workers", "3"}, 3},
 	} {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
-		workers := RegisterWorkersFlagOn(fs, tc.def)
+		var workers int
+		registerWorkersFlag(fs, &workers, tc.def)
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatal(err)
 		}
-		if *workers != tc.want {
-			t.Errorf("default %d, args %v: workers = %d, want %d", tc.def, tc.args, *workers, tc.want)
+		if workers != tc.want {
+			t.Errorf("default %d, args %v: workers = %d, want %d", tc.def, tc.args, workers, tc.want)
 		}
 	}
 }
 
-// The flag trio must land on the default flag set under the canonical
-// names every command shares.
+// The flags must land on the flag set under the canonical names every
+// command shares.
 func TestRegisterTelemetryFlags(t *testing.T) {
-	tel := RegisterTelemetryFlags()
-	for _, name := range []string{"trace", "stats", "cpuprofile"} {
-		if flag.Lookup(name) == nil {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	tel := registerTelemetryFlags(fs)
+	for _, name := range []string{"trace", "stats", "cpuprofile", "int", "slo", "flightrec", "obs-addr", "obs-linger"} {
+		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
@@ -85,7 +87,7 @@ func TestRegisterTelemetryFlags(t *testing.T) {
 	}
 	// With no flag given, Begin materializes nothing: the nil
 	// Tracer/Registry keep the run on the zero-overhead path.
-	if err := tel.Begin("test"); err != nil {
+	if err := tel.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	if tel.Tracer != nil || tel.Registry != nil {
@@ -106,7 +108,7 @@ func TestBeginEndWritesArtifacts(t *testing.T) {
 		Stats:          true,
 		CPUProfilePath: filepath.Join(dir, "cpu.prof"),
 	}
-	if err := tel.Begin("test"); err != nil {
+	if err := tel.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	if tel.Tracer == nil || tel.Registry == nil {
@@ -151,7 +153,7 @@ func TestBeginEndWritesArtifacts(t *testing.T) {
 
 func TestEndReportsUnwritableTracePath(t *testing.T) {
 	tel := &Telemetry{TracePath: filepath.Join(t.TempDir(), "no-such-dir", "x.jsonl")}
-	if err := tel.Begin("test"); err != nil {
+	if err := tel.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	tel.Tracer.HostTx("h", &frame.Frame{})
@@ -162,13 +164,9 @@ func TestEndReportsUnwritableTracePath(t *testing.T) {
 
 func TestBeginReportsUnwritableProfilePath(t *testing.T) {
 	tel := &Telemetry{CPUProfilePath: filepath.Join(t.TempDir(), "no-such-dir", "cpu.prof")}
-	if err := tel.Begin("test"); err == nil {
+	if err := tel.Begin(); err == nil {
 		t.Fatal("Begin succeeded with unwritable -cpuprofile")
 	}
-}
-
-func TestMustNilIsNoOp(t *testing.T) {
-	Must(nil) // must not exit
 }
 
 // sinkOne feeds one INT-stamped frame into the collector, e2eNS after
@@ -184,7 +182,7 @@ func sinkOne(c *intnet.Collector, seq uint32, e2eNS int64) {
 func TestBeginSLOImpliesINTCollection(t *testing.T) {
 	var out strings.Builder
 	tel := &Telemetry{SLOSpec: "latency:*<1µs", Out: &out}
-	if err := tel.Begin("test"); err != nil {
+	if err := tel.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	if tel.Collector == nil || tel.Watchdog == nil {
@@ -206,7 +204,7 @@ func TestBeginSLOImpliesINTCollection(t *testing.T) {
 
 func TestBeginRejectsBadSLOSpec(t *testing.T) {
 	tel := &Telemetry{SLOSpec: "latency:*>1µs"}
-	err := tel.Begin("test")
+	err := tel.Begin()
 	if err == nil || !strings.Contains(err.Error(), "-slo") {
 		t.Fatalf("Begin with bad spec: %v", err)
 	}
@@ -224,7 +222,7 @@ func TestEndWritesINTArtifacts(t *testing.T) {
 		FlightRecPath: filepath.Join(dir, "run.rec.jsonl"),
 		Out:           &out,
 	}
-	if err := tel.Begin("test"); err != nil {
+	if err := tel.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	if tel.Tracer == nil {
@@ -263,28 +261,6 @@ func TestEndWritesINTArtifacts(t *testing.T) {
 	}
 }
 
-// AdoptCollector re-points the watchdog at a collector built elsewhere
-// (the resume path's RestoreWithCollector shape).
-func TestAdoptCollectorReattachesWatchdog(t *testing.T) {
-	tel := &Telemetry{SLOSpec: "latency:*<1µs", Out: &strings.Builder{}}
-	if err := tel.Begin("test"); err != nil {
-		t.Fatal(err)
-	}
-	tel.AdoptCollector(nil)           // no-op
-	tel.AdoptCollector(tel.Collector) // no-op
-	fresh := intnet.NewCollector()
-	tel.AdoptCollector(fresh)
-	if tel.Collector != fresh {
-		t.Fatal("collector not adopted")
-	}
-	for seq := uint32(1); seq <= 3; seq++ {
-		sinkOne(fresh, seq, 2000)
-	}
-	if len(tel.Watchdog.Breaches()) != 1 {
-		t.Fatalf("watchdog not re-attached: %d breaches", len(tel.Watchdog.Breaches()))
-	}
-}
-
 // Merge-based parallel sweeps bypass the live observer; End must feed
 // the merged trace through the recorder so -flightrec still dumps it.
 func TestEndFlightRecCatchesUpFromMergedTrace(t *testing.T) {
@@ -293,7 +269,7 @@ func TestEndFlightRecCatchesUpFromMergedTrace(t *testing.T) {
 		TracePath:     filepath.Join(dir, "run.jsonl"),
 		FlightRecPath: filepath.Join(dir, "run.rec.jsonl"),
 	}
-	if err := tel.Begin("test"); err != nil {
+	if err := tel.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	cell := telemetry.NewTracer(nil)
@@ -320,7 +296,7 @@ func TestEndReportsUnwritableINTArtifacts(t *testing.T) {
 		{"int", Telemetry{INTPath: filepath.Join(t.TempDir(), "no-such-dir", "x.jsonl")}, "-int"},
 		{"flightrec", Telemetry{FlightRecPath: filepath.Join(t.TempDir(), "no-such-dir", "x.jsonl")}, "-flightrec"},
 	} {
-		if err := tc.tel.Begin("test"); err != nil {
+		if err := tc.tel.Begin(); err != nil {
 			t.Fatal(err)
 		}
 		err := tc.tel.End()
@@ -337,7 +313,7 @@ func TestEndReportsUnwritableINTArtifacts(t *testing.T) {
 func TestBeginEndObsEndpoint(t *testing.T) {
 	var out, errw bytes.Buffer
 	tel := &Telemetry{ObsAddr: "127.0.0.1:0", Out: &out, Err: &errw}
-	if err := tel.Begin("test"); err != nil {
+	if err := tel.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	if tel.Registry == nil {

@@ -1,5 +1,6 @@
-// Package clitest holds the assertions the sweep commands' in-process
-// tests share. It imports testing and is linked into test binaries only.
+// Package clitest holds the assertions the experiment commands'
+// in-process tests share. It imports testing and is linked into test
+// binaries only.
 package clitest
 
 import (
@@ -9,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"steelnet/internal/checkpoint"
 )
 
 // Run is the shape of every command's testable main body.
@@ -21,6 +24,41 @@ func stdout(t *testing.T, run Run, args []string) string {
 		t.Fatalf("run(%v): exit %d, stderr:\n%s", args, code, errw.String())
 	}
 	return out.String()
+}
+
+// Skeleton pins, at the command's own surface, how every command built
+// on cli.Main fails: a usage error exits 2 and a failed run exits 1, each
+// with one "name: …" report leading stderr and nothing on stdout.
+func Skeleton(t *testing.T, run Run, name string) {
+	t.Helper()
+	dir := t.TempDir()
+	otherKind := filepath.Join(dir, "other.ckpt")
+	if err := checkpoint.WriteFileAtomic(otherKind, func(w io.Writer) error {
+		return checkpoint.Write(w, "no-such-kind", nil)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what string
+		args []string
+		code int
+	}{
+		{"an unknown flag", []string{"-no-such-flag"}, 2},
+		{"a malformed -slo", []string{"-slo", "latency:*>1us"}, 2},
+		{"a -resume file that does not exist", []string{"-resume", filepath.Join(dir, "missing.ckpt")}, 2},
+		{"a checkpoint of the wrong kind", []string{"-resume", otherKind}, 1},
+	} {
+		var out, errw bytes.Buffer
+		if code := run(c.args, &out, &errw); code != c.code {
+			t.Errorf("%s: exit %d, want %d; stderr:\n%s", c.what, code, c.code, errw.String())
+		}
+		if !strings.HasPrefix(errw.String(), name+": ") {
+			t.Errorf("%s: stderr does not lead with %q:\n%s", c.what, name+": ", errw.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: printed to stdout:\n%s", c.what, out.String())
+		}
+	}
 }
 
 // SweepWorkerInvariant drives a sweep command (args selects a small

@@ -24,7 +24,7 @@ func TestChaosCellsLeakNoFrames(t *testing.T) {
 	cfg.Base.INT = true
 	var destroyed, observed uint64
 	for i := 0; i < len(cfg.Intensities)*cfg.Trials; i++ {
-		h := NewChaosCellHarness(cfg, i)
+		h := instaplc.NewHarness(ChaosCellConfig(cfg, i))
 		h.AdvanceTo(h.Horizon())
 		acct := h.Result().Accounting
 		destroyed += acct.Destroyed + acct.DownDrops
@@ -105,12 +105,12 @@ func TestHeadlessStepZeroAllocs(t *testing.T) {
 	if res := d.Result(); res.Switchovers != 1 {
 		t.Fatalf("warm-up did not cover the failover: %+v", res)
 	}
-	obs := d.coll.Observations
+	obs := d.sinks.Collector.Observations
 	const runs = 20
 	if allocs := testing.AllocsPerRun(runs, func() { d.Step() }); allocs != 0 {
 		t.Errorf("%.0f allocs per %v slice, want 0", allocs, d.Config().Slice)
 	}
-	if got := d.coll.Observations - obs; d.Done() || got < runs*50 {
+	if got := d.sinks.Collector.Observations - obs; d.Done() || got < runs*50 {
 		t.Errorf("done=%t with %d INT observations over the measured slices; they did not run", d.Done(), got)
 	}
 }

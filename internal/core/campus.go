@@ -577,88 +577,50 @@ func (h *CampusHarness) Digest() uint64 {
 	return d.Sum()
 }
 
-// Save writes a replay-anchored checkpoint of the run to w. The worker
-// count is deliberately not encoded: it cannot change the replay.
+// Save writes a replay-anchored checkpoint of the run to w.
 func (h *CampusHarness) Save(w io.Writer) error {
-	e := checkpoint.NewEncoder()
-	encodeCampusConfig(e, h.cfg)
-	return checkpoint.WriteHarness(w, CampusCheckpointKind, e.Data(), int64(h.Now()), h.Digest())
+	config := checkpoint.Encode(WalkCampusConfig, &h.cfg)
+	return checkpoint.WriteHarness(w, CampusCheckpointKind, config, int64(h.Now()), h.Digest())
 }
 
 // RestoreCampus reads a campus checkpoint, rebuilds the scenario from
 // its recorded configuration, and replays deterministically to the
-// checkpointed instant with the given worker count. A digest mismatch
-// returns *checkpoint.DivergenceError.
-func RestoreCampus(r io.Reader, workers int) (*CampusHarness, error) {
-	return RestoreCampusWith(r, workers, nil)
-}
-
-// RestoreCampusWith is RestoreCampus with a hook to set the restored
-// configuration's observational knobs (Profile, Trace, Metrics) before
-// the rebuild — they are not encoded in checkpoints, so a resumed run
-// re-enables them here. mutate must not touch scenario fields: the
-// replay would diverge from the recorded digest and fail loudly.
-func RestoreCampusWith(r io.Reader, workers int, mutate func(*CampusConfig)) (*CampusHarness, error) {
-	return checkpoint.Replay[sim.Time](r, CampusCheckpointKind, decodeCampusConfig,
+// checkpointed instant. Of run only what no checkpoint records is read
+// — Workers, Profile, Trace and Metrics — so a run saved under one
+// worker count resumes under another, with this run's observation
+// armed. A digest mismatch returns *checkpoint.DivergenceError.
+func RestoreCampus(r io.Reader, run CampusConfig) (*CampusHarness, error) {
+	return checkpoint.Replay[sim.Time](r, CampusCheckpointKind, WalkCampusConfig,
 		func(cfg CampusConfig) (*CampusHarness, error) {
-			cfg.Workers = workers
-			if mutate != nil {
-				mutate(&cfg)
-			}
+			cfg.Workers, cfg.Profile, cfg.Trace, cfg.Metrics = run.Workers, run.Profile, run.Trace, run.Metrics
 			return NewCampusHarness(cfg)
 		})
 }
 
-func encodeLinkSpec(e *checkpoint.Encoder, s topo.LinkSpec) {
-	e.F64(s.RateBps)
-	e.I64(s.PropNs)
+func walkLinkSpec(c *checkpoint.Codec, s *topo.LinkSpec) {
+	c.F64(&s.RateBps)
+	checkpoint.Int(c, &s.PropNs)
 }
 
-func decodeLinkSpec(d *checkpoint.Decoder) topo.LinkSpec {
-	return topo.LinkSpec{RateBps: d.F64(), PropNs: d.I64()}
-}
-
-// encodeCampusConfig serializes the replayable configuration. Workers,
-// Profile, Trace and Metrics are execution/observation knobs, not
-// scenario, and are omitted — the byte layout below is frozen (format
-// v3's golden corpus pins it), so observational fields must never leak
-// into it.
-func encodeCampusConfig(e *checkpoint.Encoder, cfg CampusConfig) {
-	e.U64(cfg.Seed)
-	e.Int(cfg.Topo.Cells)
-	e.Int(cfg.Topo.SwitchesPerCell)
-	e.Int(cfg.Topo.HostsPerSwitch)
-	e.Int(cfg.Topo.Spines)
-	e.Int(cfg.Topo.Fanout)
-	encodeLinkSpec(e, cfg.Topo.Access)
-	encodeLinkSpec(e, cfg.Topo.Trunk)
-	encodeLinkSpec(e, cfg.Topo.Backbone)
-	e.I64(int64(cfg.Horizon))
-	e.I64(int64(cfg.Period))
-	e.Int(cfg.CrossEvery)
-	e.Int(cfg.FrameBytes)
-	e.Int(cfg.QueueDepth)
-	e.Bool(cfg.INT)
-	e.Str(cfg.SLO)
-}
-
-func decodeCampusConfig(d *checkpoint.Decoder) CampusConfig {
-	var cfg CampusConfig
-	cfg.Seed = d.U64()
-	cfg.Topo.Cells = d.Int()
-	cfg.Topo.SwitchesPerCell = d.Int()
-	cfg.Topo.HostsPerSwitch = d.Int()
-	cfg.Topo.Spines = d.Int()
-	cfg.Topo.Fanout = d.Int()
-	cfg.Topo.Access = decodeLinkSpec(d)
-	cfg.Topo.Trunk = decodeLinkSpec(d)
-	cfg.Topo.Backbone = decodeLinkSpec(d)
-	cfg.Horizon = sim.Duration(d.I64())
-	cfg.Period = sim.Duration(d.I64())
-	cfg.CrossEvery = d.Int()
-	cfg.FrameBytes = d.Int()
-	cfg.QueueDepth = d.Int()
-	cfg.INT = d.Bool()
-	cfg.SLO = d.Str()
-	return cfg
+// WalkCampusConfig is the replayable configuration's field list.
+// Workers, Profile, Trace and Metrics are execution and observation
+// knobs, not scenario: they can change no output byte and must never
+// enter the frozen layout.
+func WalkCampusConfig(c *checkpoint.Codec, cfg *CampusConfig) {
+	checkpoint.Int(c, &cfg.Seed)
+	checkpoint.Int(c, &cfg.Topo.Cells)
+	checkpoint.Int(c, &cfg.Topo.SwitchesPerCell)
+	checkpoint.Int(c, &cfg.Topo.HostsPerSwitch)
+	checkpoint.Int(c, &cfg.Topo.Spines)
+	checkpoint.Int(c, &cfg.Topo.Fanout)
+	walkLinkSpec(c, &cfg.Topo.Access)
+	walkLinkSpec(c, &cfg.Topo.Trunk)
+	walkLinkSpec(c, &cfg.Topo.Backbone)
+	checkpoint.Int(c, &cfg.Horizon)
+	checkpoint.Int(c, &cfg.Period)
+	checkpoint.Int(c, &cfg.CrossEvery)
+	checkpoint.Int(c, &cfg.FrameBytes)
+	checkpoint.Int(c, &cfg.QueueDepth)
+	c.Bool(&cfg.INT)
+	c.Str(&cfg.SLO)
 }

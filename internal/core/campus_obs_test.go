@@ -269,8 +269,8 @@ func TestRenderCampusFellBackNote(t *testing.T) {
 }
 
 // TestCampusResumeReenablesObservability: checkpoints never carry the
-// observational knobs; RestoreCampusWith's hook re-arms them and the
-// replayed run still matches the recorded digest.
+// observational knobs; RestoreCampus takes them from the resuming run
+// and the replayed run still matches the recorded digest.
 func TestCampusResumeReenablesObservability(t *testing.T) {
 	straight, _ := runCampus(t, 2)
 	want := straight.Digest()
@@ -284,10 +284,7 @@ func TestCampusResumeReenablesObservability(t *testing.T) {
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreCampusWith(bytes.NewReader(buf.Bytes()), 2, func(c *CampusConfig) {
-		c.Profile = true
-		c.Trace = true
-	})
+	restored, err := RestoreCampus(bytes.NewReader(buf.Bytes()), CampusConfig{Workers: 2, Profile: true, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +299,7 @@ func TestCampusResumeReenablesObservability(t *testing.T) {
 		t.Fatal("resume did not re-enable tracing")
 	}
 	// The trace only covers post-restore simulated time: replay runs
-	// before the hook's knobs attach tracers... no — tracers attach at
+	// before the run's knobs attach tracers... no — tracers attach at
 	// build time, so the replay itself is traced from t=0.
 	var sawEarly bool
 	for _, e := range restored.MergedTrace() {

@@ -139,7 +139,7 @@ func TestCampusCheckpointResume(t *testing.T) {
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreCampus(bytes.NewReader(buf.Bytes()), 4)
+	restored, err := RestoreCampus(bytes.NewReader(buf.Bytes()), CampusConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

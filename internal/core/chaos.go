@@ -112,14 +112,6 @@ func ChaosCellConfig(cfg ChaosConfig, i int) instaplc.ExperimentConfig {
 	return ecfg
 }
 
-// NewChaosCellHarness builds the resumable harness for cell i of the
-// sweep — an instaplc harness under the cell's generated fault plan.
-// Its Save/Restore carry the full plan, so a chaos cell checkpoints
-// and resumes exactly like the plain Fig. 5 run.
-func NewChaosCellHarness(cfg ChaosConfig, i int) *instaplc.Harness {
-	return instaplc.NewHarness(ChaosCellConfig(cfg, i))
-}
-
 // RunChaosSweepResumable runs the ladder and returns cells in
 // (intensity, trial) order. cfg.Base's tracer, registry and INT
 // collector are the sweep's telemetry sinks: sweep.RunCells decides
@@ -129,10 +121,10 @@ func NewChaosCellHarness(cfg ChaosConfig, i int) *instaplc.Harness {
 func RunChaosSweepResumable(cfg ChaosConfig, path string) ([]ChaosCell, error) {
 	cfg = normalizeChaosConfig(cfg)
 	n := len(cfg.Intensities) * cfg.Trials
-	own := sweep.Sinks{Trace: cfg.Base.Trace, Metrics: cfg.Base.Metrics, Collector: cfg.Base.Collector}
-	return sweep.RunCells(cfg.Workers, n, nil, chaosCheckpointer(path), own, func(i int, s sweep.Sinks) ChaosCell {
+	ck := sweep.Checkpointer[ChaosCell]{Path: path, Kind: "chaos", Walk: WalkChaosCell}
+	return sweep.RunCells(cfg.Workers, n, nil, ck, cfg.Base.Sinks, func(i int, s sweep.Sinks) ChaosCell {
 		ecfg := ChaosCellConfig(cfg, i)
-		ecfg.Trace, ecfg.Metrics, ecfg.Collector = s.Trace, s.Metrics, s.Collector
+		ecfg.Sinks = s
 		res := instaplc.RunExperiment(ecfg)
 		return ChaosCell{
 			Intensity:       cfg.Intensities[i/cfg.Trials],

@@ -228,7 +228,7 @@ func TestCampusResumedArtifactsIdentical(t *testing.T) {
 	if err := h.Save(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreCampus(&ckpt, 8)
+	restored, err := RestoreCampus(&ckpt, CampusConfig{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

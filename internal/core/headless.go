@@ -1,15 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"time"
 
+	"steelnet/internal/checkpoint"
 	"steelnet/internal/faults"
 	"steelnet/internal/instaplc"
 	intnet "steelnet/internal/int"
 	"steelnet/internal/sim"
+	"steelnet/internal/sweep"
 	"steelnet/internal/telemetry"
 )
 
@@ -23,12 +27,13 @@ import (
 // and a per-sink loss aggregate, all attached before the first event
 // fires so a restored run replays into identical attachments.
 type Headless struct {
-	cfg    HeadlessConfig
-	h      *instaplc.Harness
-	reg    *telemetry.Registry
-	coll   *intnet.Collector
-	wd     *intnet.Watchdog
-	tracer *telemetry.Tracer
+	cfg HeadlessConfig
+	h   *instaplc.Harness
+	// sinks are the attachments the harness reports into, fresh or
+	// restored: always a registry and a collector, a tracer when the
+	// spec asked for one.
+	sinks sweep.Sinks
+	wd    *intnet.Watchdog
 
 	loss      map[string]*sinkLoss
 	lossOrder []string
@@ -119,9 +124,7 @@ func NewHeadless(cfg HeadlessConfig) (*Headless, error) {
 	if err != nil {
 		return nil, err
 	}
-	ecfg.Metrics = d.reg
-	ecfg.Collector = d.coll
-	ecfg.Trace = d.tracer
+	ecfg.Sinks = d.sinks
 	if d.h, err = instaplc.BuildHarness(ecfg); err != nil {
 		return nil, err
 	}
@@ -133,16 +136,15 @@ func NewHeadless(cfg HeadlessConfig) (*Headless, error) {
 // event, whether that event comes from a fresh run or a restore replay.
 func newHeadlessAttachments(cfg HeadlessConfig) (*Headless, error) {
 	d := &Headless{
-		cfg:  cfg,
-		reg:  telemetry.NewRegistry(),
-		coll: intnet.NewCollector(),
-		loss: map[string]*sinkLoss{},
-		next: cfg.Slice,
+		cfg:   cfg,
+		sinks: sweep.Sinks{Metrics: telemetry.NewRegistry(), Collector: intnet.NewCollector()},
+		loss:  map[string]*sinkLoss{},
+		next:  cfg.Slice,
 	}
 	if cfg.Trace {
-		d.tracer = telemetry.NewTracer(nil) // harness binds the engine
+		d.sinks.Trace = telemetry.NewTracer(nil) // harness binds the engine
 	}
-	d.coll.OnSink = func(obs intnet.Observation) {
+	d.sinks.Collector.OnSink = func(obs intnet.Observation) {
 		sl := d.loss[obs.Sink]
 		if sl == nil {
 			sl = &sinkLoss{}
@@ -158,7 +160,7 @@ func newHeadlessAttachments(cfg HeadlessConfig) (*Headless, error) {
 			return nil, err
 		}
 		d.wd = intnet.NewWatchdog(plan, 0, nil)
-		d.wd.Attach(d.coll) // chains after the loss aggregate
+		d.wd.Attach(d.sinks.Collector) // chains after the loss aggregate
 	}
 	return d, nil
 }
@@ -168,15 +170,15 @@ func (d *Headless) Config() HeadlessConfig { return d.cfg }
 
 // Registry returns the run's metrics registry. Read it only from the
 // goroutine stepping the run.
-func (d *Headless) Registry() *telemetry.Registry { return d.reg }
+func (d *Headless) Registry() *telemetry.Registry { return d.sinks.Metrics }
 
 // TraceEvents returns the run's recorded telemetry events (nil unless
 // the spec set Trace). Read only from the goroutine stepping the run.
 func (d *Headless) TraceEvents() []telemetry.Event {
-	if d.tracer == nil {
+	if d.sinks.Trace == nil {
 		return nil
 	}
-	return d.tracer.Events()
+	return d.sinks.Trace.Events()
 }
 
 // Breaches returns the SLO breach log (nil without an SLO plan).
@@ -262,10 +264,10 @@ func (d *Headless) Sample() Sample {
 	s := Sample{
 		Seq:      d.seq,
 		SimNS:    d.Now(),
-		Digests:  d.coll.Digests(),
+		Digests:  d.sinks.Collector.Digests(),
 		Breaches: d.Breaches(),
 	}
-	for _, v := range d.reg.Values() {
+	for _, v := range d.sinks.Metrics.Values() {
 		s.Tags = append(s.Tags, Tag{Name: v.Key, Value: v.Value})
 	}
 	for _, p := range s.Digests {
@@ -304,22 +306,35 @@ func (d *Headless) Sample() Sample {
 func (d *Headless) Save(w io.Writer) error { return d.h.Save(w) }
 
 // RestoreHeadless rebuilds a driver from a checkpoint written by Save.
-// The checkpoint carries the harness configuration; cfg must be the
-// same spec the run was started from (it supplies what the harness does
-// not record: the slice grid and the SLO plan). The restore replays
-// 0→T into fresh attachments, so the collector, watchdog state and
-// loss aggregates match a straight run's at T exactly; the next Step
+// cfg must be the spec the run was started from: it supplies what the
+// harness does not record (the slice grid and the SLO plan), and the
+// scenario it describes must encode to the checkpoint's recorded
+// configuration byte for byte, or the restore is refused — a run never
+// resumes under a spec that is not its own. The restore replays 0→T
+// into fresh attachments, so the collector, watchdog state and loss
+// aggregates match a straight run's at T exactly; the next Step
 // continues on the same slice grid.
 func RestoreHeadless(r io.Reader, cfg HeadlessConfig) (*Headless, error) {
-	cfg, _, err := cfg.normalize()
+	cfg, ecfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
+	}
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
+	}
+	recorded, _, _, err := checkpoint.ReadHarness(bytes.NewReader(raw), instaplc.CheckpointKind)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(recorded, checkpoint.Encode(instaplc.WalkConfig, &ecfg)) {
+		return nil, errors.New("core: the run spec does not describe the checkpointed run (seed, timeline, faults or baseline differ)")
 	}
 	d, err := newHeadlessAttachments(cfg)
 	if err != nil {
 		return nil, err
 	}
-	h, err := instaplc.RestoreWithCollector(r, d.tracer, d.reg, d.coll)
+	h, err := instaplc.RestoreWith(bytes.NewReader(raw), d.sinks)
 	if err != nil {
 		return nil, err
 	}

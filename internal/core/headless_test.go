@@ -229,6 +229,42 @@ func TestRestoreHeadlessErrors(t *testing.T) {
 	}
 }
 
+// A checkpoint resumes only under the spec it was saved from: any
+// difference in the scenario the spec describes is refused before the
+// replay, while what the harness does not record (the SLO plan, tracing)
+// is the resuming spec's to choose.
+func TestRestoreHeadlessRefusesAnotherSpec(t *testing.T) {
+	cfg := HeadlessConfig{Seed: 1, Horizon: 400 * time.Millisecond, Slice: 100 * time.Millisecond}
+	d, err := NewHeadless(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Step()
+	var cp bytes.Buffer
+	if err := d.Save(&cp); err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*HeadlessConfig){
+		"seed":     func(c *HeadlessConfig) { c.Seed = 2 },
+		"horizon":  func(c *HeadlessConfig) { c.Horizon = 800 * time.Millisecond },
+		"cycle":    func(c *HeadlessConfig) { c.Cycle = time.Millisecond },
+		"fail_at":  func(c *HeadlessConfig) { c.FailAt = 120 * time.Millisecond },
+		"faults":   func(c *HeadlessConfig) { c.Faults = "linkflap:v1-dp@150ms+50ms" },
+		"baseline": func(c *HeadlessConfig) { c.Baseline = true },
+	} {
+		other := cfg
+		mutate(&other)
+		if r, err := RestoreHeadless(bytes.NewReader(cp.Bytes()), other); err == nil {
+			t.Errorf("%s: a seed-1 / 400 ms run resumed under %+v", name, r.Config())
+		}
+	}
+	same := cfg
+	same.SLO, same.Trace = "latency:*<1µs", true
+	if _, err := RestoreHeadless(bytes.NewReader(cp.Bytes()), same); err != nil {
+		t.Errorf("same scenario, other observation: %v", err)
+	}
+}
+
 func TestHeadlessFaultsAndFailAt(t *testing.T) {
 	d, err := NewHeadless(HeadlessConfig{
 		Seed:    1,

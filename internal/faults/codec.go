@@ -1,45 +1,26 @@
 package faults
 
-import (
-	"time"
+import "steelnet/internal/checkpoint"
 
-	"steelnet/internal/checkpoint"
-)
-
-// EncodePlan writes the plan in the deterministic checkpoint encoding.
-// An optional plan (nil pointer) is encoded with a presence flag so
-// "no plan" and "empty plan" restore as exactly what they were.
-func EncodePlan(e *checkpoint.Encoder, p *Plan) {
-	e.Bool(p != nil)
-	if p == nil {
+// WalkPlan is an optional plan's field list in the deterministic
+// checkpoint encoding. A presence flag leads, so "no plan" (nil) and
+// "empty plan" restore as exactly what they were.
+func WalkPlan(c *checkpoint.Codec, p **Plan) {
+	has := *p != nil
+	c.Bool(&has)
+	if !has {
+		*p = nil
 		return
 	}
-	e.Str(p.Name)
-	e.Int(len(p.Events))
-	for _, ev := range p.Events {
-		e.I64(int64(ev.At))
-		e.Int(int(ev.Kind))
-		e.Str(ev.Target)
-		e.I64(int64(ev.Duration))
-		e.F64(ev.Magnitude)
+	if c.Decoding() {
+		*p = &Plan{}
 	}
-}
-
-// DecodePlan reads what EncodePlan wrote.
-func DecodePlan(d *checkpoint.Decoder) *Plan {
-	if !d.Bool() {
-		return nil
-	}
-	p := &Plan{Name: d.Str()}
-	n := d.Int()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		p.Events = append(p.Events, Event{
-			At:        time.Duration(d.I64()),
-			Kind:      Kind(d.Int()),
-			Target:    d.Str(),
-			Duration:  time.Duration(d.I64()),
-			Magnitude: d.F64(),
-		})
-	}
-	return p
+	c.Str(&(*p).Name)
+	checkpoint.Slice(c, &(*p).Events, func(c *checkpoint.Codec, ev *Event) {
+		checkpoint.Int(c, &ev.At)
+		checkpoint.Int(c, &ev.Kind)
+		c.Str(&ev.Target)
+		checkpoint.Int(c, &ev.Duration)
+		c.F64(&ev.Magnitude)
+	})
 }

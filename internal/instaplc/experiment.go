@@ -15,7 +15,7 @@ import (
 	"steelnet/internal/profinet"
 	"steelnet/internal/sim"
 	"steelnet/internal/simnet"
-	"steelnet/internal/telemetry"
+	"steelnet/internal/sweep"
 )
 
 // ExperimentConfig parameterizes the Fig. 5 failover scenario.
@@ -47,22 +47,20 @@ type ExperimentConfig struct {
 	// "vplc1"/"vplc2"/"io" (host egress) and "dp.0"/"dp.1"/"dp.2"
 	// (pipeline egress toward vPLC1, vPLC2 and the device).
 	Faults *faults.Plan
-	// Trace, when non-nil, records the full frame lifecycle plus fault
-	// injection/recovery spans. The tracer is bound to the cell's engine
-	// before any traffic flows. Nil costs the run nothing.
-	Trace *telemetry.Tracer
-	// Metrics, when non-nil, receives every component counter (hosts,
-	// pipeline ports, links, engine internals) as func-backed metrics.
-	Metrics *telemetry.Registry
 	// INT runs the pipeline with in-band telemetry: frames are INT-sourced
 	// at ingress, transit-stamped, and sunk at egress into the collector,
 	// making the failover observable through the data plane. Ignored when
 	// DisableInstaPLC is set (the plain-L2 baseline has no fast path).
 	INT bool
-	// Collector receives terminated INT stacks. Nil with INT set means
-	// the harness creates one (retrieve it via Harness.Collector). Like
-	// Trace/Metrics it is an attachment, supplied fresh at Restore.
-	Collector *intnet.Collector
+	// Sinks are the run's telemetry attachments, never encoded and
+	// supplied fresh at Restore. Trace records the full frame lifecycle
+	// plus fault injection/recovery spans and is bound to the cell's
+	// engine before any traffic flows; Metrics receives every component
+	// counter (hosts, pipeline ports, links, engine internals);
+	// Collector receives terminated INT stacks (nil with INT set: the
+	// harness collects into one of its own, read through Result). A nil
+	// tracer or registry costs the run nothing.
+	sweep.Sinks
 }
 
 // DefaultExperimentConfig reproduces Fig. 5's setup.

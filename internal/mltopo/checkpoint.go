@@ -3,16 +3,12 @@ package mltopo
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"steelnet/internal/checkpoint"
-	intnet "steelnet/internal/int"
 	"steelnet/internal/metrics"
-	"steelnet/internal/mlwork"
 	"steelnet/internal/sim"
 	"steelnet/internal/simnet"
 	"steelnet/internal/sweep"
-	"steelnet/internal/telemetry"
 )
 
 // CheckpointKind tags this experiment's checkpoint files.
@@ -61,9 +57,6 @@ func NewHarness(sc Scenario) *Harness {
 
 // Engine returns the harness's engine.
 func (h *Harness) Engine() *sim.Engine { return h.b.engine }
-
-// Collector returns the INT collector (nil unless sc.INT).
-func (h *Harness) Collector() *intnet.Collector { return h.b.coll }
 
 // Horizon returns the configured end of the run.
 func (h *Harness) Horizon() sim.Time { return sim.Time(h.sc.Horizon) }
@@ -126,109 +119,55 @@ func (h *Harness) Digest() uint64 {
 
 // Save writes a replay-anchored checkpoint of the cell to w.
 func (h *Harness) Save(w io.Writer) error {
-	e := checkpoint.NewEncoder()
-	encodeScenario(e, h.sc)
-	return checkpoint.WriteHarness(w, CheckpointKind, e.Data(), int64(h.b.engine.Now()), h.Digest())
+	config := checkpoint.Encode(WalkScenario, &h.sc)
+	return checkpoint.WriteHarness(w, CheckpointKind, config, int64(h.b.engine.Now()), h.Digest())
 }
 
-// Restore reads a checkpoint, rebuilds the cell and replays to the
-// checkpointed instant, verifying the state digest.
-func Restore(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry) (*Harness, error) {
-	return RestoreWithCollector(r, tracer, registry, nil)
-}
-
-// RestoreWithCollector is Restore with an INT collector attachment:
-// when the checkpointed scenario has INT enabled and coll is non-nil,
-// the replay feeds coll (and anything chained on its OnSink — the SLO
-// watchdog) instead of a private collector. coll must be empty; replay
-// repopulates it from instant zero.
-func RestoreWithCollector(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry, coll *intnet.Collector) (*Harness, error) {
-	return checkpoint.Replay[sim.Time](r, CheckpointKind, decodeScenario,
+// Restore reads a checkpoint, rebuilds the cell with the given
+// telemetry sinks and replays to the checkpointed instant, verifying
+// the state digest. A collector handed in must be empty: the replay
+// feeds it, and anything chained on its OnSink, from instant zero.
+func Restore(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
+	return checkpoint.Replay[sim.Time](r, CheckpointKind, WalkScenario,
 		func(sc Scenario) (*Harness, error) {
-			sc.Trace = tracer
-			sc.Metrics = registry
-			sc.Collector = coll
+			sc.Sinks = sinks
 			return NewHarness(sc), nil
 		})
 }
 
-// figure6Checkpointer persists completed Fig. 6 cells for resumable
-// sweeps (see sweep.RunCells).
-func figure6Checkpointer(path string) sweep.Checkpointer[Result] {
-	return sweep.Checkpointer[Result]{
-		Path: path,
-		Kind: "figure6",
-		Encode: func(e *checkpoint.Encoder, r Result) {
-			e.Int(int(r.Kind))
-			e.Str(r.App)
-			e.Int(r.Clients)
-			e.F64(r.MeanLatencyMS)
-			e.F64(r.P99LatencyMS)
-			e.F64(r.LossRate)
-			e.U64(r.Requests)
-		},
-		Decode: func(d *checkpoint.Decoder) Result {
-			return Result{
-				Kind:          Kind(d.Int()),
-				App:           d.Str(),
-				Clients:       d.Int(),
-				MeanLatencyMS: d.F64(),
-				P99LatencyMS:  d.F64(),
-				LossRate:      d.F64(),
-				Requests:      d.U64(),
-			}
-		},
-	}
+// WalkResult is what a resumable Fig. 6 sweep records of a completed
+// cell.
+func WalkResult(c *checkpoint.Codec, r *Result) {
+	checkpoint.Int(c, &r.Kind)
+	c.Str(&r.App)
+	checkpoint.Int(c, &r.Clients)
+	c.F64(&r.MeanLatencyMS)
+	c.F64(&r.P99LatencyMS)
+	c.F64(&r.LossRate)
+	checkpoint.Int(c, &r.Requests)
 }
 
-func encodeScenario(e *checkpoint.Encoder, sc Scenario) {
-	e.U64(sc.Seed)
-	e.Int(int(sc.Kind))
-	e.Int(sc.Clients)
-	e.Str(sc.Profile.Name)
-	e.Int(sc.Profile.FrameBytes)
-	e.Int(sc.Profile.ResultBytes)
-	e.I64(int64(sc.Profile.Period))
-	e.I64(int64(sc.Profile.InferCPU))
-	e.I64(int64(sc.Profile.Deadline))
-	e.F64(sc.Profile.BaseAccuracy)
-	e.F64(sc.Profile.CompressionSensitivity)
-	e.F64(sc.Profile.LossSensitivity)
-	e.F64(sc.Profile.JitterSensitivity)
-	e.F64(sc.Deg.CompressionRatio)
-	e.F64(sc.Deg.LossRate)
-	e.I64(int64(sc.Deg.Jitter))
-	e.I64(int64(sc.Horizon))
-	e.Int(sc.ClientsPerServer)
-	e.Bool(sc.PlacementOnly)
-	e.Bool(sc.INT)
-}
-
-func decodeScenario(d *checkpoint.Decoder) Scenario {
-	return Scenario{
-		Seed:    d.U64(),
-		Kind:    Kind(d.Int()),
-		Clients: d.Int(),
-		Profile: mlwork.Profile{
-			Name:                   d.Str(),
-			FrameBytes:             d.Int(),
-			ResultBytes:            d.Int(),
-			Period:                 time.Duration(d.I64()),
-			InferCPU:               time.Duration(d.I64()),
-			Deadline:               time.Duration(d.I64()),
-			BaseAccuracy:           d.F64(),
-			CompressionSensitivity: d.F64(),
-			LossSensitivity:        d.F64(),
-			JitterSensitivity:      d.F64(),
-		},
-		Deg: mlwork.Degradation{
-			CompressionRatio: d.F64(),
-			LossRate:         d.F64(),
-			Jitter:           time.Duration(d.I64()),
-		},
-		Horizon:          time.Duration(d.I64()),
-		ClientsPerServer: d.Int(),
-		PlacementOnly:    d.Bool(),
-		INT:              d.Bool(),
-	}
+// WalkScenario is the field list of a cell checkpoint's "config" section
+// (the sinks are supplied fresh at Restore).
+func WalkScenario(c *checkpoint.Codec, sc *Scenario) {
+	checkpoint.Int(c, &sc.Seed)
+	checkpoint.Int(c, &sc.Kind)
+	checkpoint.Int(c, &sc.Clients)
+	c.Str(&sc.Profile.Name)
+	checkpoint.Int(c, &sc.Profile.FrameBytes)
+	checkpoint.Int(c, &sc.Profile.ResultBytes)
+	checkpoint.Int(c, &sc.Profile.Period)
+	checkpoint.Int(c, &sc.Profile.InferCPU)
+	checkpoint.Int(c, &sc.Profile.Deadline)
+	c.F64(&sc.Profile.BaseAccuracy)
+	c.F64(&sc.Profile.CompressionSensitivity)
+	c.F64(&sc.Profile.LossSensitivity)
+	c.F64(&sc.Profile.JitterSensitivity)
+	c.F64(&sc.Deg.CompressionRatio)
+	c.F64(&sc.Deg.LossRate)
+	checkpoint.Int(c, &sc.Deg.Jitter)
+	checkpoint.Int(c, &sc.Horizon)
+	checkpoint.Int(c, &sc.ClientsPerServer)
+	c.Bool(&sc.PlacementOnly)
+	c.Bool(&sc.INT)
 }

@@ -69,15 +69,15 @@ func RunFigure6Resumable(cfg Figure6Config, path string) ([]Result, error) {
 	for i, c := range cells {
 		costs[i] = c.cost()
 	}
-	own := sweep.Sinks{Trace: cfg.Trace, Metrics: cfg.Metrics, Collector: cfg.Collector}
-	return sweep.RunCells(cfg.Workers, len(cells), costs, figure6Checkpointer(path), own, func(i int, s sweep.Sinks) Result {
+	ck := sweep.Checkpointer[Result]{Path: path, Kind: "figure6", Walk: WalkResult}
+	return sweep.RunCells(cfg.Workers, len(cells), costs, ck, cfg.Sinks, func(i int, s sweep.Sinks) Result {
 		c := cells[i]
 		sc := DefaultScenario(c.kind, c.app, c.clients)
 		sc.Seed = cfg.Seed
 		if cfg.Horizon > 0 {
 			sc.Horizon = cfg.Horizon
 		}
-		sc.Trace, sc.Metrics, sc.Collector = s.Trace, s.Metrics, s.Collector
+		sc.Sinks = s
 		sc.INT = cfg.INT
 		return Run(sc)
 	})

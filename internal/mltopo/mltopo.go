@@ -19,7 +19,7 @@ import (
 	"steelnet/internal/mlwork"
 	"steelnet/internal/sim"
 	"steelnet/internal/simnet"
-	"steelnet/internal/telemetry"
+	"steelnet/internal/sweep"
 	"steelnet/internal/topo"
 )
 
@@ -73,19 +73,15 @@ type Scenario struct {
 	// 1 Gb/s attachments) — the ablation separating the two halves of
 	// the traffic-aware design.
 	PlacementOnly bool
-	// Trace, when non-nil, records the cell's frame lifecycle; Metrics,
-	// when non-nil, receives every component counter. A shared registry
-	// forces Fig. 6 sweeps serial; tracing merges per-cell (see
-	// RunFigure6).
-	Trace   *telemetry.Tracer
-	Metrics *telemetry.Registry
 	// INT makes every camera an INT source (flow = client id) and every
 	// inference server a sink: request frames arrive carrying the per-
 	// switch residence times of their actual path through the fabric.
 	INT bool
-	// Collector receives terminated stacks (nil with INT set means the
-	// harness creates one; see Harness.Collector).
-	Collector *intnet.Collector
+	// Sinks are the cell's telemetry attachments: Trace records its
+	// frame lifecycle, Metrics receives every component counter,
+	// Collector receives terminated INT stacks (nil with INT set: the
+	// harness collects into one of its own).
+	sweep.Sinks
 }
 
 // DefaultScenario fills the Fig. 6 defaults for a kind/app/client cell.

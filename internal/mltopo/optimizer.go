@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	intnet "steelnet/internal/int"
-	"steelnet/internal/telemetry"
+	"steelnet/internal/sweep"
 	"steelnet/internal/topo"
 )
 
@@ -203,16 +202,12 @@ type Figure6Config struct {
 	// Workers bounds the goroutines running sweep cells. <= 0 selects
 	// runtime.NumCPU(); 1 runs serially. Output is identical either way.
 	Workers int
-	// Trace and Metrics, when non-nil, are attached to every cell. A
-	// shared registry forces the sweep serial; tracing stays parallel
-	// (cells trace privately and merge in cell order).
-	Trace   *telemetry.Tracer
-	Metrics *telemetry.Registry
-	// INT attaches in-band telemetry to every cell; per-cell collectors
-	// are absorbed into Collector (when non-nil) in cell order. A live
-	// OnSink subscriber on Collector forces the sweep serial.
-	INT       bool
-	Collector *intnet.Collector
+	// INT attaches in-band telemetry to every cell.
+	INT bool
+	// Sinks are the sweep's own telemetry sinks; each cell reports into
+	// the set sweep.RunCells derives from them, which also decides what
+	// merges per cell and what forces the sweep serial.
+	sweep.Sinks
 }
 
 // DefaultFigure6Config matches the paper's x-axis.

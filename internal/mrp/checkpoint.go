@@ -14,6 +14,7 @@ import (
 	"steelnet/internal/profinet"
 	"steelnet/internal/sim"
 	"steelnet/internal/simnet"
+	"steelnet/internal/sweep"
 	"steelnet/internal/telemetry"
 )
 
@@ -206,43 +207,31 @@ func (h *Harness) Digest() uint64 {
 
 // Save writes a replay-anchored checkpoint of the run to w.
 func (h *Harness) Save(w io.Writer) error {
-	e := checkpoint.NewEncoder()
-	encodeRingConfig(e, h.cfg)
-	return checkpoint.WriteHarness(w, CheckpointKind, e.Data(), int64(h.engine.Now()), h.Digest())
+	config := checkpoint.Encode(WalkRingConfig, &h.cfg)
+	return checkpoint.WriteHarness(w, CheckpointKind, config, int64(h.engine.Now()), h.Digest())
 }
 
-// Restore reads a checkpoint, rebuilds the scenario and replays to the
-// checkpointed instant, verifying the state digest.
-func Restore(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry) (*Harness, error) {
-	return checkpoint.Replay[sim.Time](r, CheckpointKind, decodeRingConfig,
+// Restore reads a checkpoint, rebuilds the scenario with the given
+// telemetry sinks and replays to the checkpointed instant, verifying
+// the state digest.
+func Restore(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
+	return checkpoint.Replay[sim.Time](r, CheckpointKind, WalkRingConfig,
 		func(cfg RingExperimentConfig) (*Harness, error) {
-			cfg.Trace = tracer
-			cfg.Metrics = registry
+			cfg.Sinks = sinks
 			return NewHarness(cfg), nil
 		})
 }
 
-func encodeRingConfig(e *checkpoint.Encoder, cfg RingExperimentConfig) {
-	e.U64(cfg.Seed)
-	e.Int(cfg.Switches)
-	e.I64(int64(cfg.Ring.TestInterval))
-	e.Int(cfg.Ring.TestTolerance)
-	e.I64(int64(cfg.Cycle))
-	e.Int(cfg.WatchdogFactor)
-	e.I64(int64(cfg.Horizon))
-	e.F64(cfg.LinkBps)
-	faults.EncodePlan(e, cfg.Faults)
-}
-
-func decodeRingConfig(d *checkpoint.Decoder) RingExperimentConfig {
-	return RingExperimentConfig{
-		Seed:           d.U64(),
-		Switches:       d.Int(),
-		Ring:           Config{TestInterval: time.Duration(d.I64()), TestTolerance: d.Int()},
-		Cycle:          time.Duration(d.I64()),
-		WatchdogFactor: d.Int(),
-		Horizon:        time.Duration(d.I64()),
-		LinkBps:        d.F64(),
-		Faults:         faults.DecodePlan(d),
-	}
+// WalkRingConfig is the field list of a ring checkpoint's "config"
+// section (the sinks are supplied fresh at Restore).
+func WalkRingConfig(c *checkpoint.Codec, cfg *RingExperimentConfig) {
+	checkpoint.Int(c, &cfg.Seed)
+	checkpoint.Int(c, &cfg.Switches)
+	checkpoint.Int(c, &cfg.Ring.TestInterval)
+	checkpoint.Int(c, &cfg.Ring.TestTolerance)
+	checkpoint.Int(c, &cfg.Cycle)
+	checkpoint.Int(c, &cfg.WatchdogFactor)
+	checkpoint.Int(c, &cfg.Horizon)
+	c.F64(&cfg.LinkBps)
+	faults.WalkPlan(c, &cfg.Faults)
 }

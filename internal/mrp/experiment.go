@@ -6,7 +6,7 @@ import (
 	"steelnet/internal/faults"
 	"steelnet/internal/iodevice"
 	"steelnet/internal/sim"
-	"steelnet/internal/telemetry"
+	"steelnet/internal/sweep"
 )
 
 // RingExperimentConfig parameterizes a control loop over an MRP ring
@@ -35,10 +35,10 @@ type RingExperimentConfig struct {
 	// switches "sw0".."swN-1"; host "vplc"; ports "sw<i>.<j>" for every
 	// switch port plus "vplc"/"io" host egress.
 	Faults *faults.Plan
-	// Trace, when non-nil, records the frame lifecycle and fault spans.
-	Trace *telemetry.Tracer
-	// Metrics, when non-nil, receives every component counter.
-	Metrics *telemetry.Registry
+	// Sinks are the telemetry attachments: Trace records the frame
+	// lifecycle and fault spans, Metrics receives every component
+	// counter. The ring has no INT source, so Collector is ignored.
+	sweep.Sinks
 }
 
 // DefaultRingExperimentConfig mirrors the integration scenario: a

@@ -107,9 +107,6 @@ func NewHarness(cfg Config, v Variant) *Harness {
 // Engine returns the harness's engine.
 func (h *Harness) Engine() *sim.Engine { return h.engine }
 
-// Collector returns the INT collector (nil unless cfg.INT).
-func (h *Harness) Collector() *intnet.Collector { return h.coll }
-
 // FramesOutstanding returns the probes alive in the cell: handed out by
 // its pool and not yet returned. Zero once Result has drained the run.
 func (h *Harness) FramesOutstanding() int64 { return h.pool.Outstanding() }
@@ -188,6 +185,13 @@ func (h *Harness) Digest() uint64 {
 	return d.Sum()
 }
 
+// Cell is what a reflection checkpoint's "config" section records: the
+// configuration, then the variant's registry name.
+type Cell struct {
+	Config
+	Variant string
+}
+
 // Save writes a replay-anchored checkpoint of the cell to w. Save
 // before Result: a finalized cell has drained its flows and is not a
 // resumable state.
@@ -195,155 +199,88 @@ func (h *Harness) Save(w io.Writer) error {
 	if h.finished {
 		return fmt.Errorf("reflection: cannot checkpoint a finalized harness")
 	}
-	e := checkpoint.NewEncoder()
-	encodeConfig(e, h.cfg)
-	e.Str(h.variant.Name)
-	return checkpoint.WriteHarness(w, CheckpointKind, e.Data(), int64(h.engine.Now()), h.Digest())
+	config := checkpoint.Encode(WalkCell, &Cell{h.cfg, h.variant.Name})
+	return checkpoint.WriteHarness(w, CheckpointKind, config, int64(h.engine.Now()), h.Digest())
 }
 
-// Restore reads a checkpoint, rebuilds the cell (the variant is rebuilt
-// by name from the registry) and replays to the checkpointed instant,
-// verifying the state digest.
-func Restore(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry) (*Harness, error) {
-	return RestoreWithCollector(r, tracer, registry, nil)
-}
-
-// RestoreWithCollector is Restore with an INT collector attachment:
-// when the checkpointed config has INT enabled and coll is non-nil, the
-// replay feeds coll (and anything chained on its OnSink — the SLO
-// watchdog) instead of a private collector. coll must be empty; replay
-// repopulates it from instant zero.
-func RestoreWithCollector(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry, coll *intnet.Collector) (*Harness, error) {
-	var variant string // follows the config in the section
-	return checkpoint.Replay[sim.Time](r, CheckpointKind,
-		func(d *checkpoint.Decoder) Config {
-			cfg := decodeConfig(d)
-			variant = d.Str()
-			return cfg
-		},
-		func(cfg Config) (*Harness, error) {
-			v, err := NewVariant(variant)
+// Restore reads a checkpoint, rebuilds the cell with the given
+// telemetry sinks (the variant is rebuilt by name from the registry)
+// and replays to the checkpointed instant, verifying the state digest.
+// A collector handed in must be empty: the replay feeds it, and
+// anything chained on its OnSink, from instant zero.
+func Restore(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
+	return checkpoint.Replay[sim.Time](r, CheckpointKind, WalkCell,
+		func(c Cell) (*Harness, error) {
+			v, err := NewVariant(c.Variant)
 			if err != nil {
 				return nil, fmt.Errorf("reflection: checkpoint names unknown variant: %w", err)
 			}
-			cfg.Trace = tracer
-			cfg.Metrics = registry
-			cfg.Collector = coll
-			return NewHarness(cfg, v), nil
+			c.Sinks = sinks
+			return NewHarness(c.Config, v), nil
 		})
 }
 
-// resultCheckpointer persists completed sweep cells (full delay and
-// jitter distributions) for resumable Fig. 4 sweeps.
-func resultCheckpointer(path, kind string) sweep.Checkpointer[Result] {
-	return sweep.Checkpointer[Result]{
-		Path: path,
-		Kind: kind,
-		Encode: func(e *checkpoint.Encoder, r Result) {
-			e.Str(r.Variant)
-			e.Int(r.Flows)
-			e.F64Slice(r.Delays.Samples())
-			e.F64Slice(r.Jitter.Samples())
-			e.U64(r.RingRecords)
-		},
-		Decode: func(d *checkpoint.Decoder) Result {
-			return Result{
-				Variant:     d.Str(),
-				Flows:       d.Int(),
-				Delays:      metrics.NewSeriesFrom(d.F64Slice()),
-				Jitter:      metrics.NewSeriesFrom(d.F64Slice()),
-				RingRecords: d.U64(),
-			}
-		},
+// WalkResult is what a resumable Fig. 4 sweep records of a completed
+// cell: the full delay and jitter distributions.
+func WalkResult(c *checkpoint.Codec, r *Result) {
+	c.Str(&r.Variant)
+	checkpoint.Int(c, &r.Flows)
+	walkSeries(c, &r.Delays)
+	walkSeries(c, &r.Jitter)
+	checkpoint.Int(c, &r.RingRecords)
+}
+
+// walkSeries records a series as its samples in insertion order.
+func walkSeries(c *checkpoint.Codec, s **metrics.Series) {
+	var samples []float64
+	if !c.Decoding() {
+		samples = (*s).Samples()
+	}
+	c.F64Slice(&samples)
+	if c.Decoding() {
+		*s = metrics.NewSeriesFrom(samples)
 	}
 }
 
-func encodeConfig(e *checkpoint.Encoder, cfg Config) {
-	e.U64(cfg.Seed)
-	encodeProfile(e, cfg.Profile)
-	encodeCosts(e, cfg.Costs)
-	e.F64(cfg.LinkBps)
-	e.I64(int64(cfg.Cycle))
-	e.Int(cfg.Cycles)
-	e.Int(cfg.Flows)
-	e.Int(cfg.ProbeSize)
-	e.I64(int64(cfg.TapCfg.TimestampStep))
-	e.I64(int64(cfg.TapCfg.PassThrough))
-	e.I64(int64(cfg.TapCfg.ClockOffset))
-	e.Bool(cfg.INT)
+// WalkCell is the field list of a cell checkpoint's "config" section.
+func WalkCell(c *checkpoint.Codec, cfg *Cell) {
+	checkpoint.Int(c, &cfg.Seed)
+	walkProfile(c, &cfg.Profile)
+	walkCosts(c, &cfg.Costs)
+	c.F64(&cfg.LinkBps)
+	checkpoint.Int(c, &cfg.Cycle)
+	checkpoint.Int(c, &cfg.Cycles)
+	checkpoint.Int(c, &cfg.Flows)
+	checkpoint.Int(c, &cfg.ProbeSize)
+	checkpoint.Int(c, &cfg.TapCfg.TimestampStep)
+	checkpoint.Int(c, &cfg.TapCfg.PassThrough)
+	checkpoint.Int(c, &cfg.TapCfg.ClockOffset)
+	c.Bool(&cfg.INT)
+	c.Str(&cfg.Variant)
 }
 
-func decodeConfig(d *checkpoint.Decoder) Config {
-	return Config{
-		Seed:      d.U64(),
-		Profile:   decodeProfile(d),
-		Costs:     decodeCosts(d),
-		LinkBps:   d.F64(),
-		Cycle:     sim.Duration(d.I64()),
-		Cycles:    d.Int(),
-		Flows:     d.Int(),
-		ProbeSize: d.Int(),
-		TapCfg: tap.Config{
-			TimestampStep: sim.Duration(d.I64()),
-			PassThrough:   sim.Duration(d.I64()),
-			ClockOffset:   sim.Duration(d.I64()),
-		},
-		INT: d.Bool(),
-	}
+func walkProfile(c *checkpoint.Codec, p *host.Profile) {
+	c.Str(&p.Name)
+	checkpoint.Int(c, &p.PCIeBase)
+	c.F64(&p.PCIePerByteNs)
+	checkpoint.Int(c, &p.NICBase)
+	checkpoint.Int(c, &p.KernelBase)
+	checkpoint.Int(c, &p.SchedJitterSD)
+	c.F64(&p.SpikeProb)
+	checkpoint.Int(c, &p.SpikeScale)
+	checkpoint.Int(c, &p.ContentionPerFlowSD)
 }
 
-func encodeProfile(e *checkpoint.Encoder, p host.Profile) {
-	e.Str(p.Name)
-	e.I64(int64(p.PCIeBase))
-	e.F64(p.PCIePerByteNs)
-	e.I64(int64(p.NICBase))
-	e.I64(int64(p.KernelBase))
-	e.I64(int64(p.SchedJitterSD))
-	e.F64(p.SpikeProb)
-	e.I64(int64(p.SpikeScale))
-	e.I64(int64(p.ContentionPerFlowSD))
-}
-
-func decodeProfile(d *checkpoint.Decoder) host.Profile {
-	return host.Profile{
-		Name:                d.Str(),
-		PCIeBase:            sim.Duration(d.I64()),
-		PCIePerByteNs:       d.F64(),
-		NICBase:             sim.Duration(d.I64()),
-		KernelBase:          sim.Duration(d.I64()),
-		SchedJitterSD:       sim.Duration(d.I64()),
-		SpikeProb:           d.F64(),
-		SpikeScale:          sim.Duration(d.I64()),
-		ContentionPerFlowSD: sim.Duration(d.I64()),
-	}
-}
-
-func encodeCosts(e *checkpoint.Encoder, c ebpf.CostModel) {
-	e.I64(int64(c.ALU))
-	e.I64(int64(c.PktMem))
-	e.I64(int64(c.StackMem))
-	e.I64(int64(c.CallBase))
-	e.I64(int64(c.Ktime))
-	e.I64(int64(c.MapLookup))
-	e.I64(int64(c.MapUpdate))
-	e.I64(int64(c.RingbufOutput))
-	e.F64(c.RingbufWakeProb)
-	e.I64(int64(c.RingbufWakeCost))
-	e.I64(int64(c.RunNoiseSD))
-}
-
-func decodeCosts(d *checkpoint.Decoder) ebpf.CostModel {
-	return ebpf.CostModel{
-		ALU:             sim.Duration(d.I64()),
-		PktMem:          sim.Duration(d.I64()),
-		StackMem:        sim.Duration(d.I64()),
-		CallBase:        sim.Duration(d.I64()),
-		Ktime:           sim.Duration(d.I64()),
-		MapLookup:       sim.Duration(d.I64()),
-		MapUpdate:       sim.Duration(d.I64()),
-		RingbufOutput:   sim.Duration(d.I64()),
-		RingbufWakeProb: d.F64(),
-		RingbufWakeCost: sim.Duration(d.I64()),
-		RunNoiseSD:      sim.Duration(d.I64()),
-	}
+func walkCosts(c *checkpoint.Codec, m *ebpf.CostModel) {
+	checkpoint.Int(c, &m.ALU)
+	checkpoint.Int(c, &m.PktMem)
+	checkpoint.Int(c, &m.StackMem)
+	checkpoint.Int(c, &m.CallBase)
+	checkpoint.Int(c, &m.Ktime)
+	checkpoint.Int(c, &m.MapLookup)
+	checkpoint.Int(c, &m.MapUpdate)
+	checkpoint.Int(c, &m.RingbufOutput)
+	c.F64(&m.RingbufWakeProb)
+	checkpoint.Int(c, &m.RingbufWakeCost)
+	checkpoint.Int(c, &m.RunNoiseSD)
 }

@@ -12,7 +12,6 @@ import (
 	"steelnet/internal/simnet"
 	"steelnet/internal/sweep"
 	"steelnet/internal/tap"
-	"steelnet/internal/telemetry"
 )
 
 // Reflector is the device under test: a host whose NIC runs an XDP
@@ -221,24 +220,17 @@ type Config struct {
 	// 1 runs serially. Results are identical for any value — each cell
 	// runs on its own engine and results merge in input order.
 	Workers int
-	// Trace, when non-nil, records the frame lifecycle of the run.
-	// Multi-cell sweeps trace each cell privately and merge into Trace
-	// in cell order (see sweep.RunCells).
-	Trace *telemetry.Tracer
-	// Metrics, when non-nil, receives the component counters. A shared
-	// registry cannot be written from parallel cells, so it forces
-	// multi-cell sweeps serial.
-	Metrics *telemetry.Registry
 	// INT attaches an in-band telemetry stack to every probe at the
 	// sender; the tap transit-stamps it and the reflector's ingress
 	// terminates it into Collector — the per-hop decomposition of the
 	// one-way latency the tap can otherwise only measure end to end.
 	INT bool
-	// Collector receives terminated INT stacks. Nil with INT set means
-	// the harness creates one (Harness.Collector). Multi-cell sweeps
-	// give each cell a private collector and Absorb them in cell order;
-	// a live OnSink subscriber forces them serial (see sweep.RunCells).
-	Collector *intnet.Collector
+	// Sinks are the telemetry attachments. Trace records the frame
+	// lifecycle of the run and Metrics receives the component counters;
+	// Collector receives terminated INT stacks (nil with INT set: the
+	// harness collects into one of its own). How a multi-cell
+	// sweep shares them among its cells is sweep.RunCells' business.
+	sweep.Sinks
 }
 
 // DefaultConfig is the paper-like setup: 100 Mb/s industrial links, 2 ms
@@ -300,10 +292,10 @@ func (r Result) WouldTripWatchdog(thresholdNS float64, watchdogCycles int) bool 
 // Which sinks merge, which force the grid serial, and what a
 // checkpoint path adds is sweep.RunCells' business alone.
 func runGrid(cfg Config, kind string, n int, path string, cell func(i int, c Config) Result) ([]Result, error) {
-	own := sweep.Sinks{Trace: cfg.Trace, Metrics: cfg.Metrics, Collector: cfg.Collector}
-	return sweep.RunCells(cfg.Workers, n, nil, resultCheckpointer(path, kind), own, func(i int, s sweep.Sinks) Result {
+	ck := sweep.Checkpointer[Result]{Path: path, Kind: kind, Walk: WalkResult}
+	return sweep.RunCells(cfg.Workers, n, nil, ck, cfg.Sinks, func(i int, s sweep.Sinks) Result {
 		c := cfg
-		c.Trace, c.Metrics, c.Collector = s.Trace, s.Metrics, s.Collector
+		c.Sinks = s
 		return cell(i, c)
 	})
 }

@@ -224,6 +224,16 @@ func TestGatewayPauseSaveResume(t *testing.T) {
 	defer g2.Close()
 	resumed := spec
 	resumed.StopAfter = 0
+	// The checkpoint resumes under its own spec only: another seed and
+	// horizon is an error, and no run is registered for it.
+	other := resumed
+	other.Run.Seed, other.Run.Horizon = 4, 800*time.Millisecond
+	if id, err := g2.Resume(other, bytes.NewReader(cp.Bytes())); err == nil {
+		t.Fatalf("seed-3 / 400 ms checkpoint resumed as run %q under %+v", id, other.Run)
+	}
+	if runs := g2.List(); len(runs) != 0 || g2.Journal().Total() != 0 {
+		t.Fatalf("refused resume left %d run(s) and %d journal record(s)", len(runs), g2.Journal().Total())
+	}
 	id2, err := g2.Resume(resumed, &cp)
 	if err != nil {
 		t.Fatal(err)

@@ -26,16 +26,19 @@ type Checkpointer[T any] struct {
 	// with a mismatched kind or cell count fails loudly rather than
 	// silently mixing results from different sweeps.
 	Kind string
-	// Encode and Decode serialize one cell result deterministically.
-	Encode func(e *checkpoint.Encoder, v T)
-	Decode func(d *checkpoint.Decoder) T
+	// Walk is one cell result's field list (see checkpoint.Codec).
+	Walk func(c *checkpoint.Codec, v *T)
 }
 
 const sweepKindPrefix = "sweep/"
 
-// Sinks are the telemetry sinks of a sweep. The caller hands RunCells
-// its own (any of them nil when that telemetry is off); RunCells hands
-// every computed cell the set that cell must report into.
+// Sinks are the telemetry sinks of an experiment, embedded in every
+// experiment config: the tracer, the metrics registry and the INT
+// collector it reports into, any of them nil when that telemetry is
+// off. They are attachments, not scenario: no checkpoint encodes them
+// and every restore takes fresh ones. The caller of a sweep hands
+// RunCells its own; RunCells hands every computed cell the set that
+// cell must report into.
 type Sinks struct {
 	Trace     *telemetry.Tracer
 	Metrics   *telemetry.Registry
@@ -87,8 +90,8 @@ func RunCells[T any](workers, n int, weights []float64, ck Checkpointer[T], own 
 	}
 	vals, have := make([]T, n), make([]bool, n)
 	if ck.Path != "" {
-		if ck.Encode == nil || ck.Decode == nil {
-			return nil, errors.New("sweep: Checkpointer needs Encode and Decode")
+		if ck.Walk == nil {
+			return nil, errors.New("sweep: Checkpointer needs a Walk")
 		}
 		if err := loadCells(ck, vals, have); err != nil {
 			return nil, err
@@ -170,15 +173,17 @@ func loadCells[T any](ck Checkpointer[T], vals []T, have []bool) error {
 	if cells := d.Int(); cells != len(vals) {
 		return fmt.Errorf("sweep: %s records a %d-cell sweep, this run has %d", ck.Path, cells, len(vals))
 	}
+	c := d.Codec()
 	for count := d.Int(); count > 0 && d.Err() == nil; count-- {
 		idx := d.Int()
-		v := ck.Decode(d)
+		var v T
+		ck.Walk(c, &v)
 		if idx < 0 || idx >= len(vals) {
 			return fmt.Errorf("sweep: %s records cell %d of a %d-cell sweep", ck.Path, idx, len(vals))
 		}
 		vals[idx], have[idx] = v, true
 	}
-	if err := d.Err(); err != nil {
+	if err := d.Finish(); err != nil {
 		return fmt.Errorf("sweep: %s: %w", ck.Path, err)
 	}
 	return nil
@@ -196,10 +201,11 @@ func saveCells[T any](ck Checkpointer[T], vals []T, have []bool) error {
 		}
 	}
 	e.Int(count)
+	c := e.Codec()
 	for i, h := range have {
 		if h {
 			e.Int(i)
-			ck.Encode(e, vals[i])
+			ck.Walk(c, &vals[i])
 		}
 	}
 	return checkpoint.WriteFileAtomic(ck.Path, func(w io.Writer) error {

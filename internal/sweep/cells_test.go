@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,10 +20,9 @@ const toyCells = 12
 
 func toyCheckpointer(path string) Checkpointer[int] {
 	return Checkpointer[int]{
-		Path:   path,
-		Kind:   "toy",
-		Encode: func(e *checkpoint.Encoder, v int) { e.Int(v) },
-		Decode: func(d *checkpoint.Decoder) int { return d.Int() },
+		Path: path,
+		Kind: "toy",
+		Walk: func(c *checkpoint.Codec, v *int) { checkpoint.Int(c, v) },
 	}
 }
 
@@ -440,6 +440,18 @@ func TestRunCellsRejectsForeignCheckpoints(t *testing.T) {
 	if err := os.WriteFile(truncated, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// One byte appended inside the cells section, container resealed.
+	file, err := checkpoint.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file.Sections[0].Data = append(file.Sections[0].Data, 0)
+	trailing := filepath.Join(dir, "trailing.ckpt")
+	if err := checkpoint.WriteFileAtomic(trailing, func(w io.Writer) error {
+		return checkpoint.Write(w, file.Kind, file.Sections)
+	}); err != nil {
+		t.Fatal(err)
+	}
 	otherKind := toyCheckpointer(good)
 	otherKind.Kind = "other"
 	noCodec := Checkpointer[int]{Path: good, Kind: "toy"}
@@ -454,7 +466,8 @@ func TestRunCellsRejectsForeignCheckpoints(t *testing.T) {
 		{"cell-count", toyCells + 1, toyCheckpointer(good), "records a 12-cell sweep, this run has 13"},
 		{"truncated", toyCells, toyCheckpointer(truncated), "corrupt file"},
 		{"unwritable", toyCells, toyCheckpointer(filepath.Join(dir, "missing", "x.ckpt")), "no such file or directory"},
-		{"no-codec", toyCells, noCodec, "needs Encode and Decode"},
+		{"trailing", toyCells, toyCheckpointer(trailing), "corrupt file"},
+		{"no-codec", toyCells, noCodec, "needs a Walk"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -462,7 +475,7 @@ func TestRunCellsRejectsForeignCheckpoints(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want it to contain %q", err, c.want)
 			}
-			if c.name == "truncated" && !errors.Is(err, checkpoint.ErrCorrupt) {
+			if (c.name == "truncated" || c.name == "trailing") && !errors.Is(err, checkpoint.ErrCorrupt) {
 				t.Fatalf("err = %v, want ErrCorrupt", err)
 			}
 		})
