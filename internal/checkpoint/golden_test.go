@@ -49,6 +49,15 @@ func restoreAs[H resumable](f func(io.Reader, sweep.Sinks) (H, error)) restoreFu
 	return func(r io.Reader, s sweep.Sinks) (resumable, error) { return f(r, s) }
 }
 
+// built unwraps a constructor's result for a configuration the test
+// wrote itself, where an error is a bug.
+func built[H resumable](h H, err error) resumable {
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 // goldenCase builds a deterministic tiny harness, checkpointed at a
 // fixed instant, and restores its committed form.
 type goldenCase struct {
@@ -94,7 +103,7 @@ func goldenCases() []goldenCase {
 		{
 			name:    "mrp",
 			at:      sim.Time(300 * sim.Millisecond),
-			build:   func() resumable { return mrp.NewHarness(mrpCfg) },
+			build:   func() resumable { return built(mrp.NewHarness(mrpCfg)) },
 			restore: restoreAs(mrp.Restore),
 		},
 		{

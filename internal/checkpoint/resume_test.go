@@ -113,7 +113,7 @@ func resumeCases() []resumeCase {
 			build: func(s sweep.Sinks) resumable {
 				cfg := mrpCfg
 				cfg.Sinks = s
-				return mrp.NewHarness(cfg)
+				return built(mrp.NewHarness(cfg))
 			},
 			restore: restoreAs(mrp.Restore),
 			render: func(h resumable) string {

@@ -186,10 +186,24 @@ func NewCampusHarness(cfg CampusConfig) (*CampusHarness, error) {
 //   - spines hold full per-cell host tables pointing at the gateways.
 //
 // The cost is O(hosts · tree depth + spines · hosts) entries, which
-// keeps a 10k-switch campus buildable in well under a second.
+// keeps a 10k-switch campus buildable in well under a second. Each FIB
+// is sized once, before its entries go in, for the hosts it will hold:
+// its subtree's for a cell switch, every host for a spine.
 func (h *CampusHarness) installRoutes() {
 	cfg := h.cfg.Topo
 	g := h.ct.Graph
+	// subtree[i] counts the hosts below switch i of a cell (every cell has
+	// the same tree), itself included.
+	subtree := make([]int, cfg.SwitchesPerCell)
+	for i := len(subtree) - 1; i >= 0; i-- {
+		subtree[i] += cfg.HostsPerSwitch
+		if i > 0 {
+			subtree[(i-1)/cfg.Fanout] += subtree[i]
+		}
+	}
+	for _, sp := range h.ct.Spines {
+		h.net.Switch(sp).ReserveFIB(len(h.ct.CellHosts) * len(h.ct.CellHosts[0]))
+	}
 	// Campus graphs are simple (at most one edge per pair), so the first
 	// incident edge reaching next is the edge.
 	portToward := func(at, next topo.NodeID) int {
@@ -202,6 +216,9 @@ func (h *CampusHarness) installRoutes() {
 	}
 	for c := range h.ct.CellSwitches {
 		sw := h.ct.CellSwitches[c]
+		for i, id := range sw {
+			h.net.Switch(id).ReserveFIB(subtree[i])
+		}
 		// Defaults up the tree, gateway out to its home spine.
 		for i := 1; i < len(sw); i++ {
 			parent := sw[(i-1)/cfg.Fanout]

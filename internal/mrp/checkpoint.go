@@ -57,8 +57,10 @@ type Harness struct {
 	firstOpenAt, lastCloseAt sim.Time
 }
 
-// NewHarness builds the ring scenario without running it.
-func NewHarness(cfg RingExperimentConfig) *Harness {
+// NewHarness builds the ring scenario without running it. A fault plan
+// naming a target the scenario does not register — cfg.Faults may come
+// from a checkpoint — is an error.
+func NewHarness(cfg RingExperimentConfig) (*Harness, error) {
 	if cfg.Switches < 3 {
 		cfg.Switches = 4
 	}
@@ -148,9 +150,9 @@ func NewHarness(cfg RingExperimentConfig) *Harness {
 		plan = *cfg.Faults
 	}
 	if err := h.in.Apply(plan); err != nil {
-		panic(fmt.Sprintf("mrp: bad fault plan: %v", err))
+		return nil, fmt.Errorf("mrp: bad fault plan: %w", err)
 	}
-	return h
+	return h, nil
 }
 
 // Engine returns the harness's engine.
@@ -218,7 +220,7 @@ func Restore(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
 	return checkpoint.Replay[sim.Time](r, CheckpointKind, WalkRingConfig,
 		func(cfg RingExperimentConfig) (*Harness, error) {
 			cfg.Sinks = sinks
-			return NewHarness(cfg), nil
+			return NewHarness(cfg)
 		})
 }
 

@@ -78,8 +78,11 @@ type RingExperimentResult struct {
 
 // RunRingExperiment builds the ring, applies the fault plan and runs to
 // the horizon. It is the straight-through form of the Harness.
-func RunRingExperiment(cfg RingExperimentConfig) RingExperimentResult {
-	h := NewHarness(cfg)
+func RunRingExperiment(cfg RingExperimentConfig) (RingExperimentResult, error) {
+	h, err := NewHarness(cfg)
+	if err != nil {
+		return RingExperimentResult{}, err
+	}
 	h.AdvanceTo(h.Horizon())
-	return h.Result()
+	return h.Result(), nil
 }

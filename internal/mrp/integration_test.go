@@ -14,13 +14,23 @@ import (
 // control loop across a 4-switch MRP ring (vPLC on sw0, device on sw2
 // — opposite sides, so a mid-ring failure forces a reroute).
 
+// mustRun runs the ring experiment on a plan the test wrote itself.
+func mustRun(t *testing.T, cfg RingExperimentConfig) RingExperimentResult {
+	t.Helper()
+	res, err := RunRingExperiment(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestStandardMRPTooSlowForMotionControlWatchdog(t *testing.T) {
 	// Standard MRP (3×20 ms) recovers far outside the 4.8 ms device
 	// watchdog: the cell failsafes once, then recovers — the §2.2
 	// observation that OT failover budgets and network recovery times
 	// must be co-designed. The default plan is the classic permanent
 	// far-side cable cut at 500 ms.
-	res := RunRingExperiment(DefaultRingExperimentConfig())
+	res := mustRun(t, DefaultRingExperimentConfig())
 	if res.FailsafeEvents == 0 {
 		t.Fatal("60ms ring recovery magically beat a 4.8ms watchdog")
 	}
@@ -38,7 +48,7 @@ func TestFastMRPProfileKeepsWatchdogAlive(t *testing.T) {
 	// budget: the cut is invisible to the process.
 	cfg := DefaultRingExperimentConfig()
 	cfg.Ring = Config{TestInterval: time.Millisecond, TestTolerance: 2}
-	res := RunRingExperiment(cfg)
+	res := mustRun(t, cfg)
 	if res.FailsafeEvents != 0 {
 		t.Fatalf("failsafes = %d with fast ring profile", res.FailsafeEvents)
 	}
@@ -55,7 +65,7 @@ func TestRingHealsAfterLinkFlap(t *testing.T) {
 		{At: 500 * time.Millisecond, Kind: faults.KindLinkFlap, Target: "ring2",
 			Duration: 800 * time.Millisecond},
 	}}
-	res := RunRingExperiment(cfg)
+	res := mustRun(t, cfg)
 	if res.FirstOpenAt == 0 {
 		t.Fatal("ring never opened on the cut")
 	}
@@ -82,7 +92,7 @@ func TestRingSurvivesSwitchCrashRestart(t *testing.T) {
 		{At: 500 * time.Millisecond, Kind: faults.KindSwitchCrash, Target: "sw3",
 			Duration: 700 * time.Millisecond},
 	}}
-	res := RunRingExperiment(cfg)
+	res := mustRun(t, cfg)
 	if res.FirstOpenAt == 0 {
 		t.Fatal("ring never opened on the switch crash")
 	}
@@ -104,7 +114,7 @@ func TestRingExperimentDeterministic(t *testing.T) {
 		{At: 500 * time.Millisecond, Kind: faults.KindLinkFlap, Target: "ring1",
 			Duration: 300 * time.Millisecond},
 	}}
-	a, b := RunRingExperiment(cfg), RunRingExperiment(cfg)
+	a, b := mustRun(t, cfg), mustRun(t, cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, same plan, different results:\n%+v\n%+v", a, b)
 	}

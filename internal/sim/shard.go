@@ -18,13 +18,46 @@ import (
 // either reject the topology or fall back to a single shard (serial).
 var ErrZeroLookahead = errors.New("sim: cross-shard lookahead must be positive")
 
-// xmsg is one timestamped inter-shard message: run fn on shard dst at
-// absolute time at. Messages accumulate in per-source outboxes during a
-// window and are scheduled into destination engines at the barrier.
+// xmsg is one timestamped inter-shard message: call fn(arg, aux) on
+// shard dst at absolute time at. Messages accumulate in per-source
+// outboxes during a window and are scheduled into destination engines
+// at the barrier. fn is the sender's prebuilt handler and arg is
+// pointer-shaped, so a send stores three words and allocates nothing.
 type xmsg struct {
 	at  Time
 	dst int
-	fn  func()
+	fn  func(arg any, aux int)
+	arg any
+	aux int
+}
+
+// delivery binds one flushed message to the event that runs it on the
+// destination shard. Slots are recycled through a per-destination free
+// list, and each slot's fire func is bound once when the slot is made,
+// so a barrier schedules its messages without allocating once every
+// list has grown to its shard's peak count of pending cross messages.
+//
+// Ownership: the slots on shard d's list, and the list head, are touched
+// by shard d's worker when a slot fires (inside a window) and by the
+// coordinator when it takes slots (at a barrier). The barrier orders the
+// two, so no two goroutines ever share a list.
+type delivery struct {
+	fn   func(arg any, aux int)
+	arg  any
+	aux  int
+	fire func()
+	home **delivery // the destination shard's free-list head
+	next *delivery
+}
+
+// run is a slot's fire: it returns the slot to its list, then calls the
+// handler with the message's argument and int.
+func (d *delivery) run() {
+	fn, arg, aux := d.fn, d.arg, d.aux
+	d.fn, d.arg = nil, nil
+	d.next = *d.home
+	*d.home = d
+	fn(arg, aux)
 }
 
 // ShardGroup runs several engines in conservative lockstep. The group
@@ -68,6 +101,8 @@ type ShardGroup struct {
 	// scheduling, so same-instant cross-shard deliveries tie-break
 	// identically no matter which windows produced them.
 	merge []xmsg
+	// free[d] is shard d's list of idle delivery slots (see delivery).
+	free []*delivery
 	// haltReq collects Halt requests; shard callbacks on different worker
 	// goroutines may raise it concurrently, so it is atomic. The
 	// coordinator folds it into halted at each barrier.
@@ -99,6 +134,7 @@ func NewShardGroup(seed uint64, n int, lookahead Duration) (*ShardGroup, error) 
 		lookahead: lookahead,
 		shards:    make([]*Engine, n),
 		outbox:    make([][]xmsg, n),
+		free:      make([]*delivery, n),
 	}
 	for i := range g.shards {
 		e := NewEngine(seed)
@@ -162,20 +198,22 @@ func (g *ShardGroup) Stats() ShardGroupStats {
 	}
 }
 
-// Send enqueues fn to run on shard dst at absolute time at. It must be
-// called either from code executing inside shard src's window (the
-// cross-shard link adapters) or between Run calls. at earlier than the
-// current window's end panics: that is a lookahead violation — the
-// sending process claimed a cross-shard effect faster than the minimum
-// cross-shard propagation delay the group was built with.
-func (g *ShardGroup) Send(src, dst int, at Time, fn func()) {
+// Send enqueues a call fn(arg, aux) on shard dst at absolute time at.
+// fn is meant to be built once by the sender (per link, say) and arg to
+// be a pointer, so a send allocates nothing. It must be called either
+// from code executing inside shard src's window (the cross-shard link
+// adapters) or between Run calls. at earlier than the current window's
+// end panics: that is a lookahead violation — the sending process
+// claimed a cross-shard effect faster than the minimum cross-shard
+// propagation delay the group was built with.
+func (g *ShardGroup) Send(src, dst int, at Time, fn func(arg any, aux int), arg any, aux int) {
 	if src < 0 || src >= len(g.shards) || dst < 0 || dst >= len(g.shards) {
 		panic(fmt.Sprintf("sim: cross-shard send %d->%d outside [0,%d)", src, dst, len(g.shards)))
 	}
 	if at < g.windowEnd {
 		panic(fmt.Sprintf("sim: cross-shard send at %v violates lookahead (window ends %v): cross-shard latency below the group lookahead %v", at, g.windowEnd, g.lookahead))
 	}
-	g.outbox[src] = append(g.outbox[src], xmsg{at: at, dst: dst, fn: fn})
+	g.outbox[src] = append(g.outbox[src], xmsg{at: at, dst: dst, fn: fn, arg: arg, aux: aux})
 }
 
 // nextEventAt returns the earliest pending event time across all shards.
@@ -242,18 +280,22 @@ func (g *ShardGroup) runWindow(wend Time, workers int) {
 // sequence numbers a pure function of the scenario. The merge is a
 // stable insertion sort into a reused scratch buffer: barrier batches
 // are small and mostly time-sorted already, and it allocates nothing
-// once the buffer has grown.
+// once the buffer has grown. Each merged message is then bound, in that
+// order, to a delivery slot from its destination's free list.
 func (g *ShardGroup) flush() {
 	p := g.prof
 	m := g.merge[:0]
 	for src := range g.outbox {
 		msgs := g.outbox[src]
 		for i := range msgs {
-			m = append(m, msgs[i])
-			for j := len(m) - 1; j > 0 && m[j-1].at > m[j].at; j-- {
-				m[j-1], m[j] = m[j], m[j-1]
+			x := msgs[i]
+			m = append(m, x)
+			j := len(m) - 1
+			for ; j > 0 && m[j-1].at > x.at; j-- {
+				m[j] = m[j-1]
 			}
-			msgs[i].fn = nil
+			m[j] = x
+			msgs[i].fn, msgs[i].arg = nil, nil
 		}
 		g.messages += uint64(len(msgs))
 		if p != nil {
@@ -268,8 +310,18 @@ func (g *ShardGroup) flush() {
 		p.logWindow(g, uint64(len(m)))
 	}
 	for i := range m {
-		g.shards[m[i].dst].Schedule(m[i].at, m[i].fn)
-		m[i].fn = nil
+		x := &m[i]
+		d := g.free[x.dst]
+		if d == nil {
+			d = &delivery{home: &g.free[x.dst]}
+			d.fire = d.run
+		} else {
+			g.free[x.dst] = d.next
+			d.next = nil
+		}
+		d.fn, d.arg, d.aux = x.fn, x.arg, x.aux
+		g.shards[x.dst].Schedule(x.at, d.fire)
+		x.fn, x.arg = nil, nil
 	}
 	g.merge = m[:0]
 }

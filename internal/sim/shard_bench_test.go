@@ -24,24 +24,24 @@ func BenchmarkEngineShardedLocalSteady(b *testing.B) {
 }
 
 // BenchmarkEngineShardedCross measures the cross-shard message path:
-// each shard reschedules itself every 64 ticks and fires a prebuilt
-// message at its neighbour one lookahead out, so every window carries
-// outbox traffic. Steady state is zero-alloc: xmsg slots and arena
-// slots are both reused across barriers.
+// each shard reschedules itself every 64 ticks and sends a prebuilt
+// handler to its neighbour one lookahead out, so every window carries
+// outbox traffic. Steady state is zero-alloc: xmsg slots, delivery
+// slots and arena slots are all reused across barriers.
 func BenchmarkEngineShardedCross(b *testing.B) {
 	const L = Duration(1024)
 	g, err := NewShardGroup(1, 4, L)
 	if err != nil {
 		b.Fatal(err)
 	}
-	noop := func() {}
+	noop := func(any, int) {}
 	for s := 0; s < g.Shards(); s++ {
 		s := s
 		e := g.Shard(s)
 		dst := (s + 1) % g.Shards()
 		var step func()
 		step = func() {
-			g.Send(s, dst, e.Now().Add(L), noop)
+			g.Send(s, dst, e.Now().Add(L), noop, nil, 0)
 			e.Schedule(e.Now().Add(64), step)
 		}
 		e.Schedule(0, step)

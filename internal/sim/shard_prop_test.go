@@ -69,9 +69,9 @@ func propRun(t *testing.T, seed uint64, workers int) (string, uint64) {
 				if rem := int64(at) % 512; rem != 0 {
 					at = at.Add(Duration(512 - rem))
 				}
-				g.Send(s, dst, at, func() {
+				g.Send(s, dst, at, call, func() {
 					lines[dst] = append(lines[dst], fmt.Sprintf("x %d->%d v=%d @%d", s, dst, v, g.Shard(dst).Now()))
-				})
+				}, 0)
 			case 7: // cancellable event; the handle may be cancelled later
 				v := rng.Intn(1_000_000)
 				kept[s] = e.Schedule(now.Add(Duration(1+rng.Intn(900))), func() {
@@ -182,7 +182,7 @@ func partRun(t *testing.T, seed uint64, parts int) []string {
 				if dstShard == shard {
 					e.Schedule(at, deliver)
 				} else {
-					g.Send(shard, dstShard, at, deliver)
+					g.Send(shard, dstShard, at, call, deliver, 0)
 				}
 			case 7: // cancellable event at an odd instant
 				v := rng.Intn(1_000_000)

@@ -8,6 +8,10 @@ import (
 	"steelnet/internal/checkpoint"
 )
 
+// call is the handler the tests send with: the argument is the func to
+// run on the destination shard.
+func call(arg any, _ int) { arg.(func())() }
+
 func groupDigest(g *ShardGroup) uint64 {
 	d := checkpoint.NewDigest()
 	g.FoldState(d)
@@ -39,9 +43,9 @@ func TestShardGroupCrossSendDelivers(t *testing.T) {
 	var deliveredAt Time
 	g.Shard(0).Schedule(50, func() {
 		at := g.Shard(0).Now().Add(L)
-		g.Send(0, 1, at, func() {
+		g.Send(0, 1, at, call, func() {
 			deliveredAt = g.Shard(1).Now()
-		})
+		}, 0)
 	})
 	g.Run(1000, 1)
 	if deliveredAt != 150 {
@@ -74,7 +78,7 @@ func TestShardGroupLookaheadViolationPanics(t *testing.T) {
 		}()
 		// The window covering t=50 ends at 50+L at the earliest possible
 		// start; sending for "now" is always inside it.
-		g.Send(0, 1, g.Shard(0).Now(), func() {})
+		g.Send(0, 1, g.Shard(0).Now(), call, func() {}, 0)
 	})
 	g.Run(1000, 1)
 }
@@ -91,7 +95,7 @@ func TestShardGroupSendBoundsPanics(t *testing.T) {
 					t.Errorf("Send(%d,%d) did not panic", sd[0], sd[1])
 				}
 			}()
-			g.Send(sd[0], sd[1], 1000, func() {})
+			g.Send(sd[0], sd[1], 1000, call, func() {}, 0)
 		}()
 	}
 }
@@ -114,10 +118,10 @@ func buildPingPong(seed uint64) (*ShardGroup, *[2][]string) {
 		src := hop % 2
 		dst := 1 - src
 		at := g.Shard(src).Now().Add(L + Duration(37*hop))
-		g.Send(src, dst, at, func() {
+		g.Send(src, dst, at, call, func() {
 			logs[dst] = append(logs[dst], fmt.Sprintf("hop%d@%d", hop, g.Shard(dst).Now()))
 			bounce(hop + 1)
-		})
+		}, 0)
 	}
 	g.Shard(0).Schedule(10, func() {
 		logs[0] = append(logs[0], fmt.Sprintf("start@%d", g.Shard(0).Now()))
@@ -282,5 +286,77 @@ func TestShardGroupSoloEngineDigestUnchangedByLayoutPrefix(t *testing.T) {
 	g.Shard(0).FoldState(d2)
 	if d1.Sum() != d2.Sum() {
 		t.Fatalf("solo engine digest %#x != 1-shard group engine digest %#x", d1.Sum(), d2.Sum())
+	}
+}
+
+// TestDeliverySlotsRecycle drives every shard's outbox for thousands of
+// windows — each shard sends its neighbour one message every 64 ticks
+// at exactly the lookahead — and counts the delivery slots once the
+// traffic has drained, when every slot is back on its free list. A
+// short burst makes the slots a warm run needs; a burst forty times as
+// long must make none, no shard may hold more slots than it can have
+// messages in flight (one per 64 ticks of lookahead, plus the one at
+// the edge), and the counts are the same for every worker count. CI
+// runs the package under -race, where workers 2 and 4 make a shard's
+// worker and the coordinator take turns on each list.
+func TestDeliverySlotsRecycle(t *testing.T) {
+	const (
+		L      = Duration(1024)
+		period = Duration(64)
+	)
+	slots := func(g *ShardGroup) []int {
+		n := make([]int, g.Shards())
+		for d, s := range g.free {
+			for ; s != nil; s = s.next {
+				n[d]++
+			}
+		}
+		return n
+	}
+	var want []int
+	for _, workers := range []int{1, 2, 4} {
+		g, err := NewShardGroup(1, 4, L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]int, g.Shards()) // written by the receiving shard only
+		// burst has every shard send until to, then drains the group.
+		burst := func(to Time) {
+			for s := 0; s < g.Shards(); s++ {
+				s, e := s, g.Shard(s)
+				dst := (s + 1) % g.Shards()
+				recv := func(_ any, aux int) { got[dst] += aux }
+				var step func()
+				step = func() {
+					if e.Now() < to {
+						g.Send(s, dst, e.Now().Add(L), recv, nil, 1)
+						e.Schedule(e.Now().Add(period), step)
+					}
+				}
+				e.Schedule(g.Now(), step)
+			}
+			g.Run(to.Add(2*L), workers)
+		}
+		burst(Time(0).Add(100 * L))
+		warm := slots(g)
+		burst(g.Now().Add(4000 * L))
+		if st := g.Stats(); st.Windows < 3000 {
+			t.Fatalf("workers=%d: only %d windows", workers, st.Windows)
+		}
+		after := slots(g)
+		for d := range after {
+			if after[d] == 0 || after[d] != warm[d] || after[d] > int(L/period)+1 {
+				t.Fatalf("workers=%d: shard %d has %d delivery slots (%d when warm), want a steady 1..%d",
+					workers, d, after[d], warm[d], int(L/period)+1)
+			}
+			if want := int(4100 * L / period); got[d] != want {
+				t.Fatalf("workers=%d: shard %d handled %d messages, want %d", workers, d, got[d], want)
+			}
+		}
+		if want == nil {
+			want = after
+		} else if fmt.Sprint(after) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: slot counts %v, serial %v", workers, after, want)
+		}
 	}
 }

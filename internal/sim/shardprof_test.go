@@ -172,7 +172,7 @@ func TestShardProfilingDisabledZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	noop := func() {}
+	noop := func(any, int) {}
 	for s := 0; s < g.Shards(); s++ {
 		s := s
 		e := g.Shard(s)
@@ -180,7 +180,7 @@ func TestShardProfilingDisabledZeroAllocs(t *testing.T) {
 		e.Every(0, 1, func() { n++ })
 		var step func()
 		step = func() {
-			g.Send(s, dst, e.Now().Add(L), noop)
+			g.Send(s, dst, e.Now().Add(L), noop, nil, 0)
 			e.Schedule(e.Now().Add(64), step)
 		}
 		e.Schedule(0, step)

@@ -291,6 +291,11 @@ type crossLink struct {
 	// difference sent[e]-Delivered[e] is the cross-shard in-flight count
 	// the conservation identity needs (see Accounting.AddCrossLink).
 	sent [2]uint64
+	// deliver is the link's group-message handler, built once: the frame
+	// rides as the argument, and the int packs the sending end (bit 0)
+	// with the corrupted payload index plus one (the bits above; 0 means
+	// no corruption).
+	deliver func(arg any, aux int)
 }
 
 // engineFor returns the engine that owns the given end of the link: the
@@ -327,6 +332,9 @@ func ConnectCross(g *sim.ShardGroup, name string, a, b *Port, shardA, shardB int
 		group: g,
 		shard: [2]int{shardA, shardB},
 		eng:   [2]*sim.Engine{g.Shard(shardA), g.Shard(shardB)},
+		deliver: func(arg any, aux int) {
+			l.crossDeliver(aux&1, arg.(*frame.Frame), aux>>1-1)
+		},
 	}
 	l.ports[0], l.ports[1] = a, b
 	a.link, a.end = l, 0
@@ -575,8 +583,9 @@ func (p *Port) propDone(fl *flight) {
 
 // crossHandoff replaces the propagation leg on a cross-shard link: the
 // frame leaves this shard's accounting (inFlight--, sent++) and is
-// promised to the far shard at now + propagation via the group outbox.
-// The corruption draw happens here, on the sending shard, so the fault
+// promised to the far shard at now + propagation via the group outbox,
+// as the link's prebuilt handler with the frame as its argument. The
+// corruption draw happens here, on the sending shard, so the fault
 // stream's draw order is a function of this shard's schedule alone —
 // identical for every worker count.
 func (p *Port) crossHandoff(fl *flight) {
@@ -599,9 +608,7 @@ func (p *Port) crossHandoff(fl *flight) {
 		corrupt = p.rng().Intn(len(f.Payload))
 	}
 	at := c.eng[src].Now().Add(l.Prop + l.extra[src])
-	c.group.Send(c.shard[src], c.shard[1-src], at, func() {
-		l.crossDeliver(src, f, corrupt)
-	})
+	c.group.Send(c.shard[src], c.shard[1-src], at, c.deliver, f, (corrupt+1)<<1|src)
 }
 
 // crossDeliver completes a cross-shard traversal on the receiving

@@ -105,3 +105,19 @@ func BenchmarkTASNextOpen(b *testing.B) {
 		g.NextOpen(sim.Time(i), frame.PrioBestEffort, 10*sim.Microsecond)
 	}
 }
+
+// BenchmarkCrossShardForwarding is one frame's round trip between two
+// switches on two shards: host → switch → cross-shard backbone → switch
+// → host and the same way back, two group messages per op. The
+// benchdiff guard pins it at 0 allocs/op.
+func BenchmarkCrossShardForwarding(b *testing.B) {
+	_, send := crossPath(b)
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+}

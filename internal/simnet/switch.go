@@ -116,12 +116,33 @@ func (t *fibTable) put(mac frame.MAC, e fibEntry) {
 	s := t.find(key)
 	if s.key == 0 {
 		if t.n++; t.n*2 > len(t.slots) {
-			t.rebuild(len(t.slots)*2, nil)
+			t.rebuild(max(minFIBSlots, len(t.slots)*2), nil)
 			s = t.find(key)
 		}
 		s.key = key
 	}
 	s.fibEntry = e
+}
+
+// minFIBSlots is the smallest table put grows a FIB to.
+const minFIBSlots = 8
+
+// emptyFIB is the table every FIB starts on: one slot that stays empty,
+// because put grows the table before its first write. Shared and never
+// written, it lets a switch hold no table of its own until it needs one.
+var emptyFIB = fibTable{slots: make([]fibSlot, 1), shift: 64}
+
+// reserve sizes the table for n entries in all, so that inserting them
+// grows nothing. The size is the one put's doubling would reach after n
+// inserts, so the table is the same as a grown one, allocated once.
+func (t *fibTable) reserve(n int) {
+	size := minFIBSlots
+	for size < 2*n {
+		size *= 2
+	}
+	if n > 0 && size > len(t.slots) {
+		t.rebuild(size, nil)
+	}
 }
 
 // rebuild re-hashes the entries keep accepts (nil: all of them) into a
@@ -159,12 +180,12 @@ func NewSwitch(engine *sim.Engine, name string, nports int, cfg SwitchConfig) *S
 		name:        name,
 		engine:      engine,
 		blocked:     make([]bool, nports),
+		fib:         emptyFIB,
 		defaultPort: -1,
 		latency:     cfg.Latency,
 		jitter:      cfg.Jitter,
 		rng:         engine.RNG("switch/" + name),
 	}
-	s.fib.rebuild(8, nil) // an empty table: find needs a slot to land on
 	for i := 0; i < nports; i++ {
 		s.ports = append(s.ports, NewPort(s, i))
 	}
@@ -205,6 +226,11 @@ func (s *Switch) SetQueueDepth(perClassLimit int) {
 func (s *Switch) AddStatic(mac frame.MAC, port int) {
 	s.fib.put(mac, fibEntry{port: int32(port), static: true})
 }
+
+// ReserveFIB sizes the FIB for entries MACs in all, so that installing
+// that many grows the table no further. Lookups and the folded state do
+// not depend on the table's size.
+func (s *Switch) ReserveFIB(entries int) { s.fib.reserve(entries) }
 
 // SetDefaultPort routes unicast frames with no FIB entry out of port
 // instead of flooding. Pass -1 to restore flooding. Broadcast and

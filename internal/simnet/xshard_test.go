@@ -343,3 +343,55 @@ func TestAddCrossLinkIgnoresLocalLinks(t *testing.T) {
 		t.Fatalf("local link contributed %d to CrossWire", acct.CrossWire)
 	}
 }
+
+// crossPath builds twoCellGraph on two shards and returns n with a func
+// that sends one pooled frame from a0 over the cross-shard backbone to
+// b0, which sends it straight back, then runs the group until it is
+// home: every call crosses the cross-shard link once each way.
+func crossPath(tb testing.TB) (*Network, func()) {
+	g, part := twoCellGraph(5000)
+	n, err := NewSharded(42, g, part, SwitchConfig{Latency: sim.Microsecond})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n.InstallStaticRoutes()
+	a0, b0 := n.Host(2), n.Host(4)
+	pool := &frame.Pool{}
+	a0.OnReceive(pool.Put)
+	b0.OnReceive(func(f *frame.Frame) {
+		f.Dst = a0.MAC()
+		if !b0.Send(f) {
+			pool.Put(f)
+		}
+	})
+	return n, func() {
+		f := pool.Get(64)
+		f.Dst = b0.MAC()
+		a0.Send(f)
+		n.Group.Run(n.Group.Now().Add(sim.Millisecond), 1)
+	}
+}
+
+// TestCrossShardForwardingZeroAllocs: once warm, a frame crossing a
+// cross-shard link and coming back allocates nothing — the handoff
+// passes the link's prebuilt handler and the frame, and the barrier
+// binds it to a recycled delivery slot. CI's zero-overhead job runs
+// this; BenchmarkCrossShardForwarding is its benchdiff guard.
+func TestCrossShardForwardingZeroAllocs(t *testing.T) {
+	n, send := crossPath(t)
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	before := n.Group.Stats().Messages
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, send); allocs != 0 {
+		t.Fatalf("cross-shard round trip allocates %.1f allocs/op; want 0", allocs)
+	}
+	// AllocsPerRun calls send once more to warm up.
+	if got := n.Group.Stats().Messages - before; got != 2*(runs+1) {
+		t.Fatalf("%d cross-shard messages over %d round trips; the path does not cross", got, runs+1)
+	}
+	if a := n.Account(); a.Check() != nil || a.CrossWire != 0 {
+		t.Fatalf("after the round trips: %+v, %v", a, a.Check())
+	}
+}

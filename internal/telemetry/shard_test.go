@@ -198,7 +198,7 @@ func TestRegisterShardGroupMetrics(t *testing.T) {
 		}
 		g.Shard(0).Every(10, 50, func() {})
 		g.Shard(0).Schedule(40, func() {
-			g.Send(0, 1, g.Shard(0).Now().Add(100), func() {})
+			g.Send(0, 1, g.Shard(0).Now().Add(100), func(any, int) {}, nil, 0)
 		})
 		g.Run(1000, 1)
 		return g

@@ -66,11 +66,16 @@ type CampusTopo struct {
 }
 
 // Campus generates the topology. Node and edge IDs are assigned in a
-// fixed order (spines, then per cell: switches, hosts, then links), so
-// the same config always yields the identical graph.
+// fixed order (spines, then per cell: switches, hosts; edges per cell:
+// trunks, access links, uplinks), so the same config always yields the
+// identical graph. Every count is known up front, so nodes, edges and
+// incidence lists are each allocated once at their final size.
 func Campus(cfg CampusConfig) *CampusTopo {
 	cfg.setDefaults()
-	g := NewGraph(fmt.Sprintf("campus-%dx%d", cfg.Cells, cfg.SwitchesPerCell))
+	perCell := cfg.SwitchesPerCell * (1 + cfg.HostsPerSwitch)
+	edgesPerCell := cfg.SwitchesPerCell - 1 + cfg.SwitchesPerCell*cfg.HostsPerSwitch + cfg.Spines
+	g := newSizedGraph(fmt.Sprintf("campus-%dx%d", cfg.Cells, cfg.SwitchesPerCell),
+		cfg.Spines+cfg.Cells*perCell, cfg.Cells*edgesPerCell)
 	ct := &CampusTopo{
 		Graph:        g,
 		Cfg:          cfg,
@@ -85,24 +90,45 @@ func Campus(cfg CampusConfig) *CampusTopo {
 		sw := make([]NodeID, cfg.SwitchesPerCell)
 		for i := range sw {
 			sw[i] = g.AddNode(fmt.Sprintf("c%d.s%d", c, i), KindSwitch)
-			if i > 0 {
-				g.AddEdge(sw[(i-1)/cfg.Fanout], sw[i], cfg.Trunk.RateBps, cfg.Trunk.PropNs)
-			}
 		}
 		hosts := make([]NodeID, 0, cfg.SwitchesPerCell*cfg.HostsPerSwitch)
 		for i := range sw {
 			for h := 0; h < cfg.HostsPerSwitch; h++ {
-				id := g.AddNode(fmt.Sprintf("c%d.s%d.h%d", c, i, h), KindHost)
-				g.AddEdge(sw[i], id, cfg.Access.RateBps, cfg.Access.PropNs)
-				hosts = append(hosts, id)
+				hosts = append(hosts, g.AddNode(fmt.Sprintf("c%d.s%d.h%d", c, i, h), KindHost))
 			}
+		}
+		ct.CellSwitches[c] = sw
+		ct.CellHosts[c] = hosts
+	}
+	g.carveAdjacency(func(n NodeID) int {
+		k := int(n) - cfg.Spines
+		switch {
+		case k < 0:
+			return cfg.Cells // a spine: one uplink per gateway
+		case k%perCell >= cfg.SwitchesPerCell:
+			return 1 // a host
+		}
+		// Cell switch i: its children in the tree, its hosts, and either
+		// its parent or, at the gateway, the uplinks.
+		i := k % perCell
+		d := min(cfg.Fanout, max(0, cfg.SwitchesPerCell-1-cfg.Fanout*i)) + cfg.HostsPerSwitch
+		if i == 0 {
+			return d + cfg.Spines
+		}
+		return d + 1
+	})
+	for c := 0; c < cfg.Cells; c++ {
+		sw := ct.CellSwitches[c]
+		for i := 1; i < len(sw); i++ {
+			g.AddEdge(sw[(i-1)/cfg.Fanout], sw[i], cfg.Trunk.RateBps, cfg.Trunk.PropNs)
+		}
+		for j, id := range ct.CellHosts[c] {
+			g.AddEdge(sw[j/cfg.HostsPerSwitch], id, cfg.Access.RateBps, cfg.Access.PropNs)
 		}
 		// Gateway uplinks: the cell's only exits, all through the spine.
 		for s := 0; s < cfg.Spines; s++ {
 			g.AddEdge(sw[0], ct.Spines[s], cfg.Backbone.RateBps, cfg.Backbone.PropNs)
 		}
-		ct.CellSwitches[c] = sw
-		ct.CellHosts[c] = hosts
 	}
 	return ct
 }

@@ -83,6 +83,35 @@ func NewGraph(name string) *Graph {
 	return &Graph{Name: name}
 }
 
+// newSizedGraph returns an empty graph with room for the given node and
+// edge counts, for a generator that knows them up front.
+func newSizedGraph(name string, nodes, edges int) *Graph {
+	return &Graph{
+		Name:  name,
+		nodes: make([]Node, 0, nodes),
+		edges: make([]Edge, 0, edges),
+		adj:   make([][]EdgeID, 0, nodes),
+	}
+}
+
+// carveAdjacency gives every node an incidence list with room for
+// degree(n) edges, all cut from one slab. Call it after the last AddNode
+// and before the first AddEdge. A list that outgrows its room is moved
+// by append, so a wrong degree costs an allocation, never correctness.
+func (g *Graph) carveAdjacency(degree func(NodeID) int) {
+	total := 0
+	for n := range g.adj {
+		total += degree(NodeID(n))
+	}
+	slab := make([]EdgeID, total)
+	off := 0
+	for n := range g.adj {
+		d := degree(NodeID(n))
+		g.adj[n] = slab[off : off : off+d]
+		off += d
+	}
+}
+
 // AddNode appends a node and returns its id.
 func (g *Graph) AddNode(name string, kind NodeKind) NodeID {
 	id := NodeID(len(g.nodes))

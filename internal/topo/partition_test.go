@@ -1,6 +1,11 @@
 package topo
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+)
 
 func TestCampusShape(t *testing.T) {
 	cfg := CampusConfig{Cells: 3, SwitchesPerCell: 5, HostsPerSwitch: 2, Spines: 2}
@@ -66,6 +71,76 @@ func TestCampusDeterministic(t *testing.T) {
 	for i, e := range a.Graph.Edges() {
 		if f := b.Graph.Edges()[i]; e != f {
 			t.Fatalf("edge %d differs: %+v vs %+v", i, e, f)
+		}
+	}
+}
+
+// incrementalCampus is the campus generator as it was before it sized
+// its tables: nodes and edges interleaved, every slice grown by append.
+// It is the oracle for the sized build.
+func incrementalCampus(cfg CampusConfig) *CampusTopo {
+	cfg.setDefaults()
+	g := NewGraph(fmt.Sprintf("campus-%dx%d", cfg.Cells, cfg.SwitchesPerCell))
+	ct := &CampusTopo{Graph: g, Cfg: cfg, Spines: make([]NodeID, cfg.Spines),
+		CellSwitches: make([][]NodeID, cfg.Cells), CellHosts: make([][]NodeID, cfg.Cells)}
+	for s := range ct.Spines {
+		ct.Spines[s] = g.AddNode(fmt.Sprintf("spine%d", s), KindSwitch)
+	}
+	for c := 0; c < cfg.Cells; c++ {
+		sw := make([]NodeID, cfg.SwitchesPerCell)
+		for i := range sw {
+			sw[i] = g.AddNode(fmt.Sprintf("c%d.s%d", c, i), KindSwitch)
+			if i > 0 {
+				g.AddEdge(sw[(i-1)/cfg.Fanout], sw[i], cfg.Trunk.RateBps, cfg.Trunk.PropNs)
+			}
+		}
+		var hosts []NodeID
+		for i := range sw {
+			for h := 0; h < cfg.HostsPerSwitch; h++ {
+				id := g.AddNode(fmt.Sprintf("c%d.s%d.h%d", c, i, h), KindHost)
+				g.AddEdge(sw[i], id, cfg.Access.RateBps, cfg.Access.PropNs)
+				hosts = append(hosts, id)
+			}
+		}
+		for s := range ct.Spines {
+			g.AddEdge(sw[0], ct.Spines[s], cfg.Backbone.RateBps, cfg.Backbone.PropNs)
+		}
+		ct.CellSwitches[c], ct.CellHosts[c] = sw, hosts
+	}
+	return ct
+}
+
+// TestCampusSizedMatchesIncremental checks that the sized campus build
+// yields the graph the incremental one does — same nodes, edges,
+// incidence lists and indexes — and that every incidence list was carved
+// at exactly its degree, so no append moved one.
+func TestCampusSizedMatchesIncremental(t *testing.T) {
+	for _, cfg := range []CampusConfig{
+		{Cells: 3, SwitchesPerCell: 5, HostsPerSwitch: 2, Spines: 2},
+		{Cells: 2, SwitchesPerCell: 22, HostsPerSwitch: 1, Spines: 4, Fanout: 3},
+		{Cells: 1, SwitchesPerCell: 1, HostsPerSwitch: 0, Spines: 1},
+		{Cells: 4, SwitchesPerCell: 9, HostsPerSwitch: 0, Spines: 3, Fanout: 1},
+		{Cells: 2, SwitchesPerCell: 313, HostsPerSwitch: 1, Spines: 4},
+	} {
+		got, want := Campus(cfg), incrementalCampus(cfg)
+		gg, wg := got.Graph, want.Graph
+		if gg.Name != wg.Name || !slices.Equal(gg.Nodes(), wg.Nodes()) || !slices.Equal(gg.Edges(), wg.Edges()) {
+			t.Fatalf("%+v: sized graph differs from the incremental build", cfg)
+		}
+		for n := range gg.adj {
+			if !slices.Equal(gg.Incident(NodeID(n)), wg.Incident(NodeID(n))) {
+				t.Fatalf("%+v: node %d incident %v, want %v", cfg, n, gg.Incident(NodeID(n)), wg.Incident(NodeID(n)))
+			}
+			if len(gg.adj[n]) != cap(gg.adj[n]) {
+				t.Fatalf("%+v: node %d carved with room for %d edges, has %d", cfg, n, cap(gg.adj[n]), len(gg.adj[n]))
+			}
+		}
+		if cap(gg.nodes) != len(gg.nodes) || cap(gg.edges) != len(gg.edges) {
+			t.Fatalf("%+v: sized for %d nodes / %d edges, built %d / %d", cfg, cap(gg.nodes), cap(gg.edges), len(gg.nodes), len(gg.edges))
+		}
+		if !reflect.DeepEqual(got.Spines, want.Spines) || !reflect.DeepEqual(got.CellSwitches, want.CellSwitches) ||
+			!slices.EqualFunc(got.CellHosts, want.CellHosts, slices.Equal) {
+			t.Fatalf("%+v: campus indexes differ", cfg)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -46,25 +45,62 @@ func PropagationCost(e Edge) float64 { return float64(e.PropNs) + 1 }
 type pqItem struct {
 	node NodeID
 	dist float64
-	idx  int
 }
 
-type pq []*pqItem
+// frontier is Dijkstra's queue: a binary min-heap on dist whose sift-up
+// and sift-down are container/heap's, step for step, so equal-distance
+// nodes pop in the order they always have. Via lists, and with them
+// ECMPPath's choices, depend on that order.
+type frontier []pqItem
 
-func (q pq) Len() int           { return len(q) }
-func (q pq) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i]; q[i].idx = i; q[j].idx = j }
-func (q *pq) Push(x any)        { it := x.(*pqItem); it.idx = len(*q); *q = append(*q, it) }
-func (q *pq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
+func (q *frontier) push(it pqItem) {
+	h := append(*q, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*q = h
+}
 
-// Router computes and caches shortest paths over a fixed graph.
+func (q *frontier) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
+}
+
+// Router computes shortest paths over a fixed graph. It holds one
+// source's Dijkstra results at a time: a query from another source
+// recomputes them in place, reusing their storage. Callers that visit
+// sources one after another (FIB installation) therefore pay for one
+// source's tables, not for every source's.
 type Router struct {
 	g      *Graph
 	weight EdgeWeight
-	// dist[s] and via[s] are per-source Dijkstra results, lazily built
-	// (nil until s is first used as a source).
-	dist [][]float64
-	via  [][][]EdgeID // all equal-cost predecessor edges
+	// src is the source dist and via describe; -1 before the first query.
+	src  NodeID
+	dist []float64
+	via  [][]EdgeID // all equal-cost predecessor edges
+	q    frontier
 }
 
 // NewRouter builds a router over g with the given weight function.
@@ -73,27 +109,29 @@ func NewRouter(g *Graph, weight EdgeWeight) *Router {
 		weight = HopCount
 	}
 	return &Router{
-		g: g, weight: weight,
-		dist: make([][]float64, g.NumNodes()),
-		via:  make([][][]EdgeID, g.NumNodes()),
+		g: g, weight: weight, src: -1,
+		dist: make([]float64, g.NumNodes()),
+		via:  make([][]EdgeID, g.NumNodes()),
 	}
 }
 
 func (r *Router) run(src NodeID) {
-	if r.dist[src] != nil {
+	r.g.mustHave(src)
+	if r.src == src {
 		return
 	}
-	n := r.g.NumNodes()
-	dist := make([]float64, n)
-	via := make([][]EdgeID, n)
+	r.src = -1 // until the tables below are whole again
+	// Only dist needs resetting: a node's via list restarts when the node
+	// is first reached, and an unreached node's is never read.
+	dist, via := r.dist, r.via
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	q := &pq{}
-	heap.Push(q, &pqItem{node: src, dist: 0})
-	for q.Len() > 0 {
-		it := heap.Pop(q).(*pqItem)
+	r.q = r.q[:0]
+	r.q.push(pqItem{node: src, dist: 0})
+	for len(r.q) > 0 {
+		it := r.q.pop()
 		if it.dist > dist[it.node] {
 			continue
 		}
@@ -108,22 +146,21 @@ func (r *Router) run(src NodeID) {
 			switch {
 			case nd < dist[m]:
 				dist[m] = nd
-				via[m] = []EdgeID{eid}
-				heap.Push(q, &pqItem{node: m, dist: nd})
+				via[m] = append(via[m][:0], eid)
+				r.q.push(pqItem{node: m, dist: nd})
 			case nd == dist[m]:
 				via[m] = append(via[m], eid)
 			}
 		}
 	}
-	r.dist[src] = dist
-	r.via[src] = via
+	r.src = src
 }
 
 // Distance returns the shortest-path cost from src to dst, or +Inf when
 // unreachable.
 func (r *Router) Distance(src, dst NodeID) float64 {
 	r.run(src)
-	return r.dist[src][dst]
+	return r.dist[dst]
 }
 
 // ErrNoPath is returned when dst is unreachable from src.
@@ -138,7 +175,7 @@ func (e ErrNoPath) Error() string {
 // deterministic.
 func (r *Router) Path(src, dst NodeID) (Path, error) {
 	r.run(src)
-	if math.IsInf(r.dist[src][dst], 1) {
+	if math.IsInf(r.dist[dst], 1) {
 		return Path{}, ErrNoPath{src, dst}
 	}
 	var revNodes []NodeID
@@ -146,7 +183,7 @@ func (r *Router) Path(src, dst NodeID) (Path, error) {
 	cur := dst
 	for cur != src {
 		revNodes = append(revNodes, cur)
-		options := r.via[src][cur]
+		options := r.via[cur]
 		best := options[0]
 		for _, o := range options[1:] {
 			if o < best {
@@ -177,13 +214,13 @@ func (r *Router) Path(src, dst NodeID) (Path, error) {
 // src matters there.
 func (r *Router) NextHop(src, dst NodeID) (EdgeID, error) {
 	r.run(src)
-	if math.IsInf(r.dist[src][dst], 1) {
+	if math.IsInf(r.dist[dst], 1) {
 		return 0, ErrNoPath{src, dst}
 	}
 	cur := dst
 	var last EdgeID
 	for cur != src {
-		options := r.via[src][cur]
+		options := r.via[cur]
 		best := options[0]
 		for _, o := range options[1:] {
 			if o < best {
@@ -201,7 +238,7 @@ func (r *Router) NextHop(src, dst NodeID) (EdgeID, error) {
 // flows, like switch ECMP.
 func (r *Router) ECMPPath(src, dst NodeID, flowKey uint64) (Path, error) {
 	r.run(src)
-	if math.IsInf(r.dist[src][dst], 1) {
+	if math.IsInf(r.dist[dst], 1) {
 		return Path{}, ErrNoPath{src, dst}
 	}
 	var revNodes []NodeID
@@ -210,7 +247,7 @@ func (r *Router) ECMPPath(src, dst NodeID, flowKey uint64) (Path, error) {
 	cur := dst
 	for cur != src {
 		revNodes = append(revNodes, cur)
-		options := r.via[src][cur]
+		options := r.via[cur]
 		h = h*0x9e3779b97f4a7c15 + 0x7f4a7c159e3779b9
 		pick := options[int(h%uint64(len(options)))]
 		revEdges = append(revEdges, pick)

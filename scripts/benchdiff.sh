@@ -43,13 +43,27 @@
 #   BenchmarkEngineShardedLocalSteady
 #                                   0 allocs/op  (per-shard arenas: window
 #                                                 barriers run GC-free)
-#   BenchmarkEngineShardedCross     0 allocs/op  (outbox xmsg slots and the
-#                                                 barrier merge buffer are
+#   BenchmarkEngineShardedCross     0 allocs/op  (outbox xmsg slots, the
+#                                                 barrier merge buffer and
+#                                                 the delivery slots are
 #                                                 reused across windows;
 #                                                 with the shard profiler
 #                                                 disabled the coordinator
 #                                                 adds one pointer test per
 #                                                 window, nothing per event)
+#   BenchmarkCrossShardForwarding   0 allocs/op  (a frame's round trip over a
+#                                                 cross-shard link: the link
+#                                                 sends its prebuilt handler
+#                                                 with the frame, and the
+#                                                 barrier binds it to a
+#                                                 recycled delivery slot)
+#   BenchmarkCampus10kBuild    273,714 allocs/op (the build's 271,004 plus
+#                                                 1 %: the graph and every
+#                                                 campus FIB are allocated
+#                                                 once at their final size,
+#                                                 so a table that grows by
+#                                                 appending or doubling
+#                                                 again shows up here)
 #   BenchmarkHubPublish/subs=*      0 allocs/op  (steelnetd fan-out hub: one
 #                                                 non-blocking channel send
 #                                                 per subscriber, the Frame
@@ -81,8 +95,8 @@
 #
 # The BenchmarkCampus10kShards{1,2,4,8} rows are macro numbers (a
 # 10k-switch campus built and run end to end at each shard worker
-# count) and BenchmarkCampus10kBuild is their build phase alone; they
-# carry no alloc guard. The ladder's cross-shard-count ratios are only
+# count) and carry no alloc guard; BenchmarkCampus10kBuild is their
+# build phase alone, with the ceiling above. The ladder's cross-shard-count ratios are only
 # meaningful with a core per worker: the committed baseline was recorded
 # on two cores, so the 4- and 8-worker rungs time-slice them. Re-record
 # on wider hardware before quoting a speedup.
@@ -116,7 +130,7 @@ done
 # occasional descheduled sample and the occasional lucky one — and the
 # worst-case allocs/op so alloc guards can never pass on a lucky sample.
 raw=$(go test -run '^$' -bench \
-  'BenchmarkEngineScheduleAndRun|BenchmarkEngineQueueDepth|BenchmarkEngineBatchDrain|BenchmarkTickerChain|BenchmarkPriorityQueue|BenchmarkSwitchForwarding|BenchmarkVMReflectorProgram|BenchmarkReflectionProbe|BenchmarkInstaPLCCycle|BenchmarkEngineSharded|BenchmarkCampus10k|BenchmarkGatewayFanout|BenchmarkHubPublish|BenchmarkAppendTagsPayload|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkJournalAppend|BenchmarkJournaledPublish|BenchmarkRegistryValues|BenchmarkRegistryWritePrometheus' \
+  'BenchmarkEngineScheduleAndRun|BenchmarkEngineQueueDepth|BenchmarkEngineBatchDrain|BenchmarkTickerChain|BenchmarkPriorityQueue|BenchmarkSwitchForwarding|BenchmarkCrossShardForwarding|BenchmarkVMReflectorProgram|BenchmarkReflectionProbe|BenchmarkInstaPLCCycle|BenchmarkEngineSharded|BenchmarkCampus10k|BenchmarkGatewayFanout|BenchmarkHubPublish|BenchmarkAppendTagsPayload|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkJournalAppend|BenchmarkJournaledPublish|BenchmarkRegistryValues|BenchmarkRegistryWritePrometheus' \
   -benchmem -benchtime 50ms -count 7 . ./internal/sim ./internal/simnet ./internal/ebpf ./internal/reflection ./internal/instaplc ./internal/core ./internal/steelnetd ./internal/tshist)
 echo "$raw"
 
@@ -196,6 +210,8 @@ guard_allocs BenchmarkReflectionProbe 0 "a reflection probe's whole life (sender
 guard_allocs BenchmarkInstaPLCCycle 0 "an I/O cycle through vPLCs, pipeline and device must recycle its frames and jobs"
 guard_allocs BenchmarkEngineShardedLocalSteady 0 "sharded window barriers must run arena- and GC-free"
 guard_allocs BenchmarkEngineShardedCross 0 "cross-shard outboxes and the barrier merge must recycle, not allocate"
+guard_allocs BenchmarkCrossShardForwarding 0 "a warm frame crossing a cross-shard link must ride a recycled delivery slot, not a closure"
+guard_allocs BenchmarkCampus10kBuild 273714 "the campus graph and FIBs are sized once; 271,004 allocs/op plus 1 %"
 guard_allocs 'BenchmarkHubPublish\/subs=1' 0 "hub publish must be one channel send, no per-frame allocation"
 guard_allocs 'BenchmarkHubPublish\/subs=64' 0 "hub fan-out must not allocate per subscriber"
 guard_allocs 'BenchmarkHubPublish\/subs=1024' 0 "hub fan-out must stay allocation-free at SSE-fleet scale"
