@@ -73,7 +73,15 @@ type Frame struct {
 	Priority PCP
 	VID      uint16 // 12-bit VLAN id
 	Type     EtherType
-	Payload  []byte
+
+	// pooled marks a frame currently sitting in a Pool free list, so a
+	// double Put panics at the release site instead of corrupting the
+	// list and surfacing as aliased payloads much later. queued marks a
+	// frame linked into a FIFO (through next, below), so a second push
+	// panics the same way. Both sit in the padding after Type.
+	pooled, queued bool
+
+	Payload []byte
 
 	// Simulation metadata, not serialized: these travel with the frame
 	// object inside one node but are lost across marshal/unmarshal,
@@ -86,10 +94,8 @@ type Frame struct {
 	// the way an INT sink strips the stack before host delivery.
 	INT *INTStack
 
-	// pooled marks a frame currently sitting in a Pool free list, so a
-	// double Put panics at the release site instead of corrupting the
-	// list and surfacing as aliased payloads much later.
-	pooled bool
+	// next links the frame to the one behind it in its FIFO.
+	next *Frame
 }
 
 // Meta carries per-frame simulation metadata (ingress port, timestamps).
@@ -165,7 +171,8 @@ func Unmarshal(data []byte) (*Frame, error) {
 }
 
 // UnmarshalInto parses wire bytes into f, replacing its contents
-// (metadata and INT stack included — neither crosses the wire). The
+// (metadata and INT stack included — neither crosses the wire — and
+// the free-list mark and FIFO link, so the result is never linked). The
 // payload aliases data; callers that mutate must copy. On error f is
 // left untouched.
 func UnmarshalInto(f *Frame, data []byte) error {
@@ -196,7 +203,7 @@ func UnmarshalInto(f *Frame, data []byte) error {
 // elements clone before mirroring so downstream mutation cannot alias.
 func (f *Frame) Clone() *Frame {
 	g := *f
-	g.pooled = false
+	g.detach()
 	g.Payload = make([]byte, len(f.Payload))
 	copy(g.Payload, f.Payload)
 	if f.INT != nil {
@@ -204,6 +211,11 @@ func (f *Frame) Clone() *Frame {
 	}
 	return &g
 }
+
+// detach clears what a whole-frame copy must not inherit from its
+// source: the free-list mark and the FIFO link. UnmarshalInto needs no
+// call, since it builds its result from a zero Frame.
+func (f *Frame) detach() { f.pooled, f.queued, f.next = false, false, nil }
 
 // EffectivePriority returns the scheduling priority: the PCP when tagged,
 // else best effort.

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -312,4 +313,52 @@ func TestPoolPutNilIsNoop(t *testing.T) {
 	if f := p.Get(4); f == nil || len(f.Payload) != 4 {
 		t.Fatal("pool corrupted by nil Put")
 	}
+}
+
+// FuzzUnmarshalInto: parsing arbitrary bytes into a frame never panics;
+// on error it leaves the frame exactly as it was; on success the frame
+// marshals back to the input bytes — header and payload — and is never
+// linked into a FIFO, whatever link the target carried before.
+func FuzzUnmarshalInto(f *testing.F) {
+	untagged := (&Frame{Dst: NewMAC(1), Src: NewMAC(2), Type: TypeProfinet, Payload: []byte{1, 2, 3}}).Marshal()
+	tagged := (&Frame{Dst: Broadcast, Src: NewMAC(3), Tagged: true, Priority: PrioRT, VID: 42,
+		Type: TypeBenchEcho, Payload: make([]byte, 46)}).Marshal()
+	f.Add(untagged)
+	f.Add(tagged)
+	f.Add(tagged[:18])   // tagged header, empty payload
+	f.Add(tagged[:17])   // VLAN tag cut short
+	f.Add(untagged[:13]) // one byte short of a header
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The target is a struct copy of a queued frame, so it arrives
+		// carrying a FIFO link, metadata and an INT stack.
+		var q FIFO
+		a, b := &Frame{Dst: NewMAC(7), Payload: []byte{9}, Meta: Meta{FlowID: 5}}, &Frame{}
+		a.AttachINT("src", 1, 1, 0, 0)
+		q.Push(a)
+		q.Push(b)
+		g := *a
+		before := g
+		err := UnmarshalInto(&g, data)
+		if err != nil {
+			if !reflect.DeepEqual(g, before) {
+				t.Fatalf("failed UnmarshalInto (%v) changed its target: %+v, was %+v", err, g, before)
+			}
+			return
+		}
+		if g.Queued() || g.next != nil || g.pooled || g.INT != nil || g.Meta != (Meta{}) {
+			t.Fatalf("UnmarshalInto kept descriptor state: queued=%t next=%p pooled=%t int=%v meta=%+v",
+				g.Queued(), g.next, g.pooled, g.INT, g.Meta)
+		}
+		want := data
+		if g.Tagged {
+			// The frame model has no drop-eligible bit; it is the one
+			// header bit that does not survive the round trip.
+			want = append([]byte(nil), data...)
+			want[14] &^= 0x10
+		}
+		if got := g.MarshalInto(nil); !bytes.Equal(got, want) {
+			t.Fatalf("MarshalInto = % x, want % x", got, want)
+		}
+	})
 }

@@ -72,7 +72,7 @@ func (p *Pool) Clone(f *Frame) *Frame {
 	g := p.Get(len(f.Payload))
 	pl := g.Payload
 	*g = *f
-	g.pooled = false
+	g.detach()
 	g.Payload = pl
 	copy(g.Payload, f.Payload)
 	if src := f.INT; src != nil {
@@ -121,13 +121,17 @@ func (p *Pool) StripINT(f *Frame) {
 // again. Putting nil is a no-op; putting a frame that is already on a
 // free list panics — a double release means two owners believe they
 // hold the frame, and the next two Gets would hand out aliases of one
-// buffer.
+// buffer. Putting a frame that still sits in a FIFO panics for the same
+// reason: the queue is its owner until it pops the frame.
 func (p *Pool) Put(f *Frame) {
 	if f == nil {
 		return
 	}
 	if f.pooled {
 		panic("frame: double release to pool")
+	}
+	if f.queued {
+		panic("frame: release of a frame still queued")
 	}
 	p.StripINT(f)
 	f.pooled = true

@@ -183,7 +183,7 @@ func TestServerQueuesUnderLoad(t *testing.T) {
 	sw := simnet.NewSwitch(e, "sw", 17, simnet.DefaultSwitchConfig)
 	// Deep buffer on the server-facing port: the incast of 16×65
 	// fragments must queue, not tail-drop, for this test's purpose.
-	sw.Port(16).SetQueue(simnet.NewPriorityQueue(4096))
+	sw.Port(16).SetQueueLimit(4096)
 	simnet.Connect(e, "s", srv.Host().Port(), sw.Port(16), 10e9, 500*sim.Nanosecond)
 	clients := make([]*Client, 16)
 	for i := range clients {

@@ -23,7 +23,7 @@ type Host struct {
 	name    string
 	engine  *sim.Engine
 	mac     frame.MAC
-	port    *Port
+	port    Port
 	handler func(*frame.Frame)
 	tr      *telemetry.Tracer
 
@@ -46,7 +46,7 @@ type Host struct {
 // NewHost creates a host with the given MAC.
 func NewHost(engine *sim.Engine, name string, mac frame.MAC) *Host {
 	h := &Host{name: name, engine: engine, mac: mac}
-	h.port = NewPort(h, 0)
+	h.port.init(h, 0)
 	return h
 }
 
@@ -57,7 +57,7 @@ func (h *Host) Name() string { return h.name }
 func (h *Host) MAC() frame.MAC { return h.mac }
 
 // Port returns the host's single port.
-func (h *Host) Port() *Port { return h.port }
+func (h *Host) Port() *Port { return &h.port }
 
 // Engine returns the simulation engine the host runs on.
 func (h *Host) Engine() *sim.Engine { return h.engine }

@@ -27,14 +27,17 @@ type Node interface {
 }
 
 // Port is one attachment point of a node. A port is bound to at most one
-// link end. Egress frames queue at the port and drain at link rate.
+// link end. Egress frames queue at the port and drain at link rate. The
+// egress queue lives inside the port, and links, flights and traced
+// closures point at it, so a port is used through its pointer and never
+// copied: a switch's ports are one slice of Ports, a host embeds its one.
 type Port struct {
 	Owner Node
 	Index int
 	link  *Link
 	end   int // 0 or 1: which side of the link we are
 
-	queue    *PriorityQueue
+	queue    PriorityQueue
 	shaper   Shaper
 	busy     bool
 	pausedTx sim.Event
@@ -101,12 +104,22 @@ type Port struct {
 // NewPort creates a port owned by owner with the given index and a
 // default 256-frame-per-priority queue.
 func NewPort(owner Node, index int) *Port {
-	return &Port{Owner: owner, Index: index, queue: NewPriorityQueue(256)}
+	p := &Port{}
+	p.init(owner, index)
+	return p
 }
 
-// SetQueue replaces the port's egress queue. Must be called before
-// traffic flows.
-func (p *Port) SetQueue(q *PriorityQueue) { p.queue = q }
+// init readies a zero port in place, with the default queue bound:
+// switches cut theirs from a slab and hosts embed theirs, so a port is
+// never copied once it exists.
+func (p *Port) init(owner Node, index int) {
+	p.Owner, p.Index = owner, index
+	p.queue.SetLimit(256)
+}
+
+// SetQueueLimit bounds each priority class of the port's egress queue at
+// perClassLimit frames. Call before traffic flows.
+func (p *Port) SetQueueLimit(perClassLimit int) { p.queue.SetLimit(perClassLimit) }
 
 // SetTAS installs a time-aware-shaper gate schedule on the port.
 func (p *Port) SetTAS(g *GateSchedule) { p.shaper = g }

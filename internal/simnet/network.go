@@ -73,9 +73,13 @@ func NewSharded(seed uint64, g *topo.Graph, p topo.Partition, cfg SwitchConfig) 
 	return build(group, engines, g, p, cfg), nil
 }
 
-// build creates the equipment. Switch ports are numbered by the order
-// of the node's incident edges, which is ascending edge id, so one pass
-// over the edges hands each end its next free port.
+// build creates the equipment. Every switch's ports are cut, in node-id
+// order, from one slab sized to the switches' summed degree, so ports
+// cost the build one allocation; the slab never grows, and a port's
+// address is fixed for the network's lifetime. Switch ports are
+// numbered by the order of the node's incident edges, which is
+// ascending edge id, so one pass over the edges hands each end its next
+// free port.
 func build(group *sim.ShardGroup, engines []*sim.Engine, g *topo.Graph, p topo.Partition, cfg SwitchConfig) *Network {
 	n := &Network{
 		Graph: g, Part: p, Group: group, engines: engines,
@@ -84,11 +88,20 @@ func build(group *sim.ShardGroup, engines []*sim.Engine, g *topo.Graph, p topo.P
 		links:    make([]*Link, g.NumEdges()),
 		ports:    make([][2]int, g.NumEdges()),
 	}
+	slots := 0
+	for i := range n.switches {
+		if id := topo.NodeID(i); g.Node(id).Kind == topo.KindSwitch {
+			slots += g.Degree(id)
+		}
+	}
+	slab := make([]Port, slots)
 	for i := range n.switches {
 		node := g.Node(topo.NodeID(i))
 		eng := engines[p.Of[i]]
 		if node.Kind == topo.KindSwitch {
-			n.switches[i] = NewSwitch(eng, node.Name, g.Degree(node.ID), cfg)
+			deg := g.Degree(node.ID)
+			n.switches[i] = newSwitch(eng, node.Name, slab[:deg:deg], cfg)
+			slab = slab[deg:]
 			continue
 		}
 		if deg := g.Degree(node.ID); deg > 1 {

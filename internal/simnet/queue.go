@@ -1,79 +1,28 @@
 package simnet
 
-import "steelnet/internal/frame"
+import (
+	"math"
+	"math/bits"
 
-// classRing is one priority class's FIFO, backed by a power-of-two ring
-// buffer. Dequeue moves a head index instead of shifting the slice, so
-// Pop is O(1) where the previous slice-based queue paid an O(n) copy per
-// frame.
-type classRing struct {
-	buf  []*frame.Frame // len(buf) is always 0 or a power of two
-	head int
-	n    int
-}
-
-// push appends f, growing the ring when full. The caller enforces the
-// class depth limit.
-func (r *classRing) push(f *frame.Frame) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = f
-	r.n++
-}
-
-// grow doubles the ring, unrolling the wrapped contents to the front.
-func (r *classRing) grow() {
-	size := len(r.buf) * 2
-	if size == 0 {
-		size = 8
-	}
-	nb := make([]*frame.Frame, size)
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = nb
-	r.head = 0
-}
-
-// peek returns the head frame without removing it, or nil when empty.
-func (r *classRing) peek() *frame.Frame {
-	if r.n == 0 {
-		return nil
-	}
-	return r.buf[r.head]
-}
-
-// pop removes and returns the head frame, or nil when empty.
-func (r *classRing) pop() *frame.Frame {
-	if r.n == 0 {
-		return nil
-	}
-	f := r.buf[r.head]
-	r.buf[r.head] = nil // release the reference for GC
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return f
-}
-
-// clear drops all queued frames, keeping the ring's capacity for reuse.
-func (r *classRing) clear() {
-	for i := 0; i < r.n; i++ {
-		r.buf[(r.head+i)&(len(r.buf)-1)] = nil
-	}
-	r.head = 0
-	r.n = 0
-}
+	"steelnet/internal/frame"
+)
 
 // PriorityQueue is a strict-priority egress queue with eight classes
 // (one per 802.1Q PCP value) and a per-class depth bound. Higher PCP
 // drains first; within a class frames are FIFO. Strict priority is what
 // keeps never-ending RT microflows (§2.3) isolated from elephant flows
 // sharing the port.
+//
+// Each class is a frame.FIFO threaded through the queued frames, so the
+// queue is a fixed-size value with no buffer behind it: a Port holds
+// its queue inline. busy has bit c set while class c holds a frame, so
+// Peek and Pop find the highest busy class with one bit scan.
 type PriorityQueue struct {
-	classes [8]classRing
-	limit   int
-	length  int
+	classes [8]frame.FIFO
+	depth   [8]int32
+	limit   int32
+	length  int32
+	busy    uint8
 
 	// EnqueuedPerClass counts accepted frames per priority class.
 	EnqueuedPerClass [8]uint64
@@ -84,21 +33,30 @@ type PriorityQueue struct {
 // NewPriorityQueue creates a queue holding at most perClassLimit frames
 // in each priority class.
 func NewPriorityQueue(perClassLimit int) *PriorityQueue {
-	if perClassLimit < 1 {
-		perClassLimit = 1
-	}
-	return &PriorityQueue{limit: perClassLimit}
+	q := &PriorityQueue{}
+	q.SetLimit(perClassLimit)
+	return q
+}
+
+// SetLimit bounds each priority class at perClassLimit frames (at least
+// one). Frames already queued stay; a class above the new bound refuses
+// pushes until it drains below it.
+func (q *PriorityQueue) SetLimit(perClassLimit int) {
+	q.limit = int32(min(max(perClassLimit, 1), math.MaxInt32))
 }
 
 // Push enqueues f by its effective priority. It returns false on tail
-// drop.
+// drop. Pushing a frame that is already queued, here or in any other
+// queue, panics (see frame.FIFO).
 func (q *PriorityQueue) Push(f *frame.Frame) bool {
-	c := int(f.EffectivePriority())
-	if q.classes[c].n >= q.limit {
+	c := f.EffectivePriority() & 7
+	if q.depth[c] >= q.limit && !f.Queued() {
 		q.DroppedPerClass[c]++
 		return false
 	}
-	q.classes[c].push(f)
+	q.classes[c].Push(f) // panics on a queued frame, full class or not
+	q.depth[c]++
+	q.busy |= 1 << c
 	q.EnqueuedPerClass[c]++
 	q.length++
 	return true
@@ -106,51 +64,42 @@ func (q *PriorityQueue) Push(f *frame.Frame) bool {
 
 // Peek returns the next frame to transmit without removing it, or nil.
 func (q *PriorityQueue) Peek() *frame.Frame {
-	for c := 7; c >= 0; c-- {
-		if q.classes[c].n > 0 {
-			return q.classes[c].peek()
-		}
+	if q.busy == 0 {
+		return nil
 	}
-	return nil
+	return q.classes[bits.Len8(q.busy)-1].Peek()
 }
 
 // Pop removes and returns the next frame, or nil when empty.
 func (q *PriorityQueue) Pop() *frame.Frame {
-	for c := 7; c >= 0; c-- {
-		if q.classes[c].n > 0 {
-			q.length--
-			return q.classes[c].pop()
-		}
+	if q.busy == 0 {
+		return nil
 	}
-	return nil
+	c := bits.Len8(q.busy) - 1
+	if q.depth[c]--; q.depth[c] == 0 {
+		q.busy &^= 1 << c
+	}
+	q.length--
+	return q.classes[c].Pop()
 }
 
 // Len returns the number of queued frames across all classes.
-func (q *PriorityQueue) Len() int { return q.length }
+func (q *PriorityQueue) Len() int { return int(q.length) }
 
 // ClassLen returns the depth of one priority class.
-func (q *PriorityQueue) ClassLen(c frame.PCP) int { return q.classes[int(c&7)].n }
+func (q *PriorityQueue) ClassLen(c frame.PCP) int { return int(q.depth[c&7]) }
 
 // Limit returns the per-class depth bound.
-func (q *PriorityQueue) Limit() int { return q.limit }
+func (q *PriorityQueue) Limit() int { return int(q.limit) }
 
-// Clear drops all queued frames. Ring capacity is retained so the next
-// burst does not reallocate.
-func (q *PriorityQueue) Clear() {
-	for c := range q.classes {
-		q.classes[c].clear()
-	}
-	q.length = 0
-}
+// Clear drops all queued frames, unlinking each.
+func (q *PriorityQueue) Clear() { q.Drain(func(*frame.Frame) {}) }
 
 // Drain empties the queue like Clear but hands every dropped frame to
 // fn, highest priority class first, FIFO within a class — the hook
 // pooled transports need to reclaim frames a failure throws away.
 func (q *PriorityQueue) Drain(fn func(*frame.Frame)) {
-	for c := 7; c >= 0; c-- {
-		for f := q.classes[c].pop(); f != nil; f = q.classes[c].pop() {
-			fn(f)
-		}
+	for f := q.Pop(); f != nil; f = q.Pop() {
+		fn(f)
 	}
-	q.length = 0
 }

@@ -6,52 +6,6 @@ import (
 	"steelnet/internal/frame"
 )
 
-func TestClassRingGrowthIsPowerOfTwo(t *testing.T) {
-	// Grow through several doublings with a wrapped head each time: the
-	// unroll in grow() must keep FIFO order, and capacity must stay a
-	// power of two or the mask indexing silently corrupts the ring.
-	var r classRing
-	next, want := 0, 0
-	mk := func(i int) *frame.Frame { return &frame.Frame{Meta: frame.Meta{FlowID: uint32(i)}} }
-	for _, target := range []int{8, 16, 32, 64, 128} {
-		// Wrap the head before forcing the next doubling.
-		for i := 0; i < 3; i++ {
-			r.push(mk(next))
-			next++
-		}
-		for i := 0; i < 3; i++ {
-			if f := r.pop(); int(f.Meta.FlowID) != want {
-				t.Fatalf("pre-growth FIFO broken: got %d, want %d", f.Meta.FlowID, want)
-			} else {
-				want++
-			}
-		}
-		for r.n < target {
-			r.push(mk(next))
-			next++
-		}
-		if got := len(r.buf); got != target {
-			t.Fatalf("capacity after growing to %d frames = %d, want %d", r.n, got, target)
-		}
-		if len(r.buf)&(len(r.buf)-1) != 0 {
-			t.Fatalf("capacity %d is not a power of two", len(r.buf))
-		}
-	}
-	// Drain everything: order must hold across every doubling above.
-	for f := r.pop(); f != nil; f = r.pop() {
-		if int(f.Meta.FlowID) != want {
-			t.Fatalf("post-growth FIFO broken: got %d, want %d", f.Meta.FlowID, want)
-		}
-		want++
-	}
-	if want != next {
-		t.Fatalf("drained %d frames, pushed %d", want, next)
-	}
-	if r.peek() != nil {
-		t.Fatal("peek non-nil on empty ring")
-	}
-}
-
 func TestPriorityQueuePerPCPOrdering(t *testing.T) {
 	// Enqueue a round-robin mix over all eight classes, then verify the
 	// global drain order: strictly descending PCP, FIFO within each.
@@ -129,6 +83,43 @@ func TestPriorityQueueDrainOrderAndReset(t *testing.T) {
 	}
 	// Draining an empty queue calls nothing.
 	q.Drain(func(*frame.Frame) { t.Fatal("drain callback on empty queue") })
+}
+
+// TestPriorityQueueDoublePushPanics: a frame already waiting in a queue
+// has an owner; pushing it again, to the same queue or another, is two
+// owners, and it panics at the push the way a double Pool.Put panics at
+// the release — even when the class it would join is full.
+func TestPriorityQueueDoublePushPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		limit int
+		other bool
+	}{
+		{"same queue", 8, false},
+		{"same queue, class full", 1, false},
+		{"another queue", 8, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := NewPriorityQueue(tc.limit)
+			f := &frame.Frame{Tagged: true, Priority: frame.PrioRT}
+			if !q.Push(f) {
+				t.Fatal("first push rejected")
+			}
+			target := q
+			if tc.other {
+				target = NewPriorityQueue(tc.limit)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("pushing a queued frame did not panic")
+				}
+				if q.Len() != 1 || q.Pop() != f || q.Pop() != nil {
+					t.Fatal("the refused push disturbed the queue holding the frame")
+				}
+			}()
+			target.Push(f)
+		})
+	}
 }
 
 func TestPriorityQueueMinimumLimitClamp(t *testing.T) {

@@ -1,8 +1,9 @@
 package simnet
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"steelnet/internal/checkpoint"
 	"steelnet/internal/frame"
@@ -55,12 +56,11 @@ func foldINT(d *checkpoint.Digest, s *frame.INTStack) {
 // FoldState folds the queue's contents in drain order (highest class
 // first, FIFO within a class) plus its accept/drop counters.
 func (q *PriorityQueue) FoldState(d *checkpoint.Digest) {
-	d.Int(q.length)
+	d.Int(q.Len())
 	for c := 7; c >= 0; c-- {
-		r := &q.classes[c]
-		d.Int(r.n)
-		for i := 0; i < r.n; i++ {
-			foldFrame(d, r.buf[(r.head+i)&(len(r.buf)-1)])
+		d.Int(int(q.depth[c]))
+		for f := range q.classes[c].All() {
+			foldFrame(d, f)
 		}
 	}
 	for c := range q.EnqueuedPerClass {
@@ -98,14 +98,18 @@ func (p *Port) FoldState(d *checkpoint.Digest) {
 // FoldState folds the switch's forwarding state: FIB and static entries
 // in sorted MAC order, blocked ports in sorted index order, failure
 // flag, forwarding counters, then every port.
-func (s *Switch) FoldState(d *checkpoint.Digest) {
-	entries := make([]fibSlot, 0, s.fib.n)
+func (s *Switch) FoldState(d *checkpoint.Digest) { s.foldState(d, nil) }
+
+// foldState is FoldState sorting the FIB in buf's storage, which it
+// returns (grown if it had to be) for the next switch's fold.
+func (s *Switch) foldState(d *checkpoint.Digest, buf []fibSlot) []fibSlot {
+	entries := buf[:0]
 	for _, e := range s.fib.slots {
 		if e.key != 0 {
 			entries = append(entries, e)
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	slices.SortFunc(entries, func(a, b fibSlot) int { return cmp.Compare(a.key, b.key) })
 	d.Int(len(entries))
 	for _, e := range entries {
 		var mac [8]byte
@@ -133,9 +137,10 @@ func (s *Switch) FoldState(d *checkpoint.Digest) {
 	d.U64(s.BlockedDrops)
 	d.U64(s.HairpinDrops)
 	d.U64(s.INTDrops)
-	for _, p := range s.ports {
-		p.FoldState(d)
+	for i := range s.ports {
+		s.ports[i].FoldState(d)
 	}
+	return entries
 }
 
 // FoldState folds the host's delivery count, INT source sequence and
@@ -163,11 +168,13 @@ func (l *Link) FoldState(d *checkpoint.Digest) {
 // keyed by its graph id. The tables are indexed by id, so slice order is
 // id order and the stream does not depend on how the nodes were placed:
 // a one-engine and a sharded build of the same scenario fold alike.
+// The switches sort their FIBs in one shared buffer.
 func (n *Network) FoldState(d *checkpoint.Digest) {
+	var fib []fibSlot
 	for id, sw := range n.switches {
 		if sw != nil {
 			d.Int(id)
-			sw.FoldState(d)
+			fib = sw.foldState(d, fib)
 		}
 	}
 	for id, h := range n.hosts {

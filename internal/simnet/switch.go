@@ -18,7 +18,7 @@ import (
 type Switch struct {
 	name    string
 	engine  *sim.Engine
-	ports   []*Port
+	ports   []Port
 	fib     fibTable
 	blocked []bool // per port
 	// defaultPort, when >= 0, is where unicast frames with no FIB entry
@@ -176,18 +176,25 @@ var DefaultSwitchConfig = SwitchConfig{Latency: 2 * sim.Microsecond, Jitter: 50 
 
 // NewSwitch creates a switch with nports ports.
 func NewSwitch(engine *sim.Engine, name string, nports int, cfg SwitchConfig) *Switch {
+	return newSwitch(engine, name, make([]Port, nports), cfg)
+}
+
+// newSwitch creates a switch on ports, zero Ports it owns from now on:
+// one array of its own, or its cut of a network's slab.
+func newSwitch(engine *sim.Engine, name string, ports []Port, cfg SwitchConfig) *Switch {
 	s := &Switch{
 		name:        name,
 		engine:      engine,
-		blocked:     make([]bool, nports),
+		ports:       ports,
+		blocked:     make([]bool, len(ports)),
 		fib:         emptyFIB,
 		defaultPort: -1,
 		latency:     cfg.Latency,
 		jitter:      cfg.Jitter,
 		rng:         engine.RNG("switch/" + name),
 	}
-	for i := 0; i < nports; i++ {
-		s.ports = append(s.ports, NewPort(s, i))
+	for i := range ports {
+		ports[i].init(s, i)
 	}
 	return s
 }
@@ -200,7 +207,7 @@ func (s *Switch) Port(i int) *Port {
 	if i < 0 || i >= len(s.ports) {
 		panic(fmt.Sprintf("simnet: switch %s has no port %d", s.name, i))
 	}
-	return s.ports[i]
+	return &s.ports[i]
 }
 
 // NumPorts returns the port count.
@@ -209,16 +216,16 @@ func (s *Switch) NumPorts() int { return len(s.ports) }
 // SetTracer attaches a lifecycle tracer to the switch and all its ports.
 func (s *Switch) SetTracer(t *telemetry.Tracer) {
 	s.tr = t
-	for _, p := range s.ports {
-		p.SetTracer(t)
+	for i := range s.ports {
+		s.ports[i].SetTracer(t)
 	}
 }
 
-// SetQueueDepth replaces every port's egress queue with one holding
-// perClassLimit frames per priority class. Call before traffic flows.
+// SetQueueDepth bounds every port's egress queue at perClassLimit
+// frames per priority class. Call before traffic flows.
 func (s *Switch) SetQueueDepth(perClassLimit int) {
-	for _, p := range s.ports {
-		p.SetQueue(NewPriorityQueue(perClassLimit))
+	for i := range s.ports {
+		s.ports[i].SetQueueLimit(perClassLimit)
 	}
 }
 
@@ -287,8 +294,8 @@ func (s *Switch) Fail() {
 		return
 	}
 	s.failed = true
-	for _, p := range s.ports {
-		p.failFlush()
+	for i := range s.ports {
+		s.ports[i].failFlush()
 	}
 	s.FlushDynamic()
 }
@@ -391,7 +398,7 @@ func (s *Switch) Receive(port *Port, f *frame.Frame) {
 // frame must die (strict stack already full); lenient stacks forward
 // unstamped.
 func (s *Switch) stampINT(f *frame.Frame, intIn int64, out int) bool {
-	q := s.ports[out].queue
+	q := &s.ports[out].queue
 	depth := q.ClassLen(f.EffectivePriority())
 	ok := f.INT.PushHop(frame.INTHop{
 		Node:       s.name,
@@ -474,14 +481,15 @@ func (s *Switch) flood(inPort int, f *frame.Frame, intIn int64) {
 	s.FloodedFrames++
 	if s.tr != nil {
 		legs := 0
-		for i, p := range s.ports {
-			if i != inPort && p.Connected() && !s.blocked[i] {
+		for i := range s.ports {
+			if i != inPort && s.ports[i].Connected() && !s.blocked[i] {
 				legs++
 			}
 		}
 		s.tr.Flood(s.name, inPort, f, legs)
 	}
-	for i, p := range s.ports {
+	for i := range s.ports {
+		p := &s.ports[i]
 		if i == inPort || !p.Connected() || s.blocked[i] {
 			continue
 		}

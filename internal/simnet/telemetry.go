@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"strconv"
 
 	"steelnet/internal/telemetry"
@@ -149,8 +151,8 @@ func RegisterSwitchMetrics(r *telemetry.Registry, s *Switch) {
 	r.Counter("steelnet_switch_blocked_drops_total", ls, "frames dropped at blocked ports", func() uint64 { return s.BlockedDrops })
 	r.Counter("steelnet_switch_hairpin_drops_total", ls, "frames whose egress equals ingress", func() uint64 { return s.HairpinDrops })
 	r.Counter("steelnet_switch_int_drops_total", ls, "frames dropped on strict INT stack overflow", func() uint64 { return s.INTDrops })
-	for _, p := range s.ports {
-		RegisterPortMetrics(r, p)
+	for i := range s.ports {
+		RegisterPortMetrics(r, &s.ports[i])
 	}
 }
 
@@ -158,7 +160,7 @@ func RegisterSwitchMetrics(r *telemetry.Registry, s *Switch) {
 func RegisterHostMetrics(r *telemetry.Registry, h *Host) {
 	ls := telemetry.L("node", h.Name())
 	r.Counter("steelnet_host_rx_total", ls, "frames delivered to the host handler", func() uint64 { return h.RxCount })
-	RegisterPortMetrics(r, h.port)
+	RegisterPortMetrics(r, &h.port)
 }
 
 // RegisterLinkMetrics exposes a link's per-direction counters on r.
@@ -218,11 +220,11 @@ func (n *Network) RegisterMetrics(r *telemetry.Registry) {
 }
 
 // Ports returns all ports of the network's switches and hosts in node-id
-// order — the set Account needs for a whole-network conservation check.
+// order — the set Account covers in a whole-network conservation check.
 func (n *Network) Ports() []*Port {
 	var out []*Port
 	for id := range n.Part.Of {
-		out = n.appendPorts(out, id)
+		out = slices.AppendSeq(out, n.nodePorts(id))
 	}
 	return out
 }
@@ -233,17 +235,27 @@ func (n *Network) ShardPorts(s int) []*Port {
 	var out []*Port
 	for id, of := range n.Part.Of {
 		if of == s {
-			out = n.appendPorts(out, id)
+			out = slices.AppendSeq(out, n.nodePorts(id))
 		}
 	}
 	return out
 }
 
-func (n *Network) appendPorts(out []*Port, id int) []*Port {
-	if sw := n.switches[id]; sw != nil {
-		return append(out, sw.ports...)
+// nodePorts yields node id's ports in index order: a switch's cut of the
+// port slab, or a host's one port.
+func (n *Network) nodePorts(id int) iter.Seq[*Port] {
+	return func(yield func(*Port) bool) {
+		sw := n.switches[id]
+		if sw == nil {
+			yield(&n.hosts[id].port)
+			return
+		}
+		for i := range sw.ports {
+			if !yield(&sw.ports[i]) {
+				return
+			}
+		}
 	}
-	return append(out, n.hosts[id].port)
 }
 
 // Account builds the whole-network conservation ledger, including the
@@ -253,7 +265,12 @@ func (n *Network) appendPorts(out []*Port, id int) []*Port {
 // counted exactly once — by its link's sent/Delivered difference and by
 // nothing else.
 func (n *Network) Account() Accounting {
-	a := Account(n.Ports()...)
+	var a Accounting
+	for id := range n.Part.Of {
+		for p := range n.nodePorts(id) {
+			a.Add(p)
+		}
+	}
 	for _, l := range n.links {
 		a.AddCrossLink(l)
 	}

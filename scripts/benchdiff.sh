@@ -4,11 +4,20 @@
 # (BENCH_15.json) with a per-benchmark delta table.
 #
 # Usage: scripts/benchdiff.sh [output.json] [--baseline FILE] [--check PCT]
+#        scripts/benchdiff.sh --ab DIR
 #
 #   output.json      where to write the fresh report (default BENCH_sim.json)
 #   --baseline FILE  committed baseline to diff against (default BENCH_15.json)
 #   --check PCT      fail when any benchmark's ns/op regresses more than
 #                    PCT percent against the baseline (CI passes 10)
+#   --ab DIR         instead of the above, time BenchmarkSwitchForwarding/fib=8
+#                    against the checkout at DIR (e.g. `git archive` of the
+#                    parent commit): each side's test binary is built once,
+#                    then the two alternate for 5 rounds and every sample
+#                    is printed with each side's range and median. One run
+#                    wobbles by ±10 % or more on a shared 2-vCPU box, so a
+#                    forwarding-path change is judged on these ranges: a
+#                    difference inside both is unresolved, not a regression.
 #
 # The report is a JSON array of {name, ns_per_op, bytes_per_op,
 # allocs_per_op} rows parsed from `go test -bench -benchmem` output.
@@ -26,6 +35,9 @@
 #                                                 FIB lookups per transit,
 #                                                 no write when the source
 #                                                 is already known)
+#   BenchmarkPriorityQueue          0 allocs/op  (each class is a FIFO linked
+#                                                 through the queued frames:
+#                                                 no depth grows a buffer)
 #   BenchmarkSwitchForwardingINT    0 allocs/op  (INT on: the source host
 #                                                 attaches from, and the
 #                                                 sink strips into, the
@@ -57,13 +69,16 @@
 #                                                 with the frame, and the
 #                                                 barrier binds it to a
 #                                                 recycled delivery slot)
-#   BenchmarkCampus10kBuild    273,714 allocs/op (the build's 271,004 plus
+#   BenchmarkCampus10kBuild    167,169 allocs/op (the build's 165,514 plus
 #                                                 1 %: the graph and every
 #                                                 campus FIB are allocated
 #                                                 once at their final size,
-#                                                 so a table that grows by
-#                                                 appending or doubling
-#                                                 again shows up here)
+#                                                 and the switch ports are
+#                                                 one slab with each queue
+#                                                 inline, so a table that
+#                                                 grows again or a port
+#                                                 allocated on its own shows
+#                                                 up here)
 #   BenchmarkHubPublish/subs=*      0 allocs/op  (steelnetd fan-out hub: one
 #                                                 non-blocking channel send
 #                                                 per subscriber, the Frame
@@ -107,8 +122,13 @@ cd "$(dirname "$0")/.."
 out="BENCH_sim.json"
 baseline="BENCH_15.json"
 check_pct=""
+ab_dir=""
 while [ $# -gt 0 ]; do
     case "$1" in
+    --ab)
+        ab_dir="$2"
+        shift 2
+        ;;
     --baseline)
         baseline="$2"
         shift 2
@@ -123,6 +143,37 @@ while [ $# -gt 0 ]; do
         ;;
     esac
 done
+
+# --- Interleaved A/B of the forwarding path ---------------------------
+
+if [ -n "$ab_dir" ]; then
+    bin=$(mktemp -d)
+    trap 'rm -rf "$bin"' EXIT
+    (cd "$ab_dir" && go test -c -o "$bin/base" ./internal/simnet)
+    go test -c -o "$bin/new" ./internal/simnet
+    cd internal/simnet
+    for round in 1 2 3 4 5; do
+        for side in base new; do
+            "$bin/$side" -test.run '^$' -test.bench 'BenchmarkSwitchForwarding/fib=8$' \
+                -test.benchtime 300ms -test.benchmem |
+                awk -v s="$side" -v r="$round" '/^Benchmark/ { print s, r, $3 }'
+        done
+    done | awk '
+    { print "round " $2 "  " $1 "  " $3 " ns/op"; v[$1, ++n[$1]] = $3 }
+    END {
+        for (s = 0; s < 2; s++) {
+            side = s ? "new" : "base"; m = n[side]
+            for (a = 1; a <= m; a++) x[a] = v[side, a]
+            for (a = 2; a <= m; a++) { # insertion sort: m is 5
+                y = x[a]
+                for (b = a - 1; b >= 1 && x[b] > y; b--) x[b + 1] = x[b]
+                x[b + 1] = y
+            }
+            printf "%-4s  range %s-%s ns/op  median %s\n", side, x[1], x[m], x[(m + 1) / 2]
+        }
+    }'
+    exit 0
+fi
 
 # Time-based samples (50ms each) and -count 7: iteration-count samples
 # of nanosecond-scale ops are ±20-30% noisy on shared runners. The
@@ -202,6 +253,7 @@ for depth in 1 64 512 4096; do
     guard_allocs "BenchmarkEngineQueueDepth\\/$depth" 0 "the event queue must hold any depth on the arena's own links"
 done
 guard_allocs BenchmarkEngineBatchDrain 0 "a same-instant batch must be staged without allocating"
+guard_allocs BenchmarkPriorityQueue 0 "a class FIFO must link its frames, not buffer them"
 guard_allocs 'BenchmarkSwitchForwarding\/fib=8' 0 "telemetry disabled must be 0 allocs/op"
 guard_allocs 'BenchmarkSwitchForwarding\/fib=512' 0 "a populated FIB must forward without allocating"
 guard_allocs BenchmarkSwitchForwardingINT 0 "INT stacks must recycle through the frame pool, not allocate"
@@ -211,7 +263,7 @@ guard_allocs BenchmarkInstaPLCCycle 0 "an I/O cycle through vPLCs, pipeline and 
 guard_allocs BenchmarkEngineShardedLocalSteady 0 "sharded window barriers must run arena- and GC-free"
 guard_allocs BenchmarkEngineShardedCross 0 "cross-shard outboxes and the barrier merge must recycle, not allocate"
 guard_allocs BenchmarkCrossShardForwarding 0 "a warm frame crossing a cross-shard link must ride a recycled delivery slot, not a closure"
-guard_allocs BenchmarkCampus10kBuild 273714 "the campus graph and FIBs are sized once; 271,004 allocs/op plus 1 %"
+guard_allocs BenchmarkCampus10kBuild 167169 "the campus graph and FIBs are sized once and the ports are one slab; 165,514 allocs/op plus 1 %"
 guard_allocs 'BenchmarkHubPublish\/subs=1' 0 "hub publish must be one channel send, no per-frame allocation"
 guard_allocs 'BenchmarkHubPublish\/subs=64' 0 "hub fan-out must not allocate per subscriber"
 guard_allocs 'BenchmarkHubPublish\/subs=1024' 0 "hub fan-out must stay allocation-free at SSE-fleet scale"
