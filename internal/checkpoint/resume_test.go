@@ -172,7 +172,7 @@ func (s sidedTest) Name() string { return s.T.Name() + "/" + s.side }
 func attachObservability(t *testing.T, c resumeCase, side string, tr *telemetry.Tracer) intAttachments {
 	t.Helper()
 	var a intAttachments
-	a.rec = intnet.NewRecorder(0)
+	a.rec = intnet.NewRecorder()
 	a.rec.Attach(tr)
 	t.Cleanup(func() { intnet.DumpOnFailure(sidedTest{t, side}, a.rec) })
 	if !c.int {
@@ -183,7 +183,7 @@ func attachObservability(t *testing.T, c resumeCase, side string, tr *telemetry.
 	if err != nil {
 		t.Fatalf("ParseSLOPlan: %v", err)
 	}
-	a.wd = intnet.NewWatchdog(plan, 0, tr)
+	a.wd = intnet.NewWatchdog(plan, tr)
 	a.wd.Attach(a.coll)
 	return a
 }

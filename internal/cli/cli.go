@@ -145,13 +145,13 @@ func (t *Telemetry) Begin() error {
 			t.Tracer = telemetry.NewTracer(nil)
 			t.Tracer.SetRetain(false)
 		}
-		t.Recorder = intnet.NewRecorder(0)
+		t.Recorder = intnet.NewRecorder()
 		t.Recorder.Attach(t.Tracer)
 	}
 	if t.INTPath != "" || t.SLOSpec != "" {
 		t.Collector = intnet.NewCollector()
 		if t.SLOSpec != "" {
-			t.Watchdog = intnet.NewWatchdog(plan, 0, t.Tracer)
+			t.Watchdog = intnet.NewWatchdog(plan, t.Tracer)
 			t.Watchdog.Attach(t.Collector)
 		}
 	}

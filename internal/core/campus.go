@@ -153,7 +153,7 @@ func NewCampusHarness(cfg CampusConfig) (*CampusHarness, error) {
 		if cfg.INT {
 			h.colls[s] = intnet.NewCollector()
 			if len(plan) > 0 {
-				h.dogs[s] = intnet.NewWatchdog(plan, 0, nil)
+				h.dogs[s] = intnet.NewWatchdog(plan, nil)
 				h.dogs[s].Attach(h.colls[s])
 			}
 		}
@@ -359,7 +359,7 @@ func (h *CampusHarness) MergedWatchdog() *intnet.Watchdog {
 	if len(h.plan) == 0 || !h.cfg.INT {
 		return nil
 	}
-	m := intnet.NewWatchdog(h.plan, 0, nil)
+	m := intnet.NewWatchdog(h.plan, nil)
 	for _, w := range h.dogs {
 		if w != nil {
 			m.Absorb(w)

@@ -159,7 +159,7 @@ func newHeadlessAttachments(cfg HeadlessConfig) (*Headless, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.wd = intnet.NewWatchdog(plan, 0, nil)
+		d.wd = intnet.NewWatchdog(plan, nil)
 		d.wd.Attach(d.sinks.Collector) // chains after the loss aggregate
 	}
 	return d, nil
@@ -319,26 +319,22 @@ func RestoreHeadless(r io.Reader, cfg HeadlessConfig) (*Headless, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
-	}
-	recorded, _, _, err := checkpoint.ReadHarness(bytes.NewReader(raw), instaplc.CheckpointKind)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(recorded, checkpoint.Encode(instaplc.WalkConfig, &ecfg)) {
-		return nil, errors.New("core: the run spec does not describe the checkpointed run (seed, timeline, faults or baseline differ)")
-	}
 	d, err := newHeadlessAttachments(cfg)
 	if err != nil {
 		return nil, err
 	}
-	h, err := instaplc.RestoreWith(bytes.NewReader(raw), d.sinks)
+	want := checkpoint.Encode(instaplc.WalkConfig, &ecfg)
+	d.h, err = checkpoint.Replay[sim.Time](r, instaplc.CheckpointKind, instaplc.WalkConfig,
+		func(rec instaplc.ExperimentConfig) (*instaplc.Harness, error) {
+			if !bytes.Equal(checkpoint.Encode(instaplc.WalkConfig, &rec), want) {
+				return nil, errors.New("core: the run spec does not describe the checkpointed run (seed, timeline, faults or baseline differ)")
+			}
+			rec.Sinks = d.sinks
+			return instaplc.BuildHarness(rec)
+		})
 	if err != nil {
 		return nil, err
 	}
-	d.h = h
 	// Re-derive the slice cursor from the restored instant. Saves happen
 	// only at slice boundaries, so Now is k*Slice exactly (or the
 	// horizon, for a run checkpointed at its final boundary).

@@ -21,7 +21,6 @@ import (
 // checkpoint diverges or a test fails, Dump writes the last moments of
 // every component's life, deterministically, to JSONL.
 type Recorder struct {
-	cap   int
 	rings map[string]*eventRing
 	order []string // first-seen node order
 
@@ -67,18 +66,15 @@ func (r *eventRing) events() []telemetry.Event {
 	return out
 }
 
-// DefaultRecorderDepth is the per-node ring size when the caller
-// passes 0: enough to cover several control cycles of every experiment
-// without the recorder's memory mattering.
-const DefaultRecorderDepth = 256
+// RecorderDepth is the per-node ring size: enough to cover several
+// control cycles of every experiment without the recorder's memory
+// mattering.
+const RecorderDepth = 256
 
-// NewRecorder creates a recorder keeping the last perNodeCap events per
-// component (<= 0 selects DefaultRecorderDepth).
-func NewRecorder(perNodeCap int) *Recorder {
-	if perNodeCap <= 0 {
-		perNodeCap = DefaultRecorderDepth
-	}
-	return &Recorder{cap: perNodeCap, rings: make(map[string]*eventRing)}
+// NewRecorder creates a recorder keeping the last RecorderDepth events
+// per component.
+func NewRecorder() *Recorder {
+	return &Recorder{rings: make(map[string]*eventRing)}
 }
 
 // Attach installs the recorder as tr's event observer. Fault
@@ -96,7 +92,7 @@ func (r *Recorder) Attach(tr *telemetry.Tracer) {
 func (r *Recorder) Observe(e telemetry.Event) {
 	ring := r.rings[e.Node]
 	if ring == nil {
-		ring = &eventRing{buf: make([]telemetry.Event, r.cap)}
+		ring = &eventRing{buf: make([]telemetry.Event, RecorderDepth)}
 		r.rings[e.Node] = ring
 		r.order = append(r.order, e.Node)
 	}
@@ -195,7 +191,7 @@ func (r *Recorder) DumpToFile(path string) error {
 // first) and the trigger log, so a restored run must rebuild the
 // recorder exactly.
 func (r *Recorder) FoldState(d *checkpoint.Digest) {
-	d.Int(r.cap)
+	d.Int(RecorderDepth) // part of the digest format
 	d.Int(len(r.order))
 	for _, node := range r.order {
 		ring := r.rings[node]
@@ -238,7 +234,7 @@ const FlightRecDirEnv = "STEELNET_FLIGHTREC_DIR"
 // test has failed (no-op otherwise, or when the variable is unset).
 // Call it from a defer:
 //
-//	rec := intnet.NewRecorder(0)
+//	rec := intnet.NewRecorder()
 //	rec.Attach(tr)
 //	defer intnet.DumpOnFailure(t, rec)
 func DumpOnFailure(t FailingTest, r *Recorder) {

@@ -16,11 +16,11 @@ func ev(node string, t int64) telemetry.Event {
 }
 
 func TestRecorderRingBounds(t *testing.T) {
-	r := NewRecorder(4)
+	r := NewRecorder()
 	if !r.Empty() {
 		t.Fatal("fresh recorder not Empty")
 	}
-	for i := int64(1); i <= 10; i++ {
+	for i := int64(1); i <= RecorderDepth+4; i++ {
 		r.Observe(ev("sw", i))
 	}
 	if r.Empty() {
@@ -32,10 +32,10 @@ func TestRecorderRingBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("dump has %d lines, want ring cap 4", len(lines))
+	if len(lines) != RecorderDepth {
+		t.Fatalf("dump has %d lines, want ring cap %d", len(lines), RecorderDepth)
 	}
-	// Oldest-first: only the last four events survive, in order.
+	// Oldest-first: the first four events were overwritten.
 	for i, line := range lines {
 		var rec struct {
 			Type string `json:"type"`
@@ -45,14 +45,14 @@ func TestRecorderRingBounds(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}
-		if rec.Type != "event" || rec.Node != "sw" || rec.T != int64(7+i) {
-			t.Fatalf("line %d = %+v, want event t=%d", i, rec, 7+i)
+		if rec.Type != "event" || rec.Node != "sw" || rec.T != int64(5+i) {
+			t.Fatalf("line %d = %+v, want event t=%d", i, rec, 5+i)
 		}
 	}
 }
 
 func TestRecorderAutoTriggers(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	var hook []Trigger
 	r.OnTrigger = func(tg Trigger) { hook = append(hook, tg) }
 
@@ -82,7 +82,7 @@ func TestRecorderAutoTriggers(t *testing.T) {
 func TestRecorderAttachObservesTracer(t *testing.T) {
 	tr := telemetry.NewTracer(nil)
 	tr.SetRetain(false) // recorder must not depend on the tracer's log
-	r := NewRecorder(0)
+	r := NewRecorder()
 	r.Attach(tr)
 
 	tr.FaultInject("sw", "partition:sw@1ms", 1000)
@@ -93,13 +93,13 @@ func TestRecorderAttachObservesTracer(t *testing.T) {
 	if got := len(r.Triggers()); got != 2 {
 		t.Fatalf("got %d auto-triggers via Attach, want 2", got)
 	}
-	r2 := NewRecorder(0)
+	r2 := NewRecorder()
 	r2.Attach(nil) // must not panic
 }
 
 func TestRecorderDumpDeterministicOrder(t *testing.T) {
 	mk := func() *Recorder {
-		r := NewRecorder(8)
+		r := NewRecorder()
 		// First-seen order z, a — the dump must still sort by node name,
 		// with triggers first.
 		r.Observe(ev("z", 1))
@@ -143,7 +143,7 @@ func TestDumpOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv(FlightRecDirEnv, dir)
 
-	r := NewRecorder(0)
+	r := NewRecorder()
 	r.Observe(ev("sw", 1))
 
 	DumpOnFailure(failedTest{name: "TestPassed", failed: false}, r)

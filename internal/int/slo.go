@@ -103,7 +103,7 @@ func ParseObjective(s string) (Objective, error) {
 		if err != nil {
 			return Objective{}, fmt.Errorf("intnet: objective %q: bad loss fraction: %v", s, err)
 		}
-		if f <= 0 || f >= 1 {
+		if !(f > 0 && f < 1) { // NaN fails both comparisons
 			return Objective{}, fmt.Errorf("intnet: objective %q: loss fraction must be in (0,1)", s)
 		}
 		o.Frac = f
@@ -182,29 +182,25 @@ type objState struct {
 // outlier frame does not flap the state. Breach and clear transitions
 // are emitted to the tracer as spans in the Perfetto "slo" lane.
 type Watchdog struct {
-	plan        SLOPlan
-	specs       []string // cached Objective.String per objective
-	consecutive int
-	tr          *telemetry.Tracer
-	states      map[stateKey]*objState
-	skeys       []stateKey // first-seen order, for deterministic folds
-	breaches    []Breach
+	plan     SLOPlan
+	specs    []string // cached Objective.String per objective
+	tr       *telemetry.Tracer
+	states   map[stateKey]*objState
+	skeys    []stateKey // first-seen order, for deterministic folds
+	breaches []Breach
 }
 
-// DefaultConsecutive is the hysteresis depth when the caller passes 0.
-const DefaultConsecutive = 3
+// Consecutive is the hysteresis depth: how many observations in a row
+// open a breach, and how many close it.
+const Consecutive = 3
 
-// NewWatchdog builds a watchdog for plan. consecutive <= 0 selects
-// DefaultConsecutive; tr may be nil (breaches are still logged).
-func NewWatchdog(plan SLOPlan, consecutive int, tr *telemetry.Tracer) *Watchdog {
-	if consecutive <= 0 {
-		consecutive = DefaultConsecutive
-	}
+// NewWatchdog builds a watchdog for plan; tr may be nil (breaches are
+// still logged).
+func NewWatchdog(plan SLOPlan, tr *telemetry.Tracer) *Watchdog {
 	w := &Watchdog{
-		plan:        plan,
-		consecutive: consecutive,
-		tr:          tr,
-		states:      make(map[stateKey]*objState),
+		plan:   plan,
+		tr:     tr,
+		states: make(map[stateKey]*objState),
 	}
 	for _, o := range plan {
 		w.specs = append(w.specs, o.String())
@@ -262,7 +258,7 @@ func (w *Watchdog) step(st *objState, obj int, sink string, atNS, measured int64
 	if exceeded {
 		st.over++
 		st.under = 0
-		if !st.inBreach && st.over >= w.consecutive {
+		if !st.inBreach && st.over >= Consecutive {
 			st.inBreach = true
 			st.openIdx = len(w.breaches)
 			w.breaches = append(w.breaches, Breach{
@@ -275,7 +271,7 @@ func (w *Watchdog) step(st *objState, obj int, sink string, atNS, measured int64
 	}
 	st.under++
 	st.over = 0
-	if st.inBreach && st.under >= w.consecutive {
+	if st.inBreach && st.under >= Consecutive {
 		st.inBreach = false
 		w.breaches[st.openIdx].ClearedAtNS = atNS
 		st.openIdx = -1
@@ -296,7 +292,7 @@ func (w *Watchdog) Absorb(other *Watchdog) {
 	if other == nil {
 		return
 	}
-	if other.plan.String() != w.plan.String() || other.consecutive != w.consecutive {
+	if other.plan.String() != w.plan.String() {
 		panic("intnet: Absorb across different SLO plans")
 	}
 	offset := len(w.breaches)
@@ -343,7 +339,7 @@ func (w *Watchdog) WriteBreachLog(out io.Writer) error {
 // log in deterministic order.
 func (w *Watchdog) FoldState(d *checkpoint.Digest) {
 	d.Str(w.plan.String())
-	d.Int(w.consecutive)
+	d.Int(Consecutive) // part of the digest format
 	d.Int(len(w.skeys))
 	for _, key := range w.skeys {
 		st := w.states[key]

@@ -43,6 +43,7 @@ func TestObjectiveParseErrors(t *testing.T) {
 		"loss:*<zero":       "bad loss fraction",
 		"loss:*<0":          "loss fraction must be in (0,1)",
 		"loss:*<1.5":        "loss fraction must be in (0,1)",
+		"loss:*<NaN":        "loss fraction must be in (0,1)",
 	}
 	for spec, want := range bad {
 		_, err := ParseObjective(spec)
@@ -66,7 +67,7 @@ func TestWatchdogHysteresis(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := telemetry.NewTracer(nil)
-	w := NewWatchdog(plan, 3, tr)
+	w := NewWatchdog(plan, tr)
 
 	over, under := int64(2000), int64(500)
 	at := int64(0)
@@ -138,32 +139,39 @@ func TestWatchdogLossObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWatchdog(plan, 1, nil) // no hysteresis, nil tracer must be safe
+	w := NewWatchdog(plan, nil) // nil tracer must be safe
 	w.Observe(Observation{Sink: "dst", AtNS: 10})
 	if w.InBreach() {
 		t.Fatal("breached with zero loss")
 	}
-	// One arrival exposing 3 lost frames: 3/(3+2) = 60% > 10%.
+	// One arrival exposing 3 lost frames (3/5 = 60% > 10%), then two
+	// clean ones (3/6, 3/7): the third over-bound observation breaches.
 	w.Observe(Observation{Sink: "dst", AtNS: 20, NewlyLost: 3})
-	if !w.InBreach() {
-		t.Fatal("not breached at 60% cumulative loss")
+	w.Observe(Observation{Sink: "dst", AtNS: 30})
+	if w.InBreach() {
+		t.Fatal("breached after two over-bound observations")
 	}
-	if m := w.Breaches()[0].Measured; m != 600_000 {
-		t.Fatalf("Measured = %d lost-per-million, want 600000", m)
+	w.Observe(Observation{Sink: "dst", AtNS: 40})
+	if !w.InBreach() {
+		t.Fatal("not breached at 43% cumulative loss")
+	}
+	if m := w.Breaches()[0].Measured; m != 428_571 {
+		t.Fatalf("Measured = %d lost-per-million, want 428571", m)
 	}
 }
 
 func TestWatchdogWildcardTargets(t *testing.T) {
 	plan, _ := ParseSLOPlan("latency:*<1µs")
-	w := NewWatchdog(plan, 1, nil)
-	w.Observe(obs("a", 1, 5000))
-	w.Observe(obs("b", 2, 5000))
+	w := NewWatchdog(plan, nil)
+	scoped := NewWatchdog(SLOPlan{{Kind: SLOLatency, Target: "a", Bound: time.Microsecond}}, nil)
+	for i := int64(0); i < Consecutive; i++ {
+		w.Observe(obs("a", 10*i+1, 5000))
+		w.Observe(obs("b", 10*i+2, 5000))
+		scoped.Observe(obs("b", 10*i+1, 5000))
+	}
 	if got := len(w.Breaches()); got != 2 {
 		t.Fatalf("wildcard opened %d breaches, want one per sink", got)
 	}
-
-	scoped := NewWatchdog(SLOPlan{{Kind: SLOLatency, Target: "a", Bound: time.Microsecond}}, 1, nil)
-	scoped.Observe(obs("b", 1, 5000))
 	if len(scoped.Breaches()) != 0 {
 		t.Fatal("scoped objective fired on a different sink")
 	}
@@ -174,12 +182,14 @@ func TestWatchdogAttachChains(t *testing.T) {
 	var chained int
 	c.OnSink = func(Observation) { chained++ }
 	plan, _ := ParseSLOPlan("latency:dst<1µs")
-	w := NewWatchdog(plan, 1, nil)
+	w := NewWatchdog(plan, nil)
 	w.Attach(c)
 
-	sinkFrame(c, "dst", "src", 1, 1, 0, 5000)
-	if chained != 1 {
-		t.Fatalf("previous observer called %d times, want 1", chained)
+	for seq := uint32(1); seq <= Consecutive; seq++ {
+		sinkFrame(c, "dst", "src", 1, seq, 0, 5000*int64(seq))
+	}
+	if chained != Consecutive {
+		t.Fatalf("previous observer called %d times, want %d", chained, Consecutive)
 	}
 	if len(w.Breaches()) != 1 {
 		t.Fatalf("watchdog saw %d breaches through Attach, want 1", len(w.Breaches()))
@@ -188,8 +198,10 @@ func TestWatchdogAttachChains(t *testing.T) {
 
 func TestWatchdogBreachLogJSONL(t *testing.T) {
 	plan, _ := ParseSLOPlan("latency:dst<1µs")
-	w := NewWatchdog(plan, 1, nil)
-	w.Observe(obs("dst", 100, 9000)) // opens, never clears
+	w := NewWatchdog(plan, nil)
+	for at := int64(100); at <= 300; at += 100 {
+		w.Observe(obs("dst", at, 9000)) // the third opens it; it never clears
+	}
 
 	var buf bytes.Buffer
 	if err := w.WriteBreachLog(&buf); err != nil {
@@ -199,7 +211,7 @@ func TestWatchdogBreachLogJSONL(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatalf("breach log line is not JSON: %v", err)
 	}
-	want := Breach{Objective: "latency:dst<1µs", Sink: "dst", AtNS: 100, Measured: 9000, ClearedAtNS: -1}
+	want := Breach{Objective: "latency:dst<1µs", Sink: "dst", AtNS: 300, Measured: 9000, ClearedAtNS: -1}
 	if got != want {
 		t.Fatalf("breach = %+v, want %+v", got, want)
 	}
@@ -208,7 +220,7 @@ func TestWatchdogBreachLogJSONL(t *testing.T) {
 func TestWatchdogFoldDeterministic(t *testing.T) {
 	mk := func() *Watchdog {
 		plan, _ := ParseSLOPlan("latency:*<1µs,loss:*<0.5")
-		w := NewWatchdog(plan, 2, nil)
+		w := NewWatchdog(plan, nil)
 		for i := int64(1); i <= 6; i++ {
 			w.Observe(obs("a", i*10, 2000))
 			w.Observe(obs("b", i*10+5, 400))
@@ -233,19 +245,19 @@ func TestWatchdogAbsorb(t *testing.T) {
 	tr := telemetry.NewTracer(nil)
 	// Two shard-local watchdogs over disjoint sinks: sinkA breaches and
 	// clears; sinkB breaches and stays open.
-	wa := NewWatchdog(plan, 2, tr)
-	for i := 0; i < 2; i++ {
+	wa := NewWatchdog(plan, tr)
+	for i := 0; i < Consecutive; i++ {
 		wa.Observe(obs("sinkA", int64(100+i), 5000))
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < Consecutive; i++ {
 		wa.Observe(obs("sinkA", int64(200+i), 100))
 	}
-	wb := NewWatchdog(plan, 2, tr)
-	for i := 0; i < 2; i++ {
+	wb := NewWatchdog(plan, tr)
+	for i := 0; i < Consecutive; i++ {
 		wb.Observe(obs("sinkB", int64(150+i), 9000))
 	}
 
-	merged := NewWatchdog(plan, 2, tr)
+	merged := NewWatchdog(plan, tr)
 	merged.Absorb(wa)
 	merged.Absorb(wb)
 	bs := merged.Breaches()
@@ -263,20 +275,20 @@ func TestWatchdogAbsorb(t *testing.T) {
 	}
 	// The open breach's state index survived the offset: clearing it
 	// through the merged watchdog must close the right log entry.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < Consecutive; i++ {
 		merged.Observe(obs("sinkB", int64(300+i), 100))
 	}
 	if merged.InBreach() {
 		t.Fatal("absorbed open breach did not clear")
 	}
-	if merged.Breaches()[1].ClearedAtNS != 301 {
-		t.Fatalf("cleared at %d, want 301", merged.Breaches()[1].ClearedAtNS)
+	if merged.Breaches()[1].ClearedAtNS != 302 {
+		t.Fatalf("cleared at %d, want 302", merged.Breaches()[1].ClearedAtNS)
 	}
 	// Same shard-merge order, same digest: absorb is deterministic.
-	again := NewWatchdog(plan, 2, tr)
+	again := NewWatchdog(plan, tr)
 	again.Absorb(wa)
 	again.Absorb(wb)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < Consecutive; i++ {
 		again.Observe(obs("sinkB", int64(300+i), 100))
 	}
 	d1, d2 := checkpoint.NewDigest(), checkpoint.NewDigest()
@@ -291,9 +303,9 @@ func TestWatchdogAbsorbRejectsOverlapAndPlanMismatch(t *testing.T) {
 	plan, _ := ParseSLOPlan("latency:*<1µs")
 	other, _ := ParseSLOPlan("jitter:*<1µs")
 	tr := telemetry.NewTracer(nil)
-	a := NewWatchdog(plan, 2, tr)
+	a := NewWatchdog(plan, tr)
 	a.Observe(obs("s", 1, 10))
-	b := NewWatchdog(plan, 2, tr)
+	b := NewWatchdog(plan, tr)
 	b.Observe(obs("s", 1, 10))
 	func() {
 		defer func() {
@@ -303,7 +315,7 @@ func TestWatchdogAbsorbRejectsOverlapAndPlanMismatch(t *testing.T) {
 		}()
 		a.Absorb(b)
 	}()
-	c := NewWatchdog(other, 2, tr)
+	c := NewWatchdog(other, tr)
 	func() {
 		defer func() {
 			if recover() == nil {

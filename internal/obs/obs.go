@@ -122,15 +122,6 @@ func (b *Broker) LastPublishAge() (time.Duration, bool) {
 	return time.Duration(time.Now().UnixNano() - t), true
 }
 
-// SetEvictAfter overrides the consecutive-drop eviction threshold
-// (<= 0 restores the default). Call before subscribers attach.
-func (b *Broker) SetEvictAfter(n int) {
-	if n <= 0 {
-		n = defaultEvictAfter
-	}
-	b.fan.SetLimits(0, n)
-}
-
 // Publish renders reg and profile into a new immutable snapshot, swaps
 // it in, and streams the metric deltas since the previous publish to
 // SSE subscribers. profile is JSON-marshaled as given (the campus

@@ -242,7 +242,7 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 // closed after the buffered frames; a delivery in between re-arms it.
 func TestSlowSubscriberEviction(t *testing.T) {
 	b := NewBroker()
-	b.SetEvictAfter(3)
+	b.fan.SetLimits(0, 3)
 	ch, cancel := b.Subscribe()
 	defer cancel()
 	reg := telemetry.NewRegistry()
@@ -292,7 +292,7 @@ func TestSlowSubscriberEviction(t *testing.T) {
 // subscriber table.
 func TestBrokerSubscribeChurnRace(t *testing.T) {
 	b := NewBroker()
-	b.SetEvictAfter(2)
+	b.fan.SetLimits(0, 2)
 	reg := telemetry.NewRegistry()
 	var n atomic.Uint64
 	reg.Counter("x_total", nil, "", func() uint64 { return n.Load() })

@@ -22,99 +22,14 @@
 # The report is a JSON array of {name, ns_per_op, bytes_per_op,
 # allocs_per_op} rows parsed from `go test -bench -benchmem` output.
 #
-# Allocation guards (always enforced, independent of --check):
-#   BenchmarkEngineScheduleAndRun   0 allocs/op  (pooled event arena)
-#   BenchmarkEngineQueueDepth/*     0 allocs/op  (the event queue threads
-#                                                 its buckets through the
-#                                                 arena slots: no depth
-#                                                 allocates)
-#   BenchmarkEngineBatchDrain       0 allocs/op  (a same-instant batch is
-#                                                 staged on the slots' own
-#                                                 links)
-#   BenchmarkSwitchForwarding/fib=* 0 allocs/op  (telemetry disabled; two
-#                                                 FIB lookups per transit,
-#                                                 no write when the source
-#                                                 is already known)
-#   BenchmarkPriorityQueue          0 allocs/op  (each class is a FIFO linked
-#                                                 through the queued frames:
-#                                                 no depth grows a buffer)
-#   BenchmarkSwitchForwardingINT    0 allocs/op  (INT on: the source host
-#                                                 attaches from, and the
-#                                                 sink strips into, the
-#                                                 frame.Pool the frames
-#                                                 come from)
-#   BenchmarkVMReflectorProgram     0 allocs/op  (compiled program reuses
-#                                                 its scratch context)
-#   BenchmarkReflectionProbe        0 allocs/op  (one Fig. 4 probe cycle:
-#                                                 pooled probe, streaming
-#                                                 tap pairing, pooled
-#                                                 reflector job)
-#   BenchmarkInstaPLCCycle          0 allocs/op  (one Fig. 5 I/O cycle: one
-#                                                 frame pool through vPLCs,
-#                                                 pipeline and device)
-#   BenchmarkEngineShardedLocalSteady
-#                                   0 allocs/op  (per-shard arenas: window
-#                                                 barriers run GC-free)
-#   BenchmarkEngineShardedCross     0 allocs/op  (outbox xmsg slots, the
-#                                                 barrier merge buffer and
-#                                                 the delivery slots are
-#                                                 reused across windows;
-#                                                 with the shard profiler
-#                                                 disabled the coordinator
-#                                                 adds one pointer test per
-#                                                 window, nothing per event)
-#   BenchmarkCrossShardForwarding   0 allocs/op  (a frame's round trip over a
-#                                                 cross-shard link: the link
-#                                                 sends its prebuilt handler
-#                                                 with the frame, and the
-#                                                 barrier binds it to a
-#                                                 recycled delivery slot)
-#   BenchmarkCampus10kBuild    167,169 allocs/op (the build's 165,514 plus
-#                                                 1 %: the graph and every
-#                                                 campus FIB are allocated
-#                                                 once at their final size,
-#                                                 and the switch ports are
-#                                                 one slab with each queue
-#                                                 inline, so a table that
-#                                                 grows again or a port
-#                                                 allocated on its own shows
-#                                                 up here)
-#   BenchmarkHubPublish/subs=*      0 allocs/op  (steelnetd fan-out hub: one
-#                                                 non-blocking channel send
-#                                                 per subscriber, the Frame
-#                                                 passed by value and the
-#                                                 payload bytes shared)
-#   BenchmarkAppendTagsPayload      0 allocs/op  (frame assembly appends
-#                                                 into a reused buffer)
-#   BenchmarkHistoryAppend          0 allocs/op  (tshist ring writes: the
-#                                                 safe-point publish path
-#                                                 records history GC-free)
-#   BenchmarkJournalAppend          0 allocs/op  (lifecycle records append
-#                                                 into the per-run buffer;
-#                                                 growth amortizes to zero)
-#   BenchmarkJournaledPublish       0 allocs/op  (the whole observable
-#                                                 slice: history + journal
-#                                                 + 1024-subscriber fan-out)
-#   BenchmarkRegistryValues         1 alloc/op   (a histogram-free registry
-#                                                 keeps its entries ordered
-#                                                 and its keys rendered: a
-#                                                 read allocates the result
-#                                                 slice and nothing else)
-# A regression on any of these silently re-introduces GC churn into
-# every figure sweep.
-#
-# BenchmarkGatewayFanout (M=8 sims × N=1000 subscribers through one hub)
-# is the ISSUE 9 macro number: whole fleets per iteration, so its
-# allocs/op is scheduling-dependent and carries no exact guard — the
-# baseline diff allows it the slack described below.
-#
-# The BenchmarkCampus10kShards{1,2,4,8} rows are macro numbers (a
-# 10k-switch campus built and run end to end at each shard worker
-# count) and carry no alloc guard; BenchmarkCampus10kBuild is their
-# build phase alone, with the ceiling above. The ladder's cross-shard-count ratios are only
-# meaningful with a core per worker: the committed baseline was recorded
-# on two cores, so the 4- and 8-worker rungs time-slice them. Re-record
-# on wider hardware before quoting a speedup.
+# The allocation guards are one table, under "Allocation guards" below,
+# enforced on every run whatever --check says. BenchmarkGatewayFanout
+# (8 sims × 1000 subscribers through one hub) and the
+# BenchmarkCampus10kShards{1,2,4,8} ladder are macro numbers without an
+# exact guard; the baseline diff gives them the slack described there.
+# The ladder's ratios need a core per worker: the committed baseline was
+# recorded on two cores, so re-record on wider hardware before quoting a
+# speedup.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -225,53 +140,54 @@ echo "wrote $out"
 
 # --- Allocation guards (on the fresh numbers) -------------------------
 
-guard_allocs() { # name budget message
-    # The name must be followed by the -GOMAXPROCS suffix or whitespace,
-    # so e.g. SwitchForwarding never also matches SwitchForwardingINT.
-    # Every -count sample must satisfy the budget. A guard whose
-    # benchmark no longer appears in the run is a hard failure, not a
-    # silent pass: a renamed or deleted benchmark would otherwise retire
-    # its own alloc guard without anyone noticing.
-    local rc=0
-    echo "$raw" | awk -v b="$2" \
-        "/^$1(-[0-9]+)?[[:space:]]/ { seen = 1; if (\$7 > b) bad = 1 } END { if (!seen) exit 2; exit bad ? 1 : 0 }" || rc=$?
+# One row per guard: benchmark (an awk regex, matched up to the
+# -GOMAXPROCS suffix so SwitchForwarding never also matches
+# SwitchForwardingINT), allocs/op budget, and why. Every -count sample
+# must meet its budget, and a guard whose benchmark is missing from the
+# run fails: a renamed benchmark must not retire its own guard unnoticed.
+# A regression here puts GC churn back into every figure sweep.
+while read -r name budget reason; do
+    rc=0
+    echo "$raw" | awk -v b="$budget" \
+        "/^$name(-[0-9]+)?[[:space:]]/ { seen = 1; if (\$7 > b) bad = 1 } END { if (!seen) exit 2; exit bad ? 1 : 0 }" || rc=$?
     case "$rc" in
     0) ;;
     2)
-        echo "FAIL: $1 not found in the benchmark run; its $2 allocs/op guard protects nothing (renamed? update this script)" >&2
+        echo "FAIL: $name not found in the benchmark run; its $budget allocs/op guard protects nothing (renamed? update this script)" >&2
         exit 1
         ;;
     *)
-        echo "FAIL: $1 exceeds its $2 allocs/op budget ($3)" >&2
+        echo "FAIL: $name exceeds its $budget allocs/op budget ($reason)" >&2
         exit 1
         ;;
     esac
-}
-
-guard_allocs BenchmarkEngineScheduleAndRun 0 "pooled event arena must stay allocation-free"
-for depth in 1 64 512 4096; do
-    guard_allocs "BenchmarkEngineQueueDepth\\/$depth" 0 "the event queue must hold any depth on the arena's own links"
-done
-guard_allocs BenchmarkEngineBatchDrain 0 "a same-instant batch must be staged without allocating"
-guard_allocs BenchmarkPriorityQueue 0 "a class FIFO must link its frames, not buffer them"
-guard_allocs 'BenchmarkSwitchForwarding\/fib=8' 0 "telemetry disabled must be 0 allocs/op"
-guard_allocs 'BenchmarkSwitchForwarding\/fib=512' 0 "a populated FIB must forward without allocating"
-guard_allocs BenchmarkSwitchForwardingINT 0 "INT stacks must recycle through the frame pool, not allocate"
-guard_allocs BenchmarkVMReflectorProgram 0 "compiled eBPF must reuse its scratch context"
-guard_allocs BenchmarkReflectionProbe 0 "a reflection probe's whole life (sender, tap, reflector, back) must not allocate"
-guard_allocs BenchmarkInstaPLCCycle 0 "an I/O cycle through vPLCs, pipeline and device must recycle its frames and jobs"
-guard_allocs BenchmarkEngineShardedLocalSteady 0 "sharded window barriers must run arena- and GC-free"
-guard_allocs BenchmarkEngineShardedCross 0 "cross-shard outboxes and the barrier merge must recycle, not allocate"
-guard_allocs BenchmarkCrossShardForwarding 0 "a warm frame crossing a cross-shard link must ride a recycled delivery slot, not a closure"
-guard_allocs BenchmarkCampus10kBuild 167169 "the campus graph and FIBs are sized once and the ports are one slab; 165,514 allocs/op plus 1 %"
-guard_allocs 'BenchmarkHubPublish\/subs=1' 0 "hub publish must be one channel send, no per-frame allocation"
-guard_allocs 'BenchmarkHubPublish\/subs=64' 0 "hub fan-out must not allocate per subscriber"
-guard_allocs 'BenchmarkHubPublish\/subs=1024' 0 "hub fan-out must stay allocation-free at SSE-fleet scale"
-guard_allocs BenchmarkAppendTagsPayload 0 "tag-frame assembly must append into its reused buffer"
-guard_allocs BenchmarkHistoryAppend 0 "history recording on the publish path must not allocate"
-guard_allocs BenchmarkJournalAppend 0 "journal records must amortize into the per-run buffer"
-guard_allocs BenchmarkJournaledPublish 0 "the observable slice (history + journal + fan-out) must stay GC-free"
-guard_allocs BenchmarkRegistryValues 1 "a registry read must be one walk and one result slice: no per-read sort, no label re-rendering"
+done <<'EOF'
+BenchmarkEngineScheduleAndRun          0 the pooled event arena must stay allocation-free
+BenchmarkEngineQueueDepth\/1           0 the event queue must hold any depth on the arena's own links
+BenchmarkEngineQueueDepth\/64          0 the event queue must hold any depth on the arena's own links
+BenchmarkEngineQueueDepth\/512         0 the event queue must hold any depth on the arena's own links
+BenchmarkEngineQueueDepth\/4096        0 the event queue must hold any depth on the arena's own links
+BenchmarkEngineBatchDrain              0 a same-instant batch must be staged on the slots' own links
+BenchmarkPriorityQueue                 0 a class FIFO must link its frames through them, not buffer them
+BenchmarkSwitchForwarding\/fib=8       0 telemetry disabled: two FIB lookups per transit, no allocation
+BenchmarkSwitchForwarding\/fib=512     0 a populated FIB must forward without allocating
+BenchmarkSwitchForwardingINT           0 INT stacks must attach from and strip into the frame pool
+BenchmarkVMReflectorProgram            0 compiled eBPF must reuse its scratch context
+BenchmarkReflectionProbe               0 a Fig. 4 probe's whole life (sender, tap pairing, reflector job) must not allocate
+BenchmarkInstaPLCCycle                 0 a Fig. 5 I/O cycle through vPLCs, pipeline and device must recycle frames and jobs
+BenchmarkEngineShardedLocalSteady      0 per-shard arenas: window barriers must run GC-free
+BenchmarkEngineShardedCross            0 outbox slots, the barrier merge buffer and delivery slots must be reused
+BenchmarkCrossShardForwarding          0 a frame crossing a cross-shard link must ride a recycled delivery slot, not a closure
+BenchmarkCampus10kBuild           167169 graph and FIBs sized once, ports one slab: 165,514 allocs/op plus 1 %
+BenchmarkHubPublish\/subs=1            0 hub publish must be one channel send, the payload bytes shared
+BenchmarkHubPublish\/subs=64           0 hub fan-out must not allocate per subscriber
+BenchmarkHubPublish\/subs=1024         0 hub fan-out must stay allocation-free at SSE-fleet scale
+BenchmarkAppendTagsPayload             0 tag-frame assembly must append into its reused buffer
+BenchmarkHistoryAppend                 0 history recording on the publish path must not allocate
+BenchmarkJournalAppend                 0 journal records must amortize into the per-run buffer
+BenchmarkJournaledPublish              0 the observable slice (history + journal + 1024-subscriber fan-out) must stay GC-free
+BenchmarkRegistryValues                1 a registry read must be one walk and one result slice: no per-read sort, no label re-rendering
+EOF
 
 # --- Baseline diff ----------------------------------------------------
 
@@ -307,7 +223,7 @@ for name, nr in new.items():
         # benchmarks whose counts wobble with goroutine scheduling (the
         # gateway fan-out runs whole fleets per iteration) do not flap,
         # while the zero-alloc micro set is still pinned exactly by the
-        # guard_allocs checks above.
+        # guard table above.
         if nr["allocs_per_op"] > max(br["allocs_per_op"] * 1.10, br["allocs_per_op"] + 4):
             failures.append(f'{name}: allocs/op grew {br["allocs_per_op"]} -> {nr["allocs_per_op"]}')
 # A baseline benchmark missing from the fresh run fails even without
