@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"steelnet/internal/instaplc"
+	"steelnet/internal/mltopo"
 	"steelnet/internal/reflection"
 	"steelnet/internal/sim"
 )
@@ -54,13 +55,16 @@ func totalAlloc() uint64 {
 	return m.TotalAlloc
 }
 
-// TestFigureAllocationBudgets bounds what Fig. 4 and Fig. 5 allocate
-// per frame, build and result tables included, so a per-frame
+// TestFigureAllocationBudgets bounds what Fig. 4, 5 and 6 allocate per
+// frame or request, build and result tables included, so a per-frame
 // allocation cannot return unseen between benchmark runs: one pointer
-// or closure per frame is 16–64 B, and either figure paid 150–850 B
+// or closure per frame is 16–64 B, and Fig. 4 or 5 paid 150–850 B
 // before its frame lifecycle stopped allocating. What remains is the
 // results themselves (an RTT, a delay and a jitter sample per probe,
-// the sort behind the percentiles; three counters per Fig. 5 bin).
+// the sort behind the percentiles; three counters per Fig. 5 bin) and,
+// for a short Fig. 6 grid, mostly its cells' builds. The Fig. 4 and
+// Fig. 6 budgets are the measured bill plus 10 % (87.6 B per round
+// trip, 16,090 B per request on linux/amd64).
 func TestFigureAllocationBudgets(t *testing.T) {
 	rcfg := reflection.DefaultConfig()
 	rcfg.Cycles = 2000
@@ -72,8 +76,8 @@ func TestFigureAllocationBudgets(t *testing.T) {
 	for _, r := range variants {
 		probes += r.Delays.Len()
 	}
-	if perProbe := float64(spent) / float64(probes); perProbe > 200 {
-		t.Errorf("Figure4Delay at %d cycles: %d B for %d round trips = %.0f B each, budget 200",
+	if perProbe := float64(spent) / float64(probes); perProbe > 96 {
+		t.Errorf("Figure4Delay at %d cycles: %d B for %d round trips = %.1f B each, budget 96",
 			rcfg.Cycles, spent, probes, perProbe)
 	}
 
@@ -86,6 +90,19 @@ func TestFigureAllocationBudgets(t *testing.T) {
 	if perFrame := float64(spent) / float64(frames); perFrame > 8 {
 		t.Errorf("Figure5 at %v: %d B for %d frames = %.1f B each, budget 8",
 			ecfg.Horizon, spent, frames, perFrame)
+	}
+
+	fcfg := mltopo.Figure6Config{Seed: 1, ClientCounts: []int{8, 16}, Horizon: 200 * time.Millisecond, Workers: 1}
+	before = totalAlloc()
+	_, cells := Figure6(fcfg)
+	spent = totalAlloc() - before
+	var requests uint64
+	for _, c := range cells {
+		requests += c.Requests
+	}
+	if perRequest := float64(spent) / float64(requests); perRequest > 17_700 {
+		t.Errorf("Figure6 at clients %v, %v: %d B for %d requests = %.0f B each, budget 17,700",
+			fcfg.ClientCounts, fcfg.Horizon, spent, requests, perRequest)
 	}
 }
 

@@ -127,6 +127,9 @@ func NewCampusHarness(cfg CampusConfig) (*CampusHarness, error) {
 	if len(plan) > 0 && !cfg.INT {
 		return nil, fmt.Errorf("core: campus SLO plan %q needs INT enabled", cfg.SLO)
 	}
+	if d := cfg.Topo.MaxSwitchDegree(); d > simnet.MaxSwitchPorts {
+		return nil, fmt.Errorf("core: campus needs a switch with %d ports, at most %d", d, simnet.MaxSwitchPorts)
+	}
 	ct := topo.Campus(cfg.Topo)
 	cfg.Topo = ct.Cfg // generator defaults become part of the scenario
 	part := ct.Partition()

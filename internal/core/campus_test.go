@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"steelnet/internal/checkpoint"
 	"steelnet/internal/sim"
+	"steelnet/internal/simnet"
 	"steelnet/internal/topo"
 )
 
@@ -153,6 +155,55 @@ func TestCampusCheckpointResume(t *testing.T) {
 	res := restored.Result()
 	if res.Breaches == 0 || res.INTObservations == 0 {
 		t.Fatalf("resumed run lost telemetry: %+v", res)
+	}
+}
+
+// TestCampusPortBound: a campus whose spines (one port per cell) or
+// gateways (one per tree child, host and spine) would need more than
+// simnet.MaxSwitchPorts ports is refused before anything is built, also
+// when the scenario comes from a forged checkpoint.
+func TestCampusPortBound(t *testing.T) {
+	h, err := NewCampusHarness(testCampusConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.AdvanceTo(100_000)
+	var saved bytes.Buffer
+	if err := h.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	config, at, digest, err := checkpoint.ReadHarness(&saved, CampusCheckpointKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := simnet.MaxSwitchPorts + 1
+	for _, tc := range []struct {
+		name  string
+		forge func(*topo.CampusConfig)
+	}{
+		{"cells", func(c *topo.CampusConfig) { c.Cells = over }},
+		{"spines", func(c *topo.CampusConfig) { c.Spines = over }},
+		{"hosts", func(c *topo.CampusConfig) { c.HostsPerSwitch = simnet.MaxSwitchPorts }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testCampusConfig(1)
+			tc.forge(&cfg.Topo)
+			if h, err := NewCampusHarness(cfg); err == nil || h != nil {
+				t.Fatalf("NewCampusHarness = %v, %v; want an error", h, err)
+			}
+			var forged CampusConfig
+			if err := checkpoint.Decode(WalkCampusConfig, config, &forged); err != nil {
+				t.Fatal(err)
+			}
+			tc.forge(&forged.Topo)
+			var file bytes.Buffer
+			if err := checkpoint.WriteHarness(&file, CampusCheckpointKind, checkpoint.Encode(WalkCampusConfig, &forged), at, digest); err != nil {
+				t.Fatal(err)
+			}
+			if h, err := RestoreCampus(&file, CampusConfig{Workers: 1}); err == nil || h != nil {
+				t.Fatalf("RestoreCampus = %v, %v; want an error", h, err)
+			}
+		})
 	}
 }
 

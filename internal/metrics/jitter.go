@@ -9,7 +9,7 @@ import "time"
 func Jitter(delays *Series) *Series {
 	med := delays.Median()
 	out := NewSeries(delays.Len())
-	for _, d := range delays.Samples() {
+	for d := range delays.All() {
 		dev := d - med
 		if dev < 0 {
 			dev = -dev
@@ -50,7 +50,6 @@ func Bursts(jitter *Series, threshold float64, minRun int) []BurstEvent {
 		minRun = 1
 	}
 	var events []BurstEvent
-	samples := jitter.Samples()
 	runStart, runLen := -1, 0
 	peak := 0.0
 	flush := func() {
@@ -59,7 +58,8 @@ func Bursts(jitter *Series, threshold float64, minRun int) []BurstEvent {
 		}
 		runStart, runLen, peak = -1, 0, 0
 	}
-	for i, v := range samples {
+	i := 0
+	for v := range jitter.All() {
 		if v > threshold {
 			if runLen == 0 {
 				runStart = i
@@ -71,6 +71,7 @@ func Bursts(jitter *Series, threshold float64, minRun int) []BurstEvent {
 		} else if runLen > 0 {
 			flush()
 		}
+		i++
 	}
 	flush()
 	return events

@@ -8,6 +8,7 @@ package metrics
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"time"
@@ -130,6 +131,19 @@ func (s *Series) Samples() []float64 {
 	out := make([]float64, len(s.samples))
 	copy(out, s.samples)
 	return out
+}
+
+// All yields the raw samples in insertion order, in place: a reader
+// that keeps none of them needs no copy. Adding to the series while
+// iterating is not allowed.
+func (s *Series) All() iter.Seq[float64] {
+	return func(yield func(float64) bool) {
+		for _, v := range s.samples {
+			if !yield(v) {
+				return
+			}
+		}
+	}
 }
 
 // CDFAt returns P(X <= x), the empirical CDF evaluated at x.

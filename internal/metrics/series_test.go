@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -294,5 +295,43 @@ func TestSortedBufferReusedAcrossQuantileCalls(t *testing.T) {
 	s.sorted[0] = -1
 	if got := s.Quantile(0); got != -1 {
 		t.Fatal("Quantile re-sorted a clean cache")
+	}
+}
+
+// TestSeriesAllReadsInPlace: All yields the samples in insertion order
+// without copying them, stops when the loop breaks, and yields nothing
+// for the zero value.
+func TestSeriesAllReadsInPlace(t *testing.T) {
+	var s Series
+	for range s.All() {
+		t.Fatal("the zero series yielded a sample")
+	}
+	want := []float64{3, -1, 4, 1, 5}
+	for _, v := range want {
+		s.Add(v)
+	}
+	var got []float64
+	for v := range s.All() {
+		got = append(got, v)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("All yielded %v, want %v", got, want)
+	}
+	n := 0
+	for range s.All() {
+		if n++; n == 2 {
+			break
+		}
+	}
+	if n != 2 {
+		t.Fatalf("the loop ran %d times after a break at 2", n)
+	}
+	sum := 0.0
+	if allocs := testing.AllocsPerRun(10, func() {
+		for v := range s.All() {
+			sum += v
+		}
+	}); allocs != 0 {
+		t.Fatalf("ranging over All allocates %.0f times", allocs)
 	}
 }

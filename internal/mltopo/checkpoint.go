@@ -9,6 +9,7 @@ import (
 	"steelnet/internal/sim"
 	"steelnet/internal/simnet"
 	"steelnet/internal/sweep"
+	"steelnet/internal/topo"
 )
 
 // CheckpointKind tags this experiment's checkpoint files.
@@ -22,10 +23,28 @@ type Harness struct {
 }
 
 // NewHarness builds one cell without running it: the topology is
-// instantiated and every client's first request is scheduled.
+// instantiated and every client's first request is scheduled. It
+// panics on a scenario no cell can be built from.
 func NewHarness(sc Scenario) *Harness {
-	if sc.Clients < 1 {
-		panic("mltopo: need at least one client")
+	h, err := newHarness(sc)
+	if err != nil {
+		panic(err.Error())
+	}
+	return h
+}
+
+// newHarness is NewHarness returning an error for a scenario no cell
+// can be built from.
+func newHarness(sc Scenario) (*Harness, error) {
+	switch {
+	case sc.Clients < 1:
+		return nil, fmt.Errorf("mltopo: need at least one client, have %d", sc.Clients)
+	case sc.Kind != LeafSpine && sc.Kind != Ring && sc.Kind != MLAware:
+		return nil, fmt.Errorf("mltopo: unknown kind %d", sc.Kind)
+	case sc.Profile.Period <= 0:
+		return nil, fmt.Errorf("mltopo: non-positive request period %v", sc.Profile.Period)
+	case sc.Profile.InferCPU < 0:
+		return nil, fmt.Errorf("mltopo: negative inference time %v", sc.Profile.InferCPU)
 	}
 	if sc.ClientsPerServer < 1 {
 		sc.ClientsPerServer = 16
@@ -41,8 +60,12 @@ func NewHarness(sc Scenario) *Harness {
 		pl = buildLeafSpine(sc)
 	case MLAware:
 		pl = buildMLAware(sc)
-	default:
-		panic(fmt.Sprintf("mltopo: unknown kind %d", sc.Kind))
+	}
+	for i := range pl.g.NumNodes() {
+		n := topo.NodeID(i)
+		if d := pl.g.Degree(n); d > simnet.MaxSwitchPorts && pl.g.Node(n).Kind == topo.KindSwitch {
+			return nil, fmt.Errorf("mltopo: %s needs %d ports, at most %d", pl.g.Node(n).Name, d, simnet.MaxSwitchPorts)
+		}
 	}
 	e := sim.NewEngine(sc.Seed)
 	b := instantiate(e, simnet.Build(e, pl.g, simnet.DefaultSwitchConfig), sc, pl)
@@ -52,7 +75,7 @@ func NewHarness(sc Scenario) *Harness {
 	for _, c := range b.clients {
 		c.Start(sim.Time(rng.DurationRange(0, sc.Profile.Period)))
 	}
-	return &Harness{sc: sc, b: b}
+	return &Harness{sc: sc, b: b}, nil
 }
 
 // Engine returns the harness's engine.
@@ -67,10 +90,14 @@ func (h *Harness) AdvanceTo(t sim.Time) { h.b.engine.RunUntil(t) }
 // Result collects the cell's measurements at the current instant. It is
 // non-destructive: the harness can keep advancing afterwards.
 func (h *Harness) Result() Result {
-	lat := metrics.NewSeries(1024)
+	n := 0
+	for _, c := range h.b.clients {
+		n += c.Latencies.Len()
+	}
+	lat := metrics.NewSeries(n)
 	var completed uint64
 	for _, c := range h.b.clients {
-		for _, v := range c.Latencies.Samples() {
+		for v := range c.Latencies.All() {
 			lat.Add(v)
 		}
 		completed += c.Completed
@@ -126,12 +153,13 @@ func (h *Harness) Save(w io.Writer) error {
 // Restore reads a checkpoint, rebuilds the cell with the given
 // telemetry sinks and replays to the checkpointed instant, verifying
 // the state digest. A collector handed in must be empty: the replay
-// feeds it, and anything chained on its OnSink, from instant zero.
+// feeds it, and anything chained on its OnSink, from instant zero. A
+// recorded scenario no cell can be built from is an error.
 func Restore(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
 	return checkpoint.Replay[sim.Time](r, CheckpointKind, WalkScenario,
 		func(sc Scenario) (*Harness, error) {
 			sc.Sinks = sinks
-			return NewHarness(sc), nil
+			return newHarness(sc)
 		})
 }
 

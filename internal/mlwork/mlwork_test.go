@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"steelnet/internal/frame"
+	"steelnet/internal/metrics"
 	"steelnet/internal/sim"
 	"steelnet/internal/simnet"
 )
@@ -220,4 +221,47 @@ func TestFragmentationCoversExactMultiples(t *testing.T) {
 		t.Fatal("exact-multiple frame never reassembled")
 	}
 	_ = cli
+}
+
+// TestMLServeZeroAllocs: two clients fire at the same instant, so every
+// period the server reassembles two fragmented requests, serves one
+// while the other retries behind it, and answers both. Once the frame
+// pool, the job free list and the engine's arena are warm, a period
+// allocates nothing. The clients' latency series are sized up front:
+// their growth is the results, not the serving loop.
+func TestMLServeZeroAllocs(t *testing.T) {
+	p := Profile{FrameBytes: 3*MTU + 100, ResultBytes: 64, Period: time.Millisecond,
+		InferCPU: 200 * time.Microsecond, Deadline: time.Second}
+	e := sim.NewEngine(1)
+	srv := NewServer(e, "srv", frame.NewMAC(100), p)
+	sw := simnet.NewSwitch(e, "sw", 3, simnet.DefaultSwitchConfig)
+	simnet.Connect(e, "s", srv.Host().Port(), sw.Port(2), 10e9, 500*sim.Nanosecond)
+	pool := &frame.Pool{}
+	srv.UsePool(pool)
+	clients := make([]*Client, 2)
+	for i := range clients {
+		c := NewClient(e, "c", uint32(i+1), frame.NewMAC(uint32(i+1)), frame.NewMAC(100), p, Degradation{CompressionRatio: 1})
+		simnet.Connect(e, "c", c.Host().Port(), sw.Port(i), 10e9, 500*sim.Nanosecond)
+		c.UsePool(pool)
+		c.Latencies = metrics.NewSeries(1 << 12)
+		c.Start(0)
+		clients[i] = c
+	}
+	period := func() { e.RunUntil(e.Now().Add(p.Period)) }
+	for range 50 {
+		period()
+	}
+	served := srv.Served
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, period); allocs != 0 {
+		t.Errorf("%.1f allocs per period, want 0", allocs)
+	}
+	if got := srv.Served - served; got < 2*runs {
+		t.Fatalf("%d requests served over %d periods; the loop did not run", got, runs)
+	}
+	for _, c := range clients {
+		if c.Missed != 0 || c.LossRate() > 0.01 {
+			t.Fatalf("client %d: %d missed, loss %.3f", c.id, c.Missed, c.LossRate())
+		}
+	}
 }

@@ -75,6 +75,7 @@ type Server struct {
 	queue   int
 	busy    bool
 	parts   map[uint64]uint16 // (client,req) -> fragments seen
+	free    *job
 
 	// Served counts completed inferences; MaxQueue the worst backlog.
 	Served   uint64
@@ -134,35 +135,69 @@ func (s *Server) onFrame(f *frame.Frame) {
 	if s.queue > s.MaxQueue {
 		s.MaxQueue = s.queue
 	}
-	s.serve(src, h)
+	j := s.getJob()
+	j.dst, j.h = src, h
+	s.serve(j)
 }
 
-func (s *Server) serve(dst frame.MAC, h header) {
+// job carries one whole request through the server: the busy retries,
+// then the inference that answers it. Like simnet's fwdCtx, a job owns
+// its two prebuilt closures and recycles through the server's free
+// list, so serving a request allocates nothing in steady state.
+type job struct {
+	s           *Server
+	dst         frame.MAC
+	h           header
+	retry, done func()
+	next        *job
+}
+
+func (s *Server) getJob() *job {
+	j := s.free
+	if j == nil {
+		j = &job{s: s}
+		j.retry = func() { j.s.serve(j) }
+		j.done = func() { j.s.respond(j) }
+	} else {
+		s.free = j.next
+		j.next = nil
+	}
+	return j
+}
+
+func (s *Server) serve(j *job) {
 	if s.busy {
 		// FIFO via timestamp-ordered events: re-check shortly. A real
 		// server would use a queue; the simulation's single-worker
 		// semantics are identical because events are ordered.
-		s.engine.After(50*sim.Microsecond, func() { s.serve(dst, h) })
+		s.engine.After(50*sim.Microsecond, j.retry)
 		return
 	}
 	s.busy = true
-	s.engine.After(s.profile.InferCPU, func() {
-		s.busy = false
-		s.queue--
-		s.Served++
-		f := s.host.Pool().Get(headerLen + s.profile.ResultBytes)
-		putHeader(f.Payload, header{
-			ClientID: h.ClientID, ReqID: h.ReqID, FragIdx: 0, FragCount: 1, Kind: kindResponse,
-		})
-		f.Dst = dst
-		f.Tagged = true
-		f.Priority = frame.PrioML
-		f.VID = 20
-		f.Type = frame.TypeMLData
-		if !s.host.Send(f) {
-			s.host.Pool().Put(f) // egress drop: the frame never entered the network
-		}
+	s.engine.After(s.profile.InferCPU, j.done)
+}
+
+// respond completes j's inference, recycles the job and sends the
+// result.
+func (s *Server) respond(j *job) {
+	dst, h := j.dst, j.h
+	j.next = s.free
+	s.free = j
+	s.busy = false
+	s.queue--
+	s.Served++
+	f := s.host.Pool().Get(headerLen + s.profile.ResultBytes)
+	putHeader(f.Payload, header{
+		ClientID: h.ClientID, ReqID: h.ReqID, FragIdx: 0, FragCount: 1, Kind: kindResponse,
 	})
+	f.Dst = dst
+	f.Tagged = true
+	f.Priority = frame.PrioML
+	f.VID = 20
+	f.Type = frame.TypeMLData
+	if !s.host.Send(f) {
+		s.host.Pool().Put(f) // egress drop: the frame never entered the network
+	}
 }
 
 // Client is a periodic inference source bound to one server.
@@ -177,7 +212,8 @@ type Client struct {
 	sentAt  map[uint32]sim.Time
 	ticker  *sim.Ticker
 
-	// Latencies collects request->response times in milliseconds.
+	// Latencies collects request->response times in milliseconds. It
+	// starts empty: a Fig. 6 client records ten samples or so.
 	Latencies *metrics.Series
 	// Completed and Missed count responses and deadline violations.
 	Completed, Missed uint64
@@ -198,7 +234,7 @@ func AttachClient(e *sim.Engine, h *simnet.Host, id uint32, server frame.MAC, p 
 		deg:       deg,
 		server:    server,
 		sentAt:    make(map[uint32]sim.Time),
-		Latencies: metrics.NewSeries(256),
+		Latencies: new(metrics.Series),
 	}
 	c.host.OnReceive(c.onFrame)
 	return c

@@ -142,7 +142,7 @@ func (h *Harness) Result() Result {
 	}
 	jitter := metrics.NewSeries(delays.Len())
 	med := delays.Median()
-	for _, d := range delays.Samples() {
+	for d := range delays.All() {
 		dev := (d - med) * 1e3 // ns
 		if dev < 0 {
 			dev = -dev

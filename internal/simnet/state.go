@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"cmp"
 	"encoding/binary"
 	"slices"
 
@@ -102,22 +101,8 @@ func (s *Switch) FoldState(d *checkpoint.Digest) { s.foldState(d, nil) }
 
 // foldState is FoldState sorting the FIB in buf's storage, which it
 // returns (grown if it had to be) for the next switch's fold.
-func (s *Switch) foldState(d *checkpoint.Digest, buf []fibSlot) []fibSlot {
-	entries := buf[:0]
-	for _, e := range s.fib.slots {
-		if e.key != 0 {
-			entries = append(entries, e)
-		}
-	}
-	slices.SortFunc(entries, func(a, b fibSlot) int { return cmp.Compare(a.key, b.key) })
-	d.Int(len(entries))
-	for _, e := range entries {
-		var mac [8]byte
-		binary.BigEndian.PutUint64(mac[:], e.key-1)
-		d.Bytes(mac[2:])
-		d.Int(int(e.port))
-		d.Bool(e.static)
-	}
+func (s *Switch) foldState(d *checkpoint.Digest, buf []uint64) []uint64 {
+	buf = s.fib.fold(d, buf)
 	blocked := 0
 	for _, b := range s.blocked {
 		if b {
@@ -140,7 +125,28 @@ func (s *Switch) foldState(d *checkpoint.Digest, buf []fibSlot) []fibSlot {
 	for i := range s.ports {
 		s.ports[i].FoldState(d)
 	}
-	return entries
+	return buf
+}
+
+// fold folds the table's entries in MAC order, each as its MAC, port
+// and static flag, sorting them in buf's storage, which it returns.
+func (t *fibTable) fold(d *checkpoint.Digest, buf []uint64) []uint64 {
+	slots := buf[:0]
+	for _, e := range t.slots {
+		if e != 0 {
+			slots = append(slots, e)
+		}
+	}
+	slices.Sort(slots) // key-major: MAC order
+	d.Int(len(slots))
+	for _, e := range slots {
+		var mac [8]byte
+		binary.BigEndian.PutUint64(mac[:], e>>fibKeyShift-1)
+		d.Bytes(mac[2:])
+		d.Int(int(e & fibPortMask))
+		d.Bool(e&fibStatic != 0)
+	}
+	return slots
 }
 
 // FoldState folds the host's delivery count, INT source sequence and
@@ -170,7 +176,7 @@ func (l *Link) FoldState(d *checkpoint.Digest) {
 // a one-engine and a sharded build of the same scenario fold alike.
 // The switches sort their FIBs in one shared buffer.
 func (n *Network) FoldState(d *checkpoint.Digest) {
-	var fib []fibSlot
+	var fib []uint64
 	for id, sw := range n.switches {
 		if sw != nil {
 			d.Int(id)

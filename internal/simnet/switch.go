@@ -74,16 +74,26 @@ type fibEntry struct {
 // map spent more time hashing and probing for that than the rest of
 // the switch spent forwarding. Entries are only ever removed wholesale
 // (FlushDynamic rebuilds the table), so probing needs no tombstones.
+//
+// A slot is one uint64: fibKey(mac)+1 in the high 49 bits, then the
+// static flag, then a 14-bit port. 0 marks an empty slot, and slots
+// compare in MAC order.
 type fibTable struct {
-	slots []fibSlot // power-of-two length, at most half full
-	shift uint      // 64 - log2(len(slots))
+	slots []uint64 // power-of-two length, at most half full
+	shift uint     // 64 - log2(len(slots))
 	n     int
 }
 
-type fibSlot struct {
-	key uint64 // fibKey(mac) + 1; 0 marks an empty slot
-	fibEntry
-}
+const (
+	fibPortBits = 14
+	fibPortMask = 1<<fibPortBits - 1
+	fibStatic   = 1 << fibPortBits
+	fibKeyShift = fibPortBits + 1
+
+	// MaxSwitchPorts is the most ports a switch can have: a FIB slot
+	// holds a port in 14 bits.
+	MaxSwitchPorts = fibPortMask
+)
 
 // fibKey packs a MAC big-endian into the table's integer key, so that
 // key order is the address's byte order.
@@ -92,13 +102,27 @@ func fibKey(m frame.MAC) uint64 {
 		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
 }
 
-// find returns the slot holding mac, or the empty slot where it would
-// go. Station addresses differ in their low bits only; the Fibonacci
-// multiplier spreads those over the table's index bits.
-func (t *fibTable) find(key uint64) *fibSlot {
+// slot packs e under key (fibKey + 1).
+func (e fibEntry) slot(key uint64) uint64 {
+	s := key<<fibKeyShift | uint64(e.port)
+	if e.static {
+		s |= fibStatic
+	}
+	return s
+}
+
+// slotEntry unpacks a slot's entry.
+func slotEntry(s uint64) fibEntry {
+	return fibEntry{port: int32(s & fibPortMask), static: s&fibStatic != 0}
+}
+
+// find returns the slot holding key (fibKey + 1), or the empty slot
+// where it would go. Station addresses differ in their low bits only;
+// the Fibonacci multiplier spreads those over the table's index bits.
+func (t *fibTable) find(key uint64) *uint64 {
 	mask := uint64(len(t.slots) - 1)
 	for i := key * 0x9e3779b97f4a7c15 >> t.shift; ; i = (i + 1) & mask {
-		if s := &t.slots[i]; s.key == key || s.key == 0 {
+		if s := &t.slots[i]; *s>>fibKeyShift == key || *s == 0 {
 			return s
 		}
 	}
@@ -106,22 +130,21 @@ func (t *fibTable) find(key uint64) *fibSlot {
 
 // get returns mac's entry.
 func (t *fibTable) get(mac frame.MAC) (fibEntry, bool) {
-	s := t.find(fibKey(mac) + 1)
-	return s.fibEntry, s.key != 0
+	s := *t.find(fibKey(mac) + 1)
+	return slotEntry(s), s != 0
 }
 
-// put installs or replaces mac's entry.
+// put installs or replaces mac's entry; e.port must fit in 14 bits.
 func (t *fibTable) put(mac frame.MAC, e fibEntry) {
 	key := fibKey(mac) + 1
 	s := t.find(key)
-	if s.key == 0 {
+	if *s == 0 {
 		if t.n++; t.n*2 > len(t.slots) {
-			t.rebuild(max(minFIBSlots, len(t.slots)*2), nil)
+			t.rebuild(max(minFIBSlots, len(t.slots)*2), false)
 			s = t.find(key)
 		}
-		s.key = key
 	}
-	s.fibEntry = e
+	*s = e.slot(key)
 }
 
 // minFIBSlots is the smallest table put grows a FIB to.
@@ -130,7 +153,7 @@ const minFIBSlots = 8
 // emptyFIB is the table every FIB starts on: one slot that stays empty,
 // because put grows the table before its first write. Shared and never
 // written, it lets a switch hold no table of its own until it needs one.
-var emptyFIB = fibTable{slots: make([]fibSlot, 1), shift: 64}
+var emptyFIB = fibTable{slots: make([]uint64, 1), shift: 64}
 
 // reserve sizes the table for n entries in all, so that inserting them
 // grows nothing. The size is the one put's doubling would reach after n
@@ -141,21 +164,21 @@ func (t *fibTable) reserve(n int) {
 		size *= 2
 	}
 	if n > 0 && size > len(t.slots) {
-		t.rebuild(size, nil)
+		t.rebuild(size, false)
 	}
 }
 
-// rebuild re-hashes the entries keep accepts (nil: all of them) into a
-// table of size slots.
-func (t *fibTable) rebuild(size int, keep func(fibEntry) bool) {
+// rebuild re-hashes the entries into a table of size slots, keeping
+// only the static ones if staticOnly.
+func (t *fibTable) rebuild(size int, staticOnly bool) {
 	old := t.slots
-	t.slots = make([]fibSlot, size)
+	t.slots = make([]uint64, size)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	for _, s := range old {
 		switch {
-		case s.key == 0:
-		case keep == nil || keep(s.fibEntry):
-			*t.find(s.key) = s
+		case s == 0:
+		case !staticOnly || s&fibStatic != 0:
+			*t.find(s >> fibKeyShift) = s
 		default:
 			t.n--
 		}
@@ -174,14 +197,18 @@ type SwitchConfig struct {
 // pipeline, tens of ns of variation.
 var DefaultSwitchConfig = SwitchConfig{Latency: 2 * sim.Microsecond, Jitter: 50 * sim.Nanosecond}
 
-// NewSwitch creates a switch with nports ports.
+// NewSwitch creates a switch with nports ports, at most MaxSwitchPorts.
 func NewSwitch(engine *sim.Engine, name string, nports int, cfg SwitchConfig) *Switch {
 	return newSwitch(engine, name, make([]Port, nports), cfg)
 }
 
 // newSwitch creates a switch on ports, zero Ports it owns from now on:
-// one array of its own, or its cut of a network's slab.
+// one array of its own, or its cut of a network's slab. It panics above
+// MaxSwitchPorts ports.
 func newSwitch(engine *sim.Engine, name string, ports []Port, cfg SwitchConfig) *Switch {
+	if len(ports) > MaxSwitchPorts {
+		panic(fmt.Sprintf("simnet: switch %s: %d ports, at most %d", name, len(ports), MaxSwitchPorts))
+	}
 	s := &Switch{
 		name:        name,
 		engine:      engine,
@@ -231,6 +258,9 @@ func (s *Switch) SetQueueDepth(perClassLimit int) {
 
 // AddStatic installs a permanent FIB entry mapping mac to port.
 func (s *Switch) AddStatic(mac frame.MAC, port int) {
+	if port < 0 || port > MaxSwitchPorts {
+		panic(fmt.Sprintf("simnet: switch %s: FIB port %d out of range", s.name, port))
+	}
 	s.fib.put(mac, fibEntry{port: int32(port), static: true})
 }
 
@@ -279,9 +309,7 @@ func (s *Switch) PortBlocked(port int) bool {
 
 // FlushDynamic clears every learned (non-static) FIB entry — what a
 // topology-change notification triggers so traffic can re-learn paths.
-func (s *Switch) FlushDynamic() {
-	s.fib.rebuild(len(s.fib.slots), func(e fibEntry) bool { return e.static })
-}
+func (s *Switch) FlushDynamic() { s.fib.rebuild(len(s.fib.slots), true) }
 
 // Fail crashes the switch: everything volatile dies — queued egress
 // frames, paused transmissions, the learned FIB — and until Restart the

@@ -50,6 +50,15 @@ func (c *CampusConfig) setDefaults() {
 	}
 }
 
+// MaxSwitchDegree returns the most links any switch of the campus has,
+// defaults applied: a spine has one per cell, a gateway one per tree
+// child, host and spine, and every other cell switch at most as many as
+// its gateway.
+func (c CampusConfig) MaxSwitchDegree() int {
+	c.setDefaults()
+	return max(c.Cells, min(c.Fanout, c.SwitchesPerCell-1)+c.HostsPerSwitch+c.Spines)
+}
+
 // CampusTopo is a generated campus graph plus the structural indexes a
 // sharded simulation needs: which switches form each cell tree (index 0
 // is the gateway/root, parent of index i is (i-1)/Fanout), which hosts

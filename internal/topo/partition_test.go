@@ -32,6 +32,29 @@ func TestCampusShape(t *testing.T) {
 	}
 }
 
+// TestCampusMaxSwitchDegree: the degree bound read off the config is
+// the largest degree of any switch in the generated graph — a spine's
+// when cells outnumber a gateway's links, a gateway's otherwise, and a
+// fanout wider than the cell tree counts only the children it has.
+func TestCampusMaxSwitchDegree(t *testing.T) {
+	for _, cfg := range []CampusConfig{
+		{},
+		{Cells: 3, SwitchesPerCell: 5, HostsPerSwitch: 2, Spines: 2},
+		{Cells: 9, SwitchesPerCell: 2, Spines: 1},
+		{Cells: 2, SwitchesPerCell: 3, HostsPerSwitch: 1, Spines: 3, Fanout: 8},
+		{Cells: 2, SwitchesPerCell: 1, HostsPerSwitch: 4, Spines: 1},
+	} {
+		ct := Campus(cfg)
+		most := 0
+		for _, n := range ct.Graph.NodesOfKind(KindSwitch) {
+			most = max(most, len(ct.Graph.Incident(n)))
+		}
+		if got := cfg.MaxSwitchDegree(); got != most {
+			t.Errorf("%+v: MaxSwitchDegree = %d, the graph's largest switch degree is %d", cfg, got, most)
+		}
+	}
+}
+
 func TestCampusPartitionCutIsBackbone(t *testing.T) {
 	ct := Campus(CampusConfig{Cells: 4, SwitchesPerCell: 6, HostsPerSwitch: 1, Spines: 3})
 	p := ct.Partition()

@@ -75,20 +75,22 @@ internal/checkpoint FuzzConfigWalk
 internal/frame      FuzzUnmarshalInto
 internal/int        FuzzParseSLOPlan
 internal/telemetry  FuzzReadJSONL
+internal/simnet     FuzzFIB
 EOF
 }
 
 # testing.AllocsPerRun guards, in four groups: telemetry off (forwarding,
 # queueing, cross-shard links, byte-identical to pre-telemetry output);
-# the Fig. 4 probe and Fig. 5 I/O cycle once warm, plus the figures'
-# bytes-per-frame budgets; the shard profiler off (and observational
-# when on); and INT on, every stack attached from and stripped into the
-# cell's frame.Pool.
+# the Fig. 4 probe, Fig. 5 I/O cycle and Fig. 6 inference server once
+# warm, plus the figures' byte budgets; the shard profiler off (and
+# observational when on); and INT on, every stack attached from and
+# stripped into the cell's frame.Pool.
 zero_alloc() {
     tests <<'EOF'
 internal/simnet      TestForwardingHotPathZeroAllocs|TestQueuePathZeroAllocs|TestDisabledTelemetryIdenticalToSeed|TestCrossShardForwardingZeroAllocs|TestSetQueueDepthAllocatesNothing
 internal/reflection  TestReflectionSteadyStateZeroAllocs
 internal/instaplc    TestInstaPLCCycleZeroAllocs
+internal/mlwork      TestMLServeZeroAllocs
 internal/core        TestFigureAllocationBudgets
 internal/sim         TestShardProfilingDisabledZeroAllocs|TestShardProfilingObservational
 internal/core        TestCampusObservabilityIsObservational
