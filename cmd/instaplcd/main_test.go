@@ -107,6 +107,18 @@ func TestRunBadUsage(t *testing.T) {
 	}
 }
 
+// TestRunUncarriableCycle: an IO cycle the PROFINET connect request
+// cannot carry is the harness constructor's error, reported with exit 1
+// before any simulated time passes.
+func TestRunUncarriableCycle(t *testing.T) {
+	for _, cycle := range []string{"500ns", "1500ns", "2h"} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tiny("-cycle", cycle), &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "connect request") || stdout.Len() != 0 {
+			t.Errorf("run(-cycle %s) = %d, stdout %q, stderr %q; want 1, no figure and the error", cycle, code, stdout.String(), stderr.String())
+		}
+	}
+}
+
 // TestSweepTelemetryWorkerInvariant pins instaplcd -chaos's side of the sweep
 // telemetry contract; the breach count is the parent tree's.
 func TestSweepTelemetryWorkerInvariant(t *testing.T) {

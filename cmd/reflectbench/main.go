@@ -55,6 +55,12 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 	delayOnly := fs.Bool("delay-only", false, "run only the Fig. 4 (left) delay experiment")
 	jitterOnly := fs.Bool("jitter-only", false, "run only the Fig. 4 (right) jitter sweep")
 	return func(env *cli.Env) error {
+		if *cycle <= 0 {
+			return cli.Usagef("bad -cycle %v: must be positive", *cycle)
+		}
+		if *cycles < 1 {
+			return cli.Usagef("bad -cycles %d: must be at least 1", *cycles)
+		}
 		stdout := env.Stdout
 		cfg := reflection.DefaultConfig()
 		cfg.Seed = *seed

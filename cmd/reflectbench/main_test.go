@@ -59,12 +59,21 @@ func TestRunBadUsage(t *testing.T) {
 		{"-no-such-flag"},
 		{"-resume", filepath.Join(t.TempDir(), "missing.ckpt")},
 		tiny("-flows", "zero,flows"),
+		tiny("-cycle", "0"),
+		tiny("-cycle", "-1ms"),
+		tiny("-cycles", "0"),
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("run(%v) = %d, want 2", args, code)
 		}
+	}
+	// A flow count past the harness bound is the sweep's error, refused
+	// before any cell is built.
+	var stdout, stderr bytes.Buffer
+	if code := run(tiny("-jitter-only", "-flows", "1099511627776"), &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "flows, want 1 to") {
+		t.Errorf("run(-flows 2^40) = %d, stderr %q; want 1 and the bound", code, stderr.String())
 	}
 }
 

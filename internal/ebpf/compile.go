@@ -11,12 +11,12 @@ import (
 // instruction is lowered to a straight-line Go closure with its
 // operands decoded and its memory sizes specialized — no Insn fetch, no
 // opcode switch, and stack accesses proven in bounds by the verifier
-// are emitted without runtime checks. The interpreter (Interpret)
-// remains the differential oracle: for every program, packet, cost
-// model and RNG state the compiled form must produce the identical
-// verdict, cost, step count, trap (PC and reason), packet bytes, map
-// state and ring state, which ebpf_compile_test.go asserts over the
-// reference corpus, the fuzz corpus and seeded random programs.
+// are emitted without runtime checks. This is the machine's only
+// executor. ebpf_diff_test.go holds it to an independent reference
+// interpreter: for every program, packet, cost model and RNG state the
+// two must produce the same verdict, cost, step count, trap PC, packet
+// bytes, map state, ring state and RNG draws, over the seed programs,
+// both fuzz corpora, seeded random programs and the Fig. 4 shapes.
 //
 // Closures never capture maps or rings: helpers reach them through the
 // executing program (m.prog), so CloneFresh can share compiled code
@@ -46,9 +46,7 @@ type vmCtx struct {
 	trap   *Trap
 }
 
-// trapf records a runtime fault and returns the trap sentinel. The
-// format strings match Interpret's exactly — trap reasons are part of
-// the differential contract.
+// trapf records a runtime fault and returns the trap sentinel.
 func (m *vmCtx) trapf(pc int, format string, args ...any) int {
 	m.trap = &Trap{PC: pc, Reason: fmt.Sprintf(format, args...)}
 	return pcTrap
@@ -228,8 +226,8 @@ func compileInsn(in Insn, pc int) compiledStep {
 	}
 }
 
-// compileLdPkt specializes the packet load per access size, keeping the
-// interpreter's overflow-safe bounds check and trap text.
+// compileLdPkt specializes the packet load per access size. The bounds
+// check never computes o+size, which can wrap for o near MaxInt64.
 func compileLdPkt(dst, src Reg, off int64, size, pc, next int) compiledStep {
 	oob := func(m *vmCtx, o int64) int {
 		return m.trapf(pc, "packet read [%d,+%d) out of bounds (len %d)", o, size, len(m.packet))
@@ -341,10 +339,10 @@ func compileStStack(src Reg, off, size, next int) compiledStep {
 	}
 }
 
-// compileCall lowers one helper call. Cost accounting order (CallBase
-// before the helper body, helper cost after it, RNG draws last) matches
-// Interpret instruction for instruction — Ktime reads the accumulated
-// cost and RingbufOutput draws from the RNG, so the order is observable.
+// compileCall lowers one helper call. Cost accounting order is CallBase
+// before the helper body, helper cost after it, RNG draws last: Ktime
+// reads the accumulated cost and RingbufOutput draws from the RNG, so
+// the order is observable and the reference interpreter pins it.
 func compileCall(helper int64, pc, next int) compiledStep {
 	switch helper {
 	case HelperKtime:
@@ -389,7 +387,9 @@ func compileCall(helper int64, pc, next int) compiledStep {
 				return m.trapf(pc, "ring index %d out of range", idx)
 			}
 			off, n := m.regs[R2], m.regs[R3]
-			// Compare without computing off+n (see Interpret).
+			// Compare without computing off+n: both come straight
+			// from registers, and a wrapped sum would slip a huge
+			// offset past the bound.
 			if n == 0 || off > StackSize || n > StackSize-off {
 				return m.trapf(pc, "ringbuf output [%d,+%d) outside stack", off, n)
 			}
@@ -408,39 +408,6 @@ func compileCall(helper int64, pc, next int) compiledStep {
 		return func(m *vmCtx) int {
 			m.cost += m.costs.CallBase
 			return m.trapf(pc, "unknown helper %d", helper)
-		}
-	}
-}
-
-// runCompiled drives the compiled form with the same fetch discipline
-// as Interpret: budget check, pc bounds check, step count, execute.
-func (p *Program) runCompiled(packet []byte, now sim.Time, costs *CostModel, rng *sim.RNG) (Result, error) {
-	if costs == nil {
-		costs = &DefaultCosts
-	}
-	m := &p.scratch
-	*m = vmCtx{packet: packet, now: now, costs: costs, rng: rng, prog: p}
-	m.regs[R1] = 0 // packet base: offsets are absolute into packet
-	m.regs[R10] = StackSize
-	code := p.compiled
-	pc := 0
-	steps := 0
-	for {
-		if steps >= maxSteps {
-			return Result{Verdict: XDPAborted, Cost: m.cost, Steps: steps}, &Trap{PC: pc, Reason: "step budget exhausted"}
-		}
-		if pc < 0 || pc >= len(code) {
-			return Result{Verdict: XDPAborted, Cost: m.cost, Steps: steps}, &Trap{PC: pc, Reason: "fell off program end"}
-		}
-		steps++
-		pc = code[pc](m)
-		if pc < 0 {
-			if pc == pcExit {
-				return Result{Verdict: m.regs[R0], Cost: m.cost, Steps: steps}, nil
-			}
-			t := m.trap
-			m.trap = nil
-			return Result{Verdict: XDPAborted, Cost: m.cost, Steps: steps}, t
 		}
 	}
 }

@@ -185,8 +185,9 @@ func FuzzVerifier(f *testing.F) {
 // fuzzParserProgram is a verified program whose memory offsets are
 // data-dependent: it reads an offset and a length out of the packet and
 // uses them for a packet load, a stack store, and a ringbuf emit. This is
-// the shape that found the wrap-around bounds bugs in loadBE/storeBE and
-// HelperRingbufOutput — offsets near MaxInt64 passed the additive checks.
+// the shape that found the wrap-around bounds bugs in the packet load and
+// store checks and in HelperRingbufOutput — offsets near MaxInt64 passed
+// the additive checks.
 func fuzzParserProgram() *Program {
 	p := &Program{
 		Name: "fuzz-parser",

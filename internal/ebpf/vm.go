@@ -91,7 +91,7 @@ type Program struct {
 	Rings []*RingBuf
 
 	verified bool
-	compiled []compiledStep // built by Verify; nil falls back to Interpret
+	compiled []compiledStep // built by Verify; what Run executes
 	scratch  vmCtx          // per-program machine state, reset each run
 }
 
@@ -118,272 +118,46 @@ const maxSteps = 1 << 16
 // Run executes the program over packet (which OpStPkt mutates in place)
 // at virtual time now, charging costs per the model and drawing noise
 // from rng (which may be nil for fully deterministic cost). Unverified
-// programs panic: the kernel will not attach them either.
-//
-// Verified programs execute their compiled form (see compile.go); the
-// interpreter below remains as the differential oracle and the fallback
-// for programs whose verified flag was restored without recompiling.
+// programs panic: the kernel will not attach them either. Verify
+// compiled the program (see compile.go); Run drives that compiled form:
+// budget check, pc bounds check, step count, execute.
 func (p *Program) Run(packet []byte, now sim.Time, costs *CostModel, rng *sim.RNG) (Result, error) {
-	if !p.verified {
-		panic(fmt.Sprintf("ebpf: program %q not verified", p.Name))
-	}
-	if p.compiled != nil {
-		return p.runCompiled(packet, now, costs, rng)
-	}
-	return p.Interpret(packet, now, costs, rng)
-}
-
-// Interpret executes the program in the per-instruction dispatch loop.
-// It is semantically identical to the compiled form and kept as the
-// reference implementation the compiler is differentially tested
-// against. Unverified programs panic, as with Run.
-func (p *Program) Interpret(packet []byte, now sim.Time, costs *CostModel, rng *sim.RNG) (Result, error) {
 	if !p.verified {
 		panic(fmt.Sprintf("ebpf: program %q not verified", p.Name))
 	}
 	if costs == nil {
 		costs = &DefaultCosts
 	}
-	var regs [numRegs]uint64
-	var stack [StackSize]byte
-	regs[R1] = 0 // packet base: offsets are absolute into packet
-	regs[R10] = StackSize
-	var cost sim.Duration
+	m := &p.scratch
+	*m = vmCtx{packet: packet, now: now, costs: costs, rng: rng, prog: p}
+	m.regs[R1] = 0 // packet base: offsets are absolute into packet
+	m.regs[R10] = StackSize
+	code := p.compiled
 	pc := 0
 	steps := 0
-	trap := func(reason string) (Result, error) {
-		return Result{Verdict: XDPAborted, Cost: cost, Steps: steps}, &Trap{PC: pc, Reason: reason}
-	}
 	for {
 		if steps >= maxSteps {
-			return trap("step budget exhausted")
+			return Result{Verdict: XDPAborted, Cost: m.cost, Steps: steps}, &Trap{PC: pc, Reason: "step budget exhausted"}
 		}
-		if pc < 0 || pc >= len(p.Insns) {
-			return trap("fell off program end")
+		if pc < 0 || pc >= len(code) {
+			return Result{Verdict: XDPAborted, Cost: m.cost, Steps: steps}, &Trap{PC: pc, Reason: "fell off program end"}
 		}
-		in := p.Insns[pc]
 		steps++
-		next := pc + 1
-		switch in.Op {
-		case OpMovImm:
-			regs[in.Dst] = uint64(in.Imm)
-			cost += costs.ALU
-		case OpMovReg:
-			regs[in.Dst] = regs[in.Src]
-			cost += costs.ALU
-		case OpAddImm:
-			regs[in.Dst] += uint64(in.Imm)
-			cost += costs.ALU
-		case OpAddReg:
-			regs[in.Dst] += regs[in.Src]
-			cost += costs.ALU
-		case OpSubImm:
-			regs[in.Dst] -= uint64(in.Imm)
-			cost += costs.ALU
-		case OpSubReg:
-			regs[in.Dst] -= regs[in.Src]
-			cost += costs.ALU
-		case OpMulImm:
-			regs[in.Dst] *= uint64(in.Imm)
-			cost += costs.ALU
-		case OpMulReg:
-			regs[in.Dst] *= regs[in.Src]
-			cost += costs.ALU
-		case OpDivImm:
-			regs[in.Dst] /= uint64(in.Imm) // imm != 0 per verifier
-			cost += costs.ALU
-		case OpDivReg:
-			if regs[in.Src] == 0 {
-				regs[in.Dst] = 0 // BPF semantics: div by zero yields 0
-			} else {
-				regs[in.Dst] /= regs[in.Src]
+		pc = code[pc](m)
+		if pc < 0 {
+			if pc == pcExit {
+				return Result{Verdict: m.regs[R0], Cost: m.cost, Steps: steps}, nil
 			}
-			cost += costs.ALU
-		case OpAndImm:
-			regs[in.Dst] &= uint64(in.Imm)
-			cost += costs.ALU
-		case OpAndReg:
-			regs[in.Dst] &= regs[in.Src]
-			cost += costs.ALU
-		case OpOrImm:
-			regs[in.Dst] |= uint64(in.Imm)
-			cost += costs.ALU
-		case OpOrReg:
-			regs[in.Dst] |= regs[in.Src]
-			cost += costs.ALU
-		case OpXorImm:
-			regs[in.Dst] ^= uint64(in.Imm)
-			cost += costs.ALU
-		case OpXorReg:
-			regs[in.Dst] ^= regs[in.Src]
-			cost += costs.ALU
-		case OpLshImm:
-			regs[in.Dst] <<= uint64(in.Imm) & 63
-			cost += costs.ALU
-		case OpRshImm:
-			regs[in.Dst] >>= uint64(in.Imm) & 63
-			cost += costs.ALU
-		case OpNeg:
-			regs[in.Dst] = -regs[in.Dst]
-			cost += costs.ALU
-
-		case OpPktLen:
-			regs[in.Dst] = uint64(len(packet))
-			cost += costs.ALU
-
-		case OpLdPkt:
-			off := int64(regs[in.Src]) + int64(in.Off)
-			v, ok := loadBE(packet, off, int(in.Size))
-			if !ok {
-				return trap(fmt.Sprintf("packet read [%d,+%d) out of bounds (len %d)", off, in.Size, len(packet)))
-			}
-			regs[in.Dst] = v
-			cost += costs.PktMem
-		case OpStPkt:
-			off := int64(regs[in.Dst]) + int64(in.Off)
-			if !storeBE(packet, off, int(in.Size), regs[in.Src]) {
-				return trap(fmt.Sprintf("packet write [%d,+%d) out of bounds (len %d)", off, in.Size, len(packet)))
-			}
-			cost += costs.PktMem
-
-		case OpLdStack:
-			v, _ := loadBE(stack[:], int64(in.Off), int(in.Size)) // verified statically
-			regs[in.Dst] = v
-			cost += costs.StackMem
-		case OpStStack:
-			storeBE(stack[:], int64(in.Off), int(in.Size), regs[in.Src])
-			cost += costs.StackMem
-
-		case OpJa:
-			next = pc + 1 + int(in.Off)
-			cost += costs.ALU
-		case OpJEqImm:
-			cost += costs.ALU
-			if regs[in.Dst] == uint64(in.Imm) {
-				next = pc + 1 + int(in.Off)
-			}
-		case OpJNeImm:
-			cost += costs.ALU
-			if regs[in.Dst] != uint64(in.Imm) {
-				next = pc + 1 + int(in.Off)
-			}
-		case OpJGtImm:
-			cost += costs.ALU
-			if regs[in.Dst] > uint64(in.Imm) {
-				next = pc + 1 + int(in.Off)
-			}
-		case OpJLtImm:
-			cost += costs.ALU
-			if regs[in.Dst] < uint64(in.Imm) {
-				next = pc + 1 + int(in.Off)
-			}
-		case OpJGeImm:
-			cost += costs.ALU
-			if regs[in.Dst] >= uint64(in.Imm) {
-				next = pc + 1 + int(in.Off)
-			}
-		case OpJEqReg:
-			cost += costs.ALU
-			if regs[in.Dst] == regs[in.Src] {
-				next = pc + 1 + int(in.Off)
-			}
-		case OpJNeReg:
-			cost += costs.ALU
-			if regs[in.Dst] != regs[in.Src] {
-				next = pc + 1 + int(in.Off)
-			}
-		case OpJGtReg:
-			cost += costs.ALU
-			if regs[in.Dst] > regs[in.Src] {
-				next = pc + 1 + int(in.Off)
-			}
-
-		case OpCall:
-			cost += costs.CallBase
-			switch in.Imm {
-			case HelperKtime:
-				regs[R0] = uint64(now) + uint64(cost)
-				cost += costs.Ktime
-			case HelperMapLookup:
-				idx := regs[R1]
-				if idx >= uint64(len(p.Maps)) {
-					return trap(fmt.Sprintf("map index %d out of range", idx))
-				}
-				v, _ := p.Maps[idx].Lookup(regs[R2])
-				regs[R0] = v
-				cost += costs.MapLookup
-			case HelperMapUpdate:
-				idx := regs[R1]
-				if idx >= uint64(len(p.Maps)) {
-					return trap(fmt.Sprintf("map index %d out of range", idx))
-				}
-				if p.Maps[idx].Update(regs[R2], regs[R3]) {
-					regs[R0] = 1
-				} else {
-					regs[R0] = 0
-				}
-				cost += costs.MapUpdate
-			case HelperRingbufOutput:
-				idx := regs[R1]
-				if idx >= uint64(len(p.Rings)) {
-					return trap(fmt.Sprintf("ring index %d out of range", idx))
-				}
-				off, n := regs[R2], regs[R3]
-				// Compare without computing off+n: both come straight
-				// from registers, and a wrapped sum would slip a huge
-				// offset past the bound.
-				if n == 0 || off > StackSize || n > StackSize-off {
-					return trap(fmt.Sprintf("ringbuf output [%d,+%d) outside stack", off, n))
-				}
-				if p.Rings[idx].Output(stack[off : off+n]) {
-					regs[R0] = 1
-				} else {
-					regs[R0] = 0
-				}
-				cost += costs.RingbufOutput
-				if rng != nil && costs.RingbufWakeProb > 0 && rng.Bool(costs.RingbufWakeProb) {
-					cost += costs.RingbufWakeCost
-				}
-			default:
-				return trap(fmt.Sprintf("unknown helper %d", in.Imm))
-			}
-
-		case OpExit:
-			if rng != nil && costs.RunNoiseSD > 0 {
-				n := rng.Norm(0, float64(costs.RunNoiseSD))
-				if n < 0 {
-					n = -n
-				}
-				cost += sim.Duration(n)
-			}
-			return Result{Verdict: regs[R0], Cost: cost, Steps: steps}, nil
-
-		default:
-			return trap(fmt.Sprintf("invalid opcode %v", in.Op))
+			t := m.trap
+			m.trap = nil
+			return Result{Verdict: XDPAborted, Cost: m.cost, Steps: steps}, t
 		}
-		pc = next
 	}
 }
 
-func loadBE(mem []byte, off int64, size int) (uint64, bool) {
-	// off comes from untrusted register arithmetic: bound it without
-	// computing off+size, which can wrap for off near MaxInt64.
-	if off < 0 || size < 1 || off > int64(len(mem))-int64(size) {
-		return 0, false
-	}
-	switch size {
-	case 1:
-		return uint64(mem[off]), true
-	case 2:
-		return uint64(binary.BigEndian.Uint16(mem[off:])), true
-	case 4:
-		return uint64(binary.BigEndian.Uint32(mem[off:])), true
-	case 8:
-		return binary.BigEndian.Uint64(mem[off:]), true
-	}
-	return 0, false
-}
-
+// storeBE writes the low size bytes of v big-endian at mem[off:]. off
+// comes from untrusted register arithmetic: it is bounded without
+// computing off+size, which can wrap for off near MaxInt64.
 func storeBE(mem []byte, off int64, size int, v uint64) bool {
 	if off < 0 || size < 1 || off > int64(len(mem))-int64(size) {
 		return false

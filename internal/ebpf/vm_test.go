@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -471,3 +472,82 @@ func TestOTFirewallProgram(t *testing.T) {
 // ebpfR1 returns R1; indirection keeps the listing readable where the
 // register is the packet base vs a helper argument.
 func ebpfR1() Reg { return R1 }
+
+// TestTrapReasons pins the text and PC of every trap a verified program
+// can reach; each body below is followed by a return of XDPPass.
+func TestTrapReasons(t *testing.T) {
+	pkt := []byte{1, 2, 3}
+	for _, tc := range []struct {
+		name   string
+		insns  []Insn
+		pc     int
+		reason string
+	}{
+		{"packet read", []Insn{{Op: OpMovImm, Dst: R2, Imm: 1}, {Op: OpLdPkt, Dst: R3, Src: R2, Off: 1, Size: 2}},
+			1, "packet read [2,+2) out of bounds (len 3)"},
+		{"packet write", []Insn{{Op: OpMovImm, Dst: R2, Imm: -1}, {Op: OpStPkt, Dst: R2, Src: R2, Size: 1}},
+			1, "packet write [-1,+1) out of bounds (len 3)"},
+		{"map lookup", []Insn{{Op: OpMovImm, Dst: R1, Imm: 1}, {Op: OpMovImm, Dst: R2, Imm: 0}, {Op: OpCall, Imm: HelperMapLookup}},
+			2, "map index 1 out of range"},
+		{"map update", []Insn{{Op: OpMovImm, Dst: R1, Imm: 9}, {Op: OpMovImm, Dst: R2, Imm: 0}, {Op: OpMovImm, Dst: R3, Imm: 0}, {Op: OpCall, Imm: HelperMapUpdate}},
+			3, "map index 9 out of range"},
+		{"ring index", []Insn{{Op: OpMovImm, Dst: R1, Imm: 1}, {Op: OpMovImm, Dst: R2, Imm: 0}, {Op: OpMovImm, Dst: R3, Imm: 8}, {Op: OpCall, Imm: HelperRingbufOutput}},
+			3, "ring index 1 out of range"},
+		{"ring slice", []Insn{{Op: OpMovImm, Dst: R1, Imm: 0}, {Op: OpMovImm, Dst: R2, Imm: 508}, {Op: OpMovImm, Dst: R3, Imm: 8}, {Op: OpCall, Imm: HelperRingbufOutput}},
+			3, "ringbuf output [508,+8) outside stack"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			insns := append(tc.insns, Insn{Op: OpMovImm, Dst: R0, Imm: int64(XDPPass)}, Insn{Op: OpExit})
+			p := (&Program{Name: tc.name, Insns: insns, Maps: []*Map{NewArrayMap("m", 1)}, Rings: []*RingBuf{NewRingBuf("r", 1)}}).MustVerify()
+			res, err := p.Run(append([]byte(nil), pkt...), 0, nil, nil)
+			var tr *Trap
+			if !asTrap(err, &tr) || tr.PC != tc.pc || tr.Reason != tc.reason || res.Verdict != XDPAborted {
+				t.Fatalf("Run = %+v, %v; want XDPAborted and a trap at pc=%d: %s", res, err, tc.pc, tc.reason)
+			}
+		})
+	}
+}
+
+// TestCompiledRunIsAllocationFree pins the perf contract the compiler
+// exists for: a run reuses the program's scratch context and allocates
+// nothing. The program below exercises ALU, packet loads and stores,
+// stack traffic, Ktime and array-map helpers — everything but ringbuf
+// output, whose per-record copy is the one allocation the VM semantics
+// require.
+func TestCompiledRunIsAllocationFree(t *testing.T) {
+	p := &Program{
+		Name: "alloc-probe",
+		Insns: []Insn{
+			{Op: OpCall, Imm: HelperKtime},
+			{Op: OpStStack, Src: R0, Off: 0, Size: 8},
+			{Op: OpMovImm, Dst: R2, Imm: 0},
+			{Op: OpLdPkt, Dst: R3, Src: R2, Off: 0, Size: 4},
+			{Op: OpAddImm, Dst: R3, Imm: 1},
+			{Op: OpStPkt, Dst: R2, Src: R3, Off: 0, Size: 4},
+			{Op: OpMovImm, Dst: R1, Imm: 0},
+			{Op: OpMovImm, Dst: R2, Imm: 1},
+			{Op: OpMovReg, Dst: R3, Src: R0},
+			{Op: OpCall, Imm: HelperMapUpdate},
+			{Op: OpMovImm, Dst: R1, Imm: 0},
+			{Op: OpMovImm, Dst: R2, Imm: 1},
+			{Op: OpCall, Imm: HelperMapLookup},
+			{Op: OpLdStack, Dst: R4, Off: 0, Size: 8},
+			{Op: OpMovImm, Dst: R0, Imm: int64(XDPPass)},
+			{Op: OpExit},
+		},
+		Maps: []*Map{NewArrayMap("m0", 4)},
+	}
+	p.MustVerify()
+	pkt := bytes.Repeat([]byte{0}, 32)
+	costs := DefaultCosts
+	costs.RunNoiseSD = 0
+	run := func() {
+		if _, err := p.Run(pkt, 0, &costs, nil); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(500, run); allocs != 0 {
+		t.Fatalf("compiled run allocates %.1f allocs/op; want 0", allocs)
+	}
+}

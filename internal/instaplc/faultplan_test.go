@@ -2,12 +2,15 @@ package instaplc
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"steelnet/internal/faults"
 	"steelnet/internal/iodevice"
+	"steelnet/internal/sim"
+	"steelnet/internal/sweep"
 )
 
 // TestTransientStallPlanFailsOver: the Fig. 5 crash expressed as a
@@ -111,5 +114,55 @@ func TestBadPlanIsAnErrorWhereItCanComeFromOutside(t *testing.T) {
 	}
 	if h, err := Restore(&ck, nil, nil); err == nil || h != nil || !strings.Contains(err.Error(), "ghost") {
 		t.Fatalf("Restore = %v, %v; want an error naming ghost", h, err)
+	}
+}
+
+// TestConnectRequestBoundsAreAnError: the connect request carries the
+// IO cycle as whole microseconds in a uint32 and the device watchdog
+// factor in a uint16. BuildHarness refuses what it cannot carry — a
+// cycle that would reach the watchdogs as zero, wrap, or lose its
+// fraction — and a checkpoint recording such a configuration restores
+// to that error instead of panicking inside the replay.
+func TestConnectRequestBoundsAreAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(*ExperimentConfig)
+	}{
+		{"zero cycle", func(c *ExperimentConfig) { c.Cycle = 0 }},
+		{"sub-microsecond cycle", func(c *ExperimentConfig) { c.Cycle = 500 * time.Nanosecond }},
+		{"fractional cycle", func(c *ExperimentConfig) { c.Cycle = 1500 * time.Nanosecond }},
+		{"cycle past a uint32 of microseconds", func(c *ExperimentConfig) { c.Cycle = 2 * time.Hour }},
+		{"zero watchdog factor", func(c *ExperimentConfig) { c.DeviceWatchdogFactor = 0 }},
+		{"watchdog factor past a uint16", func(c *ExperimentConfig) { c.DeviceWatchdogFactor = 1 << 16 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultExperimentConfig()
+			tc.forge(&cfg)
+			if h, err := BuildHarness(cfg); err == nil || h != nil || !strings.Contains(err.Error(), "connect request") {
+				t.Fatalf("BuildHarness = %v, %v; want an error naming the connect request", h, err)
+			}
+			h := NewHarness(DefaultExperimentConfig())
+			h.AdvanceTo(sim.Time(10 * time.Millisecond))
+			tc.forge(&h.cfg) // what a crafted or damaged checkpoint would carry
+			var ck bytes.Buffer
+			if err := h.Save(&ck); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("RestoreWith of a forged configuration panicked: %v", p)
+				}
+			}()
+			if h, err := RestoreWith(&ck, sweep.Sinks{}); err == nil || h != nil {
+				t.Fatalf("RestoreWith = %v, %v; want an error", h, err)
+			}
+		})
+	}
+	for _, cycle := range []time.Duration{time.Microsecond, math.MaxUint32 * time.Microsecond} {
+		cfg := DefaultExperimentConfig()
+		cfg.Cycle = cycle
+		if _, err := BuildHarness(cfg); err != nil {
+			t.Errorf("BuildHarness with a %v cycle: %v", cycle, err)
+		}
 	}
 }

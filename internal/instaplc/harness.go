@@ -3,6 +3,8 @@ package instaplc
 import (
 	"fmt"
 	"io"
+	"math"
+	"time"
 
 	"steelnet/internal/checkpoint"
 	"steelnet/internal/dataplane"
@@ -61,10 +63,14 @@ func NewHarness(cfg ExperimentConfig) *Harness {
 }
 
 // BuildHarness builds the Fig. 5 scenario without running it. The
-// returned harness is at time zero with everything scheduled. A fault
-// plan naming a target the scenario does not register — cfg.Faults may
-// come from a command line, a run spec or a checkpoint — is an error.
+// returned harness is at time zero with everything scheduled. cfg may
+// come from a command line, a run spec or a checkpoint: an IO cycle or
+// watchdog factor the connect request cannot carry, or a fault plan
+// naming a target the scenario does not register, is an error.
 func BuildHarness(cfg ExperimentConfig) (*Harness, error) {
+	if err := checkConnect(cfg); err != nil {
+		return nil, err
+	}
 	e := sim.NewEngine(cfg.Seed)
 	h := &Harness{cfg: cfg, engine: e}
 
@@ -167,6 +173,22 @@ func BuildHarness(cfg ExperimentConfig) (*Harness, error) {
 		h.prevV1, h.prevV2, h.prevIO = t1, t2, tio
 	})
 	return h, nil
+}
+
+// checkConnect refuses an IO cycle or device watchdog factor the
+// PROFINET connect request cannot carry. It holds the cycle as a whole
+// number of microseconds in a uint32 and the factor in a uint16 (see
+// profinet.ConnectRequest): anything else would be truncated or wrap on
+// the wire, and a cycle below 1 µs would reach the watchdogs as zero.
+func checkConnect(cfg ExperimentConfig) error {
+	const maxCycle = math.MaxUint32 * time.Microsecond
+	switch {
+	case cfg.Cycle < time.Microsecond || cfg.Cycle > maxCycle || cfg.Cycle%time.Microsecond != 0:
+		return fmt.Errorf("instaplc: the connect request cannot carry an IO cycle of %v: want whole microseconds from 1µs to %v", cfg.Cycle, maxCycle)
+	case cfg.DeviceWatchdogFactor < 1 || cfg.DeviceWatchdogFactor > math.MaxUint16:
+		return fmt.Errorf("instaplc: the connect request cannot carry a device watchdog factor of %d: want 1 to %d", cfg.DeviceWatchdogFactor, math.MaxUint16)
+	}
+	return nil
 }
 
 // Engine returns the harness's engine (for scheduling periodic saves).

@@ -44,8 +44,42 @@ type Harness struct {
 	result   Result
 }
 
-// NewHarness builds one reflection cell without running it.
+// maxFlows bounds a cell's concurrent probe flows. Every flow is set up
+// before the first event fires (a ticker, a sequence counter, a tap
+// slot), so a count read from a flag or a forged checkpoint must not
+// ask for more memory than a machine has. 65,536 is over 2,000 times
+// the paper's largest jitter cell (25 flows) and builds in about 14 MB.
+const maxFlows = 1 << 16
+
+// checkConfig refuses a configuration no cell can be built from.
+func checkConfig(cfg Config) error {
+	switch {
+	case cfg.Cycle <= 0:
+		return fmt.Errorf("reflection: non-positive probe cycle %v", cfg.Cycle)
+	case cfg.Cycles < 1:
+		return fmt.Errorf("reflection: need at least one probe cycle, have %d", cfg.Cycles)
+	case cfg.Flows < 1 || cfg.Flows > maxFlows:
+		return fmt.Errorf("reflection: %d flows, want 1 to %d", cfg.Flows, maxFlows)
+	}
+	return nil
+}
+
+// NewHarness builds one reflection cell without running it. It panics
+// on a configuration no cell can be built from.
 func NewHarness(cfg Config, v Variant) *Harness {
+	h, err := newHarness(cfg, v)
+	if err != nil {
+		panic(err.Error())
+	}
+	return h
+}
+
+// newHarness is NewHarness returning an error for a configuration no
+// cell can be built from.
+func newHarness(cfg Config, v Variant) (*Harness, error) {
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
+	}
 	e := sim.NewEngine(cfg.Seed)
 	h := &Harness{cfg: cfg, variant: v, engine: e}
 	stk := host.NewStack(cfg.Profile, e.RNG("stack"))
@@ -101,7 +135,7 @@ func NewHarness(cfg Config, v Variant) *Harness {
 		offset := sim.Duration(fl) * cfg.Cycle / sim.Duration(cfg.Flows+1)
 		h.sender.StartFlow(uint32(fl+1), sim.Time(offset), cfg.Cycle)
 	}
-	return h
+	return h, nil
 }
 
 // Engine returns the harness's engine.
@@ -207,7 +241,8 @@ func (h *Harness) Save(w io.Writer) error {
 // telemetry sinks (the variant is rebuilt by name from the registry)
 // and replays to the checkpointed instant, verifying the state digest.
 // A collector handed in must be empty: the replay feeds it, and
-// anything chained on its OnSink, from instant zero.
+// anything chained on its OnSink, from instant zero. A recorded
+// configuration no cell can be built from is an error.
 func Restore(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
 	return checkpoint.Replay[sim.Time](r, CheckpointKind, WalkCell,
 		func(c Cell) (*Harness, error) {
@@ -216,7 +251,7 @@ func Restore(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
 				return nil, fmt.Errorf("reflection: checkpoint names unknown variant: %w", err)
 			}
 			c.Sinks = sinks
-			return NewHarness(c.Config, v), nil
+			return newHarness(c.Config, v)
 		})
 }
 

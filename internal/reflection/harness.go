@@ -322,8 +322,17 @@ func RunAllVariants(cfg Config) []Result {
 
 // RunFlowSweepResumable reproduces Fig. 4 (right): jitter CDFs of the
 // Base variant for each flow count, one sweep cell per count, with the
-// same checkpointing as RunAllVariantsResumable.
+// same checkpointing as RunAllVariantsResumable. The counts may come
+// from a command line: one no cell can be built from is an error,
+// before any cell runs.
 func RunFlowSweepResumable(cfg Config, flowCounts []int, path string) ([]Result, error) {
+	for _, n := range flowCounts {
+		c := cfg
+		c.Flows = n
+		if err := checkConfig(c); err != nil {
+			return nil, err
+		}
+	}
 	proto := NewBase()
 	return runGrid(cfg, "figure4-jitter", len(flowCounts), path, func(i int, c Config) Result {
 		c.Flows = flowCounts[i]
@@ -331,9 +340,13 @@ func RunFlowSweepResumable(cfg Config, flowCounts []int, path string) ([]Result,
 	})
 }
 
-// RunFlowSweep is RunFlowSweepResumable without a checkpoint.
+// RunFlowSweep is RunFlowSweepResumable without a checkpoint, for
+// counts the program wrote itself: a bad one is a bug, and panics.
 func RunFlowSweep(cfg Config, flowCounts []int) []Result {
-	results, _ := RunFlowSweepResumable(cfg, flowCounts, "") // no path: no file I/O, no error
+	results, err := RunFlowSweepResumable(cfg, flowCounts, "") // no path: no file I/O
+	if err != nil {
+		panic(err.Error())
+	}
 	return results
 }
 

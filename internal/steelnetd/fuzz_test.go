@@ -1,9 +1,12 @@
 package steelnetd
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fuzzSeedSpecs are accepted rule specs spanning every condition kind,
@@ -75,6 +78,46 @@ func FuzzParseRule(f *testing.F) {
 			if err != nil || r != rs.Rules[0] {
 				t.Fatalf("ParseRule and ParseRuleSet disagree on %q: %+v vs %+v (%v)", canon, r, rs.Rules[0], err)
 			}
+		}
+	})
+}
+
+// FuzzRunSpec feeds arbitrary POST /runs bodies through the decoder the
+// handler uses and into Start on a fresh gateway. The contract: nothing
+// panics, and a spec Start accepts never ends failed — every way a spec
+// can be bad must be Start's error (a 400), not a run that dies later.
+// Horizon is capped at 200 ms and StopAfter at 3 slices to keep each
+// input cheap.
+func FuzzRunSpec(f *testing.F) {
+	f.Add([]byte(`{"run":{"cycle":1}}`))
+	f.Add([]byte(`{"id":"r","run":{"seed":7,"horizon":200000000,"slice":50000000,"trace":true},"rules":"loss:*>0.0->kafka:alerts"}`))
+	f.Add([]byte(`{"run":{"horizon":200000000,"slice":1000000,"cycle":1000,"fail_at":1000000,"slo":"latency:*<1us"},"stop_after":2}`))
+	f.Add([]byte(`{"run":{"horizon":100000000,"slice":25000000,"baseline":true,"faults":"loss:dp.2@10ms+20ms*0.5,hoststall:vplc1@30ms"}}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > maxRunSpecBytes {
+			return // the handler answers 413
+		}
+		var spec RunSpec
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&spec) != nil {
+			return // the handler answers 400
+		}
+		if spec.Run.Horizon <= 0 || spec.Run.Horizon > 200*time.Millisecond {
+			spec.Run.Horizon = 200 * time.Millisecond
+		}
+		if spec.StopAfter == 0 || spec.StopAfter > 3 {
+			spec.StopAfter = 3
+		}
+		g := NewGateway(GatewayConfig{})
+		defer g.Close()
+		id, err := g.Start(spec)
+		if err != nil {
+			return
+		}
+		if err := g.Wait(id); err != nil {
+			t.Fatalf("accepted spec %s: run ended with %v", body, err)
+		}
+		if st, _ := g.Status(id); st.State == StateFailed {
+			t.Fatalf("accepted spec %s: run ended failed: %s", body, st.Error)
 		}
 	})
 }

@@ -36,6 +36,24 @@ func TestUnknownFaultTargetIsRejected(t *testing.T) {
 	}
 }
 
+// TestUncarriableCycleIsRejected: a run spec whose IO cycle the
+// PROFINET connect request cannot carry (1 ns here: zero whole
+// microseconds) is a 400 from POST /runs, not a run that later fails.
+func TestUncarriableCycleIsRejected(t *testing.T) {
+	g, srv := testServer(t)
+	resp, err := http.Post(srv.URL+"/runs", "application/json", strings.NewReader(`{"run":{"cycle":1}}`))
+	if err != nil {
+		t.Fatalf("POST /runs: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /runs with a 1 ns cycle: %d, want 400", resp.StatusCode)
+	}
+	if len(g.List()) != 0 {
+		t.Fatalf("the rejected spec left a run behind: %+v", g.List())
+	}
+}
+
 // boomBackend panics on its nth publish.
 type boomBackend struct{ n, seen int }
 

@@ -49,12 +49,15 @@ race() {
 }
 
 # The checkpoint contract end to end: resume equivalence and the golden
-# corpus, the eBPF VM against the reference interpreter over the fuzz
-# corpus, and every CLI's -checkpoint/-resume round trip.
+# corpus, the eBPF VM against the reference interpreter (every
+# TestDifferential* input source: seed programs, both fuzz corpora,
+# random programs, the Fig. 4 shapes; the corpora again through used
+# clones), and every CLI's
+# -checkpoint/-resume round trip.
 replay() {
     tests <<'EOF'
 internal/checkpoint TestResumeEquivalence|TestRestoreDetectsDivergence|TestGolden
-internal/ebpf       TestDifferential
+internal/ebpf       TestDifferential|TestCompiledMatchesInterpreter
 cmd/...             TestRunCheckpointResume|TestRunChaosResume|TestRunCampusCheckpointResume
 EOF
 }
@@ -76,6 +79,8 @@ internal/frame      FuzzUnmarshalInto
 internal/int        FuzzParseSLOPlan
 internal/telemetry  FuzzReadJSONL
 internal/simnet     FuzzFIB
+internal/steelnetd  FuzzRunSpec
+internal/tshist     FuzzHistoryQuery
 EOF
 }
 
