@@ -109,12 +109,15 @@ func TestRunBadUsage(t *testing.T) {
 
 // TestRunUncarriableCycle: an IO cycle the PROFINET connect request
 // cannot carry is the harness constructor's error, reported with exit 1
-// before any simulated time passes.
+// before any simulated time passes; under -chaos the sweep checks its
+// base scenario once, before any cell runs.
 func TestRunUncarriableCycle(t *testing.T) {
 	for _, cycle := range []string{"500ns", "1500ns", "2h"} {
-		var stdout, stderr bytes.Buffer
-		if code := run(tiny("-cycle", cycle), &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "connect request") || stdout.Len() != 0 {
-			t.Errorf("run(-cycle %s) = %d, stdout %q, stderr %q; want 1, no figure and the error", cycle, code, stdout.String(), stderr.String())
+		for _, args := range [][]string{tiny("-cycle", cycle), tiny("-chaos", "-cycle", cycle)} {
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "connect request") || stdout.Len() != 0 {
+				t.Errorf("run(%v) = %d, stdout %q, stderr %q; want 1, no figure and the error", args, code, stdout.String(), stderr.String())
+			}
 		}
 	}
 }

@@ -69,11 +69,21 @@ func TestRunBadUsage(t *testing.T) {
 			t.Errorf("run(%v) = %d, want 2", args, code)
 		}
 	}
-	// A flow count past the harness bound is the sweep's error, refused
-	// before any cell is built.
-	var stdout, stderr bytes.Buffer
-	if code := run(tiny("-jitter-only", "-flows", "1099511627776"), &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "flows, want 1 to") {
-		t.Errorf("run(-flows 2^40) = %d, stderr %q; want 1 and the bound", code, stderr.String())
+	// A flow count past the harness bound, or more cycles than a cell's
+	// result slab holds, is the sweep's error, refused before any cell
+	// is built.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{tiny("-jitter-only", "-flows", "1099511627776"), "flows, want 1 to"},
+		{tiny("-delay-only", "-cycles", "16777215"), "round trips exceed"},
+		{tiny("-jitter-only", "-flows", "25", "-cycles", "671087"), "round trips exceed"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), c.want) || stdout.Len() != 0 {
+			t.Errorf("run(%v) = %d, stdout %q, stderr %q; want 1, no table and %q", c.args, code, stdout.String(), stderr.String(), c.want)
+		}
 	}
 }
 

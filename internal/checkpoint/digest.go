@@ -57,11 +57,19 @@ func (d *Digest) F64(v float64) { d.U64(math.Float64bits(v)) }
 
 // Bytes folds a byte slice, length-prefixed so ("ab","c") and ("a","bc")
 // fold differently.
-func (d *Digest) Bytes(b []byte) {
-	d.U64(uint64(len(b)))
+func (d *Digest) Bytes(b []byte) { d.BytesThenZeros(b, 0) }
+
+// BytesThenZeros folds b followed by n zero bytes exactly as Bytes
+// folds their concatenation, without the zeros being stored: a zero
+// byte leaves FNV-1a's xor a no-op, so each costs one multiply.
+func (d *Digest) BytesThenZeros(b []byte, n int) {
+	d.U64(uint64(len(b) + n))
 	h := d.h
 	for _, c := range b {
 		h ^= uint64(c)
+		h *= fnvPrime
+	}
+	for ; n > 0; n-- {
 		h *= fnvPrime
 	}
 	d.h = h

@@ -60,32 +60,41 @@ func totalAlloc() uint64 {
 // allocation cannot return unseen between benchmark runs: one pointer
 // or closure per frame is 16–64 B, and Fig. 4 or 5 paid 150–850 B
 // before its frame lifecycle stopped allocating. What remains is the
-// results themselves (an RTT, a delay and a jitter sample per probe,
-// the sort behind the percentiles; three counters per Fig. 5 bin) and,
-// for a short Fig. 6 grid, mostly its cells' builds. The Fig. 4 and
-// Fig. 6 budgets are the measured bill plus 10 % (87.6 B per round
-// trip, 16,090 B per request on linux/amd64).
+// results themselves (a delay slot and a jitter sample per probe, the
+// sort behind the percentiles; three counters per Fig. 5 bin) and, for
+// a short Fig. 6 grid, mostly its cells' builds. The Fig. 4 and Fig. 6
+// budgets are the measured bill plus 10 % (71.1 B per round trip left,
+// 34.1 right, 6,037 B per request on linux/amd64).
 func TestFigureAllocationBudgets(t *testing.T) {
 	rcfg := reflection.DefaultConfig()
 	rcfg.Cycles = 2000
 	rcfg.Workers = 1
-	before := totalAlloc()
-	_, variants := Figure4Delay(rcfg)
-	spent := totalAlloc() - before
-	probes := 0
-	for _, r := range variants {
-		probes += r.Delays.Len()
-	}
-	if perProbe := float64(spent) / float64(probes); perProbe > 96 {
-		t.Errorf("Figure4Delay at %d cycles: %d B for %d round trips = %.1f B each, budget 96",
-			rcfg.Cycles, spent, probes, perProbe)
+	for _, fig := range []struct {
+		name   string
+		run    func(reflection.Config) (string, []reflection.Result)
+		budget float64
+	}{
+		{"Figure4Delay", Figure4Delay, 79},
+		{"Figure4Jitter", Figure4Jitter, 38},
+	} {
+		before := totalAlloc()
+		_, results := fig.run(rcfg)
+		spent := totalAlloc() - before
+		probes := 0
+		for _, r := range results {
+			probes += r.Delays.Len()
+		}
+		if perProbe := float64(spent) / float64(probes); perProbe > fig.budget {
+			t.Errorf("%s at %d cycles: %d B for %d round trips = %.1f B each, budget %.0f",
+				fig.name, rcfg.Cycles, spent, probes, perProbe, fig.budget)
+		}
 	}
 
 	ecfg := instaplc.DefaultExperimentConfig()
 	ecfg.Horizon = 60 * time.Second
-	before = totalAlloc()
+	before := totalAlloc()
 	_, res := Figure5(ecfg)
-	spent = totalAlloc() - before
+	spent := totalAlloc() - before
 	frames := res.Accounting.Accepted
 	if perFrame := float64(spent) / float64(frames); perFrame > 8 {
 		t.Errorf("Figure5 at %v: %d B for %d frames = %.1f B each, budget 8",
@@ -100,8 +109,8 @@ func TestFigureAllocationBudgets(t *testing.T) {
 	for _, c := range cells {
 		requests += c.Requests
 	}
-	if perRequest := float64(spent) / float64(requests); perRequest > 17_700 {
-		t.Errorf("Figure6 at clients %v, %v: %d B for %d requests = %.0f B each, budget 17,700",
+	if perRequest := float64(spent) / float64(requests); perRequest > 6_700 {
+		t.Errorf("Figure6 at clients %v, %v: %d B for %d requests = %.0f B each, budget 6,700",
 			fcfg.ClientCounts, fcfg.Horizon, spent, requests, perRequest)
 	}
 }

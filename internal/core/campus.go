@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"steelnet/internal/checkpoint"
@@ -129,6 +130,9 @@ func NewCampusHarness(cfg CampusConfig) (*CampusHarness, error) {
 	}
 	if d := cfg.Topo.MaxSwitchDegree(); d > simnet.MaxSwitchPorts {
 		return nil, fmt.Errorf("core: campus needs a switch with %d ports, at most %d", d, simnet.MaxSwitchPorts)
+	}
+	if cfg.FrameBytes > math.MaxUint32 {
+		return nil, fmt.Errorf("core: campus payload of %d bytes, at most %d", cfg.FrameBytes, uint32(math.MaxUint32))
 	}
 	ct := topo.Campus(cfg.Topo)
 	cfg.Topo = ct.Cfg // generator defaults become part of the scenario
@@ -304,7 +308,9 @@ func (h *CampusHarness) armTraffic() {
 				if eng.Now() > sim.Time(0).Add(stopAt) {
 					return
 				}
-				f := pool.Get(cfg.FrameBytes)
+				// The payload is never written: it rides as a zero tail.
+				f := pool.Get(0)
+				f.ZeroTail = uint32(cfg.FrameBytes)
 				f.Dst = dst
 				if !src.Send(f) {
 					pool.Put(f)

@@ -160,8 +160,9 @@ func TestCampusCheckpointResume(t *testing.T) {
 
 // TestCampusPortBound: a campus whose spines (one port per cell) or
 // gateways (one per tree child, host and spine) would need more than
-// simnet.MaxSwitchPorts ports is refused before anything is built, also
-// when the scenario comes from a forged checkpoint.
+// simnet.MaxSwitchPorts ports, or whose payload a frame's zero tail
+// cannot count, is refused before anything is built, also when the
+// scenario comes from a forged checkpoint.
 func TestCampusPortBound(t *testing.T) {
 	h, err := NewCampusHarness(testCampusConfig(1))
 	if err != nil {
@@ -179,15 +180,16 @@ func TestCampusPortBound(t *testing.T) {
 	over := simnet.MaxSwitchPorts + 1
 	for _, tc := range []struct {
 		name  string
-		forge func(*topo.CampusConfig)
+		forge func(*CampusConfig)
 	}{
-		{"cells", func(c *topo.CampusConfig) { c.Cells = over }},
-		{"spines", func(c *topo.CampusConfig) { c.Spines = over }},
-		{"hosts", func(c *topo.CampusConfig) { c.HostsPerSwitch = simnet.MaxSwitchPorts }},
+		{"cells", func(c *CampusConfig) { c.Topo.Cells = over }},
+		{"spines", func(c *CampusConfig) { c.Topo.Spines = over }},
+		{"hosts", func(c *CampusConfig) { c.Topo.HostsPerSwitch = simnet.MaxSwitchPorts }},
+		{"payload", func(c *CampusConfig) { c.FrameBytes = 1 << 32 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testCampusConfig(1)
-			tc.forge(&cfg.Topo)
+			tc.forge(&cfg)
 			if h, err := NewCampusHarness(cfg); err == nil || h != nil {
 				t.Fatalf("NewCampusHarness = %v, %v; want an error", h, err)
 			}
@@ -195,7 +197,7 @@ func TestCampusPortBound(t *testing.T) {
 			if err := checkpoint.Decode(WalkCampusConfig, config, &forged); err != nil {
 				t.Fatal(err)
 			}
-			tc.forge(&forged.Topo)
+			tc.forge(&forged)
 			var file bytes.Buffer
 			if err := checkpoint.WriteHarness(&file, CampusCheckpointKind, checkpoint.Encode(WalkCampusConfig, &forged), at, digest); err != nil {
 				t.Fatal(err)

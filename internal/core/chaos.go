@@ -117,9 +117,13 @@ func ChaosCellConfig(cfg ChaosConfig, i int) instaplc.ExperimentConfig {
 // collector are the sweep's telemetry sinks: sweep.RunCells decides
 // which merge per cell and which force the ladder serial. With a path,
 // completed (intensity, trial) cells persist there and are skipped when
-// the sweep restarts.
+// the sweep restarts. A base scenario the connect request cannot carry
+// is an error, before any cell runs.
 func RunChaosSweepResumable(cfg ChaosConfig, path string) ([]ChaosCell, error) {
 	cfg = normalizeChaosConfig(cfg)
+	if err := instaplc.CheckConnect(cfg.Base); err != nil {
+		return nil, err
+	}
 	n := len(cfg.Intensities) * cfg.Trials
 	ck := sweep.Checkpointer[ChaosCell]{Path: path, Kind: "chaos", Walk: WalkChaosCell}
 	return sweep.RunCells(cfg.Workers, n, nil, ck, cfg.Base.Sinks, func(i int, s sweep.Sinks) ChaosCell {
@@ -142,9 +146,14 @@ func RunChaosSweepResumable(cfg ChaosConfig, path string) ([]ChaosCell, error) {
 	})
 }
 
-// RunChaosSweep is RunChaosSweepResumable without a checkpoint.
+// RunChaosSweep is RunChaosSweepResumable without a checkpoint, for a
+// base scenario the program wrote itself: a bad one is a bug, and
+// panics.
 func RunChaosSweep(cfg ChaosConfig) []ChaosCell {
-	cells, _ := RunChaosSweepResumable(cfg, "") // no path: no file I/O, no error
+	cells, err := RunChaosSweepResumable(cfg, "") // no path: no file I/O
+	if err != nil {
+		panic(err.Error())
+	}
 	return cells
 }
 

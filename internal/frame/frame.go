@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // MAC is a 48-bit Ethernet address.
@@ -81,6 +82,14 @@ type Frame struct {
 	// panics the same way. Both sit in the padding after Type.
 	pooled, queued bool
 
+	// ZeroTail counts zero octets that follow Payload on the wire
+	// without being stored: a generated body nobody writes or reads
+	// costs a count instead of a buffer. Everything that reads octets
+	// (WireLen, MarshalInto, the clones, FoldState, Corrupt) sees
+	// Payload followed by that many zeros. It sits in the padding after
+	// queued.
+	ZeroTail uint32
+
 	Payload []byte
 
 	// Simulation metadata, not serialized: these travel with the frame
@@ -123,7 +132,7 @@ func (f *Frame) headerLen() int {
 // An attached INT stack counts: telemetry-bearing frames pay real
 // serialization and bandwidth for every stamped hop.
 func (f *Frame) WireLen() int {
-	n := f.headerLen() + len(f.Payload)
+	n := f.headerLen() + f.BodyLen()
 	if f.INT != nil {
 		n += f.INT.WireBytes()
 	}
@@ -135,11 +144,12 @@ func (f *Frame) WireLen() int {
 func (f *Frame) Marshal() []byte { return f.MarshalInto(nil) }
 
 // MarshalInto serializes the frame to wire bytes, reusing buf's storage
-// when its capacity suffices, and returns the encoded slice. The INT
-// stack is not serialized — it lives in the descriptor and is read by
-// sinks before any marshal/unmarshal boundary.
+// when its capacity suffices, and returns the encoded slice; the zero
+// tail is written out as zeros. The INT stack is not serialized — it
+// lives in the descriptor and is read by sinks before any
+// marshal/unmarshal boundary.
 func (f *Frame) MarshalInto(buf []byte) []byte {
-	n := f.headerLen() + len(f.Payload)
+	n := f.headerLen() + f.BodyLen()
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
@@ -154,7 +164,8 @@ func (f *Frame) MarshalInto(buf []byte) []byte {
 		off += 4
 	}
 	binary.BigEndian.PutUint16(buf[off:], uint16(f.Type))
-	copy(buf[off+2:], f.Payload)
+	body := buf[off+2:]
+	clear(body[copy(body, f.Payload):]) // the zero tail, over whatever buf held
 	return buf
 }
 
@@ -199,8 +210,26 @@ func UnmarshalInto(f *Frame, data []byte) error {
 	return nil
 }
 
-// Clone returns a deep copy of the frame, including metadata. Switching
-// elements clone before mirroring so downstream mutation cannot alias.
+// BodyLen returns the length of the body on the wire: Payload and its
+// zero tail.
+func (f *Frame) BodyLen() int { return len(f.Payload) + int(f.ZeroTail) }
+
+// Corrupt flips every bit of body octet i (0 <= i < BodyLen()), the
+// link model's corruption. An octet in the zero tail exists only once
+// it differs from zero, so the tail is stored first.
+func (f *Frame) Corrupt(i int) {
+	if i >= len(f.Payload) {
+		n := len(f.Payload)
+		f.Payload = slices.Grow(f.Payload, int(f.ZeroTail))[:n+int(f.ZeroTail)]
+		clear(f.Payload[n:])
+		f.ZeroTail = 0
+	}
+	f.Payload[i] ^= 0xff
+}
+
+// Clone returns a deep copy of the frame, including metadata and the
+// zero tail. Switching elements clone before mirroring so downstream
+// mutation cannot alias.
 func (f *Frame) Clone() *Frame {
 	g := *f
 	g.detach()

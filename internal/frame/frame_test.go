@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"steelnet/internal/checkpoint"
 )
 
 func TestMACConstruction(t *testing.T) {
@@ -361,4 +363,74 @@ func FuzzUnmarshalInto(f *testing.F) {
 			t.Fatalf("MarshalInto = % x, want % x", got, want)
 		}
 	})
+}
+
+// FuzzZeroTail: a frame whose body ends in a zero tail and its twin
+// with those zeros stored in Payload are the same frame to everything
+// that reads octets — WireLen, MarshalInto into a dirty reused buffer,
+// the checkpoint fold, both clone paths (Pool.Clone drawing a recycled
+// frame with a dirty payload) — and stay the same after one body octet
+// is corrupted, wherever it lies.
+func FuzzZeroTail(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, uint16(1400), uint32(2), false)
+	f.Add([]byte{1, 2, 3}, uint16(1400), uint32(700), true)
+	f.Add([]byte{}, uint16(128), uint32(0), false)
+	f.Add([]byte{9}, uint16(0), uint32(0), true)
+	f.Add([]byte{}, uint16(0), uint32(0), false)
+	f.Fuzz(func(t *testing.T, payload []byte, tail uint16, at uint32, tagged bool) {
+		build := func() (*Frame, *Frame) {
+			// Like a recycled pool buffer, the tailed frame's Payload has
+			// dirty capacity past its length for the tail to be stored in.
+			spare := bytes.Repeat([]byte{0xee}, len(payload)+int(tail)+8)
+			a := &Frame{Dst: NewMAC(1), Src: NewMAC(2), Tagged: tagged, Priority: PrioML, VID: 20,
+				Type: TypeMLData, Payload: append(spare[:0], payload...), ZeroTail: uint32(tail), Meta: Meta{FlowID: 3, CreatedAt: 5}}
+			b := *a
+			b.Payload = append(bytes.Clone(payload), make([]byte, tail)...)
+			b.ZeroTail = 0
+			return a, &b
+		}
+		fold := func(f *Frame) uint64 {
+			d := checkpoint.NewDigest()
+			f.FoldState(d)
+			return d.Sum()
+		}
+		dirty := func() []byte { return bytes.Repeat([]byte{0xa5}, 2*(18+len(payload)+int(tail))) }
+		same := func(what string, a, b *Frame) {
+			t.Helper()
+			if a.WireLen() != b.WireLen() || a.BodyLen() != b.BodyLen() {
+				t.Fatalf("%s: WireLen %d / %d, BodyLen %d / %d", what, a.WireLen(), b.WireLen(), a.BodyLen(), b.BodyLen())
+			}
+			if x, y := a.MarshalInto(dirty()), b.MarshalInto(dirty()); !bytes.Equal(x, y) {
+				t.Fatalf("%s: MarshalInto\n% x\n% x", what, x, y)
+			}
+			if x, y := fold(a), fold(b); x != y {
+				t.Fatalf("%s: FoldState %#x / %#x", what, x, y)
+			}
+		}
+		a, b := build()
+		same("as built", a, b)
+		same("Clone", a.Clone(), b.Clone())
+		var p Pool
+		for _, n := range []int{len(payload) + int(tail), len(payload)} {
+			p.Put(&Frame{Payload: bytes.Repeat([]byte{0x5a}, n), ZeroTail: 7})
+		}
+		same("Pool.Clone", p.Clone(a), p.Clone(b))
+		if n := a.BodyLen(); n > 0 {
+			i := int(at % uint32(n))
+			a.Corrupt(i)
+			b.Corrupt(i)
+			same("corrupted", a, b)
+			if got := a.MarshalInto(nil)[a.headerLen()+i]; got != b.Payload[i] || got == bodyOctet(payload, i) {
+				t.Fatalf("octet %d is %#x after the flip, twin %#x", i, got, b.Payload[i])
+			}
+		}
+	})
+}
+
+// bodyOctet is octet i of payload followed by zeros.
+func bodyOctet(payload []byte, i int) byte {
+	if i < len(payload) {
+		return payload[i]
+	}
+	return 0
 }

@@ -44,8 +44,8 @@ func (p *Pool) StacksOutstanding() int64 {
 	return int64(p.StackNews+p.StackReused) - int64(p.StackPuts)
 }
 
-// Get returns a frame whose Payload has length n. All header fields and
-// metadata are zeroed. Payload bytes are NOT zeroed on reuse: callers
+// Get returns a frame whose Payload has length n. All header fields, the
+// zero tail and metadata are zeroed. Payload bytes are NOT zeroed on reuse: callers
 // must write every byte they expect a receiver to read, exactly as with
 // a recycled DMA buffer.
 func (p *Pool) Get(n int) *Frame {

@@ -68,7 +68,7 @@ func NewHarness(cfg ExperimentConfig) *Harness {
 // watchdog factor the connect request cannot carry, or a fault plan
 // naming a target the scenario does not register, is an error.
 func BuildHarness(cfg ExperimentConfig) (*Harness, error) {
-	if err := checkConnect(cfg); err != nil {
+	if err := CheckConnect(cfg); err != nil {
 		return nil, err
 	}
 	e := sim.NewEngine(cfg.Seed)
@@ -175,12 +175,14 @@ func BuildHarness(cfg ExperimentConfig) (*Harness, error) {
 	return h, nil
 }
 
-// checkConnect refuses an IO cycle or device watchdog factor the
+// CheckConnect refuses an IO cycle or device watchdog factor the
 // PROFINET connect request cannot carry. It holds the cycle as a whole
 // number of microseconds in a uint32 and the factor in a uint16 (see
 // profinet.ConnectRequest): anything else would be truncated or wrap on
 // the wire, and a cycle below 1 µs would reach the watchdogs as zero.
-func checkConnect(cfg ExperimentConfig) error {
+// BuildHarness runs it; a sweep deriving its cells from one base
+// configuration runs it once, before any cell.
+func CheckConnect(cfg ExperimentConfig) error {
 	const maxCycle = math.MaxUint32 * time.Microsecond
 	switch {
 	case cfg.Cycle < time.Microsecond || cfg.Cycle > maxCycle || cfg.Cycle%time.Microsecond != 0:

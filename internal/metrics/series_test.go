@@ -335,3 +335,28 @@ func TestSeriesAllReadsInPlace(t *testing.T) {
 		t.Fatalf("ranging over All allocates %.0f times", allocs)
 	}
 }
+
+// TestNewSeriesFromMatchesAdd: a series built over a slice is the series
+// Add builds from the same samples, to the last bit of the running sum
+// and extrema, and it adopts the slice instead of copying it.
+func TestNewSeriesFromMatchesAdd(t *testing.T) {
+	f := func(vs []float64) bool {
+		adopted := NewSeriesFrom(slices.Clone(vs))
+		added := seriesOf(vs...)
+		return adopted.Len() == added.Len() &&
+			math.Float64bits(adopted.Sum()) == math.Float64bits(added.Sum()) &&
+			math.Float64bits(adopted.Mean()) == math.Float64bits(added.Mean()) &&
+			math.Float64bits(adopted.Min()) == math.Float64bits(added.Min()) &&
+			math.Float64bits(adopted.Max()) == math.Float64bits(added.Max()) &&
+			math.Float64bits(adopted.Median()) == math.Float64bits(added.Median()) &&
+			slices.Equal(adopted.Samples(), added.Samples())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	slab := make([]float64, 1000)
+	var s *Series
+	if allocs := testing.AllocsPerRun(10, func() { s = NewSeriesFrom(slab) }); allocs != 1 || s.Len() != len(slab) {
+		t.Fatalf("NewSeriesFrom allocates %.0f times, want 1: the series copied its samples", allocs)
+	}
+}

@@ -12,13 +12,25 @@ func (s *Series) FoldState(d *checkpoint.Digest) {
 	}
 }
 
-// NewSeriesFrom rebuilds a series from raw samples in insertion order —
-// the decode half of the checkpoint codecs. The result is
-// indistinguishable from adding each sample with Add.
+// NewSeriesFrom builds a series over samples in insertion order, taking
+// the slice as its storage: the decode half of the checkpoint codecs,
+// and how a harness adopts a result slab it filled itself. Sum and
+// extrema fold in Add's order, so the result is indistinguishable from
+// adding each sample with Add, to the last bit of Mean. The caller
+// must not touch samples afterwards.
 func NewSeriesFrom(samples []float64) *Series {
-	s := NewSeries(len(samples))
-	for _, v := range samples {
-		s.Add(v)
+	if len(samples) == 0 {
+		return &Series{}
+	}
+	s := &Series{samples: samples, dirty: true}
+	for i, v := range samples {
+		if i == 0 || v < s.min {
+			s.min = v
+		}
+		if i == 0 || v > s.max {
+			s.max = v
+		}
+		s.sum += v
 	}
 	return s
 }

@@ -3,6 +3,7 @@ package mltopo
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"steelnet/internal/checkpoint"
 	"steelnet/internal/metrics"
@@ -45,6 +46,9 @@ func newHarness(sc Scenario) (*Harness, error) {
 		return nil, fmt.Errorf("mltopo: non-positive request period %v", sc.Profile.Period)
 	case sc.Profile.InferCPU < 0:
 		return nil, fmt.Errorf("mltopo: negative inference time %v", sc.Profile.InferCPU)
+	case sc.Profile.ResultBytes < 0 || sc.Profile.ResultBytes > math.MaxUint32:
+		// A response body is one frame's zero tail, a uint32 count.
+		return nil, fmt.Errorf("mltopo: inference result of %d bytes, want 0 to %d", sc.Profile.ResultBytes, uint32(math.MaxUint32))
 	}
 	if sc.ClientsPerServer < 1 {
 		sc.ClientsPerServer = 16

@@ -37,6 +37,8 @@ func TestRestoreForgedScenarioIsAnError(t *testing.T) {
 		{"zero period", func(sc *Scenario) { sc.Profile.Period = 0 }},
 		{"negative period", func(sc *Scenario) { sc.Profile.Period = -time.Millisecond }},
 		{"negative inference time", func(sc *Scenario) { sc.Profile.InferCPU = -time.Microsecond }},
+		{"negative result size", func(sc *Scenario) { sc.Profile.ResultBytes = -1 }},
+		{"result past a zero tail", func(sc *Scenario) { sc.Profile.ResultBytes = 1 << 32 }},
 		{"unknown kind", func(sc *Scenario) { sc.Kind = 7 }},
 		{"more servers than a leaf has ports", func(sc *Scenario) {
 			sc.Clients, sc.ClientsPerServer = simnet.MaxSwitchPorts, 1

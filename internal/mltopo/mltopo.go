@@ -253,11 +253,11 @@ func instantiate(e *sim.Engine, net *simnet.Network, sc Scenario, pl plant) buil
 	// One frame pool per cell: request fragments die at the server and
 	// responses die at the client, so per-endpoint pools leave every
 	// client allocating fresh ~MTU payloads forever while the server
-	// free list grows. A shared pool closes that loop; recycled payload
-	// bodies are zero either way (only the 13-byte header is written),
-	// so frame bytes — and digests — are unchanged. Telemetry stacks
-	// recycle through it the same way: camera sources attach, server
-	// sinks strip.
+	// free list grows. A shared pool closes that loop; a fragment or
+	// response stores only its 13-byte header, its body being a zero
+	// tail, so a recycled frame's bytes are a fresh one's. Telemetry
+	// stacks recycle through it the same way: camera sources attach,
+	// server sinks strip.
 	pool := &frame.Pool{}
 	servers := make([]*mlwork.Server, len(serverNode))
 	for i, n := range serverNode {

@@ -42,8 +42,9 @@ func marshalHeader(h header, body []byte) []byte {
 	return buf
 }
 
-// putHeader writes h into the first headerLen bytes of buf (typically a
-// pooled payload whose body bytes carry no information).
+// putHeader writes h into the first headerLen bytes of buf. Fragments
+// and responses store nothing else: their bodies carry no information,
+// so they ride as the frame's zero tail.
 func putHeader(buf []byte, h header) {
 	binary.BigEndian.PutUint32(buf[0:], h.ClientID)
 	binary.BigEndian.PutUint32(buf[4:], h.ReqID)
@@ -186,7 +187,8 @@ func (s *Server) respond(j *job) {
 	s.busy = false
 	s.queue--
 	s.Served++
-	f := s.host.Pool().Get(headerLen + s.profile.ResultBytes)
+	f := s.host.Pool().Get(headerLen)
+	f.ZeroTail = uint32(s.profile.ResultBytes)
 	putHeader(f.Payload, header{
 		ClientID: h.ClientID, ReqID: h.ReqID, FragIdx: 0, FragCount: 1, Kind: kindResponse,
 	})
@@ -272,7 +274,8 @@ func (c *Client) sendRequest() {
 		if i == frags-1 {
 			n = size - (frags-1)*MTU
 		}
-		f := c.host.Pool().Get(headerLen + n)
+		f := c.host.Pool().Get(headerLen)
+		f.ZeroTail = uint32(n)
 		putHeader(f.Payload, header{
 			ClientID: c.id, ReqID: reqID,
 			FragIdx: uint16(i), FragCount: uint16(frags), Kind: kindRequest,

@@ -36,8 +36,8 @@ func TestNoFrameLeaks(t *testing.T) {
 }
 
 // warmHarness builds a cell and runs it long enough for its free lists
-// (frames, reflector jobs, port flights, the tap's per-flow RTT slices,
-// the ring arena) to reach their working size.
+// (frames, reflector jobs, port flights, the ring arena) to reach their
+// working size.
 func warmHarness(v Variant, flows, cycles int) (*Harness, sim.Time) {
 	cfg := DefaultConfig()
 	cfg.Flows = flows
@@ -51,10 +51,10 @@ func warmHarness(v Variant, flows, cycles int) (*Harness, sim.Time) {
 // TestReflectionSteadyStateZeroAllocs pins the whole probe lifecycle —
 // sender tick, two links, two tap crossings with pairing, the reflector
 // job and the XDP program, ring records included — at zero allocations
-// per 100 cycles once warm, for every variant. The RTT slices are sized
-// by the harness (ReserveRoundTrips) on each flow's first match. The
-// ring variants run with a reader that keeps up: an unread ring's
-// backlog is the experiment's data and grows (amortized) by design.
+// per 100 cycles once warm, for every variant. Each round trip lands in
+// the result slab the harness allocated at build. The ring variants run
+// with a reader that keeps up: an unread ring's backlog is the
+// experiment's data and grows (amortized) by design.
 func TestReflectionSteadyStateZeroAllocs(t *testing.T) {
 	const runs, step = 5, 100
 	for _, proto := range AllVariants() {
@@ -71,7 +71,7 @@ func TestReflectionSteadyStateZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: %.0f allocs per %d cycles, want 0", proto.Name, allocs, step)
 		}
-		if got := len(h.tp.RoundTrip(1)); got < 300+runs*step {
+		if got := h.matched[0]; got < 300+runs*step {
 			t.Errorf("%s: flow 1 has %d round trips; the measured cycles did not run", proto.Name, got)
 		}
 	}

@@ -39,6 +39,12 @@ type Harness struct {
 	// stacks attach from it and strip into it, and every port's OnDrop
 	// returns what the network destroys.
 	pool frame.Pool
+	// delays is the cell's one result slab, flow-major: the tap hands
+	// each round trip to record, which writes its delay (µs) into the
+	// next of its flow's Cycles+2 slots; matched counts them per flow.
+	// Result compacts the slab in place and the delay series adopts it.
+	delays  []float64
+	matched []int
 
 	finished bool
 	result   Result
@@ -51,6 +57,11 @@ type Harness struct {
 // the paper's largest jitter cell (25 flows) and builds in about 14 MB.
 const maxFlows = 1 << 16
 
+// maxSamples bounds a cell's result slab, Flows × (Cycles+2) delays,
+// which is allocated when the cell is built: 2^24 samples are 128 MiB,
+// 33 times the paper's largest cell (25 flows × 20,000 cycles).
+const maxSamples = 1 << 24
+
 // checkConfig refuses a configuration no cell can be built from.
 func checkConfig(cfg Config) error {
 	switch {
@@ -60,6 +71,9 @@ func checkConfig(cfg Config) error {
 		return fmt.Errorf("reflection: need at least one probe cycle, have %d", cfg.Cycles)
 	case cfg.Flows < 1 || cfg.Flows > maxFlows:
 		return fmt.Errorf("reflection: %d flows, want 1 to %d", cfg.Flows, maxFlows)
+	case cfg.Cycles > maxSamples/cfg.Flows-2:
+		return fmt.Errorf("reflection: %d flows × (%d cycles + 2) round trips exceed the %d a cell holds",
+			cfg.Flows, cfg.Cycles, maxSamples)
 	}
 	return nil
 }
@@ -99,9 +113,9 @@ func newHarness(cfg Config, v Variant) (*Harness, error) {
 	// The tap is no pooled component: its ports' drops are wired here.
 	h.tp.PortA().OnDrop = h.pool.Put
 	h.tp.PortB().OnDrop = h.pool.Put
-	// One round trip per flow per cycle from the flow's offset to the
-	// horizon, both ends included for the flow at offset zero.
-	h.tp.ReserveRoundTrips(cfg.Cycles + 2)
+	h.delays = make([]float64, cfg.Flows*h.perFlow())
+	h.matched = make([]int, cfg.Flows)
+	h.tp.OnRoundTrip = h.record
 
 	if cfg.INT {
 		h.coll = cfg.Collector
@@ -150,8 +164,22 @@ func (h *Harness) Horizon() sim.Time {
 	return sim.Time(h.cfg.Cycle) * sim.Time(h.cfg.Cycles+1)
 }
 
-// AdvanceTo runs the cell up to instant t.
-func (h *Harness) AdvanceTo(t sim.Time) { h.engine.RunUntil(t) }
+// perFlow is the most round trips one flow measures: one per cycle from
+// the flow's offset to the horizon, both ends included for the flow at
+// offset zero.
+func (h *Harness) perFlow() int { return h.cfg.Cycles + 2 }
+
+// AdvanceTo runs the cell up to instant t, or to the horizon if t lies
+// beyond it: probing ends there, and Result drains what is in flight.
+func (h *Harness) AdvanceTo(t sim.Time) { h.engine.RunUntil(min(t, h.Horizon())) }
+
+// record writes one matched round trip into its flow's slots of the
+// result slab; a flow has no more round trips than slots.
+func (h *Harness) record(flow uint32, r tap.RTT) {
+	i, per := int(flow)-1, h.perFlow()
+	h.delays[i*per : (i+1)*per][h.matched[i]] = float64(r.Delay) / 1e3 // µs
+	h.matched[i]++
+}
 
 // Result finalizes the run — stops the probe flows, drains in-flight
 // frames and computes the delay/jitter distributions. The first call
@@ -164,16 +192,13 @@ func (h *Harness) Result() Result {
 	h.sender.Stop()
 	h.engine.Run() // drain in-flight probes
 
-	matched := 0
-	for fl := 1; fl <= h.cfg.Flows; fl++ {
-		matched += len(h.tp.RoundTrip(uint32(fl)))
+	// Flow by flow in match order: the order the series sums in.
+	n, per := 0, h.perFlow()
+	for i, m := range h.matched {
+		n += copy(h.delays[n:], h.delays[i*per:i*per+m])
 	}
-	delays := metrics.NewSeries(matched)
-	for fl := 0; fl < h.cfg.Flows; fl++ {
-		for _, rtt := range h.tp.RoundTrip(uint32(fl + 1)) {
-			delays.Add(float64(rtt.Delay) / 1e3) // µs
-		}
-	}
+	delays := metrics.NewSeriesFrom(h.delays[:n:n])
+	h.delays, h.matched = nil, nil
 	jitter := metrics.NewSeries(delays.Len())
 	med := delays.Median()
 	for d := range delays.All() {

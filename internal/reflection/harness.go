@@ -306,17 +306,26 @@ func runGrid(cfg Config, kind string, n int, path string, cell func(i int, c Con
 // rendered table) matches a serial run. Each variant is assembled,
 // verified and compiled exactly once; cells get fresh-state clones
 // sharing the compiled code. With a path, completed variants persist
-// there and are skipped on restart.
+// there and are skipped on restart. A configuration no cell can be
+// built from is an error, before any cell runs.
 func RunAllVariantsResumable(cfg Config, path string) ([]Result, error) {
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
+	}
 	protos := AllVariants()
 	return runGrid(cfg, "figure4-delay", len(protos), path, func(i int, c Config) Result {
 		return Run(c, protos[i].CloneFresh())
 	})
 }
 
-// RunAllVariants is RunAllVariantsResumable without a checkpoint.
+// RunAllVariants is RunAllVariantsResumable without a checkpoint, for
+// a configuration the program wrote itself: a bad one is a bug, and
+// panics.
 func RunAllVariants(cfg Config) []Result {
-	results, _ := RunAllVariantsResumable(cfg, "") // no path: no file I/O, no error
+	results, err := RunAllVariantsResumable(cfg, "") // no path: no file I/O
+	if err != nil {
+		panic(err.Error())
+	}
 	return results
 }
 

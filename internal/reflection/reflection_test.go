@@ -344,3 +344,21 @@ func TestSweepINTExportHasNoCellBoundaries(t *testing.T) {
 		t.Error("sweep INT export reports reordering across cell boundaries")
 	}
 }
+
+// TestAdvanceStopsAtHorizon: probing ends at the horizon, so advancing
+// past it stops there, and the result holds every probe of every flow,
+// each in its flow's slots of the slab: Cycles+2 for the flow at offset
+// zero, Cycles+1 for the others.
+func TestAdvanceStopsAtHorizon(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Cycles = 50
+	cfg.Flows = 3
+	h := NewHarness(cfg, NewBase())
+	h.AdvanceTo(3 * h.Horizon())
+	if got := h.Engine().Now(); got != h.Horizon() {
+		t.Fatalf("advanced to %v, want the horizon %v", got, h.Horizon())
+	}
+	if got, want := h.Result().Delays.Len(), cfg.Flows*(cfg.Cycles+1)+1; got != want {
+		t.Fatalf("%d round trips, want %d", got, want)
+	}
+}

@@ -74,6 +74,9 @@ func TestRestoreForgedConfigIsAnError(t *testing.T) {
 		// One past the bound: a build without it replays quickly, where
 		// 2^40 flows would exhaust the machine's memory.
 		{"flows past the bound", func(c *Cell) { c.Flows = maxFlows + 1 }},
+		// A result slab of 2^40 delays per flow: built, it would ask
+		// for 8 TiB before the replay starts.
+		{"cycles past the bound", func(c *Cell) { c.Cycles = 1 << 40 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var forged Cell
@@ -94,5 +97,24 @@ func TestRestoreForgedConfigIsAnError(t *testing.T) {
 				t.Fatalf("Restore = %v, %v; want an error", got, err)
 			}
 		})
+	}
+}
+
+// TestCheckConfigBoundsResultSlab: a cell's result slab holds
+// Flows × (Cycles+2) delays and is allocated when the cell is built,
+// so checkConfig admits exactly maxSamples of them and no more, for
+// one flow and for the paper's 25.
+func TestCheckConfigBoundsResultSlab(t *testing.T) {
+	for _, flows := range []int{1, 25} {
+		cfg := smallConfig()
+		cfg.Flows = flows
+		cfg.Cycles = maxSamples/flows - 2
+		if err := checkConfig(cfg); err != nil {
+			t.Errorf("%d flows × %d cycles, at the bound: %v", flows, cfg.Cycles, err)
+		}
+		cfg.Cycles++
+		if err := checkConfig(cfg); err == nil {
+			t.Errorf("%d flows × %d cycles, past the bound: no error", flows, cfg.Cycles)
+		}
 	}
 }

@@ -177,9 +177,10 @@ func (p *Port) DeliveredFrames() uint64 {
 // then never arrives — how real loss looks to the sender). Zero disables.
 func (p *Port) SetLossRate(rate float64) { p.lossRate = rate }
 
-// SetCorruptRate makes the port flip one payload byte of each delivered
-// frame with probability rate, exercising receivers' validation paths.
-// Zero disables.
+// SetCorruptRate makes the port flip one body octet (payload or zero
+// tail, see frame.Frame.Corrupt) of each delivered frame with
+// probability rate, exercising receivers' validation paths. Zero
+// disables.
 func (p *Port) SetCorruptRate(rate float64) { p.corruptRate = rate }
 
 // rng returns the port's lazily created fault RNG stream. Only the
@@ -306,8 +307,8 @@ type crossLink struct {
 	sent [2]uint64
 	// deliver is the link's group-message handler, built once: the frame
 	// rides as the argument, and the int packs the sending end (bit 0)
-	// with the corrupted payload index plus one (the bits above; 0 means
-	// no corruption).
+	// with the corrupted body octet's index plus one (the bits above; 0
+	// means no corruption).
 	deliver func(arg any, aux int)
 }
 
@@ -573,8 +574,8 @@ func (p *Port) propDone(fl *flight) {
 		p.reclaim(f)
 		return
 	}
-	if p.corruptRate > 0 && len(f.Payload) > 0 && p.rng().Bool(p.corruptRate) {
-		f.Payload[p.rng().Intn(len(f.Payload))] ^= 0xff
+	if n := f.BodyLen(); p.corruptRate > 0 && n > 0 && p.rng().Bool(p.corruptRate) {
+		f.Corrupt(p.rng().Intn(n))
 		p.CorruptedFrames++
 		if p.tr != nil {
 			p.tr.Corrupt(p.Owner.Name(), p.Index, f)
@@ -617,8 +618,8 @@ func (p *Port) crossHandoff(fl *flight) {
 		p.tr.CrossShard(p.Owner.Name(), p.Index, f, c.shard[src], c.shard[1-src])
 	}
 	corrupt := -1
-	if p.corruptRate > 0 && len(f.Payload) > 0 && p.rng().Bool(p.corruptRate) {
-		corrupt = p.rng().Intn(len(f.Payload))
+	if n := f.BodyLen(); p.corruptRate > 0 && n > 0 && p.rng().Bool(p.corruptRate) {
+		corrupt = p.rng().Intn(n)
 	}
 	at := c.eng[src].Now().Add(l.Prop + l.extra[src])
 	c.group.Send(c.shard[src], c.shard[1-src], at, c.deliver, f, (corrupt+1)<<1|src)
@@ -634,7 +635,7 @@ func (l *Link) crossDeliver(src int, f *frame.Frame, corrupt int) {
 	sender := l.ports[src]
 	dst := l.ports[1-src]
 	if corrupt >= 0 {
-		f.Payload[corrupt] ^= 0xff
+		f.Corrupt(corrupt)
 		sender.CorruptedFrames++
 		if dst.tr != nil {
 			dst.tr.Corrupt(sender.Owner.Name(), sender.Index, f)

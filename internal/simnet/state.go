@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"steelnet/internal/checkpoint"
-	"steelnet/internal/frame"
 )
 
 // This file folds the network's live state into a checkpoint.Digest.
@@ -14,44 +13,6 @@ import (
 // path reports as divergence — bump checkpoint.FormatVersion when that
 // is intended.
 
-// foldFrame folds one frame's wire-visible content plus the metadata
-// that influences future behavior (CreatedAt feeds latency samples).
-func foldFrame(d *checkpoint.Digest, f *frame.Frame) {
-	d.Bytes(f.Dst[:])
-	d.Bytes(f.Src[:])
-	d.Bool(f.Tagged)
-	d.U64(uint64(f.Priority))
-	d.U64(uint64(f.VID))
-	d.U64(uint64(f.Type))
-	d.Bytes(f.Payload)
-	d.I64(f.Meta.CreatedAt)
-	d.U64(uint64(f.Meta.FlowID))
-	d.Bool(f.INT != nil)
-	if f.INT != nil {
-		foldINT(d, f.INT)
-	}
-}
-
-// foldINT folds a frame's in-band telemetry stack: the stamped hops
-// change WireLen and the sink-side digests, so a queued INT frame's
-// stack is part of the state that must replay identically.
-func foldINT(d *checkpoint.Digest, s *frame.INTStack) {
-	d.Str(s.Source)
-	d.I64(s.SourceNS)
-	d.U64(uint64(s.FlowID))
-	d.U64(uint64(s.Seq))
-	d.Int(s.MaxHops)
-	d.Bool(s.Strict)
-	d.Int(len(s.Hops))
-	for _, h := range s.Hops {
-		d.Str(h.Node)
-		d.I64(h.IngressNS)
-		d.I64(h.EgressNS)
-		d.I64(int64(h.QueueDepth))
-		d.Bool(h.DropRisk)
-	}
-}
-
 // FoldState folds the queue's contents in drain order (highest class
 // first, FIFO within a class) plus its accept/drop counters.
 func (q *PriorityQueue) FoldState(d *checkpoint.Digest) {
@@ -59,7 +20,7 @@ func (q *PriorityQueue) FoldState(d *checkpoint.Digest) {
 	for c := 7; c >= 0; c-- {
 		d.Int(int(q.depth[c]))
 		for f := range q.classes[c].All() {
-			foldFrame(d, f)
+			f.FoldState(d)
 		}
 	}
 	for c := range q.EnqueuedPerClass {

@@ -395,3 +395,59 @@ func TestCrossShardForwardingZeroAllocs(t *testing.T) {
 		t.Fatalf("after the round trips: %+v, %v", a, a.Check())
 	}
 }
+
+// TestCorruptionDrawsOverZeroTail: a corrupting port draws its octet
+// over the whole body, Payload and zero tail, so a frame whose body is
+// a zero tail and its twin with the zeros stored take the same RNG
+// draws and arrive as the same octets — on a same-shard hop (propDone)
+// and on the cross-shard backbone (crossHandoff, crossDeliver) — and
+// most flips land in the tail, which the corruption stores first.
+func TestCorruptionDrawsOverZeroTail(t *testing.T) {
+	const header, tail, frames = 13, 1400, 40
+	run := func(stored bool, corrupt func(n *Network) *Port) (got [][]byte, inTail int) {
+		g, part := twoCellGraph(5000)
+		n, err := NewSharded(42, g, part, SwitchConfig{Latency: sim.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		installTwoCellRoutes(n.Switch(0), map[frame.MAC]int{n.Host(2).MAC(): n.PortIndex(0, 1)}, n.PortIndex(0, 0))
+		installTwoCellRoutes(n.Switch(1), map[frame.MAC]int{n.Host(4).MAC(): n.PortIndex(1, 3)}, n.PortIndex(1, 0))
+		corrupt(n).SetCorruptRate(1)
+		a0, b0 := n.Host(2), n.Host(4)
+		b0.OnReceive(func(f *frame.Frame) {
+			got = append(got, f.Marshal())
+			if f.ZeroTail == 0 && !stored {
+				inTail++
+			}
+		})
+		sent := 0
+		a0.Engine().Every(1000, 20_000, func() { // a 1,413-byte body takes 11.3 µs at 1 Gb/s
+			if sent++; sent > frames {
+				return
+			}
+			f := &frame.Frame{Dst: b0.MAC(), Type: frame.TypeMLData, Payload: []byte("header-bytes!"), ZeroTail: tail}
+			if stored {
+				f.Payload, f.ZeroTail = append(f.Payload, make([]byte, tail)...), 0
+			}
+			a0.Send(f)
+		})
+		n.Group.Run(sim.Time(20_000*(frames+5)), 1)
+		return got, inTail
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(n *Network) *Port
+	}{
+		{"host hop", func(n *Network) *Port { return n.Host(2).Port() }},
+		{"cross-shard backbone", func(n *Network) *Port { return n.Switch(0).Port(n.PortIndex(0, 0)) }},
+	} {
+		want, _ := run(true, c.corrupt)
+		got, inTail := run(false, c.corrupt)
+		if len(want) != frames || !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("%s: %d frames with a zero tail and %d stored arrived differently", c.name, len(got), len(want))
+		}
+		if inTail < frames/2 {
+			t.Fatalf("%s: %d of %d flips landed in the tail; the tail path is barely exercised", c.name, inTail, frames)
+		}
+	}
+}

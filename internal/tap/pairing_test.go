@@ -49,15 +49,16 @@ func equalRTTs(a, b []RTT) bool {
 // probes that never come back, reflections nobody sent, repeated
 // sequence numbers, non-probe frames and TypeBenchEcho payloads too
 // short to parse (which both algorithms file under flow 0, sequence 0)
-// — and requires the streaming per-flow result to equal the log scan.
+// — and requires the matches streamed to OnRoundTrip, per flow, to
+// equal the log scan.
 func TestStreamingPairingMatchesLogScan(t *testing.T) {
 	const flows = 4 // 0..3; flow 0 collides with unparseable payloads
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := sim.NewEngine(1)
 		tp := New(e, "tap", Config{TimestampStep: 8 * sim.Nanosecond})
-		tp.ReserveRoundTrips(int(seed) % 3 * 16) // 0 (grow on demand), 16, 32
 		log := record(tp)
+		streamed := roundTrips(tp)
 		at := sim.Time(0)
 		for i := 0; i < 600; i++ {
 			at = at.Add(sim.Duration(1 + rng.Intn(2000)))
@@ -82,7 +83,7 @@ func TestStreamingPairingMatchesLogScan(t *testing.T) {
 		}
 		matched := 0
 		for flow := uint32(0); flow <= flows; flow++ { // flows never seen included
-			got, want := tp.RoundTrip(flow), scanRoundTrip(*log, flow)
+			got, want := streamed[flow], scanRoundTrip(*log, flow)
 			if !equalRTTs(got, want) {
 				t.Fatalf("seed %d flow %d: streaming pairing\n%v\nlog scan\n%v", seed, flow, got, want)
 			}
@@ -91,32 +92,38 @@ func TestStreamingPairingMatchesLogScan(t *testing.T) {
 		if matched == 0 {
 			t.Fatalf("seed %d: no round trips matched; the sequences exercise nothing", seed)
 		}
+		for flow := range streamed {
+			if flow > flows {
+				t.Fatalf("seed %d: round trips streamed for flow %d, which sent no probe", seed, flow)
+			}
+		}
 	}
 }
 
 // TestResetClearsPairingState: after Reset a reflection must not pair
-// with a probe sent before it, and earlier results are gone.
+// with a probe sent before it, and pairing resumes for probes sent after.
 func TestResetClearsPairingState(t *testing.T) {
 	e := sim.NewEngine(1)
 	tp := New(e, "tap", Config{})
+	streamed := roundTrips(tp)
 	tp.Receive(tp.PortA(), probe(1, 7))
 	tp.Receive(tp.PortB(), probe(1, 7))
 	tp.Receive(tp.PortA(), probe(2, 7)) // still open at the reset
 	e.Run()
-	if len(tp.RoundTrip(7)) != 1 {
-		t.Fatalf("round trips before reset = %d, want 1", len(tp.RoundTrip(7)))
+	if len(streamed[7]) != 1 {
+		t.Fatalf("round trips before reset = %d, want 1", len(streamed[7]))
 	}
 	tp.Reset()
 	tp.Receive(tp.PortB(), probe(2, 7))
 	e.Run()
-	if got := tp.RoundTrip(7); len(got) != 0 {
+	if got := streamed[7]; len(got) != 1 {
 		t.Fatalf("reflection paired across Reset: %v", got)
 	}
 	tp.Receive(tp.PortA(), probe(3, 7))
 	tp.Receive(tp.PortB(), probe(3, 7))
 	e.Run()
-	if got := tp.RoundTrip(7); len(got) != 1 || got[0].Seq != 3 {
-		t.Fatalf("pairing after reset = %v, want seq 3 only", got)
+	if got := streamed[7]; len(got) != 2 || got[1].Seq != 3 {
+		t.Fatalf("pairing after reset = %v, want seq 1 then seq 3", got)
 	}
 }
 

@@ -52,8 +52,8 @@ type Capture struct {
 // electrical taps are ~ns; configurable).
 //
 // The tap keeps no log of what it saw: probes are paired as they cross
-// (see RoundTrip) and every observation is offered to OnCapture, so its
-// memory is the probes in flight plus one RTT per matched round trip.
+// and each match is handed to OnRoundTrip, every observation is offered
+// to OnCapture, and its memory is the probes awaiting their reflection.
 type Tap struct {
 	name    string
 	engine  *sim.Engine
@@ -63,11 +63,8 @@ type Tap struct {
 	portB   *simnet.Port
 
 	// open holds the A→B timestamp of every probe still awaiting its
-	// reflection; rtts the matched round trips per flow, in match order.
-	// reserve is the capacity a flow's slice gets at its first match.
-	open    map[probeKey]int64
-	rtts    map[uint32][]RTT
-	reserve int
+	// reflection.
+	open map[probeKey]int64
 
 	// fifo[head:] are the frames inside the pass-through delay, oldest
 	// first. The delay is one constant, so forwarding events fire in the
@@ -78,6 +75,11 @@ type Tap struct {
 
 	// OnCapture, when set, observes every capture as it happens.
 	OnCapture func(Capture)
+	// OnRoundTrip, when set, receives each round trip as it is matched:
+	// an A→B probe paired with the next B→A probe carrying the same
+	// flow and sequence number, with the tap-clock delay between them —
+	// the measurement of Fig. 3. Unmatched probes never reach it.
+	OnRoundTrip func(flow uint32, r RTT)
 }
 
 // probeKey identifies one probe of one flow.
@@ -117,7 +119,6 @@ func New(engine *sim.Engine, name string, cfg Config) *Tap {
 			Step: cfg.TimestampStep,
 		},
 		open: make(map[probeKey]int64),
-		rtts: make(map[uint32][]RTT),
 	}
 	t.forward = t.forwardNext
 	t.portA = simnet.NewPort(t, 0)
@@ -172,8 +173,8 @@ func (t *Tap) Receive(port *simnet.Port, f *frame.Frame) {
 
 // pair folds one TypeBenchEcho capture into the round-trip state: an
 // A→B probe opens (or re-opens) its (flow, sequence) slot, and the next
-// B→A capture with the same key closes it into an RTT. A payload too
-// short to parse counts as flow 0, sequence 0.
+// B→A capture with the same key closes it into an RTT for OnRoundTrip.
+// A payload too short to parse counts as flow 0, sequence 0.
 func (t *Tap) pair(c Capture) {
 	k := probeKey{c.FlowID, c.Seq}
 	if c.Dir == AtoB {
@@ -185,11 +186,9 @@ func (t *Tap) pair(c Capture) {
 		return
 	}
 	delete(t.open, k)
-	rs, seen := t.rtts[c.FlowID]
-	if !seen && t.reserve > 0 {
-		rs = make([]RTT, 0, t.reserve)
+	if t.OnRoundTrip != nil {
+		t.OnRoundTrip(c.FlowID, RTT{Seq: c.Seq, Delay: sim.Duration(c.Timestamp - start)})
 	}
-	t.rtts[c.FlowID] = append(rs, RTT{Seq: c.Seq, Delay: sim.Duration(c.Timestamp - start)})
 }
 
 // forwardNext sends the oldest frame in transit out the far port.
@@ -229,24 +228,9 @@ func (t *Tap) stampINT(f *frame.Frame, intIn int64, out *simnet.Port) {
 	})
 }
 
-// ReserveRoundTrips sizes each flow's RTT slice for n round trips when
-// the flow's first one is matched, so a run of known length appends
-// without regrowing. Nothing is allocated until then.
-func (t *Tap) ReserveRoundTrips(n int) { t.reserve = n }
-
-// Reset discards the matched round trips and the probes still awaiting
-// their reflection.
-func (t *Tap) Reset() {
-	clear(t.open)
-	clear(t.rtts)
-}
-
-// RoundTrip returns the round trips of flowID in match order: each A→B
-// probe paired with the next B→A probe carrying the same flow and
-// sequence number, with the tap-clock delay between them — the
-// measurement of Fig. 3. Unmatched probes are skipped. The slice is the
-// tap's own; callers must not modify it.
-func (t *Tap) RoundTrip(flowID uint32) []RTT { return t.rtts[flowID] }
+// Reset discards the probes still awaiting their reflection: a
+// reflection crossing after it matches nothing sent before it.
+func (t *Tap) Reset() { clear(t.open) }
 
 // RTT is one matched probe round trip as seen by the tap.
 type RTT struct {

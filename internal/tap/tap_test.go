@@ -34,6 +34,14 @@ func record(tp *Tap) *[]Capture {
 	return &caps
 }
 
+// roundTrips collects every round trip tp matches through the
+// OnRoundTrip hook, per flow in match order.
+func roundTrips(tp *Tap) map[uint32][]RTT {
+	got := make(map[uint32][]RTT)
+	tp.OnRoundTrip = func(flow uint32, r RTT) { got[flow] = append(got[flow], r) }
+	return got
+}
+
 func probe(seq, flow uint32) *frame.Frame {
 	pl, err := frame.MarshalProbe(frame.Probe{Seq: seq, FlowID: flow}, 32)
 	if err != nil {
@@ -73,12 +81,13 @@ func TestTapCapturesBothDirections(t *testing.T) {
 func TestRoundTripMeasuresReflectorDelay(t *testing.T) {
 	delay := 10 * sim.Microsecond
 	e, sender, tp := rig(t, Config{}, delay)
+	got := roundTrips(tp)
 	for i := uint32(0); i < 5; i++ {
 		seq := i
 		e.Schedule(sim.Time(i)*sim.Time(sim.Millisecond), func() { sender.Send(probe(seq, 7)) })
 	}
 	e.Run()
-	rtts := tp.RoundTrip(7)
+	rtts := got[7]
 	if len(rtts) != 5 {
 		t.Fatalf("rtts = %d", len(rtts))
 	}
@@ -96,14 +105,15 @@ func TestRoundTripMeasuresReflectorDelay(t *testing.T) {
 
 func TestRoundTripFiltersByFlow(t *testing.T) {
 	e, sender, tp := rig(t, Config{}, 0)
+	got := roundTrips(tp)
 	sender.Send(probe(1, 7))
 	sender.Send(probe(1, 8))
 	e.Run()
-	if len(tp.RoundTrip(7)) != 1 || len(tp.RoundTrip(8)) != 1 {
+	if len(got[7]) != 1 || len(got[8]) != 1 {
 		t.Fatal("flow filter broken")
 	}
-	if len(tp.RoundTrip(99)) != 0 {
-		t.Fatal("unknown flow matched")
+	if len(got) != 2 {
+		t.Fatalf("round trips of flows %v, want 7 and 8 only", got)
 	}
 }
 
@@ -115,9 +125,10 @@ func TestRoundTripIgnoresUnmatched(t *testing.T) {
 	tp := New(e, "tap", Config{})
 	simnet.Connect(e, "s-tap", sender.Port(), tp.PortA(), 1e9, 0)
 	simnet.Connect(e, "tap-r", tp.PortB(), sink.Port(), 1e9, 0)
+	got := roundTrips(tp)
 	sender.Send(probe(1, 7))
 	e.Run()
-	if len(tp.RoundTrip(7)) != 0 {
+	if len(got) != 0 {
 		t.Fatal("unmatched probe produced RTT")
 	}
 }
@@ -141,9 +152,10 @@ func TestClockOffsetCancelsInRoundTrip(t *testing.T) {
 	// Two rigs, one with a wild clock offset: RTTs must be identical.
 	run := func(offset sim.Duration) sim.Duration {
 		e, sender, tp := rig(t, Config{ClockOffset: offset}, 5*sim.Microsecond)
+		got := roundTrips(tp)
 		sender.Send(probe(1, 7))
 		e.Run()
-		rtts := tp.RoundTrip(7)
+		rtts := got[7]
 		if len(rtts) != 1 {
 			t.Fatalf("rtts = %d", len(rtts))
 		}
@@ -165,16 +177,22 @@ func TestOnCaptureHook(t *testing.T) {
 	}
 }
 
+// TestReset: a probe whose reflection crosses the tap after a Reset
+// matches nothing; one sent and reflected before it still matched.
 func TestReset(t *testing.T) {
-	e, sender, tp := rig(t, Config{}, 0)
+	e, sender, tp := rig(t, Config{}, 10*sim.Microsecond)
+	got := roundTrips(tp)
 	sender.Send(probe(1, 7))
 	e.Run()
-	if len(tp.RoundTrip(7)) != 1 {
+	if len(got[7]) != 1 {
 		t.Fatal("no round trip before reset")
 	}
+	sender.Send(probe(2, 7))
+	e.RunFor(5 * sim.Microsecond) // the probe is inside the reflector
 	tp.Reset()
-	if len(tp.RoundTrip(7)) != 0 {
-		t.Fatal("reset did not clear round trips")
+	e.Run()
+	if len(got[7]) != 1 {
+		t.Fatalf("reset did not clear the open probe: round trips %v", got[7])
 	}
 }
 

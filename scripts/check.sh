@@ -81,6 +81,7 @@ internal/telemetry  FuzzReadJSONL
 internal/simnet     FuzzFIB
 internal/steelnetd  FuzzRunSpec
 internal/tshist     FuzzHistoryQuery
+internal/frame      FuzzZeroTail
 EOF
 }
 
