@@ -122,6 +122,15 @@ func TestRunUncarriableCycle(t *testing.T) {
 	}
 }
 
+// TestRunBadHorizon: a negative horizon is the harness constructor's
+// error, reported with exit 1 before any simulated time passes.
+func TestRunBadHorizon(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(tiny("-horizon", "-1s"), &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "horizon") || stdout.Len() != 0 {
+		t.Errorf("run = %d, stdout %q, stderr %q; want 1, no figure and the error", code, stdout.String(), stderr.String())
+	}
+}
+
 // TestSweepTelemetryWorkerInvariant pins instaplcd -chaos's side of the sweep
 // telemetry contract; the breach count is the parent tree's.
 func TestSweepTelemetryWorkerInvariant(t *testing.T) {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	reflectbench [-seed N] [-cycles N] [-cycle D] [-flows list]
-//	             [-workers N] [-shards N] [-jitter-only] [-delay-only]
+//	             [-workers N] [-shards N] [-jitter-only | -delay-only]
 //	             [-checkpoint FILE] [-resume FILE]
 //	             [-trace FILE] [-stats] [-cpuprofile FILE]
 //	             [-int FILE] [-slo SPEC] [-flightrec FILE]
@@ -61,6 +61,16 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 		if *cycles < 1 {
 			return cli.Usagef("bad -cycles %d: must be at least 1", *cycles)
 		}
+		if *delayOnly && *jitterOnly {
+			return cli.Usagef("-delay-only and -jitter-only exclude each other")
+		}
+		var counts []int
+		if !*delayOnly {
+			var err error
+			if counts, err = cli.ParseInts(*flows); err != nil {
+				return cli.Usagef("bad -flows: %v", err)
+			}
+		}
 		stdout := env.Stdout
 		cfg := reflection.DefaultConfig()
 		cfg.Seed = *seed
@@ -84,10 +94,6 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 			fmt.Fprintln(stdout)
 		}
 		if !*delayOnly {
-			counts, err := cli.ParseInts(*flows)
-			if err != nil {
-				return cli.Usagef("bad -flows: %v", err)
-			}
 			jitterPath := env.Checkpoint
 			if jitterPath != "" && !*jitterOnly {
 				// Both sweeps checkpoint: keep their files apart.

@@ -87,6 +87,21 @@ func TestRunBadUsage(t *testing.T) {
 	}
 }
 
+// TestRunChecksFlagsFirst: a bad -flows, or -delay-only with
+// -jitter-only, is a usage error before any sweep runs: exit 2 and
+// nothing on stdout.
+func TestRunChecksFlagsFirst(t *testing.T) {
+	for _, args := range [][]string{
+		tiny("-flows", "0"),
+		tiny("-delay-only", "-jitter-only"),
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("run(%v) = %d, stdout %q; want 2 and no table", args, code, stdout.String())
+		}
+	}
+}
+
 // TestRunFiguresPresent asserts both Fig. 4 tables actually render:
 // every variant appears in the delay table, the flow counts in the
 // jitter table.

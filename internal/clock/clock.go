@@ -1,11 +1,10 @@
 // Package clock models the timestamping hardware the Traffic Reflection
 // method reasons about (§3): free-running device clocks with frequency
-// drift, PTP-synchronized clocks whose residual offset error stems from
-// path asymmetry, and quantized capture timestamps such as the network
-// tap's 8 ns resolution. The method's core point — both tap timestamps
-// come from a single clock, so drift between clocks cancels out of the
-// delay measurement — is directly expressible (and testable) with these
-// types.
+// drift, clocks a PTP servo steps and retunes, and quantized capture
+// timestamps such as the network tap's 8 ns resolution. The method's
+// core point — both tap timestamps come from a single clock, so drift
+// between clocks cancels out of the delay measurement — is directly
+// expressible with these types.
 package clock
 
 import (
@@ -92,55 +91,6 @@ func (a *Adjustable) rebase(now sim.Time) {
 	a.base = now
 }
 
-// PTPSynced models a clock disciplined by IEEE 1588: drift is servo-ed
-// out, but a residual offset remains, dominated by path asymmetry
-// (§3 cites sub-µs accuracy that still suffers asymmetric delays). The
-// residual wanders as a bounded random walk, re-drawn every SyncInterval.
-type PTPSynced struct {
-	// AsymmetryError is the standing offset from asymmetric network paths.
-	AsymmetryError time.Duration
-	// WanderBound caps the magnitude of the servo's residual wander.
-	WanderBound time.Duration
-	// SyncInterval is how often the servo corrects (typically 1 s).
-	SyncInterval time.Duration
-	rng          *sim.RNG
-	lastEpoch    int64
-	wander       int64
-}
-
-// NewPTPSynced builds a PTP-disciplined clock drawing wander from rng.
-func NewPTPSynced(asym, wanderBound, syncInterval time.Duration, rng *sim.RNG) *PTPSynced {
-	if syncInterval <= 0 {
-		syncInterval = time.Second
-	}
-	return &PTPSynced{
-		AsymmetryError: asym,
-		WanderBound:    wanderBound,
-		SyncInterval:   syncInterval,
-		rng:            rng,
-		lastEpoch:      -1,
-	}
-}
-
-// Read implements Clock.
-func (p *PTPSynced) Read(now sim.Time) int64 {
-	epoch := int64(now) / int64(p.SyncInterval)
-	if epoch != p.lastEpoch {
-		p.lastEpoch = epoch
-		if p.WanderBound > 0 && p.rng != nil {
-			step := p.rng.Norm(0, float64(p.WanderBound)/3)
-			p.wander += int64(step)
-			if p.wander > int64(p.WanderBound) {
-				p.wander = int64(p.WanderBound)
-			}
-			if p.wander < -int64(p.WanderBound) {
-				p.wander = -int64(p.WanderBound)
-			}
-		}
-	}
-	return int64(now) + int64(p.AsymmetryError) + p.wander
-}
-
 // Quantized wraps a clock with capture-hardware granularity: reads are
 // floored to a multiple of Step. The paper's tap timestamps at 8 ns.
 type Quantized struct {
@@ -159,30 +109,4 @@ func (q Quantized) Read(now sim.Time) int64 {
 		return v - v%step
 	}
 	return v - (step + v%step) // floor for negative values
-}
-
-// MeasurementError returns the worst-case error of a two-clock delay
-// measurement between a and b over an interval of length d: the
-// difference of their readings' deviation from true time, at interval
-// start and end. It quantifies why Fig. 3's single-clock design wins.
-func MeasurementError(a, b Clock, start sim.Time, d time.Duration) time.Duration {
-	end := start.Add(d)
-	errStart := (a.Read(start) - int64(start)) - (b.Read(start) - int64(start))
-	errEnd := (a.Read(end) - int64(end)) - (b.Read(end) - int64(end))
-	diff := errEnd - errStart
-	worst := errStart
-	if abs(errEnd) > abs(worst) {
-		worst = errEnd
-	}
-	if abs(diff) > abs(worst) {
-		worst = diff
-	}
-	return time.Duration(worst)
-}
-
-func abs(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -64,54 +64,3 @@ func TestQuantizedPropertyMultipleOfStep(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPTPSyncedBounded(t *testing.T) {
-	e := sim.NewEngine(1)
-	c := NewPTPSynced(200*time.Nanosecond, 100*time.Nanosecond, time.Second, e.RNG("ptp"))
-	for s := 0; s < 1000; s++ {
-		now := sim.Time(s) * sim.Time(time.Second)
-		off := c.Read(now) - int64(now)
-		lo := int64(100 * time.Nanosecond) // 200ns asym − 100ns wander bound
-		hi := int64(300 * time.Nanosecond)
-		if off < lo || off > hi {
-			t.Fatalf("offset %d outside [%d,%d] at %v", off, lo, hi, now)
-		}
-	}
-}
-
-func TestPTPSyncedDeterministic(t *testing.T) {
-	mk := func() *PTPSynced {
-		e := sim.NewEngine(9)
-		return NewPTPSynced(0, 50*time.Nanosecond, time.Second, e.RNG("ptp"))
-	}
-	a, b := mk(), mk()
-	for s := 0; s < 100; s++ {
-		now := sim.Time(s) * sim.Time(time.Second)
-		if a.Read(now) != b.Read(now) {
-			t.Fatal("PTP clock not deterministic")
-		}
-	}
-}
-
-func TestSingleClockMeasurementHasNoCrossClockError(t *testing.T) {
-	// The Fig. 3 argument: measuring with one clock (a vs a) has zero
-	// cross-clock error regardless of drift; two drifting clocks do not.
-	a := Drifting{DriftPPM: 50}
-	b := Drifting{DriftPPM: -50}
-	if err := MeasurementError(a, a, 0, time.Second); err != 0 {
-		t.Fatalf("single-clock error = %v", err)
-	}
-	if err := MeasurementError(a, b, 0, time.Second); err == 0 {
-		t.Fatal("two drifting clocks report zero error")
-	}
-}
-
-func TestMeasurementErrorMagnitude(t *testing.T) {
-	// ±50 ppm apart for 1 s -> 100 µs divergence.
-	a := Drifting{DriftPPM: 50}
-	b := Drifting{DriftPPM: -50}
-	err := MeasurementError(a, b, 0, time.Second)
-	if err < 99*time.Microsecond || err > 101*time.Microsecond {
-		t.Fatalf("error = %v, want ≈100µs", err)
-	}
-}

@@ -10,13 +10,3 @@ func (a *Adjustable) FoldState(d *checkpoint.Digest) {
 	d.I64(a.acc)
 	d.F64(a.drift)
 }
-
-// FoldState folds the PTP-disciplined clock's servo state. The wander
-// RNG is an engine stream and is folded by the engine.
-func (p *PTPSynced) FoldState(d *checkpoint.Digest) {
-	d.I64(int64(p.AsymmetryError))
-	d.I64(int64(p.WanderBound))
-	d.I64(int64(p.SyncInterval))
-	d.I64(p.lastEpoch)
-	d.I64(p.wander)
-}

@@ -45,7 +45,6 @@ func DefaultTASAblationConfig() TASAblationConfig {
 
 // TASAblationResult reports RT-flow timing with and without shaping.
 type TASAblationResult struct {
-	WithTAS bool
 	// JitterP99NS and JitterMaxNS summarize |interarrival - cycle|.
 	JitterP99NS, JitterMaxNS float64
 	// RTDelivered counts RT frames that made it.
@@ -79,21 +78,6 @@ func (m ShaperMode) String() string {
 // RunShaperAblation measures the RT flow's inter-arrival jitter at the
 // sink under the chosen egress discipline.
 func RunShaperAblation(cfg TASAblationConfig, mode ShaperMode) TASAblationResult {
-	res := runShaped(cfg, mode)
-	res.WithTAS = mode == ShaperTAS
-	return res
-}
-
-// RunTASAblation measures the RT flow's inter-arrival jitter at the
-// sink with TAS on or off.
-func RunTASAblation(cfg TASAblationConfig, withTAS bool) TASAblationResult {
-	if withTAS {
-		return RunShaperAblation(cfg, ShaperTAS)
-	}
-	return RunShaperAblation(cfg, ShaperNone)
-}
-
-func runShaped(cfg TASAblationConfig, mode ShaperMode) TASAblationResult {
 	e := sim.NewEngine(cfg.Seed)
 	sw := simnet.NewSwitch(e, "sw", 3, simnet.DefaultSwitchConfig)
 	rtSrc := simnet.NewHost(e, "rt", frame.NewMAC(1))

@@ -321,9 +321,6 @@ func (h *CampusHarness) armTraffic() {
 	}
 }
 
-// Topo exposes the generated campus topology.
-func (h *CampusHarness) Topo() *topo.CampusTopo { return h.ct }
-
 // Network exposes the equipment and its shard group.
 func (h *CampusHarness) Network() *simnet.Network { return h.net }
 
@@ -430,9 +427,6 @@ func (h *CampusHarness) registerMetrics(r *telemetry.Registry) {
 // ShardProfile returns the group's execution profile snapshot (lanes
 // populated only when CampusConfig.Profile was set).
 func (h *CampusHarness) ShardProfile() sim.ShardProfile { return h.net.Group.Profile() }
-
-// Tracers returns the per-shard tracers (nil without Trace).
-func (h *CampusHarness) Tracers() []*telemetry.Tracer { return h.tracers }
 
 // MergedTrace stitches the per-shard frame timelines — and, when
 // profiling, the window/barrier spans — into one causal event stream

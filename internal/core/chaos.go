@@ -146,17 +146,6 @@ func RunChaosSweepResumable(cfg ChaosConfig, path string) ([]ChaosCell, error) {
 	})
 }
 
-// RunChaosSweep is RunChaosSweepResumable without a checkpoint, for a
-// base scenario the program wrote itself: a bad one is a bug, and
-// panics.
-func RunChaosSweep(cfg ChaosConfig) []ChaosCell {
-	cells, err := RunChaosSweepResumable(cfg, "") // no path: no file I/O
-	if err != nil {
-		panic(err.Error())
-	}
-	return cells
-}
-
 // RenderChaosSweep renders the ladder: availability and failover
 // activity per cell, then a per-intensity availability summary.
 func RenderChaosSweep(cells []ChaosCell) string {

@@ -20,7 +20,7 @@ import (
 
 func TestChaosSweepInvariants(t *testing.T) {
 	cfg := DefaultChaosConfig()
-	cells := RunChaosSweep(cfg)
+	cells := runChaos(t, cfg)
 	if len(cells) != len(cfg.Intensities)*cfg.Trials {
 		t.Fatalf("got %d cells, want %d", len(cells), len(cfg.Intensities)*cfg.Trials)
 	}
@@ -64,7 +64,7 @@ func TestChaosPlansAreReplayable(t *testing.T) {
 	cfg := DefaultChaosConfig()
 	cfg.Intensities = []int{6}
 	cfg.Trials = 1
-	cells := RunChaosSweep(cfg)
+	cells := runChaos(t, cfg)
 	c := cells[0]
 	replayed := replayCell(t, cfg, c)
 	if replayed.Switchovers != c.Switchovers ||
@@ -102,7 +102,7 @@ func TestChaosSweepINTConservation(t *testing.T) {
 		cfg.Base.Horizon = 800 * time.Millisecond
 		cfg.Base.INT = true
 		cfg.Base.Collector = intnet.NewCollector()
-		return RunChaosSweep(cfg), cfg.Base.Collector
+		return runChaos(t, cfg), cfg.Base.Collector
 	}
 
 	cells, coll := mk(2)
@@ -137,10 +137,20 @@ func TestRenderChaosSweep(t *testing.T) {
 	cfg := DefaultChaosConfig()
 	cfg.Intensities = []int{0, 2}
 	cfg.Trials = 1
-	out := RenderChaosSweep(RunChaosSweep(cfg))
+	out := RenderChaosSweep(runChaos(t, cfg))
 	for _, want := range []string{"Chaos sweep", "IO avail", "per-intensity availability", "operate"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// runChaos runs the ladder without a checkpoint file.
+func runChaos(t *testing.T, cfg ChaosConfig) []ChaosCell {
+	t.Helper()
+	cells, err := RunChaosSweepResumable(cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells
 }

@@ -221,8 +221,8 @@ func TestHAStrategyString(t *testing.T) {
 func TestTASAblationProtectsRTFlow(t *testing.T) {
 	cfg := DefaultTASAblationConfig()
 	cfg.Horizon = time.Second
-	on := RunTASAblation(cfg, true)
-	off := RunTASAblation(cfg, false)
+	on := RunShaperAblation(cfg, ShaperTAS)
+	off := RunShaperAblation(cfg, ShaperNone)
 	if on.JitterP99NS >= off.JitterP99NS {
 		t.Fatalf("TAS did not reduce jitter: on=%v off=%v", on.JitterP99NS, off.JitterP99NS)
 	}

@@ -84,12 +84,12 @@ func TestChaosSweepTableIdenticalAcrossWorkerCounts(t *testing.T) {
 
 	serial := base
 	serial.Workers = 1
-	wantCells := RunChaosSweep(serial)
+	wantCells := runChaos(t, serial)
 	wantTable := RenderChaosSweep(wantCells)
 
 	par := base
 	par.Workers = parallelWorkers()
-	gotCells := RunChaosSweep(par)
+	gotCells := runChaos(t, par)
 	gotTable := RenderChaosSweep(gotCells)
 
 	if gotTable != wantTable {

@@ -314,6 +314,7 @@ func (d *Headless) Save(w io.Writer) error { return d.h.Save(w) }
 // into fresh attachments, so the collector, watchdog state and loss
 // aggregates match a straight run's at T exactly; the next Step
 // continues on the same slice grid.
+// No command resumes a headless run yet; ROADMAP.md plans one.
 func RestoreHeadless(r io.Reader, cfg HeadlessConfig) (*Headless, error) {
 	cfg, ecfg, err := cfg.normalize()
 	if err != nil {

@@ -1,0 +1,129 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"steelnet/internal/instaplc"
+	"steelnet/internal/mltopo"
+	"steelnet/internal/mlwork"
+	"steelnet/internal/reflection"
+	"steelnet/internal/sim"
+	"steelnet/internal/sweep"
+	"steelnet/internal/telemetry"
+	"steelnet/internal/topo"
+)
+
+// counts is what a run costs in units that are the same on every
+// machine: events the engines fired, frames that completed a link
+// traversal, and messages that crossed a shard boundary.
+type counts struct {
+	events, delivered, messages uint64
+}
+
+// linkDelivered sums every link's delivered counter on r.
+func linkDelivered(r *telemetry.Registry) uint64 {
+	var n uint64
+	for _, v := range r.Values() {
+		if v.Name == "steelnet_link_delivered_total" {
+			n += uint64(v.Value)
+		}
+	}
+	return n
+}
+
+func pinFig4() counts {
+	cfg := reflection.DefaultConfig()
+	cfg.Cycles = 50
+	reg := telemetry.NewRegistry()
+	cfg.Sinks = sweep.Sinks{Metrics: reg}
+	h := reflection.NewHarness(cfg, reflection.NewTSOW())
+	h.AdvanceTo(h.Horizon())
+	return counts{events: h.Engine().EventsFired(), delivered: linkDelivered(reg)}
+}
+
+func pinFig5() counts {
+	cfg := instaplc.DefaultExperimentConfig()
+	cfg.FailAt, cfg.Horizon = 250*time.Millisecond, 500*time.Millisecond
+	reg := telemetry.NewRegistry()
+	cfg.Sinks = sweep.Sinks{Metrics: reg}
+	h := instaplc.NewHarness(cfg)
+	h.AdvanceTo(h.Horizon())
+	return counts{events: h.Engine().EventsFired(), delivered: linkDelivered(reg)}
+}
+
+func pinFig6() counts {
+	sc := mltopo.DefaultScenario(mltopo.LeafSpine, mlwork.ObjectIdentification, 8)
+	sc.Horizon = 200 * time.Millisecond
+	reg := telemetry.NewRegistry()
+	sc.Sinks = sweep.Sinks{Metrics: reg}
+	h := mltopo.NewHarness(sc)
+	h.AdvanceTo(h.Horizon())
+	return counts{events: h.Engine().EventsFired(), delivered: linkDelivered(reg)}
+}
+
+func pinCampus(t *testing.T, workers int) counts {
+	h, err := NewCampusHarness(CampusConfig{
+		Topo:    topo.CampusConfig{Cells: 4, SwitchesPerCell: 6, HostsPerSwitch: 2, Spines: 2},
+		Horizon: 5 * sim.Millisecond,
+		INT:     true,
+		Workers: workers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.AdvanceTo(h.Horizon())
+	g := h.Network().Group
+	var c counts
+	for i := range g.Shards() {
+		c.events += g.Shard(i).EventsFired()
+	}
+	res := h.Result()
+	c.delivered, c.messages = res.Accounting.Delivered, res.Group.Messages
+	return c
+}
+
+// pinChaos runs each cell of a small chaos ladder the way the sweep
+// does, from ChaosCellConfig, and sums the cells.
+func pinChaos() counts {
+	cfg := DefaultChaosConfig()
+	cfg.Intensities, cfg.Trials = []int{0, 4, 8}, 1
+	cfg.Base.SecondaryJoinAt = 100 * time.Millisecond
+	cfg.Base.FailAt = 300 * time.Millisecond
+	cfg.Base.Horizon = 800 * time.Millisecond
+	var c counts
+	for i := range len(cfg.Intensities) * cfg.Trials {
+		h := instaplc.NewHarness(ChaosCellConfig(cfg, i))
+		h.AdvanceTo(h.Horizon())
+		c.events += h.Engine().EventsFired()
+		c.delivered += h.Result().Accounting.Delivered
+	}
+	return c
+}
+
+// TestEventPins holds the exact cost of each figure, the campus and the
+// chaos ladder at sizes tier-1 can afford. Wall time is noisy and
+// differs across machines; these counts do not. A change that moves a
+// count updates its row and says why, the way a golden is updated. The
+// campus row is pinned at one worker and must be the same at four.
+func TestEventPins(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T) counts
+		want counts
+	}{
+		{"fig4 TS-OW 50 cycles", func(*testing.T) counts { return pinFig4() }, counts{664, 204, 0}},
+		{"fig5 500ms", func(*testing.T) counts { return pinFig5() }, counts{4289, 1477, 0}},
+		{"fig6 leaf-spine 8 clients 200ms", func(*testing.T) counts { return pinFig6() }, counts{11816, 4284, 0}},
+		{"campus 4x6x2 5ms 1 worker", func(t *testing.T) counts { return pinCampus(t, 1) }, counts{22560, 7360, 960}},
+		{"campus 4x6x2 5ms 4 workers", func(t *testing.T) counts { return pinCampus(t, 4) }, counts{22560, 7360, 960}},
+		{"chaos 3 cells 800ms", func(*testing.T) counts { return pinChaos() }, counts{22963, 7524, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.run(t); got != tc.want {
+				t.Errorf("events, delivered, messages = %d, %d, %d; pinned %d, %d, %d",
+					got.events, got.delivered, got.messages, tc.want.events, tc.want.delivered, tc.want.messages)
+			}
+		})
+	}
+}

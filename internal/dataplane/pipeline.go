@@ -157,23 +157,14 @@ func Output(port int) Action {
 	return Action{Kind: ActOutput, Outputs: []PortAction{{Port: port}}}
 }
 
-// OutputLegs builds a multi-leg output action.
-func OutputLegs(legs ...PortAction) Action { return Action{Kind: ActOutput, Outputs: legs} }
-
 // PacketIn builds a punt-to-controller action.
 func PacketIn(reason string) Action { return Action{Kind: ActPacketIn, Reason: reason} }
-
-// Continue falls through to the next table.
-func Continue() Action { return Action{Kind: ActContinue} }
 
 // INTSource builds a source action: matching frames gain a telemetry
 // stack for flow with room for maxHops records (<=0 = default).
 func INTSource(flow uint32, maxHops int, strict bool) Action {
 	return Action{Kind: ActINTSource, INTFlow: flow, INTMaxHops: maxHops, INTStrict: strict}
 }
-
-// INTSinkTo builds a mid-pipeline sink action feeding c.
-func INTSinkTo(c INTCollector) Action { return Action{Kind: ActINTSink, INTSink: c} }
 
 // Entry is one table row.
 type Entry struct {
@@ -247,9 +238,6 @@ func (t *Table) Delete(e *Entry) {
 
 // Len returns the number of entries.
 func (t *Table) Len() int { return len(t.entries) }
-
-// Entries returns the entries in match order.
-func (t *Table) Entries() []*Entry { return append([]*Entry(nil), t.entries...) }
 
 // lookup returns the first matching entry, or nil.
 func (t *Table) lookup(fl Fields) *Entry {

@@ -105,10 +105,10 @@ func TestPriorityOrdersEntries(t *testing.T) {
 func TestMultiLegOutputMirrors(t *testing.T) {
 	e, p, hosts, counts := rig(t, 3)
 	tbl := p.AddTable("t", Drop())
-	tbl.Insert(Entry{Match: Match{InPort: Ptr(0)}, Action: OutputLegs(
+	tbl.Insert(Entry{Match: Match{InPort: Ptr(0)}, Action: Action{Kind: ActOutput, Outputs: []PortAction{
 		PortAction{Port: 1, SetDst: Ptr(hosts[1].MAC())},
 		PortAction{Port: 2, SetDst: Ptr(hosts[2].MAC())},
-	)})
+	}}})
 	hosts[0].Send(&frame.Frame{Dst: frame.NewMAC(99)})
 	e.Run()
 	if *counts[1] != 1 || *counts[2] != 1 {
@@ -126,9 +126,9 @@ func TestEgressARIDRewrite(t *testing.T) {
 		}
 	})
 	tbl := p.AddTable("t", Drop())
-	tbl.Insert(Entry{Match: Match{InPort: Ptr(0)}, Action: OutputLegs(
+	tbl.Insert(Entry{Match: Match{InPort: Ptr(0)}, Action: Action{Kind: ActOutput, Outputs: []PortAction{
 		PortAction{Port: 1, SetARID: Ptr(uint32(777))},
-	)})
+	}}})
 	cd := profinet.CyclicData{ARID: 5, Status: profinet.StatusValid, Data: []byte{1}}
 	hosts[0].Send(&frame.Frame{Dst: hosts[1].MAC(), Type: frame.TypeProfinet, Payload: cd.Marshal()})
 	e.Run()
@@ -148,10 +148,10 @@ func TestEgressRewriteDoesNotAliasOtherLegs(t *testing.T) {
 	hosts[1].OnReceive(rec)
 	hosts[2].OnReceive(rec)
 	tbl := p.AddTable("t", Drop())
-	tbl.Insert(Entry{Match: Match{InPort: Ptr(0)}, Action: OutputLegs(
+	tbl.Insert(Entry{Match: Match{InPort: Ptr(0)}, Action: Action{Kind: ActOutput, Outputs: []PortAction{
 		PortAction{Port: 1, SetDst: Ptr(hosts[1].MAC()), SetARID: Ptr(uint32(100))},
 		PortAction{Port: 2, SetDst: Ptr(hosts[2].MAC())},
-	)})
+	}}})
 	cd := profinet.CyclicData{ARID: 5, Status: profinet.StatusValid}
 	hosts[0].Send(&frame.Frame{Dst: frame.NewMAC(50), Type: frame.TypeProfinet, Payload: cd.Marshal()})
 	e.Run()
@@ -183,7 +183,7 @@ func TestPacketInPunts(t *testing.T) {
 
 func TestContinueFallsThroughTables(t *testing.T) {
 	e, p, hosts, counts := rig(t, 2)
-	t1 := p.AddTable("acl", Continue())
+	t1 := p.AddTable("acl", Action{Kind: ActContinue})
 	t1.Insert(Entry{Match: Match{Src: Ptr(frame.NewMAC(99))}, Action: Drop()})
 	t2 := p.AddTable("fwd", Drop())
 	t2.Insert(Entry{Match: Match{InPort: Ptr(0)}, Action: Output(1)})
@@ -298,7 +298,7 @@ func TestOnMatchObservesFrames(t *testing.T) {
 
 // Telemetry surface: tracing the pipeline records the punt and the
 // forward, metrics registration exposes the verdict counters live, and
-// Entries returns a copy in match order.
+// the table keeps its entries in match order.
 func TestPipelineTelemetryHooks(t *testing.T) {
 	e, p, hosts, counts := rig(t, 2)
 	if p.Name() != "dp" || p.NumPorts() != 2 {
@@ -316,7 +316,7 @@ func TestPipelineTelemetryHooks(t *testing.T) {
 	hi := Entry{Priority: 2, Match: Match{InPort: Ptr(0)}, Action: Output(1)}
 	tbl.Insert(lo)
 	tbl.Insert(hi)
-	ents := tbl.Entries()
+	ents := tbl.entries
 	if len(ents) != 2 || ents[0].Priority != 2 {
 		t.Fatalf("Entries not in match order: %+v", ents)
 	}
@@ -363,14 +363,14 @@ func TestFramesEndInThePool(t *testing.T) {
 		hosts[i].OnReceive(func(f *frame.Frame) { got[i] = f })
 	}
 	tbl := p.AddTable("t", PacketIn("miss"))
-	tbl.Insert(Entry{Match: Match{InPort: Ptr(0)}, Action: OutputLegs(
+	tbl.Insert(Entry{Match: Match{InPort: Ptr(0)}, Action: Action{Kind: ActOutput, Outputs: []PortAction{
 		PortAction{Port: 1, SetDst: Ptr(hosts[1].MAC())},
 		PortAction{Port: 99},
 		PortAction{Port: 2, SetDst: Ptr(hosts[2].MAC())},
 		PortAction{Port: -1},
-	)})
+	}}})
 	tbl.Insert(Entry{Match: Match{InPort: Ptr(1)}, Action: Drop()})
-	tbl.Insert(Entry{Match: Match{InPort: Ptr(2)}, Action: OutputLegs(PortAction{Port: 7})})
+	tbl.Insert(Entry{Match: Match{InPort: Ptr(2)}, Action: Action{Kind: ActOutput, Outputs: []PortAction{{Port: 7}}}})
 	tbl.Insert(Entry{Match: Match{InPort: Ptr(3), EtherType: Ptr(frame.TypeIPv4)}, Action: Output(0)})
 
 	send := func(from int, typ frame.EtherType) *frame.Frame {

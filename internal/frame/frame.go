@@ -172,15 +172,6 @@ func (f *Frame) MarshalInto(buf []byte) []byte {
 // ErrTruncated reports a frame shorter than its headers claim.
 var ErrTruncated = errors.New("frame: truncated")
 
-// Unmarshal parses wire bytes into a new frame; see UnmarshalInto.
-func Unmarshal(data []byte) (*Frame, error) {
-	f := &Frame{}
-	if err := UnmarshalInto(f, data); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // UnmarshalInto parses wire bytes into f, replacing its contents
 // (metadata and INT stack included — neither crosses the wire — and
 // the free-list mark and FIFO link, so the result is never linked). The
@@ -236,7 +227,11 @@ func (f *Frame) Clone() *Frame {
 	g.Payload = make([]byte, len(f.Payload))
 	copy(g.Payload, f.Payload)
 	if f.INT != nil {
-		g.INT = f.INT.Clone()
+		// The copy's hops get storage of their own, with room for
+		// MaxHops records so later transits stamp it in place.
+		s := *f.INT
+		s.Hops = append(make([]INTHop, 0, max(s.MaxHops, len(s.Hops))), s.Hops...)
+		g.INT = &s
 	}
 	return &g
 }

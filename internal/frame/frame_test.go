@@ -34,7 +34,7 @@ func TestMarshalRoundTripUntagged(t *testing.T) {
 	if len(wire) != 18 {
 		t.Fatalf("wire len = %d", len(wire))
 	}
-	g, err := Unmarshal(wire)
+	g, err := unmarshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestMarshalRoundTripTagged(t *testing.T) {
 		Type:     TypeBenchEcho,
 		Payload:  []byte{9, 9},
 	}
-	g, err := Unmarshal(f.Marshal())
+	g, err := unmarshal(f.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +69,13 @@ func TestMarshalRoundTripTagged(t *testing.T) {
 }
 
 func TestUnmarshalTruncated(t *testing.T) {
-	if _, err := Unmarshal(make([]byte, 13)); err != ErrTruncated {
+	if _, err := unmarshal(make([]byte, 13)); err != ErrTruncated {
 		t.Fatalf("err = %v", err)
 	}
 	// Claims VLAN but too short for the tag.
 	buf := make([]byte, 14)
 	buf[12], buf[13] = 0x81, 0x00
-	if _, err := Unmarshal(buf); err != ErrTruncated {
+	if _, err := unmarshal(buf); err != ErrTruncated {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -123,7 +123,7 @@ func TestIntoFormsReuseStorage(t *testing.T) {
 
 func TestVIDMaskedTo12Bits(t *testing.T) {
 	f := &Frame{Tagged: true, VID: 0xffff, Priority: 7, Type: TypeIPv4}
-	g, err := Unmarshal(f.Marshal())
+	g, err := unmarshal(f.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRoundTripProperty(t *testing.T) {
 			Tagged: tagged, Priority: PCP(pcp & 7), VID: vid & 0x0fff,
 			Type: TypeMLData, Payload: payload,
 		}
-		out, err := Unmarshal(in.Marshal())
+		out, err := unmarshal(in.Marshal())
 		if err != nil {
 			return false
 		}
@@ -185,12 +185,9 @@ func TestFrameString(t *testing.T) {
 
 func TestProbeRoundTrip(t *testing.T) {
 	p := Probe{Seq: 42, FlowID: 7, TS1: 1111, TS2: 2222, Padding: []byte{0xaa}}
-	buf, err := MarshalProbe(p, 32)
-	if err != nil {
+	buf := make([]byte, 32)
+	if err := MarshalProbeInto(p, buf); err != nil {
 		t.Fatal(err)
-	}
-	if len(buf) != 32 {
-		t.Fatalf("len = %d", len(buf))
 	}
 	q, err := UnmarshalProbe(buf)
 	if err != nil {
@@ -205,7 +202,7 @@ func TestProbeRoundTrip(t *testing.T) {
 }
 
 func TestProbeMinimumSize(t *testing.T) {
-	if _, err := MarshalProbe(Probe{}, 20); err != ErrProbeTooShort {
+	if err := MarshalProbeInto(Probe{}, make([]byte, 20)); err != ErrProbeTooShort {
 		t.Fatalf("20-byte probe err = %v (fixed fields need 24)", err)
 	}
 	if _, err := UnmarshalProbe(make([]byte, 10)); err != ErrProbeTooShort {
@@ -215,8 +212,8 @@ func TestProbeMinimumSize(t *testing.T) {
 
 func TestProbeTimestampOffsetsMatchEncoding(t *testing.T) {
 	p := Probe{TS1: 0x1122334455667788, TS2: 0x99aabbccddeeff00}
-	buf, err := MarshalProbe(p, 24)
-	if err != nil {
+	buf := make([]byte, 24)
+	if err := MarshalProbeInto(p, buf); err != nil {
 		t.Fatal(err)
 	}
 	o1, o2 := ProbeTimestampOffsets()
@@ -243,7 +240,7 @@ func TestUnmarshalArbitraryBytesNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		fr, err := Unmarshal(raw)
+		fr, err := unmarshal(raw)
 		if err == nil {
 			// A parsed frame re-marshals without panicking too.
 			_ = fr.Marshal()
@@ -433,4 +430,10 @@ func bodyOctet(payload []byte, i int) byte {
 		return payload[i]
 	}
 	return 0
+}
+
+// unmarshal parses wire bytes into a new frame.
+func unmarshal(data []byte) (*Frame, error) {
+	f := &Frame{}
+	return f, UnmarshalInto(f, data)
 }

@@ -110,17 +110,3 @@ func (s *INTStack) PushHop(h INTHop) bool {
 // WireBytes is the stack's current on-wire footprint: the shim plus the
 // stamped hop records.
 func (s *INTStack) WireBytes() int { return INTShimBytes + len(s.Hops)*INTHopBytes }
-
-// Clone returns a deep copy with independent hop storage (and the same
-// remaining capacity, so later transits stamp the copy without
-// reallocating past MaxHops).
-func (s *INTStack) Clone() *INTStack {
-	c := *s
-	capHops := s.MaxHops
-	if capHops < len(s.Hops) {
-		capHops = len(s.Hops)
-	}
-	c.Hops = make([]INTHop, len(s.Hops), capHops)
-	copy(c.Hops, s.Hops)
-	return &c
-}

@@ -77,7 +77,7 @@ func (p *Pool) Clone(f *Frame) *Frame {
 	copy(g.Payload, f.Payload)
 	if src := f.INT; src != nil {
 		// The struct copy aliased f's stack; g gets one of its own with
-		// room for MaxHops records, like INTStack.Clone leaves, so later
+		// room for MaxHops records, as Frame.Clone leaves, so later
 		// transits stamp the copy in place.
 		g.INT = nil
 		s := p.AttachINT(g, src.Source, src.FlowID, src.Seq, src.SourceNS, src.MaxHops)

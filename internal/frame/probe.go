@@ -24,19 +24,6 @@ const probeFixedLen = 4 + 4 + 8 + 8
 // ErrProbeTooShort reports a probe payload below the fixed field size.
 var ErrProbeTooShort = errors.New("frame: probe payload too short")
 
-// MarshalProbe encodes p into a payload of exactly size bytes.
-// size must be at least the fixed field length (24).
-func MarshalProbe(p Probe, size int) ([]byte, error) {
-	if size < probeFixedLen {
-		return nil, ErrProbeTooShort
-	}
-	buf := make([]byte, size)
-	if err := MarshalProbeInto(p, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // MarshalProbeInto encodes p into buf (typically a pooled payload),
 // writing the fixed fields and padding. Bytes of buf beyond the fixed
 // fields and p.Padding are left untouched.

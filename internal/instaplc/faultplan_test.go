@@ -166,3 +166,53 @@ func TestConnectRequestBoundsAreAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestHorizonAndBinBoundsAreAnError: a harness sizes its Fig. 5 rate
+// series from Horizon/Bin when it is built. BuildHarness refuses a
+// negative horizon, a bin that is not positive and more than maxBins
+// bins, and a checkpoint recording one restores to that error instead
+// of panicking inside the replay.
+func TestHorizonAndBinBoundsAreAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(*ExperimentConfig)
+	}{
+		{"negative horizon", func(c *ExperimentConfig) { c.Horizon = -time.Second }},
+		{"zero bin", func(c *ExperimentConfig) { c.Bin = 0 }},
+		{"negative bin", func(c *ExperimentConfig) { c.Bin = -50 * time.Millisecond }},
+		{"bins past the bound", func(c *ExperimentConfig) { c.Horizon, c.Bin = 1<<62, time.Nanosecond }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("a forged configuration panicked: %v", p)
+				}
+			}()
+			cfg := DefaultExperimentConfig()
+			tc.forge(&cfg)
+			if h, err := BuildHarness(cfg); err == nil || h != nil {
+				t.Fatalf("BuildHarness = %v, %v; want an error", h, err)
+			}
+			h := NewHarness(DefaultExperimentConfig())
+			h.AdvanceTo(sim.Time(10 * time.Millisecond))
+			tc.forge(&h.cfg)
+			var ck bytes.Buffer
+			if err := h.Save(&ck); err != nil {
+				t.Fatal(err)
+			}
+			if h, err := RestoreWith(&ck, sweep.Sinks{}); err == nil || h != nil {
+				t.Fatalf("RestoreWith = %v, %v; want an error", h, err)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		horizon time.Duration
+		ok      bool
+	}{{maxBins * time.Nanosecond, true}, {(maxBins + 1) * time.Nanosecond, false}} {
+		cfg := DefaultExperimentConfig()
+		cfg.Horizon, cfg.Bin = tc.horizon, time.Nanosecond
+		if err := CheckConnect(cfg); (err == nil) != tc.ok {
+			t.Errorf("CheckConnect with %v 1ns bins = %v, want ok=%v", tc.horizon, err, tc.ok)
+		}
+	}
+}

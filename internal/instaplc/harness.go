@@ -64,9 +64,9 @@ func NewHarness(cfg ExperimentConfig) *Harness {
 
 // BuildHarness builds the Fig. 5 scenario without running it. The
 // returned harness is at time zero with everything scheduled. cfg may
-// come from a command line, a run spec or a checkpoint: an IO cycle or
-// watchdog factor the connect request cannot carry, or a fault plan
-// naming a target the scenario does not register, is an error.
+// come from a command line, a run spec or a checkpoint: what
+// CheckConnect refuses, or a fault plan naming a target the scenario
+// does not register, is an error.
 func BuildHarness(cfg ExperimentConfig) (*Harness, error) {
 	if err := CheckConnect(cfg); err != nil {
 		return nil, err
@@ -175,16 +175,27 @@ func BuildHarness(cfg ExperimentConfig) (*Harness, error) {
 	return h, nil
 }
 
+// maxBins bounds the Fig. 5 rate series a run allocates up front, as
+// reflection bounds a cell's delay slab.
+const maxBins = 1 << 24
+
 // CheckConnect refuses an IO cycle or device watchdog factor the
 // PROFINET connect request cannot carry. It holds the cycle as a whole
 // number of microseconds in a uint32 and the factor in a uint16 (see
 // profinet.ConnectRequest): anything else would be truncated or wrap on
 // the wire, and a cycle below 1 µs would reach the watchdogs as zero.
-// BuildHarness runs it; a sweep deriving its cells from one base
-// configuration runs it once, before any cell.
+// It also refuses a negative horizon, a rate bin that is not positive,
+// and more than maxBins bins. BuildHarness runs it; a sweep deriving its
+// cells from one base configuration runs it once, before any cell.
 func CheckConnect(cfg ExperimentConfig) error {
 	const maxCycle = math.MaxUint32 * time.Microsecond
 	switch {
+	case cfg.Horizon < 0:
+		return fmt.Errorf("instaplc: negative horizon %v", cfg.Horizon)
+	case cfg.Bin <= 0:
+		return fmt.Errorf("instaplc: rate bin %v is not positive", cfg.Bin)
+	case cfg.Horizon/cfg.Bin > maxBins:
+		return fmt.Errorf("instaplc: a %v horizon in %v bins is more than %d bins", cfg.Horizon, cfg.Bin, maxBins)
 	case cfg.Cycle < time.Microsecond || cfg.Cycle > maxCycle || cfg.Cycle%time.Microsecond != 0:
 		return fmt.Errorf("instaplc: the connect request cannot carry an IO cycle of %v: want whole microseconds from 1µs to %v", cfg.Cycle, maxCycle)
 	case cfg.DeviceWatchdogFactor < 1 || cfg.DeviceWatchdogFactor > math.MaxUint16:

@@ -13,9 +13,7 @@ package intnet
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 
 	"steelnet/internal/checkpoint"
 	"steelnet/internal/frame"
@@ -306,15 +304,6 @@ func (c *Collector) Digests() []*PathDigest { return c.order }
 // PathChanges returns recorded path changes in observation order.
 func (c *Collector) PathChanges() []PathChange { return c.changes }
 
-// FlowLoss returns the received/lost/reordered counters for one flow at
-// one sink (zeros when never seen).
-func (c *Collector) FlowLoss(sink string, flow uint32) (received, lost, reordered uint64) {
-	if fs := c.flows[flowKey{sink: sink, flow: flow}]; fs != nil {
-		return fs.received, fs.lost, fs.reordered
-	}
-	return 0, 0, 0
-}
-
 // Absorb merges other's state into c: digests for paths c has not seen
 // are appended in other's first-seen order, shared paths merge their
 // aggregates, flow counters add, and path changes append. Parallel
@@ -551,33 +540,4 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Summary renders a compact multi-line text overview, one line per path
-// digest, sorted export order. Used by the CLIs' -stats output.
-func (c *Collector) Summary() string {
-	var b []byte
-	for _, p := range c.order {
-		b = append(b, fmt.Sprintf("int: %s->%s flow=%d frames=%d path=%v mean=%.0fns min=%dns max=%dns jitter=%.0fns\n",
-			p.Source, p.Sink, p.Flow, p.Count, p.Hops, p.MeanNS(), p.MinNS, p.MaxNS, p.MeanJitterNS())...)
-	}
-	keys := append([]flowKey(nil), c.fkeys...)
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].sink != keys[j].sink {
-			return keys[i].sink < keys[j].sink
-		}
-		return keys[i].flow < keys[j].flow
-	})
-	for _, fk := range keys {
-		fs := c.flows[fk]
-		if fs.lost > 0 || fs.reordered > 0 {
-			b = append(b, fmt.Sprintf("int: %s flow=%d lost=%d reordered=%d of %d\n",
-				fk.sink, fk.flow, fs.lost, fs.reordered, fs.received)...)
-		}
-	}
-	for _, ch := range c.changes {
-		b = append(b, fmt.Sprintf("int: path-change sink=%s flow=%d at=%dns gap=%dns\n",
-			ch.Sink, ch.Flow, ch.AtNS, ch.GapNS)...)
-	}
-	return string(b)
 }

@@ -65,12 +65,12 @@ func TestCollectorLossAndReorder(t *testing.T) {
 	sinkFrame(c, "dst", "src", 1, 3, 0, 30) // late arrival
 	sinkFrame(c, "dst", "src", 1, 5, 0, 40)
 
-	recv, lost, reord := c.FlowLoss("dst", 1)
-	if recv != 4 || lost != 2 || reord != 1 {
-		t.Fatalf("FlowLoss = recv %d lost %d reordered %d, want 4/2/1", recv, lost, reord)
+	fs := c.flows[flowKey{sink: "dst", flow: 1}]
+	if fs.received != 4 || fs.lost != 2 || fs.reordered != 1 {
+		t.Fatalf("flow counters = recv %d lost %d reordered %d, want 4/2/1", fs.received, fs.lost, fs.reordered)
 	}
-	if r, l, o := c.FlowLoss("dst", 99); r != 0 || l != 0 || o != 0 {
-		t.Fatalf("unknown flow reported %d/%d/%d", r, l, o)
+	if fs := c.flows[flowKey{sink: "dst", flow: 99}]; fs != nil {
+		t.Fatalf("unknown flow reported %+v", *fs)
 	}
 }
 
@@ -175,11 +175,10 @@ func TestCollectorAbsorb(t *testing.T) {
 			t.Fatalf("path %d hop counts did not add", i)
 		}
 	}
-	ar, al, _ := a.FlowLoss("dst", 1)
-	br, bl, _ := b.FlowLoss("dst", 1)
-	mr, ml, _ := merged.FlowLoss("dst", 1)
-	if mr != ar+br || ml != al+bl {
-		t.Fatalf("flow counters = %d/%d, want %d/%d", mr, ml, ar+br, al+bl)
+	k := flowKey{sink: "dst", flow: 1}
+	fa, fb, fm := a.flows[k], b.flows[k], merged.flows[k]
+	if fm.received != fa.received+fb.received || fm.lost != fa.lost+fb.lost {
+		t.Fatalf("flow counters = %d/%d, want %d/%d", fm.received, fm.lost, fa.received+fb.received, fa.lost+fb.lost)
 	}
 	if len(merged.PathChanges()) != len(a.PathChanges())+len(b.PathChanges()) {
 		t.Fatalf("path changes = %d, want %d", len(merged.PathChanges()), len(a.PathChanges())+len(b.PathChanges()))
@@ -241,8 +240,5 @@ func TestCollectorExportDeterministic(t *testing.T) {
 	}
 	if digestOf(c1) != digestOf(c2) {
 		t.Fatal("two identical feeds produced different fold digests")
-	}
-	if c1.Summary() != c2.Summary() {
-		t.Fatal("two identical feeds produced different summaries")
 	}
 }

@@ -105,21 +105,12 @@ func (r *Recorder) Observe(e telemetry.Event) {
 	}
 }
 
-// Trigger records a manual dump-worthy moment (checkpoint divergence,
-// test failure).
-func (r *Recorder) Trigger(reason, detail string, atNS int64) {
-	r.fire(Trigger{Reason: reason, Detail: detail, AtNS: atNS})
-}
-
 func (r *Recorder) fire(t Trigger) {
 	r.triggers = append(r.triggers, t)
 	if r.OnTrigger != nil {
 		r.OnTrigger(t)
 	}
 }
-
-// Triggers returns the recorded triggers in occurrence order.
-func (r *Recorder) Triggers() []Trigger { return r.triggers }
 
 // Empty reports whether the recorder has seen no events and no
 // triggers — the CLI uses it to decide whether a merge-based sweep
@@ -253,6 +244,6 @@ func DumpOnFailure(t FailingTest, r *Recorder) {
 			return '_'
 		}
 	}, t.Name())
-	r.Trigger("test-failure", t.Name(), -1)
+	r.fire(Trigger{Reason: "test-failure", Detail: t.Name(), AtNS: -1})
 	_ = r.DumpToFile(filepath.Join(dir, fmt.Sprintf("flightrec-%s.jsonl", name)))
 }

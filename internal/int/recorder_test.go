@@ -59,11 +59,10 @@ func TestRecorderAutoTriggers(t *testing.T) {
 	r.Observe(ev("sw", 1))
 	r.Observe(telemetry.Event{T: 5, Kind: telemetry.KindFaultInject, Node: "link", Detail: "linkdown:link@5ms"})
 	r.Observe(telemetry.Event{T: 9, Kind: telemetry.KindSLOBreach, Node: "dst", Detail: "latency:dst<1µs"})
-	r.Trigger("checkpoint-divergence", "digest mismatch", 12)
 
-	tgs := r.Triggers()
-	if len(tgs) != 3 {
-		t.Fatalf("got %d triggers, want 3", len(tgs))
+	tgs := r.triggers
+	if len(tgs) != 2 {
+		t.Fatalf("got %d triggers, want 2", len(tgs))
 	}
 	if tgs[0].Reason != "fault-inject" || tgs[0].Node != "link" || tgs[0].AtNS != 5 {
 		t.Fatalf("fault trigger = %+v", tgs[0])
@@ -71,11 +70,8 @@ func TestRecorderAutoTriggers(t *testing.T) {
 	if tgs[1].Reason != "slo-breach" || tgs[1].Detail != "latency:dst<1µs" {
 		t.Fatalf("slo trigger = %+v", tgs[1])
 	}
-	if tgs[2].Reason != "checkpoint-divergence" || tgs[2].AtNS != 12 {
-		t.Fatalf("manual trigger = %+v", tgs[2])
-	}
-	if len(hook) != 3 {
-		t.Fatalf("OnTrigger fired %d times, want 3", len(hook))
+	if len(hook) != 2 {
+		t.Fatalf("OnTrigger fired %d times, want 2", len(hook))
 	}
 }
 
@@ -90,7 +86,7 @@ func TestRecorderAttachObservesTracer(t *testing.T) {
 	if r.Empty() {
 		t.Fatal("attached recorder saw nothing")
 	}
-	if got := len(r.Triggers()); got != 2 {
+	if got := len(r.triggers); got != 2 {
 		t.Fatalf("got %d auto-triggers via Attach, want 2", got)
 	}
 	r2 := NewRecorder()
@@ -105,7 +101,7 @@ func TestRecorderDumpDeterministicOrder(t *testing.T) {
 		r.Observe(ev("z", 1))
 		r.Observe(ev("a", 2))
 		r.Observe(ev("z", 3))
-		r.Trigger("test", "detail", 4)
+		r.fire(Trigger{Reason: "test", Detail: "detail", AtNS: 4})
 		return r
 	}
 	var b1, b2 bytes.Buffer

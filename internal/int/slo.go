@@ -314,16 +314,6 @@ func (w *Watchdog) Absorb(other *Watchdog) {
 // have ClearedAtNS == -1).
 func (w *Watchdog) Breaches() []Breach { return w.breaches }
 
-// InBreach reports whether any objective is currently breached.
-func (w *Watchdog) InBreach() bool {
-	for _, st := range w.states {
-		if st.inBreach {
-			return true
-		}
-	}
-	return false
-}
-
 // WriteBreachLog exports the breach log as JSON lines in onset order.
 func (w *Watchdog) WriteBreachLog(out io.Writer) error {
 	enc := json.NewEncoder(out)

@@ -79,25 +79,25 @@ func TestWatchdogHysteresis(t *testing.T) {
 	}
 
 	feed(over, 2) // two over: not enough
-	if w.InBreach() {
+	if inBreach(w) {
 		t.Fatal("breached after 2 consecutive over (hysteresis 3)")
 	}
 	feed(under, 1) // resets the over counter
 	feed(over, 2)
-	if w.InBreach() {
+	if inBreach(w) {
 		t.Fatal("breached across a reset over-run")
 	}
 	feed(over, 1) // third consecutive: breach opens
-	if !w.InBreach() {
+	if !inBreach(w) {
 		t.Fatal("not breached after 3 consecutive over")
 	}
 	breachAt := at
 	feed(under, 2)
-	if !w.InBreach() {
+	if !inBreach(w) {
 		t.Fatal("cleared after only 2 consecutive under")
 	}
 	feed(under, 1)
-	if w.InBreach() {
+	if inBreach(w) {
 		t.Fatal("still breached after 3 consecutive under")
 	}
 
@@ -141,18 +141,18 @@ func TestWatchdogLossObjective(t *testing.T) {
 	}
 	w := NewWatchdog(plan, nil) // nil tracer must be safe
 	w.Observe(Observation{Sink: "dst", AtNS: 10})
-	if w.InBreach() {
+	if inBreach(w) {
 		t.Fatal("breached with zero loss")
 	}
 	// One arrival exposing 3 lost frames (3/5 = 60% > 10%), then two
 	// clean ones (3/6, 3/7): the third over-bound observation breaches.
 	w.Observe(Observation{Sink: "dst", AtNS: 20, NewlyLost: 3})
 	w.Observe(Observation{Sink: "dst", AtNS: 30})
-	if w.InBreach() {
+	if inBreach(w) {
 		t.Fatal("breached after two over-bound observations")
 	}
 	w.Observe(Observation{Sink: "dst", AtNS: 40})
-	if !w.InBreach() {
+	if !inBreach(w) {
 		t.Fatal("not breached at 43% cumulative loss")
 	}
 	if m := w.Breaches()[0].Measured; m != 428_571 {
@@ -270,7 +270,7 @@ func TestWatchdogAbsorb(t *testing.T) {
 	if bs[1].Sink != "sinkB" || bs[1].ClearedAtNS != -1 {
 		t.Fatalf("breach 1 = %+v, want open sinkB", bs[1])
 	}
-	if !merged.InBreach() {
+	if !inBreach(merged) {
 		t.Fatal("merged watchdog lost sinkB's open breach")
 	}
 	// The open breach's state index survived the offset: clearing it
@@ -278,7 +278,7 @@ func TestWatchdogAbsorb(t *testing.T) {
 	for i := 0; i < Consecutive; i++ {
 		merged.Observe(obs("sinkB", int64(300+i), 100))
 	}
-	if merged.InBreach() {
+	if inBreach(merged) {
 		t.Fatal("absorbed open breach did not clear")
 	}
 	if merged.Breaches()[1].ClearedAtNS != 302 {
@@ -324,4 +324,14 @@ func TestWatchdogAbsorbRejectsOverlapAndPlanMismatch(t *testing.T) {
 		}()
 		a.Absorb(c)
 	}()
+}
+
+// inBreach reports whether any objective of w is currently breached.
+func inBreach(w *Watchdog) bool {
+	for _, st := range w.states {
+		if st.inBreach {
+			return true
+		}
+	}
+	return false
 }

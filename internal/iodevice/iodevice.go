@@ -143,14 +143,6 @@ func (d *Device) handle(f *frame.Frame) {
 			return
 		}
 		d.teardown()
-	case profinet.FrameIDDCPIdentify:
-		req, err := profinet.UnmarshalDCPIdentify(f.Payload)
-		if err != nil || !profinet.MatchesFilter(d.name, req.Filter) {
-			return
-		}
-		d.reply(f.Src, profinet.DCPIdentifyResponse{
-			XID: req.XID, StationName: d.name, DeviceRole: profinet.RoleIODevice,
-		}.Marshal())
 	}
 }
 

@@ -110,68 +110,6 @@ func TestAvailabilityReportString(t *testing.T) {
 	}
 }
 
-func TestRateSeriesBinning(t *testing.T) {
-	r := NewRateSeries(0, 50*time.Millisecond)
-	for i := 0; i < 10; i++ {
-		r.Record(int64(i) * int64(10*time.Millisecond)) // 0..90ms
-	}
-	counts := r.Counts(int64(100 * time.Millisecond))
-	if len(counts) != 3 {
-		t.Fatalf("bins = %d, want 3", len(counts))
-	}
-	if counts[0] != 5 || counts[1] != 5 || counts[2] != 0 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
-func TestRateSeriesIgnoresEarlyEvents(t *testing.T) {
-	r := NewRateSeries(1000, time.Millisecond)
-	r.Record(500)
-	if got := r.Counts(2000); got[0] != 0 {
-		t.Fatalf("counts = %v", got)
-	}
-}
-
-func TestRateSeriesSteadyRate(t *testing.T) {
-	r := NewRateSeries(0, time.Millisecond)
-	// 10 bins of ~31, one zero bin in the middle.
-	for bin := 0; bin < 10; bin++ {
-		if bin == 5 {
-			continue
-		}
-		for i := 0; i < 31; i++ {
-			r.Record(int64(bin)*int64(time.Millisecond) + int64(i))
-		}
-	}
-	if sr := r.SteadyRate(); sr != 31 {
-		t.Fatalf("steady rate = %v", sr)
-	}
-}
-
-func TestRateSeriesGapsIgnoresEdges(t *testing.T) {
-	r := NewRateSeries(0, time.Millisecond)
-	occupied := []int{2, 3, 6, 7} // bins with traffic; 4,5 is a real gap
-	for _, bin := range occupied {
-		for i := 0; i < 5; i++ {
-			r.Record(int64(bin)*int64(time.Millisecond) + int64(i))
-		}
-	}
-	gaps := r.Gaps(1)
-	if len(gaps) != 1 {
-		t.Fatalf("gaps = %+v", gaps)
-	}
-	if gaps[0].FirstBin != 4 || gaps[0].Bins != 2 {
-		t.Fatalf("gap = %+v", gaps[0])
-	}
-}
-
-func TestRateSeriesNoTrafficNoGaps(t *testing.T) {
-	r := NewRateSeries(0, time.Millisecond)
-	if gaps := r.Gaps(1); gaps != nil {
-		t.Fatalf("gaps = %+v", gaps)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("a", "1")

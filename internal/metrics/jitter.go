@@ -77,17 +77,6 @@ func Bursts(jitter *Series, threshold float64, minRun int) []BurstEvent {
 	return events
 }
 
-// WorstBurst returns the longest burst, or a zero BurstEvent when none.
-func WorstBurst(jitter *Series, threshold float64) BurstEvent {
-	var worst BurstEvent
-	for _, b := range Bursts(jitter, threshold, 1) {
-		if b.Length > worst.Length {
-			worst = b
-		}
-	}
-	return worst
-}
-
 // WouldTripWatchdog reports whether any burst reaches the watchdog's
 // consecutive-miss budget — i.e. whether a real PROFINET device fed this
 // delay pattern would have halted for safety.

@@ -7,7 +7,6 @@
 package metrics
 
 import (
-	"fmt"
 	"iter"
 	"math"
 	"sort"
@@ -146,16 +145,6 @@ func (s *Series) All() iter.Seq[float64] {
 	}
 }
 
-// CDFAt returns P(X <= x), the empirical CDF evaluated at x.
-func (s *Series) CDFAt(x float64) float64 {
-	ss := s.ensureSorted()
-	if len(ss) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(ss, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(ss))
-}
-
 // CDF returns points quantile-spaced CDF points (x, P(X<=x)), suitable for
 // plotting. points must be >= 2.
 func (s *Series) CDF(points int) []CDFPoint {
@@ -188,34 +177,4 @@ func (s *Series) ensureSorted() []float64 {
 		s.dirty = false
 	}
 	return s.sorted
-}
-
-// Summary is a compact statistical digest of a series.
-type Summary struct {
-	N             int
-	Mean, Stddev  float64
-	Min, Max      float64
-	P50, P90, P99 float64
-	P999          float64
-}
-
-// Summarize computes a Summary of the series.
-func (s *Series) Summarize() Summary {
-	return Summary{
-		N:      s.Len(),
-		Mean:   s.Mean(),
-		Stddev: s.Stddev(),
-		Min:    s.Min(),
-		Max:    s.Max(),
-		P50:    s.Quantile(0.50),
-		P90:    s.Quantile(0.90),
-		P99:    s.Quantile(0.99),
-		P999:   s.Quantile(0.999),
-	}
-}
-
-// String renders the summary on one line.
-func (sm Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.1f sd=%.1f min=%.1f p50=%.1f p90=%.1f p99=%.1f p99.9=%.1f max=%.1f",
-		sm.N, sm.Mean, sm.Stddev, sm.Min, sm.P50, sm.P90, sm.P99, sm.P999, sm.Max)
 }

@@ -45,9 +45,6 @@ func TestEmptySeriesIsSafe(t *testing.T) {
 	if s.Quantile(0.5) != 0 {
 		t.Fatal("empty quantile not zero")
 	}
-	if s.CDFAt(10) != 0 {
-		t.Fatal("empty CDF not zero")
-	}
 }
 
 func TestQuantileInterpolation(t *testing.T) {
@@ -87,21 +84,6 @@ func TestQuantileMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCDFAtMatchesCounting(t *testing.T) {
-	s := seriesOf(1, 2, 2, 3, 10)
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{0, 0}, {1, 0.2}, {2, 0.6}, {2.5, 0.6}, {3, 0.8}, {10, 1}, {11, 1},
-	}
-	for _, c := range cases {
-		if got := s.CDFAt(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("CDFAt(%v) = %v, want %v", c.x, got, c.want)
-		}
 	}
 }
 
@@ -145,23 +127,6 @@ func TestAddDuration(t *testing.T) {
 	s.AddDuration(1500 * time.Nanosecond)
 	if s.Max() != 1500 {
 		t.Fatalf("AddDuration stored %v", s.Max())
-	}
-}
-
-func TestSummaryFields(t *testing.T) {
-	s := NewSeries(100)
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	sm := s.Summarize()
-	if sm.N != 100 || sm.Min != 1 || sm.Max != 100 {
-		t.Fatalf("summary = %+v", sm)
-	}
-	if sm.P50 < 50 || sm.P50 > 51 {
-		t.Fatalf("P50 = %v", sm.P50)
-	}
-	if sm.String() == "" {
-		t.Fatal("empty summary string")
 	}
 }
 
@@ -225,14 +190,6 @@ func TestWouldTripWatchdog(t *testing.T) {
 	}
 	if !WouldTripWatchdog(j, 1, 2) {
 		t.Fatal("did not trip with budget 2")
-	}
-}
-
-func TestWorstBurst(t *testing.T) {
-	j := seriesOf(5, 0, 5, 5, 5, 0, 5)
-	w := WorstBurst(j, 1)
-	if w.Length != 3 || w.Start != 2 {
-		t.Fatalf("worst = %+v", w)
 	}
 }
 

@@ -149,6 +149,7 @@ func (h *Harness) Digest() uint64 {
 }
 
 // Save writes a replay-anchored checkpoint of the cell to w.
+// No command checkpoints a single cell yet; ROADMAP.md plans to.
 func (h *Harness) Save(w io.Writer) error {
 	config := checkpoint.Encode(WalkScenario, &h.sc)
 	return checkpoint.WriteHarness(w, CheckpointKind, config, int64(h.b.engine.Now()), h.Digest())
@@ -159,6 +160,7 @@ func (h *Harness) Save(w io.Writer) error {
 // the state digest. A collector handed in must be empty: the replay
 // feeds it, and anything chained on its OnSink, from instant zero. A
 // recorded scenario no cell can be built from is an error.
+// No command checkpoints a single cell yet; ROADMAP.md plans to.
 func Restore(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
 	return checkpoint.Replay[sim.Time](r, CheckpointKind, WalkScenario,
 		func(sc Scenario) (*Harness, error) {

@@ -21,8 +21,8 @@ func TestNoFrameLeaksUnderLinkChaos(t *testing.T) {
 	e := sim.NewEngine(1)
 	p := ObjectIdentification
 	p.Period = 2 * time.Millisecond
-	srv := NewServer(e, "srv", frame.NewMAC(100), p)
-	cli := NewClient(e, "cli", 1, frame.NewMAC(1), frame.NewMAC(100), p, Degradation{CompressionRatio: 1})
+	srv := AttachServer(e, simnet.NewHost(e, "srv", frame.NewMAC(100)), p)
+	cli := AttachClient(e, simnet.NewHost(e, "cli", frame.NewMAC(1)), 1, frame.NewMAC(100), p, Degradation{CompressionRatio: 1})
 	link := simnet.Connect(e, "cl-srv", cli.Host().Port(), srv.Host().Port(), 1e9, sim.Microsecond)
 	cli.UsePool(&frame.Pool{})
 	srv.UsePool(&frame.Pool{})
@@ -44,7 +44,7 @@ func TestNoFrameLeaksUnderLinkChaos(t *testing.T) {
 
 	cli.Start(0)
 	e.RunUntil(sim.Time(400 * time.Millisecond))
-	cli.Stop()
+	cli.ticker.Stop()
 	e.Run() // drain every in-flight frame and pending recovery
 
 	if in.Injected != 24 {
@@ -82,8 +82,8 @@ func TestCorruptionBurstDoesNotLeakOrCrash(t *testing.T) {
 	e := sim.NewEngine(2)
 	p := ObjectIdentification
 	p.Period = 2 * time.Millisecond
-	srv := NewServer(e, "srv", frame.NewMAC(100), p)
-	cli := NewClient(e, "cli", 1, frame.NewMAC(1), frame.NewMAC(100), p, Degradation{CompressionRatio: 1})
+	srv := AttachServer(e, simnet.NewHost(e, "srv", frame.NewMAC(100)), p)
+	cli := AttachClient(e, simnet.NewHost(e, "cli", frame.NewMAC(1)), 1, frame.NewMAC(100), p, Degradation{CompressionRatio: 1})
 	simnet.Connect(e, "cl-srv", cli.Host().Port(), srv.Host().Port(), 1e9, sim.Microsecond)
 	cli.UsePool(&frame.Pool{})
 	srv.UsePool(&frame.Pool{})
@@ -100,7 +100,7 @@ func TestCorruptionBurstDoesNotLeakOrCrash(t *testing.T) {
 
 	cli.Start(0)
 	e.RunUntil(sim.Time(200 * time.Millisecond))
-	cli.Stop()
+	cli.ticker.Stop()
 	e.Run()
 
 	if cli.Host().Port().CorruptedFrames == 0 && srv.Host().Port().CorruptedFrames == 0 {

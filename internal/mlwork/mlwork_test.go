@@ -109,7 +109,8 @@ func TestChooseCompression(t *testing.T) {
 
 func TestHeaderRoundTrip(t *testing.T) {
 	h := header{ClientID: 7, ReqID: 9, FragIdx: 3, FragCount: 5, Kind: kindRequest}
-	buf := marshalHeader(h, []byte{1, 2})
+	buf := make([]byte, headerLen+2)
+	putHeader(buf, h)
 	got, err := unmarshalHeader(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +127,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 func mlRig(t *testing.T, p Profile, deg Degradation, linkBps float64) (*sim.Engine, *Client, *Server) {
 	t.Helper()
 	e := sim.NewEngine(1)
-	srv := NewServer(e, "srv", frame.NewMAC(100), p)
-	cli := NewClient(e, "cli", 1, frame.NewMAC(1), frame.NewMAC(100), p, deg)
+	srv := AttachServer(e, simnet.NewHost(e, "srv", frame.NewMAC(100)), p)
+	cli := AttachClient(e, simnet.NewHost(e, "cli", frame.NewMAC(1)), 1, frame.NewMAC(100), p, deg)
 	sw := simnet.NewSwitch(e, "sw", 2, simnet.DefaultSwitchConfig)
 	simnet.Connect(e, "c", cli.Host().Port(), sw.Port(0), linkBps, 500*sim.Nanosecond)
 	simnet.Connect(e, "s", srv.Host().Port(), sw.Port(1), linkBps, 500*sim.Nanosecond)
@@ -138,7 +139,6 @@ func TestRequestResponseRoundTrip(t *testing.T) {
 	e, cli, srv := mlRig(t, ObjectIdentification, Degradation{CompressionRatio: 1}, 10e9)
 	cli.Start(0)
 	e.RunUntil(sim.Time(time.Second))
-	cli.Stop()
 	if cli.Completed < 9 {
 		t.Fatalf("completed = %d", cli.Completed)
 	}
@@ -180,7 +180,7 @@ func TestServerQueuesUnderLoad(t *testing.T) {
 	// Many clients, one server: the queue must grow and latency rise.
 	e := sim.NewEngine(1)
 	p := ObjectIdentification
-	srv := NewServer(e, "srv", frame.NewMAC(100), p)
+	srv := AttachServer(e, simnet.NewHost(e, "srv", frame.NewMAC(100)), p)
 	sw := simnet.NewSwitch(e, "sw", 17, simnet.DefaultSwitchConfig)
 	// Deep buffer on the server-facing port: the incast of 16×65
 	// fragments must queue, not tail-drop, for this test's purpose.
@@ -188,7 +188,7 @@ func TestServerQueuesUnderLoad(t *testing.T) {
 	simnet.Connect(e, "s", srv.Host().Port(), sw.Port(16), 10e9, 500*sim.Nanosecond)
 	clients := make([]*Client, 16)
 	for i := range clients {
-		clients[i] = NewClient(e, "c", uint32(i+1), frame.NewMAC(uint32(i+1)), frame.NewMAC(100), p, Degradation{CompressionRatio: 1})
+		clients[i] = AttachClient(e, simnet.NewHost(e, "c", frame.NewMAC(uint32(i+1))), uint32(i+1), frame.NewMAC(100), p, Degradation{CompressionRatio: 1})
 		simnet.Connect(e, "c", clients[i].Host().Port(), sw.Port(i), 10e9, 500*sim.Nanosecond)
 		clients[i].Start(0) // all synchronized: worst case burst
 	}
@@ -233,14 +233,14 @@ func TestMLServeZeroAllocs(t *testing.T) {
 	p := Profile{FrameBytes: 3*MTU + 100, ResultBytes: 64, Period: time.Millisecond,
 		InferCPU: 200 * time.Microsecond, Deadline: time.Second}
 	e := sim.NewEngine(1)
-	srv := NewServer(e, "srv", frame.NewMAC(100), p)
+	srv := AttachServer(e, simnet.NewHost(e, "srv", frame.NewMAC(100)), p)
 	sw := simnet.NewSwitch(e, "sw", 3, simnet.DefaultSwitchConfig)
 	simnet.Connect(e, "s", srv.Host().Port(), sw.Port(2), 10e9, 500*sim.Nanosecond)
 	pool := &frame.Pool{}
 	srv.UsePool(pool)
 	clients := make([]*Client, 2)
 	for i := range clients {
-		c := NewClient(e, "c", uint32(i+1), frame.NewMAC(uint32(i+1)), frame.NewMAC(100), p, Degradation{CompressionRatio: 1})
+		c := AttachClient(e, simnet.NewHost(e, "c", frame.NewMAC(uint32(i+1))), uint32(i+1), frame.NewMAC(100), p, Degradation{CompressionRatio: 1})
 		simnet.Connect(e, "c", c.Host().Port(), sw.Port(i), 10e9, 500*sim.Nanosecond)
 		c.UsePool(pool)
 		c.Latencies = metrics.NewSeries(1 << 12)

@@ -35,13 +35,6 @@ type header struct {
 	Kind      uint8
 }
 
-func marshalHeader(h header, body []byte) []byte {
-	buf := make([]byte, headerLen+len(body))
-	putHeader(buf, h)
-	copy(buf[headerLen:], body)
-	return buf
-}
-
 // putHeader writes h into the first headerLen bytes of buf. Fragments
 // and responses store nothing else: their bodies carry no information,
 // so they ride as the frame's zero tail.
@@ -81,11 +74,6 @@ type Server struct {
 	// Served counts completed inferences; MaxQueue the worst backlog.
 	Served   uint64
 	MaxQueue int
-}
-
-// NewServer creates an inference server for profile p on a new host.
-func NewServer(e *sim.Engine, name string, mac frame.MAC, p Profile) *Server {
-	return AttachServer(e, simnet.NewHost(e, name, mac), p)
 }
 
 // AttachServer binds server logic onto an existing host (e.g. one
@@ -221,11 +209,6 @@ type Client struct {
 	Completed, Missed uint64
 }
 
-// NewClient creates client id sending to server under degradation deg.
-func NewClient(e *sim.Engine, name string, id uint32, mac, server frame.MAC, p Profile, deg Degradation) *Client {
-	return AttachClient(e, simnet.NewHost(e, name, mac), id, server, p, deg)
-}
-
 // AttachClient binds client logic onto an existing host.
 func AttachClient(e *sim.Engine, h *simnet.Host, id uint32, server frame.MAC, p Profile, deg Degradation) *Client {
 	c := &Client{
@@ -251,13 +234,6 @@ func (c *Client) UsePool(p *frame.Pool) { c.host.UsePool(p) }
 // Start begins periodic requests at start (absolute virtual time).
 func (c *Client) Start(start sim.Time) {
 	c.ticker = c.engine.Every(start, c.profile.Period, c.sendRequest)
-}
-
-// Stop halts the request stream.
-func (c *Client) Stop() {
-	if c.ticker != nil {
-		c.ticker.Stop()
-	}
 }
 
 func (c *Client) sendRequest() {

@@ -208,6 +208,7 @@ func (h *Harness) Digest() uint64 {
 }
 
 // Save writes a replay-anchored checkpoint of the run to w.
+// No command runs the ring experiment yet; ROADMAP.md plans one.
 func (h *Harness) Save(w io.Writer) error {
 	config := checkpoint.Encode(WalkRingConfig, &h.cfg)
 	return checkpoint.WriteHarness(w, CheckpointKind, config, int64(h.engine.Now()), h.Digest())
@@ -216,6 +217,7 @@ func (h *Harness) Save(w io.Writer) error {
 // Restore reads a checkpoint, rebuilds the scenario with the given
 // telemetry sinks and replays to the checkpointed instant, verifying
 // the state digest.
+// No command runs the ring experiment yet; ROADMAP.md plans one.
 func Restore(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
 	return checkpoint.Replay[sim.Time](r, CheckpointKind, WalkRingConfig,
 		func(cfg RingExperimentConfig) (*Harness, error) {

@@ -78,6 +78,7 @@ type RingExperimentResult struct {
 
 // RunRingExperiment builds the ring, applies the fault plan and runs to
 // the horizon. It is the straight-through form of the Harness.
+// No command runs the ring experiment yet; ROADMAP.md plans one.
 func RunRingExperiment(cfg RingExperimentConfig) (RingExperimentResult, error) {
 	h, err := NewHarness(cfg)
 	if err != nil {

@@ -4,9 +4,7 @@
 // simultaneously". Consolidating vPLCs onto shared hosts multiplies
 // host-level contention (the host model's per-flow jitter term), so
 // each additional tenant widens every co-resident control loop's jitter
-// distribution. This package measures that curve and provides a placer
-// that packs vPLCs onto the fewest hosts whose predicted p99 jitter
-// still meets each loop's budget — trading §2.2's consolidation
+// distribution. This package measures that curve: §2.2's consolidation
 // economics against §2.1's timing requirements.
 package placement
 
@@ -47,89 +45,6 @@ func ScalingCurve(profile host.Profile, tenantCounts []int, seed uint64) map[int
 		out[n] = MeasureJitter(profile, n, 20000, seed)
 	}
 	return out
-}
-
-// VPLCSpec is one controller to place.
-type VPLCSpec struct {
-	Name string
-	// JitterBudgetNS is the loop's p99 jitter tolerance (motion control
-	// ≈1000 ns, process automation ≈100000 ns, per §2.1).
-	JitterBudgetNS float64
-}
-
-// Plan maps vPLCs to hosts.
-type Plan struct {
-	// HostOf maps each spec index to a host index.
-	HostOf []int
-	// Hosts is the number of hosts used.
-	Hosts int
-	// PredictedP99 is each host's predicted per-tenant p99 jitter.
-	PredictedP99 []float64
-}
-
-// Place packs the vPLCs onto the fewest hosts such that every host's
-// predicted p99 jitter (a function of its tenant count) stays within
-// every resident's budget. First-fit-decreasing on budget: the
-// tightest loops are placed first and end up on the least-shared
-// hosts. maxPerHost caps tenants per host regardless of budget.
-func Place(profile host.Profile, specs []VPLCSpec, maxPerHost int, seed uint64) (Plan, error) {
-	if len(specs) == 0 {
-		return Plan{}, fmt.Errorf("placement: no vPLCs to place")
-	}
-	if maxPerHost < 1 {
-		maxPerHost = 16
-	}
-	// Predict jitter per tenant count once (monotone in tenants).
-	predict := make([]float64, maxPerHost+1)
-	for n := 1; n <= maxPerHost; n++ {
-		predict[n] = MeasureJitter(profile, n, 8000, seed)
-	}
-
-	order := make([]int, len(specs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return specs[order[a]].JitterBudgetNS < specs[order[b]].JitterBudgetNS
-	})
-
-	type hostState struct {
-		tenants   int
-		minBudget float64
-	}
-	var hosts []hostState
-	plan := Plan{HostOf: make([]int, len(specs))}
-	for _, idx := range order {
-		s := specs[idx]
-		if predict[1] > s.JitterBudgetNS {
-			return Plan{}, fmt.Errorf("placement: %s's %vns budget is unmeetable even on a dedicated host (p99 %.0fns)",
-				s.Name, s.JitterBudgetNS, predict[1])
-		}
-		placed := false
-		for h := range hosts {
-			nb := hosts[h].minBudget
-			if s.JitterBudgetNS < nb {
-				nb = s.JitterBudgetNS
-			}
-			if hosts[h].tenants+1 <= maxPerHost && predict[hosts[h].tenants+1] <= nb {
-				hosts[h].tenants++
-				hosts[h].minBudget = nb
-				plan.HostOf[idx] = h
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			hosts = append(hosts, hostState{tenants: 1, minBudget: s.JitterBudgetNS})
-			plan.HostOf[idx] = len(hosts) - 1
-		}
-	}
-	plan.Hosts = len(hosts)
-	plan.PredictedP99 = make([]float64, len(hosts))
-	for h := range hosts {
-		plan.PredictedP99[h] = predict[hosts[h].tenants]
-	}
-	return plan, nil
 }
 
 // RenderScalingCurve renders the curve as a table.

@@ -21,103 +21,6 @@ func TestJitterGrowsWithTenants(t *testing.T) {
 	}
 }
 
-func TestPlaceIsolatesTightLoops(t *testing.T) {
-	specs := []VPLCSpec{
-		{Name: "motion-1", JitterBudgetNS: 900},
-		{Name: "motion-2", JitterBudgetNS: 900},
-		{Name: "process-1", JitterBudgetNS: 100000},
-		{Name: "process-2", JitterBudgetNS: 100000},
-		{Name: "process-3", JitterBudgetNS: 100000},
-		{Name: "process-4", JitterBudgetNS: 100000},
-	}
-	plan, err := Place(host.PreemptRT, specs, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Relaxed loops consolidate; tight loops get low-tenant hosts. Total
-	// hosts must be fewer than one-per-vPLC but at least 1.
-	if plan.Hosts < 1 || plan.Hosts >= len(specs) {
-		t.Fatalf("hosts = %d", plan.Hosts)
-	}
-	// Every host's predicted jitter respects every resident's budget.
-	for i, s := range specs {
-		if got := plan.PredictedP99[plan.HostOf[i]]; got > s.JitterBudgetNS {
-			t.Fatalf("%s placed on host with p99 %.0fns > budget %.0fns", s.Name, got, s.JitterBudgetNS)
-		}
-	}
-}
-
-func TestPlaceConsolidatesRelaxedLoops(t *testing.T) {
-	specs := make([]VPLCSpec, 12)
-	for i := range specs {
-		specs[i] = VPLCSpec{Name: "pa", JitterBudgetNS: 100000}
-	}
-	plan, err := Place(host.PreemptRT, specs, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Hosts != 1 {
-		t.Fatalf("hosts = %d, want full consolidation of relaxed loops", plan.Hosts)
-	}
-}
-
-func TestPlaceRejectsImpossibleBudget(t *testing.T) {
-	specs := []VPLCSpec{{Name: "impossible", JitterBudgetNS: 1}}
-	if _, err := Place(host.PreemptRT, specs, 16, 1); err == nil {
-		t.Fatal("1ns budget accepted")
-	}
-}
-
-func TestPlaceRejectsEmpty(t *testing.T) {
-	if _, err := Place(host.PreemptRT, nil, 16, 1); err == nil {
-		t.Fatal("empty spec list accepted")
-	}
-}
-
-func TestPlaceRespectsMaxPerHost(t *testing.T) {
-	specs := make([]VPLCSpec, 10)
-	for i := range specs {
-		specs[i] = VPLCSpec{Name: "pa", JitterBudgetNS: 1e9}
-	}
-	plan, err := Place(host.PreemptRT, specs, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[int]int{}
-	for _, h := range plan.HostOf {
-		counts[h]++
-	}
-	for h, n := range counts {
-		if n > 4 {
-			t.Fatalf("host %d has %d tenants", h, n)
-		}
-	}
-	if plan.Hosts != 3 {
-		t.Fatalf("hosts = %d, want ceil(10/4)=3", plan.Hosts)
-	}
-}
-
-func TestStandardKernelNeedsMoreHosts(t *testing.T) {
-	// The same fleet needs more isolation on a noisier kernel — the
-	// §2.1 coupling between stack choice and consolidation economics.
-	specs := make([]VPLCSpec, 8)
-	for i := range specs {
-		specs[i] = VPLCSpec{Name: "mt", JitterBudgetNS: 2000}
-	}
-	rt, err := Place(host.PreemptRT, specs, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	std, err := Place(host.Standard, specs, 16, 1)
-	if err == nil {
-		if std.Hosts < rt.Hosts {
-			t.Fatalf("standard kernel consolidated more (%d < %d)", std.Hosts, rt.Hosts)
-		}
-		return
-	}
-	// Unmeetable on standard entirely is also a valid (stronger) outcome.
-}
-
 func TestRenderScalingCurve(t *testing.T) {
 	curve := ScalingCurve(host.PreemptRT, []int{1, 8}, 1)
 	out := RenderScalingCurve(host.PreemptRT, curve)

@@ -2,7 +2,6 @@ package plc
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"steelnet/internal/frame"
@@ -87,9 +86,6 @@ type Controller struct {
 	conns  map[uint32]*deviceConn
 	failed bool
 	txJobs *txJob // free list of kernel-path transmissions
-
-	discoveries map[uint32]map[frame.MAC]Station
-	nextXID     uint32
 
 	// OnConnected fires when a CR is accepted.
 	OnConnected func(arid uint32)
@@ -250,48 +246,7 @@ func (c *Controller) handle(f *frame.Frame) {
 	case profinet.FrameIDAlarm:
 		// Alarms are surfaced through OnPeerLost when relevant; other
 		// alarm handling is device-specific and out of scope here.
-	case profinet.FrameIDDCPIdentifyResp:
-		resp, err := profinet.UnmarshalDCPIdentifyResponse(f.Payload)
-		if err != nil {
-			return
-		}
-		if d, ok := c.discoveries[resp.XID]; ok {
-			d[f.Src] = Station{Name: resp.StationName, MAC: f.Src, Role: resp.DeviceRole}
-		}
 	}
-}
-
-// Station is one DCP-discovered network participant.
-type Station struct {
-	Name string
-	MAC  frame.MAC
-	Role uint8
-}
-
-// Discover broadcasts a DCP Identify with the given station-name filter
-// and collects responses for window, then invokes done with the
-// stations found. This is the commissioning step that turns "a device
-// named press-1/io exists somewhere" into a MAC to Connect to.
-func (c *Controller) Discover(filter string, window time.Duration, done func([]Station)) {
-	if c.discoveries == nil {
-		c.discoveries = make(map[uint32]map[frame.MAC]Station)
-	}
-	xid := c.nextXID
-	c.nextXID++
-	found := make(map[frame.MAC]Station)
-	c.discoveries[xid] = found
-	c.send(frame.Broadcast, profinet.DCPIdentify{XID: xid, Filter: filter}.Marshal())
-	c.engine.After(window, func() {
-		delete(c.discoveries, xid)
-		out := make([]Station, 0, len(found))
-		for _, s := range found {
-			out = append(out, s)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-		if done != nil {
-			done(out)
-		}
-	})
 }
 
 func (c *Controller) onConnectResp(resp profinet.ConnectResponse) {

@@ -237,58 +237,6 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-func TestDiscoverFindsDevicesByName(t *testing.T) {
-	e := sim.NewEngine(1)
-	ctrl := NewController(e, "plc", frame.NewMAC(1), ControllerConfig{})
-	devA := iodevice.New(e, "cell-a/io", frame.NewMAC(2), nil, nil)
-	devB := iodevice.New(e, "cell-b/io", frame.NewMAC(3), nil, nil)
-	sw := simnet.NewSwitch(e, "sw", 3, simnet.DefaultSwitchConfig)
-	simnet.Connect(e, "c", ctrl.Host().Port(), sw.Port(0), 100e6, 0)
-	simnet.Connect(e, "a", devA.Host().Port(), sw.Port(1), 100e6, 0)
-	simnet.Connect(e, "b", devB.Host().Port(), sw.Port(2), 100e6, 0)
-
-	var all, filtered []Station
-	ctrl.Discover("", 10*time.Millisecond, func(s []Station) { all = s })
-	e.RunUntil(sim.Time(20 * time.Millisecond))
-	ctrl.Discover("cell-b/io", 10*time.Millisecond, func(s []Station) { filtered = s })
-	e.RunUntil(sim.Time(40 * time.Millisecond))
-
-	if len(all) != 2 || all[0].Name != "cell-a/io" || all[1].Name != "cell-b/io" {
-		t.Fatalf("all = %+v", all)
-	}
-	if all[0].MAC != devA.Host().MAC() {
-		t.Fatal("MAC not learned from response source")
-	}
-	if len(filtered) != 1 || filtered[0].Name != "cell-b/io" {
-		t.Fatalf("filtered = %+v", filtered)
-	}
-	// Discovered MAC is directly connectable.
-	connected := false
-	ctrl.OnConnected = func(uint32) { connected = true }
-	ctrl.Connect(ConnectSpec{Device: filtered[0].MAC, Req: connReq(5, 1600, 3, 4, 4)})
-	e.RunUntil(sim.Time(100 * time.Millisecond))
-	if !connected {
-		t.Fatal("connect to discovered device failed")
-	}
-}
-
-func TestDiscoverEmptyNetwork(t *testing.T) {
-	e := sim.NewEngine(1)
-	ctrl := NewController(e, "plc", frame.NewMAC(1), ControllerConfig{})
-	peer := simnet.NewHost(e, "peer", frame.NewMAC(9))
-	simnet.Connect(e, "l", ctrl.Host().Port(), peer.Port(), 100e6, 0)
-	var got []Station
-	called := false
-	ctrl.Discover("", 5*time.Millisecond, func(s []Station) { got = s; called = true })
-	e.RunUntil(sim.Time(20 * time.Millisecond))
-	if !called {
-		t.Fatal("done callback never ran")
-	}
-	if len(got) != 0 {
-		t.Fatalf("got = %+v", got)
-	}
-}
-
 func TestControllerRestartReestablishesCR(t *testing.T) {
 	e, ctrl, dev := cell(t, ControllerConfig{})
 	ctrl.Connect(ConnectSpec{Device: frame.NewMAC(2), Req: connReq(7, 1600, 3, 4, 4)})

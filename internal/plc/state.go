@@ -11,7 +11,7 @@ import (
 // in sorted AR-id order.
 func (c *Controller) FoldState(d *checkpoint.Digest) {
 	d.Bool(c.failed)
-	d.U64(uint64(c.nextXID))
+	d.U64(0) // a retired counter's slot, so recorded digests stay valid
 	d.U64(c.TxCyclic)
 	d.U64(c.RxCyclic)
 	d.U64(c.ScanCount)

@@ -15,8 +15,6 @@ func TestUnmarshalersNeverPanic(t *testing.T) {
 		func(b []byte) { _, _ = UnmarshalCyclicData(b) },
 		func(b []byte) { _, _ = UnmarshalAlarm(b) },
 		func(b []byte) { _, _ = UnmarshalRelease(b) },
-		func(b []byte) { _, _ = UnmarshalDCPIdentify(b) },
-		func(b []byte) { _, _ = UnmarshalDCPIdentifyResponse(b) },
 		func(b []byte) { _, _ = PeekFrameID(b) },
 	}
 	f := func(raw []byte) (ok bool) {
@@ -58,21 +56,6 @@ func TestCyclicRoundTripProperty(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDCPRoundTripProperty covers arbitrary station names.
-func TestDCPRoundTripProperty(t *testing.T) {
-	f := func(xid uint32, name string, role uint8) bool {
-		if len(name) > 240 {
-			name = name[:240]
-		}
-		in := DCPIdentifyResponse{XID: xid, StationName: name, DeviceRole: role}
-		out, err := UnmarshalDCPIdentifyResponse(in.Marshal())
-		return err == nil && out == in
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

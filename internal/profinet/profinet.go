@@ -32,9 +32,6 @@ const (
 	FrameIDRelease FrameID = 0xfe03
 	// FrameIDAlarm carries acyclic alarm notifications.
 	FrameIDAlarm FrameID = 0xfc01
-	// FrameIDDCPIdentify/IdentifyResp implement name-based discovery.
-	FrameIDDCPIdentify     FrameID = 0xfefe
-	FrameIDDCPIdentifyResp FrameID = 0xfeff
 )
 
 // DataStatus flag bits of cyclic frames.
@@ -293,10 +290,6 @@ func (f FrameID) String() string {
 		return "release"
 	case FrameIDAlarm:
 		return "alarm"
-	case FrameIDDCPIdentify:
-		return "dcp-identify"
-	case FrameIDDCPIdentifyResp:
-		return "dcp-identify-resp"
 	}
 	return fmt.Sprintf("frameid(%#04x)", uint16(f))
 }

@@ -216,42 +216,3 @@ func TestWatchdogBadParamsPanic(t *testing.T) {
 	}()
 	NewWatchdog(e, 0, 3, nil, nil)
 }
-
-func TestDCPIdentifyRoundTrip(t *testing.T) {
-	in := DCPIdentify{XID: 77, Filter: "press-1/io"}
-	out, err := UnmarshalDCPIdentify(in.Marshal())
-	if err != nil || out != in {
-		t.Fatalf("roundtrip = %+v, %v", out, err)
-	}
-	empty := DCPIdentify{XID: 1}
-	out, err = UnmarshalDCPIdentify(empty.Marshal())
-	if err != nil || out.Filter != "" {
-		t.Fatalf("empty filter = %+v, %v", out, err)
-	}
-}
-
-func TestDCPIdentifyResponseRoundTrip(t *testing.T) {
-	in := DCPIdentifyResponse{XID: 8, StationName: "io-7", DeviceRole: RoleIODevice}
-	out, err := UnmarshalDCPIdentifyResponse(in.Marshal())
-	if err != nil || out != in {
-		t.Fatalf("roundtrip = %+v, %v", out, err)
-	}
-}
-
-func TestDCPTruncation(t *testing.T) {
-	// Declared name length beyond the buffer must be rejected.
-	b := DCPIdentify{XID: 1, Filter: "abc"}.Marshal()
-	if _, err := UnmarshalDCPIdentify(b[:9]); err != ErrTruncated {
-		t.Fatalf("err = %v", err)
-	}
-	r := DCPIdentifyResponse{XID: 1, StationName: "abc"}.Marshal()
-	if _, err := UnmarshalDCPIdentifyResponse(r[:10]); err != ErrTruncated {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestMatchesFilter(t *testing.T) {
-	if !MatchesFilter("any", "") || !MatchesFilter("x", "x") || MatchesFilter("x", "y") {
-		t.Fatal("filter semantics broken")
-	}
-}

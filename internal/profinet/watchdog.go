@@ -56,9 +56,6 @@ func (w *Watchdog) Stop() {
 // Expired reports whether the watchdog is currently tripped.
 func (w *Watchdog) Expired() bool { return w.expired }
 
-// Timeout returns the configured expiry interval.
-func (w *Watchdog) Timeout() time.Duration { return time.Duration(w.factor) * w.cycle }
-
 func (w *Watchdog) trip() {
 	w.expired = true
 	w.Trips++

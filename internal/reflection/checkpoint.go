@@ -254,6 +254,7 @@ type Cell struct {
 // Save writes a replay-anchored checkpoint of the cell to w. Save
 // before Result: a finalized cell has drained its flows and is not a
 // resumable state.
+// No command checkpoints a single cell yet; ROADMAP.md plans to.
 func (h *Harness) Save(w io.Writer) error {
 	if h.finished {
 		return fmt.Errorf("reflection: cannot checkpoint a finalized harness")
@@ -268,6 +269,7 @@ func (h *Harness) Save(w io.Writer) error {
 // A collector handed in must be empty: the replay feeds it, and
 // anything chained on its OnSink, from instant zero. A recorded
 // configuration no cell can be built from is an error.
+// No command checkpoints a single cell yet; ROADMAP.md plans to.
 func Restore(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
 	return checkpoint.Replay[sim.Time](r, CheckpointKind, WalkCell,
 		func(c Cell) (*Harness, error) {

@@ -89,11 +89,10 @@ func (m *refModel) popMin() (int, bool) {
 }
 
 // What a model event does when it fires, mirrored by the engine-side
-// callback: nothing, halt the run, or schedule a child (whose id is the
-// parent's id + 1, reserved when the parent was scheduled).
+// callback: nothing, or schedule a child (whose id is the parent's id +
+// 1, reserved when the parent was scheduled).
 const (
 	actNone = iota
-	actHalt
 	actChild
 )
 
@@ -159,10 +158,7 @@ func (h *orderHarness) schedule(delay Duration, act refAction) {
 func (h *orderHarness) engineSchedule(at Time, id int) {
 	ev := h.e.Schedule(at, func() {
 		h.fired = append(h.fired, id)
-		switch act := h.acts[id]; act.kind {
-		case actHalt:
-			h.e.Halt()
-		case actChild:
+		if act := h.acts[id]; act.kind == actChild {
 			h.engineSchedule(h.e.Now().Add(act.childDelay), id+1)
 		}
 	})
@@ -208,7 +204,7 @@ func (h *orderHarness) reap(keep func(refEvent) bool) {
 }
 
 // modelFire pops the model's minimum, if it is due by deadline, and
-// applies its action. It reports whether the run goes on. Looking for
+// applies its action. It reports whether anything fired. Looking for
 // the minimum reaps the cancelled events ordered before it; a run (as
 // opposed to a Step) takes the minimum's whole instant off the queue,
 // cancelled members included.
@@ -229,10 +225,7 @@ func (h *orderHarness) modelFire(deadline Time, run bool) bool {
 	h.model.popMin()
 	h.now = at
 	h.modelFired = append(h.modelFired, id)
-	switch act := h.acts[id]; act.kind {
-	case actHalt:
-		return false
-	case actChild:
+	if act := h.acts[id]; act.kind == actChild {
 		h.model.schedule(at.Add(act.childDelay), id+1)
 	}
 	return true
@@ -247,27 +240,19 @@ func (h *orderHarness) step() {
 	h.modelFire(maxTime, false)
 }
 
-// runUntil runs both sides to now+d. A halting event stops the run at
-// its own instant with the rest of that instant still queued.
+// runUntil runs both sides to now+d.
 func (h *orderHarness) runUntil(d Duration) {
 	deadline := h.e.Now().Add(d)
 	h.e.RunUntil(deadline)
-	before := len(h.modelFired)
 	for h.modelFire(deadline, true) {
 	}
-	halted := len(h.modelFired) > before && h.acts[h.modelFired[len(h.modelFired)-1]].kind == actHalt
-	if !halted {
-		h.now = deadline
-	}
-	if h.e.Halted() != halted {
-		h.fatalf("RunUntil(%v): Halted()=%v, model halted=%v", deadline, h.e.Halted(), halted)
-	}
+	h.now = deadline
 }
 
 // drain runs both sides until nothing is pending.
 func (h *orderHarness) drain() {
 	for len(h.model.pending) > 0 {
-		h.e.Run() // returns early at every halting event
+		h.e.Run()
 		for h.modelFire(maxTime, true) {
 		}
 		h.check()
@@ -325,8 +310,7 @@ func (h *orderHarness) check() {
 // checks, operation by operation, that it is observationally equivalent
 // to the naive reference model. Cancels deliberately target handles of
 // every vintage. Bounded runs stop at deadlines that peek at the next
-// event without firing it, events halt the run from the middle of a
-// same-instant batch, and the earliest event is cancelled and then
+// event without firing it, and the earliest event is cancelled and then
 // undercut — the cases where a monotone queue's cursor could get ahead
 // of the clock.
 func TestArenaMatchesReferenceModel(t *testing.T) {
@@ -343,10 +327,7 @@ func TestArenaMatchesReferenceModel(t *testing.T) {
 				delay <<= uint(rng.Intn(40))
 			}
 			act := refAction{}
-			switch rng.Intn(10) {
-			case 0:
-				act.kind = actHalt
-			case 1:
+			if rng.Intn(10) == 1 {
 				act = refAction{kind: actChild, childDelay: Duration(rng.Intn(3))}
 			}
 			h.schedule(delay, act)
@@ -378,32 +359,12 @@ func TestArenaMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// TestHaltMidBatchRequeuesInSeqOrder pins the one path that puts slots
-// back on the queue: the unfired members of a halted same-instant batch
-// return ahead of what the batch itself scheduled for that instant.
-func TestHaltMidBatchRequeuesInSeqOrder(t *testing.T) {
-	h := newOrderHarness(t, 1)
-	h.schedule(5, refAction{kind: actChild}) // its child lands in the same instant
-	h.schedule(5, refAction{kind: actHalt})
-	h.schedule(5, refAction{})
-	h.schedule(5, refAction{kind: actChild, childDelay: 3})
-	h.schedule(9, refAction{})
-	h.runUntil(20) // stops at the halt, two batch members unfired
-	h.check()
-	if h.e.Now() != 5 || h.e.Pending() != 4 {
-		t.Fatalf("after halt: now=%v pending=%d, want 5 and 4", h.e.Now(), h.e.Pending())
-	}
-	h.schedule(0, refAction{}) // same instant, after everything already there
-	h.schedule(2, refAction{}) // before the parked later events
-	h.drain()
-}
-
 // FuzzEngineOrder decodes an operation stream from the fuzzer's bytes
 // (two per operation: opcode, argument) and checks the engine against
 // the sort-by-(at, seq) model after every one. The committed corpus in
 // testdata/fuzz holds the shapes that matter to a monotone queue:
-// cancel-the-earliest-then-schedule-earlier, halts in mid-batch,
-// deadlines that peek without firing, and timestamps on every level.
+// cancel-the-earliest-then-schedule-earlier, deadlines that peek
+// without firing, and timestamps on every level.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 9, 8, 3, 6, 20})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -416,7 +377,7 @@ func FuzzEngineOrder(f *testing.F) {
 			case 2: // every queue level up to 2^62
 				h.schedule(Duration(arg&3+1)<<uint(arg>>2%61), refAction{})
 			case 3:
-				h.schedule(Duration(arg%8), refAction{kind: actHalt})
+				h.schedule(Duration(arg%8), refAction{})
 			case 4:
 				h.schedule(Duration(arg>>2%8), refAction{kind: actChild, childDelay: Duration(arg % 4)})
 			case 5, 6:

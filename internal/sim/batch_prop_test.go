@@ -124,37 +124,3 @@ func TestBatchedRunUntilMatchesStepLoop(t *testing.T) {
 		}
 	}
 }
-
-// TestHaltMidBatchPreservesUnfiredEvents pins the Halt contract under
-// batching: events staged but not yet fired when Halt lands must return
-// to the queue and fire, in order, when the run resumes.
-func TestHaltMidBatchPreservesUnfiredEvents(t *testing.T) {
-	e := NewEngine(1)
-	var order []int
-	for i := 0; i < 6; i++ {
-		i := i
-		e.Schedule(5, func() {
-			order = append(order, i)
-			if i == 2 {
-				e.Halt()
-			}
-		})
-	}
-	e.Run()
-	if len(order) != 3 {
-		t.Fatalf("halt mid-batch fired %d events, want 3", len(order))
-	}
-	if e.Pending() != 3 {
-		t.Fatalf("pending after halt = %d, want 3", e.Pending())
-	}
-	e.Run()
-	want := []int{0, 1, 2, 3, 4, 5}
-	if len(order) != len(want) {
-		t.Fatalf("resume fired %d total, want %d", len(order), len(want))
-	}
-	for i, v := range order {
-		if v != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}

@@ -113,7 +113,6 @@ type Engine struct {
 	seed   uint64
 	rngs   map[string]*RNG
 	fired  uint64
-	halted bool
 	live   int // pending (non-cancelled) events
 	dead   int // cancelled events still queued, awaiting lazy reap
 	chunks [][]slot
@@ -255,20 +254,6 @@ func (e *Engine) Every(start Time, period Duration, fn func()) *Ticker {
 	return t
 }
 
-// Halt stops the current Run/RunUntil after the in-flight event completes.
-// On an engine inside a ShardGroup this stops the shard at its current
-// instant; the group observes it at the window barrier and halts as a
-// whole, so the effect is deterministic for every worker count.
-func (e *Engine) Halt() { e.halted = true }
-
-// Halted reports whether the last Run/RunUntil was stopped by Halt
-// (cleared when the next run starts).
-func (e *Engine) Halted() bool { return e.halted }
-
-// ShardIndex returns the engine's shard index within its ShardGroup
-// (0 for a solo engine).
-func (e *Engine) ShardIndex() int { return e.shard }
-
 // ShardCount returns the number of shards in the engine's ShardGroup
 // (1 for a solo engine).
 func (e *Engine) ShardCount() int {
@@ -357,47 +342,31 @@ func (e *Engine) step(deadline Time, batch bool) bool {
 		}
 		s = next
 	}
-	var unfired bucket // left behind by a Halt mid-batch
-	n := 0
 	for s := staged.head; s != nil; {
 		next := s.next
-		switch {
-		case s.state != stateStaged:
+		if s.state == stateStaged {
+			e.fire(s)
+		} else {
 			// Cancelled by an earlier member of this batch.
 			e.release(s)
-		case e.halted:
-			// The in-flight event completed; the rest of the instant
-			// goes back on the queue with its keys intact.
-			s.state = statePending
-			unfired.push(s)
-			n++
-		default:
-			e.fire(s)
 		}
 		s = next
-	}
-	if n > 0 {
-		e.requeueFront(unfired, n)
 	}
 	return true
 }
 
-// Run executes events until the queue drains or Halt is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
-	e.halted = false
-	for !e.halted && e.step(maxTime, true) {
+	for e.step(maxTime, true) {
 	}
 }
 
 // RunUntil executes events with timestamps <= deadline, then sets the
 // clock to deadline. Events beyond the deadline stay queued.
 func (e *Engine) RunUntil(deadline Time) {
-	e.halted = false
-	for !e.halted && e.step(deadline, true) {
+	for e.step(deadline, true) {
 	}
-	// A halted engine keeps its clock at the halt instant: events between
-	// there and the deadline are still pending and must fire on resume.
-	if !e.halted && e.now < deadline {
+	if e.now < deadline {
 		e.now = deadline
 	}
 }
@@ -434,6 +403,3 @@ func (t *Ticker) Stop() {
 	t.stopped = true
 	t.ev.Cancel()
 }
-
-// Period returns the ticker's period.
-func (t *Ticker) Period() Duration { return t.period }

@@ -243,26 +243,6 @@ func (e *Engine) advance() {
 	}
 }
 
-// requeueFront puts n pending slots of the current instant, the unfired
-// members of a halted batch, back at the head of the front: they were
-// scheduled before anything the batch itself added there.
-func (e *Engine) requeueFront(l bucket, n int) {
-	f := &e.front
-	if f.head != nil && e.frontAt != e.now {
-		e.unfront()
-	}
-	l.tail.next = f.head
-	f.head = l.head
-	if f.tail == nil {
-		f.tail = l.tail
-	}
-	e.frontAt = e.now
-	e.qlen += n
-	if e.qlen > e.peak {
-		e.peak = e.qlen
-	}
-}
-
 // eachList calls fn on every non-empty list of the queue; fn may
 // rebuild the list in place.
 func (e *Engine) eachList(fn func(*bucket)) {

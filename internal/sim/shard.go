@@ -82,7 +82,7 @@ type ShardGroup struct {
 	shards    []*Engine
 	outbox    [][]xmsg
 
-	// now is the barrier floor: every non-halted shard's clock is here.
+	// now is the barrier floor: every shard's clock is here.
 	now Time
 	// windowEnd is the current window's end; written by the coordinator
 	// before workers start, read-only by workers during the window.
@@ -103,11 +103,6 @@ type ShardGroup struct {
 	merge []xmsg
 	// free[d] is shard d's list of idle delivery slots (see delivery).
 	free []*delivery
-	// haltReq collects Halt requests; shard callbacks on different worker
-	// goroutines may raise it concurrently, so it is atomic. The
-	// coordinator folds it into halted at each barrier.
-	haltReq atomic.Bool
-	halted  bool
 
 	windows  uint64
 	messages uint64
@@ -157,20 +152,11 @@ func (g *ShardGroup) Shard(i int) *Engine { return g.shards[i] }
 func (g *ShardGroup) Lookahead() Duration { return g.lookahead }
 
 // Now returns the barrier floor: the instant through which every
-// non-halted shard has executed.
+// shard has executed.
 func (g *ShardGroup) Now() Time { return g.now }
 
 // Seed returns the scenario seed shared by every shard engine.
 func (g *ShardGroup) Seed() uint64 { return g.seed }
-
-// Halt stops Run at the next window barrier. Safe to call from any
-// shard's callbacks: the decision is evaluated only at the barrier, so
-// the set of events fired is identical for every worker count.
-func (g *ShardGroup) Halt() { g.haltReq.Store(true) }
-
-// Halted reports whether the last Run stopped at a halt (group-level or
-// any shard's Engine.Halt) rather than by reaching its deadline.
-func (g *ShardGroup) Halted() bool { return g.halted }
 
 // ShardGroupStats is a point-in-time snapshot of the group's windowed
 // execution, for benchmarks and capacity debugging.
@@ -326,24 +312,10 @@ func (g *ShardGroup) flush() {
 	g.merge = m[:0]
 }
 
-// anyShardHalted reports whether a shard's Engine.Halt fired during the
-// last window.
-func (g *ShardGroup) anyShardHalted() bool {
-	for _, e := range g.shards {
-		if e.halted {
-			return true
-		}
-	}
-	return false
-}
-
 // Run executes every shard's events with timestamps <= until, in
 // conservative windows, using the given number of worker goroutines
-// (clamped to [1, Shards()]). On normal completion every shard's clock
-// is at until. Run returns early when Halt (or any shard's Engine.Halt)
-// fires — the decision is evaluated after each window chunk, with the
-// outboxes flushed if the chunk completed its window — and a subsequent
-// Run continues from that state.
+// (clamped to [1, Shards()]). Unless the deadline cuts a window, every
+// shard's clock ends at until.
 //
 // Windows start at the earliest pending event across shards rather than
 // marching in fixed lookahead steps, so a shard idle for a long span
@@ -362,8 +334,6 @@ func (g *ShardGroup) Run(until Time, workers int) {
 	if workers > len(g.shards) {
 		workers = len(g.shards)
 	}
-	g.halted = false
-	g.haltReq.Store(false)
 	for {
 		if !g.winOpen {
 			start, any := g.nextEventAt()
@@ -391,16 +361,11 @@ func (g *ShardGroup) Run(until Time, workers int) {
 			target = until
 		}
 		g.runWindow(target, workers)
-		halt := g.haltReq.Load() || g.anyShardHalted()
 		g.now = target
 		if target == g.windowEnd {
 			// The window completed: flush its outboxes at the barrier.
 			g.flush()
 			g.winOpen = false
-		}
-		if halt {
-			g.halted = true
-			return
 		}
 		if g.winOpen {
 			// The deadline cut the window; it stays open (outboxes

@@ -20,13 +20,11 @@ func propWorkerCounts() []int {
 	return ws
 }
 
-// propRun drives a generated 4-shard workload to completion (resuming
-// across halts) and returns the shard-order merged firing log plus the
-// group digest. The workload mixes local schedules, boundary-rounded
-// cross-shard sends (rounding forces same-instant arrivals at window
-// edges), cancels, group halts, and per-shard engine halts — the fault
-// injections all land at or near shard boundaries where ordering bugs
-// would live.
+// propRun drives a generated 4-shard workload to completion and returns
+// the shard-order merged firing log plus the group digest. The workload
+// mixes local schedules, boundary-rounded cross-shard sends (rounding
+// forces same-instant arrivals at window edges) and cancels — all
+// landing at or near shard boundaries where ordering bugs would live.
 func propRun(t *testing.T, seed uint64, workers int) (string, uint64) {
 	t.Helper()
 	const (
@@ -80,25 +78,13 @@ func propRun(t *testing.T, seed uint64, workers int) (string, uint64) {
 			case 8: // cancel the kept event (no-op if fired or zero)
 				kept[s].Cancel()
 				kept[s] = Event{}
-			case 9: // group halt: Run stops at the next barrier, test resumes
-				g.Halt()
-			case 10: // engine halt: this shard stops mid-window, group follows
-				e.Halt()
 			default: // idle step
 			}
 			e.Schedule(now.Add(Duration(1+rng.Intn(700))), step)
 		}
 		e.Schedule(Time(1+s), step)
 	}
-	for i := 0; ; i++ {
-		g.Run(horizon, workers)
-		if !g.Halted() {
-			break
-		}
-		if i > 10_000 {
-			t.Fatal("halt/resume loop did not terminate")
-		}
-	}
+	g.Run(horizon, workers)
 	var merged string
 	for s := 0; s < shards; s++ {
 		for _, ln := range lines[s] {
@@ -193,22 +179,12 @@ func partRun(t *testing.T, seed uint64, parts int) []string {
 			case 8: // cancel the pending cancellable (no-op if fired)
 				pending[n].Cancel()
 				pending[n] = Event{}
-			case 9: // group halt; the driver loop resumes
-				g.Halt()
 			}
 			e.Schedule(now.Add(Duration(64*(1+rng.Intn(40)))), wake)
 		}
 		e.Schedule(Time(64*(n+1)), wake)
 	}
-	for i := 0; ; i++ {
-		g.Run(horizon, parts)
-		if !g.Halted() {
-			break
-		}
-		if i > 10_000 {
-			t.Fatal("halt/resume loop did not terminate")
-		}
-	}
+	g.Run(horizon, parts)
 	var all []string
 	for _, ls := range lines {
 		all = append(all, ls...)

@@ -183,68 +183,6 @@ func TestShardGroupCutPointsInvisible(t *testing.T) {
 	}
 }
 
-func TestShardGroupHaltAtBarrierAndResume(t *testing.T) {
-	const L = 100
-	for _, workers := range []int{1, 2} {
-		g, err := NewShardGroup(9, 2, L)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fired []Time
-		g.Shard(0).Every(10, 50, func() {
-			fired = append(fired, g.Shard(0).Now())
-			if g.Shard(0).Now() == 110 {
-				g.Halt()
-			}
-		})
-		g.Run(1000, workers)
-		if !g.Halted() {
-			t.Fatalf("workers=%d: group did not report halt", workers)
-		}
-		if g.Now() >= 1000 {
-			t.Fatalf("workers=%d: halted run reached the deadline (now=%v)", workers, g.Now())
-		}
-		halted := len(fired)
-		g.Run(1000, workers)
-		if g.Halted() {
-			t.Fatalf("workers=%d: resumed run still reports halt", workers)
-		}
-		if len(fired) <= halted {
-			t.Fatalf("workers=%d: resume fired no further events", workers)
-		}
-		// Every(10, 50) over [0, 1000] fires at 10, 60, ..., 960.
-		if len(fired) != 20 {
-			t.Fatalf("workers=%d: fired %d ticks total, want 20", workers, len(fired))
-		}
-	}
-}
-
-func TestShardGroupEngineHaltStopsShardThenGroup(t *testing.T) {
-	const L = 100
-	g, err := NewShardGroup(9, 2, L)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var after []Time
-	g.Shard(0).Schedule(120, func() { g.Shard(0).Halt() })
-	g.Shard(0).Schedule(130, func() { after = append(after, 130) }) // same window, after the halt
-	g.Shard(1).Every(10, 40, func() {})
-	g.Run(1000, 1)
-	if !g.Halted() {
-		t.Fatal("engine halt did not halt the group")
-	}
-	if len(after) != 0 {
-		t.Fatalf("event after Engine.Halt fired in the same run: %v", after)
-	}
-	g.Run(1000, 1)
-	if len(after) != 1 {
-		t.Fatalf("resume did not fire the post-halt event: %v", after)
-	}
-	if g.Now() != 1000 {
-		t.Fatalf("resume stopped at %v, want 1000", g.Now())
-	}
-}
-
 func TestShardGroupBarrierStarvationFastForwards(t *testing.T) {
 	const L = 100
 	g, err := NewShardGroup(5, 2, L)

@@ -53,24 +53,23 @@ func BenchmarkEngineQueueDepth(b *testing.B) {
 					delays[i] = 12 * Microsecond
 				}
 			}
-			left, next := 0, 0
+			next := 0
 			var hold func()
 			hold = func() {
 				e.After(delays[next&(len(delays)-1)], hold)
 				next++
-				if left--; left == 0 {
-					e.Halt()
-				}
 			}
 			for i := 0; i < depth; i++ {
 				hold()
 			}
-			left = 4 * depth // settle into steady state before timing
-			e.Run()
+			for i := 0; i < 4*depth; i++ { // settle into steady state before timing
+				e.Step()
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			left = b.N
-			e.Run()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
 		})
 	}
 }

@@ -103,17 +103,6 @@ func TestRunUntilAdvancesClockOnEmptyQueue(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	e.Schedule(1, func() { n++; e.Halt() })
-	e.Schedule(2, func() { n++ })
-	e.Run()
-	if n != 1 {
-		t.Fatalf("executed %d events, want 1 (halted)", n)
-	}
-}
-
 func TestTickerPeriodicAndStop(t *testing.T) {
 	e := NewEngine(1)
 	var at []Time

@@ -92,6 +92,3 @@ func (c *CreditShaper) OnTransmit(t sim.Time, p frame.PCP, wireLen int, ser sim.
 	c.credit -= float64(wireLen*8) - c.IdleSlopeBps*ser.Seconds()
 	c.lastUpdate = t.Add(ser)
 }
-
-// Credit exposes the current (non-positive) credit in bits for tests.
-func (c *CreditShaper) Credit() float64 { return c.credit }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 
 	"steelnet/internal/frame"
@@ -15,7 +16,9 @@ type captureSink struct {
 }
 
 func (c *captureSink) SinkINT(node string, f *frame.Frame, nowNS int64) {
-	c.stacks = append(c.stacks, *f.INT.Clone())
+	st := *f.INT
+	st.Hops = slices.Clone(st.Hops)
+	c.stacks = append(c.stacks, st)
 	c.atNS = append(c.atNS, nowNS)
 }
 

@@ -138,14 +138,6 @@ func (p *Port) Connected() bool { return p.link != nil }
 // Link returns the attached link, or nil.
 func (p *Port) Link() *Link { return p.link }
 
-// Peer returns the port on the other side of the link, or nil.
-func (p *Port) Peer() *Port {
-	if p.link == nil {
-		return nil
-	}
-	return p.link.ports[1-p.end]
-}
-
 // QueueDepth returns the number of frames waiting at the port.
 func (p *Port) QueueDepth() int { return p.queue.Len() }
 
@@ -386,9 +378,6 @@ func Connect(engine *sim.Engine, name string, a, b *Port, rateBps float64, prop 
 	b.link, b.end = l, 1
 	return l
 }
-
-// Up reports whether the link is carrying traffic.
-func (l *Link) Up() bool { return l.up }
 
 // SetUp changes the link state. Taking a link down drops queued and
 // in-flight frames — the failure model for §2.2. Cross-shard links do

@@ -53,11 +53,6 @@ func NewFakeKafka() *FakeBackend { return &FakeBackend{name: "kafka", parts: map
 // NewFakeMQTT returns a fake backend named "mqtt".
 func NewFakeMQTT() *FakeBackend { return &FakeBackend{name: "mqtt", parts: map[partKey][]string{}} }
 
-// NewFakeBackend returns a fake backend with an arbitrary name.
-func NewFakeBackend(name string) *FakeBackend {
-	return &FakeBackend{name: name, parts: map[partKey][]string{}}
-}
-
 // Name implements Publisher.
 func (f *FakeBackend) Name() string { return f.name }
 

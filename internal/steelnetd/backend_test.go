@@ -70,7 +70,7 @@ func TestFakeBackendRejectsEmptyTopic(t *testing.T) {
 // interleaving across keys.
 func TestFakeBackendLogOrderIndependent(t *testing.T) {
 	pub := func(order []int) string {
-		f := NewFakeBackend("x")
+		f := NewFakeKafka()
 		seq := map[int]int{}
 		for _, run := range order {
 			seq[run]++

@@ -188,9 +188,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 // Journal returns the gateway's run-lifecycle audit journal.
 func (g *Gateway) Journal() *Journal { return g.journal }
 
-// Trace returns the gateway-plane trace log (nil unless enabled).
-func (g *Gateway) Trace() *TraceLog { return g.trace }
-
 // History returns a run's time-series history recorder.
 func (g *Gateway) History(id string) (*tshist.Recorder, bool) {
 	r, ok := g.get(id)
@@ -221,6 +218,7 @@ func (g *Gateway) Start(spec RunSpec) (string, error) {
 // rule engine prime on the restore-point sample without publishing, and
 // the continued northbound stream is byte-identical to an unpaused
 // run's from that point on.
+// No route or flag reaches it yet; ROADMAP.md plans one.
 func (g *Gateway) Resume(spec RunSpec, cp io.Reader) (string, error) {
 	if cp == nil {
 		return "", fmt.Errorf("steelnetd: resume without a checkpoint")
@@ -454,6 +452,7 @@ func (g *Gateway) Wait(id string) error {
 // Save checkpoints a run that is no longer stepping (paused or done);
 // saving a live run would race its goroutine. The stream restores with
 // Resume under the same spec.
+// No route or flag reaches it yet; ROADMAP.md plans one.
 func (g *Gateway) Save(id string, w io.Writer) error {
 	r, ok := g.get(id)
 	if !ok {

@@ -51,7 +51,7 @@ var condKindNames = [...]string{
 	CondBreach:  "breach",
 }
 
-// String returns the kind's spec name (the one ParseRule accepts).
+// String returns the kind's spec name (the one ParseRuleSet accepts).
 func (k CondKind) String() string {
 	if k >= 0 && int(k) < len(condKindNames) {
 		return condKindNames[k]
@@ -92,8 +92,8 @@ type Rule struct {
 	Topic   string
 }
 
-// String renders the rule in ParseRule's spec syntax, a fixed point:
-// ParseRule(r.String()) reproduces r exactly.
+// String renders the rule in ParseRuleSet's spec syntax, a fixed point:
+// parsing r.String() reproduces r exactly.
 func (r Rule) String() string {
 	var b strings.Builder
 	b.WriteString(r.Kind.String())
@@ -136,7 +136,7 @@ func (rs RuleSet) String() string {
 // ParseError reports a rejected rule spec with the byte offset of the
 // offending token.
 type ParseError struct {
-	Spec string // the full spec handed to ParseRule/ParseRuleSet
+	Spec string // the full spec handed to ParseRuleSet
 	Pos  int    // byte offset into Spec
 	Msg  string
 }
@@ -145,10 +145,17 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("steelnetd: rule spec %q: pos %d: %s", e.Spec, e.Pos, e.Msg)
 }
 
-// ParseRuleSet parses a semicolon-separated list of rule specs. Rules
-// separate on ';' (not ',' like fault plans) because tag subjects may
-// contain commas inside Prometheus label lists. An empty or blank spec
-// is an empty set.
+// ParseRuleSet parses a semicolon-separated list of rule specs, each
+//
+//	kind:subject(<|>)threshold->backend:topic
+//
+// e.g. "latency:press-sink>250µs->kafka:alerts",
+// "loss:*>0.01->mqtt:plant/loss", "breach:press-sink>0->log:slo".
+// Thresholds are Go durations for latency/jitter and floats for
+// tag/loss/breach. Whitespace around tokens is accepted and dropped
+// from the canonical String form. Rules separate on ';' (not ',' like
+// fault plans) because tag subjects may contain commas inside
+// Prometheus label lists. An empty or blank spec is an empty set.
 func ParseRuleSet(spec string) (RuleSet, error) {
 	rs := RuleSet{Name: spec}
 	if strings.TrimSpace(spec) == "" {
@@ -165,19 +172,6 @@ func ParseRuleSet(spec string) (RuleSet, error) {
 		off += len(part)
 	}
 	return rs, nil
-}
-
-// ParseRule parses one rule spec:
-//
-//	kind:subject(<|>)threshold->backend:topic
-//
-// e.g. "latency:press-sink>250µs->kafka:alerts",
-// "loss:*>0.01->mqtt:plant/loss", "breach:press-sink>0->log:slo".
-// Thresholds are Go durations for latency/jitter and floats for
-// tag/loss/breach. Whitespace around tokens is accepted and dropped
-// from the canonical String form.
-func ParseRule(spec string) (Rule, error) {
-	return parseRule(spec, spec, 0)
 }
 
 // parseRule parses one rule out of full[base:]. Positions in errors are
@@ -268,27 +262,6 @@ func parseRule(full, s string, base int) (Rule, error) {
 		return fail(base+arrow+2+len(backend)+1, "topic %q contains reserved characters", r.Topic)
 	}
 	return r, nil
-}
-
-// Validate checks rule fields built as literals (ParseRule output is
-// always valid): known kinds, a real comparison op, non-empty
-// addressing, and loss thresholds inside [0,1].
-func (rs RuleSet) Validate() error {
-	for i, r := range rs.Rules {
-		if r.Kind < 0 || r.Kind >= numCondKinds {
-			return fmt.Errorf("steelnetd: rule %d: unknown kind %d", i, int(r.Kind))
-		}
-		if r.Op != '<' && r.Op != '>' {
-			return fmt.Errorf("steelnetd: rule %d: op %q is not < or >", i, string(r.Op))
-		}
-		if r.Subject == "" || r.Backend == "" || r.Topic == "" {
-			return fmt.Errorf("steelnetd: rule %d: empty subject, backend or topic", i)
-		}
-		if r.Kind == CondLoss && (r.Threshold < 0 || r.Threshold > 1) {
-			return fmt.Errorf("steelnetd: rule %d: loss fraction %v outside [0,1]", i, r.Threshold)
-		}
-	}
-	return nil
 }
 
 // measure reduces a sample to the rule's measured value. ok is false

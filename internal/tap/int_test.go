@@ -1,6 +1,7 @@
 package tap
 
 import (
+	"slices"
 	"testing"
 
 	"steelnet/internal/frame"
@@ -14,7 +15,9 @@ type stackSink struct {
 }
 
 func (s *stackSink) SinkINT(node string, f *frame.Frame, nowNS int64) {
-	s.stacks = append(s.stacks, *f.INT.Clone())
+	st := *f.INT
+	st.Hops = slices.Clone(st.Hops)
+	s.stacks = append(s.stacks, st)
 }
 
 // TestINTCrossValidatesTapCaptures is the ground-truth check the paper's

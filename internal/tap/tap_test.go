@@ -43,8 +43,8 @@ func roundTrips(tp *Tap) map[uint32][]RTT {
 }
 
 func probe(seq, flow uint32) *frame.Frame {
-	pl, err := frame.MarshalProbe(frame.Probe{Seq: seq, FlowID: flow}, 32)
-	if err != nil {
+	pl := make([]byte, 32)
+	if err := frame.MarshalProbeInto(frame.Probe{Seq: seq, FlowID: flow}, pl); err != nil {
 		panic(err)
 	}
 	return &frame.Frame{Dst: frame.NewMAC(2), Type: frame.TypeBenchEcho, Payload: pl}

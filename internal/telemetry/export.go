@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
-
-	"steelnet/internal/metrics"
 )
 
 // jsonEvent is the JSONL wire form of Event: kinds and causes travel as
@@ -285,36 +282,4 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// DeliveryRate rebuilds a packets-per-bin series from a trace's Deliver
-// events at the named node — the offline equivalent of the live counter
-// sampling behind Fig. 5, and the round-trip check that the trace is a
-// faithful record of the run.
-func DeliveryRate(events []Event, node string, start int64, bin time.Duration) *metrics.RateSeries {
-	r := metrics.NewRateSeries(start, bin)
-	for _, e := range events {
-		if e.Kind == KindDeliver && e.Node == node {
-			r.Record(e.T)
-		}
-	}
-	return r
-}
-
-// LatencyByClass aggregates Deliver events' end-to-end latencies (µs)
-// per 802.1Q priority class.
-func LatencyByClass(events []Event) map[uint8]*metrics.Series {
-	out := map[uint8]*metrics.Series{}
-	for _, e := range events {
-		if e.Kind != KindDeliver {
-			continue
-		}
-		s, ok := out[e.Prio]
-		if !ok {
-			s = metrics.NewSeries(0)
-			out[e.Prio] = s
-		}
-		s.Add(float64(e.Aux) / 1e3)
-	}
-	return out
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // sampleEvents exercises every kind at least once, with and without
@@ -191,42 +190,6 @@ func TestChromeTraceUnmatchedInjectBecomesInstant(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no fault event emitted")
-	}
-}
-
-func TestDeliveryRateRebuildsBins(t *testing.T) {
-	ms := int64(time.Millisecond)
-	events := []Event{
-		{T: 0, Kind: KindDeliver, Node: "io"},
-		{T: 1 * ms, Kind: KindDeliver, Node: "io"},
-		{T: 1 * ms, Kind: KindDeliver, Node: "elsewhere"}, // filtered: wrong node
-		{T: 1 * ms, Kind: KindDrop, Node: "io"},           // filtered: wrong kind
-		{T: 10 * ms, Kind: KindDeliver, Node: "io"},       // bin edge: next bin
-		{T: 25 * ms, Kind: KindDeliver, Node: "io"},
-	}
-	r := DeliveryRate(events, "io", 0, 10*time.Millisecond)
-	got := r.Counts(29 * ms)
-	if want := []int{2, 1, 1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("counts = %v, want %v", got, want)
-	}
-}
-
-func TestLatencyByClass(t *testing.T) {
-	events := []Event{
-		{Kind: KindDeliver, Prio: 6, Aux: 2000},
-		{Kind: KindDeliver, Prio: 6, Aux: 4000},
-		{Kind: KindDeliver, Prio: 0, Aux: 1000},
-		{Kind: KindDrop, Prio: 0, Aux: 9000}, // not a delivery
-	}
-	by := LatencyByClass(events)
-	if len(by) != 2 {
-		t.Fatalf("classes = %d", len(by))
-	}
-	if by[6].Len() != 2 || by[6].Mean() != 3 { // µs
-		t.Fatalf("prio 6: len=%d mean=%v", by[6].Len(), by[6].Mean())
-	}
-	if by[0].Len() != 1 || by[0].Max() != 1 {
-		t.Fatalf("prio 0: %+v", by[0])
 	}
 }
 

@@ -17,14 +17,13 @@ var (
 	LinkOT1G   = LinkSpec{RateBps: 1e9, PropNs: 500}
 	LinkDC10G  = LinkSpec{RateBps: 10e9, PropNs: 500}
 	LinkDC40G  = LinkSpec{RateBps: 40e9, PropNs: 500}
-	LinkDC100G = LinkSpec{RateBps: 100e9, PropNs: 500}
 )
 
 // Line builds the classic OT daisy-chain: switches in a row, hostsPer
 // hosts hanging off each switch. Common along conveyor lines.
 func Line(switches, hostsPer int, trunk, access LinkSpec) *Graph {
 	g := NewGraph(fmt.Sprintf("line-%d", switches))
-	addChain(g, switches, hostsPer, trunk, access, false)
+	addChain(g, switches, hostsPer, trunk, access)
 	return g
 }
 
@@ -32,14 +31,14 @@ func Line(switches, hostsPer int, trunk, access LinkSpec) *Graph {
 // switches (MRP-style ring) with hosts per switch.
 func Ring(switches, hostsPer int, trunk, access LinkSpec) *Graph {
 	g := NewGraph(fmt.Sprintf("ring-%d", switches))
-	sw := addChain(g, switches, hostsPer, trunk, access, false)
+	sw := addChain(g, switches, hostsPer, trunk, access)
 	if switches > 2 {
 		g.AddEdge(sw[len(sw)-1], sw[0], trunk.RateBps, trunk.PropNs)
 	}
 	return g
 }
 
-func addChain(g *Graph, switches, hostsPer int, trunk, access LinkSpec, _ bool) []NodeID {
+func addChain(g *Graph, switches, hostsPer int, trunk, access LinkSpec) []NodeID {
 	if switches < 1 {
 		panic("topo: need at least one switch")
 	}
@@ -57,45 +56,6 @@ func addChain(g *Graph, switches, hostsPer int, trunk, access LinkSpec, _ bool) 
 		}
 	}
 	return sw
-}
-
-// Star builds one central switch with leaves hosts.
-func Star(leaves int, access LinkSpec) *Graph {
-	g := NewGraph(fmt.Sprintf("star-%d", leaves))
-	c := g.AddNode("sw0", KindSwitch)
-	for i := 0; i < leaves; i++ {
-		h := g.AddNode(fmt.Sprintf("h%d", i), KindHost)
-		g.AddEdge(c, h, access.RateBps, access.PropNs)
-	}
-	return g
-}
-
-// Tree builds a balanced switch tree of the given depth and fanout with
-// hostsPerLeaf hosts under each leaf switch. Depth 1 is a single switch.
-func Tree(depth, fanout, hostsPerLeaf int, trunk, access LinkSpec) *Graph {
-	if depth < 1 || fanout < 1 {
-		panic("topo: tree needs depth >= 1 and fanout >= 1")
-	}
-	g := NewGraph(fmt.Sprintf("tree-d%d-f%d", depth, fanout))
-	level := []NodeID{g.AddNode("sw-root", KindSwitch)}
-	for d := 1; d < depth; d++ {
-		var next []NodeID
-		for pi, parent := range level {
-			for c := 0; c < fanout; c++ {
-				s := g.AddNode(fmt.Sprintf("sw-%d.%d.%d", d, pi, c), KindSwitch)
-				g.AddEdge(parent, s, trunk.RateBps, trunk.PropNs)
-				next = append(next, s)
-			}
-		}
-		level = next
-	}
-	for li, leaf := range level {
-		for h := 0; h < hostsPerLeaf; h++ {
-			host := g.AddNode(fmt.Sprintf("h%d.%d", li, h), KindHost)
-			g.AddEdge(leaf, host, access.RateBps, access.PropNs)
-		}
-	}
-	return g
 }
 
 // LeafSpine builds the standard two-tier DC fabric: every leaf connects
@@ -117,44 +77,6 @@ func LeafSpine(spines, leaves, hostsPerLeaf int, fabric, access LinkSpec) *Graph
 		for h := 0; h < hostsPerLeaf; h++ {
 			host := g.AddNode(fmt.Sprintf("srv%d.%d", l, h), KindServer)
 			g.AddEdge(leaf, host, access.RateBps, access.PropNs)
-		}
-	}
-	return g
-}
-
-// FatTree builds a k-ary fat tree (k even): (k/2)² core switches, k pods
-// of k/2 aggregation and k/2 edge switches, and (k/2) servers per edge.
-func FatTree(k int, spec LinkSpec) *Graph {
-	if k < 2 || k%2 != 0 {
-		panic("topo: fat tree needs even k >= 2")
-	}
-	g := NewGraph(fmt.Sprintf("fattree-k%d", k))
-	half := k / 2
-	core := make([]NodeID, half*half)
-	for i := range core {
-		core[i] = g.AddNode(fmt.Sprintf("core%d", i), KindSwitch)
-	}
-	for p := 0; p < k; p++ {
-		aggs := make([]NodeID, half)
-		edges := make([]NodeID, half)
-		for i := 0; i < half; i++ {
-			aggs[i] = g.AddNode(fmt.Sprintf("agg%d.%d", p, i), KindSwitch)
-			edges[i] = g.AddNode(fmt.Sprintf("edge%d.%d", p, i), KindSwitch)
-		}
-		for i, a := range aggs {
-			// Aggregation switch i connects to core group i.
-			for j := 0; j < half; j++ {
-				g.AddEdge(a, core[i*half+j], spec.RateBps, spec.PropNs)
-			}
-			for _, e := range edges {
-				g.AddEdge(a, e, spec.RateBps, spec.PropNs)
-			}
-		}
-		for i, e := range edges {
-			for s := 0; s < half; s++ {
-				srv := g.AddNode(fmt.Sprintf("srv%d.%d.%d", p, i, s), KindServer)
-				g.AddEdge(e, srv, spec.RateBps, spec.PropNs)
-			}
 		}
 	}
 	return g

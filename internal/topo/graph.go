@@ -1,16 +1,14 @@
-// Package topo provides the topology layer the paper contrasts in §2.3
-// and §5: classic OT shapes (line, ring, star, tree) that mirror the
-// physical plant layout, and IT data-center shapes (leaf-spine, fat-tree)
-// built for bisection bandwidth. Graphs are undirected multigraph-free
-// node/edge structures with link capacities, plus shortest-path routing
-// with equal-cost multipath enumeration. The ML-aware topology optimizer
-// in internal/mltopo builds on these generators.
+// Package topo provides the topology layer the simulated networks run
+// on: undirected multigraph-free node/edge graphs with link capacities,
+// deterministic shortest-path routing, the sharded campus (cells of OT
+// switch trees behind a data-center spine) and its partition, and line,
+// ring and leaf-spine generators that tests build their inputs with.
+// The ML-aware topologies in internal/mltopo build their graphs here.
 package topo
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // NodeKind classifies a node for placement and routing policy.
@@ -168,16 +166,6 @@ func (g *Graph) Incident(n NodeID) []EdgeID {
 // Degree returns the number of edges incident to n.
 func (g *Graph) Degree(n NodeID) int { return len(g.adj[n]) }
 
-// Neighbors returns the neighbor node ids of n, sorted.
-func (g *Graph) Neighbors(n NodeID) []NodeID {
-	out := make([]NodeID, 0, len(g.adj[n]))
-	for _, eid := range g.adj[n] {
-		out = append(out, g.edges[eid].Other(n))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // NodesOfKind returns the ids of all nodes with the given kind, in order.
 func (g *Graph) NodesOfKind(kind NodeKind) []NodeID {
 	var out []NodeID
@@ -187,28 +175,4 @@ func (g *Graph) NodesOfKind(kind NodeKind) []NodeID {
 		}
 	}
 	return out
-}
-
-// Connected reports whether every node is reachable from node 0.
-func (g *Graph) Connected() bool {
-	if len(g.nodes) == 0 {
-		return true
-	}
-	seen := make([]bool, len(g.nodes))
-	stack := []NodeID{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, eid := range g.adj[n] {
-			m := g.edges[eid].Other(n)
-			if !seen[m] {
-				seen[m] = true
-				count++
-				stack = append(stack, m)
-			}
-		}
-	}
-	return count == len(g.nodes)
 }

@@ -30,17 +30,11 @@ func (p Path) Valid(g *Graph) bool {
 	return true
 }
 
-// EdgeWeight assigns a routing cost to an edge. HopCount treats every
-// edge as cost 1; PropagationCost uses the edge's propagation delay.
+// EdgeWeight assigns a routing cost to an edge.
 type EdgeWeight func(Edge) float64
 
 // HopCount weighs every edge 1.
 func HopCount(Edge) float64 { return 1 }
-
-// PropagationCost weighs an edge by its propagation delay plus one —
-// the +1 keeps zero-delay edges from forming zero-cost cycles in path
-// enumeration.
-func PropagationCost(e Edge) float64 { return float64(e.PropNs) + 1 }
 
 type pqItem struct {
 	node NodeID
@@ -49,8 +43,7 @@ type pqItem struct {
 
 // frontier is Dijkstra's queue: a binary min-heap on dist whose sift-up
 // and sift-down are container/heap's, step for step, so equal-distance
-// nodes pop in the order they always have. Via lists, and with them
-// ECMPPath's choices, depend on that order.
+// nodes pop in the order they always have.
 type frontier []pqItem
 
 func (q *frontier) push(it pqItem) {
@@ -156,13 +149,6 @@ func (r *Router) run(src NodeID) {
 	r.src = src
 }
 
-// Distance returns the shortest-path cost from src to dst, or +Inf when
-// unreachable.
-func (r *Router) Distance(src, dst NodeID) float64 {
-	r.run(src)
-	return r.dist[dst]
-}
-
 // ErrNoPath is returned when dst is unreachable from src.
 type ErrNoPath struct{ Src, Dst NodeID }
 
@@ -231,47 +217,4 @@ func (r *Router) NextHop(src, dst NodeID) (EdgeID, error) {
 		cur = r.g.Edge(best).Other(cur)
 	}
 	return last, nil
-}
-
-// ECMPPath returns the shortest path selected by hashing flowKey over the
-// equal-cost predecessor sets — deterministic per flow, diverse across
-// flows, like switch ECMP.
-func (r *Router) ECMPPath(src, dst NodeID, flowKey uint64) (Path, error) {
-	r.run(src)
-	if math.IsInf(r.dist[dst], 1) {
-		return Path{}, ErrNoPath{src, dst}
-	}
-	var revNodes []NodeID
-	var revEdges []EdgeID
-	h := flowKey
-	cur := dst
-	for cur != src {
-		revNodes = append(revNodes, cur)
-		options := r.via[cur]
-		h = h*0x9e3779b97f4a7c15 + 0x7f4a7c159e3779b9
-		pick := options[int(h%uint64(len(options)))]
-		revEdges = append(revEdges, pick)
-		cur = r.g.Edge(pick).Other(cur)
-	}
-	revNodes = append(revNodes, src)
-	p := Path{
-		Nodes: make([]NodeID, len(revNodes)),
-		Edges: make([]EdgeID, len(revEdges)),
-	}
-	for i := range revNodes {
-		p.Nodes[i] = revNodes[len(revNodes)-1-i]
-	}
-	for i := range revEdges {
-		p.Edges[i] = revEdges[len(revEdges)-1-i]
-	}
-	return p, nil
-}
-
-// PropagationNs sums the propagation delay along p.
-func PropagationNs(g *Graph, p Path) int64 {
-	var total int64
-	for _, eid := range p.Edges {
-		total += g.Edge(eid).PropNs
-	}
-	return total
 }

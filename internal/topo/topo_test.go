@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -19,9 +18,6 @@ func TestGraphBasics(t *testing.T) {
 	}
 	if g.Degree(a) != 1 || g.Degree(b) != 1 {
 		t.Fatal("degree broken")
-	}
-	if ns := g.Neighbors(a); len(ns) != 1 || ns[0] != b {
-		t.Fatalf("neighbors = %v", ns)
 	}
 	if g.Node(a).Kind != KindHost {
 		t.Fatal("kind lost")
@@ -66,19 +62,6 @@ func TestNodesOfKind(t *testing.T) {
 	}
 }
 
-func TestConnected(t *testing.T) {
-	g := NewGraph("g")
-	a := g.AddNode("a", KindHost)
-	b := g.AddNode("b", KindHost)
-	if g.Connected() {
-		t.Fatal("disconnected graph reported connected")
-	}
-	g.AddEdge(a, b, 1, 1)
-	if !g.Connected() {
-		t.Fatal("connected graph reported disconnected")
-	}
-}
-
 func TestLineTopology(t *testing.T) {
 	g := Line(4, 2, LinkOT1G, LinkOT100M)
 	if got := len(g.NodesOfKind(KindSwitch)); got != 4 {
@@ -89,9 +72,6 @@ func TestLineTopology(t *testing.T) {
 	}
 	if g.NumEdges() != 3+8 {
 		t.Fatalf("edges = %d", g.NumEdges())
-	}
-	if !g.Connected() {
-		t.Fatal("line disconnected")
 	}
 }
 
@@ -112,27 +92,6 @@ func TestRingOfTwoHasNoParallelEdge(t *testing.T) {
 	g := Ring(2, 0, LinkOT1G, LinkOT100M)
 	if g.NumEdges() != 1 {
 		t.Fatalf("edges = %d", g.NumEdges())
-	}
-}
-
-func TestStar(t *testing.T) {
-	g := Star(5, LinkOT100M)
-	if g.NumNodes() != 6 || g.NumEdges() != 5 {
-		t.Fatalf("nodes/edges = %d/%d", g.NumNodes(), g.NumEdges())
-	}
-}
-
-func TestTreeCounts(t *testing.T) {
-	g := Tree(3, 2, 2, LinkOT1G, LinkOT100M)
-	// 1 + 2 + 4 switches, 4 leaves * 2 hosts.
-	if got := len(g.NodesOfKind(KindSwitch)); got != 7 {
-		t.Fatalf("switches = %d", got)
-	}
-	if got := len(g.NodesOfKind(KindHost)); got != 8 {
-		t.Fatalf("hosts = %d", got)
-	}
-	if !g.Connected() {
-		t.Fatal("tree disconnected")
 	}
 }
 
@@ -159,37 +118,10 @@ func TestLeafSpine(t *testing.T) {
 	}
 }
 
-func TestFatTreeCounts(t *testing.T) {
-	k := 4
-	g := FatTree(k, LinkDC10G)
-	// k=4: 4 core, 8 agg, 8 edge, 16 servers.
-	if got := len(g.NodesOfKind(KindSwitch)); got != 20 {
-		t.Fatalf("switches = %d", got)
-	}
-	if got := len(g.NodesOfKind(KindServer)); got != 16 {
-		t.Fatalf("servers = %d", got)
-	}
-	if !g.Connected() {
-		t.Fatal("fat tree disconnected")
-	}
-}
-
-func TestFatTreeOddKPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("odd k did not panic")
-		}
-	}()
-	FatTree(3, LinkDC10G)
-}
-
 func TestRouterShortestOnRing(t *testing.T) {
 	g := Ring(6, 0, LinkOT1G, LinkOT100M)
 	r := NewRouter(g, HopCount)
 	// Opposite nodes on a 6-ring are 3 hops apart.
-	if d := r.Distance(0, 3); d != 3 {
-		t.Fatalf("distance = %v", d)
-	}
 	p, err := r.Path(0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -204,9 +136,6 @@ func TestRouterNoPath(t *testing.T) {
 	a := g.AddNode("a", KindHost)
 	b := g.AddNode("b", KindHost)
 	r := NewRouter(g, HopCount)
-	if !math.IsInf(r.Distance(a, b), 1) {
-		t.Fatal("distance finite for disconnected pair")
-	}
 	if _, err := r.Path(a, b); err == nil {
 		t.Fatal("no error for unreachable path")
 	}
@@ -228,50 +157,20 @@ func TestRouterDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestECMPSpreadsFlows(t *testing.T) {
-	g := LeafSpine(4, 2, 1, LinkDC40G, LinkDC10G)
-	r := NewRouter(g, HopCount)
-	servers := g.NodesOfKind(KindServer)
-	spines := map[NodeID]bool{}
-	for key := uint64(0); key < 64; key++ {
-		p, err := r.ECMPPath(servers[0], servers[1], key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !p.Valid(g) || p.Hops() != 4 {
-			t.Fatalf("ecmp path invalid: %+v", p)
-		}
-		spines[p.Nodes[2]] = true
-	}
-	if len(spines) < 2 {
-		t.Fatalf("ECMP used %d spines, want >=2", len(spines))
-	}
-}
-
-func TestECMPSameKeySamePath(t *testing.T) {
-	g := LeafSpine(4, 2, 1, LinkDC40G, LinkDC10G)
-	r := NewRouter(g, HopCount)
-	servers := g.NodesOfKind(KindServer)
-	a, _ := r.ECMPPath(servers[0], servers[1], 42)
-	b, _ := r.ECMPPath(servers[0], servers[1], 42)
-	for i := range a.Edges {
-		if a.Edges[i] != b.Edges[i] {
-			t.Fatal("same key chose different paths")
-		}
-	}
-}
-
+// TestPathValidProperty: every path the router returns between two
+// servers of a leaf-spine is valid in the graph and runs from the
+// source to the destination.
 func TestPathValidProperty(t *testing.T) {
-	g := FatTree(4, LinkDC10G)
+	g := LeafSpine(4, 8, 2, LinkDC40G, LinkDC10G)
 	r := NewRouter(g, HopCount)
 	servers := g.NodesOfKind(KindServer)
-	f := func(i, j uint8, key uint64) bool {
+	f := func(i, j uint8) bool {
 		src := servers[int(i)%len(servers)]
 		dst := servers[int(j)%len(servers)]
 		if src == dst {
 			return true
 		}
-		p, err := r.ECMPPath(src, dst, key)
+		p, err := r.Path(src, dst)
 		if err != nil {
 			return false
 		}
@@ -290,16 +189,13 @@ func TestPropagationCostRouting(t *testing.T) {
 	g.AddEdge(a, b, 1e9, 10000) // direct but slow
 	g.AddEdge(a, mid, 1e9, 100)
 	g.AddEdge(mid, b, 1e9, 100)
-	r := NewRouter(g, PropagationCost)
+	r := NewRouter(g, func(e Edge) float64 { return float64(e.PropNs) })
 	p, err := r.Path(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Hops() != 2 {
 		t.Fatalf("took direct slow edge: %+v", p)
-	}
-	if PropagationNs(g, p) != 200 {
-		t.Fatalf("prop = %d", PropagationNs(g, p))
 	}
 }
 

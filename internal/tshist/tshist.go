@@ -69,10 +69,7 @@ type Series struct {
 	tiers []ring
 	// fold accumulators, one per tier that feeds a coarser one.
 	acc []foldAcc
-	// last is the most recent raw append, kept so Latest is O(1) even
-	// when the caller never queries.
-	last Point
-	n    uint64 // total raw appends
+	n   uint64 // total raw appends
 }
 
 type foldAcc struct {
@@ -91,7 +88,6 @@ func newSeries(capacity, tiers int) *Series {
 
 // append records one sample and cascades fold completions upward.
 func (s *Series) append(fold int, p Point) {
-	s.last = p
 	s.n++
 	s.tiers[0].push(p)
 	for k := 0; k < len(s.acc); k++ {
@@ -110,9 +106,6 @@ func (s *Series) append(fold int, p Point) {
 
 // Len returns the total number of raw samples ever appended.
 func (s *Series) Len() uint64 { return s.n }
-
-// Latest returns the most recent raw sample (zero Point before any).
-func (s *Series) Latest() Point { return s.last }
 
 // Recorder is a bounded store of many named series sharing one
 // geometry. Safe for one appender plus concurrent readers.

@@ -5,9 +5,8 @@
 // flows sharing a multi-hop trunk, Synthesize assigns each flow a
 // transmission offset inside its period such that no two transmissions
 // ever contend for a link, across the whole hyperperiod and along
-// every hop (no-wait wave scheduling with guard bands). The result
-// converts into per-port 802.1Qbv gate control lists, and — because
-// contention is designed away — the flows see zero queueing jitter by
+// every hop (no-wait wave scheduling with guard bands). Because
+// contention is designed away, the flows see zero queueing jitter by
 // construction, which the tests verify against the simulator.
 package tsn
 
@@ -16,10 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"steelnet/internal/frame"
-	"steelnet/internal/sim"
-	"steelnet/internal/simnet"
 )
 
 // FlowSpec is one cyclic flow to schedule.
@@ -167,18 +162,6 @@ func fits(occupied []interval, f FlowSpec, off, w, hyper time.Duration) bool {
 	return true
 }
 
-// OffsetAt returns when flow id's frame starts transmission at hop
-// (0-based): each hop shifts by the flow's own serialization plus the
-// switch latency. false when the flow is not scheduled.
-func (s *Schedule) OffsetAt(id uint32, hop int) (time.Duration, bool) {
-	for _, a := range s.Assignments {
-		if a.Flow.ID == id {
-			return a.Offset + time.Duration(hop)*(a.Ser+s.Path.SwitchLatency), true
-		}
-	}
-	return 0, false
-}
-
 // Validate re-checks the non-overlap invariant at every hop using the
 // frames' actual per-hop occupancies (their own serialization shifts),
 // not the conservative reservations; a nil return means the schedule
@@ -203,59 +186,6 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	return nil
-}
-
-// GateScheduleAt builds the 802.1Qbv gate control list for the egress
-// port at hop: RT-exclusive gates exactly over the reserved windows,
-// everything open in between. The hyperperiod is the gate cycle.
-func (s *Schedule) GateScheduleAt(hop int) (*simnet.GateSchedule, error) {
-	var raw []interval
-	for _, a := range s.Assignments {
-		reps := int(s.Hyperperiod / a.Flow.Period)
-		base := a.Offset + time.Duration(hop)*(a.Ser+s.Path.SwitchLatency)
-		for k := 0; k < reps; k++ {
-			start := (time.Duration(k)*a.Flow.Period + base) % s.Hyperperiod
-			end := start + a.Ser + s.Path.GuardBand
-			if end > s.Hyperperiod {
-				// Split wrap-around windows.
-				raw = append(raw, interval{start, s.Hyperperiod}, interval{0, end - s.Hyperperiod})
-				continue
-			}
-			raw = append(raw, interval{start, end})
-		}
-	}
-	sort.Slice(raw, func(i, j int) bool { return raw[i].start < raw[j].start })
-	// Merge touching/overlapping guard-extended windows.
-	var ivs []interval
-	for _, iv := range raw {
-		if n := len(ivs); n > 0 && iv.start <= ivs[n-1].end {
-			if iv.end > ivs[n-1].end {
-				ivs[n-1].end = iv.end
-			}
-			continue
-		}
-		ivs = append(ivs, iv)
-	}
-	var windows []simnet.GateWindow
-	rt := simnet.MaskOf(frame.PrioRT, frame.PrioNetControl)
-	cursor := time.Duration(0)
-	for _, iv := range ivs {
-		if iv.start > cursor {
-			windows = append(windows, simnet.GateWindow{
-				Offset: sim.Duration(cursor), Duration: sim.Duration(iv.start - cursor), Mask: simnet.MaskAll,
-			})
-		}
-		windows = append(windows, simnet.GateWindow{
-			Offset: sim.Duration(iv.start), Duration: sim.Duration(iv.end - iv.start), Mask: rt,
-		})
-		cursor = iv.end
-	}
-	if cursor < s.Hyperperiod {
-		windows = append(windows, simnet.GateWindow{
-			Offset: sim.Duration(cursor), Duration: sim.Duration(s.Hyperperiod - cursor), Mask: simnet.MaskAll,
-		})
-	}
-	return simnet.NewGateSchedule(sim.Duration(s.Hyperperiod), windows)
 }
 
 func gcd(a, b time.Duration) time.Duration {

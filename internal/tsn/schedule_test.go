@@ -94,46 +94,6 @@ func TestValidatePropertyOnRandomFlowSets(t *testing.T) {
 	}
 }
 
-func TestOffsetAt(t *testing.T) {
-	flows := []FlowSpec{{ID: 7, Period: time.Millisecond, FrameBytes: 64}}
-	s, err := Synthesize(flows, path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o0, ok := s.OffsetAt(7, 0)
-	if !ok {
-		t.Fatal("flow not found")
-	}
-	o2, _ := s.OffsetAt(7, 2)
-	perHop := s.Assignments[0].Ser + s.Path.SwitchLatency
-	if o2 != o0+2*perHop {
-		t.Fatalf("hop offsets: %v vs %v (per-hop %v)", o0, o2, perHop)
-	}
-	if _, ok := s.OffsetAt(99, 0); ok {
-		t.Fatal("phantom flow found")
-	}
-}
-
-func TestGateScheduleTilesHyperperiod(t *testing.T) {
-	flows := []FlowSpec{
-		{ID: 1, Period: time.Millisecond, FrameBytes: 64},
-		{ID: 2, Period: 2 * time.Millisecond, FrameBytes: 256},
-	}
-	s, err := Synthesize(flows, path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for hop := 0; hop < s.Path.Hops; hop++ {
-		g, err := s.GateScheduleAt(hop)
-		if err != nil {
-			t.Fatalf("hop %d: %v", hop, err)
-		}
-		if g.Cycle != sim.Duration(s.Hyperperiod) {
-			t.Fatalf("cycle = %v", g.Cycle)
-		}
-	}
-}
-
 // TestScheduledFlowsHaveZeroQueueingJitter is the synthesis-vs-
 // simulator cross check: senders transmit at their assigned offsets
 // over a shared 3-switch line; because the schedule is contention-free,
@@ -169,12 +129,15 @@ func TestScheduledFlowsHaveZeroQueueingJitter(t *testing.T) {
 		arrivals[f.Meta.FlowID] = append(arrivals[f.Meta.FlowID], int64(e.Now()))
 	})
 
+	offset := map[uint32]time.Duration{}
+	for _, a := range s.Assignments {
+		offset[a.Flow.ID] = a.Offset
+	}
 	for i, fl := range flows {
 		fl := fl
 		src := simnet.NewHost(e, "src", frame.NewMAC(uint32(i+1)))
 		simnet.Connect(e, "acc", src.Port(), sws[0].Port(i), 1e9, 0)
-		off, _ := s.OffsetAt(fl.ID, 0)
-		e.Every(sim.Time(off), fl.Period, func() {
+		e.Every(sim.Time(offset[fl.ID]), fl.Period, func() {
 			src.Send(&frame.Frame{
 				Dst: sink.MAC(), Tagged: true, Priority: frame.PrioRT, VID: 10,
 				Type:    frame.TypeProfinet,

@@ -5,9 +5,9 @@
 #   scripts/check.sh NAME
 #
 # where NAME is race, replay, fuzz, zero-alloc, smoke, invariance,
-# int-replay, obs-endpoint, steelnetd or bench-module. Every file a
-# check writes lands in the repo root under the name CI uploads; all of
-# them are in .gitignore.
+# int-replay, obs-endpoint, steelnetd, bench-module or reach. Every file
+# a check writes lands in the repo root under the name CI uploads; all
+# of them are in .gitignore.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
@@ -288,11 +288,100 @@ bench_module() {
     cd bench && go vet ./... && go test -short ./...
 }
 
+# Every function no entry point reaches. Each entry point is built with
+# -cover and run under one GOCOVERDIR: the smoke, invariance,
+# int-replay, obs-endpoint and steelnetd checks (their `go run`/`go
+# build` honour GOFLAGS); the command-line paths no check runs (each
+# command's checkpoint and resume, the chaos ladder, the hardware
+# baseline, a fault plan, the requirements corpus, -stats on every
+# figure and the campus's SLO watchdogs); every example; the
+# four bench workloads at seed 1; and the documented `go test -bench`
+# experiments. The profiles are merged, a block counting as reached
+# when any run hit it, and the functions outside bench/ at 0 % are
+# printed with their line spans (doc comment included) and written to
+# reach.txt. The list is a report: this fails only when an entry point
+# does.
+reach() {
+    local dir=$PWD/reach.covdata ex w cmd args
+    rm -rf "$dir" && mkdir -p "$dir"
+    (
+        export GOFLAGS='-cover -coverpkg=steelnet/...' GOCOVERDIR=$dir
+        smoke
+        invariance
+        int_replay
+        obs_endpoint
+        steelnetd
+        while read -r cmd args; do
+            rm -f reach.ck
+            go run "./cmd/$cmd" $args -checkpoint reach.ck < /dev/null > /dev/null
+            go run "./cmd/$cmd" $args -resume reach.ck < /dev/null > /dev/null
+        done <<'EOF'
+gapminer
+reflectbench -cycles 120
+topobench    -clients 8,16 -horizon 100ms
+topobench    -campus -horizon 5ms
+instaplcd    -chaos -horizon 800ms -fail 400ms
+EOF
+        go run ./cmd/gapminer -requirements > /dev/null
+        go run ./cmd/reflectbench -cycles 120 -stats > /dev/null
+        go run ./cmd/topobench -clients 8 -horizon 100ms -stats > /dev/null
+        go run ./cmd/topobench -campus -horizon 5ms -stats -slo 'latency:*<1us' \
+            -trace reach.trace.jsonl > /dev/null
+        go run ./cmd/instaplcd -baseline > /dev/null
+        go run ./cmd/instaplcd -faults 'hoststall:vplc1@1.3s+400ms,loss:dp.2@500ms+1s*0.2' > /dev/null
+        for ex in examples/*/; do go run "./$ex" > /dev/null; done
+        for w in paper_figs campus_10k gateway_stream gateway_query; do
+            bench/run.sh -workload $w -seed 1 -seconds 1 > /dev/null
+        done
+    )
+    go test -run '^$' -bench . -benchtime 1x \
+        -coverpkg=./... -coverprofile=reach.root.out . > /dev/null
+    go test -run '^$' -bench BenchmarkGatewayFanout -benchtime 1x \
+        -coverpkg=./... -coverprofile=reach.fanout.out ./internal/steelnetd > /dev/null
+    go tool covdata textfmt -i="$dir" -o reach.bin.out
+    # Dedupe blocks by position, as covercheck.sh does.
+    awk 'FNR > 1 && $1 ~ /^steelnet\// && $1 !~ /^steelnet\/bench\// {
+        if (!($1 in S)) { S[$1] = $2; order[n++] = $1 }
+        if ($3 > 0) H[$1] = 1
+    }
+    END {
+        print "mode: set"
+        for (i = 0; i < n; i++) print order[i], S[order[i]], (order[i] in H) ? 1 : 0
+    }' reach.bin.out reach.root.out reach.fanout.out > reach.out
+    go tool cover -func=reach.out | python3 -c '
+import re, sys
+funcs = zero = lines = 0
+out = []
+for l in sys.stdin:
+    m = re.match(r"steelnet/(\S+):(\d+):\s+(\S+)\s+([\d.]+)%", l)
+    if not m:
+        continue
+    funcs += 1
+    if float(m[4]) > 0:
+        continue
+    path, start = m[1], int(m[2])
+    src = open(path).read().split("\n")
+    end = start - 1  # a one-line func ends where it starts
+    if not src[end].rstrip().endswith("}"):
+        while src[end] != "}":
+            end += 1
+    first = start - 1
+    while first > 0 and src[first - 1].startswith("//"):
+        first -= 1
+    zero += 1
+    lines += end - first + 1
+    out.append(f"{path}:{start}\t{m[3]}\t{end - first + 1}")
+out.append(f"{zero} of {funcs} functions unreached, {lines} lines with doc comments")
+open("reach.txt", "w").write("\n".join(out) + "\n")
+print("\n".join(out))
+'
+}
+
 case "${1:-}" in
-race | replay | fuzz | smoke | invariance | steelnetd) "$1" ;;
+race | replay | fuzz | smoke | invariance | steelnetd | reach) "$1" ;;
 zero-alloc | int-replay | obs-endpoint | bench-module) "${1//-/_}" ;;
 *)
-    echo "usage: scripts/check.sh race|replay|fuzz|zero-alloc|smoke|invariance|int-replay|obs-endpoint|steelnetd|bench-module" >&2
+    echo "usage: scripts/check.sh race|replay|fuzz|zero-alloc|smoke|invariance|int-replay|obs-endpoint|steelnetd|bench-module|reach" >&2
     exit 2
     ;;
 esac
