@@ -6,4 +6,4 @@ import (
 	"steelnet/internal/cli/clitest"
 )
 
-func TestSkeleton(t *testing.T) { clitest.Skeleton(t, run, "gapminer") }
+func TestSkeleton(t *testing.T) { clitest.Skeleton(t, run, "gapminer", 0) }

@@ -54,7 +54,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	return cli.Main("instaplcd", 0, args, stdout, stderr, command)
+	return cli.Main("instaplcd", cli.Simulation, args, stdout, stderr, command)
 }
 
 // command registers instaplcd's own flags and returns its body.
@@ -69,6 +69,12 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 	chaos := fs.Bool("chaos", false, "sweep randomized fault plans over the scenario")
 	every := fs.Duration("checkpoint-every", 500*time.Millisecond, "simulated time between periodic checkpoints")
 	return func(env *cli.Env) error {
+		if *wd < 1 {
+			return cli.Usagef("bad -watchdog %d: want at least 1 cycle", *wd)
+		}
+		if *every <= 0 {
+			return cli.Usagef("bad -checkpoint-every %v: want a positive interval", *every)
+		}
 		stdout := env.Stdout
 		cfg := instaplc.DefaultExperimentConfig()
 		cfg.Seed = *seed
@@ -161,9 +167,6 @@ func advanceWithCheckpoints(h *instaplc.Harness, path string, interval time.Dura
 	if path == "" {
 		h.AdvanceTo(h.Horizon())
 		return nil
-	}
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
 	}
 	step := sim.Time(interval)
 	for t := h.Engine().Now() + step; t < h.Horizon(); t += step {

@@ -93,16 +93,23 @@ func TestRunChaosResume(t *testing.T) {
 	}
 }
 
+// TestRunBadUsage: a flag value the command cannot honour as given
+// exits 2 with nothing on stdout, never a run on a value the user did
+// not ask for.
 func TestRunBadUsage(t *testing.T) {
 	cases := [][]string{
 		{"-no-such-flag"},
 		{"-resume", filepath.Join(t.TempDir(), "missing.ckpt")},
 		tiny("-faults", "bogus-spec"),
+		tiny("-watchdog", "-5"),
+		tiny("-watchdog", "0"),
+		tiny("-checkpoint-every", "-1s"),
+		tiny("-checkpoint-every", "0"),
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 {
-			t.Errorf("run(%v) = %d, want 2", args, code)
+		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("run(%v) = %d, stdout %q; want 2 and nothing", args, code, stdout.String())
 		}
 	}
 }

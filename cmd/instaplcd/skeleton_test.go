@@ -3,7 +3,8 @@ package main
 import (
 	"testing"
 
+	"steelnet/internal/cli"
 	"steelnet/internal/cli/clitest"
 )
 
-func TestSkeleton(t *testing.T) { clitest.Skeleton(t, run, "instaplcd") }
+func TestSkeleton(t *testing.T) { clitest.Skeleton(t, run, "instaplcd", cli.Simulation) }

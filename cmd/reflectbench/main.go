@@ -43,7 +43,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	return cli.Main("reflectbench", 0, args, stdout, stderr, command)
+	return cli.Main("reflectbench", cli.Simulation, args, stdout, stderr, command)
 }
 
 // command registers reflectbench's own flags and returns its body.

@@ -62,6 +62,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *steelnetd.Server
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *maxConc < 0 {
+		fmt.Fprintf(stderr, "steelnetd: bad -max-concurrent %d: want 0 (unlimited) or more\n", *maxConc)
+		return 2
+	}
 	if *listen == "" && len(specs) == 0 {
 		fmt.Fprintln(stderr, "steelnetd: nothing to do: no -listen and no -run")
 		return 2

@@ -100,11 +100,16 @@ func TestRunErrors(t *testing.T) {
 		{"missing spec file", []string{"-listen", "", "-wait", "-run", "@/nosuch/spec.json"}, 2},
 		{"bad rule in spec", []string{"-listen", "", "-wait", "-run", `{"run":{"seed":1},"rules":"bogus:*>1->kafka:t"}`}, 2},
 		{"bad listen addr", []string{"-listen", "256.0.0.1:0"}, 1},
+		{"negative max-concurrent", []string{"-listen", "", "-wait", "-max-concurrent", "-3",
+			"-run", `{"run":{"seed":1,"horizon":100000000,"slice":50000000}}`}, 2},
 	}
 	for _, c := range cases {
 		var out, errOut strings.Builder
 		if code := run(c.args, &out, &errOut, nil); code != c.code {
 			t.Errorf("%s: exit %d, want %d; stderr:\n%s", c.name, code, c.code, errOut.String())
+		}
+		if c.code == 2 && out.Len() != 0 {
+			t.Errorf("%s: printed to stdout:\n%s", c.name, out.String())
 		}
 	}
 }

@@ -64,7 +64,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	return cli.Main("topobench", 0, args, stdout, stderr, command)
+	return cli.Main("topobench", cli.Simulation, args, stdout, stderr, command)
 }
 
 // command registers topobench's own flags and returns its body.
@@ -78,6 +78,9 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 	cellHosts := fs.Int("cell-hosts", 2, "campus: hosts per switch")
 	spines := fs.Int("spines", 2, "campus: backbone spine switches")
 	return func(env *cli.Env) error {
+		if *horizon <= 0 {
+			return cli.Usagef("bad -horizon %v: want a positive duration", *horizon)
+		}
 		for _, size := range []struct {
 			flag string
 			n    int

@@ -233,16 +233,23 @@ func TestRunCampusRejectsBadSizes(t *testing.T) {
 	}
 }
 
+// TestRunBadUsage: a flag value the command cannot honour as given
+// exits 2 with nothing on stdout, never a run on a value the user did
+// not ask for (a non-positive -horizon used to run the scenario's own).
 func TestRunBadUsage(t *testing.T) {
 	cases := [][]string{
 		{"-no-such-flag"},
 		{"-resume", filepath.Join(t.TempDir(), "missing.ckpt")},
 		{"-clients", "none"},
+		tiny("-horizon", "-1s"),
+		tiny("-horizon", "0"),
+		tinyCampus("-horizon", "-1s"),
+		tinyCampus("-horizon", "0"),
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 {
-			t.Errorf("run(%v) = %d, want 2", args, code)
+		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("run(%v) = %d, stdout %q; want 2 and nothing", args, code, stdout.String())
 		}
 	}
 }

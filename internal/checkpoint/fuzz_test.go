@@ -22,10 +22,10 @@ func reseal(raw []byte) []byte {
 }
 
 // FuzzCheckpointRead: the STEELCKP container decoder faces bytes from
-// outside the program (a -resume file, a checkpoint handed to the
-// gateway). It must never panic, and whatever it accepts it must have
-// understood completely: writing the decoded file back reproduces the
-// input byte for byte. Every input is tried as given and resealed.
+// outside the program (a -resume file). It must never panic, and
+// whatever it accepts it must have understood completely: writing the
+// decoded file back reproduces the input byte for byte. Every input is
+// tried as given and resealed.
 func FuzzCheckpointRead(f *testing.F) {
 	golden, err := filepath.Glob(filepath.Join("testdata", "*.ckpt"))
 	if err != nil || len(golden) == 0 {

@@ -1,7 +1,7 @@
 package checkpoint_test
 
-// Golden checkpoint corpus: one small serialized checkpoint per
-// experiment, committed under testdata/. TestGolden asserts both that
+// Golden checkpoint corpus: one small serialized checkpoint per kind a
+// command restores, committed under testdata/. TestGolden asserts both that
 // today's writer reproduces the committed bytes exactly and that
 // today's reader can restore them. Any format change — container
 // layout, config codecs, digest fold order — trips this test; that is
@@ -25,15 +25,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"steelnet/internal/checkpoint"
 	"steelnet/internal/core"
 	"steelnet/internal/instaplc"
-	"steelnet/internal/mltopo"
-	"steelnet/internal/mlwork"
-	"steelnet/internal/mrp"
-	"steelnet/internal/reflection"
 	"steelnet/internal/sim"
 	"steelnet/internal/sweep"
 	"steelnet/internal/topo"
@@ -49,15 +44,6 @@ func restoreAs[H resumable](f func(io.Reader, sweep.Sinks) (H, error)) restoreFu
 	return func(r io.Reader, s sweep.Sinks) (resumable, error) { return f(r, s) }
 }
 
-// built unwraps a constructor's result for a configuration the test
-// wrote itself, where an error is a bug.
-func built[H resumable](h H, err error) resumable {
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // goldenCase builds a deterministic tiny harness, checkpointed at a
 // fixed instant, and restores its committed form.
 type goldenCase struct {
@@ -68,12 +54,6 @@ type goldenCase struct {
 }
 
 func goldenCases() []goldenCase {
-	reflCfg := reflection.DefaultConfig()
-	reflCfg.Cycles = 40
-	mrpCfg := mrp.DefaultRingExperimentConfig()
-	mrpCfg.Horizon = 700 * time.Millisecond
-	mlSc := mltopo.DefaultScenario(mltopo.Ring, mlwork.ObjectIdentification, 4)
-	mlSc.Horizon = 200 * time.Millisecond
 	chaosCfg := core.DefaultChaosConfig()
 	chaosCfg.Base = smallInstaplcConfig()
 	campusCfg := core.CampusConfig{
@@ -93,24 +73,6 @@ func goldenCases() []goldenCase {
 			at:      sim.Time(200 * sim.Millisecond),
 			build:   func() resumable { return instaplc.NewHarness(smallInstaplcConfig()) },
 			restore: restoreAs(instaplc.RestoreWith),
-		},
-		{
-			name:    "reflection",
-			at:      sim.Time(30 * sim.Millisecond),
-			build:   func() resumable { return reflection.NewHarness(reflCfg, reflection.NewBase()) },
-			restore: restoreAs(reflection.Restore),
-		},
-		{
-			name:    "mrp",
-			at:      sim.Time(300 * sim.Millisecond),
-			build:   func() resumable { return built(mrp.NewHarness(mrpCfg)) },
-			restore: restoreAs(mrp.Restore),
-		},
-		{
-			name:    "mltopo",
-			at:      sim.Time(100 * sim.Millisecond),
-			build:   func() resumable { return mltopo.NewHarness(mlSc) },
-			restore: restoreAs(mltopo.Restore),
 		},
 		{
 			name:    "chaos",

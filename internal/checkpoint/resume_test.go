@@ -1,8 +1,9 @@
 package checkpoint_test
 
 // Differential-replay verification: for every experiment harness, run
-// straight to 2N with a checkpoint taken at N, then separately restore
-// that checkpoint and run to 2N. The restored run must be
+// straight to 2N, stopping at N, then run a second time to 2N — from a
+// checkpoint taken at N where the kind restores, from a fresh build
+// advanced to N and then to 2N where it does not. The second run must be
 // byte-identical — rendered figures, telemetry JSONL timelines,
 // metrics snapshots, frame-conservation accounts, and (where the
 // harness supports in-band telemetry) INT path digests, SLO breach logs
@@ -32,25 +33,30 @@ import (
 	"steelnet/internal/telemetry"
 )
 
-// resumable is what every experiment harness offers the verifier.
-type resumable interface {
+// stepper is what every experiment harness offers the verifier.
+type stepper interface {
 	AdvanceTo(t sim.Time)
 	Horizon() sim.Time
 	Digest() uint64
+}
+
+// resumable is a harness whose kind a command restores.
+type resumable interface {
+	stepper
 	Save(w io.Writer) error
 }
 
 // resumeCase builds one harness kind into the given telemetry sinks and
-// knows how to restore it and render its observable output. Harnesses
-// with in-band telemetry set int and are handed a collector in the
-// sinks (the restore feeds it — and the watchdog chained on it — the
-// replayed window from t=0).
+// knows how to render its observable output and, for a kind a command
+// restores, how to restore it. Harnesses with in-band telemetry set int
+// and are handed a collector in the sinks (a restore feeds it — and the
+// watchdog chained on it — the replayed window from t=0).
 type resumeCase struct {
 	name    string
 	int     bool
-	build   func(s sweep.Sinks) resumable
-	restore restoreFunc
-	render  func(h resumable) string
+	build   func(s sweep.Sinks) stepper
+	restore restoreFunc // nil: the second run is a fresh build
+	render  func(h stepper) string
 }
 
 func smallInstaplcConfig() instaplc.ExperimentConfig {
@@ -74,7 +80,7 @@ func resumeCases() []resumeCase {
 	chaosCfg := core.DefaultChaosConfig()
 	chaosCfg.Base = smallInstaplcConfig()
 
-	instaplcRender := func(h resumable) string {
+	instaplcRender := func(h stepper) string {
 		res := h.(*instaplc.Harness).Result()
 		return instaplc.RenderFigure5(res) +
 			fmt.Sprintf("%+v\n", res.Accounting) +
@@ -85,7 +91,7 @@ func resumeCases() []resumeCase {
 		{
 			name: "instaplc",
 			int:  true,
-			build: func(s sweep.Sinks) resumable {
+			build: func(s sweep.Sinks) stepper {
 				cfg := smallInstaplcConfig()
 				cfg.Sinks, cfg.INT = s, s.Collector != nil
 				return instaplc.NewHarness(cfg)
@@ -96,13 +102,12 @@ func resumeCases() []resumeCase {
 		{
 			name: "reflection",
 			int:  true,
-			build: func(s sweep.Sinks) resumable {
+			build: func(s sweep.Sinks) stepper {
 				cfg := reflCfg
 				cfg.Sinks, cfg.INT = s, s.Collector != nil
 				return reflection.NewHarness(cfg, reflection.NewBase())
 			},
-			restore: restoreAs(reflection.Restore),
-			render: func(h resumable) string {
+			render: func(h stepper) string {
 				res := h.(*reflection.Harness).Result()
 				return reflection.DelayTable([]reflection.Result{res}) +
 					reflection.JitterTable([]reflection.Result{res})
@@ -110,26 +115,28 @@ func resumeCases() []resumeCase {
 		},
 		{
 			name: "mrp",
-			build: func(s sweep.Sinks) resumable {
+			build: func(s sweep.Sinks) stepper {
 				cfg := mrpCfg
 				cfg.Sinks = s
-				return built(mrp.NewHarness(cfg))
+				h, err := mrp.NewHarness(cfg)
+				if err != nil {
+					panic(err)
+				}
+				return h
 			},
-			restore: restoreAs(mrp.Restore),
-			render: func(h resumable) string {
+			render: func(h stepper) string {
 				return fmt.Sprintf("%+v", h.(*mrp.Harness).Result())
 			},
 		},
 		{
 			name: "mltopo",
 			int:  true,
-			build: func(s sweep.Sinks) resumable {
+			build: func(s sweep.Sinks) stepper {
 				sc := mlSc
 				sc.Sinks, sc.INT = s, s.Collector != nil
 				return mltopo.NewHarness(sc)
 			},
-			restore: restoreAs(mltopo.Restore),
-			render: func(h resumable) string {
+			render: func(h stepper) string {
 				return fmt.Sprintf("%+v", h.(*mltopo.Harness).Result())
 			},
 		},
@@ -139,7 +146,7 @@ func resumeCases() []resumeCase {
 			// through the instaplc codec.
 			name: "chaos",
 			int:  true,
-			build: func(s sweep.Sinks) resumable {
+			build: func(s sweep.Sinks) stepper {
 				cfg := core.ChaosCellConfig(chaosCfg, 7) // intensity 4, trial 1
 				cfg.Sinks, cfg.INT = s, s.Collector != nil
 				return instaplc.NewHarness(cfg)
@@ -210,7 +217,7 @@ func renderINT(t *testing.T, a intAttachments) (digests, breaches, flightrec str
 
 // observe renders everything the run can show a user: the figure, the
 // telemetry JSONL timeline, and the metrics snapshot.
-func observe(t *testing.T, c resumeCase, h resumable, tr *telemetry.Tracer, reg *telemetry.Registry) (figure, jsonl, snapshot string) {
+func observe(t *testing.T, c resumeCase, h stepper, tr *telemetry.Tracer, reg *telemetry.Registry) (figure, jsonl, snapshot string) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := telemetry.WriteJSONL(&buf, tr.Events()); err != nil {
@@ -225,7 +232,8 @@ func TestResumeEquivalence(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 
-			// Straight run: advance to N, checkpoint, keep going to 2N.
+			// Straight run: advance to N, checkpoint where the kind
+			// restores, keep going to 2N.
 			trA := telemetry.NewTracer(nil)
 			regA := telemetry.NewRegistry()
 			attA := attachObservability(t, c, "straight", trA)
@@ -233,24 +241,34 @@ func TestResumeEquivalence(t *testing.T) {
 			n := a.Horizon() / 2
 			a.AdvanceTo(n)
 			var ckpt bytes.Buffer
-			if err := a.Save(&ckpt); err != nil {
-				t.Fatalf("Save at N: %v", err)
+			if c.restore != nil {
+				if err := a.(resumable).Save(&ckpt); err != nil {
+					t.Fatalf("Save at N: %v", err)
+				}
 			}
 			a.AdvanceTo(a.Horizon())
 			digestA := a.Digest()
 			figA, jsonlA, snapA := observe(t, c, a, trA, regA)
 			intA, breachA, recA := renderINT(t, attA)
 
-			// Restored run: rebuild from the checkpoint (which replays
-			// 0..N and verifies the digest), then run N..2N. The fresh
-			// collector/watchdog/recorder see the replayed window too, so
-			// every artifact must come out byte-identical.
+			// Second run: rebuild from the checkpoint (which replays 0..N
+			// and verifies the digest), or build afresh and stop at N,
+			// then run N..2N. The fresh collector/watchdog/recorder see
+			// the replayed window too, so every artifact must come out
+			// byte-identical.
 			trB := telemetry.NewTracer(nil)
 			regB := telemetry.NewRegistry()
 			attB := attachObservability(t, c, "resumed", trB)
-			b, err := c.restore(bytes.NewReader(ckpt.Bytes()), sweep.Sinks{Trace: trB, Metrics: regB, Collector: attB.coll})
-			if err != nil {
-				t.Fatalf("Restore: %v", err)
+			sinksB := sweep.Sinks{Trace: trB, Metrics: regB, Collector: attB.coll}
+			var b stepper
+			if c.restore != nil {
+				var err error
+				if b, err = c.restore(bytes.NewReader(ckpt.Bytes()), sinksB); err != nil {
+					t.Fatalf("Restore: %v", err)
+				}
+			} else {
+				b = c.build(sinksB)
+				b.AdvanceTo(n)
 			}
 			b.AdvanceTo(b.Horizon())
 			if got := b.Digest(); got != digestA {

@@ -18,7 +18,6 @@ import (
 	"steelnet/internal/instaplc"
 	"steelnet/internal/metrics"
 	"steelnet/internal/mltopo"
-	"steelnet/internal/mrp"
 	"steelnet/internal/reflection"
 )
 
@@ -70,9 +69,6 @@ func walkCases() []walkCase {
 		// The corpus holds two instaplc configs: the plain Fig. 5 run and
 		// a chaos cell, which carries a generated fault plan.
 		walkOf("instaplc", instaplc.WalkConfig, []string{"instaplc", "chaos"}, "Sinks"),
-		walkOf("reflection", reflection.WalkCell, []string{"reflection"}, "Sinks", "Workers"),
-		walkOf("mltopo", mltopo.WalkScenario, []string{"mltopo"}, "Sinks"),
-		walkOf("mrp", mrp.WalkRingConfig, []string{"mrp"}, "Sinks"),
 		walkOf("campus", core.WalkCampusConfig, []string{"campus"}, "Workers", "Profile", "Trace", "Metrics"),
 		walkOf("plan", faults.WalkPlan, nil), // *Plan: nil, empty and populated
 		walkOf("figure4-result", reflection.WalkResult, nil),
@@ -167,8 +163,7 @@ func TestWalks(t *testing.T) {
 }
 
 // FuzzConfigWalk: a config walk reads bytes from outside the program (a
-// -resume file, a checkpoint handed to the gateway). It must never
-// panic, and what it accepts it must have understood: the value
+// -resume file). It must never panic, and what it accepts it must have understood: the value
 // re-encodes to bytes that decode to the same value again (compared as
 // encodings, so a NaN equals itself). Nothing is built from the value.
 // kind picks the walk; the seeds are the corpus's config sections.

@@ -1,6 +1,7 @@
 // Package cli is what the steelnet experiment commands share: Main, the
-// one command skeleton (flag set, -workers/-shards, -checkpoint/-resume,
-// the observability flags -trace/-stats/-cpuprofile/-int/-slo/-flightrec,
+// one command skeleton (flag set, -cpuprofile and the shared groups a
+// command takes — -workers/-shards, -checkpoint/-resume, the
+// observability flags -trace/-stats/-int/-slo/-flightrec/-obs-addr —
 // Begin and End around the body, exit codes), and the comma-separated
 // integer-list parser every sweep CLI needs. Keeping it in one place
 // means every command spells the flags the same way, fails the same way
@@ -84,15 +85,19 @@ type Telemetry struct {
 	cpuFile *os.File
 }
 
-// registerTelemetryFlags installs the observability flags on fs.
-func registerTelemetryFlags(fs *flag.FlagSet) *Telemetry {
+// registerTelemetryFlags installs -cpuprofile on fs and, with sim, the
+// flags that observe a simulated network.
+func registerTelemetryFlags(fs *flag.FlagSet, sim bool) *Telemetry {
 	t := &Telemetry{}
+	fs.StringVar(&t.CPUProfilePath, "cpuprofile", "",
+		"write a CPU profile to this `file` (sweep workers carry pprof labels)")
+	if !sim {
+		return t
+	}
 	fs.StringVar(&t.TracePath, "trace", "",
 		"write a JSONL frame-lifecycle trace to this `file` (plus file.chrome.json for chrome://tracing / Perfetto)")
 	fs.BoolVar(&t.Stats, "stats", false,
 		"collect component metrics and print the registry snapshot after the run")
-	fs.StringVar(&t.CPUProfilePath, "cpuprofile", "",
-		"write a CPU profile to this `file` (sweep workers carry pprof labels)")
 	fs.StringVar(&t.INTPath, "int", "",
 		"collect in-band network telemetry and write per-path digests to this `file` as JSONL (plus file.slo.jsonl when -slo is set)")
 	fs.StringVar(&t.SLOSpec, "slo", "",
@@ -108,17 +113,17 @@ func registerTelemetryFlags(fs *flag.FlagSet) *Telemetry {
 
 // registerWorkersFlag installs the shared execution-parallelism knob
 // on fs under both of its spellings, -workers and -shards, as one value
-// starting at def. It sets how many worker goroutines advance the
+// starting at 0 (NumCPU). It sets how many worker goroutines advance the
 // deterministic partition of the work — the window shards of a sharded
 // campus engine, the cells of a sweep grid elsewhere. The partition
 // itself is part of the scenario (derived from the topology or the
 // grid), so every output is byte-identical for any value; the flag only
 // trades wall-clock time. With both spellings given, the later one on
 // the command line wins.
-func registerWorkersFlag(fs *flag.FlagSet, n *int, def int) {
-	fs.IntVar(n, "workers", def,
+func registerWorkersFlag(fs *flag.FlagSet, n *int) {
+	fs.IntVar(n, "workers", 0,
 		"worker goroutines advancing the partitioned simulation (0 = NumCPU, 1 = serial); any value produces byte-identical output")
-	fs.IntVar(n, "shards", def, "another spelling of -workers")
+	fs.IntVar(n, "shards", 0, "another spelling of -workers")
 }
 
 // Begin materializes what the parsed flags asked for: the tracer, the

@@ -43,40 +43,46 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
-// -workers and -shards are one value: either spelling sets it, the
-// command's default stands when neither is given (including the
-// 0 = NumCPU convention), and with both the later one wins.
+// -workers and -shards are one value: either spelling sets it, 0
+// (NumCPU) stands when neither is given, and with both the later one
+// wins.
 func TestWorkersResolution(t *testing.T) {
 	for _, tc := range []struct {
-		def  int
 		args []string
 		want int
 	}{
-		{0, nil, 0},
-		{1, nil, 1},
-		{0, []string{"-workers", "3"}, 3},
-		{1, []string{"-shards", "4"}, 4},
-		{1, []string{"-shards", "0"}, 0},
-		{0, []string{"-workers", "3", "-shards", "8"}, 8},
-		{0, []string{"-shards", "8", "-workers", "3"}, 3},
+		{nil, 0},
+		{[]string{"-workers", "3"}, 3},
+		{[]string{"-shards", "4"}, 4},
+		{[]string{"-shards", "0"}, 0},
+		{[]string{"-workers", "3", "-shards", "8"}, 8},
+		{[]string{"-shards", "8", "-workers", "3"}, 3},
 	} {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
 		var workers int
-		registerWorkersFlag(fs, &workers, tc.def)
+		registerWorkersFlag(fs, &workers)
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatal(err)
 		}
 		if workers != tc.want {
-			t.Errorf("default %d, args %v: workers = %d, want %d", tc.def, tc.args, workers, tc.want)
+			t.Errorf("args %v: workers = %d, want %d", tc.args, workers, tc.want)
 		}
 	}
 }
 
 // The flags must land on the flag set under the canonical names every
-// command shares.
+// command shares; a command without a simulated network gets
+// -cpuprofile alone.
 func TestRegisterTelemetryFlags(t *testing.T) {
+	bare := flag.NewFlagSet("x", flag.ContinueOnError)
+	registerTelemetryFlags(bare, false)
+	bare.VisitAll(func(f *flag.Flag) {
+		if f.Name != "cpuprofile" {
+			t.Errorf("flag -%s registered without the simulation group", f.Name)
+		}
+	})
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	tel := registerTelemetryFlags(fs)
+	tel := registerTelemetryFlags(fs, true)
 	for _, name := range []string{"trace", "stats", "cpuprofile", "int", "slo", "flightrec", "obs-addr", "obs-linger"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)

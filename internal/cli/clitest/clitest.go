@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"steelnet/internal/checkpoint"
+	"steelnet/internal/cli"
 )
 
 // Run is the shape of every command's testable main body.
@@ -28,8 +29,10 @@ func stdout(t *testing.T, run Run, args []string) string {
 
 // Skeleton pins, at the command's own surface, how every command built
 // on cli.Main fails: a usage error exits 2 and a failed run exits 1, each
-// with one "name: …" report leading stderr and nothing on stdout.
-func Skeleton(t *testing.T, run Run, name string) {
+// with one "name: …" report leading stderr and nothing on stdout. shared
+// is the command's cli.Main groups: a flag of a group it lacks is
+// unknown.
+func Skeleton(t *testing.T, run Run, name string, shared cli.Shared) {
 	t.Helper()
 	dir := t.TempDir()
 	otherKind := filepath.Join(dir, "other.ckpt")
@@ -39,15 +42,19 @@ func Skeleton(t *testing.T, run Run, name string) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		what string
-		args []string
-		code int
+		what  string
+		args  []string
+		group cli.Shared // needed for code; without it the flag is unknown
+		code  int
 	}{
-		{"an unknown flag", []string{"-no-such-flag"}, 2},
-		{"a malformed -slo", []string{"-slo", "latency:*>1us"}, 2},
-		{"a -resume file that does not exist", []string{"-resume", filepath.Join(dir, "missing.ckpt")}, 2},
-		{"a checkpoint of the wrong kind", []string{"-resume", otherKind}, 1},
+		{"an unknown flag", []string{"-no-such-flag"}, 0, 2},
+		{"a malformed -slo", []string{"-slo", "latency:*>1us"}, cli.SimTelemetry, 2},
+		{"a -resume file that does not exist", []string{"-resume", filepath.Join(dir, "missing.ckpt")}, cli.Checkpoints, 2},
+		{"a checkpoint of the wrong kind", []string{"-resume", otherKind}, cli.Checkpoints, 1},
 	} {
+		if shared&c.group != c.group {
+			c.what, c.code = "a flag of a group it lacks, "+c.what, 2
+		}
 		var out, errw bytes.Buffer
 		if code := run(c.args, &out, &errw); code != c.code {
 			t.Errorf("%s: exit %d, want %d; stderr:\n%s", c.what, code, c.code, errw.String())

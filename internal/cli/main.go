@@ -8,12 +8,28 @@ import (
 	"os"
 )
 
+// Shared is a set of the flag groups Main adds to a command's own.
+type Shared uint8
+
+const (
+	// Workers is -workers/-shards.
+	Workers Shared = 1 << iota
+	// Checkpoints is -checkpoint/-resume.
+	Checkpoints
+	// SimTelemetry is what observes a simulated network: -trace,
+	// -stats, -int, -slo, -flightrec, -obs-addr and -obs-linger.
+	SimTelemetry
+	// Simulation is every group: what a command that runs the
+	// simulator takes.
+	Simulation = Workers | Checkpoints | SimTelemetry
+)
+
 // Env is what Main hands a command's body: the shared flags, parsed,
 // and the telemetry session, begun.
 type Env struct {
 	// Stdout is the command's standard output.
 	Stdout io.Writer
-	// Workers is -workers/-shards.
+	// Workers is -workers/-shards (0, for NumCPU, without the group).
 	Workers int
 	// Checkpoint is the file the run checkpoints to: -resume's when
 	// given, else -checkpoint's, "" with neither.
@@ -34,14 +50,13 @@ func Usagef(format string, a ...any) error { return usageError{fmt.Errorf(format
 
 // Main is the skeleton every experiment command runs in. setup registers
 // the command's own flags on the flag set and returns its body; Main
-// adds the shared ones (-workers/-shards starting at defWorkers,
-// -checkpoint/-resume, the observability flags), parses args, begins
-// the telemetry session, runs the body and ends the session. It returns
-// the exit code: 2 for a usage error — an unknown or malformed flag, a
-// -resume file that does not exist, an artifact that cannot be written,
-// a body error made with Usagef — and 1 for any other error of the body,
-// each reported on stderr as "name: error".
-func Main(name string, defWorkers int, args []string, stdout, stderr io.Writer, setup func(*flag.FlagSet) func(*Env) error) int {
+// adds -cpuprofile and the shared groups the command takes, parses
+// args, begins the telemetry session, runs the body and ends the
+// session. It returns the exit code: 2 for a usage error — an unknown
+// or malformed flag, a -resume file that does not exist, an artifact
+// that cannot be written, a body error made with Usagef — and 1 for any
+// other error of the body, each reported on stderr as "name: error".
+func Main(name string, shared Shared, args []string, stdout, stderr io.Writer, setup func(*flag.FlagSet) func(*Env) error) int {
 	fail := func(code int, err error) int {
 		fmt.Fprintf(stderr, "%s: %v\n", name, err)
 		return code
@@ -49,12 +64,17 @@ func Main(name string, defWorkers int, args []string, stdout, stderr io.Writer, 
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(io.Discard) // parse errors are reported here, under the prefix
 	body := setup(fs)
-	env := &Env{Stdout: stdout, Tel: registerTelemetryFlags(fs)}
-	registerWorkersFlag(fs, &env.Workers, defWorkers)
-	fs.StringVar(&env.Checkpoint, "checkpoint", "",
-		"write periodic checkpoints to this `file` (resume later with -resume)")
-	resume := fs.String("resume", "",
-		"resume from this checkpoint `file` and keep checkpointing to it")
+	env := &Env{Stdout: stdout, Tel: registerTelemetryFlags(fs, shared&SimTelemetry != 0)}
+	if shared&Workers != 0 {
+		registerWorkersFlag(fs, &env.Workers)
+	}
+	var resume string
+	if shared&Checkpoints != 0 {
+		fs.StringVar(&env.Checkpoint, "checkpoint", "",
+			"write periodic checkpoints to this `file` (resume later with -resume)")
+		fs.StringVar(&resume, "resume", "",
+			"resume from this checkpoint `file` and keep checkpointing to it")
+	}
 	if err := fs.Parse(args); err != nil {
 		if !errors.Is(err, flag.ErrHelp) {
 			fail(2, err)
@@ -64,14 +84,14 @@ func Main(name string, defWorkers int, args []string, stdout, stderr io.Writer, 
 		fs.PrintDefaults()
 		return 2
 	}
-	if *resume != "" {
+	if resume != "" {
 		// A typo'd resume path must not silently start a fresh run.
-		f, err := os.Open(*resume)
+		f, err := os.Open(resume)
 		if err != nil {
 			return fail(2, fmt.Errorf("-resume: %w", err))
 		}
 		defer f.Close()
-		env.Checkpoint, env.Resume = *resume, f
+		env.Checkpoint, env.Resume = resume, f
 	}
 	env.Tel.Out, env.Tel.Err = stdout, stderr
 	if err := env.Tel.Begin(); err != nil {

@@ -28,7 +28,7 @@ func TestMainSkeleton(t *testing.T) {
 		stderr string
 	}{
 		{"defaults", nil, func(env *Env, own int) error {
-			if env.Workers != 3 || env.Checkpoint != "" || env.Resume != nil || own != 7 || env.Tel.Tracer != nil {
+			if env.Workers != 0 || env.Checkpoint != "" || env.Resume != nil || own != 7 || env.Tel.Tracer != nil {
 				t.Errorf("env = %+v, own flag %d", env, own)
 			}
 			return nil
@@ -53,7 +53,7 @@ func TestMainSkeleton(t *testing.T) {
 		{"help", []string{"-h"}, nil, 2, "Usage of toy:\n"},
 	} {
 		var out, errw bytes.Buffer
-		code := Main("toy", 3, c.args, &out, &errw, func(fs *flag.FlagSet) func(*Env) error {
+		code := Main("toy", Simulation, c.args, &out, &errw, func(fs *flag.FlagSet) func(*Env) error {
 			own := fs.Int("own", 7, "the command's own flag")
 			return func(env *Env) error {
 				if c.body == nil {
@@ -68,6 +68,36 @@ func TestMainSkeleton(t *testing.T) {
 		}
 		if c.body == nil && !strings.Contains(errw.String(), "-own int") {
 			t.Errorf("%s: no usage text:\n%s", c.name, errw.String())
+		}
+	}
+}
+
+// A command takes only the shared groups it names: without them each
+// group's flags are unknown (exit 2, body not run), and -cpuprofile is
+// always there.
+func TestMainSharedGroups(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.out")
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-workers", "2"}, 2},
+		{[]string{"-shards", "2"}, 2},
+		{[]string{"-checkpoint", "x.ckpt"}, 2},
+		{[]string{"-resume", "x.ckpt"}, 2},
+		{[]string{"-trace", "t.jsonl"}, 2},
+		{[]string{"-stats"}, 2},
+		{[]string{"-slo", "loss:*<0.5"}, 2},
+		{[]string{"-obs-addr", "127.0.0.1:0"}, 2},
+		{[]string{"-cpuprofile", prof}, 0},
+	} {
+		var out, errw bytes.Buffer
+		ran := false
+		code := Main("bare", 0, c.args, &out, &errw, func(*flag.FlagSet) func(*Env) error {
+			return func(*Env) error { ran = true; return nil }
+		})
+		if code != c.code || ran != (c.code == 0) {
+			t.Errorf("%v: exit %d, body ran %v; want %d; stderr %q", c.args, code, ran, c.code, errw.String())
 		}
 	}
 }

@@ -115,6 +115,13 @@ type CampusHarness struct {
 	FellBack bool
 }
 
+// maxCampusNodes bounds a campus's switches and hosts together, checked
+// before anything is allocated. A build takes about 2 KB a node
+// (core.campus_build_alloc_mb is 38.5 MB for campus_10k's 20,036
+// nodes), so a campus at the bound builds in about 2 GB; campus_10k is
+// a fiftieth of it.
+const maxCampusNodes = 1 << 20
+
 // NewCampusHarness builds and arms the experiment. A campus whose
 // backbone has zero propagation delay cannot be sharded conservatively
 // (sim.ErrZeroLookahead); the harness then falls back to a single-shard
@@ -130,6 +137,11 @@ func NewCampusHarness(cfg CampusConfig) (*CampusHarness, error) {
 	}
 	if d := cfg.Topo.MaxSwitchDegree(); d > simnet.MaxSwitchPorts {
 		return nil, fmt.Errorf("core: campus needs a switch with %d ports, at most %d", d, simnet.MaxSwitchPorts)
+	}
+	if !cfg.Topo.NodesAtMost(maxCampusNodes) {
+		t := cfg.Topo
+		return nil, fmt.Errorf("core: campus of %d cells × %d switches × (1 + %d hosts) + %d spines exceeds %d nodes",
+			t.Cells, t.SwitchesPerCell, t.HostsPerSwitch, t.Spines, maxCampusNodes)
 	}
 	if cfg.FrameBytes > math.MaxUint32 {
 		return nil, fmt.Errorf("core: campus payload of %d bytes, at most %d", cfg.FrameBytes, uint32(math.MaxUint32))

@@ -1,14 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"time"
 
-	"steelnet/internal/checkpoint"
 	"steelnet/internal/faults"
 	"steelnet/internal/instaplc"
 	intnet "steelnet/internal/int"
@@ -25,13 +21,12 @@ import (
 // driver owns exactly the state a long-running server needs: the
 // harness, its telemetry registry, the INT collector, the SLO watchdog
 // and a per-sink loss aggregate, all attached before the first event
-// fires so a restored run replays into identical attachments.
+// fires.
 type Headless struct {
 	cfg HeadlessConfig
 	h   *instaplc.Harness
-	// sinks are the attachments the harness reports into, fresh or
-	// restored: always a registry and a collector, a tracer when the
-	// spec asked for one.
+	// sinks are the attachments the harness reports into: always a
+	// registry and a collector, a tracer when the spec asked for one.
 	sinks sweep.Sinks
 	wd    *intnet.Watchdog
 
@@ -70,8 +65,7 @@ type HeadlessConfig struct {
 	// Baseline disables InstaPLC (plain L2) — the failing comparison run.
 	Baseline bool `json:"baseline,omitempty"`
 	// Trace records the run's event-level telemetry trace for the
-	// gateway's Chrome/Perfetto export. A restore replays 0→T into the
-	// fresh tracer, so a resumed run's trace equals a straight run's.
+	// gateway's Chrome/Perfetto export.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -113,28 +107,15 @@ func (cfg HeadlessConfig) normalize() (HeadlessConfig, instaplc.ExperimentConfig
 	return cfg, ecfg, nil
 }
 
-// NewHeadless builds the run at t=0. The returned driver has taken no
-// steps; the first Step advances to the first slice boundary.
+// NewHeadless builds the run at t=0: the registry, collector, loss
+// aggregate and watchdog exist before the first simulated event. The
+// returned driver has taken no steps; the first Step advances to the
+// first slice boundary.
 func NewHeadless(cfg HeadlessConfig) (*Headless, error) {
 	cfg, ecfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
-	d, err := newHeadlessAttachments(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ecfg.Sinks = d.sinks
-	if d.h, err = instaplc.BuildHarness(ecfg); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// newHeadlessAttachments builds the registry, collector, loss aggregate
-// and watchdog — everything that must exist before the first simulated
-// event, whether that event comes from a fresh run or a restore replay.
-func newHeadlessAttachments(cfg HeadlessConfig) (*Headless, error) {
 	d := &Headless{
 		cfg:   cfg,
 		sinks: sweep.Sinks{Metrics: telemetry.NewRegistry(), Collector: intnet.NewCollector()},
@@ -161,6 +142,10 @@ func newHeadlessAttachments(cfg HeadlessConfig) (*Headless, error) {
 		}
 		d.wd = intnet.NewWatchdog(plan, nil)
 		d.wd.Attach(d.sinks.Collector) // chains after the loss aggregate
+	}
+	ecfg.Sinks = d.sinks
+	if d.h, err = instaplc.BuildHarness(ecfg); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
@@ -298,53 +283,4 @@ func (d *Headless) Sample() Sample {
 		)
 	}
 	return s
-}
-
-// Save checkpoints the run. Call only at slice boundaries: the saved
-// state must correspond to a Sample point or the resumed publish stream
-// would cut mid-slice.
-func (d *Headless) Save(w io.Writer) error { return d.h.Save(w) }
-
-// RestoreHeadless rebuilds a driver from a checkpoint written by Save.
-// cfg must be the spec the run was started from: it supplies what the
-// harness does not record (the slice grid and the SLO plan), and the
-// scenario it describes must encode to the checkpoint's recorded
-// configuration byte for byte, or the restore is refused — a run never
-// resumes under a spec that is not its own. The restore replays 0→T
-// into fresh attachments, so the collector, watchdog state and loss
-// aggregates match a straight run's at T exactly; the next Step
-// continues on the same slice grid.
-// No command resumes a headless run yet; ROADMAP.md plans one.
-func RestoreHeadless(r io.Reader, cfg HeadlessConfig) (*Headless, error) {
-	cfg, ecfg, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
-	d, err := newHeadlessAttachments(cfg)
-	if err != nil {
-		return nil, err
-	}
-	want := checkpoint.Encode(instaplc.WalkConfig, &ecfg)
-	d.h, err = checkpoint.Replay[sim.Time](r, instaplc.CheckpointKind, instaplc.WalkConfig,
-		func(rec instaplc.ExperimentConfig) (*instaplc.Harness, error) {
-			if !bytes.Equal(checkpoint.Encode(instaplc.WalkConfig, &rec), want) {
-				return nil, errors.New("core: the run spec does not describe the checkpointed run (seed, timeline, faults or baseline differ)")
-			}
-			rec.Sinks = d.sinks
-			return instaplc.BuildHarness(rec)
-		})
-	if err != nil {
-		return nil, err
-	}
-	// Re-derive the slice cursor from the restored instant. Saves happen
-	// only at slice boundaries, so Now is k*Slice exactly (or the
-	// horizon, for a run checkpointed at its final boundary).
-	now := time.Duration(d.Now())
-	d.seq = uint64(now / cfg.Slice)
-	d.next = now + cfg.Slice
-	d.done = now >= cfg.Horizon
-	if d.done && now%cfg.Slice != 0 {
-		d.seq++ // the clamped final boundary is off the k*Slice grid
-	}
-	return d, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -166,105 +165,6 @@ func flatten(s Sample) flatSample {
 	}
 }
 
-// TestHeadlessSaveRestore checkpoints mid-run and at the clamped final
-// boundary; the restored driver must sample identically and finish on
-// the same grid.
-func TestHeadlessSaveRestore(t *testing.T) {
-	cfg := HeadlessConfig{Seed: 7, Horizon: 220 * time.Millisecond, Slice: 50 * time.Millisecond, SLO: "latency:*<1µs"}
-	straight, err := NewHeadless(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wants []flatSample
-	for !straight.Step() {
-		wants = append(wants, flatten(straight.Sample()))
-	}
-	wants = append(wants, flatten(straight.Sample()))
-
-	for cut := 1; cut <= len(wants); cut++ {
-		d, err := NewHeadless(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < cut; i++ {
-			d.Step()
-		}
-		var cp bytes.Buffer
-		if err := d.Save(&cp); err != nil {
-			t.Fatal(err)
-		}
-		r, err := RestoreHeadless(&cp, cfg)
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		if got := flatten(r.Sample()); !reflect.DeepEqual(got, wants[cut-1]) {
-			t.Fatalf("cut %d: restored sample diverged:\ngot  %+v\nwant %+v", cut, got, wants[cut-1])
-		}
-		if r.Done() != (cut == len(wants)) {
-			t.Fatalf("cut %d: restored done = %v", cut, r.Done())
-		}
-		for i := cut; i < len(wants); i++ {
-			r.Step()
-			if got := flatten(r.Sample()); !reflect.DeepEqual(got, wants[i]) {
-				t.Fatalf("cut %d: post-restore sample %d diverged", cut, i+1)
-			}
-		}
-	}
-}
-
-func TestRestoreHeadlessErrors(t *testing.T) {
-	cfg := HeadlessConfig{Seed: 1, Horizon: 100 * time.Millisecond, Slice: 50 * time.Millisecond}
-	if _, err := RestoreHeadless(strings.NewReader("junk"), cfg); err == nil {
-		t.Error("restore from junk succeeded")
-	}
-	bad := cfg
-	bad.Slice = time.Second
-	if _, err := RestoreHeadless(strings.NewReader(""), bad); err == nil {
-		t.Error("restore with a bad spec succeeded")
-	}
-	badSLO := cfg
-	badSLO.SLO = "nope"
-	if _, err := RestoreHeadless(strings.NewReader(""), badSLO); err == nil {
-		t.Error("restore with a bad SLO plan succeeded")
-	}
-}
-
-// A checkpoint resumes only under the spec it was saved from: any
-// difference in the scenario the spec describes is refused before the
-// replay, while what the harness does not record (the SLO plan, tracing)
-// is the resuming spec's to choose.
-func TestRestoreHeadlessRefusesAnotherSpec(t *testing.T) {
-	cfg := HeadlessConfig{Seed: 1, Horizon: 400 * time.Millisecond, Slice: 100 * time.Millisecond}
-	d, err := NewHeadless(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Step()
-	var cp bytes.Buffer
-	if err := d.Save(&cp); err != nil {
-		t.Fatal(err)
-	}
-	for name, mutate := range map[string]func(*HeadlessConfig){
-		"seed":     func(c *HeadlessConfig) { c.Seed = 2 },
-		"horizon":  func(c *HeadlessConfig) { c.Horizon = 800 * time.Millisecond },
-		"cycle":    func(c *HeadlessConfig) { c.Cycle = time.Millisecond },
-		"fail_at":  func(c *HeadlessConfig) { c.FailAt = 120 * time.Millisecond },
-		"faults":   func(c *HeadlessConfig) { c.Faults = "linkflap:v1-dp@150ms+50ms" },
-		"baseline": func(c *HeadlessConfig) { c.Baseline = true },
-	} {
-		other := cfg
-		mutate(&other)
-		if r, err := RestoreHeadless(bytes.NewReader(cp.Bytes()), other); err == nil {
-			t.Errorf("%s: a seed-1 / 400 ms run resumed under %+v", name, r.Config())
-		}
-	}
-	same := cfg
-	same.SLO, same.Trace = "latency:*<1µs", true
-	if _, err := RestoreHeadless(bytes.NewReader(cp.Bytes()), same); err != nil {
-		t.Errorf("same scenario, other observation: %v", err)
-	}
-}
-
 func TestHeadlessFaultsAndFailAt(t *testing.T) {
 	d, err := NewHeadless(HeadlessConfig{
 		Seed:    1,
@@ -312,45 +212,6 @@ func TestSinkLossFraction(t *testing.T) {
 	}
 	if f := (SinkLoss{Received: 75, Lost: 25}).Fraction(); f != 0.25 {
 		t.Errorf("25/100 fraction %g", f)
-	}
-}
-
-// TestHeadlessTraceResumeEqualsStraight pins the trace-stitching
-// contract the gateway's /trace export depends on: a traced run resumed
-// from a checkpoint re-records the replayed prefix, so its full event
-// log equals a straight traced run's exactly.
-func TestHeadlessTraceResumeEqualsStraight(t *testing.T) {
-	cfg := HeadlessConfig{Seed: 7, Horizon: 220 * time.Millisecond, Slice: 50 * time.Millisecond, Trace: true}
-	straight, err := NewHeadless(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !straight.Step() {
-	}
-	want := straight.TraceEvents()
-	if len(want) == 0 {
-		t.Fatal("traced run recorded no events")
-	}
-
-	d, err := NewHeadless(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Step()
-	d.Step()
-	var cp bytes.Buffer
-	if err := d.Save(&cp); err != nil {
-		t.Fatal(err)
-	}
-	r, err := RestoreHeadless(&cp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !r.Step() {
-	}
-	got := r.TraceEvents()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed trace diverged: %d events vs %d", len(got), len(want))
 	}
 }
 

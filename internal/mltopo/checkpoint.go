@@ -2,53 +2,58 @@ package mltopo
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"steelnet/internal/checkpoint"
 	"steelnet/internal/metrics"
 	"steelnet/internal/sim"
 	"steelnet/internal/simnet"
-	"steelnet/internal/sweep"
-	"steelnet/internal/topo"
 )
 
-// CheckpointKind tags this experiment's checkpoint files.
-const CheckpointKind = "mltopo"
-
-// Harness is the resumable form of one Fig. 6 cell: topology built,
-// clients started, advanced in steps, checkpointable at any instant.
+// Harness is one Fig. 6 cell in steps: topology built, clients
+// started, advanced to any instant.
 type Harness struct {
 	sc Scenario
 	b  built
 }
 
-// NewHarness builds one cell without running it: the topology is
-// instantiated and every client's first request is scheduled. It
-// panics on a scenario no cell can be built from.
-func NewHarness(sc Scenario) *Harness {
-	h, err := newHarness(sc)
-	if err != nil {
-		panic(err.Error())
-	}
-	return h
-}
+// maxClients bounds a cell's cameras, eight times the paper's largest
+// cell. A build grows with the square of its clients, since every
+// switch routes to every host: at the bound a Ring cell builds in about
+// 140 MB and 8 s, a tree-shaped one in about 24 MB, where a Ring cell
+// of 256 clients takes 3 MB. The bound also keeps every switch under
+// simnet.MaxSwitchPorts: the widest carries one server per client
+// (ClientsPerServer 1) beside at most 18 other links.
+const maxClients = 1 << 11
 
-// newHarness is NewHarness returning an error for a scenario no cell
-// can be built from.
-func newHarness(sc Scenario) (*Harness, error) {
+const _ = uint(simnet.MaxSwitchPorts - 18 - maxClients) // fails to compile past the port bound
+
+// checkScenario refuses a scenario no cell can be built from, before
+// anything is built.
+func checkScenario(sc Scenario) error {
 	switch {
-	case sc.Clients < 1:
-		return nil, fmt.Errorf("mltopo: need at least one client, have %d", sc.Clients)
+	case sc.Clients < 1 || sc.Clients > maxClients:
+		return fmt.Errorf("mltopo: %d clients, want 1 to %d", sc.Clients, maxClients)
 	case sc.Kind != LeafSpine && sc.Kind != Ring && sc.Kind != MLAware:
-		return nil, fmt.Errorf("mltopo: unknown kind %d", sc.Kind)
+		return fmt.Errorf("mltopo: unknown kind %d", sc.Kind)
 	case sc.Profile.Period <= 0:
-		return nil, fmt.Errorf("mltopo: non-positive request period %v", sc.Profile.Period)
+		return fmt.Errorf("mltopo: non-positive request period %v", sc.Profile.Period)
 	case sc.Profile.InferCPU < 0:
-		return nil, fmt.Errorf("mltopo: negative inference time %v", sc.Profile.InferCPU)
+		return fmt.Errorf("mltopo: negative inference time %v", sc.Profile.InferCPU)
 	case sc.Profile.ResultBytes < 0 || sc.Profile.ResultBytes > math.MaxUint32:
 		// A response body is one frame's zero tail, a uint32 count.
-		return nil, fmt.Errorf("mltopo: inference result of %d bytes, want 0 to %d", sc.Profile.ResultBytes, uint32(math.MaxUint32))
+		return fmt.Errorf("mltopo: inference result of %d bytes, want 0 to %d", sc.Profile.ResultBytes, uint32(math.MaxUint32))
+	}
+	return nil
+}
+
+// NewHarness builds one cell without running it: the topology is
+// instantiated and every client's first request is scheduled. It
+// panics on a scenario no cell can be built from; the sweep runs
+// checkScenario first and returns the error instead.
+func NewHarness(sc Scenario) *Harness {
+	if err := checkScenario(sc); err != nil {
+		panic(err.Error())
 	}
 	if sc.ClientsPerServer < 1 {
 		sc.ClientsPerServer = 16
@@ -65,12 +70,6 @@ func newHarness(sc Scenario) (*Harness, error) {
 	case MLAware:
 		pl = buildMLAware(sc)
 	}
-	for i := range pl.g.NumNodes() {
-		n := topo.NodeID(i)
-		if d := pl.g.Degree(n); d > simnet.MaxSwitchPorts && pl.g.Node(n).Kind == topo.KindSwitch {
-			return nil, fmt.Errorf("mltopo: %s needs %d ports, at most %d", pl.g.Node(n).Name, d, simnet.MaxSwitchPorts)
-		}
-	}
 	e := sim.NewEngine(sc.Seed)
 	b := instantiate(e, simnet.Build(e, pl.g, simnet.DefaultSwitchConfig), sc, pl)
 	// Desynchronize clients across the period, as independent cameras
@@ -79,7 +78,7 @@ func newHarness(sc Scenario) (*Harness, error) {
 	for _, c := range b.clients {
 		c.Start(sim.Time(rng.DurationRange(0, sc.Profile.Period)))
 	}
-	return &Harness{sc: sc, b: b}, nil
+	return &Harness{sc: sc, b: b}
 }
 
 // Engine returns the harness's engine.
@@ -148,27 +147,6 @@ func (h *Harness) Digest() uint64 {
 	return d.Sum()
 }
 
-// Save writes a replay-anchored checkpoint of the cell to w.
-// No command checkpoints a single cell yet; ROADMAP.md plans to.
-func (h *Harness) Save(w io.Writer) error {
-	config := checkpoint.Encode(WalkScenario, &h.sc)
-	return checkpoint.WriteHarness(w, CheckpointKind, config, int64(h.b.engine.Now()), h.Digest())
-}
-
-// Restore reads a checkpoint, rebuilds the cell with the given
-// telemetry sinks and replays to the checkpointed instant, verifying
-// the state digest. A collector handed in must be empty: the replay
-// feeds it, and anything chained on its OnSink, from instant zero. A
-// recorded scenario no cell can be built from is an error.
-// No command checkpoints a single cell yet; ROADMAP.md plans to.
-func Restore(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
-	return checkpoint.Replay[sim.Time](r, CheckpointKind, WalkScenario,
-		func(sc Scenario) (*Harness, error) {
-			sc.Sinks = sinks
-			return newHarness(sc)
-		})
-}
-
 // WalkResult is what a resumable Fig. 6 sweep records of a completed
 // cell.
 func WalkResult(c *checkpoint.Codec, r *Result) {
@@ -179,29 +157,4 @@ func WalkResult(c *checkpoint.Codec, r *Result) {
 	c.F64(&r.P99LatencyMS)
 	c.F64(&r.LossRate)
 	checkpoint.Int(c, &r.Requests)
-}
-
-// WalkScenario is the field list of a cell checkpoint's "config" section
-// (the sinks are supplied fresh at Restore).
-func WalkScenario(c *checkpoint.Codec, sc *Scenario) {
-	checkpoint.Int(c, &sc.Seed)
-	checkpoint.Int(c, &sc.Kind)
-	checkpoint.Int(c, &sc.Clients)
-	c.Str(&sc.Profile.Name)
-	checkpoint.Int(c, &sc.Profile.FrameBytes)
-	checkpoint.Int(c, &sc.Profile.ResultBytes)
-	checkpoint.Int(c, &sc.Profile.Period)
-	checkpoint.Int(c, &sc.Profile.InferCPU)
-	checkpoint.Int(c, &sc.Profile.Deadline)
-	c.F64(&sc.Profile.BaseAccuracy)
-	c.F64(&sc.Profile.CompressionSensitivity)
-	c.F64(&sc.Profile.LossSensitivity)
-	c.F64(&sc.Profile.JitterSensitivity)
-	c.F64(&sc.Deg.CompressionRatio)
-	c.F64(&sc.Deg.LossRate)
-	checkpoint.Int(c, &sc.Deg.Jitter)
-	checkpoint.Int(c, &sc.Horizon)
-	checkpoint.Int(c, &sc.ClientsPerServer)
-	c.Bool(&sc.PlacementOnly)
-	c.Bool(&sc.INT)
 }

@@ -1,33 +1,17 @@
 package mltopo
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
-	"steelnet/internal/checkpoint"
 	"steelnet/internal/mlwork"
-	"steelnet/internal/simnet"
-	"steelnet/internal/sweep"
 )
 
-// TestRestoreForgedScenarioIsAnError forges cell checkpoints whose
-// recorded scenario no harness can be built from — the config section
-// rewritten and the trailer recomputed, so the container is valid — and
-// checks that Restore reports each as an error instead of panicking.
+// TestRestoreForgedScenarioIsAnError hands checkScenario scenarios no
+// cell can be built from — what a command line or a forged file may
+// carry — and checks that each is an error before anything is built,
+// which NewHarness turns into a panic and the sweep into its error.
 func TestRestoreForgedScenarioIsAnError(t *testing.T) {
-	sc := DefaultScenario(LeafSpine, mlwork.ObjectIdentification, 4)
-	sc.Horizon = 50 * time.Millisecond
-	h := NewHarness(sc)
-	h.AdvanceTo(h.Horizon())
-	var saved bytes.Buffer
-	if err := h.Save(&saved); err != nil {
-		t.Fatal(err)
-	}
-	config, at, digest, err := checkpoint.ReadHarness(&saved, CheckpointKind)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name  string
 		forge func(*Scenario)
@@ -41,27 +25,34 @@ func TestRestoreForgedScenarioIsAnError(t *testing.T) {
 		{"result past a zero tail", func(sc *Scenario) { sc.Profile.ResultBytes = 1 << 32 }},
 		{"unknown kind", func(sc *Scenario) { sc.Kind = 7 }},
 		{"more servers than a leaf has ports", func(sc *Scenario) {
-			sc.Clients, sc.ClientsPerServer = simnet.MaxSwitchPorts, 1
+			sc.Clients, sc.ClientsPerServer = 1<<14, 1
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var forged Scenario
-			if err := checkpoint.Decode(WalkScenario, config, &forged); err != nil {
-				t.Fatal(err)
-			}
-			tc.forge(&forged)
-			var file bytes.Buffer
-			if err := checkpoint.WriteHarness(&file, CheckpointKind, checkpoint.Encode(WalkScenario, &forged), at, digest); err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				if p := recover(); p != nil {
-					t.Fatalf("Restore of a forged scenario panicked: %v", p)
-				}
-			}()
-			if got, err := Restore(&file, sweep.Sinks{}); err == nil || got != nil {
-				t.Fatalf("Restore = %v, %v; want an error", got, err)
+			sc := DefaultScenario(LeafSpine, mlwork.ObjectIdentification, 4)
+			tc.forge(&sc)
+			if err := checkScenario(sc); err == nil {
+				t.Fatal("checkScenario accepted it")
 			}
 		})
+	}
+}
+
+// TestFigure6ChecksClientsFirst: a client count past the bound is the
+// sweep's error before any cell is built or run, however many cells
+// come before it.
+func TestFigure6ChecksClientsFirst(t *testing.T) {
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("the sweep panicked: %v", p)
+		}
+	}()
+	cfg := Figure6Config{Seed: 1, ClientCounts: []int{8, 300000}, Horizon: time.Microsecond, Workers: 1}
+	got, err := RunFigure6Resumable(cfg, "")
+	if err == nil || got != nil {
+		t.Fatalf("RunFigure6Resumable = %v, %v; want an error", got, err)
+	}
+	if want := "mltopo: 300000 clients, want 1 to 2048"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 }

@@ -62,30 +62,40 @@ func figure6Grid(cfg Figure6Config) []figure6Cell {
 // byte-identical for any worker count. Which telemetry sinks merge per
 // cell and which force the grid serial is decided by sweep.RunCells.
 // With a path, completed cells persist there and are skipped when the
-// sweep is restarted with the same configuration.
+// sweep is restarted with the same configuration. A client count no
+// cell can be built from is an error, before any cell runs.
 func RunFigure6Resumable(cfg Figure6Config, path string) ([]Result, error) {
 	cells := figure6Grid(cfg)
+	scenarios := make([]Scenario, len(cells))
 	costs := make([]float64, len(cells))
 	for i, c := range cells {
-		costs[i] = c.cost()
-	}
-	ck := sweep.Checkpointer[Result]{Path: path, Kind: "figure6", Walk: WalkResult}
-	return sweep.RunCells(cfg.Workers, len(cells), costs, ck, cfg.Sinks, func(i int, s sweep.Sinks) Result {
-		c := cells[i]
 		sc := DefaultScenario(c.kind, c.app, c.clients)
 		sc.Seed = cfg.Seed
 		if cfg.Horizon > 0 {
 			sc.Horizon = cfg.Horizon
 		}
-		sc.Sinks = s
 		sc.INT = cfg.INT
+		if err := checkScenario(sc); err != nil {
+			return nil, err
+		}
+		scenarios[i], costs[i] = sc, c.cost()
+	}
+	ck := sweep.Checkpointer[Result]{Path: path, Kind: "figure6", Walk: WalkResult}
+	return sweep.RunCells(cfg.Workers, len(cells), costs, ck, cfg.Sinks, func(i int, s sweep.Sinks) Result {
+		sc := scenarios[i]
+		sc.Sinks = s
 		return Run(sc)
 	})
 }
 
-// RunFigure6 is RunFigure6Resumable without a checkpoint.
+// RunFigure6 is RunFigure6Resumable without a checkpoint, for a
+// configuration the program wrote itself: a bad one is a bug, and
+// panics.
 func RunFigure6(cfg Figure6Config) []Result {
-	results, _ := RunFigure6Resumable(cfg, "") // no path: no file I/O, no error
+	results, err := RunFigure6Resumable(cfg, "") // no path: no file I/O
+	if err != nil {
+		panic(err.Error())
+	}
 	return results
 }
 

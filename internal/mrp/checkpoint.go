@@ -2,7 +2,6 @@ package mrp
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -14,12 +13,8 @@ import (
 	"steelnet/internal/profinet"
 	"steelnet/internal/sim"
 	"steelnet/internal/simnet"
-	"steelnet/internal/sweep"
 	"steelnet/internal/telemetry"
 )
-
-// CheckpointKind tags this experiment's checkpoint files.
-const CheckpointKind = "mrp"
 
 // FoldState folds the manager's protocol state: ring state, test
 // sequence tracking and the protocol counters.
@@ -42,8 +37,8 @@ func (m *Manager) FoldState(d *checkpoint.Digest) {
 	d.U64(m.Transitions)
 }
 
-// Harness is the resumable form of the ring experiment: build, advance
-// in steps, checkpoint at any instant.
+// Harness is the ring experiment in steps: build, then advance to any
+// instant.
 type Harness struct {
 	cfg    RingExperimentConfig
 	engine *sim.Engine
@@ -58,8 +53,7 @@ type Harness struct {
 }
 
 // NewHarness builds the ring scenario without running it. A fault plan
-// naming a target the scenario does not register — cfg.Faults may come
-// from a checkpoint — is an error.
+// naming a target the scenario does not register is an error.
 func NewHarness(cfg RingExperimentConfig) (*Harness, error) {
 	if cfg.Switches < 3 {
 		cfg.Switches = 4
@@ -205,37 +199,4 @@ func (h *Harness) Digest() uint64 {
 	d := checkpoint.NewDigest()
 	h.FoldState(d)
 	return d.Sum()
-}
-
-// Save writes a replay-anchored checkpoint of the run to w.
-// No command runs the ring experiment yet; ROADMAP.md plans one.
-func (h *Harness) Save(w io.Writer) error {
-	config := checkpoint.Encode(WalkRingConfig, &h.cfg)
-	return checkpoint.WriteHarness(w, CheckpointKind, config, int64(h.engine.Now()), h.Digest())
-}
-
-// Restore reads a checkpoint, rebuilds the scenario with the given
-// telemetry sinks and replays to the checkpointed instant, verifying
-// the state digest.
-// No command runs the ring experiment yet; ROADMAP.md plans one.
-func Restore(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
-	return checkpoint.Replay[sim.Time](r, CheckpointKind, WalkRingConfig,
-		func(cfg RingExperimentConfig) (*Harness, error) {
-			cfg.Sinks = sinks
-			return NewHarness(cfg)
-		})
-}
-
-// WalkRingConfig is the field list of a ring checkpoint's "config"
-// section (the sinks are supplied fresh at Restore).
-func WalkRingConfig(c *checkpoint.Codec, cfg *RingExperimentConfig) {
-	checkpoint.Int(c, &cfg.Seed)
-	checkpoint.Int(c, &cfg.Switches)
-	checkpoint.Int(c, &cfg.Ring.TestInterval)
-	checkpoint.Int(c, &cfg.Ring.TestTolerance)
-	checkpoint.Int(c, &cfg.Cycle)
-	checkpoint.Int(c, &cfg.WatchdogFactor)
-	checkpoint.Int(c, &cfg.Horizon)
-	c.F64(&cfg.LinkBps)
-	faults.WalkPlan(c, &cfg.Faults)
 }

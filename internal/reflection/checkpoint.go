@@ -2,28 +2,21 @@ package reflection
 
 import (
 	"fmt"
-	"io"
 
 	"steelnet/internal/checkpoint"
-	"steelnet/internal/ebpf"
 	"steelnet/internal/frame"
 	"steelnet/internal/host"
 	intnet "steelnet/internal/int"
 	"steelnet/internal/metrics"
 	"steelnet/internal/sim"
 	"steelnet/internal/simnet"
-	"steelnet/internal/sweep"
 	"steelnet/internal/tap"
 	"steelnet/internal/telemetry"
 )
 
-// CheckpointKind tags this experiment's checkpoint files.
-const CheckpointKind = "reflection"
-
-// Harness is the resumable form of one reflection run (one variant,
-// one flow count). Build, advance in steps, checkpoint at any instant;
-// Result finalizes (stops the probe flows and drains in-flight frames)
-// and may be called once.
+// Harness is one reflection run (one variant, one flow count) in steps.
+// Build, advance to any instant; Result finalizes (stops the probe
+// flows and drains in-flight frames) and may be called once.
 type Harness struct {
 	cfg     Config
 	variant Variant
@@ -52,8 +45,8 @@ type Harness struct {
 
 // maxFlows bounds a cell's concurrent probe flows. Every flow is set up
 // before the first event fires (a ticker, a sequence counter, a tap
-// slot), so a count read from a flag or a forged checkpoint must not
-// ask for more memory than a machine has. 65,536 is over 2,000 times
+// slot), so a count read from a flag must not ask for more memory than
+// a machine has. 65,536 is over 2,000 times
 // the paper's largest jitter cell (25 flows) and builds in about 14 MB.
 const maxFlows = 1 << 16
 
@@ -79,20 +72,11 @@ func checkConfig(cfg Config) error {
 }
 
 // NewHarness builds one reflection cell without running it. It panics
-// on a configuration no cell can be built from.
+// on a configuration no cell can be built from; the sweeps run
+// checkConfig first and return the error instead.
 func NewHarness(cfg Config, v Variant) *Harness {
-	h, err := newHarness(cfg, v)
-	if err != nil {
-		panic(err.Error())
-	}
-	return h
-}
-
-// newHarness is NewHarness returning an error for a configuration no
-// cell can be built from.
-func newHarness(cfg Config, v Variant) (*Harness, error) {
 	if err := checkConfig(cfg); err != nil {
-		return nil, err
+		panic(err.Error())
 	}
 	e := sim.NewEngine(cfg.Seed)
 	h := &Harness{cfg: cfg, variant: v, engine: e}
@@ -149,7 +133,7 @@ func newHarness(cfg Config, v Variant) (*Harness, error) {
 		offset := sim.Duration(fl) * cfg.Cycle / sim.Duration(cfg.Flows+1)
 		h.sender.StartFlow(uint32(fl+1), sim.Time(offset), cfg.Cycle)
 	}
-	return h, nil
+	return h
 }
 
 // Engine returns the harness's engine.
@@ -244,44 +228,6 @@ func (h *Harness) Digest() uint64 {
 	return d.Sum()
 }
 
-// Cell is what a reflection checkpoint's "config" section records: the
-// configuration, then the variant's registry name.
-type Cell struct {
-	Config
-	Variant string
-}
-
-// Save writes a replay-anchored checkpoint of the cell to w. Save
-// before Result: a finalized cell has drained its flows and is not a
-// resumable state.
-// No command checkpoints a single cell yet; ROADMAP.md plans to.
-func (h *Harness) Save(w io.Writer) error {
-	if h.finished {
-		return fmt.Errorf("reflection: cannot checkpoint a finalized harness")
-	}
-	config := checkpoint.Encode(WalkCell, &Cell{h.cfg, h.variant.Name})
-	return checkpoint.WriteHarness(w, CheckpointKind, config, int64(h.engine.Now()), h.Digest())
-}
-
-// Restore reads a checkpoint, rebuilds the cell with the given
-// telemetry sinks (the variant is rebuilt by name from the registry)
-// and replays to the checkpointed instant, verifying the state digest.
-// A collector handed in must be empty: the replay feeds it, and
-// anything chained on its OnSink, from instant zero. A recorded
-// configuration no cell can be built from is an error.
-// No command checkpoints a single cell yet; ROADMAP.md plans to.
-func Restore(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
-	return checkpoint.Replay[sim.Time](r, CheckpointKind, WalkCell,
-		func(c Cell) (*Harness, error) {
-			v, err := NewVariant(c.Variant)
-			if err != nil {
-				return nil, fmt.Errorf("reflection: checkpoint names unknown variant: %w", err)
-			}
-			c.Sinks = sinks
-			return newHarness(c.Config, v)
-		})
-}
-
 // WalkResult is what a resumable Fig. 4 sweep records of a completed
 // cell: the full delay and jitter distributions.
 func WalkResult(c *checkpoint.Codec, r *Result) {
@@ -302,47 +248,4 @@ func walkSeries(c *checkpoint.Codec, s **metrics.Series) {
 	if c.Decoding() {
 		*s = metrics.NewSeriesFrom(samples)
 	}
-}
-
-// WalkCell is the field list of a cell checkpoint's "config" section.
-func WalkCell(c *checkpoint.Codec, cfg *Cell) {
-	checkpoint.Int(c, &cfg.Seed)
-	walkProfile(c, &cfg.Profile)
-	walkCosts(c, &cfg.Costs)
-	c.F64(&cfg.LinkBps)
-	checkpoint.Int(c, &cfg.Cycle)
-	checkpoint.Int(c, &cfg.Cycles)
-	checkpoint.Int(c, &cfg.Flows)
-	checkpoint.Int(c, &cfg.ProbeSize)
-	checkpoint.Int(c, &cfg.TapCfg.TimestampStep)
-	checkpoint.Int(c, &cfg.TapCfg.PassThrough)
-	checkpoint.Int(c, &cfg.TapCfg.ClockOffset)
-	c.Bool(&cfg.INT)
-	c.Str(&cfg.Variant)
-}
-
-func walkProfile(c *checkpoint.Codec, p *host.Profile) {
-	c.Str(&p.Name)
-	checkpoint.Int(c, &p.PCIeBase)
-	c.F64(&p.PCIePerByteNs)
-	checkpoint.Int(c, &p.NICBase)
-	checkpoint.Int(c, &p.KernelBase)
-	checkpoint.Int(c, &p.SchedJitterSD)
-	c.F64(&p.SpikeProb)
-	checkpoint.Int(c, &p.SpikeScale)
-	checkpoint.Int(c, &p.ContentionPerFlowSD)
-}
-
-func walkCosts(c *checkpoint.Codec, m *ebpf.CostModel) {
-	checkpoint.Int(c, &m.ALU)
-	checkpoint.Int(c, &m.PktMem)
-	checkpoint.Int(c, &m.StackMem)
-	checkpoint.Int(c, &m.CallBase)
-	checkpoint.Int(c, &m.Ktime)
-	checkpoint.Int(c, &m.MapLookup)
-	checkpoint.Int(c, &m.MapUpdate)
-	checkpoint.Int(c, &m.RingbufOutput)
-	c.F64(&m.RingbufWakeProb)
-	checkpoint.Int(c, &m.RingbufWakeCost)
-	checkpoint.Int(c, &m.RunNoiseSD)
 }

@@ -1,7 +1,6 @@
 package reflection
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"path/filepath"
@@ -10,7 +9,6 @@ import (
 
 	"steelnet/internal/checkpoint"
 	"steelnet/internal/sim"
-	"steelnet/internal/sweep"
 )
 
 // TestForgedSweepCheckpointIsCorrupt: a Fig. 4 sweep file whose first
@@ -46,55 +44,38 @@ func TestForgedSweepCheckpointIsCorrupt(t *testing.T) {
 	}
 }
 
-// TestRestoreForgedConfigIsAnError forges cell checkpoints whose
-// recorded configuration no harness can be built from — the config
-// section rewritten and the trailer recomputed, so the container is
-// valid — and checks that Restore reports each as an error instead of
-// panicking or sizing a cell from the claim.
+// TestRestoreForgedConfigIsAnError hands the Fig. 4 sweep
+// configurations no cell can be built from — what a command line or a
+// forged file may carry — and checks that the sweep reports each as an
+// error before any cell runs, instead of panicking or sizing a cell
+// from the claim.
 func TestRestoreForgedConfigIsAnError(t *testing.T) {
-	h := NewHarness(smallConfig(), NewBase())
-	h.AdvanceTo(sim.Time(sim.Millisecond)) // a short replay for the forgeries that build
-	var saved bytes.Buffer
-	if err := h.Save(&saved); err != nil {
-		t.Fatal(err)
-	}
-	config, at, digest, err := checkpoint.ReadHarness(&saved, CheckpointKind)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name  string
-		forge func(*Cell)
+		forge func(*Config)
 	}{
-		{"zero cycle", func(c *Cell) { c.Cycle = 0 }},
-		{"negative cycle", func(c *Cell) { c.Cycle = -sim.Millisecond }},
-		{"no cycles", func(c *Cell) { c.Cycles = 0 }},
-		{"no flows", func(c *Cell) { c.Flows = 0 }},
-		{"negative flows", func(c *Cell) { c.Flows = -1 }},
-		// One past the bound: a build without it replays quickly, where
+		{"zero cycle", func(c *Config) { c.Cycle = 0 }},
+		{"negative cycle", func(c *Config) { c.Cycle = -sim.Millisecond }},
+		{"no cycles", func(c *Config) { c.Cycles = 0 }},
+		{"no flows", func(c *Config) { c.Flows = 0 }},
+		{"negative flows", func(c *Config) { c.Flows = -1 }},
+		// One past the bound: a build without it runs quickly, where
 		// 2^40 flows would exhaust the machine's memory.
-		{"flows past the bound", func(c *Cell) { c.Flows = maxFlows + 1 }},
+		{"flows past the bound", func(c *Config) { c.Flows = maxFlows + 1 }},
 		// A result slab of 2^40 delays per flow: built, it would ask
-		// for 8 TiB before the replay starts.
-		{"cycles past the bound", func(c *Cell) { c.Cycles = 1 << 40 }},
+		// for 8 TiB before the first event.
+		{"cycles past the bound", func(c *Config) { c.Cycles = 1 << 40 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var forged Cell
-			if err := checkpoint.Decode(WalkCell, config, &forged); err != nil {
-				t.Fatal(err)
-			}
+			forged := smallConfig()
 			tc.forge(&forged)
-			var file bytes.Buffer
-			if err := checkpoint.WriteHarness(&file, CheckpointKind, checkpoint.Encode(WalkCell, &forged), at, digest); err != nil {
-				t.Fatal(err)
-			}
 			defer func() {
 				if p := recover(); p != nil {
-					t.Fatalf("Restore of a forged configuration panicked: %v", p)
+					t.Fatalf("a sweep of a forged configuration panicked: %v", p)
 				}
 			}()
-			if got, err := Restore(&file, sweep.Sinks{}); err == nil || got != nil {
-				t.Fatalf("Restore = %v, %v; want an error", got, err)
+			if got, err := RunAllVariantsResumable(forged, ""); err == nil || got != nil {
+				t.Fatalf("RunAllVariantsResumable = %v, %v; want an error", got, err)
 			}
 		})
 	}

@@ -29,8 +29,7 @@ type RunSpec struct {
 	// engine for this run.
 	Rules string `json:"rules,omitempty"`
 	// StopAfter pauses the run after that many slices (0 = run to the
-	// horizon). A paused run can be checkpointed with Gateway.Save and
-	// continued on another gateway with Resume.
+	// horizon).
 	StopAfter uint64 `json:"stop_after,omitempty"`
 }
 
@@ -41,7 +40,7 @@ type RunState string
 const (
 	StateRunning RunState = "running"
 	StateDone    RunState = "done"    // reached the horizon
-	StatePaused  RunState = "paused"  // hit StopAfter; checkpointable
+	StatePaused  RunState = "paused"  // hit StopAfter
 	StateStopped RunState = "stopped" // cancelled via Stop
 	StateFailed  RunState = "failed"
 )
@@ -65,7 +64,6 @@ type run struct {
 	broker *obs.Broker
 	drv    *core.Headless
 	hist   *tshist.Recorder
-	resume bool
 
 	cancel chan struct{}
 	stop   sync.Once
@@ -209,24 +207,6 @@ func (g *Gateway) Backend(name string) (Publisher, bool) {
 // Start validates spec, registers the run and begins stepping it on its
 // own goroutine. It returns the run ID immediately.
 func (g *Gateway) Start(spec RunSpec) (string, error) {
-	return g.launch(spec, nil)
-}
-
-// Resume is Start for a checkpointed run: cp is a stream written by
-// Save, spec must be the spec the run was started from. The restored
-// driver replays to the checkpoint instant, the change detector and
-// rule engine prime on the restore-point sample without publishing, and
-// the continued northbound stream is byte-identical to an unpaused
-// run's from that point on.
-// No route or flag reaches it yet; ROADMAP.md plans one.
-func (g *Gateway) Resume(spec RunSpec, cp io.Reader) (string, error) {
-	if cp == nil {
-		return "", fmt.Errorf("steelnetd: resume without a checkpoint")
-	}
-	return g.launch(spec, cp)
-}
-
-func (g *Gateway) launch(spec RunSpec, cp io.Reader) (string, error) {
 	rules, err := ParseRuleSet(spec.Rules)
 	if err != nil {
 		return "", err
@@ -234,12 +214,7 @@ func (g *Gateway) launch(spec RunSpec, cp io.Reader) (string, error) {
 	if err := g.backends.Resolve(rules); err != nil {
 		return "", err
 	}
-	var drv *core.Headless
-	if cp != nil {
-		drv, err = core.RestoreHeadless(cp, spec.Run)
-	} else {
-		drv, err = core.NewHeadless(spec.Run)
-	}
+	drv, err := core.NewHeadless(spec.Run)
 	if err != nil {
 		return "", err
 	}
@@ -255,22 +230,18 @@ func (g *Gateway) launch(spec RunSpec, cp io.Reader) (string, error) {
 		return "", fmt.Errorf("steelnetd: run %q already exists", spec.ID)
 	}
 	r := &run{
-		id: spec.ID, spec: spec, rules: rules, drv: drv, resume: cp != nil,
+		id: spec.ID, spec: spec, rules: rules, drv: drv,
 		broker: obs.NewBroker(),
 		hist:   tshist.NewRecorder(0, 0, 0),
 		cancel: make(chan struct{}), done: make(chan struct{}),
-		state: StateRunning, seq: drv.Sample().Seq, simNS: drv.Now(),
+		state: StateRunning,
 	}
 	g.runs[spec.ID] = r
 	g.order = append(g.order, spec.ID)
 	g.mu.Unlock()
 	g.started.Add(1)
 	r.broker.SetState(string(StateRunning))
-	if cp != nil {
-		g.journal.Record(r.id, JournalResumed, drv.Now())
-	} else {
-		g.journal.Record(r.id, JournalCreated, drv.Now())
-	}
+	g.journal.Record(r.id, JournalCreated, drv.Now())
 	go g.drive(r)
 	return spec.ID, nil
 }
@@ -303,16 +274,6 @@ func (g *Gateway) drive(r *run) {
 
 	engine := NewEngine(r.rules)
 	prev := map[string]float64{}
-	if r.resume {
-		// Prime the change detector and the engine's edge state on the
-		// restore-point sample so the continued publish stream picks up
-		// exactly where the straight run's would.
-		s := r.drv.Sample()
-		for _, t := range s.Tags {
-			prev[t.Name] = t.Value
-		}
-		engine.Prime(&s)
-	}
 
 	var steps uint64
 	var payload, frame []byte
@@ -447,27 +408,6 @@ func (g *Gateway) Wait(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.err
-}
-
-// Save checkpoints a run that is no longer stepping (paused or done);
-// saving a live run would race its goroutine. The stream restores with
-// Resume under the same spec.
-// No route or flag reaches it yet; ROADMAP.md plans one.
-func (g *Gateway) Save(id string, w io.Writer) error {
-	r, ok := g.get(id)
-	if !ok {
-		return fmt.Errorf("steelnetd: no run %q", id)
-	}
-	select {
-	case <-r.done:
-	default:
-		return fmt.Errorf("steelnetd: run %q is still stepping; Stop or StopAfter first", id)
-	}
-	if err := r.drv.Save(w); err != nil {
-		return err
-	}
-	g.journal.Record(id, JournalSaved, r.drv.Now())
-	return nil
 }
 
 // Remove forgets a finished run (its broker and status). The northbound

@@ -1,7 +1,6 @@
 package steelnetd
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -110,9 +109,6 @@ func TestGatewayStartErrors(t *testing.T) {
 	if err := g.Remove("nosuch"); err == nil {
 		t.Error("Remove on unknown run succeeded")
 	}
-	if err := g.Save("nosuch", &bytes.Buffer{}); err == nil {
-		t.Error("Save on unknown run succeeded")
-	}
 }
 
 func TestGatewayAutoIDAndList(t *testing.T) {
@@ -178,80 +174,6 @@ func TestGatewayStop(t *testing.T) {
 	}
 	if err := g.Stop(id1); err != nil {
 		t.Error("second Stop not idempotent:", err)
-	}
-}
-
-func TestGatewaySaveRefusesLiveRun(t *testing.T) {
-	g := NewGateway(GatewayConfig{})
-	defer g.Close()
-	long := testRun(1)
-	long.Horizon = 30 * time.Second
-	id, err := g.Start(RunSpec{Run: long})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Save(id, &bytes.Buffer{}); err == nil {
-		t.Error("Save on a live run succeeded")
-	}
-	g.Stop(id) //nolint:errcheck
-	g.Wait(id) //nolint:errcheck
-	if err := g.Remove("nosuch"); err == nil {
-		t.Error("Remove unknown run succeeded")
-	}
-}
-
-func TestGatewayPauseSaveResume(t *testing.T) {
-	g := NewGateway(GatewayConfig{})
-	defer g.Close()
-	spec := RunSpec{ID: "cut", Run: testRun(3), Rules: testRules, StopAfter: 4}
-	id, err := g.Start(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Wait(id); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := g.Status(id)
-	if st.State != StatePaused || st.Seq != 4 {
-		t.Fatalf("paused status = %+v", st)
-	}
-	var cp bytes.Buffer
-	if err := g.Save(id, &cp); err != nil {
-		t.Fatal(err)
-	}
-
-	g2 := NewGateway(GatewayConfig{})
-	defer g2.Close()
-	resumed := spec
-	resumed.StopAfter = 0
-	// The checkpoint resumes under its own spec only: another seed and
-	// horizon is an error, and no run is registered for it.
-	other := resumed
-	other.Run.Seed, other.Run.Horizon = 4, 800*time.Millisecond
-	if id, err := g2.Resume(other, bytes.NewReader(cp.Bytes())); err == nil {
-		t.Fatalf("seed-3 / 400 ms checkpoint resumed as run %q under %+v", id, other.Run)
-	}
-	if runs := g2.List(); len(runs) != 0 || g2.Journal().Total() != 0 {
-		t.Fatalf("refused resume left %d run(s) and %d journal record(s)", len(runs), g2.Journal().Total())
-	}
-	id2, err := g2.Resume(resumed, &cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g2.Wait(id2); err != nil {
-		t.Fatal(err)
-	}
-	st2, _ := g2.Status(id2)
-	if st2.State != StateDone || st2.Seq != 8 {
-		t.Fatalf("resumed status = %+v, want done at seq 8", st2)
-	}
-}
-
-func TestGatewayResumeNeedsCheckpoint(t *testing.T) {
-	g := NewGateway(GatewayConfig{})
-	defer g.Close()
-	if _, err := g.Resume(RunSpec{Run: testRun(1)}, nil); err == nil {
-		t.Error("Resume without a checkpoint succeeded")
 	}
 }
 

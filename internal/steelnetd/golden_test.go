@@ -77,97 +77,6 @@ func TestGoldenLogsAcrossConcurrency(t *testing.T) {
 	}
 }
 
-// TestGoldenLogsStraightVsResume pins checkpoint transparency: pausing
-// a run mid-flight, checkpointing it and resuming it on a different
-// gateway yields the same northbound stream as never pausing. The
-// resumed backend starts empty, so the comparison concatenates the
-// part-1 and part-2 payload sequences per (topic, key) partition.
-func TestGoldenLogsStraightVsResume(t *testing.T) {
-	spec := RunSpec{ID: "gold-cut", Run: testRun(42), Rules: testRules}
-
-	straightKafka, straightMQTT := NewFakeKafka(), NewFakeMQTT()
-	g := NewGateway(GatewayConfig{Backends: Backends{"kafka": straightKafka, "mqtt": straightMQTT}})
-	id, err := g.Start(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Wait(id); err != nil {
-		t.Fatal(err)
-	}
-	g.Close()
-	if straightKafka.Total() == 0 {
-		t.Fatal("straight run published nothing to kafka")
-	}
-
-	for cut := uint64(1); cut <= 7; cut += 3 {
-		part1Kafka, part1MQTT := NewFakeKafka(), NewFakeMQTT()
-		g1 := NewGateway(GatewayConfig{Backends: Backends{"kafka": part1Kafka, "mqtt": part1MQTT}})
-		paused := spec
-		paused.StopAfter = cut
-		id, err := g1.Start(paused)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g1.Wait(id); err != nil {
-			t.Fatal(err)
-		}
-		var cp bytes.Buffer
-		if err := g1.Save(id, &cp); err != nil {
-			t.Fatal(err)
-		}
-		g1.Close()
-
-		part2Kafka, part2MQTT := NewFakeKafka(), NewFakeMQTT()
-		g2 := NewGateway(GatewayConfig{Backends: Backends{"kafka": part2Kafka, "mqtt": part2MQTT}})
-		id2, err := g2.Resume(spec, &cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g2.Wait(id2); err != nil {
-			t.Fatal(err)
-		}
-		g2.Close()
-
-		comparePartitions(t, fmt.Sprintf("kafka cut=%d", cut), straightKafka, part1Kafka, part2Kafka)
-		comparePartitions(t, fmt.Sprintf("mqtt cut=%d", cut), straightMQTT, part1MQTT, part2MQTT)
-	}
-}
-
-// comparePartitions asserts straight's per-partition payload sequences
-// equal part1's followed by part2's.
-func comparePartitions(t *testing.T, label string, straight, part1, part2 *FakeBackend) {
-	t.Helper()
-	collect := func(f *FakeBackend) map[string][]string {
-		m := map[string][]string{}
-		for _, r := range f.Records() {
-			k := r.Topic + "\x00" + r.Key
-			m[k] = append(m[k], r.Payload)
-		}
-		return m
-	}
-	want := collect(straight)
-	got := collect(part1)
-	for k, tail := range collect(part2) {
-		got[k] = append(got[k], tail...)
-	}
-	if len(got) != len(want) {
-		t.Errorf("%s: partition sets differ: got %d, want %d", label, len(got), len(want))
-		return
-	}
-	for k, w := range want {
-		g := got[k]
-		if len(g) != len(w) {
-			t.Errorf("%s: partition %q length %d, want %d", label, k, len(g), len(w))
-			continue
-		}
-		for i := range w {
-			if g[i] != w[i] {
-				t.Errorf("%s: partition %q message %d:\n  got  %s\n  want %s", label, k, i, g[i], w[i])
-			}
-		}
-	}
-}
-
 // TestGoldenRerunIdentical reruns the same fleet twice at full
 // concurrency and requires byte-identical logs — the acceptance
 // criterion's "rule firings byte-identical across reruns".

@@ -10,16 +10,15 @@ import (
 )
 
 // Journal is the gateway's run-lifecycle audit log: every state
-// transition (created, started, paused, saved, resumed, stopped, done,
-// failed) and every rule firing appends one JSONL record.
+// transition (created, started, paused, stopped, done, failed) and
+// every rule firing appends one JSONL record.
 //
 // Determinism is the contract: records are sequenced *per run*, not
 // globally, and buffered per run, so concurrent runs never interleave
 // inside each other's logs. WriteLog dumps the runs sorted by id —
 // which makes the full journal a pure function of the hosted run
-// specs, byte-identical across reruns, -max-concurrent settings, and
-// pause/save/resume partitions (a resumed run's journal concatenates
-// onto its pre-pause one's). The golden tests pin exactly that.
+// specs, byte-identical across reruns and -max-concurrent settings.
+// The golden tests pin exactly that.
 //
 // The append path allocates nothing steady-state: records render with
 // strconv appends into a per-run byte buffer whose doubling growth
@@ -39,10 +38,8 @@ type journalLog struct {
 // Journal event names. Firings record the fired rule in "detail".
 const (
 	JournalCreated = "created"
-	JournalResumed = "resumed"
 	JournalStarted = "started"
 	JournalPaused  = "paused"
-	JournalSaved   = "saved"
 	JournalStopped = "stopped"
 	JournalDone    = "done"
 	JournalFailed  = "failed"

@@ -378,12 +378,3 @@ func (e *Engine) Eval(s *core.Sample) []Firing {
 	}
 	return fs
 }
-
-// Prime sets the engine's edge state from s without firing. A resumed
-// run primes on its restore-point sample so the continued firing stream
-// matches a straight run's exactly.
-func (e *Engine) Prime(s *core.Sample) {
-	for i, r := range e.rules {
-		e.prev[i], _ = r.eval(s)
-	}
-}

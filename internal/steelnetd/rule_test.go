@@ -252,21 +252,6 @@ func TestEngineFiresOnFirstSampleWhenTrue(t *testing.T) {
 	}
 }
 
-func TestEnginePrime(t *testing.T) {
-	e := NewEngine(mustRuleSet(t, "tag:x>2->log:t"))
-	above := ruleSample(5)
-	e.Prime(&above)
-	// Primed true: the same condition holding does not fire.
-	if fs := e.Eval(&above); len(fs) != 0 {
-		t.Fatalf("fired after priming true: %+v", fs)
-	}
-	below := ruleSample(1)
-	e.Eval(&below)
-	if fs := e.Eval(&above); len(fs) != 1 {
-		t.Fatal("edge after primed state did not fire")
-	}
-}
-
 func mustRuleSet(t *testing.T, spec string) RuleSet {
 	t.Helper()
 	rs, err := ParseRuleSet(spec)

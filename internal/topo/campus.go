@@ -59,6 +59,19 @@ func (c CampusConfig) MaxSwitchDegree() int {
 	return max(c.Cells, min(c.Fanout, c.SwitchesPerCell-1)+c.HostsPerSwitch+c.Spines)
 }
 
+// NodesAtMost reports whether the campus, defaults applied, has at most
+// limit nodes: Spines + Cells × SwitchesPerCell × (1 + HostsPerSwitch).
+// The product is never formed, so no size overflows it.
+func (c CampusConfig) NodesAtMost(limit int) bool {
+	c.setDefaults()
+	room := limit - c.Spines // what the cells' switches and hosts may take
+	if room < 0 || c.HostsPerSwitch >= room {
+		return false
+	}
+	room /= 1 + c.HostsPerSwitch
+	return c.SwitchesPerCell <= room/c.Cells
+}
+
 // CampusTopo is a generated campus graph plus the structural indexes a
 // sharded simulation needs: which switches form each cell tree (index 0
 // is the gateway/root, parent of index i is (i-1)/Fanout), which hosts

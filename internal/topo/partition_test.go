@@ -58,6 +58,27 @@ func TestCampusMaxSwitchDegree(t *testing.T) {
 	}
 }
 
+// TestCampusNodesAtMost: the node bound read off the config admits the
+// generated graph's node count exactly and one node less refuses it, and
+// sizes whose product overflows an int are refused, not wrapped.
+func TestCampusNodesAtMost(t *testing.T) {
+	for _, cfg := range []CampusConfig{
+		{},
+		{Cells: 3, SwitchesPerCell: 5, HostsPerSwitch: 2, Spines: 2},
+		{Cells: 2, SwitchesPerCell: 1, Spines: 1},
+	} {
+		n := Campus(cfg).Graph.NumNodes()
+		if !cfg.NodesAtMost(n) || cfg.NodesAtMost(n-1) {
+			t.Errorf("%+v: NodesAtMost(%d) = %v, NodesAtMost(%d) = %v; the graph has %d nodes",
+				cfg, n, cfg.NodesAtMost(n), n-1, cfg.NodesAtMost(n-1), n)
+		}
+	}
+	huge := CampusConfig{Cells: 1 << 20, SwitchesPerCell: 1 << 40, HostsPerSwitch: 1 << 20, Spines: 1}
+	if huge.NodesAtMost(1 << 62) {
+		t.Errorf("%+v: 2^80 nodes admitted under 2^62", huge)
+	}
+}
+
 func TestCampusPartitionCutIsBackbone(t *testing.T) {
 	ct := Campus(CampusConfig{Cells: 4, SwitchesPerCell: 6, HostsPerSwitch: 1, Spines: 3})
 	p := ct.Partition()

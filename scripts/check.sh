@@ -5,9 +5,9 @@
 #   scripts/check.sh NAME
 #
 # where NAME is race, replay, fuzz, zero-alloc, smoke, invariance,
-# int-replay, obs-endpoint, steelnetd, bench-module or reach. Every file
-# a check writes lands in the repo root under the name CI uploads; all
-# of them are in .gitignore.
+# int-replay, obs-endpoint, steelnetd, bench-module, reach or docs.
+# Every file a check writes lands in the repo root under the name CI
+# uploads; all of them are in .gitignore.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
@@ -292,9 +292,9 @@ bench_module() {
 # -cover and run under one GOCOVERDIR: the smoke, invariance,
 # int-replay, obs-endpoint and steelnetd checks (their `go run`/`go
 # build` honour GOFLAGS); the command-line paths no check runs (each
-# command's checkpoint and resume, the chaos ladder, the hardware
-# baseline, a fault plan, the requirements corpus, -stats on every
-# figure and the campus's SLO watchdogs); every example; the
+# simulation command's checkpoint and resume, the chaos ladder, the
+# hardware baseline, a fault plan, the requirements corpus, -stats on
+# every figure and the campus's SLO watchdogs); every example; the
 # four bench workloads at seed 1; and the documented `go test -bench`
 # experiments. The profiles are merged, a block counting as reached
 # when any run hit it, and the functions outside bench/ at 0 % are
@@ -316,7 +316,6 @@ reach() {
             go run "./cmd/$cmd" $args -checkpoint reach.ck < /dev/null > /dev/null
             go run "./cmd/$cmd" $args -resume reach.ck < /dev/null > /dev/null
         done <<'EOF'
-gapminer
 reflectbench -cycles 120
 topobench    -clients 8,16 -horizon 100ms
 topobench    -campus -horizon 5ms
@@ -377,11 +376,30 @@ print("\n".join(out))
 '
 }
 
+# The documents' standing size rules: DESIGN.md stays under 40,000 B
+# and every CHANGES.md entry from PR 31 on, newline included, within
+# 1,536 B.
+docs() {
+    python3 - <<'EOF'
+import re, sys
+bad = []
+n = len(open("DESIGN.md", "rb").read())
+if n >= 40000:
+    bad.append(f"DESIGN.md is {n} B, the cap is 40,000")
+for line in open("CHANGES.md", "rb").read().split(b"\n"):
+    m = re.match(rb"- PR (\d+)", line)
+    if m and int(m[1]) >= 31 and len(line) + 1 > 1536:
+        bad.append(f"CHANGES.md, PR {int(m[1])}: {len(line) + 1} B, the cap is 1,536")
+if bad:
+    sys.exit("\n".join(bad))
+EOF
+}
+
 case "${1:-}" in
-race | replay | fuzz | smoke | invariance | steelnetd | reach) "$1" ;;
+race | replay | fuzz | smoke | invariance | steelnetd | reach | docs) "$1" ;;
 zero-alloc | int-replay | obs-endpoint | bench-module) "${1//-/_}" ;;
 *)
-    echo "usage: scripts/check.sh race|replay|fuzz|zero-alloc|smoke|invariance|int-replay|obs-endpoint|steelnetd|bench-module|reach" >&2
+    echo "usage: scripts/check.sh race|replay|fuzz|zero-alloc|smoke|invariance|int-replay|obs-endpoint|steelnetd|bench-module|reach|docs" >&2
     exit 2
     ;;
 esac
