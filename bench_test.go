@@ -32,7 +32,6 @@ import (
 	"steelnet/internal/instaplc"
 	"steelnet/internal/mltopo"
 	"steelnet/internal/mlwork"
-	"steelnet/internal/placement"
 	"steelnet/internal/reflection"
 	"steelnet/internal/telemetry"
 	"steelnet/internal/trafficgen"
@@ -244,8 +243,8 @@ func BenchmarkScalingVPLCsPerHost(b *testing.B) {
 	// The §2.1 scaling study: p99 cycle jitter as vPLCs consolidate.
 	var j1, j16, j64 float64
 	for i := 0; i < b.N; i++ {
-		curve := placement.ScalingCurve(host.PreemptRT, []int{1, 16, 64}, 1)
-		printTable("scaling", placement.RenderScalingCurve(host.PreemptRT, curve))
+		curve := core.ScalingCurve(host.PreemptRT, []int{1, 16, 64}, 1)
+		printTable("scaling", core.RenderScalingCurve(host.PreemptRT, curve))
 		j1, j16, j64 = curve[1], curve[16], curve[64]
 	}
 	b.ReportMetric(j1, "1-tenant-p99-ns")

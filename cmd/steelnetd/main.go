@@ -26,7 +26,7 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -94,8 +94,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *steelnetd.Server
 			fmt.Fprintf(stderr, "steelnetd: -run: %v\n", err)
 			return 2
 		}
-		var spec steelnetd.RunSpec
-		if err := json.Unmarshal(body, &spec); err != nil {
+		spec, err := steelnetd.DecodeRunSpec(bytes.NewReader(body))
+		if err != nil {
 			fmt.Fprintf(stderr, "steelnetd: -run: bad spec: %v\n", err)
 			return 2
 		}

@@ -99,6 +99,9 @@ func TestRunErrors(t *testing.T) {
 		{"bad spec json", []string{"-listen", "", "-wait", "-run", "{not json"}, 2},
 		{"missing spec file", []string{"-listen", "", "-wait", "-run", "@/nosuch/spec.json"}, 2},
 		{"bad rule in spec", []string{"-listen", "", "-wait", "-run", `{"run":{"seed":1},"rules":"bogus:*>1->kafka:t"}`}, 2},
+		{"misspelt run field", []string{"-listen", "", "-wait", "-run", `{"run":{"horizn":100000000,"slice":50000000}}`}, 2},
+		{"misspelt spec field", []string{"-listen", "", "-wait", "-run",
+			`{"run":{"horizon":100000000,"slice":50000000},"rule":"loss:*>0.5->kafka:a"}`}, 2},
 		{"bad listen addr", []string{"-listen", "256.0.0.1:0"}, 1},
 		{"negative max-concurrent", []string{"-listen", "", "-wait", "-max-concurrent", "-3",
 			"-run", `{"run":{"seed":1,"horizon":100000000,"slice":50000000}}`}, 2},

@@ -16,6 +16,7 @@ import (
 
 	"steelnet/internal/checkpoint"
 	"steelnet/internal/core"
+	"steelnet/internal/topo"
 )
 
 // TestRunRefusesOversizedBuilds: a size whose build would exhaust the
@@ -70,7 +71,7 @@ func TestRunRefusesOversizedBuilds(t *testing.T) {
 // whose recorded configuration claims switchesPerCell switches a cell.
 func writeForgedCampus(t *testing.T, path string, switchesPerCell int) {
 	t.Helper()
-	h, err := core.NewCampusHarness(core.CampusConfig{Horizon: 100_000})
+	h, err := core.NewCampusHarness(core.CampusConfig{Horizon: 100_000, Topo: topo.CampusConfig{HostsPerSwitch: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,25 +15,6 @@ func TestPerfectClock(t *testing.T) {
 	}
 }
 
-func TestDriftingClockGainsPPM(t *testing.T) {
-	c := Drifting{DriftPPM: 50}
-	// After 1 s of true time, a +50 ppm clock has gained 50 µs.
-	got := c.Read(sim.Time(time.Second))
-	want := int64(time.Second) + int64(50*time.Microsecond)
-	if got != want {
-		t.Fatalf("Read = %d, want %d", got, want)
-	}
-}
-
-func TestDriftingClockNegativeDrift(t *testing.T) {
-	c := Drifting{DriftPPM: -20}
-	got := c.Read(sim.Time(time.Second))
-	want := int64(time.Second) - int64(20*time.Microsecond)
-	if got != want {
-		t.Fatalf("Read = %d, want %d", got, want)
-	}
-}
-
 func TestQuantizedFloors(t *testing.T) {
 	c := Quantized{Base: Perfect{}, Step: 8 * time.Nanosecond}
 	if got := c.Read(15); got != 8 {

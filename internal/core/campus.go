@@ -32,6 +32,7 @@ const CampusCheckpointKind = "campus"
 type CampusConfig struct {
 	Seed uint64
 	// Topo sizes the campus (zero values select topo.Campus defaults).
+	// HostsPerSwitch has no usable default: it must be at least 1.
 	Topo topo.CampusConfig
 	// Horizon is the experiment length (default 5 ms).
 	Horizon sim.Duration
@@ -134,6 +135,9 @@ func NewCampusHarness(cfg CampusConfig) (*CampusHarness, error) {
 	}
 	if len(plan) > 0 && !cfg.INT {
 		return nil, fmt.Errorf("core: campus SLO plan %q needs INT enabled", cfg.SLO)
+	}
+	if cfg.Topo.HostsPerSwitch < 1 {
+		return nil, fmt.Errorf("core: campus with %d hosts per switch carries no traffic, want at least 1", cfg.Topo.HostsPerSwitch)
 	}
 	if d := cfg.Topo.MaxSwitchDegree(); d > simnet.MaxSwitchPorts {
 		return nil, fmt.Errorf("core: campus needs a switch with %d ports, at most %d", d, simnet.MaxSwitchPorts)

@@ -160,9 +160,9 @@ func TestCampusCheckpointResume(t *testing.T) {
 
 // TestCampusPortBound: a campus whose spines (one port per cell) or
 // gateways (one per tree child, host and spine) would need more than
-// simnet.MaxSwitchPorts ports, or whose payload a frame's zero tail
-// cannot count, is refused before anything is built, also when the
-// scenario comes from a forged checkpoint.
+// simnet.MaxSwitchPorts ports, whose payload a frame's zero tail cannot
+// count, or that has no host to send, is refused before anything is
+// built, also when the scenario comes from a forged checkpoint.
 func TestCampusPortBound(t *testing.T) {
 	h, err := NewCampusHarness(testCampusConfig(1))
 	if err != nil {
@@ -186,6 +186,9 @@ func TestCampusPortBound(t *testing.T) {
 		{"spines", func(c *CampusConfig) { c.Topo.Spines = over }},
 		{"hosts", func(c *CampusConfig) { c.Topo.HostsPerSwitch = simnet.MaxSwitchPorts }},
 		{"payload", func(c *CampusConfig) { c.FrameBytes = 1 << 32 }},
+		{"no hosts", func(c *CampusConfig) { c.Topo.HostsPerSwitch = 0 }},
+		// The zero config's topo.Campus defaults give a switch no host.
+		{"zero config", func(c *CampusConfig) { *c = CampusConfig{Seed: 1} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testCampusConfig(1)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"steelnet/internal/corpus"
@@ -79,22 +80,29 @@ type TimingCheckResult struct {
 	MeetsLatency, MeetsJitter bool
 }
 
-// Section21TimingCheck samples a host stack's full-kernel path (the
-// vPLC data path) and checks it against each requirement at the worst
-// case — the quantitative form of "current stacks do not meet these
-// requirements".
-func Section21TimingCheck(profile host.Profile, seed uint64, samples int) []TimingCheckResult {
+// sampleCycleLatency draws samples cycle latencies of one vPLC sharing
+// its host with tenants-1 other flows. One cycle pays scheduling wakeup
+// + rx + tx on the full-kernel path.
+func sampleCycleLatency(profile host.Profile, tenants int, seed uint64, samples int) *metrics.Series {
 	if samples <= 0 {
 		samples = 20000
 	}
 	e := sim.NewEngine(seed)
 	stk := host.NewStack(profile, e.RNG("timing"))
+	stk.SetActiveFlows(tenants)
 	lat := metrics.NewSeries(samples)
 	for i := 0; i < samples; i++ {
-		// One cycle pays scheduling wakeup + rx + tx.
-		d := stk.SchedulingNoise() + stk.FullKernelRx(64) + stk.FullKernelTx(64)
-		lat.AddDuration(d)
+		lat.AddDuration(stk.SchedulingNoise() + stk.FullKernelRx(64) + stk.FullKernelTx(64))
 	}
+	return lat
+}
+
+// Section21TimingCheck samples a host stack's full-kernel path (the
+// vPLC data path) and checks it against each requirement at the worst
+// case — the quantitative form of "current stacks do not meet these
+// requirements".
+func Section21TimingCheck(profile host.Profile, seed uint64, samples int) []TimingCheckResult {
+	lat := sampleCycleLatency(profile, 1, seed, samples)
 	jit := metrics.Jitter(lat)
 	out := make([]TimingCheckResult, 0, len(Section21Requirements))
 	for _, req := range Section21Requirements {
@@ -111,6 +119,34 @@ func Section21TimingCheck(profile host.Profile, seed uint64, samples int) []Timi
 		out = append(out, r)
 	}
 	return out
+}
+
+// ScalingCurve answers the scaling question §2.1 says existing vPLC
+// evaluations omit: how timing changes as more vPLCs share a host. It
+// returns the p99 cycle jitter for each tenant count; every co-resident
+// flow widens the host's contention term.
+func ScalingCurve(profile host.Profile, tenantCounts []int, seed uint64) map[int]float64 {
+	out := make(map[int]float64, len(tenantCounts))
+	for _, n := range tenantCounts {
+		out[n] = metrics.Jitter(sampleCycleLatency(profile, n, seed, 20000)).P99()
+	}
+	return out
+}
+
+// RenderScalingCurve renders the curve as a table.
+func RenderScalingCurve(profile host.Profile, curve map[int]float64) string {
+	counts := make([]int, 0, len(curve))
+	for n := range curve {
+		counts = append(counts, n)
+	}
+	sort.Ints(counts)
+	t := metrics.NewTable(
+		fmt.Sprintf("§2.1 scaling: vPLCs per host vs p99 cycle jitter (%s)", profile.Name),
+		"vPLCs/host", "p99 jitter")
+	for _, n := range counts {
+		t.AddRow(fmt.Sprintf("%d", n), time.Duration(curve[n]).Round(10*time.Nanosecond).String())
+	}
+	return t.String()
 }
 
 // RenderTimingCheck renders the §2.1 check as a table.

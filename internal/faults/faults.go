@@ -3,12 +3,12 @@
 // IT operations bring to OT networks, turned into a first-class,
 // replayable subsystem. A Plan is a list of typed fault events — link
 // flaps, sustained loss or corruption bursts on a port, switch
-// crash-restarts, host (vPLC) stalls, PTP clock drift and step faults —
-// each with an injection time and an optional recovery delay. An
-// Injector binds the plan's symbolic target names to live simulation
-// objects and schedules every phase on the sim.Engine, so a scenario
-// plus a seed replays byte-identically: fault injection is part of the
-// experiment, not test scaffolding around it.
+// crash-restarts and host (vPLC) stalls — each with an injection time
+// and an optional recovery delay. An Injector binds the plan's symbolic
+// target names to live simulation objects and schedules every phase on
+// the sim.Engine, so a scenario plus a seed replays byte-identically:
+// fault injection is part of the experiment, not test scaffolding
+// around it.
 //
 // Plans come from three places, all equivalent: literal Go values
 // (tests), Generate (randomized chaos plans from a seeded RNG), and
@@ -30,7 +30,7 @@ import (
 type Kind int
 
 // Fault kinds. Each kind targets one registry (links, ports, switches,
-// hosts, clocks) and has an inject phase plus, when Duration > 0, a
+// hosts) and has an inject phase plus, when Duration > 0, a
 // recover phase.
 const (
 	// KindLinkFlap takes a link down at At and back up after Duration
@@ -48,12 +48,6 @@ const (
 	// KindHostStall crashes a host (vPLC VM kill: traffic stops with no
 	// goodbye) and restarts it after Duration (0 = forever).
 	KindHostStall
-	// KindClockDrift sets the target clock's frequency error to
-	// Magnitude ppm for Duration, then back to its pre-fault drift.
-	KindClockDrift
-	// KindClockStep jumps the target clock by Magnitude nanoseconds
-	// once at At (a time-of-day step, e.g. a bad servo correction).
-	KindClockStep
 	numKinds
 )
 
@@ -63,8 +57,6 @@ var kindNames = [...]string{
 	KindCorruptBurst: "corrupt",
 	KindSwitchCrash:  "switchcrash",
 	KindHostStall:    "hoststall",
-	KindClockDrift:   "clockdrift",
-	KindClockStep:    "clockstep",
 }
 
 // String returns the kind's spec name (the one ParsePlan accepts).
@@ -97,10 +89,10 @@ type Event struct {
 	// Injector under exactly this name.
 	Target string
 	// Duration is the time until the recovery phase. Zero means the
-	// fault is permanent (or one-shot, for KindClockStep).
+	// fault is permanent.
 	Duration time.Duration
 	// Magnitude parameterizes the fault: loss/corruption probability
-	// (0..1), drift in ppm, or step size in nanoseconds.
+	// (0..1).
 	Magnitude float64
 }
 
@@ -148,8 +140,8 @@ func (p *Plan) Sort() {
 //
 // e.g. "hoststall:vplc1@1.3s" (Fig. 5's crash),
 // "linkflap:ring2@500ms+1s,loss:dev-dp@0s+3s*0.05". Times use Go
-// duration syntax; magnitude is a float (loss probability, ppm, or
-// step nanoseconds depending on kind).
+// duration syntax; magnitude is a float (the loss or corruption
+// probability).
 func ParsePlan(spec string) (Plan, error) {
 	p := Plan{Name: spec}
 	if strings.TrimSpace(spec) == "" {
@@ -247,8 +239,8 @@ func (p Plan) Validate() error {
 
 // Targets of the fault kinds. A simulation object is registered under a
 // name and faulted through the narrowest interface its kinds need;
-// simnet.Link, simnet.Port, simnet.Switch, plc.Controller and
-// clock.Adjustable satisfy these without adapters.
+// simnet.Link, simnet.Port, simnet.Switch and plc.Controller satisfy
+// these without adapters.
 
 // Link can be taken down and brought back up (KindLinkFlap).
 type Link interface {
@@ -272,18 +264,6 @@ type Switch interface {
 type Host interface {
 	Fail()
 	Restart()
-}
-
-// Clock can have its frequency error changed and its time stepped
-// (KindClockDrift, KindClockStep). now is the virtual instant of the
-// adjustment so piecewise clocks stay continuous. DriftPPM reports the
-// current rate, which the injector saves before a drift fault so
-// recovery restores the clock's real pre-fault rate (crystals have a
-// native frequency error; recovery must not re-tune them to perfect).
-type Clock interface {
-	DriftPPM() float64
-	SetDriftPPM(now sim.Time, ppm float64)
-	Step(now sim.Time, delta time.Duration)
 }
 
 // Phase labels one half of a fault's lifecycle.

@@ -10,14 +10,14 @@ import (
 )
 
 func TestParsePlan(t *testing.T) {
-	spec := "hoststall:vplc1@1.3s,linkflap:ring2@500ms+1s,loss:dev-dp@0s+3s*0.05,clockstep:dev@2ms*-250"
+	spec := "hoststall:vplc1@1.3s,linkflap:ring2@500ms+1s,loss:dev-dp@0s+3s*0.05,corrupt:dev@2ms*0.25"
 	p, err := ParsePlan(spec)
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}
 	want := []Event{
 		{At: 0, Kind: KindLossBurst, Target: "dev-dp", Duration: 3 * time.Second, Magnitude: 0.05},
-		{At: 2 * time.Millisecond, Kind: KindClockStep, Target: "dev", Magnitude: -250},
+		{At: 2 * time.Millisecond, Kind: KindCorruptBurst, Target: "dev", Magnitude: 0.25},
 		{At: 500 * time.Millisecond, Kind: KindLinkFlap, Target: "ring2", Duration: time.Second},
 		{At: 1300 * time.Millisecond, Kind: KindHostStall, Target: "vplc1"},
 	}
@@ -29,7 +29,7 @@ func TestParsePlan(t *testing.T) {
 // TestSpecRoundTrip: rendering a parsed plan and reparsing it yields the
 // same events — the property that lets a trace header reproduce its run.
 func TestSpecRoundTrip(t *testing.T) {
-	p, err := ParsePlan("switchcrash:sw2@1ms+5ms,corrupt:p0@0s+1s*0.5,clockdrift:c@10ms+20ms*-80")
+	p, err := ParsePlan("switchcrash:sw2@1ms+5ms,corrupt:p0@0s+1s*0.5,hoststall:h@10ms+20ms*-80")
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	cfg := GenConfig{
 		Horizon: 2 * time.Second, Events: 40,
 		Links: []string{"l0", "l1"}, Ports: []string{"p0"},
-		Switches: []string{"sw"}, Hosts: []string{"h"}, Clocks: []string{"c"},
+		Switches: []string{"sw"}, Hosts: []string{"h"},
 	}
 	a, b := Generate(7, cfg), Generate(7, cfg)
 	if !reflect.DeepEqual(a, b) {
@@ -132,32 +132,16 @@ type fakeBox struct{ fails, restarts int }
 func (f *fakeBox) Fail()    { f.fails++ }
 func (f *fakeBox) Restart() { f.restarts++ }
 
-type fakeClock struct {
-	drifts []float64
-	steps  []time.Duration
-}
-
-func (f *fakeClock) DriftPPM() float64 {
-	if len(f.drifts) == 0 {
-		return 0
-	}
-	return f.drifts[len(f.drifts)-1]
-}
-func (f *fakeClock) SetDriftPPM(_ sim.Time, ppm float64)  { f.drifts = append(f.drifts, ppm) }
-func (f *fakeClock) Step(_ sim.Time, delta time.Duration) { f.steps = append(f.steps, delta) }
-
 func TestInjectorLifecycle(t *testing.T) {
 	e := sim.NewEngine(1)
 	in := NewInjector(e)
 	link := &fakeLink{}
 	port := &fakePort{}
 	sw, host := &fakeBox{}, &fakeBox{}
-	clk := &fakeClock{}
 	in.RegisterLink("l", link)
 	in.RegisterPort("p", port)
 	in.RegisterSwitch("sw", sw)
 	in.RegisterHost("h", host)
-	in.RegisterClock("c", clk)
 
 	plan := Plan{Name: "all-kinds", Events: []Event{
 		{At: 1 * time.Millisecond, Kind: KindLinkFlap, Target: "l", Duration: time.Millisecond},
@@ -165,8 +149,6 @@ func TestInjectorLifecycle(t *testing.T) {
 		{At: 3 * time.Millisecond, Kind: KindCorruptBurst, Target: "p", Duration: time.Millisecond, Magnitude: 0.25},
 		{At: 4 * time.Millisecond, Kind: KindSwitchCrash, Target: "sw", Duration: time.Millisecond},
 		{At: 5 * time.Millisecond, Kind: KindHostStall, Target: "h", Duration: time.Millisecond},
-		{At: 6 * time.Millisecond, Kind: KindClockDrift, Target: "c", Duration: time.Millisecond, Magnitude: 42},
-		{At: 8 * time.Millisecond, Kind: KindClockStep, Target: "c", Magnitude: -500},
 	}}
 	if err := in.Apply(plan); err != nil {
 		t.Fatalf("Apply: %v", err)
@@ -188,19 +170,12 @@ func TestInjectorLifecycle(t *testing.T) {
 	if host.fails != 1 || host.restarts != 1 {
 		t.Errorf("host fails=%d restarts=%d, want 1/1", host.fails, host.restarts)
 	}
-	// Drift recovery restores the pre-fault rate (zero here).
-	if got, want := clk.drifts, []float64{42, 0}; !reflect.DeepEqual(got, want) {
-		t.Errorf("clock drifts = %v, want %v", got, want)
-	}
-	if got, want := clk.steps, []time.Duration{-500}; !reflect.DeepEqual(got, want) {
-		t.Errorf("clock steps = %v, want %v", got, want)
-	}
 	if in.Injected != len(plan.Events) {
 		t.Errorf("Injected = %d, want %d", in.Injected, len(plan.Events))
 	}
-	// Trace: 7 injects + 6 recoveries (clock step is one-shot), in time order.
-	if len(in.Trace) != 13 {
-		t.Fatalf("trace has %d records, want 13:\n%s", len(in.Trace), in.TraceString())
+	// Trace: 5 injects + 5 recoveries, in time order.
+	if len(in.Trace) != 10 {
+		t.Fatalf("trace has %d records, want 10:\n%s", len(in.Trace), in.TraceString())
 	}
 	for i := 1; i < len(in.Trace); i++ {
 		if in.Trace[i].At < in.Trace[i-1].At {
@@ -227,25 +202,5 @@ func TestApplyFailsLoudly(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after failed Apply, want 0", e.Pending())
-	}
-}
-
-// TestNestedDriftRestore: overlapping drift faults unwind to the prior
-// drift, not to zero.
-func TestNestedDriftRestore(t *testing.T) {
-	e := sim.NewEngine(1)
-	in := NewInjector(e)
-	clk := &fakeClock{}
-	in.RegisterClock("c", clk)
-	if err := in.Apply(Plan{Events: []Event{
-		{At: 0, Kind: KindClockDrift, Target: "c", Duration: 10 * time.Millisecond, Magnitude: 100},
-		{At: time.Millisecond, Kind: KindClockDrift, Target: "c", Duration: 2 * time.Millisecond, Magnitude: -30},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-	want := []float64{100, -30, 100, 0}
-	if !reflect.DeepEqual(clk.drifts, want) {
-		t.Fatalf("drifts = %v, want %v", clk.drifts, want)
 	}
 }

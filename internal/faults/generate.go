@@ -7,6 +7,13 @@ import (
 	"steelnet/internal/sim"
 )
 
+// Generated durations are floored at minOutage, and loss and corruption
+// burst probabilities are drawn from [0.01, maxLossRate).
+const (
+	minOutage   = time.Millisecond
+	maxLossRate = 0.2
+)
+
 // GenConfig parameterizes randomized plan generation. Only kinds whose
 // target list is non-empty are drawn; Events counts fault injections
 // (recoveries don't count). Zero-valued knobs get usable defaults.
@@ -19,16 +26,8 @@ type GenConfig struct {
 	// MeanOutage is the mean of the exponential fault-duration draw.
 	// Generated faults always recover (chaos plans probe degradation
 	// and recovery, not permanent loss); durations are clamped to
-	// [MinOutage, Horizon].
+	// [1ms, Horizon].
 	MeanOutage time.Duration
-	// MinOutage floors the duration draw (default 1ms).
-	MinOutage time.Duration
-	// MaxLossRate bounds loss/corruption burst probability (default 0.2).
-	MaxLossRate float64
-	// MaxDriftPPM bounds clock drift faults (default 100).
-	MaxDriftPPM float64
-	// MaxStep bounds clock step faults (default 10µs).
-	MaxStep time.Duration
 
 	// Target name pools, one per registry. Empty pools disable the
 	// corresponding kinds.
@@ -36,11 +35,6 @@ type GenConfig struct {
 	Ports    []string
 	Switches []string
 	Hosts    []string
-	Clocks   []string
-
-	// Kinds optionally restricts which fault kinds are drawn (before
-	// the empty-pool filter). Nil means all kinds.
-	Kinds []Kind
 }
 
 // Generate builds a randomized fault plan from seed. Same seed, same
@@ -54,37 +48,18 @@ func Generate(seed uint64, cfg GenConfig) Plan {
 	if cfg.MeanOutage <= 0 {
 		cfg.MeanOutage = cfg.Horizon / 20
 	}
-	if cfg.MinOutage <= 0 {
-		cfg.MinOutage = time.Millisecond
-	}
-	if cfg.MaxLossRate <= 0 {
-		cfg.MaxLossRate = 0.2
-	}
-	if cfg.MaxDriftPPM <= 0 {
-		cfg.MaxDriftPPM = 100
-	}
-	if cfg.MaxStep <= 0 {
-		cfg.MaxStep = 10 * time.Microsecond
-	}
 
-	pools := map[Kind][]string{
+	pools := [numKinds][]string{
 		KindLinkFlap:     cfg.Links,
 		KindLossBurst:    cfg.Ports,
 		KindCorruptBurst: cfg.Ports,
 		KindSwitchCrash:  cfg.Switches,
 		KindHostStall:    cfg.Hosts,
-		KindClockDrift:   cfg.Clocks,
-		KindClockStep:    cfg.Clocks,
 	}
-	allowed := cfg.Kinds
-	if allowed == nil {
-		allowed = []Kind{KindLinkFlap, KindLossBurst, KindCorruptBurst,
-			KindSwitchCrash, KindHostStall, KindClockDrift, KindClockStep}
-	}
-	kinds := make([]Kind, 0, len(allowed))
-	for _, k := range allowed {
-		if len(pools[k]) > 0 {
-			kinds = append(kinds, k)
+	kinds := make([]Kind, 0, numKinds)
+	for k, pool := range pools {
+		if len(pool) > 0 {
+			kinds = append(kinds, Kind(k))
 		}
 	}
 	p := Plan{Name: fmt.Sprintf("chaos(seed=%d,n=%d)", seed, cfg.Events)}
@@ -101,23 +76,9 @@ func Generate(seed uint64, cfg GenConfig) Plan {
 			Target: pool[rng.Intn(len(pool))],
 			At:     rng.DurationRange(0, cfg.Horizon),
 		}
-		if k != KindClockStep {
-			d := time.Duration(rng.Exp(float64(cfg.MeanOutage)))
-			if d < cfg.MinOutage {
-				d = cfg.MinOutage
-			}
-			if d > cfg.Horizon {
-				d = cfg.Horizon
-			}
-			ev.Duration = d
-		}
-		switch k {
-		case KindLossBurst, KindCorruptBurst:
-			ev.Magnitude = rng.Range(0.01, cfg.MaxLossRate)
-		case KindClockDrift:
-			ev.Magnitude = rng.Range(-cfg.MaxDriftPPM, cfg.MaxDriftPPM)
-		case KindClockStep:
-			ev.Magnitude = rng.Range(-float64(cfg.MaxStep), float64(cfg.MaxStep))
+		ev.Duration = min(max(time.Duration(rng.Exp(float64(cfg.MeanOutage))), minOutage), cfg.Horizon)
+		if k == KindLossBurst || k == KindCorruptBurst {
+			ev.Magnitude = rng.Range(0.01, maxLossRate)
 		}
 		p.Events = append(p.Events, ev)
 	}

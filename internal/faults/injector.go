@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"time"
 
 	"steelnet/internal/sim"
 	"steelnet/internal/telemetry"
@@ -18,7 +17,6 @@ type Injector struct {
 	ports    map[string]Port
 	switches map[string]Switch
 	hosts    map[string]Host
-	clocks   map[string]Clock
 
 	// Trace records every executed phase in firing order.
 	Trace []Record
@@ -40,7 +38,6 @@ func NewInjector(e *sim.Engine) *Injector {
 		ports:    make(map[string]Port),
 		switches: make(map[string]Switch),
 		hosts:    make(map[string]Host),
-		clocks:   make(map[string]Clock),
 	}
 }
 
@@ -55,9 +52,6 @@ func (in *Injector) RegisterSwitch(name string, s Switch) { in.switches[name] = 
 
 // RegisterHost exposes h to KindHostStall under name.
 func (in *Injector) RegisterHost(name string, h Host) { in.hosts[name] = h }
-
-// RegisterClock exposes c to KindClockDrift/KindClockStep under name.
-func (in *Injector) RegisterClock(name string, c Clock) { in.clocks[name] = c }
 
 // Apply validates the plan against the registered targets and schedules
 // every event's phases, relative to the engine's current time. It
@@ -93,8 +87,6 @@ func (in *Injector) check(ev Event) error {
 		_, ok = in.switches[ev.Target]
 	case KindHostStall:
 		_, ok = in.hosts[ev.Target]
-	case KindClockDrift, KindClockStep:
-		_, ok = in.clocks[ev.Target]
 	}
 	if !ok {
 		return fmt.Errorf("no registered %s target %q", ev.Kind, ev.Target)
@@ -104,7 +96,6 @@ func (in *Injector) check(ev Event) error {
 
 // inject executes the fault's onset and schedules its recovery.
 func (in *Injector) inject(ev Event) {
-	now := in.engine.Now()
 	recoverLater := func(fn func()) {
 		if ev.Duration > 0 {
 			in.engine.After(ev.Duration, func() {
@@ -134,16 +125,6 @@ func (in *Injector) inject(ev Event) {
 		h := in.hosts[ev.Target]
 		h.Fail()
 		recoverLater(h.Restart)
-	case KindClockDrift:
-		c := in.clocks[ev.Target]
-		// Save the clock's real rate at onset: recovery returns the
-		// crystal to its native frequency error, not to perfect; nested
-		// excursions unwind to whatever the outer fault had set.
-		prev := c.DriftPPM()
-		c.SetDriftPPM(now, ev.Magnitude)
-		recoverLater(func() { c.SetDriftPPM(in.engine.Now(), prev) })
-	case KindClockStep:
-		in.clocks[ev.Target].Step(now, time.Duration(ev.Magnitude))
 	}
 	in.Injected++
 	in.record(PhaseInject, ev)

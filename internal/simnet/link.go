@@ -270,7 +270,6 @@ type Link struct {
 	engine  *sim.Engine
 	ports   [2]*Port
 	up      bool
-	extra   [2]sim.Duration // per-direction added delay (asymmetry)
 
 	// cross is non-nil when the link's two ends live on different shards
 	// of a sim.ShardGroup; the propagation leg then crosses the shard
@@ -320,9 +319,9 @@ func (l *Link) Cross() bool { return l.cross != nil }
 // ConnectCross wires two ports with a link whose ends live on two
 // different shards, shardA and shardB, of group g. Serialization happens
 // on the sending shard; the propagation leg becomes a timestamped
-// inter-shard message, so the link's total propagation delay (Prop plus
-// any asymmetry) must be at least the group's lookahead — the group
-// panics on violation at the first send.
+// inter-shard message, so the link's propagation delay must be at least
+// the group's lookahead — the group panics on violation at the first
+// send.
 func ConnectCross(g *sim.ShardGroup, name string, a, b *Port, shardA, shardB int, rateBps float64, prop sim.Duration) *Link {
 	if prop < g.Lookahead() {
 		panic(fmt.Sprintf("simnet: cross-shard link %q propagation %v below group lookahead %v", name, prop, g.Lookahead()))
@@ -346,19 +345,6 @@ func ConnectCross(g *sim.ShardGroup, name string, a, b *Port, shardA, shardB int
 	a.link, a.end = l, 0
 	b.link, b.end = l, 1
 	return l
-}
-
-// SetAsymmetry adds extra one-way delay to the direction leaving the
-// link's end (0 or 1). Asymmetric paths are what breaks PTP's offset
-// estimate (§3), so experiments need to dial them in explicitly.
-func (l *Link) SetAsymmetry(end int, extra sim.Duration) {
-	if end != 0 && end != 1 {
-		panic("simnet: link end must be 0 or 1")
-	}
-	if extra < 0 {
-		panic("simnet: negative asymmetry")
-	}
-	l.extra[end] = extra
 }
 
 const minWireBytes = 64
@@ -538,7 +524,7 @@ func (p *Port) serDone(fl *flight) {
 		if l.cross != nil {
 			p.crossHandoff(fl)
 		} else {
-			l.engine.After(l.Prop+l.extra[p.end], fl.propDone)
+			l.engine.After(l.Prop, fl.propDone)
 		}
 	}
 	p.busy = false
@@ -610,7 +596,7 @@ func (p *Port) crossHandoff(fl *flight) {
 	if n := f.BodyLen(); p.corruptRate > 0 && n > 0 && p.rng().Bool(p.corruptRate) {
 		corrupt = p.rng().Intn(n)
 	}
-	at := c.eng[src].Now().Add(l.Prop + l.extra[src])
+	at := c.eng[src].Now().Add(l.Prop)
 	c.group.Send(c.shard[src], c.shard[1-src], at, c.deliver, f, (corrupt+1)<<1|src)
 }
 

@@ -337,6 +337,42 @@ func TestSwitchAddsLatency(t *testing.T) {
 	}
 }
 
+// TestUnscheduledFlowsDoQueue: three same-class flows sending at the
+// same instant through one egress port leave it back to back, each
+// waiting out the frames ahead of it. That contention is what a TAS
+// schedule exists to remove.
+func TestUnscheduledFlowsDoQueue(t *testing.T) {
+	e := sim.NewEngine(1)
+	sw := NewSwitch(e, "sw", 4, SwitchConfig{Latency: 2 * sim.Microsecond})
+	sink := NewHost(e, "sink", frame.NewMAC(100))
+	egress := Connect(e, "sink", sw.Port(3), sink.Port(), 100e6, 0)
+	sw.AddStatic(sink.MAC(), 3)
+	var arrivals []sim.Time
+	var wire int
+	sink.OnReceive(func(f *frame.Frame) {
+		arrivals = append(arrivals, e.Now())
+		wire = f.WireLen()
+	})
+	for i := 0; i < 3; i++ {
+		src := NewHost(e, "src", frame.NewMAC(uint32(i+1)))
+		Connect(e, "acc", src.Port(), sw.Port(i), 1e9, 0)
+		src.Send(&frame.Frame{
+			Dst: sink.MAC(), Tagged: true, Priority: frame.PrioRT, VID: 10,
+			Type: frame.TypeProfinet, Payload: make([]byte, 100),
+		})
+	}
+	e.Run()
+	if len(arrivals) != 3 {
+		t.Fatalf("arrivals = %v, want 3", arrivals)
+	}
+	ser := egress.SerializationDelay(wire)
+	for i := 1; i < 3; i++ {
+		if gap := arrivals[i].Sub(arrivals[i-1]); gap != ser {
+			t.Fatalf("arrivals = %v: gap %v, want one %v serialization", arrivals, gap, ser)
+		}
+	}
+}
+
 func TestSwitchHairpinDropped(t *testing.T) {
 	e := sim.NewEngine(1)
 	sw := NewSwitch(e, "sw", 2, SwitchConfig{})

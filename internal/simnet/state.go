@@ -127,8 +127,9 @@ func (l *Link) FoldState(d *checkpoint.Digest) {
 	d.Bool(l.up)
 	d.U64(l.Delivered[0])
 	d.U64(l.Delivered[1])
-	d.I64(int64(l.extra[0]))
-	d.I64(int64(l.extra[1]))
+	// Zeros where a removed per-direction extra delay folded: digests stay put.
+	d.I64(0)
+	d.I64(0)
 }
 
 // FoldState folds every switch, then every host, then every link, each

@@ -2,7 +2,6 @@ package steelnetd
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -93,8 +92,8 @@ func FuzzRunSpec(f *testing.F) {
 		if len(body) > maxRunSpecBytes {
 			return // the handler answers 413
 		}
-		var spec RunSpec
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&spec) != nil {
+		spec, err := DecodeRunSpec(bytes.NewReader(body))
+		if err != nil {
 			return // the handler answers 400
 		}
 		if spec.Run.Horizon <= 0 || spec.Run.Horizon > 200*time.Millisecond {

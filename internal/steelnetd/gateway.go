@@ -1,6 +1,8 @@
 package steelnetd
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -31,6 +33,26 @@ type RunSpec struct {
 	// StopAfter pauses the run after that many slices (0 = run to the
 	// horizon).
 	StopAfter uint64 `json:"stop_after,omitempty"`
+}
+
+// DecodeRunSpec reads one run spec from r, the one decoder for every
+// spec that arrives from outside (POST /runs, steelnetd -run). A field
+// the spec does not have is an error, so a misspelt key cannot quietly
+// select a default, and so is anything but white space after the spec.
+func DecodeRunSpec(r io.Reader) (RunSpec, error) {
+	var spec RunSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return RunSpec{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second value")
+		}
+		return RunSpec{}, fmt.Errorf("data after the run spec: %w", err)
+	}
+	return spec, nil
 }
 
 // RunState is a hosted run's lifecycle phase.

@@ -2,6 +2,7 @@ package steelnetd
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -140,6 +141,33 @@ func TestPostRunsBodyLimit(t *testing.T) {
 	}
 	if len(g.List()) != 0 {
 		t.Fatalf("the oversized spec started a run: %+v", g.List())
+	}
+}
+
+// TestPostRunsStrictSpec: a POST /runs body is exactly one run spec.
+// A misspelt key would otherwise select a default in silence (the 3 s
+// horizon, no rules), and bytes after the spec would be dropped unread.
+// Each is a 400 carrying the decoder's message, and no run starts.
+func TestPostRunsStrictSpec(t *testing.T) {
+	g, srv := testServer(t)
+	for _, tc := range []struct{ name, body, want string }{
+		{"misspelt run field", `{"run":{"horizn":100000000,"slice":50000000}}`, `unknown field "horizn"`},
+		{"misspelt spec field", `{"run":{"horizon":100000000,"slice":50000000},"rule":"loss:*>0.5->kafka:a"}`, `unknown field "rule"`},
+		{"trailing data", `{"run":{"horizon":100000000,"slice":50000000}} trailing`, "data after the run spec"},
+		{"second spec", `{"run":{"horizon":100000000,"slice":50000000}} {}`, "data after the run spec"},
+	} {
+		resp, err := http.Post(srv.URL+"/runs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: POST /runs: %v", tc.name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.want) {
+			t.Errorf("%s: %d %q, want 400 containing %q", tc.name, resp.StatusCode, msg, tc.want)
+		}
+	}
+	if len(g.List()) != 0 {
+		t.Fatalf("a rejected spec started a run: %+v", g.List())
 	}
 }
 

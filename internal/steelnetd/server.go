@@ -64,8 +64,8 @@ func NewServeMux(g *Gateway) *http.ServeMux {
 		writeJSON(w, g.List())
 	})
 	handle("POST /runs", "/runs", func(w http.ResponseWriter, r *http.Request) {
-		var spec RunSpec
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunSpecBytes)).Decode(&spec); err != nil {
+		spec, err := DecodeRunSpec(http.MaxBytesReader(w, r.Body, maxRunSpecBytes))
+		if err != nil {
 			status := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {

@@ -5,7 +5,8 @@
 #   scripts/check.sh NAME
 #
 # where NAME is race, replay, fuzz, zero-alloc, smoke, invariance,
-# int-replay, obs-endpoint, steelnetd, bench-module, reach or docs.
+# int-replay, obs-endpoint, steelnetd, bench-module, reach, docs or
+# orphans.
 # Every file a check writes lands in the repo root under the name CI
 # uploads; all of them are in .gitignore.
 set -euo pipefail
@@ -395,11 +396,23 @@ if bad:
 EOF
 }
 
+# Every package under internal/ is in the non-test import closure of a
+# command, an example or the bench module; test-helper packages, named
+# *test, are exempt. A package only tests import is code no run needs.
+orphans() {
+    local reached
+    reached=$({ go list -deps ./cmd/... ./examples/... && (cd bench && go list -deps ./...); } | sort -u)
+    if go list ./internal/... | grep -v 'test$' | grep -vxF -f <(echo "$reached"); then
+        echo "orphans: the packages above are imported by no command, example or bench" >&2
+        exit 1
+    fi
+}
+
 case "${1:-}" in
-race | replay | fuzz | smoke | invariance | steelnetd | reach | docs) "$1" ;;
+race | replay | fuzz | smoke | invariance | steelnetd | reach | docs | orphans) "$1" ;;
 zero-alloc | int-replay | obs-endpoint | bench-module) "${1//-/_}" ;;
 *)
-    echo "usage: scripts/check.sh race|replay|fuzz|zero-alloc|smoke|invariance|int-replay|obs-endpoint|steelnetd|bench-module|reach|docs" >&2
+    echo "usage: scripts/check.sh race|replay|fuzz|zero-alloc|smoke|invariance|int-replay|obs-endpoint|steelnetd|bench-module|reach|docs|orphans" >&2
     exit 2
     ;;
 esac
