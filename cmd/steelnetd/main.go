@@ -10,7 +10,7 @@
 //
 // Runs start via POST /runs with a JSON run spec, or at boot with -run
 // (repeatable; inline JSON or an @file path). Each run's telemetry is
-// served under /runs/{id}/{metrics,shards,history,events}; the
+// served under /runs/{id}/{metrics,history,events}; the
 // fleet-wide SSE fan-out is /events; the lifecycle audit journal is
 // /journal (and, with -journal-log, dumped to FILE on shutdown);
 // fake-backend publish logs are browsable under /backends/{name}/log

@@ -102,6 +102,8 @@ func TestRunErrors(t *testing.T) {
 		{"misspelt run field", []string{"-listen", "", "-wait", "-run", `{"run":{"horizn":100000000,"slice":50000000}}`}, 2},
 		{"misspelt spec field", []string{"-listen", "", "-wait", "-run",
 			`{"run":{"horizon":100000000,"slice":50000000},"rule":"loss:*>0.5->kafka:a"}`}, 2},
+		{"pause requested", []string{"-listen", "", "-wait", "-run",
+			`{"run":{"horizon":100000000,"slice":50000000},"stop_after":1}`}, 2},
 		{"bad listen addr", []string{"-listen", "256.0.0.1:0"}, 1},
 		{"negative max-concurrent", []string{"-listen", "", "-wait", "-max-concurrent", "-3",
 			"-run", `{"run":{"seed":1,"horizon":100000000,"slice":50000000}}`}, 2},

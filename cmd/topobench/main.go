@@ -30,10 +30,10 @@
 // executed on -shards worker goroutines under conservative
 // window-barrier sync. The partition is derived from the topology, so
 // the table (and -int/-slo exports) are byte-identical for every
-// -shards value. In campus mode -checkpoint saves a replay-anchored
-// checkpoint at the end of the run and -resume replays one to its
-// recorded instant before continuing; -int/-slo observe the cross-cell
-// flows (sinks strip the telemetry per cell, merged in shard order).
+// -shards value. A campus run keeps no checkpoint: -campus with
+// -checkpoint or -resume is a usage error. In campus mode -int/-slo
+// observe the cross-cell flows (sinks strip the telemetry per cell,
+// merged in shard order).
 //
 // -obs-addr serves live observability over HTTP while the run is in
 // flight: Prometheus metrics on /metrics, the per-shard coordinator
@@ -53,7 +53,6 @@ import (
 	"os"
 	"time"
 
-	"steelnet/internal/checkpoint"
 	"steelnet/internal/cli"
 	"steelnet/internal/core"
 	"steelnet/internal/mltopo"
@@ -91,6 +90,9 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 		}
 		tel := env.Tel
 		if *campus {
+			if env.Checkpoint != "" {
+				return cli.Usagef("-checkpoint and -resume apply to the Fig. 6 grid, not to -campus")
+			}
 			return runCampus(core.CampusConfig{
 				Seed: *seed,
 				Topo: topo.CampusConfig{
@@ -103,9 +105,9 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 				INT:     tel.Collector != nil,
 				SLO:     tel.SLOSpec,
 				Workers: env.Workers,
-				// Observational knobs, never encoded in checkpoints: the
-				// profiler rides -stats/-obs-addr, per-shard tracing rides
-				// -trace, and the registry collects whenever either asked.
+				// Observational knobs: the profiler rides -stats/-obs-addr,
+				// per-shard tracing rides -trace, and the registry collects
+				// whenever either asked.
 				Profile: tel.Registry != nil,
 				Trace:   tel.Tracer != nil,
 				Metrics: tel.Registry,
@@ -136,21 +138,10 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 	}
 }
 
-// runCampus executes the campus experiment: a fresh build, or a
-// deterministic replay-and-continue from a checkpoint under this run's
-// worker count and observational knobs. Neither is ever encoded in
-// checkpoints, so a run saved under -shards=1 may resume under -shards=8
-// (and vice versa) with byte-identical output.
+// runCampus builds the campus experiment, runs it to its horizon and
+// prints its table.
 func runCampus(cfg core.CampusConfig, env *cli.Env) error {
-	var (
-		h   *core.CampusHarness
-		err error
-	)
-	if env.Resume != nil {
-		h, err = core.RestoreCampus(env.Resume, cfg)
-	} else {
-		h, err = core.NewCampusHarness(cfg)
-	}
+	h, err := core.NewCampusHarness(cfg)
 	if err != nil {
 		return fmt.Errorf("campus: %w", err)
 	}
@@ -180,13 +171,6 @@ func runCampus(cfg core.CampusConfig, env *cli.Env) error {
 		// Hand the stitched cross-shard timeline to the session tracer
 		// so -trace exports one causal JSONL/Perfetto document.
 		tel.Tracer.AbsorbEvents(h.MergedTrace())
-	}
-	if env.Checkpoint != "" {
-		// Atomic: -resume and -checkpoint usually name the same file, and
-		// a crash mid-save must not destroy the checkpoint just read.
-		if err := checkpoint.WriteFileAtomic(env.Checkpoint, h.Save); err != nil {
-			return fmt.Errorf("-checkpoint: %w", err)
-		}
 	}
 	// The campus collects per shard; End exports the merged views.
 	if mc := h.MergedCollector(); mc != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -86,24 +87,6 @@ func TestRunCampusShardInvariant(t *testing.T) {
 	if serial.String() != wide.String() {
 		t.Errorf("campus stdout differs across -shards:\n--- shards=1\n%s--- shards=8\n%s",
 			serial.String(), wide.String())
-	}
-}
-
-// TestRunCampusCheckpointResume saves the finished campus run, then
-// resumes the checkpoint under a different shard count: the replay must
-// reproduce the identical table.
-func TestRunCampusCheckpointResume(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "campus.ckpt")
-	var first, second, stderr bytes.Buffer
-	if code := run(tinyCampus("-shards", "2", "-checkpoint", ckpt), &first, &stderr); code != 0 {
-		t.Fatalf("checkpoint run: exit %d, stderr:\n%s", code, stderr.String())
-	}
-	if code := run(tinyCampus("-shards", "8", "-resume", ckpt), &second, &stderr); code != 0 {
-		t.Fatalf("resume run: exit %d, stderr:\n%s", code, stderr.String())
-	}
-	if first.String() != second.String() {
-		t.Errorf("resumed campus output differs from original:\n--- first\n%s--- second\n%s",
-			first.String(), second.String())
 	}
 }
 
@@ -251,6 +234,34 @@ func TestRunBadUsage(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
 			t.Errorf("run(%v) = %d, stdout %q; want 2 and nothing", args, code, stdout.String())
 		}
+	}
+}
+
+// TestRunCampusRefusesCheckpoint: a campus run keeps no checkpoint, so
+// -campus with -checkpoint or -resume is a usage error with one
+// topobench: line, and no file is written or read.
+func TestRunCampusRefusesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	existing := filepath.Join(dir, "existing.ckpt")
+	if err := os.WriteFile(existing, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(dir, "campus.ckpt")
+	for _, args := range [][]string{
+		tinyCampus("-checkpoint", fresh),
+		tinyCampus("-resume", existing),
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("run(%v) = %d, stdout %q; want 2 and nothing", args, code, stdout.String())
+		}
+		msg := stderr.String()
+		if !strings.HasPrefix(msg, "topobench: ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("run(%v): stderr = %q, want one topobench: line", args, msg)
+		}
+	}
+	if _, err := os.Stat(fresh); !os.IsNotExist(err) {
+		t.Errorf("-campus -checkpoint wrote %s (stat err %v)", fresh, err)
 	}
 }
 

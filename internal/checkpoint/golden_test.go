@@ -31,7 +31,6 @@ import (
 	"steelnet/internal/instaplc"
 	"steelnet/internal/sim"
 	"steelnet/internal/sweep"
-	"steelnet/internal/topo"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden checkpoint corpus")
@@ -56,17 +55,6 @@ type goldenCase struct {
 func goldenCases() []goldenCase {
 	chaosCfg := core.DefaultChaosConfig()
 	chaosCfg.Base = smallInstaplcConfig()
-	campusCfg := core.CampusConfig{
-		Seed: 11,
-		Topo: topo.CampusConfig{
-			Cells: 3, SwitchesPerCell: 3, HostsPerSwitch: 2,
-			Spines: 2, Fanout: 2,
-		},
-		Horizon: 2 * sim.Millisecond,
-		Period:  50 * sim.Microsecond,
-		INT:     true,
-		SLO:     "latency:*<15µs",
-	}
 	return []goldenCase{
 		{
 			name:    "instaplc",
@@ -79,20 +67,6 @@ func goldenCases() []goldenCase {
 			at:      sim.Time(200 * sim.Millisecond),
 			build:   func() resumable { return instaplc.NewHarness(core.ChaosCellConfig(chaosCfg, 7)) },
 			restore: restoreAs(instaplc.RestoreWith),
-		},
-		{
-			name: "campus",
-			at:   sim.Time(700 * sim.Microsecond),
-			build: func() resumable {
-				h, err := core.NewCampusHarness(campusCfg)
-				if err != nil {
-					panic(err)
-				}
-				return h
-			},
-			restore: func(r io.Reader, _ sweep.Sinks) (resumable, error) {
-				return core.RestoreCampus(r, core.CampusConfig{Workers: 2})
-			},
 		},
 	}
 }

@@ -167,21 +167,11 @@ type intAttachments struct {
 	rec  *intnet.Recorder
 }
 
-// sidedTest gives the straight and resumed runs' flight-recorder dumps
-// distinct file names under $STEELNET_FLIGHTREC_DIR on failure.
-type sidedTest struct {
-	*testing.T
-	side string
-}
-
-func (s sidedTest) Name() string { return s.T.Name() + "/" + s.side }
-
-func attachObservability(t *testing.T, c resumeCase, side string, tr *telemetry.Tracer) intAttachments {
+func attachObservability(t *testing.T, c resumeCase, tr *telemetry.Tracer) intAttachments {
 	t.Helper()
 	var a intAttachments
 	a.rec = intnet.NewRecorder()
 	a.rec.Attach(tr)
-	t.Cleanup(func() { intnet.DumpOnFailure(sidedTest{t, side}, a.rec) })
 	if !c.int {
 		return a
 	}
@@ -236,7 +226,7 @@ func TestResumeEquivalence(t *testing.T) {
 			// restores, keep going to 2N.
 			trA := telemetry.NewTracer(nil)
 			regA := telemetry.NewRegistry()
-			attA := attachObservability(t, c, "straight", trA)
+			attA := attachObservability(t, c, trA)
 			a := c.build(sweep.Sinks{Trace: trA, Metrics: regA, Collector: attA.coll})
 			n := a.Horizon() / 2
 			a.AdvanceTo(n)
@@ -258,7 +248,7 @@ func TestResumeEquivalence(t *testing.T) {
 			// byte-identical.
 			trB := telemetry.NewTracer(nil)
 			regB := telemetry.NewRegistry()
-			attB := attachObservability(t, c, "resumed", trB)
+			attB := attachObservability(t, c, trB)
 			sinksB := sweep.Sinks{Trace: trB, Metrics: regB, Collector: attB.coll}
 			var b stepper
 			if c.restore != nil {

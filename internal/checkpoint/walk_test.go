@@ -69,7 +69,6 @@ func walkCases() []walkCase {
 		// The corpus holds two instaplc configs: the plain Fig. 5 run and
 		// a chaos cell, which carries a generated fault plan.
 		walkOf("instaplc", instaplc.WalkConfig, []string{"instaplc", "chaos"}, "Sinks"),
-		walkOf("campus", core.WalkCampusConfig, []string{"campus"}, "Workers", "Profile", "Trace", "Metrics"),
 		walkOf("plan", faults.WalkPlan, nil), // *Plan: nil, empty and populated
 		walkOf("figure4-result", reflection.WalkResult, nil),
 		walkOf("figure6-result", mltopo.WalkResult, nil),

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 
@@ -17,18 +15,13 @@ import (
 	"steelnet/internal/topo"
 )
 
-// CampusCheckpointKind tags campus-experiment checkpoint files.
-const CampusCheckpointKind = "campus"
-
 // CampusConfig parameterizes the campus-scale sharded experiment: a
 // spine-plus-cells plant network (topo.Campus) partitioned one shard
 // per cell, with periodic intra-cell and cross-cell host traffic, and
 // optional in-band telemetry plus an SLO watchdog per shard.
 //
-// Everything except Workers is part of the scenario and is encoded into
-// checkpoints. Workers is an execution knob — how many goroutines
-// advance the shard group's windows — and never changes an output byte,
-// so it is excluded from the encoding and supplied fresh at restore.
+// Workers, Profile, Trace and Metrics are observational: they never
+// change an output byte. Everything else is the scenario.
 type CampusConfig struct {
 	Seed uint64
 	// Topo sizes the campus (zero values select topo.Campus defaults).
@@ -55,22 +48,17 @@ type CampusConfig struct {
 	// "" disables the watchdogs).
 	SLO string
 	// Workers is the goroutine count for window execution (default 1).
-	// Not part of the scenario; excluded from checkpoints.
 	Workers int
 
 	// Profile arms the shard group's coordinator profiler (barrier
 	// waits, window occupancy, outbox volume — see sim.ShardProfile).
-	// Observational: like Workers it never changes an output byte, so
-	// it is excluded from checkpoints and may differ across a
-	// save/resume boundary.
 	Profile bool
 	// Trace attaches one frame-lifecycle tracer per shard, each in its
 	// own disjoint id space, so MergedTrace can stitch cross-shard
-	// frame timelines. Observational; excluded from checkpoints.
+	// frame timelines.
 	Trace bool
 	// Metrics, when non-nil, receives the group's and the campus's
-	// metric families at build time. Observational; excluded from
-	// checkpoints.
+	// metric families at build time.
 	Metrics *telemetry.Registry
 }
 
@@ -109,11 +97,6 @@ type CampusHarness struct {
 	dogs    []*intnet.Watchdog
 	tracers []*telemetry.Tracer
 	plan    intnet.SLOPlan
-
-	// FellBack reports that the requested partition was unusable (a
-	// zero-propagation backbone makes conservative sync unsound) and the
-	// harness degraded to one shard, serial.
-	FellBack bool
 }
 
 // maxCampusNodes bounds a campus's switches and hosts together, checked
@@ -124,9 +107,8 @@ type CampusHarness struct {
 const maxCampusNodes = 1 << 20
 
 // NewCampusHarness builds and arms the experiment. A campus whose
-// backbone has zero propagation delay cannot be sharded conservatively
-// (sim.ErrZeroLookahead); the harness then falls back to a single-shard
-// serial build of the same topology and sets FellBack.
+// backbone has zero propagation delay cannot be sharded conservatively:
+// it is refused with an error that wraps sim.ErrZeroLookahead.
 func NewCampusHarness(cfg CampusConfig) (*CampusHarness, error) {
 	cfg = normalizeCampusConfig(cfg)
 	plan, err := intnet.ParseSLOPlan(cfg.SLO)
@@ -152,18 +134,11 @@ func NewCampusHarness(cfg CampusConfig) (*CampusHarness, error) {
 	}
 	ct := topo.Campus(cfg.Topo)
 	cfg.Topo = ct.Cfg // generator defaults become part of the scenario
-	part := ct.Partition()
-	fellBack := false
-	net, err := simnet.NewSharded(cfg.Seed, ct.Graph, part, simnet.DefaultSwitchConfig)
-	if errors.Is(err, sim.ErrZeroLookahead) {
-		fellBack = true
-		part = topo.Partition{Shards: 1, Of: make([]int, ct.Graph.NumNodes())}
-		net, err = simnet.NewSharded(cfg.Seed, ct.Graph, part, simnet.DefaultSwitchConfig)
-	}
+	net, err := simnet.NewSharded(cfg.Seed, ct.Graph, ct.Partition(), simnet.DefaultSwitchConfig)
 	if err != nil {
 		return nil, err
 	}
-	h := &CampusHarness{cfg: cfg, ct: ct, net: net, plan: plan, FellBack: fellBack}
+	h := &CampusHarness{cfg: cfg, ct: ct, net: net, plan: plan}
 	if cfg.QueueDepth > 0 {
 		net.SetSwitchQueueDepth(cfg.QueueDepth)
 	}
@@ -511,7 +486,6 @@ type CampusResult struct {
 	Switches    int
 	Hosts       int
 	Shards      int
-	FellBack    bool
 	LookaheadNS int64
 	Group       sim.ShardGroupStats
 	PerCell     []CampusCellStats
@@ -531,7 +505,6 @@ func (h *CampusHarness) Result() CampusResult {
 		Switches:    cfg.Cells*cfg.SwitchesPerCell + cfg.Spines,
 		Hosts:       cfg.Cells * cfg.SwitchesPerCell * cfg.HostsPerSwitch,
 		Shards:      h.net.Group.Shards(),
-		FellBack:    h.FellBack,
 		LookaheadNS: int64(h.net.Group.Lookahead()),
 		Group:       h.net.Group.Stats(),
 		Accounting:  h.net.Account(),
@@ -543,13 +516,11 @@ func (h *CampusHarness) Result() CampusResult {
 			cs.TxFrames += p.TxFrames
 			cs.RxFrames += p.RxFrames
 		}
-		if !h.FellBack {
-			if coll := h.colls[c+1]; coll != nil {
-				cs.INTObservations = coll.Observations
-			}
-			if dog := h.dogs[c+1]; dog != nil {
-				cs.Breaches = len(dog.Breaches())
-			}
+		if coll := h.colls[c+1]; coll != nil {
+			cs.INTObservations = coll.Observations
+		}
+		if dog := h.dogs[c+1]; dog != nil {
+			cs.Breaches = len(dog.Breaches())
 		}
 		res.PerCell = append(res.PerCell, cs)
 	}
@@ -579,9 +550,6 @@ func RenderCampus(res CampusResult) string {
 	s := t.String()
 	s += fmt.Sprintf("windows=%d skipped=%d cross-shard msgs=%d delivered=%d\n",
 		res.Group.Windows, res.Group.Skipped, res.Group.Messages, res.Accounting.Delivered)
-	if res.FellBack {
-		s += "NOTE: zero-lookahead partition; fell back to serial single-shard execution\n"
-	}
 	return s
 }
 
@@ -611,52 +579,4 @@ func (h *CampusHarness) Digest() uint64 {
 	d := checkpoint.NewDigest()
 	h.FoldState(d)
 	return d.Sum()
-}
-
-// Save writes a replay-anchored checkpoint of the run to w.
-func (h *CampusHarness) Save(w io.Writer) error {
-	config := checkpoint.Encode(WalkCampusConfig, &h.cfg)
-	return checkpoint.WriteHarness(w, CampusCheckpointKind, config, int64(h.Now()), h.Digest())
-}
-
-// RestoreCampus reads a campus checkpoint, rebuilds the scenario from
-// its recorded configuration, and replays deterministically to the
-// checkpointed instant. Of run only what no checkpoint records is read
-// — Workers, Profile, Trace and Metrics — so a run saved under one
-// worker count resumes under another, with this run's observation
-// armed. A digest mismatch returns *checkpoint.DivergenceError.
-func RestoreCampus(r io.Reader, run CampusConfig) (*CampusHarness, error) {
-	return checkpoint.Replay[sim.Time](r, CampusCheckpointKind, WalkCampusConfig,
-		func(cfg CampusConfig) (*CampusHarness, error) {
-			cfg.Workers, cfg.Profile, cfg.Trace, cfg.Metrics = run.Workers, run.Profile, run.Trace, run.Metrics
-			return NewCampusHarness(cfg)
-		})
-}
-
-func walkLinkSpec(c *checkpoint.Codec, s *topo.LinkSpec) {
-	c.F64(&s.RateBps)
-	checkpoint.Int(c, &s.PropNs)
-}
-
-// WalkCampusConfig is the replayable configuration's field list.
-// Workers, Profile, Trace and Metrics are execution and observation
-// knobs, not scenario: they can change no output byte and must never
-// enter the frozen layout.
-func WalkCampusConfig(c *checkpoint.Codec, cfg *CampusConfig) {
-	checkpoint.Int(c, &cfg.Seed)
-	checkpoint.Int(c, &cfg.Topo.Cells)
-	checkpoint.Int(c, &cfg.Topo.SwitchesPerCell)
-	checkpoint.Int(c, &cfg.Topo.HostsPerSwitch)
-	checkpoint.Int(c, &cfg.Topo.Spines)
-	checkpoint.Int(c, &cfg.Topo.Fanout)
-	walkLinkSpec(c, &cfg.Topo.Access)
-	walkLinkSpec(c, &cfg.Topo.Trunk)
-	walkLinkSpec(c, &cfg.Topo.Backbone)
-	checkpoint.Int(c, &cfg.Horizon)
-	checkpoint.Int(c, &cfg.Period)
-	checkpoint.Int(c, &cfg.CrossEvery)
-	checkpoint.Int(c, &cfg.FrameBytes)
-	checkpoint.Int(c, &cfg.QueueDepth)
-	c.Bool(&cfg.INT)
-	c.Str(&cfg.SLO)
 }

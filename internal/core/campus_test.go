@@ -1,10 +1,9 @@
 package core
 
 import (
-	"bytes"
+	"errors"
 	"testing"
 
-	"steelnet/internal/checkpoint"
 	"steelnet/internal/sim"
 	"steelnet/internal/simnet"
 	"steelnet/internal/topo"
@@ -42,9 +41,6 @@ func runCampus(t *testing.T, workers int) (*CampusHarness, CampusResult) {
 func TestCampusDeterministicAcrossWorkers(t *testing.T) {
 	ref, refRes := runCampus(t, 1)
 	refDigest := ref.Digest()
-	if refRes.FellBack {
-		t.Fatal("default campus fell back to serial; backbone lookahead lost")
-	}
 	if refRes.Shards != 4 {
 		t.Fatalf("shards = %d, want spine + 3 cells = 4", refRes.Shards)
 	}
@@ -123,13 +119,12 @@ func TestCampusConservationAtCuts(t *testing.T) {
 	}
 }
 
-// TestCampusCheckpointResume pins checkpoint/resume equality under
-// sharding: a run checkpointed mid-window and resumed with a different
-// worker count ends byte-identical to the straight run.
+// TestCampusCheckpointResume pins that a run cut mid-window and then
+// continued ends byte-identical to straight runs: one harness advanced
+// serially to an instant inside a window, with messages held in
+// outboxes, then run to the horizon, digests equal to the straight run
+// at 2 and at 8 workers. -obs-addr advances a campus in slices this way.
 func TestCampusCheckpointResume(t *testing.T) {
-	straight, _ := runCampus(t, 2)
-	want := straight.Digest()
-
 	h, err := NewCampusHarness(testCampusConfig(1))
 	if err != nil {
 		t.Fatal(err)
@@ -137,24 +132,22 @@ func TestCampusCheckpointResume(t *testing.T) {
 	// 777_777 is no multiple of anything in the scenario: it lands
 	// mid-window, with messages held in outboxes.
 	h.AdvanceTo(777_777)
-	var buf bytes.Buffer
-	if err := h.Save(&buf); err != nil {
-		t.Fatal(err)
+	if h.Now() != 777_777 {
+		t.Fatalf("clock %v after the cut, want 777777", h.Now())
 	}
-	restored, err := RestoreCampus(bytes.NewReader(buf.Bytes()), CampusConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	if h.Network().Account().CrossWire == 0 {
+		t.Fatal("the cut caught no frame on the cross-shard wire")
 	}
-	if restored.Now() != 777_777 {
-		t.Fatalf("restored clock %v, want 777777", restored.Now())
+	h.Run()
+	got := h.Digest()
+	for _, workers := range []int{2, 8} {
+		straight, _ := runCampus(t, workers)
+		if want := straight.Digest(); got != want {
+			t.Fatalf("sliced digest %#x != straight run at %d workers %#x", got, workers, want)
+		}
 	}
-	restored.Run()
-	if got := restored.Digest(); got != want {
-		t.Fatalf("resumed digest %#x != straight run %#x", got, want)
-	}
-	res := restored.Result()
-	if res.Breaches == 0 || res.INTObservations == 0 {
-		t.Fatalf("resumed run lost telemetry: %+v", res)
+	if res := h.Result(); res.Breaches == 0 || res.INTObservations == 0 {
+		t.Fatalf("sliced run lost telemetry: %+v", res)
 	}
 }
 
@@ -162,21 +155,8 @@ func TestCampusCheckpointResume(t *testing.T) {
 // gateways (one per tree child, host and spine) would need more than
 // simnet.MaxSwitchPorts ports, whose payload a frame's zero tail cannot
 // count, or that has no host to send, is refused before anything is
-// built, also when the scenario comes from a forged checkpoint.
+// built.
 func TestCampusPortBound(t *testing.T) {
-	h, err := NewCampusHarness(testCampusConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.AdvanceTo(100_000)
-	var saved bytes.Buffer
-	if err := h.Save(&saved); err != nil {
-		t.Fatal(err)
-	}
-	config, at, digest, err := checkpoint.ReadHarness(&saved, CampusCheckpointKind)
-	if err != nil {
-		t.Fatal(err)
-	}
 	over := simnet.MaxSwitchPorts + 1
 	for _, tc := range []struct {
 		name  string
@@ -196,48 +176,19 @@ func TestCampusPortBound(t *testing.T) {
 			if h, err := NewCampusHarness(cfg); err == nil || h != nil {
 				t.Fatalf("NewCampusHarness = %v, %v; want an error", h, err)
 			}
-			var forged CampusConfig
-			if err := checkpoint.Decode(WalkCampusConfig, config, &forged); err != nil {
-				t.Fatal(err)
-			}
-			tc.forge(&forged)
-			var file bytes.Buffer
-			if err := checkpoint.WriteHarness(&file, CampusCheckpointKind, checkpoint.Encode(WalkCampusConfig, &forged), at, digest); err != nil {
-				t.Fatal(err)
-			}
-			if h, err := RestoreCampus(&file, CampusConfig{Workers: 1}); err == nil || h != nil {
-				t.Fatalf("RestoreCampus = %v, %v; want an error", h, err)
-			}
 		})
 	}
 }
 
-// TestCampusSerialFallback: a zero-propagation backbone cannot be
-// sharded conservatively; the harness must degrade to one shard and say
-// so, not fail.
-func TestCampusSerialFallback(t *testing.T) {
+// TestCampusRefusesZeroLookahead: a zero-propagation backbone cannot be
+// sharded conservatively, and the campus is refused with an error that
+// wraps sim.ErrZeroLookahead rather than run on some other partition.
+func TestCampusRefusesZeroLookahead(t *testing.T) {
 	cfg := testCampusConfig(4)
 	cfg.Topo.Backbone = topo.LinkSpec{RateBps: 100e9, PropNs: 0}
 	h, err := NewCampusHarness(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.FellBack {
-		t.Fatal("zero-lookahead campus did not fall back")
-	}
-	if h.Network().Group.Shards() != 1 {
-		t.Fatalf("fallback built %d shards", h.Network().Group.Shards())
-	}
-	h.Run()
-	res := h.Result()
-	if !res.FellBack || res.Shards != 1 {
-		t.Fatalf("result does not report the fallback: %+v", res)
-	}
-	if res.Accounting.CrossWire != 0 {
-		t.Fatalf("serial build has cross-wire frames: %d", res.Accounting.CrossWire)
-	}
-	if err := res.Accounting.Check(); err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, sim.ErrZeroLookahead) || h != nil {
+		t.Fatalf("NewCampusHarness = %v, %v; want nil and sim.ErrZeroLookahead", h, err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"steelnet/internal/instaplc"
 	"steelnet/internal/mltopo"
 	"steelnet/internal/reflection"
-	"steelnet/internal/sim"
 )
 
 // The figure sweeps run their cells on a worker pool. The determinism
@@ -169,6 +168,12 @@ func campusArtifacts(t *testing.T, seed uint64, workers int) (table, intJSONL, b
 		t.Fatal(err)
 	}
 	h.Run()
+	return campusArtifactsOf(t, h)
+}
+
+// campusArtifactsOf exports h's three artifacts.
+func campusArtifactsOf(t *testing.T, h *CampusHarness) (table, intJSONL, breachLog string) {
+	t.Helper()
 	table = RenderCampus(h.Result())
 	var buf bytes.Buffer
 	if err := h.MergedCollector().WriteJSONL(&buf); err != nil {
@@ -211,46 +216,32 @@ func TestCampusArtifactsIdenticalAcrossWorkersAndSeeds(t *testing.T) {
 	}
 }
 
-// TestCampusResumedArtifactsIdentical extends the golden contract
-// through a checkpoint: save mid-run serially, restore on 8 workers,
-// and require the finished artifacts to match the straight run's.
+// TestCampusResumedArtifactsIdentical extends the golden contract to a
+// run cut mid-window and then continued: advanced serially to 777,777
+// ns, with messages held in outboxes, then run to the horizon, its
+// table, INT export and breach log match the straight run's at 2 and at
+// 8 workers.
 func TestCampusResumedArtifactsIdentical(t *testing.T) {
-	wantTable, wantINT, wantBreach := campusArtifacts(t, 9, 1)
-
 	cfg := testCampusConfig(1)
 	cfg.Seed = 9
 	h, err := NewCampusHarness(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.AdvanceTo(sim.Time(0).Add(cfg.Horizon / 3))
-	var ckpt bytes.Buffer
-	if err := h.Save(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreCampus(&ckpt, CampusConfig{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored.Run()
-	gotTable := RenderCampus(restored.Result())
-	var buf bytes.Buffer
-	if err := restored.MergedCollector().WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	gotINT := buf.String()
-	buf.Reset()
-	if err := restored.MergedWatchdog().WriteBreachLog(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if gotTable != wantTable {
-		t.Errorf("resumed campus table differs:\n--- straight ---\n%s--- resumed ---\n%s", wantTable, gotTable)
-	}
-	if gotINT != wantINT {
-		t.Error("resumed INT export differs from straight run")
-	}
-	if got := buf.String(); got != wantBreach {
-		t.Errorf("resumed breach log differs:\n--- straight ---\n%s--- resumed ---\n%s", wantBreach, got)
+	h.AdvanceTo(777_777)
+	h.Run()
+	gotTable, gotINT, gotBreach := campusArtifactsOf(t, h)
+	for _, workers := range []int{2, 8} {
+		wantTable, wantINT, wantBreach := campusArtifacts(t, 9, workers)
+		if gotTable != wantTable {
+			t.Errorf("sliced campus table differs from workers=%d:\n--- straight ---\n%s--- sliced ---\n%s", workers, wantTable, gotTable)
+		}
+		if gotINT != wantINT {
+			t.Errorf("sliced INT export differs from the straight run at workers=%d", workers)
+		}
+		if gotBreach != wantBreach {
+			t.Errorf("sliced breach log differs from workers=%d:\n--- straight ---\n%s--- sliced ---\n%s", workers, wantBreach, gotBreach)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // InstaPLC (§4) runs on — the simulated counterpart of the paper's DPDK
 // SWX + P4 pipeline. A Pipeline is a multi-port forwarding element whose
 // behaviour is entirely table-driven: a parser extracts protocol fields
-// (including PROFINET frame ids and AR ids), ordered tables match on
-// them with priorities and wildcards, and actions drop, output (with
+// (including PROFINET frame ids), ordered tables match on them with
+// priorities and wildcards, and actions drop, output (with
 // per-port header rewrites — the egress modification InstaPLC needs to
 // retarget cyclic frames between redundant controllers), or punt to the
 // control plane as packet-ins. Entries support idle timeouts, the
@@ -24,19 +24,17 @@ import (
 
 // Fields is the parsed header view the pipeline matches on.
 type Fields struct {
-	InPort    int
-	Src, Dst  frame.MAC
-	EtherType frame.EtherType
-	// PNValid is true for parseable PROFINET payloads; FrameID and ARID
-	// are then populated (ARID only for message types that carry one).
+	InPort int
+	Src    frame.MAC
+	// PNValid is true for parseable PROFINET payloads; FrameID is then
+	// populated.
 	PNValid bool
 	FrameID profinet.FrameID
-	ARID    uint32
 }
 
 // Parse extracts Fields from a frame arriving on port inPort.
 func Parse(inPort int, f *frame.Frame) Fields {
-	fl := Fields{InPort: inPort, Src: f.Src, Dst: f.Dst, EtherType: f.Type}
+	fl := Fields{InPort: inPort, Src: f.Src}
 	if f.Type != frame.TypeProfinet || len(f.Payload) < 2 {
 		return fl
 	}
@@ -46,24 +44,14 @@ func Parse(inPort int, f *frame.Frame) Fields {
 	}
 	fl.PNValid = true
 	fl.FrameID = id
-	switch id {
-	case profinet.FrameIDCyclic, profinet.FrameIDConnectReq,
-		profinet.FrameIDConnectResp, profinet.FrameIDAlarm, profinet.FrameIDRelease:
-		if len(f.Payload) >= 6 {
-			fl.ARID = binary.BigEndian.Uint32(f.Payload[2:])
-		}
-	}
 	return fl
 }
 
 // Match is a ternary match: nil fields are wildcards.
 type Match struct {
-	InPort    *int
-	Src       *frame.MAC
-	Dst       *frame.MAC
-	EtherType *frame.EtherType
-	FrameID   *profinet.FrameID
-	ARID      *uint32
+	InPort  *int
+	Src     *frame.MAC
+	FrameID *profinet.FrameID
 }
 
 // Matches reports whether fl satisfies every non-nil constraint.
@@ -74,16 +62,7 @@ func (m Match) Matches(fl Fields) bool {
 	if m.Src != nil && *m.Src != fl.Src {
 		return false
 	}
-	if m.Dst != nil && *m.Dst != fl.Dst {
-		return false
-	}
-	if m.EtherType != nil && *m.EtherType != fl.EtherType {
-		return false
-	}
 	if m.FrameID != nil && (!fl.PNValid || *m.FrameID != fl.FrameID) {
-		return false
-	}
-	if m.ARID != nil && (!fl.PNValid || *m.ARID != fl.ARID) {
 		return false
 	}
 	return true
@@ -104,22 +83,17 @@ const (
 	ActOutput
 	// ActPacketIn punts the frame to the control plane.
 	ActPacketIn
-	// ActContinue falls through to the next table.
-	ActContinue
 	// ActINTSource attaches an in-band telemetry stack to the frame
 	// (P4 INT source role), then continues to the next table. The
 	// stack's source label is the pipeline's ingress-port label, so
 	// sink-side path digests distinguish which port traffic entered on
 	// — the failover observable.
 	ActINTSource
-	// ActINTSink terminates the frame's INT stack mid-pipeline (hands
-	// it to the action's collector and strips it), then continues.
-	ActINTSink
 )
 
 // INTCollector consumes terminated INT stacks. It is structurally
 // identical to simnet.INTSink, so one intnet.Collector serves host
-// sinks and data-plane sink actions alike.
+// sinks and data-plane egress sinks alike.
 type INTCollector interface {
 	SinkINT(node string, f *frame.Frame, nowNS int64)
 }
@@ -130,7 +104,6 @@ type INTCollector interface {
 type PortAction struct {
 	Port    int
 	SetDst  *frame.MAC
-	SetSrc  *frame.MAC
 	SetARID *uint32
 	INTSink INTCollector
 }
@@ -139,14 +112,8 @@ type PortAction struct {
 type Action struct {
 	Kind    ActionKind
 	Outputs []PortAction
-	Reason  string // packet-in annotation
-
-	// INT source parameters (ActINTSource).
-	INTFlow    uint32
-	INTMaxHops int
-	INTStrict  bool
-	// INT sink collector (ActINTSink).
-	INTSink INTCollector
+	// INTFlow is the flow id of the stacks ActINTSource attaches.
+	INTFlow uint32
 }
 
 // Drop is the drop action.
@@ -158,13 +125,12 @@ func Output(port int) Action {
 }
 
 // PacketIn builds a punt-to-controller action.
-func PacketIn(reason string) Action { return Action{Kind: ActPacketIn, Reason: reason} }
+func PacketIn() Action { return Action{Kind: ActPacketIn} }
 
-// INTSource builds a source action: matching frames gain a telemetry
-// stack for flow with room for maxHops records (<=0 = default).
-func INTSource(flow uint32, maxHops int, strict bool) Action {
-	return Action{Kind: ActINTSource, INTFlow: flow, INTMaxHops: maxHops, INTStrict: strict}
-}
+// INTSource builds a source action: matching frames gain a lenient
+// telemetry stack for flow with room for frame.DefaultINTMaxHops
+// records.
+func INTSource(flow uint32) Action { return Action{Kind: ActINTSource, INTFlow: flow} }
 
 // Entry is one table row.
 type Entry struct {
@@ -181,9 +147,8 @@ type Entry struct {
 	// data-plane traffic without punting it.
 	OnMatch func(*Entry, *frame.Frame)
 
-	// Hits and Bytes count matched traffic.
-	Hits  uint64
-	Bytes uint64
+	// Hits counts matched frames.
+	Hits uint64
 
 	idleTimer sim.Event
 	idleFn    func() // the watchdog's expiry callback, built at the first arm
@@ -251,7 +216,6 @@ func (t *Table) lookup(fl Fields) *Entry {
 
 // PacketInEvent is a frame punted to the control plane.
 type PacketInEvent struct {
-	Reason string
 	Fields Fields
 	Frame  *frame.Frame
 }
@@ -415,7 +379,6 @@ func (p *Pipeline) process(inPort int, rxNS int64, f *frame.Frame) {
 		var act Action
 		if e := t.lookup(fl); e != nil {
 			e.Hits++
-			e.Bytes += uint64(f.WireLen())
 			if e.IdleTimeout > 0 {
 				p.armIdle(e)
 			}
@@ -427,22 +390,13 @@ func (p *Pipeline) process(inPort int, rxNS int64, f *frame.Frame) {
 			act = t.Default
 		}
 		switch act.Kind {
-		case ActContinue:
-			continue
 		case ActINTSource:
 			// Idempotent: a frame that already carries a stack (e.g. one
 			// re-walked after a control-plane detour) keeps its original
 			// source record.
 			if f.INT == nil {
 				p.intSeq[act.INTFlow]++
-				st := p.pool.AttachINT(f, p.inLabels[inPort], act.INTFlow, p.intSeq[act.INTFlow], rxNS, act.INTMaxHops)
-				st.Strict = act.INTStrict
-			}
-			continue
-		case ActINTSink:
-			if f.INT != nil && act.INTSink != nil {
-				act.INTSink.SinkINT(p.inLabels[inPort], f, int64(p.engine.Now()))
-				p.pool.StripINT(f)
+				p.pool.AttachINT(f, p.inLabels[inPort], act.INTFlow, p.intSeq[act.INTFlow], rxNS, frame.DefaultINTMaxHops)
 			}
 			continue
 		case ActDrop:
@@ -459,7 +413,7 @@ func (p *Pipeline) process(inPort int, rxNS int64, f *frame.Frame) {
 			// the wire.
 			p.pool.StripINT(f)
 			if p.OnPacketIn != nil {
-				p.OnPacketIn(PacketInEvent{Reason: act.Reason, Fields: fl, Frame: f})
+				p.OnPacketIn(PacketInEvent{Fields: fl, Frame: f})
 			} else {
 				p.pool.Put(f)
 			}
@@ -508,9 +462,6 @@ func (p *Pipeline) emit(legs []PortAction, rxNS int64, f *frame.Frame) {
 		}
 		if leg.SetDst != nil {
 			g.Dst = *leg.SetDst
-		}
-		if leg.SetSrc != nil {
-			g.Src = *leg.SetSrc
 		}
 		if leg.SetARID != nil {
 			rewriteARID(g, *leg.SetARID)

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func TestParseExtractsProfinetFields(t *testing.T) {
 	cd := profinet.CyclicData{ARID: 42, CycleCounter: 7, Status: profinet.StatusValid}
 	f := &frame.Frame{Src: frame.NewMAC(1), Dst: frame.NewMAC(2), Type: frame.TypeProfinet, Payload: cd.Marshal()}
 	fl := Parse(3, f)
-	if !fl.PNValid || fl.FrameID != profinet.FrameIDCyclic || fl.ARID != 42 || fl.InPort != 3 {
+	if !fl.PNValid || fl.FrameID != profinet.FrameIDCyclic || fl.Src != f.Src || fl.InPort != 3 {
 		t.Fatalf("fields = %+v", fl)
 	}
 }
@@ -47,11 +48,11 @@ func TestParseNonProfinet(t *testing.T) {
 }
 
 func TestMatchWildcardsAndConstraints(t *testing.T) {
-	fl := Fields{InPort: 1, EtherType: frame.TypeProfinet, PNValid: true, FrameID: profinet.FrameIDCyclic, ARID: 5}
+	fl := Fields{InPort: 1, Src: frame.NewMAC(5), PNValid: true, FrameID: profinet.FrameIDCyclic}
 	if !(Match{}).Matches(fl) {
 		t.Fatal("all-wildcard did not match")
 	}
-	if !(Match{InPort: Ptr(1), ARID: Ptr(uint32(5))}).Matches(fl) {
+	if !(Match{InPort: Ptr(1), Src: Ptr(frame.NewMAC(5)), FrameID: Ptr(profinet.FrameIDCyclic)}).Matches(fl) {
 		t.Fatal("exact match failed")
 	}
 	if (Match{InPort: Ptr(2)}).Matches(fl) {
@@ -61,8 +62,8 @@ func TestMatchWildcardsAndConstraints(t *testing.T) {
 		t.Fatal("wrong frame id matched")
 	}
 	// PROFINET constraints never match non-PROFINET frames.
-	if (Match{ARID: Ptr(uint32(0))}).Matches(Fields{}) {
-		t.Fatal("ARID constraint matched non-PN frame")
+	if (Match{FrameID: Ptr(profinet.FrameID(0))}).Matches(Fields{}) {
+		t.Fatal("frame id constraint matched non-PN frame")
 	}
 }
 
@@ -169,11 +170,11 @@ func TestPacketInPunts(t *testing.T) {
 	var events []PacketInEvent
 	p.OnPacketIn = func(ev PacketInEvent) { events = append(events, ev) }
 	tbl := p.AddTable("t", Drop())
-	tbl.Insert(Entry{Match: Match{FrameID: Ptr(profinet.FrameIDConnectReq)}, Action: PacketIn("connect")})
+	tbl.Insert(Entry{Match: Match{FrameID: Ptr(profinet.FrameIDConnectReq)}, Action: PacketIn()})
 	req := profinet.ConnectRequest{ARID: 3, CycleUS: 1000, WatchdogFactor: 3}
 	hosts[0].Send(&frame.Frame{Dst: hosts[1].MAC(), Type: frame.TypeProfinet, Payload: req.Marshal()})
 	e.Run()
-	if len(events) != 1 || events[0].Reason != "connect" || events[0].Fields.ARID != 3 {
+	if len(events) != 1 || events[0].Fields.FrameID != profinet.FrameIDConnectReq || events[0].Fields.InPort != 0 {
 		t.Fatalf("events = %+v", events)
 	}
 	if *counts[1] != 0 {
@@ -181,16 +182,22 @@ func TestPacketInPunts(t *testing.T) {
 	}
 }
 
+// TestContinueFallsThroughTables: an INT source table attaches its
+// stack and falls through to the next table, whose verdict forwards.
 func TestContinueFallsThroughTables(t *testing.T) {
-	e, p, hosts, counts := rig(t, 2)
-	t1 := p.AddTable("acl", Action{Kind: ActContinue})
-	t1.Insert(Entry{Match: Match{Src: Ptr(frame.NewMAC(99))}, Action: Drop()})
-	t2 := p.AddTable("fwd", Drop())
-	t2.Insert(Entry{Match: Match{InPort: Ptr(0)}, Action: Output(1)})
+	e, p, hosts, _ := rig(t, 2)
+	var got *frame.INTStack
+	hosts[1].OnReceive(func(f *frame.Frame) { got = f.INT })
+	p.AddTable("int-source", INTSource(7))
+	fwd := p.AddTable("fwd", Drop())
+	fwd.Insert(Entry{Match: Match{InPort: Ptr(0)}, Action: Output(1)})
 	hosts[0].Send(&frame.Frame{Dst: hosts[1].MAC()})
 	e.Run()
-	if *counts[1] != 1 {
-		t.Fatal("frame did not traverse both tables")
+	if got == nil {
+		t.Fatal("frame did not traverse both tables with a stack")
+	}
+	if got.FlowID != 7 || got.Source != "dp.in0" || got.MaxHops != frame.DefaultINTMaxHops || got.Strict || len(got.Hops) != 1 {
+		t.Fatalf("stack = %+v, want flow 7 from dp.in0, lenient, default room, one transit hop", *got)
 	}
 }
 
@@ -204,9 +211,6 @@ func TestCountersTrackHits(t *testing.T) {
 	e.Run()
 	if ent.Hits != 5 {
 		t.Fatalf("hits = %d", ent.Hits)
-	}
-	if ent.Bytes != 5*64 {
-		t.Fatalf("bytes = %d", ent.Bytes)
 	}
 }
 
@@ -362,7 +366,7 @@ func TestFramesEndInThePool(t *testing.T) {
 	for i := range hosts {
 		hosts[i].OnReceive(func(f *frame.Frame) { got[i] = f })
 	}
-	tbl := p.AddTable("t", PacketIn("miss"))
+	tbl := p.AddTable("t", PacketIn())
 	tbl.Insert(Entry{Match: Match{InPort: Ptr(0)}, Action: Action{Kind: ActOutput, Outputs: []PortAction{
 		PortAction{Port: 1, SetDst: Ptr(hosts[1].MAC())},
 		PortAction{Port: 99},
@@ -371,11 +375,12 @@ func TestFramesEndInThePool(t *testing.T) {
 	}}})
 	tbl.Insert(Entry{Match: Match{InPort: Ptr(1)}, Action: Drop()})
 	tbl.Insert(Entry{Match: Match{InPort: Ptr(2)}, Action: Action{Kind: ActOutput, Outputs: []PortAction{{Port: 7}}}})
-	tbl.Insert(Entry{Match: Match{InPort: Ptr(3), EtherType: Ptr(frame.TypeIPv4)}, Action: Output(0)})
+	tbl.Insert(Entry{Match: Match{InPort: Ptr(3), FrameID: Ptr(profinet.FrameIDCyclic)}, Action: Output(0)})
 
 	send := func(from int, typ frame.EtherType) *frame.Frame {
 		f := pool.Get(20)
 		f.Dst, f.Type = frame.Broadcast, typ
+		binary.BigEndian.PutUint16(f.Payload, uint16(profinet.FrameIDCyclic))
 		if !hosts[from].Send(f) {
 			t.Fatal("host refused the frame")
 		}
@@ -403,7 +408,7 @@ func TestFramesEndInThePool(t *testing.T) {
 		}
 	}
 	hosts[0].Port().Link().SetUp(false)
-	send(3, frame.TypeIPv4)
+	send(3, frame.TypeProfinet)
 	if pool.Outstanding() != 0 || p.Port(0).DownDrops != 1 {
 		t.Fatalf("leg onto a downed link: %d outstanding, %d down-drops", pool.Outstanding(), p.Port(0).DownDrops)
 	}

@@ -206,7 +206,7 @@ func RenderFigure5(res ExperimentResult) string {
 // the control plane (the no-InstaPLC baseline).
 func installPlainL2(pipe *dataplane.Pipeline) {
 	macPort := make(map[frame.MAC]int)
-	pipe.AddTable("l2", dataplane.PacketIn("l2"))
+	pipe.AddTable("l2", dataplane.PacketIn())
 	pipe.OnPacketIn = func(ev dataplane.PacketInEvent) {
 		macPort[ev.Fields.Src] = ev.Fields.InPort
 		if p, ok := macPort[ev.Frame.Dst]; ok {

@@ -111,8 +111,6 @@ type Config struct {
 	// INTSink receives terminated stacks at pipeline egress. Required
 	// when INT is set.
 	INTSink dataplane.INTCollector
-	// INTMaxHops bounds sourced stacks (<= 0 selects the frame default).
-	INTMaxHops int
 }
 
 // DefaultConfig fails over after 2 silent cycles (device watchdogs are
@@ -155,9 +153,9 @@ func New(engine *sim.Engine, pl *dataplane.Pipeline, cfg Config) *App {
 		// The source table runs before the app's own table so every
 		// fast-path frame carries a stack from its first instant in the
 		// pipeline. Non-strict: telemetry must never cost a frame here.
-		pl.AddTable("int-source", dataplane.INTSource(INTFlowID, cfg.INTMaxHops, false))
+		pl.AddTable("int-source", dataplane.INTSource(INTFlowID))
 	}
-	a.table = pl.AddTable("instaplc", dataplane.PacketIn("default"))
+	a.table = pl.AddTable("instaplc", dataplane.PacketIn())
 	pl.OnPacketIn = a.packetIn
 	return a
 }

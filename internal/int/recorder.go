@@ -2,14 +2,10 @@ package intnet
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
-	"steelnet/internal/checkpoint"
 	"steelnet/internal/telemetry"
 )
 
@@ -17,19 +13,16 @@ import (
 // most recent trace events per component, fed live off a Tracer's
 // observer hook. Unlike the tracer's full log it is bounded — a
 // multi-hour run costs the same memory as a short one — and its job is
-// the post-mortem dump: when a fault fires, an SLO breaches, a
-// checkpoint diverges or a test fails, Dump writes the last moments of
-// every component's life, deterministically, to JSONL.
+// the post-mortem dump: a fault injection or an SLO breach is logged as
+// a trigger, and at the end of a run (-flightrec) WriteJSONL writes the
+// triggers and the last moments of every component's life,
+// deterministically, to JSONL.
 type Recorder struct {
 	rings map[string]*eventRing
 	order []string // first-seen node order
 
 	// triggers lists dump-worthy moments in occurrence order.
 	triggers []Trigger
-
-	// OnTrigger, when set, fires on every automatic or manual trigger —
-	// the CLI hooks dump-file writing here.
-	OnTrigger func(Trigger)
 }
 
 // Trigger is one dump-worthy moment.
@@ -99,16 +92,9 @@ func (r *Recorder) Observe(e telemetry.Event) {
 	ring.push(e)
 	switch e.Kind {
 	case telemetry.KindFaultInject:
-		r.fire(Trigger{Reason: "fault-inject", Node: e.Node, Detail: e.Detail, AtNS: e.T})
+		r.triggers = append(r.triggers, Trigger{Reason: "fault-inject", Node: e.Node, Detail: e.Detail, AtNS: e.T})
 	case telemetry.KindSLOBreach:
-		r.fire(Trigger{Reason: "slo-breach", Node: e.Node, Detail: e.Detail, AtNS: e.T})
-	}
-}
-
-func (r *Recorder) fire(t Trigger) {
-	r.triggers = append(r.triggers, t)
-	if r.OnTrigger != nil {
-		r.OnTrigger(t)
+		r.triggers = append(r.triggers, Trigger{Reason: "slo-breach", Node: e.Node, Detail: e.Detail, AtNS: e.T})
 	}
 }
 
@@ -176,74 +162,4 @@ func (r *Recorder) DumpToFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// FoldState folds every ring (first-seen node order, oldest event
-// first) and the trigger log, so a restored run must rebuild the
-// recorder exactly.
-func (r *Recorder) FoldState(d *checkpoint.Digest) {
-	d.Int(RecorderDepth) // part of the digest format
-	d.Int(len(r.order))
-	for _, node := range r.order {
-		ring := r.rings[node]
-		d.Str(node)
-		d.Int(ring.n)
-		for i := 0; i < ring.n; i++ {
-			e := ring.buf[(ring.head+i)%len(ring.buf)]
-			d.I64(e.T)
-			d.U64(uint64(e.Kind))
-			d.U64(uint64(e.Cause))
-			d.U64(uint64(e.Prio))
-			d.I64(int64(e.Port))
-			d.U64(e.Frame)
-			d.I64(e.Aux)
-			d.Str(e.Node)
-			d.Str(e.Detail)
-		}
-	}
-	d.Int(len(r.triggers))
-	for _, t := range r.triggers {
-		d.Str(t.Reason)
-		d.Str(t.Node)
-		d.Str(t.Detail)
-		d.I64(t.AtNS)
-	}
-}
-
-// FailingTest is the subset of testing.TB the dump-on-failure helper
-// needs (kept as an interface so the package does not import testing).
-type FailingTest interface {
-	Failed() bool
-	Name() string
-}
-
-// FlightRecDirEnv names the environment variable CI sets to collect
-// flight-recorder dumps from failing tests as artifacts.
-const FlightRecDirEnv = "STEELNET_FLIGHTREC_DIR"
-
-// DumpOnFailure writes the recorder to $STEELNET_FLIGHTREC_DIR when the
-// test has failed (no-op otherwise, or when the variable is unset).
-// Call it from a defer:
-//
-//	rec := intnet.NewRecorder()
-//	rec.Attach(tr)
-//	defer intnet.DumpOnFailure(t, rec)
-func DumpOnFailure(t FailingTest, r *Recorder) {
-	dir := os.Getenv(FlightRecDirEnv)
-	if dir == "" || !t.Failed() {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	name := strings.Map(func(c rune) rune {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
-			return c
-		default:
-			return '_'
-		}
-	}, t.Name())
-	r.fire(Trigger{Reason: "test-failure", Detail: t.Name(), AtNS: -1})
-	_ = r.DumpToFile(filepath.Join(dir, fmt.Sprintf("flightrec-%s.jsonl", name)))
 }

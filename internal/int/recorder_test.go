@@ -3,8 +3,6 @@ package intnet
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -53,8 +51,6 @@ func TestRecorderRingBounds(t *testing.T) {
 
 func TestRecorderAutoTriggers(t *testing.T) {
 	r := NewRecorder()
-	var hook []Trigger
-	r.OnTrigger = func(tg Trigger) { hook = append(hook, tg) }
 
 	r.Observe(ev("sw", 1))
 	r.Observe(telemetry.Event{T: 5, Kind: telemetry.KindFaultInject, Node: "link", Detail: "linkdown:link@5ms"})
@@ -69,9 +65,6 @@ func TestRecorderAutoTriggers(t *testing.T) {
 	}
 	if tgs[1].Reason != "slo-breach" || tgs[1].Detail != "latency:dst<1µs" {
 		t.Fatalf("slo trigger = %+v", tgs[1])
-	}
-	if len(hook) != 2 {
-		t.Fatalf("OnTrigger fired %d times, want 2", len(hook))
 	}
 }
 
@@ -101,7 +94,7 @@ func TestRecorderDumpDeterministicOrder(t *testing.T) {
 		r.Observe(ev("z", 1))
 		r.Observe(ev("a", 2))
 		r.Observe(ev("z", 3))
-		r.fire(Trigger{Reason: "test", Detail: "detail", AtNS: 4})
+		r.triggers = append(r.triggers, Trigger{Reason: "test", Detail: "detail", AtNS: 4})
 		return r
 	}
 	var b1, b2 bytes.Buffer
@@ -123,37 +116,5 @@ func TestRecorderDumpDeterministicOrder(t *testing.T) {
 		if !strings.Contains(lines[i], frag) {
 			t.Fatalf("line %d = %s, want it to contain %s", i, lines[i], frag)
 		}
-	}
-}
-
-// failedTest fakes a failing testing.T for the dump-on-failure helper.
-type failedTest struct {
-	name   string
-	failed bool
-}
-
-func (f failedTest) Failed() bool { return f.failed }
-func (f failedTest) Name() string { return f.name }
-
-func TestDumpOnFailure(t *testing.T) {
-	dir := t.TempDir()
-	t.Setenv(FlightRecDirEnv, dir)
-
-	r := NewRecorder()
-	r.Observe(ev("sw", 1))
-
-	DumpOnFailure(failedTest{name: "TestPassed", failed: false}, r)
-	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-		t.Fatal("dump written for a passing test")
-	}
-
-	DumpOnFailure(failedTest{name: "TestX/sub case", failed: true}, r)
-	path := filepath.Join(dir, "flightrec-TestX_sub_case.jsonl")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("expected dump at %s: %v", path, err)
-	}
-	if !strings.Contains(string(data), `"reason":"test-failure"`) {
-		t.Fatalf("dump missing test-failure trigger:\n%s", data)
 	}
 }

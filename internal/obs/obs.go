@@ -93,7 +93,7 @@ func NewBroker() *Broker {
 }
 
 // SetState records the run's lifecycle phase for healthz ("running",
-// "done", "paused", …). Safe from any goroutine.
+// "done", …). Safe from any goroutine.
 func (b *Broker) SetState(s string) { b.state.Store(&s) }
 
 // State returns the lifecycle phase set by SetState ("" before any).

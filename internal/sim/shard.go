@@ -14,8 +14,8 @@ import (
 // synchronization is only sound when every cross-shard interaction takes
 // at least the lookahead to propagate: a zero-latency cross-shard link
 // would let a message land inside the window that produced it, where the
-// receiving shard may already have fired past its timestamp. Callers
-// either reject the topology or fall back to a single shard (serial).
+// receiving shard may already have fired past its timestamp, so the
+// topology is refused.
 var ErrZeroLookahead = errors.New("sim: cross-shard lookahead must be positive")
 
 // xmsg is one timestamped inter-shard message: call fn(arg, aux) on

@@ -224,3 +224,22 @@ func TestShardProfileWindowLogCap(t *testing.T) {
 		t.Fatalf("capped lanes drifted: %d events recorded, %d fired", laneEvents, fired)
 	}
 }
+
+// TestShardProfileSingleShard: the profiler also works on a one-shard
+// group, whose windows span whole Run calls.
+func TestShardProfileSingleShard(t *testing.T) {
+	g, err := NewShardGroup(11, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.EnableProfiling()
+	g.Shard(0).Every(5, 500, func() {})
+	g.Run(20000, 1)
+	p := g.Profile()
+	if p.Shards != 1 || len(p.PerShard) != 1 {
+		t.Fatalf("profile shape: %+v", p)
+	}
+	if ev := p.PerShard[0].Events; ev == 0 || ev != g.Shard(0).fired {
+		t.Fatalf("lane events %d, engine fired %d", ev, g.Shard(0).fired)
+	}
+}

@@ -52,8 +52,7 @@ func Build(engine *sim.Engine, g *topo.Graph, cfg SwitchConfig) *Network {
 // one shard per partition class. The conservative lookahead is the
 // minimum propagation delay over the partition's cut edges; a cut edge
 // with zero propagation makes windowed sync unsound, so that returns
-// sim.ErrZeroLookahead (wrapped) — callers repartition, fix the
-// topology, or fall back to a single shard.
+// sim.ErrZeroLookahead (wrapped).
 func NewSharded(seed uint64, g *topo.Graph, p topo.Partition, cfg SwitchConfig) (*Network, error) {
 	if err := p.Validate(g); err != nil {
 		return nil, err

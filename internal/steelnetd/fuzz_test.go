@@ -81,12 +81,12 @@ func FuzzParseRule(f *testing.F) {
 // handler uses and into Start on a fresh gateway. The contract: nothing
 // panics, and a spec Start accepts never ends failed — every way a spec
 // can be bad must be Start's error (a 400), not a run that dies later.
-// Horizon is capped at 200 ms and StopAfter at 3 slices to keep each
-// input cheap.
+// Horizon is capped at 200 ms and at 3 slices to keep each input
+// cheap.
 func FuzzRunSpec(f *testing.F) {
 	f.Add([]byte(`{"run":{"cycle":1}}`))
 	f.Add([]byte(`{"id":"r","run":{"seed":7,"horizon":200000000,"slice":50000000,"trace":true},"rules":"loss:*>0.0->kafka:alerts"}`))
-	f.Add([]byte(`{"run":{"horizon":200000000,"slice":1000000,"cycle":1000,"fail_at":1000000,"slo":"latency:*<1us"},"stop_after":2}`))
+	f.Add([]byte(`{"run":{"horizon":200000000,"slice":1000000,"cycle":1000,"fail_at":1000000,"slo":"latency:*<1us"}}`))
 	f.Add([]byte(`{"run":{"horizon":100000000,"slice":25000000,"baseline":true,"faults":"loss:dp.2@10ms+20ms*0.5,hoststall:vplc1@30ms"}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > maxRunSpecBytes {
@@ -96,11 +96,15 @@ func FuzzRunSpec(f *testing.F) {
 		if err != nil {
 			return // the handler answers 400
 		}
-		if spec.Run.Horizon <= 0 || spec.Run.Horizon > 200*time.Millisecond {
-			spec.Run.Horizon = 200 * time.Millisecond
+		slice, limit := spec.Run.Slice, 200*time.Millisecond
+		if slice <= 0 {
+			slice = 50 * time.Millisecond // core.NewHeadless's default
 		}
-		if spec.StopAfter == 0 || spec.StopAfter > 3 {
-			spec.StopAfter = 3
+		if slice <= limit/3 {
+			limit = 3 * slice
+		}
+		if spec.Run.Horizon <= 0 || spec.Run.Horizon > limit {
+			spec.Run.Horizon = limit
 		}
 		g := NewGateway(GatewayConfig{})
 		defer g.Close()

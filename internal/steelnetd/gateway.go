@@ -30,9 +30,6 @@ type RunSpec struct {
 	// Rules is a rule-set spec (see ParseRuleSet); empty disables the
 	// engine for this run.
 	Rules string `json:"rules,omitempty"`
-	// StopAfter pauses the run after that many slices (0 = run to the
-	// horizon).
-	StopAfter uint64 `json:"stop_after,omitempty"`
 }
 
 // DecodeRunSpec reads one run spec from r, the one decoder for every
@@ -58,11 +55,10 @@ func DecodeRunSpec(r io.Reader) (RunSpec, error) {
 // RunState is a hosted run's lifecycle phase.
 type RunState string
 
-// Run states. Runs move running → done | paused | stopped | failed.
+// Run states. Runs move running → done | stopped | failed.
 const (
 	StateRunning RunState = "running"
 	StateDone    RunState = "done"    // reached the horizon
-	StatePaused  RunState = "paused"  // hit StopAfter
 	StateStopped RunState = "stopped" // cancelled via Stop
 	StateFailed  RunState = "failed"
 )
@@ -184,7 +180,7 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		"Runs currently stepping.", func() float64 { return float64(active.Load()) })
 	reg.Counter("steelnetd_journal_records_total", nil,
 		"Lifecycle journal records appended.", g.journal.Total)
-	for _, st := range []RunState{StateRunning, StateDone, StatePaused, StateStopped, StateFailed} {
+	for _, st := range []RunState{StateRunning, StateDone, StateStopped, StateFailed} {
 		c := &atomic.Uint64{}
 		g.transitions[st] = c
 		reg.Counter("steelnetd_run_transitions_total", telemetry.L("state", string(st)),
@@ -262,14 +258,13 @@ func (g *Gateway) Start(spec RunSpec) (string, error) {
 	g.order = append(g.order, spec.ID)
 	g.mu.Unlock()
 	g.started.Add(1)
-	r.broker.SetState(string(StateRunning))
 	g.journal.Record(r.id, JournalCreated, drv.Now())
 	go g.drive(r)
 	return spec.ID, nil
 }
 
 // drive is the run goroutine: acquire a concurrency slot, step slice by
-// slice, publish, evaluate rules, until the horizon / StopAfter / Stop.
+// slice, publish, evaluate rules, until the horizon or Stop.
 // A panic anywhere below it — the simulation, a rule, a backend — fails
 // this run and no other: the deferred calls still release the slot and
 // unblock Wait.
@@ -297,7 +292,6 @@ func (g *Gateway) drive(r *run) {
 	engine := NewEngine(r.rules)
 	prev := map[string]float64{}
 
-	var steps uint64
 	var payload, frame []byte
 	var batch []TagChange
 	prevSim := r.drv.Now()
@@ -308,12 +302,7 @@ func (g *Gateway) drive(r *run) {
 			return
 		default:
 		}
-		if r.spec.StopAfter > 0 && steps >= r.spec.StopAfter {
-			g.finish(r, StatePaused, nil)
-			return
-		}
 		r.drv.Step()
-		steps++
 		s := r.drv.Sample()
 		r.mu.Lock()
 		r.seq, r.simNS = s.Seq, s.SimNS
@@ -375,14 +364,12 @@ func (g *Gateway) drive(r *run) {
 	g.finish(r, StateDone, nil)
 }
 
-// finish moves a run into a terminal (or paused) state: the status
-// struct, the per-run broker's healthz state, the transition counter
-// and the journal all see the same transition.
+// finish moves a run into a terminal state: the status struct, the
+// transition counter and the journal all see the same transition.
 func (g *Gateway) finish(r *run, s RunState, err error) {
 	r.mu.Lock()
 	r.state, r.err = s, err
 	r.mu.Unlock()
-	r.broker.SetState(string(s))
 	g.transitions[s].Add(1)
 	detail := ""
 	if err != nil {
@@ -419,8 +406,8 @@ func (g *Gateway) Stop(id string) error {
 	return nil
 }
 
-// Wait blocks until the run's goroutine has exited (done, paused,
-// stopped or failed) and returns its terminal error, if any.
+// Wait blocks until the run's goroutine has exited (done, stopped or
+// failed) and returns its terminal error, if any.
 func (g *Gateway) Wait(id string) error {
 	r, ok := g.get(id)
 	if !ok {

@@ -10,7 +10,7 @@ import (
 )
 
 // Journal is the gateway's run-lifecycle audit log: every state
-// transition (created, started, paused, stopped, done, failed) and
+// transition (created, started, stopped, done, failed) and
 // every rule firing appends one JSONL record.
 //
 // Determinism is the contract: records are sequenced *per run*, not
@@ -39,7 +39,6 @@ type journalLog struct {
 const (
 	JournalCreated = "created"
 	JournalStarted = "started"
-	JournalPaused  = "paused"
 	JournalStopped = "stopped"
 	JournalDone    = "done"
 	JournalFailed  = "failed"
@@ -53,7 +52,7 @@ func NewJournal() *Journal {
 
 // Record appends one lifecycle record for run:
 //
-//	{"run":"mill","seq":3,"event":"paused","sim_ns":150000000}
+//	{"run":"mill","seq":3,"event":"stopped","sim_ns":150000000}
 func (j *Journal) Record(run, event string, simNS int64) {
 	j.record(run, event, simNS, "")
 }

@@ -90,9 +90,11 @@ func TestJournalAndHistoryGoldenAcrossConcurrency(t *testing.T) {
 }
 
 // TestJournalLifecycle pins the journal's record sequence for a run
-// that pauses at StopAfter, including per-run sequencing.
+// that runs to a short horizon, including per-run sequencing.
 func TestJournalLifecycle(t *testing.T) {
-	spec := RunSpec{ID: "jl", Run: testRun(42), Rules: testRules, StopAfter: 2}
+	run := testRun(42)
+	run.Horizon = 2 * run.Slice
+	spec := RunSpec{ID: "jl", Run: run, Rules: testRules}
 	g := NewGateway(GatewayConfig{})
 	id, err := g.Start(spec)
 	if err != nil {
@@ -119,8 +121,8 @@ func TestJournalLifecycle(t *testing.T) {
 			t.Errorf("record %d lacks seq %d: %s", i, i+1, lines[i])
 		}
 	}
-	if last := lines[len(lines)-1]; !strings.Contains(last, `"event":"paused"`) {
-		t.Errorf("journal tail = %s, want paused", last)
+	if last := lines[len(lines)-1]; !strings.Contains(last, `"event":"done"`) {
+		t.Errorf("journal tail = %s, want done", last)
 	}
 	if g.Journal().Seq("jl") != uint64(len(lines)) {
 		t.Errorf("Seq = %d, lines = %d", g.Journal().Seq("jl"), len(lines))

@@ -153,6 +153,8 @@ func TestPostRunsStrictSpec(t *testing.T) {
 	for _, tc := range []struct{ name, body, want string }{
 		{"misspelt run field", `{"run":{"horizn":100000000,"slice":50000000}}`, `unknown field "horizn"`},
 		{"misspelt spec field", `{"run":{"horizon":100000000,"slice":50000000},"rule":"loss:*>0.5->kafka:a"}`, `unknown field "rule"`},
+		// A run has no pause: a spec that asks for one is refused.
+		{"stop_after", `{"run":{"horizon":100000000,"slice":50000000},"stop_after":2}`, `unknown field "stop_after"`},
 		{"trailing data", `{"run":{"horizon":100000000,"slice":50000000}} trailing`, "data after the run spec"},
 		{"second spec", `{"run":{"horizon":100000000,"slice":50000000}} {}`, "data after the run spec"},
 	} {

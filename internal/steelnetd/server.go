@@ -21,7 +21,6 @@ import (
 //	/runs                   GET list, POST start (RunSpec JSON body)
 //	/runs/{id}              GET status, DELETE stop
 //	/runs/{id}/metrics      the run's Prometheus exposition
-//	/runs/{id}/shards       the run's shard profile (404: not sharded)
 //	/runs/{id}/history      the run's time-series history (tshist)
 //	/runs/{id}/events       the run's SSE stream (deltas + breaches)
 //	/events                 fleet-wide SSE fan-out (?run= filters)
@@ -40,7 +39,7 @@ func NewServeMux(g *Gateway) *http.ServeMux {
 		mux.HandleFunc(pattern, m.wrap(route, h))
 	}
 	handle("/{$}", "/", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "steelnetd gateway\n\n/healthz\n/metrics\n/journal\n/trace\n/runs\n/runs/{id}\n/runs/{id}/{metrics,shards,history,events}\n/events (SSE)\n/backends\n/backends/{name}/log\n")
+		fmt.Fprint(w, "steelnetd gateway\n\n/healthz\n/metrics\n/journal\n/trace\n/runs\n/runs/{id}\n/runs/{id}/{metrics,history,events}\n/events (SSE)\n/backends\n/backends/{name}/log\n")
 	})
 	handle("GET /healthz", "/healthz", func(w http.ResponseWriter, r *http.Request) {
 		h := g.Hub()
@@ -112,7 +111,6 @@ func NewServeMux(g *Gateway) *http.ServeMux {
 		})
 	}
 	brokerRoute("GET /runs/{id}/metrics", "/runs/{id}/metrics", (*obs.Broker).ServeMetrics)
-	brokerRoute("GET /runs/{id}/shards", "/runs/{id}/shards", (*obs.Broker).ServeShards)
 	brokerRoute("GET /runs/{id}/events", "/runs/{id}/events", (*obs.Broker).ServeEvents)
 	handle("GET /runs/{id}/history", "/runs/{id}/history", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")

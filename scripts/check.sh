@@ -59,7 +59,7 @@ replay() {
     tests <<'EOF'
 internal/checkpoint TestResumeEquivalence|TestRestoreDetectsDivergence|TestGolden
 internal/ebpf       TestDifferential|TestCompiledMatchesInterpreter
-cmd/...             TestRunCheckpointResume|TestRunChaosResume|TestRunCampusCheckpointResume
+cmd/...             TestRunCheckpointResume|TestRunChaosResume
 EOF
 }
 
@@ -319,7 +319,6 @@ reach() {
         done <<'EOF'
 reflectbench -cycles 120
 topobench    -clients 8,16 -horizon 100ms
-topobench    -campus -horizon 5ms
 instaplcd    -chaos -horizon 800ms -fail 400ms
 EOF
         go run ./cmd/gapminer -requirements > /dev/null
