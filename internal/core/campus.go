@@ -100,10 +100,10 @@ type CampusHarness struct {
 }
 
 // maxCampusNodes bounds a campus's switches and hosts together, checked
-// before anything is allocated. A build takes about 2 KB a node
-// (core.campus_build_alloc_mb is 38.5 MB for campus_10k's 20,036
-// nodes), so a campus at the bound builds in about 2 GB; campus_10k is
-// a fiftieth of it.
+// before anything is allocated. A build takes about 1.5 KB a node
+// (core.campus_build_alloc_mb is 30.7 MB for campus_10k's 20,036
+// nodes), so a campus at the bound builds in about 1.6 GB; campus_10k
+// is a fiftieth of it.
 const maxCampusNodes = 1 << 20
 
 // NewCampusHarness builds and arms the experiment. A campus whose
@@ -257,8 +257,14 @@ func (h *CampusHarness) armTraffic() {
 	puts := make([]func(*frame.Frame), len(h.pools))
 	for s, pool := range h.pools {
 		puts[s] = pool.Put
-		for _, p := range h.net.ShardPorts(s) {
-			p.OnDrop = puts[s]
+	}
+	for id, s := range part.Of {
+		if h.net.Graph.Node(topo.NodeID(id)).Kind != topo.KindSwitch {
+			continue
+		}
+		sw := h.net.Switch(topo.NodeID(id))
+		for i := range sw.NumPorts() {
+			sw.Port(i).OnDrop = puts[s]
 		}
 	}
 	stopAt := cfg.Horizon - 10*cfg.Period

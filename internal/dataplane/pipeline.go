@@ -469,7 +469,7 @@ func (p *Pipeline) emit(legs []PortAction, rxNS int64, f *frame.Frame) {
 		if g.INT != nil {
 			if !p.stampINT(g, rxNS, leg.Port) {
 				p.INTDrops++
-				p.ports[leg.Port].INTDrops++
+				p.ports[leg.Port].CountINTDrop()
 				if p.tr != nil {
 					p.tr.Drop(p.name, leg.Port, g, telemetry.CauseINT)
 				}

@@ -409,7 +409,7 @@ func TestFramesEndInThePool(t *testing.T) {
 	}
 	hosts[0].Port().Link().SetUp(false)
 	send(3, frame.TypeProfinet)
-	if pool.Outstanding() != 0 || p.Port(0).DownDrops != 1 {
-		t.Fatalf("leg onto a downed link: %d outstanding, %d down-drops", pool.Outstanding(), p.Port(0).DownDrops)
+	if pool.Outstanding() != 0 || p.Port(0).DownDrops() != 1 {
+		t.Fatalf("leg onto a downed link: %d outstanding, %d down-drops", pool.Outstanding(), p.Port(0).DownDrops())
 	}
 }

@@ -107,7 +107,7 @@ func (s *Stack) ActiveFlows() int { return s.flows }
 
 // jitter draws one sample of scheduling + contention noise (>= 0).
 func (s *Stack) jitter() sim.Duration {
-	sd := float64(s.Profile.SchedJitterSD) + float64(s.Profile.ContentionPerFlowSD)*float64(s.flows-1)
+	sd := float64(s.Profile.SchedJitterSD) + float64(float64(s.Profile.ContentionPerFlowSD)*float64(s.flows-1))
 	j := s.rng.Norm(0, sd)
 	if j < 0 {
 		j = -j

@@ -39,7 +39,7 @@ func (s *Series) Add(v float64) {
 		s.max = v
 	}
 	s.samples = append(s.samples, v)
-	s.sum += v
+	s.sum += float64(v) // rounds a product an inlined caller passes: no fused multiply-add
 	s.dirty = true
 }
 
@@ -88,7 +88,7 @@ func (s *Series) Stddev() float64 {
 	var acc float64
 	for _, v := range s.samples {
 		d := v - m
-		acc += d * d
+		acc += float64(d * d)
 	}
 	return math.Sqrt(acc / float64(n))
 }
@@ -106,14 +106,14 @@ func (s *Series) Quantile(q float64) float64 {
 	if q >= 1 {
 		return ss[n-1]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return ss[lo]
 	}
 	frac := pos - float64(lo)
-	return ss[lo]*(1-frac) + ss[hi]*frac
+	return float64(ss[lo]*(1-frac)) + float64(ss[hi]*frac)
 }
 
 // Median returns the 0.5 quantile.

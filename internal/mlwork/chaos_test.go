@@ -51,14 +51,14 @@ func TestNoFrameLeaksUnderLinkChaos(t *testing.T) {
 		t.Fatalf("injected %d faults, want 24", in.Injected)
 	}
 	cp, sp := cli.Host().Port(), srv.Host().Port()
-	if cp.Drops+cp.InjectedDrops+sp.Drops+sp.InjectedDrops == 0 {
+	if cp.Drops()+cp.InjectedDrops()+sp.Drops()+sp.InjectedDrops() == 0 {
 		t.Fatal("chaos plan destroyed no frames; the invariant was not exercised")
 	}
 	if out := cli.Host().Pool().Outstanding() + srv.Host().Pool().Outstanding(); out != 0 {
 		t.Fatalf("%d frames leaked (client: %d outstanding, server: %d outstanding; "+
 			"drops cli=%d+%d srv=%d+%d)\nplan: %s",
 			out, cli.Host().Pool().Outstanding(), srv.Host().Pool().Outstanding(),
-			cp.Drops, cp.InjectedDrops, sp.Drops, sp.InjectedDrops, plan)
+			cp.Drops(), cp.InjectedDrops(), sp.Drops(), sp.InjectedDrops(), plan)
 	}
 	// The counter-level identity must agree with the pool-level one:
 	// forwarded + dropped (+ still queued/in flight: zero after a full
@@ -103,7 +103,7 @@ func TestCorruptionBurstDoesNotLeakOrCrash(t *testing.T) {
 	cli.ticker.Stop()
 	e.Run()
 
-	if cli.Host().Port().CorruptedFrames == 0 && srv.Host().Port().CorruptedFrames == 0 {
+	if cli.Host().Port().CorruptedFrames() == 0 && srv.Host().Port().CorruptedFrames() == 0 {
 		t.Fatal("no frame was ever corrupted")
 	}
 	if out := cli.Host().Pool().Outstanding() + srv.Host().Pool().Outstanding(); out != 0 {

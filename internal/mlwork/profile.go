@@ -100,11 +100,11 @@ func (p Profile) WireBytes(d Degradation) int {
 func (p Profile) Accuracy(d Degradation) float64 {
 	acc := p.BaseAccuracy
 	if d.CompressionRatio > 1 {
-		acc -= p.CompressionSensitivity * math.Log2(d.CompressionRatio)
+		acc -= float64(p.CompressionSensitivity * math.Log2(d.CompressionRatio))
 	}
-	acc -= p.LossSensitivity * d.LossRate
+	acc -= float64(p.LossSensitivity * d.LossRate)
 	if d.Jitter > time.Millisecond {
-		acc -= p.JitterSensitivity * (d.Jitter.Seconds()*1e3 - 1)
+		acc -= float64(p.JitterSensitivity * (float64(d.Jitter.Seconds()*1e3) - 1))
 	}
 	if acc < 0 {
 		return 0

@@ -228,9 +228,9 @@ func TestSenderStopHaltsFlows(t *testing.T) {
 	s.StartFlow(1, 0, sim.Millisecond)
 	e.RunUntil(sim.Time(5 * sim.Millisecond))
 	s.Stop()
-	sent := s.Host().Port().TxFrames + s.Host().Port().Drops
+	sent := s.Host().Port().TxFrames + s.Host().Port().Drops()
 	e.RunUntil(sim.Time(20 * sim.Millisecond))
-	after := s.Host().Port().TxFrames + s.Host().Port().Drops
+	after := s.Host().Port().TxFrames + s.Host().Port().Drops()
 	if after != sent {
 		t.Fatalf("sender kept sending after Stop: %d -> %d", sent, after)
 	}

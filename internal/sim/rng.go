@@ -60,7 +60,7 @@ func (r *RNG) Range(lo, hi float64) float64 {
 	if hi < lo {
 		panic("sim: Range with hi < lo")
 	}
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Norm returns a normal deviate with the given mean and standard
@@ -72,7 +72,7 @@ func (r *RNG) Norm(mean, stddev float64) float64 {
 	}
 	u2 := r.Float64()
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
+	return mean + float64(stddev*z)
 }
 
 // Exp returns an exponential deviate with the given mean. Mean must be

@@ -59,7 +59,7 @@ func (c *CreditShaper) replenish(now sim.Time) {
 		return
 	}
 	dt := now.Sub(c.lastUpdate).Seconds()
-	c.credit += c.IdleSlopeBps * dt
+	c.credit += float64(c.IdleSlopeBps * dt)
 	if c.credit > 0 {
 		c.credit = 0
 	}
@@ -89,6 +89,6 @@ func (c *CreditShaper) OnTransmit(t sim.Time, p frame.PCP, wireLen int, ser sim.
 		return
 	}
 	c.replenish(t)
-	c.credit -= float64(wireLen*8) - c.IdleSlopeBps*ser.Seconds()
+	c.credit -= float64(wireLen*8) - float64(c.IdleSlopeBps*ser.Seconds())
 	c.lastUpdate = t.Add(ser)
 }

@@ -45,9 +45,16 @@ type Host struct {
 
 // NewHost creates a host with the given MAC.
 func NewHost(engine *sim.Engine, name string, mac frame.MAC) *Host {
-	h := &Host{name: name, engine: engine, mac: mac}
-	h.port.init(h, 0)
+	h := &Host{}
+	h.init(engine, name, mac)
 	return h
+}
+
+// init readies a zero host in place: a network cuts its hosts from one
+// slab, and the embedded port is never copied once it exists.
+func (h *Host) init(engine *sim.Engine, name string, mac frame.MAC) {
+	h.name, h.engine, h.mac = name, engine, mac
+	h.port.init(h, 0)
 }
 
 // Name implements Node.

@@ -28,36 +28,41 @@ type Node interface {
 
 // Port is one attachment point of a node. A port is bound to at most one
 // link end. Egress frames queue at the port and drain at link rate. The
-// egress queue lives inside the port, and links, flights and traced
+// egress queue lives inside the port, and links, callbacks and traced
 // closures point at it, so a port is used through its pointer and never
 // copied: a switch's ports are one slice of Ports, a host embeds its one.
+//
+// A port holds inline only what every frame touches. What only a shaper,
+// fault injection or a dropped frame writes lives in one portCold block,
+// allocated on the first such write; a port that never sees one carries
+// a nil pointer and reads its drop counters as zero.
 type Port struct {
 	Owner Node
 	Index int
 	link  *Link
 	end   int // 0 or 1: which side of the link we are
 
-	queue    PriorityQueue
-	shaper   Shaper
-	busy     bool
-	pausedTx sim.Event
+	queue PriorityQueue
+	busy  bool
+	// lost is the loss-injection draw of the frame being serialized.
+	lost bool
 
 	// tr observes the port's frame lifecycle; nil (the default) keeps
-	// the egress path allocation-free. flights is the free list of
-	// transmission contexts; inFlight counts frames that left the queue
-	// and have not yet reached a terminal outcome.
-	tr       *telemetry.Tracer
-	flights  *flight
-	inFlight int
+	// the egress path allocation-free.
+	tr *telemetry.Tracer
+	// sending is the frame being serialized. wire threads, in order, the
+	// frames that finished serializing and are propagating: a link's
+	// propagation delay is fixed, so they reach the far end in the order
+	// they left. serDoneFn and propDoneFn are the port's two completion
+	// callbacks, built on its first transmit, so egress schedules its
+	// engine events without allocating. inFlight counts frames that left
+	// the queue and have not yet reached a terminal outcome.
+	sending               *frame.Frame
+	wire                  frame.FIFO
+	serDoneFn, propDoneFn func()
+	inFlight              int
 
-	// Failure-injection surface (internal/faults). lossRate drops each
-	// frame leaving this port with the given probability once it has
-	// occupied the wire; corruptRate flips one payload byte at delivery.
-	// Draws come from a port-named RNG stream, so injecting faults on
-	// one port never perturbs any other stream in the scenario.
-	lossRate    float64
-	corruptRate float64
-	faultRNG    *sim.RNG
+	cold *portCold
 
 	// OnDrop, when set, observes every frame the network destroys after
 	// accepting it: frames flushed by a link-down or switch crash, shaper
@@ -73,33 +78,110 @@ type Port struct {
 	// Stats
 	TxFrames, RxFrames uint64
 	TxBytes, RxBytes   uint64
-	Drops              uint64
-	// InjectedDrops counts frames destroyed by loss injection;
-	// CorruptedFrames counts frames damaged by corruption injection.
-	InjectedDrops, CorruptedFrames uint64
-
-	// Drop causes. Drops above keeps its historical meaning (refusals at
-	// Send plus shaper and flush destruction); these decompose it and add
-	// the causes Drops never counted, so conservation checks can account
-	// for every frame:
-	//
-	//	Drops == OverflowDrops + DownDrops + ShaperDrops + FlushedDrops
-	//
-	// OverflowDrops: Send refused, queue full. DownDrops: Send refused,
-	// link down or absent. ShaperDrops: never-eligible under the gate
-	// schedule. FlushedDrops: queued frames destroyed by link-down or
-	// switch crash. WireDrops: in-flight frames destroyed by a link dying
-	// under them. FailedDrops: frames a crashed switch destroyed on
-	// arrival at this port. INTDrops: frames a strict INT stack-overflow
-	// destroyed when the switch chose this port as egress (the frame died
-	// inside the switch, before the queue saw it — like FailedDrops it
-	// sits outside the port's conservation identity).
-	OverflowDrops, DownDrops, ShaperDrops, FlushedDrops uint64
-	WireDrops, FailedDrops, INTDrops                    uint64
 
 	// QueueHighWater is the deepest the egress queue has been.
 	QueueHighWater int
 }
+
+// portCold is the state of a port that only a shaper, fault injection
+// or a dropped frame writes. The counters decompose the port's drops by
+// cause (read them through the Port methods of the same names):
+//
+//	Drops == OverflowDrops + DownDrops + ShaperDrops + FlushedDrops
+//
+// OverflowDrops: Send refused, queue full (the sum of droppedPerClass,
+// the tail drops per priority class). DownDrops: Send refused, link down
+// or absent. ShaperDrops: never-eligible under the gate schedule.
+// FlushedDrops: queued frames destroyed by link-down or switch crash.
+// WireDrops: in-flight frames destroyed by a link dying under them.
+// InjectedDrops: frames destroyed by loss injection. CorruptedFrames:
+// frames damaged by corruption injection. FailedDrops: frames a crashed
+// switch destroyed on arrival at this port. INTDrops: frames a strict
+// INT stack-overflow destroyed when the switch chose this port as egress
+// (the frame died inside the switch, before the queue saw it — like
+// FailedDrops it sits outside the port's conservation identity).
+//
+// lossRate drops each frame leaving the port with the given probability
+// once it has occupied the wire; corruptRate flips one payload byte at
+// delivery. Draws come from a port-named RNG stream, so injecting faults
+// on one port never perturbs any other stream in the scenario.
+type portCold struct {
+	shaper   Shaper
+	pausedTx sim.Event
+
+	lossRate, corruptRate float64
+	faultRNG              *sim.RNG
+
+	droppedPerClass                                       [8]uint64
+	downDrops, shaperDrops, flushedDrops, wireDrops       uint64
+	injectedDrops, corruptedFrames, failedDrops, intDrops uint64
+}
+
+// noCold is what a port without a cold block reads: all zero.
+var noCold portCold
+
+// coldBlock returns the port's cold block, allocating it on first use.
+// Only writers call it; readers go through readCold.
+func (p *Port) coldBlock() *portCold {
+	if p.cold == nil {
+		p.cold = &portCold{}
+	}
+	return p.cold
+}
+
+// readCold returns the port's cold block, or an all-zero one.
+func (p *Port) readCold() *portCold {
+	if p.cold == nil {
+		return &noCold
+	}
+	return p.cold
+}
+
+// Drops counts the frames Send refused plus those the shaper and
+// flushes destroyed: OverflowDrops + DownDrops + ShaperDrops + FlushedDrops.
+func (p *Port) Drops() uint64 {
+	c := p.readCold()
+	return p.OverflowDrops() + c.downDrops + c.shaperDrops + c.flushedDrops
+}
+
+// OverflowDrops counts frames Send refused because their class was full.
+func (p *Port) OverflowDrops() uint64 {
+	var n uint64
+	for _, d := range p.readCold().droppedPerClass {
+		n += d
+	}
+	return n
+}
+
+// DownDrops counts frames Send refused because the link was down or absent.
+func (p *Port) DownDrops() uint64 { return p.readCold().downDrops }
+
+// ShaperDrops counts frames the shaper would never let start.
+func (p *Port) ShaperDrops() uint64 { return p.readCold().shaperDrops }
+
+// FlushedDrops counts queued frames a link-down or switch crash destroyed.
+func (p *Port) FlushedDrops() uint64 { return p.readCold().flushedDrops }
+
+// WireDrops counts in-flight frames a link dying under them destroyed.
+func (p *Port) WireDrops() uint64 { return p.readCold().wireDrops }
+
+// InjectedDrops counts frames loss injection destroyed.
+func (p *Port) InjectedDrops() uint64 { return p.readCold().injectedDrops }
+
+// CorruptedFrames counts frames corruption injection damaged.
+func (p *Port) CorruptedFrames() uint64 { return p.readCold().corruptedFrames }
+
+// FailedDrops counts frames a crashed switch destroyed on arrival here.
+func (p *Port) FailedDrops() uint64 { return p.readCold().failedDrops }
+
+// INTDrops counts frames a strict INT stack overflow destroyed with this
+// port as their egress.
+func (p *Port) INTDrops() uint64 { return p.readCold().intDrops }
+
+// CountINTDrop records one frame a strict INT stack overflow destroyed
+// with this port as its egress; the element that stamps the stack (a
+// switch, a data-plane pipeline) calls it.
+func (p *Port) CountINTDrop() { p.coldBlock().intDrops++ }
 
 // NewPort creates a port owned by owner with the given index and a
 // default 256-frame-per-priority queue.
@@ -122,11 +204,11 @@ func (p *Port) init(owner Node, index int) {
 func (p *Port) SetQueueLimit(perClassLimit int) { p.queue.SetLimit(perClassLimit) }
 
 // SetTAS installs a time-aware-shaper gate schedule on the port.
-func (p *Port) SetTAS(g *GateSchedule) { p.shaper = g }
+func (p *Port) SetTAS(g *GateSchedule) { p.SetShaper(g) }
 
 // SetShaper installs any Shaper (TAS gate schedule, credit-based
 // shaper) on the port's egress.
-func (p *Port) SetShaper(s Shaper) { p.shaper = s }
+func (p *Port) SetShaper(s Shaper) { p.coldBlock().shaper = s }
 
 // SetTracer attaches a lifecycle tracer to the port. Passing nil (the
 // default state) disables tracing with zero overhead.
@@ -167,22 +249,34 @@ func (p *Port) DeliveredFrames() uint64 {
 // SetLossRate makes the port drop each departing frame with probability
 // rate once it has finished serializing (the frame occupies the wire,
 // then never arrives — how real loss looks to the sender). Zero disables.
-func (p *Port) SetLossRate(rate float64) { p.lossRate = rate }
+func (p *Port) SetLossRate(rate float64) { p.coldBlock().lossRate = rate }
 
 // SetCorruptRate makes the port flip one body octet (payload or zero
 // tail, see frame.Frame.Corrupt) of each delivered frame with
 // probability rate, exercising receivers' validation paths. Zero
 // disables.
-func (p *Port) SetCorruptRate(rate float64) { p.corruptRate = rate }
+func (p *Port) SetCorruptRate(rate float64) { p.coldBlock().corruptRate = rate }
 
 // rng returns the port's lazily created fault RNG stream. Only the
 // fault paths draw from it, so scenarios without injected faults are
 // bit-identical to ones where the stream was never created.
 func (p *Port) rng() *sim.RNG {
-	if p.faultRNG == nil {
-		p.faultRNG = p.link.engineFor(p.end).RNG(fmt.Sprintf("faults/port/%s/%d", p.Owner.Name(), p.Index))
+	c := p.cold
+	if c.faultRNG == nil {
+		c.faultRNG = p.link.engineFor(p.end).RNG(fmt.Sprintf("faults/port/%s/%d", p.Owner.Name(), p.Index))
 	}
-	return p.faultRNG
+	return c.faultRNG
+}
+
+// corruptAt draws whether corruption injection strikes f and returns
+// the body octet it flips, or -1.
+func (p *Port) corruptAt(f *frame.Frame) int {
+	if c := p.cold; c != nil && c.corruptRate > 0 {
+		if n := f.BodyLen(); n > 0 && p.rng().Bool(c.corruptRate) {
+			return p.rng().Intn(n)
+		}
+	}
+	return -1
 }
 
 // reclaim hands a network-owned frame destroyed by a failure to the
@@ -205,57 +299,18 @@ func (p *Port) dropFlush(f *frame.Frame) {
 
 // failFlush destroys everything volatile at the port — queued frames
 // and any paused transmission — the shared teardown of link-down and
-// switch-crash failures.
+// switch-crash failures. A frame mid-serialization stays on the wire:
+// serDone decides its fate.
 func (p *Port) failFlush() {
-	n := uint64(p.queue.Len())
-	p.Drops += n
-	p.FlushedDrops += n
-	p.queue.Drain(p.dropFlush)
-	p.busy = false
-	p.pausedTx.Cancel()
-	p.pausedTx = sim.Event{}
-}
-
-// flight carries one frame's transmission state through the
-// serialization- and propagation-completion callbacks. Each flight owns
-// two prebuilt closures (the sim.Ticker pattern) and is recycled through
-// a per-port free list, so steady-state egress schedules its engine
-// events without allocating. A flight may outlive the port's busy window
-// — propagation overlaps the next frame's serialization — which is why
-// flights are pooled per frame rather than being a single port field.
-type flight struct {
-	p        *Port
-	f        *frame.Frame
-	wireLen  int // f.WireLen(), taken once when serialization starts
-	lost     bool
-	serDone  func()
-	propDone func()
-	next     *flight // free-list link
-}
-
-// getFlight takes a flight from the free list, building one (with its
-// two closures) only on a miss.
-func (p *Port) getFlight() *flight {
-	fl := p.flights
-	if fl == nil {
-		fl = &flight{p: p}
-		fl.serDone = func() { fl.p.serDone(fl) }
-		fl.propDone = func() { fl.p.propDone(fl) }
-	} else {
-		p.flights = fl.next
-		fl.next = nil
+	if n := uint64(p.queue.Len()); n > 0 {
+		p.coldBlock().flushedDrops += n
+		p.queue.Drain(p.dropFlush)
 	}
-	return fl
-}
-
-// putFlight recycles a flight. Callers copy out the fields they still
-// need first: the flight may be reissued by a reentrant startNext before
-// the caller's frame finishes its journey.
-func (p *Port) putFlight(fl *flight) {
-	fl.f = nil
-	fl.lost = false
-	fl.next = p.flights
-	p.flights = fl
+	p.busy = false
+	if c := p.cold; c != nil {
+		c.pausedTx.Cancel()
+		c.pausedTx = sim.Event{}
+	}
 }
 
 // Link is a full-duplex point-to-point cable. Each direction serializes
@@ -266,10 +321,12 @@ func (p *Port) putFlight(fl *flight) {
 type Link struct {
 	Name    string
 	RateBps float64
-	Prop    sim.Duration
-	engine  *sim.Engine
-	ports   [2]*Port
-	up      bool
+	// Prop is fixed once the link is built: a port's frames reach the
+	// far end in the order they left it (see Port.wire).
+	Prop   sim.Duration
+	engine *sim.Engine
+	ports  [2]*Port
+	up     bool
 
 	// cross is non-nil when the link's two ends live on different shards
 	// of a sim.ShardGroup; the propagation leg then crosses the shard
@@ -398,16 +455,14 @@ func (l *Link) SerializationDelay(wireLen int) sim.Duration {
 // when the frame was dropped (full queue or downed link).
 func (p *Port) Send(f *frame.Frame) bool {
 	if p.link == nil || !p.link.up {
-		p.Drops++
-		p.DownDrops++
+		p.coldBlock().downDrops++
 		if p.tr != nil {
 			p.tr.Drop(p.Owner.Name(), p.Index, f, telemetry.CauseLinkDown)
 		}
 		return false
 	}
 	if !p.queue.Push(f) {
-		p.Drops++
-		p.OverflowDrops++
+		p.coldBlock().droppedPerClass[f.EffectivePriority()&7]++
 		if p.tr != nil {
 			p.tr.Drop(p.Owner.Name(), p.Index, f, telemetry.CauseOverflow)
 		}
@@ -422,9 +477,9 @@ func (p *Port) Send(f *frame.Frame) bool {
 	// A port paused on a closed gate re-evaluates on arrival: TAS gates
 	// are per-queue, so a newly queued higher-priority frame whose gate
 	// is open must not wait behind a gated lower-priority head.
-	if p.pausedTx.Pending() {
-		p.pausedTx.Cancel()
-		p.pausedTx = sim.Event{}
+	if c := p.cold; c != nil && c.pausedTx.Pending() {
+		c.pausedTx.Cancel()
+		c.pausedTx = sim.Event{}
 		p.busy = false
 	}
 	if !p.busy {
@@ -448,14 +503,14 @@ func (p *Port) startNext() {
 	}
 	wireLen := f.WireLen()
 	ser := l.SerializationDelay(wireLen)
-	if p.shaper != nil {
-		start, ok := p.shaper.NextEligible(now, f.EffectivePriority(), ser)
+	c := p.cold
+	if c != nil && c.shaper != nil {
+		start, ok := c.shaper.NextEligible(now, f.EffectivePriority(), ser)
 		if !ok {
 			// Never eligible (e.g. frame longer than any gate window):
 			// drop to avoid deadlock.
 			dropped := p.queue.Pop()
-			p.Drops++
-			p.ShaperDrops++
+			c.shaperDrops++
 			if p.tr != nil {
 				p.tr.Drop(p.Owner.Name(), p.Index, dropped, telemetry.CauseShaper)
 			}
@@ -468,64 +523,70 @@ func (p *Port) startNext() {
 		}
 		if start > now {
 			p.busy = true
-			p.pausedTx = eng.Schedule(start, func() {
-				p.pausedTx = sim.Event{}
+			c.pausedTx = eng.Schedule(start, func() {
+				c.pausedTx = sim.Event{}
 				p.busy = false
 				p.startNext()
 			})
 			return
 		}
+		c.shaper.OnTransmit(now, f.EffectivePriority(), wireLen, ser)
 	}
 	p.queue.Pop()
 	p.busy = true
-	if p.shaper != nil {
-		p.shaper.OnTransmit(now, f.EffectivePriority(), wireLen, ser)
-	}
 	p.TxFrames++
 	p.TxBytes += uint64(wireLen)
-	lost := p.lossRate > 0 && p.rng().Bool(p.lossRate)
+	lost := c != nil && c.lossRate > 0 && p.rng().Bool(c.lossRate)
 	if p.tr != nil {
 		p.tr.TxStart(p.Owner.Name(), p.Index, f, int64(ser))
 	}
-	fl := p.getFlight()
-	fl.f = f
-	fl.wireLen = wireLen
-	fl.lost = lost
 	p.inFlight++
-	eng.After(ser, fl.serDone)
+	if p.sending != nil {
+		// A failure flushed the port while an earlier frame was still
+		// serializing, and the port restarted before that frame's
+		// serialization ended: the prebuilt callback is spoken for, so
+		// this frame's completion carries it in a closure of its own.
+		eng.After(ser, func() { p.serDone(f, lost) })
+		return
+	}
+	if p.serDoneFn == nil {
+		p.serDoneFn = func() {
+			f, lost := p.sending, p.lost
+			p.sending, p.lost = nil, false
+			p.serDone(f, lost)
+		}
+		p.propDoneFn = p.propDone
+	}
+	p.sending, p.lost = f, lost
+	eng.After(ser, p.serDoneFn)
 }
 
-// serDone fires when a frame finishes serializing: the wire is free for
-// the next frame, and the in-flight frame either dies (link down, loss
-// injection) or starts propagating toward the far end.
-func (p *Port) serDone(fl *flight) {
+// serDone fires when frame f finishes serializing: the wire is free for
+// the next frame, and f either dies (link down, loss injection) or
+// starts propagating toward the far end.
+func (p *Port) serDone(f *frame.Frame, lost bool) {
 	l := p.link
 	switch {
 	case !l.up:
 		// Link died mid-serialization: the frame dies on the wire.
-		f := fl.f
-		p.putFlight(fl)
-		p.WireDrops++
+		p.coldBlock().wireDrops++
 		p.inFlight--
 		if p.tr != nil {
 			p.tr.Drop(p.Owner.Name(), p.Index, f, telemetry.CauseWire)
 		}
 		p.reclaim(f)
-	case fl.lost:
-		f := fl.f
-		p.putFlight(fl)
-		p.InjectedDrops++
+	case lost:
+		p.cold.injectedDrops++
 		p.inFlight--
 		if p.tr != nil {
 			p.tr.Drop(p.Owner.Name(), p.Index, f, telemetry.CauseInjected)
 		}
 		p.reclaim(f)
+	case l.cross != nil:
+		p.crossHandoff(f)
 	default:
-		if l.cross != nil {
-			p.crossHandoff(fl)
-		} else {
-			l.engine.After(l.Prop, fl.propDone)
-		}
+		p.wire.Push(f)
+		l.engine.After(l.Prop, p.propDoneFn)
 	}
 	p.busy = false
 	if p.queue.Len() > 0 {
@@ -533,15 +594,16 @@ func (p *Port) serDone(fl *flight) {
 	}
 }
 
-// propDone fires when a frame reaches the far end of the link: the last
-// chance for the link to have died or corruption to strike, then the
-// frame is counted delivered and handed to the receiving node.
-func (p *Port) propDone(fl *flight) {
+// propDone fires when the frame at the head of the wire reaches the far
+// end of the link: the last chance for the link to have died or
+// corruption to strike, then the frame is counted delivered and handed
+// to the receiving node.
+func (p *Port) propDone() {
 	l := p.link
-	f, wireLen := fl.f, fl.wireLen
-	p.putFlight(fl)
+	f := p.wire.Pop()
+	wireLen := f.WireLen()
 	if !l.up {
-		p.WireDrops++
+		p.coldBlock().wireDrops++
 		p.inFlight--
 		if p.tr != nil {
 			p.tr.Drop(p.Owner.Name(), p.Index, f, telemetry.CauseWire)
@@ -549,9 +611,9 @@ func (p *Port) propDone(fl *flight) {
 		p.reclaim(f)
 		return
 	}
-	if n := f.BodyLen(); p.corruptRate > 0 && n > 0 && p.rng().Bool(p.corruptRate) {
-		f.Corrupt(p.rng().Intn(n))
-		p.CorruptedFrames++
+	if i := p.corruptAt(f); i >= 0 {
+		f.Corrupt(i)
+		p.cold.corruptedFrames++
 		if p.tr != nil {
 			p.tr.Corrupt(p.Owner.Name(), p.Index, f)
 		}
@@ -577,11 +639,9 @@ func (p *Port) propDone(fl *flight) {
 // corruption draw happens here, on the sending shard, so the fault
 // stream's draw order is a function of this shard's schedule alone —
 // identical for every worker count.
-func (p *Port) crossHandoff(fl *flight) {
+func (p *Port) crossHandoff(f *frame.Frame) {
 	l := p.link
 	c := l.cross
-	f := fl.f
-	p.putFlight(fl)
 	p.inFlight--
 	src := p.end
 	c.sent[src]++
@@ -592,10 +652,7 @@ func (p *Port) crossHandoff(fl *flight) {
 		// timeline reads as one lifecycle.
 		p.tr.CrossShard(p.Owner.Name(), p.Index, f, c.shard[src], c.shard[1-src])
 	}
-	corrupt := -1
-	if n := f.BodyLen(); p.corruptRate > 0 && n > 0 && p.rng().Bool(p.corruptRate) {
-		corrupt = p.rng().Intn(n)
-	}
+	corrupt := p.corruptAt(f)
 	at := c.eng[src].Now().Add(l.Prop)
 	c.group.Send(c.shard[src], c.shard[1-src], at, c.deliver, f, (corrupt+1)<<1|src)
 }
@@ -604,14 +661,15 @@ func (p *Port) crossHandoff(fl *flight) {
 // shard's schedule. It mirrors propDone's delivery half; every counter
 // it touches (including the sending port's CorruptedFrames and the
 // link's Delivered[src]) is written only by the receiving shard, and
-// tracing goes through the receiving port's tracer.
+// tracing goes through the receiving port's tracer. A corrupted frame's
+// sender already holds its cold block: the corruption rate lives there.
 func (l *Link) crossDeliver(src int, f *frame.Frame, corrupt int) {
 	c := l.cross
 	sender := l.ports[src]
 	dst := l.ports[1-src]
 	if corrupt >= 0 {
 		f.Corrupt(corrupt)
-		sender.CorruptedFrames++
+		sender.cold.corruptedFrames++
 		if dst.tr != nil {
 			dst.tr.Corrupt(sender.Owner.Name(), sender.Index, f)
 		}

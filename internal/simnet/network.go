@@ -73,9 +73,10 @@ func NewSharded(seed uint64, g *topo.Graph, p topo.Partition, cfg SwitchConfig) 
 }
 
 // build creates the equipment. Every switch's ports are cut, in node-id
-// order, from one slab sized to the switches' summed degree, so ports
-// cost the build one allocation; the slab never grows, and a port's
-// address is fixed for the network's lifetime. Switch ports are
+// order, from one slab sized to the switches' summed degree, and every
+// host from one slab sized to the host count, so ports and hosts cost
+// the build one allocation each; the slabs never grow, and a port's or
+// host's address is fixed for the network's lifetime. Switch ports are
 // numbered by the order of the node's incident edges, which is
 // ascending edge id, so one pass over the edges hands each end its next
 // free port.
@@ -87,13 +88,16 @@ func build(group *sim.ShardGroup, engines []*sim.Engine, g *topo.Graph, p topo.P
 		links:    make([]*Link, g.NumEdges()),
 		ports:    make([][2]int, g.NumEdges()),
 	}
-	slots := 0
+	slots, nhosts := 0, 0
 	for i := range n.switches {
 		if id := topo.NodeID(i); g.Node(id).Kind == topo.KindSwitch {
 			slots += g.Degree(id)
+		} else {
+			nhosts++
 		}
 	}
 	slab := make([]Port, slots)
+	hosts := make([]Host, nhosts)
 	for i := range n.switches {
 		node := g.Node(topo.NodeID(i))
 		eng := engines[p.Of[i]]
@@ -106,7 +110,10 @@ func build(group *sim.ShardGroup, engines []*sim.Engine, g *topo.Graph, p topo.P
 		if deg := g.Degree(node.ID); deg > 1 {
 			panic(fmt.Sprintf("simnet: host %s has %d links; hosts are single-homed", node.Name, deg))
 		}
-		n.hosts[i] = NewHost(eng, node.Name, frame.NewMAC(uint32(i)))
+		h := &hosts[0]
+		hosts = hosts[1:]
+		h.init(eng, node.Name, frame.NewMAC(uint32(i)))
+		n.hosts[i] = h
 	}
 	nextPort := make([]int, g.NumNodes())
 	for i := range n.links {

@@ -24,10 +24,9 @@ type PriorityQueue struct {
 	length  int32
 	busy    uint8
 
-	// EnqueuedPerClass counts accepted frames per priority class.
+	// EnqueuedPerClass counts accepted frames per priority class; a
+	// port counts the tail drops, which only a refused Send writes.
 	EnqueuedPerClass [8]uint64
-	// DroppedPerClass counts tail drops per priority class.
-	DroppedPerClass [8]uint64
 }
 
 // NewPriorityQueue creates a queue holding at most perClassLimit frames
@@ -51,7 +50,6 @@ func (q *PriorityQueue) SetLimit(perClassLimit int) {
 func (q *PriorityQueue) Push(f *frame.Frame) bool {
 	c := f.EffectivePriority() & 7
 	if q.depth[c] >= q.limit && !f.Queued() {
-		q.DroppedPerClass[c]++
 		return false
 	}
 	q.classes[c].Push(f) // panics on a queued frame, full class or not

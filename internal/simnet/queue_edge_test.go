@@ -130,7 +130,4 @@ func TestPriorityQueueMinimumLimitClamp(t *testing.T) {
 	if q.Push(&frame.Frame{}) {
 		t.Fatal("second push accepted above clamped limit")
 	}
-	if q.DroppedPerClass[0] != 1 {
-		t.Fatalf("DroppedPerClass[0] = %d, want 1", q.DroppedPerClass[0])
-	}
 }

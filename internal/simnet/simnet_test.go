@@ -3,6 +3,7 @@ package simnet
 import (
 	"testing"
 
+	"steelnet/internal/checkpoint"
 	"steelnet/internal/frame"
 	"steelnet/internal/sim"
 	"steelnet/internal/topo"
@@ -97,8 +98,8 @@ func TestDownedLinkDropsTraffic(t *testing.T) {
 	if delivered != 0 {
 		t.Fatal("frame crossed downed link")
 	}
-	if a.Port().Drops != 1 {
-		t.Fatalf("drops = %d", a.Port().Drops)
+	if a.Port().Drops() != 1 {
+		t.Fatalf("drops = %d", a.Port().Drops())
 	}
 	// Bring it back: traffic flows again.
 	a.Port().Link().SetUp(true)
@@ -162,11 +163,33 @@ func TestPriorityQueueTailDrop(t *testing.T) {
 	if q.Push(f()) {
 		t.Fatal("overfull push succeeded")
 	}
-	if q.DroppedPerClass[0] != 1 {
-		t.Fatalf("drop counter = %d", q.DroppedPerClass[0])
-	}
 	if q.Len() != 2 {
 		t.Fatalf("len = %d", q.Len())
+	}
+}
+
+// TestPortCountsTailDropsPerClass: a refused Send counts against the
+// frame's class, sums into OverflowDrops and Drops, and the class it
+// hit reaches the port's digest.
+func TestPortCountsTailDropsPerClass(t *testing.T) {
+	fold := func(drop frame.PCP) uint64 {
+		e := sim.NewEngine(1)
+		a, b := pair(e, 1e6, 0)
+		a.Port().SetQueueLimit(1)
+		// The first frame serializes, one of each class waits, the last
+		// is refused: only the refused frame's class differs.
+		for _, pcp := range []frame.PCP{5, 5, 4, drop} {
+			a.Send(&frame.Frame{Dst: b.MAC(), Tagged: true, Priority: pcp})
+		}
+		if p := a.Port(); p.OverflowDrops() != 1 || p.Drops() != 1 || p.QueueDepth() != 2 {
+			t.Fatalf("PCP %d: OverflowDrops %d, Drops %d, depth %d; want 1, 1, 2", drop, p.OverflowDrops(), p.Drops(), p.QueueDepth())
+		}
+		d := checkpoint.NewDigest()
+		a.Port().FoldState(d)
+		return d.Sum()
+	}
+	if fold(4) == fold(5) {
+		t.Fatal("a tail drop in class 4 and one in class 5 fold alike")
 	}
 }
 
@@ -730,12 +753,9 @@ func TestPriorityQueueClassLenAndClearAfterWrap(t *testing.T) {
 	if q.Len() != 17 {
 		t.Fatalf("Len = %d, want 17", q.Len())
 	}
-	// Tail drop at the limit, counted per class.
+	// Tail drop at the limit.
 	if q.Push(&frame.Frame{Tagged: true, Priority: 5}) {
 		t.Fatal("push above class limit accepted")
-	}
-	if q.DroppedPerClass[5] != 1 {
-		t.Fatalf("DroppedPerClass[5] = %d, want 1", q.DroppedPerClass[5])
 	}
 	q.Clear()
 	if q.Len() != 0 || q.ClassLen(5) != 0 || q.ClassLen(4) != 0 {
@@ -743,10 +763,6 @@ func TestPriorityQueueClassLenAndClearAfterWrap(t *testing.T) {
 	}
 	if q.Peek() != nil || q.Pop() != nil {
 		t.Fatal("Peek/Pop non-nil after Clear")
-	}
-	// Drop counters survive Clear (they are lifetime stats).
-	if q.DroppedPerClass[5] != 1 {
-		t.Fatalf("Clear reset drop counters")
 	}
 	// Still usable after Clear.
 	q.Push(&frame.Frame{Tagged: true, Priority: 5})

@@ -10,9 +10,10 @@ import (
 
 // TestBuildCutsPortsFromOneSlab: after build, every switch's ports are
 // its run of one network-wide array, in node-id order and capped so no
-// switch can grow into its neighbor's, and each link end is the very
-// port Switch.Port or Host.Port returns — the pointers links, flights
-// and traced closures hold stay valid for the network's lifetime.
+// switch can grow into its neighbor's, the hosts are one more array in
+// node-id order, and each link end is the very port Switch.Port or
+// Host.Port returns — the pointers links, engine callbacks and traced
+// closures hold stay valid for the network's lifetime.
 func TestBuildCutsPortsFromOneSlab(t *testing.T) {
 	rng := sim.NewRNG(5)
 	for trial := 0; trial < 4; trial++ {
@@ -36,6 +37,17 @@ func TestBuildCutsPortsFromOneSlab(t *testing.T) {
 					t.Fatalf("trial %d: %s port %d is owned by %s/%d", trial, sw.Name(), i, p.Owner.Name(), p.Index)
 				}
 			}
+		}
+		next = 0 // where the next host must start
+		for _, h := range n.hosts {
+			if h == nil {
+				continue
+			}
+			at := uintptr(unsafe.Pointer(h))
+			if next != 0 && at != next {
+				t.Fatalf("trial %d: host %s at %#x, want %#x right after the previous host", trial, h.Name(), at, next)
+			}
+			next = at + unsafe.Sizeof(Host{})
 		}
 		portOf := func(node topo.NodeID, edge topo.EdgeID) *Port {
 			if sw := n.switches[node]; sw != nil {

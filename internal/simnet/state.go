@@ -13,9 +13,10 @@ import (
 // path reports as divergence — bump checkpoint.FormatVersion when that
 // is intended.
 
-// FoldState folds the queue's contents in drain order (highest class
-// first, FIFO within a class) plus its accept/drop counters.
-func (q *PriorityQueue) FoldState(d *checkpoint.Digest) {
+// foldState folds the queue's contents in drain order (highest class
+// first, FIFO within a class) plus its accept counters, each class's
+// beside its drop counter from dropped.
+func (q *PriorityQueue) foldState(d *checkpoint.Digest, dropped *[8]uint64) {
 	d.Int(q.Len())
 	for c := 7; c >= 0; c-- {
 		d.Int(int(q.depth[c]))
@@ -25,34 +26,36 @@ func (q *PriorityQueue) FoldState(d *checkpoint.Digest) {
 	}
 	for c := range q.EnqueuedPerClass {
 		d.U64(q.EnqueuedPerClass[c])
-		d.U64(q.DroppedPerClass[c])
+		d.U64(dropped[c])
 	}
 }
 
 // FoldState folds the port's queue, transmission state and every
-// counter that feeds figures or conservation accounting.
+// counter that feeds figures or conservation accounting; a port without
+// a cold block folds zeros for it.
 func (p *Port) FoldState(d *checkpoint.Digest) {
-	p.queue.FoldState(d)
+	c := p.readCold()
+	p.queue.foldState(d, &c.droppedPerClass)
 	d.Bool(p.busy)
-	d.Bool(p.pausedTx.Pending())
+	d.Bool(c.pausedTx.Pending())
 	d.Int(p.inFlight)
 	d.U64(p.TxFrames)
 	d.U64(p.RxFrames)
 	d.U64(p.TxBytes)
 	d.U64(p.RxBytes)
-	d.U64(p.Drops)
-	d.U64(p.InjectedDrops)
-	d.U64(p.CorruptedFrames)
-	d.U64(p.OverflowDrops)
-	d.U64(p.DownDrops)
-	d.U64(p.ShaperDrops)
-	d.U64(p.FlushedDrops)
-	d.U64(p.WireDrops)
-	d.U64(p.FailedDrops)
-	d.U64(p.INTDrops)
+	d.U64(p.Drops())
+	d.U64(c.injectedDrops)
+	d.U64(c.corruptedFrames)
+	d.U64(p.OverflowDrops())
+	d.U64(c.downDrops)
+	d.U64(c.shaperDrops)
+	d.U64(c.flushedDrops)
+	d.U64(c.wireDrops)
+	d.U64(c.failedDrops)
+	d.U64(c.intDrops)
 	d.Int(p.QueueHighWater)
-	d.F64(p.lossRate)
-	d.F64(p.corruptRate)
+	d.F64(c.lossRate)
+	d.F64(c.corruptRate)
 }
 
 // FoldState folds the switch's forwarding state: FIB and static entries

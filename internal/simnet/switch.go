@@ -336,10 +336,11 @@ func (s *Switch) Restart() { s.failed = false }
 // Failed reports whether the switch is currently crashed.
 func (s *Switch) Failed() bool { return s.failed }
 
-// fwdCtx carries one frame across the switch's pipeline delay. Like the
-// port's flight, each context owns one prebuilt closure and recycles
-// through a free list, so the receive→forward hop allocates nothing in
-// steady state.
+// fwdCtx carries one frame across the switch's pipeline delay. Jitter
+// makes those delays overtake each other, so unlike a port's wire the
+// frames cannot share one callback in arrival order: each context owns
+// one prebuilt closure and recycles through a free list, so the
+// receive→forward hop allocates nothing in steady state.
 type fwdCtx struct {
 	s *Switch
 	f *frame.Frame
@@ -381,7 +382,7 @@ func (s *Switch) forwardCtx(c *fwdCtx) {
 func (s *Switch) Receive(port *Port, f *frame.Frame) {
 	if s.failed {
 		s.DroppedWhileFailed++
-		port.FailedDrops++
+		port.coldBlock().failedDrops++
 		if s.tr != nil {
 			s.tr.Drop(s.name, port.Index, f, telemetry.CauseSwitchFailed)
 		}
@@ -444,7 +445,7 @@ func (s *Switch) stampINT(f *frame.Frame, intIn int64, out int) bool {
 // egress-port conservation identity by construction.
 func (s *Switch) dropINT(inPort, out int, f *frame.Frame) {
 	s.INTDrops++
-	s.ports[out].INTDrops++
+	s.ports[out].CountINTDrop()
 	if s.tr != nil {
 		s.tr.Drop(s.name, out, f, telemetry.CauseINT)
 	}
@@ -456,7 +457,7 @@ func (s *Switch) forward(inPort int, f *frame.Frame, intIn int64) {
 		// Crashed mid-pipeline: the frame was in the store-and-forward
 		// buffer and dies with the switch.
 		s.DroppedWhileFailed++
-		s.ports[inPort].FailedDrops++
+		s.ports[inPort].coldBlock().failedDrops++
 		if s.tr != nil {
 			s.tr.Drop(s.name, inPort, f, telemetry.CauseSwitchFailed)
 		}

@@ -58,16 +58,17 @@ type Accounting struct {
 func (a *Accounting) Add(p *Port) {
 	a.Accepted += p.Accepted()
 	a.Delivered += p.DeliveredFrames()
-	a.Destroyed += p.ShaperDrops + p.FlushedDrops + p.WireDrops + p.InjectedDrops
 	a.Queued += uint64(p.QueueDepth())
 	a.InFlight += uint64(p.InFlight())
-	a.ShaperDrops += p.ShaperDrops
-	a.FlushedDrops += p.FlushedDrops
-	a.WireDrops += p.WireDrops
-	a.InjectedDrops += p.InjectedDrops
-	a.OverflowDrops += p.OverflowDrops
-	a.DownDrops += p.DownDrops
-	a.INTDrops += p.INTDrops
+	c := p.readCold()
+	a.Destroyed += c.shaperDrops + c.flushedDrops + c.wireDrops + c.injectedDrops
+	a.ShaperDrops += c.shaperDrops
+	a.FlushedDrops += c.flushedDrops
+	a.WireDrops += c.wireDrops
+	a.InjectedDrops += c.injectedDrops
+	a.OverflowDrops += p.OverflowDrops()
+	a.DownDrops += c.downDrops
+	a.INTDrops += c.intDrops
 }
 
 // AddCrossLink accumulates a cross-shard link's wire occupancy into the
@@ -119,7 +120,7 @@ func RegisterPortMetrics(r *telemetry.Registry, p *Port) {
 	r.Counter("steelnet_port_rx_frames_total", ls, "frames received", func() uint64 { return p.RxFrames })
 	r.Counter("steelnet_port_tx_bytes_total", ls, "bytes transmitted", func() uint64 { return p.TxBytes })
 	r.Counter("steelnet_port_rx_bytes_total", ls, "bytes received", func() uint64 { return p.RxBytes })
-	r.Counter("steelnet_port_corrupted_total", ls, "frames damaged by corruption injection", func() uint64 { return p.CorruptedFrames })
+	r.Counter("steelnet_port_corrupted_total", ls, "frames damaged by corruption injection", p.CorruptedFrames)
 	r.Gauge("steelnet_port_queue_depth", ls, "egress queue depth", func() float64 { return float64(p.QueueDepth()) })
 	r.Gauge("steelnet_port_queue_high_water", ls, "deepest egress queue depth seen", func() float64 { return float64(p.QueueHighWater) })
 	r.Gauge("steelnet_port_in_flight", ls, "frames on the wire from this port", func() float64 { return float64(p.InFlight()) })
@@ -127,14 +128,14 @@ func RegisterPortMetrics(r *telemetry.Registry, p *Port) {
 		cause string
 		read  func() uint64
 	}{
-		{"overflow", func() uint64 { return p.OverflowDrops }},
-		{"link-down", func() uint64 { return p.DownDrops }},
-		{"shaper", func() uint64 { return p.ShaperDrops }},
-		{"flush", func() uint64 { return p.FlushedDrops }},
-		{"wire", func() uint64 { return p.WireDrops }},
-		{"injected", func() uint64 { return p.InjectedDrops }},
-		{"switch-failed", func() uint64 { return p.FailedDrops }},
-		{"int-overflow", func() uint64 { return p.INTDrops }},
+		{"overflow", p.OverflowDrops},
+		{"link-down", p.DownDrops},
+		{"shaper", p.ShaperDrops},
+		{"flush", p.FlushedDrops},
+		{"wire", p.WireDrops},
+		{"injected", p.InjectedDrops},
+		{"switch-failed", p.FailedDrops},
+		{"int-overflow", p.INTDrops},
 	} {
 		cls := append(append(telemetry.Labels{}, ls...), telemetry.Label{K: "cause", V: dc.cause})
 		r.Counter("steelnet_port_drops_total", cls, "frames dropped, by cause", dc.read)

@@ -186,8 +186,8 @@ func TestAccountingConservation(t *testing.T) {
 		t.Fatalf("frame pool leak: %d outstanding", pool.Outstanding())
 	}
 	for _, p := range ports {
-		if got := p.OverflowDrops + p.DownDrops + p.ShaperDrops + p.FlushedDrops; got != p.Drops {
-			t.Fatalf("port %s/%d: Drops=%d but causes sum to %d", p.Owner.Name(), p.Index, p.Drops, got)
+		if got := p.OverflowDrops() + p.DownDrops() + p.ShaperDrops() + p.FlushedDrops(); got != p.Drops() {
+			t.Fatalf("port %s/%d: Drops=%d but causes sum to %d", p.Owner.Name(), p.Index, p.Drops(), got)
 		}
 	}
 }

@@ -5,8 +5,8 @@
 #   scripts/check.sh NAME
 #
 # where NAME is race, replay, fuzz, zero-alloc, smoke, invariance,
-# int-replay, obs-endpoint, steelnetd, bench-module, reach, docs or
-# orphans.
+# int-replay, obs-endpoint, steelnetd, bench-module, reach, docs,
+# orphans or fma.
 # Every file a check writes lands in the repo root under the name CI
 # uploads; all of them are in .gitignore.
 set -euo pipefail
@@ -407,11 +407,35 @@ orphans() {
     fi
 }
 
+# No fused multiply-add anywhere a digest or a figure is computed. Go
+# lets a compiler fuse x*y+z into one instruction that skips the
+# product's rounding; arm64 does, amd64 at the default GOAMD64 does
+# not, so a fused line makes pins and figures differ by architecture.
+# An explicit float64(...) around the product rounds it and rules the
+# fusion out. Every package of the module is compiled for arm64 and
+# each fused instruction's file:line is listed unless fma_allow names it.
+fma_allow=()
+fma() {
+    local found
+    found=$(GOARCH=arm64 go build -gcflags=-S ./internal/... ./cmd/... ./examples/... 2>&1 |
+        awk -v root="$PWD/" '/STEXT/ { fn = $1 }
+            $4 ~ /^(FMADDD|FMSUBD|FNMADDD|FNMSUBD)$/ { loc = $3; gsub(/[()]/, "", loc); sub(root, "", loc); print loc, $4, "in", fn }' |
+        sort -u)
+    for a in "${fma_allow[@]}"; do
+        found=$(grep -v "^$a " <<<"$found" || true)
+    done
+    if [ -n "$found" ]; then
+        echo "$found" >&2
+        echo "fma: wrap each product above in float64(...) so it is rounded before the add" >&2
+        exit 1
+    fi
+}
+
 case "${1:-}" in
-race | replay | fuzz | smoke | invariance | steelnetd | reach | docs | orphans) "$1" ;;
+race | replay | fuzz | smoke | invariance | steelnetd | reach | docs | orphans | fma) "$1" ;;
 zero-alloc | int-replay | obs-endpoint | bench-module) "${1//-/_}" ;;
 *)
-    echo "usage: scripts/check.sh race|replay|fuzz|zero-alloc|smoke|invariance|int-replay|obs-endpoint|steelnetd|bench-module|reach|docs|orphans" >&2
+    echo "usage: scripts/check.sh race|replay|fuzz|zero-alloc|smoke|invariance|int-replay|obs-endpoint|steelnetd|bench-module|reach|docs|orphans|fma" >&2
     exit 2
     ;;
 esac
