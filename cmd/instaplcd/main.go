@@ -16,8 +16,9 @@
 // prints the executed fault trace next to the figure. -chaos sweeps
 // randomized fault plans of increasing intensity over the scenario.
 // -checkpoint writes a replay-anchored checkpoint of the single run
-// every -checkpoint-every of simulated time (for -chaos: one file
-// recording completed sweep cells); -resume restarts from such a file.
+// every -checkpoint-every of simulated time; -resume restarts from such
+// a file. The -chaos sweep keeps no checkpoint: -chaos with -checkpoint
+// or -resume is a usage error.
 // -trace exports the frame lifecycle (and fault spans) as JSONL plus a
 // Chrome/Perfetto timeline; -stats prints the component metrics
 // snapshot. -int stamps vPLC heartbeats with in-band telemetry at the
@@ -27,8 +28,7 @@
 // breaches; -flightrec dumps the bounded flight recorder after the
 // run. Under -chaos, -trace, -int and -flightrec merge per-cell buffers
 // (the sweep stays parallel, artifacts byte-identical at any -workers)
-// while -stats, -obs-addr and -slo feed live sinks and run it serially;
-// a resumed sweep's telemetry covers only the cells it computed.
+// while -stats, -obs-addr and -slo feed live sinks and run it serially.
 // -shards is another spelling of -workers, the parallelism knob the
 // steelnet commands share; the output is byte-identical for any value.
 // -obs-addr serves live Prometheus metrics, SSE breach events and pprof
@@ -54,7 +54,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	return cli.Main("instaplcd", cli.Simulation, args, stdout, stderr, command)
+	return cli.Main("instaplcd", cli.Workers|cli.Checkpoints|cli.SimTelemetry, args, stdout, stderr, command)
 }
 
 // command registers instaplcd's own flags and returns its body.
@@ -87,11 +87,14 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 		cfg.INT = cfg.Collector != nil
 
 		if *chaos {
+			if env.Checkpoint != "" {
+				return cli.Usagef("-checkpoint and -resume apply to a single run, not to -chaos")
+			}
 			ccfg := core.DefaultChaosConfig()
 			ccfg.Seed = *seed
 			ccfg.Base = cfg
 			ccfg.Workers = env.Workers
-			cells, err := core.RunChaosSweepResumable(ccfg, env.Checkpoint)
+			cells, err := core.RunChaosSweep(ccfg)
 			if err != nil {
 				return err
 			}

@@ -7,4 +7,6 @@ import (
 	"steelnet/internal/cli/clitest"
 )
 
-func TestSkeleton(t *testing.T) { clitest.Skeleton(t, run, "instaplcd", cli.Simulation) }
+func TestSkeleton(t *testing.T) {
+	clitest.Skeleton(t, run, "instaplcd", cli.Workers|cli.Checkpoints|cli.SimTelemetry)
+}

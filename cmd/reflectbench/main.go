@@ -6,7 +6,6 @@
 //
 //	reflectbench [-seed N] [-cycles N] [-cycle D] [-flows list]
 //	             [-workers N] [-shards N] [-jitter-only | -delay-only]
-//	             [-checkpoint FILE] [-resume FILE]
 //	             [-trace FILE] [-stats] [-cpuprofile FILE]
 //	             [-int FILE] [-slo SPEC] [-flightrec FILE]
 //	             [-obs-addr ADDR] [-obs-linger D]
@@ -20,13 +19,9 @@
 // after the run. -trace, -int and -flightrec merge per-cell buffers:
 // the sweeps stay parallel and every artifact is byte-identical at any
 // -workers; -stats, -obs-addr and -slo feed live sinks and run the
-// sweeps serially. -checkpoint persists each completed sweep cell;
-// -resume restarts an interrupted sweep from such a file, skipping
-// finished cells — its telemetry covers only the cells it computed (the
-// delay and jitter sweeps use FILE and FILE.jitter respectively).
-// -obs-addr serves live Prometheus metrics, SSE events and pprof over
-// HTTP during the run (-obs-linger keeps the server up afterwards); the
-// URL goes to stderr and stdout is unchanged.
+// sweeps serially. -obs-addr serves live Prometheus metrics, SSE events
+// and pprof over HTTP during the run (-obs-linger keeps the server up
+// afterwards); the URL goes to stderr and stdout is unchanged.
 package main
 
 import (
@@ -43,7 +38,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	return cli.Main("reflectbench", cli.Simulation, args, stdout, stderr, command)
+	return cli.Main("reflectbench", cli.Workers|cli.SimTelemetry, args, stdout, stderr, command)
 }
 
 // command registers reflectbench's own flags and returns its body.
@@ -81,7 +76,7 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 		cfg.INT = cfg.Collector != nil
 
 		if !*jitterOnly {
-			results, err := reflection.RunAllVariantsResumable(cfg, env.Checkpoint)
+			results, err := reflection.RunAllVariantsChecked(cfg)
 			if err != nil {
 				return err
 			}
@@ -94,12 +89,7 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 			fmt.Fprintln(stdout)
 		}
 		if !*delayOnly {
-			jitterPath := env.Checkpoint
-			if jitterPath != "" && !*jitterOnly {
-				// Both sweeps checkpoint: keep their files apart.
-				jitterPath += ".jitter"
-			}
-			results, err := reflection.RunFlowSweepResumable(cfg, counts, jitterPath)
+			results, err := reflection.RunFlowSweepChecked(cfg, counts)
 			if err != nil {
 				return err
 			}

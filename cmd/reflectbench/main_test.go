@@ -37,23 +37,6 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointResume completes both sweeps into checkpoint files
-// (FILE and FILE.jitter), then resumes: all cells are skipped and the
-// tables must come out identical.
-func TestRunCheckpointResume(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "fig4.ckpt")
-	var first, second, stderr bytes.Buffer
-	if code := run(tiny("-checkpoint", ckpt), &first, &stderr); code != 0 {
-		t.Fatalf("checkpoint run: exit %d, stderr:\n%s", code, stderr.String())
-	}
-	if code := run(tiny("-resume", ckpt), &second, &stderr); code != 0 {
-		t.Fatalf("resume run: exit %d, stderr:\n%s", code, stderr.String())
-	}
-	if first.String() != second.String() {
-		t.Errorf("resumed output differs from original:\n--- first\n%s--- second\n%s", first.String(), second.String())
-	}
-}
-
 func TestRunBadUsage(t *testing.T) {
 	cases := [][]string{
 		{"-no-such-flag"},

@@ -7,4 +7,6 @@ import (
 	"steelnet/internal/cli/clitest"
 )
 
-func TestSkeleton(t *testing.T) { clitest.Skeleton(t, run, "reflectbench", cli.Simulation) }
+func TestSkeleton(t *testing.T) {
+	clitest.Skeleton(t, run, "reflectbench", cli.Workers|cli.SimTelemetry)
+}

@@ -7,7 +7,6 @@
 //
 //	topobench [-seed N] [-clients list] [-horizon D] [-workers N] [-shards N]
 //	          [-campus] [-cells N] [-cell-switches N] [-cell-hosts N] [-spines N]
-//	          [-checkpoint FILE] [-resume FILE]
 //	          [-trace FILE] [-stats] [-cpuprofile FILE]
 //	          [-int FILE] [-slo SPEC] [-flightrec FILE]
 //	          [-obs-addr ADDR] [-obs-linger D]
@@ -21,19 +20,15 @@
 // stays parallel and every artifact is byte-identical at any -workers;
 // -stats, -obs-addr and -slo feed live sinks and run the grid serially
 // (large with default counts — prefer a single small cell, e.g.
-// -clients 32). -checkpoint persists each completed grid cell; -resume
-// restarts an interrupted grid from such a file, skipping finished
-// cells — its telemetry covers only the cells it computed.
+// -clients 32).
 //
 // -campus switches to the campus-scale sharded experiment: a
 // spine-plus-cells plant network partitioned one shard per cell and
 // executed on -shards worker goroutines under conservative
 // window-barrier sync. The partition is derived from the topology, so
 // the table (and -int/-slo exports) are byte-identical for every
-// -shards value. A campus run keeps no checkpoint: -campus with
-// -checkpoint or -resume is a usage error. In campus mode -int/-slo
-// observe the cross-cell flows (sinks strip the telemetry per cell,
-// merged in shard order).
+// -shards value. In campus mode -int/-slo observe the cross-cell flows
+// (sinks strip the telemetry per cell, merged in shard order).
 //
 // -obs-addr serves live observability over HTTP while the run is in
 // flight: Prometheus metrics on /metrics, the per-shard coordinator
@@ -63,7 +58,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	return cli.Main("topobench", cli.Simulation, args, stdout, stderr, command)
+	return cli.Main("topobench", cli.Workers|cli.SimTelemetry, args, stdout, stderr, command)
 }
 
 // command registers topobench's own flags and returns its body.
@@ -90,9 +85,6 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 		}
 		tel := env.Tel
 		if *campus {
-			if env.Checkpoint != "" {
-				return cli.Usagef("-checkpoint and -resume apply to the Fig. 6 grid, not to -campus")
-			}
 			return runCampus(core.CampusConfig{
 				Seed: *seed,
 				Topo: topo.CampusConfig{
@@ -118,11 +110,11 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 		if err != nil {
 			return cli.Usagef("bad -clients: %v", err)
 		}
-		results, err := mltopo.RunFigure6Resumable(mltopo.Figure6Config{
+		results, err := mltopo.RunFigure6Checked(mltopo.Figure6Config{
 			Seed: *seed, ClientCounts: counts, Horizon: *horizon,
 			Workers: env.Workers,
 			INT:     tel.Collector != nil, Sinks: tel.Sinks(),
-		}, env.Checkpoint)
+		})
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -32,22 +31,6 @@ func TestRunSmoke(t *testing.T) {
 	}
 	if !strings.Contains(out, "worst-case request loss") {
 		t.Errorf("stdout missing loss summary:\n%s", out)
-	}
-}
-
-// TestRunCheckpointResume completes the grid into a checkpoint, then
-// resumes: all cells are skipped and the table must come out identical.
-func TestRunCheckpointResume(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "fig6.ckpt")
-	var first, second, stderr bytes.Buffer
-	if code := run(tiny("-checkpoint", ckpt), &first, &stderr); code != 0 {
-		t.Fatalf("checkpoint run: exit %d, stderr:\n%s", code, stderr.String())
-	}
-	if code := run(tiny("-resume", ckpt), &second, &stderr); code != 0 {
-		t.Fatalf("resume run: exit %d, stderr:\n%s", code, stderr.String())
-	}
-	if first.String() != second.String() {
-		t.Errorf("resumed output differs from original:\n--- first\n%s--- second\n%s", first.String(), second.String())
 	}
 }
 
@@ -234,34 +217,6 @@ func TestRunBadUsage(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
 			t.Errorf("run(%v) = %d, stdout %q; want 2 and nothing", args, code, stdout.String())
 		}
-	}
-}
-
-// TestRunCampusRefusesCheckpoint: a campus run keeps no checkpoint, so
-// -campus with -checkpoint or -resume is a usage error with one
-// topobench: line, and no file is written or read.
-func TestRunCampusRefusesCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	existing := filepath.Join(dir, "existing.ckpt")
-	if err := os.WriteFile(existing, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fresh := filepath.Join(dir, "campus.ckpt")
-	for _, args := range [][]string{
-		tinyCampus("-checkpoint", fresh),
-		tinyCampus("-resume", existing),
-	} {
-		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
-			t.Errorf("run(%v) = %d, stdout %q; want 2 and nothing", args, code, stdout.String())
-		}
-		msg := stderr.String()
-		if !strings.HasPrefix(msg, "topobench: ") || strings.Count(msg, "\n") != 1 {
-			t.Errorf("run(%v): stderr = %q, want one topobench: line", args, msg)
-		}
-	}
-	if _, err := os.Stat(fresh); !os.IsNotExist(err) {
-		t.Errorf("-campus -checkpoint wrote %s (stat err %v)", fresh, err)
 	}
 }
 

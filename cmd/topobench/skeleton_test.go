@@ -7,4 +7,4 @@ import (
 	"steelnet/internal/cli/clitest"
 )
 
-func TestSkeleton(t *testing.T) { clitest.Skeleton(t, run, "topobench", cli.Simulation) }
+func TestSkeleton(t *testing.T) { clitest.Skeleton(t, run, "topobench", cli.Workers|cli.SimTelemetry) }

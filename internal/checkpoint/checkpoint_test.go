@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -141,27 +140,6 @@ func TestHarnessRoundTrip(t *testing.T) {
 	}
 }
 
-// TestF64SliceBoundsItsCount: a count larger than the bytes behind it is
-// a short read, reported before anything is sized from the count. (The
-// forged count is kept to 128 MiB so that a decoder without the bound
-// fails this test without endangering the machine; a u32 reaches 32 GiB.)
-func TestF64SliceBoundsItsCount(t *testing.T) {
-	e := NewEncoder()
-	e.U32(1 << 24)
-	e.F64(1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	d := NewDecoder(e.Data())
-	v := d.F64Slice()
-	runtime.ReadMemStats(&after)
-	if v != nil || d.Err() == nil {
-		t.Fatalf("forged count decoded to %d values, err %v", len(v), d.Err())
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Fatalf("rejecting a forged count allocated %d bytes", got)
-	}
-}
-
 // toyHarness is the smallest thing Replay can restore: its state is the
 // instant it was advanced to plus its configured seed.
 type toyHarness struct{ seed, now int64 }
@@ -217,13 +195,11 @@ func TestEncDecRoundTrip(t *testing.T) {
 	e.U32(1 << 30)
 	e.U64(1 << 60)
 	e.I64(-42)
-	e.Int(-7)
 	e.Bool(true)
 	e.Bool(false)
 	e.F64(3.14159)
 	e.Bytes([]byte{9, 8, 7})
 	e.Str("héllo")
-	e.F64Slice([]float64{1.5, -2.5})
 
 	d := NewDecoder(e.Data())
 	if v := d.U8(); v != 7 {
@@ -238,9 +214,6 @@ func TestEncDecRoundTrip(t *testing.T) {
 	if v := d.I64(); v != -42 {
 		t.Errorf("I64 = %d", v)
 	}
-	if v := d.Int(); v != -7 {
-		t.Errorf("Int = %d", v)
-	}
 	if !d.Bool() || d.Bool() {
 		t.Error("Bool order wrong")
 	}
@@ -252,9 +225,6 @@ func TestEncDecRoundTrip(t *testing.T) {
 	}
 	if v := d.Str(); v != "héllo" {
 		t.Errorf("Str = %q", v)
-	}
-	if v := d.F64Slice(); len(v) != 2 || v[0] != 1.5 || v[1] != -2.5 {
-		t.Errorf("F64Slice = %v", v)
 	}
 	if d.Err() != nil || d.Remaining() != 0 {
 		t.Fatalf("err=%v remaining=%d", d.Err(), d.Remaining())

@@ -33,9 +33,6 @@ func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf
 // I64 appends a little-endian int64.
 func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
 
-// Int appends an int as int64.
-func (e *Encoder) Int(v int) { e.I64(int64(v)) }
-
 // Bool appends a boolean byte.
 func (e *Encoder) Bool(v bool) {
 	if v {
@@ -58,14 +55,6 @@ func (e *Encoder) Bytes(b []byte) {
 func (e *Encoder) Str(s string) {
 	e.U32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
-}
-
-// F64Slice appends a length-prefixed []float64.
-func (e *Encoder) F64Slice(vs []float64) {
-	e.U32(uint32(len(vs)))
-	for _, v := range vs {
-		e.F64(v)
-	}
 }
 
 // Decoder reads what Encoder wrote. Errors are sticky: after the first
@@ -129,9 +118,6 @@ func (d *Decoder) U64() uint64 {
 // I64 reads a little-endian int64.
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
 
-// Int reads an int64-encoded int.
-func (d *Decoder) Int() int { return int(d.I64()) }
-
 // Bool reads a boolean byte.
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
@@ -158,21 +144,4 @@ func (d *Decoder) Str() string {
 		return ""
 	}
 	return string(b)
-}
-
-// F64Slice reads a length-prefixed []float64. The count is checked
-// against the bytes that are left before anything is sized from it.
-func (d *Decoder) F64Slice() []float64 {
-	n := int(d.U32())
-	if d.err == nil && n > d.Remaining()/8 {
-		d.err = fmt.Errorf("checkpoint: truncated payload: need %d float64s at offset %d of %d", n, d.off, len(d.buf))
-	}
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.F64()
-	}
-	return out
 }

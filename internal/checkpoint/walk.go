@@ -12,12 +12,6 @@ type Codec struct {
 	dec *Decoder
 }
 
-// Codec returns a walk that appends to e.
-func (e *Encoder) Codec() *Codec { return &Codec{enc: e} }
-
-// Codec returns a walk that fills from d. Errors stay sticky on d.
-func (d *Decoder) Codec() *Codec { return &Codec{dec: d} }
-
 // Decoding reports whether the walk fills fields (true) or writes them.
 // A walk needs it only where a field is not stored as it is encoded.
 func (c *Codec) Decoding() bool { return c.dec != nil }
@@ -46,15 +40,6 @@ func (c *Codec) Str(v *string) {
 		*v = c.dec.Str()
 	} else {
 		c.enc.Str(*v)
-	}
-}
-
-// F64Slice walks a u32-length-prefixed []float64.
-func (c *Codec) F64Slice(v *[]float64) {
-	if c.dec != nil {
-		*v = c.dec.F64Slice()
-	} else {
-		c.enc.F64Slice(*v)
 	}
 }
 
@@ -92,7 +77,7 @@ func Slice[T any](c *Codec, s *[]T, elem func(*Codec, *T)) {
 // Encode returns the bytes walk writes for v.
 func Encode[T any](walk func(*Codec, *T), v *T) []byte {
 	e := NewEncoder()
-	walk(e.Codec(), v)
+	walk(&Codec{enc: e}, v)
 	return e.Data()
 }
 
@@ -100,7 +85,7 @@ func Encode[T any](walk func(*Codec, *T), v *T) []byte {
 // short payload and bytes left over are both ErrCorrupt.
 func Decode[T any](walk func(*Codec, *T), b []byte, v *T) error {
 	d := NewDecoder(b)
-	walk(d.Codec(), v)
+	walk(&Codec{dec: d}, v) // errors stay sticky on d
 	return d.Finish()
 }
 

@@ -13,19 +13,15 @@ import (
 	"testing"
 
 	"steelnet/internal/checkpoint"
-	"steelnet/internal/core"
 	"steelnet/internal/faults"
 	"steelnet/internal/instaplc"
-	"steelnet/internal/metrics"
-	"steelnet/internal/mltopo"
-	"steelnet/internal/reflection"
 )
 
 // walkCase is one walk with its type erased.
 type walkCase struct {
 	name string
 	// golden names the corpus files whose "config" section the walk
-	// reads (none for a sweep result or a part of a config).
+	// reads (none for a part of a config).
 	golden []string
 	// roundTrip fills a value at random, every settable field at any
 	// depth except the named unrecorded ones, and demands it back from
@@ -70,25 +66,11 @@ func walkCases() []walkCase {
 		// a chaos cell, which carries a generated fault plan.
 		walkOf("instaplc", instaplc.WalkConfig, []string{"instaplc", "chaos"}, "Sinks"),
 		walkOf("plan", faults.WalkPlan, nil), // *Plan: nil, empty and populated
-		walkOf("figure4-result", reflection.WalkResult, nil),
-		walkOf("figure6-result", mltopo.WalkResult, nil),
-		// A chaos cell runs on one engine: it has no cross-shard wire, and
-		// the frozen "chaos" layout predates the counter.
-		walkOf("chaos-result", core.WalkChaosCell, nil, "CrossWire"),
 	}
 }
 
 // fill sets v to a random value of its type.
 func fill(rng *rand.Rand, v reflect.Value, skip map[string]bool) {
-	if s, ok := v.Addr().Interface().(**metrics.Series); ok {
-		// Unexported state: built the way a decoder builds it.
-		samples := make([]float64, rng.Intn(5))
-		for i := range samples {
-			samples[i] = rng.NormFloat64()
-		}
-		*s = metrics.NewSeriesFrom(samples)
-		return
-	}
 	switch v.Kind() {
 	case reflect.Bool:
 		v.SetBool(rng.Intn(2) == 1)

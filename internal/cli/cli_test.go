@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -43,29 +44,35 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
-// -workers and -shards are one value: either spelling sets it, 0
-// (NumCPU) stands when neither is given, and with both the later one
-// wins.
+// -workers and -shards are one value: either spelling sets it, with
+// both the later one wins, and Main resolves it once for the body: 0 —
+// given or by default — is runtime.NumCPU(), and a negative value is a
+// usage error (exit 2, body not run).
 func TestWorkersResolution(t *testing.T) {
+	cpus := runtime.NumCPU()
 	for _, tc := range []struct {
 		args []string
-		want int
+		want int // -1: refused
 	}{
-		{nil, 0},
+		{nil, cpus},
 		{[]string{"-workers", "3"}, 3},
 		{[]string{"-shards", "4"}, 4},
-		{[]string{"-shards", "0"}, 0},
+		{[]string{"-shards", "0"}, cpus},
 		{[]string{"-workers", "3", "-shards", "8"}, 8},
 		{[]string{"-shards", "8", "-workers", "3"}, 3},
+		{[]string{"-workers", "-1"}, -1},
+		{[]string{"-workers", "4", "-shards", "-2"}, -1},
 	} {
-		fs := flag.NewFlagSet("x", flag.ContinueOnError)
-		var workers int
-		registerWorkersFlag(fs, &workers)
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
+		got := -1
+		var out, errw bytes.Buffer
+		code := Main("x", Workers, tc.args, &out, &errw, func(*flag.FlagSet) func(*Env) error {
+			return func(env *Env) error { got = env.Workers; return nil }
+		})
+		if got != tc.want || (code == 0) != (tc.want > 0) {
+			t.Errorf("args %v: exit %d, workers = %d, want %d; stderr %q", tc.args, code, got, tc.want, errw.String())
 		}
-		if workers != tc.want {
-			t.Errorf("args %v: workers = %d, want %d", tc.args, workers, tc.want)
+		if tc.want < 0 && (code != 2 || !strings.HasPrefix(errw.String(), "x: bad -workers ")) {
+			t.Errorf("args %v: exit %d, stderr %q; want 2 and one x: bad -workers line", tc.args, code, errw.String())
 		}
 	}
 }

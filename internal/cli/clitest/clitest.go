@@ -49,8 +49,10 @@ func Skeleton(t *testing.T, run Run, name string, shared cli.Shared) {
 	}{
 		{"an unknown flag", []string{"-no-such-flag"}, 0, 2},
 		{"a malformed -slo", []string{"-slo", "latency:*>1us"}, cli.SimTelemetry, 2},
+		{"a negative -workers", []string{"-workers", "-1"}, cli.Workers, 2},
 		{"a -resume file that does not exist", []string{"-resume", filepath.Join(dir, "missing.ckpt")}, cli.Checkpoints, 2},
 		{"a checkpoint of the wrong kind", []string{"-resume", otherKind}, cli.Checkpoints, 1},
+		{"a -checkpoint file that cannot be written", []string{"-checkpoint", filepath.Join(dir, "missing", "run.ckpt")}, cli.Checkpoints, 1},
 	} {
 		if shared&c.group != c.group {
 			c.what, c.code = "a flag of a group it lacks, "+c.what, 2

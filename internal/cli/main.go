@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 )
 
 // Shared is a set of the flag groups Main adds to a command's own.
@@ -19,9 +20,6 @@ const (
 	// SimTelemetry is what observes a simulated network: -trace,
 	// -stats, -int, -slo, -flightrec, -obs-addr and -obs-linger.
 	SimTelemetry
-	// Simulation is every group: what a command that runs the
-	// simulator takes.
-	Simulation = Workers | Checkpoints | SimTelemetry
 )
 
 // Env is what Main hands a command's body: the shared flags, parsed,
@@ -29,7 +27,9 @@ const (
 type Env struct {
 	// Stdout is the command's standard output.
 	Stdout io.Writer
-	// Workers is -workers/-shards (0, for NumCPU, without the group).
+	// Workers is -workers/-shards, resolved: 0 on the command line
+	// becomes runtime.NumCPU(), so it is at least 1 (0 without the
+	// group).
 	Workers int
 	// Checkpoint is the file the run checkpoints to: -resume's when
 	// given, else -checkpoint's, "" with neither.
@@ -53,9 +53,10 @@ func Usagef(format string, a ...any) error { return usageError{fmt.Errorf(format
 // adds -cpuprofile and the shared groups the command takes, parses
 // args, begins the telemetry session, runs the body and ends the
 // session. It returns the exit code: 2 for a usage error — an unknown
-// or malformed flag, a -resume file that does not exist, an artifact
-// that cannot be written, a body error made with Usagef — and 1 for any
-// other error of the body, each reported on stderr as "name: error".
+// or malformed flag, a negative -workers, a -resume file that does not
+// exist, an artifact that cannot be written, a body error made with
+// Usagef — and 1 for any other error of the body, each reported on
+// stderr as "name: error".
 func Main(name string, shared Shared, args []string, stdout, stderr io.Writer, setup func(*flag.FlagSet) func(*Env) error) int {
 	fail := func(code int, err error) int {
 		fmt.Fprintf(stderr, "%s: %v\n", name, err)
@@ -83,6 +84,14 @@ func Main(name string, shared Shared, args []string, stdout, stderr io.Writer, s
 		fs.SetOutput(stderr)
 		fs.PrintDefaults()
 		return 2
+	}
+	if shared&Workers != 0 {
+		switch {
+		case env.Workers < 0:
+			return fail(2, fmt.Errorf("bad -workers %d: want 0 (NumCPU) or more", env.Workers))
+		case env.Workers == 0:
+			env.Workers = runtime.NumCPU()
+		}
 	}
 	if resume != "" {
 		// A typo'd resume path must not silently start a fresh run.

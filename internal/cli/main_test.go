@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -28,7 +29,7 @@ func TestMainSkeleton(t *testing.T) {
 		stderr string
 	}{
 		{"defaults", nil, func(env *Env, own int) error {
-			if env.Workers != 0 || env.Checkpoint != "" || env.Resume != nil || own != 7 || env.Tel.Tracer != nil {
+			if env.Workers != runtime.NumCPU() || env.Checkpoint != "" || env.Resume != nil || own != 7 || env.Tel.Tracer != nil {
 				t.Errorf("env = %+v, own flag %d", env, own)
 			}
 			return nil
@@ -53,7 +54,7 @@ func TestMainSkeleton(t *testing.T) {
 		{"help", []string{"-h"}, nil, 2, "Usage of toy:\n"},
 	} {
 		var out, errw bytes.Buffer
-		code := Main("toy", Simulation, c.args, &out, &errw, func(fs *flag.FlagSet) func(*Env) error {
+		code := Main("toy", Workers|Checkpoints|SimTelemetry, c.args, &out, &errw, func(fs *flag.FlagSet) func(*Env) error {
 			own := fs.Int("own", 7, "the command's own flag")
 			return func(env *Env) error {
 				if c.body == nil {

@@ -112,21 +112,18 @@ func ChaosCellConfig(cfg ChaosConfig, i int) instaplc.ExperimentConfig {
 	return ecfg
 }
 
-// RunChaosSweepResumable runs the ladder and returns cells in
-// (intensity, trial) order. cfg.Base's tracer, registry and INT
-// collector are the sweep's telemetry sinks: sweep.RunCells decides
-// which merge per cell and which force the ladder serial. With a path,
-// completed (intensity, trial) cells persist there and are skipped when
-// the sweep restarts. A base scenario the connect request cannot carry
-// is an error, before any cell runs.
-func RunChaosSweepResumable(cfg ChaosConfig, path string) ([]ChaosCell, error) {
+// RunChaosSweep runs the ladder and returns cells in (intensity, trial)
+// order. cfg.Base's tracer, registry and INT collector are the sweep's
+// telemetry sinks: sweep.RunCells decides which merge per cell and
+// which force the ladder serial. A base scenario the connect request
+// cannot carry is an error, before any cell runs.
+func RunChaosSweep(cfg ChaosConfig) ([]ChaosCell, error) {
 	cfg = normalizeChaosConfig(cfg)
 	if err := instaplc.CheckConnect(cfg.Base); err != nil {
 		return nil, err
 	}
 	n := len(cfg.Intensities) * cfg.Trials
-	ck := sweep.Checkpointer[ChaosCell]{Path: path, Kind: "chaos", Walk: WalkChaosCell}
-	return sweep.RunCells(cfg.Workers, n, nil, ck, cfg.Base.Sinks, func(i int, s sweep.Sinks) ChaosCell {
+	return sweep.RunCells(cfg.Workers, n, nil, cfg.Base.Sinks, func(i int, s sweep.Sinks) ChaosCell {
 		ecfg := ChaosCellConfig(cfg, i)
 		ecfg.Sinks = s
 		res := instaplc.RunExperiment(ecfg)
@@ -143,7 +140,7 @@ func RunChaosSweepResumable(cfg ChaosConfig, path string) ([]ChaosCell, error) {
 			Accounting:      res.Accounting,
 			INTObservations: res.INTObservations,
 		}
-	})
+	}), nil
 }
 
 // RenderChaosSweep renders the ladder: availability and failover

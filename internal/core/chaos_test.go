@@ -145,10 +145,10 @@ func TestRenderChaosSweep(t *testing.T) {
 	}
 }
 
-// runChaos runs the ladder without a checkpoint file.
+// runChaos runs the ladder; an error fails the test.
 func runChaos(t *testing.T, cfg ChaosConfig) []ChaosCell {
 	t.Helper()
-	cells, err := RunChaosSweepResumable(cfg, "")
+	cells, err := RunChaosSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

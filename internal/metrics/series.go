@@ -125,13 +125,6 @@ func (s *Series) P99() float64 { return s.Quantile(0.99) }
 // P999 returns the 0.999 quantile.
 func (s *Series) P999() float64 { return s.Quantile(0.999) }
 
-// Samples returns a copy of the raw samples in insertion order.
-func (s *Series) Samples() []float64 {
-	out := make([]float64, len(s.samples))
-	copy(out, s.samples)
-	return out
-}
-
 // All yields the raw samples in insertion order, in place: a reader
 // that keeps none of them needs no copy. Adding to the series while
 // iterating is not allowed.

@@ -13,8 +13,8 @@ func (s *Series) FoldState(d *checkpoint.Digest) {
 }
 
 // NewSeriesFrom builds a series over samples in insertion order, taking
-// the slice as its storage: the decode half of the checkpoint codecs,
-// and how a harness adopts a result slab it filled itself. Sum and
+// the slice as its storage: how a harness adopts a result slab it
+// filled itself. Sum and
 // extrema fold in Add's order, so the result is indistinguishable from
 // adding each sample with Add, to the last bit of Mean. The caller
 // must not touch samples afterwards.

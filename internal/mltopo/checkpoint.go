@@ -146,15 +146,3 @@ func (h *Harness) Digest() uint64 {
 	h.FoldState(d)
 	return d.Sum()
 }
-
-// WalkResult is what a resumable Fig. 6 sweep records of a completed
-// cell.
-func WalkResult(c *checkpoint.Codec, r *Result) {
-	checkpoint.Int(c, &r.Kind)
-	c.Str(&r.App)
-	checkpoint.Int(c, &r.Clients)
-	c.F64(&r.MeanLatencyMS)
-	c.F64(&r.P99LatencyMS)
-	c.F64(&r.LossRate)
-	checkpoint.Int(c, &r.Requests)
-}

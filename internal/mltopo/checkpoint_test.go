@@ -8,8 +8,7 @@ import (
 )
 
 // TestRestoreForgedScenarioIsAnError hands checkScenario scenarios no
-// cell can be built from — what a command line or a forged file may
-// carry — and checks that each is an error before anything is built,
+// cell can be built from — what a command line may carry — and checks that each is an error before anything is built,
 // which NewHarness turns into a panic and the sweep into its error.
 func TestRestoreForgedScenarioIsAnError(t *testing.T) {
 	for _, tc := range []struct {
@@ -48,9 +47,9 @@ func TestFigure6ChecksClientsFirst(t *testing.T) {
 		}
 	}()
 	cfg := Figure6Config{Seed: 1, ClientCounts: []int{8, 300000}, Horizon: time.Microsecond, Workers: 1}
-	got, err := RunFigure6Resumable(cfg, "")
+	got, err := RunFigure6Checked(cfg)
 	if err == nil || got != nil {
-		t.Fatalf("RunFigure6Resumable = %v, %v; want an error", got, err)
+		t.Fatalf("RunFigure6Checked = %v, %v; want an error", got, err)
 	}
 	if want := "mltopo: 300000 clients, want 1 to 2048"; err.Error() != want {
 		t.Fatalf("err = %q, want %q", err, want)

@@ -54,17 +54,16 @@ func figure6Grid(cfg Figure6Config) []figure6Cell {
 	return cells
 }
 
-// RunFigure6Resumable sweeps apps × topologies × client counts and
+// RunFigure6Checked sweeps apps × topologies × client counts and
 // returns all cells, in app-major, kind-minor order. Each cell is an
 // independent scenario with its own engine, so the grid runs across
 // cfg.Workers goroutines, costliest cells started first; results merge
 // in the same order as a serial sweep, and the rendered panels are
 // byte-identical for any worker count. Which telemetry sinks merge per
 // cell and which force the grid serial is decided by sweep.RunCells.
-// With a path, completed cells persist there and are skipped when the
-// sweep is restarted with the same configuration. A client count no
-// cell can be built from is an error, before any cell runs.
-func RunFigure6Resumable(cfg Figure6Config, path string) ([]Result, error) {
+// A client count no cell can be built from is an error, before any
+// cell runs.
+func RunFigure6Checked(cfg Figure6Config) ([]Result, error) {
 	cells := figure6Grid(cfg)
 	scenarios := make([]Scenario, len(cells))
 	costs := make([]float64, len(cells))
@@ -80,19 +79,17 @@ func RunFigure6Resumable(cfg Figure6Config, path string) ([]Result, error) {
 		}
 		scenarios[i], costs[i] = sc, c.cost()
 	}
-	ck := sweep.Checkpointer[Result]{Path: path, Kind: "figure6", Walk: WalkResult}
-	return sweep.RunCells(cfg.Workers, len(cells), costs, ck, cfg.Sinks, func(i int, s sweep.Sinks) Result {
+	return sweep.RunCells(cfg.Workers, len(cells), costs, cfg.Sinks, func(i int, s sweep.Sinks) Result {
 		sc := scenarios[i]
 		sc.Sinks = s
 		return Run(sc)
-	})
+	}), nil
 }
 
-// RunFigure6 is RunFigure6Resumable without a checkpoint, for a
-// configuration the program wrote itself: a bad one is a bug, and
-// panics.
+// RunFigure6 is RunFigure6Checked for a configuration the program
+// wrote itself: a bad one is a bug, and panics.
 func RunFigure6(cfg Figure6Config) []Result {
-	results, err := RunFigure6Resumable(cfg, "") // no path: no file I/O
+	results, err := RunFigure6Checked(cfg)
 	if err != nil {
 		panic(err.Error())
 	}

@@ -229,7 +229,7 @@ func TestKindString(t *testing.T) {
 }
 
 // TestFigure6INTExportHasNoCellBoundaries: the entry topobench calls
-// (RunFigure6Resumable with no path) exports the same INT digests and
+// (RunFigure6Checked) exports the same INT digests and
 // trace as RunFigure6, at any worker count. Every cell restarts its
 // request sequence numbers at 1, so a collector shared across cells
 // would report reordering that never happened.
@@ -249,12 +249,12 @@ func TestFigure6INTExportHasNoCellBoundaries(t *testing.T) {
 	}
 	lib := export(4, func(cfg Figure6Config) { RunFigure6(cfg) })
 	cli := export(1, func(cfg Figure6Config) {
-		if _, err := RunFigure6Resumable(cfg, ""); err != nil {
+		if _, err := RunFigure6Checked(cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if !bytes.Equal(cli, lib) {
-		t.Error("RunFigure6Resumable(cfg, \"\") and RunFigure6(cfg) export different INT digests or traces")
+		t.Error("RunFigure6Checked(cfg) and RunFigure6(cfg) export different INT digests or traces")
 	}
 	if bytes.Contains(cli, []byte(`"reordered"`)) {
 		t.Error("Fig. 6 INT export reports reordering across cell boundaries")

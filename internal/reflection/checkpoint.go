@@ -227,25 +227,3 @@ func (h *Harness) Digest() uint64 {
 	h.FoldState(d)
 	return d.Sum()
 }
-
-// WalkResult is what a resumable Fig. 4 sweep records of a completed
-// cell: the full delay and jitter distributions.
-func WalkResult(c *checkpoint.Codec, r *Result) {
-	c.Str(&r.Variant)
-	checkpoint.Int(c, &r.Flows)
-	walkSeries(c, &r.Delays)
-	walkSeries(c, &r.Jitter)
-	checkpoint.Int(c, &r.RingRecords)
-}
-
-// walkSeries records a series as its samples in insertion order.
-func walkSeries(c *checkpoint.Codec, s **metrics.Series) {
-	var samples []float64
-	if !c.Decoding() {
-		samples = (*s).Samples()
-	}
-	c.F64Slice(&samples)
-	if c.Decoding() {
-		*s = metrics.NewSeriesFrom(samples)
-	}
-}

@@ -1,52 +1,14 @@
 package reflection
 
 import (
-	"errors"
-	"io"
-	"path/filepath"
-	"runtime"
 	"testing"
 
-	"steelnet/internal/checkpoint"
 	"steelnet/internal/sim"
 )
 
-// TestForgedSweepCheckpointIsCorrupt: a Fig. 4 sweep file whose first
-// cell claims 128 MiB of delay samples it does not hold, sealed with a
-// valid trailer, is what `reflectbench -resume` may be handed. It is
-// ErrCorrupt, and nothing is sized from the claim. (A u32 count reaches
-// 32 GiB; the forged one is kept small enough that a decoder without the
-// bound fails this test without endangering the machine.)
-func TestForgedSweepCheckpointIsCorrupt(t *testing.T) {
-	e := checkpoint.NewEncoder()
-	e.Int(len(AllVariants())) // cells in the sweep
-	e.Int(1)                  // cells recorded
-	e.Int(0)                  // the first one
-	e.Str("Base")
-	e.Int(1)
-	e.U32(1 << 24) // delay samples that follow: none do
-	path := filepath.Join(t.TempDir(), "forged.ckpt")
-	err := checkpoint.WriteFileAtomic(path, func(w io.Writer) error {
-		return checkpoint.Write(w, "sweep/figure4-delay", []checkpoint.Section{{Name: "cells", Data: e.Data()}})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err = RunAllVariantsResumable(smallConfig(), path)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, checkpoint.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
-		t.Fatalf("rejecting the forged file allocated %d bytes", got)
-	}
-}
-
 // TestRestoreForgedConfigIsAnError hands the Fig. 4 sweep
-// configurations no cell can be built from — what a command line or a
-// forged file may carry — and checks that the sweep reports each as an
+// configurations no cell can be built from — what a command line may
+// carry — and checks that the sweep reports each as an
 // error before any cell runs, instead of panicking or sizing a cell
 // from the claim.
 func TestRestoreForgedConfigIsAnError(t *testing.T) {
@@ -74,8 +36,8 @@ func TestRestoreForgedConfigIsAnError(t *testing.T) {
 					t.Fatalf("a sweep of a forged configuration panicked: %v", p)
 				}
 			}()
-			if got, err := RunAllVariantsResumable(forged, ""); err == nil || got != nil {
-				t.Fatalf("RunAllVariantsResumable = %v, %v; want an error", got, err)
+			if got, err := RunAllVariantsChecked(forged); err == nil || got != nil {
+				t.Fatalf("RunAllVariantsChecked = %v, %v; want an error", got, err)
 			}
 		})
 	}

@@ -289,52 +289,48 @@ func (r Result) WouldTripWatchdog(thresholdNS float64, watchdogCycles int) bool 
 
 // runGrid runs one Fig. 4 grid through the sweep driver: cell i is the
 // sweep's Config with the telemetry sinks the driver assigned to it.
-// Which sinks merge, which force the grid serial, and what a
-// checkpoint path adds is sweep.RunCells' business alone.
-func runGrid(cfg Config, kind string, n int, path string, cell func(i int, c Config) Result) ([]Result, error) {
-	ck := sweep.Checkpointer[Result]{Path: path, Kind: kind, Walk: WalkResult}
-	return sweep.RunCells(cfg.Workers, n, nil, ck, cfg.Sinks, func(i int, s sweep.Sinks) Result {
+// Which sinks merge and which force the grid serial is sweep.RunCells'
+// business alone.
+func runGrid(cfg Config, n int, cell func(i int, c Config) Result) []Result {
+	return sweep.RunCells(cfg.Workers, n, nil, cfg.Sinks, func(i int, s sweep.Sinks) Result {
 		c := cfg
 		c.Sinks = s
 		return cell(i, c)
 	})
 }
 
-// RunAllVariantsResumable reproduces Fig. 4 (left): the delay CDF of
-// all six variants under cfg, one sweep cell per variant. Cells run
-// across cfg.Workers goroutines; the result order (and thus every
-// rendered table) matches a serial run. Each variant is assembled,
-// verified and compiled exactly once; cells get fresh-state clones
-// sharing the compiled code. With a path, completed variants persist
-// there and are skipped on restart. A configuration no cell can be
-// built from is an error, before any cell runs.
-func RunAllVariantsResumable(cfg Config, path string) ([]Result, error) {
+// RunAllVariantsChecked reproduces Fig. 4 (left): the delay CDF of all
+// six variants under cfg, one sweep cell per variant. Cells run across
+// cfg.Workers goroutines; the result order (and thus every rendered
+// table) matches a serial run. Each variant is assembled, verified and
+// compiled exactly once; cells get fresh-state clones sharing the
+// compiled code. A configuration no cell can be built from is an
+// error, before any cell runs.
+func RunAllVariantsChecked(cfg Config) ([]Result, error) {
 	if err := checkConfig(cfg); err != nil {
 		return nil, err
 	}
 	protos := AllVariants()
-	return runGrid(cfg, "figure4-delay", len(protos), path, func(i int, c Config) Result {
+	return runGrid(cfg, len(protos), func(i int, c Config) Result {
 		return Run(c, protos[i].CloneFresh())
-	})
+	}), nil
 }
 
-// RunAllVariants is RunAllVariantsResumable without a checkpoint, for
-// a configuration the program wrote itself: a bad one is a bug, and
-// panics.
+// RunAllVariants is RunAllVariantsChecked for a configuration the
+// program wrote itself: a bad one is a bug, and panics.
 func RunAllVariants(cfg Config) []Result {
-	results, err := RunAllVariantsResumable(cfg, "") // no path: no file I/O
+	results, err := RunAllVariantsChecked(cfg)
 	if err != nil {
 		panic(err.Error())
 	}
 	return results
 }
 
-// RunFlowSweepResumable reproduces Fig. 4 (right): jitter CDFs of the
-// Base variant for each flow count, one sweep cell per count, with the
-// same checkpointing as RunAllVariantsResumable. The counts may come
-// from a command line: one no cell can be built from is an error,
-// before any cell runs.
-func RunFlowSweepResumable(cfg Config, flowCounts []int, path string) ([]Result, error) {
+// RunFlowSweepChecked reproduces Fig. 4 (right): jitter CDFs of the
+// Base variant for each flow count, one sweep cell per count. The
+// counts may come from a command line: one no cell can be built from
+// is an error, before any cell runs.
+func RunFlowSweepChecked(cfg Config, flowCounts []int) ([]Result, error) {
 	for _, n := range flowCounts {
 		c := cfg
 		c.Flows = n
@@ -343,16 +339,16 @@ func RunFlowSweepResumable(cfg Config, flowCounts []int, path string) ([]Result,
 		}
 	}
 	proto := NewBase()
-	return runGrid(cfg, "figure4-jitter", len(flowCounts), path, func(i int, c Config) Result {
+	return runGrid(cfg, len(flowCounts), func(i int, c Config) Result {
 		c.Flows = flowCounts[i]
 		return Run(c, proto.CloneFresh())
-	})
+	}), nil
 }
 
-// RunFlowSweep is RunFlowSweepResumable without a checkpoint, for
-// counts the program wrote itself: a bad one is a bug, and panics.
+// RunFlowSweep is RunFlowSweepChecked for counts the program wrote
+// itself: a bad one is a bug, and panics.
 func RunFlowSweep(cfg Config, flowCounts []int) []Result {
-	results, err := RunFlowSweepResumable(cfg, flowCounts, "") // no path: no file I/O
+	results, err := RunFlowSweepChecked(cfg, flowCounts)
 	if err != nil {
 		panic(err.Error())
 	}

@@ -309,7 +309,7 @@ func TestTSOWTimestampVisibleAtSenderEndToEnd(t *testing.T) {
 }
 
 // TestSweepINTExportHasNoCellBoundaries: the entry the CLIs call
-// (RunXResumable with no path) exports the same INT digests, trace and
+// (RunXChecked) exports the same INT digests, trace and
 // decomposition table as RunX, at any worker count. Every cell restarts
 // its probe sequence numbers at 1, so a collector shared across cells
 // would report reordering that never happened.
@@ -335,15 +335,15 @@ func TestSweepINTExportHasNoCellBoundaries(t *testing.T) {
 		RunFlowSweep(cfg, []int{1, 3})
 	})
 	cli := export(1, func(cfg Config) {
-		if _, err := RunAllVariantsResumable(cfg, ""); err != nil {
+		if _, err := RunAllVariantsChecked(cfg); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunFlowSweepResumable(cfg, []int{1, 3}, ""); err != nil {
+		if _, err := RunFlowSweepChecked(cfg, []int{1, 3}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if !bytes.Equal(cli, lib) {
-		t.Error("RunXResumable(cfg, \"\") and RunX(cfg) export different INT digests or traces")
+		t.Error("RunXChecked(cfg) and RunX(cfg) export different INT digests or traces")
 	}
 	if bytes.Contains(cli, []byte(`"reordered"`)) {
 		t.Error("sweep INT export reports reordering across cell boundaries")

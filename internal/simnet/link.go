@@ -44,8 +44,9 @@ type Port struct {
 
 	queue PriorityQueue
 	busy  bool
-	// lost is the loss-injection draw of the frame being serialized.
-	lost bool
+	// lost is the loss-injection draw of the frame being serialized, cut
+	// whether its link went down while it was.
+	lost, cut bool
 
 	// tr observes the port's frame lifecycle; nil (the default) keeps
 	// the egress path allocation-free.
@@ -299,14 +300,14 @@ func (p *Port) dropFlush(f *frame.Frame) {
 
 // failFlush destroys everything volatile at the port — queued frames
 // and any paused transmission — the shared teardown of link-down and
-// switch-crash failures. A frame mid-serialization stays on the wire:
-// serDone decides its fate.
+// switch-crash failures. A frame mid-serialization stays on the wire
+// and keeps the port busy: serDone decides its fate and frees the port.
 func (p *Port) failFlush() {
 	if n := uint64(p.queue.Len()); n > 0 {
 		p.coldBlock().flushedDrops += n
 		p.queue.Drain(p.dropFlush)
 	}
-	p.busy = false
+	p.busy = p.sending != nil
 	if c := p.cold; c != nil {
 		c.pausedTx.Cancel()
 		c.pausedTx = sim.Event{}
@@ -436,6 +437,7 @@ func (l *Link) SetUp(up bool) {
 	if !up {
 		for _, p := range l.ports {
 			if p != nil {
+				p.cut = p.sending != nil
 				p.failFlush()
 			}
 		}
@@ -541,33 +543,23 @@ func (p *Port) startNext() {
 		p.tr.TxStart(p.Owner.Name(), p.Index, f, int64(ser))
 	}
 	p.inFlight++
-	if p.sending != nil {
-		// A failure flushed the port while an earlier frame was still
-		// serializing, and the port restarted before that frame's
-		// serialization ended: the prebuilt callback is spoken for, so
-		// this frame's completion carries it in a closure of its own.
-		eng.After(ser, func() { p.serDone(f, lost) })
-		return
-	}
 	if p.serDoneFn == nil {
-		p.serDoneFn = func() {
-			f, lost := p.sending, p.lost
-			p.sending, p.lost = nil, false
-			p.serDone(f, lost)
-		}
-		p.propDoneFn = p.propDone
+		p.serDoneFn, p.propDoneFn = p.serDone, p.propDone
 	}
 	p.sending, p.lost = f, lost
 	eng.After(ser, p.serDoneFn)
 }
 
-// serDone fires when frame f finishes serializing: the wire is free for
-// the next frame, and f either dies (link down, loss injection) or
-// starts propagating toward the far end.
-func (p *Port) serDone(f *frame.Frame, lost bool) {
+// serDone fires when the frame being sent finishes serializing: the
+// wire is free for the next frame, and the frame either dies (link
+// down at any instant of its serialization, loss injection) or starts
+// propagating toward the far end.
+func (p *Port) serDone() {
+	f, lost, cut := p.sending, p.lost, p.cut
+	p.sending, p.lost, p.cut = nil, false, false
 	l := p.link
 	switch {
-	case !l.up:
+	case !l.up || cut:
 		// Link died mid-serialization: the frame dies on the wire.
 		p.coldBlock().wireDrops++
 		p.inFlight--

@@ -230,18 +230,6 @@ func (n *Network) Ports() []*Port {
 	return out
 }
 
-// ShardPorts returns the ports of the nodes placed on shard s, in
-// node-id order; over all shards the listings partition Ports.
-func (n *Network) ShardPorts(s int) []*Port {
-	var out []*Port
-	for id, of := range n.Part.Of {
-		if of == s {
-			out = slices.AppendSeq(out, n.nodePorts(id))
-		}
-	}
-	return out
-}
-
 // nodePorts yields node id's ports in index order: a switch's cut of the
 // port slab, or a host's one port.
 func (n *Network) nodePorts(id int) iter.Seq[*Port] {

@@ -99,12 +99,11 @@ func (r *wireRig) outcomes(t *testing.T) []string {
 }
 
 // TestWireOrder pins what a link does to each frame it carries when it
-// fails, flaps, loses or corrupts mid-journey. A frame's fate is decided
-// when its serialization ends (the link must be up then) and when it
-// arrives (up again), so a link back up before either instant carries
-// the frame after all; a link back up before a doomed frame finishes
-// serializing even carries the next frame alongside it, because the
-// flush freed the port.
+// fails, flaps, loses or corrupts mid-journey. A frame being serialized
+// when its link goes down dies on the wire, even if the link is back up
+// before the serialization ends, and the port stays busy until then. A
+// frame already propagating dies only if the link is down when it
+// arrives, so a link back up before that instant carries it after all.
 func TestWireOrder(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -119,12 +118,12 @@ func TestWireOrder(t *testing.T) {
 			r.send(2000)
 		}, []string{"WireDrops", "FlushedDrops", "delivered at 12512"}},
 		{"down mid-serialization, up before it ends", func(r *wireRig) {
-			r.send(0) // the link is up again at 512: it propagates
+			r.send(0) // cut at 200: dies on the wire at 512, up again or not
 			r.at(200, func() { r.link.SetUp(false) })
 			r.at(300, func() { r.link.SetUp(true) })
-			r.send(400) // the flushed port is idle: serializes 400..912
-			r.send(450) // queued behind it, starts when the first frame's serialization ends
-		}, []string{"delivered at 10512", "delivered at 10912", "delivered at 11024"}},
+			r.send(400) // the port is busy until 512: serializes 512..1024
+			r.send(450) // queued behind it: serializes 1024..1536
+		}, []string{"WireDrops", "delivered at 11024", "delivered at 11536"}},
 		{"down mid-propagation, up before arrival", func(r *wireRig) {
 			r.send(0)
 			r.send(0)

@@ -61,10 +61,12 @@ func driveTwoCell(t *testing.T, workers int) uint64 {
 	for id := topo.NodeID(2); id <= 5; id++ {
 		n.Host(id).OnReceive(pools[part.Of[id]].Put)
 	}
-	// OnDrop goes to the owning shard's pool.
-	for s := range pools {
-		for _, p := range n.ShardPorts(s) {
-			p.OnDrop = pools[s].Put
+	// A switch port's OnDrop goes to the owning shard's pool; the hosts
+	// send only what their pool lends and take back what Send refuses.
+	for id := topo.NodeID(0); id <= 1; id++ {
+		sw := n.Switch(id)
+		for i := range sw.NumPorts() {
+			sw.Port(i).OnDrop = pools[part.Of[id]].Put
 		}
 	}
 	swA, swB := n.Switch(0), n.Switch(1)
@@ -246,15 +248,13 @@ func TestShardedMatchesUnshardedEquipment(t *testing.T) {
 }
 
 // TestNetworkPortsInIDOrder: Ports walks the nodes in id order on every
-// build, and the per-shard listings partition it exactly.
+// build.
 func TestNetworkPortsInIDOrder(t *testing.T) {
 	rng := sim.NewRNG(3)
 	g := randomPlant(rng)
 	part := randomPartition(rng, g, 3, true)
 	var want []string
-	nodeOf := make(map[string]topo.NodeID)
 	for _, node := range g.Nodes() {
-		nodeOf[node.Name] = node.ID
 		for i := 0; i < g.Degree(node.ID); i++ {
 			want = append(want, fmt.Sprintf("%s/%d", node.Name, i))
 		}
@@ -270,24 +270,6 @@ func TestNetworkPortsInIDOrder(t *testing.T) {
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("build %d: Ports() = %v, want id order %v", build, got, want)
-		}
-		// Dealing Ports() out by the owner's shard must reproduce every
-		// shard's listing, in order and with nothing left over.
-		listing := make([][]*Port, part.Shards)
-		for s := range listing {
-			listing[s] = n.ShardPorts(s)
-		}
-		for _, p := range n.Ports() {
-			s := part.Of[nodeOf[p.Owner.Name()]]
-			if len(listing[s]) == 0 || listing[s][0] != p {
-				t.Fatalf("build %d: shard %d's listing does not continue with %s/%d", build, s, p.Owner.Name(), p.Index)
-			}
-			listing[s] = listing[s][1:]
-		}
-		for s, rest := range listing {
-			if len(rest) != 0 {
-				t.Fatalf("build %d: shard %d lists %d ports Ports() does not", build, s, len(rest))
-			}
 		}
 	}
 }

@@ -6,8 +6,8 @@
 // order of results, which keeps rendered tables byte-identical to a
 // serial sweep — parallelism changes wall-clock time only, never
 // output. RunCells (cells.go) is the driver the figure grids call: Run
-// plus heaviest-first dispatch, cell-level checkpoint/resume and
-// per-cell telemetry sinks.
+// plus heaviest-first dispatch and per-cell telemetry sinks. A sweep
+// keeps no file: every figure regenerates in seconds.
 package sweep
 
 import (

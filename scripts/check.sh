@@ -32,8 +32,8 @@ EOF
 
 # The concurrency surfaces under the race detector: the whole suite in
 # short mode; the sweep driver again at 1, 2 and 8 workers ten times
-# (cells finishing on worker goroutines share the finished-cell set and
-# the checkpoint writes); the cross-shard suite with its worker sweep
+# (cells finishing on worker goroutines write the shared result slice
+# and hand back their telemetry sinks); the cross-shard suite with its worker sweep
 # widened to 4; and the obs.Fanout churn stress through the steelnetd
 # hub, the obs broker and the hub registry read from many goroutines.
 race() {
@@ -53,13 +53,12 @@ race() {
 # corpus, the eBPF VM against the reference interpreter (every
 # TestDifferential* input source: seed programs, both fuzz corpora,
 # random programs, the Fig. 4 shapes; the corpora again through used
-# clones), and every CLI's
-# -checkpoint/-resume round trip.
+# clones), and instaplcd's -checkpoint/-resume round trip.
 replay() {
     tests <<'EOF'
 internal/checkpoint TestResumeEquivalence|TestRestoreDetectsDivergence|TestGolden
 internal/ebpf       TestDifferential|TestCompiledMatchesInterpreter
-cmd/...             TestRunCheckpointResume|TestRunChaosResume
+cmd/...             TestRunCheckpointResume
 EOF
 }
 
@@ -292,9 +291,8 @@ bench_module() {
 # Every function no entry point reaches. Each entry point is built with
 # -cover and run under one GOCOVERDIR: the smoke, invariance,
 # int-replay, obs-endpoint and steelnetd checks (their `go run`/`go
-# build` honour GOFLAGS); the command-line paths no check runs (each
-# simulation command's checkpoint and resume, the chaos ladder, the
-# hardware baseline, a fault plan, the requirements corpus, -stats on
+# build` honour GOFLAGS); the command-line paths no check runs (the
+# chaos ladder, the hardware baseline, a fault plan, the requirements corpus, -stats on
 # every figure and the campus's SLO watchdogs); every example; the
 # four bench workloads at seed 1; and the documented `go test -bench`
 # experiments. The profiles are merged, a block counting as reached
@@ -303,7 +301,7 @@ bench_module() {
 # reach.txt. The list is a report: this fails only when an entry point
 # does.
 reach() {
-    local dir=$PWD/reach.covdata ex w cmd args
+    local dir=$PWD/reach.covdata ex w
     rm -rf "$dir" && mkdir -p "$dir"
     (
         export GOFLAGS='-cover -coverpkg=steelnet/...' GOCOVERDIR=$dir
@@ -312,15 +310,7 @@ reach() {
         int_replay
         obs_endpoint
         steelnetd
-        while read -r cmd args; do
-            rm -f reach.ck
-            go run "./cmd/$cmd" $args -checkpoint reach.ck < /dev/null > /dev/null
-            go run "./cmd/$cmd" $args -resume reach.ck < /dev/null > /dev/null
-        done <<'EOF'
-reflectbench -cycles 120
-topobench    -clients 8,16 -horizon 100ms
-instaplcd    -chaos -horizon 800ms -fail 400ms
-EOF
+        go run ./cmd/instaplcd -chaos -horizon 800ms -fail 400ms > /dev/null
         go run ./cmd/gapminer -requirements > /dev/null
         go run ./cmd/reflectbench -cycles 120 -stats > /dev/null
         go run ./cmd/topobench -clients 8 -horizon 100ms -stats > /dev/null
