@@ -74,17 +74,41 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestRunChaosRefusesCheckpoint: the chaos sweep keeps no checkpoint,
+// so -chaos with -checkpoint or -resume is a usage error with one
+// instaplcd: line, and no file is written or read.
+func TestRunChaosRefusesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	existing := filepath.Join(dir, "existing.ckpt")
+	if err := os.WriteFile(existing, []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(dir, "chaos.ckpt")
+	for _, args := range [][]string{
+		tiny("-chaos", "-checkpoint", fresh),
+		tiny("-chaos", "-resume", existing),
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("run(%v) = %d, stdout %q; want 2 and nothing", args, code, stdout.String())
+		}
+		msg := stderr.String()
+		if !strings.HasPrefix(msg, "instaplcd: ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("run(%v): stderr = %q, want one instaplcd: line", args, msg)
+		}
+	}
+	if _, err := os.Stat(fresh); !os.IsNotExist(err) {
+		t.Errorf("-chaos -checkpoint wrote %s (stat err %v)", fresh, err)
+	}
+}
+
 // TestRunBadUsage: a flag value the command cannot honour as given
 // exits 2 with nothing on stdout, never a run on a value the user did
-// not ask for. The chaos sweep keeps no checkpoint, so -chaos with
-// -checkpoint is refused and writes no file.
+// not ask for.
 func TestRunBadUsage(t *testing.T) {
-	dir := t.TempDir()
-	chaosCkpt := filepath.Join(dir, "chaos.ckpt")
 	cases := [][]string{
 		{"-no-such-flag"},
-		{"-resume", filepath.Join(dir, "missing.ckpt")},
-		tiny("-chaos", "-checkpoint", chaosCkpt),
+		{"-resume", filepath.Join(t.TempDir(), "missing.ckpt")},
 		tiny("-faults", "bogus-spec"),
 		tiny("-watchdog", "-5"),
 		tiny("-watchdog", "0"),
@@ -96,9 +120,6 @@ func TestRunBadUsage(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
 			t.Errorf("run(%v) = %d, stdout %q; want 2 and nothing", args, code, stdout.String())
 		}
-	}
-	if _, err := os.Stat(chaosCkpt); !os.IsNotExist(err) {
-		t.Errorf("-chaos -checkpoint wrote %s (stat err %v)", chaosCkpt, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -32,6 +33,45 @@ func TestRunSmoke(t *testing.T) {
 			}
 			if stdout.Len() == 0 {
 				t.Fatal("no figure output on stdout")
+			}
+		})
+	}
+}
+
+// TestRunRefusesCheckpointFlags: the Fig. 4 sweeps keep no
+// checkpoint, so -checkpoint and -resume are unknown flags: exit 2,
+// nothing on stdout, and no file written (neither FILE nor the
+// FILE.jitter the jitter sweep once kept).
+func TestRunRefusesCheckpointFlags(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"both-sweeps", tiny()},
+		{"jitter-only", tiny("-jitter-only")},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			existing := filepath.Join(dir, "existing.ckpt")
+			if err := os.WriteFile(existing, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fresh := filepath.Join(dir, "fresh.ckpt")
+			for _, args := range [][]string{
+				append(c.args[:len(c.args):len(c.args)], "-checkpoint", fresh),
+				append(c.args[:len(c.args):len(c.args)], "-resume", existing),
+			} {
+				var stdout, stderr bytes.Buffer
+				if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+					t.Errorf("run(%v) = %d, stdout %q; want 2 and nothing", args, code, stdout.String())
+				}
+				if msg := stderr.String(); !strings.HasPrefix(msg, "reflectbench: ") {
+					t.Errorf("run(%v): stderr does not lead with %q:\n%s", args, "reflectbench: ", msg)
+				}
+			}
+			if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+				t.Errorf("run left %d entries in the directory (err %v), want only the existing file", len(entries), err)
 			}
 		})
 	}

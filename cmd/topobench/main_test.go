@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -217,6 +218,44 @@ func TestRunBadUsage(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
 			t.Errorf("run(%v) = %d, stdout %q; want 2 and nothing", args, code, stdout.String())
 		}
+	}
+}
+
+// TestRunRefusesCheckpointFlags: neither the Fig. 6 grid nor the
+// campus run keeps a checkpoint, so -checkpoint and -resume are
+// unknown flags: exit 2, nothing on stdout, and no file written.
+func TestRunRefusesCheckpointFlags(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"grid", tiny()},
+		{"campus", tinyCampus()},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			existing := filepath.Join(dir, "existing.ckpt")
+			if err := os.WriteFile(existing, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fresh := filepath.Join(dir, "fresh.ckpt")
+			for _, args := range [][]string{
+				append(c.args[:len(c.args):len(c.args)], "-checkpoint", fresh),
+				append(c.args[:len(c.args):len(c.args)], "-resume", existing),
+			} {
+				var stdout, stderr bytes.Buffer
+				if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+					t.Errorf("run(%v) = %d, stdout %q; want 2 and nothing", args, code, stdout.String())
+				}
+				if msg := stderr.String(); !strings.HasPrefix(msg, "topobench: ") {
+					t.Errorf("run(%v): stderr does not lead with %q:\n%s", args, "topobench: ", msg)
+				}
+			}
+			if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+				t.Errorf("run left %d entries in the directory (err %v), want only the existing file", len(entries), err)
+			}
+		})
 	}
 }
 
