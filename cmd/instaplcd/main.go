@@ -54,7 +54,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	return cli.Main("instaplcd", cli.Workers|cli.Checkpoints|cli.SimTelemetry, args, stdout, stderr, command)
+	return cli.Main("instaplcd", cli.Workers|cli.SimTelemetry, args, stdout, stderr, command)
 }
 
 // command registers instaplcd's own flags and returns its body.
@@ -67,6 +67,8 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 	baseline := fs.Bool("baseline", false, "disable InstaPLC (plain L2 switch) for comparison")
 	faultSpec := fs.String("faults", "", "fault plan spec replacing the default crash (kind:target@at[+dur][*mag],...)")
 	chaos := fs.Bool("chaos", false, "sweep randomized fault plans over the scenario")
+	ckpt := fs.String("checkpoint", "", "write periodic checkpoints to this `file` (resume later with -resume)")
+	resume := fs.String("resume", "", "resume from this checkpoint `file` and keep checkpointing to it")
 	every := fs.Duration("checkpoint-every", 500*time.Millisecond, "simulated time between periodic checkpoints")
 	return func(env *cli.Env) error {
 		if *wd < 1 {
@@ -87,7 +89,7 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 		cfg.INT = cfg.Collector != nil
 
 		if *chaos {
-			if env.Checkpoint != "" {
+			if *ckpt != "" || *resume != "" {
 				return cli.Usagef("-checkpoint and -resume apply to a single run, not to -chaos")
 			}
 			ccfg := core.DefaultChaosConfig()
@@ -112,19 +114,27 @@ func command(fs *flag.FlagSet) func(*cli.Env) error {
 
 		// With -resume the recorded configuration wins: the restore
 		// replays it into cfg's sinks up to the checkpointed instant and
-		// verifies the state digest. A fault plan that does not fit the
-		// scenario comes back as the constructor's error.
+		// verifies the state digest, and the run keeps checkpointing to
+		// the same file. A fault plan that does not fit the scenario
+		// comes back as the constructor's error.
 		var h *instaplc.Harness
 		var err error
-		if env.Resume != nil {
-			h, err = instaplc.RestoreWith(env.Resume, cfg.Sinks)
+		if *resume != "" {
+			// A typo'd resume path must not silently start a fresh run.
+			f, oerr := os.Open(*resume)
+			if oerr != nil {
+				return cli.Usagef("-resume: %v", oerr)
+			}
+			defer f.Close()
+			h, err = instaplc.RestoreWith(f, cfg.Sinks)
+			*ckpt = *resume
 		} else {
 			h, err = instaplc.BuildHarness(cfg)
 		}
 		if err != nil {
 			return err
 		}
-		if err := advanceWithCheckpoints(h, env.Checkpoint, *every); err != nil {
+		if err := advanceWithCheckpoints(h, *ckpt, *every); err != nil {
 			return fmt.Errorf("-checkpoint: %w", err)
 		}
 		r := h.Result()

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"steelnet/internal/checkpoint"
 	"steelnet/internal/cli"
 )
 
@@ -34,13 +33,6 @@ func stdout(t *testing.T, run Run, args []string) string {
 // unknown.
 func Skeleton(t *testing.T, run Run, name string, shared cli.Shared) {
 	t.Helper()
-	dir := t.TempDir()
-	otherKind := filepath.Join(dir, "other.ckpt")
-	if err := checkpoint.WriteFileAtomic(otherKind, func(w io.Writer) error {
-		return checkpoint.Write(w, "no-such-kind", nil)
-	}); err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
 		what  string
 		args  []string
@@ -50,23 +42,27 @@ func Skeleton(t *testing.T, run Run, name string, shared cli.Shared) {
 		{"an unknown flag", []string{"-no-such-flag"}, 0, 2},
 		{"a malformed -slo", []string{"-slo", "latency:*>1us"}, cli.SimTelemetry, 2},
 		{"a negative -workers", []string{"-workers", "-1"}, cli.Workers, 2},
-		{"a -resume file that does not exist", []string{"-resume", filepath.Join(dir, "missing.ckpt")}, cli.Checkpoints, 2},
-		{"a checkpoint of the wrong kind", []string{"-resume", otherKind}, cli.Checkpoints, 1},
-		{"a -checkpoint file that cannot be written", []string{"-checkpoint", filepath.Join(dir, "missing", "run.ckpt")}, cli.Checkpoints, 1},
 	} {
 		if shared&c.group != c.group {
 			c.what, c.code = "a flag of a group it lacks, "+c.what, 2
 		}
-		var out, errw bytes.Buffer
-		if code := run(c.args, &out, &errw); code != c.code {
-			t.Errorf("%s: exit %d, want %d; stderr:\n%s", c.what, code, c.code, errw.String())
-		}
-		if !strings.HasPrefix(errw.String(), name+": ") {
-			t.Errorf("%s: stderr does not lead with %q:\n%s", c.what, name+": ", errw.String())
-		}
-		if out.Len() != 0 {
-			t.Errorf("%s: printed to stdout:\n%s", c.what, out.String())
-		}
+		Fails(t, run, name, c.what, c.args, c.code)
+	}
+}
+
+// Fails asserts that run(args), which does what, exits code with one
+// "name: …" report leading stderr and nothing on stdout.
+func Fails(t *testing.T, run Run, name, what string, args []string, code int) {
+	t.Helper()
+	var out, errw bytes.Buffer
+	if got := run(args, &out, &errw); got != code {
+		t.Errorf("%s: exit %d, want %d; stderr:\n%s", what, got, code, errw.String())
+	}
+	if !strings.HasPrefix(errw.String(), name+": ") {
+		t.Errorf("%s: stderr does not lead with %q:\n%s", what, name+": ", errw.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("%s: printed to stdout:\n%s", what, out.String())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 )
 
@@ -15,8 +14,6 @@ type Shared uint8
 const (
 	// Workers is -workers/-shards.
 	Workers Shared = 1 << iota
-	// Checkpoints is -checkpoint/-resume.
-	Checkpoints
 	// SimTelemetry is what observes a simulated network: -trace,
 	// -stats, -int, -slo, -flightrec, -obs-addr and -obs-linger.
 	SimTelemetry
@@ -31,12 +28,6 @@ type Env struct {
 	// becomes runtime.NumCPU(), so it is at least 1 (0 without the
 	// group).
 	Workers int
-	// Checkpoint is the file the run checkpoints to: -resume's when
-	// given, else -checkpoint's, "" with neither.
-	Checkpoint string
-	// Resume is the -resume file, open for reading, and nil on a fresh
-	// run. Main closes it.
-	Resume *os.File
 	// Tel is the telemetry session. Main ends it once the body returns
 	// nil.
 	Tel *Telemetry
@@ -53,8 +44,8 @@ func Usagef(format string, a ...any) error { return usageError{fmt.Errorf(format
 // adds -cpuprofile and the shared groups the command takes, parses
 // args, begins the telemetry session, runs the body and ends the
 // session. It returns the exit code: 2 for a usage error — an unknown
-// or malformed flag, a negative -workers, a -resume file that does not
-// exist, an artifact that cannot be written, a body error made with
+// or malformed flag, a negative -workers, an artifact that cannot be
+// written, a body error made with
 // Usagef — and 1 for any other error of the body, each reported on
 // stderr as "name: error".
 func Main(name string, shared Shared, args []string, stdout, stderr io.Writer, setup func(*flag.FlagSet) func(*Env) error) int {
@@ -68,13 +59,6 @@ func Main(name string, shared Shared, args []string, stdout, stderr io.Writer, s
 	env := &Env{Stdout: stdout, Tel: registerTelemetryFlags(fs, shared&SimTelemetry != 0)}
 	if shared&Workers != 0 {
 		registerWorkersFlag(fs, &env.Workers)
-	}
-	var resume string
-	if shared&Checkpoints != 0 {
-		fs.StringVar(&env.Checkpoint, "checkpoint", "",
-			"write periodic checkpoints to this `file` (resume later with -resume)")
-		fs.StringVar(&resume, "resume", "",
-			"resume from this checkpoint `file` and keep checkpointing to it")
 	}
 	if err := fs.Parse(args); err != nil {
 		if !errors.Is(err, flag.ErrHelp) {
@@ -92,15 +76,6 @@ func Main(name string, shared Shared, args []string, stdout, stderr io.Writer, s
 		case env.Workers == 0:
 			env.Workers = runtime.NumCPU()
 		}
-	}
-	if resume != "" {
-		// A typo'd resume path must not silently start a fresh run.
-		f, err := os.Open(resume)
-		if err != nil {
-			return fail(2, fmt.Errorf("-resume: %w", err))
-		}
-		defer f.Close()
-		env.Checkpoint, env.Resume = resume, f
 	}
 	env.Tel.Out, env.Tel.Err = stdout, stderr
 	if err := env.Tel.Begin(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"flag"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -17,10 +16,6 @@ import (
 // each failure one "name: …" line on stderr.
 func TestMainSkeleton(t *testing.T) {
 	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "run.ckpt")
-	if err := os.WriteFile(ckpt, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
 		name   string
 		args   []string
@@ -29,20 +24,14 @@ func TestMainSkeleton(t *testing.T) {
 		stderr string
 	}{
 		{"defaults", nil, func(env *Env, own int) error {
-			if env.Workers != runtime.NumCPU() || env.Checkpoint != "" || env.Resume != nil || own != 7 || env.Tel.Tracer != nil {
+			if env.Workers != runtime.NumCPU() || own != 7 || env.Tel.Tracer != nil {
 				t.Errorf("env = %+v, own flag %d", env, own)
 			}
 			return nil
 		}, 0, ""},
-		{"flags", []string{"-own", "9", "-shards", "2", "-checkpoint", "x.ckpt", "-stats"}, func(env *Env, own int) error {
-			if env.Workers != 2 || env.Checkpoint != "x.ckpt" || env.Resume != nil || own != 9 || env.Tel.Registry == nil {
+		{"flags", []string{"-own", "9", "-shards", "2", "-stats"}, func(env *Env, own int) error {
+			if env.Workers != 2 || own != 9 || env.Tel.Registry == nil {
 				t.Errorf("env = %+v, own flag %d", env, own)
-			}
-			return nil
-		}, 0, ""},
-		{"resume", []string{"-checkpoint", "ignored", "-resume", ckpt}, func(env *Env, _ int) error {
-			if env.Checkpoint != ckpt || env.Resume == nil || env.Resume.Name() != ckpt {
-				t.Errorf("env = %+v", env)
 			}
 			return nil
 		}, 0, ""},
@@ -54,7 +43,7 @@ func TestMainSkeleton(t *testing.T) {
 		{"help", []string{"-h"}, nil, 2, "Usage of toy:\n"},
 	} {
 		var out, errw bytes.Buffer
-		code := Main("toy", Workers|Checkpoints|SimTelemetry, c.args, &out, &errw, func(fs *flag.FlagSet) func(*Env) error {
+		code := Main("toy", Workers|SimTelemetry, c.args, &out, &errw, func(fs *flag.FlagSet) func(*Env) error {
 			own := fs.Int("own", 7, "the command's own flag")
 			return func(env *Env) error {
 				if c.body == nil {

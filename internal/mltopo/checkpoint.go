@@ -20,10 +20,11 @@ type Harness struct {
 // maxClients bounds a cell's cameras, eight times the paper's largest
 // cell. A build grows with the square of its clients, since every
 // switch routes to every host: at the bound a Ring cell builds in about
-// 140 MB and 8 s, a tree-shaped one in about 24 MB, where a Ring cell
-// of 256 clients takes 3 MB. The bound also keeps every switch under
-// simnet.MaxSwitchPorts: the widest carries one server per client
-// (ClientsPerServer 1) beside at most 18 other links.
+// 74 MB and 8 s, a tree-shaped one in about 14 MB, where a Ring cell
+// of 256 clients takes 2 MB (linux/amd64, 2 vCPUs). The bound also
+// keeps every switch under simnet.MaxSwitchPorts: the widest carries
+// one server per client (ClientsPerServer 1) beside at most 18 other
+// links.
 const maxClients = 1 << 11
 
 const _ = uint(simnet.MaxSwitchPorts - 18 - maxClients) // fails to compile past the port bound
@@ -61,17 +62,13 @@ func NewHarness(sc Scenario) *Harness {
 	if sc.Deg.CompressionRatio < 1 {
 		sc.Deg.CompressionRatio = 1
 	}
-	var pl plant
-	switch sc.Kind {
-	case Ring:
-		pl = buildRing(sc)
-	case LeafSpine:
-		pl = buildLeafSpine(sc)
-	case MLAware:
-		pl = buildMLAware(sc)
-	}
-	e := sim.NewEngine(sc.Seed)
-	b := instantiate(e, simnet.Build(e, pl.g, simnet.DefaultSwitchConfig), sc, pl)
+	return newHarness(sc, newPlant(sc))
+}
+
+// newHarness builds the cell of sc, checked and defaulted, on pl, a
+// plant designed for it or for a scenario that shares its design.
+func newHarness(sc Scenario, pl plant) *Harness {
+	b := instantiate(sim.NewEngine(sc.Seed), sc, pl)
 	// Desynchronize clients across the period, as independent cameras
 	// would be.
 	rng := b.engine.RNG("phase")

@@ -61,9 +61,27 @@ func figure6Grid(cfg Figure6Config) []figure6Cell {
 // in the same order as a serial sweep, and the rendered panels are
 // byte-identical for any worker count. Which telemetry sinks merge per
 // cell and which force the grid serial is decided by sweep.RunCells.
-// A client count no cell can be built from is an error, before any
-// cell runs.
+// Cells of one design share one plant, made before any cell runs. A
+// client count no cell can be built from is an error, before anything
+// is built.
 func RunFigure6Checked(cfg Figure6Config) ([]Result, error) {
+	scenarios, costs, err := figure6Scenarios(cfg)
+	if err != nil {
+		return nil, err
+	}
+	plants := figure6Plants(scenarios)
+	return sweep.RunCells(cfg.Workers, len(scenarios), costs, cfg.Sinks, func(i int, s sweep.Sinks) Result {
+		sc := scenarios[i]
+		sc.Sinks = s
+		h := newHarness(sc, plants[i])
+		h.AdvanceTo(h.Horizon())
+		return h.Result()
+	}), nil
+}
+
+// figure6Scenarios expands the config into the checked scenario of
+// each cell, in figure6Grid's order, with the cell's cost.
+func figure6Scenarios(cfg Figure6Config) ([]Scenario, []float64, error) {
 	cells := figure6Grid(cfg)
 	scenarios := make([]Scenario, len(cells))
 	costs := make([]float64, len(cells))
@@ -75,15 +93,38 @@ func RunFigure6Checked(cfg Figure6Config) ([]Result, error) {
 		}
 		sc.INT = cfg.INT
 		if err := checkScenario(sc); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		scenarios[i], costs[i] = sc, c.cost()
 	}
-	return sweep.RunCells(cfg.Workers, len(cells), costs, cfg.Sinks, func(i int, s sweep.Sinks) Result {
-		sc := scenarios[i]
-		sc.Sinks = s
-		return Run(sc)
-	}), nil
+	return scenarios, costs, nil
+}
+
+// figure6Plants designs each cell's plant, once per distinct design. A
+// Ring or Leaf Spine plant depends on the client count alone (the grid
+// holds ClientsPerServer fixed), so both apps share it; an ML-aware
+// plant is dimensioned for its app's demand.
+func figure6Plants(scenarios []Scenario) []plant {
+	type design struct {
+		kind    Kind
+		clients int
+		app     string
+	}
+	made := map[design]plant{}
+	plants := make([]plant, len(scenarios))
+	for i, sc := range scenarios {
+		d := design{kind: sc.Kind, clients: sc.Clients}
+		if sc.Kind == MLAware {
+			d.app = sc.Profile.Name
+		}
+		pl, ok := made[d]
+		if !ok {
+			pl = newPlant(sc)
+			made[d] = pl
+		}
+		plants[i] = pl
+	}
+	return plants
 }
 
 // RunFigure6 is RunFigure6Checked for a configuration the program

@@ -120,14 +120,30 @@ type Result struct {
 	Requests uint64
 }
 
-// plant is one topology kind's design for a scenario: the graph, where
-// its cameras and inference servers attach, and which server each
-// client uses (assign nil means round-robin).
+// plant is one topology kind's design for a scenario: the blueprint of
+// its graph with every static route installed, where its cameras and
+// inference servers attach, and which server each client uses (assign
+// nil means round-robin). A plant is never written once made, so the
+// cells of a sweep that share a design share one plant.
 type plant struct {
-	g                      *topo.Graph
+	bp                     *simnet.Blueprint
 	clientNode, serverNode []topo.NodeID
 	assign                 func(i int) int
 }
+
+// newPlant designs sc's plant.
+func newPlant(sc Scenario) plant {
+	switch sc.Kind {
+	case Ring:
+		return buildRing(sc)
+	case LeafSpine:
+		return buildLeafSpine(sc)
+	}
+	return buildMLAware(sc)
+}
+
+// routed lays g out with its static routes.
+func routed(g *topo.Graph) *simnet.Blueprint { return simnet.NewBlueprint(g).WithStaticRoutes() }
 
 // built is the instantiated simulation: hosts wired, ready to start.
 type built struct {
@@ -189,7 +205,7 @@ func buildRing(sc Scenario) plant {
 		serverNode[i] = g.AddNode(fmt.Sprintf("srv%d", i), topo.KindServer)
 		g.AddEdge(sw[0], serverNode[i], 1e9, 500)
 	}
-	return plant{g: g, clientNode: clientNode, serverNode: serverNode}
+	return plant{bp: routed(g), clientNode: clientNode, serverNode: serverNode}
 }
 
 // buildLeafSpine: the IT shape. 4 spines, one leaf per 16 endpoints,
@@ -223,20 +239,20 @@ func buildLeafSpine(sc Scenario) plant {
 		serverNode[i] = g.AddNode(fmt.Sprintf("srv%d", i), topo.KindServer)
 		g.AddEdge(compute, serverNode[i], 1e9, 500)
 	}
-	return plant{g: g, clientNode: clientNode, serverNode: serverNode}
+	return plant{bp: routed(g), clientNode: clientNode, serverNode: serverNode}
 }
 
-// instantiate commissions net — the plant's graph as equipment — and
-// attaches the clients and servers, each on its host's own engine. The
-// cell's one tracer and its shared frame pool are what still assume a
-// single shard; e is the engine the harness drives.
-func instantiate(e *sim.Engine, net *simnet.Network, sc Scenario, pl plant) built {
+// instantiate makes the plant's equipment on e, the engine the harness
+// drives, and attaches the clients and servers, each on its host's own
+// engine. The cell's one tracer and its shared frame pool are what
+// still assume a single shard.
+func instantiate(e *sim.Engine, sc Scenario, pl plant) built {
 	clientNode, serverNode := pl.clientNode, pl.serverNode
+	net := pl.bp.Instantiate(e, simnet.DefaultSwitchConfig)
 	// Byte-deep buffers: commodity switches hold hundreds of KB per
 	// port; the default 256-frame class limit would incast-drop the
 	// fragmented camera frames and turn queueing into loss.
 	net.SetSwitchQueueDepth(4096)
-	net.InstallStaticRoutes()
 	if sc.Trace != nil {
 		net.SetTracer(0, sc.Trace)
 	}

@@ -8,6 +8,7 @@ import (
 
 	intnet "steelnet/internal/int"
 	"steelnet/internal/mlwork"
+	"steelnet/internal/simnet"
 	"steelnet/internal/telemetry"
 )
 
@@ -258,5 +259,43 @@ func TestFigure6INTExportHasNoCellBoundaries(t *testing.T) {
 	}
 	if bytes.Contains(cli, []byte(`"reordered"`)) {
 		t.Error("Fig. 6 INT export reports reordering across cell boundaries")
+	}
+}
+
+// TestFigure6SharesPlants: the 24 cells of the paper's grid are built
+// from at most 16 plants, a Ring or Leaf Spine cell sharing its plant
+// with the other app's cell of that client count, and a cell on a
+// shared plant ends in the state a lone NewHarness of its scenario
+// ends in.
+func TestFigure6SharesPlants(t *testing.T) {
+	cfg := DefaultFigure6Config()
+	cfg.Horizon = 20 * time.Millisecond
+	scenarios, _, err := figure6Scenarios(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plants := figure6Plants(scenarios)
+	distinct := map[*simnet.Blueprint]bool{}
+	for i, sc := range scenarios {
+		distinct[plants[i].bp] = true
+		if sc.Kind == MLAware {
+			continue
+		}
+		for j, other := range scenarios {
+			if other.Kind == sc.Kind && other.Clients == sc.Clients && plants[j].bp != plants[i].bp {
+				t.Errorf("%v/%d: cells %d and %d build apart", sc.Kind, sc.Clients, i, j)
+			}
+		}
+	}
+	if len(scenarios) != 24 || len(distinct) > 16 {
+		t.Fatalf("%d cells built from %d blueprints, want 24 from at most 16", len(scenarios), len(distinct))
+	}
+	for i, sc := range scenarios {
+		shared, alone := newHarness(sc, plants[i]), NewHarness(sc)
+		shared.AdvanceTo(shared.Horizon())
+		alone.AdvanceTo(alone.Horizon())
+		if shared.Digest() != alone.Digest() {
+			t.Errorf("%v/%d: digest on the shared plant %#x, built alone %#x", sc.Kind, sc.Clients, shared.Digest(), alone.Digest())
+		}
 	}
 }

@@ -190,7 +190,7 @@ func buildMLAware(sc Scenario) plant {
 		serverNode[s] = g.AddNode(fmt.Sprintf("fog%d", s), topo.KindServer)
 		g.AddEdge(pods[plan.PodOfServer[s]], serverNode[s], fogAttach, 500)
 	}
-	return plant{g: g, clientNode: clientNode, serverNode: serverNode,
+	return plant{bp: routed(g), clientNode: clientNode, serverNode: serverNode,
 		assign: func(i int) int { return plan.ServerOfClient[i] }}
 }
 

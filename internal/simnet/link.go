@@ -381,16 +381,18 @@ func (l *Link) Cross() bool { return l.cross != nil }
 // the group's lookahead — the group panics on violation at the first
 // send.
 func ConnectCross(g *sim.ShardGroup, name string, a, b *Port, shardA, shardB int, rateBps float64, prop sim.Duration) *Link {
+	l := &Link{}
+	l.connectCross(g, name, a, b, shardA, shardB, rateBps, prop)
+	return l
+}
+
+// connectCross is ConnectCross on a zero link in place: a network cuts
+// its links from one slab.
+func (l *Link) connectCross(g *sim.ShardGroup, name string, a, b *Port, shardA, shardB int, rateBps float64, prop sim.Duration) {
 	if prop < g.Lookahead() {
 		panic(fmt.Sprintf("simnet: cross-shard link %q propagation %v below group lookahead %v", name, prop, g.Lookahead()))
 	}
-	if a.link != nil || b.link != nil {
-		panic(fmt.Sprintf("simnet: port already connected (link %q)", name))
-	}
-	if rateBps <= 0 {
-		panic("simnet: non-positive link rate")
-	}
-	l := &Link{Name: name, RateBps: rateBps, Prop: prop, up: true}
+	l.connect(nil, name, a, b, rateBps, prop)
 	l.cross = &crossLink{
 		group: g,
 		shard: [2]int{shardA, shardB},
@@ -399,10 +401,6 @@ func ConnectCross(g *sim.ShardGroup, name string, a, b *Port, shardA, shardB int
 			l.crossDeliver(aux&1, arg.(*frame.Frame), aux>>1-1)
 		},
 	}
-	l.ports[0], l.ports[1] = a, b
-	a.link, a.end = l, 0
-	b.link, b.end = l, 1
-	return l
 }
 
 const minWireBytes = 64
@@ -410,17 +408,23 @@ const minWireBytes = 64
 // Connect wires two ports with a new link. Either port already being
 // connected panics: rewiring mid-simulation would corrupt in-flight state.
 func Connect(engine *sim.Engine, name string, a, b *Port, rateBps float64, prop sim.Duration) *Link {
+	l := &Link{}
+	l.connect(engine, name, a, b, rateBps, prop)
+	return l
+}
+
+// connect is Connect on a zero link in place.
+func (l *Link) connect(engine *sim.Engine, name string, a, b *Port, rateBps float64, prop sim.Duration) {
 	if a.link != nil || b.link != nil {
 		panic(fmt.Sprintf("simnet: port already connected (link %q)", name))
 	}
 	if rateBps <= 0 {
 		panic("simnet: non-positive link rate")
 	}
-	l := &Link{Name: name, RateBps: rateBps, Prop: prop, engine: engine, up: true}
+	*l = Link{Name: name, RateBps: rateBps, Prop: prop, engine: engine, up: true}
 	l.ports[0], l.ports[1] = a, b
 	a.link, a.end = l, 0
 	b.link, b.end = l, 1
-	return l
 }
 
 // SetUp changes the link state. Taking a link down drops queued and

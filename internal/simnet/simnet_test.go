@@ -539,8 +539,7 @@ func TestBuildNetworkFromGraph(t *testing.T) {
 func TestInstallStaticRoutesPreventsFlooding(t *testing.T) {
 	e := sim.NewEngine(1)
 	g := topo.Line(3, 1, topo.LinkOT1G, topo.LinkOT1G)
-	n := Build(e, g, SwitchConfig{Latency: sim.Microsecond})
-	n.InstallStaticRoutes()
+	n := NewBlueprint(g).WithStaticRoutes().Instantiate(e, SwitchConfig{Latency: sim.Microsecond})
 	hosts := g.NodesOfKind(topo.KindHost)
 	h0, h2 := n.Host(hosts[0]), n.Host(hosts[2])
 	got := 0

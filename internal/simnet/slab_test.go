@@ -10,20 +10,25 @@ import (
 
 // TestBuildCutsPortsFromOneSlab: after build, every switch's ports are
 // its run of one network-wide array, in node-id order and capped so no
-// switch can grow into its neighbor's, the hosts are one more array in
-// node-id order, and each link end is the very port Switch.Port or
-// Host.Port returns — the pointers links, engine callbacks and traced
-// closures hold stay valid for the network's lifetime.
+// switch can grow into its neighbor's, the switches and the hosts are
+// one more array each in node-id order, and each link end is the very
+// port Switch.Port or Host.Port returns — the pointers links, engine
+// callbacks and traced closures hold stay valid for the network's
+// lifetime.
 func TestBuildCutsPortsFromOneSlab(t *testing.T) {
 	rng := sim.NewRNG(5)
 	for trial := 0; trial < 4; trial++ {
 		g := randomPlant(rng)
 		n := Build(sim.NewEngine(1), g, DefaultSwitchConfig)
-		var next uintptr // where the next switch's ports must start
+		var next, nextSw uintptr // where the next switch's ports and record must start
 		for id, sw := range n.switches {
 			if sw == nil {
 				continue
 			}
+			if at := uintptr(unsafe.Pointer(sw)); nextSw != 0 && at != nextSw {
+				t.Fatalf("trial %d: %s at %#x, want %#x right after the previous switch", trial, sw.Name(), at, nextSw)
+			}
+			nextSw = uintptr(unsafe.Pointer(sw)) + unsafe.Sizeof(Switch{})
 			if len(sw.ports) != g.Degree(topo.NodeID(id)) || cap(sw.ports) != len(sw.ports) {
 				t.Fatalf("trial %d: %s has %d ports (cap %d), degree %d", trial, sw.Name(), len(sw.ports), cap(sw.ports), g.Degree(topo.NodeID(id)))
 			}

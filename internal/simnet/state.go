@@ -154,8 +154,8 @@ func (n *Network) FoldState(d *checkpoint.Digest) {
 			h.FoldState(d)
 		}
 	}
-	for id, l := range n.links {
+	for id := range n.links {
 		d.Int(id)
-		l.FoldState(d)
+		n.links[id].FoldState(d)
 	}
 }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"steelnet/internal/frame"
 	"steelnet/internal/sim"
@@ -75,13 +76,20 @@ type fibEntry struct {
 // the switch spent forwarding. Entries are only ever removed wholesale
 // (FlushDynamic rebuilds the table), so probing needs no tombstones.
 //
+// A table may share its slots with other switches: every switch of a
+// Blueprint's instances starts on the blueprint's image, and every
+// other switch on emptyFIB. A shared table is never written; the first
+// write gives the switch slots of its own. Shared tables hold static
+// entries only, since a learned entry is a write.
+//
 // A slot is one uint64: fibKey(mac)+1 in the high 49 bits, then the
 // static flag, then a 14-bit port. 0 marks an empty slot, and slots
 // compare in MAC order.
 type fibTable struct {
-	slots []uint64 // power-of-two length, at most half full
-	shift uint     // 64 - log2(len(slots))
-	n     int
+	slots  []uint64 // power-of-two length, at most half full
+	shift  uint     // 64 - log2(len(slots))
+	n      int
+	shared bool // slots belong to a blueprint image or emptyFIB
 }
 
 const (
@@ -144,16 +152,20 @@ func (t *fibTable) put(mac frame.MAC, e fibEntry) {
 			s = t.find(key)
 		}
 	}
+	if t.shared {
+		t.slots, t.shared = slices.Clone(t.slots), false
+		s = t.find(key)
+	}
 	*s = e.slot(key)
 }
 
 // minFIBSlots is the smallest table put grows a FIB to.
 const minFIBSlots = 8
 
-// emptyFIB is the table every FIB starts on: one slot that stays empty,
-// because put grows the table before its first write. Shared and never
-// written, it lets a switch hold no table of its own until it needs one.
-var emptyFIB = fibTable{slots: make([]uint64, 1), shift: 64}
+// emptyFIB is the table a switch without a blueprint image starts on:
+// one slot that stays empty, so that a switch holds no table of its own
+// until it needs one.
+var emptyFIB = fibTable{slots: make([]uint64, 1), shift: 64, shared: true}
 
 // reserve sizes the table for n entries in all, so that inserting them
 // grows nothing. The size is the one put's doubling would reach after n
@@ -172,7 +184,7 @@ func (t *fibTable) reserve(n int) {
 // only the static ones if staticOnly.
 func (t *fibTable) rebuild(size int, staticOnly bool) {
 	old := t.slots
-	t.slots = make([]uint64, size)
+	t.slots, t.shared = make([]uint64, size), false
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	for _, s := range old {
 		switch {
@@ -199,22 +211,25 @@ var DefaultSwitchConfig = SwitchConfig{Latency: 2 * sim.Microsecond, Jitter: 50 
 
 // NewSwitch creates a switch with nports ports, at most MaxSwitchPorts.
 func NewSwitch(engine *sim.Engine, name string, nports int, cfg SwitchConfig) *Switch {
-	return newSwitch(engine, name, make([]Port, nports), cfg)
+	s := &Switch{}
+	s.init(engine, name, make([]Port, nports), make([]bool, nports), emptyFIB, cfg)
+	return s
 }
 
-// newSwitch creates a switch on ports, zero Ports it owns from now on:
-// one array of its own, or its cut of a network's slab. It panics above
+// init readies a zero switch in place on ports and blocked, zero slices
+// of one length it owns from now on (arrays of its own, or its cuts of a
+// network's slabs), with fib as its starting table. It panics above
 // MaxSwitchPorts ports.
-func newSwitch(engine *sim.Engine, name string, ports []Port, cfg SwitchConfig) *Switch {
+func (s *Switch) init(engine *sim.Engine, name string, ports []Port, blocked []bool, fib fibTable, cfg SwitchConfig) {
 	if len(ports) > MaxSwitchPorts {
 		panic(fmt.Sprintf("simnet: switch %s: %d ports, at most %d", name, len(ports), MaxSwitchPorts))
 	}
-	s := &Switch{
+	*s = Switch{
 		name:        name,
 		engine:      engine,
 		ports:       ports,
-		blocked:     make([]bool, len(ports)),
-		fib:         emptyFIB,
+		blocked:     blocked,
+		fib:         fib,
 		defaultPort: -1,
 		latency:     cfg.Latency,
 		jitter:      cfg.Jitter,
@@ -223,7 +238,6 @@ func newSwitch(engine *sim.Engine, name string, ports []Port, cfg SwitchConfig) 
 	for i := range ports {
 		ports[i].init(s, i)
 	}
-	return s
 }
 
 // Name implements Node.
@@ -309,7 +323,12 @@ func (s *Switch) PortBlocked(port int) bool {
 
 // FlushDynamic clears every learned (non-static) FIB entry — what a
 // topology-change notification triggers so traffic can re-learn paths.
-func (s *Switch) FlushDynamic() { s.fib.rebuild(len(s.fib.slots), true) }
+// A shared table has learned nothing, so it stays as it is.
+func (s *Switch) FlushDynamic() {
+	if !s.fib.shared {
+		s.fib.rebuild(len(s.fib.slots), true)
+	}
+}
 
 // Fail crashes the switch: everything volatile dies — queued egress
 // frames, paused transmissions, the learned FIB — and until Restart the

@@ -212,8 +212,8 @@ func (n *Network) RegisterMetrics(r *telemetry.Registry) {
 			RegisterHostMetrics(r, h)
 		}
 	}
-	for _, l := range n.links {
-		RegisterLinkMetrics(r, l)
+	for i := range n.links {
+		RegisterLinkMetrics(r, &n.links[i])
 	}
 	if n.Group == nil {
 		telemetry.RegisterEngineMetrics(r, n.engines[0])
@@ -260,8 +260,8 @@ func (n *Network) Account() Accounting {
 			a.Add(p)
 		}
 	}
-	for _, l := range n.links {
-		a.AddCrossLink(l)
+	for i := range n.links {
+		a.AddCrossLink(&n.links[i])
 	}
 	return a
 }

@@ -195,10 +195,10 @@ func TestShardedMatchesUnshardedEquipment(t *testing.T) {
 		acct   Accounting
 		rx     []uint64
 	}
-	// drive routes n statically, has every host send to the next one on
-	// its own period, runs to the horizon and reads the equipment back.
+	// drive has every host of n, routed statically, send to the next
+	// one on its own period, runs to the horizon and reads the equipment
+	// back.
 	drive := func(n *Network, advance func()) outcome {
-		n.InstallStaticRoutes()
 		hosts := n.Graph.NodesOfKind(topo.KindHost)
 		for i, id := range hosts {
 			src, dst := n.Host(id), n.Host(hosts[(i+1)%len(hosts)]).MAC()
@@ -228,9 +228,13 @@ func TestShardedMatchesUnshardedEquipment(t *testing.T) {
 		part := randomPartition(rng, g, k, k > 1 && trial%3 == 0)
 
 		e := sim.NewEngine(7)
-		want := drive(Build(e, g, cfg), func() { e.RunUntil(horizon) })
+		want := drive(NewBlueprint(g).WithStaticRoutes().Instantiate(e, cfg), func() { e.RunUntil(horizon) })
 
-		n, err := NewSharded(7, g, part, cfg)
+		bp, err := NewShardedBlueprint(g, part)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		n, err := bp.WithStaticRoutes().InstantiateSharded(7, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -332,11 +336,14 @@ func TestAddCrossLinkIgnoresLocalLinks(t *testing.T) {
 // home: every call crosses the cross-shard link once each way.
 func crossPath(tb testing.TB) (*Network, func()) {
 	g, part := twoCellGraph(5000)
-	n, err := NewSharded(42, g, part, SwitchConfig{Latency: sim.Microsecond})
+	bp, err := NewShardedBlueprint(g, part)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	n.InstallStaticRoutes()
+	n, err := bp.WithStaticRoutes().InstantiateSharded(42, SwitchConfig{Latency: sim.Microsecond})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	a0, b0 := n.Host(2), n.Host(4)
 	pool := &frame.Pool{}
 	a0.OnReceive(pool.Put)

@@ -178,7 +178,7 @@ BenchmarkInstaPLCCycle                 0 a Fig. 5 I/O cycle through vPLCs, pipel
 BenchmarkEngineShardedLocalSteady      0 per-shard arenas: window barriers must run GC-free
 BenchmarkEngineShardedCross            0 outbox slots, the barrier merge buffer and delivery slots must be reused
 BenchmarkCrossShardForwarding          0 a frame crossing a cross-shard link must ride a recycled delivery slot, not a closure
-BenchmarkCampus10kBuild           156658 graph and FIBs sized once, ports and hosts one slab each: 155,107 allocs/op plus 1 %
+BenchmarkCampus10kBuild           116093 graph and FIBs sized once, switches, links, ports and hosts one slab each: 114,944 allocs/op plus 1 %
 BenchmarkHubPublish\/subs=1            0 hub publish must be one channel send, the payload bytes shared
 BenchmarkHubPublish\/subs=64           0 hub fan-out must not allocate per subscriber
 BenchmarkHubPublish\/subs=1024         0 hub fan-out must stay allocation-free at SSE-fleet scale

@@ -152,17 +152,25 @@ invariance() {
 # INT, the SLO watchdog and the flight recorder survive checkpoint and
 # restore at the CLI: -checkpoint saves at the horizon, the resume
 # replays the whole window into fresh instances, and every artefact and
-# stdout must match the straight run's.
+# stdout must match the straight run's. The round trip runs on the
+# default crash and again on a fault plan, which the checkpoint records
+# and the restore decodes.
 int_replay() {
-    go run ./cmd/instaplcd -horizon 1500ms -fail 700ms \
-        -int straight.int.jsonl -slo 'latency:*<1us' \
-        -flightrec straight.rec.jsonl \
-        -checkpoint ck.bin > straight.out
-    go run ./cmd/instaplcd -resume ck.bin \
-        -int resumed.int.jsonl -slo 'latency:*<1us' \
-        -flightrec resumed.rec.jsonl > resumed.out
-    for f in int.jsonl int.jsonl.slo.jsonl rec.jsonl out; do
-        cmp straight.$f resumed.$f
+    local plan='hoststall:vplc1@900ms+200ms,loss:dp.2@300ms+400ms*0.2'
+    local p f faults
+    for p in "" faulted.; do
+        faults=()
+        [ -z "$p" ] || faults=(-faults "$plan")
+        go run ./cmd/instaplcd -horizon 1500ms -fail 700ms "${faults[@]}" \
+            -int straight.${p}int.jsonl -slo 'latency:*<1us' \
+            -flightrec straight.${p}rec.jsonl \
+            -checkpoint ck.${p}bin > straight.${p}out
+        go run ./cmd/instaplcd -resume ck.${p}bin "${faults[@]}" \
+            -int resumed.${p}int.jsonl -slo 'latency:*<1us' \
+            -flightrec resumed.${p}rec.jsonl > resumed.${p}out
+        for f in int.jsonl int.jsonl.slo.jsonl rec.jsonl out; do
+            cmp straight.$p$f resumed.$p$f
+        done
     done
 }
 
