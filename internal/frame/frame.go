@@ -107,11 +107,11 @@ type Frame struct {
 	next *Frame
 }
 
-// Meta carries per-frame simulation metadata (ingress port, timestamps).
+// Meta carries per-frame simulation metadata: the creation instant, the
+// flow and the trace id.
 type Meta struct {
-	IngressPort int
-	CreatedAt   int64 // ns, set by the original sender
-	FlowID      uint32
+	CreatedAt int64 // ns, set by the original sender
+	FlowID    uint32
 	// TraceID is the telemetry tracer's frame id, assigned lazily at the
 	// frame's first traced event; 0 means untraced. Clones keep the id,
 	// so flooded copies share one lifecycle line in the trace.

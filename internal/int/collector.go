@@ -64,7 +64,8 @@ type PathDigest struct {
 	// HopAggs aggregates per hop, aligned with Hops.
 	HopAggs []HopAgg
 
-	lastNS    int64 // previous frame's e2e latency
+	key       string // the collector's map key for the digest
+	lastNS    int64  // previous frame's e2e latency
 	hasJitter bool
 }
 
@@ -122,11 +123,14 @@ type flowKey struct {
 	flow uint32
 }
 
-// flowState tracks per-flow sequence continuity and the current path.
+// flowState tracks per-flow sequence continuity and the current path:
+// the digest of the path the flow's last frame took, which a frame on
+// the same path finds without building the path key. It is a digest of
+// the collector that holds the flow state.
 type flowState struct {
 	lastSeq   uint32
 	lastAtNS  int64
-	path      string // current path key
+	cur       *PathDigest
 	received  uint64
 	lost      uint64
 	reordered uint64
@@ -180,6 +184,44 @@ func (c *Collector) pathKey(sink string, st *frame.INTStack) []byte {
 	return b
 }
 
+// onPath reports whether st, arriving on p's flow at p's sink, took p's
+// path. A hop's node name is the stamping node's own string, as is the
+// digest's copy of it, so equal names compare by pointer.
+func (p *PathDigest) onPath(st *frame.INTStack) bool {
+	if p.Source != st.Source || len(p.Hops) != len(st.Hops) {
+		return false
+	}
+	for i := range st.Hops {
+		if p.Hops[i] != st.Hops[i].Node {
+			return false
+		}
+	}
+	return true
+}
+
+// pathDigest returns the digest of st's path to sink, creating it for
+// a first frame that took e2e and arrived at nowNS.
+func (c *Collector) pathDigest(sink string, st *frame.INTStack, e2e, nowNS int64) *PathDigest {
+	key := c.pathKey(sink, st)
+	if p := c.paths[string(key)]; p != nil {
+		return p
+	}
+	p := &PathDigest{
+		Sink: sink, Source: st.Source, Flow: st.FlowID,
+		MinNS: e2e, MaxNS: e2e, FirstAtNS: nowNS,
+		Hops:    make([]string, len(st.Hops)),
+		HopAggs: make([]HopAgg, len(st.Hops)),
+		key:     string(key),
+	}
+	for i, h := range st.Hops {
+		p.Hops[i] = h.Node
+		p.HopAggs[i] = HopAgg{Node: h.Node, MinNS: h.HopLatencyNS(), MaxNS: h.HopLatencyNS()}
+	}
+	c.paths[p.key] = p
+	c.order = append(c.order, p)
+	return p
+}
+
 // SinkINT terminates f's INT stack at sink node at simulated time
 // nowNS, folding it into the path digest and flow state. The caller
 // strips the stack from the frame afterwards.
@@ -191,21 +233,16 @@ func (c *Collector) SinkINT(node string, f *frame.Frame, nowNS int64) {
 	c.Observations++
 	e2e := nowNS - st.SourceNS
 
-	key := c.pathKey(node, st)
-	p := c.paths[string(key)]
-	if p == nil {
-		p = &PathDigest{
-			Sink: node, Source: st.Source, Flow: st.FlowID,
-			MinNS: e2e, MaxNS: e2e, FirstAtNS: nowNS,
-			Hops:    make([]string, len(st.Hops)),
-			HopAggs: make([]HopAgg, len(st.Hops)),
-		}
-		for i, h := range st.Hops {
-			p.Hops[i] = h.Node
-			p.HopAggs[i] = HopAgg{Node: h.Node, MinNS: h.HopLatencyNS(), MaxNS: h.HopLatencyNS()}
-		}
-		c.paths[string(key)] = p
-		c.order = append(c.order, p)
+	fk := flowKey{sink: node, flow: st.FlowID}
+	fs := c.flows[fk]
+	if fs == nil {
+		fs = &flowState{}
+		c.flows[fk] = fs
+		c.fkeys = append(c.fkeys, fk)
+	}
+	p := fs.cur
+	if p == nil || !p.onPath(st) {
+		p = c.pathDigest(node, st, e2e, nowNS)
 	}
 
 	var jitter int64
@@ -253,13 +290,6 @@ func (c *Collector) SinkINT(node string, f *frame.Frame, nowNS int64) {
 		}
 	}
 
-	fk := flowKey{sink: node, flow: st.FlowID}
-	fs := c.flows[fk]
-	if fs == nil {
-		fs = &flowState{}
-		c.flows[fk] = fs
-		c.fkeys = append(c.fkeys, fk)
-	}
 	prevSeq := fs.lastSeq
 	var newlyLost uint64
 	switch {
@@ -273,18 +303,18 @@ func (c *Collector) SinkINT(node string, f *frame.Frame, nowNS int64) {
 		fs.lastSeq = st.Seq
 	}
 	fs.received++
-	if fs.path != string(key) {
-		if fs.path != "" {
+	if fs.cur != p {
+		if fs.cur != nil {
 			var silent uint32
 			if st.Seq > prevSeq+1 {
 				silent = st.Seq - prevSeq - 1
 			}
 			c.changes = append(c.changes, PathChange{
-				Sink: node, Flow: st.FlowID, From: fs.path, To: string(key),
+				Sink: node, Flow: st.FlowID, From: fs.cur.key, To: p.key,
 				AtNS: nowNS, GapNS: nowNS - fs.lastAtNS, AtSeq: st.Seq, Silent: silent,
 			})
 		}
-		fs.path = string(key)
+		fs.cur = p
 	}
 	fs.lastAtNS = nowNS
 
@@ -314,13 +344,12 @@ func (c *Collector) PathChanges() []PathChange { return c.changes }
 // disjoint simulations.
 func (c *Collector) Absorb(other *Collector) {
 	for _, op := range other.order {
-		key := c.absorbKey(op)
-		p := c.paths[key]
+		p := c.paths[op.key]
 		if p == nil {
 			cp := *op
 			cp.Hops = append([]string(nil), op.Hops...)
 			cp.HopAggs = append([]HopAgg(nil), op.HopAggs...)
-			c.paths[key] = &cp
+			c.paths[op.key] = &cp
 			c.order = append(c.order, &cp)
 			continue
 		}
@@ -363,6 +392,7 @@ func (c *Collector) Absorb(other *Collector) {
 		fs := c.flows[fk]
 		if fs == nil {
 			cp := *ofs
+			cp.cur = c.paths[ofs.cur.key] // c's digest of the path, not other's
 			c.flows[fk] = &cp
 			c.fkeys = append(c.fkeys, fk)
 			continue
@@ -373,22 +403,6 @@ func (c *Collector) Absorb(other *Collector) {
 	}
 	c.changes = append(c.changes, other.changes...)
 	c.Observations += other.Observations
-}
-
-// absorbKey rebuilds the digest-map key from a digest (Absorb has no
-// frame to key from).
-func (c *Collector) absorbKey(p *PathDigest) string {
-	b := c.scratch[:0]
-	b = append(b, p.Sink...)
-	b = append(b, 0)
-	b = append(b, byte(p.Flow), byte(p.Flow>>8), byte(p.Flow>>16), byte(p.Flow>>24))
-	b = append(b, p.Source...)
-	for _, h := range p.Hops {
-		b = append(b, 0)
-		b = append(b, h...)
-	}
-	c.scratch = b
-	return string(b)
 }
 
 // FoldState folds the collector's digests (first-seen order), flow
@@ -430,7 +444,7 @@ func (c *Collector) FoldState(d *checkpoint.Digest) {
 		d.U64(uint64(fk.flow))
 		d.U64(uint64(fs.lastSeq))
 		d.I64(fs.lastAtNS)
-		d.Str(fs.path)
+		d.Str(fs.cur.key)
 		d.U64(fs.received)
 		d.U64(fs.lost)
 		d.U64(fs.reordered)

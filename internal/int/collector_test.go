@@ -2,6 +2,8 @@ package intnet
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
 	"steelnet/internal/checkpoint"
@@ -101,6 +103,115 @@ func TestCollectorPathChange(t *testing.T) {
 	}
 	if ch.From == "" || ch.From == ch.To {
 		t.Fatalf("change keys: from %q to %q", ch.From, ch.To)
+	}
+}
+
+// pathKeyOf is a path's key as the collector has always spelled it:
+// sink, NUL, the flow id little-endian, source, then NUL and each hop.
+func pathKeyOf(sink string, flow uint32, source string, hops ...string) string {
+	k := sink + "\x00" + string([]byte{byte(flow), byte(flow >> 8), byte(flow >> 16), byte(flow >> 24)}) + source
+	for _, h := range hops {
+		k += "\x00" + h
+	}
+	return k
+}
+
+// TestCollectorPathChangesMidRun moves one flow across paths while a
+// second flow at the same sink stays put: onto a new path, back to one
+// it has used before, onto a longer path over the same first hop, and
+// from a different source. Every move is one PathChange whose keys are
+// the full path keys, a return reuses the path's digest, and frames on
+// an unchanged path record nothing.
+func TestCollectorPathChangesMidRun(t *testing.T) {
+	c := NewCollector()
+	via := func(nodes ...string) []frame.INTHop {
+		hops := make([]frame.INTHop, len(nodes))
+		for i, n := range nodes {
+			hops[i] = frame.INTHop{Node: n, IngressNS: 1, EgressNS: 2}
+		}
+		return hops
+	}
+	type arrival struct {
+		source string
+		flow   uint32
+		seq    uint32
+		nowNS  int64
+		hops   []string
+	}
+	for _, a := range []arrival{
+		{"src", 1, 1, 100, []string{"sw1", "sw2"}},
+		{"src", 2, 1, 110, []string{"sw9"}},
+		{"src", 1, 2, 200, []string{"sw1", "sw2"}},
+		{"src", 1, 3, 300, []string{"sw1", "sw3"}}, // a new path
+		{"src", 2, 2, 310, []string{"sw9"}},
+		{"src", 1, 6, 600, []string{"sw1", "sw2"}}, // back, after a gap
+		{"src", 1, 7, 700, []string{"sw1", "sw2"}},
+		{"src", 1, 8, 800, []string{"sw1", "sw2", "sw4"}}, // longer path
+		{"alt", 1, 9, 900, []string{"sw1", "sw2", "sw4"}}, // same hops, other source
+		{"alt", 1, 10, 1000, []string{"sw1", "sw2", "sw4"}},
+	} {
+		sinkFrame(c, "dst", a.source, a.flow, a.seq, 0, a.nowNS, via(a.hops...)...)
+	}
+
+	k12 := pathKeyOf("dst", 1, "src", "sw1", "sw2")
+	k13 := pathKeyOf("dst", 1, "src", "sw1", "sw3")
+	k124 := pathKeyOf("dst", 1, "src", "sw1", "sw2", "sw4")
+	alt := pathKeyOf("dst", 1, "alt", "sw1", "sw2", "sw4")
+	want := []PathChange{
+		{Sink: "dst", Flow: 1, From: k12, To: k13, AtNS: 300, GapNS: 100, AtSeq: 3},
+		{Sink: "dst", Flow: 1, From: k13, To: k12, AtNS: 600, GapNS: 300, AtSeq: 6, Silent: 2},
+		{Sink: "dst", Flow: 1, From: k12, To: k124, AtNS: 800, GapNS: 100, AtSeq: 8},
+		{Sink: "dst", Flow: 1, From: k124, To: alt, AtNS: 900, GapNS: 100, AtSeq: 9},
+	}
+	if got := c.PathChanges(); !slices.Equal(got, want) {
+		t.Fatalf("path changes:\n got %+v\nwant %+v", got, want)
+	}
+	type digest struct {
+		source string
+		flow   uint32
+		hops   string
+		count  uint64
+	}
+	var got []digest
+	for _, p := range c.Digests() {
+		got = append(got, digest{p.Source, p.Flow, strings.Join(p.Hops, ","), p.Count})
+	}
+	wantDigests := []digest{
+		{"src", 1, "sw1,sw2", 4},
+		{"src", 2, "sw9", 2},
+		{"src", 1, "sw1,sw3", 1},
+		{"src", 1, "sw1,sw2,sw4", 1},
+		{"alt", 1, "sw1,sw2,sw4", 2},
+	}
+	if !slices.Equal(got, wantDigests) {
+		t.Fatalf("digests:\n got %+v\nwant %+v", got, wantDigests)
+	}
+}
+
+// TestCollectorAbsorbKeepsItsOwnPaths: a flow absorbed from another
+// collector continues on the absorbing collector's own digest of its
+// path. A frame on that path after the merge counts there, changes
+// nothing in the source collector, and is no path change.
+func TestCollectorAbsorbKeepsItsOwnPaths(t *testing.T) {
+	via := frame.INTHop{Node: "sw1", IngressNS: 1, EgressNS: 2}
+	src := NewCollector()
+	sinkFrame(src, "dst", "src", 1, 1, 0, 100, via)
+	sinkFrame(src, "dst", "src", 1, 2, 0, 200, via)
+	merged := NewCollector()
+	merged.Absorb(src)
+	sinkFrame(merged, "dst", "src", 1, 3, 0, 300, via)
+
+	if n := src.Digests()[0].Count; n != 2 {
+		t.Fatalf("the source collector's digest counts %d frames after the merge, want 2", n)
+	}
+	if len(merged.Digests()) != 1 || merged.Digests()[0].Count != 3 {
+		t.Fatalf("merged digests = %d, first counting %d; want 1 counting 3", len(merged.Digests()), merged.Digests()[0].Count)
+	}
+	if n := len(merged.PathChanges()); n != 0 {
+		t.Fatalf("merged recorded %d path changes, want 0", n)
+	}
+	if cur := merged.flows[flowKey{sink: "dst", flow: 1}].cur; cur != merged.Digests()[0] {
+		t.Fatal("the absorbed flow's current path is not a digest of the absorbing collector")
 	}
 }
 

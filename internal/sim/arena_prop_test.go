@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -89,16 +90,20 @@ func (m *refModel) popMin() (int, bool) {
 }
 
 // What a model event does when it fires, mirrored by the engine-side
-// callback: nothing, or schedule a child (whose id is the parent's id +
-// 1, reserved when the parent was scheduled).
+// callback: nothing, schedule a child (whose id is the parent's id + 1,
+// reserved when the parent was scheduled), or cancel event target,
+// whatever its vintage by then: not yet scheduled, pending (perhaps
+// staged in the same batch), fired, or cancelled already.
 const (
 	actNone = iota
 	actChild
+	actCancel
 )
 
 type refAction struct {
 	kind       int
 	childDelay Duration
+	target     int
 }
 
 // orderHarness drives one engine and the reference model through the
@@ -122,14 +127,27 @@ type orderHarness struct {
 
 	fired      []int // ids in engine firing order
 	modelFired []int // ids in model firing order
-	handles    []Event
-	handleIDs  []int // parallel: the id each handle was issued for
-	nextID     int
-	ops        int
+	// engineTook and modelTook record, per cancel issued from inside a
+	// callback, whether it found its event pending.
+	engineTook, modelTook []bool
+	// batch holds the ids of the same-instant batch a run is firing that
+	// have not fired yet: the engine has taken them off its queue
+	// (staged), so cancelling one leaves nothing dead behind.
+	batch     []int
+	handles   []Event
+	handleIDs []int       // parallel: the id each handle was issued for
+	handleOf  map[int]int // id -> its handle's index
+	// modelHas holds the ids the model has scheduled. It runs behind the
+	// engine (which schedules children as it fires), but at each firing
+	// both sides have scheduled the same ids.
+	modelHas map[int]bool
+	nextID   int
+	ops      int
 }
 
 func newOrderHarness(t testing.TB, seed uint64) *orderHarness {
-	return &orderHarness{t: t, e: NewEngine(seed), acts: map[int]refAction{}}
+	return &orderHarness{t: t, e: NewEngine(seed), acts: map[int]refAction{},
+		handleOf: map[int]int{}, modelHas: map[int]bool{}}
 }
 
 func (h *orderHarness) fatalf(format string, args ...any) {
@@ -150,20 +168,53 @@ func (h *orderHarness) schedule(delay Duration, act refAction) {
 		at = h.e.Now().Add(delay % 1024) // stay inside Time's range
 	}
 	h.engineSchedule(at, id)
+	h.modelSchedule(at, id)
+}
+
+func (h *orderHarness) modelSchedule(at Time, id int) {
 	h.model.schedule(at, id)
+	h.modelHas[id] = true
 }
 
 // engineSchedule is the engine's half of a schedule; the model's half
-// of a child happens when the model fires the parent (modelFire).
+// of a child happens when the model fires the parent (modelFire). Odd
+// ids go through ScheduleCall with a harnessCall as the handler, even
+// ids through Schedule with a closure, so the two kinds of slot
+// interleave in every list of the queue.
 func (h *orderHarness) engineSchedule(at Time, id int) {
-	ev := h.e.Schedule(at, func() {
-		h.fired = append(h.fired, id)
-		if act := h.acts[id]; act.kind == actChild {
-			h.engineSchedule(h.e.Now().Add(act.childDelay), id+1)
-		}
-	})
+	var ev Event
+	if id%2 == 1 {
+		ev = h.e.ScheduleCall(at, &harnessCall{h, id})
+	} else {
+		ev = h.e.Schedule(at, func() { h.onFire(id) })
+	}
+	h.handleOf[id] = len(h.handles)
 	h.handles = append(h.handles, ev)
 	h.handleIDs = append(h.handleIDs, id)
+}
+
+// harnessCall is the handler of a ScheduleCall event of the harness.
+type harnessCall struct {
+	h  *orderHarness
+	id int
+}
+
+func (c *harnessCall) Fire() { c.h.onFire(c.id) }
+
+// onFire is the engine-side callback of event id.
+func (h *orderHarness) onFire(id int) {
+	h.fired = append(h.fired, id)
+	switch act := h.acts[id]; act.kind {
+	case actChild:
+		h.engineSchedule(h.e.Now().Add(act.childDelay), id+1)
+	case actCancel:
+		took := false
+		if i, ok := h.handleOf[act.target]; ok {
+			took = h.handles[i].Pending()
+			h.handles[i].Cancel()
+		}
+		h.engineTook = append(h.engineTook, took)
+	}
 }
 
 // cancel cancels the i-th handle ever issued, whatever its vintage —
@@ -174,13 +225,7 @@ func (h *orderHarness) cancel(i int) {
 	ev, id := h.handles[i], h.handleIDs[i]
 	wasPending := ev.Pending()
 	ev.Cancel()
-	gone, took := h.model.cancel(id)
-	if took {
-		h.dead = append(h.dead, gone)
-		if n := len(h.dead); n >= reapMinDead && n*2 > n+len(h.model.pending) {
-			h.dead = h.dead[:0] // compaction
-		}
-	}
+	took := h.modelCancel(i)
 	if wasPending != took {
 		h.fatalf("handle for id %d Pending()=%v but model pending=%v", id, wasPending, took)
 	}
@@ -190,6 +235,28 @@ func (h *orderHarness) cancel(i int) {
 	if took && !ev.Cancelled() {
 		h.fatalf("cancel of id %d took effect but Cancelled()=false", id)
 	}
+}
+
+// modelCancel is the model's half of cancelling the i-th handle: a
+// pending event leaves the model, and unless the running batch had
+// already staged it, it stays queued dead until reaped. It reports
+// whether the event was pending.
+func (h *orderHarness) modelCancel(i int) bool {
+	gone, took := h.model.cancel(h.handleIDs[i])
+	if !took {
+		return false
+	}
+	if j := slices.Index(h.batch, gone.id); j >= 0 {
+		h.batch = slices.Delete(h.batch, j, j+1)
+		return true
+	}
+	h.dead = append(h.dead, gone)
+	// The engine compacts against the events still queued: pending ones
+	// less the staged batch, plus the dead.
+	if n := len(h.dead); n >= reapMinDead && n*2 > n+len(h.model.pending)-len(h.batch) {
+		h.dead = h.dead[:0] // compaction
+	}
+	return true
 }
 
 // reap drops the cancelled events keep rejects.
@@ -221,12 +288,25 @@ func (h *orderHarness) modelFire(deadline Time, run bool) bool {
 	}
 	if run {
 		h.reap(func(d refEvent) bool { return d.at != at })
+		if len(h.batch) == 0 {
+			// A new batch: everything pending at the instant, in order.
+			for _, ev := range h.model.pending {
+				if ev.at == at {
+					h.batch = append(h.batch, ev.id)
+				}
+			}
+		}
+		h.batch = slices.DeleteFunc(h.batch, func(b int) bool { return b == id })
 	}
 	h.model.popMin()
 	h.now = at
 	h.modelFired = append(h.modelFired, id)
-	if act := h.acts[id]; act.kind == actChild {
-		h.model.schedule(at.Add(act.childDelay), id+1)
+	switch act := h.acts[id]; act.kind {
+	case actChild:
+		h.modelSchedule(at.Add(act.childDelay), id+1)
+	case actCancel:
+		took := h.modelHas[act.target] && h.modelCancel(h.handleOf[act.target])
+		h.modelTook = append(h.modelTook, took)
 	}
 	return true
 }
@@ -293,6 +373,10 @@ func (h *orderHarness) check() {
 		}
 	}
 	h.fired, h.modelFired = h.fired[:0], h.modelFired[:0]
+	if !slices.Equal(h.engineTook, h.modelTook) {
+		h.fatalf("cancels from callbacks found their events pending %v, model %v", h.engineTook, h.modelTook)
+	}
+	h.engineTook, h.modelTook = h.engineTook[:0], h.modelTook[:0]
 	if h.e.Pending() != len(h.model.pending) {
 		h.fatalf("Pending()=%d, model has %d", h.e.Pending(), len(h.model.pending))
 	}
@@ -327,8 +411,14 @@ func TestArenaMatchesReferenceModel(t *testing.T) {
 				delay <<= uint(rng.Intn(40))
 			}
 			act := refAction{}
-			if rng.Intn(10) == 1 {
+			switch rng.Intn(10) {
+			case 1:
 				act = refAction{kind: actChild, childDelay: Duration(rng.Intn(3))}
+			case 2: // one of the next few events, or any earlier one
+				act = refAction{kind: actCancel, target: h.nextID + 1 + rng.Intn(4)}
+				if rng.Intn(2) == 0 {
+					act.target = rng.Intn(h.nextID + 1)
+				}
 			}
 			h.schedule(delay, act)
 		}
@@ -367,11 +457,15 @@ func TestArenaMatchesReferenceModel(t *testing.T) {
 // without firing, and timestamps on every level.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 9, 8, 3, 6, 20})
+	// Events that cancel the next one scheduled into their own batch,
+	// a ScheduleCall event and a Schedule one.
+	f.Add([]byte{12, 8, 0, 0, 0, 0, 8, 5})
+	f.Add([]byte{0, 0, 12, 8, 0, 0, 0, 0, 8, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := newOrderHarness(t, 1)
 		for i := 0; i+1 < len(data) && i < 2000; i += 2 {
 			op, arg := data[i], int(data[i+1])
-			switch op % 12 {
+			switch op % 13 {
 			case 0, 1:
 				h.schedule(Duration(arg%16), refAction{})
 			case 2: // every queue level up to 2^62
@@ -398,6 +492,8 @@ func FuzzEngineOrder(f *testing.F) {
 				for k := 0; k < 70 && k < len(h.handles); k++ {
 					h.cancel((arg + k) % len(h.handles))
 				}
+			case 12: // an event that cancels an event of any vintage
+				h.schedule(Duration(arg%4), refAction{kind: actCancel, target: h.nextID - arg>>2%16 + 3})
 			}
 			h.check()
 		}

@@ -8,15 +8,32 @@ import "fmt"
 // by the event currently firing is the first one a reschedule from
 // inside its callback gets back — which is how Tickers reuse one slot
 // for their entire life.
+//
+// A slot holds what it runs as one Handler, two words: the receiver's
+// Fire method (ScheduleCall), or a plain func() (Schedule). A frame's
+// hop then needs no closure over its receiver, only the receiver, and
+// the slot stays at 48 bytes: its engine is in the Event handle, not
+// in the slot, since only Cancel needs it.
 type slot struct {
 	at    Time
 	seq   uint64 // tie-breaker: FIFO among events at the same instant
-	fn    func()
+	h     Handler
 	gen   uint32 // bumped on reuse; invalidates stale Event handles
 	state uint8
 	next  *slot // the one list the slot is on: queue bucket, staged batch or free list
-	eng   *Engine
 }
+
+// A Handler is what an event runs: the engine calls Fire when the
+// event fires. A pointer to a component (or to a type defined on it,
+// one per kind of event) is a Handler that allocates nothing to
+// schedule.
+type Handler interface{ Fire() }
+
+// funcHandler is a Schedule callback as a Handler. fire calls it
+// directly, never through Fire.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
 
 // slot states. The zero value is idle (never scheduled). Staged is a
 // transient batch state: the slot has been taken off the queue as part
@@ -37,6 +54,7 @@ const (
 // false instead of acting on the unrelated new event.
 type Event struct {
 	s   *slot
+	eng *Engine
 	gen uint32
 }
 
@@ -61,8 +79,8 @@ func (h Event) Cancel() {
 	switch s.state {
 	case statePending:
 		s.state = stateCancelled
-		s.fn = nil
-		e := s.eng
+		s.h = nil
+		e := h.eng
 		e.live--
 		e.dead++
 		e.maybeReap()
@@ -70,8 +88,8 @@ func (h Event) Cancel() {
 		// Not in the queue anymore: no dead++ and no reap — the batch
 		// loop skips and releases it.
 		s.state = stateCancelled
-		s.fn = nil
-		s.eng.live--
+		s.h = nil
+		h.eng.live--
 	}
 }
 
@@ -187,13 +205,12 @@ func (e *Engine) Stats() EngineStats {
 
 // alloc takes a slot from the free list (growing the arena by one chunk
 // when empty) and initializes it as pending.
-func (e *Engine) alloc(at Time, fn func()) *slot {
+func (e *Engine) alloc(at Time, h Handler) *slot {
 	s := e.free
 	if s == nil {
 		chunk := make([]slot, arenaChunk)
 		e.chunks = append(e.chunks, chunk)
 		for i := range chunk {
-			chunk[i].eng = e
 			chunk[i].next = e.free
 			e.free = &chunk[i]
 		}
@@ -204,34 +221,41 @@ func (e *Engine) alloc(at Time, fn func()) *slot {
 	s.gen++
 	s.at = at
 	s.seq = e.seq
-	s.fn = fn
+	s.h = h
 	s.state = statePending
 	e.seq++
 	return s
 }
 
 // release returns a slot to the free list. The slot keeps its gen and
-// terminal state until reused, so handles stay readable meanwhile.
+// terminal state until reused, so handles stay readable meanwhile; its
+// handler is already cleared, so a free slot keeps nothing reachable.
 func (e *Engine) release(s *slot) {
-	s.fn = nil
 	s.next = e.free
 	e.free = s
 }
 
 // Schedule runs fn at absolute virtual time at. Scheduling in the past
 // panics: it would silently violate causality.
-func (e *Engine) Schedule(at Time, fn func()) Event {
+func (e *Engine) Schedule(at Time, fn func()) Event { return e.schedule(at, funcHandler(fn)) }
+
+// ScheduleCall runs h.Fire() at absolute virtual time at, like
+// Schedule. With h a pointer the event needs no closure: scheduling
+// allocates nothing, and firing reaches the receiver through h alone.
+func (e *Engine) ScheduleCall(at Time, h Handler) Event { return e.schedule(at, h) }
+
+func (e *Engine) schedule(at Time, h Handler) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	s := e.alloc(at, fn)
+	s := e.alloc(at, h)
 	e.enqueue(s)
 	e.qlen++
 	if e.qlen > e.peak {
 		e.peak = e.qlen
 	}
 	e.live++
-	return Event{s: s, gen: s.gen}
+	return Event{s: s, eng: e, gen: s.gen}
 }
 
 // After runs fn d after the current time. Negative d panics.
@@ -239,7 +263,15 @@ func (e *Engine) After(d Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.Schedule(e.now.Add(d), fn)
+	return e.schedule(e.now.Add(d), funcHandler(fn))
+}
+
+// AfterCall runs h.Fire() d after the current time. Negative d panics.
+func (e *Engine) AfterCall(d Duration, h Handler) Event {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	return e.schedule(e.now.Add(d), h)
 }
 
 // Every runs fn at start and then every period until the returned Ticker
@@ -249,8 +281,7 @@ func (e *Engine) Every(start Time, period Duration, fn func()) *Ticker {
 		panic(fmt.Sprintf("sim: non-positive period %v", period))
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
-	t.tickFn = t.tick // one closure for the ticker's whole life
-	t.ev = e.Schedule(start, t.tickFn)
+	t.ev = e.ScheduleCall(start, (*tickEv)(t))
 	return t
 }
 
@@ -284,10 +315,15 @@ func (e *Engine) fire(s *slot) {
 	e.fired++
 	e.lastFired = e.now
 	e.live--
-	fn := s.fn
+	h := s.h
+	s.h = nil
 	s.state = stateFired
 	e.release(s)
-	fn()
+	if f, ok := h.(funcHandler); ok {
+		f()
+		return
+	}
+	h.Fire()
 }
 
 // step advances to the earliest live event, if there is one and it is
@@ -375,19 +411,22 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 
 // Ticker repeats a callback with a fixed period until stopped. Its
-// rescheduling is allocation-free: the tick closure is built once, and
-// the event slot released when a tick fires is the same one the next
-// tick is scheduled into.
+// rescheduling is allocation-free: each tick is an event whose handler
+// is the ticker itself, and the event slot released when a tick fires
+// is the same one the next tick is scheduled into.
 type Ticker struct {
 	engine  *Engine
 	period  Duration
 	fn      func()
-	tickFn  func()
 	ev      Event
 	stopped bool
 }
 
-func (t *Ticker) tick() {
+// tickEv is a Ticker as the Handler of its ticks.
+type tickEv Ticker
+
+func (te *tickEv) Fire() {
+	t := (*Ticker)(te)
 	if t.stopped {
 		return
 	}
@@ -395,7 +434,7 @@ func (t *Ticker) tick() {
 	if t.stopped { // fn may stop the ticker
 		return
 	}
-	t.ev = t.engine.After(t.period, t.tickFn)
+	t.ev = t.engine.AfterCall(t.period, te)
 }
 
 // Stop cancels future ticks. Safe to call from within the tick callback.

@@ -23,12 +23,29 @@ func (e *Engine) RNG(name string) *RNG {
 	if r, ok := e.rngs[name]; ok {
 		return r
 	}
+	return e.register(name, new(RNG))
+}
+
+// RNGAt is RNG with the stream held in r, which the caller owns (a
+// switch keeps its jitter stream inline): a name not yet registered is
+// seeded into *r and r is returned. A name already registered returns
+// the stream registered under it, so two components of one name share
+// one stream either way.
+func (e *Engine) RNGAt(name string, r *RNG) *RNG {
+	if old, ok := e.rngs[name]; ok {
+		return old
+	}
+	return e.register(name, r)
+}
+
+// register seeds r as the stream for name and records it.
+func (e *Engine) register(name string, r *RNG) *RNG {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
 		h *= 1099511628211
 	}
-	r := NewRNG(e.seed ^ h)
+	*r = *NewRNG(e.seed ^ h)
 	e.rngs[name] = r
 	return r
 }

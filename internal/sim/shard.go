@@ -32,10 +32,10 @@ type xmsg struct {
 }
 
 // delivery binds one flushed message to the event that runs it on the
-// destination shard. Slots are recycled through a per-destination free
-// list, and each slot's fire func is bound once when the slot is made,
-// so a barrier schedules its messages without allocating once every
-// list has grown to its shard's peak count of pending cross messages.
+// destination shard: the slot is the event's Handler. Slots are
+// recycled through a per-destination free list, so a barrier schedules
+// its messages without allocating once every list has grown to its
+// shard's peak count of pending cross messages.
 //
 // Ownership: the slots on shard d's list, and the list head, are touched
 // by shard d's worker when a slot fires (inside a window) and by the
@@ -45,14 +45,13 @@ type delivery struct {
 	fn   func(arg any, aux int)
 	arg  any
 	aux  int
-	fire func()
 	home **delivery // the destination shard's free-list head
 	next *delivery
 }
 
-// run is a slot's fire: it returns the slot to its list, then calls the
-// handler with the message's argument and int.
-func (d *delivery) run() {
+// Fire returns the slot to its list, then calls the message's handler
+// with its argument and int.
+func (d *delivery) Fire() {
 	fn, arg, aux := d.fn, d.arg, d.aux
 	d.fn, d.arg = nil, nil
 	d.next = *d.home
@@ -300,13 +299,12 @@ func (g *ShardGroup) flush() {
 		d := g.free[x.dst]
 		if d == nil {
 			d = &delivery{home: &g.free[x.dst]}
-			d.fire = d.run
 		} else {
 			g.free[x.dst] = d.next
 			d.next = nil
 		}
 		d.fn, d.arg, d.aux = x.fn, x.arg, x.aux
-		g.shards[x.dst].Schedule(x.at, d.fire)
+		g.shards[x.dst].ScheduleCall(x.at, d)
 		x.fn, x.arg = nil, nil
 	}
 	g.merge = m[:0]

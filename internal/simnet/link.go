@@ -54,14 +54,13 @@ type Port struct {
 	// sending is the frame being serialized. wire threads, in order, the
 	// frames that finished serializing and are propagating: a link's
 	// propagation delay is fixed, so they reach the far end in the order
-	// they left. serDoneFn and propDoneFn are the port's two completion
-	// callbacks, built on its first transmit, so egress schedules its
-	// engine events without allocating. inFlight counts frames that left
-	// the queue and have not yet reached a terminal outcome.
-	sending               *frame.Frame
-	wire                  frame.FIFO
-	serDoneFn, propDoneFn func()
-	inFlight              int
+	// they left. The port is the handler of its completion events (see
+	// serDoneEv), so egress schedules them without allocating. inFlight
+	// counts frames that left the queue and have not yet reached a
+	// terminal outcome.
+	sending  *frame.Frame
+	wire     frame.FIFO
+	inFlight int
 
 	cold *portCold
 
@@ -547,12 +546,19 @@ func (p *Port) startNext() {
 		p.tr.TxStart(p.Owner.Name(), p.Index, f, int64(ser))
 	}
 	p.inFlight++
-	if p.serDoneFn == nil {
-		p.serDoneFn, p.propDoneFn = p.serDone, p.propDone
-	}
 	p.sending, p.lost = f, lost
-	eng.After(ser, p.serDoneFn)
+	eng.AfterCall(ser, (*serDoneEv)(p))
 }
+
+// serDoneEv and propDoneEv are a port as the sim.Handler of its two
+// completion events.
+type (
+	serDoneEv  Port
+	propDoneEv Port
+)
+
+func (e *serDoneEv) Fire()  { (*Port)(e).serDone() }
+func (e *propDoneEv) Fire() { (*Port)(e).propDone() }
 
 // serDone fires when the frame being sent finishes serializing: the
 // wire is free for the next frame, and the frame either dies (link
@@ -582,7 +588,7 @@ func (p *Port) serDone() {
 		p.crossHandoff(f)
 	default:
 		p.wire.Push(f)
-		l.engine.After(l.Prop, p.propDoneFn)
+		l.engine.AfterCall(l.Prop, (*propDoneEv)(p))
 	}
 	p.busy = false
 	if p.queue.Len() > 0 {

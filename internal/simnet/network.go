@@ -202,7 +202,8 @@ func (b *Blueprint) InstantiateSharded(seed uint64, cfg SwitchConfig) (*Network,
 // flags, hosts and links are each cut, in id order, from one slab sized
 // by the blueprint, so the equipment costs the build one allocation per
 // kind; the slabs never grow, and a component's address is fixed for
-// the network's lifetime.
+// the network's lifetime. The switches on one engine share one free
+// list of forwarding contexts.
 func (b *Blueprint) instantiate(group *sim.ShardGroup, engines []*sim.Engine, cfg SwitchConfig) *Network {
 	g := b.Graph
 	n := &Network{
@@ -215,6 +216,7 @@ func (b *Blueprint) instantiate(group *sim.ShardGroup, engines []*sim.Engine, cf
 	ports := make([]Port, b.nports)
 	blocked := make([]bool, b.nports)
 	hosts := make([]Host, b.nhosts)
+	pools := make([]fwdPool, len(engines))
 	for i := range n.switches {
 		node := g.Node(topo.NodeID(i))
 		eng := engines[b.Part.Of[i]]
@@ -232,7 +234,7 @@ func (b *Blueprint) instantiate(group *sim.ShardGroup, engines []*sim.Engine, cf
 		deg := g.Degree(node.ID)
 		s := &switches[0]
 		switches = switches[1:]
-		s.init(eng, node.Name, ports[:deg:deg], blocked[:deg:deg], fib, cfg)
+		s.init(eng, node.Name, ports[:deg:deg], blocked[:deg:deg], fib, &pools[b.Part.Of[i]], cfg)
 		ports, blocked = ports[deg:], blocked[deg:]
 		n.switches[i] = s
 	}

@@ -29,14 +29,18 @@ type Switch struct {
 	defaultPort int
 	latency     sim.Duration
 	jitter      sim.Duration
-	rng         *sim.RNG
-	failed      bool
+	// rng is the switch's jitter stream: jitterRNG, held inline, unless
+	// another component of the same name registered the stream first.
+	rng       *sim.RNG
+	jitterRNG sim.RNG
+	failed    bool
 
-	// tr observes forwarding decisions; nil disables. fwdFree is the
-	// free list of pipeline-delay contexts, so the receive→forward hop
-	// does not allocate a closure per frame.
-	tr      *telemetry.Tracer
-	fwdFree *fwdCtx
+	// tr observes forwarding decisions; nil disables. fwd is the free
+	// list of pipeline-delay contexts the switch shares with every
+	// switch a network cut onto its engine, so the receive→forward hop
+	// allocates nothing per frame.
+	tr  *telemetry.Tracer
+	fwd *fwdPool
 
 	// OnControlFrame, when set, sees every received frame before normal
 	// processing; returning true consumes it. Ring-redundancy managers
@@ -212,15 +216,16 @@ var DefaultSwitchConfig = SwitchConfig{Latency: 2 * sim.Microsecond, Jitter: 50 
 // NewSwitch creates a switch with nports ports, at most MaxSwitchPorts.
 func NewSwitch(engine *sim.Engine, name string, nports int, cfg SwitchConfig) *Switch {
 	s := &Switch{}
-	s.init(engine, name, make([]Port, nports), make([]bool, nports), emptyFIB, cfg)
+	s.init(engine, name, make([]Port, nports), make([]bool, nports), emptyFIB, new(fwdPool), cfg)
 	return s
 }
 
 // init readies a zero switch in place on ports and blocked, zero slices
 // of one length it owns from now on (arrays of its own, or its cuts of a
-// network's slabs), with fib as its starting table. It panics above
-// MaxSwitchPorts ports.
-func (s *Switch) init(engine *sim.Engine, name string, ports []Port, blocked []bool, fib fibTable, cfg SwitchConfig) {
+// network's slabs), with fib as its starting table and fwd as its
+// forwarding contexts' free list, which only switches on engine may
+// share. It panics above MaxSwitchPorts ports.
+func (s *Switch) init(engine *sim.Engine, name string, ports []Port, blocked []bool, fib fibTable, fwd *fwdPool, cfg SwitchConfig) {
 	if len(ports) > MaxSwitchPorts {
 		panic(fmt.Sprintf("simnet: switch %s: %d ports, at most %d", name, len(ports), MaxSwitchPorts))
 	}
@@ -233,8 +238,9 @@ func (s *Switch) init(engine *sim.Engine, name string, ports []Port, blocked []b
 		defaultPort: -1,
 		latency:     cfg.Latency,
 		jitter:      cfg.Jitter,
-		rng:         engine.RNG("switch/" + name),
+		fwd:         fwd,
 	}
+	s.rng = engine.RNGAt("switch/"+name, &s.jitterRNG)
 	for i := range ports {
 		ports[i].init(s, i)
 	}
@@ -355,11 +361,13 @@ func (s *Switch) Restart() { s.failed = false }
 // Failed reports whether the switch is currently crashed.
 func (s *Switch) Failed() bool { return s.failed }
 
-// fwdCtx carries one frame across the switch's pipeline delay. Jitter
+// fwdCtx carries one frame across a switch's pipeline delay. Jitter
 // makes those delays overtake each other, so unlike a port's wire the
-// frames cannot share one callback in arrival order: each context owns
-// one prebuilt closure and recycles through a free list, so the
-// receive→forward hop allocates nothing in steady state.
+// frames cannot share one event in arrival order: each delay is an
+// event whose handler is its own context. Contexts recycle through a
+// LIFO free list, one per engine of a network (a NewSwitch has its
+// own), so the receive→forward hop allocates nothing in steady state
+// and reuses the context released last.
 type fwdCtx struct {
 	s *Switch
 	f *frame.Frame
@@ -367,33 +375,34 @@ type fwdCtx struct {
 	// captured at Receive; meaningful only when f carries a stack.
 	intIn int64
 	in    int
-	run   func()
 	next  *fwdCtx
 }
 
-func (s *Switch) getFwd() *fwdCtx {
-	c := s.fwdFree
+// fwdPool is a free list of forwarding contexts.
+type fwdPool struct{ free *fwdCtx }
+
+func (p *fwdPool) get() *fwdCtx {
+	c := p.free
 	if c == nil {
-		c = &fwdCtx{s: s}
-		c.run = func() { c.s.forwardCtx(c) }
-	} else {
-		s.fwdFree = c.next
-		c.next = nil
+		return &fwdCtx{}
 	}
+	p.free = c.next
+	c.next = nil
 	return c
 }
 
-func (s *Switch) putFwd(c *fwdCtx) {
+func (p *fwdPool) put(c *fwdCtx) {
 	c.f = nil
 	c.intIn = 0
-	c.next = s.fwdFree
-	s.fwdFree = c
+	c.next = p.free
+	p.free = c
 }
 
-// forwardCtx unpacks and recycles the context, then forwards.
-func (s *Switch) forwardCtx(c *fwdCtx) {
-	in, f, intIn := c.in, c.f, c.intIn
-	s.putFwd(c)
+// Fire ends the pipeline delay: it unpacks and recycles the context,
+// then forwards.
+func (c *fwdCtx) Fire() {
+	s, in, f, intIn := c.s, c.in, c.f, c.intIn
+	s.fwd.put(c)
 	s.forward(in, f, intIn)
 }
 
@@ -430,13 +439,12 @@ func (s *Switch) Receive(port *Port, f *frame.Frame) {
 	if s.jitter > 0 {
 		d = s.rng.NormDuration(s.latency, s.jitter, s.latency/2)
 	}
-	c := s.getFwd()
-	c.f = f
-	c.in = port.Index
+	c := s.fwd.get()
+	c.s, c.f, c.in = s, f, port.Index
 	if f.INT != nil {
 		c.intIn = int64(s.engine.Now())
 	}
-	s.engine.After(d, c.run)
+	s.engine.AfterCall(d, c)
 }
 
 // stampINT pushes this switch's transit record onto f's INT stack:

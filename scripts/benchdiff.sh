@@ -25,8 +25,9 @@
 # The allocation guards are one table, under "Allocation guards" below,
 # enforced on every run whatever --check says. BenchmarkGatewayFanout
 # (8 sims × 1000 subscribers through one hub) and the
-# BenchmarkCampus10kShards{1,2,4,8} ladder are macro numbers without an
+# BenchmarkCampus10kShards{2,4,8} rungs are macro numbers without an
 # exact guard; the baseline diff gives them the slack described there.
+# Shards1, one worker, allocates the same count every run, so it has one.
 # The ladder's ratios need a core per worker: the committed baseline was
 # recorded on two cores, so re-record on wider hardware before quoting a
 # speedup.
@@ -178,7 +179,8 @@ BenchmarkInstaPLCCycle                 0 a Fig. 5 I/O cycle through vPLCs, pipel
 BenchmarkEngineShardedLocalSteady      0 per-shard arenas: window barriers must run GC-free
 BenchmarkEngineShardedCross            0 outbox slots, the barrier merge buffer and delivery slots must be reused
 BenchmarkCrossShardForwarding          0 a frame crossing a cross-shard link must ride a recycled delivery slot, not a closure
-BenchmarkCampus10kBuild           116093 graph and FIBs sized once, switches, links, ports and hosts one slab each: 114,944 allocs/op plus 1 %
+BenchmarkCampus10kBuild            95859 graph and FIBs sized once, switches, links, ports and hosts one slab each, jitter streams inside the switches: 94,910 allocs/op plus 1 %
+BenchmarkCampus10kShards1         116149 build plus 1 ms of traffic: hop events carry their port or forwarding context, so no per-port or per-switch closure; 114,999 allocs/op plus 1 %
 BenchmarkHubPublish\/subs=1            0 hub publish must be one channel send, the payload bytes shared
 BenchmarkHubPublish\/subs=64           0 hub fan-out must not allocate per subscriber
 BenchmarkHubPublish\/subs=1024         0 hub fan-out must stay allocation-free at SSE-fleet scale

@@ -98,7 +98,7 @@ internal/reflection  TestReflectionSteadyStateZeroAllocs
 internal/instaplc    TestInstaPLCCycleZeroAllocs
 internal/mlwork      TestMLServeZeroAllocs
 internal/core        TestFigureAllocationBudgets
-internal/sim         TestShardProfilingDisabledZeroAllocs|TestShardProfilingObservational
+internal/sim         TestShardProfilingDisabledZeroAllocs|TestShardProfilingObservational|TestScheduleCallAllocFree
 internal/core        TestCampusObservabilityIsObservational
 internal/simnet      TestINTPooledPathZeroAllocs
 internal/instaplc    TestInstaPLCCycleZeroAllocs/int=true
