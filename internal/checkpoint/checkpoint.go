@@ -1,21 +1,24 @@
-// Package checkpoint is the versioned, deterministic serialization
-// layer under steelnet's checkpoint/restore subsystem. A checkpoint file
-// carries a format version, the kind of run it snapshots, a set of named
-// opaque sections, and a trailing content digest that detects truncation
-// or corruption before any section is interpreted.
+// Package checkpoint is the file format under instaplcd's -checkpoint
+// and -resume. The simulator schedules Go closures, which cannot be
+// serialized, so a checkpoint is replay-anchored: it holds the run spec
+// (the configuration the run was built from, encoded by the package
+// that owns it), the simulated instant it was taken at, and a Digest of
+// all live state at that instant. A restore rebuilds the run from the
+// spec, replays deterministically to the instant and compares digests;
+// a mismatch is a *DivergenceError instead of a resumed run the original
+// never had. What the digest folds per subsystem is listed in DESIGN.md
+// ("Checkpoint & replay").
 //
-// The simulator schedules Go closures, which cannot be serialized, so
-// steelnet checkpoints are replay-anchored: a checkpoint records the
-// run's full configuration, the simulated instant it was taken at, and
-// an incremental Digest of all live state. Restore rebuilds the scenario
-// from the configuration, replays deterministically to the recorded
-// instant, and verifies the replayed state digest against the recorded
-// one — a mismatch fails loudly instead of resuming from a state the
-// original run never had. What the digest folds per subsystem is listed
-// in DESIGN.md ("Checkpoint & replay").
+// A checkpoint file is input from outside the program. Read bounds how
+// much it reads, checks a trailing content digest before it interprets
+// anything, refuses every other format version, and requires the spec
+// length to account for every byte, so an accepted file is exactly what
+// Write would produce from what Read returns.
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -46,105 +49,95 @@ var magic = [8]byte{'S', 'T', 'E', 'E', 'L', 'C', 'K', 'P'}
 //	   was added. v2 digests no longer verify against replayed v3
 //	   state; there is no in-place migration — rerun the experiment and
 //	   checkpoint again under v3.
-const FormatVersion = 3
+//	4: the config is a JSON run spec; no sections, no kind. The layout
+//	   is magic, version, u32 spec length, spec, instant, state digest,
+//	   content digest. State digests are unchanged from v3.
+const FormatVersion = 4
+
+// maxSize bounds a checkpoint file, far above any run spec: Read stops
+// there instead of reading an endless input until memory runs out.
+const maxSize = 1 << 20
+
+// headerLen is magic, version and spec length; tailLen is the instant,
+// the state digest and the content digest after the spec.
+const (
+	headerLen = len(magic) + 4 + 4
+	tailLen   = 8 + 8 + 8
+)
 
 // ErrVersion wraps version-mismatch failures for errors.Is.
 var ErrVersion = errors.New("checkpoint: format version mismatch")
 
 // ErrCorrupt wraps integrity failures (bad magic, bad trailing digest,
-// truncated payloads) for errors.Is.
+// a spec length that does not fit, an oversized file, a spec its owner
+// refuses) for errors.Is.
 var ErrCorrupt = errors.New("checkpoint: corrupt file")
 
-// Section is one named opaque payload inside a checkpoint file.
-type Section struct {
-	Name string
-	Data []byte
-}
-
-// File is a decoded checkpoint.
-type File struct {
-	Version  uint32
-	Kind     string
-	Sections []Section
-}
-
-// Section returns the named section's payload, or false.
-func (f *File) Section(name string) ([]byte, bool) {
-	for _, s := range f.Sections {
-		if s.Name == name {
-			return s.Data, true
-		}
-	}
-	return nil, false
-}
-
-// Write serializes a checkpoint of the given kind to w. Sections are
-// written in the order given; callers must use a fixed order so files
-// are byte-stable across runs.
-func Write(w io.Writer, kind string, sections []Section) error {
-	e := NewEncoder()
-	e.buf = append(e.buf, magic[:]...)
-	e.U32(FormatVersion)
-	e.Str(kind)
-	e.U32(uint32(len(sections)))
-	for _, s := range sections {
-		e.Str(s.Name)
-		e.Bytes(s.Data)
-	}
+// contentDigest is the trailer sealing everything before it.
+func contentDigest(b []byte) uint64 {
 	d := NewDigest()
-	d.Bytes(e.Data())
-	e.U64(d.Sum())
-	_, err := w.Write(e.Data())
+	d.Bytes(b)
+	return d.Sum()
+}
+
+// Write writes a checkpoint of a run to w: its spec, the instant at (in
+// nanoseconds) and the state digest at that instant.
+func Write(w io.Writer, spec []byte, at int64, digest uint64) error {
+	if len(spec) > maxSize-headerLen-tailLen {
+		return fmt.Errorf("checkpoint: a %d-byte run spec does not fit in a %d-byte file", len(spec), maxSize)
+	}
+	le := binary.LittleEndian
+	b := make([]byte, 0, headerLen+len(spec)+tailLen)
+	b = append(b, magic[:]...)
+	b = le.AppendUint32(b, FormatVersion)
+	b = le.AppendUint32(b, uint32(len(spec)))
+	b = append(b, spec...)
+	b = le.AppendUint64(b, uint64(at))
+	b = le.AppendUint64(b, digest)
+	b = le.AppendUint64(b, contentDigest(b))
+	_, err := w.Write(b)
 	return err
 }
 
-// Read decodes a checkpoint from r, verifying magic, version and the
-// trailing content digest. A version mismatch is rejected with explicit
-// migration instructions — resuming across encodings would silently
-// desynchronize the restored state from the recorded digest.
-func Read(r io.Reader) (*File, error) {
-	raw, err := io.ReadAll(r)
+// Read decodes a checkpoint from r, verifying size, magic, the trailing
+// content digest and the version, in that order. A version mismatch is
+// rejected with explicit migration instructions — resuming across
+// encodings would silently desynchronize the restored state from the
+// recorded digest. The spec is returned as written; its owner decodes it.
+func Read(r io.Reader) (spec []byte, at int64, digest uint64, err error) {
+	raw, err := io.ReadAll(io.LimitReader(r, maxSize+1))
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read: %w", err)
+		return nil, 0, 0, fmt.Errorf("checkpoint: read: %w", err)
 	}
-	if len(raw) < len(magic)+4+8 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than any checkpoint", ErrCorrupt, len(raw))
+	switch {
+	case len(raw) > maxSize:
+		return nil, 0, 0, fmt.Errorf("%w: more than %d bytes, past any checkpoint", ErrCorrupt, maxSize)
+	case len(raw) < headerLen+tailLen:
+		return nil, 0, 0, fmt.Errorf("%w: %d bytes is shorter than any checkpoint", ErrCorrupt, len(raw))
+	case !bytes.Equal(raw[:len(magic)], magic[:]):
+		return nil, 0, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, raw[:len(magic)])
 	}
-	for i := range magic {
-		if raw[i] != magic[i] {
-			return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, raw[:len(magic)])
-		}
+	le := binary.LittleEndian
+	body := raw[:len(raw)-8]
+	if got, want := le.Uint64(raw[len(body):]), contentDigest(body); got != want {
+		return nil, 0, 0, fmt.Errorf("%w: content digest %#x does not match trailer %#x (truncated or modified file)",
+			ErrCorrupt, want, got)
 	}
-	body, trailer := raw[:len(raw)-8], raw[len(raw)-8:]
-	d := NewDigest()
-	d.Bytes(body)
-	if got := NewDecoder(trailer).U64(); got != d.Sum() {
-		return nil, fmt.Errorf("%w: content digest %#x does not match trailer %#x (truncated or modified file)",
-			ErrCorrupt, d.Sum(), got)
-	}
-	dec := NewDecoder(body[len(magic):])
-	f := &File{Version: dec.U32()}
-	if f.Version != FormatVersion {
-		return nil, fmt.Errorf("%w: file is version %d, this build reads version %d.\n"+
+	if v := le.Uint32(raw[len(magic):]); v != FormatVersion {
+		return nil, 0, 0, fmt.Errorf("%w: file is version %d, this build reads version %d.\n"+
 			"Migration: re-create the checkpoint with a build matching its version, let the run finish\n"+
 			"(or resume and re-checkpoint), then switch builds. If this file is a golden corpus entry\n"+
 			"under internal/checkpoint/testdata/, the encoding drifted without a FormatVersion bump:\n"+
 			"restore the old encoding, or bump FormatVersion, document the change in DESIGN.md\n"+
 			"(\"Checkpoint & replay\"), and regenerate the corpus with `go test ./internal/checkpoint -run TestGolden -update`.",
-			ErrVersion, f.Version, FormatVersion)
+			ErrVersion, v, FormatVersion)
 	}
-	f.Kind = dec.Str()
-	n := int(dec.U32())
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		f.Sections = append(f.Sections, Section{Name: dec.Str(), Data: dec.BytesVal()})
+	n := int(le.Uint32(raw[len(magic)+4:]))
+	if have := len(raw) - headerLen - tailLen; n != have {
+		return nil, 0, 0, fmt.Errorf("%w: spec length %d, but %d bytes lie between header and tail", ErrCorrupt, n, have)
 	}
-	if dec.Err() != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, dec.Err())
-	}
-	if dec.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after the last of %d sections", ErrCorrupt, dec.Remaining(), n)
-	}
-	return f, nil
+	tail := raw[headerLen+n:]
+	return raw[headerLen : headerLen+n], int64(le.Uint64(tail)), le.Uint64(tail[8:]), nil
 }
 
 // WriteFileAtomic replaces path with whatever write produces: the bytes
@@ -170,94 +163,17 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// Harness checkpoints — the single-run layout shared by all resumable
-// experiment harnesses: a "config" section (experiment-specific
-// encoding), the simulated instant the snapshot was taken at, and the
-// state digest at that instant.
-
-// WriteHarness writes a single-run harness checkpoint.
-func WriteHarness(w io.Writer, kind string, config []byte, at int64, digest uint64) error {
-	prog := NewEncoder()
-	prog.I64(at)
-	prog.U64(digest)
-	return Write(w, kind, []Section{
-		{Name: "config", Data: config},
-		{Name: "progress", Data: prog.Data()},
-	})
-}
-
-// ReadHarness reads a single-run harness checkpoint, checking the kind.
-func ReadHarness(r io.Reader, wantKind string) (config []byte, at int64, digest uint64, err error) {
-	f, err := Read(r)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if f.Kind != wantKind {
-		return nil, 0, 0, fmt.Errorf("checkpoint: file holds a %q checkpoint, want %q", f.Kind, wantKind)
-	}
-	config, ok := f.Section("config")
-	if !ok {
-		return nil, 0, 0, fmt.Errorf("%w: missing config section", ErrCorrupt)
-	}
-	prog, ok := f.Section("progress")
-	if !ok {
-		return nil, 0, 0, fmt.Errorf("%w: missing progress section", ErrCorrupt)
-	}
-	dec := NewDecoder(prog)
-	at = dec.I64()
-	digest = dec.U64()
-	if err := dec.Finish(); err != nil {
-		return nil, 0, 0, fmt.Errorf("progress section: %w", err)
-	}
-	return config, at, digest, nil
-}
-
 // DivergenceError reports a restore whose replay did not reproduce the
 // recorded state digest — the checkpoint and the current build (or
 // configuration) disagree about what happened before the snapshot.
 type DivergenceError struct {
-	Kind     string
 	At       int64
 	Recorded uint64
 	Replayed uint64
 }
 
 func (e *DivergenceError) Error() string {
-	return fmt.Sprintf("checkpoint: %s replay diverged at t=%dns: recorded state digest %#x, replayed %#x "+
+	return fmt.Sprintf("checkpoint: replay diverged at t=%dns: recorded state digest %#x, replayed %#x "+
 		"(the binary or configuration no longer reproduces the checkpointed run)",
-		e.Kind, e.At, e.Recorded, e.Replayed)
-}
-
-// Replay is the restore half of every replay-anchored harness
-// checkpoint: read the container, fill the recorded configuration
-// through the kind's walk, build a fresh harness from it, replay
-// deterministically from time zero to the recorded instant, and verify
-// the state digest. A mismatch returns *DivergenceError. build receives
-// the configuration only if the "config" section held exactly what walk
-// reads, attaches whatever the checkpoint does not record (telemetry
-// sinks, worker counts) and constructs the harness. T is the harness's
-// simulated-time type — sim.Time, which this package sits below and
-// cannot name.
-func Replay[T ~int64, C any, H interface {
-	AdvanceTo(T)
-	Digest() uint64
-}](r io.Reader, kind string, walk func(*Codec, *C), build func(C) (H, error)) (H, error) {
-	var none H
-	cfgBytes, at, digest, err := ReadHarness(r, kind)
-	if err != nil {
-		return none, err
-	}
-	var cfg C
-	if err := Decode(walk, cfgBytes, &cfg); err != nil {
-		return none, fmt.Errorf("checkpoint: bad %s config: %w", kind, err)
-	}
-	h, err := build(cfg)
-	if err != nil {
-		return none, err
-	}
-	h.AdvanceTo(T(at))
-	if got := h.Digest(); got != digest {
-		return none, &DivergenceError{Kind: kind, At: at, Recorded: digest, Replayed: got}
-	}
-	return h, nil
+		e.At, e.Recorded, e.Replayed)
 }

@@ -2,30 +2,21 @@ package checkpoint_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"steelnet/internal/checkpoint"
+	"steelnet/internal/instaplc"
 )
 
-// reseal overwrites the last eight bytes of raw with the content digest
-// of what precedes them, so a mutated body still gets past the
-// integrity check and into the container decoder.
-func reseal(raw []byte) []byte {
-	out := append([]byte(nil), raw...)
-	d := checkpoint.NewDigest()
-	d.Bytes(out[:len(out)-8])
-	binary.LittleEndian.PutUint64(out[len(out)-8:], d.Sum())
-	return out
-}
-
-// FuzzCheckpointRead: the STEELCKP container decoder faces bytes from
-// outside the program (a -resume file). It must never panic, and
-// whatever it accepts it must have understood completely: writing the
-// decoded file back reproduces the input byte for byte. Every input is
-// tried as given and resealed.
+// FuzzCheckpointRead: a checkpoint is input from outside the program (a
+// -resume file). The whole read path up to the build — the container,
+// then the strict run-spec decode — must never panic, and whatever it
+// accepts it must have understood completely: writing what it read
+// back reproduces the input byte for byte. It stops before the harness
+// is built, since a forged horizon would replay for hours. Every input
+// is tried as given and resealed.
 func FuzzCheckpointRead(f *testing.F) {
 	golden, err := filepath.Glob(filepath.Join("testdata", "*.ckpt"))
 	if err != nil || len(golden) == 0 {
@@ -44,14 +35,17 @@ func FuzzCheckpointRead(f *testing.F) {
 				if len(data) < 8 {
 					return
 				}
-				raw = reseal(data)
+				raw = checkpoint.Reseal(data)
 			}
-			file, err := checkpoint.Read(bytes.NewReader(raw))
+			spec, at, digest, err := checkpoint.Read(bytes.NewReader(raw))
 			if err != nil {
 				continue
 			}
+			if _, err := instaplc.DecodeSpec(spec); err != nil {
+				continue
+			}
 			var back bytes.Buffer
-			if err := checkpoint.Write(&back, file.Kind, file.Sections); err != nil {
+			if err := checkpoint.Write(&back, spec, at, digest); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(back.Bytes(), raw) {

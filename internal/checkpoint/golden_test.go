@@ -1,10 +1,10 @@
 package checkpoint_test
 
-// Golden checkpoint corpus: one small serialized checkpoint per kind a
+// Golden checkpoint corpus: small serialized checkpoints of the runs a
 // command restores, committed under testdata/. TestGolden asserts both that
 // today's writer reproduces the committed bytes exactly and that
 // today's reader can restore them. Any format change — container
-// layout, config codecs, digest fold order — trips this test; that is
+// layout, run spec, digest fold order — trips this test; that is
 // the point. To change the format deliberately:
 //
 //  1. bump checkpoint.FormatVersion,
@@ -17,6 +17,7 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -71,29 +72,28 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// TestV2FixtureRejected pins the migration failure mode: a committed
-// format-v2 file (written before the sharded-execution digest change)
-// must be rejected with ErrVersion and actionable migration text, never
-// silently restored against v3 replay state.
+// TestV2FixtureRejected pins the migration failure mode: committed
+// files of older formats (v2, written before the sharded-execution
+// digest change; v3, the sectioned binary config) must be rejected with
+// ErrVersion and actionable migration text, never silently restored.
 func TestV2FixtureRejected(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "v2-instaplc.ckpt"))
-	if err != nil {
-		t.Fatalf("missing v2 fixture (committed, never regenerated): %v", err)
-	}
-	f, err := checkpoint.Read(bytes.NewReader(raw))
-	if err == nil {
-		t.Fatalf("v2 file read as version %d without error", f.Version)
-	}
-	if !errors.Is(err, checkpoint.ErrVersion) {
-		t.Fatalf("err = %v, want ErrVersion", err)
-	}
-	for _, want := range []string{"Migration", "FormatVersion"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("version error lacks %q guidance:\n%v", want, err)
+	for _, name := range []string{"v2-instaplc.ckpt", "v3-instaplc.ckpt"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatalf("missing %s fixture (committed, never regenerated): %v", name, err)
 		}
-	}
-	if _, err := instaplc.Restore(bytes.NewReader(raw), nil, nil); !errors.Is(err, checkpoint.ErrVersion) {
-		t.Fatalf("harness restore of v2 file: err = %v, want ErrVersion", err)
+		_, _, _, err = checkpoint.Read(bytes.NewReader(raw))
+		if !errors.Is(err, checkpoint.ErrVersion) {
+			t.Fatalf("%s: err = %v, want ErrVersion", name, err)
+		}
+		for _, want := range []string{"Migration", "FormatVersion"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: version error lacks %q guidance:\n%v", name, want, err)
+			}
+		}
+		if _, err := instaplc.Restore(bytes.NewReader(raw), nil, nil); !errors.Is(err, checkpoint.ErrVersion) {
+			t.Fatalf("harness restore of %s: err = %v, want ErrVersion", name, err)
+		}
 	}
 }
 
@@ -141,36 +141,56 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestGoldenRejectsTrailingSectionBytes: the container refuses bytes
-// after its last section; a section refuses bytes after its last field.
-// One byte appended inside "config" or "progress" (container resealed, so
-// only the section's own reader can object) is ErrCorrupt for every kind,
-// before anything is built.
+// TestGoldenRejectsTrailingSectionBytes: a restore accepts only the
+// run spec exactly as Save writes it. Each row rewrites a committed
+// file's spec (resealed, so only the spec decode can object) and must
+// be ErrCorrupt before anything is built.
 func TestGoldenRejectsTrailingSectionBytes(t *testing.T) {
-	for _, c := range goldenCases() {
-		raw, err := os.ReadFile(goldenPath(c.name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, section := range []string{"config", "progress"} {
-			file, err := checkpoint.Read(bytes.NewReader(raw))
+	for _, row := range []struct {
+		name   string
+		mutate func(spec []byte) []byte
+	}{
+		{"bytes after the JSON", func(spec []byte) []byte { return append(spec, "{}"...) }},
+		{"unknown field", func(spec []byte) []byte { return append([]byte(`{"Extra":1,`), spec[1:]...) }},
+		{"reordered keys", func(spec []byte) []byte {
+			var m map[string]json.RawMessage
+			if err := json.Unmarshal(spec, &m); err != nil {
+				t.Fatal(err)
+			}
+			sorted, err := json.Marshal(m) // keys in alphabetical, not field, order
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range file.Sections {
-				if file.Sections[i].Name == section {
-					file.Sections[i].Data = append(file.Sections[i].Data, 0)
-				}
-			}
-			var grown bytes.Buffer
-			if err := checkpoint.Write(&grown, file.Kind, file.Sections); err != nil {
+			return sorted
+		}},
+		{"extra whitespace", func(spec []byte) []byte {
+			var out bytes.Buffer
+			if err := json.Indent(&out, spec, "", " "); err != nil {
 				t.Fatal(err)
 			}
-			if grown.Len() != len(raw)+1 {
-				t.Fatalf("%s: no %s section to grow", c.name, section)
+			return out.Bytes()
+		}},
+		{"key case", func(spec []byte) []byte { return bytes.Replace(spec, []byte(`"Seed"`), []byte(`"seed"`), 1) }},
+	} {
+		for _, c := range goldenCases() {
+			raw, err := os.ReadFile(goldenPath(c.name))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if _, err := c.restore(&grown, sweep.Sinks{}); !errors.Is(err, checkpoint.ErrCorrupt) {
-				t.Errorf("%s with a byte appended to its %s section: err = %v, want ErrCorrupt", c.name, section, err)
+			spec, at, digest, err := checkpoint.Read(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := row.mutate(bytes.Clone(spec))
+			if bytes.Equal(bad, spec) {
+				t.Fatalf("%s: %s left the spec as it was", c.name, row.name)
+			}
+			var forged bytes.Buffer
+			if err := checkpoint.Write(&forged, bad, at, digest); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.restore(&forged, sweep.Sinks{}); !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Errorf("%s with %s: err = %v, want ErrCorrupt", c.name, row.name, err)
 			}
 		}
 	}
@@ -178,20 +198,15 @@ func TestGoldenRejectsTrailingSectionBytes(t *testing.T) {
 
 // TestGoldenVersionPinned fails when FormatVersion changes without the
 // corpus being regenerated: the committed files carry the version they
-// were written with.
+// were written with, and Read refuses any other.
 func TestGoldenVersionPinned(t *testing.T) {
 	for _, c := range goldenCases() {
 		raw, err := os.ReadFile(goldenPath(c.name))
 		if err != nil {
 			t.Fatalf("missing golden corpus file: %v\n(generate with: go test ./internal/checkpoint -run TestGolden -update)", err)
 		}
-		f, err := checkpoint.Read(bytes.NewReader(raw))
-		if err != nil {
+		if _, _, _, err := checkpoint.Read(bytes.NewReader(raw)); err != nil {
 			t.Fatalf("reading %s: %v\n%s", goldenPath(c.name), err, goldenMigrationHelp())
-		}
-		if f.Version != checkpoint.FormatVersion {
-			t.Fatalf("golden corpus %q is FormatVersion %d, code is %d.\n%s",
-				c.name, f.Version, checkpoint.FormatVersion, goldenMigrationHelp())
 		}
 	}
 }

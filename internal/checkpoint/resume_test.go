@@ -307,7 +307,9 @@ func TestResumeEquivalence(t *testing.T) {
 
 // TestRestoreDetectsDivergence rewrites a checkpoint with a wrong
 // recorded digest and asserts the restore fails loudly with a
-// DivergenceError rather than silently resuming a different run.
+// DivergenceError rather than silently resuming a different run. An
+// instant outside the run is refused as corrupt before any replay, so
+// a forged one cannot replay the cycle for ever.
 func TestRestoreDetectsDivergence(t *testing.T) {
 	cfg := smallInstaplcConfig()
 	h := instaplc.NewHarness(cfg)
@@ -316,17 +318,26 @@ func TestRestoreDetectsDivergence(t *testing.T) {
 	if err := h.Save(&orig); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	cfgBytes, at, _, err := checkpoint.ReadHarness(bytes.NewReader(orig.Bytes()), instaplc.CheckpointKind)
+	spec, at, _, err := checkpoint.Read(bytes.NewReader(orig.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadHarness: %v", err)
+		t.Fatalf("Read: %v", err)
 	}
 	var forged bytes.Buffer
-	if err := checkpoint.WriteHarness(&forged, instaplc.CheckpointKind, cfgBytes, at, h.Digest()^1); err != nil {
-		t.Fatalf("WriteHarness: %v", err)
+	if err := checkpoint.Write(&forged, spec, at, h.Digest()^1); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
 	_, err = instaplc.RestoreWith(&forged, sweep.Sinks{})
 	var div *checkpoint.DivergenceError
 	if !errors.As(err, &div) {
 		t.Fatalf("Restore with wrong digest: got %v, want DivergenceError", err)
+	}
+	for _, bad := range []int64{-1, int64(cfg.Horizon) + 1, 1 << 62} {
+		forged.Reset()
+		if err := checkpoint.Write(&forged, spec, bad, h.Digest()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := instaplc.RestoreWith(&forged, sweep.Sinks{}); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("checkpoint taken at %dns: err = %v, want ErrCorrupt", bad, err)
+		}
 	}
 }

@@ -18,6 +18,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -182,6 +183,9 @@ func parseEvent(s string) (Event, error) {
 		if err != nil {
 			return ev, fmt.Errorf("faults: event %q: bad magnitude: %v", s, err)
 		}
+		if math.IsNaN(mag) || math.IsInf(mag, 0) {
+			return ev, fmt.Errorf("faults: event %q: magnitude %v is not finite", s, mag)
+		}
 		ev.Magnitude = mag
 	}
 	if durStr, found := cutLast(&rest, "+"); found {
@@ -215,7 +219,7 @@ func cutLast(s *string, sep string) (string, bool) {
 }
 
 // Validate checks event fields without resolving targets: known kinds,
-// non-negative times, probabilities in [0,1].
+// non-negative times, finite magnitudes, probabilities in [0,1].
 func (p Plan) Validate() error {
 	for i, ev := range p.Events {
 		if ev.Kind < 0 || ev.Kind >= numKinds {
@@ -226,6 +230,9 @@ func (p Plan) Validate() error {
 		}
 		if ev.At < 0 || ev.Duration < 0 {
 			return fmt.Errorf("faults: event %d: negative time", i)
+		}
+		if math.IsNaN(ev.Magnitude) || math.IsInf(ev.Magnitude, 0) {
+			return fmt.Errorf("faults: event %d: magnitude %v is not finite", i, ev.Magnitude)
 		}
 		switch ev.Kind {
 		case KindLossBurst, KindCorruptBurst:

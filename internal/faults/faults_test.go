@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -44,14 +45,16 @@ func TestSpecRoundTrip(t *testing.T) {
 
 func TestParsePlanErrors(t *testing.T) {
 	for _, spec := range []string{
-		"hoststall:vplc1",      // missing @time
-		"hoststall@1s",         // missing kind:target
-		"frobnicate:x@1s",      // unknown kind
-		"hoststall:@1s",        // empty target
-		"hoststall:vplc1@nope", // bad time
-		"hoststall:vplc1@1s+x", // bad duration
-		"loss:p@1s*zz",         // bad magnitude
-		"hoststall:vplc1@-1s",  // negative time
+		"hoststall:vplc1",        // missing @time
+		"hoststall@1s",           // missing kind:target
+		"frobnicate:x@1s",        // unknown kind
+		"hoststall:@1s",          // empty target
+		"hoststall:vplc1@nope",   // bad time
+		"hoststall:vplc1@1s+x",   // bad duration
+		"loss:p@1s*zz",           // bad magnitude
+		"hoststall:vplc1@-1s",    // negative time
+		"loss:dp.2@0s+1s*NaN",    // non-finite probability
+		"hoststall:vplc1@1s*Inf", // non-finite magnitude on any kind
 	} {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q): want error, got nil", spec)
@@ -69,6 +72,8 @@ func TestValidate(t *testing.T) {
 		{Events: []Event{{Kind: KindLinkFlap}}},
 		{Events: []Event{{Kind: KindLinkFlap, Target: "x", At: -1}}},
 		{Events: []Event{{Kind: KindLossBurst, Target: "x", Magnitude: 1.5}}},
+		{Events: []Event{{Kind: KindLossBurst, Target: "x", Magnitude: math.NaN()}}},
+		{Events: []Event{{Kind: KindHostStall, Target: "x", Magnitude: math.Inf(1)}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -52,15 +52,16 @@ type ExperimentConfig struct {
 	// making the failover observable through the data plane. Ignored when
 	// DisableInstaPLC is set (the plain-L2 baseline has no fast path).
 	INT bool
-	// Sinks are the run's telemetry attachments, never encoded and
-	// supplied fresh at Restore. Trace records the full frame lifecycle
+	// Sinks are the run's telemetry attachments, no part of the run
+	// spec (hence the tag: JSON would flatten an embedded struct in)
+	// and supplied fresh at Restore. Trace records the full frame lifecycle
 	// plus fault injection/recovery spans and is bound to the cell's
 	// engine before any traffic flows; Metrics receives every component
 	// counter (hosts, pipeline ports, links, engine internals);
 	// Collector receives terminated INT stacks (nil with INT set: the
 	// harness collects into one of its own, read through Result). A nil
 	// tracer or registry costs the run nothing.
-	sweep.Sinks
+	sweep.Sinks `json:"-"`
 }
 
 // DefaultExperimentConfig reproduces Fig. 5's setup.

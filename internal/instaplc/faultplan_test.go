@@ -3,10 +3,14 @@ package instaplc
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+	"unicode"
 
+	"steelnet/internal/checkpoint"
 	"steelnet/internal/faults"
 	"steelnet/internal/iodevice"
 	"steelnet/internal/sim"
@@ -170,8 +174,10 @@ func TestConnectRequestBoundsAreAnError(t *testing.T) {
 // TestHorizonAndBinBoundsAreAnError: a harness sizes its Fig. 5 rate
 // series from Horizon/Bin when it is built. BuildHarness refuses a
 // negative horizon, a bin that is not positive and more than maxBins
-// bins, and a checkpoint recording one restores to that error instead
-// of panicking inside the replay.
+// bins, and a link rate or secondary join the simulator would panic on;
+// a checkpoint recording one restores to that error instead of
+// panicking inside the replay (or, for a value JSON cannot carry, is
+// never written).
 func TestHorizonAndBinBoundsAreAnError(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -181,6 +187,11 @@ func TestHorizonAndBinBoundsAreAnError(t *testing.T) {
 		{"zero bin", func(c *ExperimentConfig) { c.Bin = 0 }},
 		{"negative bin", func(c *ExperimentConfig) { c.Bin = -50 * time.Millisecond }},
 		{"bins past the bound", func(c *ExperimentConfig) { c.Horizon, c.Bin = 1<<62, time.Nanosecond }},
+		{"zero link rate", func(c *ExperimentConfig) { c.LinkBps = 0 }},
+		{"negative link rate", func(c *ExperimentConfig) { c.LinkBps = -100e6 }},
+		{"NaN link rate", func(c *ExperimentConfig) { c.LinkBps = math.NaN() }},
+		{"infinite link rate", func(c *ExperimentConfig) { c.LinkBps = math.Inf(1) }},
+		{"negative secondary join", func(c *ExperimentConfig) { c.SecondaryJoinAt = -time.Second }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -197,11 +208,10 @@ func TestHorizonAndBinBoundsAreAnError(t *testing.T) {
 			h.AdvanceTo(sim.Time(10 * time.Millisecond))
 			tc.forge(&h.cfg)
 			var ck bytes.Buffer
-			if err := h.Save(&ck); err != nil {
-				t.Fatal(err)
-			}
-			if h, err := RestoreWith(&ck, sweep.Sinks{}); err == nil || h != nil {
-				t.Fatalf("RestoreWith = %v, %v; want an error", h, err)
+			if err := h.Save(&ck); err == nil {
+				if h, err := RestoreWith(&ck, sweep.Sinks{}); err == nil || h != nil {
+					t.Fatalf("RestoreWith = %v, %v; want an error", h, err)
+				}
 			}
 		})
 	}
@@ -214,5 +224,77 @@ func TestHorizonAndBinBoundsAreAnError(t *testing.T) {
 		if err := CheckConnect(cfg); (err == nil) != tc.ok {
 			t.Errorf("CheckConnect with %v 1ns bins = %v, want ok=%v", tc.horizon, err, tc.ok)
 		}
+	}
+}
+
+// TestSpecRoundTrip: a checkpoint's run spec is the whole configuration
+// but its sinks. Each round fills every field at random, at any depth
+// (so a nil and an empty fault plan each come back as what they were),
+// saves it and demands it back unchanged from the spec. A new field
+// therefore reaches the spec or is tagged `json:"-"` on purpose.
+func TestSpecRoundTrip(t *testing.T) {
+	h := NewHarness(DefaultExperimentConfig())
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 64; i++ {
+		var want ExperimentConfig
+		fill(rng, reflect.ValueOf(&want).Elem())
+		h.cfg = want
+		var ck bytes.Buffer
+		if err := h.Save(&ck); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		spec, _, _, err := checkpoint.Read(&ck)
+		if err != nil {
+			t.Fatalf("reading its own checkpoint: %v", err)
+		}
+		got, err := DecodeSpec(spec)
+		if err != nil {
+			t.Fatalf("decoding its own spec: %v\n%s", err, spec)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("did not survive the round trip:\n want %+v\n got  %+v", want, got)
+		}
+	}
+}
+
+// fill sets v to a random value of its type, leaving the sinks zero.
+// Strings are valid UTF-8: every plan a run accepts names registered
+// ASCII targets, and JSON carries nothing else unchanged.
+func fill(rng *rand.Rand, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(rng.Intn(2) == 1)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(rng.Uint64()))
+	case reflect.Uint64:
+		v.SetUint(rng.Uint64())
+	case reflect.Float64:
+		v.SetFloat(rng.NormFloat64() * 1e6)
+	case reflect.String:
+		r := make([]rune, rng.Intn(12))
+		for i := range r {
+			r[i] = rune(rng.Intn(unicode.MaxRune + 1))
+		}
+		v.SetString(string(r))
+	case reflect.Slice:
+		if n := rng.Intn(4); n > 0 {
+			v.Set(reflect.MakeSlice(v.Type(), n, n))
+			for i := 0; i < n; i++ {
+				fill(rng, v.Index(i))
+			}
+		}
+	case reflect.Pointer:
+		if rng.Intn(2) == 1 {
+			v.Set(reflect.New(v.Type().Elem()))
+			fill(rng, v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() && f.Name != "Sinks" {
+				fill(rng, v.Field(i))
+			}
+		}
+	default:
+		panic("no filler for " + v.Type().String())
 	}
 }

@@ -1,6 +1,8 @@
 package instaplc
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -18,9 +20,6 @@ import (
 	"steelnet/internal/sweep"
 	"steelnet/internal/telemetry"
 )
-
-// CheckpointKind tags this experiment's checkpoint files.
-const CheckpointKind = "instaplc"
 
 // Harness is the resumable form of the Fig. 5 experiment: the scenario
 // is built eagerly, advanced in steps, and can be checkpointed at any
@@ -185,8 +184,11 @@ const maxBins = 1 << 24
 // profinet.ConnectRequest): anything else would be truncated or wrap on
 // the wire, and a cycle below 1 µs would reach the watchdogs as zero.
 // It also refuses a negative horizon, a rate bin that is not positive,
-// and more than maxBins bins. BuildHarness runs it; a sweep deriving its
-// cells from one base configuration runs it once, before any cell.
+// more than maxBins bins, a link rate that is not a positive finite
+// number and a secondary that joins before time zero: a forged run spec
+// would otherwise panic in the simulator. BuildHarness runs it; a sweep
+// deriving its cells from one base configuration runs it once, before
+// any cell.
 func CheckConnect(cfg ExperimentConfig) error {
 	const maxCycle = math.MaxUint32 * time.Microsecond
 	switch {
@@ -200,6 +202,10 @@ func CheckConnect(cfg ExperimentConfig) error {
 		return fmt.Errorf("instaplc: the connect request cannot carry an IO cycle of %v: want whole microseconds from 1µs to %v", cfg.Cycle, maxCycle)
 	case cfg.DeviceWatchdogFactor < 1 || cfg.DeviceWatchdogFactor > math.MaxUint16:
 		return fmt.Errorf("instaplc: the connect request cannot carry a device watchdog factor of %d: want 1 to %d", cfg.DeviceWatchdogFactor, math.MaxUint16)
+	case !(cfg.LinkBps > 0) || math.IsInf(cfg.LinkBps, 1):
+		return fmt.Errorf("instaplc: link rate %v b/s is not a positive finite number", cfg.LinkBps)
+	case cfg.SecondaryJoinAt < 0:
+		return fmt.Errorf("instaplc: the secondary joins at %v, before the run starts", cfg.SecondaryJoinAt)
 	}
 	return nil
 }
@@ -297,26 +303,63 @@ func (h *Harness) Digest() uint64 {
 	return d.Sum()
 }
 
-// Save writes a replay-anchored checkpoint of the run to w.
+// Save writes a replay-anchored checkpoint of the run to w. Its spec
+// is the configuration as JSON, without the sinks.
 func (h *Harness) Save(w io.Writer) error {
-	return checkpoint.WriteHarness(w, CheckpointKind, checkpoint.Encode(WalkConfig, &h.cfg), int64(h.engine.Now()), h.Digest())
+	spec, err := json.Marshal(h.cfg)
+	if err != nil {
+		return fmt.Errorf("instaplc: encoding the run spec: %w", err)
+	}
+	return checkpoint.Write(w, spec, int64(h.engine.Now()), h.Digest())
+}
+
+// DecodeSpec decodes a checkpoint's run spec strictly: it must be
+// exactly what Save writes for some configuration. An unknown field,
+// data after the JSON, or the same values spelled another way (key
+// order, key case, whitespace) is checkpoint.ErrCorrupt, so an
+// accepted spec re-encodes to itself.
+func DecodeSpec(spec []byte) (ExperimentConfig, error) {
+	var cfg ExperimentConfig
+	if err := json.Unmarshal(spec, &cfg); err != nil {
+		return ExperimentConfig{}, fmt.Errorf("%w: run spec: %v", checkpoint.ErrCorrupt, err)
+	}
+	if again, err := json.Marshal(cfg); err != nil || !bytes.Equal(again, spec) {
+		return ExperimentConfig{}, fmt.Errorf("%w: the run spec is not in the form Save writes (an unknown field, or non-canonical JSON)", checkpoint.ErrCorrupt)
+	}
+	return cfg, nil
 }
 
 // RestoreWith reads a checkpoint, rebuilds the scenario from its
 // recorded configuration with the given telemetry sinks, and replays
-// deterministically to the checkpointed instant. A digest mismatch
-// returns *checkpoint.DivergenceError. Because the restore replays
+// deterministically to the checkpointed instant, which must lie within
+// the run. A digest mismatch returns *checkpoint.DivergenceError. Because the restore replays
 // from time zero, fresh sinks reproduce the original run's full
 // timeline: a collector handed in (it must be empty) is fed the
 // replayed window, and so is anything chained on its OnSink — the SLO
 // watchdog — so observation-driven state is rebuilt exactly as a
 // straight run would have built it.
 func RestoreWith(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
-	return checkpoint.Replay[sim.Time](r, CheckpointKind, WalkConfig,
-		func(cfg ExperimentConfig) (*Harness, error) {
-			cfg.Sinks = sinks
-			return BuildHarness(cfg)
-		})
+	spec, at, digest, err := checkpoint.Read(r)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := DecodeSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	if at < 0 || at > int64(cfg.Horizon) {
+		return nil, fmt.Errorf("%w: taken at %v, outside the run's 0 to %v", checkpoint.ErrCorrupt, time.Duration(at), cfg.Horizon)
+	}
+	cfg.Sinks = sinks
+	h, err := BuildHarness(cfg)
+	if err != nil {
+		return nil, err
+	}
+	h.AdvanceTo(sim.Time(at))
+	if got := h.Digest(); got != digest {
+		return nil, &checkpoint.DivergenceError{At: at, Recorded: digest, Replayed: got}
+	}
+	return h, nil
 }
 
 // Restore is RestoreWith under the signature bench/figs.go compiles
@@ -324,23 +367,4 @@ func RestoreWith(r io.Reader, sinks sweep.Sinks) (*Harness, error) {
 // and RestoreWith takes its name, as the other kinds' restores have.
 func Restore(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry) (*Harness, error) {
 	return RestoreWith(r, sweep.Sinks{Trace: tracer, Metrics: registry})
-}
-
-// WalkConfig is the replayable configuration's field list, which is
-// also a checkpoint's "config" section: two configurations describe the
-// same run exactly when their encodings are equal. The sinks are no part
-// of it; a restore supplies fresh ones.
-func WalkConfig(c *checkpoint.Codec, cfg *ExperimentConfig) {
-	checkpoint.Int(c, &cfg.Seed)
-	checkpoint.Int(c, &cfg.Cycle)
-	checkpoint.Int(c, &cfg.DeviceWatchdogFactor)
-	checkpoint.Int(c, &cfg.InstaWatchdogCycles)
-	checkpoint.Int(c, &cfg.SecondaryJoinAt)
-	checkpoint.Int(c, &cfg.FailAt)
-	checkpoint.Int(c, &cfg.Horizon)
-	checkpoint.Int(c, &cfg.Bin)
-	c.F64(&cfg.LinkBps)
-	c.Bool(&cfg.DisableInstaPLC)
-	faults.WalkPlan(c, &cfg.Faults)
-	c.Bool(&cfg.INT)
 }

@@ -74,7 +74,6 @@ internal/ebpf       FuzzVerifier
 internal/ebpf       FuzzVM
 internal/checkpoint FuzzCheckpointRead
 internal/faults     FuzzParsePlan
-internal/checkpoint FuzzConfigWalk
 internal/frame      FuzzUnmarshalInto
 internal/int        FuzzParseSLOPlan
 internal/telemetry  FuzzReadJSONL
