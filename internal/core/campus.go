@@ -93,6 +93,7 @@ type CampusHarness struct {
 	net *simnet.Network
 
 	pools   []*frame.Pool
+	stopAt  sim.Time // the last instant a sender sends
 	colls   []*intnet.Collector
 	dogs    []*intnet.Watchdog
 	tracers []*telemetry.Tracer
@@ -100,10 +101,10 @@ type CampusHarness struct {
 }
 
 // maxCampusNodes bounds a campus's switches and hosts together, checked
-// before anything is allocated. A build takes about 1.5 KB a node
-// (core.campus_build_alloc_mb is 30.7 MB for campus_10k's 20,036
-// nodes), so a campus at the bound builds in about 1.6 GB; campus_10k
-// is a fiftieth of it.
+// before anything is allocated. A build takes about 1.3 KB a node
+// (BenchmarkCampus10kBuild is 26.7 MB for campus_10k's 20,036 nodes),
+// so a campus at the bound builds in about 1.4 GB; campus_10k is a
+// fiftieth of it.
 const maxCampusNodes = 1 << 20
 
 // NewCampusHarness builds and arms the experiment. A campus whose
@@ -246,6 +247,33 @@ func (h *CampusHarness) installRoutes() {
 	}
 }
 
+// campusSender is one host's periodic source, as the sim.Handler of its
+// own ticks; a campus cuts its senders from one slab. Each tick sends a
+// frame while the clock is at or before stopAt, then schedules the next
+// tick. Ticks go on past stopAt, sending nothing, so the engines'
+// sequence counters and fire counts, which the campus digest folds, are
+// those of a ticker that runs to the horizon.
+type campusSender struct {
+	h   *CampusHarness
+	src *simnet.Host
+	dst frame.MAC
+}
+
+func (s *campusSender) Fire() {
+	eng := s.src.Engine()
+	if eng.Now() <= s.h.stopAt {
+		// The payload is never written: it rides as a zero tail.
+		pool := s.src.Pool()
+		f := pool.Get(0)
+		f.ZeroTail = uint32(s.h.cfg.FrameBytes)
+		f.Dst = s.dst
+		if !s.src.Send(f) {
+			pool.Put(f)
+		}
+	}
+	eng.AfterCall(s.h.cfg.Period, s)
+}
+
 // armTraffic wires pools, telemetry roles, drop reclaim and the
 // periodic senders. Sends stop ten periods before the horizon so the
 // final state is fully drained (pools balance, CrossWire reaches zero).
@@ -254,32 +282,30 @@ func (h *CampusHarness) armTraffic() {
 	part := h.net.Part
 	// Switch ports belong to no pooled component, so their drops are
 	// wired here; each host's UsePool below covers its own port.
-	puts := make([]func(*frame.Frame), len(h.pools))
-	for s, pool := range h.pools {
-		puts[s] = pool.Put
-	}
 	for id, s := range part.Of {
 		if h.net.Graph.Node(topo.NodeID(id)).Kind != topo.KindSwitch {
 			continue
 		}
 		sw := h.net.Switch(topo.NodeID(id))
 		for i := range sw.NumPorts() {
-			sw.Port(i).OnDrop = puts[s]
+			sw.Port(i).OnDrop = h.pools[s].PutFunc()
 		}
 	}
 	stopAt := cfg.Horizon - 10*cfg.Period
 	if stopAt <= 0 {
 		stopAt = cfg.Horizon / 2
 	}
+	h.stopAt = sim.Time(0).Add(stopAt)
 	hostsPerCell := len(h.ct.CellHosts[0])
 	totalHosts := hostsPerCell * len(h.ct.CellHosts)
+	senders := make([]campusSender, 0, totalHosts) // never grows: the engines hold its addresses
 	gi := 0
 	for c := range h.ct.CellHosts {
 		for k, id := range h.ct.CellHosts[c] {
 			shard := part.Of[id]
 			src := h.net.Host(id)
 			src.UsePool(h.pools[shard])
-			src.OnReceive(puts[shard])
+			src.OnReceive(h.pools[shard].PutFunc())
 			if cfg.INT {
 				src.SetINTSink(h.colls[shard])
 			}
@@ -297,22 +323,9 @@ func (h *CampusHarness) armTraffic() {
 				gi++
 				continue // single-host campus: nothing to talk to
 			}
-			dst := h.net.Host(dstID).MAC()
-			pool := h.pools[shard]
-			eng := src.Engine()
+			senders = append(senders, campusSender{h: h, src: src, dst: h.net.Host(dstID).MAC()})
 			start := sim.Duration(1) + sim.Duration(gi)*cfg.Period/sim.Duration(totalHosts+1)
-			eng.Every(sim.Time(0).Add(start), cfg.Period, func() {
-				if eng.Now() > sim.Time(0).Add(stopAt) {
-					return
-				}
-				// The payload is never written: it rides as a zero tail.
-				f := pool.Get(0)
-				f.ZeroTail = uint32(cfg.FrameBytes)
-				f.Dst = dst
-				if !src.Send(f) {
-					pool.Put(f)
-				}
-			})
+			src.Engine().ScheduleCall(sim.Time(0).Add(start), &senders[len(senders)-1])
 			gi++
 		}
 	}

@@ -301,7 +301,7 @@ func (p *Pipeline) Pool() *frame.Pool { return p.pool }
 func (p *Pipeline) UsePool(pool *frame.Pool) {
 	p.pool = pool
 	for _, port := range p.ports {
-		port.OnDrop = pool.Put
+		port.OnDrop = pool.PutFunc()
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"unsafe"
 )
 
-// TestFrameSize: the FIFO link and the queued mark ride in the frame
-// without moving it out of the 96-byte size class.
+// TestFrameSize: the FIFO link rides in the frame without moving it out
+// of the 96-byte size class.
 func TestFrameSize(t *testing.T) {
 	if n := unsafe.Sizeof(Frame{}); n > 96 {
 		t.Fatalf("Frame is %d bytes, at most 96", n)

@@ -77,17 +77,16 @@ type Frame struct {
 
 	// pooled marks a frame currently sitting in a Pool free list, so a
 	// double Put panics at the release site instead of corrupting the
-	// list and surfacing as aliased payloads much later. queued marks a
-	// frame linked into a FIFO (through next, below), so a second push
-	// panics the same way. Both sit in the padding after Type.
-	pooled, queued bool
+	// list and surfacing as aliased payloads much later. It sits in the
+	// padding after Type.
+	pooled bool
 
 	// ZeroTail counts zero octets that follow Payload on the wire
 	// without being stored: a generated body nobody writes or reads
 	// costs a count instead of a buffer. Everything that reads octets
 	// (WireLen, MarshalInto, the clones, FoldState, Corrupt) sees
 	// Payload followed by that many zeros. It sits in the padding after
-	// queued.
+	// pooled.
 	ZeroTail uint32
 
 	Payload []byte
@@ -103,7 +102,9 @@ type Frame struct {
 	// the way an INT sink strips the stack before host delivery.
 	INT *INTStack
 
-	// next links the frame to the one behind it in its FIFO.
+	// next links the frame to the one behind it in its FIFO (the tail
+	// to the head); it is non-nil exactly while the frame is queued, so
+	// a second push panics the way a double Put does.
 	next *Frame
 }
 
@@ -239,7 +240,7 @@ func (f *Frame) Clone() *Frame {
 // detach clears what a whole-frame copy must not inherit from its
 // source: the free-list mark and the FIFO link. UnmarshalInto needs no
 // call, since it builds its result from a zero Frame.
-func (f *Frame) detach() { f.pooled, f.queued, f.next = false, false, nil }
+func (f *Frame) detach() { f.pooled, f.next = false, nil }
 
 // EffectivePriority returns the scheduling priority: the PCP when tagged,
 // else best effort.

@@ -28,6 +28,19 @@ type Pool struct {
 	News, Reused, Puts uint64
 	// StackNews, StackReused and StackPuts count INT stacks the same way.
 	StackNews, StackReused, StackPuts uint64
+
+	// put is Put as a func value, made once (see PutFunc).
+	put func(*Frame)
+}
+
+// PutFunc returns Put as a func value, the one every drop hook and
+// receive handler that releases to p shares: a method value made per
+// port or host would cost each an allocation.
+func (p *Pool) PutFunc() func(*Frame) {
+	if p.put == nil {
+		p.put = p.Put
+	}
+	return p.put
 }
 
 // Outstanding returns frames handed out and not yet returned. Across a
@@ -130,7 +143,7 @@ func (p *Pool) Put(f *Frame) {
 	if f.pooled {
 		panic("frame: double release to pool")
 	}
-	if f.queued {
+	if f.Queued() {
 		panic("frame: release of a frame still queued")
 	}
 	p.StripINT(f)

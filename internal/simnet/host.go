@@ -103,7 +103,7 @@ func (h *Host) SetINTSink(sink INTSink) { h.intSink = sink }
 // Call before traffic starts.
 func (h *Host) UsePool(p *frame.Pool) {
 	h.pool = p
-	h.port.OnDrop = p.Put
+	h.port.OnDrop = p.PutFunc()
 }
 
 // Pool returns the host's free list. Without UsePool it is a pool of

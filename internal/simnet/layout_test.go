@@ -16,11 +16,11 @@ import (
 // shaper, fault injection or a drop writes goes in the port's cold
 // block, which a campus run without faults never allocates.
 func TestPortLayout(t *testing.T) {
-	if got := unsafe.Sizeof(simnet.Port{}); got > 400 {
-		t.Errorf("Port is %d B, at most 400", got)
+	if got := unsafe.Sizeof(simnet.Port{}); got > 296 {
+		t.Errorf("Port is %d B, at most 296", got)
 	}
-	if got := unsafe.Sizeof(simnet.Host{}); got > 512 {
-		t.Errorf("Host is %d B, at most 512", got)
+	if got := unsafe.Sizeof(simnet.Host{}); got > 400 {
+		t.Errorf("Host is %d B, at most 400", got)
 	}
 	h, err := core.NewCampusHarness(core.CampusConfig{
 		Topo:    topo.CampusConfig{Cells: 4, SwitchesPerCell: 6, HostsPerSwitch: 2, Spines: 2},

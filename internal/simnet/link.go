@@ -40,13 +40,17 @@ type Port struct {
 	Owner Node
 	Index int
 	link  *Link
-	end   int // 0 or 1: which side of the link we are
 
 	queue PriorityQueue
 	busy  bool
 	// lost is the loss-injection draw of the frame being serialized, cut
 	// whether its link went down while it was.
 	lost, cut bool
+	end       uint8 // 0 or 1: which side of the link we are
+	// inFlight counts frames that left the queue and have not yet
+	// reached a terminal outcome. It and end share the word of the
+	// flags above.
+	inFlight int32
 
 	// tr observes the port's frame lifecycle; nil (the default) keeps
 	// the egress path allocation-free.
@@ -55,12 +59,9 @@ type Port struct {
 	// frames that finished serializing and are propagating: a link's
 	// propagation delay is fixed, so they reach the far end in the order
 	// they left. The port is the handler of its completion events (see
-	// serDoneEv), so egress schedules them without allocating. inFlight
-	// counts frames that left the queue and have not yet reached a
-	// terminal outcome.
-	sending  *frame.Frame
-	wire     frame.FIFO
-	inFlight int
+	// serDoneEv), so egress schedules them without allocating.
+	sending *frame.Frame
+	wire    frame.FIFO
 
 	cold *portCold
 
@@ -225,7 +226,7 @@ func (p *Port) QueueDepth() int { return p.queue.Len() }
 
 // InFlight returns frames that left the queue but have not yet reached
 // a terminal outcome (delivery or destruction).
-func (p *Port) InFlight() int { return p.inFlight }
+func (p *Port) InFlight() int { return int(p.inFlight) }
 
 // Accepted returns the frames the egress queue has accepted — the
 // "sent" side of the port's conservation identity (see Account).
@@ -263,7 +264,7 @@ func (p *Port) SetCorruptRate(rate float64) { p.coldBlock().corruptRate = rate }
 func (p *Port) rng() *sim.RNG {
 	c := p.cold
 	if c.faultRNG == nil {
-		c.faultRNG = p.link.engineFor(p.end).RNG(fmt.Sprintf("faults/port/%s/%d", p.Owner.Name(), p.Index))
+		c.faultRNG = p.link.engineFor(int(p.end)).RNG(fmt.Sprintf("faults/port/%s/%d", p.Owner.Name(), p.Index))
 	}
 	return c.faultRNG
 }
@@ -448,12 +449,16 @@ func (l *Link) SetUp(up bool) {
 }
 
 // SerializationDelay returns the time a frame of wireLen bytes occupies
-// the wire.
+// the wire, truncated to the nanosecond. For any frame under a megabyte
+// the numerator wireLen·8·10⁹ is a whole number below 2⁵³, so the one
+// division rounds correctly and a whole quotient comes out whole.
+// Dividing by the rate first can land a nanosecond short of it: 120 B
+// at 1 Gb/s read 959 ns, not 960.
 func (l *Link) SerializationDelay(wireLen int) sim.Duration {
 	if wireLen < minWireBytes {
 		wireLen = minWireBytes
 	}
-	return sim.Duration(float64(wireLen*8) / l.RateBps * 1e9)
+	return sim.Duration(float64(wireLen*8) * 1e9 / l.RateBps)
 }
 
 // Send enqueues a frame for transmission out of port p. It returns false
@@ -499,7 +504,7 @@ func (p *Port) startNext() {
 	if l == nil || !l.up {
 		return
 	}
-	eng := l.engineFor(p.end)
+	eng := l.engineFor(int(p.end))
 	now := eng.Now()
 	f := p.queue.Peek()
 	if f == nil {
@@ -645,7 +650,7 @@ func (p *Port) crossHandoff(f *frame.Frame) {
 	l := p.link
 	c := l.cross
 	p.inFlight--
-	src := p.end
+	src := int(p.end)
 	c.sent[src]++
 	if p.tr != nil {
 		// The causal stitch point: the sending shard's tracer assigns

@@ -52,6 +52,26 @@ func TestSerializationUsesMinFrameSize(t *testing.T) {
 	_ = e
 }
 
+// TestSerializationDelayIsExact: a frame's wire time is the integer
+// quotient wireLen·8·10⁹/rate truncated to the nanosecond, for every
+// length from the 64-byte minimum to a 9,216-byte jumbo frame, at the
+// standard rates and at 3 Gb/s, whose byte time is not a whole number
+// of picoseconds. Dividing by the rate first lands one short on some
+// (120 B at 1 Gb/s is 960 ns, not 959).
+func TestSerializationDelayIsExact(t *testing.T) {
+	e := sim.NewEngine(1)
+	for _, rate := range []int64{100e6, 1e9, 3e9, 10e9, 40e9, 100e9} {
+		a, b := NewPort(nil, 0), NewPort(nil, 1)
+		l := Connect(e, "ab", a, b, float64(rate), 0)
+		for n := 1; n <= 9216; n++ {
+			want := sim.Duration(int64(max(n, 64)) * 8e9 / rate)
+			if got := l.SerializationDelay(n); got != want {
+				t.Fatalf("%d B at %d b/s: %v, want %v", n, rate, got, want)
+			}
+		}
+	}
+}
+
 func TestLinkSerializesSequentially(t *testing.T) {
 	e := sim.NewEngine(1)
 	a, b := pair(e, 1e9, 0)

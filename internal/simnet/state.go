@@ -38,7 +38,7 @@ func (p *Port) FoldState(d *checkpoint.Digest) {
 	p.queue.foldState(d, &c.droppedPerClass)
 	d.Bool(p.busy)
 	d.Bool(c.pausedTx.Pending())
-	d.Int(p.inFlight)
+	d.Int(int(p.inFlight))
 	d.U64(p.TxFrames)
 	d.U64(p.RxFrames)
 	d.U64(p.TxBytes)

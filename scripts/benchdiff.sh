@@ -179,8 +179,8 @@ BenchmarkInstaPLCCycle                 0 a Fig. 5 I/O cycle through vPLCs, pipel
 BenchmarkEngineShardedLocalSteady      0 per-shard arenas: window barriers must run GC-free
 BenchmarkEngineShardedCross            0 outbox slots, the barrier merge buffer and delivery slots must be reused
 BenchmarkCrossShardForwarding          0 a frame crossing a cross-shard link must ride a recycled delivery slot, not a closure
-BenchmarkCampus10kBuild            95859 graph and FIBs sized once, switches, links, ports and hosts one slab each, jitter streams inside the switches: 94,910 allocs/op plus 1 %
-BenchmarkCampus10kShards1         116149 build plus 1 ms of traffic: hop events carry their port or forwarding context, so no per-port or per-switch closure; 114,999 allocs/op plus 1 %
+BenchmarkCampus10kBuild            65508 graph, FIBs, switches, links, ports, hosts and traffic senders one slab each, one drop hook per pool: 64,859 allocs/op plus 1 %
+BenchmarkCampus10kShards1          85799 build plus 1 ms of traffic: hop events carry their port, forwarding context or sender, so no per-port, per-switch or per-host closure; 84,949 allocs/op plus 1 %
 BenchmarkHubPublish\/subs=1            0 hub publish must be one channel send, the payload bytes shared
 BenchmarkHubPublish\/subs=64           0 hub fan-out must not allocate per subscriber
 BenchmarkHubPublish\/subs=1024         0 hub fan-out must stay allocation-free at SSE-fleet scale

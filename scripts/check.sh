@@ -81,6 +81,7 @@ internal/simnet     FuzzFIB
 internal/steelnetd  FuzzRunSpec
 internal/tshist     FuzzHistoryQuery
 internal/frame      FuzzZeroTail
+internal/simnet     FuzzFIFO
 EOF
 }
 
