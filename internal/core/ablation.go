@@ -75,6 +75,24 @@ func (m ShaperMode) String() string {
 	return "none"
 }
 
+// burstSrc is a RunShaperAblation source as the handler of its ticks:
+// n frames of one class to sink per tick.
+type burstSrc struct {
+	host, sink *simnet.Host
+	n, size    int
+	prio       frame.PCP
+	typ        frame.EtherType
+}
+
+func (b *burstSrc) Fire() {
+	for range b.n {
+		b.host.Send(&frame.Frame{
+			Dst: b.sink.MAC(), Tagged: true, Priority: b.prio, VID: 10,
+			Type: b.typ, Payload: make([]byte, b.size),
+		})
+	}
+}
+
 // RunShaperAblation measures the RT flow's inter-arrival jitter at the
 // sink under the chosen egress discipline.
 func RunShaperAblation(cfg TASAblationConfig, mode ShaperMode) TASAblationResult {
@@ -102,20 +120,8 @@ func RunShaperAblation(cfg TASAblationConfig, mode ShaperMode) TASAblationResult
 			arrivals = append(arrivals, int64(e.Now()))
 		}
 	})
-	e.Every(0, cfg.Cycle, func() {
-		rtSrc.Send(&frame.Frame{
-			Dst: sink.MAC(), Tagged: true, Priority: frame.PrioRT, VID: 10,
-			Type: frame.TypeProfinet, Payload: make([]byte, 40),
-		})
-	})
-	e.Every(0, cfg.BEEvery, func() {
-		for i := 0; i < cfg.BEBurst; i++ {
-			beSrc.Send(&frame.Frame{
-				Dst: sink.MAC(), Tagged: true, Priority: frame.PrioBestEffort, VID: 10,
-				Type: frame.TypeIPv4, Payload: make([]byte, 1500),
-			})
-		}
-	})
+	e.Every(0, cfg.Cycle, &burstSrc{rtSrc, sink, 1, 40, frame.PrioRT, frame.TypeProfinet})
+	e.Every(0, cfg.BEEvery, &burstSrc{beSrc, sink, cfg.BEBurst, 1500, frame.PrioBestEffort, frame.TypeIPv4})
 	e.RunUntil(sim.Time(cfg.Horizon))
 
 	jit := metrics.InterArrivalJitter(arrivals, cfg.Cycle)

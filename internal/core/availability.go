@@ -90,68 +90,75 @@ func RunAvailability(cfg AvailabilityConfig, strategy HAStrategy) AvailabilityRe
 		cfg.Span = DefaultAvailabilityConfig().Span
 	}
 	e := sim.NewEngine(cfg.Seed ^ uint64(strategy+1)<<32)
-	rng := e.RNG("failures")
-	tracker := metrics.NewAvailabilityTracker(0)
-	res := AvailabilityResult{Strategy: strategy}
-
-	instances := 1
+	r := &availRun{cfg: cfg, e: e, rng: e.RNG("failures"), tracker: metrics.NewAvailabilityTracker(0),
+		res: AvailabilityResult{Strategy: strategy}, instances: 1, healthy: 1}
 	if strategy != NoRedundancy {
-		instances = 2
+		r.instances, r.healthy = 2, 2
 	}
-	healthy := instances
-
-	gap := func() time.Duration {
-		switch strategy {
-		case HardwarePair:
-			return cfg.HardwareSwitchover
-		case InstaPLCPair:
-			return cfg.InstaPLCSwitchover
-		default:
-			return cfg.RestartTime
-		}
-	}
-
-	var scheduleFailure func()
-	scheduleFailure = func() {
-		hazard := healthy
-		if hazard < 1 {
-			hazard = 1 // instances mid-restart cannot fail again
-		}
-		draw := rng.Exp(float64(cfg.MTBF) / float64(hazard))
-		if draw > float64(cfg.Span) {
-			draw = float64(cfg.Span) // clamp: beyond the horizon is beyond
-		}
-		d := time.Duration(draw)
-		e.After(d, func() {
-			if e.Now() > sim.Time(cfg.Span) {
-				return
-			}
-			res.Failures++
-			healthy--
-			now := int64(e.Now())
-			if healthy >= 1 {
-				// A standby takes over after the switchover gap.
-				tracker.Observe(now, false)
-				tracker.Observe(now+int64(gap()), true)
-			} else {
-				// Nothing left: down until a restart completes.
-				res.DoubleFailures++
-				tracker.Observe(now, false)
-				tracker.Observe(now+int64(cfg.RestartTime), true)
-			}
-			// The failed instance restarts and rejoins.
-			e.After(cfg.RestartTime, func() {
-				if healthy < instances {
-					healthy++
-				}
-			})
-			scheduleFailure()
-		})
-	}
-	scheduleFailure()
+	r.scheduleFailure()
 	e.RunUntil(sim.Time(cfg.Span))
-	res.Report = tracker.Close(int64(cfg.Span))
-	return res
+	r.res.Report = r.tracker.Close(int64(cfg.Span))
+	return r.res
+}
+
+// availRun is one RunAvailability year as the handler of its failures,
+// and as restartEv of the restarts that follow them.
+type availRun struct {
+	cfg                AvailabilityConfig
+	e                  *sim.Engine
+	rng                *sim.RNG
+	tracker            *metrics.AvailabilityTracker
+	res                AvailabilityResult
+	instances, healthy int
+}
+
+type restartEv availRun
+
+func (r *restartEv) Fire() {
+	if r.healthy < r.instances {
+		r.healthy++
+	}
+}
+
+func (r *availRun) scheduleFailure() {
+	hazard := r.healthy
+	if hazard < 1 {
+		hazard = 1 // instances mid-restart cannot fail again
+	}
+	draw := r.rng.Exp(float64(r.cfg.MTBF) / float64(hazard))
+	if draw > float64(r.cfg.Span) {
+		draw = float64(r.cfg.Span) // clamp: beyond the horizon is beyond
+	}
+	r.e.After(time.Duration(draw), r)
+}
+
+func (r *availRun) Fire() {
+	if r.e.Now() > sim.Time(r.cfg.Span) {
+		return
+	}
+	r.res.Failures++
+	r.healthy--
+	now := int64(r.e.Now())
+	if r.healthy >= 1 {
+		// A standby takes over after the switchover gap.
+		gap := r.cfg.RestartTime
+		switch r.res.Strategy {
+		case HardwarePair:
+			gap = r.cfg.HardwareSwitchover
+		case InstaPLCPair:
+			gap = r.cfg.InstaPLCSwitchover
+		}
+		r.tracker.Observe(now, false)
+		r.tracker.Observe(now+int64(gap), true)
+	} else {
+		// Nothing left: down until a restart completes.
+		r.res.DoubleFailures++
+		r.tracker.Observe(now, false)
+		r.tracker.Observe(now+int64(r.cfg.RestartTime), true)
+	}
+	// The failed instance restarts and rejoins.
+	r.e.After(r.cfg.RestartTime, (*restartEv)(r))
+	r.scheduleFailure()
 }
 
 // RunAvailabilityComparison runs all strategies under one config.

@@ -271,7 +271,7 @@ func (s *campusSender) Fire() {
 			pool.Put(f)
 		}
 	}
-	eng.AfterCall(s.h.cfg.Period, s)
+	eng.After(s.h.cfg.Period, s)
 }
 
 // armTraffic wires pools, telemetry roles, drop reclaim and the
@@ -325,7 +325,7 @@ func (h *CampusHarness) armTraffic() {
 			}
 			senders = append(senders, campusSender{h: h, src: src, dst: h.net.Host(dstID).MAC()})
 			start := sim.Duration(1) + sim.Duration(gi)*cfg.Period/sim.Duration(totalHosts+1)
-			src.Engine().ScheduleCall(sim.Time(0).Add(start), &senders[len(senders)-1])
+			src.Engine().Schedule(sim.Time(0).Add(start), &senders[len(senders)-1])
 			gi++
 		}
 	}

@@ -176,7 +176,6 @@ func NewFactory(cfg FactoryConfig) *Factory {
 // join standbyDelay after the primaries so roles are deterministic.
 func (f *Factory) Start(standbyDelay time.Duration) {
 	for _, cell := range f.Cells {
-		cell := cell
 		spec := plc.ConnectSpec{
 			Device: cell.Device.Host().MAC(),
 			Req: profinet.ConnectRequest{
@@ -187,11 +186,10 @@ func (f *Factory) Start(standbyDelay time.Duration) {
 				OutputLen:      uint16(cell.Config.OutputLen),
 			},
 		}
-		f.Engine.Schedule(f.Engine.Now(), func() { cell.Primary.Connect(spec) })
+		cell.Primary.ConnectAt(f.Engine.Now(), spec)
 		if cell.Standby != nil {
-			s := spec
-			s.Req.ARID += 1000
-			f.Engine.After(standbyDelay, func() { cell.Standby.Connect(s) })
+			spec.Req.ARID += 1000
+			cell.Standby.ConnectAt(f.Engine.Now().Add(standbyDelay), spec)
 		}
 	}
 }

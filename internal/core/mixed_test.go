@@ -46,14 +46,14 @@ func mixedRig(t *testing.T, mlPrio frame.PCP, burst int) (*sim.Engine, *iodevice
 	})
 	// ML camera: a burst of 1400-byte fragments every 30 ms (a frame
 	// upload), sharing the trunk with the control loop.
-	e.Every(sim.Time(5*time.Millisecond), 30*time.Millisecond, func() {
+	e.Every(sim.Time(5*time.Millisecond), 30*time.Millisecond, sim.Func(func() {
 		for i := 0; i < burst; i++ {
 			mlSrc.Send(&frame.Frame{
 				Dst: mlSink.MAC(), Tagged: true, Priority: mlPrio, VID: 20,
 				Type: frame.TypeMLData, Payload: make([]byte, 1400),
 			})
 		}
-	})
+	}))
 	return e, dev
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"steelnet/internal/iodevice"
+	"steelnet/internal/sim"
 )
 
 // TestSixteenCellFactoryWithInstaPLC is the scale check §2.1 says
@@ -30,7 +31,7 @@ func TestSixteenCellFactoryWithInstaPLC(t *testing.T) {
 	// Kill three primaries at staggered times.
 	for i, victim := range []int{2, 7, 13} {
 		v := victim
-		f.Engine.After(time.Duration(i)*50*time.Millisecond, func() { f.Cells[v].Primary.Fail() })
+		f.Engine.After(time.Duration(i)*50*time.Millisecond, sim.Func(func() { f.Cells[v].Primary.Fail() }))
 	}
 	f.RunFor(time.Second)
 

@@ -151,7 +151,6 @@ type Entry struct {
 	Hits uint64
 
 	idleTimer sim.Event
-	idleFn    func() // the watchdog's expiry callback, built at the first arm
 	table     *Table
 	deleted   bool
 }
@@ -334,16 +333,17 @@ func (p *Pipeline) AddTable(name string, def Action) *Table {
 }
 
 // rxJob carries one received frame across the pipeline's processing
-// latency. Like simnet's flight it owns its closure and recycles
-// through a per-pipeline free list.
+// latency. It is the handler of the latency's end and recycles through
+// a per-pipeline free list.
 type rxJob struct {
 	p    *Pipeline
 	in   int
 	rxNS int64
 	f    *frame.Frame
-	run  func()
 	next *rxJob
 }
+
+func (j *rxJob) Fire() { j.p.processJob(j) }
 
 // Receive implements simnet.Node: parse, walk tables, act. The receive
 // instant is carried to process so INT transit records can report the
@@ -356,12 +356,11 @@ func (p *Pipeline) Receive(port *simnet.Port, f *frame.Frame) {
 	j := p.rxJobs
 	if j == nil {
 		j = &rxJob{p: p}
-		j.run = func() { j.p.processJob(j) }
 	} else {
 		p.rxJobs = j.next
 	}
 	j.in, j.rxNS, j.f = port.Index, int64(p.engine.Now()), f
-	p.engine.After(d, j.run)
+	p.engine.After(d, j)
 }
 
 // processJob unpacks and recycles the job, then processes the frame.
@@ -524,12 +523,14 @@ func (p *Pipeline) Inject(port int, f *frame.Frame) {
 // armIdle (re)arms an entry's idle watchdog.
 func (p *Pipeline) armIdle(e *Entry) {
 	e.idleTimer.Cancel()
-	if e.idleFn == nil {
-		e.idleFn = func() {
-			if !e.deleted && e.OnIdle != nil {
-				e.OnIdle(e)
-			}
-		}
+	e.idleTimer = p.engine.After(e.IdleTimeout, (*idleEv)(e))
+}
+
+// idleEv is an entry as the handler of its idle watchdog's expiry.
+type idleEv Entry
+
+func (ev *idleEv) Fire() {
+	if e := (*Entry)(ev); !e.deleted && e.OnIdle != nil {
+		e.OnIdle(e)
 	}
-	e.idleTimer = p.engine.After(e.IdleTimeout, e.idleFn)
 }

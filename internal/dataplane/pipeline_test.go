@@ -225,9 +225,9 @@ func TestIdleTimeoutFiresOnceWhenTrafficStops(t *testing.T) {
 		OnIdle:      func(*Entry) { idled++ },
 	})
 	// Traffic every 1 ms for 20 ms, then silence.
-	tk := e.Every(0, time.Millisecond, func() {
+	tk := e.Every(0, time.Millisecond, sim.Func(func() {
 		hosts[0].Send(&frame.Frame{Dst: hosts[1].MAC()})
-	})
+	}))
 	e.RunUntil(sim.Time(20 * time.Millisecond))
 	tk.Stop()
 	if idled != 0 {

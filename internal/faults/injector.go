@@ -68,11 +68,41 @@ func (in *Injector) Apply(plan Plan) error {
 		}
 	}
 	base := in.engine.Now()
-	for _, ev := range plan.Events {
-		ev := ev
-		in.engine.Schedule(base.Add(ev.At), func() { in.inject(ev) })
+	onsets := make([]onset, len(plan.Events))
+	for i, ev := range plan.Events {
+		onsets[i] = onset{in: in, ev: ev}
+		in.engine.Schedule(base.Add(ev.At), &onsets[i])
 	}
 	return nil
+}
+
+// onset is one plan event as the handler of its injection, recovery
+// the same event as the handler of its recovery. Apply cuts a plan's
+// onsets from one slab.
+type onset struct {
+	in *Injector
+	ev Event
+}
+
+type recovery onset
+
+func (o *onset) Fire() { o.in.inject(o) }
+
+func (r *recovery) Fire() {
+	in, ev := r.in, r.ev
+	in.record(PhaseRecover, ev)
+	switch ev.Kind {
+	case KindLinkFlap:
+		in.links[ev.Target].SetUp(true)
+	case KindLossBurst:
+		in.ports[ev.Target].SetLossRate(0)
+	case KindCorruptBurst:
+		in.ports[ev.Target].SetCorruptRate(0)
+	case KindSwitchCrash:
+		in.switches[ev.Target].Restart()
+	case KindHostStall:
+		in.hosts[ev.Target].Restart()
+	}
 }
 
 // check verifies the event's target is registered for its kind.
@@ -95,36 +125,22 @@ func (in *Injector) check(ev Event) error {
 }
 
 // inject executes the fault's onset and schedules its recovery.
-func (in *Injector) inject(ev Event) {
-	recoverLater := func(fn func()) {
-		if ev.Duration > 0 {
-			in.engine.After(ev.Duration, func() {
-				in.record(PhaseRecover, ev)
-				fn()
-			})
-		}
-	}
+func (in *Injector) inject(o *onset) {
+	ev := o.ev
 	switch ev.Kind {
 	case KindLinkFlap:
-		l := in.links[ev.Target]
-		l.SetUp(false)
-		recoverLater(func() { l.SetUp(true) })
+		in.links[ev.Target].SetUp(false)
 	case KindLossBurst:
-		p := in.ports[ev.Target]
-		p.SetLossRate(ev.Magnitude)
-		recoverLater(func() { p.SetLossRate(0) })
+		in.ports[ev.Target].SetLossRate(ev.Magnitude)
 	case KindCorruptBurst:
-		p := in.ports[ev.Target]
-		p.SetCorruptRate(ev.Magnitude)
-		recoverLater(func() { p.SetCorruptRate(0) })
+		in.ports[ev.Target].SetCorruptRate(ev.Magnitude)
 	case KindSwitchCrash:
-		s := in.switches[ev.Target]
-		s.Fail()
-		recoverLater(s.Restart)
+		in.switches[ev.Target].Fail()
 	case KindHostStall:
-		h := in.hosts[ev.Target]
-		h.Fail()
-		recoverLater(h.Restart)
+		in.hosts[ev.Target].Fail()
+	}
+	if ev.Duration > 0 {
+		in.engine.After(ev.Duration, (*recovery)(o))
 	}
 	in.Injected++
 	in.record(PhaseInject, ev)

@@ -152,18 +152,16 @@ func binAvailability(bins []int) float64 {
 	return float64(up) / float64(len(bins)-first)
 }
 
-func connect(e *sim.Engine, c *plc.Controller, at time.Duration, cfg ExperimentConfig, arid uint32) {
-	e.Schedule(sim.Time(at), func() {
-		c.Connect(plc.ConnectSpec{
-			Device: frame.NewMAC(3),
-			Req: profinet.ConnectRequest{
-				ARID:           arid,
-				CycleUS:        uint32(cfg.Cycle / time.Microsecond),
-				WatchdogFactor: uint16(cfg.DeviceWatchdogFactor),
-				InputLen:       8,
-				OutputLen:      8,
-			},
-		})
+func connect(c *plc.Controller, at time.Duration, cfg ExperimentConfig, arid uint32) {
+	c.ConnectAt(sim.Time(at), plc.ConnectSpec{
+		Device: frame.NewMAC(3),
+		Req: profinet.ConnectRequest{
+			ARID:           arid,
+			CycleUS:        uint32(cfg.Cycle / time.Microsecond),
+			WatchdogFactor: uint16(cfg.DeviceWatchdogFactor),
+			InputLen:       8,
+			OutputLen:      8,
+		},
 	})
 }
 

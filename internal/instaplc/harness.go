@@ -94,8 +94,8 @@ func BuildHarness(cfg ExperimentConfig) (*Harness, error) {
 	h.vplc2 = plc.NewController(e, "vplc2", frame.NewMAC(2), plc.ControllerConfig{})
 	h.dev = iodevice.New(e, "io", frame.NewMAC(3), nil, nil)
 
-	connect(e, h.vplc1, 0, cfg, 1)
-	connect(e, h.vplc2, cfg.SecondaryJoinAt, cfg, 2)
+	connect(h.vplc1, 0, cfg, 1)
+	connect(h.vplc2, cfg.SecondaryJoinAt, cfg, 2)
 
 	h.links = wire(e, h.vplc1, h.vplc2, h.dev, h.pipe, cfg.LinkBps)
 
@@ -162,16 +162,22 @@ func BuildHarness(cfg ExperimentConfig) (*Harness, error) {
 	h.fromVPLC1 = make([]int, 0, bins)
 	h.fromVPLC2 = make([]int, 0, bins)
 	h.toIO = make([]int, 0, bins)
-	e.Every(sim.Time(cfg.Bin), cfg.Bin, func() {
-		t1 := h.vplc1.Host().Port().TxFrames
-		t2 := h.vplc2.Host().Port().TxFrames
-		tio := h.dev.Host().Port().RxFrames
-		h.fromVPLC1 = append(h.fromVPLC1, int(t1-h.prevV1))
-		h.fromVPLC2 = append(h.fromVPLC2, int(t2-h.prevV2))
-		h.toIO = append(h.toIO, int(tio-h.prevIO))
-		h.prevV1, h.prevV2, h.prevIO = t1, t2, tio
-	})
+	e.Every(sim.Time(cfg.Bin), cfg.Bin, (*binEv)(h))
 	return h, nil
+}
+
+// binEv is a harness as the handler of its bin edges.
+type binEv Harness
+
+func (b *binEv) Fire() {
+	h := (*Harness)(b)
+	t1 := h.vplc1.Host().Port().TxFrames
+	t2 := h.vplc2.Host().Port().TxFrames
+	tio := h.dev.Host().Port().RxFrames
+	h.fromVPLC1 = append(h.fromVPLC1, int(t1-h.prevV1))
+	h.fromVPLC2 = append(h.fromVPLC2, int(t2-h.prevV2))
+	h.toIO = append(h.toIO, int(tio-h.prevIO))
+	h.prevV1, h.prevV2, h.prevIO = t1, t2, tio
 }
 
 // maxBins bounds the Fig. 5 rate series a run allocates up front, as

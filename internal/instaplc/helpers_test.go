@@ -40,15 +40,15 @@ func buildThreeControllerCell(e *sim.Engine) *threeCell {
 	}
 	out := &threeCell{app: app, dev: dev}
 	v3.OnRejected = func(uint32, uint8) { out.thirdRejected = true }
-	e.Schedule(0, func() {
+	e.Schedule(0, sim.Func(func() {
 		v1.Connect(plc.ConnectSpec{Device: frame.NewMAC(3), Req: req(1)})
-	})
-	e.Schedule(sim.Time(100*time.Millisecond), func() {
+	}))
+	e.Schedule(sim.Time(100*time.Millisecond), sim.Func(func() {
 		v2.Connect(plc.ConnectSpec{Device: frame.NewMAC(3), Req: req(2)})
-	})
-	e.Schedule(sim.Time(200*time.Millisecond), func() {
+	}))
+	e.Schedule(sim.Time(200*time.Millisecond), sim.Func(func() {
 		v3.Connect(plc.ConnectSpec{Device: frame.NewMAC(3), Req: req(3)})
-	})
+	}))
 	return out
 }
 
@@ -60,8 +60,8 @@ func buildCell(e *sim.Engine, cfg ExperimentConfig) (*dataplane.Pipeline, *App, 
 	vplc1 := plc.NewController(e, "vplc1", frame.NewMAC(1), plc.ControllerConfig{Primary: true})
 	vplc2 := plc.NewController(e, "vplc2", frame.NewMAC(2), plc.ControllerConfig{})
 	dev := iodevice.New(e, "io", frame.NewMAC(3), nil, nil)
-	connect(e, vplc1, 0, cfg, 1)
-	connect(e, vplc2, cfg.SecondaryJoinAt, cfg, 2)
+	connect(vplc1, 0, cfg, 1)
+	connect(vplc2, cfg.SecondaryJoinAt, cfg, 2)
 	wire(e, vplc1, vplc2, dev, pipe, cfg.LinkBps)
 	return pipe, app, vplc1, vplc2, dev
 }

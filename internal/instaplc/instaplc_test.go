@@ -220,9 +220,9 @@ func TestPlannedSwitchoverIsInterruptionFree(t *testing.T) {
 	_ = pipe
 	_ = vplc2
 	migrated := false
-	e.Schedule(sim.Time(time.Second), func() {
+	e.Schedule(sim.Time(time.Second), sim.Func(func() {
 		migrated = app.PlannedSwitchover(dev.Host().MAC())
-	})
+	}))
 	e.RunUntil(sim.Time(cfg.Horizon))
 	if !migrated {
 		t.Fatal("planned switchover refused")
@@ -269,9 +269,9 @@ func TestRestartedPrimaryBecomesStandbyThenFailsBack(t *testing.T) {
 	e := sim.NewEngine(cfg.Seed)
 	_, app, vplc1, vplc2, dev := buildCell(e, cfg)
 
-	e.Schedule(sim.Time(time.Second), vplc1.Fail)
-	e.Schedule(sim.Time(2*time.Second), vplc1.Restart)
-	e.Schedule(sim.Time(3*time.Second), vplc2.Fail)
+	e.Schedule(sim.Time(time.Second), sim.Func(vplc1.Fail))
+	e.Schedule(sim.Time(2*time.Second), sim.Func(vplc1.Restart))
+	e.Schedule(sim.Time(3*time.Second), sim.Func(vplc2.Fail))
 	e.RunUntil(sim.Time(4 * time.Second))
 
 	if dev.FailsafeEvents != 0 {

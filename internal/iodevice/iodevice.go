@@ -183,17 +183,21 @@ func (d *Device) onConnect(src frame.MAC, req profinet.ConnectRequest) {
 	d.state = StateOperate
 	d.watchdog = profinet.NewWatchdog(d.engine, d.cycle, int(req.WatchdogFactor), d.failsafe, d.recover)
 	d.watchdog.Feed()
-	d.ticker = d.engine.Every(d.engine.Now(), d.cycle, d.cycleTick)
+	d.ticker = d.engine.Every(d.engine.Now(), d.cycle, (*cycleEv)(d))
 	d.reply(src, profinet.ConnectResponse{ARID: req.ARID, Accepted: true}.Marshal())
 	if d.OnConnected != nil {
 		d.OnConnected(req.ARID)
 	}
 }
 
-// cycleTick sends one input frame per IO cycle, whatever the state —
-// a failsafe device keeps publishing its sensor view, as real devices
-// do, so a recovering controller can resynchronize.
-func (d *Device) cycleTick() {
+// cycleEv is a device as the handler of its IO cycle ticks. Each sends
+// one input frame, whatever the state — a failsafe device keeps
+// publishing its sensor view, as real devices do, so a recovering
+// controller can resynchronize.
+type cycleEv Device
+
+func (e *cycleEv) Fire() {
+	d := (*Device)(e)
 	d.process(d.engine.Now(), d.outputs, d.inputs)
 	status := profinet.StatusValid
 	if d.state == StateOperate {

@@ -50,9 +50,9 @@ func TestIdleDeviceIgnoresCyclic(t *testing.T) {
 // feedOutputs drives the device with fresh output data every cycle,
 // standing in for a live controller.
 func feedOutputs(e *sim.Engine, ctl *simnet.Host, arid uint32, data []byte) *sim.Ticker {
-	return e.Every(e.Now(), time.Millisecond, func() {
+	return e.Every(e.Now(), time.Millisecond, sim.Func(func() {
 		sendPN(ctl, profinet.CyclicData{ARID: arid, Status: profinet.StatusValid | profinet.StatusRun, Data: data}.Marshal())
-	})
+	}))
 }
 
 func TestConnectAcceptAndCyclicStart(t *testing.T) {

@@ -130,23 +130,26 @@ func (s *Server) onFrame(f *frame.Frame) {
 }
 
 // job carries one whole request through the server: the busy retries,
-// then the inference that answers it. Like simnet's fwdCtx, a job owns
-// its two prebuilt closures and recycles through the server's free
-// list, so serving a request allocates nothing in steady state.
+// then the inference that answers it. It is the handler of a retry
+// and, as doneEv, of the inference's end, and recycles through the
+// server's free list, so serving a request allocates nothing in steady
+// state.
 type job struct {
-	s           *Server
-	dst         frame.MAC
-	h           header
-	retry, done func()
-	next        *job
+	s    *Server
+	dst  frame.MAC
+	h    header
+	next *job
 }
+
+type doneEv job
+
+func (j *job) Fire()    { j.s.serve(j) }
+func (e *doneEv) Fire() { e.s.respond((*job)(e)) }
 
 func (s *Server) getJob() *job {
 	j := s.free
 	if j == nil {
 		j = &job{s: s}
-		j.retry = func() { j.s.serve(j) }
-		j.done = func() { j.s.respond(j) }
 	} else {
 		s.free = j.next
 		j.next = nil
@@ -159,11 +162,11 @@ func (s *Server) serve(j *job) {
 		// FIFO via timestamp-ordered events: re-check shortly. A real
 		// server would use a queue; the simulation's single-worker
 		// semantics are identical because events are ordered.
-		s.engine.After(50*sim.Microsecond, j.retry)
+		s.engine.After(50*sim.Microsecond, j)
 		return
 	}
 	s.busy = true
-	s.engine.After(s.profile.InferCPU, j.done)
+	s.engine.After(s.profile.InferCPU, (*doneEv)(j))
 }
 
 // respond completes j's inference, recycles the job and sends the
@@ -233,10 +236,14 @@ func (c *Client) UsePool(p *frame.Pool) { c.host.UsePool(p) }
 
 // Start begins periodic requests at start (absolute virtual time).
 func (c *Client) Start(start sim.Time) {
-	c.ticker = c.engine.Every(start, c.profile.Period, c.sendRequest)
+	c.ticker = c.engine.Every(start, c.profile.Period, (*sendEv)(c))
 }
 
-func (c *Client) sendRequest() {
+// sendEv is a client as the handler of its request ticks.
+type sendEv Client
+
+func (e *sendEv) Fire() {
+	c := (*Client)(e)
 	reqID := c.nextReq
 	c.nextReq++
 	c.sentAt[reqID] = c.engine.Now()

@@ -96,7 +96,7 @@ func Attach(e *sim.Engine, sw *simnet.Switch, a, b int, cfg Config) *Manager {
 	m := &Manager{sw: sw, engine: e, cfg: cfg, ringA: a, ringB: b, seen: make(map[uint32]bool)}
 	sw.SetPortBlocked(b, true)
 	sw.OnControlFrame = m.onControl
-	m.ticker = e.Every(e.Now(), cfg.TestInterval, m.tick)
+	m.ticker = e.Every(e.Now(), cfg.TestInterval, (*tickEv)(m))
 	return m
 }
 
@@ -106,7 +106,11 @@ func (m *Manager) State() RingState { return m.state }
 // Stop halts the protocol (leaves the current blocking state).
 func (m *Manager) Stop() { m.ticker.Stop() }
 
-func (m *Manager) tick() {
+// tickEv is a manager as the handler of its test rounds.
+type tickEv Manager
+
+func (e *tickEv) Fire() {
+	m := (*Manager)(e)
 	// Evaluate the previous round first: did last round's test return?
 	if m.seq > 0 && !m.seen[m.seq-1] {
 		m.misses++

@@ -2,6 +2,8 @@ package plc
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"steelnet/internal/frame"
@@ -46,8 +48,11 @@ type ConnectSpec struct {
 	OutOffset int // device outputs come from Image.Outputs[OutOffset:]
 }
 
-// deviceConn is the controller-side CR state.
+// deviceConn is the controller-side CR state. It is the handler of
+// its IO cycle's scan-and-transmit; retryEv and cycleEv are it as the
+// handlers of its connect retries and its cycle ticks.
 type deviceConn struct {
+	c        *Controller
 	spec     ConnectSpec
 	state    ConnState
 	inputs   []byte
@@ -56,8 +61,29 @@ type deviceConn struct {
 	watchdog *profinet.Watchdog
 	ticker   *sim.Ticker
 	retry    *sim.Ticker
-	fire     func() // one IO cycle's scan-and-transmit, built once per CR
 }
+
+type (
+	retryEv deviceConn
+	cycleEv deviceConn
+)
+
+func (conn *deviceConn) Fire() { conn.c.fireCycle(conn) }
+func (e *cycleEv) Fire()       { e.c.cycleTick((*deviceConn)(e)) }
+
+func (e *retryEv) Fire() {
+	if c := e.c; !c.failed && e.state == StateConnecting {
+		c.send(e.spec.Device, e.spec.Req.Marshal())
+	}
+}
+
+// connectEv is a Connect scheduled by ConnectAt.
+type connectEv struct {
+	c    *Controller
+	spec ConnectSpec
+}
+
+func (e *connectEv) Fire() { e.c.Connect(e.spec) }
 
 // ControllerConfig parameterizes a controller.
 type ControllerConfig struct {
@@ -152,15 +178,14 @@ func (c *Controller) Inputs(arid uint32) []byte {
 // Connect establishes a CR per spec, retrying the request every 100 ms
 // until the device answers.
 func (c *Controller) Connect(spec ConnectSpec) {
-	conn := &deviceConn{spec: spec, state: StateConnecting, inputs: make([]byte, spec.Req.InputLen)}
+	conn := &deviceConn{c: c, spec: spec, state: StateConnecting, inputs: make([]byte, spec.Req.InputLen)}
 	c.conns[spec.Req.ARID] = conn
-	send := func() {
-		if c.failed || conn.state != StateConnecting {
-			return
-		}
-		c.send(spec.Device, spec.Req.Marshal())
-	}
-	conn.retry = c.engine.Every(c.engine.Now(), 100*time.Millisecond, send)
+	conn.retry = c.engine.Every(c.engine.Now(), 100*time.Millisecond, (*retryEv)(conn))
+}
+
+// ConnectAt calls Connect(spec) at instant at.
+func (c *Controller) ConnectAt(at sim.Time, spec ConnectSpec) {
+	c.engine.Schedule(at, &connectEv{c: c, spec: spec})
 }
 
 // send transmits an acyclic PROFINET message (handshake, discovery).
@@ -170,14 +195,15 @@ func (c *Controller) send(dst frame.MAC, payload []byte) {
 	c.transmit(f)
 }
 
-// txJob carries one frame across the vPLC's kernel transmit path. Like
-// simnet's flight it owns its closure and recycles through a free list.
+// txJob carries one frame across the vPLC's kernel transmit path. It
+// is the handler of the path's end and recycles through a free list.
 type txJob struct {
 	c    *Controller
 	f    *frame.Frame
-	run  func()
 	next *txJob
 }
+
+func (j *txJob) Fire() { j.c.kernelTxDone(j) }
 
 // transmit puts f on the wire, paying the vPLC kernel path when
 // configured. A frame the controller cannot send (it crashed meanwhile,
@@ -190,12 +216,11 @@ func (c *Controller) transmit(f *frame.Frame) {
 	j := c.txJobs
 	if j == nil {
 		j = &txJob{c: c}
-		j.run = func() { j.c.kernelTxDone(j) }
 	} else {
 		c.txJobs = j.next
 	}
 	j.f = f
-	c.engine.After(c.cfg.Stack.FullKernelTx(len(f.Payload)+18), j.run)
+	c.engine.After(c.cfg.Stack.FullKernelTx(len(f.Payload)+18), j)
 }
 
 func (c *Controller) kernelTxDone(j *txJob) {
@@ -274,8 +299,7 @@ func (c *Controller) onConnectResp(resp profinet.ConnectResponse) {
 		conn.state = StateRunning
 	})
 	conn.watchdog.Feed()
-	conn.fire = func() { c.fireCycle(conn) }
-	conn.ticker = c.engine.Every(c.engine.Now(), cycle, func() { c.cycleTick(conn) })
+	conn.ticker = c.engine.Every(c.engine.Now(), cycle, (*cycleEv)(conn))
 	if c.OnConnected != nil {
 		c.OnConnected(arid)
 	}
@@ -289,10 +313,10 @@ func (c *Controller) cycleTick(conn *deviceConn) {
 	if c.cfg.Stack != nil {
 		// vPLC: the scan task wakes up late by the host's scheduling
 		// noise before it can transmit.
-		c.engine.After(c.cfg.Stack.SchedulingNoise(), conn.fire)
+		c.engine.After(c.cfg.Stack.SchedulingNoise(), conn)
 		return
 	}
-	conn.fire()
+	c.fireCycle(conn)
 }
 
 // fireCycle scans and encodes the CR's slice of the output image
@@ -381,12 +405,11 @@ func (c *Controller) Restart() {
 	for i := range c.image.Outputs {
 		c.image.Outputs[i] = 0
 	}
-	specs := make([]ConnectSpec, 0, len(c.conns))
-	for _, conn := range c.conns {
-		specs = append(specs, conn.spec)
-	}
+	// In ARID order: the retry tickers of one instant take their seqs
+	// in the order they connect, so map order would not replay.
+	old := c.conns
 	c.conns = make(map[uint32]*deviceConn)
-	for _, spec := range specs {
-		c.Connect(spec)
+	for _, arid := range slices.Sorted(maps.Keys(old)) {
+		c.Connect(old[arid].spec)
 	}
 }

@@ -1,6 +1,8 @@
 package plc
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -322,4 +324,32 @@ func countJobs(c *Controller) int {
 		n++
 	}
 	return n
+}
+
+// TestRestartReconnectsInARIDOrder: a restarted controller re-sends its
+// connect requests in ARID order, so a seed replays whatever order the
+// controller's CR map iterates in. The map order is drawn anew per
+// range, hence the repeated runs.
+func TestRestartReconnectsInARIDOrder(t *testing.T) {
+	for run := range 20 {
+		e := sim.NewEngine(1)
+		ctrl := NewController(e, "plc1", frame.NewMAC(1), ControllerConfig{})
+		sw := simnet.NewSwitch(e, "sw", 5, simnet.DefaultSwitchConfig)
+		simnet.Connect(e, "c", ctrl.Host().Port(), sw.Port(0), 100e6, 500*sim.Nanosecond)
+		for i := range 4 {
+			dev := iodevice.New(e, fmt.Sprintf("io%d", i+1), frame.NewMAC(uint32(i+2)), nil, nil)
+			simnet.Connect(e, fmt.Sprint("d", i), dev.Host().Port(), sw.Port(i+1), 100e6, 500*sim.Nanosecond)
+			ctrl.Connect(ConnectSpec{Device: dev.Host().MAC(), Req: connReq(uint32(i+1), 1600, 3, 4, 4)})
+		}
+		e.RunUntil(sim.Time(100 * time.Millisecond))
+		ctrl.Fail()
+		e.RunUntil(sim.Time(200 * time.Millisecond))
+		var order []uint32
+		ctrl.OnConnected = func(arid uint32) { order = append(order, arid) }
+		ctrl.Restart()
+		e.RunUntil(sim.Time(500 * time.Millisecond))
+		if !slices.Equal(order, []uint32{1, 2, 3, 4}) {
+			t.Fatalf("run %d: restart reconnected in order %v, want [1 2 3 4]", run, order)
+		}
+	}
 }

@@ -146,7 +146,7 @@ func TestWatchdogTripsAfterFactorCycles(t *testing.T) {
 	tripped := false
 	var tripAt sim.Time
 	w := NewWatchdog(e, time.Millisecond, 3, func() { tripped = true; tripAt = e.Now() }, nil)
-	e.Schedule(0, w.Feed)
+	e.Schedule(0, sim.Func(w.Feed))
 	e.RunUntil(sim.Time(10 * time.Millisecond))
 	if !tripped {
 		t.Fatal("watchdog never tripped")
@@ -162,7 +162,7 @@ func TestWatchdogTripsAfterFactorCycles(t *testing.T) {
 func TestWatchdogFedStaysQuiet(t *testing.T) {
 	e := sim.NewEngine(1)
 	w := NewWatchdog(e, time.Millisecond, 3, func() { t.Fatal("tripped despite feeding") }, nil)
-	tk := e.Every(0, time.Millisecond, w.Feed)
+	tk := e.Every(0, time.Millisecond, sim.Func(w.Feed))
 	e.RunUntil(sim.Time(50 * time.Millisecond))
 	tk.Stop()
 	w.Stop()
@@ -174,7 +174,7 @@ func TestWatchdogToleratesSingleMiss(t *testing.T) {
 	w := NewWatchdog(e, time.Millisecond, 3, func() { t.Fatal("tripped on single miss") }, nil)
 	// Feed at 0,1,2, skip 3, feed at 4: gap of 2 cycles < 3.
 	for _, at := range []int64{0, 1, 2, 4, 5} {
-		e.Schedule(sim.Time(at)*sim.Time(time.Millisecond), w.Feed)
+		e.Schedule(sim.Time(at)*sim.Time(time.Millisecond), sim.Func(w.Feed))
 	}
 	e.RunUntil(sim.Time(6 * time.Millisecond))
 	w.Stop()
@@ -185,9 +185,9 @@ func TestWatchdogReturnOfPeer(t *testing.T) {
 	e := sim.NewEngine(1)
 	cleared := false
 	w := NewWatchdog(e, time.Millisecond, 2, nil, func() { cleared = true })
-	e.Schedule(0, w.Feed)
+	e.Schedule(0, sim.Func(w.Feed))
 	// Silence until 10 ms (trips at 2 ms), then data returns.
-	e.Schedule(sim.Time(10*time.Millisecond), w.Feed)
+	e.Schedule(sim.Time(10*time.Millisecond), sim.Func(w.Feed))
 	e.RunUntil(sim.Time(11 * time.Millisecond))
 	if !cleared {
 		t.Fatal("return-of-peer not signaled")

@@ -16,7 +16,6 @@ type Watchdog struct {
 	factor  int
 	onTrip  func()
 	onClear func()
-	tripFn  func() // w.trip, bound once so Feed schedules without allocating
 	timer   sim.Event
 	expired bool
 	// Trips counts expiry events.
@@ -30,9 +29,7 @@ func NewWatchdog(engine *sim.Engine, cycle time.Duration, factor int, onTrip, on
 	if cycle <= 0 || factor < 1 {
 		panic("profinet: watchdog needs positive cycle and factor")
 	}
-	w := &Watchdog{engine: engine, cycle: cycle, factor: factor, onTrip: onTrip, onClear: onClear}
-	w.tripFn = w.trip
-	return w
+	return &Watchdog{engine: engine, cycle: cycle, factor: factor, onTrip: onTrip, onClear: onClear}
 }
 
 // Feed registers a fresh valid frame, re-arming the timeout.
@@ -44,7 +41,7 @@ func (w *Watchdog) Feed() {
 			w.onClear()
 		}
 	}
-	w.timer = w.engine.After(time.Duration(w.factor)*w.cycle, w.tripFn)
+	w.timer = w.engine.After(time.Duration(w.factor)*w.cycle, (*tripEv)(w))
 }
 
 // Stop disarms the watchdog without firing.
@@ -56,7 +53,11 @@ func (w *Watchdog) Stop() {
 // Expired reports whether the watchdog is currently tripped.
 func (w *Watchdog) Expired() bool { return w.expired }
 
-func (w *Watchdog) trip() {
+// tripEv is a watchdog as the handler of its expiry.
+type tripEv Watchdog
+
+func (e *tripEv) Fire() {
+	w := (*Watchdog)(e)
 	w.expired = true
 	w.Trips++
 	if w.onTrip != nil {

@@ -32,19 +32,23 @@ type Reflector struct {
 }
 
 // reflectJob carries one probe from the wire through the XDP program
-// and back. Like simnet's flight it owns its closures and recycles
-// through a per-reflector free list; pkt is the packet buffer the
-// program runs on, kept from probe to probe. Nothing is built per
-// probe once as many jobs exist as probes are ever inside the host.
+// and back. It is the handler of the program run and, as transmitEv,
+// of the transmission, and recycles through a per-reflector free list;
+// pkt is the packet buffer the program runs on, kept from probe to
+// probe. Nothing is built per probe once as many jobs exist as probes
+// are ever inside the host.
 type reflectJob struct {
-	r        *Reflector
-	f        *frame.Frame
-	size     int // f's wire length at ingress
-	pkt      []byte
-	run      func()
-	transmit func()
-	next     *reflectJob
+	r    *Reflector
+	f    *frame.Frame
+	size int // f's wire length at ingress
+	pkt  []byte
+	next *reflectJob
 }
+
+type transmitEv reflectJob
+
+func (j *reflectJob) Fire() { j.r.runProgram(j) }
+func (e *transmitEv) Fire() { e.r.transmit((*reflectJob)(e)) }
 
 // NewReflector attaches variant v to a new reflector host.
 func NewReflector(e *sim.Engine, name string, mac frame.MAC, stk *host.Stack, v Variant, costs *ebpf.CostModel) *Reflector {
@@ -70,8 +74,6 @@ func (r *Reflector) getJob() *reflectJob {
 	j := r.jobs
 	if j == nil {
 		j = &reflectJob{r: r}
-		j.run = func() { j.r.runProgram(j) }
-		j.transmit = func() { j.r.transmit(j) }
 	} else {
 		r.jobs = j.next
 		j.next = nil
@@ -98,7 +100,7 @@ func (r *Reflector) onFrame(f *frame.Frame) {
 	j := r.getJob()
 	j.f = f
 	j.size = f.WireLen()
-	e.After(r.stack.RxToXDP(j.size), j.run)
+	e.After(r.stack.RxToXDP(j.size), j)
 }
 
 // runProgram executes the XDP program on the probe's octets. On XDP_TX
@@ -114,7 +116,7 @@ func (r *Reflector) runProgram(j *reflectJob) {
 		payload := f.Payload[:0]
 		if err = frame.UnmarshalInto(f, j.pkt); err == nil {
 			f.Payload = append(payload, f.Payload...) // j.pkt is reused; detach
-			e.After(res.Cost+r.stack.XDPToWire(j.size), j.transmit)
+			e.After(res.Cost+r.stack.XDPToWire(j.size), (*transmitEv)(j))
 			return
 		}
 	}
@@ -138,12 +140,19 @@ func (r *Reflector) transmit(j *reflectJob) {
 
 // Sender emits cyclic probe flows through its single port.
 type Sender struct {
-	host   *simnet.Host
-	dst    frame.MAC
-	size   int
-	seqs   map[uint32]uint32
-	ticker []*sim.Ticker
-	intOn  bool
+	host  *simnet.Host
+	dst   frame.MAC
+	size  int
+	flows []*probeFlow
+	intOn bool
+}
+
+// probeFlow is one flow's ticker handler: each tick sends the next
+// probe of the flow.
+type probeFlow struct {
+	s       *Sender
+	id, seq uint32
+	ticker  *sim.Ticker
 }
 
 // NewSender creates a probe source addressed at dst with the given probe
@@ -153,7 +162,6 @@ func NewSender(e *sim.Engine, name string, mac, dst frame.MAC, size int) *Sender
 		host: simnet.NewHost(e, name, mac),
 		dst:  dst,
 		size: size,
-		seqs: make(map[uint32]uint32),
 	}
 	// Reflected probes terminate here; recycling them makes the probe
 	// stream allocation-free in steady state.
@@ -174,33 +182,35 @@ func (s *Sender) EnableINT() { s.intOn = true }
 
 // StartFlow begins emitting flowID probes every cycle, first at start.
 func (s *Sender) StartFlow(flowID uint32, start sim.Time, cycle sim.Duration) {
-	e := s.host.Engine()
-	t := e.Every(start, cycle, func() {
-		seq := s.seqs[flowID]
-		s.seqs[flowID] = seq + 1
-		f := s.host.Pool().Get(s.size)
-		if err := frame.MarshalProbeInto(frame.Probe{Seq: seq, FlowID: flowID}, f.Payload); err != nil {
-			panic(err)
-		}
-		f.Dst = s.dst
-		f.Type = frame.TypeBenchEcho
-		f.Meta = frame.Meta{FlowID: flowID}
-		if s.intOn {
-			// Seq is 1-based on the wire: the collector reads sequence 0
-			// as "no predecessor" when tracking loss.
-			s.host.Pool().AttachINT(f, s.host.Name(), flowID, seq+1, int64(e.Now()), 0)
-		}
-		if !s.host.Send(f) {
-			s.host.Pool().Put(f) // egress drop: safe to recycle immediately
-		}
-	})
-	s.ticker = append(s.ticker, t)
+	fl := &probeFlow{s: s, id: flowID}
+	fl.ticker = s.host.Engine().Every(start, cycle, fl)
+	s.flows = append(s.flows, fl)
+}
+
+func (fl *probeFlow) Fire() {
+	s, seq := fl.s, fl.seq
+	fl.seq++
+	f := s.host.Pool().Get(s.size)
+	if err := frame.MarshalProbeInto(frame.Probe{Seq: seq, FlowID: fl.id}, f.Payload); err != nil {
+		panic(err)
+	}
+	f.Dst = s.dst
+	f.Type = frame.TypeBenchEcho
+	f.Meta = frame.Meta{FlowID: fl.id}
+	if s.intOn {
+		// Seq is 1-based on the wire: the collector reads sequence 0
+		// as "no predecessor" when tracking loss.
+		s.host.Pool().AttachINT(f, s.host.Name(), fl.id, seq+1, int64(s.host.Engine().Now()), 0)
+	}
+	if !s.host.Send(f) {
+		s.host.Pool().Put(f) // egress drop: safe to recycle immediately
+	}
 }
 
 // Stop halts all flows.
 func (s *Sender) Stop() {
-	for _, t := range s.ticker {
-		t.Stop()
+	for _, fl := range s.flows {
+		fl.ticker.Stop()
 	}
 }
 

@@ -178,22 +178,22 @@ func (h *orderHarness) modelSchedule(at Time, id int) {
 
 // engineSchedule is the engine's half of a schedule; the model's half
 // of a child happens when the model fires the parent (modelFire). Odd
-// ids go through ScheduleCall with a harnessCall as the handler, even
-// ids through Schedule with a closure, so the two kinds of slot
-// interleave in every list of the queue.
+// ids are scheduled with a harnessCall pointer as the handler, even
+// ids with a closure as a Func, so the two kinds of handler interleave
+// in every list of the queue.
 func (h *orderHarness) engineSchedule(at Time, id int) {
 	var ev Event
 	if id%2 == 1 {
-		ev = h.e.ScheduleCall(at, &harnessCall{h, id})
+		ev = h.e.Schedule(at, &harnessCall{h, id})
 	} else {
-		ev = h.e.Schedule(at, func() { h.onFire(id) })
+		ev = h.e.Schedule(at, Func(func() { h.onFire(id) }))
 	}
 	h.handleOf[id] = len(h.handles)
 	h.handles = append(h.handles, ev)
 	h.handleIDs = append(h.handleIDs, id)
 }
 
-// harnessCall is the handler of a ScheduleCall event of the harness.
+// harnessCall is the pointer handler of an odd event of the harness.
 type harnessCall struct {
 	h  *orderHarness
 	id int
@@ -458,7 +458,7 @@ func TestArenaMatchesReferenceModel(t *testing.T) {
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 9, 8, 3, 6, 20})
 	// Events that cancel the next one scheduled into their own batch,
-	// a ScheduleCall event and a Schedule one.
+	// a pointer-handler event and a Func one.
 	f.Add([]byte{12, 8, 0, 0, 0, 0, 8, 5})
 	f.Add([]byte{0, 0, 12, 8, 0, 0, 0, 0, 8, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -514,7 +514,7 @@ func TestArenaStaleHandlesAcrossReuse(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		var live []Event
 		for i := 0; i < 20; i++ {
-			live = append(live, e.After(Duration(rng.Intn(8)), func() { fired++ }))
+			live = append(live, e.After(Duration(rng.Intn(8)), Func(func() { fired++ })))
 		}
 		// The new events occupy slots recycled from earlier rounds. Attack
 		// them with every handle those slots previously issued: each must

@@ -35,7 +35,7 @@ func workload(e *Engine, seed uint64, maxEvents int) *[]wlRec {
 		}
 		id := nextID
 		nextID++
-		h := e.Schedule(at, func() {
+		h := e.Schedule(at, Func(func() {
 			*log = append(*log, wlRec{e.Now(), id})
 			// Fan out: mostly same-instant and near-future events, so
 			// batches form and grow while they are being fired.
@@ -47,7 +47,7 @@ func workload(e *Engine, seed uint64, maxEvents int) *[]wlRec {
 			if len(handles) > 0 && rng.Intn(4) == 0 {
 				handles[rng.Intn(len(handles))].Cancel()
 			}
-		})
+		}))
 		handles = append(handles, h)
 	}
 	// Seed clusters at identical timestamps so the first batches are

@@ -9,11 +9,11 @@ import "fmt"
 // inside its callback gets back — which is how Tickers reuse one slot
 // for their entire life.
 //
-// A slot holds what it runs as one Handler, two words: the receiver's
-// Fire method (ScheduleCall), or a plain func() (Schedule). A frame's
-// hop then needs no closure over its receiver, only the receiver, and
-// the slot stays at 48 bytes: its engine is in the Event handle, not
-// in the slot, since only Cancel needs it.
+// A slot holds what it runs as one Handler, two words: the receiver
+// and its Fire method. A frame's hop then needs no closure over its
+// receiver, only the receiver, and the slot stays at 48 bytes: its
+// engine is in the Event handle, not in the slot, since only Cancel
+// needs it.
 type slot struct {
 	at    Time
 	seq   uint64 // tie-breaker: FIFO among events at the same instant
@@ -29,11 +29,12 @@ type slot struct {
 // schedule.
 type Handler interface{ Fire() }
 
-// funcHandler is a Schedule callback as a Handler. fire calls it
-// directly, never through Fire.
-type funcHandler func()
+// Func is a plain func() as a Handler, for tests. The model schedules
+// one handler type per kind of event instead, and scripts/check.sh
+// handlers keeps Func out of it.
+type Func func()
 
-func (f funcHandler) Fire() { f() }
+func (f Func) Fire() { f() }
 
 // slot states. The zero value is idle (never scheduled). Staged is a
 // transient batch state: the slot has been taken off the queue as part
@@ -235,16 +236,11 @@ func (e *Engine) release(s *slot) {
 	e.free = s
 }
 
-// Schedule runs fn at absolute virtual time at. Scheduling in the past
-// panics: it would silently violate causality.
-func (e *Engine) Schedule(at Time, fn func()) Event { return e.schedule(at, funcHandler(fn)) }
-
-// ScheduleCall runs h.Fire() at absolute virtual time at, like
-// Schedule. With h a pointer the event needs no closure: scheduling
-// allocates nothing, and firing reaches the receiver through h alone.
-func (e *Engine) ScheduleCall(at Time, h Handler) Event { return e.schedule(at, h) }
-
-func (e *Engine) schedule(at Time, h Handler) Event {
+// Schedule runs h.Fire() at absolute virtual time at. With h a pointer
+// the event needs no closure: scheduling allocates nothing, and firing
+// reaches the receiver through h alone. Scheduling in the past panics:
+// it would silently violate causality.
+func (e *Engine) Schedule(at Time, h Handler) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
@@ -258,30 +254,22 @@ func (e *Engine) schedule(at Time, h Handler) Event {
 	return Event{s: s, eng: e, gen: s.gen}
 }
 
-// After runs fn d after the current time. Negative d panics.
-func (e *Engine) After(d Duration, fn func()) Event {
+// After runs h.Fire() d after the current time. Negative d panics.
+func (e *Engine) After(d Duration, h Handler) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.schedule(e.now.Add(d), funcHandler(fn))
+	return e.Schedule(e.now.Add(d), h)
 }
 
-// AfterCall runs h.Fire() d after the current time. Negative d panics.
-func (e *Engine) AfterCall(d Duration, h Handler) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.schedule(e.now.Add(d), h)
-}
-
-// Every runs fn at start and then every period until the returned Ticker
-// is stopped. The first invocation is at start (absolute time).
-func (e *Engine) Every(start Time, period Duration, fn func()) *Ticker {
+// Every runs h.Fire() at start and then every period until the returned
+// Ticker is stopped. The first invocation is at start (absolute time).
+func (e *Engine) Every(start Time, period Duration, h Handler) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %v", period))
 	}
-	t := &Ticker{engine: e, period: period, fn: fn}
-	t.ev = e.ScheduleCall(start, (*tickEv)(t))
+	t := &Ticker{engine: e, period: period, h: h}
+	t.ev = e.Schedule(start, (*tickEv)(t))
 	return t
 }
 
@@ -319,10 +307,6 @@ func (e *Engine) fire(s *slot) {
 	s.h = nil
 	s.state = stateFired
 	e.release(s)
-	if f, ok := h.(funcHandler); ok {
-		f()
-		return
-	}
 	h.Fire()
 }
 
@@ -410,14 +394,14 @@ func (e *Engine) RunUntil(deadline Time) {
 // RunFor executes events for a span d from the current time.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 
-// Ticker repeats a callback with a fixed period until stopped. Its
+// Ticker repeats a handler with a fixed period until stopped. Its
 // rescheduling is allocation-free: each tick is an event whose handler
 // is the ticker itself, and the event slot released when a tick fires
 // is the same one the next tick is scheduled into.
 type Ticker struct {
 	engine  *Engine
 	period  Duration
-	fn      func()
+	h       Handler
 	ev      Event
 	stopped bool
 }
@@ -430,11 +414,11 @@ func (te *tickEv) Fire() {
 	if t.stopped {
 		return
 	}
-	t.fn()
-	if t.stopped { // fn may stop the ticker
+	t.h.Fire()
+	if t.stopped { // the handler may stop the ticker
 		return
 	}
-	t.ev = t.engine.AfterCall(t.period, te)
+	t.ev = t.engine.After(t.period, te)
 }
 
 // Stop cancels future ticks. Safe to call from within the tick callback.

@@ -304,7 +304,7 @@ func (g *ShardGroup) flush() {
 			d.next = nil
 		}
 		d.fn, d.arg, d.aux = x.fn, x.arg, x.aux
-		g.shards[x.dst].ScheduleCall(x.at, d)
+		g.shards[x.dst].Schedule(x.at, d)
 		x.fn, x.arg = nil, nil
 	}
 	g.merge = m[:0]

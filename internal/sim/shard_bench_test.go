@@ -14,7 +14,7 @@ func BenchmarkEngineShardedLocalSteady(b *testing.B) {
 	}
 	n := 0
 	for s := 0; s < g.Shards(); s++ {
-		g.Shard(s).Every(0, 1, func() { n++ })
+		g.Shard(s).Every(0, 1, Func(func() { n++ }))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -42,9 +42,9 @@ func BenchmarkEngineShardedCross(b *testing.B) {
 		var step func()
 		step = func() {
 			g.Send(s, dst, e.Now().Add(L), noop, nil, 0)
-			e.Schedule(e.Now().Add(64), step)
+			e.Schedule(e.Now().Add(64), Func(step))
 		}
-		e.Schedule(0, step)
+		e.Schedule(0, Func(step))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -57,9 +57,9 @@ func propRun(t *testing.T, seed uint64, workers int) (string, uint64) {
 			switch rng.Intn(12) {
 			case 0, 1, 2, 3: // plain local event
 				v := rng.Intn(1_000_000)
-				e.Schedule(now.Add(Duration(1+rng.Intn(1500))), func() {
+				e.Schedule(now.Add(Duration(1+rng.Intn(1500))), Func(func() {
 					lines[s] = append(lines[s], fmt.Sprintf("local s=%d v=%d @%d", s, v, e.Now()))
-				})
+				}))
 			case 4, 5, 6: // cross-shard send, rounded up onto a coarse grid
 				dst := rng.Intn(shards)
 				v := rng.Intn(1_000_000)
@@ -72,17 +72,17 @@ func propRun(t *testing.T, seed uint64, workers int) (string, uint64) {
 				}, 0)
 			case 7: // cancellable event; the handle may be cancelled later
 				v := rng.Intn(1_000_000)
-				kept[s] = e.Schedule(now.Add(Duration(1+rng.Intn(900))), func() {
+				kept[s] = e.Schedule(now.Add(Duration(1+rng.Intn(900))), Func(func() {
 					lines[s] = append(lines[s], fmt.Sprintf("kept s=%d v=%d @%d", s, v, e.Now()))
-				})
+				}))
 			case 8: // cancel the kept event (no-op if fired or zero)
 				kept[s].Cancel()
 				kept[s] = Event{}
 			default: // idle step
 			}
-			e.Schedule(now.Add(Duration(1+rng.Intn(700))), step)
+			e.Schedule(now.Add(Duration(1+rng.Intn(700))), Func(step))
 		}
-		e.Schedule(Time(1+s), step)
+		e.Schedule(Time(1+s), Func(step))
 	}
 	g.Run(horizon, workers)
 	var merged string
@@ -166,23 +166,23 @@ func partRun(t *testing.T, seed uint64, parts int) []string {
 					lines[dstShard] = append(lines[dstShard], fmt.Sprintf("r t=%d node=%d from=%d v=%d", at, m, n, v))
 				}
 				if dstShard == shard {
-					e.Schedule(at, deliver)
+					e.Schedule(at, Func(deliver))
 				} else {
 					g.Send(shard, dstShard, at, call, deliver, 0)
 				}
 			case 7: // cancellable event at an odd instant
 				v := rng.Intn(1_000_000)
 				at := now.Add(Duration(2*rng.Intn(600) + 1))
-				pending[n] = e.Schedule(at, func() {
+				pending[n] = e.Schedule(at, Func(func() {
 					lines[shard] = append(lines[shard], fmt.Sprintf("c t=%d node=%d v=%d", at, n, v))
-				})
+				}))
 			case 8: // cancel the pending cancellable (no-op if fired)
 				pending[n].Cancel()
 				pending[n] = Event{}
 			}
-			e.Schedule(now.Add(Duration(64*(1+rng.Intn(40)))), wake)
+			e.Schedule(now.Add(Duration(64*(1+rng.Intn(40)))), Func(wake))
 		}
-		e.Schedule(Time(64*(n+1)), wake)
+		e.Schedule(Time(64*(n+1)), Func(wake))
 	}
 	g.Run(horizon, parts)
 	var all []string

@@ -41,12 +41,12 @@ func TestShardGroupCrossSendDelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var deliveredAt Time
-	g.Shard(0).Schedule(50, func() {
+	g.Shard(0).Schedule(50, Func(func() {
 		at := g.Shard(0).Now().Add(L)
 		g.Send(0, 1, at, call, func() {
 			deliveredAt = g.Shard(1).Now()
 		}, 0)
-	})
+	}))
 	g.Run(1000, 1)
 	if deliveredAt != 150 {
 		t.Fatalf("cross message delivered at %v, want 150", deliveredAt)
@@ -70,7 +70,7 @@ func TestShardGroupLookaheadViolationPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Shard(0).Schedule(50, func() {
+	g.Shard(0).Schedule(50, Func(func() {
 		defer func() {
 			if recover() == nil {
 				t.Errorf("cross-shard send below lookahead did not panic")
@@ -79,7 +79,7 @@ func TestShardGroupLookaheadViolationPanics(t *testing.T) {
 		// The window covering t=50 ends at 50+L at the earliest possible
 		// start; sending for "now" is always inside it.
 		g.Send(0, 1, g.Shard(0).Now(), call, func() {}, 0)
-	})
+	}))
 	g.Run(1000, 1)
 }
 
@@ -123,13 +123,13 @@ func buildPingPong(seed uint64) (*ShardGroup, *[2][]string) {
 			bounce(hop + 1)
 		}, 0)
 	}
-	g.Shard(0).Schedule(10, func() {
+	g.Shard(0).Schedule(10, Func(func() {
 		logs[0] = append(logs[0], fmt.Sprintf("start@%d", g.Shard(0).Now()))
 		bounce(0)
-	})
-	g.Shard(1).Every(5, 500, func() {
+	}))
+	g.Shard(1).Every(5, 500, Func(func() {
 		logs[1] = append(logs[1], fmt.Sprintf("tick@%d", g.Shard(1).Now()))
-	})
+	}))
 	return g, logs
 }
 
@@ -192,10 +192,10 @@ func TestShardGroupBarrierStarvationFastForwards(t *testing.T) {
 	// Shard 0 is busy for [0, 1000], then both shards idle until shard 1
 	// wakes at 1_000_000. Fixed lookahead marching would need ~10k empty
 	// windows to cross the gap.
-	tk := g.Shard(0).Every(5, 10, func() {})
-	g.Shard(0).Schedule(1000, func() { tk.Stop() })
+	tk := g.Shard(0).Every(5, 10, Func(func() {}))
+	g.Shard(0).Schedule(1000, Func(func() { tk.Stop() }))
 	var woke Time
-	g.Shard(1).Schedule(1_000_000, func() { woke = g.Shard(1).Now() })
+	g.Shard(1).Schedule(1_000_000, Func(func() { woke = g.Shard(1).Now() }))
 	g.Run(2_000_000, 2)
 	if woke != 1_000_000 {
 		t.Fatalf("starved shard woke at %v, want 1_000_000", woke)
@@ -213,12 +213,12 @@ func TestShardGroupSoloEngineDigestUnchangedByLayoutPrefix(t *testing.T) {
 	// A solo engine folds shard 0-of-1; a 1-shard group's engine folds
 	// the same prefix, so both digest identically given identical state.
 	solo := NewEngine(11)
-	solo.Schedule(50, func() {})
+	solo.Schedule(50, Func(func() {}))
 	g, err := NewShardGroup(11, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Shard(0).Schedule(50, func() {})
+	g.Shard(0).Schedule(50, Func(func() {}))
 	d1, d2 := checkpoint.NewDigest(), checkpoint.NewDigest()
 	solo.FoldState(d1)
 	g.Shard(0).FoldState(d2)
@@ -268,10 +268,10 @@ func TestDeliverySlotsRecycle(t *testing.T) {
 				step = func() {
 					if e.Now() < to {
 						g.Send(s, dst, e.Now().Add(L), recv, nil, 1)
-						e.Schedule(e.Now().Add(period), step)
+						e.Schedule(e.Now().Add(period), Func(step))
 					}
 				}
-				e.Schedule(g.Now(), step)
+				e.Schedule(g.Now(), Func(step))
 			}
 			g.Run(to.Add(2*L), workers)
 		}

@@ -177,13 +177,13 @@ func TestShardProfilingDisabledZeroAllocs(t *testing.T) {
 		s := s
 		e := g.Shard(s)
 		dst := (s + 1) % g.Shards()
-		e.Every(0, 1, func() { n++ })
+		e.Every(0, 1, Func(func() { n++ }))
 		var step func()
 		step = func() {
 			g.Send(s, dst, e.Now().Add(L), noop, nil, 0)
-			e.Schedule(e.Now().Add(64), step)
+			e.Schedule(e.Now().Add(64), Func(step))
 		}
-		e.Schedule(0, step)
+		e.Schedule(0, Func(step))
 	}
 	// Warm the arenas, outbox slots and merge scratch.
 	g.Run(g.Now().Add(16*1024), 1)
@@ -201,7 +201,7 @@ func TestShardProfileWindowLogCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < g.Shards(); s++ {
-		g.Shard(s).Every(0, L, func() {})
+		g.Shard(s).Every(0, L, Func(func() {}))
 	}
 	g.EnableProfiling()
 	// Windows cover their inclusive end instant, so each spans two tick
@@ -233,7 +233,7 @@ func TestShardProfileSingleShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.EnableProfiling()
-	g.Shard(0).Every(5, 500, func() {})
+	g.Shard(0).Every(5, 500, Func(func() {}))
 	g.Run(20000, 1)
 	p := g.Profile()
 	if p.Shards != 1 || len(p.PerShard) != 1 {

@@ -5,11 +5,14 @@ import (
 	"testing"
 )
 
+// The engine benchmarks schedule pointer handlers, the path the model
+// runs, not a closure wrapped in a Func.
+
 func BenchmarkEngineScheduleAndRun(b *testing.B) {
-	e := NewEngine(1)
+	e, c := NewEngine(1), &counter{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+1, func() {})
+		e.Schedule(e.Now()+1, c)
 		e.Step()
 	}
 }
@@ -19,13 +22,12 @@ func BenchmarkEngineScheduleAndRun(b *testing.B) {
 // whole stage-and-fire cycle. The benchdiff alloc guard pins this at
 // zero allocations in steady state.
 func BenchmarkEngineBatchDrain(b *testing.B) {
-	e := NewEngine(1)
-	fn := func() {}
+	e, c := NewEngine(1), &counter{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		at := e.Now() + 1
 		for j := 0; j < 64; j++ {
-			e.Schedule(at, fn)
+			e.Schedule(at, c)
 		}
 		e.Run()
 	}
@@ -42,7 +44,8 @@ func BenchmarkEngineQueueDepth(b *testing.B) {
 		b.Run(strconv.Itoa(depth), func(b *testing.B) {
 			e := NewEngine(1)
 			rng := NewRNG(1)
-			delays := make([]Duration, 1<<12) // drawn up front: the op is the queue, not the RNG
+			h := &holdEv{e: e, delays: make([]Duration, 1<<12)} // drawn up front: the op is the queue, not the RNG
+			delays := h.delays
 			for i := range delays {
 				switch rng.Intn(3) {
 				case 0:
@@ -53,14 +56,8 @@ func BenchmarkEngineQueueDepth(b *testing.B) {
 					delays[i] = 12 * Microsecond
 				}
 			}
-			next := 0
-			var hold func()
-			hold = func() {
-				e.After(delays[next&(len(delays)-1)], hold)
-				next++
-			}
 			for i := 0; i < depth; i++ {
-				hold()
+				h.Fire()
 			}
 			for i := 0; i < 4*depth; i++ { // settle into steady state before timing
 				e.Step()
@@ -74,10 +71,22 @@ func BenchmarkEngineQueueDepth(b *testing.B) {
 	}
 }
 
+// holdEv is the hold model's handler: each firing schedules its
+// successor.
+type holdEv struct {
+	e      *Engine
+	delays []Duration
+	next   int
+}
+
+func (h *holdEv) Fire() {
+	h.e.After(h.delays[h.next&(len(h.delays)-1)], h)
+	h.next++
+}
+
 func BenchmarkTickerChain(b *testing.B) {
 	e := NewEngine(1)
-	n := 0
-	tk := e.Every(0, 1, func() { n++ })
+	tk := e.Every(0, 1, &counter{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,9 +10,9 @@ import (
 func TestEngineOrdersEventsByTime(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	e.Schedule(30, Func(func() { got = append(got, 3) }))
+	e.Schedule(10, Func(func() { got = append(got, 1) }))
+	e.Schedule(20, Func(func() { got = append(got, 2) }))
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -30,7 +30,7 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		e.Schedule(5, Func(func() { got = append(got, i) }))
 	}
 	e.Run()
 	for i := range got {
@@ -42,14 +42,14 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.Schedule(100, func() {})
+	e.Schedule(100, Func(func() {}))
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(50, func() {})
+	e.Schedule(50, Func(func() {}))
 }
 
 func TestAfterNegativePanics(t *testing.T) {
@@ -59,13 +59,13 @@ func TestAfterNegativePanics(t *testing.T) {
 			t.Fatal("negative After did not panic")
 		}
 	}()
-	e.After(-time.Second, func() {})
+	e.After(-time.Second, Func(func() {}))
 }
 
 func TestCancelPreventsFiring(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	ev := e.Schedule(10, func() { fired = true })
+	ev := e.Schedule(10, Func(func() { fired = true }))
 	ev.Cancel()
 	e.Run()
 	if fired {
@@ -81,7 +81,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
+		e.Schedule(at, Func(func() { fired = append(fired, at) }))
 	}
 	e.RunUntil(25)
 	if len(fired) != 2 {
@@ -108,12 +108,12 @@ func TestTickerPeriodicAndStop(t *testing.T) {
 	e := NewEngine(1)
 	var at []Time
 	var tk *Ticker
-	tk = e.Every(100, 50, func() {
+	tk = e.Every(100, 50, Func(func() {
 		at = append(at, e.Now())
 		if len(at) == 4 {
 			tk.Stop()
 		}
-	})
+	}))
 	e.Run()
 	want := []Time{100, 150, 200, 250}
 	if len(at) != len(want) {
@@ -133,7 +133,7 @@ func TestEveryNonPositivePeriodPanics(t *testing.T) {
 			t.Fatal("zero period did not panic")
 		}
 	}()
-	e.Every(0, 0, func() {})
+	e.Every(0, 0, Func(func() {}))
 }
 
 func TestNestedSchedulingDuringRun(t *testing.T) {
@@ -143,10 +143,10 @@ func TestNestedSchedulingDuringRun(t *testing.T) {
 	grow = func() {
 		depth++
 		if depth < 100 {
-			e.After(1, grow)
+			e.After(1, Func(grow))
 		}
 	}
-	e.Schedule(0, grow)
+	e.Schedule(0, Func(grow))
 	e.Run()
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
@@ -302,7 +302,7 @@ func TestTimeArithmetic(t *testing.T) {
 func TestEngineEventsFiredCount(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 25; i++ {
-		e.Schedule(Time(i), func() {})
+		e.Schedule(Time(i), Func(func() {}))
 	}
 	e.Run()
 	if e.EventsFired() != 25 {
@@ -314,10 +314,10 @@ func TestRunUntilSkipsCancelledWithoutOverrunningDeadline(t *testing.T) {
 	// Regression: a cancelled event before the deadline must not cause
 	// Step to execute a live event beyond the deadline.
 	e := NewEngine(1)
-	ev := e.Schedule(10, func() {})
+	ev := e.Schedule(10, Func(func() {}))
 	ev.Cancel()
 	fired := false
-	e.Schedule(100, func() { fired = true })
+	e.Schedule(100, Func(func() { fired = true }))
 	e.RunUntil(50)
 	if fired {
 		t.Fatal("event beyond deadline fired")
@@ -331,7 +331,7 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	e := NewEngine(1)
 	evs := make([]Event, 5)
 	for i := range evs {
-		evs[i] = e.Schedule(Time(10+i), func() {})
+		evs[i] = e.Schedule(Time(10+i), Func(func() {}))
 	}
 	if e.Pending() != 5 {
 		t.Fatalf("Pending = %d, want 5", e.Pending())
@@ -359,10 +359,10 @@ func TestStaleHandleCannotCancelRecycledSlot(t *testing.T) {
 	// A handle held past its event's firing must become inert once the
 	// slot is recycled by a later Schedule — not cancel the new event.
 	e := NewEngine(1)
-	stale := e.Schedule(1, func() {})
+	stale := e.Schedule(1, Func(func() {}))
 	e.Run() // fires; slot returns to the free list
 	fired := false
-	fresh := e.Schedule(2, func() { fired = true })
+	fresh := e.Schedule(2, Func(func() { fired = true }))
 	stale.Cancel()
 	if fresh.Cancelled() {
 		t.Fatal("stale Cancel hit the recycled slot's new event")
@@ -389,7 +389,7 @@ func TestEventZeroValueIsInert(t *testing.T) {
 
 func TestHandleReadableAfterFiringUntilReuse(t *testing.T) {
 	e := NewEngine(1)
-	ev := e.Schedule(7, func() {})
+	ev := e.Schedule(7, Func(func() {}))
 	e.Run()
 	// Slot freed but not yet reused: the handle still answers queries.
 	if ev.Pending() {
@@ -407,7 +407,7 @@ func TestReapCompactsCancelledMajority(t *testing.T) {
 	e := NewEngine(1)
 	evs := make([]Event, 400)
 	for i := range evs {
-		evs[i] = e.Schedule(Time(1000+i), func() {})
+		evs[i] = e.Schedule(Time(1000+i), Func(func() {}))
 	}
 	for _, ev := range evs {
 		ev.Cancel()
@@ -423,8 +423,8 @@ func TestReapCompactsCancelledMajority(t *testing.T) {
 	}
 	// Ordering still intact afterwards.
 	var got []Time
-	e.Schedule(2000, func() { got = append(got, e.Now()) })
-	e.Schedule(1500, func() { got = append(got, e.Now()) })
+	e.Schedule(2000, Func(func() { got = append(got, e.Now()) }))
+	e.Schedule(1500, Func(func() { got = append(got, e.Now()) }))
 	e.Run()
 	if len(got) != 2 || got[0] != 1500 || got[1] != 2000 {
 		t.Fatalf("post-reap order = %v", got)
@@ -439,8 +439,8 @@ func TestReapPreservesSameInstantFIFO(t *testing.T) {
 	// cancel every victim to force a reap mid-heap.
 	for i := 0; i < 100; i++ {
 		i := i
-		e.Schedule(50, func() { got = append(got, i) })
-		cancels = append(cancels, e.Schedule(50, func() { t.Error("cancelled event fired") }))
+		e.Schedule(50, Func(func() { got = append(got, i) }))
+		cancels = append(cancels, e.Schedule(50, Func(func() { t.Error("cancelled event fired") })))
 	}
 	for _, ev := range cancels {
 		ev.Cancel()
@@ -460,11 +460,11 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine(1)
 	// Warm the arena and the heap slice.
 	for i := 0; i < 10; i++ {
-		e.Schedule(e.Now()+1, func() {})
+		e.Schedule(e.Now()+1, Func(func() {}))
 		e.Step()
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		e.Schedule(e.Now()+1, func() {})
+		e.Schedule(e.Now()+1, Func(func() {}))
 		e.Step()
 	}); avg != 0 {
 		t.Fatalf("Schedule+Step allocates %v per op in steady state, want 0", avg)
@@ -486,28 +486,38 @@ type counter struct{ n int }
 func (c *counter) Fire() { c.n++ }
 
 // TestScheduleCallAllocFree: an event whose handler is a pointer
-// allocates nothing, scheduled and fired, and fires that handler.
+// allocates nothing, scheduled by Schedule or After or ticked by Every,
+// and fires that handler.
 func TestScheduleCallAllocFree(t *testing.T) {
-	e := NewEngine(1)
-	c := &counter{}
-	e.ScheduleCall(e.Now()+1, c) // warm the arena
-	e.Step()
-	if avg := testing.AllocsPerRun(1000, func() {
-		e.ScheduleCall(e.Now()+1, c)
-		e.AfterCall(2, c)
-		e.Run()
-	}); avg != 0 {
-		t.Fatalf("ScheduleCall+AfterCall+Run allocates %v per op in steady state, want 0", avg)
-	}
-	if c.n != 1+2*1001 {
-		t.Fatalf("handler ran %d times, want %d", c.n, 1+2*1001)
+	for _, row := range []struct {
+		name  string
+		setup func(e *Engine, c *counter)
+		op    func(e *Engine, c *counter)
+	}{
+		{"Schedule", nil, func(e *Engine, c *counter) { e.Schedule(e.Now()+1, c); e.Run() }},
+		{"After", nil, func(e *Engine, c *counter) { e.After(2, c); e.Run() }},
+		{"Every", func(e *Engine, c *counter) { e.Every(0, 1, c) }, func(e *Engine, _ *counter) { e.Step() }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			e, c := NewEngine(1), &counter{}
+			if row.setup != nil {
+				row.setup(e, c)
+			}
+			row.op(e, c) // warm the arena
+			if avg := testing.AllocsPerRun(1000, func() { row.op(e, c) }); avg != 0 {
+				t.Fatalf("%s allocates %v per op in steady state, want 0", row.name, avg)
+			}
+			if c.n != 1+1001 {
+				t.Fatalf("handler ran %d times, want %d", c.n, 1+1001)
+			}
+		})
 	}
 }
 
 func TestTickerReusesSlotAcrossTicks(t *testing.T) {
 	e := NewEngine(1)
 	n := 0
-	tk := e.Every(0, 1, func() { n++ })
+	tk := e.Every(0, 1, Func(func() { n++ }))
 	e.Step() // first tick warms the slot
 	if avg := testing.AllocsPerRun(1000, func() { e.Step() }); avg != 0 {
 		t.Fatalf("Ticker tick allocates %v per op, want 0", avg)
@@ -532,7 +542,7 @@ func TestHeapOrderRandomized(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		at := Time(r.Intn(700)) // heavy same-instant collisions
-		e.Schedule(at, func() { fired = append(fired, rec{at: e.Now(), ord: i}) })
+		e.Schedule(at, Func(func() { fired = append(fired, rec{at: e.Now(), ord: i}) }))
 	}
 	e.Run()
 	if len(fired) != n {

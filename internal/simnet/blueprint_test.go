@@ -34,24 +34,24 @@ func TestBlueprintInstancesShareOnlyWhatNoOneWrites(t *testing.T) {
 	run := func(n *Network, e *sim.Engine, mode int) uint64 {
 		for i, id := range hosts {
 			src, dst := n.Host(id), n.Host(hosts[(i+1)%len(hosts)]).MAC()
-			e.Every(sim.Time(1000+137*i), sim.Duration(2000+300*i), func() {
+			e.Every(sim.Time(1000+137*i), sim.Duration(2000+300*i), sim.Func(func() {
 				if e.Now() <= horizon-50_000 {
 					src.Send(&frame.Frame{Dst: dst, Payload: make([]byte, 96)})
 				}
-			})
+			}))
 		}
 		switch mode {
 		case learns:
 			src, dst := n.Host(hosts[0]), n.Host(hosts[len(hosts)-1]).MAC()
-			e.Every(5000, 10_000, func() {
+			e.Every(5000, 10_000, sim.Func(func() {
 				if e.Now() <= horizon-50_000 {
 					src.Port().Send(&frame.Frame{Src: stranger, Dst: dst, Payload: make([]byte, 64)})
 				}
-			})
+			}))
 		case fails:
 			sw := n.Switch(switches[0])
-			e.Schedule(100_000, sw.Fail)
-			e.Schedule(200_000, sw.Restart)
+			e.Schedule(100_000, sim.Func(sw.Fail))
+			e.Schedule(200_000, sim.Func(sw.Restart))
 		}
 		e.RunUntil(horizon)
 		d := checkpoint.NewDigest()

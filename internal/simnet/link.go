@@ -533,11 +533,7 @@ func (p *Port) startNext() {
 		}
 		if start > now {
 			p.busy = true
-			c.pausedTx = eng.Schedule(start, func() {
-				c.pausedTx = sim.Event{}
-				p.busy = false
-				p.startNext()
-			})
+			c.pausedTx = eng.Schedule(start, (*resumeEv)(p))
 			return
 		}
 		c.shaper.OnTransmit(now, f.EffectivePriority(), wireLen, ser)
@@ -552,18 +548,26 @@ func (p *Port) startNext() {
 	}
 	p.inFlight++
 	p.sending, p.lost = f, lost
-	eng.AfterCall(ser, (*serDoneEv)(p))
+	eng.After(ser, (*serDoneEv)(p))
 }
 
 // serDoneEv and propDoneEv are a port as the sim.Handler of its two
-// completion events.
+// completion events, resumeEv of the end of a shaper's pause.
 type (
 	serDoneEv  Port
 	propDoneEv Port
+	resumeEv   Port
 )
 
 func (e *serDoneEv) Fire()  { (*Port)(e).serDone() }
 func (e *propDoneEv) Fire() { (*Port)(e).propDone() }
+
+func (e *resumeEv) Fire() {
+	p := (*Port)(e)
+	p.cold.pausedTx = sim.Event{}
+	p.busy = false
+	p.startNext()
+}
 
 // serDone fires when the frame being sent finishes serializing: the
 // wire is free for the next frame, and the frame either dies (link
@@ -593,7 +597,7 @@ func (p *Port) serDone() {
 		p.crossHandoff(f)
 	default:
 		p.wire.Push(f)
-		l.engine.AfterCall(l.Prop, (*propDoneEv)(p))
+		l.engine.After(l.Prop, (*propDoneEv)(p))
 	}
 	p.busy = false
 	if p.queue.Len() > 0 {

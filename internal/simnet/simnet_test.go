@@ -137,7 +137,7 @@ func TestLinkDownDropsInFlight(t *testing.T) {
 	b.OnReceive(func(*frame.Frame) { delivered++ })
 	a.Send(&frame.Frame{Dst: b.MAC()})
 	link := a.Port().Link()
-	e.After(5*sim.Microsecond, func() { link.SetUp(false) }) // mid-propagation
+	e.After(5*sim.Microsecond, sim.Func(func() { link.SetUp(false) })) // mid-propagation
 	e.Run()
 	if delivered != 0 {
 		t.Fatal("in-flight frame survived link failure")
@@ -621,9 +621,9 @@ func TestTASGatePausedPortYieldsToOpenPriority(t *testing.T) {
 	})
 	// BE frame at t=0 pauses until 500µs; RT frame at 10µs must go now.
 	a.Send(&frame.Frame{Dst: b.MAC(), Tagged: true, Priority: frame.PrioBestEffort, VID: 1, Payload: make([]byte, 50)})
-	e.Schedule(sim.Time(10*sim.Microsecond), func() {
+	e.Schedule(sim.Time(10*sim.Microsecond), sim.Func(func() {
 		a.Send(&frame.Frame{Dst: b.MAC(), Tagged: true, Priority: frame.PrioRT, VID: 1, Payload: make([]byte, 50)})
-	})
+	}))
 	e.Run()
 	if rtAt == 0 || rtAt > sim.Time(20*sim.Microsecond) {
 		t.Fatalf("RT frame delivered at %v, blocked by gated BE frame", rtAt)
@@ -696,9 +696,9 @@ func TestCreditShaperProtectsRTFromShapedBurst(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a.Send(&frame.Frame{Dst: b.MAC(), Tagged: true, Priority: frame.PrioML, VID: 20, Payload: make([]byte, 1400)})
 	}
-	tk := e.Every(0, sim.Millisecond, func() {
+	tk := e.Every(0, sim.Millisecond, sim.Func(func() {
 		a.Send(&frame.Frame{Dst: b.MAC(), Tagged: true, Priority: frame.PrioRT, VID: 10, Payload: make([]byte, 40)})
-	})
+	}))
 	e.RunUntil(sim.Time(50 * sim.Millisecond))
 	tk.Stop()
 	e.Run()

@@ -444,7 +444,7 @@ func (s *Switch) Receive(port *Port, f *frame.Frame) {
 	if f.INT != nil {
 		c.intIn = int64(s.engine.Now())
 	}
-	s.engine.AfterCall(d, c)
+	s.engine.After(d, c)
 }
 
 // stampINT pushes this switch's transit record onto f's INT stack:

@@ -68,7 +68,7 @@ func newWireRig(t *testing.T, cross bool) *wireRig {
 }
 
 // at runs fn on a's engine at instant ns.
-func (r *wireRig) at(ns int64, fn func()) { r.a.Engine().Schedule(sim.Time(ns), fn) }
+func (r *wireRig) at(ns int64, fn func()) { r.a.Engine().Schedule(sim.Time(ns), sim.Func(fn)) }
 
 // send makes a send a minimum-size frame (512 ns on the wire) at ns.
 func (r *wireRig) send(ns int64) {

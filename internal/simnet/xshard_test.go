@@ -94,8 +94,8 @@ func driveTwoCell(t *testing.T, workers int) uint64 {
 			}
 		}
 	}
-	a0.Engine().Every(1000, 2000, send(a0, b0.MAC(), &pools[0]))
-	b1.Engine().Every(1500, 3000, send(b1, a1.MAC(), &pools[1]))
+	a0.Engine().Every(1000, 2000, sim.Func(send(a0, b0.MAC(), &pools[0])))
+	b1.Engine().Every(1500, 3000, sim.Func(send(b1, a1.MAC(), &pools[1])))
 
 	sawCrossWire := false
 	for at := sim.Time(50_000); at <= horizon; at += 50_000 {
@@ -202,11 +202,11 @@ func TestShardedMatchesUnshardedEquipment(t *testing.T) {
 		hosts := n.Graph.NodesOfKind(topo.KindHost)
 		for i, id := range hosts {
 			src, dst := n.Host(id), n.Host(hosts[(i+1)%len(hosts)]).MAC()
-			src.Engine().Every(sim.Time(1000+137*i), sim.Duration(2000+300*i), func() {
+			src.Engine().Every(sim.Time(1000+137*i), sim.Duration(2000+300*i), sim.Func(func() {
 				if src.Engine().Now() <= horizon-50_000 {
 					src.Send(&frame.Frame{Dst: dst, Payload: make([]byte, 96)})
 				}
-			})
+			}))
 		}
 		advance()
 		d := checkpoint.NewDigest()
@@ -410,7 +410,7 @@ func TestCorruptionDrawsOverZeroTail(t *testing.T) {
 			}
 		})
 		sent := 0
-		a0.Engine().Every(1000, 20_000, func() { // a 1,413-byte body takes 11.3 µs at 1 Gb/s
+		a0.Engine().Every(1000, 20_000, sim.Func(func() { // a 1,413-byte body takes 11.3 µs at 1 Gb/s
 			if sent++; sent > frames {
 				return
 			}
@@ -419,7 +419,7 @@ func TestCorruptionDrawsOverZeroTail(t *testing.T) {
 				f.Payload, f.ZeroTail = append(f.Payload, make([]byte, tail)...), 0
 			}
 			a0.Send(f)
-		})
+		}))
 		n.Group.Run(sim.Time(20_000*(frames+5)), 1)
 		return got, inTail
 	}

@@ -43,9 +43,9 @@ func TestINTCrossValidatesTapCaptures(t *testing.T) {
 	const n = 5
 	for i := 0; i < n; i++ {
 		at := sim.Time(i) * sim.Time(sim.Millisecond)
-		e.Schedule(at, func() {
+		e.Schedule(at, sim.Func(func() {
 			sender.Send(&frame.Frame{Dst: sink.MAC(), Type: frame.TypeIPv4, Payload: make([]byte, 46)})
-		})
+		}))
 	}
 	e.Run()
 

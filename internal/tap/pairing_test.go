@@ -75,7 +75,7 @@ func TestStreamingPairingMatchesLogScan(t *testing.T) {
 			default:
 				f = &frame.Frame{Type: frame.TypeBenchEcho, Payload: make([]byte, 10)}
 			}
-			e.Schedule(at, func() { tp.Receive(port, f) })
+			e.Schedule(at, sim.Func(func() { tp.Receive(port, f) }))
 		}
 		e.Run()
 		if len(*log) != 600 {
@@ -147,7 +147,7 @@ func TestForwardingFIFOUnderBacklog(t *testing.T) {
 	for i := 0; i < n; i++ {
 		f := probe(uint32(i), 7)
 		f.Meta.FlowID = uint32(i)
-		e.Schedule(sim.Time(i)*sim.Time(spacing), func() { tp.Receive(tp.PortA(), f) })
+		e.Schedule(sim.Time(i)*sim.Time(spacing), sim.Func(func() { tp.Receive(tp.PortA(), f) }))
 	}
 	e.Run()
 	if len(reclaimed) != n {

@@ -68,10 +68,10 @@ type Tap struct {
 
 	// fifo[head:] are the frames inside the pass-through delay, oldest
 	// first. The delay is one constant, so forwarding events fire in the
-	// order they were scheduled and one prebuilt callback serves them all.
-	fifo    []transit
-	head    int
-	forward func()
+	// order they were scheduled and the tap, as forwardEv, is the
+	// handler of them all.
+	fifo []transit
+	head int
 
 	// OnCapture, when set, observes every capture as it happens.
 	OnCapture func(Capture)
@@ -120,7 +120,6 @@ func New(engine *sim.Engine, name string, cfg Config) *Tap {
 		},
 		open: make(map[probeKey]int64),
 	}
-	t.forward = t.forwardNext
 	t.portA = simnet.NewPort(t, 0)
 	t.portB = simnet.NewPort(t, 1)
 	return t
@@ -168,7 +167,7 @@ func (t *Tap) Receive(port *simnet.Port, f *frame.Frame) {
 		t.fifo, t.head = t.fifo[:n], 0
 	}
 	t.fifo = append(t.fifo, tr)
-	t.engine.After(t.latency, t.forward)
+	t.engine.After(t.latency, (*forwardEv)(t))
 }
 
 // pair folds one TypeBenchEcho capture into the round-trip state: an
@@ -191,8 +190,12 @@ func (t *Tap) pair(c Capture) {
 	}
 }
 
-// forwardNext sends the oldest frame in transit out the far port.
-func (t *Tap) forwardNext() {
+// forwardEv is a tap as the handler of its forwarding events.
+type forwardEv Tap
+
+// Fire sends the oldest frame in transit out the far port.
+func (e *forwardEv) Fire() {
+	t := (*Tap)(e)
 	tr := t.fifo[t.head]
 	t.fifo[t.head] = transit{}
 	if t.head++; t.head == len(t.fifo) {

@@ -22,7 +22,7 @@ func rig(t *testing.T, cfg Config, reflectDelay sim.Duration) (*sim.Engine, *sim
 		g := f.Clone()
 		g.Dst, g.Src = f.Src, reflector.MAC()
 		g.Meta.CreatedAt = 0
-		e.After(reflectDelay, func() { reflector.Send(g) })
+		e.After(reflectDelay, sim.Func(func() { reflector.Send(g) }))
 	})
 	return e, sender, tp
 }
@@ -84,7 +84,7 @@ func TestRoundTripMeasuresReflectorDelay(t *testing.T) {
 	got := roundTrips(tp)
 	for i := uint32(0); i < 5; i++ {
 		seq := i
-		e.Schedule(sim.Time(i)*sim.Time(sim.Millisecond), func() { sender.Send(probe(seq, 7)) })
+		e.Schedule(sim.Time(i)*sim.Time(sim.Millisecond), sim.Func(func() { sender.Send(probe(seq, 7)) }))
 	}
 	e.Run()
 	rtts := got[7]

@@ -196,10 +196,10 @@ func TestRegisterShardGroupMetrics(t *testing.T) {
 		if profiled {
 			g.EnableProfiling()
 		}
-		g.Shard(0).Every(10, 50, func() {})
-		g.Shard(0).Schedule(40, func() {
+		g.Shard(0).Every(10, 50, sim.Func(func() {}))
+		g.Shard(0).Schedule(40, sim.Func(func() {
 			g.Send(0, 1, g.Shard(0).Now().Add(100), func(any, int) {}, nil, 0)
-		})
+		}))
 		g.Run(1000, 1)
 		return g
 	}

@@ -87,7 +87,7 @@ func TestTracerUsesBoundEngineClock(t *testing.T) {
 	tr.HostTx("n", f) // unbound: records t=0
 	e := sim.NewEngine(1)
 	tr.Bind(e)
-	e.After(5*sim.Microsecond, func() { tr.Deliver("n", 0, f, 7) })
+	e.After(5*sim.Microsecond, sim.Func(func() { tr.Deliver("n", 0, f, 7) }))
 	e.Run()
 	evs := tr.Events()
 	if len(evs) != 2 {

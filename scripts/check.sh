@@ -6,7 +6,7 @@
 #
 # where NAME is race, replay, fuzz, zero-alloc, smoke, invariance,
 # int-replay, obs-endpoint, steelnetd, bench-module, reach, docs,
-# orphans or fma.
+# orphans, handlers or fma.
 # Every file a check writes lands in the repo root under the name CI
 # uploads; all of them are in .gitignore.
 set -euo pipefail
@@ -405,6 +405,19 @@ orphans() {
     fi
 }
 
+# Every event of the model is a handler type, one per kind of event:
+# sim.Func, the engine's closure adapter, is for tests. Any sim.Func in
+# non-test Go outside internal/sim fails.
+handlers() {
+    local found
+    found=$(grep -rn --include='*.go' --exclude='*_test.go' '\bsim\.Func\b' . | grep -v '^\./internal/sim/' || true)
+    if [ -n "$found" ]; then
+        echo "$found" >&2
+        echo "handlers: schedule a handler type per kind of event, not a sim.Func" >&2
+        exit 1
+    fi
+}
+
 # No fused multiply-add anywhere a digest or a figure is computed. Go
 # lets a compiler fuse x*y+z into one instruction that skips the
 # product's rounding; arm64 does, amd64 at the default GOAMD64 does
@@ -430,10 +443,10 @@ fma() {
 }
 
 case "${1:-}" in
-race | replay | fuzz | smoke | invariance | steelnetd | reach | docs | orphans | fma) "$1" ;;
+race | replay | fuzz | smoke | invariance | steelnetd | reach | docs | orphans | handlers | fma) "$1" ;;
 zero-alloc | int-replay | obs-endpoint | bench-module) "${1//-/_}" ;;
 *)
-    echo "usage: scripts/check.sh race|replay|fuzz|zero-alloc|smoke|invariance|int-replay|obs-endpoint|steelnetd|bench-module|reach|docs|orphans|fma" >&2
+    echo "usage: scripts/check.sh race|replay|fuzz|zero-alloc|smoke|invariance|int-replay|obs-endpoint|steelnetd|bench-module|reach|docs|orphans|handlers|fma" >&2
     exit 2
     ;;
 esac
