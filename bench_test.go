@@ -11,6 +11,7 @@
 //	BenchmarkSection23TrafficMix         §2.3    traffic-mix taxonomy
 //
 //	BenchmarkRegistryValues              gateway  one numeric read of a run's registry
+//	BenchmarkRegistryAppendValues        gateway  the same read into a kept slice
 //	BenchmarkRegistryWritePrometheus     gateway  one text render of the same registry
 //
 // plus the DESIGN.md ablations (shaper none/CBS/TAS, watchdog
@@ -281,8 +282,21 @@ func BenchmarkRegistryValues(b *testing.B) {
 	}
 }
 
+// BenchmarkRegistryAppendValues is the same read as a publisher makes
+// it every slice, into a slice it keeps: scripts/benchdiff.sh pins it
+// at zero allocations.
+func BenchmarkRegistryAppendValues(b *testing.B) {
+	reg := benchRegistry(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		registryValuesSink = reg.AppendValues(registryValuesSink[:0])
+	}
+}
+
 // BenchmarkRegistryWritePrometheus is the per-slice text render behind
-// every run's /metrics snapshot.
+// every run's /metrics snapshot: one buffer, sized by the previous
+// render, which scripts/benchdiff.sh pins.
 func BenchmarkRegistryWritePrometheus(b *testing.B) {
 	reg := benchRegistry(b)
 	b.ReportAllocs()

@@ -185,9 +185,10 @@ func NewCampusHarness(cfg CampusConfig) (*CampusHarness, error) {
 //   - spines hold full per-cell host tables pointing at the gateways.
 //
 // The cost is O(hosts · tree depth + spines · hosts) entries, which
-// keeps a 10k-switch campus buildable in well under a second. Each FIB
-// is sized once, before its entries go in, for the hosts it will hold:
-// its subtree's for a cell switch, every host for a spine.
+// keeps a 10k-switch campus buildable in well under a second. Every FIB
+// is sized once, before any entry goes in, for the hosts it will hold —
+// its subtree's for a cell switch, every host for a spine — and all of
+// them are cut from one slab.
 func (h *CampusHarness) installRoutes() {
 	cfg := h.cfg.Topo
 	g := h.ct.Graph
@@ -200,9 +201,20 @@ func (h *CampusHarness) installRoutes() {
 			subtree[(i-1)/cfg.Fanout] += subtree[i]
 		}
 	}
-	for _, sp := range h.ct.Spines {
-		h.net.Switch(sp).ReserveFIB(len(h.ct.CellHosts) * len(h.ct.CellHosts[0]))
-	}
+	simnet.ReserveFIBs(func(yield func(*simnet.Switch, int) bool) {
+		for _, sp := range h.ct.Spines {
+			if !yield(h.net.Switch(sp), len(h.ct.CellHosts)*len(h.ct.CellHosts[0])) {
+				return
+			}
+		}
+		for _, sw := range h.ct.CellSwitches {
+			for i, id := range sw {
+				if !yield(h.net.Switch(id), subtree[i]) {
+					return
+				}
+			}
+		}
+	})
 	// Campus graphs are simple (at most one edge per pair), so the first
 	// incident edge reaching next is the edge.
 	portToward := func(at, next topo.NodeID) int {
@@ -215,9 +227,6 @@ func (h *CampusHarness) installRoutes() {
 	}
 	for c := range h.ct.CellSwitches {
 		sw := h.ct.CellSwitches[c]
-		for i, id := range sw {
-			h.net.Switch(id).ReserveFIB(subtree[i])
-		}
 		// Defaults up the tree, gateway out to its home spine.
 		for i := 1; i < len(sw); i++ {
 			parent := sw[(i-1)/cfg.Fanout]

@@ -32,14 +32,22 @@ type Headless struct {
 
 	loss      map[string]*sinkLoss
 	lossOrder []string
-	seq       uint64
-	next      time.Duration
-	done      bool
+	// vals is the registry read's scratch, kept between samples, and
+	// intTags the tag names of the collector's path digests, four per
+	// digest in its first-seen order: both are built once, not per
+	// sample.
+	vals    []telemetry.MetricValue
+	intTags []string
+	seq     uint64
+	next    time.Duration
+	done    bool
 }
 
-// sinkLoss accumulates received/lost counts at one INT sink.
+// sinkLoss accumulates received/lost counts at one INT sink; tag is
+// its loss fraction's tag name.
 type sinkLoss struct {
 	received, lost uint64
+	tag            string
 }
 
 // HeadlessConfig declares one run. It is the wire-level run spec the
@@ -128,7 +136,7 @@ func NewHeadless(cfg HeadlessConfig) (*Headless, error) {
 	d.sinks.Collector.OnSink = func(obs intnet.Observation) {
 		sl := d.loss[obs.Sink]
 		if sl == nil {
-			sl = &sinkLoss{}
+			sl = &sinkLoss{tag: "loss/" + obs.Sink}
 			d.loss[obs.Sink] = sl
 			d.lossOrder = append(d.lossOrder, obs.Sink)
 		}
@@ -251,24 +259,37 @@ func (d *Headless) Sample() Sample {
 		SimNS:    d.Now(),
 		Digests:  d.sinks.Collector.Digests(),
 		Breaches: d.Breaches(),
+		Loss:     make([]SinkLoss, 0, len(d.lossOrder)),
 	}
-	for _, v := range d.sinks.Metrics.Values() {
+	d.vals = d.sinks.Metrics.AppendValues(d.vals[:0])
+	// Tags is the caller's to keep, so it is new every sample, made at
+	// its final size: the rows the loops below append.
+	n := len(d.vals) + 4*len(s.Digests) + len(d.lossOrder)
+	if d.wd != nil {
+		n += 2
+	}
+	s.Tags = make([]Tag, 0, n)
+	for _, v := range d.vals {
 		s.Tags = append(s.Tags, Tag{Name: v.Key, Value: v.Value})
 	}
-	for _, p := range s.Digests {
-		prefix := "int/" + p.Sink + "/" + p.Source + "/" + strconv.FormatUint(uint64(p.Flow), 10)
+	for i, p := range s.Digests {
+		if 4*i == len(d.intTags) { // the collector only ever appends digests
+			prefix := "int/" + p.Sink + "/" + p.Source + "/" + strconv.FormatUint(uint64(p.Flow), 10)
+			d.intTags = append(d.intTags, prefix+"/count", prefix+"/mean_ns", prefix+"/max_ns", prefix+"/jitter_ns")
+		}
+		name := d.intTags[4*i : 4*i+4]
 		s.Tags = append(s.Tags,
-			Tag{Name: prefix + "/count", Value: float64(p.Count)},
-			Tag{Name: prefix + "/mean_ns", Value: p.MeanNS()},
-			Tag{Name: prefix + "/max_ns", Value: float64(p.MaxNS)},
-			Tag{Name: prefix + "/jitter_ns", Value: p.MeanJitterNS()},
+			Tag{Name: name[0], Value: float64(p.Count)},
+			Tag{Name: name[1], Value: p.MeanNS()},
+			Tag{Name: name[2], Value: float64(p.MaxNS)},
+			Tag{Name: name[3], Value: p.MeanJitterNS()},
 		)
 	}
 	for _, sink := range d.lossOrder {
 		sl := d.loss[sink]
 		agg := SinkLoss{Sink: sink, Received: sl.received, Lost: sl.lost}
 		s.Loss = append(s.Loss, agg)
-		s.Tags = append(s.Tags, Tag{Name: "loss/" + sink, Value: agg.Fraction()})
+		s.Tags = append(s.Tags, Tag{Name: sl.tag, Value: agg.Fraction()})
 	}
 	open := 0
 	for _, b := range s.Breaches {

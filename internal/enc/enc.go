@@ -7,13 +7,18 @@
 //
 // The encoders exist in one place because they define a wire dialect:
 // floats render shortest-'g' with non-finite values clamped to null
-// (JSON has no Inf/NaN), strings render with strconv's quoting, and SSE
-// frames are "event: <e>\ndata: <d>\n\n" exactly. Two hand-rolled
+// (JSON has no Inf/NaN), strings render as JSON that keeps every
+// printable rune verbatim, and SSE frames are
+// "event: <e>\ndata: <d>\n\n" exactly. Two hand-rolled
 // copies of that dialect drifted once (obs vs hub); this package is the
 // single definition plus the tests that pin it against encoding/json.
 package enc
 
-import "strconv"
+import (
+	"strconv"
+	"unicode/utf16"
+	"unicode/utf8"
+)
 
 // maxJSONFloat is the largest finite float64; anything beyond it (or
 // NaN) is not representable in JSON and clamps to null.
@@ -43,9 +48,77 @@ func AppendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// AppendString appends s as a JSON string (quoted and escaped).
+// AppendString appends s as a JSON string. Printable runes go out
+// verbatim, as strconv.Quote writes them, and so do the escapes the two
+// dialects share: \", \\, \b, \f, \n, \r and \t. Every other rune is
+// a \u escape, a surrogate pair above U+FFFF, and each run of invalid
+// UTF-8 bytes is one \ufffd, as strings.ToValidUTF8 would replace it.
 func AppendString(b []byte, s string) []byte {
-	return strconv.AppendQuote(b, s)
+	b = append(b, '"')
+	done := 0 // s[done:i] is still to be copied verbatim
+	invalid := false
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			invalid = false
+			if c >= ' ' && c != '"' && c != '\\' && c != 0x7f {
+				i++
+				continue
+			}
+			b = append(b, s[done:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, `\b`...)
+			case '\f':
+				b = append(b, `\f`...)
+			case '\n':
+				b = append(b, `\n`...)
+			case '\r':
+				b = append(b, `\r`...)
+			case '\t':
+				b = append(b, `\t`...)
+			default:
+				b = appendU4(b, rune(c))
+			}
+			i++
+			done = i
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case n == 1: // r == utf8.RuneError from an invalid byte
+			b = append(b, s[done:i]...)
+			if !invalid {
+				b = append(b, `\ufffd`...)
+			}
+			invalid = true
+		case strconv.IsPrint(r):
+			invalid = false
+			i += n
+			continue
+		default:
+			invalid = false
+			b = append(b, s[done:i]...)
+			if r > 0xffff {
+				hi, lo := utf16.EncodeRune(r)
+				b = appendU4(appendU4(b, hi), lo)
+			} else {
+				b = appendU4(b, r)
+			}
+		}
+		i += n
+		done = i
+	}
+	b = append(b, s[done:]...)
+	return append(b, '"')
+}
+
+// appendU4 appends the \uXXXX escape of a rune at most U+FFFF.
+func appendU4(b []byte, r rune) []byte {
+	const hex = "0123456789abcdef"
+	return append(b, '\\', 'u', hex[r>>12&0xf], hex[r>>8&0xf], hex[r>>4&0xf], hex[r&0xf])
 }
 
 // AppendUint and AppendInt append base-10 integers; they exist so

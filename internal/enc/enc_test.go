@@ -3,7 +3,10 @@ package enc
 import (
 	"encoding/json"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestAppendFloatMatchesEncodingJSON pins the number dialect against
@@ -63,6 +66,84 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("AppendString(%q) round-trips to %q", s, back)
 		}
 	}
+}
+
+// TestAppendStringEscapesAsJSON pins the escapes strconv writes in Go
+// syntax and encoding/json rejects: a control byte, \a, \v, DEL, an
+// invalid UTF-8 byte and a non-printable rune above U+FFFF.
+func TestAppendStringEscapesAsJSON(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"a\x01b", `"a\u0001b"`},
+		{"\a\v", `"\u0007\u000b"`},
+		{"\x7f", `"\u007f"`},
+		{"\xff", `"\ufffd"`},
+		{"x\xff\xfey", `"x\ufffdy"`}, // one run, one replacement
+		{"\xff\ufffd", `"\ufffd` + "\ufffd" + `"`},
+		{"\U000e0001", `"\udb40\udc01"`},
+		{"\u00ad\u2028", `"\u00ad\u2028"`},
+		{"\b\f", `"\b\f"`},
+	} {
+		got := string(AppendString(nil, c.in))
+		if got != c.want {
+			t.Errorf("AppendString(%q) = %s, want %s", c.in, got, c.want)
+		}
+		var back string
+		if err := json.Unmarshal([]byte(got), &back); err != nil {
+			t.Errorf("AppendString(%q) = %s: not valid JSON: %v", c.in, got, err)
+		}
+	}
+}
+
+// TestAppendStringKeepsStrconvForm pins the bytes every pinned body is
+// made of: for printable runes plus \t, \n and \r the output is
+// strconv.Quote's, byte for byte.
+func TestAppendStringKeepsStrconvForm(t *testing.T) {
+	for _, s := range []string{"", "run-1", "tab\there\nnew\rline", `q"b\s`, "ünïcode ☃ 𝄞", `steelnet_host_rx_total{node="io"}`} {
+		if got, want := string(AppendString(nil, s)), strconv.Quote(s); got != want {
+			t.Errorf("AppendString(%q) = %s, strconv.Quote = %s", s, got, want)
+		}
+	}
+}
+
+// FuzzAppendString: for any input the output decodes with encoding/json
+// to the input with each invalid UTF-8 run replaced by U+FFFD, and for
+// printable-only input it is strconv.Quote's.
+func FuzzAppendString(f *testing.F) {
+	for _, s := range []string{"", "run-1", "a\x01b\a\v\x7f", "\xff\xfe\ufffd", "\U000e0001\u2028", "tab\t\"\\"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got := AppendString([]byte("x"), s)
+		if got[0] != 'x' {
+			t.Fatalf("AppendString overwrote its prefix")
+		}
+		var back string
+		if err := json.Unmarshal(got[1:], &back); err != nil {
+			t.Fatalf("AppendString(%q) = %s: not valid JSON: %v", s, got[1:], err)
+		}
+		if want := strings.ToValidUTF8(s, "\uFFFD"); back != want {
+			t.Fatalf("AppendString(%q) decodes to %q, want %q", s, back, want)
+		}
+		if printable(s) {
+			if want := strconv.Quote(s); string(got[1:]) != want {
+				t.Fatalf("AppendString(%q) = %s, strconv.Quote = %s", s, got[1:], want)
+			}
+		}
+	})
+}
+
+// printable reports whether s is valid UTF-8 made of printable runes,
+// \t, \n and \r only.
+func printable(s string) bool {
+	if !utf8.ValidString(s) {
+		return false
+	}
+	for _, r := range s {
+		if !strconv.IsPrint(r) && r != '\t' && r != '\n' && r != '\r' {
+			return false
+		}
+	}
+	return true
 }
 
 // TestAppendSSE pins the exact frame layout SSE clients parse.

@@ -18,7 +18,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -27,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"steelnet/internal/enc"
 	intnet "steelnet/internal/int"
@@ -76,6 +76,11 @@ type Broker struct {
 	// rec, when set, records every published metric value into a bounded
 	// time-series history served at /history.
 	rec atomic.Pointer[tshist.Recorder]
+
+	// values and deltas are the publisher's scratch, kept between
+	// publishes so a warm Publish reads and diffs without growing them.
+	values []telemetry.MetricValue
+	deltas []Delta
 
 	// fan carries formatted SSE frames to the /events subscribers.
 	fan *Fanout[[]byte]
@@ -132,13 +137,13 @@ func (b *Broker) LastPublishAge() (time.Duration, bool) {
 func (b *Broker) Publish(reg *telemetry.Registry, profile any, simNS int64) error {
 	// One walk of the registry yields both the text snapshot and the
 	// numbers the deltas and the history are cut from.
-	var buf bytes.Buffer
-	values, err := reg.Export(&buf)
-	if err != nil {
-		return err
-	}
+	text, values := reg.Export(b.values[:0])
+	b.values = values
 	prev := b.cur.Load()
-	snap := &Snapshot{Seq: prev.Seq + 1, SimNS: simNS, Metrics: buf.String(), Profile: prev.Profile}
+	// Export made text for this render alone and nothing else refers to
+	// it, so the snapshot takes it as its string: no byte of it is ever
+	// written again.
+	snap := &Snapshot{Seq: prev.Seq + 1, SimNS: simNS, Metrics: unsafe.String(unsafe.SliceData(text), len(text)), Profile: prev.Profile}
 	if profile != nil {
 		pj, err := json.Marshal(profile)
 		if err != nil {
@@ -153,7 +158,7 @@ func (b *Broker) Publish(reg *telemetry.Registry, profile any, simNS int64) erro
 	if simNS < 0 {
 		rec = nil
 	}
-	var deltas []Delta
+	deltas := b.deltas[:0]
 	for _, v := range values {
 		if rec != nil {
 			rec.Append(v.Key, simNS, v.Value)
@@ -163,6 +168,7 @@ func (b *Broker) Publish(reg *telemetry.Registry, profile any, simNS int64) erro
 			b.prev[v.Key] = v.Value
 		}
 	}
+	b.deltas = deltas
 	b.cur.Store(snap)
 	b.lastPubWall.Store(time.Now().UnixNano())
 	if len(deltas) > 0 {

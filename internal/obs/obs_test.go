@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,6 +93,42 @@ func TestEndpoints(t *testing.T) {
 	}
 	if code, body, _ := get(t, srv.URL+"/shards"); code != 200 || !strings.Contains(body, `"shards":4`) {
 		t.Fatalf("shards after profile-less publish: %d %q", code, body)
+	}
+}
+
+// TestPublishRendersOnce: every snapshot is WritePrometheus's text byte
+// for byte, also when values grow past the previous render's length,
+// and a warm Publish in which no value moved makes two allocations —
+// the text, rendered once at its final size, and the Snapshot — reading
+// its values into the broker's kept slice.
+func TestPublishRendersOnce(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	var n uint64
+	for i := 0; i < 64; i++ {
+		reg.Counter("test_events_total", telemetry.L("port", strconv.Itoa(i)), "events", func() uint64 { return n * uint64(i) })
+		reg.Gauge("test_level", telemetry.L("port", strconv.Itoa(i)), "level", func() float64 { return float64(n) / 3 })
+	}
+	b := NewBroker()
+	for _, v := range []uint64{0, 9, 10, 12345, 1 << 40, 7} {
+		n = v
+		if err := b.Publish(reg, nil, int64(v)); err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		if err := reg.WritePrometheus(&want); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Current().Metrics; got != want.String() {
+			t.Fatalf("n=%d: snapshot differs from WritePrometheus:\n%s\nvs\n%s", v, got, want.String())
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := b.Publish(reg, nil, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("a warm Publish allocates %.1f times, want at most 2 (text and snapshot)", allocs)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"steelnet/internal/checkpoint"
 	"steelnet/internal/frame"
@@ -54,7 +55,7 @@ func switchDigest(sw *Switch) uint64 {
 }
 
 // TestCampusFIBSizedOnceMatchesGrown installs a campus's static routes
-// twice: into FIBs sized up front by ReserveFIB for exactly their
+// twice: into FIBs sized up front by ReserveFIBs for exactly their
 // entries, and into FIBs that grow by doubling from the empty table. On
 // every switch the sized table must not move while its entries go in,
 // must end the size the grown one does, answer every lookup the same
@@ -73,12 +74,18 @@ func TestCampusFIBSizedOnceMatchesGrown(t *testing.T) {
 	sized, grown := build(), build()
 	entries := campusEntries(ct, grown)
 	hosts := ct.Graph.NodesOfKind(topo.KindHost)
+	ReserveFIBs(func(yield func(*Switch, int) bool) {
+		for id, s := range sized.switches {
+			if s != nil && !yield(s, len(entries[topo.NodeID(id)])) {
+				return
+			}
+		}
+	})
 	for id, sw := range grown.switches {
 		if sw == nil {
 			continue
 		}
 		s, list := sized.switches[id], entries[topo.NodeID(id)]
-		s.ReserveFIB(len(list))
 		slots := s.fib.slots
 		for _, e := range list {
 			mac := frame.NewMAC(uint32(e[0]))
@@ -112,6 +119,49 @@ func TestCampusFIBSizedOnceMatchesGrown(t *testing.T) {
 	}
 }
 
+// TestReserveFIBsCutsOneSlab: ReserveFIBs sizes each table as
+// reserve would, lays the tables it sizes end to end in one array,
+// leaves alone a switch with nothing to reserve, and a table that
+// outgrows its cut moves out without touching its neighbour.
+func TestReserveFIBsCutsOneSlab(t *testing.T) {
+	sws := []*Switch{{fib: emptyFIB}, {fib: emptyFIB}, {fib: emptyFIB}}
+	ReserveFIBs(func(yield func(*Switch, int) bool) {
+		for i, n := range []int{3, 0, 40} {
+			if !yield(sws[i], n) {
+				return
+			}
+		}
+	})
+	for i, want := range []int{minFIBSlots, 1, 128} {
+		if got := len(sws[i].fib.slots); got != want {
+			t.Fatalf("switch %d: %d slots, want %d", i, got, want)
+		}
+	}
+	a, c := sws[0].fib.slots, sws[2].fib.slots
+	if end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), len(a)*8); end != unsafe.Pointer(unsafe.SliceData(c)) {
+		t.Fatal("the reserved tables are not cut end to end from one slab")
+	}
+	for i := uint32(0); i < 40; i++ {
+		sws[2].AddStatic(frame.NewMAC(i), 1)
+	}
+	for i := uint32(0); i < 5; i++ { // past half of 8 slots: grows
+		sws[0].AddStatic(frame.NewMAC(i), 2)
+	}
+	if unsafe.SliceData(sws[0].fib.slots) == unsafe.SliceData(a) || len(sws[0].fib.slots) != 2*minFIBSlots {
+		t.Fatal("a table past its cut did not move to a larger array")
+	}
+	for i := uint32(0); i < 40; i++ {
+		if got := sws[2].LookupPort(frame.NewMAC(i)); got != 1 {
+			t.Fatalf("neighbour lost MAC %d after the first table grew: port %d", i, got)
+		}
+	}
+}
+
+// reserveOne is ReserveFIBs for one switch.
+func reserveOne(sw *Switch, entries int) {
+	ReserveFIBs(func(yield func(*Switch, int) bool) { yield(sw, entries) })
+}
+
 // TestFreshSwitchFIB: a switch that has installed nothing answers
 // lookups, flushes, reserves nothing for zero entries, and learns.
 func TestFreshSwitchFIB(t *testing.T) {
@@ -120,7 +170,7 @@ func TestFreshSwitchFIB(t *testing.T) {
 		t.Fatalf("empty FIB resolves to port %d", got)
 	}
 	sw.FlushDynamic()
-	sw.ReserveFIB(0)
+	reserveOne(sw, 0)
 	if len(sw.fib.slots) != 1 {
 		t.Fatalf("reserving 0 entries sized the table to %d slots", len(sw.fib.slots))
 	}
@@ -223,7 +273,7 @@ func FuzzFIB(f *testing.F) {
 					t.Fatalf("step %d: get(%v) = %+v %t, want %+v %t", step, mac, got, ok, want, wok)
 				}
 			case 3:
-				sw.ReserveFIB(int(ops[1]))
+				reserveOne(sw, int(ops[1]))
 			case 4:
 				sw.FlushDynamic()
 				maps.DeleteFunc(oracle, func(_ frame.MAC, e fibEntry) bool { return !e.static })

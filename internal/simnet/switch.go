@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"slices"
 
@@ -152,7 +153,7 @@ func (t *fibTable) put(mac frame.MAC, e fibEntry) {
 	s := t.find(key)
 	if *s == 0 {
 		if t.n++; t.n*2 > len(t.slots) {
-			t.rebuild(max(minFIBSlots, len(t.slots)*2), false)
+			t.rebuild(make([]uint64, max(minFIBSlots, len(t.slots)*2)), false)
 			s = t.find(key)
 		}
 	}
@@ -171,25 +172,36 @@ const minFIBSlots = 8
 // until it needs one.
 var emptyFIB = fibTable{slots: make([]uint64, 1), shift: 64, shared: true}
 
-// reserve sizes the table for n entries in all, so that inserting them
-// grows nothing. The size is the one put's doubling would reach after n
-// inserts, so the table is the same as a grown one, allocated once.
-func (t *fibTable) reserve(n int) {
+// reserveSlots is the table size reserve(n) moves t to, 0 when t
+// already holds n entries without growing: the size put's doubling
+// would reach after n inserts, so a reserved table is the same as a
+// grown one, allocated once.
+func (t *fibTable) reserveSlots(n int) int {
 	size := minFIBSlots
 	for size < 2*n {
 		size *= 2
 	}
 	if n > 0 && size > len(t.slots) {
-		t.rebuild(size, false)
+		return size
+	}
+	return 0
+}
+
+// reserve sizes the table for n entries in all, so that inserting them
+// grows nothing.
+func (t *fibTable) reserve(n int) {
+	if size := t.reserveSlots(n); size > 0 {
+		t.rebuild(make([]uint64, size), false)
 	}
 }
 
-// rebuild re-hashes the entries into a table of size slots, keeping
-// only the static ones if staticOnly.
-func (t *fibTable) rebuild(size int, staticOnly bool) {
+// rebuild re-hashes the entries into slots, a zeroed power-of-two
+// array the table owns from now on, keeping only the static ones if
+// staticOnly.
+func (t *fibTable) rebuild(slots []uint64, staticOnly bool) {
 	old := t.slots
-	t.slots, t.shared = make([]uint64, size), false
-	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	t.slots, t.shared = slots, false
+	t.shift = uint(64 - bits.TrailingZeros(uint(len(slots))))
 	for _, s := range old {
 		switch {
 		case s == 0:
@@ -284,10 +296,27 @@ func (s *Switch) AddStatic(mac frame.MAC, port int) {
 	s.fib.put(mac, fibEntry{port: int32(port), static: true})
 }
 
-// ReserveFIB sizes the FIB for entries MACs in all, so that installing
-// that many grows the table no further. Lookups and the folded state do
-// not depend on the table's size.
-func (s *Switch) ReserveFIB(entries int) { s.fib.reserve(entries) }
+// ReserveFIBs sizes the FIB of every switch fibs yields for the number
+// of MACs yielded with it, so that installing that many grows the table
+// no further. Every table it sizes is cut from one slab: a campus sizes
+// ten thousand FIBs in one allocation. fibs is walked twice, to add up
+// the slab and to cut it, and must yield the same pairs both times. A
+// table that outgrows its cut moves to an array of its own, as any FIB
+// does. Lookups and the folded state do not depend on a table's size or
+// where it lives.
+func ReserveFIBs(fibs iter.Seq2[*Switch, int]) {
+	total := 0
+	for s, n := range fibs {
+		total += s.fib.reserveSlots(n)
+	}
+	slab := make([]uint64, total)
+	for s, n := range fibs {
+		if size := s.fib.reserveSlots(n); size > 0 {
+			s.fib.rebuild(slab[:size:size], false)
+			slab = slab[size:]
+		}
+	}
+}
 
 // SetDefaultPort routes unicast frames with no FIB entry out of port
 // instead of flooding. Pass -1 to restore flooding. Broadcast and
@@ -332,7 +361,7 @@ func (s *Switch) PortBlocked(port int) bool {
 // A shared table has learned nothing, so it stays as it is.
 func (s *Switch) FlushDynamic() {
 	if !s.fib.shared {
-		s.fib.rebuild(len(s.fib.slots), true)
+		s.fib.rebuild(make([]uint64, len(s.fib.slots)), true)
 	}
 }
 

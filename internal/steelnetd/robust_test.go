@@ -2,8 +2,10 @@ package steelnetd
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 )
@@ -170,6 +172,49 @@ func TestPostRunsStrictSpec(t *testing.T) {
 	}
 	if len(g.List()) != 0 {
 		t.Fatalf("a rejected spec started a run: %+v", g.List())
+	}
+}
+
+// TestControlCharacterRunIDStaysJSON: DecodeRunSpec accepts an id with
+// a control character ("a\u0001b"), and every JSON body rendered with
+// it — journal records, the history listing, tag frames — must still
+// parse and carry the id back.
+func TestControlCharacterRunIDStaysJSON(t *testing.T) {
+	g, srv := testServer(t)
+	spec, err := DecodeRunSpec(strings.NewReader(`{"id":"a\u0001b","run":{"horizon":100000000,"slice":50000000}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel := g.Hub().Subscribe("")
+	defer cancel()
+	id, err := g.Start(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+	var journal bytes.Buffer
+	if err := g.Journal().WriteLog(&journal); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(journal.String()), "\n")
+	for _, l := range lines {
+		var rec struct{ Run string }
+		if err := json.Unmarshal([]byte(l), &rec); err != nil || rec.Run != id {
+			t.Errorf("journal record %q: run %q, err %v", l, rec.Run, err)
+		}
+	}
+	code, body := getBody(t, srv.URL+"/runs/"+url.PathEscape(id)+"/history")
+	var listing struct{ Run string }
+	if err := json.Unmarshal([]byte(body), &listing); code != http.StatusOK || err != nil || listing.Run != id {
+		t.Errorf("history listing %d %.60q: run %q, err %v", code, body, listing.Run, err)
+	}
+	f := <-ch
+	data := strings.TrimSuffix(string(f.Data[bytes.Index(f.Data, []byte("data: "))+6:]), "\n\n")
+	var frame struct{ Run string }
+	if err := json.Unmarshal([]byte(data), &frame); err != nil || frame.Run != id {
+		t.Errorf("tag frame %.60q: run %q, err %v", data, frame.Run, err)
 	}
 }
 

@@ -139,6 +139,11 @@ type Registry struct {
 	// memmove at 8 bytes per displaced entry: a Fig. 6 cell registers
 	// thousands of metrics under -stats.
 	entries []*entry
+	// textLen is the length of the latest text render. The next render
+	// starts from a buffer that size plus a little headroom, so it is
+	// made once instead of grown from nothing. Atomic: concurrent
+	// /metrics handlers render the same registry.
+	textLen atomic.Int64
 }
 
 // NewRegistry creates an empty registry.
@@ -348,14 +353,22 @@ func appendProm(b []byte, rw row) []byte {
 	}
 }
 
+// textBuf returns an empty buffer with room for the latest render plus
+// 1/32 headroom: values change digits between reads, rarely by more.
+func (r *Registry) textBuf() []byte {
+	n := r.textLen.Load()
+	return make([]byte, 0, n+n/32)
+}
+
 // WritePrometheus renders the registry in Prometheus text exposition
 // format.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	var b []byte
+	b := r.textBuf()
 	r.walk(true, func(rw row) { b = appendProm(b, rw) })
+	r.textLen.Store(int64(len(b)))
 	_, err := w.Write(b)
 	return err
 }
@@ -421,28 +434,36 @@ func (r *Registry) Values() []MetricValue {
 	if r == nil {
 		return nil
 	}
-	vs := make([]MetricValue, 0, len(r.entries))
+	return r.AppendValues(make([]MetricValue, 0, len(r.entries)))
+}
+
+// AppendValues is Values appended to vs: a reader that keeps its slice
+// between reads (a publisher, every slice) reads without allocating.
+func (r *Registry) AppendValues(vs []MetricValue) []MetricValue {
+	if r == nil {
+		return vs
+	}
 	r.walk(false, func(rw row) { vs = appendValue(vs, rw) })
 	return vs
 }
 
-// Export is WritePrometheus and Values over one walk: every metric is
-// read once and both views describe the same instant. It is what a
-// publisher that needs the text snapshot and the numbers calls.
-func (r *Registry) Export(w io.Writer) ([]MetricValue, error) {
+// Export is WritePrometheus and AppendValues over one walk: every metric
+// is read once and both views describe the same instant. It is what a
+// publisher that needs the text snapshot and the numbers calls. The text
+// is a new buffer, sized like WritePrometheus's, that the caller owns.
+func (r *Registry) Export(vs []MetricValue) (text []byte, values []MetricValue) {
 	if r == nil {
-		return nil, nil
+		return nil, vs
 	}
-	var b []byte
-	vs := make([]MetricValue, 0, len(r.entries))
+	b := r.textBuf()
 	r.walk(true, func(rw row) {
 		b = appendProm(b, rw)
 		if rw.le == "" {
 			vs = appendValue(vs, rw)
 		}
 	})
-	_, err := w.Write(b)
-	return vs, err
+	r.textLen.Store(int64(len(b)))
+	return b, vs
 }
 
 // RegisterEngineMetrics exposes the engine's internals (events fired,

@@ -65,16 +65,13 @@ func renderValues(vs []MetricValue) string {
 func TestExportMatchesSeparateReads(t *testing.T) {
 	r, late := goldenRegistry()
 	late()
-	var prom, exported strings.Builder
+	var prom strings.Builder
 	if err := r.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
-	vs, err := r.Export(&exported)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exported.String() != prom.String() {
-		t.Errorf("Export text differs from WritePrometheus:\n%s\nvs\n%s", exported.String(), prom.String())
+	exported, vs := r.Export(nil)
+	if string(exported) != prom.String() {
+		t.Errorf("Export text differs from WritePrometheus:\n%s\nvs\n%s", exported, prom.String())
 	}
 	if fmt.Sprint(vs) != fmt.Sprint(r.Values()) {
 		t.Errorf("Export values differ from Values:\n%v\nvs\n%v", vs, r.Values())
@@ -140,6 +137,37 @@ func TestConcurrentReadsWhileObserving(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writer.Wait()
+}
+
+// /metrics handlers render one registry from many goroutines, sharing
+// its render-size hint. Every render, text or text plus values, must be
+// the same bytes; run under -race.
+func TestConcurrentRendersShareSizeHint(t *testing.T) {
+	r, late := goldenRegistry()
+	late()
+	var want strings.Builder
+	if err := r.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				var sb strings.Builder
+				if err := r.WritePrometheus(&sb); err != nil || sb.String() != want.String() {
+					t.Errorf("concurrent render differs (err %v):\n%s", err, sb.String())
+					return
+				}
+				if text, _ := r.Export(nil); string(text) != want.String() {
+					t.Errorf("concurrent Export differs:\n%s", text)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestAtomicHistogramQuantile(t *testing.T) {

@@ -20,8 +20,11 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatalf("nil WritePrometheus: %v", err)
 	}
-	if vs, err := r.Export(&strings.Builder{}); vs != nil || err != nil {
-		t.Fatalf("nil Export = %v, %v", vs, err)
+	if text, vs := r.Export(nil); text != nil || vs != nil {
+		t.Fatalf("nil Export = %q, %v", text, vs)
+	}
+	if vs := r.AppendValues(nil); vs != nil {
+		t.Fatalf("nil AppendValues = %v", vs)
 	}
 }
 

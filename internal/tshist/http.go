@@ -3,6 +3,7 @@ package tshist
 import (
 	"net/http"
 	"strconv"
+	"strings"
 
 	"steelnet/internal/enc"
 )
@@ -30,9 +31,15 @@ func ServeQuery(w http.ResponseWriter, r *http.Request, rec *Recorder, runID str
 	metric := q.Get("metric")
 	w.Header().Set("Content-Type", "application/json")
 	if metric == "" {
-		b := append([]byte(`{"run":`), enc.AppendString(nil, runID)...)
+		names := rec.Names()
+		n := len(`{"run":,"metrics":[]}`+"\n") + stringLen(runID)
+		for _, name := range names {
+			n += stringLen(name) + 1
+		}
+		b := append(make([]byte, 0, n), `{"run":`...)
+		b = enc.AppendString(b, runID)
 		b = append(b, `,"metrics":[`...)
-		for i, name := range rec.Names() {
+		for i, name := range names {
 			if i > 0 {
 				b = append(b, ',')
 			}
@@ -58,10 +65,15 @@ func ServeQuery(w http.ResponseWriter, r *http.Request, rec *Recorder, runID str
 		return
 	}
 	if q.Get("format") == "prom" {
-		w.Write(appendProm(nil, runID, metric, pts)) //nolint:errcheck // client went away
+		w.Write(appendProm(runID, metric, pts)) //nolint:errcheck // client went away
 		return
 	}
-	b := append([]byte(`{"run":`), enc.AppendString(nil, runID)...)
+	n := len(`{"run":,"metric":,"tier_fold":,"points":[]}`+"\n") + stringLen(runID) + stringLen(metric) + intLen(tierFold)
+	for _, p := range pts {
+		n += len(`[,],`) + intLen(p.TNS) + floatLen(p.V)
+	}
+	b := append(make([]byte, 0, n), `{"run":`...)
+	b = enc.AppendString(b, runID)
 	b = append(b, `,"metric":`...)
 	b = enc.AppendString(b, metric)
 	b = append(b, `,"tier_fold":`...)
@@ -85,8 +97,13 @@ func ServeQuery(w http.ResponseWriter, r *http.Request, rec *Recorder, runID str
 // series whose labels carry the metric name and run, timestamps in
 // (simulated) seconds, values as strings — loadable by Grafana-style
 // tooling that speaks that dialect.
-func appendProm(b []byte, runID, metric string, pts []Point) []byte {
-	b = append(b, `{"status":"success","data":{"resultType":"matrix","result":[{"metric":{"__name__":`...)
+func appendProm(runID, metric string, pts []Point) []byte {
+	const head = `{"status":"success","data":{"resultType":"matrix","result":[{"metric":{"__name__":`
+	n := len(head+`,"run":},"values":[]}]}}`+"\n") + stringLen(metric) + stringLen(runID)
+	for _, p := range pts {
+		n += len(`[,""],`) + floatLen(float64(p.TNS)/1e9) + floatLen(p.V)
+	}
+	b := append(make([]byte, 0, n), head...)
 	b = enc.AppendString(b, metric)
 	b = append(b, `,"run":`...)
 	b = enc.AppendString(b, runID)
@@ -103,6 +120,24 @@ func appendProm(b []byte, runID, metric string, pts []Point) []byte {
 	}
 	b = append(b, "]}]}}\n"...)
 	return b
+}
+
+// stringLen, intLen and floatLen are the lengths enc renders v at, so
+// that a body can be sized before its first append. stringLen is exact
+// for printable strings, the tag space's names; a string with other
+// escapes only makes its body grow.
+func stringLen(s string) int {
+	return len(s) + 2 + strings.Count(s, `"`) + strings.Count(s, `\`)
+}
+
+func intLen(v int64) int {
+	var b [24]byte
+	return len(enc.AppendInt(b[:0], v))
+}
+
+func floatLen(v float64) int {
+	var b [32]byte
+	return len(enc.AppendFloat(b[:0], v))
 }
 
 // parseNS parses a nanosecond query parameter ("" = 0).

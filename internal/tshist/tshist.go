@@ -203,6 +203,15 @@ func (r *Recorder) Query(name string, since int64, step int64) (pts []Point, tie
 		f *= int64(r.fold)
 	}
 	rg := &s.tiers[tier]
+	n := 0
+	for i := 0; i < rg.n; i++ {
+		if rg.at(i).TNS >= since {
+			n++
+		}
+	}
+	if n > 0 {
+		pts = make([]Point, 0, n) // at most n: step thins, never adds
+	}
 	var lastKept int64
 	first := true
 	for i := 0; i < rg.n; i++ {

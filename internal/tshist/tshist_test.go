@@ -2,6 +2,8 @@ package tshist
 
 import (
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -330,5 +332,46 @@ func TestAppendSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Append allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing, so that an
+// allocation count is ServeQuery's own.
+type discardWriter struct{ h http.Header }
+
+func (d discardWriter) Header() http.Header       { return d.h }
+func (discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (discardWriter) WriteHeader(int)             {}
+
+// TestServeQueryBuildsEachBodyOnce pins the allocations of the three
+// history routes over a run-shaped recorder (labelled names, 1,200
+// slices, so a coarse tier answers): each body is sized before its
+// first append, so it is one allocation, and so are the points. The
+// rest is the query-string parse and the Content-Type header.
+func TestServeQueryBuildsEachBodyOnce(t *testing.T) {
+	r := NewRecorder(0, 0, 0)
+	var names []string
+	for i := 0; i < 64; i++ {
+		names = append(names, fmt.Sprintf(`steelnet_port_tx_total{node="sw%d",port="1"}`, i))
+	}
+	names = append(names, "slo/breaches")
+	for i := 1; i <= 1200; i++ {
+		for j, name := range names {
+			r.Append(name, int64(i)*50_000_000, float64(i*j)/7)
+		}
+	}
+	for _, c := range []struct {
+		query  string
+		allocs float64
+	}{
+		{"", 4},
+		{"?metric=slo%2Fbreaches", 7},
+		{"?metric=slo%2Fbreaches&format=prom", 8},
+	} {
+		req := httptest.NewRequest("GET", "/history"+c.query, nil)
+		w := discardWriter{http.Header{}}
+		if got := testing.AllocsPerRun(50, func() { ServeQuery(w, req, r, "sim-0") }); got > c.allocs {
+			t.Errorf("history%s: %.0f allocations, want at most %.0f", c.query, got, c.allocs)
+		}
 	}
 }

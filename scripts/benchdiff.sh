@@ -97,7 +97,7 @@ fi
 # occasional descheduled sample and the occasional lucky one — and the
 # worst-case allocs/op so alloc guards can never pass on a lucky sample.
 raw=$(go test -run '^$' -bench \
-  'BenchmarkEngineScheduleAndRun|BenchmarkEngineQueueDepth|BenchmarkEngineBatchDrain|BenchmarkTickerChain|BenchmarkPriorityQueue|BenchmarkSwitchForwarding|BenchmarkCrossShardForwarding|BenchmarkVMReflectorProgram|BenchmarkReflectionProbe|BenchmarkInstaPLCCycle|BenchmarkEngineSharded|BenchmarkCampus10k|BenchmarkGatewayFanout|BenchmarkHubPublish|BenchmarkAppendTagsPayload|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkJournalAppend|BenchmarkJournaledPublish|BenchmarkRegistryValues|BenchmarkRegistryWritePrometheus' \
+  'BenchmarkEngineScheduleAndRun|BenchmarkEngineQueueDepth|BenchmarkEngineBatchDrain|BenchmarkTickerChain|BenchmarkPriorityQueue|BenchmarkSwitchForwarding|BenchmarkCrossShardForwarding|BenchmarkVMReflectorProgram|BenchmarkReflectionProbe|BenchmarkInstaPLCCycle|BenchmarkEngineSharded|BenchmarkCampus10k|BenchmarkGatewayFanout|BenchmarkHubPublish|BenchmarkAppendTagsPayload|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkJournalAppend|BenchmarkJournaledPublish|BenchmarkRegistryValues|BenchmarkRegistryAppendValues|BenchmarkRegistryWritePrometheus' \
   -benchmem -benchtime 50ms -count 7 . ./internal/sim ./internal/simnet ./internal/ebpf ./internal/reflection ./internal/instaplc ./internal/core ./internal/steelnetd ./internal/tshist)
 echo "$raw"
 
@@ -179,8 +179,8 @@ BenchmarkInstaPLCCycle                 0 a Fig. 5 I/O cycle through vPLCs, pipel
 BenchmarkEngineShardedLocalSteady      0 per-shard arenas: window barriers must run GC-free
 BenchmarkEngineShardedCross            0 outbox slots, the barrier merge buffer and delivery slots must be reused
 BenchmarkCrossShardForwarding          0 a frame crossing a cross-shard link must ride a recycled delivery slot, not a closure
-BenchmarkCampus10kBuild            65508 graph, FIBs, switches, links, ports, hosts and traffic senders one slab each, one drop hook per pool: 64,859 allocs/op plus 1 %
-BenchmarkCampus10kShards1          85799 build plus 1 ms of traffic: hop events carry their port, forwarding context or sender, so no per-port, per-switch or per-host closure; 84,949 allocs/op plus 1 %
+BenchmarkCampus10kBuild            55395 graph, FIBs, switches, links, ports, hosts and traffic senders one slab each, one drop hook per pool: 54,846 allocs/op plus 1 %
+BenchmarkCampus10kShards1          75685 build plus 1 ms of traffic: hop events carry their port, forwarding context or sender, so no per-port, per-switch or per-host closure; 74,935 allocs/op plus 1 %
 BenchmarkHubPublish\/subs=1            0 hub publish must be one channel send, the payload bytes shared
 BenchmarkHubPublish\/subs=64           0 hub fan-out must not allocate per subscriber
 BenchmarkHubPublish\/subs=1024         0 hub fan-out must stay allocation-free at SSE-fleet scale
@@ -189,6 +189,8 @@ BenchmarkHistoryAppend                 0 history recording on the publish path m
 BenchmarkJournalAppend                 0 journal records must amortize into the per-run buffer
 BenchmarkJournaledPublish              0 the observable slice (history + journal + 1024-subscriber fan-out) must stay GC-free
 BenchmarkRegistryValues                1 a registry read must be one walk and one result slice: no per-read sort, no label re-rendering
+BenchmarkRegistryAppendValues          0 a publisher's registry read into its kept slice must not allocate
+BenchmarkRegistryWritePrometheus       1 a text render is one buffer, sized by the previous render
 EOF
 
 # --- Baseline diff ----------------------------------------------------

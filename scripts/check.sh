@@ -35,7 +35,8 @@ EOF
 # (cells finishing on worker goroutines write the shared result slice
 # and hand back their telemetry sinks); the cross-shard suite with its worker sweep
 # widened to 4; and the obs.Fanout churn stress through the steelnetd
-# hub, the obs broker and the hub registry read from many goroutines.
+# hub, the obs broker and the hub registry read and rendered from many
+# goroutines.
 race() {
     go test -race -short ./...
     go test -race -count 10 -run 'TestRunCells' ./internal/sweep
@@ -46,7 +47,7 @@ race() {
     go test -race -count 3 \
         -run 'TestFanout|TestBrokerSubscribeChurnRace|TestSlowSubscriberEviction|TestSlowSubscriberDropsNotBlocks' \
         ./internal/obs
-    go test -race -count 10 -run 'TestConcurrentReadsWhileObserving' ./internal/telemetry
+    go test -race -count 10 -run 'TestConcurrentReadsWhileObserving|TestConcurrentRendersShareSizeHint' ./internal/telemetry
 }
 
 # The checkpoint contract end to end: resume equivalence and the golden
@@ -82,6 +83,7 @@ internal/steelnetd  FuzzRunSpec
 internal/tshist     FuzzHistoryQuery
 internal/frame      FuzzZeroTail
 internal/simnet     FuzzFIFO
+internal/enc        FuzzAppendString
 EOF
 }
 
@@ -90,7 +92,8 @@ EOF
 # the Fig. 4 probe, Fig. 5 I/O cycle and Fig. 6 inference server once
 # warm, plus the figures' byte budgets; the shard profiler off (and
 # observational when on); and INT on, every stack attached from and
-# stripped into the cell's frame.Pool.
+# stripped into the cell's frame.Pool. The last rows pin the gateway's
+# publish and history bodies at one render each.
 zero_alloc() {
     tests <<'EOF'
 internal/simnet      TestForwardingHotPathZeroAllocs|TestQueuePathZeroAllocs|TestDisabledTelemetryIdenticalToSeed|TestCrossShardForwardingZeroAllocs|TestSetQueueDepthAllocatesNothing
@@ -103,6 +106,8 @@ internal/core        TestCampusObservabilityIsObservational
 internal/simnet      TestINTPooledPathZeroAllocs
 internal/instaplc    TestInstaPLCCycleZeroAllocs/int=true
 internal/core        TestHeadlessStepZeroAllocs
+internal/obs         TestPublishRendersOnce
+internal/tshist      TestServeQueryBuildsEachBodyOnce
 EOF
 }
 
