@@ -297,7 +297,7 @@ func TestResumeEquivalence(t *testing.T) {
 				if len(attA.wd.Breaches()) == 0 {
 					t.Error("1µs objective never breached; breach-log equality is vacuous")
 				}
-				if attA.rec.Empty() {
+				if recA == "" {
 					t.Error("flight recorder stayed empty")
 				}
 			}

@@ -235,14 +235,6 @@ func (t *Telemetry) End() error {
 		fmt.Fprintf(w, "slo: %d breach(es) recorded\n", len(t.Watchdog.Breaches()))
 	}
 	if t.FlightRecPath != "" && t.Recorder != nil {
-		// Merge-based parallel sweeps trace into per-cell buffers that
-		// bypass the live observer; feed the merged log through the
-		// recorder before dumping so -flightrec composes with -workers.
-		if t.Recorder.Empty() && t.Tracer.Len() > 0 {
-			for _, e := range t.Tracer.Events() {
-				t.Recorder.Observe(e)
-			}
-		}
 		if err := t.Recorder.DumpToFile(t.FlightRecPath); err != nil {
 			return fmt.Errorf("-flightrec: %w", err)
 		}

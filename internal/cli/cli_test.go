@@ -190,7 +190,7 @@ func sinkOne(c *intnet.Collector, seq uint32, e2eNS int64) {
 	c.SinkINT("dst", f, 1000+e2eNS)
 }
 
-// -slo alone implies INT collection, chains the watchdog on the
+// -slo alone implies INT collection, subscribes the watchdog to the
 // collector, and End prints the breach summary without writing files.
 func TestBeginSLOImpliesINTCollection(t *testing.T) {
 	var out strings.Builder

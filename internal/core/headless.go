@@ -19,9 +19,8 @@ import (
 // to a horizon and render a table once, a Headless run is a stream —
 // steelnetd steps it, samples it, and republishes the changes — so the
 // driver owns exactly the state a long-running server needs: the
-// harness, its telemetry registry, the INT collector, the SLO watchdog
-// and a per-sink loss aggregate, all attached before the first event
-// fires.
+// harness, its telemetry registry, the INT collector and the SLO
+// watchdog, all attached before the first event fires.
 type Headless struct {
 	cfg HeadlessConfig
 	h   *instaplc.Harness
@@ -30,24 +29,17 @@ type Headless struct {
 	sinks sweep.Sinks
 	wd    *intnet.Watchdog
 
-	loss      map[string]*sinkLoss
-	lossOrder []string
-	// vals is the registry read's scratch, kept between samples, and
+	// vals is the registry read's scratch, kept between samples;
 	// intTags the tag names of the collector's path digests, four per
-	// digest in its first-seen order: both are built once, not per
+	// digest in its first-seen order; lossTags the "loss/<sink>" tag
+	// names in the collector's sink order. All are built once, not per
 	// sample.
-	vals    []telemetry.MetricValue
-	intTags []string
-	seq     uint64
-	next    time.Duration
-	done    bool
-}
-
-// sinkLoss accumulates received/lost counts at one INT sink; tag is
-// its loss fraction's tag name.
-type sinkLoss struct {
-	received, lost uint64
-	tag            string
+	vals     []telemetry.MetricValue
+	intTags  []string
+	lossTags []string
+	seq      uint64
+	next     time.Duration
+	done     bool
 }
 
 // HeadlessConfig declares one run. It is the wire-level run spec the
@@ -115,8 +107,8 @@ func (cfg HeadlessConfig) normalize() (HeadlessConfig, instaplc.ExperimentConfig
 	return cfg, ecfg, nil
 }
 
-// NewHeadless builds the run at t=0: the registry, collector, loss
-// aggregate and watchdog exist before the first simulated event. The
+// NewHeadless builds the run at t=0: the registry, collector and
+// watchdog exist before the first simulated event. The
 // returned driver has taken no steps; the first Step advances to the
 // first slice boundary.
 func NewHeadless(cfg HeadlessConfig) (*Headless, error) {
@@ -127,21 +119,10 @@ func NewHeadless(cfg HeadlessConfig) (*Headless, error) {
 	d := &Headless{
 		cfg:   cfg,
 		sinks: sweep.Sinks{Metrics: telemetry.NewRegistry(), Collector: intnet.NewCollector()},
-		loss:  map[string]*sinkLoss{},
 		next:  cfg.Slice,
 	}
 	if cfg.Trace {
 		d.sinks.Trace = telemetry.NewTracer(nil) // harness binds the engine
-	}
-	d.sinks.Collector.OnSink = func(obs intnet.Observation) {
-		sl := d.loss[obs.Sink]
-		if sl == nil {
-			sl = &sinkLoss{tag: "loss/" + obs.Sink}
-			d.loss[obs.Sink] = sl
-			d.lossOrder = append(d.lossOrder, obs.Sink)
-		}
-		sl.received++
-		sl.lost += obs.NewlyLost
 	}
 	if cfg.SLO != "" {
 		plan, err := intnet.ParseSLOPlan(cfg.SLO)
@@ -149,7 +130,7 @@ func NewHeadless(cfg HeadlessConfig) (*Headless, error) {
 			return nil, err
 		}
 		d.wd = intnet.NewWatchdog(plan, nil)
-		d.wd.Attach(d.sinks.Collector) // chains after the loss aggregate
+		d.wd.Attach(d.sinks.Collector)
 	}
 	ecfg.Sinks = d.sinks
 	if d.h, err = instaplc.BuildHarness(ecfg); err != nil {
@@ -219,20 +200,6 @@ type Tag struct {
 	Value float64 `json:"value"`
 }
 
-// SinkLoss is one sink's cumulative loss aggregate.
-type SinkLoss struct {
-	Sink           string
-	Received, Lost uint64
-}
-
-// Fraction is lost/(lost+received), 0 before any arrival.
-func (s SinkLoss) Fraction() float64 {
-	if s.Received+s.Lost == 0 {
-		return 0
-	}
-	return float64(s.Lost) / float64(s.Lost+s.Received)
-}
-
 // Sample is one deterministic view of the run at a slice boundary.
 // Slices of the same run spec sample identically on every replay; the
 // gateway's publish stream is a pure function of the spec.
@@ -248,7 +215,7 @@ type Sample struct {
 	// Breaches is the full SLO breach log so far (onset order).
 	Breaches []intnet.Breach
 	// Loss lists per-sink loss aggregates in first-seen order.
-	Loss []SinkLoss
+	Loss []intnet.SinkLoss
 }
 
 // Sample reads the run's state at the current instant. Call between
@@ -259,12 +226,12 @@ func (d *Headless) Sample() Sample {
 		SimNS:    d.Now(),
 		Digests:  d.sinks.Collector.Digests(),
 		Breaches: d.Breaches(),
-		Loss:     make([]SinkLoss, 0, len(d.lossOrder)),
+		Loss:     d.sinks.Collector.AppendSinkLoss(make([]intnet.SinkLoss, 0, len(d.lossTags))),
 	}
 	d.vals = d.sinks.Metrics.AppendValues(d.vals[:0])
 	// Tags is the caller's to keep, so it is new every sample, made at
 	// its final size: the rows the loops below append.
-	n := len(d.vals) + 4*len(s.Digests) + len(d.lossOrder)
+	n := len(d.vals) + 4*len(s.Digests) + len(s.Loss)
 	if d.wd != nil {
 		n += 2
 	}
@@ -285,11 +252,11 @@ func (d *Headless) Sample() Sample {
 			Tag{Name: name[3], Value: p.MeanJitterNS()},
 		)
 	}
-	for _, sink := range d.lossOrder {
-		sl := d.loss[sink]
-		agg := SinkLoss{Sink: sink, Received: sl.received, Lost: sl.lost}
-		s.Loss = append(s.Loss, agg)
-		s.Tags = append(s.Tags, Tag{Name: sl.tag, Value: agg.Fraction()})
+	for i, l := range s.Loss {
+		if i == len(d.lossTags) { // the collector only ever appends sinks
+			d.lossTags = append(d.lossTags, "loss/"+l.Sink)
+		}
+		s.Tags = append(s.Tags, Tag{Name: d.lossTags[i], Value: l.Fraction()})
 	}
 	open := 0
 	for _, b := range s.Breaches {

@@ -152,7 +152,7 @@ type flatSample struct {
 	SimNS    int64
 	Tags     []Tag
 	Breaches []intnet.Breach
-	Loss     []SinkLoss
+	Loss     []intnet.SinkLoss
 }
 
 func flatten(s Sample) flatSample {
@@ -161,7 +161,7 @@ func flatten(s Sample) flatSample {
 		SimNS:    s.SimNS,
 		Tags:     append([]Tag(nil), s.Tags...),
 		Breaches: append([]intnet.Breach(nil), s.Breaches...),
-		Loss:     append([]SinkLoss(nil), s.Loss...),
+		Loss:     append([]intnet.SinkLoss(nil), s.Loss...),
 	}
 }
 
@@ -207,10 +207,10 @@ func TestHeadlessFaultsAndFailAt(t *testing.T) {
 }
 
 func TestSinkLossFraction(t *testing.T) {
-	if f := (SinkLoss{}).Fraction(); f != 0 {
+	if f := (intnet.SinkLoss{}).Fraction(); f != 0 {
 		t.Errorf("empty aggregate fraction %g", f)
 	}
-	if f := (SinkLoss{Received: 75, Lost: 25}).Fraction(); f != 0.25 {
+	if f := (intnet.SinkLoss{Received: 75, Lost: 25}).Fraction(); f != 0.25 {
 		t.Errorf("25/100 fraction %g", f)
 	}
 }

@@ -7,7 +7,6 @@ import "fmt"
 type Asm struct {
 	name   string
 	insns  []Insn
-	maps   []*Map
 	rings  []*RingBuf
 	labels map[string]int // label -> instruction index
 	fixups map[int]string // jump insn index -> label
@@ -16,12 +15,6 @@ type Asm struct {
 // NewAsm starts a program named name.
 func NewAsm(name string) *Asm {
 	return &Asm{name: name, labels: make(map[string]int), fixups: make(map[int]string)}
-}
-
-// WithMap registers a map and returns its helper index.
-func (a *Asm) WithMap(m *Map) int64 {
-	a.maps = append(a.maps, m)
-	return int64(len(a.maps) - 1)
 }
 
 // WithRing registers a ring buffer and returns its helper index.
@@ -145,7 +138,7 @@ func (a *Asm) Program() *Program {
 		}
 		insns[idx].Off = int32(tgt - idx - 1)
 	}
-	return &Program{Name: a.name, Insns: insns, Maps: a.maps, Rings: a.rings}
+	return &Program{Name: a.name, Insns: insns, Rings: a.rings}
 }
 
 // MustProgram builds and verifies, panicking on error.

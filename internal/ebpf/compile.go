@@ -15,10 +15,10 @@ import (
 // executor. ebpf_diff_test.go holds it to an independent reference
 // interpreter: for every program, packet, cost model and RNG state the
 // two must produce the same verdict, cost, step count, trap PC, packet
-// bytes, map state, ring state and RNG draws, over the seed programs,
-// both fuzz corpora, seeded random programs and the Fig. 4 shapes.
+// bytes, ring state and RNG draws, over the seed programs, both fuzz
+// corpora, seeded random programs and the Fig. 4 shapes.
 //
-// Closures never capture maps or rings: helpers reach them through the
+// Closures never capture rings: helpers reach them through the
 // executing program (m.prog), so CloneFresh can share compiled code
 // between sweep cells while every cell mutates its own state.
 
@@ -42,7 +42,7 @@ type vmCtx struct {
 	costs  *CostModel
 	rng    *sim.RNG
 	cost   sim.Duration
-	prog   *Program // live Maps/Rings of the executing program
+	prog   *Program // live Rings of the executing program
 	trap   *Trap
 }
 
@@ -352,33 +352,6 @@ func compileCall(helper int64, pc, next int) compiledStep {
 			m.cost += m.costs.Ktime
 			return next
 		}
-	case HelperMapLookup:
-		return func(m *vmCtx) int {
-			m.cost += m.costs.CallBase
-			idx := m.regs[R1]
-			if idx >= uint64(len(m.prog.Maps)) {
-				return m.trapf(pc, "map index %d out of range", idx)
-			}
-			v, _ := m.prog.Maps[idx].Lookup(m.regs[R2])
-			m.regs[R0] = v
-			m.cost += m.costs.MapLookup
-			return next
-		}
-	case HelperMapUpdate:
-		return func(m *vmCtx) int {
-			m.cost += m.costs.CallBase
-			idx := m.regs[R1]
-			if idx >= uint64(len(m.prog.Maps)) {
-				return m.trapf(pc, "map index %d out of range", idx)
-			}
-			if m.prog.Maps[idx].Update(m.regs[R2], m.regs[R3]) {
-				m.regs[R0] = 1
-			} else {
-				m.regs[R0] = 0
-			}
-			m.cost += m.costs.MapUpdate
-			return next
-		}
 	case HelperRingbufOutput:
 		return func(m *vmCtx) int {
 			m.cost += m.costs.CallBase
@@ -413,8 +386,8 @@ func compileCall(helper int64, pc, next int) compiledStep {
 }
 
 // CloneFresh returns a program sharing this one's verified instruction
-// stream and compiled code, with fresh zero-state maps and rings of the
-// same shapes. Sweep harnesses compile a variant once and clone it per
+// stream and compiled code, with fresh zero-state rings of the same
+// capacities. Sweep harnesses compile a variant once and clone it per
 // cell: the code is immutable and shareable, the state is not.
 func (p *Program) CloneFresh() *Program {
 	c := &Program{
@@ -422,16 +395,6 @@ func (p *Program) CloneFresh() *Program {
 		Insns:    p.Insns,
 		verified: p.verified,
 		compiled: p.compiled,
-	}
-	if len(p.Maps) > 0 {
-		c.Maps = make([]*Map, len(p.Maps))
-		for i, m := range p.Maps {
-			if m.Kind == MapArray {
-				c.Maps[i] = NewArrayMap(m.Name, m.MaxSize)
-			} else {
-				c.Maps[i] = NewHashMap(m.Name, m.MaxSize)
-			}
-		}
 	}
 	if len(p.Rings) > 0 {
 		c.Rings = make([]*RingBuf, len(p.Rings))

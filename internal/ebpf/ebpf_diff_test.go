@@ -4,18 +4,19 @@ package ebpf
 // interpreter. The compiled closures of compile.go are the machine's
 // only executor; the reference below is deliberately written in a
 // different style — table-driven ALU/jump dispatch, loop-assembled
-// big-endian memory access, its own map and ring models — so that a
+// big-endian memory access, its own ring model — so that a
 // bug in the lowering or its bounds arithmetic cannot be mirrored by
 // construction. runDifferential runs every input source through both
 // machines with cost noise on: the seed programs, the committed
 // FuzzVerifier and FuzzVM corpora, seeded random programs and the six
 // Fig. 4 program shapes. Verdict, cost, step count, trap PC, final
-// packet bytes, map contents and counters, ring records and counters,
-// and the number of RNG draws must agree. Trap reason texts are pinned
+// packet bytes, ring records and counters, and the number of RNG draws
+// must agree. Trap reason texts are pinned
 // by vm_test.go.
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -75,44 +76,22 @@ var refJumpReg = map[Op]func(a, b uint64) bool{
 	OpJGtReg: func(a, b uint64) bool { return a > b },
 }
 
-// refMap / refRing model map and ring-buffer state independently of
-// maps.go; counters included so helper traffic accounting is compared.
-type refMap struct {
-	kind             MapKind
-	size             int
-	arr              []uint64
-	hash             map[uint64]uint64
-	lookups, updates uint64
-}
-
+// refRing models ring-buffer state independently of ringbuf.go;
+// counters included so helper traffic accounting is compared.
 type refRing struct {
 	capacity                    int
 	records                     [][]byte
 	produced, consumed, dropped uint64
 }
 
-type refEnv struct {
-	maps  []*refMap
-	rings []*refRing
-}
-
-// newRefEnv mirrors the shapes (kind, size, capacity) of freshly
-// created real objects; both sides must start from zero state.
-func newRefEnv(maps []*Map, rings []*RingBuf) *refEnv {
-	env := &refEnv{}
-	for _, m := range maps {
-		rm := &refMap{kind: m.Kind, size: m.MaxSize}
-		if m.Kind == MapArray {
-			rm.arr = make([]uint64, m.MaxSize)
-		} else {
-			rm.hash = make(map[uint64]uint64)
-		}
-		env.maps = append(env.maps, rm)
-	}
+// newRefRings mirrors the capacities of freshly created real rings;
+// both sides must start from zero state.
+func newRefRings(rings []*RingBuf) []*refRing {
+	var out []*refRing
 	for _, r := range rings {
-		env.rings = append(env.rings, &refRing{capacity: r.capacity})
+		out = append(out, &refRing{capacity: r.capacity})
 	}
-	return env
+	return out
 }
 
 // refLoad reads size big-endian bytes, assembling them in a loop; the
@@ -153,7 +132,7 @@ func refStore(mem []byte, off int64, size int, v uint64) bool {
 // result and the trap PC, -1 for a clean exit. It draws from rng (nil:
 // no noise) where the cost model says: Bool(RingbufWakeProb) after each
 // ringbuf output, |Norm(0, RunNoiseSD)| at exit.
-func refRun(insns []Insn, packet []byte, now sim.Time, c *CostModel, env *refEnv, rng *sim.RNG) (Result, int) {
+func refRun(insns []Insn, packet []byte, now sim.Time, c *CostModel, rings []*refRing, rng *sim.RNG) (Result, int) {
 	var r [numRegs]uint64
 	var stack [StackSize]byte
 	r[R10] = StackSize
@@ -233,49 +212,15 @@ func refRun(insns []Insn, packet []byte, now sim.Time, c *CostModel, env *refEnv
 			case HelperKtime:
 				r[R0] = uint64(now) + uint64(cost)
 				cost += c.Ktime
-			case HelperMapLookup, HelperMapUpdate:
-				if r[R1] >= uint64(len(env.maps)) {
-					return trap()
-				}
-				m := env.maps[r[R1]]
-				if in.Imm == HelperMapLookup {
-					m.lookups++
-					var v uint64
-					if m.kind == MapArray {
-						if r[R2] < uint64(m.size) {
-							v = m.arr[r[R2]]
-						}
-					} else {
-						v = m.hash[r[R2]]
-					}
-					r[R0] = v
-					cost += c.MapLookup
-				} else {
-					m.updates++
-					r[R0] = 0
-					if m.kind == MapArray {
-						if r[R2] < uint64(m.size) {
-							m.arr[r[R2]] = r[R3]
-							r[R0] = 1
-						}
-					} else {
-						_, exists := m.hash[r[R2]]
-						if exists || len(m.hash) < m.size {
-							m.hash[r[R2]] = r[R3]
-							r[R0] = 1
-						}
-					}
-					cost += c.MapUpdate
-				}
 			case HelperRingbufOutput:
-				if r[R1] >= uint64(len(env.rings)) {
+				if r[R1] >= uint64(len(rings)) {
 					return trap()
 				}
 				off, n := r[R2], r[R3]
 				if n == 0 || off > StackSize || n > StackSize-off {
 					return trap()
 				}
-				rb := env.rings[r[R1]]
+				rb := rings[r[R1]]
 				if len(rb.records) < rb.capacity {
 					rb.records = append(rb.records, append([]byte(nil), stack[off:off+n]...))
 					rb.produced++
@@ -308,13 +253,13 @@ func refRun(insns []Insn, packet []byte, now sim.Time, c *CostModel, env *refEnv
 // runDifferential runs packets one after another through p and through
 // the reference, each side drawing from its own RNG seeded with seed,
 // and fails on the first observable divergence. p must be verified and
-// hold fresh zero-state maps and rings; map and ring state carries over
-// from packet to packet on both sides.
+// hold fresh zero-state rings; ring state carries over from packet to
+// packet on both sides.
 func runDifferential(t *testing.T, p *Program, seed uint64, packets ...[]byte) {
 	t.Helper()
 	costs := DefaultCosts       // noise on: both draw sites are live
 	const now = sim.Time(12345) // nonzero: exercises Ktime = now + cost so far
-	env := newRefEnv(p.Maps, p.Rings)
+	rings := newRefRings(p.Rings)
 	rngVM, rngRef := sim.NewRNG(seed), sim.NewRNG(seed)
 	for i, packet := range packets {
 		pktVM := append([]byte(nil), packet...)
@@ -328,7 +273,7 @@ func runDifferential(t *testing.T, p *Program, seed uint64, packets ...[]byte) {
 			}
 			gotPC = tr.PC
 		}
-		want, wantPC := refRun(p.Insns, pktRef, now, &costs, env, rngRef)
+		want, wantPC := refRun(p.Insns, pktRef, now, &costs, rings, rngRef)
 		if got != want || gotPC != wantPC {
 			t.Fatalf("packet %d: VM %+v trap pc %d, reference %+v trap pc %d", i, got, gotPC, want, wantPC)
 		}
@@ -338,37 +283,14 @@ func runDifferential(t *testing.T, p *Program, seed uint64, packets ...[]byte) {
 		if rngVM.Uint64() != rngRef.Uint64() {
 			t.Fatalf("packet %d: the two machines drew a different number of times from the RNG", i)
 		}
-		assertSameState(t, i, p, env)
+		assertSameRings(t, i, p, rings)
 	}
 }
 
-func assertSameState(t *testing.T, packet int, p *Program, env *refEnv) {
+func assertSameRings(t *testing.T, packet int, p *Program, rings []*refRing) {
 	t.Helper()
-	for i, m := range p.Maps {
-		rm := env.maps[i]
-		if m.Lookups != rm.lookups || m.Updates != rm.updates {
-			t.Fatalf("packet %d: map %d counters: VM lookups=%d updates=%d, reference lookups=%d updates=%d",
-				packet, i, m.Lookups, m.Updates, rm.lookups, rm.updates)
-		}
-		if m.Kind == MapArray {
-			for k, v := range m.arr {
-				if rm.arr[k] != v {
-					t.Fatalf("packet %d: array map %d key %d: VM %d, reference %d", packet, i, k, v, rm.arr[k])
-				}
-			}
-			continue
-		}
-		if len(m.hash) != len(rm.hash) {
-			t.Fatalf("packet %d: hash map %d size: VM %d, reference %d", packet, i, len(m.hash), len(rm.hash))
-		}
-		for k, v := range m.hash {
-			if rv, ok := rm.hash[k]; !ok || rv != v {
-				t.Fatalf("packet %d: hash map %d key %d: VM %d, reference %d (present=%v)", packet, i, k, v, rv, ok)
-			}
-		}
-	}
 	for i, rb := range p.Rings {
-		rr := env.rings[i]
+		rr := rings[i]
 		if rb.Produced != rr.produced || rb.Dropped != rr.dropped || rb.Consumed != 0 {
 			t.Fatalf("packet %d: ring %d counters: VM produced=%d dropped=%d consumed=%d, reference produced=%d dropped=%d",
 				packet, i, rb.Produced, rb.Dropped, rb.Consumed, rr.produced, rr.dropped)
@@ -385,12 +307,11 @@ func assertSameState(t *testing.T, packet int, p *Program, env *refEnv) {
 }
 
 // verifierFuzzEnv builds the same program shape FuzzVerifier uses, with
-// fresh maps and rings per invocation.
+// a fresh ring per invocation.
 func verifierFuzzEnv(insns []Insn) *Program {
 	return &Program{
 		Name:  "diff",
 		Insns: insns,
-		Maps:  []*Map{NewArrayMap("m0", 4), NewHashMap("m1", 4)},
 		Rings: []*RingBuf{NewRingBuf("r0", 4)},
 	}
 }
@@ -487,20 +408,37 @@ func TestDifferentialSeeds(t *testing.T) {
 	}
 }
 
+// refused checks what the verifier owes a program it turns down: a
+// *VerifyError at one of the program's instructions (or -1, the whole
+// program), and a program that stays unverified. Corpus entries that
+// call the unassigned helper IDs 1 and 2 end here.
+func refused(t *testing.T, p *Program, err error) {
+	t.Helper()
+	var ve *VerifyError
+	if !errors.As(err, &ve) || ve.PC < -1 || ve.PC >= len(p.Insns) || p.Verified() {
+		t.Fatalf("refusal %v (verified %v): want a *VerifyError at pc -1..%d", err, p.Verified(), len(p.Insns)-1)
+	}
+}
+
 // TestDifferentialVerifierCorpus replays the committed FuzzVerifier
 // corpus: each entry is a (program, packet) pair; accepted programs
-// must behave identically in both machines.
+// must behave identically in both machines, refused ones be refused
+// cleanly.
 func TestDifferentialVerifierCorpus(t *testing.T) {
 	entries := loadFuzzCorpus(t, "FuzzVerifier", 2)
 	accepted := 0
 	for i, name := range sortedKeys(entries) {
 		args := entries[name]
 		p := verifierFuzzEnv(decodeInsns(args[0]))
-		if p.Verify() != nil {
-			continue
+		err := p.Verify()
+		if err == nil {
+			accepted++
 		}
-		accepted++
 		t.Run(name, func(t *testing.T) {
+			if err != nil {
+				refused(t, p, err)
+				return
+			}
 			runDifferential(t, p, uint64(i+1), args[1])
 		})
 	}
@@ -545,11 +483,11 @@ func TestDifferentialVMCorpus(t *testing.T) {
 	}
 }
 
-// usedClone runs p once over each packet, so p's maps and rings hold
-// state, and returns p.CloneFresh(). The clone shares p's compiled code,
-// as every reflection job does, and must start from zero state: a
-// compiled step still bound to p's maps or rings diverges from the
-// reference, which starts empty.
+// usedClone runs p once over each packet, so p's rings hold state, and
+// returns p.CloneFresh(). The clone shares p's compiled code, as every
+// reflection job does, and must start from zero state: a compiled step
+// still bound to p's rings diverges from the reference, which starts
+// empty.
 func usedClone(t *testing.T, p *Program, packets ...[]byte) *Program {
 	t.Helper()
 	costs := DefaultCosts
@@ -566,8 +504,8 @@ func usedClone(t *testing.T, p *Program, packets ...[]byte) *Program {
 // TestCompiledMatchesInterpreterOnVerifierCorpus runs every FuzzVerifier
 // corpus program the verifier accepts, and every seed program, on a used
 // clone over its packet six times in a row. Six runs outgrow the
-// four-slot ring and hash map, so drops and evictions happen on state
-// the clone built itself.
+// four-slot ring, so drops happen on state the clone built itself.
+// Refused entries must be refused cleanly.
 func TestCompiledMatchesInterpreterOnVerifierCorpus(t *testing.T) {
 	entries := loadFuzzCorpus(t, "FuzzVerifier", 2)
 	for i, insns := range seedPrograms() {
@@ -577,11 +515,15 @@ func TestCompiledMatchesInterpreterOnVerifierCorpus(t *testing.T) {
 	for i, name := range sortedKeys(entries) {
 		args := entries[name]
 		p := verifierFuzzEnv(decodeInsns(args[0]))
-		if p.Verify() != nil {
-			continue
+		err := p.Verify()
+		if err == nil {
+			accepted++
 		}
-		accepted++
 		t.Run(name, func(t *testing.T) {
+			if err != nil {
+				refused(t, p, err)
+				return
+			}
 			pkt := args[1]
 			runDifferential(t, usedClone(t, p, pkt), uint64(i+1), pkt, pkt, pkt, pkt, pkt, pkt)
 		})
@@ -633,7 +575,10 @@ func randomInsn(r *rand.Rand) Insn {
 	case OpDivImm:
 		in.Imm = int64(1 + r.Intn(100))
 	case OpCall:
-		in.Imm = int64(r.Intn(int(numHelpers)))
+		in.Imm = HelperKtime
+		if r.Intn(2) == 1 {
+			in.Imm = HelperRingbufOutput
+		}
 	case OpJa, OpJEqImm, OpJNeImm, OpJGtImm, OpJLtImm, OpJGeImm,
 		OpJEqReg, OpJNeReg, OpJGtReg:
 		in.Off = int32(1 + r.Intn(4))

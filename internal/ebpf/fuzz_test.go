@@ -110,15 +110,11 @@ func seedPrograms() [][]Insn {
 			{Op: OpMovImm, Dst: R0, Imm: int64(XDPDrop)},
 			{Op: OpExit},
 		},
-		// map update + lookup against fd 0
+		// ktime stamped onto the stack, as the TS variants do
 		{
-			{Op: OpMovImm, Dst: R1, Imm: 0},
-			{Op: OpMovImm, Dst: R2, Imm: 2},
-			{Op: OpMovImm, Dst: R3, Imm: 77},
-			{Op: OpCall, Imm: int64(HelperMapUpdate)},
-			{Op: OpMovImm, Dst: R1, Imm: 0},
-			{Op: OpMovImm, Dst: R2, Imm: 2},
-			{Op: OpCall, Imm: int64(HelperMapLookup)},
+			{Op: OpCall, Imm: HelperKtime},
+			{Op: OpStStack, Src: R0, Off: 0, Size: 8},
+			{Op: OpMovImm, Dst: R0, Imm: int64(XDPTx)},
 			{Op: OpExit},
 		},
 		// ringbuf emit from stack
@@ -158,7 +154,6 @@ func FuzzVerifier(f *testing.F) {
 		p := &Program{
 			Name:  "fuzz",
 			Insns: decodeInsns(progData),
-			Maps:  []*Map{NewArrayMap("m0", 4), NewHashMap("m1", 4)},
 			Rings: []*RingBuf{NewRingBuf("r0", 4)},
 		}
 		if err := p.Verify(); err != nil {

@@ -1,5 +1,5 @@
 // Package ebpf implements an eBPF-style packet processor: a register
-// machine with a static verifier, array/hash maps, a ring buffer, and an
+// machine with a static verifier, a ring buffer, and an
 // XDP hook with PASS/DROP/TX verdicts. It substitutes for the real Linux
 // eBPF/XDP substrate in the Traffic Reflection experiments (§3): the six
 // program variants of Fig. 4 are written in this instruction set, and a

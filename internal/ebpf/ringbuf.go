@@ -1,97 +1,5 @@
 package ebpf
 
-import "fmt"
-
-// MapKind distinguishes map implementations.
-type MapKind int
-
-// Map kinds.
-const (
-	MapArray MapKind = iota
-	MapHash
-)
-
-// Map is a uint64→uint64 store shared between eBPF programs and their
-// userspace owner, a simplified take on BPF array/hash maps.
-type Map struct {
-	Kind    MapKind
-	Name    string
-	MaxSize int
-	arr     []uint64
-	hash    map[uint64]uint64
-	// Lookups and Updates count helper traffic for cost accounting.
-	Lookups, Updates uint64
-}
-
-// NewArrayMap creates an array map with size slots (keys 0..size-1).
-func NewArrayMap(name string, size int) *Map {
-	if size <= 0 {
-		panic("ebpf: non-positive array map size")
-	}
-	return &Map{Kind: MapArray, Name: name, MaxSize: size, arr: make([]uint64, size)}
-}
-
-// NewHashMap creates a hash map bounded at maxEntries.
-func NewHashMap(name string, maxEntries int) *Map {
-	if maxEntries <= 0 {
-		panic("ebpf: non-positive hash map size")
-	}
-	return &Map{Kind: MapHash, Name: name, MaxSize: maxEntries, hash: make(map[uint64]uint64, maxEntries)}
-}
-
-// Lookup returns the value for key and whether it exists. Array lookups
-// outside the range miss.
-func (m *Map) Lookup(key uint64) (uint64, bool) {
-	m.Lookups++
-	switch m.Kind {
-	case MapArray:
-		if key >= uint64(m.MaxSize) {
-			return 0, false
-		}
-		return m.arr[key], true
-	default:
-		v, ok := m.hash[key]
-		return v, ok
-	}
-}
-
-// Update sets key to value. It returns false when the key is out of
-// range (array) or the map is full (hash).
-func (m *Map) Update(key, value uint64) bool {
-	m.Updates++
-	switch m.Kind {
-	case MapArray:
-		if key >= uint64(m.MaxSize) {
-			return false
-		}
-		m.arr[key] = value
-		return true
-	default:
-		if _, ok := m.hash[key]; !ok && len(m.hash) >= m.MaxSize {
-			return false
-		}
-		m.hash[key] = value
-		return true
-	}
-}
-
-// Len returns the number of live entries.
-func (m *Map) Len() int {
-	if m.Kind == MapArray {
-		return m.MaxSize
-	}
-	return len(m.hash)
-}
-
-// String identifies the map.
-func (m *Map) String() string {
-	kind := "array"
-	if m.Kind == MapHash {
-		kind = "hash"
-	}
-	return fmt.Sprintf("map(%s,%s,%d)", m.Name, kind, m.MaxSize)
-}
-
 // RingBuf is a single-producer single-consumer byte-record ring buffer,
 // the simulated counterpart of BPF_MAP_TYPE_RINGBUF. Programs emit
 // records with the ringbuf_output helper; the userspace side drains with

@@ -83,7 +83,7 @@ func (p *Program) Verify() error {
 				return &VerifyError{PC: pc, Reason: fmt.Sprintf("shift amount %d out of range", in.Imm)}
 			}
 		case OpCall:
-			if in.Imm < 0 || in.Imm >= numHelpers {
+			if _, ok := helperArgs[in.Imm]; !ok {
 				return &VerifyError{PC: pc, Reason: fmt.Sprintf("unknown helper %d", in.Imm)}
 			}
 		}

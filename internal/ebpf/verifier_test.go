@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -150,16 +151,29 @@ func TestVerifyRejectsBadShift(t *testing.T) {
 }
 
 func TestVerifyRejectsUnknownHelper(t *testing.T) {
-	p := &Program{Insns: []Insn{
-		{Op: OpCall, Imm: 99},
-		{Op: OpExit},
-	}}
-	expectReject(t, p, "unknown helper")
+	// 1 and 2 sit between the two helpers and are assigned to none.
+	for _, id := range []int64{-1, 1, 2, 4, 99} {
+		p := &Program{Insns: []Insn{
+			{Op: OpMovImm, Dst: R2, Imm: 0},
+			{Op: OpMovImm, Dst: R3, Imm: 8},
+			{Op: OpCall, Imm: id},
+			{Op: OpExit},
+		}}
+		expectReject(t, p, fmt.Sprintf("insn 2: unknown helper %d", id))
+	}
+}
+
+// TestHelperIDs pins the helper numbers: Program.FoldState folds each
+// call's Imm, so renumbering a helper would move every Fig. 4 digest.
+func TestHelperIDs(t *testing.T) {
+	if HelperKtime != 0 || HelperRingbufOutput != 3 {
+		t.Fatalf("HelperKtime = %d, HelperRingbufOutput = %d; want 0 and 3", HelperKtime, HelperRingbufOutput)
+	}
 }
 
 func TestVerifyRejectsUninitializedHelperArgs(t *testing.T) {
 	p := &Program{Insns: []Insn{
-		{Op: OpCall, Imm: HelperMapLookup}, // needs R1,R2; R2 uninit
+		{Op: OpCall, Imm: HelperRingbufOutput}, // needs R1,R2,R3; R2 uninit
 		{Op: OpExit},
 	}}
 	expectReject(t, p, "uninitialized register r2")

@@ -16,26 +16,23 @@ const (
 	XDPRedirect uint64 = 4
 )
 
-// Helper IDs callable with OpCall.
+// Helper IDs callable with OpCall. The numbers are part of every
+// program's folded state (Program.FoldState folds each call's Imm), so
+// they are fixed, not iota: IDs 1 and 2 are unassigned and the verifier
+// refuses them like any other unknown helper.
 const (
 	// HelperKtime returns the current time in ns in R0.
-	HelperKtime int64 = iota
-	// HelperMapLookup reads Maps[R1][R2] into R0 (0 on miss).
-	HelperMapLookup
-	// HelperMapUpdate sets Maps[R1][R2] = R3; R0 = 1 on success.
-	HelperMapUpdate
+	HelperKtime int64 = 0
 	// HelperRingbufOutput emits stack[R2 : R2+R3] to Rings[R1]; R0 = 1
 	// on success, 0 when the ring is full.
-	HelperRingbufOutput
-	numHelpers
+	HelperRingbufOutput int64 = 3
 )
 
 // helperArgs lists the argument registers each helper consumes; the
-// verifier requires them to be initialized at the call site.
+// verifier requires them to be initialized at the call site, and
+// refuses a call to an ID missing here.
 var helperArgs = map[int64][]Reg{
 	HelperKtime:         nil,
-	HelperMapLookup:     {R1, R2},
-	HelperMapUpdate:     {R1, R2, R3},
 	HelperRingbufOutput: {R1, R2, R3},
 }
 
@@ -51,9 +48,7 @@ type CostModel struct {
 	StackMem sim.Duration // stack load/store
 	CallBase sim.Duration // helper dispatch overhead
 
-	Ktime     sim.Duration
-	MapLookup sim.Duration
-	MapUpdate sim.Duration
+	Ktime sim.Duration
 	// RingbufOutput is the base cost of reserving, copying and
 	// committing a ring-buffer record; RingbufWakeProb/RingbufWakeCost
 	// model the occasional consumer-wakeup path that makes ring-buffer
@@ -74,20 +69,17 @@ var DefaultCosts = CostModel{
 	StackMem:        3 * sim.Nanosecond,
 	CallBase:        20 * sim.Nanosecond,
 	Ktime:           70 * sim.Nanosecond,
-	MapLookup:       45 * sim.Nanosecond,
-	MapUpdate:       60 * sim.Nanosecond,
 	RingbufOutput:   1400 * sim.Nanosecond,
 	RingbufWakeProb: 0.04,
 	RingbufWakeCost: 900 * sim.Nanosecond,
 	RunNoiseSD:      9 * sim.Nanosecond,
 }
 
-// Program is a verified-or-not eBPF program plus the objects it may
-// reference from helpers.
+// Program is a verified-or-not eBPF program plus the ring buffers its
+// helpers may write.
 type Program struct {
 	Name  string
 	Insns []Insn
-	Maps  []*Map
 	Rings []*RingBuf
 
 	verified bool

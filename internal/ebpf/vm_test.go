@@ -154,41 +154,6 @@ func TestKtimeHelperReturnsTime(t *testing.T) {
 	}
 }
 
-func TestMapHelpers(t *testing.T) {
-	m := NewArrayMap("counts", 4)
-	a := NewAsm("map")
-	fd := a.WithMap(m)
-	p := a.
-		MovImm(R1, fd).
-		MovImm(R2, 2).  // key
-		MovImm(R3, 77). // value
-		Call(HelperMapUpdate).
-		MovImm(R1, fd).
-		MovImm(R2, 2).
-		Call(HelperMapLookup).
-		Exit().
-		MustProgram()
-	if res := run(t, p, nil); res.Verdict != 77 {
-		t.Fatalf("lookup = %d", res.Verdict)
-	}
-	if m.Updates != 1 || m.Lookups != 1 {
-		t.Fatalf("map counters = %d/%d", m.Updates, m.Lookups)
-	}
-}
-
-func TestMapIndexOutOfRangeTraps(t *testing.T) {
-	p := NewAsm("badmap").
-		MovImm(R1, 5).
-		MovImm(R2, 0).
-		Call(HelperMapLookup).
-		Exit().
-		MustProgram()
-	costs := DefaultCosts
-	if _, err := p.Run(nil, 0, &costs, nil); err == nil {
-		t.Fatal("bad map index did not trap")
-	}
-}
-
 func TestRingbufOutput(t *testing.T) {
 	rb := NewRingBuf("events", 8)
 	a := NewAsm("rb")
@@ -378,101 +343,6 @@ func TestAsmDuplicateLabelPanics(t *testing.T) {
 	NewAsm("bad").Label("x").Label("x")
 }
 
-func TestHashMapEviction(t *testing.T) {
-	m := NewHashMap("h", 2)
-	if !m.Update(1, 10) || !m.Update(2, 20) {
-		t.Fatal("updates failed")
-	}
-	if m.Update(3, 30) {
-		t.Fatal("full hash map accepted new key")
-	}
-	if !m.Update(1, 11) {
-		t.Fatal("existing-key update rejected on full map")
-	}
-	if v, ok := m.Lookup(1); !ok || v != 11 {
-		t.Fatalf("lookup = %d,%v", v, ok)
-	}
-	if m.Len() != 2 {
-		t.Fatalf("len = %d", m.Len())
-	}
-}
-
-func TestArrayMapBounds(t *testing.T) {
-	m := NewArrayMap("a", 4)
-	if _, ok := m.Lookup(4); ok {
-		t.Fatal("OOB array lookup succeeded")
-	}
-	if m.Update(4, 1) {
-		t.Fatal("OOB array update succeeded")
-	}
-}
-
-// TestOTFirewallProgram builds the classic OT allowlist firewall as an
-// XDP program: only EtherTypes present in an allowlist map pass, and a
-// counter map tallies drops — a second realistic XDP workload beyond
-// the reflection variants.
-func TestOTFirewallProgram(t *testing.T) {
-	allow := NewHashMap("allow", 16)
-	allow.Update(0x8892, 1) // PROFINET
-	allow.Update(0x88f7, 1) // PTP
-	drops := NewArrayMap("drops", 1)
-
-	a := NewAsm("ot-firewall")
-	allowFD := a.WithMap(allow)
-	dropFD := a.WithMap(drops)
-	p := a.
-		MovImm(ebpfR1(), 0).
-		LdPkt(R6, R1, 12, 2). // EtherType
-		MovImm(R1, allowFD).
-		MovReg(R2, R6).
-		Call(HelperMapLookup).
-		JEqImm(R0, 1, "pass").
-		// Count and drop.
-		MovImm(R1, dropFD).
-		MovImm(R2, 0).
-		Call(HelperMapLookup).
-		MovReg(R3, R0).
-		AddImm(R3, 1).
-		MovImm(R1, dropFD).
-		MovImm(R2, 0).
-		Call(HelperMapUpdate).
-		Return(XDPDrop).
-		Label("pass").
-		Return(XDPPass).
-		MustProgram()
-
-	mk := func(etherType uint16) []byte {
-		pkt := make([]byte, 64)
-		pkt[12] = byte(etherType >> 8)
-		pkt[13] = byte(etherType)
-		return pkt
-	}
-	costs := DefaultCosts
-	costs.RunNoiseSD = 0
-	cases := []struct {
-		et   uint16
-		want uint64
-	}{
-		{0x8892, XDPPass}, {0x88f7, XDPPass}, {0x0800, XDPDrop}, {0x86dd, XDPDrop},
-	}
-	for _, c := range cases {
-		res, err := p.Run(mk(c.et), 0, &costs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Verdict != c.want {
-			t.Fatalf("ethertype %#x verdict = %d, want %d", c.et, res.Verdict, c.want)
-		}
-	}
-	if v, _ := drops.Lookup(0); v != 2 {
-		t.Fatalf("drop counter = %d", v)
-	}
-}
-
-// ebpfR1 returns R1; indirection keeps the listing readable where the
-// register is the packet base vs a helper argument.
-func ebpfR1() Reg { return R1 }
-
 // TestTrapReasons pins the text and PC of every trap a verified program
 // can reach; each body below is followed by a return of XDPPass.
 func TestTrapReasons(t *testing.T) {
@@ -487,10 +357,6 @@ func TestTrapReasons(t *testing.T) {
 			1, "packet read [2,+2) out of bounds (len 3)"},
 		{"packet write", []Insn{{Op: OpMovImm, Dst: R2, Imm: -1}, {Op: OpStPkt, Dst: R2, Src: R2, Size: 1}},
 			1, "packet write [-1,+1) out of bounds (len 3)"},
-		{"map lookup", []Insn{{Op: OpMovImm, Dst: R1, Imm: 1}, {Op: OpMovImm, Dst: R2, Imm: 0}, {Op: OpCall, Imm: HelperMapLookup}},
-			2, "map index 1 out of range"},
-		{"map update", []Insn{{Op: OpMovImm, Dst: R1, Imm: 9}, {Op: OpMovImm, Dst: R2, Imm: 0}, {Op: OpMovImm, Dst: R3, Imm: 0}, {Op: OpCall, Imm: HelperMapUpdate}},
-			3, "map index 9 out of range"},
 		{"ring index", []Insn{{Op: OpMovImm, Dst: R1, Imm: 1}, {Op: OpMovImm, Dst: R2, Imm: 0}, {Op: OpMovImm, Dst: R3, Imm: 8}, {Op: OpCall, Imm: HelperRingbufOutput}},
 			3, "ring index 1 out of range"},
 		{"ring slice", []Insn{{Op: OpMovImm, Dst: R1, Imm: 0}, {Op: OpMovImm, Dst: R2, Imm: 508}, {Op: OpMovImm, Dst: R3, Imm: 8}, {Op: OpCall, Imm: HelperRingbufOutput}},
@@ -498,7 +364,7 @@ func TestTrapReasons(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			insns := append(tc.insns, Insn{Op: OpMovImm, Dst: R0, Imm: int64(XDPPass)}, Insn{Op: OpExit})
-			p := (&Program{Name: tc.name, Insns: insns, Maps: []*Map{NewArrayMap("m", 1)}, Rings: []*RingBuf{NewRingBuf("r", 1)}}).MustVerify()
+			p := (&Program{Name: tc.name, Insns: insns, Rings: []*RingBuf{NewRingBuf("r", 1)}}).MustVerify()
 			res, err := p.Run(append([]byte(nil), pkt...), 0, nil, nil)
 			var tr *Trap
 			if !asTrap(err, &tr) || tr.PC != tc.pc || tr.Reason != tc.reason || res.Verdict != XDPAborted {
@@ -511,9 +377,8 @@ func TestTrapReasons(t *testing.T) {
 // TestCompiledRunIsAllocationFree pins the perf contract the compiler
 // exists for: a run reuses the program's scratch context and allocates
 // nothing. The program below exercises ALU, packet loads and stores,
-// stack traffic, Ktime and array-map helpers — everything but ringbuf
-// output, whose per-record copy is the one allocation the VM semantics
-// require.
+// stack traffic and the Ktime helper — everything but ringbuf output,
+// whose per-record copy is the one allocation the VM semantics require.
 func TestCompiledRunIsAllocationFree(t *testing.T) {
 	p := &Program{
 		Name: "alloc-probe",
@@ -524,18 +389,10 @@ func TestCompiledRunIsAllocationFree(t *testing.T) {
 			{Op: OpLdPkt, Dst: R3, Src: R2, Off: 0, Size: 4},
 			{Op: OpAddImm, Dst: R3, Imm: 1},
 			{Op: OpStPkt, Dst: R2, Src: R3, Off: 0, Size: 4},
-			{Op: OpMovImm, Dst: R1, Imm: 0},
-			{Op: OpMovImm, Dst: R2, Imm: 1},
-			{Op: OpMovReg, Dst: R3, Src: R0},
-			{Op: OpCall, Imm: HelperMapUpdate},
-			{Op: OpMovImm, Dst: R1, Imm: 0},
-			{Op: OpMovImm, Dst: R2, Imm: 1},
-			{Op: OpCall, Imm: HelperMapLookup},
 			{Op: OpLdStack, Dst: R4, Off: 0, Size: 8},
 			{Op: OpMovImm, Dst: R0, Imm: int64(XDPPass)},
 			{Op: OpExit},
 		},
-		Maps: []*Map{NewArrayMap("m0", 4)},
 	}
 	p.MustVerify()
 	pkt := bytes.Repeat([]byte{0}, 32)

@@ -341,7 +341,7 @@ func DecodeSpec(spec []byte) (ExperimentConfig, error) {
 // the run. A digest mismatch returns *checkpoint.DivergenceError. Because the restore replays
 // from time zero, fresh sinks reproduce the original run's full
 // timeline: a collector handed in (it must be empty) is fed the
-// replayed window, and so is anything chained on its OnSink — the SLO
+// replayed window, and so is its OnSink subscriber — the SLO
 // watchdog — so observation-driven state is rebuilt exactly as a
 // straight run would have built it.
 func RestoreWith(r io.Reader, sinks sweep.Sinks) (*Harness, error) {

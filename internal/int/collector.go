@@ -334,6 +334,40 @@ func (c *Collector) Digests() []*PathDigest { return c.order }
 // PathChanges returns recorded path changes in observation order.
 func (c *Collector) PathChanges() []PathChange { return c.changes }
 
+// SinkLoss is one sink's cumulative loss tally over all its flows.
+type SinkLoss struct {
+	Sink           string
+	Received, Lost uint64
+}
+
+// Fraction is lost/(lost+received), 0 before any arrival.
+func (s SinkLoss) Fraction() float64 {
+	if s.Received+s.Lost == 0 {
+		return 0
+	}
+	return float64(s.Lost) / float64(s.Lost+s.Received)
+}
+
+// AppendSinkLoss appends one tally per sink to dst, sinks in the order
+// their first frame arrived, each summing its flows' received and lost
+// counts.
+func (c *Collector) AppendSinkLoss(dst []SinkLoss) []SinkLoss {
+	start := len(dst)
+	for _, fk := range c.fkeys {
+		i := start
+		for i < len(dst) && dst[i].Sink != fk.sink {
+			i++
+		}
+		if i == len(dst) {
+			dst = append(dst, SinkLoss{Sink: fk.sink})
+		}
+		fs := c.flows[fk]
+		dst[i].Received += fs.received
+		dst[i].Lost += fs.lost
+	}
+	return dst
+}
+
 // Absorb merges other's state into c: digests for paths c has not seen
 // are appended in other's first-seen order, shared paths merge their
 // aggregates, flow counters add, and path changes append. Parallel

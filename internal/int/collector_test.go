@@ -74,6 +74,15 @@ func TestCollectorLossAndReorder(t *testing.T) {
 	if fs := c.flows[flowKey{sink: "dst", flow: 99}]; fs != nil {
 		t.Fatalf("unknown flow reported %+v", *fs)
 	}
+
+	// Per-sink tallies sum the sink's flows, sinks in arrival order.
+	sinkFrame(c, "other", "src", 2, 1, 0, 50)
+	sinkFrame(c, "dst", "src", 3, 1, 0, 60)
+	sinkFrame(c, "dst", "src", 3, 3, 0, 70) // 2 missing
+	want := []SinkLoss{{Sink: "dst", Received: 6, Lost: 3}, {Sink: "other", Received: 1}}
+	if got := c.AppendSinkLoss(nil); !slices.Equal(got, want) {
+		t.Fatalf("AppendSinkLoss = %+v, want %+v", got, want)
+	}
 }
 
 func TestCollectorPathChange(t *testing.T) {

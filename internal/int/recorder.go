@@ -98,11 +98,6 @@ func (r *Recorder) Observe(e telemetry.Event) {
 	}
 }
 
-// Empty reports whether the recorder has seen no events and no
-// triggers — the CLI uses it to decide whether a merge-based sweep
-// needs a catch-up feed from the retained trace.
-func (r *Recorder) Empty() bool { return len(r.order) == 0 && len(r.triggers) == 0 }
-
 // jsonTrigger is the dump wire form of a trigger line.
 type jsonTrigger struct {
 	Type string `json:"type"` // "trigger"

@@ -15,14 +15,14 @@ func ev(node string, t int64) telemetry.Event {
 
 func TestRecorderRingBounds(t *testing.T) {
 	r := NewRecorder()
-	if !r.Empty() {
-		t.Fatal("fresh recorder not Empty")
+	if len(r.order) != 0 {
+		t.Fatal("fresh recorder holds events")
 	}
 	for i := int64(1); i <= RecorderDepth+4; i++ {
 		r.Observe(ev("sw", i))
 	}
-	if r.Empty() {
-		t.Fatal("recorder Empty after events")
+	if len(r.order) == 0 {
+		t.Fatal("recorder holds no events after Observe")
 	}
 
 	var buf bytes.Buffer
@@ -76,7 +76,7 @@ func TestRecorderAttachObservesTracer(t *testing.T) {
 
 	tr.FaultInject("sw", "partition:sw@1ms", 1000)
 	tr.SLOBreach("dst", "latency:dst<1µs", 4200)
-	if r.Empty() {
+	if len(r.order) == 0 {
 		t.Fatal("attached recorder saw nothing")
 	}
 	if got := len(r.triggers); got != 2 {

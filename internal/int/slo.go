@@ -208,17 +208,9 @@ func NewWatchdog(plan SLOPlan, tr *telemetry.Tracer) *Watchdog {
 	return w
 }
 
-// Attach subscribes the watchdog to c's observation stream, chaining
-// any observer already installed.
-func (w *Watchdog) Attach(c *Collector) {
-	prev := c.OnSink
-	c.OnSink = func(obs Observation) {
-		if prev != nil {
-			prev(obs)
-		}
-		w.Observe(obs)
-	}
-}
+// Attach makes the watchdog c's observation subscriber, replacing any
+// observer already installed.
+func (w *Watchdog) Attach(c *Collector) { c.OnSink = w.Observe }
 
 // Observe evaluates one observation against every matching objective.
 func (w *Watchdog) Observe(obs Observation) {

@@ -177,10 +177,12 @@ func TestWatchdogWildcardTargets(t *testing.T) {
 	}
 }
 
-func TestWatchdogAttachChains(t *testing.T) {
+// TestWatchdogAttachReplacesObserver: the watchdog is a collector's
+// only subscriber; Attach takes the OnSink slot, it does not chain.
+func TestWatchdogAttachReplacesObserver(t *testing.T) {
 	c := NewCollector()
-	var chained int
-	c.OnSink = func(Observation) { chained++ }
+	var earlier int
+	c.OnSink = func(Observation) { earlier++ }
 	plan, _ := ParseSLOPlan("latency:dst<1µs")
 	w := NewWatchdog(plan, nil)
 	w.Attach(c)
@@ -188,8 +190,8 @@ func TestWatchdogAttachChains(t *testing.T) {
 	for seq := uint32(1); seq <= Consecutive; seq++ {
 		sinkFrame(c, "dst", "src", 1, seq, 0, 5000*int64(seq))
 	}
-	if chained != Consecutive {
-		t.Fatalf("previous observer called %d times, want %d", chained, Consecutive)
+	if earlier != 0 {
+		t.Fatalf("replaced observer called %d times, want 0", earlier)
 	}
 	if len(w.Breaches()) != 1 {
 		t.Fatalf("watchdog saw %d breaches through Attach, want 1", len(w.Breaches()))

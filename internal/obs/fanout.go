@@ -40,7 +40,7 @@ type Fanout[T any] struct {
 
 	// spare is the emptied queue of the last ServeSSE client to leave,
 	// kept for the next one. A gateway sizes its queues for a whole
-	// run's frames (steelnetd.RunLoad: megabytes each), and a probe that
+	// run's frames (megabytes each under a lossless load), and a probe that
 	// connects, reads hello and leaves would otherwise turn one such
 	// queue into garbage per request.
 	spare chan T

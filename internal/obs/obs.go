@@ -20,6 +20,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -256,7 +257,7 @@ func (b *Broker) ServeHistory(w http.ResponseWriter, r *http.Request) {
 // ServeMetrics writes the latest snapshot's Prometheus text exposition.
 func (b *Broker) ServeMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, b.Current().Metrics)
+	io.WriteString(w, b.Current().Metrics) //nolint:errcheck // client went away
 }
 
 // ServeShards writes the latest JSON shard profile (404 when the run is

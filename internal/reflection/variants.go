@@ -155,7 +155,7 @@ func NewTSDRB() Variant {
 }
 
 // CloneFresh returns a variant that shares v's verified, compiled
-// program code but carries fresh map and ring state. Sweeps build each
+// program code but carries a fresh ring buffer. Sweeps build each
 // variant once and clone it per cell, paying assemble/verify/compile
 // once per sweep instead of once per cell.
 func (v Variant) CloneFresh() Variant {

@@ -8,36 +8,6 @@ import (
 	"steelnet/internal/tshist"
 )
 
-// BenchmarkGatewayFanout is ISSUE 9's headline load shape: M=8 sims
-// fanning out through one hub to N=1000 SSE-equivalent subscribers. One
-// iteration is a whole fleet run; the reported extras are delivered
-// messages per second and the hub's per-publish fan-out latency
-// quantiles.
-func BenchmarkGatewayFanout(b *testing.B) {
-	cfg := LoadConfig{
-		Sims:        8,
-		Subscribers: 1000,
-		Run:         testRun(1),
-		Rules:       testRules,
-	}
-	var last LoadResult
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, _, err := RunLoad(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Dropped != 0 || res.Delivered != res.Frames*uint64(res.Subscribers) {
-			b.Fatalf("lossy fan-out: %+v", res)
-		}
-		last = res
-	}
-	b.ReportMetric(last.MsgPerSec, "msg/s")
-	b.ReportMetric(last.FanoutP50NS, "p50-ns")
-	b.ReportMetric(last.FanoutP99NS, "p99-ns")
-}
-
 // BenchmarkHubPublish pins the per-publish cost of the hub hot path at a
 // realistic subscriber count; its allocs/op figure is the alloc budget
 // benchdiff guards.

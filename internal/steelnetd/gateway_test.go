@@ -55,6 +55,9 @@ func TestGatewayRunLifecycle(t *testing.T) {
 	if kafka.Total() == 0 || mqtt.Total() == 0 {
 		t.Errorf("northbound publishes: kafka=%d mqtt=%d, want both > 0", kafka.Total(), mqtt.Total())
 	}
+	if got := kafka.Total() + mqtt.Total(); got != st.Firings {
+		t.Errorf("backends hold %d records, the run counted %d firings", got, st.Firings)
+	}
 	// Every record is keyed by the run and carries valid firing JSON.
 	for _, r := range kafka.Records() {
 		if r.Key != "mill" {

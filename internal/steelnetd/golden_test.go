@@ -3,6 +3,7 @@ package steelnetd
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"testing"
 )
 
@@ -21,7 +22,8 @@ func goldenSpecs() []RunSpec {
 }
 
 // dumpLogs runs the specs on a fresh gateway at the given concurrency
-// and returns each fake backend's JSONL dump.
+// and returns each fake backend's JSONL dump, plus under "hub" the
+// number of frames the hub published with nobody subscribed.
 func dumpLogs(t *testing.T, maxConcurrent int, specs []RunSpec) map[string]string {
 	t.Helper()
 	kafka, mqtt := NewFakeKafka(), NewFakeMQTT()
@@ -43,7 +45,7 @@ func dumpLogs(t *testing.T, maxConcurrent int, specs []RunSpec) map[string]strin
 			t.Fatalf("wait %q: %v", id, err)
 		}
 	}
-	out := map[string]string{}
+	out := map[string]string{"hub": strconv.FormatUint(g.Hub().Published(), 10)}
 	for name, f := range map[string]*FakeBackend{"kafka": kafka, "mqtt": mqtt} {
 		var buf bytes.Buffer
 		if err := f.WriteLog(&buf); err != nil {
@@ -62,9 +64,9 @@ func dumpLogs(t *testing.T, maxConcurrent int, specs []RunSpec) map[string]strin
 func TestGoldenLogsAcrossConcurrency(t *testing.T) {
 	specs := goldenSpecs()
 	base := dumpLogs(t, 1, specs)
-	if base["kafka"] == "" || base["mqtt"] == "" {
-		t.Fatalf("golden fleet published nothing: kafka=%d bytes, mqtt=%d bytes",
-			len(base["kafka"]), len(base["mqtt"]))
+	if base["kafka"] == "" || base["mqtt"] == "" || base["hub"] == "0" {
+		t.Fatalf("golden fleet published nothing: kafka=%d bytes, mqtt=%d bytes, hub=%s frames",
+			len(base["kafka"]), len(base["mqtt"]), base["hub"])
 	}
 	for conc := 2; conc <= 4; conc++ {
 		got := dumpLogs(t, conc, specs)

@@ -243,8 +243,8 @@ func TestHubManySubscribersAllDelivered(t *testing.T) {
 	for i := 0; i < frames; i++ {
 		h.Publish(Frame{Run: "r", Data: []byte(fmt.Sprintf("%d", i))})
 	}
-	if h.Dropped() != 0 {
-		t.Fatalf("Dropped() = %d with adequately sized queues", h.Dropped())
+	if h.Dropped() != 0 || h.Evicted() != 0 {
+		t.Fatalf("Dropped() = %d, Evicted() = %d with adequately sized queues", h.Dropped(), h.Evicted())
 	}
 	for i, ch := range chans {
 		for j := 0; j < frames; j++ {

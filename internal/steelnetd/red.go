@@ -1,6 +1,7 @@
 package steelnetd
 
 import (
+	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -85,7 +86,9 @@ func (m *httpMetrics) wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 
 // statusRecorder captures the response status for the middleware. It
 // passes Flush through so SSE handlers still see a Flusher — wrapping
-// must not break streaming.
+// must not break streaming — and WriteString, so io.WriteString of a
+// rendered body does not copy it into a []byte first. Unwrap lets
+// http.ResponseController reach the connection underneath.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -101,3 +104,9 @@ func (s *statusRecorder) Flush() {
 		f.Flush()
 	}
 }
+
+func (s *statusRecorder) WriteString(str string) (int, error) {
+	return io.WriteString(s.ResponseWriter, str)
+}
+
+func (s *statusRecorder) Unwrap() http.ResponseWriter { return s.ResponseWriter }

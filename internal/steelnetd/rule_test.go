@@ -170,7 +170,7 @@ func ruleSample(seq uint64) core.Sample {
 			{Objective: "latency:s1<1µs", Sink: "s1", AtNS: 10, ClearedAtNS: -1},
 			{Objective: "latency:s2<1µs", Sink: "s2", AtNS: 20, ClearedAtNS: 30},
 		},
-		Loss: []core.SinkLoss{
+		Loss: []intnet.SinkLoss{
 			{Sink: "s1", Received: 90, Lost: 10},
 			{Sink: "s2", Received: 100, Lost: 0},
 		},

@@ -2,6 +2,7 @@ package steelnetd
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -288,5 +289,43 @@ func TestServerHistoryBackfillGapFree(t *testing.T) {
 	}
 	if !sawFull {
 		t.Fatal("no metric covered all 8 slices")
+	}
+}
+
+// stringWriter is a ResponseWriter that counts the calls reaching its
+// WriteString and SetWriteDeadline.
+type stringWriter struct {
+	*httptest.ResponseRecorder
+	strings, deadlines int
+}
+
+func (w *stringWriter) WriteString(s string) (int, error) {
+	w.strings++
+	return w.ResponseRecorder.WriteString(s)
+}
+
+func (w *stringWriter) SetWriteDeadline(time.Time) error {
+	w.deadlines++
+	return nil
+}
+
+// TestREDWrapForwardsWriteString: a handler behind the RED middleware
+// that writes with io.WriteString must reach the connection's own
+// WriteString, not a []byte copy of the body, and
+// http.ResponseController must see through the wrapper.
+func TestREDWrapForwardsWriteString(t *testing.T) {
+	g := NewGateway(GatewayConfig{})
+	defer g.Close()
+	h := newHTTPMetrics(g).wrap("/body", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "steelnetd_up 1\n")
+		if err := http.NewResponseController(w).SetWriteDeadline(time.Now().Add(time.Second)); err != nil {
+			t.Errorf("SetWriteDeadline through the wrapper: %v", err)
+		}
+	})
+	w := &stringWriter{ResponseRecorder: httptest.NewRecorder()}
+	h(w, httptest.NewRequest("GET", "/body", nil))
+	if w.strings != 1 || w.deadlines != 1 || w.Body.String() != "steelnetd_up 1\n" {
+		t.Fatalf("WriteString reached %d times, SetWriteDeadline %d times, body %q; want 1, 1 and the body",
+			w.strings, w.deadlines, w.Body.String())
 	}
 }

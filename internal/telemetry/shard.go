@@ -37,15 +37,17 @@ func (t *Tracer) SetIDSpace(shard int) {
 // i.e. the frame's origin shard.
 func ShardOfFrameID(id uint64) int { return int(id >> idSpaceShift) }
 
-// AbsorbEvents appends pre-merged events to the tracer verbatim — no id
+// AbsorbEvents emits pre-merged events on the tracer verbatim — no id
 // remapping, unlike MergeFrom. This is how a CLI's session tracer takes
 // delivery of a sharded harness's stitched timeline (MergeShardEvents
-// output) so the usual exporters see one log.
+// output) so the usual exporters and the observer see one log.
 func (t *Tracer) AbsorbEvents(events []Event) {
-	if t == nil || len(events) == 0 {
+	if t == nil {
 		return
 	}
-	t.events = append(t.events, events...)
+	for _, e := range events {
+		t.emit(e)
+	}
 }
 
 // MergeShardEvents merges per-shard event streams into one causal

@@ -222,7 +222,8 @@ func (t *Tracer) SetObserver(fn func(Event)) {
 	}
 }
 
-// emit is the single point every record method funnels through.
+// emit is the single point every event funnels through: the record
+// methods, MergeFrom and AbsorbEvents.
 func (t *Tracer) emit(e Event) {
 	if t.retain {
 		t.events = append(t.events, e)
@@ -232,11 +233,12 @@ func (t *Tracer) emit(e Event) {
 	}
 }
 
-// MergeFrom appends src's events to t, remapping src's dense frame ids
+// MergeFrom emits src's events on t, remapping src's dense frame ids
 // past t's so the merged log keeps ids unique. Parallel sweeps give each
 // cell a private tracer and merge them back in deterministic cell order;
-// because ids are per-tracer and dense, the merged log is byte-identical
-// to what any fixed worker count produces. src is left untouched.
+// because ids are per-tracer and dense, the merged log — and what t's
+// observer sees — is byte-identical to what any fixed worker count
+// produces. src is left untouched.
 //
 // MergeFrom is for sweep cells, whose frame populations are disjoint —
 // remapping is what keeps their ids unique. Per-shard tracers of one
@@ -253,7 +255,7 @@ func (t *Tracer) MergeFrom(src *Tracer) {
 		if e.Frame != 0 {
 			e.Frame += base
 		}
-		t.events = append(t.events, e)
+		t.emit(e)
 	}
 	t.nextID += src.nextID
 }

@@ -23,8 +23,7 @@
 # allocs_per_op} rows parsed from `go test -bench -benchmem` output.
 #
 # The allocation guards are one table, under "Allocation guards" below,
-# enforced on every run whatever --check says. BenchmarkGatewayFanout
-# (8 sims × 1000 subscribers through one hub) and the
+# enforced on every run whatever --check says. The
 # BenchmarkCampus10kShards{2,4,8} rungs are macro numbers without an
 # exact guard; the baseline diff gives them the slack described there.
 # Shards1, one worker, allocates the same count every run, so it has one.
@@ -97,7 +96,7 @@ fi
 # occasional descheduled sample and the occasional lucky one — and the
 # worst-case allocs/op so alloc guards can never pass on a lucky sample.
 raw=$(go test -run '^$' -bench \
-  'BenchmarkEngineScheduleAndRun|BenchmarkEngineQueueDepth|BenchmarkEngineBatchDrain|BenchmarkTickerChain|BenchmarkPriorityQueue|BenchmarkSwitchForwarding|BenchmarkCrossShardForwarding|BenchmarkVMReflectorProgram|BenchmarkReflectionProbe|BenchmarkInstaPLCCycle|BenchmarkEngineSharded|BenchmarkCampus10k|BenchmarkGatewayFanout|BenchmarkHubPublish|BenchmarkAppendTagsPayload|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkJournalAppend|BenchmarkJournaledPublish|BenchmarkRegistryValues|BenchmarkRegistryAppendValues|BenchmarkRegistryWritePrometheus' \
+  'BenchmarkEngineScheduleAndRun|BenchmarkEngineQueueDepth|BenchmarkEngineBatchDrain|BenchmarkTickerChain|BenchmarkPriorityQueue|BenchmarkSwitchForwarding|BenchmarkCrossShardForwarding|BenchmarkVMReflectorProgram|BenchmarkReflectionProbe|BenchmarkInstaPLCCycle|BenchmarkEngineSharded|BenchmarkCampus10k|BenchmarkHubPublish|BenchmarkAppendTagsPayload|BenchmarkHistoryAppend|BenchmarkHistoryQuery|BenchmarkJournalAppend|BenchmarkJournaledPublish|BenchmarkRegistryValues|BenchmarkRegistryAppendValues|BenchmarkRegistryWritePrometheus' \
   -benchmem -benchtime 50ms -count 7 . ./internal/sim ./internal/simnet ./internal/ebpf ./internal/reflection ./internal/instaplc ./internal/core ./internal/steelnetd ./internal/tshist)
 echo "$raw"
 

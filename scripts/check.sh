@@ -338,8 +338,6 @@ reach() {
     )
     go test -run '^$' -bench . -benchtime 1x \
         -coverpkg=./... -coverprofile=reach.root.out . > /dev/null
-    go test -run '^$' -bench BenchmarkGatewayFanout -benchtime 1x \
-        -coverpkg=./... -coverprofile=reach.fanout.out ./internal/steelnetd > /dev/null
     go tool covdata textfmt -i="$dir" -o reach.bin.out
     # Dedupe blocks by position, as covercheck.sh does.
     awk 'FNR > 1 && $1 ~ /^steelnet\// && $1 !~ /^steelnet\/bench\// {
@@ -349,7 +347,7 @@ reach() {
     END {
         print "mode: set"
         for (i = 0; i < n; i++) print order[i], S[order[i]], (order[i] in H) ? 1 : 0
-    }' reach.bin.out reach.root.out reach.fanout.out > reach.out
+    }' reach.bin.out reach.root.out > reach.out
     go tool cover -func=reach.out | python3 -c '
 import re, sys
 funcs = zero = lines = 0
