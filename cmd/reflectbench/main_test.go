@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -99,7 +101,9 @@ func TestRunBadUsage(t *testing.T) {
 		args []string
 		want string
 	}{
-		{tiny("-jitter-only", "-flows", "1099511627776"), "flows, want 1 to"},
+		// 2^40 where int holds it, and the largest int: both parse.
+		{tiny("-jitter-only", "-flows", strconv.Itoa(min(1<<40, math.MaxInt))), "flows, want 1 to"},
+		{tiny("-jitter-only", "-flows", strconv.Itoa(math.MaxInt)), "flows, want 1 to"},
 		{tiny("-delay-only", "-cycles", "16777215"), "round trips exceed"},
 		{tiny("-jitter-only", "-flows", "25", "-cycles", "671087"), "round trips exceed"},
 	} {

@@ -130,7 +130,7 @@ func NewCampusHarness(cfg CampusConfig) (*CampusHarness, error) {
 		return nil, fmt.Errorf("core: campus of %d cells × %d switches × (1 + %d hosts) + %d spines exceeds %d nodes",
 			t.Cells, t.SwitchesPerCell, t.HostsPerSwitch, t.Spines, maxCampusNodes)
 	}
-	if cfg.FrameBytes > math.MaxUint32 {
+	if int64(cfg.FrameBytes) > math.MaxUint32 {
 		return nil, fmt.Errorf("core: campus payload of %d bytes, at most %d", cfg.FrameBytes, uint32(math.MaxUint32))
 	}
 	ct := topo.Campus(cfg.Topo)

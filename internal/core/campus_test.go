@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"steelnet/internal/sim"
@@ -158,18 +159,23 @@ func TestCampusCheckpointResume(t *testing.T) {
 // built.
 func TestCampusPortBound(t *testing.T) {
 	over := simnet.MaxSwitchPorts + 1
-	for _, tc := range []struct {
+	type forged struct {
 		name  string
 		forge func(*CampusConfig)
-	}{
+	}
+	cases := []forged{
 		{"cells", func(c *CampusConfig) { c.Topo.Cells = over }},
 		{"spines", func(c *CampusConfig) { c.Topo.Spines = over }},
 		{"hosts", func(c *CampusConfig) { c.Topo.HostsPerSwitch = simnet.MaxSwitchPorts }},
-		{"payload", func(c *CampusConfig) { c.FrameBytes = 1 << 32 }},
 		{"no hosts", func(c *CampusConfig) { c.Topo.HostsPerSwitch = 0 }},
 		// The zero config's topo.Campus defaults give a switch no host.
 		{"zero config", func(c *CampusConfig) { *c = CampusConfig{Seed: 1} }},
-	} {
+	}
+	// Only an int wider than 32 bits can exceed a zero tail's count.
+	if math.MaxInt > math.MaxUint32 {
+		cases = append(cases, forged{"payload", func(c *CampusConfig) { c.FrameBytes = min(1<<32, math.MaxInt) }})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testCampusConfig(1)
 			tc.forge(&cfg)
@@ -177,6 +183,13 @@ func TestCampusPortBound(t *testing.T) {
 				t.Fatalf("NewCampusHarness = %v, %v; want an error", h, err)
 			}
 		})
+	}
+	// The largest payload a zero tail counts, or math.MaxInt where int
+	// is 32 bits, builds.
+	cfg := testCampusConfig(1)
+	cfg.FrameBytes = min(math.MaxUint32, math.MaxInt)
+	if _, err := NewCampusHarness(cfg); err != nil {
+		t.Fatalf("a %d-byte payload: %v", cfg.FrameBytes, err)
 	}
 }
 

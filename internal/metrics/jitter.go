@@ -1,22 +1,50 @@
 package metrics
 
-import "time"
+import (
+	"sort"
+	"time"
+)
 
 // Jitter converts a series of per-cycle delays into a jitter series:
 // the absolute deviation of each delay from the series median. This is the
 // definition used for Fig. 4 (right): with a perfectly deterministic stack
-// every cycle's delay equals the median and jitter is zero.
-func Jitter(delays *Series) *Series {
+// every cycle's delay equals the median and jitter is zero. It is
+// ScaledJitter at scale 1, and sorts delays in place.
+func Jitter(delays *Series) *Series { return ScaledJitter(delays, 1) }
+
+// ScaledJitter sorts delays in place (see Sort) and returns their jitter
+// series already sorted: (d − median) × scale, negated when negative,
+// for every delay d. Every value, and so every quantile, is bit for bit
+// what a copy sorted afterwards would hold; Sum and Mean add up in
+// ascending order. The deviations grow outward from the median on
+// either side, so one pass merges the two runs and nothing is sorted
+// twice. scale must be positive and delays must hold no NaN.
+func ScaledJitter(delays *Series, scale float64) *Series {
+	delays.Sort()
+	ds := delays.samples
 	med := delays.Median()
-	out := NewSeries(delays.Len())
-	for d := range delays.All() {
-		dev := d - med
-		if dev < 0 {
-			dev = -dev
+	dev := func(d float64) float64 {
+		v := (d - med) * scale
+		if v < 0 {
+			v = -v
 		}
-		out.Add(dev)
+		return v
 	}
-	return out
+	out := make([]float64, len(ds))
+	hi := sort.SearchFloat64s(ds, med) // ds[hi:] are at or above the median
+	lo := hi - 1
+	for i := range out {
+		if hi == len(ds) || lo >= 0 && dev(ds[lo]) < dev(ds[hi]) {
+			out[i] = dev(ds[lo])
+			lo--
+		} else {
+			out[i] = dev(ds[hi])
+			hi++
+		}
+	}
+	j := NewSeriesFrom(out)
+	j.ascending = true
+	return j
 }
 
 // InterArrivalJitter converts packet arrival timestamps (nanoseconds) into
@@ -44,8 +72,13 @@ type BurstEvent struct {
 }
 
 // Bursts scans a jitter series for runs of >= minRun consecutive samples
-// above threshold and returns them in order.
+// above threshold and returns them in order. The series must be in
+// insertion order: a sorted one (Sort, Jitter) has lost the cycles'
+// order, and Bursts panics on it.
 func Bursts(jitter *Series, threshold float64, minRun int) []BurstEvent {
+	if jitter.ascending {
+		panic("metrics: Bursts over a sorted series")
+	}
 	if minRun < 1 {
 		minRun = 1
 	}

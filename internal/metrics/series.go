@@ -16,13 +16,15 @@ import (
 // Series is an append-only collection of float64 samples with lazy
 // order statistics. Running sum and extrema are maintained in Add, so
 // Sum/Mean/Min/Max never sort; quantiles sort lazily into a buffer that
-// is reused across calls. The zero value is ready to use.
+// is reused across calls, or, once the owner has called Sort, read the
+// samples themselves. The zero value is ready to use.
 type Series struct {
-	samples  []float64
-	sorted   []float64 // reusable sort buffer; valid when !dirty
-	dirty    bool      // samples appended since the last sort
-	sum      float64
-	min, max float64 // running extrema; meaningful when len(samples) > 0
+	samples   []float64
+	sorted    []float64 // reusable sort buffer; valid when !dirty
+	dirty     bool      // samples appended since the last sort
+	ascending bool      // samples are sorted in place (Sort)
+	sum       float64
+	min, max  float64 // running extrema; meaningful when len(samples) > 0
 }
 
 // NewSeries returns a Series pre-sized for n samples.
@@ -41,6 +43,22 @@ func (s *Series) Add(v float64) {
 	s.samples = append(s.samples, v)
 	s.sum += float64(v) // rounds a product an inlined caller passes: no fused multiply-add
 	s.dirty = true
+	s.ascending = false
+}
+
+// Sort sorts the samples in place, ascending, for an owner that has
+// finished adding: quantiles then read the samples directly, with no
+// sorted copy beside them. Len, Sum, Mean, Min and Max keep what Add
+// folded in insertion order; All, Stddev and FoldState see ascending
+// order from then on. A series whose order means something must keep
+// it and not be sorted: one a digest folds, one Bursts scans. Adding
+// after Sort is allowed and leaves the series unsorted again.
+func (s *Series) Sort() {
+	if s.ascending {
+		return
+	}
+	sort.Float64s(s.samples)
+	s.ascending, s.sorted, s.dirty = true, nil, false
 }
 
 // AddDuration appends a duration sample in nanoseconds.
@@ -95,7 +113,10 @@ func (s *Series) Stddev() float64 {
 
 // Quantile returns the q-quantile (0 <= q <= 1) with linear interpolation.
 func (s *Series) Quantile(q float64) float64 {
-	ss := s.ensureSorted()
+	ss := s.samples
+	if !s.ascending {
+		ss = s.ensureSorted()
+	}
 	n := len(ss)
 	if n == 0 {
 		return 0
@@ -125,9 +146,9 @@ func (s *Series) P99() float64 { return s.Quantile(0.99) }
 // P999 returns the 0.999 quantile.
 func (s *Series) P999() float64 { return s.Quantile(0.999) }
 
-// All yields the raw samples in insertion order, in place: a reader
-// that keeps none of them needs no copy. Adding to the series while
-// iterating is not allowed.
+// All yields the raw samples in insertion order, or ascending after
+// Sort, in place: a reader that keeps none of them needs no copy.
+// Adding to the series while iterating is not allowed.
 func (s *Series) All() iter.Seq[float64] {
 	return func(yield func(float64) bool) {
 		for _, v := range s.samples {

@@ -41,7 +41,7 @@ func checkScenario(sc Scenario) error {
 		return fmt.Errorf("mltopo: non-positive request period %v", sc.Profile.Period)
 	case sc.Profile.InferCPU < 0:
 		return fmt.Errorf("mltopo: negative inference time %v", sc.Profile.InferCPU)
-	case sc.Profile.ResultBytes < 0 || sc.Profile.ResultBytes > math.MaxUint32:
+	case sc.Profile.ResultBytes < 0 || int64(sc.Profile.ResultBytes) > math.MaxUint32:
 		// A response body is one frame's zero tail, a uint32 count.
 		return fmt.Errorf("mltopo: inference result of %d bytes, want 0 to %d", sc.Profile.ResultBytes, uint32(math.MaxUint32))
 	}
@@ -102,6 +102,7 @@ func (h *Harness) Result() Result {
 		}
 		completed += c.Completed
 	}
+	lat.Sort()
 	res := Result{
 		Kind:          h.sc.Kind,
 		App:           h.sc.Profile.Name,

@@ -1,6 +1,7 @@
 package mltopo
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -11,22 +12,30 @@ import (
 // cell can be built from — what a command line may carry — and checks that each is an error before anything is built,
 // which NewHarness turns into a panic and the sweep into its error.
 func TestRestoreForgedScenarioIsAnError(t *testing.T) {
-	for _, tc := range []struct {
+	type forged struct {
 		name  string
 		forge func(*Scenario)
-	}{
+	}
+	cases := []forged{
 		{"no clients", func(sc *Scenario) { sc.Clients = 0 }},
 		{"negative clients", func(sc *Scenario) { sc.Clients = -3 }},
 		{"zero period", func(sc *Scenario) { sc.Profile.Period = 0 }},
 		{"negative period", func(sc *Scenario) { sc.Profile.Period = -time.Millisecond }},
 		{"negative inference time", func(sc *Scenario) { sc.Profile.InferCPU = -time.Microsecond }},
 		{"negative result size", func(sc *Scenario) { sc.Profile.ResultBytes = -1 }},
-		{"result past a zero tail", func(sc *Scenario) { sc.Profile.ResultBytes = 1 << 32 }},
 		{"unknown kind", func(sc *Scenario) { sc.Kind = 7 }},
 		{"more servers than a leaf has ports", func(sc *Scenario) {
 			sc.Clients, sc.ClientsPerServer = 1<<14, 1
 		}},
-	} {
+	}
+	// A response body is one frame's zero tail, a uint32 count, which
+	// only an int wider than 32 bits can exceed.
+	if math.MaxInt > math.MaxUint32 {
+		cases = append(cases, forged{"result past a zero tail", func(sc *Scenario) {
+			sc.Profile.ResultBytes = min(1<<32, math.MaxInt)
+		}})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := DefaultScenario(LeafSpine, mlwork.ObjectIdentification, 4)
 			tc.forge(&sc)
@@ -34,6 +43,13 @@ func TestRestoreForgedScenarioIsAnError(t *testing.T) {
 				t.Fatal("checkScenario accepted it")
 			}
 		})
+	}
+	// The largest body a zero tail counts, or math.MaxInt where int is
+	// 32 bits, is accepted.
+	sc := DefaultScenario(LeafSpine, mlwork.ObjectIdentification, 4)
+	sc.Profile.ResultBytes = min(math.MaxUint32, math.MaxInt)
+	if err := checkScenario(sc); err != nil {
+		t.Fatalf("a %d-byte result: %v", sc.Profile.ResultBytes, err)
 	}
 }
 

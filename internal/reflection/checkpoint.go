@@ -2,6 +2,7 @@ package reflection
 
 import (
 	"fmt"
+	"slices"
 
 	"steelnet/internal/checkpoint"
 	"steelnet/internal/frame"
@@ -35,7 +36,8 @@ type Harness struct {
 	// delays is the cell's one result slab, flow-major: the tap hands
 	// each round trip to record, which writes its delay (µs) into the
 	// next of its flow's Cycles+2 slots; matched counts them per flow.
-	// Result compacts the slab in place and the delay series adopts it.
+	// finish compacts the slab in place; Result's delay series adopts
+	// it and sorts it.
 	delays  []float64
 	matched []int
 
@@ -165,38 +167,68 @@ func (h *Harness) record(flow uint32, r tap.RTT) {
 	h.matched[i]++
 }
 
+// finish stops the probe flows, drains in-flight frames and compacts
+// the result slab in place, flow by flow in match order: the order the
+// delay series sums in. It returns the round trips in that order; the
+// first call finishes, later ones return the same slice.
+func (h *Harness) finish() []float64 {
+	if !h.finished {
+		h.finished = true
+		h.sender.Stop()
+		h.engine.Run() // drain in-flight probes
+		n, per := 0, h.perFlow()
+		for i, m := range h.matched {
+			n += copy(h.delays[n:], h.delays[i*per:i*per+m])
+		}
+		h.delays, h.matched = h.delays[:n:n], nil
+	}
+	return h.delays
+}
+
 // Result finalizes the run — stops the probe flows, drains in-flight
-// frames and computes the delay/jitter distributions. The first call
-// finalizes; later calls return the cached result.
+// frames and computes the delay/jitter distributions. The delay series
+// adopts the result slab and sorts it in place; the jitter series is
+// built from it already sorted. The first call finalizes; later calls
+// return the cached result.
 func (h *Harness) Result() Result {
-	if h.finished {
+	if h.result.Delays != nil {
 		return h.result
 	}
-	h.finished = true
-	h.sender.Stop()
-	h.engine.Run() // drain in-flight probes
-
-	// Flow by flow in match order: the order the series sums in.
-	n, per := 0, h.perFlow()
-	for i, m := range h.matched {
-		n += copy(h.delays[n:], h.delays[i*per:i*per+m])
+	delays := metrics.NewSeriesFrom(h.finish())
+	h.delays = nil
+	jitter := metrics.ScaledJitter(delays, 1e3) // µs to ns
+	h.result = Result{Variant: h.variant.Name, Flows: h.cfg.Flows, Delays: delays, Jitter: jitter}
+	if h.variant.Ring != nil {
+		h.result.RingRecords = h.variant.Ring.Produced
 	}
-	delays := metrics.NewSeriesFrom(h.delays[:n:n])
-	h.delays, h.matched = nil, nil
-	jitter := metrics.NewSeries(delays.Len())
-	med := delays.Median()
-	for d := range delays.All() {
+	return h.result
+}
+
+// ConsecutiveJitterEvents finalizes the run like Result and scans its
+// jitter in arrival order, flow by flow and cycle by cycle, for runs of
+// at least minRun consecutive round trips above thresholdNS — the
+// "consecutive jitter events … cycle after cycle" §2.1 faults existing
+// evaluations for not reporting, because they are what expire PROFINET
+// watchdog counters. Result sorts the round trips, so the scan must
+// come before it, and panics after; it pays a sorted copy for the
+// median and an arrival-order jitter series, which the figures do not.
+func (h *Harness) ConsecutiveJitterEvents(thresholdNS float64, minRun int) []metrics.BurstEvent {
+	if h.result.Delays != nil {
+		panic("reflection: ConsecutiveJitterEvents after Result: the round trips are sorted")
+	}
+	ds := h.finish()
+	sorted := metrics.NewSeriesFrom(slices.Clone(ds))
+	sorted.Sort()
+	med := sorted.Median()
+	jitter := metrics.NewSeries(len(ds))
+	for _, d := range ds {
 		dev := (d - med) * 1e3 // ns
 		if dev < 0 {
 			dev = -dev
 		}
 		jitter.Add(dev)
 	}
-	h.result = Result{Variant: h.variant.Name, Flows: h.cfg.Flows, Delays: delays, Jitter: jitter}
-	if h.variant.Ring != nil {
-		h.result.RingRecords = h.variant.Ring.Produced
-	}
-	return h.result
+	return metrics.Bursts(jitter, thresholdNS, minRun)
 }
 
 // FoldState folds the cell's live state: engine, the variant's program

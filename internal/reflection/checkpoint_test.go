@@ -1,6 +1,7 @@
 package reflection
 
 import (
+	"math"
 	"testing"
 
 	"steelnet/internal/sim"
@@ -24,9 +25,14 @@ func TestRestoreForgedConfigIsAnError(t *testing.T) {
 		// One past the bound: a build without it runs quickly, where
 		// 2^40 flows would exhaust the machine's memory.
 		{"flows past the bound", func(c *Config) { c.Flows = maxFlows + 1 }},
-		// A result slab of 2^40 delays per flow: built, it would ask
-		// for 8 TiB before the first event.
-		{"cycles past the bound", func(c *Config) { c.Cycles = 1 << 40 }},
+		// One past the bound, and the largest int: Flows × (Cycles+2)
+		// must not overflow on the way to the refusal.
+		{"cycles past the bound", func(c *Config) { c.Cycles = maxSamples - 1 }},
+		{"cycles at math.MaxInt", func(c *Config) { c.Cycles = math.MaxInt }},
+		// A result slab of 2^40 delays per flow (math.MaxInt where int
+		// is 32 bits): built, it would ask for 8 TiB before the first
+		// event.
+		{"2^40 cycles", func(c *Config) { c.Cycles = min(1<<40, math.MaxInt) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			forged := smallConfig()

@@ -263,9 +263,11 @@ func DefaultConfig() Config {
 type Result struct {
 	Variant string
 	Flows   int
-	// Delays holds tap-measured round-trip delays in microseconds.
+	// Delays holds tap-measured round-trip delays in microseconds,
+	// sorted: Sum and Mean add up in arrival order.
 	Delays *metrics.Series
-	// Jitter holds |delay - median| in nanoseconds.
+	// Jitter holds |delay - median| in nanoseconds, sorted; for the
+	// arrival order see Harness.ConsecutiveJitterEvents.
 	Jitter *metrics.Series
 	// RingRecords is the number of ring-buffer records the variant
 	// produced (0 for non-ring variants).
@@ -279,22 +281,6 @@ func Run(cfg Config, v Variant) Result {
 	h := NewHarness(cfg, v)
 	h.AdvanceTo(h.Horizon())
 	return h.Result()
-}
-
-// ConsecutiveJitterEvents scans the per-cycle jitter series for runs of
-// at least minRun consecutive cycles above thresholdNS — the
-// "consecutive jitter events … cycle after cycle" §2.1 faults existing
-// evaluations for not reporting, because they are what expire PROFINET
-// watchdog counters.
-func (r Result) ConsecutiveJitterEvents(thresholdNS float64, minRun int) []metrics.BurstEvent {
-	return metrics.Bursts(r.Jitter, thresholdNS, minRun)
-}
-
-// WouldTripWatchdog reports whether the measured jitter pattern would
-// have halted a device with the given consecutive-miss budget, treating
-// any cycle with jitter above thresholdNS as a missed deadline.
-func (r Result) WouldTripWatchdog(thresholdNS float64, watchdogCycles int) bool {
-	return metrics.WouldTripWatchdog(r.Jitter, thresholdNS, watchdogCycles)
 }
 
 // runGrid runs one Fig. 4 grid through the sweep driver: cell i is the

@@ -2,6 +2,7 @@ package reflection
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,7 +10,6 @@ import (
 	"steelnet/internal/frame"
 	"steelnet/internal/host"
 	intnet "steelnet/internal/int"
-	"steelnet/internal/metrics"
 	"steelnet/internal/sim"
 	"steelnet/internal/simnet"
 	"steelnet/internal/telemetry"
@@ -241,32 +241,57 @@ func TestConsecutiveJitterEventsReported(t *testing.T) {
 	// distribution. On a PREEMPT_RT single-flow run, µs-scale runs long
 	// enough to trip a 3-cycle watchdog must not exist.
 	cfg := smallConfig()
-	res := Run(cfg, NewBase())
-	if res.WouldTripWatchdog(2000, 3) {
-		events := res.ConsecutiveJitterEvents(2000, 3)
+	h := NewHarness(cfg, NewBase())
+	h.AdvanceTo(h.Horizon())
+	if events := h.ConsecutiveJitterEvents(2000, 3); len(events) > 0 {
 		t.Fatalf("PREEMPT_RT run would trip a 3-cycle watchdog: %+v", events)
 	}
 	// But sub-100ns deviations occur in runs — the analysis must see
 	// them (the series is not degenerate).
-	if len(res.ConsecutiveJitterEvents(10, 1)) == 0 {
+	if len(h.ConsecutiveJitterEvents(10, 1)) == 0 {
 		t.Fatal("no jitter events at a 10ns threshold — series degenerate")
 	}
 }
 
+// TestConsecutiveJitterEventsLeaveResult: the arrival-order scan
+// finalizes the cell without disturbing it — Result afterwards is a
+// straight run's, sample for sample — and after Result, whose series
+// are sorted, the scan refuses to run.
+func TestConsecutiveJitterEventsLeaveResult(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Flows = 3
+	want := Run(cfg, NewBase())
+	h := NewHarness(cfg, NewBase())
+	h.AdvanceTo(h.Horizon())
+	h.ConsecutiveJitterEvents(10, 1)
+	got := h.Result()
+	if !slices.Equal(slices.Collect(got.Delays.All()), slices.Collect(want.Delays.All())) ||
+		!slices.Equal(slices.Collect(got.Jitter.All()), slices.Collect(want.Jitter.All())) ||
+		got.Delays.Sum() != want.Delays.Sum() {
+		t.Fatal("Result after ConsecutiveJitterEvents differs from a straight run's")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ConsecutiveJitterEvents scanned the sorted round trips after Result")
+		}
+	}()
+	h.ConsecutiveJitterEvents(10, 1)
+}
+
 func TestStandardKernelProducesLongerBursts(t *testing.T) {
 	cfg := smallConfig()
-	rt := Run(cfg, NewBase())
 	cfgStd := cfg
 	cfgStd.Profile = host.Standard
-	std := Run(cfgStd, NewBase())
-	longest := func(r Result) int {
+	longest := func(cfg Config) int {
+		h := NewHarness(cfg, NewBase())
+		h.AdvanceTo(h.Horizon())
 		n := 0
-		for _, b := range metrics.Bursts(r.Jitter, 500, 1) {
+		for _, b := range h.ConsecutiveJitterEvents(500, 1) {
 			n = max(n, b.Length)
 		}
 		return n
 	}
-	if worstStd, worstRT := longest(std), longest(rt); worstStd < worstRT {
+	if worstStd, worstRT := longest(cfgStd), longest(cfg); worstStd < worstRT {
 		t.Fatalf("standard kernel bursts (%d) shorter than RT (%d)", worstStd, worstRT)
 	}
 }

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -73,9 +74,19 @@ func TestCampusNodesAtMost(t *testing.T) {
 				cfg, n, cfg.NodesAtMost(n), n-1, cfg.NodesAtMost(n-1), n)
 		}
 	}
-	huge := CampusConfig{Cells: 1 << 20, SwitchesPerCell: 1 << 40, HostsPerSwitch: 1 << 20, Spines: 1}
-	if huge.NodesAtMost(1 << 62) {
-		t.Errorf("%+v: 2^80 nodes admitted under 2^62", huge)
+	// 2^80 nodes under 2^62 where int is 64 bits, 2^71 under 2^31−1
+	// where it is 32; then every count at math.MaxInt. The product
+	// must not wrap into the limit.
+	for _, huge := range []struct {
+		cfg   CampusConfig
+		limit int
+	}{
+		{CampusConfig{Cells: 1 << 20, SwitchesPerCell: min(1<<40, math.MaxInt), HostsPerSwitch: 1 << 20, Spines: 1}, min(1<<62, math.MaxInt)},
+		{CampusConfig{Cells: math.MaxInt, SwitchesPerCell: math.MaxInt, HostsPerSwitch: math.MaxInt, Spines: 1}, math.MaxInt},
+	} {
+		if huge.cfg.NodesAtMost(huge.limit) {
+			t.Errorf("%+v: admitted under %d nodes", huge.cfg, huge.limit)
+		}
 	}
 }
 

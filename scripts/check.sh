@@ -6,7 +6,7 @@
 #
 # where NAME is race, replay, fuzz, zero-alloc, smoke, invariance,
 # int-replay, obs-endpoint, steelnetd, bench-module, reach, docs,
-# orphans, handlers or fma.
+# orphans, handlers, fma or arch.
 # Every file a check writes lands in the repo root under the name CI
 # uploads; all of them are in .gitignore.
 set -euo pipefail
@@ -84,6 +84,7 @@ internal/tshist     FuzzHistoryQuery
 internal/frame      FuzzZeroTail
 internal/simnet     FuzzFIFO
 internal/enc        FuzzAppendString
+internal/metrics    FuzzSeriesSort
 EOF
 }
 
@@ -445,11 +446,22 @@ fma() {
     fi
 }
 
+# Tier-1 on the two other builds an amd64 machine runs natively: a
+# 32-bit int (GOARCH=386) and GOAMD64=v3, where the compiler may use
+# FMA and AVX2. Every pin, golden and digest test runs in both, so a
+# digest that moves with the machine fails here.
+arch() {
+    GOARCH=386 go build ./...
+    GOARCH=386 go test ./...
+    GOAMD64=v3 go build ./...
+    GOAMD64=v3 go test ./...
+}
+
 case "${1:-}" in
-race | replay | fuzz | smoke | invariance | steelnetd | reach | docs | orphans | handlers | fma) "$1" ;;
+race | replay | fuzz | smoke | invariance | steelnetd | reach | docs | orphans | handlers | fma | arch) "$1" ;;
 zero-alloc | int-replay | obs-endpoint | bench-module) "${1//-/_}" ;;
 *)
-    echo "usage: scripts/check.sh race|replay|fuzz|zero-alloc|smoke|invariance|int-replay|obs-endpoint|steelnetd|bench-module|reach|docs|orphans|handlers|fma" >&2
+    echo "usage: scripts/check.sh race|replay|fuzz|zero-alloc|smoke|invariance|int-replay|obs-endpoint|steelnetd|bench-module|reach|docs|orphans|handlers|fma|arch" >&2
     exit 2
     ;;
 esac
